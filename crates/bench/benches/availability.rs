@@ -172,7 +172,7 @@ fn rotation_sweep<E: ConsensusEngine>(f: usize, seed: u64) -> SweepRow {
     spec.cfg.f = f;
     spec.cfg.checkpoint_interval = 32;
     spec.cfg.fetch_missing_bodies = true;
-    let mut cluster = Cluster::<E>::build_engine_fault_ready(spec);
+    let mut cluster = Cluster::<E>::build_engine(spec);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let scenario = paper::primary_crash_under_load();
     let report = run_scenario(&mut cluster, &scenario);
@@ -273,7 +273,7 @@ fn reliability_run<E: ConsensusEngine>(
 ) -> (ReliabilityRow, ScenarioReport) {
     let cured_seat = adversary.seat().1;
     // An equivocating adversary needs its seat provisioned with a silent
-    // split-brain twin; other strategies run on the plain fault-ready host.
+    // split-brain twin; other strategies run on the plain honest host.
     let mut cluster = if twin {
         adversary_cluster_engine::<E>(2, seed, cured_seat as u32)
     } else {

@@ -1,8 +1,7 @@
 //! **Hot-path cost model** — per-committed-op counts of the real work the
-//! agreement path performs: MAC operations, envelope encodings, bytes
-//! deep-copied on the send path, and agreement messages. Both engines run
-//! the Table 1 batch configuration (`sta_mac_allbig_batch`, 1 KiB null
-//! ops, 12 clients) across the **n axis** n ∈ {4, 7, 10} (f ∈ {1, 2, 3})
+//! agreement path performs: MAC operations, envelope encodings and
+//! agreement messages. Both engines run the Table 1 batch configuration
+//! (`sta_mac_allbig_batch`, 1 KiB null ops, 12 clients) across the **n axis** n ∈ {4, 7, 10} (f ∈ {1, 2, 3})
 //! and, per n, both traffic shapes: the ordered **write** path and the
 //! §2.1 optimistic **read** fast path. The measured ratios are checked
 //! against the amortized cost model of the encode-once hot path (cf. the
@@ -25,9 +24,6 @@
 //!     ~2 MACs and ~1 encoding per op *independent of n*, with zero
 //!     agreement messages. 2f of the repliers send digest-only stubs, so
 //!     the reply-byte fan-in stays O(1) full bodies per read.
-//!   * **The per-destination clone budget is zero.** Broadcast buffers are
-//!     reference-counted; a refactor that reintroduces per-peer deep
-//!     copies trips the budget assertion here and in the unit tests.
 //!
 //! The run lands in the committed `BENCH_hotpath.json`, which
 //! `scripts/verify.sh` parse-gates so later PRs cannot silently regress
@@ -56,9 +52,7 @@ struct HotpathRow {
     avg_batch: f64,
     macs_per_op: f64,
     encodings_per_op: f64,
-    bytes_copied_per_op: f64,
     agreement_msgs_per_op: f64,
-    packet_clones: u64,
 }
 
 fn run<E: ConsensusEngine>(f: usize, read: bool) -> HotpathRow {
@@ -89,8 +83,6 @@ fn run<E: ConsensusEngine>(f: usize, read: bool) -> HotpathRow {
     // workload is uniform, so the per-op ratios are unaffected).
     let mut macs = 0u64;
     let mut encodings = 0u64;
-    let mut bytes_copied = 0u64;
-    let mut clones = 0u64;
     let mut agreement_msgs = 0u64;
     let mut ops = 0u64;
     let mut batches = 0u64;
@@ -99,8 +91,6 @@ fn run<E: ConsensusEngine>(f: usize, read: bool) -> HotpathRow {
         let m = cluster.replica_metrics(i);
         macs += c.mac_gen + c.mac_verify;
         encodings += m.hot_encodings;
-        bytes_copied += m.hot_bytes_copied;
-        clones += m.hot_packet_clones;
         agreement_msgs += m.agreement_msgs_sent;
         // Every replica executes every committed request — and serves every
         // optimistic read — exactly once, so the per-replica max is the op
@@ -122,31 +112,12 @@ fn run<E: ConsensusEngine>(f: usize, read: bool) -> HotpathRow {
         },
         macs_per_op: per_op(macs),
         encodings_per_op: per_op(encodings),
-        bytes_copied_per_op: per_op(bytes_copied),
         agreement_msgs_per_op: per_op(agreement_msgs),
-        packet_clones: clones,
     }
 }
 
 fn check(r: &HotpathRow) {
     let n = r.n as f64;
-    // Clone budget: structurally zero on the send path, both paths, any n.
-    assert_eq!(
-        r.packet_clones, 0,
-        "{} n={}: send-path clone budget exceeded",
-        r.engine, r.n
-    );
-    // Zero-copy broadcast: the bytes deep-copied per op must stay far
-    // below one packet's worth (~1 KiB request bodies would dominate
-    // instantly if per-destination copying returned).
-    assert!(
-        r.bytes_copied_per_op < 256.0,
-        "{} n={} {}: {:.0} bytes copied per op on the send path",
-        r.engine,
-        r.n,
-        r.path,
-        r.bytes_copied_per_op
-    );
     if r.path == "read" {
         // A read never enters agreement: no pre-prepare, no votes, no QCs.
         assert!(
@@ -221,22 +192,12 @@ fn main() {
     }
     println!("hot-path cost per completed op (per replica), batch config, 12 clients:");
     println!(
-        "{:<8} {:>3} {:>6} {:>9} {:>7} {:>6} {:>9} {:>13} {:>10} {:>9} {:>7}",
-        "engine",
-        "n",
-        "path",
-        "TPS",
-        "ops",
-        "batch",
-        "MACs/op",
-        "encodings/op",
-        "bytes/op",
-        "msgs/op",
-        "clones"
+        "{:<8} {:>3} {:>6} {:>9} {:>7} {:>6} {:>9} {:>13} {:>9}",
+        "engine", "n", "path", "TPS", "ops", "batch", "MACs/op", "encodings/op", "msgs/op"
     );
     for r in &rows {
         println!(
-            "{:<8} {:>3} {:>6} {:>9.0} {:>7} {:>6.1} {:>9.2} {:>13.2} {:>10.1} {:>9.2} {:>7}",
+            "{:<8} {:>3} {:>6} {:>9.0} {:>7} {:>6.1} {:>9.2} {:>13.2} {:>9.2}",
             r.engine,
             r.n,
             r.path,
@@ -245,15 +206,11 @@ fn main() {
             r.avg_batch,
             r.macs_per_op,
             r.encodings_per_op,
-            r.bytes_copied_per_op,
-            r.agreement_msgs_per_op,
-            r.packet_clones
+            r.agreement_msgs_per_op
         );
         check(r);
     }
-    println!(
-        "amortized cost model: OK (encode-once, batched authenticators, O(1) reads, zero clone budget)"
-    );
+    println!("amortized cost model: OK (encode-once, batched authenticators, O(1) reads)");
 
     let json = Json::obj([
         ("bench", "hotpath".into()),
@@ -273,9 +230,7 @@ fn main() {
                             ("avg_batch", r.avg_batch.into()),
                             ("macs_per_op", r.macs_per_op.into()),
                             ("encodings_per_op", r.encodings_per_op.into()),
-                            ("bytes_copied_per_op", r.bytes_copied_per_op.into()),
                             ("agreement_msgs_per_op", r.agreement_msgs_per_op.into()),
-                            ("packet_clones", (r.packet_clones as f64).into()),
                         ])
                     })
                     .collect(),

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the substrates: real (wall-clock) costs of the
-//! cryptographic primitives, the Merkle state subsystem, the wire codec and
-//! minisql — the building blocks whose *virtual* costs the experiment
-//! harness models. Runs on the in-repo timing harness (`bench::Harness`);
+//! cryptographic primitives, the Merkle state subsystem and minisql — the
+//! building blocks whose *virtual* costs the experiment harness models
+//! (the wire codec is priced by wallbench's `codec.*` layer probes). Runs on the in-repo timing harness (`bench::Harness`);
 //! filter with e.g. `cargo bench --bench micro -- crypto`.
 
 use bench::{black_box, Harness};
@@ -84,59 +84,6 @@ fn state_benches(h: &mut Harness) {
     });
 }
 
-fn codec_benches(h: &mut Harness) {
-    use pbft_core::messages::view::PacketView;
-    use pbft_core::messages::{AuthTag, Envelope, Message, Operation, RequestMsg, Sender};
-    use pbft_core::types::ClientId;
-    let mut g = h.group("codec");
-    let req = RequestMsg {
-        client: ClientId(7),
-        timestamp: 42,
-        read_only: false,
-        reply_addr: 9,
-        op: Operation::App(vec![0u8; 1024]),
-    };
-    let msg = Message::Request(req);
-    g.bench("encode_request_1kib", |b| {
-        b.iter(|| Envelope::encode_prefix(Sender::Client(ClientId(7)), black_box(&msg)))
-    });
-    let prefix = Envelope::encode_prefix(Sender::Client(ClientId(7)), &msg);
-    let packet = Envelope::seal(prefix, &AuthTag::None);
-    g.bench("decode_request_1kib", |b| {
-        b.iter(|| Envelope::decode(black_box(&packet)).expect("decode"))
-    });
-    // The borrowed parser on the same packet: the hot receive path walks
-    // the bytes without materializing the 1 KiB operation.
-    g.bench("view_parse_request_1kib", |b| {
-        b.iter(|| PacketView::parse(black_box(&packet)).expect("parse"))
-    });
-
-    // A prepare vote — the highest-volume agreement message — sealed with a
-    // 4-replica authenticator, decoded owned vs. borrowed. The borrowed
-    // parse comes out fully typed (`FastBody::Prepare`) with zero
-    // allocations.
-    use pbft_core::keys::KeyStore;
-    use pbft_core::messages::PrepareMsg;
-    use pbft_core::types::ReplicaId;
-    use pbft_core::{AuthMode, OpCounts};
-    let keys = KeyStore::new_replica(1, ReplicaId(1), 4, &[]);
-    let vote = Message::Prepare(PrepareMsg {
-        view: 0,
-        seq: 9,
-        digest: pbft_crypto::Digest::of(b"batch"),
-        replica: ReplicaId(1),
-    });
-    let vote_prefix = Envelope::encode_prefix(Sender::Replica(ReplicaId(1)), &vote);
-    let vote_auth = keys.seal_multicast(AuthMode::Macs, &vote_prefix, &mut OpCounts::default());
-    let vote_packet = Envelope::seal(vote_prefix, &vote_auth);
-    g.bench("decode_prepare_owned", |b| {
-        b.iter(|| Envelope::decode(black_box(&vote_packet)).expect("decode"))
-    });
-    g.bench("view_parse_prepare", |b| {
-        b.iter(|| PacketView::parse(black_box(&vote_packet)).expect("parse"))
-    });
-}
-
 fn sql_benches(h: &mut Harness) {
     use minisql::{Database, DbOptions, JournalMode, MemVfs};
     let mut g = h.group("minisql");
@@ -214,7 +161,6 @@ fn main() {
     let mut h = Harness::from_args();
     crypto_benches(&mut h);
     state_benches(&mut h);
-    codec_benches(&mut h);
     sql_benches(&mut h);
     engine_benches(&mut h);
     h.finish();

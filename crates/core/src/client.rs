@@ -16,12 +16,16 @@ use pbft_crypto::Digest;
 
 use crate::config::{AuthMode, PbftConfig};
 use crate::keys::ClientKeys;
+use crate::messages::view::PacketView;
 use crate::messages::{
     AuthTag, Envelope, Message, NewKeyMsg, Operation, ReplyMsg, RequestMsg, Sender,
 };
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
 use crate::routing::{RouteError, ShardMap};
 use crate::types::{ClientId, NetAddr, ReplicaId, View};
+
+/// Client retransmission timeout, in nanoseconds.
+const RETRANSMIT_NS: u64 = 150_000_000;
 
 /// Events surfaced to the application driving the client.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -323,7 +327,7 @@ impl Client {
         self.send_request(&req, big, false, res);
         res.outputs.push(Output::SetTimer {
             kind: TimerKind::Retransmit,
-            delay_ns: self.cfg.client_retransmit_ns,
+            delay_ns: RETRANSMIT_NS,
         });
     }
 
@@ -452,22 +456,18 @@ impl Client {
     /// Handle an incoming packet (replies only; clients ignore the rest).
     pub fn handle_packet(&mut self, packet: &[u8], now_ns: u64) -> HandleResult {
         let mut res = HandleResult::default();
-        let Ok((env, prefix_len)) = Envelope::decode(packet) else {
+        let Ok(view) = PacketView::parse(packet) else {
             return res;
         };
-        let Message::Reply(reply) = env.msg else {
-            return res;
-        };
-        let Sender::Replica(from) = env.sender else {
+        let prefix = view.prefix();
+        let (Message::Reply(reply), Sender::Replica(from)) = (view.msg, view.sender) else {
             return res;
         };
         if from != reply.replica || from.0 as usize >= self.cfg.n() {
             return res;
         }
-        if !self
-            .keys
-            .verify_reply(from, &packet[..prefix_len], &env.auth, &mut res.counts)
-        {
+        let auth = view.auth.to_tag();
+        if !self.keys.verify_reply(from, prefix, &auth, &mut res.counts) {
             return res;
         }
         self.on_reply(reply, now_ns, &mut res);
@@ -596,7 +596,7 @@ impl Client {
                     self.send_request(&req, big, true, &mut res);
                     res.outputs.push(Output::SetTimer {
                         kind: TimerKind::Retransmit,
-                        delay_ns: self.cfg.client_retransmit_ns,
+                        delay_ns: RETRANSMIT_NS,
                     });
                 }
             }

@@ -51,14 +51,9 @@ pub struct PbftConfig {
     /// in pre-prepares (Table 1 `allbig` axis; the library default sets the
     /// big threshold to 0, "resulting in all requests treated as big").
     pub all_requests_big: bool,
-    /// Size threshold for big-request handling when `all_requests_big` is
-    /// off.
-    pub big_request_threshold: usize,
     /// Request batching (Table 1 `batch` axis). When off, every request gets
     /// its own agreement and the congestion window is forced to 1.
     pub batching: bool,
-    /// Maximum requests folded into one pre-prepare.
-    pub max_batch: usize,
     /// Congestion window / pipeline depth k: maximum *agreements*
     /// (pre-prepared batches) not yet executed before the primary postpones
     /// further pre-prepares, "giving itself time to catch up on request
@@ -72,25 +67,6 @@ pub struct PbftConfig {
     /// spans every pre-prepared sequence). Small values force aggregation
     /// under load; 1 serializes agreements entirely.
     pub congestion_window: u64,
-    /// Pipelined batch formation: while at least one batch is already in
-    /// flight, the primary holds a pre-prepare back until this many
-    /// requests are pending (or the [`PbftConfig::batch_gather_ns`]
-    /// deadline passes). The pipeline already hides agreement latency for
-    /// the in-flight batches, so gathering costs nothing at the tail while
-    /// keeping batches large — without the gate, a deep window shreds a
-    /// burst of arrivals into width-1 batches and the per-batch protocol
-    /// cost stops amortizing. When the pipeline is *empty* the primary
-    /// still issues immediately, whatever the queue depth, so an isolated
-    /// request never waits. Active only in big-request mode
-    /// ([`PbftConfig::all_requests_big`]), where the pre-prepare carries
-    /// digests: with request bodies inline, every gathered request grows
-    /// the pre-prepare toward MTU fragmentation and gathering stops
-    /// paying. 1 disables the gate.
-    pub pipeline_min_batch: usize,
-    /// Deadline bounding the [`PbftConfig::pipeline_min_batch`] gather
-    /// wait, in nanoseconds: a trickle of requests below the gate threshold
-    /// is issued at the latest this long after gathering began.
-    pub batch_gather_ns: u64,
     /// Take a checkpoint every this many sequence numbers.
     pub checkpoint_interval: u64,
     /// Log capacity: high watermark = low watermark + `log_size`.
@@ -98,11 +74,6 @@ pub struct PbftConfig {
     /// Dynamic client membership (the paper's extension; Table 1 `sta` /
     /// `nosta` axis — `nosta` means dynamic enabled).
     pub dynamic_membership: bool,
-    /// Capacity of the client/session table.
-    pub max_clients: usize,
-    /// Sessions idle longer than this are eligible for cleanup when the
-    /// table is full (paper §3.1).
-    pub session_stale_ns: u64,
     /// Primary issuance quantum when batching is off, in nanoseconds
     /// (0 = none). Without batching the original library issues pre-prepares
     /// from its event-loop tick rather than inline with request arrival;
@@ -112,38 +83,14 @@ pub struct PbftConfig {
     pub nobatch_issue_tick_ns: u64,
     /// Execute requests tentatively after prepare, before commit (§2.1).
     pub tentative_execution: bool,
-    /// Execute read-only requests immediately on arrival (§2.1).
-    pub read_only_optimization: bool,
-    /// Capacity of the contention gate's deferred-read queue: a read-only
-    /// request whose declared keys are dirty in a tentatively executed
-    /// (prepared but uncommitted) batch is parked until local commit
-    /// instead of being answered from uncommitted state — the answer would
-    /// force the client through retransmit-and-escalate. Once the queue is
-    /// full, further contended reads fall back to immediate optimistic
-    /// service (safe: the client's 2f+1 matching rule still protects it,
-    /// at the cost of possible escalation).
-    pub read_defer_max: usize,
     /// Backup timer before suspecting the primary and starting a view
-    /// change, in nanoseconds.
+    /// change, in nanoseconds (doubled per failed round, see
+    /// [`PbftConfig::view_change_delay_ns`]).
     pub view_change_timeout_ns: u64,
-    /// Multiplier applied to [`PbftConfig::view_change_timeout_ns`] per
-    /// failed view-change round (exponential backoff base; Castro uses 2).
-    /// Fault scenarios sweep this: a smaller factor retries aggressively
-    /// under churn, a larger one rides out slow-but-alive primaries.
-    pub view_change_backoff_factor: u64,
-    /// Cap on the backoff exponent: rounds beyond this all use the maximum
-    /// delay, bounding the worst-case wait for a new-view round.
-    pub view_change_backoff_max_rounds: u32,
-    /// Client retransmission timeout, in nanoseconds.
-    pub client_retransmit_ns: u64,
     /// Interval of the client's blind NewKey (authenticator) retransmission
     /// — the only mechanism that lets a restarted replica re-learn client
     /// MAC keys (paper §2.3).
     pub newkey_interval_ns: u64,
-    /// Interval of the replica status broadcast that drives protocol-message
-    /// retransmission to lagging peers (PBFT's recovery from lost
-    /// replica-to-replica datagrams).
-    pub status_interval_ns: u64,
     /// Non-determinism validation policy (paper §2.5).
     pub nondet: NonDetPolicy,
     /// Optional fix for the §2.4 big-request hazard: fetch missing request
@@ -159,32 +106,35 @@ impl Default for PbftConfig {
             f: 1,
             auth: AuthMode::Macs,
             all_requests_big: true,
-            big_request_threshold: 8192,
             batching: true,
-            max_batch: 64,
             nobatch_issue_tick_ns: 1_000_000,
             congestion_window: 8,
-            pipeline_min_batch: 6,
-            batch_gather_ns: 600_000, // 600 µs
             checkpoint_interval: 128,
             log_size: 256,
             dynamic_membership: false,
-            max_clients: 64,
-            session_stale_ns: 60_000_000_000, // 60 s
             tentative_execution: true,
-            read_only_optimization: true,
-            read_defer_max: 64,
             view_change_timeout_ns: 500_000_000, // 500 ms
-            view_change_backoff_factor: 2,
-            view_change_backoff_max_rounds: 10,
-            client_retransmit_ns: 150_000_000, // 150 ms
-            newkey_interval_ns: 2_000_000_000, // 2 s
-            status_interval_ns: 150_000_000,   // 150 ms
+            newkey_interval_ns: 2_000_000_000,   // 2 s
             nondet: NonDetPolicy::default(),
             fetch_missing_bodies: false,
         }
     }
 }
+
+/// Maximum requests folded into one pre-prepare.
+pub(crate) const MAX_BATCH: usize = 64;
+
+/// Size threshold for big-request handling when
+/// [`PbftConfig::all_requests_big`] is off.
+const BIG_REQUEST_THRESHOLD: usize = 8192;
+
+/// Multiplier applied to [`PbftConfig::view_change_timeout_ns`] per failed
+/// view-change round (exponential backoff base; Castro uses 2).
+const VIEW_CHANGE_BACKOFF_FACTOR: u64 = 2;
+
+/// Cap on the backoff exponent: rounds beyond this all use the maximum
+/// delay, bounding the worst-case wait for a new-view round.
+const VIEW_CHANGE_BACKOFF_MAX_ROUNDS: u64 = 10;
 
 impl PbftConfig {
     /// Group size `n = 3f + 1`.
@@ -210,7 +160,7 @@ impl PbftConfig {
     /// Effective batching limit (1 when batching is disabled).
     pub fn effective_max_batch(&self) -> usize {
         if self.batching {
-            self.max_batch.max(1)
+            MAX_BATCH
         } else {
             1
         }
@@ -227,18 +177,18 @@ impl PbftConfig {
     }
 
     /// The new-view round timeout for a view change targeting a view
-    /// `rounds` ahead of the current one: the base timeout scaled by the
-    /// backoff factor per round, with the exponent capped (all saturating,
-    /// so extreme knob settings clamp instead of wrapping).
+    /// `rounds` ahead of the current one: the base timeout doubled per
+    /// round, with the exponent capped (saturating, so an extreme base
+    /// timeout clamps instead of wrapping).
     pub fn view_change_delay_ns(&self, rounds: u64) -> u64 {
-        let exp = rounds.min(self.view_change_backoff_max_rounds as u64) as u32;
+        let exp = rounds.min(VIEW_CHANGE_BACKOFF_MAX_ROUNDS) as u32;
         self.view_change_timeout_ns
-            .saturating_mul(self.view_change_backoff_factor.saturating_pow(exp))
+            .saturating_mul(VIEW_CHANGE_BACKOFF_FACTOR.pow(exp))
     }
 
     /// Is a request of `size` bytes handled as "big"?
     pub fn is_big(&self, size: usize) -> bool {
-        self.all_requests_big || size > self.big_request_threshold
+        self.all_requests_big || size > BIG_REQUEST_THRESHOLD
     }
 
     /// Named Table 1 configuration, e.g. `sta_mac_allbig_batch`.
@@ -314,21 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_formation_gate_defaults() {
-        // The tuned operating point of the pipelined batch-formation gate
-        // (see benches/hotpath.rs and the Table 1 trajectory floor): with
-        // 12 closed-loop clients the group settles into a double-buffered
-        // width-6 cadence. Changing these shifts the committed BENCH
-        // artifacts — retune, don't drift.
-        let cfg = PbftConfig::default();
-        assert_eq!(cfg.pipeline_min_batch, 6);
-        assert_eq!(cfg.batch_gather_ns, 600_000);
-        // The gate must stay within the pipeline's capacity: a threshold
-        // above max_batch could never be met by a single batch.
-        assert!(cfg.pipeline_min_batch <= cfg.effective_max_batch());
-    }
-
-    #[test]
     fn view_change_backoff_scales_and_caps() {
         let cfg = PbftConfig {
             view_change_timeout_ns: 100,
@@ -339,17 +274,9 @@ mod tests {
         assert_eq!(cfg.view_change_delay_ns(3), 800);
         // The exponent caps at max_rounds: further rounds share the delay.
         assert_eq!(cfg.view_change_delay_ns(10), cfg.view_change_delay_ns(50));
-        // A unity factor disables backoff entirely.
-        let flat = PbftConfig {
-            view_change_timeout_ns: 100,
-            view_change_backoff_factor: 1,
-            ..Default::default()
-        };
-        assert_eq!(flat.view_change_delay_ns(7), 100);
-        // Extreme settings saturate instead of wrapping.
+        // An extreme base timeout saturates instead of wrapping.
         let extreme = PbftConfig {
             view_change_timeout_ns: u64::MAX / 2,
-            view_change_backoff_factor: u64::MAX,
             ..Default::default()
         };
         assert_eq!(extreme.view_change_delay_ns(9), u64::MAX);

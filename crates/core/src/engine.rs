@@ -20,9 +20,13 @@
 //! - the network (sends are returned, never performed),
 //! - randomness (all nondeterminism is agreed through the protocol).
 //!
-//! Two engines live in this crate: classic quadratic PBFT
+//! Two engine *types* live in this crate: classic quadratic PBFT
 //! ([`Replica`]) and the linear-communication rotating-leader engine
-//! ([`LinearReplica`](crate::linear::LinearReplica)).
+//! ([`LinearReplica`](crate::linear::LinearReplica)). They are one state
+//! machine, not two: `LinearReplica` is `Replica` with its `linear` mode
+//! flag set, and the flag switches vote routing and aggregation at a
+//! handful of branches inside `Replica`. The trait is what the *harness*
+//! is generic over; it is not a boundary between two implementations.
 //!
 //! # Implementing a custom engine
 //!

@@ -3,9 +3,19 @@
 //! [`LinearReplica`] is the second [`ConsensusEngine`] in this crate,
 //! built to make the paper's quadratic-PBFT cost measurable against the
 //! HotStuff/Tendermint-style alternative the later literature settled on.
-//! It reuses the PBFT replica wholesale — the message log, checkpointing,
-//! Merkle state transfer, recovery statuses, batching, and the wire format
-//! are all shared — and changes only how votes travel:
+//!
+//! It is **not a second implementation**: `LinearReplica` is a newtype
+//! over [`Replica`] whose constructor sets one mode flag
+//! (`Replica::linear`), and every [`ConsensusEngine`] method forwards to
+//! the wrapped replica. The protocol delta lives inside the one `Replica`
+//! state machine as `if self.linear` branches at the points where votes
+//! are routed and counted (`replica/execution.rs`, `replica/viewchange.rs`,
+//! `replica/recovery.rs`) plus the two QC handlers in this file. The
+//! newtype exists so the engine is chosen by *type* (`Cluster<E>`, the
+//! conformance suite) and reports its own `engine_name`; the message log,
+//! checkpointing, Merkle state transfer, recovery statuses, batching and
+//! the wire format are not merely "shared" — they are the same code on the
+//! same struct. What the mode changes is how votes travel:
 //!
 //! - **Agreement is leader-aggregated.** Backups send their prepare vote to
 //!   the current leader only. When the leader holds 2f backup prepares it
@@ -25,9 +35,10 @@
 //! # Trust model
 //!
 //! Certificate voter lists are **unattested**: a QC names its voters but
-//! does not carry their MACs/signatures. This is the same documented
-//! simplification the repo makes for the prepared certificates inside
-//! view-change messages, and it is sound for the crash/partition/timing
+//! does not carry their MACs/signatures. This is the same simplification
+//! the repo makes for the prepared certificates inside view-change
+//! messages (both listed under "Deliberate deviations" in
+//! `ARCHITECTURE.md`), and it is sound for the crash/partition/timing
 //! fault model the conformance and propcheck suites exercise. Because of
 //! it, QCs are accepted from any authenticated group member — which is
 //! also what lets the status-driven recovery path replay certificates on
@@ -51,8 +62,9 @@ use crate::output::{HandleResult, NetTarget, TimerKind};
 use crate::replica::{Replica, ReplicaMetrics};
 use crate::types::{ClientId, ReplicaId, SeqNum, View};
 
-/// The linear-communication engine: a [`Replica`] with leader-aggregated
-/// vote flow. See the [module docs](self) for the protocol delta.
+/// The linear-communication engine: a [`Replica`] constructed with its
+/// `linear` mode flag set. See the [module docs](self) for the protocol
+/// delta.
 ///
 /// Dereferences to [`Replica`], so every inspection helper the test
 /// harness uses on the PBFT engine works here too.
@@ -251,7 +263,8 @@ mod tests {
 
     use super::*;
     use crate::app::NullApp;
-    use crate::messages::{Envelope, Sender};
+    use crate::messages::view::PacketView;
+    use crate::messages::Sender;
     use crate::output::Output;
     use crate::replica::LIB_REGION_PAGES;
 
@@ -353,8 +366,8 @@ mod tests {
             Output::Send { packet, .. } => packet.clone(),
             other => panic!("expected send, got {other:?}"),
         };
-        let (env, _) = Envelope::decode(&packet).expect("decodes");
-        assert_eq!(env.sender, Sender::Replica(ReplicaId(3)));
+        let view = PacketView::parse(&packet).expect("decodes");
+        assert_eq!(view.sender, Sender::Replica(ReplicaId(3)));
         let res = receiver.handle_packet(&packet, 0);
         assert!(
             sent_names(&res)

@@ -174,6 +174,9 @@ pub struct BatchEntry {
 }
 
 impl BatchEntry {
+    /// Smallest encoding: digest, client, timestamp and the body tag.
+    const MIN_LEN: usize = 32 + 8 + 8 + 1;
+
     fn encode(&self, e: &mut Enc) {
         e.digest(&self.digest)
             .u64(self.client.0)
@@ -222,6 +225,10 @@ pub struct PrePrepareMsg {
 }
 
 impl PrePrepareMsg {
+    /// Smallest encoding: view, seq, the two non-determinism words and an
+    /// empty entry count.
+    const MIN_LEN: usize = 4 * 8 + 4;
+
     /// The digest the prepare/commit phases agree on: covers view, seq,
     /// non-determinism and the ordered request digests (not inline bodies).
     pub fn batch_digest(&self) -> Digest {
@@ -257,10 +264,7 @@ impl PrePrepareMsg {
             timestamp_ns: d.u64()?,
             random: d.u64()?,
         };
-        let n = d.u32()? as usize;
-        if n > 100_000 {
-            return Err(WireError::BadLength(n as u64));
-        }
+        let n = d.count(BatchEntry::MIN_LEN)?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             entries.push(BatchEntry::decode(d)?);
@@ -335,10 +339,7 @@ impl QuorumCertMsg {
         let view = d.u64()?;
         let seq = d.u64()?;
         let digest = d.digest()?;
-        let count = d.u32()? as usize;
-        if count > 10_000 {
-            return Err(WireError::BadLength(count as u64));
-        }
+        let count = d.count(4)?;
         let mut voters = Vec::with_capacity(count);
         for _ in 0..count {
             voters.push(ReplicaId(d.u32()?));
@@ -519,6 +520,10 @@ pub struct NewViewMsg {
     pub pre_prepares: Vec<PrePrepareMsg>,
 }
 
+/// Smallest encoded view-change body: new view, stable seq and root, an
+/// empty prepared set and the voter (new-view nests these length-prefixed).
+const VIEW_CHANGE_MIN_LEN: usize = 8 + 8 + 32 + 4 + 4;
+
 /// Every protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
@@ -659,7 +664,7 @@ impl Message {
                     .u64(m.last_stable_seq)
                     .digest(&m.stable_root)
                     .u64(m.last_executed)
-                    .u8(u8::from(m.in_view_change));
+                    .boolean(m.in_view_change);
             }
             Message::Fetch(m) => {
                 e.u64(m.target_seq);
@@ -747,10 +752,7 @@ impl Message {
                 let new_view = d.u64()?;
                 let last_stable_seq = d.u64()?;
                 let stable_root = d.digest()?;
-                let n = d.u32()? as usize;
-                if n > 100_000 {
-                    return Err(WireError::BadLength(n as u64));
-                }
+                let n = d.count(PrePrepareMsg::MIN_LEN)?;
                 let mut prepared = Vec::with_capacity(n);
                 for _ in 0..n {
                     prepared.push(PreparedProof {
@@ -768,14 +770,10 @@ impl Message {
             }
             8 => {
                 let view = d.u64()?;
-                let nvc = d.u32()? as usize;
-                if nvc > 10_000 {
-                    return Err(WireError::BadLength(nvc as u64));
-                }
+                let nvc = d.count(4 + VIEW_CHANGE_MIN_LEN)?;
                 let mut view_changes = Vec::with_capacity(nvc);
                 for _ in 0..nvc {
-                    let inner = d.bytes()?;
-                    let mut id = Dec::new(&inner);
+                    let mut id = Dec::new(d.bytes_ref()?);
                     match Message::decode_body(7, &mut id)? {
                         Message::ViewChange(vc) => {
                             id.finish()?;
@@ -784,10 +782,7 @@ impl Message {
                         _ => return Err(WireError::BadTag(8)),
                     }
                 }
-                let npp = d.u32()? as usize;
-                if npp > 100_000 {
-                    return Err(WireError::BadLength(npp as u64));
-                }
+                let npp = d.count(PrePrepareMsg::MIN_LEN)?;
                 let mut pre_prepares = Vec::with_capacity(npp);
                 for _ in 0..npp {
                     pre_prepares.push(PrePrepareMsg::decode(d)?);
@@ -801,10 +796,7 @@ impl Message {
             9 => {
                 let client = ClientId(d.u64()?);
                 let reply_addr = d.u32()?;
-                let n = d.u32()? as usize;
-                if n > 10_000 {
-                    return Err(WireError::BadLength(n as u64));
-                }
+                let n = d.count(32)?;
                 let mut keys = Vec::with_capacity(n);
                 for _ in 0..n {
                     let k: [u8; 32] = d.raw(32)?.try_into().expect("32 bytes");
@@ -822,7 +814,7 @@ impl Message {
                 last_stable_seq: d.u64()?,
                 stable_root: d.digest()?,
                 last_executed: d.u64()?,
-                in_view_change: d.u8()? != 0,
+                in_view_change: d.boolean()?,
             }),
             11 => {
                 let target_seq = d.u64()?;
@@ -948,34 +940,6 @@ impl AuthTag {
             }
         }
     }
-
-    fn decode(d: &mut Dec<'_>) -> Result<AuthTag, WireError> {
-        match d.u8()? {
-            0 => Ok(AuthTag::None),
-            1 => {
-                let b: [u8; 8] = d.raw(8)?.try_into().expect("8 bytes");
-                Ok(AuthTag::Mac(Mac64::from_bytes(b)))
-            }
-            2 => {
-                let n = d.u32()? as usize;
-                if n > 10_000 {
-                    return Err(WireError::BadLength(n as u64));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let idx = d.u32()?;
-                    let b: [u8; 8] = d.raw(8)?.try_into().expect("8 bytes");
-                    entries.push((idx, Mac64::from_bytes(b)));
-                }
-                Ok(AuthTag::Authenticator(Authenticator::from_entries(entries)))
-            }
-            3 => {
-                let b: [u8; 40] = d.raw(40)?.try_into().expect("40 bytes");
-                Ok(AuthTag::Sig(Signature::from_bytes(&b)))
-            }
-            t => Err(WireError::BadTag(t)),
-        }
-    }
 }
 
 /// A complete packet: sender, message and authentication trailer.
@@ -1007,47 +971,32 @@ impl Envelope {
         auth.encode(&mut e);
         e.into_bytes()
     }
-
-    /// Parse a packet. Returns the envelope and the length of the
-    /// authenticated prefix (callers verify the auth tag over
-    /// `&packet[..prefix_len]`).
-    ///
-    /// # Errors
-    /// Any [`WireError`] on malformed input.
-    pub fn decode(packet: &[u8]) -> Result<(Envelope, usize), WireError> {
-        let mut d = Dec::new(packet);
-        let disc = d.u8()?;
-        let sender = Sender::decode(&mut d)?;
-        let msg = Message::decode_body(disc, &mut d)?;
-        let prefix_len = d.position();
-        let auth = AuthTag::decode(&mut d)?;
-        d.finish()?;
-        Ok((Envelope { sender, msg, auth }, prefix_len))
-    }
 }
 
-/// Borrowed, allocation-free packet parsing for the hot receive path.
+/// The one packet decoder.
 ///
-/// [`view::PacketView::parse`] walks a packet exactly once without
-/// materializing any owned field: variable-length fields are skipped via
-/// [`Dec::bytes_ref`], the auth trailer stays a borrowed byte span, and the
-/// two highest-volume message kinds (prepare/commit votes, which are `Copy`)
-/// come out fully typed. This lets a replica *verify before materializing*:
-/// a packet with a bad MAC is rejected without a single heap allocation, and
-/// a good packet decodes its body exactly once afterwards
-/// ([`view::PacketView::materialize`]).
+/// [`view::PacketView::parse`] walks a packet exactly once: sender, then
+/// the body through `Message::decode_body` (the single field walk per
+/// message kind), then the auth trailer, which stays a borrowed byte span
+/// so a receiver picks out its own MAC without building the vector. The
+/// prefix and body spans are recorded on the way, so authentication and
+/// request digests run over the received bytes in place.
+///
+/// The body is decoded *before* it is authenticated. What that costs is
+/// bounded: every element count is checked against the bytes actually left
+/// ([`Dec::count`]), so an unauthenticated packet allocates at most a small
+/// multiple of its own length.
 pub mod view {
     use super::*;
 
-    /// Typed bodies parsed inline for the hottest (allocation-free) kinds.
-    #[derive(Debug, Clone, Copy)]
-    pub enum FastBody {
-        /// A prepare vote, fully decoded (it is `Copy`).
-        Prepare(PrepareMsg),
-        /// A commit vote, fully decoded.
-        Commit(CommitMsg),
-        /// Any other kind: span recorded, body materialized on demand.
-        Other,
+    /// Encoded size of one authenticator entry: `u32` receiver index plus
+    /// an 8-byte MAC.
+    const ENTRY_LEN: usize = 12;
+
+    fn entry(chunk: &[u8]) -> (u32, Mac64) {
+        let idx = u32::from_be_bytes(chunk[..4].try_into().expect("4 bytes"));
+        let mac: [u8; 8] = chunk[4..].try_into().expect("8 bytes");
+        (idx, Mac64::from_bytes(mac))
     }
 
     /// The authentication trailer, borrowed from the packet.
@@ -1073,34 +1022,24 @@ pub mod view {
         /// The MAC addressed to receiver `idx`, if present — a linear scan
         /// over the borrowed entry span, no `Vec` of entries is ever built.
         pub fn mac_for(&self, idx: u32) -> Option<Mac64> {
-            match self {
-                AuthView::Authenticator { entries, .. } => {
-                    for chunk in entries.chunks_exact(12) {
-                        let i = u32::from_be_bytes(chunk[..4].try_into().expect("4 bytes"));
-                        if i == idx {
-                            let b: [u8; 8] = chunk[4..].try_into().expect("8 bytes");
-                            return Some(Mac64::from_bytes(b));
-                        }
-                    }
-                    None
-                }
-                _ => None,
-            }
+            let AuthView::Authenticator { entries, .. } = self else {
+                return None;
+            };
+            entries
+                .chunks_exact(ENTRY_LEN)
+                .map(entry)
+                .find_map(|(i, mac)| (i == idx).then_some(mac))
         }
 
-        /// Materialize the owned [`AuthTag`] (cold paths that store it).
+        /// The owned [`AuthTag`] (for paths that store or re-send it).
         pub fn to_tag(&self) -> AuthTag {
             match self {
                 AuthView::None => AuthTag::None,
                 AuthView::Mac(m) => AuthTag::Mac(*m),
                 AuthView::Authenticator { entries, .. } => {
-                    let mut out = Vec::with_capacity(entries.len() / 12);
-                    for chunk in entries.chunks_exact(12) {
-                        let idx = u32::from_be_bytes(chunk[..4].try_into().expect("4 bytes"));
-                        let b: [u8; 8] = chunk[4..].try_into().expect("8 bytes");
-                        out.push((idx, Mac64::from_bytes(b)));
-                    }
-                    AuthTag::Authenticator(Authenticator::from_entries(out))
+                    AuthTag::Authenticator(Authenticator::from_entries(
+                        entries.chunks_exact(ENTRY_LEN).map(entry).collect(),
+                    ))
                 }
                 AuthView::Sig(s) => AuthTag::Sig(*s),
             }
@@ -1114,12 +1053,9 @@ pub mod view {
                     Ok(AuthView::Mac(Mac64::from_bytes(b)))
                 }
                 2 => {
-                    let count = d.u32()? as usize;
-                    if count > 10_000 {
-                        return Err(WireError::BadLength(count as u64));
-                    }
+                    let count = d.count(ENTRY_LEN)?;
                     Ok(AuthView::Authenticator {
-                        entries: d.raw(12 * count)?,
+                        entries: d.raw(ENTRY_LEN * count)?,
                         count,
                     })
                 }
@@ -1132,65 +1068,42 @@ pub mod view {
         }
     }
 
-    /// A parsed-but-borrowed packet.
-    #[derive(Debug, Clone, Copy)]
+    /// A decoded packet: the owned message plus the spans and the auth
+    /// trailer still borrowed from the received bytes.
+    #[derive(Debug, Clone)]
     pub struct PacketView<'a> {
         packet: &'a [u8],
-        /// Message discriminant (first packet byte).
-        pub disc: u8,
-        /// Claimed sender.
+        /// Claimed sender (authenticate before trusting it).
         pub sender: Sender,
+        /// The decoded message.
+        pub msg: Message,
         body_start: usize,
         prefix_len: usize,
         /// The borrowed auth trailer.
         pub auth: AuthView<'a>,
-        /// Typed body for the allocation-free kinds.
-        pub fast: FastBody,
     }
 
     impl<'a> PacketView<'a> {
-        /// Parse a packet without allocating.
+        /// Decode a packet in one walk.
         ///
         /// # Errors
-        /// Any [`WireError`] on malformed input. Structure *nested inside*
-        /// length-prefixed fields (new-view's embedded view-changes) is
-        /// validated later by [`PacketView::materialize`], not here — a
-        /// packet malformed only there parses as a view but fails to
-        /// materialize.
+        /// Any [`WireError`] on malformed input.
         pub fn parse(packet: &'a [u8]) -> Result<PacketView<'a>, WireError> {
             let mut d = Dec::new(packet);
             let disc = d.u8()?;
             let sender = Sender::decode(&mut d)?;
             let body_start = d.position();
-            let fast = match disc {
-                3 => FastBody::Prepare(PrepareMsg {
-                    view: d.u64()?,
-                    seq: d.u64()?,
-                    digest: d.digest()?,
-                    replica: ReplicaId(d.u32()?),
-                }),
-                4 => FastBody::Commit(CommitMsg {
-                    view: d.u64()?,
-                    seq: d.u64()?,
-                    digest: d.digest()?,
-                    replica: ReplicaId(d.u32()?),
-                }),
-                _ => {
-                    skip_body(disc, &mut d)?;
-                    FastBody::Other
-                }
-            };
+            let msg = Message::decode_body(disc, &mut d)?;
             let prefix_len = d.position();
             let auth = AuthView::parse(&mut d)?;
             d.finish()?;
             Ok(PacketView {
                 packet,
-                disc,
                 sender,
+                msg,
                 body_start,
                 prefix_len,
                 auth,
-                fast,
             })
         }
 
@@ -1199,213 +1112,11 @@ pub mod view {
             &self.packet[..self.prefix_len]
         }
 
-        /// Length of the authenticated prefix.
-        pub fn prefix_len(&self) -> usize {
-            self.prefix_len
-        }
-
         /// The encoded message body (canonical encoding of the message
         /// struct — for a request, exactly the bytes its digest covers).
         pub fn body(&self) -> &'a [u8] {
             &self.packet[self.body_start..self.prefix_len]
         }
-
-        /// Decode the owned message — called once, after authentication
-        /// passed. Walks only the body; the trailer was parsed borrowed.
-        ///
-        /// # Errors
-        /// Any [`WireError`] for structure hidden inside nested fields
-        /// (see [`PacketView::parse`]).
-        pub fn materialize(&self) -> Result<Message, WireError> {
-            let mut d = Dec::new(self.body());
-            let msg = Message::decode_body(self.disc, &mut d)?;
-            d.finish()?;
-            Ok(msg)
-        }
-
-        /// Materialize the full envelope (owned message + owned auth tag).
-        ///
-        /// # Errors
-        /// As [`PacketView::materialize`].
-        pub fn to_envelope(&self) -> Result<Envelope, WireError> {
-            Ok(Envelope {
-                sender: self.sender,
-                msg: self.materialize()?,
-                auth: self.auth.to_tag(),
-            })
-        }
-    }
-
-    /// Walk (and bounds/tag-check) one encoded body without materializing
-    /// it. Mirrors [`Message::decode_body`] field for field; the view tests
-    /// hold the two in lockstep over every message kind.
-    fn skip_body(disc: u8, d: &mut Dec<'_>) -> Result<(), WireError> {
-        match disc {
-            1 | 14 => skip_request(d)?,
-            2 => skip_preprepare(d)?,
-            // 3 | 4 handled typed by the caller.
-            5 => {
-                d.u64()?;
-                d.u64()?;
-                d.u64()?;
-                d.u32()?;
-                d.boolean()?;
-                d.boolean()?;
-                d.bytes_ref()?;
-            }
-            6 => {
-                d.u64()?;
-                d.raw(32)?;
-                d.u32()?;
-            }
-            7 => {
-                d.u64()?;
-                d.u64()?;
-                d.raw(32)?;
-                let n = d.u32()? as usize;
-                if n > 100_000 {
-                    return Err(WireError::BadLength(n as u64));
-                }
-                for _ in 0..n {
-                    skip_preprepare(d)?;
-                }
-                d.u32()?;
-            }
-            8 => {
-                d.u64()?;
-                let nvc = d.u32()? as usize;
-                if nvc > 10_000 {
-                    return Err(WireError::BadLength(nvc as u64));
-                }
-                for _ in 0..nvc {
-                    d.bytes_ref()?;
-                }
-                let npp = d.u32()? as usize;
-                if npp > 100_000 {
-                    return Err(WireError::BadLength(npp as u64));
-                }
-                for _ in 0..npp {
-                    skip_preprepare(d)?;
-                }
-            }
-            9 => {
-                d.u64()?;
-                d.u32()?;
-                let n = d.u32()? as usize;
-                if n > 10_000 {
-                    return Err(WireError::BadLength(n as u64));
-                }
-                d.raw(32 * n)?;
-            }
-            10 => {
-                d.u32()?;
-                d.u64()?;
-                d.u64()?;
-                d.raw(32)?;
-                d.u64()?;
-                d.u8()?;
-            }
-            11 => {
-                d.u64()?;
-                match d.u8()? {
-                    0 => {
-                        d.u32()?;
-                        d.u64()?;
-                    }
-                    1 => {
-                        d.u64()?;
-                    }
-                    t => return Err(WireError::BadTag(t)),
-                }
-                d.u32()?;
-            }
-            12 => {
-                d.u64()?;
-                match d.u8()? {
-                    0 => {
-                        d.u32()?;
-                        d.u64()?;
-                        d.raw(64)?;
-                    }
-                    1 => {
-                        d.u64()?;
-                        match d.u8()? {
-                            0 => {}
-                            1 => {
-                                d.bytes_ref()?;
-                            }
-                            t => return Err(WireError::BadTag(t)),
-                        }
-                    }
-                    2 => {}
-                    t => return Err(WireError::BadTag(t)),
-                }
-                d.u32()?;
-            }
-            13 => {
-                d.raw(32)?;
-                d.u32()?;
-            }
-            15 | 16 => {
-                d.u64()?;
-                d.u64()?;
-                d.raw(32)?;
-                let count = d.u32()? as usize;
-                if count > 10_000 {
-                    return Err(WireError::BadLength(count as u64));
-                }
-                d.raw(4 * count)?;
-            }
-            t => return Err(WireError::BadTag(t)),
-        }
-        Ok(())
-    }
-
-    fn skip_request(d: &mut Dec<'_>) -> Result<(), WireError> {
-        d.u64()?;
-        d.u64()?;
-        d.boolean()?;
-        d.u32()?;
-        match d.u8()? {
-            0 => {
-                d.bytes_ref()?;
-            }
-            1 => {}
-            2 => {
-                d.raw(16)?;
-                d.u64()?;
-                d.u32()?;
-                d.bytes_ref()?;
-            }
-            3 => {
-                d.raw(64)?;
-            }
-            4 => {}
-            t => return Err(WireError::BadTag(t)),
-        }
-        Ok(())
-    }
-
-    fn skip_preprepare(d: &mut Dec<'_>) -> Result<(), WireError> {
-        d.u64()?;
-        d.u64()?;
-        d.u64()?;
-        d.u64()?;
-        let n = d.u32()? as usize;
-        if n > 100_000 {
-            return Err(WireError::BadLength(n as u64));
-        }
-        for _ in 0..n {
-            d.raw(32)?;
-            d.u64()?;
-            d.u64()?;
-            match d.u8()? {
-                0 => {}
-                1 => skip_request(d)?,
-                t => return Err(WireError::BadTag(t)),
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1432,30 +1143,11 @@ mod tests {
             msg.discriminant(),
             "first byte is the discriminant"
         );
-        let (env, prefix_len) = Envelope::decode(&packet).expect("decode");
-        assert_eq!(env.msg, msg);
-        assert_eq!(env.sender, sender);
-        assert_eq!(env.auth, auth);
-        assert_eq!(&packet[..prefix_len], &prefix[..]);
-
-        // The borrowed view must stay in lockstep with the owned decoder
-        // for every message kind: same sender, same prefix span, same
-        // materialized envelope.
-        let v = view::PacketView::parse(&packet).expect("view parse");
-        assert_eq!(v.disc, msg.discriminant());
+        let v = view::PacketView::parse(&packet).expect("parse");
+        assert_eq!(v.msg, msg);
         assert_eq!(v.sender, sender);
-        assert_eq!(v.prefix_len(), prefix_len);
+        assert_eq!(v.auth.to_tag(), auth);
         assert_eq!(v.prefix(), &prefix[..]);
-        assert_eq!(v.to_envelope().expect("materialize"), env);
-        match (&v.fast, &msg) {
-            (view::FastBody::Prepare(p), Message::Prepare(m)) => assert_eq!(p, m),
-            (view::FastBody::Commit(c), Message::Commit(m)) => assert_eq!(c, m),
-            (view::FastBody::Other, Message::Prepare(_) | Message::Commit(_)) => {
-                panic!("votes must parse typed")
-            }
-            (view::FastBody::Other, _) => {}
-            (fast, _) => panic!("typed body {fast:?} for {}", msg.name()),
-        }
     }
 
     #[test]
@@ -1651,12 +1343,9 @@ mod tests {
         let prefix = Envelope::encode_prefix(Sender::Replica(ReplicaId(2)), &msg);
         let sig = kp.sign(&prefix);
         let packet = Envelope::seal(prefix, &AuthTag::Sig(sig));
-        let (env, prefix_len) = Envelope::decode(&packet).expect("decode");
-        match env.auth {
-            AuthTag::Sig(s) => kp
-                .public()
-                .verify(&packet[..prefix_len], &s)
-                .expect("verifies"),
+        let v = view::PacketView::parse(&packet).expect("parse");
+        match v.auth {
+            view::AuthView::Sig(s) => kp.public().verify(v.prefix(), &s).expect("verifies"),
             _ => panic!("wrong auth kind"),
         }
     }
@@ -1788,8 +1477,8 @@ mod tests {
 
     #[test]
     fn garbage_rejected() {
-        assert!(Envelope::decode(&[]).is_err());
-        assert!(Envelope::decode(&[99, 0, 0, 0, 0]).is_err());
+        assert!(view::PacketView::parse(&[]).is_err());
+        assert!(view::PacketView::parse(&[99, 0, 0, 0, 0]).is_err());
         // Valid packet with trailing garbage.
         let prefix = Envelope::encode_prefix(
             Sender::Client(ClientId(1)),
@@ -1797,7 +1486,55 @@ mod tests {
         );
         let mut packet = Envelope::seal(prefix, &AuthTag::None);
         packet.push(0xff);
-        assert!(Envelope::decode(&packet).is_err());
+        assert!(view::PacketView::parse(&packet).is_err());
+    }
+
+    #[test]
+    fn forged_counts_are_rejected_before_allocating() {
+        // One forged packet per count-driven `Vec::with_capacity`: each
+        // claims 100 000 elements and carries none. The decoder must refuse
+        // the count itself (`BadLength`), not reserve for it and then run
+        // out of bytes (`Truncated`).
+        const CLAIM: u32 = 100_000;
+        let zero = Digest::of(b"");
+        type Body<'a> = &'a dyn Fn(&mut Enc);
+        let sites: [(&str, u8, Body<'_>); 7] = [
+            ("pre-prepare entries", 2, &|e| {
+                e.u64(0).u64(1).u64(0).u64(0).u32(CLAIM);
+            }),
+            ("view-change prepared set", 7, &|e| {
+                e.u64(1).u64(0).digest(&zero).u32(CLAIM);
+            }),
+            ("new-view view-changes", 8, &|e| {
+                e.u64(1).u32(CLAIM);
+            }),
+            ("new-view pre-prepares", 8, &|e| {
+                e.u64(1).u32(0).u32(CLAIM);
+            }),
+            ("new-key keys", 9, &|e| {
+                e.u64(1).u32(9).u32(CLAIM);
+            }),
+            ("quorum-certificate voters", 15, &|e| {
+                e.u64(0).u64(1).digest(&zero).u32(CLAIM);
+            }),
+            ("authenticator entries", 13, &|e| {
+                // A complete body-fetch, then a forged trailer.
+                e.digest(&zero).u32(0).u8(2).u32(CLAIM);
+            }),
+        ];
+        for (site, disc, body) in sites {
+            let mut e = Enc::new();
+            e.u8(disc);
+            Sender::Replica(ReplicaId(0)).encode(&mut e);
+            body(&mut e);
+            let packet = e.into_bytes();
+            assert!(packet.len() < 80, "{site}: the forgery is tiny");
+            assert_eq!(
+                view::PacketView::parse(&packet).unwrap_err(),
+                WireError::BadLength(u64::from(CLAIM)),
+                "{site}"
+            );
+        }
     }
 
     #[test]
@@ -1832,25 +1569,6 @@ mod tests {
         assert_eq!(v.auth.mac_for(2), Some(Mac64(12)));
         assert_eq!(v.auth.mac_for(3), Some(Mac64(13)));
         assert_eq!(v.auth.to_tag(), auth);
-    }
-
-    #[test]
-    fn view_rejects_garbage_like_the_decoder() {
-        assert!(view::PacketView::parse(&[]).is_err());
-        assert!(view::PacketView::parse(&[99, 0, 0, 0, 0]).is_err());
-        let prefix = Envelope::encode_prefix(
-            Sender::Client(ClientId(1)),
-            &Message::Request(sample_request()),
-        );
-        let mut packet = Envelope::seal(prefix, &AuthTag::None);
-        packet.push(0xff);
-        assert!(view::PacketView::parse(&packet).is_err());
-        packet.pop();
-        assert!(view::PacketView::parse(&packet).is_ok());
-        // Truncation anywhere inside the prefix is caught too.
-        for cut in 1..packet.len() {
-            assert!(view::PacketView::parse(&packet[..cut]).is_err());
-        }
     }
 
     #[test]

@@ -14,6 +14,29 @@ use crate::types::{ClientId, ReplicaId, SeqNum};
 
 use super::{Replica, TentativeEffects};
 
+/// Pipelined batch formation: while at least one batch is already in
+/// flight, the primary holds a pre-prepare back until this many requests
+/// are pending (or the [`BATCH_GATHER_NS`] deadline passes). The pipeline
+/// already hides agreement latency for the in-flight batches, so gathering
+/// costs nothing at the tail while keeping batches large — without the
+/// gate, a deep window shreds a burst of arrivals into width-1 batches and
+/// the per-batch protocol cost stops amortizing. With 12 closed-loop
+/// clients the group settles into a double-buffered width-6 cadence; this
+/// and the deadline are the tuned operating point behind the committed
+/// `BENCH_*.json` artifacts — retune, don't drift.
+const PIPELINE_MIN_BATCH: usize = 6;
+// A threshold above the batch limit could never be met by a single batch.
+const _: () = assert!(PIPELINE_MIN_BATCH <= crate::config::MAX_BATCH);
+
+/// Deadline bounding the [`PIPELINE_MIN_BATCH`] gather wait, in
+/// nanoseconds: a trickle of requests below the gate threshold is issued at
+/// the latest this long after gathering began.
+const BATCH_GATHER_NS: u64 = 600_000;
+
+/// Sessions idle longer than this (60 s) are eligible for cleanup when the
+/// client table is full (paper §3.1).
+const SESSION_STALE_NS: u64 = 60_000_000_000;
+
 impl Replica {
     /// Agreements assigned but not yet executed (the congestion-window
     /// gauge).
@@ -88,17 +111,17 @@ impl Replica {
             // gathered request grows the pre-prepare toward MTU
             // fragmentation and the gather economics invert, so the gate
             // stays off there.
-            let refractory = self.last_issue_width >= self.cfg.pipeline_min_batch
-                && now_ns.saturating_sub(self.last_issue_ns) < self.cfg.batch_gather_ns;
+            let refractory = self.last_issue_width >= PIPELINE_MIN_BATCH
+                && now_ns.saturating_sub(self.last_issue_ns) < BATCH_GATHER_NS;
             if self.cfg.batching
                 && self.cfg.all_requests_big
                 && (in_flight >= 1 || refractory)
                 && self.last_issue_ns > 0
-                && self.pending.len() < self.cfg.pipeline_min_batch
+                && self.pending.len() < PIPELINE_MIN_BATCH
             {
                 let deadline = *self
                     .gather_deadline_ns
-                    .get_or_insert(now_ns + self.cfg.batch_gather_ns);
+                    .get_or_insert(now_ns + BATCH_GATHER_NS);
                 if now_ns < deadline {
                     res.outputs.push(Output::SetTimer {
                         kind: TimerKind::BatchKick,
@@ -573,14 +596,13 @@ impl Replica {
                 fingerprint,
                 response,
             } => {
-                let stale = self.cfg.session_stale_ns;
                 let app = &mut self.app;
                 let m = self.membership.as_mut()?;
                 let outcome = m.phase2(
                     fingerprint,
                     response,
                     nondet.timestamp_ns,
-                    stale,
+                    SESSION_STALE_NS,
                     &mut |idbuf| app.authorize_join(idbuf),
                 );
                 *membership_dirty = true;

@@ -23,6 +23,7 @@ use crate::config::PbftConfig;
 use crate::keys::KeyStore;
 use crate::log::MessageLog;
 use crate::membership::Membership;
+use crate::messages::view::{AuthView, PacketView};
 use crate::messages::{
     AuthTag, Envelope, Message, NewKeyMsg, ReplyMsg, RequestMsg, Sender, StatusMsg, ViewChangeMsg,
 };
@@ -43,6 +44,24 @@ pub const SESSION_PAGES: u64 = 4;
 /// [`crate::xshard::XShardApp`]). The application partition starts after
 /// them.
 pub const LIB_REGION_PAGES: u64 = MEMBERSHIP_PAGES + SESSION_PAGES + crate::xshard::XSHARD_PAGES;
+
+/// Capacity of the client/session table (dynamic membership).
+const MAX_CLIENTS: usize = 64;
+
+/// Interval of the replica status broadcast that drives protocol-message
+/// retransmission to lagging peers (PBFT's recovery from lost
+/// replica-to-replica datagrams): 150 ms.
+const STATUS_INTERVAL_NS: u64 = 150_000_000;
+
+/// Capacity of the contention gate's deferred-read queue: a read-only
+/// request whose declared keys are dirty in a tentatively executed
+/// (prepared but uncommitted) batch is parked until local commit instead of
+/// being answered from uncommitted state — the answer would force the
+/// client through retransmit-and-escalate. Once the queue is full, further
+/// contended reads fall back to immediate optimistic service (safe: the
+/// client's 2f+1 matching rule still protects it, at the cost of possible
+/// escalation).
+const READ_DEFER_MAX: usize = 64;
 
 /// Counters exposed for experiments and tests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -78,7 +97,7 @@ pub struct ReplicaMetrics {
     /// until local commit instead of being answered from uncommitted state.
     pub read_only_deferred: u64,
     /// Contended reads served immediately because the deferred-read queue
-    /// was at capacity ([`crate::PbftConfig::read_defer_max`]) — the
+    /// was at capacity (64 parked reads) — the
     /// pre-gate optimistic behavior, kept as the overload fallback.
     pub read_defer_overflow: u64,
     /// Malformed packets dropped.
@@ -99,17 +118,6 @@ pub struct ReplicaMetrics {
     /// broadcast, independent of fan-out — the hotpath bench divides it by
     /// executed requests to check the amortized cost model.
     pub hot_encodings: u64,
-    /// Hot-path cost counter: per-destination deep copies of a sealed
-    /// packet or its envelope on the send path. Broadcast buffers are
-    /// reference-counted, so this is structurally zero; the counter exists
-    /// as the clone *budget* a unit test and the hotpath bench pin, so a
-    /// later refactor that quietly reintroduces per-destination cloning
-    /// fails loudly.
-    pub hot_packet_clones: u64,
-    /// Hot-path cost counter: bytes deep-copied on the send path beyond the
-    /// single canonical encoding of each message (i.e. the bytes the clones
-    /// counted by `hot_packet_clones` moved).
-    pub hot_bytes_copied: u64,
 }
 
 /// Declared write-effects of one tentatively executed (prepared but not
@@ -229,7 +237,7 @@ pub struct Replica {
     pub(crate) tentative_effects: BTreeMap<SeqNum, TentativeEffects>,
     /// Read-only requests parked by the contention gate until the dirty
     /// batches covering their keys commit locally. Bounded by
-    /// [`PbftConfig::read_defer_max`]; flushed wherever
+    /// [`READ_DEFER_MAX`]; flushed wherever
     /// `tentative_effects` entries are resolved.
     pub(crate) deferred_reads: VecDeque<RequestMsg>,
 
@@ -245,7 +253,7 @@ pub struct Replica {
     /// Last pre-prepare issuance time (the no-batching pacing quantum).
     pub(crate) last_issue_ns: u64,
     /// Deadline of the current pipelined batch-formation gather, if one is
-    /// open (see [`PbftConfig::pipeline_min_batch`]): the primary is
+    /// open (see `PIPELINE_MIN_BATCH` in `execution`): the primary is
     /// holding a thin batch back while older batches fill the pipeline,
     /// and will issue whatever is pending by this instant at the latest.
     pub(crate) gather_deadline_ns: Option<u64>,
@@ -299,8 +307,8 @@ impl Replica {
         let sessions = crate::session::SessionStore::load(&session_section, &state.borrow())
             .unwrap_or_default();
         let membership = if cfg.dynamic_membership {
-            let m = Membership::load(&lib_section, &state.borrow(), cfg.max_clients)
-                .unwrap_or_else(|_| Membership::new(cfg.max_clients));
+            let m = Membership::load(&lib_section, &state.borrow(), MAX_CLIENTS)
+                .unwrap_or_else(|_| Membership::new(MAX_CLIENTS));
             Some(m)
         } else {
             None
@@ -512,7 +520,7 @@ impl Replica {
         self.arm_vc_timer(&mut res);
         res.outputs.push(Output::SetTimer {
             kind: TimerKind::StatusTick,
-            delay_ns: self.cfg.status_interval_ns,
+            delay_ns: STATUS_INTERVAL_NS,
         });
         let _ = now_ns;
         res
@@ -529,149 +537,101 @@ impl Replica {
         }
     }
 
-    /// Message discriminants that must carry a replica multicast
-    /// authenticator (or signature): these verify *before* the body is
-    /// materialized, so a tampered packet is rejected straight off the
-    /// borrowed view, without a single allocation.
-    fn replica_authenticated(disc: u8) -> bool {
-        // PrePrepare, Checkpoint, ViewChange, NewView, PrepareQC, CommitQC
-        // (Prepare/Commit take the typed fast path and never get here).
-        matches!(disc, 2 | 6 | 7 | 8 | 15 | 16)
-    }
-
-    /// Handle an incoming packet.
+    /// Handle an incoming packet: one parse, one authentication, one
+    /// dispatch.
     ///
-    /// The receive path is zero-copy up to authentication: the packet is
-    /// parsed as a borrowed [`crate::messages::view::PacketView`] (one walk,
-    /// no allocation), replica-authenticated kinds verify their MAC entry or
-    /// signature against the borrowed prefix, and only then is the owned
-    /// message materialized — once. Prepare/commit votes, the
-    /// highest-volume kinds, are `Copy` and dispatch entirely from the view.
+    /// [`PacketView::parse`] walks the packet once and yields the owned
+    /// message plus the prefix/body spans and the auth trailer still
+    /// borrowed from `packet`. Replica-multicast kinds (agreement,
+    /// checkpoint and view-change traffic) must then verify — this
+    /// replica's own authenticator entry, picked out of the borrowed
+    /// vector, or the signature — before anything looks at the message;
+    /// requests and new-keys authenticate against client keys in their
+    /// handlers; status and fetch traffic is validated by content.
     pub fn handle_packet(&mut self, packet: &[u8], now_ns: u64) -> HandleResult {
-        use crate::messages::view::{FastBody, PacketView};
         let mut res = HandleResult::default();
-        let view = match PacketView::parse(packet) {
-            Ok(v) => v,
-            Err(_) => {
-                self.metrics.decode_failures += 1;
-                return res;
-            }
+        let Ok(view) = PacketView::parse(packet) else {
+            self.metrics.decode_failures += 1;
+            return res;
         };
-        match view.fast {
-            FastBody::Prepare(p) => {
-                if view.sender == Sender::Replica(p.replica) && self.verify_view(&view, &mut res) {
-                    self.on_prepare(p, now_ns, &mut res);
-                }
+        let (prefix, body) = (view.prefix(), view.body());
+        let PacketView {
+            sender, msg, auth, ..
+        } = view;
+        let multicast = matches!(
+            msg,
+            Message::PrePrepare(_)
+                | Message::Prepare(_)
+                | Message::Commit(_)
+                | Message::Checkpoint(_)
+                | Message::ViewChange(_)
+                | Message::NewView(_)
+                | Message::PrepareQC(_)
+                | Message::CommitQC(_)
+        );
+        if multicast && !self.verify_peer(sender, prefix, auth, &mut res) {
+            return res;
+        }
+        let out = &mut res;
+        let from = |r: ReplicaId| sender == Sender::Replica(r);
+        match msg {
+            Message::Request(req) => {
+                self.on_request(sender, req, &auth.to_tag(), prefix, body, now_ns, out)
             }
-            FastBody::Commit(c) => {
-                if view.sender == Sender::Replica(c.replica) && self.verify_view(&view, &mut res) {
-                    self.on_commit(c, now_ns, &mut res);
-                }
+            Message::PrePrepare(pp) => self.on_preprepare(pp, now_ns, false, out),
+            Message::Prepare(p) if from(p.replica) => self.on_prepare(p, now_ns, out),
+            Message::Commit(c) if from(c.replica) => self.on_commit(c, now_ns, out),
+            Message::Checkpoint(c) if from(c.replica) => self.on_checkpoint(c, now_ns, out),
+            Message::ViewChange(vc) if from(vc.replica) => self.on_view_change(vc, now_ns, out),
+            Message::NewView(nv) if from(self.cfg.primary_of(nv.view)) => {
+                self.on_new_view(nv, now_ns, out)
             }
-            FastBody::Other => {
-                if Self::replica_authenticated(view.disc) && !self.verify_view(&view, &mut res) {
-                    return res;
-                }
-                let env = match view.to_envelope() {
-                    Ok(env) => env,
-                    Err(_) => {
-                        self.metrics.decode_failures += 1;
-                        return res;
-                    }
-                };
-                self.dispatch(env, view.prefix(), view.body(), now_ns, &mut res);
-            }
+            Message::NewKey(nk) => self.on_new_key(nk, prefix, &auth.to_tag(), out),
+            Message::Status(s) if from(s.replica) => self.on_status(s, now_ns, out),
+            Message::Fetch(f) => self.on_fetch(f, out),
+            Message::FetchResp(fr) => self.on_fetch_resp(fr, now_ns, out),
+            Message::BodyFetch(bf) => self.on_body_fetch(bf, out),
+            Message::BodyResp(req) => self.on_body_resp(req, now_ns, out),
+            // QCs are accepted from any authenticated group member, not just
+            // the leader: the recovery help path resends them on behalf of a
+            // crashed leader (the voter list itself is unattested — the same
+            // trust model as the prepared certificates in view changes).
+            Message::PrepareQC(qc) => self.on_prepare_qc(qc, now_ns, out),
+            Message::CommitQC(qc) => self.on_commit_qc(qc, now_ns, out),
+            // Replicas do not consume replies, and a message whose claimed
+            // sender is not the replica its body names is dropped.
+            _ => {}
         }
         res
     }
 
-    /// Verify a borrowed packet view claiming to come from a fellow replica:
-    /// its own authenticator entry (extracted without materializing the
+    /// Verify a packet claiming to come from a fellow replica: this
+    /// replica's own authenticator entry (extracted without building the
     /// vector) or the signature, over the borrowed prefix.
-    fn verify_view(
+    fn verify_peer(
         &mut self,
-        view: &crate::messages::view::PacketView<'_>,
+        sender: Sender,
+        prefix: &[u8],
+        auth: AuthView<'_>,
         res: &mut HandleResult,
     ) -> bool {
-        use crate::messages::view::AuthView;
-        let Sender::Replica(from) = view.sender else {
-            self.metrics.auth_failures += 1;
-            return false;
-        };
-        let ok = match view.auth {
-            AuthView::Authenticator { .. } => match view.auth.mac_for(self.id().0) {
-                Some(mac) => {
+        let ok = match (sender, auth) {
+            (Sender::Replica(from), AuthView::Authenticator { .. }) => {
+                auth.mac_for(self.id().0).is_some_and(|mac| {
                     self.keys
-                        .verify_replica_entry(from, view.prefix(), mac, &mut res.counts)
-                }
-                None => false,
-            },
-            AuthView::Sig(sig) => self.keys.verify_from_replica(
-                from,
-                view.prefix(),
-                &AuthTag::Sig(sig),
-                &mut res.counts,
-            ),
+                        .verify_replica_entry(from, prefix, mac, &mut res.counts)
+                })
+            }
+            (Sender::Replica(from), AuthView::Sig(sig)) => {
+                self.keys
+                    .verify_from_replica(from, prefix, &AuthTag::Sig(sig), &mut res.counts)
+            }
             _ => false,
         };
         if !ok {
             self.metrics.auth_failures += 1;
         }
         ok
-    }
-
-    /// Handle a materialized envelope whose replica authentication (where
-    /// required) already passed. `prefix` is the authenticated prefix,
-    /// `body` the canonical message encoding inside it.
-    fn dispatch(
-        &mut self,
-        env: Envelope,
-        prefix: &[u8],
-        body: &[u8],
-        now_ns: u64,
-        res: &mut HandleResult,
-    ) {
-        match env.msg {
-            Message::Request(req) => {
-                self.on_request(env.sender, req, &env.auth, prefix, body, now_ns, res)
-            }
-            Message::PrePrepare(pp) => self.on_preprepare(pp, now_ns, false, res),
-            // Prepare/Commit votes dispatch from the typed view in
-            // `handle_packet` and never reach here.
-            Message::Prepare(_) | Message::Commit(_) => {}
-            Message::Checkpoint(c) => {
-                if env.sender == Sender::Replica(c.replica) {
-                    self.on_checkpoint(c, now_ns, res);
-                }
-            }
-            Message::ViewChange(vc) => {
-                if env.sender == Sender::Replica(vc.replica) {
-                    self.on_view_change(vc, now_ns, res);
-                }
-            }
-            Message::NewView(nv) => {
-                if env.sender == Sender::Replica(self.cfg.primary_of(nv.view)) {
-                    self.on_new_view(nv, now_ns, res);
-                }
-            }
-            Message::NewKey(nk) => self.on_new_key(nk, prefix, &env.auth, res),
-            Message::Status(s) => {
-                if env.sender == Sender::Replica(s.replica) {
-                    self.on_status(s, now_ns, res);
-                }
-            }
-            Message::Fetch(f) => self.on_fetch(f, res),
-            Message::FetchResp(fr) => self.on_fetch_resp(fr, now_ns, res),
-            Message::BodyFetch(bf) => self.on_body_fetch(bf, res),
-            Message::BodyResp(req) => self.on_body_resp(req, now_ns, res),
-            // QCs are accepted from any authenticated group member, not just
-            // the leader: the recovery help path resends them on behalf of a
-            // crashed leader (the voter list itself is unattested — the same
-            // trust model as the prepared certificates in view changes).
-            Message::PrepareQC(qc) => self.on_prepare_qc(qc, now_ns, res),
-            Message::CommitQC(qc) => self.on_commit_qc(qc, now_ns, res),
-            Message::Reply(_) => { /* replicas do not consume replies */ }
-        }
     }
 
     /// Handle a timer firing.
@@ -691,7 +651,7 @@ impl Replica {
                 self.multicast(Message::Status(status), &mut res);
                 res.outputs.push(Output::SetTimer {
                     kind: TimerKind::StatusTick,
-                    delay_ns: self.cfg.status_interval_ns,
+                    delay_ns: STATUS_INTERVAL_NS,
                 });
             }
             TimerKind::Retransmit | TimerKind::NewKey => { /* client-side timers */ }
@@ -786,7 +746,7 @@ impl Replica {
         }
 
         // Read-only fast path (§2.1).
-        if req.read_only && self.cfg.read_only_optimization && matches!(req.op, Operation::App(_)) {
+        if req.read_only && matches!(req.op, Operation::App(_)) {
             self.serve_read_only(&req, now_ns, res);
             return;
         }
@@ -883,7 +843,7 @@ impl Replica {
         use crate::messages::Operation;
         let Operation::App(op) = &req.op else { return };
         if self.read_defers(op) {
-            if self.deferred_reads.len() >= self.cfg.read_defer_max {
+            if self.deferred_reads.len() >= READ_DEFER_MAX {
                 self.metrics.read_defer_overflow += 1;
                 // Queue full: fall back to immediate optimistic service.
             } else {

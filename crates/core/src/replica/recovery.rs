@@ -23,7 +23,7 @@ use crate::messages::{CheckpointMsg, FetchMsg, FetchRespMsg, Message, StatusMsg}
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
 use crate::types::SeqNum;
 
-use super::{FetchState, Replica};
+use super::{FetchState, Replica, MAX_CLIENTS, STATUS_INTERVAL_NS};
 
 impl Replica {
     pub(crate) fn on_status(&mut self, s: StatusMsg, now_ns: u64, res: &mut HandleResult) {
@@ -52,7 +52,7 @@ impl Replica {
             || s.view < mine.view
             || stuck_behind;
         let help_due = match self.last_peer_help.get(&s.replica) {
-            Some(&t) => now_ns.saturating_sub(t) >= self.cfg.status_interval_ns / 2,
+            Some(&t) => now_ns.saturating_sub(t) >= STATUS_INTERVAL_NS / 2,
             None => true, // never helped this peer yet
         };
         // A peer whose *stable checkpoint* sits below a checkpoint this
@@ -415,12 +415,8 @@ impl Replica {
 
     pub(crate) fn reload_membership(&mut self) {
         if self.cfg.dynamic_membership {
-            let m = Membership::load(
-                &self.lib_section,
-                &self.state.borrow(),
-                self.cfg.max_clients,
-            )
-            .unwrap_or_else(|_| Membership::new(self.cfg.max_clients));
+            let m = Membership::load(&self.lib_section, &self.state.borrow(), MAX_CLIENTS)
+                .unwrap_or_else(|_| Membership::new(MAX_CLIENTS));
             self.membership = Some(m);
         }
     }

@@ -5,7 +5,8 @@
 //! collects 2f+1 votes, recomputes the pre-prepare set "O" and broadcasts a
 //! new-view message; backups recompute O independently and verify it.
 //!
-//! Simplification (documented in DESIGN.md): prepared certificates are
+//! Simplification (listed under "Deliberate deviations" in
+//! `ARCHITECTURE.md`): prepared certificates are
 //! carried as the original pre-prepare without the 2f prepare attestations,
 //! which is sound for crash faults and for the paper's experiments; full
 //! Byzantine-proof view changes require signed prepares (as the original
@@ -331,7 +332,7 @@ pub(crate) fn compute_new_view_preprepares(
 /// `(last_stable_seq, stable_root)` claimed. (With ≤ f faulty voters in a
 /// 2f+1 set this can over-claim; the fetcher validates every page against
 /// the root, and a bogus root simply fails to transfer and is retried —
-/// see DESIGN.md's simplifications.)
+/// see "Deliberate deviations" in `ARCHITECTURE.md`.)
 fn stable_hint(vcs: &[ViewChangeMsg]) -> Option<(SeqNum, Digest)> {
     vcs.iter()
         .map(|v| (v.last_stable_seq, v.stable_root))

@@ -206,10 +206,23 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// Read length-prefixed bytes, borrowed from the input (zero-copy).
+    /// Read a `u32` element count, rejecting one that cannot be honest:
+    /// `count` elements of at least `min_elem_len` encoded bytes each must
+    /// fit in what is left of the input. Every count-driven
+    /// `Vec::with_capacity` goes through here, so an unauthenticated packet
+    /// can never make its decoder reserve more than O(its own length).
     ///
-    /// The hot decode paths parse through this and only materialize owned
-    /// buffers after authentication passes.
+    /// # Errors
+    /// [`WireError::Truncated`] or [`WireError::BadLength`].
+    pub fn count(&mut self, min_elem_len: usize) -> Result<usize, WireError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_elem_len) > self.remaining() {
+            return Err(WireError::BadLength(n as u64));
+        }
+        Ok(n)
+    }
+
+    /// Read length-prefixed bytes, borrowed from the input (zero-copy).
     ///
     /// # Errors
     /// [`WireError::Truncated`] or [`WireError::BadLength`].
@@ -338,6 +351,33 @@ mod tests {
     fn trailing_bytes_detected() {
         let d = Dec::new(&[1]);
         assert_eq!(d.finish(), Err(WireError::TrailingBytes(1)));
+    }
+
+    #[test]
+    fn count_must_fit_in_the_remaining_input() {
+        // Three 4-byte elements claimed and present: accepted.
+        let mut e = Enc::new();
+        e.u32(3).raw(&[0u8; 12]);
+        let bytes = e.into_bytes();
+        assert_eq!(Dec::new(&bytes).count(4), Ok(3));
+        // One byte short of the claim: rejected before anything is read.
+        assert_eq!(
+            Dec::new(&bytes[..bytes.len() - 1]).count(4),
+            Err(WireError::BadLength(3))
+        );
+        // A huge claim cannot overflow the check.
+        let mut e = Enc::new();
+        e.u32(u32::MAX);
+        let bytes = e.into_bytes();
+        assert_eq!(
+            Dec::new(&bytes).count(usize::MAX),
+            Err(WireError::BadLength(u32::MAX as u64))
+        );
+        assert_eq!(
+            Dec::new(&bytes).count(1),
+            Err(WireError::BadLength(u32::MAX as u64))
+        );
+        assert_eq!(Dec::new(&[0, 0]).count(1), Err(WireError::Truncated));
     }
 
     #[test]

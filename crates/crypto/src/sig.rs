@@ -7,7 +7,8 @@
 //! modular exponentiation, real Miller–Rabin key generation, real
 //! sign/verify asymmetry — but key sizes that are trivially breakable.
 //!
-//! This is a deliberate, documented substitution (see DESIGN.md §2): the
+//! This is a deliberate substitution (listed under "Deliberate deviations"
+//! in `ARCHITECTURE.md`): the
 //! experiments measure *where* signatures sit in the protocol and *how often*
 //! they are computed, with the cost charged through the simulator's cost
 //! model, so small-but-real asymmetric math preserves every relevant

@@ -39,8 +39,9 @@
 //! authentication (every message is genuinely signed by the primary) and
 //! exercises the prepare-quorum intersection argument directly.
 //!
-//! Faults are *mountable at runtime*: a [`FaultyReplicaHost`] built with
-//! [`FaultyReplicaHost::honest`] behaves exactly like the plain host until a
+//! Faults are *mountable at runtime*: [`FaultyReplicaHost`] is the one
+//! replica host — every cluster mounts its members on it — and one built
+//! with [`FaultyReplicaHost::honest`] is an honest member until a
 //! scenario mounts a fault mid-run ([`FaultyReplicaHost::mount`]) and later
 //! unmounts it ([`FaultyReplicaHost::unmount`]). The scenario engine
 //! (`crate::scenario`) schedules those calls on the virtual clock, and the
@@ -50,9 +51,10 @@
 //! additionally keeps a silent split-brain twin tracking the protocol, so
 //! [`Fault::SplitBrain`] itself becomes mountable mid-run.
 
+use pbft_core::messages::view::PacketView;
 use pbft_core::messages::Sender;
 use pbft_core::replica::Replica;
-use pbft_core::{ClientId, ConsensusEngine, Envelope, NetTarget, Output, PacketBuf};
+use pbft_core::{ClientId, ConsensusEngine, NetTarget, Output, PacketBuf};
 use simnet::{Node, NodeCtx, NodeId, SimDuration, TimerId};
 
 use crate::cluster::{make_engine, Cluster, ClusterSpec};
@@ -128,9 +130,8 @@ const STORM_TIMER: TimerId = TimerId(1_000);
 pub struct FaultyReplicaHost<E: ConsensusEngine = Replica> {
     /// Engine(s): one, or two for [`Fault::SplitBrain`].
     pub engines: Vec<E>,
-    /// Cumulative work record of engine 0 (cost-model inputs), matching
-    /// [`crate::cluster::ReplicaHost::cum_counts`] so experiment accessors
-    /// work on fault-ready clusters too.
+    /// Cumulative work record of engine 0 (cost-model inputs), for
+    /// experiment reports.
     pub cum_counts: pbft_core::OpCounts,
     fault: Option<Fault>,
     model: CostModel,
@@ -165,10 +166,10 @@ impl<E: ConsensusEngine> FaultyReplicaHost<E> {
         }
     }
 
-    /// Wrap `replica` with *no* fault mounted: behaviour is identical to the
-    /// plain honest host, but a scenario can mount one later. This is how
-    /// fault-ready clusters are built (see
-    /// [`Cluster::build_fault_ready`](crate::cluster::Cluster::build_fault_ready)).
+    /// Wrap `replica` with *no* fault mounted: an honest member, on which a
+    /// scenario can mount a fault later. This is how
+    /// [`Cluster::build`](crate::cluster::Cluster::build) mounts every
+    /// replica.
     pub fn honest(replica: E, model: CostModel, n: usize) -> Self {
         FaultyReplicaHost {
             engines: vec![replica],
@@ -178,12 +179,6 @@ impl<E: ConsensusEngine> FaultyReplicaHost<E> {
             n,
             restarted: false,
         }
-    }
-
-    /// [`FaultyReplicaHost::honest`], flagged as a restart so the engine
-    /// runs its recovery path on mount.
-    pub fn honest_restarted(replica: E, model: CostModel, n: usize) -> Self {
-        Self::honest(replica, model, n).as_restarted()
     }
 
     /// [`FaultyReplicaHost::honest`] with a split-brain twin provisioned
@@ -318,13 +313,10 @@ impl<E: ConsensusEngine> FaultyReplicaHost<E> {
         if payload.first() != Some(&TAG_REQUEST) {
             return false;
         }
-        match Envelope::decode(payload) {
-            Ok((env, _)) => match env.sender {
-                Sender::Client(c) => fault.censors(c),
-                _ => false,
-            },
-            Err(_) => false,
-        }
+        matches!(
+            PacketView::parse(payload),
+            Ok(PacketView { sender: Sender::Client(c), .. }) if fault.censors(c)
+        )
     }
 
     /// Extra per-invocation CPU under [`Fault::SlowPrimary`].
@@ -443,9 +435,8 @@ fn corrupt(mut packet: Vec<u8>) -> Vec<u8> {
     packet
 }
 
-/// Build a cluster where `faulty` misbehaves per `fault`; all other replicas
-/// are honest but fault-ready (scenarios can mount faults on them later),
-/// and all clients are honest.
+/// Build a cluster where `faulty` misbehaves per `fault` from the start;
+/// all other replicas and all clients are honest.
 pub fn build_faulty_cluster(spec: ClusterSpec, faulty: u32, fault: Fault) -> Cluster {
     build_faulty_cluster_engine::<Replica>(spec, faulty, fault)
 }
@@ -471,8 +462,8 @@ pub fn build_faulty_cluster_engine<E: ConsensusEngine>(
 
 /// Build a cluster where replica `compromised` carries a provisioned (but
 /// silent) split-brain twin, so an adaptive adversary can mount *any*
-/// fault on it mid-run — including [`Fault::SplitBrain`]. All members are
-/// fault-ready; behaviour is honest until something is mounted.
+/// fault on it mid-run — including [`Fault::SplitBrain`]. Behaviour is
+/// honest until something is mounted.
 pub fn build_adversary_cluster(spec: ClusterSpec, compromised: u32) -> Cluster {
     build_adversary_cluster_engine::<Replica>(spec, compromised)
 }

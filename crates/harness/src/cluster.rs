@@ -182,17 +182,6 @@ impl Default for ClusterSpec {
     }
 }
 
-/// A replica mounted as a simulator node. Generic over the
-/// [`ConsensusEngine`] it hosts; defaults to the PBFT [`Replica`].
-pub struct ReplicaHost<E: ConsensusEngine = Replica> {
-    /// The protocol engine.
-    pub replica: E,
-    /// Cumulative work record (cost-model inputs), for experiment reports.
-    pub cum_counts: pbft_core::OpCounts,
-    model: CostModel,
-    restarted: bool,
-}
-
 fn apply_outputs(res: HandleResult, model: &CostModel, ctx: &mut NodeCtx<'_>) {
     ctx.charge(model.charge_counts(&res.counts));
     for out in res.outputs {
@@ -213,18 +202,6 @@ fn apply_outputs(res: HandleResult, model: &CostModel, ctx: &mut NodeCtx<'_>) {
     }
 }
 
-impl<E: ConsensusEngine> ReplicaHost<E> {
-    /// Mount a replica engine with the standard honest behaviour.
-    pub fn new(replica: E, model: CostModel) -> ReplicaHost<E> {
-        ReplicaHost {
-            replica,
-            cum_counts: Default::default(),
-            model,
-            restarted: false,
-        }
-    }
-}
-
 impl ClientHost {
     /// Mount a client engine with no workload installed.
     pub fn new(client: Client, model: CostModel) -> ClientHost {
@@ -237,30 +214,6 @@ impl ClientHost {
             pace: None,
             missed_slots: 0,
         }
-    }
-}
-
-impl<E: ConsensusEngine> Node for ReplicaHost<E> {
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        let res = self.replica.on_start(ctx.now().as_nanos(), self.restarted);
-        self.cum_counts.add(&res.counts);
-        apply_outputs(res, &self.model.clone(), ctx);
-    }
-
-    fn on_packet(&mut self, _src: NodeId, payload: &[u8], ctx: &mut NodeCtx<'_>) {
-        ctx.charge(self.model.packet_cost(payload.len()));
-        let res = self.replica.handle_packet(payload, ctx.now().as_nanos());
-        self.cum_counts.add(&res.counts);
-        apply_outputs(res, &self.model.clone(), ctx);
-    }
-
-    fn on_timer(&mut self, timer: TimerId, ctx: &mut NodeCtx<'_>) {
-        let Some(kind) = TimerKind::from_index(timer.0) else {
-            return;
-        };
-        let res = self.replica.on_timer(kind, ctx.now().as_nanos());
-        self.cum_counts.add(&res.counts);
-        apply_outputs(res, &self.model.clone(), ctx);
     }
 }
 
@@ -409,13 +362,6 @@ impl Cluster {
         Cluster::build_engine_custom(spec, assemble)
     }
 
-    /// [`Cluster::build`] with every replica wrapped in a fault-free
-    /// [`FaultyReplicaHost`]: behaviour is identical to [`Cluster::build`],
-    /// but scenarios can [`Cluster::mount_fault`] on any member at runtime.
-    pub fn build_fault_ready(spec: ClusterSpec) -> Cluster {
-        Cluster::build_engine_fault_ready(spec)
-    }
-
     /// [`Cluster::build`] with custom replica hosts — the hook for mounting
     /// Byzantine behaviours on selected replicas.
     pub fn build_with(
@@ -427,16 +373,14 @@ impl Cluster {
 }
 
 impl<E: ConsensusEngine> Cluster<E> {
-    /// [`Cluster::build`] for any engine type.
+    /// [`Cluster::build`] for any engine type. Every replica is mounted on
+    /// a fault-free [`FaultyReplicaHost`], so scenarios can
+    /// [`Cluster::mount_fault`] on any member at runtime.
     pub fn build_engine(spec: ClusterSpec) -> Cluster<E> {
         let cost = spec.cost;
-        Self::build_engine_with(spec, |_, replica| {
-            Box::new(ReplicaHost {
-                replica,
-                cum_counts: Default::default(),
-                model: cost,
-                restarted: false,
-            })
+        let n = spec.cfg.n();
+        Self::build_engine_with(spec, move |_, replica| {
+            Box::new(FaultyReplicaHost::honest(replica, cost, n))
         })
     }
 
@@ -461,15 +405,6 @@ impl<E: ConsensusEngine> Cluster<E> {
         };
         cluster.settle();
         cluster
-    }
-
-    /// [`Cluster::build_fault_ready`] for any engine type.
-    pub fn build_engine_fault_ready(spec: ClusterSpec) -> Cluster<E> {
-        let cost = spec.cost;
-        let n = spec.cfg.n();
-        Self::build_engine_with(spec, move |_, replica| {
-            Box::new(FaultyReplicaHost::honest(replica, cost, n))
-        })
     }
 
     /// [`Cluster::build_with`] for any engine type.
@@ -665,57 +600,43 @@ impl<E: ConsensusEngine> Cluster<E> {
             .unwrap_or_default()
     }
 
-    /// Access a replica engine, whichever host flavor it is mounted under
-    /// (the plain [`ReplicaHost`] or a fault-ready [`FaultyReplicaHost`] —
-    /// for the latter, engine 0: the identity a split-brain twin shares).
+    /// Access a replica engine (engine 0 of its host: the identity a
+    /// split-brain twin shares). `None` while the member is crashed, or
+    /// when a [`Cluster::build_with`] closure mounted some other node type.
     pub fn replica(&self, i: usize) -> Option<&E> {
-        let id = self.replicas[i];
-        if let Some(h) = self.sim.node_ref::<ReplicaHost<E>>(id) {
-            return Some(&h.replica);
-        }
         self.sim
-            .node_ref::<FaultyReplicaHost<E>>(id)
+            .node_ref::<FaultyReplicaHost<E>>(self.replicas[i])
             .map(|h| &h.engines[0])
     }
 
-    /// Mount a Byzantine `fault` on member `i` at runtime. The member must
-    /// be hosted fault-ready — build the cluster with
-    /// [`Cluster::build_fault_ready`] (or `build_faulty_cluster`); restarts
-    /// of fault-ready members stay fault-ready.
+    /// Mount a Byzantine `fault` on member `i` at runtime.
     ///
     /// # Panics
-    /// Panics if the member is crashed or not fault-ready, or (from the
-    /// host) when mounting [`Fault::SplitBrain`] without a construction-time
-    /// twin.
+    /// Panics if the member is crashed, or (from the host) when mounting
+    /// [`Fault::SplitBrain`] without a construction-time twin.
     pub fn mount_fault(&mut self, i: usize, fault: Fault) {
         let mounted = self
             .sim
             .with_node_ctx::<FaultyReplicaHost<E>, _>(self.replicas[i], |host, ctx| {
                 host.mount(fault, ctx)
             });
-        assert!(
-            mounted.is_some(),
-            "replica {i} is not fault-ready (crashed, or not built via build_fault_ready)"
-        );
+        assert!(mounted.is_some(), "replica {i} is crashed");
     }
 
     /// Unmount member `i`'s fault: it behaves honestly from now on. No-op
     /// if no fault is mounted; panics like [`Cluster::mount_fault`] if the
-    /// member is not fault-ready.
+    /// member is crashed.
     pub fn unmount_fault(&mut self, i: usize) {
         let unmounted = self
             .sim
             .with_node_ctx::<FaultyReplicaHost<E>, _>(self.replicas[i], |host, ctx| {
                 host.unmount(ctx)
             });
-        assert!(
-            unmounted.is_some(),
-            "replica {i} is not fault-ready (crashed, or not built via build_fault_ready)"
-        );
+        assert!(unmounted.is_some(), "replica {i} is crashed");
     }
 
-    /// The fault currently mounted on member `i` (`None` for honest members
-    /// and members not hosted fault-ready).
+    /// The fault currently mounted on member `i` (`None` for honest and
+    /// crashed members).
     pub fn mounted_fault(&self, i: usize) -> Option<Fault> {
         self.sim
             .node_ref::<FaultyReplicaHost<E>>(self.replicas[i])
@@ -724,12 +645,8 @@ impl<E: ConsensusEngine> Cluster<E> {
 
     /// A replica's cumulative work record (cost-model inputs).
     pub fn replica_counts(&self, i: usize) -> pbft_core::OpCounts {
-        let id = self.replicas[i];
-        if let Some(h) = self.sim.node_ref::<ReplicaHost<E>>(id) {
-            return h.cum_counts;
-        }
         self.sim
-            .node_ref::<FaultyReplicaHost<E>>(id)
+            .node_ref::<FaultyReplicaHost<E>>(self.replicas[i])
             .map(|h| h.cum_counts)
             .unwrap_or_default()
     }
@@ -764,33 +681,24 @@ impl<E: ConsensusEngine> Cluster<E> {
 
     /// Restart a crashed replica. `preserve_disk` keeps the state region
     /// (the durable "disk"); otherwise it restarts blank. Client session
-    /// keys are always lost — the §2.3 scenario. The host flavor survives
-    /// the restart: a fault-ready member comes back fault-ready (with no
-    /// fault mounted — faults do not outlive a crash).
+    /// keys are always lost — the §2.3 scenario. The member comes back
+    /// with no fault mounted — faults do not outlive a crash.
     pub fn restart_replica(&mut self, i: usize, preserve_disk: bool) {
         let node_id = self.replicas[i];
-        // Salvage the durable state (if preserving) and remember the host
-        // flavor so the restart re-wraps identically — including whether a
+        // Salvage the durable state (if preserving) and whether a
         // split-brain twin was provisioned (adversary-ready members stay
         // adversary-ready across proactive recovery).
-        let (old_state, was_fault_ready, had_twin): (Option<StateHandle>, bool, bool) =
-            match self.sim.take_node(node_id) {
-                Some(node) => {
-                    let any = node as Box<dyn std::any::Any>;
-                    match any.downcast::<ReplicaHost<E>>() {
-                        Ok(host) => (Some(host.replica.state_handle()), false, false),
-                        Err(any) => match any.downcast::<FaultyReplicaHost<E>>() {
-                            Ok(host) => (
-                                Some(host.engines[0].state_handle()),
-                                true,
-                                host.engines.len() > 1,
-                            ),
-                            Err(_) => (None, false, false),
-                        },
-                    }
-                }
-                None => (None, false, false),
-            };
+        let (old_state, had_twin) = self
+            .sim
+            .take_node(node_id)
+            .and_then(|node| {
+                (node as Box<dyn std::any::Any>)
+                    .downcast::<FaultyReplicaHost<E>>()
+                    .ok()
+            })
+            .map_or((None, false), |host| {
+                (Some(host.engines[0].state_handle()), host.engines.len() > 1)
+            });
         let state: StateHandle = match (preserve_disk, old_state) {
             (true, Some(state)) => state,
             _ => Rc::new(RefCell::new(PagedState::new(self.spec.app.state_pages()))),
@@ -804,34 +712,17 @@ impl<E: ConsensusEngine> Cluster<E> {
             app,
             &[], // session keys are transient: all lost
         );
-        let host: Box<dyn Node> = if had_twin {
+        let (cost, n) = (self.spec.cost, self.spec.cfg.n());
+        let host = if had_twin {
             // Re-provision a fresh silent twin: the rebooted member can be
             // re-compromised later, but the reboot itself wiped whatever the
             // old twin knew.
-            Box::new(
-                FaultyReplicaHost::honest_with_twin(
-                    replica,
-                    make_engine::<E>(&self.spec, i as u32),
-                    self.spec.cost,
-                    self.spec.cfg.n(),
-                )
-                .as_restarted(),
-            )
-        } else if was_fault_ready {
-            Box::new(FaultyReplicaHost::honest_restarted(
-                replica,
-                self.spec.cost,
-                self.spec.cfg.n(),
-            ))
+            let twin = make_engine::<E>(&self.spec, i as u32);
+            FaultyReplicaHost::honest_with_twin(replica, twin, cost, n)
         } else {
-            Box::new(ReplicaHost {
-                replica,
-                cum_counts: Default::default(),
-                model: self.spec.cost,
-                restarted: true,
-            })
+            FaultyReplicaHost::honest(replica, cost, n)
         };
-        self.sim.restart(node_id, host);
+        self.sim.restart(node_id, Box::new(host.as_restarted()));
     }
 
     /// Proactively recover a *healthy* member: reboot it through the normal

@@ -18,10 +18,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use pbft_core::{ClientId, Envelope, Message};
+use pbft_core::messages::view::PacketView;
+use pbft_core::{ClientId, Message};
 use simnet::{Node, NodeCtx, NodeId, TimerId};
 
-use crate::cluster::{make_engine, ClientHost, Cluster, ClusterSpec, ReplicaHost};
+use crate::byzantine::FaultyReplicaHost;
+use crate::cluster::{make_engine, ClientHost, Cluster, ClusterSpec};
 use crate::cost::CostModel;
 
 /// Reply-filtering state for one `(client, timestamp)`.
@@ -101,11 +103,11 @@ impl Node for FirewallNode {
 
     fn on_packet(&mut self, _src: NodeId, payload: &[u8], ctx: &mut NodeCtx<'_>) {
         ctx.charge(self.model.packet_cost(payload.len()));
-        let Ok((env, _)) = Envelope::decode(payload) else {
+        let Ok(view) = PacketView::parse(payload) else {
             self.suppressed += 1;
             return;
         };
-        let Message::Reply(reply) = &env.msg else {
+        let Message::Reply(reply) = &view.msg else {
             // Only replies cross the firewall toward clients; anything else
             // on this path is suppressed (that is the privacy function).
             self.suppressed += 1;
@@ -188,7 +190,8 @@ pub fn build_firewalled_cluster(spec: ClusterSpec, rows: usize) -> FirewalledClu
         let mut replicas = Vec::with_capacity(n);
         for i in 0..n as u32 {
             let replica = make_engine::<pbft_core::Replica>(spec, i);
-            replicas.push(sim.add_node(Box::new(ReplicaHost::new(replica, cost))));
+            let host = FaultyReplicaHost::honest(replica, cost, n);
+            replicas.push(sim.add_node(Box::new(host)));
         }
         // Firewall rows, chained toward the clients.
         for row in 0..rows {

@@ -36,7 +36,7 @@
 //! use simnet::SimDuration;
 //!
 //! let ms = SimDuration::from_millis;
-//! let mut cluster = Cluster::build_fault_ready(ClusterSpec {
+//! let mut cluster = Cluster::build(ClusterSpec {
 //!     num_clients: 2,
 //!     ..Default::default()
 //! });
@@ -97,8 +97,7 @@ pub enum ScenarioEvent {
         /// Member index within the group.
         member: usize,
     },
-    /// Mount a Byzantine fault on a member at runtime. The deployment must
-    /// be fault-ready (see [`Cluster::build_fault_ready`]).
+    /// Mount a Byzantine fault on a member at runtime.
     MountFault {
         /// Group index.
         shard: usize,
@@ -916,7 +915,7 @@ mod tests {
     #[test]
     fn scenario_runs_and_is_deterministic() {
         let run = || {
-            let mut cluster = Cluster::build_fault_ready(ClusterSpec {
+            let mut cluster = Cluster::build(ClusterSpec {
                 num_clients: 2,
                 seed: 3,
                 ..Default::default()
@@ -956,7 +955,7 @@ mod tests {
 
     #[test]
     fn events_fire_at_exact_offsets() {
-        let mut cluster = Cluster::build_fault_ready(ClusterSpec {
+        let mut cluster = Cluster::build(ClusterSpec {
             num_clients: 1,
             seed: 4,
             ..Default::default()
@@ -987,7 +986,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "whole number of buckets")]
     fn ragged_duration_is_rejected() {
-        let mut cluster = Cluster::build_fault_ready(ClusterSpec {
+        let mut cluster = Cluster::build(ClusterSpec {
             num_clients: 1,
             ..Default::default()
         });
@@ -1003,7 +1002,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "addresses shard 3")]
     fn out_of_range_shard_is_rejected() {
-        let mut cluster = Cluster::build_fault_ready(ClusterSpec {
+        let mut cluster = Cluster::build(ClusterSpec {
             num_clients: 1,
             ..Default::default()
         });
@@ -1058,7 +1057,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot reshard")]
     fn reshard_of_a_single_group_deployment_is_rejected() {
-        let mut cluster = Cluster::build_fault_ready(ClusterSpec {
+        let mut cluster = Cluster::build(ClusterSpec {
             num_clients: 1,
             ..Default::default()
         });

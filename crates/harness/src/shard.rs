@@ -359,14 +359,6 @@ impl ShardedCluster {
         Self::build_engine(spec)
     }
 
-    /// [`ShardedCluster::build`] with every member of every group wrapped
-    /// fault-ready (see [`Cluster::build_fault_ready`]), so scenarios can
-    /// mount and unmount Byzantine faults on any `(shard, member)` at
-    /// runtime.
-    pub fn build_fault_ready(spec: ShardedClusterSpec) -> ShardedCluster {
-        Self::build_engine_fault_ready(spec)
-    }
-
     /// [`ShardedCluster::build`] with a per-group cluster factory — the hook
     /// for mounting faulty replicas in selected groups (the factory receives
     /// the shard index and the seed-decorrelated group spec, and typically
@@ -384,11 +376,6 @@ impl<E: ConsensusEngine> ShardedCluster<E> {
     /// groups of `E` replicas and align their clocks.
     pub fn build_engine(spec: ShardedClusterSpec) -> ShardedCluster<E> {
         Self::build_engine_with(spec, |_, gspec| Cluster::build_engine(gspec))
-    }
-
-    /// [`ShardedCluster::build_fault_ready`] for an arbitrary engine.
-    pub fn build_engine_fault_ready(spec: ShardedClusterSpec) -> ShardedCluster<E> {
-        Self::build_engine_with(spec, |_, gspec| Cluster::build_engine_fault_ready(gspec))
     }
 
     /// [`ShardedCluster::build_with`] for an arbitrary engine. The factory

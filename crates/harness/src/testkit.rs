@@ -120,10 +120,8 @@ pub fn xshard_spec(shards: usize, initiators: usize, base: ClusterSpec) -> XShar
     }
 }
 
-/// A fault-ready single group for scenario runs: [`failover_spec`] +
-/// [`recovery_cfg`]'s fetch/checkpoint knobs, every member mounted so
-/// faults can be swapped at runtime (see
-/// [`Cluster::build_fault_ready`]).
+/// A single group for scenario runs: [`failover_spec`] +
+/// [`recovery_cfg`]'s fetch/checkpoint knobs.
 pub fn scenario_cluster(num_clients: usize, seed: u64) -> Cluster {
     scenario_cluster_engine::<pbft_core::Replica>(num_clients, seed)
 }
@@ -135,7 +133,7 @@ pub fn scenario_cluster_engine<E: ConsensusEngine>(num_clients: usize, seed: u64
     spec.cfg.checkpoint_interval = 32;
     spec.cfg.fetch_missing_bodies = true;
     spec.cfg.congestion_window = CONFORMANCE_PIPELINE_DEPTH;
-    Cluster::build_engine_fault_ready(spec)
+    Cluster::build_engine(spec)
 }
 
 /// [`scenario_cluster_engine`] with member `compromised` additionally
@@ -247,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn scenario_cluster_is_fault_ready() {
+    fn scenario_cluster_mounts_and_unmounts_faults() {
         let mut cluster = scenario_cluster(1, 5);
         assert_eq!(cluster.mounted_fault(0), None);
         cluster.mount_fault(0, crate::byzantine::Fault::Mute);

@@ -265,14 +265,6 @@ impl XShardCluster {
         Self::build_engine(spec)
     }
 
-    /// [`XShardCluster::build`] with every member of every group wrapped
-    /// fault-ready (see [`Cluster::build_fault_ready`]), so scenarios can
-    /// mount and unmount Byzantine faults on any `(shard, member)` at
-    /// runtime.
-    pub fn build_fault_ready(spec: XShardSpec) -> XShardCluster {
-        Self::build_engine_fault_ready(spec)
-    }
-
     /// Build with a per-group cluster factory (the hook for mounting faulty
     /// replicas in chosen groups; the factory receives the shard index and
     /// the group's spec and usually calls [`Cluster::build`] or
@@ -289,11 +281,6 @@ impl<E: ConsensusEngine> XShardCluster<E> {
     /// [`XShardCluster::build`] for an arbitrary engine.
     pub fn build_engine(spec: XShardSpec) -> XShardCluster<E> {
         Self::build_engine_with(spec, |_, gspec| Cluster::build_engine(gspec))
-    }
-
-    /// [`XShardCluster::build_fault_ready`] for an arbitrary engine.
-    pub fn build_engine_fault_ready(spec: XShardSpec) -> XShardCluster<E> {
-        Self::build_engine_with(spec, |_, gspec| Cluster::build_engine_fault_ready(gspec))
     }
 
     /// [`XShardCluster::build_with`] for an arbitrary engine.

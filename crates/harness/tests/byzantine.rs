@@ -94,10 +94,10 @@ fn equivocating_primary_cannot_split_execution() {
 
 #[test]
 fn mute_fault_mounted_mid_run_is_survived_and_unmount_rejoins() {
-    // The runtime fault surface: an honest, fault-ready cluster runs
+    // The runtime fault surface: an honest cluster runs
     // cleanly, then the view-0 primary goes mute *mid-run* (no rebuild).
     // The view change evicts it; unmounting lets it rejoin as a backup.
-    let mut cluster = harness::Cluster::build_fault_ready(spec(47));
+    let mut cluster = harness::Cluster::build(spec(47));
     cluster.start_workload(|i| null_ops(64 + i));
     cluster.run_for(SimDuration::from_secs(1));
     assert!(cluster.completed() > 100, "healthy before the fault");
@@ -122,7 +122,7 @@ fn view_change_storm_taxes_but_does_not_stall() {
     // A backup spams escalating, correctly authenticated view-change votes.
     // A lone stormer stays below the f+1 join rule, so the group must keep
     // committing in view 0; the spam costs bandwidth, not safety.
-    let mut cluster = harness::Cluster::build_fault_ready(spec(48));
+    let mut cluster = harness::Cluster::build(spec(48));
     cluster.start_workload(|i| null_ops(64 + i));
     cluster.run_for(SimDuration::from_millis(500));
     let before = cluster.completed();

@@ -110,7 +110,7 @@ fn reads_return_committed_values<E: ConsensusEngine>(prop_name: &'static str) {
         spec.cfg.fetch_missing_bodies = true;
         spec.app = AppKind::Kv { slots: KEYS };
         spec.xshard = true; // mounts the KeyedOp wrapper (no shard identity)
-        let mut cluster = Cluster::<E>::build_engine_fault_ready(spec);
+        let mut cluster = Cluster::<E>::build_engine(spec);
 
         // Draw a fault schedule: at most one degraded member at a time.
         let mut sched = Schedule::default();

@@ -229,7 +229,7 @@ fn xshard_atomicity_survives_rolling_recovery_with_adaptive_censor() {
         let mut base = fetching_spec(1, seed);
         base.cfg.view_change_timeout_ns = TEST_VC_TIMEOUT_NS;
         base.cfg.checkpoint_interval = 32;
-        let mut xc = XShardCluster::build_fault_ready(xshard_spec(2, 2, base));
+        let mut xc = XShardCluster::build(xshard_spec(2, 2, base));
         let map = xc.sharded().router().map();
         xc.start_paced_background(ms(5), |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));

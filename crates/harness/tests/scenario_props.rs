@@ -160,7 +160,7 @@ fn random_schedules_preserve_cross_shard_atomicity() {
         spec.prepare_timeout = ms(80);
         spec.finish_timeout = ms(120);
         // Fault-ready groups: the schedule draws runtime fault mounts.
-        let mut xc = XShardCluster::build_fault_ready(spec);
+        let mut xc = XShardCluster::build(spec);
         let map = xc.sharded().router().map();
         xc.start_paced_background(ms(5), |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 16, i as u64));

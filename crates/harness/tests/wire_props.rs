@@ -1,17 +1,20 @@
 //! Property tests for the hot-path wire layer and batch authenticators.
 //!
-//! Three families of properties back the encode-once/verify-borrowed
-//! optimizations:
+//! Four families of properties back the encode-once send path and the one
+//! packet decoder:
 //!
-//! 1. **Roundtrip**: every message kind survives
-//!    `encode_prefix → seal → decode`, and the borrowed [`PacketView`]
-//!    parser stays in lockstep with the owned [`Envelope`] decoder —
-//!    same prefix span, same materialized envelope, same fast bodies.
-//! 2. **Equivalence**: the digest-amortized multicast authenticator (one
+//! 1. **Roundtrip**: every message kind under every trailer kind survives
+//!    `encode_prefix → seal → PacketView::parse` — same sender, message,
+//!    trailer, prefix span and body span.
+//! 2. **Hostile input**: every single-byte flip, truncation and extension
+//!    of a sealed packet of each kind is either rejected or accepted as
+//!    *something* — never a panic — and whatever is accepted re-seals to a
+//!    packet that parses to the same envelope.
+//! 3. **Equivalence**: the digest-amortized multicast authenticator (one
 //!    MAC per peer over the batch digest) verifies exactly like a
 //!    per-message MAC computed directly under the pairwise key, whether
 //!    verified through the owned vector or the borrowed wire-form entry.
-//! 3. **Tamper rejection**: flipping any prefix byte (including any batch
+//! 4. **Tamper rejection**: flipping any prefix byte (including any batch
 //!    element of a pre-prepare) is rejected by *every* peer; corrupting an
 //!    authenticator entry is rejected by *exactly* the addressed peer and
 //!    no one else — driven both at the key-store layer and end-to-end
@@ -22,7 +25,7 @@ use std::rc::Rc;
 
 use pbft_core::app::{NonDet, NullApp};
 use pbft_core::keys::{replica_pair_key, KeyStore};
-use pbft_core::messages::view::{AuthView, FastBody, PacketView};
+use pbft_core::messages::view::{AuthView, PacketView};
 use pbft_core::messages::{
     AuthTag, BatchEntry, BodyFetchMsg, CheckpointMsg, CommitMsg, FetchMsg, FetchRespMsg, NewKeyMsg,
     NewViewMsg, PrePrepareMsg, PrepareMsg, PreparedProof, QuorumCertMsg, ReplyMsg, Sender,
@@ -220,11 +223,11 @@ fn gen_sender(g: &mut Gen) -> Sender {
     }
 }
 
-/// A random auth trailer. Signatures come from a real key pair so the
-/// trailer is canonical wire form; MACs/authenticators can be arbitrary
-/// bytes (roundtrip does not verify them).
-fn gen_auth(g: &mut Gen, prefix: &[u8]) -> AuthTag {
-    match g.choice(4) {
+/// A random auth trailer of the given kind (0..4). Signatures come from a
+/// real key pair so the trailer is canonical wire form; MACs/authenticators
+/// can be arbitrary bytes (roundtrip does not verify them).
+fn gen_auth(g: &mut Gen, prefix: &[u8], kind: usize) -> AuthTag {
+    match kind {
         0 => AuthTag::None,
         1 => AuthTag::Mac(gen_mac(g)),
         2 => {
@@ -237,50 +240,91 @@ fn gen_auth(g: &mut Gen, prefix: &[u8]) -> AuthTag {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Roundtrip: every message kind, owned decoder and borrowed view in
-//    lockstep
+// 1. Roundtrip: every message kind × every trailer kind
 // ---------------------------------------------------------------------------
 
 #[test]
-fn prop_every_message_kind_roundtrips_owned_and_borrowed() {
-    check("wire_roundtrip_all_kinds", 64, |g| {
+fn prop_every_message_kind_roundtrips() {
+    check("wire_roundtrip_all_kinds", 16, |g| {
         for disc in 1u8..=16 {
-            let msg = gen_message(g, disc);
-            assert_eq!(msg.discriminant(), disc);
-            let sender = gen_sender(g);
-            let prefix = Envelope::encode_prefix(sender, &msg);
-            assert_eq!(prefix[0], disc, "discriminant is the first wire byte");
-            let auth = gen_auth(g, &prefix);
-            let packet = Envelope::seal(prefix.clone(), &auth);
-            assert!(packet.starts_with(&prefix), "sealing appends in place");
+            for trailer in 0..4 {
+                let msg = gen_message(g, disc);
+                assert_eq!(msg.discriminant(), disc);
+                let sender = gen_sender(g);
+                let prefix = Envelope::encode_prefix(sender, &msg);
+                assert_eq!(prefix[0], disc, "discriminant is the first wire byte");
+                let auth = gen_auth(g, &prefix, trailer);
+                let packet = Envelope::seal(prefix.clone(), &auth);
+                assert!(packet.starts_with(&prefix), "sealing appends in place");
 
-            // Owned decode.
-            let (env, prefix_len) = Envelope::decode(&packet).expect("roundtrip decodes");
-            assert_eq!(prefix_len, prefix.len());
-            assert_eq!(env.sender, sender);
-            assert_eq!(env.msg, msg, "kind {} roundtrips", msg.name());
-            assert_eq!(env.auth, auth);
-
-            // Borrowed view, in lockstep with the owned decoder.
-            let view = PacketView::parse(&packet).expect("view parses what decode accepts");
-            assert_eq!(view.disc, disc);
-            assert_eq!(view.prefix(), &prefix[..]);
-            assert_eq!(view.prefix_len(), prefix_len);
-            let renv = view.to_envelope().expect("view materializes");
-            assert_eq!(renv, env);
-            match (disc, view.fast) {
-                (3, FastBody::Prepare(p)) => assert_eq!(Message::Prepare(p), msg),
-                (4, FastBody::Commit(c)) => assert_eq!(Message::Commit(c), msg),
-                (3 | 4, _) => panic!("hot kinds must parse typed"),
-                (_, FastBody::Other) => {}
-                (_, other) => panic!("unexpected fast body {other:?} for disc {disc}"),
+                let view = PacketView::parse(&packet).expect("roundtrip parses");
+                assert_eq!(view.sender, sender);
+                assert_eq!(view.msg, msg, "kind {} roundtrips", msg.name());
+                assert_eq!(view.auth.to_tag(), auth);
+                assert_eq!(view.prefix(), &prefix[..]);
+                assert!(prefix.ends_with(view.body()), "the body closes the prefix");
             }
         }
     });
 }
 
 // ---------------------------------------------------------------------------
-// 2. Batched authenticator ≡ per-message MACs
+// 2. Hostile input: mutations never panic, and what parses is canonical
+// ---------------------------------------------------------------------------
+
+/// Feed one hostile packet to the decoder. Rejection is fine; acceptance
+/// must be of a well-formed envelope — one that survives its own re-seal.
+fn parse_hostile(packet: &[u8]) {
+    let Ok(view) = PacketView::parse(packet) else {
+        return;
+    };
+    let auth = view.auth.to_tag();
+    let resealed = Envelope::seal(Envelope::encode_prefix(view.sender, &view.msg), &auth);
+    let again = PacketView::parse(&resealed).expect("a re-sealed envelope parses");
+    assert_eq!(again.sender, view.sender);
+    assert_eq!(again.msg, view.msg);
+    assert_eq!(again.auth.to_tag(), auth);
+}
+
+#[test]
+fn prop_hostile_mutations_never_panic() {
+    check("wire_hostile_input", 8, |g| {
+        for disc in 1u8..=16 {
+            let msg = gen_message(g, disc);
+            let prefix = Envelope::encode_prefix(gen_sender(g), &msg);
+            let trailer = g.choice(4);
+            let auth = gen_auth(g, &prefix, trailer);
+            let packet = Envelope::seal(prefix, &auth);
+
+            // Every byte, flipped (a random non-zero mask per position).
+            let mut flipped = packet.clone();
+            for pos in 0..packet.len() {
+                flipped[pos] ^= g.u8_in(1..u8::MAX);
+                parse_hostile(&flipped);
+                flipped[pos] = packet[pos];
+            }
+            // Every truncation: a sealed packet has no proper prefix that
+            // is itself a packet.
+            for cut in 0..packet.len() {
+                assert!(
+                    PacketView::parse(&packet[..cut]).is_err(),
+                    "{} cut at {cut} of {}",
+                    msg.name(),
+                    packet.len()
+                );
+            }
+            // Extensions: trailing bytes are never silently ignored.
+            let mut extended = packet.clone();
+            for _ in 0..8 {
+                extended.push(g.u8());
+                assert!(PacketView::parse(&extended).is_err());
+            }
+        }
+    });
+}
+
+// ---------------------------------------------------------------------------
+// 3. Batched authenticator ≡ per-message MACs
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -357,7 +401,7 @@ fn prop_batch_authenticator_equivalent_to_per_message_macs() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Tampering: any prefix byte → everyone rejects; any authenticator
+// 4. Tampering: any prefix byte → everyone rejects; any authenticator
 //    entry → exactly the addressed peer rejects
 // ---------------------------------------------------------------------------
 
@@ -453,7 +497,7 @@ fn prop_tampered_entry_rejected_by_exactly_the_addressed_peer() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. End-to-end through both engines: handle_packet rejects tampering with
+// 5. End-to-end through both engines: handle_packet rejects tampering with
 //    an auth_failures tick at exactly the right replica
 // ---------------------------------------------------------------------------
 

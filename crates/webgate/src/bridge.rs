@@ -24,7 +24,8 @@
 //! `timestamp`) are included for observability; the wire truth is `prefix` +
 //! `auth`.
 
-use pbft_core::{Envelope, Message, Output};
+use pbft_core::messages::view::PacketView;
+use pbft_core::{Message, Output};
 
 use crate::frame::{ChannelBuf, Frame, FrameError, Opcode};
 use crate::json::{self, Json};
@@ -70,15 +71,16 @@ impl From<FrameError> for BridgeError {
 /// [`BridgeError::BadPacket`] when the packet does not decode (never for
 /// packets produced by the engines).
 pub fn packet_to_json(packet: &[u8]) -> Result<Json, BridgeError> {
-    let (env, prefix_len) = Envelope::decode(packet).map_err(|_| BridgeError::BadPacket)?;
+    let view = PacketView::parse(packet).map_err(|_| BridgeError::BadPacket)?;
+    let (prefix, auth) = packet.split_at(view.prefix().len());
     let mut fields = vec![
         ("proto", Json::str(PROTO)),
-        ("kind", Json::str(env.msg.name())),
-        ("prefix", Json::str(json::hex_encode(&packet[..prefix_len]))),
-        ("auth", Json::str(json::hex_encode(&packet[prefix_len..]))),
+        ("kind", Json::str(view.msg.name())),
+        ("prefix", Json::str(json::hex_encode(prefix))),
+        ("auth", Json::str(json::hex_encode(auth))),
     ];
     // Observability summaries for the common client-facing kinds.
-    match &env.msg {
+    match &view.msg {
         Message::Request(r) => {
             fields.push(("client", Json::int(r.client.0)));
             fields.push(("timestamp", Json::int(r.timestamp)));
@@ -118,12 +120,14 @@ pub fn json_to_packet(v: &Json) -> Result<Vec<u8>, BridgeError> {
     let mut packet =
         json::hex_decode(prefix_hex).map_err(|e| BridgeError::BadMessage(e.to_string()))?;
     packet.extend(json::hex_decode(auth_hex).map_err(|e| BridgeError::BadMessage(e.to_string()))?);
-    let (env, _) = Envelope::decode(&packet).map_err(|_| BridgeError::BadPacket)?;
+    let name = PacketView::parse(&packet)
+        .map_err(|_| BridgeError::BadPacket)?
+        .msg
+        .name();
     if let Some(kind) = v.get("kind").and_then(Json::as_str) {
-        if kind != env.msg.name() {
+        if kind != name {
             return Err(BridgeError::BadMessage(format!(
-                "kind {kind:?} does not match packet {:?}",
-                env.msg.name()
+                "kind {kind:?} does not match packet {name:?}"
             )));
         }
     }
@@ -229,7 +233,7 @@ pub fn outputs_to_channels(outputs: &[Output]) -> Result<Vec<(u32, Vec<u8>)>, Br
 mod tests {
     use super::*;
     use pbft_core::messages::{AuthTag, ReplyMsg, RequestMsg, Sender};
-    use pbft_core::{ClientId, Operation, ReplicaId};
+    use pbft_core::{ClientId, Envelope, Operation, ReplicaId};
 
     fn request_packet() -> Vec<u8> {
         let msg = Message::Request(RequestMsg {

@@ -390,7 +390,7 @@ fn view_change_timeout_knob_controls_the_outage() {
         let mut spec = failover_spec(4, seed);
         spec.cfg.view_change_timeout_ns = timeout_ms * 1_000_000;
         spec.cfg.fetch_missing_bodies = true;
-        let mut cluster = Cluster::build_fault_ready(spec);
+        let mut cluster = Cluster::build(spec);
         cluster.start_paced_workload(PACE, |_| null_ops(64));
         let scenario = Scenario {
             name: "vc-knob-sweep",
@@ -589,7 +589,7 @@ fn smoke_adaptive_single_group() {
 
 #[test]
 fn smoke_adaptive_sharded() {
-    let mut sc = ShardedCluster::build_fault_ready(sharded_spec(2, fetching_spec(2, 46)));
+    let mut sc = ShardedCluster::build(sharded_spec(2, fetching_spec(2, 46)));
     sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     let scenario = Scenario {
         name: "smoke-adaptive-sharded",
@@ -631,7 +631,7 @@ fn smoke_adaptive_sharded() {
 fn smoke_adaptive_xshard() {
     let mut base = fetching_spec(1, 47);
     base.cfg.view_change_timeout_ns = harness::testkit::TEST_VC_TIMEOUT_NS;
-    let mut xc = XShardCluster::build_fault_ready(xshard_spec(2, 2, base));
+    let mut xc = XShardCluster::build(xshard_spec(2, 2, base));
     let map = xc.sharded().router().map();
     xc.start_paced_background(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
