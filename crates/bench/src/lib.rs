@@ -13,6 +13,8 @@
 //! (`cargo bench --bench micro -- crypto`) and the environment knobs
 //! `BENCH_SAMPLES` / `BENCH_SAMPLE_MS` to trade time for precision.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

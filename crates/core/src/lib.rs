@@ -33,6 +33,7 @@
 //! drive them; the workspace drives them with `simnet`, which converts
 //! `OpCounts` into virtual CPU time through a calibrated cost model.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod app;

@@ -957,7 +957,18 @@ impl Envelope {
     /// Encode the authenticated prefix (discriminant + sender + body).
     /// MACs/signatures are computed over exactly these bytes.
     pub fn encode_prefix(sender: Sender, msg: &Message) -> Vec<u8> {
-        let mut e = Enc::new();
+        // Sized once, trailer included: growing 256 -> body -> 2x body (the
+        // step `seal`'s first trailer byte used to trigger) left every 1 KiB
+        // request and reply holding a 2 KiB buffer until it was delivered.
+        let payload_len = match msg {
+            Message::Request(RequestMsg {
+                op: Operation::App(op),
+                ..
+            }) => op.len(),
+            Message::Reply(m) => m.result.len(),
+            _ => 0,
+        };
+        let mut e = Enc::with_room_for(payload_len);
         e.u8(msg.discriminant());
         sender.encode(&mut e);
         msg.encode_body(&mut e);

@@ -47,8 +47,16 @@ pub struct Enc {
 impl Enc {
     /// Create an empty encoder.
     pub fn new() -> Self {
+        Enc::with_room_for(0)
+    }
+
+    /// Create an empty encoder that will not reallocate while encoding a
+    /// message whose variable-length payload is `payload_len` bytes: the
+    /// fixed fields and an authenticator trailer for n <= 20 fit in the
+    /// 256 bytes every encoder starts with.
+    pub fn with_room_for(payload_len: usize) -> Self {
         Enc {
-            buf: Vec::with_capacity(256),
+            buf: Vec::with_capacity(256 + payload_len),
         }
     }
 

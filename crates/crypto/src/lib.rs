@@ -7,7 +7,10 @@
 //!
 //! * [`mod@sha256`] — a real SHA-256 implementation used for all digests
 //!   (standing in for MD5, which is broken and adds nothing to the protocol).
-//! * [`hmac`] — HMAC-SHA256, used for key derivation and strong MACs.
+//!   On x86-64 CPUs with the SHA extensions the compression function runs on
+//!   them (detected at run time); everywhere else, a portable scalar loop.
+//! * [`hmac`] — HMAC-SHA256, used for key derivation and strong MACs; a key
+//!   used repeatedly is absorbed once ([`hmac::HmacKey`]).
 //! * [`fastmac`] — a UMAC-style polynomial MAC producing 64-bit tags; this is
 //!   the cheap per-receiver MAC that PBFT authenticators are built from.
 //! * [`sig`] — an RSA signature scheme over small (64-bit) moduli with real
@@ -21,7 +24,16 @@
 //!   client membership Join protocol (paper §3.1).
 //!
 //! Everything here is deterministic given explicit seeds, which is what makes
-//! the protocol-level experiments reproducible.
+//! the protocol-level experiments reproducible. That includes the choice of
+//! back end: the hardware and the portable paths produce the same bits, and
+//! the unit tests pin digests, HMACs and tags as literals and cross-check the
+//! paths against each other (`cargo test -p pbft_crypto crosscheck`).
+//!
+//! The workspace's only `unsafe` is the SHA-NI module inside
+//! [`mod@sha256`]; it is denied everywhere else in this crate and forbidden in
+//! every other crate.
+
+#![deny(unsafe_code)]
 
 pub mod auth;
 pub mod challenge;

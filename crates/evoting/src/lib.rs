@@ -16,6 +16,8 @@
 //! the *session's* client id, so a malicious client cannot vote on someone
 //! else's behalf by crafting operations.
 
+#![forbid(unsafe_code)]
+
 mod app;
 mod ops;
 

@@ -53,6 +53,7 @@
 //! assert!(tps > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adversary;

@@ -41,6 +41,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod ast;
 mod btree;
 mod db;

@@ -21,6 +21,8 @@
 //! * [`outcome`] — a canonical byte encoding of query results, so replies
 //!   from different replicas match bit-for-bit at the client.
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod outcome;
 pub mod transfer;

@@ -34,6 +34,8 @@
 //! every property explores a different corner of the space) and can be
 //! overridden with the `PROPCHECK_SEED` environment variable for replay.
 
+#![forbid(unsafe_code)]
+
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::ops::Range;

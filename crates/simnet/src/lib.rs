@@ -62,6 +62,7 @@
 //! assert_eq!(p.got.as_deref(), Some(&b"yeh"[..]));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod group;

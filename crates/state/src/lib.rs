@@ -56,6 +56,7 @@
 //! assert_eq!(behind.refresh_digest(), root, "one differing page, transferred");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod codec;

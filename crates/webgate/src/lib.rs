@@ -51,6 +51,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bridge;
 pub mod frame;
 pub mod json;

@@ -2,7 +2,7 @@
 # Behaviour-preservation proof: the deterministic bench artifacts are a
 # pure function of the code, so a refactor that changes no behaviour must
 # regenerate them byte for byte. Re-runs the five benches that write a
-# committed BENCH_*.json (~20 min, two thirds of it `cross_shard`) and fails
+# committed BENCH_*.json (~10 min, two thirds of it `cross_shard`) and fails
 # if any artifact differs from the last commit.
 set -euo pipefail
 cd "$(dirname "$0")/.."

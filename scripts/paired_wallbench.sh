@@ -1,0 +1,131 @@
+#!/usr/bin/env bash
+# Alternating paired wallbench runs of two builds — what a claimed gain has
+# to rest on (ROADMAP, "State": the box has a ~1.5x slow mode that can hold
+# for a whole invocation, so one number per side proves nothing).
+#
+#   scripts/paired_wallbench.sh A_BIN B_BIN [seconds=10] [pairs=3]
+#
+# A_BIN / B_BIN are two `wallbench` executables (build each commit into its
+# own target directory: `CARGO_TARGET_DIR=/some/dir cargo build --release -p
+# wallbench`). Per workload it runs A,B,B,A,A,B,... (`pairs` >= 3 untraced
+# pairs, the side that goes first alternating, seed = pair number) and one
+# traced run per side, then prints
+#   * per end-to-end metric: both medians, B/A, and in how many pairs B won;
+#   * the per-layer timings of the traced runs (one run each: informational);
+#   * every exact count that differs between A and B.
+# Exit code: 0 = all runs correct and every exact count identical; 1 = an
+# exact count differs, a run failed, or a run reported `correct: false`.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+    sed -n '2,17p' "$0" >&2
+    exit 2
+fi
+a_bin=$(readlink -f "$1")
+b_bin=$(readlink -f "$2")
+seconds=${3:-10}
+pairs=${4:-3}
+if [ "$pairs" -lt 3 ]; then
+    echo "paired_wallbench: need at least 3 pairs, got $pairs" >&2
+    exit 2
+fi
+
+# Traced runs write a span file under $CARGO_TARGET_DIR; keep it out of the tree.
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+export CARGO_TARGET_DIR="$work/target"
+
+workloads="null_write null_write_n10 linear_write serial_write null_read sql_insert sql_recover"
+
+# run SIDE BIN WORKLOAD SEED TRACE -> appends one "side workload trace <json>" line
+run() {
+    local side=$1 bin=$2 workload=$3 seed=$4 trace=$5 out
+    if ! out=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" | tail -n 1); then
+        # exit 1 = measured but incorrect (the JSON says so); anything else = nothing measured
+        [ -n "$out" ] || out='{"correct": false, "attempted": 0, "failed": 0, "metrics": {}}'
+    fi
+    printf '%s\t%s\t%s\t%s\n' "$side" "$workload" "$trace" "$out" >>"$work/runs.tsv"
+}
+
+for workload in $workloads; do
+    echo "== $workload: $pairs pairs x ${seconds}s + 1 traced run per side" >&2
+    for pair in $(seq "$pairs"); do
+        if [ $((pair % 2)) -eq 1 ]; then
+            run A "$a_bin" "$workload" "$pair" 0
+            run B "$b_bin" "$workload" "$pair" 0
+        else
+            run B "$b_bin" "$workload" "$pair" 0
+            run A "$a_bin" "$workload" "$pair" 0
+        fi
+    done
+    run A "$a_bin" "$workload" 1 1
+    run B "$b_bin" "$workload" 1 1
+done
+
+python3 - "$work/runs.tsv" <<'EOF'
+import json, statistics, sys
+
+# README "Per-layer (a)": repeat exactly run to run, so any difference is the code's.
+EXACT = [
+    "net.msgs_per_op", "net.bytes_per_op", "batch.ops_per_batch",
+    "crypto.macs_per_op", "crypto.digest_kib_per_op", "crypto.mac_kib_per_op",
+    "codec.encodings_per_op", "state.pages_hashed_per_op", "state.checkpoints",
+    "state.transfer_kib_per_recovery", "replica.view_changes",
+    "client.retransmits", "timers.fired", "loop.events_per_op",
+    "failover.virtual_ms",
+]
+HIGHER_IS_BETTER = {"ops_per_s"}
+
+runs = {}  # (workload, trace) -> side -> [doc]
+order = []
+for line in open(sys.argv[1]):
+    side, workload, trace, doc = line.rstrip("\n").split("\t", 3)
+    if workload not in order:
+        order.append(workload)
+    runs.setdefault((workload, trace), {}).setdefault(side, []).append(json.loads(doc))
+
+bad = []
+for workload in order:
+    print(f"\n## {workload}")
+    plain = runs[(workload, "0")]
+    for side in "AB":
+        for doc in plain[side] + runs[(workload, "1")][side]:
+            if not doc.get("correct") or doc.get("failed"):
+                bad.append(f"{workload}: a run of {side} was incorrect or had failed ops")
+    names = list(plain["A"][0]["metrics"])
+    print(f"{'end-to-end metric':<18} {'A median':>12} {'B median':>12} {'B/A':>7}  B better in")
+    for name in names:
+        a = [d["metrics"][name]["value"] for d in plain["A"] if name in d["metrics"]]
+        b = [d["metrics"][name]["value"] for d in plain["B"] if name in d["metrics"]]
+        if not a or not b:
+            continue
+        wins = sum((y > x) if name in HIGHER_IS_BETTER else (y < x) for x, y in zip(a, b))
+        ma, mb = statistics.median(a), statistics.median(b)
+        ratio = f"{mb / ma:7.3f}" if ma else "    n/a"
+        print(f"{name:<18} {ma:12.3f} {mb:12.3f} {ratio}  {wins}/{len(a)} pairs")
+    ta = runs[(workload, "1")]["A"][0]["metrics"]
+    tb = runs[(workload, "1")]["B"][0]["metrics"]
+    print(f"{'per-layer (1 traced run each)':<30} {'A':>12} {'B':>12}")
+    for name in ta:
+        if name in EXACT or name not in tb:
+            continue
+        va, vb = ta[name]["value"], tb[name]["value"]
+        if va or vb:
+            print(f"{name:<30} {va:12.3f} {vb:12.3f}")
+    differing = [n for n in EXACT if ta.get(n) != tb.get(n)]
+    for name in differing:
+        va = ta.get(name, {}).get("value")
+        vb = tb.get(name, {}).get("value")
+        print(f"EXACT COUNT DIFFERS  {name}: A {va!r}  B {vb!r}")
+        bad.append(f"{workload}: {name} differs")
+    if not differing:
+        print(f"exact counts: all {len(EXACT)} identical")
+
+print()
+if bad:
+    print("paired_wallbench: FAILED")
+    for why in bad:
+        print(f"  {why}")
+    sys.exit(1)
+print("paired_wallbench: every run correct, every exact count identical")
+EOF

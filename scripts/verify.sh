@@ -2,7 +2,8 @@
 # Tier-1 verification gate, fully offline:
 #   1. formatting is canonical (cargo fmt --check)
 #   2. release build of every workspace crate
-#   3. scenario smoke pass: one short fault scenario per cluster flavor
+#   3. scenario smoke pass: one short fault scenario per cluster flavor,
+#      then the crypto cross-checks (hardware vs scalar, pinned outputs)
 #   4. the whole test suite (unit + integration + property tests),
 #      per package with timing so slow suites are visible
 #   5. examples and all 16 bench targets compile
@@ -46,6 +47,16 @@ echo "==> read property suite (crates/harness/tests/read_props.rs)"
 t0=$SECONDS
 cargo test -q -p harness --test read_props
 echo "    [read_props: $((SECONDS - t0))s]"
+
+# The crypto cross-checks are the proof that the hardware SHA-256 path, the
+# keyed-HMAC pad and the division-free polynomial produce the bits the
+# scalar / allocating / `% P` code did: golden literals, NIST and RFC 4231
+# vectors on both back ends, SHA-NI == scalar and MAC == reference
+# properties. Release too: the intrinsics and the folds are arithmetic that
+# optimisation levels touch.
+echo "==> crypto cross-checks (cargo test -p pbft_crypto crosscheck, test + release profiles)"
+cargo test -q -p pbft_crypto crosscheck
+cargo test -q --release -p pbft_crypto crosscheck
 
 echo "==> cargo test (per package, timed)"
 packages=$(cargo metadata --no-deps --format-version 1 \

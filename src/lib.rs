@@ -4,6 +4,8 @@
 //! cross-crate integration tests in `tests/`. The actual functionality lives in
 //! the workspace crates re-exported below.
 
+#![forbid(unsafe_code)]
+
 pub use evoting;
 pub use harness;
 pub use minisql;
