@@ -12,7 +12,7 @@ use crate::messages::{
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
 use crate::types::{ClientId, ReplicaId, SeqNum};
 
-use super::{Replica, TentativeEffects};
+use super::{QueuedRequest, Replica, TentativeEffects};
 
 /// Pipelined batch formation: while at least one batch is already in
 /// flight, the primary holds a pre-prepare back until this many requests
@@ -135,12 +135,13 @@ impl Replica {
             self.last_issue_width = take;
             let mut entries = Vec::with_capacity(take);
             for _ in 0..take {
-                let req = self.pending.pop_front().expect("non-empty");
-                let digest = req.digest();
+                let QueuedRequest { req, digest, big } =
+                    self.pending.pop_front().expect("non-empty");
                 self.pending_digests.remove(&digest);
-                let big = self.cfg.is_big(req.encoded_len());
                 if big {
-                    self.bodies.insert(digest, req.clone());
+                    // Stored at admission; only a body pruned since then
+                    // has to be put back.
+                    self.bodies.entry(digest).or_insert_with(|| req.clone());
                 }
                 entries.push(BatchEntry {
                     digest,
@@ -776,7 +777,7 @@ impl Replica {
             referenced.contains(d) || req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0)
         });
         self.pending_digests
-            .retain(|d| referenced.contains(d) || self.pending.iter().any(|r| r.digest() == *d));
+            .retain(|d| referenced.contains(d) || self.pending.iter().any(|q| q.digest == *d));
         // Observed requests already executed under a different digest path
         // are dropped via the per-client timestamp.
         let last_ts = &self.last_req_ts;

@@ -171,6 +171,17 @@ pub(crate) struct ViewChangeState {
     pub target: Option<View>,
 }
 
+/// A request in the primary's batching queue, with what admission already
+/// worked out about it (so issuing it re-encodes and re-hashes nothing).
+pub(crate) struct QueuedRequest {
+    pub(crate) req: RequestMsg,
+    /// Digest of the canonical request encoding — the key it is stored
+    /// under in `pending_digests`, `bodies` and `observed`.
+    pub(crate) digest: Digest,
+    /// The `is_big` verdict on its encoded length.
+    pub(crate) big: bool,
+}
+
 /// The PBFT replica state machine. See the crate docs for the driving
 /// contract.
 pub struct Replica {
@@ -190,7 +201,7 @@ pub struct Replica {
     pub(crate) max_pp_seen: SeqNum,
 
     /// Primary-side batching queue and assignment dedupe.
-    pub(crate) pending: VecDeque<RequestMsg>,
+    pub(crate) pending: VecDeque<QueuedRequest>,
     pub(crate) pending_digests: HashSet<Digest>,
     pub(crate) assigned_ts: HashMap<ClientId, u64>,
 
@@ -774,7 +785,7 @@ impl Replica {
             }
             self.pending_digests.insert(digest);
             self.assigned_ts.insert(req.client, req.timestamp);
-            self.pending.push_back(req);
+            self.pending.push_back(QueuedRequest { req, digest, big });
             self.try_issue(now_ns, res);
         } else {
             self.observed.insert(digest, req.clone());

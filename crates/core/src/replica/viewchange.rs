@@ -19,7 +19,7 @@ use crate::messages::{Message, NewViewMsg, PrePrepareMsg, PreparedProof, ViewCha
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
 use crate::types::{SeqNum, View};
 
-use super::Replica;
+use super::{QueuedRequest, Replica};
 
 impl Replica {
     /// Vote to move to `target` view.
@@ -189,17 +189,16 @@ impl Replica {
         // If we are the new primary, requests observed as a backup but never
         // ordered become our initial batching queue.
         if self.is_primary() {
-            let observed: Vec<_> = std::mem::take(&mut self.observed).into_values().collect();
-            for req in observed {
+            for (digest, req) in std::mem::take(&mut self.observed) {
                 let executed_ts = self.last_req_ts.get(&req.client).copied().unwrap_or(0);
                 let assigned = self.assigned_ts.get(&req.client).copied().unwrap_or(0);
-                let digest = req.digest();
                 if req.timestamp > executed_ts.max(assigned)
                     && !self.pending_digests.contains(&digest)
                 {
                     self.pending_digests.insert(digest);
                     self.assigned_ts.insert(req.client, req.timestamp);
-                    self.pending.push_back(req);
+                    let big = self.cfg.is_big(req.encoded_len());
+                    self.pending.push_back(QueuedRequest { req, digest, big });
                 }
             }
         }

@@ -1,7 +1,9 @@
 //! The database engine: statement execution over the pager/B+tree storage.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use crate::ast::*;
 use crate::btree::BTree;
@@ -66,7 +68,7 @@ impl std::fmt::Debug for DbOptions {
 pub struct Database {
     pager: Pager,
     env: Box<dyn Env>,
-    catalog: Option<BTreeMap<String, TableSchema>>,
+    catalog: Option<BTreeMap<String, Rc<TableSchema>>>,
     in_txn: bool,
 }
 
@@ -267,16 +269,24 @@ impl Database {
     // Catalog
     // ------------------------------------------------------------------
 
-    fn catalog(&mut self) -> Result<&BTreeMap<String, TableSchema>, SqlError> {
+    fn catalog(&mut self) -> Result<&BTreeMap<String, Rc<TableSchema>>, SqlError> {
         if self.catalog.is_none() {
             self.catalog = Some(load_catalog(&mut self.pager)?);
         }
         Ok(self.catalog.as_ref().expect("just loaded"))
     }
 
-    fn table(&mut self, name: &str) -> Result<TableSchema, SqlError> {
+    /// The schema of a table, shared with the cached catalog.
+    fn table(&mut self, name: &str) -> Result<Rc<TableSchema>, SqlError> {
+        // The catalog is keyed by lower-case name; most statements spell the
+        // table that way already.
+        let key: Cow<'_, str> = if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(name.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(name)
+        };
         self.catalog()?
-            .get(&name.to_ascii_lowercase())
+            .get(key.as_ref())
             .cloned()
             .ok_or_else(|| SqlError::Schema(format!("no such table: {name}")))
     }
@@ -403,7 +413,7 @@ impl Database {
                     )));
                 }
             }
-            tree.insert(&mut self.pager, rowid, encode_row(&row))?;
+            tree.insert(&mut self.pager, rowid, &encode_row(&row))?;
             affected += 1;
         }
         Ok(ExecOutcome::Affected(affected))
@@ -418,20 +428,25 @@ impl Database {
         let tree = BTree { root: schema.root };
         if let Some(rowid) = filter.and_then(|f| pk_eq_literal(f, schema)) {
             return match tree.get(&mut self.pager, rowid)? {
-                Some(payload) => Ok(vec![(rowid, decode_row(&payload)?)]),
+                Some(payload) => Ok(vec![(rowid, decode_row(payload)?)]),
                 None => Ok(Vec::new()),
             };
         }
+        // Rows are decoded straight from the cached pages; the filter runs
+        // once the walk has released the pager.
+        let mut rows = Vec::new();
+        tree.scan(&mut self.pager, |rowid, payload| {
+            rows.push((rowid, decode_row(payload)?));
+            Ok(())
+        })?;
+        let Some(f) = filter else {
+            return Ok(rows);
+        };
         let mut out = Vec::new();
-        for (rowid, payload) in tree.collect_all(&mut self.pager)? {
-            let row = decode_row(&payload)?;
-            if let Some(f) = filter {
-                let keep = self.eval(f, &Ctx::row(schema, &row))?;
-                if !keep.is_truthy() {
-                    continue;
-                }
+        for (rowid, row) in rows {
+            if self.eval(f, &Ctx::row(schema, &row))?.is_truthy() {
+                out.push((rowid, row));
             }
-            out.push((rowid, row));
         }
         Ok(out)
     }
@@ -484,9 +499,9 @@ impl Database {
             };
             if new_rowid != rowid {
                 tree.delete(&mut self.pager, rowid)?;
-                tree.insert(&mut self.pager, new_rowid, encode_row(&new_row))?;
+                tree.insert(&mut self.pager, new_rowid, &encode_row(&new_row))?;
             } else {
-                tree.update(&mut self.pager, rowid, encode_row(&new_row))?;
+                tree.update(&mut self.pager, rowid, &encode_row(&new_row))?;
             }
             affected += 1;
         }
@@ -497,7 +512,11 @@ impl Database {
         let schema = self.table(table)?;
         let tree = BTree { root: schema.root };
         if filter.is_none() {
-            let count = tree.collect_all(&mut self.pager)?.len() as u64;
+            let mut count = 0u64;
+            tree.scan(&mut self.pager, |_, _| {
+                count += 1;
+                Ok(())
+            })?;
             tree.clear(&mut self.pager)?;
             return Ok(ExecOutcome::Affected(count));
         }
@@ -515,11 +534,12 @@ impl Database {
     // ------------------------------------------------------------------
 
     fn select(&mut self, s: &SelectStmt) -> Result<Rows, SqlError> {
-        let schema = match &s.from {
+        let table = match &s.from {
             Some(t) => Some(self.table(t)?),
             None => None,
         };
-        let source: Vec<(i64, Vec<Value>)> = match &schema {
+        let schema = table.as_deref();
+        let source: Vec<(i64, Vec<Value>)> = match schema {
             Some(sch) => self.scan(sch, s.filter.as_ref())?,
             None => {
                 // FROM-less SELECT: one synthetic row (with WHERE applied).
@@ -540,7 +560,7 @@ impl Database {
                 .iter()
                 .any(|i| matches!(i, SelectItem::Expr { expr, .. } if contains_aggregate(expr)));
 
-        let columns = self.output_names(s, schema.as_ref());
+        let columns = self.output_names(s, schema);
         let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::new(); // (order keys, output)
 
         if aggregate_mode {
@@ -551,7 +571,7 @@ impl Database {
                 let key: Vec<Value> = s
                     .group_by
                     .iter()
-                    .map(|e| self.eval(e, &Ctx::maybe(schema.as_ref(), Some(&row.1))))
+                    .map(|e| self.eval(e, &Ctx::maybe(schema, Some(&row.1))))
                     .collect::<Result<_, _>>()?;
                 match groups.iter_mut().find(|(k, _)| {
                     k.len() == key.len()
@@ -578,20 +598,20 @@ impl Database {
                             }
                         }
                         SelectItem::Expr { expr, .. } => {
-                            out_row.push(self.eval_agg(expr, schema.as_ref(), &rows)?);
+                            out_row.push(self.eval_agg(expr, schema, &rows)?);
                         }
                     }
                 }
                 let order_keys: Vec<Value> = s
                     .order_by
                     .iter()
-                    .map(|o| self.eval_agg(&o.expr, schema.as_ref(), &rows))
+                    .map(|o| self.eval_agg(&o.expr, schema, &rows))
                     .collect::<Result<_, _>>()?;
                 keyed.push((order_keys, out_row));
             }
         } else {
             for (_, row) in &source {
-                let ctx = Ctx::maybe(schema.as_ref(), Some(row));
+                let ctx = Ctx::maybe(schema, Some(row));
                 let mut out_row = Vec::new();
                 for item in &s.items {
                     match item {

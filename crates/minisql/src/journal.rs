@@ -16,10 +16,61 @@ const MAGIC: u64 = 0x4d49_4e49_4a52_4e4c; // "MINIJRNL"
 /// Journal header + entry layout constants.
 const HEADER: usize = 8 + 4 + 4; // magic, old_page_count, entry count
 
-/// Write a journal with the given pre-images and sync it.
-///
-/// # Errors
-/// Storage failures.
+/// A journal image under construction in a caller-owned buffer: the pager
+/// reads each pre-image straight into its final place and reuses the buffer
+/// from one commit to the next.
+pub struct JournalImage<'a> {
+    buf: &'a mut Vec<u8>,
+    page_size: usize,
+    entries: u32,
+}
+
+impl<'a> JournalImage<'a> {
+    /// Start an image in `buf` (its previous contents are discarded).
+    pub fn begin(buf: &'a mut Vec<u8>, page_size: usize, old_page_count: u32) -> Self {
+        buf.clear();
+        buf.extend_from_slice(&MAGIC.to_be_bytes());
+        buf.extend_from_slice(&old_page_count.to_be_bytes());
+        buf.extend_from_slice(&0u32.to_be_bytes()); // entry count, patched by `write`
+        JournalImage {
+            buf,
+            page_size,
+            entries: 0,
+        }
+    }
+
+    /// Append an entry for `page_id` and return its page-sized slot for the
+    /// caller to fill with the pre-image.
+    pub fn entry(&mut self, page_id: u32) -> &mut [u8] {
+        self.buf.extend_from_slice(&page_id.to_be_bytes());
+        let start = self.buf.len();
+        self.buf.resize(start + self.page_size, 0);
+        self.entries += 1;
+        &mut self.buf[start..]
+    }
+
+    /// Bytes the image occupies in the journal file.
+    pub fn bytes(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Replace the journal file with this image and (optionally) sync it.
+    ///
+    /// # Errors
+    /// Storage failures.
+    pub fn write(self, vfs: &mut dyn Vfs, sync: bool) -> Result<(), SqlError> {
+        self.buf[12..HEADER].copy_from_slice(&self.entries.to_be_bytes());
+        vfs.set_len(0)?;
+        vfs.write_at(0, self.buf)?;
+        if sync {
+            vfs.sync()?;
+        }
+        Ok(())
+    }
+}
+
+/// Write a journal with the given pre-images (tests stage journals by hand).
+#[cfg(test)]
 pub fn write_journal(
     vfs: &mut dyn Vfs,
     page_size: usize,
@@ -27,21 +78,12 @@ pub fn write_journal(
     entries: &[(u32, Vec<u8>)],
     sync: bool,
 ) -> Result<(), SqlError> {
-    let mut buf = Vec::with_capacity(HEADER + entries.len() * (4 + page_size));
-    buf.extend_from_slice(&MAGIC.to_be_bytes());
-    buf.extend_from_slice(&old_page_count.to_be_bytes());
-    buf.extend_from_slice(&(entries.len() as u32).to_be_bytes());
+    let mut buf = Vec::new();
+    let mut image = JournalImage::begin(&mut buf, page_size, old_page_count);
     for (page_id, data) in entries {
-        debug_assert_eq!(data.len(), page_size);
-        buf.extend_from_slice(&page_id.to_be_bytes());
-        buf.extend_from_slice(data);
+        image.entry(*page_id).copy_from_slice(data);
     }
-    vfs.set_len(0)?;
-    vfs.write_at(0, &buf)?;
-    if sync {
-        vfs.sync()?;
-    }
-    Ok(())
+    image.write(vfs, sync)
 }
 
 /// Clear the journal (after a successful commit) and sync the truncation.

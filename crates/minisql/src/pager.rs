@@ -5,11 +5,19 @@
 //! are written to the rollback journal (ACID mode), the dirty pages are
 //! written back, the database is synced, and the journal is cleared. Opening
 //! a database with a live journal rolls the interrupted commit back.
+//!
+//! Pages are handed out as fixed-size slices of the cached image
+//! ([`Pager::page`], [`Pager::page_mut`]) and edited in place; a cached page
+//! never changes length. A commit copies each byte once: the header is
+//! patched into the cached page 0, and each pre-image is read from the
+//! database file straight into the journal image, whose buffer is reused
+//! from commit to commit.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::SqlError;
-use crate::journal::{clear_journal, read_journal, write_journal};
+use crate::journal::{clear_journal, read_journal, JournalImage};
 use crate::vfs::Vfs;
 
 /// Database page size — matches `pbft_state::PAGE_SIZE` so the database file
@@ -17,6 +25,13 @@ use crate::vfs::Vfs;
 pub const PAGE_SIZE: usize = 4096;
 
 const MAGIC: &[u8; 8] = b"MINISQL1";
+
+/// Bytes of page 0 the header occupies; the rest of the page is zero.
+const HEADER_LEN: usize = 20;
+
+/// Journal-image capacity kept between commits: the header page, a leaf and
+/// a split sibling. A larger transaction's buffer is released after use.
+const JOURNAL_BUF_KEEP: usize = 16 + 3 * (4 + PAGE_SIZE);
 
 /// Journal / durability mode (the paper's §4.2 ACID vs no-ACID axis; §3.2
 /// names the write-ahead log as the rollback journal's alternative).
@@ -66,6 +81,23 @@ struct Header {
     catalog_root: u32,
 }
 
+impl Header {
+    /// Overwrite `page` with the image of page 0.
+    fn write_to(&self, page: &mut [u8]) {
+        page[..8].copy_from_slice(MAGIC);
+        page[8..12].copy_from_slice(&self.page_count.to_be_bytes());
+        page[12..16].copy_from_slice(&self.freelist_head.to_be_bytes());
+        page[16..HEADER_LEN].copy_from_slice(&self.catalog_root.to_be_bytes());
+        page[HEADER_LEN..].fill(0);
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut page = vec![0u8; PAGE_SIZE];
+        self.write_to(&mut page);
+        page
+    }
+}
+
 /// Default WAL auto-checkpoint threshold, in committed frames.
 pub const DEFAULT_WAL_AUTOCHECKPOINT: u64 = 256;
 
@@ -84,6 +116,9 @@ pub struct Pager {
     /// Checkpoint the WAL back into the database once it holds this many
     /// committed frames.
     wal_autocheckpoint: u64,
+    /// The rollback-journal image of the commit in progress, kept for its
+    /// allocation.
+    journal_buf: Vec<u8>,
     stats: IoStats,
 }
 
@@ -159,12 +194,14 @@ impl Pager {
                 disk_page_count: 0,
                 wal,
                 wal_autocheckpoint: DEFAULT_WAL_AUTOCHECKPOINT,
+                journal_buf: Vec::new(),
                 stats: IoStats::default(),
             };
             // Materialize both pages as dirty; the first commit writes them.
-            pager.cache.insert(0, pager.encode_header());
+            pager.cache.insert(0, header.encode());
             pager.dirty.insert(0);
-            let catalog = crate::btree::empty_leaf_page();
+            let mut catalog = vec![0u8; PAGE_SIZE];
+            crate::btree::init_leaf(&mut catalog);
             pager.cache.insert(1, catalog);
             pager.dirty.insert(1);
             pager.commit()?;
@@ -191,6 +228,7 @@ impl Pager {
             disk_page_count,
             wal,
             wal_autocheckpoint: DEFAULT_WAL_AUTOCHECKPOINT,
+            journal_buf: Vec::new(),
             stats: IoStats::default(),
         })
     }
@@ -199,15 +237,6 @@ impl Pager {
     /// outside WAL mode.
     pub fn set_wal_autocheckpoint(&mut self, frames: u64) {
         self.wal_autocheckpoint = frames.max(1);
-    }
-
-    fn encode_header(&self) -> Vec<u8> {
-        let mut page = vec![0u8; PAGE_SIZE];
-        page[..8].copy_from_slice(MAGIC);
-        page[8..12].copy_from_slice(&self.header.page_count.to_be_bytes());
-        page[12..16].copy_from_slice(&self.header.freelist_head.to_be_bytes());
-        page[16..20].copy_from_slice(&self.header.catalog_root.to_be_bytes());
-        page
     }
 
     /// The catalog B+tree root page.
@@ -240,32 +269,42 @@ impl Pager {
     /// # Errors
     /// Storage failures / out-of-range page ids.
     pub fn page(&mut self, id: u32) -> Result<&[u8], SqlError> {
-        if id >= self.header.page_count {
-            return Err(SqlError::Corrupt(format!("page {id} out of range")));
-        }
-        if !self.cache.contains_key(&id) {
-            let mut buf = vec![0u8; PAGE_SIZE];
-            read_durable_page(
-                self.db.as_ref(),
-                self.journal.as_ref(),
-                self.wal.as_ref(),
-                id,
-                &mut buf,
-            )?;
-            self.stats.pages_read += 1;
-            self.cache.insert(id, buf);
-        }
-        Ok(self.cache.get(&id).expect("just inserted").as_slice())
+        Ok(self.cached(id)?.0)
     }
 
-    /// Mutable access to a page; marks it dirty.
+    /// Mutable access to a page (always `PAGE_SIZE` bytes); marks it dirty.
     ///
     /// # Errors
     /// Storage failures / out-of-range page ids.
-    pub fn page_mut(&mut self, id: u32) -> Result<&mut Vec<u8>, SqlError> {
-        self.page(id)?;
-        self.dirty.insert(id);
-        Ok(self.cache.get_mut(&id).expect("cached"))
+    pub fn page_mut(&mut self, id: u32) -> Result<&mut [u8], SqlError> {
+        let (page, dirty) = self.cached(id)?;
+        dirty.insert(id);
+        Ok(page)
+    }
+
+    /// The cached image of page `id`, read from durable storage on a miss,
+    /// with the dirty set (which [`Pager::page_mut`] updates while it holds
+    /// the page). One cache lookup per call.
+    fn cached(&mut self, id: u32) -> Result<(&mut [u8], &mut BTreeSet<u32>), SqlError> {
+        if id >= self.header.page_count {
+            return Err(SqlError::Corrupt(format!("page {id} out of range")));
+        }
+        let page = match self.cache.entry(id) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let mut buf = vec![0u8; PAGE_SIZE];
+                read_durable_page(
+                    self.db.as_ref(),
+                    self.journal.as_ref(),
+                    self.wal.as_ref(),
+                    id,
+                    &mut buf,
+                )?;
+                self.stats.pages_read += 1;
+                e.insert(buf)
+            }
+        };
+        Ok((page, &mut self.dirty))
     }
 
     /// Allocate a fresh page (freelist first, then file extension).
@@ -275,12 +314,11 @@ impl Pager {
     pub fn allocate(&mut self) -> Result<u32, SqlError> {
         if self.header.freelist_head != 0 {
             let id = self.header.freelist_head;
-            let page = self.page(id)?;
+            let page = self.page_mut(id)?;
             let next = u32::from_be_bytes(page[..4].try_into().expect("4 bytes"));
+            page.fill(0);
             self.header.freelist_head = next;
             self.dirty.insert(0);
-            let p = self.page_mut(id)?;
-            p.fill(0);
             Ok(id)
         } else {
             let id = self.header.page_count;
@@ -320,30 +358,33 @@ impl Pager {
             return Ok(());
         }
         self.dirty.insert(0);
-        let header_page = self.encode_header();
-        self.cache.insert(0, header_page);
+        // The header goes into the cached page 0 (never *read* for this: a
+        // cache miss here is not a page the statement asked for).
+        let header = self.header;
+        match self.cache.entry(0) {
+            Entry::Occupied(e) => header.write_to(e.into_mut()),
+            Entry::Vacant(e) => {
+                e.insert(header.encode());
+            }
+        }
 
         if self.mode == JournalMode::Wal {
             return self.commit_wal();
         }
         if self.mode == JournalMode::Rollback {
             // Pre-images of dirty pages that already exist on disk.
-            let mut entries = Vec::new();
+            let mut image =
+                JournalImage::begin(&mut self.journal_buf, PAGE_SIZE, self.disk_page_count);
             for &id in &self.dirty {
                 if id < self.disk_page_count {
-                    let mut pre = vec![0u8; PAGE_SIZE];
-                    self.db.read_at(id as u64 * PAGE_SIZE as u64, &mut pre)?;
-                    entries.push((id, pre));
+                    self.db
+                        .read_at(id as u64 * PAGE_SIZE as u64, image.entry(id))?;
                 }
             }
-            self.stats.journal_bytes += (entries.len() * (4 + PAGE_SIZE) + 16) as u64;
-            write_journal(
-                self.journal.as_mut(),
-                PAGE_SIZE,
-                self.disk_page_count,
-                &entries,
-                true,
-            )?;
+            self.stats.journal_bytes += image.bytes() as u64;
+            image.write(self.journal.as_mut(), true)?;
+            self.journal_buf.clear();
+            self.journal_buf.shrink_to(JOURNAL_BUF_KEEP);
             self.stats.syncs += 1;
         }
 
@@ -523,6 +564,7 @@ fn read_durable_page(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::write_journal;
     use crate::vfs::MemVfs;
 
     fn fresh(mode: JournalMode) -> Pager {
@@ -586,6 +628,30 @@ mod tests {
         out.write_at(0, &buf).expect("write");
         out.sync().expect("sync");
         out
+    }
+
+    #[test]
+    fn commit_writes_the_header_without_reading_page_zero() {
+        // Reopened: nothing cached. The commit builds page 0 fresh rather
+        // than loading it (a read the statement never asked for would show
+        // up in `pages_read`, and from there in the PBFT cost model).
+        let db = clone_vfs(fresh(JournalMode::Rollback).db.as_ref());
+        let mut p = Pager::open(Box::new(db), Box::new(MemVfs::new()), JournalMode::Rollback)
+            .expect("reopen");
+        p.allocate().expect("alloc");
+        p.commit().expect("commit");
+        assert_eq!(p.take_stats().pages_read, 0);
+        // Cached from now on, and patched in place: the image is the header
+        // and zeros whatever the cached page held.
+        p.page_mut(0).expect("page 0")[100] = 7;
+        p.allocate().expect("alloc");
+        p.commit().expect("commit");
+        assert_eq!(p.take_stats().pages_read, 0);
+        let mut page0 = vec![0u8; PAGE_SIZE];
+        p.db.read_at(0, &mut page0).expect("read");
+        assert_eq!(&page0[..8], MAGIC);
+        assert_eq!(page0[8..12], 4u32.to_be_bytes(), "page count");
+        assert!(page0[HEADER_LEN..].iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -664,6 +730,7 @@ mod tests {
         let mut p = fresh(JournalMode::Rollback);
         assert!(p.page(99).is_err());
         assert!(p.page_mut(99).is_err());
+        assert!(!p.has_dirty(), "a page that failed to load is not dirty");
     }
 
     // ------------------------------------------------------------------

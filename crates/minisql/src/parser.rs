@@ -38,25 +38,27 @@ pub fn parse_script(sql: &str) -> Result<Vec<Stmt>, SqlError> {
     Ok(out)
 }
 
-/// Split on semicolons that are not inside string literals.
-fn split_statements(sql: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut in_str = false;
-    for c in sql.chars() {
-        match c {
-            '\'' => {
-                in_str = !in_str;
-                cur.push(c);
+/// Split on semicolons that are not inside string literals; the pieces are
+/// slices of the script (both delimiters are ASCII, so every cut is a char
+/// boundary).
+fn split_statements(sql: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(sql);
+    std::iter::from_fn(move || {
+        let s = rest?;
+        let mut in_str = false;
+        for (i, b) in s.bytes().enumerate() {
+            match b {
+                b'\'' => in_str = !in_str,
+                b';' if !in_str => {
+                    rest = Some(&s[i + 1..]);
+                    return Some(&s[..i]);
+                }
+                _ => {}
             }
-            ';' if !in_str => {
-                out.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(c),
         }
-    }
-    out.push(cur);
-    out
+        rest = None;
+        Some(s)
+    })
 }
 
 /// Keywords that cannot appear as bare column references.
@@ -65,24 +67,25 @@ const RESERVED: &[&str] = &[
     "delete", "create", "drop", "table", "values", "set", "begin", "commit", "rollback", "as",
 ];
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> Result<Token, SqlError> {
-        let t = self
+    /// Take the next token. The parser never looks back, so the token is
+    /// moved out of its slot rather than cloned.
+    fn next(&mut self) -> Result<Token<'a>, SqlError> {
+        let slot = self
             .tokens
-            .get(self.pos)
-            .cloned()
+            .get_mut(self.pos)
             .ok_or_else(|| SqlError::Parse("unexpected end of input".into()))?;
         self.pos += 1;
-        Ok(t)
+        Ok(std::mem::replace(slot, Token::Punct("")))
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
@@ -127,7 +130,7 @@ impl Parser {
 
     fn ident(&mut self) -> Result<String, SqlError> {
         match self.next()? {
-            Token::Ident(s) => Ok(s),
+            Token::Ident(s) => Ok(s.to_owned()),
             other => Err(SqlError::Parse(format!(
                 "expected identifier, found {other:?}"
             ))),
@@ -135,36 +138,43 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<Stmt, SqlError> {
-        let head = self
-            .peek()
-            .ok_or_else(|| SqlError::Parse("empty statement".into()))?
-            .clone();
-        let Token::Ident(kw) = &head else {
-            return Err(SqlError::Parse(format!(
-                "statement cannot start with {head:?}"
-            )));
+        let kw = match self.peek() {
+            None => return Err(SqlError::Parse("empty statement".into())),
+            Some(Token::Ident(kw)) => *kw,
+            Some(head) => {
+                return Err(SqlError::Parse(format!(
+                    "statement cannot start with {head:?}"
+                )))
+            }
         };
-        match kw.to_ascii_lowercase().as_str() {
-            "create" => self.create_table(),
-            "drop" => self.drop_table(),
-            "insert" => self.insert(),
-            "select" => Ok(Stmt::Select(Box::new(self.select()?))),
-            "update" => self.update(),
-            "delete" => self.delete(),
-            "begin" => {
-                self.pos += 1;
-                self.eat_kw("transaction");
-                Ok(Stmt::Begin)
-            }
-            "commit" => {
-                self.pos += 1;
-                Ok(Stmt::Commit)
-            }
-            "rollback" => {
-                self.pos += 1;
-                Ok(Stmt::Rollback)
-            }
-            other => Err(SqlError::Parse(format!("unknown statement {other}"))),
+        let is = |name: &str| kw.eq_ignore_ascii_case(name);
+        if is("create") {
+            self.create_table()
+        } else if is("drop") {
+            self.drop_table()
+        } else if is("insert") {
+            self.insert()
+        } else if is("select") {
+            Ok(Stmt::Select(Box::new(self.select()?)))
+        } else if is("update") {
+            self.update()
+        } else if is("delete") {
+            self.delete()
+        } else if is("begin") {
+            self.pos += 1;
+            self.eat_kw("transaction");
+            Ok(Stmt::Begin)
+        } else if is("commit") {
+            self.pos += 1;
+            Ok(Stmt::Commit)
+        } else if is("rollback") {
+            self.pos += 1;
+            Ok(Stmt::Rollback)
+        } else {
+            Err(SqlError::Parse(format!(
+                "unknown statement {}",
+                kw.to_ascii_lowercase()
+            )))
         }
     }
 
@@ -517,7 +527,7 @@ impl Parser {
         match self.next()? {
             Token::Int(v) => Ok(Expr::Literal(Value::Integer(v))),
             Token::Float(v) => Ok(Expr::Literal(Value::Real(v))),
-            Token::Str(s) => Ok(Expr::Literal(Value::Text(s))),
+            Token::Str(s) => Ok(Expr::Literal(Value::Text(s.into_owned()))),
             Token::Hex(b) => Ok(Expr::Literal(Value::Blob(b))),
             Token::Punct("(") => {
                 let e = self.expr()?;
@@ -525,25 +535,24 @@ impl Parser {
                 Ok(e)
             }
             Token::Ident(name) => {
-                let lower = name.to_ascii_lowercase();
-                if lower == "null" {
+                if name.eq_ignore_ascii_case("null") {
                     return Ok(Expr::Literal(Value::Null));
                 }
-                if lower == "true" {
+                if name.eq_ignore_ascii_case("true") {
                     return Ok(Expr::Literal(Value::Integer(1)));
                 }
-                if lower == "false" {
+                if name.eq_ignore_ascii_case("false") {
                     return Ok(Expr::Literal(Value::Integer(0)));
                 }
                 if self.eat_punct("(") {
-                    return self.call(lower);
+                    return self.call(name.to_ascii_lowercase());
                 }
-                if RESERVED.contains(&lower.as_str()) {
+                if RESERVED.iter().any(|kw| name.eq_ignore_ascii_case(kw)) {
                     return Err(SqlError::Parse(format!(
                         "keyword {name} cannot be used as a column reference"
                     )));
                 }
-                Ok(Expr::Column(name))
+                Ok(Expr::Column(name.to_owned()))
             }
             other => Err(SqlError::Parse(format!("unexpected token {other:?}"))),
         }
@@ -700,6 +709,13 @@ mod tests {
             parse_script("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1); SELECT ';' ")
                 .expect("parse");
         assert_eq!(stmts.len(), 3);
+    }
+
+    #[test]
+    fn script_pieces_are_slices_cut_outside_quotes() {
+        let pieces: Vec<&str> = split_statements("a 'x;''y;' b;;c 'caf\u{e9};'; ").collect();
+        assert_eq!(pieces, vec!["a 'x;''y;' b", "", "c 'caf\u{e9};'", " "]);
+        assert_eq!(split_statements("").collect::<Vec<_>>(), vec![""]);
     }
 
     #[test]

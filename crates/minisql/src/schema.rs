@@ -2,6 +2,7 @@
 //! `sqlite_master`).
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use crate::ast::{ColType, ColumnDef};
 use crate::btree::BTree;
@@ -111,16 +112,16 @@ impl TableSchema {
 ///
 /// # Errors
 /// Storage failures / corruption.
-pub fn load_catalog(pager: &mut Pager) -> Result<BTreeMap<String, TableSchema>, SqlError> {
+pub fn load_catalog(pager: &mut Pager) -> Result<BTreeMap<String, Rc<TableSchema>>, SqlError> {
     let tree = BTree {
         root: pager.catalog_root(),
     };
     let mut out = BTreeMap::new();
-    for (id, payload) in tree.collect_all(pager)? {
-        let row = decode_row(&payload)?;
-        let schema = TableSchema::from_row(id, &row)?;
-        out.insert(schema.name.to_ascii_lowercase(), schema);
-    }
+    tree.scan(pager, |id, payload| {
+        let schema = TableSchema::from_row(id, &decode_row(payload)?)?;
+        out.insert(schema.name.to_ascii_lowercase(), Rc::new(schema));
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -134,7 +135,7 @@ pub fn save_new_table(pager: &mut Pager, schema: &mut TableSchema) -> Result<(),
     };
     let id = tree.max_key(pager)?.unwrap_or(0) + 1;
     schema.id = id;
-    tree.insert(pager, id, encode_row(&schema.to_row()))
+    tree.insert(pager, id, &encode_row(&schema.to_row()))
 }
 
 /// Remove a table from the catalog.
@@ -192,8 +193,8 @@ mod tests {
         assert_ne!(s1.id, s2.id);
         let catalog = load_catalog(&mut pager).expect("load");
         assert_eq!(catalog.len(), 2);
-        assert_eq!(catalog["votes"], s1);
-        assert_eq!(catalog["voters"], s2);
+        assert_eq!(*catalog["votes"], s1);
+        assert_eq!(*catalog["voters"], s2);
     }
 
     #[test]

@@ -1,26 +1,29 @@
-//! SQL tokenizer.
+//! SQL tokenizer. Tokens borrow from the statement text: an identifier is a
+//! slice of it, and so is a string literal unless it contains a `''` escape.
+
+use std::borrow::Cow;
 
 use crate::error::SqlError;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'a> {
     /// Bare identifier or keyword (keywords are matched case-insensitively
     /// at parse time).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Float literal.
     Float(f64),
     /// 'single quoted' string ('' escapes a quote).
-    Str(String),
+    Str(Cow<'a, str>),
     /// x'hex' blob literal.
     Hex(Vec<u8>),
     /// Punctuation / operator.
     Punct(&'static str),
 }
 
-impl Token {
+impl Token<'_> {
     /// Is this the given keyword (case-insensitive)?
     pub fn is_kw(&self, kw: &str) -> bool {
         matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
@@ -31,9 +34,11 @@ impl Token {
 ///
 /// # Errors
 /// [`SqlError::Lex`] on unterminated strings, bad hex, or unknown bytes.
-pub fn tokenize(sql: &str) -> Result<Vec<Token>, SqlError> {
+pub fn tokenize(sql: &str) -> Result<Vec<Token<'_>>, SqlError> {
     let bytes = sql.as_bytes();
-    let mut out = Vec::new();
+    // A token per four bytes is typical; the cap keeps one huge literal from
+    // reserving megabytes.
+    let mut out = Vec::with_capacity((sql.len() / 4).min(64));
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -155,14 +160,14 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>, SqlError> {
                 while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                out.push(Token::Ident(sql[start..i].to_owned()));
+                out.push(Token::Ident(&sql[start..i]));
             }
             '"' => {
                 // Quoted identifier.
                 let end = sql[i + 1..]
                     .find('"')
                     .ok_or_else(|| SqlError::Lex("unterminated quoted identifier".into()))?;
-                out.push(Token::Ident(sql[i + 1..i + 1 + end].to_owned()));
+                out.push(Token::Ident(&sql[i + 1..i + 1 + end]));
                 i += end + 2;
             }
             other => return Err(SqlError::Lex(format!("unexpected character {other:?}"))),
@@ -171,27 +176,34 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>, SqlError> {
     Ok(out)
 }
 
-fn lex_string(sql: &str, start: usize) -> Result<(String, usize), SqlError> {
+fn lex_string(sql: &str, start: usize) -> Result<(Cow<'_, str>, usize), SqlError> {
     debug_assert_eq!(sql.as_bytes()[start], b'\'');
     // Scan raw bytes for the terminating quote (UTF-8 continuation bytes can
-    // never equal the ASCII quote), then decode the whole slice at once so
-    // multi-byte characters survive.
+    // never equal the ASCII quote, so every cut below is a char boundary).
+    // The literal is a slice of the input until the first `''` escape makes
+    // an owned copy necessary.
     let bytes = sql.as_bytes();
-    let mut raw = Vec::new();
+    let mut unescaped: Option<String> = None;
+    let mut run = start + 1; // start of the run not yet copied to `unescaped`
     let mut i = start + 1;
     while i < bytes.len() {
-        if bytes[i] == b'\'' {
-            if bytes.get(i + 1) == Some(&b'\'') {
-                raw.push(b'\'');
-                i += 2;
-            } else {
-                let s = String::from_utf8(raw)
-                    .map_err(|_| SqlError::Lex("invalid utf-8 in string literal".into()))?;
-                return Ok((s, i + 1));
-            }
-        } else {
-            raw.push(bytes[i]);
+        if bytes[i] != b'\'' {
             i += 1;
+        } else if bytes.get(i + 1) == Some(&b'\'') {
+            unescaped
+                .get_or_insert_with(String::new)
+                .push_str(&sql[run..=i]);
+            i += 2;
+            run = i;
+        } else {
+            let s = match unescaped {
+                Some(mut s) => {
+                    s.push_str(&sql[run..i]);
+                    Cow::Owned(s)
+                }
+                None => Cow::Borrowed(&sql[run..i]),
+            };
+            return Ok((s, i + 1));
         }
     }
     Err(SqlError::Lex("unterminated string literal".into()))
@@ -215,7 +227,7 @@ mod tests {
         let toks = tokenize("SELECT foo FROM Bar_9").expect("lex");
         assert_eq!(toks.len(), 4);
         assert!(toks[0].is_kw("select"));
-        assert_eq!(toks[1], Token::Ident("foo".into()));
+        assert_eq!(toks[1], Token::Ident("foo"));
     }
 
     #[test]
@@ -232,6 +244,21 @@ mod tests {
     fn strings_with_escapes() {
         let toks = tokenize("'it''s'").expect("lex");
         assert_eq!(toks[0], Token::Str("it's".into()));
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let toks = tokenize("'plain' 'it''s' '''' '' 'h\u{e9}''\u{fc}' 'a''b''c'").expect("lex");
+        assert!(matches!(&toks[0], Token::Str(Cow::Borrowed("plain"))));
+        assert!(matches!(&toks[1], Token::Str(Cow::Owned(s)) if s == "it's"));
+        assert_eq!(toks[2], Token::Str("'".into()));
+        assert!(matches!(&toks[3], Token::Str(Cow::Borrowed(""))));
+        assert_eq!(toks[4], Token::Str("h\u{e9}'\u{fc}".into()));
+        assert_eq!(toks[5], Token::Str("a'b'c".into()));
+        assert!(
+            tokenize("'open''").is_err(),
+            "an escape is not a terminator"
+        );
     }
 
     #[test]
@@ -265,6 +292,6 @@ mod tests {
     #[test]
     fn quoted_identifiers() {
         let toks = tokenize("\"weird name\"").expect("lex");
-        assert_eq!(toks[0], Token::Ident("weird name".into()));
+        assert_eq!(toks[0], Token::Ident("weird name"));
     }
 }

@@ -116,19 +116,26 @@ impl MemVfs {
 
 impl Vfs for MemVfs {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), VfsError> {
-        let off = offset as usize;
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.data.get(off + i).copied().unwrap_or(0);
-        }
+        // One slice copy of what the file holds, zeros for the sparse tail.
+        let start = usize::try_from(offset)
+            .unwrap_or(usize::MAX)
+            .min(self.data.len());
+        let held = buf.len().min(self.data.len() - start);
+        buf[..held].copy_from_slice(&self.data[start..start + held]);
+        buf[held..].fill(0);
         Ok(())
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), VfsError> {
-        let end = offset as usize + data.len();
-        if self.data.len() < end {
-            self.data.resize(end, 0);
+        let start = offset as usize;
+        if self.data.len() < start {
+            self.data.resize(start, 0);
         }
-        self.data[offset as usize..end].copy_from_slice(data);
+        // Overwrite what exists, append the rest: an appending write (every
+        // journal and WAL commit) is never zero-filled first.
+        let overlap = data.len().min(self.data.len() - start);
+        self.data[start..start + overlap].copy_from_slice(&data[..overlap]);
+        self.data.extend_from_slice(&data[overlap..]);
         Ok(())
     }
 
@@ -142,7 +149,7 @@ impl Vfs for MemVfs {
     }
 
     fn sync(&mut self) -> Result<(), VfsError> {
-        self.stable = self.data.clone();
+        self.stable.clone_from(&self.data);
         self.syncs += 1;
         Ok(())
     }
@@ -158,6 +165,18 @@ mod tests {
         let mut buf = [1u8; 8];
         v.read_at(100, &mut buf).expect("read");
         assert_eq!(buf, [0u8; 8]);
+        // A read that straddles the end of the file: data, then zeros.
+        let mut v = MemVfs::new();
+        v.write_at(0, b"abcdef").expect("write");
+        let mut buf = [9u8; 8];
+        v.read_at(4, &mut buf).expect("read");
+        assert_eq!(&buf, b"ef\0\0\0\0\0\0");
+        let mut buf = [9u8; 4];
+        v.read_at(6, &mut buf).expect("read at the end");
+        assert_eq!(buf, [0u8; 4]);
+        v.read_at(u64::MAX, &mut buf)
+            .expect("read far past the end");
+        assert_eq!(buf, [0u8; 4]);
     }
 
     #[test]
@@ -168,6 +187,10 @@ mod tests {
         let mut buf = [0u8; 5];
         v.read_at(10, &mut buf).expect("read");
         assert_eq!(&buf, b"hello");
+        // A write that overwrites the tail and runs past the end.
+        v.write_at(12, b"LLOWORLD").expect("write");
+        assert_eq!(v.len(), 20);
+        assert_eq!(&v.bytes()[10..], b"heLLOWORLD");
     }
 
     #[test]

@@ -3,13 +3,15 @@
 # to rest on (ROADMAP, "State": the box has a ~1.5x slow mode that can hold
 # for a whole invocation, so one number per side proves nothing).
 #
-#   scripts/paired_wallbench.sh A_BIN B_BIN [seconds=10] [pairs=3]
+#   scripts/paired_wallbench.sh A_BIN B_BIN [seconds=10] [pairs=3] [workload...]
 #
 # A_BIN / B_BIN are two `wallbench` executables (build each commit into its
 # own target directory: `CARGO_TARGET_DIR=/some/dir cargo build --release -p
-# wallbench`). Per workload it runs A,B,B,A,A,B,... (`pairs` >= 3 untraced
-# pairs, the side that goes first alternating, seed = pair number) and one
-# traced run per side, then prints
+# wallbench`). Per workload (default: all seven; name some to give a claim on
+# one workload the >= 10 pairs it needs in minutes instead of half an hour)
+# it runs A,B,B,A,A,B,... (`pairs` >= 3 untraced pairs, the side that goes
+# first alternating, seed = pair number) and one traced run per side, then
+# prints
 #   * per end-to-end metric: both medians, B/A, and in how many pairs B won;
 #   * the per-layer timings of the traced runs (one run each: informational);
 #   * every exact count that differs between A and B.
@@ -18,7 +20,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,17p' "$0" >&2
+    sed -n '2,19p' "$0" >&2
     exit 2
 fi
 a_bin=$(readlink -f "$1")
@@ -36,6 +38,19 @@ trap 'rm -rf "$work"' EXIT
 export CARGO_TARGET_DIR="$work/target"
 
 workloads="null_write null_write_n10 linear_write serial_write null_read sql_insert sql_recover"
+if [ $# -gt 4 ]; then
+    shift 4
+    for workload in "$@"; do
+        case " $workloads " in
+        *" $workload "*) ;;
+        *)
+            echo "paired_wallbench: unknown workload $workload (known: $workloads)" >&2
+            exit 2
+            ;;
+        esac
+    done
+    workloads="$*"
+fi
 
 # run SIDE BIN WORKLOAD SEED TRACE -> appends one "side workload trace <json>" line
 run() {

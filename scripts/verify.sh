@@ -3,7 +3,8 @@
 #   1. formatting is canonical (cargo fmt --check)
 #   2. release build of every workspace crate
 #   3. scenario smoke pass: one short fault scenario per cluster flavor,
-#      then the crypto cross-checks (hardware vs scalar, pinned outputs)
+#      then the crypto cross-checks (hardware vs scalar, pinned outputs) and
+#      the minisql ones (pinned database files, in place vs `Node` oracle)
 #   4. the whole test suite (unit + integration + property tests),
 #      per package with timing so slow suites are visible
 #   5. examples and all 16 bench targets compile
@@ -57,6 +58,17 @@ echo "    [read_props: $((SECONDS - t0))s]"
 echo "==> crypto cross-checks (cargo test -p pbft_crypto crosscheck, test + release profiles)"
 cargo test -q -p pbft_crypto crosscheck
 cargo test -q --release -p pbft_crypto crosscheck
+
+# minisql's storage layer edits B+tree pages in place with offset arithmetic;
+# the proof that it writes the bytes the parse-edit-serialize code wrote is
+# `golden_*` (database file, journal/WAL file, every mutating VFS call,
+# outcomes, error text and IoStats pinned from commit 0f3ba65, all three
+# journal modes) and `crosscheck_*` (in place vs the `Node` oracle page for
+# page; hostile pages never panic). Release too: overflow checks differ
+# between the two profiles.
+echo "==> minisql bytes (cargo test -p minisql -- golden_ crosscheck_, test + release profiles)"
+cargo test -q -p minisql -- golden_ crosscheck_
+cargo test -q --release -p minisql -- golden_ crosscheck_
 
 echo "==> cargo test (per package, timed)"
 packages=$(cargo metadata --no-deps --format-version 1 \
