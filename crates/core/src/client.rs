@@ -25,7 +25,7 @@ use crate::routing::{RouteError, ShardMap};
 use crate::types::{ClientId, NetAddr, ReplicaId, View};
 
 /// Client retransmission timeout, in nanoseconds.
-const RETRANSMIT_NS: u64 = 150_000_000;
+pub(crate) const RETRANSMIT_NS: u64 = 150_000_000;
 
 /// Events surfaced to the application driving the client.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,6 +59,9 @@ enum JoinState {
 struct Outstanding {
     req: RequestMsg,
     sent_ns: u64,
+    /// When the request was last (re)sent: the retransmission deadline is
+    /// `last_send_ns + RETRANSMIT_NS`.
+    last_send_ns: u64,
     big: bool,
     /// Per-replica replies: result digest + tentative flag.
     replies: HashMap<ReplicaId, (Digest, bool)>,
@@ -90,6 +93,12 @@ pub struct Client {
     timestamp: u64,
     view_guess: View,
     outstanding: Option<Outstanding>,
+    /// Whether the host holds a pending `Retransmit` firing. The one timer
+    /// is re-armed lazily: armed only when none is pending, never cancelled
+    /// on completion, and a firing that finds its deadline moved re-arms for
+    /// the remainder — so a host's queue holds at most one retransmit event
+    /// per client instead of one dead event per completed operation.
+    retransmit_armed: bool,
     queue: VecDeque<(Vec<u8>, bool)>,
     events: Vec<ClientEvent>,
     /// In a sharded deployment, the partition and the group this client's
@@ -125,6 +134,7 @@ impl Client {
             timestamp: 0,
             view_guess: 0,
             outstanding: None,
+            retransmit_armed: false,
             queue: VecDeque::new(),
             events: Vec::new(),
             shard: None,
@@ -158,6 +168,7 @@ impl Client {
             timestamp: 0,
             view_guess: 0,
             outstanding: None,
+            retransmit_armed: false,
             queue: VecDeque::new(),
             events: Vec::new(),
             shard: None,
@@ -317,17 +328,25 @@ impl Client {
 
     fn dispatch_request(&mut self, req: RequestMsg, now_ns: u64, res: &mut HandleResult) {
         let big = self.cfg.is_big(req.encoded_len());
+        self.send_request(&req, big, false, res);
         self.outstanding = Some(Outstanding {
-            req: req.clone(),
+            req,
             sent_ns: now_ns,
+            last_send_ns: now_ns,
             big,
             replies: HashMap::new(),
             results: HashMap::new(),
         });
-        self.send_request(&req, big, false, res);
+        if !self.retransmit_armed {
+            self.arm_retransmit(RETRANSMIT_NS, res);
+        }
+    }
+
+    fn arm_retransmit(&mut self, delay_ns: u64, res: &mut HandleResult) {
+        self.retransmit_armed = true;
         res.outputs.push(Output::SetTimer {
             kind: TimerKind::Retransmit,
-            delay_ns: RETRANSMIT_NS,
+            delay_ns,
         });
     }
 
@@ -474,7 +493,7 @@ impl Client {
         res
     }
 
-    fn on_reply(&mut self, reply: ReplyMsg, now_ns: u64, res: &mut HandleResult) {
+    fn on_reply(&mut self, mut reply: ReplyMsg, now_ns: u64, res: &mut HandleResult) {
         let Some(out) = &mut self.outstanding else {
             return;
         };
@@ -489,9 +508,8 @@ impl Client {
         };
         if !reply.digest_only {
             res.counts.digest_bytes += reply.result.len() as u64;
-            out.results
-                .entry(digest)
-                .or_insert_with(|| reply.result.clone());
+            let result = std::mem::take(&mut reply.result);
+            out.results.entry(digest).or_insert(result);
         }
         out.replies.insert(reply.replica, (digest, reply.tentative));
         // Quorum rules (§2.1): f+1 matching stable replies, or 2f+1 matching
@@ -506,7 +524,7 @@ impl Client {
         if !done {
             return;
         }
-        let Some(result) = out.results.get(&digest).cloned() else {
+        let Some(result) = out.results.remove(&digest) else {
             // A digest quorum with no body yet: a designated full reply is
             // still in flight (or lost — retransmission recovers it, since
             // replicas answer retransmits with the full body). Keep
@@ -515,10 +533,9 @@ impl Client {
         };
         let latency_ns = now_ns.saturating_sub(out.sent_ns);
         self.view_guess = self.view_guess.max(reply.view);
+        // The retransmit timer stays armed: its firing finds nothing due
+        // (or the next request's later deadline) and acts on that.
         self.outstanding = None;
-        res.outputs.push(Output::CancelTimer {
-            kind: TimerKind::Retransmit,
-        });
         match self.join {
             JoinState::Member => {
                 self.metrics.completed += 1;
@@ -561,43 +578,53 @@ impl Client {
         }
     }
 
+    /// The outstanding request's timeout has run out: send it to everyone
+    /// and wait another timeout.
+    fn retransmit(&mut self, out: &mut Outstanding, now_ns: u64, res: &mut HandleResult) {
+        // Castro's read-only fallback: a read-only request that missed its
+        // optimistic 2f+1 quorum (slow, restarted or key-less replicas) is
+        // retransmitted as a *regular* ordered request, which needs only f+1
+        // stable replies. Without this, an f = 1 group with two replicas
+        // missing this client's session key can never serve it a read-only
+        // result — and every queued request wedges behind the one
+        // outstanding slot.
+        if out.req.read_only {
+            out.req.read_only = false;
+            // Escalation opens a NEW round: bump the timestamp so in-flight
+            // replies from the abandoned optimistic round can no longer
+            // match `(client, timestamp)` and be counted toward the ordered
+            // quorum — they may carry a value that was never stable. The
+            // higher timestamp also defeats replica-side duplicate
+            // suppression, which would otherwise resend the cached
+            // optimistic answer instead of ordering the request.
+            self.timestamp += 1;
+            out.req.timestamp = self.timestamp;
+            out.replies.clear();
+            out.results.clear();
+        }
+        out.last_send_ns = now_ns;
+        self.metrics.retransmissions += 1;
+        self.send_request(&out.req, out.big, true, res);
+        self.arm_retransmit(RETRANSMIT_NS, res);
+    }
+
     /// Handle a timer firing.
-    pub fn on_timer(&mut self, kind: TimerKind, _now_ns: u64) -> HandleResult {
+    pub fn on_timer(&mut self, kind: TimerKind, now_ns: u64) -> HandleResult {
         let mut res = HandleResult::default();
         match kind {
             TimerKind::Retransmit => {
-                if let Some(out) = &mut self.outstanding {
-                    // Castro's read-only fallback: a read-only request that
-                    // missed its optimistic 2f+1 quorum (slow, restarted or
-                    // key-less replicas) is retransmitted as a *regular*
-                    // ordered request, which needs only f+1 stable replies.
-                    // Without this, an f = 1 group with two replicas missing
-                    // this client's session key can never serve it a
-                    // read-only result — and every queued request wedges
-                    // behind the one outstanding slot.
-                    if out.req.read_only {
-                        out.req.read_only = false;
-                        // Escalation opens a NEW round: bump the timestamp so
-                        // in-flight replies from the abandoned optimistic round
-                        // can no longer match `(client, timestamp)` and be
-                        // counted toward the ordered quorum — they may carry a
-                        // value that was never stable. The higher timestamp
-                        // also defeats replica-side duplicate suppression,
-                        // which would otherwise resend the cached optimistic
-                        // answer instead of ordering the request.
-                        self.timestamp += 1;
-                        out.req.timestamp = self.timestamp;
-                        out.replies.clear();
-                        out.results.clear();
+                self.retransmit_armed = false;
+                // Nothing outstanding: stay disarmed until the next dispatch.
+                if let Some(mut out) = self.outstanding.take() {
+                    let due_ns = out.last_send_ns + RETRANSMIT_NS;
+                    if now_ns < due_ns {
+                        // Armed for an earlier request that has completed
+                        // since: sleep out the rest of this one's timeout.
+                        self.arm_retransmit(due_ns - now_ns, &mut res);
+                    } else {
+                        self.retransmit(&mut out, now_ns, &mut res);
                     }
-                    let req = out.req.clone();
-                    let big = out.big;
-                    self.metrics.retransmissions += 1;
-                    self.send_request(&req, big, true, &mut res);
-                    res.outputs.push(Output::SetTimer {
-                        kind: TimerKind::Retransmit,
-                        delay_ns: RETRANSMIT_NS,
-                    });
+                    self.outstanding = Some(out);
                 }
             }
             TimerKind::NewKey => {
@@ -728,10 +755,10 @@ mod tests {
     fn retransmit_goes_to_everyone() {
         let mut c = client();
         let _ = c.submit(vec![1], false, 0);
-        let res = c.on_timer(TimerKind::Retransmit, 1_000_000);
+        let res = c.on_timer(TimerKind::Retransmit, RETRANSMIT_NS);
         assert_eq!(res.sends().count(), 4);
         assert_eq!(c.metrics.retransmissions, 1);
-        // Completion cancels the timer and issues the next queued op.
+        // Completion issues the next queued op.
         let _ = c.submit(vec![2], false, 0);
         for r in 0..3u32 {
             let _ = c.handle_packet(&sealed_reply(r, 1, b"ok", true), 2000);
@@ -746,12 +773,13 @@ mod tests {
         let _ = c.submit(b"read".to_vec(), true, 0);
         // The retransmit timer escalates the read-only request to an
         // ordered one (§2.1 fallback). That must open a fresh round.
-        let _ = c.on_timer(TimerKind::Retransmit, 1_000_000);
+        let _ = c.on_timer(TimerKind::Retransmit, RETRANSMIT_NS);
         // 2f+1 late replies from the abandoned optimistic round (old
         // timestamp) arrive afterwards: they must not complete the
         // escalated request — their value was never ordered.
         for r in 0..3u32 {
-            let _ = c.handle_packet(&sealed_reply(r, 1, b"stale", true), 2_000_000);
+            let at = RETRANSMIT_NS + 1_000_000;
+            let _ = c.handle_packet(&sealed_reply(r, 1, b"stale", true), at);
         }
         assert!(
             c.has_outstanding(),
@@ -759,13 +787,103 @@ mod tests {
         );
         // Replies for the escalated round's timestamp complete it.
         for r in 0..3u32 {
-            let _ = c.handle_packet(&sealed_reply(r, 2, b"fresh", true), 3_000_000);
+            let at = RETRANSMIT_NS + 2_000_000;
+            let _ = c.handle_packet(&sealed_reply(r, 2, b"fresh", true), at);
         }
         assert!(!c.has_outstanding());
         let evs = c.take_events();
         assert!(
             matches!(&evs[0], ClientEvent::ReplyDelivered { result, .. } if result == b"fresh")
         );
+    }
+
+    const MS: u64 = 1_000_000;
+
+    /// The `(SetTimer(Retransmit) delays, CancelTimer count)` of a result.
+    fn retransmit_timer_ops(res: &HandleResult) -> (Vec<u64>, usize) {
+        let mut set = Vec::new();
+        let mut cancelled = 0;
+        for o in &res.outputs {
+            match o {
+                Output::SetTimer {
+                    kind: TimerKind::Retransmit,
+                    delay_ns,
+                } => set.push(*delay_ns),
+                Output::CancelTimer { .. } => cancelled += 1,
+                _ => {}
+            }
+        }
+        (set, cancelled)
+    }
+
+    #[test]
+    fn one_retransmit_timer_is_rearmed_lazily() {
+        let mut c = client();
+        let mut set = Vec::new();
+        let mut cancelled = 0;
+        let mut note = |res: HandleResult| {
+            let (s, n) = retransmit_timer_ops(&res);
+            set.extend(s);
+            cancelled += n;
+        };
+        note(c.submit(vec![1], false, 0));
+        for r in 0..3u32 {
+            note(c.handle_packet(&sealed_reply(r, 1, b"ok", true), MS));
+        }
+        assert_eq!(c.metrics.completed, 1);
+        note(c.submit(vec![2], false, 2 * MS));
+        assert_eq!(set, [RETRANSMIT_NS], "armed once, by the first submit");
+        assert_eq!(cancelled, 0, "completion leaves the timer alone");
+
+        // The first request's deadline: it completed, the second is not due.
+        let res = c.on_timer(TimerKind::Retransmit, RETRANSMIT_NS);
+        assert_eq!(res.sends().count(), 0);
+        assert_eq!(retransmit_timer_ops(&res), (vec![2 * MS], 0));
+        assert_eq!(c.metrics.retransmissions, 0);
+
+        // The second request's own deadline, still unanswered.
+        let res = c.on_timer(TimerKind::Retransmit, RETRANSMIT_NS + 2 * MS);
+        assert_eq!(res.sends().count(), 4, "retransmission to all n");
+        assert_eq!(retransmit_timer_ops(&res), (vec![RETRANSMIT_NS], 0));
+        assert_eq!(c.metrics.retransmissions, 1);
+    }
+
+    #[test]
+    fn idle_firing_disarms_and_next_submit_arms_again() {
+        let mut c = client();
+        let _ = c.submit(vec![1], false, 0);
+        for r in 0..3u32 {
+            let _ = c.handle_packet(&sealed_reply(r, 1, b"ok", true), MS);
+        }
+        let res = c.on_timer(TimerKind::Retransmit, RETRANSMIT_NS);
+        assert!(res.outputs.is_empty(), "nothing outstanding: no output");
+        assert_eq!(res.counts, crate::output::OpCounts::default());
+        let res = c.submit(vec![2], false, RETRANSMIT_NS + MS);
+        assert_eq!(retransmit_timer_ops(&res), (vec![RETRANSMIT_NS], 0));
+    }
+
+    #[test]
+    fn read_only_escalates_exactly_at_its_deadline() {
+        let mut c = client();
+        let sent = 7 * MS;
+        let _ = c.submit(b"read".to_vec(), true, sent);
+        let sent_requests = |res: &HandleResult| {
+            res.sends()
+                .map(|(_, env)| match &env.msg {
+                    Message::Request(r) => (r.read_only, r.timestamp),
+                    other => panic!("unexpected {}", other.name()),
+                })
+                .collect::<Vec<_>>()
+        };
+        // One nanosecond early: not due, nothing sent, the remainder re-armed.
+        let res = c.on_timer(TimerKind::Retransmit, sent + RETRANSMIT_NS - 1);
+        assert_eq!(res.sends().count(), 0);
+        assert_eq!(retransmit_timer_ops(&res), (vec![1], 0));
+        // At `sent + RETRANSMIT_NS`: escalated to an ordered request under a
+        // fresh timestamp, to every replica.
+        let res = c.on_timer(TimerKind::Retransmit, sent + RETRANSMIT_NS);
+        assert_eq!(sent_requests(&res), vec![(false, 2); 4]);
+        assert_eq!(retransmit_timer_ops(&res), (vec![RETRANSMIT_NS], 0));
     }
 
     #[test]

@@ -218,13 +218,10 @@ impl Replica {
         let digest = pp.batch_digest();
         res.counts.digest_bytes += 64 + 48 * pp.entries.len() as u64;
         let me_primary = self.is_primary();
-        match self.log.entry_for(pp.seq, pp.view, digest) {
-            Some(e) => {
-                if e.preprepare.is_some() {
-                    return; // duplicate
-                }
-                e.preprepare = Some(pp.clone());
-            }
+        let (view, seq) = (pp.view, pp.seq);
+        match self.log.entry_for(seq, view, digest) {
+            Some(e) if e.preprepare.is_some() => return, // duplicate
+            Some(_) => {}
             None => {
                 // Conflicting assignment for (view, seq): Byzantine primary.
                 self.start_view_change(self.view + 1, now_ns, res);
@@ -232,28 +229,31 @@ impl Replica {
             }
         }
         self.stash_inline_bodies(&pp);
+        let me = self.id();
+        if let Some(e) = self.log.get_mut(seq) {
+            e.preprepare = Some(pp);
+            if !me_primary {
+                e.prepares.insert(me);
+            }
+        }
         self.arm_vc_timer(res);
         if !me_primary {
-            let me = self.id();
             let prepare = PrepareMsg {
-                view: pp.view,
-                seq: pp.seq,
+                view,
+                seq,
                 digest,
                 replica: me,
             };
-            if let Some(e) = self.log.get_mut(pp.seq) {
-                e.prepares.insert(me);
-            }
             if self.linear {
                 // Linear mode: the prepare vote goes to the leader alone,
                 // which aggregates the quorum into a PrepareQC broadcast.
-                let leader = self.cfg.primary_of(pp.view);
+                let leader = self.cfg.primary_of(view);
                 self.send_authenticated(NetTarget::Replica(leader), Message::Prepare(prepare), res);
             } else {
                 self.multicast(Message::Prepare(prepare), res);
             }
         }
-        self.update_prepared(pp.seq, now_ns, res);
+        self.update_prepared(seq, now_ns, res);
         // A retransmitted pre-prepare can be the last missing piece of an
         // entry whose prepares and commits raced ahead of it (status-driven
         // recovery re-sends all three, and the quorum paths above early-
@@ -437,7 +437,7 @@ impl Replica {
         loop {
             let seq = self.last_executed + 1;
             let Some(e) = self.log.get(seq) else { break };
-            let Some(pp) = e.preprepare.clone() else {
+            let Some(pp) = &e.preprepare else {
                 break;
             };
             if e.executed {
@@ -472,8 +472,14 @@ impl Replica {
                 }
                 break;
             }
+            // Execution borrows the whole replica, so the pre-prepare leaves
+            // its log entry for the batch (nothing in there reads the log)
+            // and goes back with the verdict.
+            let e = self.log.get_mut(seq).expect("entry exists");
+            let pp = e.preprepare.take().expect("checked above");
             self.execute_batch(&pp, committed, now_ns, res);
             let e = self.log.get_mut(seq).expect("entry exists");
+            e.preprepare = Some(pp);
             e.executed = true;
             e.tentative = !committed;
             if !committed {
@@ -501,14 +507,14 @@ impl Replica {
         // read-only contention gate can defer conflicting reads until the
         // batch commits (or rolls back).
         let mut effects = TentativeEffects::default();
+        // Requests are executed where they are stored: the body store is
+        // moved out for the batch, because execution borrows the whole
+        // replica (nothing in there reads `self.bodies`).
+        let bodies = std::mem::take(&mut self.bodies);
         for entry in &pp.entries {
             let req = match &entry.full {
-                Some(r) => r.clone(),
-                None => self
-                    .bodies
-                    .get(&entry.digest)
-                    .expect("checked above")
-                    .clone(),
+                Some(r) => r,
+                None => bodies.get(&entry.digest).expect("checked above"),
             };
             self.observed.remove(&entry.digest);
             if !committed {
@@ -516,7 +522,7 @@ impl Replica {
                     effects.note_op(op);
                 }
             }
-            let reply_body = self.execute_one(&req, &pp.nondet, &mut membership_dirty, res);
+            let reply_body = self.execute_one(req, &pp.nondet, &mut membership_dirty, res);
             self.last_req_ts.insert(req.client, req.timestamp);
             if let Some(result) = reply_body {
                 let reply = ReplyMsg {
@@ -539,6 +545,7 @@ impl Replica {
             res.counts.requests_executed += 1;
             self.metrics.executed_requests += 1;
         }
+        self.bodies = bodies;
         if membership_dirty {
             self.persist_membership();
         }

@@ -788,14 +788,19 @@ impl Replica {
             self.pending.push_back(QueuedRequest { req, digest, big });
             self.try_issue(now_ns, res);
         } else {
-            self.observed.insert(digest, req.clone());
             // Backups relay non-big requests to the primary verbatim — the
             // client's own envelope, so its authenticator stays valid — and
             // arm the suspicion timer. Encoded once, to the one destination;
-            // no deep envelope clone.
-            if !big {
+            // no deep envelope clone. One copy of the request either way:
+            // a big one went into `bodies` above and `observed` takes the
+            // original, a small one goes into `observed` and the relay takes
+            // the original.
+            if big {
+                self.observed.insert(digest, req);
+            } else {
+                self.observed.insert(digest, req.clone());
                 let primary = self.cfg.primary_of(self.view);
-                let msg = Message::Request(req.clone());
+                let msg = Message::Request(req);
                 let relay_prefix = Envelope::encode_prefix(sender, &msg);
                 self.metrics.hot_encodings += 1;
                 let packet = std::sync::Arc::new(Envelope::seal(relay_prefix, auth));
@@ -1120,14 +1125,14 @@ impl Replica {
         res: &mut HandleResult,
     ) {
         let client = reply.client;
-        self.last_reply.insert(client, reply.clone());
-        let reply = if digest_only && reply.result.len() > 32 {
+        let wire = if digest_only && reply.result.len() > 32 {
             res.counts.digest_bytes += reply.result.len() as u64;
             reply.to_digest_only()
         } else {
-            reply
+            reply.clone()
         };
-        let msg = Message::Reply(reply);
+        self.last_reply.insert(client, reply);
+        let msg = Message::Reply(wire);
         let prefix = Envelope::encode_prefix(Sender::Replica(self.id()), &msg);
         self.metrics.hot_encodings += 1;
         let auth = self

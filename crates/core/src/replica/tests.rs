@@ -205,7 +205,11 @@ impl Net {
     }
 
     fn fire_client_timer(&mut self, i: usize, kind: crate::output::TimerKind) {
-        self.now += 1_000_000;
+        // The client acts on a retransmit firing only at its deadline.
+        self.now += match kind {
+            crate::output::TimerKind::Retransmit => crate::client::RETRANSMIT_NS,
+            _ => 1_000_000,
+        };
         let res = self.clients[i].on_timer(kind, self.now);
         self.route(Source::Client(i), res.outputs);
     }

@@ -5,7 +5,7 @@
 //! optimization in the system (Table 1 of the paper shows a ~16x throughput
 //! swing). This module provides the structural equivalent: a polynomial
 //! universal hash over the prime field `2^61 - 1`, encrypted with an
-//! HMAC-derived pad. It is a few multiplications per 8 message bytes, i.e.
+//! HMAC-derived pad. It is one multiplication per 8 message bytes, i.e.
 //! orders of magnitude cheaper than a signature, which is exactly the cost
 //! asymmetry the paper's experiments depend on.
 
@@ -32,31 +32,37 @@ impl Mac64 {
     }
 }
 
+/// Nonces whose pad is computed once per key. The pad is a function of
+/// (key, nonce) only, and PBFT separates exactly two domains: 0 for requests
+/// and replica multicasts, 1 for replies.
+const TABLED_NONCES: usize = 2;
+
 /// Keyed fast MAC. Cheap to construct from a 32-byte session key.
 #[derive(Clone, PartialEq, Eq)]
 pub struct FastMacKey {
-    /// Evaluation point for the polynomial hash, in `[1, P-1]`.
-    point: u64,
-    /// Pad key for encrypting the hash output, absorbed once.
+    /// `point^1 ..= point^4` for the polynomial hash, each in `[1, P-1]`.
+    powers: [u64; 4],
+    /// The pads of nonces `0..TABLED_NONCES`.
+    pads: [u64; TABLED_NONCES],
+    /// Pad key for encrypting the hash output under any other nonce,
+    /// absorbed once.
     pad: HmacKey,
 }
 
 impl fmt::Debug for FastMacKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The powers and pads are as good as the key.
         write!(f, "FastMacKey(..)")
     }
 }
 
-/// One Horner step, `(acc * point + limb) mod P`, for `acc, point < P`.
+/// Reduce `x < 2^63` to its canonical residue mod P.
 ///
 /// `2^61 = 1 (mod P)`, so a value is congruent to its low 61 bits plus the
 /// rest shifted down ("folding"); no division is needed.
 #[inline]
-fn horner_step(acc: u64, point: u64, limb: u64) -> u64 {
-    let prod = u128::from(acc) * u128::from(point); // < 2^122
-    let prod = (prod as u64 & P) + (prod >> 61) as u64; // < 2^62
-    let sum = prod + (limb & P) + (limb >> 61); // < 2^63
-    let r = (sum & P) + (sum >> 61); // <= P + 3
+fn reduce(x: u64) -> u64 {
+    let r = (x & P) + (x >> 61); // <= P + 3
     if r >= P {
         r - P
     } else {
@@ -64,17 +70,51 @@ fn horner_step(acc: u64, point: u64, limb: u64) -> u64 {
     }
 }
 
+/// One Horner step, `(acc * point + limb) mod P`, for `acc, point < P`.
+#[inline]
+fn horner_step(acc: u64, point: u64, limb: u64) -> u64 {
+    let prod = u128::from(acc) * u128::from(point); // < 2^122
+    let prod = (prod as u64 & P) + (prod >> 61) as u64; // < 2^62
+    reduce(prod + (limb & P) + (limb >> 61)) // < 2^63
+}
+
+/// Four Horner steps at once: `acc*p^4 + l0*p^3 + l1*p^2 + l2*p + l3 mod P`
+/// for `acc < P` and `powers = [p, p^2, p^3, p^4]`, each `< P`.
+///
+/// The four products are independent of each other (one Horner step per limb
+/// is a chain of dependent multiply-folds) and are folded once: with `acc`
+/// and every power below `2^61` and every limb below `2^64`, the sum is below
+/// `2^122 + 3 * 2^125 + 2^64 < 2^128`.
+#[inline]
+fn horner_step4(acc: u64, powers: &[u64; 4], limbs: [u64; 4]) -> u64 {
+    let [p1, p2, p3, p4] = powers.map(u128::from);
+    let [l0, l1, l2, l3] = limbs.map(u128::from);
+    let sum = u128::from(acc) * p4 + l0 * p3 + l1 * p2 + l2 * p1 + l3;
+    // Three 61-bit digits (the top one < 2^6), each worth 1 mod P.
+    let lo = sum as u64 & P;
+    let mid = (sum >> 61) as u64 & P;
+    let top = (sum >> 122) as u64;
+    reduce(lo + mid + top) // < 2^62 + 2^6
+}
+
+fn limb(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
 impl FastMacKey {
     /// Derive a fast-MAC key from 32 bytes of session key material.
     pub fn from_session_key(session_key: &[u8; 32]) -> Self {
         let point_bytes = derive_key(session_key, "fastmac-point", b"");
         let pad_key = derive_key(session_key, "fastmac-pad", b"");
-        let raw = u64::from_le_bytes(point_bytes[..8].try_into().expect("8 bytes"));
-        FastMacKey {
-            // Map into [1, P-1].
-            point: raw % (P - 1) + 1,
-            pad: HmacKey::new(&pad_key),
+        // Map into [1, P-1].
+        let point = limb(&point_bytes[..8]) % (P - 1) + 1;
+        let mut powers = [point; 4];
+        for i in 1..4 {
+            powers[i] = horner_step(powers[i - 1], point, 0);
         }
+        let pad = HmacKey::new(&pad_key);
+        let pads = std::array::from_fn(|nonce| pad_for(&pad, nonce as u64));
+        FastMacKey { powers, pads, pad }
     }
 
     /// MAC `msg`, mixing in a `nonce` that callers use for domain separation
@@ -82,32 +122,51 @@ impl FastMacKey {
     pub fn mac(&self, msg: &[u8], nonce: u64) -> Mac64 {
         // Polynomial evaluation: treat msg as 8-byte little-endian limbs
         // (with the final partial limb zero-padded and the length appended so
-        // that ("ab", "") and ("a", "b...") cannot collide).
+        // that ("ab", "") and ("a", "b...") cannot collide), four limbs per
+        // step while four are left.
+        let point = self.powers[0];
         let mut acc: u64 = 1; // distinguishes empty message from zero limbs
-        let mut chunks = msg.chunks_exact(8);
+        let mut blocks = msg.chunks_exact(32);
+        for b in blocks.by_ref() {
+            let limbs = [
+                limb(&b[..8]),
+                limb(&b[8..16]),
+                limb(&b[16..24]),
+                limb(&b[24..]),
+            ];
+            acc = horner_step4(acc, &self.powers, limbs);
+        }
+        let mut chunks = blocks.remainder().chunks_exact(8);
         for c in chunks.by_ref() {
-            let limb = u64::from_le_bytes(c.try_into().expect("8 bytes"));
-            acc = horner_step(acc, self.point, limb);
+            acc = horner_step(acc, point, limb(c));
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
             let mut last = [0u8; 8];
             last[..rem.len()].copy_from_slice(rem);
-            acc = horner_step(acc, self.point, u64::from_le_bytes(last));
+            acc = horner_step(acc, point, u64::from_le_bytes(last));
         }
-        acc = horner_step(acc, self.point, msg.len() as u64);
-        acc = horner_step(acc, self.point, nonce);
-        // Encrypt the 61-bit hash with an HMAC-derived pad keyed by the
-        // nonce: `derive_key(pad_key, "pad", nonce)`, from the absorbed key.
-        let pad = self.pad.mac(&[b"pad\0", &nonce.to_be_bytes()]);
-        let pad64 = u64::from_le_bytes(pad.0[..8].try_into().expect("8 bytes"));
-        Mac64(acc ^ pad64)
+        acc = horner_step(acc, point, msg.len() as u64);
+        acc = horner_step(acc, point, nonce);
+        // Encrypt the 61-bit hash with the nonce's pad.
+        let tabled = usize::try_from(nonce).ok().and_then(|i| self.pads.get(i));
+        let pad = match tabled {
+            Some(&pad) => pad,
+            None => pad_for(&self.pad, nonce),
+        };
+        Mac64(acc ^ pad)
     }
 
     /// Verify a tag.
     pub fn verify(&self, msg: &[u8], nonce: u64, tag: Mac64) -> bool {
         self.mac(msg, nonce) == tag
     }
+}
+
+/// The HMAC-derived pad of `nonce`: the first 8 bytes of
+/// `derive_key(pad_key, "pad", nonce)`, from the absorbed key.
+fn pad_for(pad: &HmacKey, nonce: u64) -> u64 {
+    limb(&pad.mac(&[b"pad\0", &nonce.to_be_bytes()]).0[..8])
 }
 
 #[cfg(test)]
@@ -119,8 +178,9 @@ mod tests {
         FastMacKey::from_session_key(&[b; 32])
     }
 
-    /// The formula this module shipped with before the Mersenne fold and the
-    /// absorbed pad key: `% P` on `u128` per limb, `derive_key` per tag.
+    /// The formula this module shipped with before the Mersenne fold, the
+    /// four-lane step, the absorbed pad key and the pad table: `% P` on
+    /// `u128` per limb, `derive_key` per tag.
     fn mac_reference(session_key: &[u8; 32], msg: &[u8], nonce: u64) -> Mac64 {
         const P: u128 = (1u128 << 61) - 1;
         let point_bytes = derive_key(session_key, "fastmac-point", b"");
@@ -167,6 +227,46 @@ mod tests {
         });
     }
 
+    /// Every length up to 4 KiB plus 31 — all residues mod 32 (the whole
+    /// limbs the four-lane loop leaves over) and mod 8 (the partial limb) at
+    /// every block count — over saturated bytes, whose limbs (>= 2^61) reach
+    /// the top of every fold, and over random ones.
+    #[test]
+    fn crosscheck_prop_four_lane_matches_reference_at_every_length() {
+        const MAX_LEN: usize = 4096 + 31;
+        propcheck::check("fastmac_every_length", 2, |g| {
+            let session_key: [u8; 32] = g.byte_array();
+            let k = FastMacKey::from_session_key(&session_key);
+            let nonce = g.u64_in(0..2);
+            for data in [vec![0xff; MAX_LEN], g.bytes(MAX_LEN..MAX_LEN + 1)] {
+                for len in 0..=MAX_LEN {
+                    let msg = &data[..len];
+                    let expect = mac_reference(&session_key, msg, nonce);
+                    assert_eq!(k.mac(msg, nonce), expect, "len {len}");
+                }
+            }
+        });
+    }
+
+    /// Nonces 0 and 1 read their pad from the table, every other nonce
+    /// derives it per tag: the table holds what the HMAC path computes, and
+    /// both agree with the reference.
+    #[test]
+    fn crosscheck_prop_tabled_pads_match_the_hmac_path() {
+        propcheck::check("fastmac_tabled_pads", 32, |g| {
+            let session_key: [u8; 32] = g.byte_array();
+            let k = FastMacKey::from_session_key(&session_key);
+            let msg = g.bytes(0..100);
+            for (nonce, &tabled) in k.pads.iter().enumerate() {
+                assert_eq!(tabled, pad_for(&k.pad, nonce as u64), "nonce {nonce}");
+            }
+            for nonce in [0, 1, 2, 5, 42, u64::MAX] {
+                let expect = mac_reference(&session_key, &msg, nonce);
+                assert_eq!(k.mac(&msg, nonce), expect, "nonce {nonce}");
+            }
+        });
+    }
+
     /// Tags computed on commit 87ffb01, by the code `mac_reference` copies.
     #[test]
     fn crosscheck_golden_tags() {
@@ -206,9 +306,30 @@ mod tests {
     }
 
     #[test]
+    fn horner_step4_reduces_fully_at_the_extremes() {
+        // The first case is the largest sum the bounds allow (debug builds
+        // would trap an overflow of the `u128`).
+        for (acc, power, l) in [
+            (P - 1, P - 1, u64::MAX),
+            (P - 1, P - 1, 0),
+            (0, 1, 0),
+            (0, 1, P),
+            (P - 1, 1, 1),
+            (1, P - 1, P - 1),
+        ] {
+            let p = u128::from(P);
+            let term = |x: u64, y: u64| u128::from(x) * u128::from(y) % p;
+            let expect = (term(acc, power) + 3 * term(l, power) + u128::from(l) % p) % p;
+            let got = horner_step4(acc, &[power; 4], [l; 4]);
+            assert_eq!(u128::from(got), expect, "acc {acc} power {power} limb {l}");
+        }
+    }
+
+    #[test]
     fn key_is_small_comparable_and_opaque() {
-        // Evaluation point + two SHA-256 chaining values: no tables.
-        assert_eq!(std::mem::size_of::<FastMacKey>(), 72);
+        // Four powers of the evaluation point, the two tabled pads and two
+        // SHA-256 chaining values: nothing that grows with use.
+        assert_eq!(std::mem::size_of::<FastMacKey>(), 112);
         assert_eq!(key(1), key(1));
         assert_ne!(key(1), key(2));
         assert_eq!(format!("{:?}", key(1)), "FastMacKey(..)");

@@ -12,7 +12,10 @@
 # it runs A,B,B,A,A,B,... (`pairs` >= 3 untraced pairs, the side that goes
 # first alternating, seed = pair number) and one traced run per side, then
 # prints
-#   * per end-to-end metric: both medians, B/A, and in how many pairs B won;
+#   * per end-to-end metric: each side's median and quartiles, B/A, the
+#     distance between the medians in units of A's inter-quartile distance
+#     (a claimed gain needs > 1 and B better in >= 9/10 pairs), and in how
+#     many pairs B won;
 #   * the per-layer timings of the traced runs (one run each: informational);
 #   * every exact count that differs between A and B.
 # Exit code: 0 = all runs correct and every exact count identical; 1 = an
@@ -20,7 +23,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,19p' "$0" >&2
+    sed -n '2,22p' "$0" >&2
     exit 2
 fi
 a_bin=$(readlink -f "$1")
@@ -91,6 +94,14 @@ EXACT = [
 ]
 HIGHER_IS_BETTER = {"ops_per_s"}
 
+
+def quartiles(xs):
+    """(q1, median, q3), linearly interpolated between the sorted runs."""
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
+
+
 runs = {}  # (workload, trace) -> side -> [doc]
 order = []
 for line in open(sys.argv[1]):
@@ -108,16 +119,21 @@ for workload in order:
             if not doc.get("correct") or doc.get("failed"):
                 bad.append(f"{workload}: a run of {side} was incorrect or had failed ops")
     names = list(plain["A"][0]["metrics"])
-    print(f"{'end-to-end metric':<18} {'A median':>12} {'B median':>12} {'B/A':>7}  B better in")
+    print(f"{'end-to-end metric':<16} {'A q1':>11} {'A median':>11} {'A q3':>11}"
+          f" {'B q1':>11} {'B median':>11} {'B q3':>11} {'B/A':>7} {'gap/IQR(A)':>10}  B better in")
     for name in names:
         a = [d["metrics"][name]["value"] for d in plain["A"] if name in d["metrics"]]
         b = [d["metrics"][name]["value"] for d in plain["B"] if name in d["metrics"]]
         if not a or not b:
             continue
         wins = sum((y > x) if name in HIGHER_IS_BETTER else (y < x) for x, y in zip(a, b))
-        ma, mb = statistics.median(a), statistics.median(b)
+        (qa1, ma, qa3), (qb1, mb, qb3) = quartiles(a), quartiles(b)
         ratio = f"{mb / ma:7.3f}" if ma else "    n/a"
-        print(f"{name:<18} {ma:12.3f} {mb:12.3f} {ratio}  {wins}/{len(a)} pairs")
+        # Medians further apart than the parent's own run-to-run spread?
+        iqr = qa3 - qa1
+        gap = abs(mb - ma) / iqr if iqr else (float("inf") if mb != ma else 0.0)
+        print(f"{name:<16} {qa1:11.3f} {ma:11.3f} {qa3:11.3f} {qb1:11.3f} {mb:11.3f} {qb3:11.3f}"
+              f" {ratio} {gap:10.2f}  {wins}/{len(a)} pairs")
     ta = runs[(workload, "1")]["A"][0]["metrics"]
     tb = runs[(workload, "1")]["B"][0]["metrics"]
     print(f"{'per-layer (1 traced run each)':<30} {'A':>12} {'B':>12}")
