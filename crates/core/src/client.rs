@@ -21,7 +21,6 @@ use crate::messages::{
     AuthTag, Envelope, Message, NewKeyMsg, Operation, ReplyMsg, RequestMsg, Sender,
 };
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
-use crate::routing::{RouteError, ShardMap};
 use crate::types::{ClientId, NetAddr, ReplicaId, View};
 
 /// Client retransmission timeout, in nanoseconds.
@@ -101,9 +100,6 @@ pub struct Client {
     retransmit_armed: bool,
     queue: VecDeque<(Vec<u8>, bool)>,
     events: Vec<ClientEvent>,
-    /// In a sharded deployment, the partition and the group this client's
-    /// replica set serves (see [`Client::bind_shard`]).
-    shard: Option<(ShardMap, u32)>,
     /// Metrics for throughput harnesses.
     pub metrics: ClientMetrics,
 }
@@ -137,7 +133,6 @@ impl Client {
             retransmit_armed: false,
             queue: VecDeque::new(),
             events: Vec::new(),
-            shard: None,
             metrics: ClientMetrics::default(),
         }
     }
@@ -171,7 +166,6 @@ impl Client {
             retransmit_armed: false,
             queue: VecDeque::new(),
             events: Vec::new(),
-            shard: None,
             metrics: ClientMetrics::default(),
         }
     }
@@ -226,72 +220,6 @@ impl Client {
         self.queue.push_back((op, read_only));
         self.pump(now_ns, &mut res);
         res
-    }
-
-    /// Bind this client to one group of a sharded deployment: it will only
-    /// accept route-aware submissions ([`Client::submit_routed`]) whose keys
-    /// the partition assigns to `shard`.
-    ///
-    /// The binding is advisory plumbing for the transport layer — the
-    /// replicas this client's sends reach *are* group `shard` — so the check
-    /// catches mis-routed operations before they are ordered by a group that
-    /// does not own their keys.
-    pub fn bind_shard(&mut self, map: ShardMap, shard: u32) {
-        assert!(shard < map.shards(), "shard index out of range");
-        self.shard = Some((map, shard));
-    }
-
-    /// The shard this client is bound to, if any.
-    pub fn bound_shard(&self) -> Option<u32> {
-        self.shard.as_ref().map(|(_, s)| *s)
-    }
-
-    /// Install a newer [`ShardMap`] epoch on an already-bound client (the
-    /// epoch-retry path: a `WrongEpoch` rejection carries the rejecting
-    /// group's map). The bound group index is kept — the client still talks
-    /// to the same replicas — but routing checks now run against the newer
-    /// partition, so keys that moved away are refused as `ForeignShard`
-    /// before they reach a group that would reject them anyway. Older or
-    /// equal epochs, or an unbound client, are no-ops.
-    ///
-    /// Returns `true` when the map was actually installed.
-    pub fn rebind_shard(&mut self, map: ShardMap) -> bool {
-        match &mut self.shard {
-            Some((cur, shard)) if map.epoch() > cur.epoch() && *shard < map.shards() => {
-                *cur = map;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Route-aware submission: verify that every shard key of the operation
-    /// routes to this client's bound group, then [`Client::submit`].
-    ///
-    /// Errors are typed ([`RouteError`]): `CrossShard` when the keys span
-    /// groups (atomic cross-shard operations must go through the two-phase
-    /// commit of [`crate::xshard`] rather than a single group's order),
-    /// `ForeignShard` when the operation belongs to a different group than
-    /// the one this client talks to, and `NoKeys` when the operation names
-    /// no key at all. An unbound client accepts everything (the
-    /// single-group deployment is the degenerate one-shard case).
-    pub fn submit_routed<K: AsRef<[u8]>>(
-        &mut self,
-        keys: &[K],
-        op: Vec<u8>,
-        read_only: bool,
-        now_ns: u64,
-    ) -> Result<HandleResult, RouteError> {
-        if let Some((map, bound)) = &self.shard {
-            let key_shard = map.route(keys)?;
-            if key_shard != *bound {
-                return Err(RouteError::ForeignShard {
-                    key_shard,
-                    bound_shard: *bound,
-                });
-            }
-        }
-        Ok(self.submit(op, read_only, now_ns))
     }
 
     /// Ask the service to terminate this session (§3.1 Leave).
@@ -925,73 +853,6 @@ mod tests {
             c.has_outstanding(),
             "one bad + one good reply must not certify"
         );
-    }
-
-    #[test]
-    fn routed_submission_enforces_the_binding() {
-        use crate::routing::{RouteError, ShardMap};
-        let map = ShardMap::new(4);
-        let key = b"row-1".to_vec();
-        let home = map.shard_of(&key);
-        let mut c = client();
-        c.bind_shard(map, home);
-        assert_eq!(c.bound_shard(), Some(home));
-
-        // The op's key routes here: accepted and dispatched.
-        let res = c
-            .submit_routed(std::slice::from_ref(&key), vec![1], false, 0)
-            .expect("routes home");
-        assert!(res.sends().count() > 0);
-
-        // A key owned by another group is a typed ForeignShard error.
-        let foreign = crate::routing::test_key_on_other_shard(&map, &key);
-        let err = c
-            .submit_routed(std::slice::from_ref(&foreign), vec![2], false, 0)
-            .unwrap_err();
-        assert!(matches!(err, RouteError::ForeignShard { bound_shard, .. } if bound_shard == home));
-
-        // Keys spanning groups are a typed CrossShard error.
-        let err = c
-            .submit_routed(&[key, foreign], vec![3], false, 0)
-            .unwrap_err();
-        assert!(matches!(err, RouteError::CrossShard { .. }));
-        assert_eq!(c.queued(), 0, "rejected ops are never queued");
-    }
-
-    #[test]
-    fn rebind_installs_only_newer_epochs() {
-        use crate::routing::ShardMap;
-        let map = ShardMap::ranged(2);
-        let plan = map.split(0);
-        let mut c = client();
-        assert!(!c.rebind_shard(plan.new_map), "unbound client: no-op");
-        c.bind_shard(map, 1);
-        assert!(!c.rebind_shard(map), "equal epoch: no-op");
-        assert!(c.rebind_shard(plan.new_map), "newer epoch installs");
-        assert_eq!(c.bound_shard(), Some(1), "binding survives the rebind");
-        assert!(
-            !c.rebind_shard(map),
-            "an older map cannot rewind the routing epoch"
-        );
-        // Routing now runs against the new partition: a key that moved to
-        // the new group is refused before it reaches the old owner.
-        let moved = (0..4096u64)
-            .map(|i| i.to_be_bytes().to_vec())
-            .find(|k| plan.moves(k) && plan.new_map.shard_of(k) != 1)
-            .expect("some key moved away from shard 1's view");
-        assert!(c
-            .submit_routed(std::slice::from_ref(&moved), vec![1], false, 0)
-            .is_err());
-    }
-
-    #[test]
-    fn unbound_client_routes_everything() {
-        let mut c = client();
-        assert_eq!(c.bound_shard(), None);
-        let res = c
-            .submit_routed(&[b"any".as_slice()], vec![1], false, 0)
-            .expect("unbound accepts");
-        assert!(res.sends().count() > 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! ([`Replica`]) and the linear-communication rotating-leader engine
 //! ([`LinearReplica`](crate::linear::LinearReplica)). They are one state
 //! machine, not two: `LinearReplica` is `Replica` with its `linear` mode
-//! flag set, and the flag switches vote routing and aggregation at a
+//! flag set, and the flag switches vote delivery and aggregation at a
 //! handful of branches inside `Replica`. The trait is what the *harness*
 //! is generic over; it is not a boundary between two implementations.
 //!

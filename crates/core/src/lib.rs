@@ -18,14 +18,15 @@
 //!   §2.5, and
 //! * the paper's own contribution: **dynamic client membership** — a
 //!   two-phase challenge–response Join, Leave, an id redirection table, and
-//!   timestamp-based stale-session cleanup (§3.1), and
-//! * [`routing`] — the deterministic key → group map for sharded
-//!   multi-group deployments, plus route-aware request submission on the
-//!   client ([`Client::bind_shard`] / [`Client::submit_routed`]), and
-//! * [`xshard`] — deterministic two-phase commit across groups: the
-//!   lock-and-log participant state machine, the replicated coordinator
-//!   decision record, and the wire framing that carries both inside
-//!   ordinary ordered operations.
+//!   timestamp-based stale-session cleanup (§3.1).
+//!
+//! Operations are opaque byte strings to this crate. The application is
+//! reached through the up-calls of [`app::App`] only — execution, the
+//! non-determinism pair, join authorization, cache invalidation after an
+//! install, and [`App::declared_effects`] for the read-only contention
+//! gate — so a layer that gives operations structure (the workspace's
+//! cross-shard two-phase commit and its key → group map are one) is an
+//! `App` wrapper in a crate built on this one, never a module inside it.
 //!
 //! The engines are *sans-io*: a [`Replica`] or [`Client`] consumes packets
 //! and timer firings and returns [`Output`]s (sends, timer arms, deliveries)
@@ -47,13 +48,11 @@ pub mod membership;
 pub mod messages;
 pub mod output;
 pub mod replica;
-pub mod routing;
 pub mod session;
 pub mod types;
 pub mod wire;
-pub mod xshard;
 
-pub use app::{App, ExecMetrics, NonDet, NullApp};
+pub use app::{App, Effects, ExecMetrics, NonDet, NullApp};
 pub use client::{Client, ClientEvent};
 pub use config::{AuthMode, PbftConfig};
 pub use engine::ConsensusEngine;
@@ -62,7 +61,5 @@ pub use linear::LinearReplica;
 pub use messages::{Envelope, Message, Operation, RequestMsg};
 pub use output::{HandleResult, NetTarget, OpCounts, Output, PacketBuf, TimerKind};
 pub use replica::Replica;
-pub use routing::{RouteError, ShardMap};
 pub use session::{SessionCtx, SessionError, SessionStore};
 pub use types::{ClientId, ReplicaId, SeqNum, View};
-pub use xshard::{SubOp, TxCoordinator, TxId, XMsg, XReply, XShardApp, XShardLeg, XShardOp};

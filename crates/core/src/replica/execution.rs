@@ -519,7 +519,7 @@ impl Replica {
             self.observed.remove(&entry.digest);
             if !committed {
                 if let Operation::App(op) = &req.op {
-                    effects.note_op(op);
+                    effects.note(self.app.declared_effects(op));
                 }
             }
             let reply_body = self.execute_one(req, &pp.nondet, &mut membership_dirty, res);

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use pbft_crypto::Digest;
 use pbft_state::{FetchRequest, Fetcher, Section, Snapshot};
 
-use crate::app::{App, NonDet, StateHandle};
+use crate::app::{App, Effects, NonDet, StateHandle};
 use crate::config::PbftConfig;
 use crate::keys::KeyStore;
 use crate::log::MessageLog;
@@ -37,13 +37,19 @@ pub const MEMBERSHIP_PAGES: u64 = 4;
 /// the membership pages.
 pub const SESSION_PAGES: u64 = 4;
 
+/// Pages after the session table reserved for an *application wrapper*: a
+/// layer mounted between the library and the application proper that keeps
+/// replicated tables of its own (the workspace's one wrapper is the
+/// cross-shard layer, which const-asserts that its tables fill exactly this
+/// section). The library never reads or writes these pages; they are
+/// reserved whether or not a wrapper is mounted so that every deployment
+/// shares one region layout.
+pub const APP_WRAPPER_PAGES: u64 = 56;
+
 /// Pages reserved at the front of the state region for the library partition
-/// (membership tables + session state + the cross-shard transaction tables
-/// of [`crate::xshard`], which occupy [`crate::xshard::xshard_section`]
-/// whether or not the deployment wraps its app in
-/// [`crate::xshard::XShardApp`]). The application partition starts after
-/// them.
-pub const LIB_REGION_PAGES: u64 = MEMBERSHIP_PAGES + SESSION_PAGES + crate::xshard::XSHARD_PAGES;
+/// (membership tables + session state + the application-wrapper section).
+/// The application partition starts after them.
+pub const LIB_REGION_PAGES: u64 = MEMBERSHIP_PAGES + SESSION_PAGES + APP_WRAPPER_PAGES;
 
 /// Capacity of the client/session table (dynamic membership).
 const MAX_CLIENTS: usize = 64;
@@ -92,7 +98,7 @@ pub struct ReplicaMetrics {
     /// Read-only requests served via the fast path.
     pub read_only_served: u64,
     /// Read-only requests parked by the contention gate: their declared
-    /// keys (or an admin operation such as a `Reshard`) were dirty in a
+    /// keys (or an [`Effects::Admin`] operation) were dirty in a
     /// tentatively executed, not-yet-committed batch, so the read was held
     /// until local commit instead of being answered from uncommitted state.
     pub read_only_deferred: u64,
@@ -122,17 +128,16 @@ pub struct ReplicaMetrics {
 
 /// Declared write-effects of one tentatively executed (prepared but not
 /// yet committed) batch — what the read-only contention gate checks reads
-/// against. Keys come from [`crate::xshard::XMsg::KeyedOp`] frames; any
-/// other xshard frame (a `Reshard` epoch flip, a `RangeInstall`, 2PC
-/// traffic) is an *admin* effect that conflicts with every keyed read.
-/// Plain unframed operations declare no keys and are not tracked: reads
-/// of such apps keep the pure optimistic path (the client-side 2f+1
-/// matching rule is what protects them).
+/// against, collected from [`App::declared_effects`]. Operations that
+/// declare [`Effects::None`] are not tracked: reads of such apps keep the
+/// pure optimistic path (the client-side 2f+1 matching rule is what
+/// protects them).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct TentativeEffects {
-    /// Shard keys written by the batch's `KeyedOp` requests.
+    /// Keys the batch's requests declared they write.
     pub keys: Vec<Vec<u8>>,
-    /// The batch contains an admin frame (epoch flip, range install, 2PC).
+    /// The batch contains an [`Effects::Admin`] operation, which conflicts
+    /// with every declared read.
     pub admin: bool,
 }
 
@@ -141,12 +146,12 @@ impl TentativeEffects {
         self.keys.is_empty() && !self.admin
     }
 
-    /// Record one request body's effects (no-op for unframed operations).
-    pub(crate) fn note_op(&mut self, op: &[u8]) {
-        match crate::xshard::XMsg::decode(op) {
-            Some(crate::xshard::XMsg::KeyedOp { keys, .. }) => self.keys.extend(keys),
-            Some(_) => self.admin = true,
-            None => {}
+    /// Record one request's declared effects.
+    pub(crate) fn note(&mut self, effects: Effects) {
+        match effects {
+            Effects::Keys(keys) => self.keys.extend(keys),
+            Effects::Admin => self.admin = true,
+            Effects::None => {}
         }
     }
 }
@@ -882,19 +887,19 @@ impl Replica {
         if self.tentative_effects.is_empty() {
             return false;
         }
-        match crate::xshard::XMsg::decode(op) {
+        match self.app.declared_effects(op) {
             // A keyed read conflicts with a dirty declared key or with any
-            // admin effect (an uncommitted `Reshard` would leak a
-            // `WrongEpoch{map}` for an epoch that may yet be rolled back).
-            Some(crate::xshard::XMsg::KeyedOp { keys, .. }) => self
+            // admin effect (an uncommitted reconfiguration may yet be
+            // rolled back, and the read would answer from it).
+            Effects::Keys(keys) => self
                 .tentative_effects
                 .values()
                 .any(|e| e.admin || keys.iter().any(|k| e.keys.contains(k))),
-            // Admin reads (decision/apply queries) scan protocol tables any
-            // tracked tentative effect may be mutating.
-            Some(_) => true,
-            // Unframed operations declare no keys: optimistic path.
-            None => false,
+            // Admin reads scan tables any tracked tentative effect may be
+            // mutating.
+            Effects::Admin => true,
+            // Undeclared operations: optimistic path.
+            Effects::None => false,
         }
     }
 

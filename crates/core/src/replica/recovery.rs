@@ -8,8 +8,8 @@
 //! through exactly the same path when the next checkpoint stabilizes.
 //!
 //! Because every library- and wrapper-level table that must survive these
-//! paths is mirrored into the region (membership, sessions, and the
-//! cross-shard 2PC tables of [`crate::xshard`]), a completed transfer ends
+//! paths is mirrored into the region (membership, sessions, and whatever
+//! a wrapper keeps in [`super::APP_WRAPPER_PAGES`]), a completed transfer ends
 //! with reload calls — [`crate::app::App::on_state_installed`] plus the
 //! library reloads — that rebuild the in-memory caches from the installed
 //! pages. That is what lets a replica fast-forwarded *over* a

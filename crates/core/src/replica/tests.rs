@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use pbft_state::PagedState;
 
-use crate::app::{KvApp, NullApp, StateHandle};
+use crate::app::{App, Effects, ExecMetrics, KvApp, NonDet, NullApp, StateHandle};
 use crate::client::{Client, ClientEvent};
 use crate::config::{AuthMode, PbftConfig};
 use crate::output::{NetTarget, Output};
@@ -22,14 +22,12 @@ const CLIENT_ADDR_BASE: NetAddr = 100;
 
 /// Which app backs the replicas.
 #[derive(Clone, Copy, PartialEq)]
-#[allow(clippy::large_enum_variant)] // test-only config, Copy matters more
 enum AppKind {
     Null(usize),
     Kv,
-    /// Kv wrapped in [`crate::xshard::XShardApp`] (optionally with an
-    /// elastic identity) — the deployments whose operations declare shard
-    /// keys, which is what the read-only contention gate keys on.
-    XKv(Option<(u32, crate::routing::ShardMap)>),
+    /// Kv behind [`DeclaringKv`] — operations that declare their keys,
+    /// which is what the read-only contention gate keys on.
+    DeclaringKv,
     SessionCounter,
 }
 
@@ -65,25 +63,18 @@ fn make_state() -> StateHandle {
 
 fn make_replica(cfg: &PbftConfig, i: u32, app: AppKind, clients: &[ClientId]) -> Replica {
     let state = make_state();
-    let app: Box<dyn crate::app::App> = match app {
+    let app: Box<dyn App> = match app {
         AppKind::Null(size) => Box::new(NullApp::new(size)),
         AppKind::Kv => Box::new(KvApp::new(
             state.clone(),
             LIB_REGION_PAGES * pbft_state::PAGE_SIZE as u64,
             128,
         )),
-        AppKind::XKv(identity) => {
-            let inner = Box::new(KvApp::new(
-                state.clone(),
-                LIB_REGION_PAGES * pbft_state::PAGE_SIZE as u64,
-                128,
-            ));
-            let mut app = crate::xshard::XShardApp::mount(inner, state.clone());
-            if let Some((group, map)) = identity {
-                app.set_identity(group, map);
-            }
-            Box::new(app)
-        }
+        AppKind::DeclaringKv => Box::new(DeclaringKv(KvApp::new(
+            state.clone(),
+            LIB_REGION_PAGES * pbft_state::PAGE_SIZE as u64,
+            128,
+        ))),
         AppKind::SessionCounter => Box::new(crate::app::SessionCounterApp),
     };
     Replica::new(cfg.clone(), SEED, ReplicaId(i), state, app, clients)
@@ -267,6 +258,13 @@ fn default_cfg() -> PbftConfig {
     }
 }
 
+/// Every committed state root and artifact byte depends on where the
+/// application partition starts.
+#[test]
+fn library_partition_is_64_pages() {
+    assert_eq!(LIB_REGION_PAGES, 64);
+}
+
 // ----------------------------------------------------------------------
 // Normal case
 // ----------------------------------------------------------------------
@@ -445,33 +443,43 @@ fn read_only_fast_path() {
     }
 }
 
-/// Frame a Kv put as a key-declaring `XMsg::KeyedOp`.
-fn keyed_put(key: u64, val: u64) -> Vec<u8> {
-    crate::xshard::XMsg::KeyedOp {
-        txid: 0x9000 + key,
-        keys: vec![key.to_be_bytes().to_vec()],
-        op: KvApp::op_put(key, val),
-    }
-    .encode()
-}
+/// [`KvApp`] that answers [`App::declared_effects`]: a put or get declares
+/// its 8-byte key, [`ADMIN_OP`] declares [`Effects::Admin`] (and executes
+/// as a no-op), anything else declares nothing.
+struct DeclaringKv(KvApp);
 
-/// Frame a Kv get as a key-declaring `XMsg::KeyedOp`.
-fn keyed_get(key: u64) -> Vec<u8> {
-    crate::xshard::XMsg::KeyedOp {
-        txid: 0xA000 + key,
-        keys: vec![key.to_be_bytes().to_vec()],
-        op: KvApp::op_get(key),
+const ADMIN_OP: &[u8] = b"admin";
+
+impl App for DeclaringKv {
+    fn execute(
+        &mut self,
+        client: ClientId,
+        op: &[u8],
+        nondet: &NonDet,
+        read_only: bool,
+    ) -> (Vec<u8>, ExecMetrics) {
+        if op == ADMIN_OP {
+            return (b"done".to_vec(), ExecMetrics::default());
+        }
+        self.0.execute(client, op, nondet, read_only)
     }
-    .encode()
+
+    fn declared_effects(&self, op: &[u8]) -> Effects {
+        match op {
+            [b'p' | b'g', key @ ..] if key.len() >= 8 => Effects::Keys(vec![key[..8].to_vec()]),
+            _ if op == ADMIN_OP => Effects::Admin,
+            _ => Effects::None,
+        }
+    }
 }
 
 #[test]
 fn contended_read_defers_until_tentative_state_resolves() {
-    let mut net = Net::new(default_cfg(), 3, AppKind::XKv(None));
+    let mut net = Net::new(default_cfg(), 3, AppKind::DeclaringKv);
     // Park every commit in flight: batches prepare and execute tentatively
     // on all replicas but cannot commit yet.
     net.hold = Some(Box::new(|_, _, disc| disc == 4));
-    net.submit(0, keyed_put(5, 55), false);
+    net.submit(0, KvApp::op_put(5, 55), false);
     net.pump(50_000);
     // The client completes on 2f+1 matching *tentative* replies, but the
     // write is uncommitted on every replica.
@@ -481,7 +489,7 @@ fn contended_read_defers_until_tentative_state_resolves() {
     }
     // A read of the dirty key parks on every replica: answering it from
     // tentative state would expose an uncommitted value.
-    net.submit(1, keyed_get(5), true);
+    net.submit(1, KvApp::op_get(5), true);
     net.pump(50_000);
     assert_eq!(
         net.completed(1),
@@ -493,7 +501,7 @@ fn contended_read_defers_until_tentative_state_resolves() {
         assert_eq!(r.metrics().read_only_served, 0);
     }
     // The gate is per-key: a read of an unrelated key passes immediately.
-    net.submit(2, keyed_get(6), true);
+    net.submit(2, KvApp::op_get(6), true);
     net.pump(50_000);
     assert_eq!(net.completed(2), 1, "uncontended read must not be delayed");
     // Deliver the parked commits: the batch commits locally and the
@@ -511,59 +519,42 @@ fn contended_read_defers_until_tentative_state_resolves() {
     net.assert_states_equal(&[0, 1, 2, 3]);
 }
 
+/// An [`Effects::Admin`] operation (the cross-shard layer's epoch flip is
+/// the motivating case) conflicts with every declared read while it is
+/// uncommitted: answering from it could leak a reconfiguration that a view
+/// change still rolls back.
 #[test]
 fn read_defers_while_reshard_uncommitted() {
-    use crate::routing::ShardMap;
-    let map = ShardMap::ranged(1);
-    let plan = map.split(0);
-    let moved = (0..4096u64)
-        .find(|k| plan.moves(&k.to_be_bytes()))
-        .expect("some key moves under the split");
-    let mut net = Net::new(default_cfg(), 2, AppKind::XKv(Some((0, map))));
-    net.hold = Some(Box::new(|_, _, disc| disc == 4));
-    // Order the epoch flip with commits parked: every replica executes it
-    // tentatively and holds the new map uncommitted.
-    net.submit(
-        0,
-        crate::xshard::XMsg::Reshard {
-            txid: 7,
-            map: plan.new_map,
-        }
-        .encode(),
-        false,
-    );
+    let mut net = Net::new(default_cfg(), 2, AppKind::DeclaringKv);
+    net.submit(0, KvApp::op_put(9, 99), false);
     net.pump(50_000);
     assert_eq!(net.completed(0), 1);
-    // A keyed read for a moved key must NOT be bounced `WrongEpoch` off
-    // the uncommitted flip — the carried map could still be rolled back
-    // by a view change, stranding the client on a target group that never
-    // installs its data. The read parks until the epoch's fate is known.
-    net.submit(1, keyed_get(moved), true);
+    net.hold = Some(Box::new(|_, _, disc| disc == 4));
+    // Order the admin op with commits parked: every replica executes it
+    // tentatively and holds its effect uncommitted.
+    net.submit(0, ADMIN_OP.to_vec(), false);
+    net.pump(50_000);
+    assert_eq!(net.completed(0), 2);
+    // A keyed read of a key the admin op never named parks all the same,
+    // until the admin op's fate is known.
+    net.submit(1, KvApp::op_get(9), true);
     net.pump(50_000);
     assert_eq!(
         net.completed(1),
         0,
-        "uncommitted epoch flip leaked to a read-only client"
+        "uncommitted admin effect leaked to a read-only client"
     );
     for r in &net.replicas {
         assert!(r.metrics().read_only_deferred >= 1);
     }
-    // Commit the flip: the parked read is answered, and the WrongEpoch it
-    // now gets carries the *committed* next-epoch map — safe to act on.
+    // Commit it: the parked read is answered from committed state.
     net.release_held();
     net.pump(100_000);
     assert_eq!(net.completed(1), 1, "parked read served after local commit");
     let result = net.last_reply(1).expect("read completed");
-    match crate::xshard::XReply::decode(&result) {
-        Some(crate::xshard::XReply::WrongEpoch { map: carried, .. }) => {
-            assert_eq!(
-                carried.epoch(),
-                plan.new_map.epoch(),
-                "rejection carries the committed map"
-            );
-        }
-        other => panic!("expected a committed-epoch WrongEpoch, got {other:?}"),
-    }
+    let mut expect = 9u64.to_be_bytes().to_vec();
+    expect.extend_from_slice(&99u64.to_be_bytes());
+    assert_eq!(result, expect);
     net.assert_states_equal(&[0, 1, 2, 3]);
 }
 

@@ -220,8 +220,8 @@ impl Replica {
             let mut st = self.state.borrow_mut();
             st.restore(&snap).expect("stable snapshot matches geometry");
         }
-        // The app (and any wrapper keeping region-backed tables, e.g. the
-        // xshard lock/stage tables) plus the library's own region mirrors
+        // The app (and any wrapper keeping region-backed tables in the
+        // `APP_WRAPPER_PAGES` section) plus the library's own region mirrors
         // must all rewind to the restored image before re-execution.
         self.app.on_state_installed();
         self.reload_membership();

@@ -150,7 +150,7 @@ impl VoteOp {
 /// owning its id (see [`VoteOp::shard_key`]), so a multi-precinct ballot is
 /// inherently cross-shard: the returned `(shard key, encoded op)` pairs are
 /// the per-precinct sub-operations to feed into the two-phase commit of
-/// `pbft_core::xshard` (one sub-op per election, each single-shard by
+/// `pbft_xshard::xshard` (one sub-op per election, each single-shard by
 /// construction). Because every committed ballot adds exactly one vote in
 /// *every* named precinct, equal per-precinct vote totals across the slate
 /// double as a cheap atomicity audit.

@@ -7,12 +7,12 @@ use minisql::JournalMode;
 use pbft_core::app::{App, KvApp, NullApp, StateHandle};
 use pbft_core::client::{Client, ClientEvent, ClientMetrics};
 use pbft_core::replica::{Replica, ReplicaMetrics, LIB_REGION_PAGES};
-use pbft_core::routing::ShardMap;
 use pbft_core::{
     ClientId, ConsensusEngine, HandleResult, NetTarget, Output, PbftConfig, ReplicaId, TimerKind,
 };
 use pbft_sql::{CostProfile, SqlApp};
 use pbft_state::PagedState;
+use pbft_xshard::routing::ShardMap;
 use simnet::{LinkParams, Node, NodeCtx, NodeId, SimConfig, SimDuration, Simulator, TimerId};
 
 use crate::byzantine::{Fault, FaultyReplicaHost};
@@ -128,7 +128,7 @@ pub struct ClusterSpec {
     pub seed: u64,
     /// Record a message trace.
     pub trace: bool,
-    /// Wrap the application in [`pbft_core::XShardApp`] so the group can
+    /// Wrap the application in [`pbft_xshard::xshard::XShardApp`] so the group can
     /// act as a participant/coordinator of cross-shard transactions (see
     /// [`crate::xshard`]). Plain operations pass through byte-identically,
     /// so enabling this on a deployment that never submits cross-shard
@@ -139,7 +139,7 @@ pub struct ClusterSpec {
     /// [`ClusterSpec::xshard`] (the wrapper hosts the ownership gate). The
     /// identity is only a *birth* default — a replica restarted over a
     /// preserved disk keeps whatever newer epoch its ordered history
-    /// installed (see [`pbft_core::XShardApp::set_identity`]).
+    /// installed (see [`pbft_xshard::xshard::XShardApp::set_identity`]).
     pub shard_identity: Option<(u32, ShardMap)>,
 }
 
@@ -151,7 +151,7 @@ impl ClusterSpec {
     pub fn make_app(&self, state: StateHandle) -> Box<dyn App> {
         let inner = self.app.make(state.clone());
         if self.xshard || self.shard_identity.is_some() {
-            let mut app = pbft_core::XShardApp::mount(inner, state);
+            let mut app = pbft_xshard::xshard::XShardApp::mount(inner, state);
             if let Some((group, map)) = self.shard_identity {
                 app.set_identity(group, map);
             }
@@ -361,15 +361,6 @@ impl Cluster {
     ) -> Cluster {
         Cluster::build_engine_custom(spec, assemble)
     }
-
-    /// [`Cluster::build`] with custom replica hosts — the hook for mounting
-    /// Byzantine behaviours on selected replicas.
-    pub fn build_with(
-        spec: ClusterSpec,
-        make_host: impl FnMut(u32, Replica) -> Box<dyn Node>,
-    ) -> Cluster {
-        Cluster::build_engine_with(spec, make_host)
-    }
 }
 
 impl<E: ConsensusEngine> Cluster<E> {
@@ -407,7 +398,8 @@ impl<E: ConsensusEngine> Cluster<E> {
         cluster
     }
 
-    /// [`Cluster::build_with`] for any engine type.
+    /// [`Cluster::build_engine`] with custom replica hosts — the hook for
+    /// mounting Byzantine behaviours on selected replicas.
     pub fn build_engine_with(
         spec: ClusterSpec,
         mut make_host: impl FnMut(u32, E) -> Box<dyn Node>,
@@ -602,7 +594,7 @@ impl<E: ConsensusEngine> Cluster<E> {
 
     /// Access a replica engine (engine 0 of its host: the identity a
     /// split-brain twin shares). `None` while the member is crashed, or
-    /// when a [`Cluster::build_with`] closure mounted some other node type.
+    /// when a [`Cluster::build_engine_with`] closure mounted some other node type.
     pub fn replica(&self, i: usize) -> Option<&E> {
         self.sim
             .node_ref::<FaultyReplicaHost<E>>(self.replicas[i])

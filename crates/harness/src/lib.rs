@@ -25,7 +25,7 @@
 //!   clock, with cross-shard operations rejected by a typed error,
 //! * [`xshard`] — cross-shard atomic commit on top of [`shard`]: closed-loop
 //!   transaction initiators driving the two-phase commit of
-//!   [`pbft_core::xshard`] through every group's own PBFT agreement, with
+//!   [`pbft_xshard::xshard`] through every group's own PBFT agreement, with
 //!   timeout aborts and a ground-truth atomicity audit,
 //! * [`scenario`] — deterministic fault-schedule scenarios: timed
 //!   crash/restart, runtime fault mount/unmount, partition/degrade/heal

@@ -16,11 +16,11 @@
 //! Pieces:
 //!
 //! * [`ShardRouter`] — the client-side router: a shared, **live** veneer
-//!   over [`pbft_core::routing::ShardMap`]. Clones see map installs
+//!   over [`pbft_xshard::routing::ShardMap`]. Clones see map installs
 //!   immediately (every workload adapter holds one), so an epoch flip
 //!   re-routes the whole client population at once. Cross-shard operations
 //!   are rejected with the typed
-//!   [`RouteError::CrossShard`](pbft_core::routing::RouteError) —
+//!   [`RouteError::CrossShard`](pbft_xshard::routing::RouteError) —
 //!   cross-shard *coordination* lives in [`crate::xshard`].
 //! * [`ShardedClusterSpec`] / [`ShardedCluster`] — the harness layer:
 //!   composes N [`Cluster`]s (one [`simnet`] simulation each, advanced in
@@ -56,10 +56,10 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use pbft_core::routing::{stable_key_hash, RouteError, ShardMap, SplitPlan};
-use pbft_core::xshard::{XMsg, XReply};
-use pbft_core::{ClientEvent, ConsensusEngine, Replica, TxId};
+use pbft_core::{ClientEvent, ConsensusEngine, Replica};
 use pbft_state::{PagedState, RangeExport};
+use pbft_xshard::routing::{stable_key_hash, RouteError, ShardMap, SplitPlan};
+use pbft_xshard::xshard::{TxId, XMsg, XReply};
 use simnet::{merge_traces, run_lockstep, SimDuration, TraceEntry};
 
 use crate::cluster::{AppKind, Cluster, ClusterSpec, APP_PARTITION_BASE};
@@ -102,7 +102,7 @@ const PROBE_TX: TxId = u64::MAX;
 ///
 /// Routing is a pure function of the operation's shard keys and the
 /// installed [`ShardMap`] — every client computes the same assignment with
-/// no coordination. See [`pbft_core::routing`] for the hash contract.
+/// no coordination. See [`pbft_xshard::routing`] for the hash contract.
 ///
 /// The map cell is **shared among clones** (the live view every workload
 /// adapter samples), so [`ShardRouter::install`] re-routes the whole client
@@ -130,7 +130,7 @@ impl ShardRouter {
     ///
     /// # Panics
     /// Panics if `shards` is zero or exceeds
-    /// [`pbft_core::routing::MAX_RANGES`].
+    /// [`pbft_xshard::routing::MAX_RANGES`].
     pub fn elastic(shards: usize) -> ShardRouter {
         Self::from_map(ShardMap::ranged(shards as u32))
     }
@@ -149,8 +149,7 @@ impl ShardRouter {
         self.map.get().shards() as usize
     }
 
-    /// The installed partition (shareable with
-    /// [`pbft_core::Client::bind_shard`]).
+    /// The installed partition.
     pub fn map(&self) -> ShardMap {
         self.map.get()
     }
@@ -256,10 +255,6 @@ impl RouterMetrics {
             }
             Err(RouteError::CrossShard { .. }) => self.rejected_cross_shard += 1,
             Err(RouteError::NoKeys) => self.rejected_keyless += 1,
-            // ForeignShard never escapes ShardMap::route (it is produced
-            // only by a bound Client); count it as keyless-adjacent noise
-            // rather than a partition conflict if it ever appears.
-            Err(RouteError::ForeignShard { .. }) => self.rejected_keyless += 1,
         }
     }
 
@@ -358,17 +353,6 @@ impl ShardedCluster {
     pub fn build(spec: ShardedClusterSpec) -> ShardedCluster {
         Self::build_engine(spec)
     }
-
-    /// [`ShardedCluster::build`] with a per-group cluster factory — the hook
-    /// for mounting faulty replicas in selected groups (the factory receives
-    /// the shard index and the seed-decorrelated group spec, and typically
-    /// calls [`Cluster::build`] or [`crate::byzantine::build_faulty_cluster`]).
-    pub fn build_with(
-        spec: ShardedClusterSpec,
-        make_cluster: impl FnMut(usize, ClusterSpec) -> Cluster + 'static,
-    ) -> ShardedCluster {
-        Self::build_engine_with(spec, make_cluster)
-    }
 }
 
 impl<E: ConsensusEngine> ShardedCluster<E> {
@@ -378,9 +362,13 @@ impl<E: ConsensusEngine> ShardedCluster<E> {
         Self::build_engine_with(spec, |_, gspec| Cluster::build_engine(gspec))
     }
 
-    /// [`ShardedCluster::build_with`] for an arbitrary engine. The factory
-    /// is retained: splits use it to boot the target group, so it must own
-    /// its captures (`'static`).
+    /// [`ShardedCluster::build_engine`] with a per-group cluster factory —
+    /// the hook for mounting faulty replicas in selected groups (the factory
+    /// receives the shard index and the seed-decorrelated group spec, and
+    /// typically calls [`Cluster::build_engine`] or
+    /// [`crate::byzantine::build_faulty_cluster`]). The factory is retained:
+    /// splits use it to boot the target group, so it must own its captures
+    /// (`'static`).
     pub fn build_engine_with(
         spec: ShardedClusterSpec,
         make_cluster: impl FnMut(usize, ClusterSpec) -> Cluster<E> + 'static,

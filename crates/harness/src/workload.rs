@@ -15,8 +15,8 @@
 //!   sub-ops span groups go through the two-phase commit of
 //!   [`crate::xshard`]; single-group ones collapse to the fast path.
 
-use pbft_core::routing::{stable_key_hash, ShardMap};
-use pbft_core::SubOp;
+use pbft_xshard::routing::{stable_key_hash, ShardMap};
+use pbft_xshard::xshard::SubOp;
 
 /// A generator producing the next operation for a closed-loop client:
 /// `(op bytes, read_only)`.
@@ -30,7 +30,7 @@ pub type OpGen = Box<dyn FnMut(u64) -> (Vec<u8>, bool)>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyedOp {
     /// The shard keys the operation touches. Routable iff all of them map
-    /// to the same group; see [`pbft_core::routing::ShardMap::route`].
+    /// to the same group; see [`pbft_xshard::routing::ShardMap::route`].
     pub keys: Vec<Vec<u8>>,
     /// The encoded application operation.
     pub op: Vec<u8>,

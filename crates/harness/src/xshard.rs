@@ -3,9 +3,9 @@
 //!
 //! [`crate::shard`] scales throughput by running N independent PBFT groups,
 //! but rejects any operation touching keys in two groups. This module layers
-//! the deterministic two-phase commit of [`pbft_core::xshard`] on top: an
+//! the deterministic two-phase commit of [`pbft_xshard::xshard`] on top: an
 //! [`XShardCluster`] mounts every group's application inside the
-//! lock-and-log [`pbft_core::XShardApp`] wrapper and drives closed-loop
+//! lock-and-log [`pbft_xshard::xshard::XShardApp`] wrapper and drives closed-loop
 //! **transaction initiators**, each owning one dedicated agent client *per
 //! group* (so an initiator can talk to every participant of its transaction
 //! concurrently while PBFT's one-outstanding-request-per-client rule holds
@@ -57,13 +57,13 @@
 use std::collections::BTreeSet;
 
 use pbft_core::client::ClientEvent;
-use pbft_core::routing::RouteError;
-use pbft_core::xshard::{TxCoordinator, TxId, XMsg, XReply, XShardOp};
 use pbft_core::{ConsensusEngine, Replica};
+use pbft_xshard::routing::RouteError;
+use pbft_xshard::xshard::{TxCoordinator, TxId, XMsg, XReply, XShardOp};
 use simnet::{SimDuration, SimTime};
 
-use pbft_core::routing::SplitPlan;
 use pbft_state::PagedState;
+use pbft_xshard::routing::SplitPlan;
 
 use crate::cluster::{Cluster, ClusterSpec};
 use crate::shard::{ShardedCluster, ShardedClusterSpec, SplitReport};
@@ -242,7 +242,7 @@ impl Initiator {
 }
 
 /// A running cross-shard deployment: a [`ShardedCluster`] whose groups run
-/// the [`pbft_core::XShardApp`] wrapper, plus the transaction driver.
+/// the [`pbft_xshard::xshard::XShardApp`] wrapper, plus the transaction driver.
 ///
 /// Generic over the [`ConsensusEngine`] ordering each group's operations
 /// (default: the PBFT [`Replica`]); the 2PC driver above the groups is
@@ -532,7 +532,7 @@ impl<E: ConsensusEngine> XShardCluster<E> {
         if !self.sc.states_converged() {
             return false;
         }
-        let sec = pbft_core::xshard::xshard_section();
+        let sec = pbft_xshard::xshard::xshard_section();
         for s in 0..self.sc.shards() {
             let g = self.sc.group(s);
             let mut images: Vec<Vec<u8>> = Vec::new();
@@ -635,13 +635,13 @@ impl<E: ConsensusEngine> XShardCluster<E> {
                 let g = self.sc.group(s);
                 (0..g.spec().cfg.n())
                     .find_map(|i| g.replica(i))
-                    .map(|r| pbft_core::xshard::read_gc_floors(&r.state_handle().borrow()))
+                    .map(|r| pbft_xshard::xshard::read_gc_floors(&r.state_handle().borrow()))
                     .unwrap_or_default()
             })
             .collect();
         let gc_evicted = |shard: usize, txid: TxId| {
             floors[shard]
-                .get(&(txid >> pbft_core::xshard::TX_STRIPE_SHIFT))
+                .get(&(txid >> pbft_xshard::xshard::TX_STRIPE_SHIFT))
                 .is_some_and(|&floor| txid <= floor)
         };
         let records = self.tx_log.clone();
@@ -694,10 +694,10 @@ impl<E: ConsensusEngine> XShardCluster<E> {
         let g = self.sc.group(shard);
         let floors = (0..g.spec().cfg.n())
             .find_map(|i| g.replica(i))
-            .map(|r| pbft_core::xshard::read_gc_floors(&r.state_handle().borrow()))
+            .map(|r| pbft_xshard::xshard::read_gc_floors(&r.state_handle().borrow()))
             .unwrap_or_default();
         floors
-            .get(&(txid >> pbft_core::xshard::TX_STRIPE_SHIFT))
+            .get(&(txid >> pbft_xshard::xshard::TX_STRIPE_SHIFT))
             .is_some_and(|&floor| txid <= floor)
     }
 
@@ -1137,11 +1137,7 @@ impl<E: ConsensusEngine> XShardCluster<E> {
         let txid: TxId = ((i as u64 + 1) << 40) | seq;
         let routed = match XShardOp::route(txid, tx.sub_ops, &map) {
             Ok(routed) => routed,
-            Err(
-                RouteError::NoKeys
-                | RouteError::CrossShard { .. }
-                | RouteError::ForeignShard { .. },
-            ) => {
+            Err(RouteError::NoKeys | RouteError::CrossShard { .. }) => {
                 self.metrics.rejected_draws += 1;
                 return; // skip this draw; next pump tries the next one
             }
@@ -1304,7 +1300,7 @@ mod tests {
         // Every draw is a single-group batch homed on the isolated shard.
         xc.start_transactions(|_| {
             Box::new(|seq| crate::workload::TxOp {
-                sub_ops: vec![pbft_core::SubOp {
+                sub_ops: vec![pbft_xshard::xshard::SubOp {
                     keys: vec![b"same".to_vec()],
                     op: seq.to_be_bytes().to_vec(),
                 }],
@@ -1372,11 +1368,11 @@ mod tests {
         xc.start_transactions(|_| {
             Box::new(|seq| crate::workload::TxOp {
                 sub_ops: vec![
-                    pbft_core::SubOp {
+                    pbft_xshard::xshard::SubOp {
                         keys: vec![b"same".to_vec()],
                         op: seq.to_be_bytes().to_vec(),
                     },
-                    pbft_core::SubOp {
+                    pbft_xshard::xshard::SubOp {
                         keys: vec![b"same".to_vec()],
                         op: vec![1],
                     },

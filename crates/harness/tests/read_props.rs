@@ -25,8 +25,8 @@ use harness::testkit::{assert_correct_replicas_agree, failover_spec, ms};
 use harness::workload::keyed_kv_mix;
 use harness::{AppKind, Cluster, ShardedCluster, ShardedClusterSpec};
 use pbft_core::app::KvApp;
-use pbft_core::xshard::XMsg;
 use pbft_core::{ClientEvent, ConsensusEngine, LinearReplica, Replica};
+use pbft_xshard::xshard::XMsg;
 use simnet::SimDuration;
 
 /// Key space: one KV slot per key, so records never evict each other and

@@ -9,7 +9,7 @@ use harness::testkit::{sharded_spec, small_spec};
 use harness::workload::{keyed_sql_insert_ops, KeyedOp};
 use harness::ClusterSpec;
 use minisql::JournalMode;
-use pbft_core::routing::RouteError;
+use pbft_xshard::routing::RouteError;
 use simnet::SimDuration;
 
 #[test]

@@ -71,7 +71,7 @@ fn member_crash_restart_mid_transaction_recovers_tables() {
 /// fast-forwarded by checkpoint install — jumping over ordered operations
 /// (including prepares) it never executed. The installed section carries
 /// the staged transactions, so the later commits apply on it exactly as on
-/// its peers (the app-level unit test in `pbft_core::xshard` pins the
+/// its peers (the app-level unit test in `pbft_xshard::xshard` pins the
 /// jumped-prepare semantics; this exercises the full engine path).
 #[test]
 fn blank_restart_fast_forwards_over_prepares_via_transfer() {
@@ -220,9 +220,9 @@ fn unresolved_transactions_settle_after_coordinator_heals() {
 #[test]
 fn gc_watermark_is_deterministic_under_random_histories() {
     use pbft_core::app::{App, NonDet, NullApp, StateHandle};
-    use pbft_core::xshard::{SubOp, XMsg, XReply, XShardApp};
     use pbft_core::ClientId;
     use pbft_state::{PagedState, Section, PAGE_SIZE};
+    use pbft_xshard::xshard::{SubOp, XMsg, XReply, XShardApp};
     use std::cell::RefCell;
     use std::rc::Rc;
 

@@ -5,7 +5,7 @@
 //! (every statement touches one key). A *transfer* between two account rows
 //! is the canonical workload that does not: when the two rows live on
 //! different PBFT groups, moving balance atomically needs the cross-shard
-//! commit of `pbft_core::xshard`. This module defines the account schema,
+//! commit of `pbft_xshard::xshard`. This module defines the account schema,
 //! the per-row debit/credit sub-statements (each single-shard by
 //! construction, keyed by the [`crate::shard_key`] convention: the row key
 //! is the first `WHERE` literal), and the conservation probe the
@@ -90,7 +90,7 @@ impl Transfer {
 
     /// The transfer as two single-shard sub-operations: `(shard key, SQL)`
     /// for the debit leg then the credit leg. Feed these to
-    /// `pbft_core::xshard::XShardOp::route` — when both rows happen to live
+    /// `pbft_xshard::xshard::XShardOp::route` — when both rows happen to live
     /// on one group the transaction collapses to a single-group batch, and
     /// when they do not, each leg locks and stages on its own group.
     pub fn sub_ops(&self) -> [(Vec<u8>, String); 2] {

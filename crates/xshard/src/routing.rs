@@ -41,7 +41,7 @@
 //! transaction into per-shard legs over this same partition.
 //!
 //! ```
-//! use pbft_core::routing::{RouteError, ShardMap};
+//! use pbft_xshard::routing::{RouteError, ShardMap};
 //!
 //! let map = ShardMap::new(4);
 //! // Deterministic and total: every key routes, and always the same way.
@@ -66,7 +66,7 @@
 
 use std::fmt;
 
-use crate::wire::{Dec, Enc, WireError};
+use pbft_core::wire::{Dec, Enc, WireError};
 
 /// The stable 64-bit key hash all routing derives from (FNV-1a).
 ///
@@ -104,15 +104,6 @@ pub enum RouteError {
         /// The earliest key that disagrees, and its shard.
         conflicting: (Vec<u8>, u32),
     },
-    /// The key routes to a shard other than the one this client is bound to
-    /// (see [`crate::Client::bind_shard`]): the caller holds a connection to
-    /// the wrong group.
-    ForeignShard {
-        /// Where the key belongs.
-        key_shard: u32,
-        /// The group the client is bound to.
-        bound_shard: u32,
-    },
 }
 
 impl fmt::Display for RouteError {
@@ -123,10 +114,6 @@ impl fmt::Display for RouteError {
                 f,
                 "cross-shard operation: key {:02x?} routes to shard {} but key {:02x?} routes to shard {}",
                 first.0, first.1, conflicting.0, conflicting.1
-            ),
-            RouteError::ForeignShard { key_shard, bound_shard } => write!(
-                f,
-                "key routes to shard {key_shard} but this client is bound to shard {bound_shard}"
             ),
         }
     }

@@ -91,7 +91,7 @@
 //!
 //! use pbft_core::app::{App, NonDet, NullApp};
 //! use pbft_core::replica::LIB_REGION_PAGES;
-//! use pbft_core::xshard::{SubOp, XMsg, XReply, XShardApp};
+//! use pbft_xshard::xshard::{SubOp, XMsg, XReply, XShardApp};
 //! use pbft_core::ClientId;
 //!
 //! let state = Rc::new(RefCell::new(pbft_state::PagedState::new(
@@ -116,11 +116,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use pbft_state::{BlobCell, Section, SlotRing, PAGE_SIZE};
 
-use crate::app::{App, ExecMetrics, NonDet, StateHandle};
 use crate::routing::{RouteError, ShardMap};
-use crate::session::SessionCtx;
-use crate::types::ClientId;
-use crate::wire::{Dec, Enc};
+use pbft_core::app::{App, Effects, ExecMetrics, NonDet, StateHandle};
+use pbft_core::session::SessionCtx;
+use pbft_core::types::ClientId;
+use pbft_core::wire::{Dec, Enc};
 
 /// Globally unique transaction identifier (assigned by the initiator;
 /// harness initiators stripe their index into the high bits).
@@ -355,7 +355,7 @@ fn decode_tables_image(
         BTreeMap<u64, TxId>,
         Option<(u32, ShardMap)>,
     ),
-    crate::wire::WireError,
+    pbft_core::wire::WireError,
 > {
     let mut d = Dec::new(image);
     let mut locks = BTreeMap::new();
@@ -368,7 +368,7 @@ fn decode_tables_image(
     for _ in 0..d.u32()? {
         let txid = d.u64()?;
         let encoded = d.bytes()?;
-        let ops = get_sub_ops(&encoded, &mut 0).ok_or(crate::wire::WireError::Truncated)?;
+        let ops = get_sub_ops(&encoded, &mut 0).ok_or(pbft_core::wire::WireError::Truncated)?;
         staged.insert(txid, ops);
     }
     let mut floors = BTreeMap::new();
@@ -746,7 +746,7 @@ impl XReply {
 /// that determines what verdict to submit there.
 ///
 /// ```
-/// use pbft_core::xshard::TxCoordinator;
+/// use pbft_xshard::xshard::TxCoordinator;
 ///
 /// let mut c = TxCoordinator::new([0u32, 2u32]);
 /// assert_eq!(c.record_vote(0, true), None); // still waiting on shard 2
@@ -818,8 +818,12 @@ pub const XSHARD_RING_PAGES: u64 = 32;
 pub const XSHARD_CELL_PAGES: u64 = 24;
 
 /// Total pages of the xshard section inside the library partition of the
-/// replica state region (see [`crate::replica::LIB_REGION_PAGES`]).
+/// replica state region (see [`pbft_core::replica::LIB_REGION_PAGES`]).
 pub const XSHARD_PAGES: u64 = XSHARD_RING_PAGES + XSHARD_CELL_PAGES;
+
+// The tables fill exactly the section the consensus crate reserves for an
+// application wrapper; a resize on either side must move both.
+const _: () = assert!(XSHARD_PAGES == pbft_core::replica::APP_WRAPPER_PAGES);
 
 /// Bytes of one completion record slot: txid (8) + kind tag (1) + padding.
 const XSHARD_SLOT_LEN: usize = 16;
@@ -855,7 +859,7 @@ const REC_DECIDED_ABORT: u8 = 4;
 pub fn xshard_section() -> Section {
     let page = PAGE_SIZE as u64;
     Section {
-        base: (crate::replica::MEMBERSHIP_PAGES + crate::replica::SESSION_PAGES) * page,
+        base: (pbft_core::replica::MEMBERSHIP_PAGES + pbft_core::replica::SESSION_PAGES) * page,
         len: XSHARD_PAGES * page,
     }
 }
@@ -1616,6 +1620,18 @@ impl App for XShardApp {
         }
     }
 
+    /// The frame is the declaration: a `KeyedOp` writes its keys, every
+    /// other frame (epoch flip, range install, 2PC traffic) touches the
+    /// protocol tables, and an unframed operation passes through to an
+    /// inner app that declares nothing.
+    fn declared_effects(&self, op: &[u8]) -> Effects {
+        match XMsg::decode(op) {
+            Some(XMsg::KeyedOp { keys, .. }) => Effects::Keys(keys),
+            Some(_) => Effects::Admin,
+            None => Effects::None,
+        }
+    }
+
     fn make_nondet(&mut self, now_ns: u64, random: u64) -> NonDet {
         self.inner.make_nondet(now_ns, random)
     }
@@ -1642,8 +1658,8 @@ impl App for XShardApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::{KvApp, NullApp, StateHandle};
     use crate::routing::SplitPlan;
+    use pbft_core::app::{KvApp, NullApp, StateHandle};
     use pbft_state::PagedState;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1703,9 +1719,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn msgs_roundtrip() {
-        for msg in [
+    /// One instance of every [`XMsg`] variant (both `Decide` verdicts).
+    fn every_msg() -> Vec<XMsg> {
+        vec![
             XMsg::Prepare {
                 txid: 9,
                 ops: vec![
@@ -1748,9 +1764,49 @@ mod tests {
                 keys: vec![b"a".to_vec(), b"b".to_vec()],
                 op: vec![9, 9],
             },
-        ] {
+        ]
+    }
+
+    #[test]
+    fn msgs_roundtrip() {
+        for msg in every_msg() {
             assert_eq!(XMsg::decode(&msg.encode()), Some(msg));
         }
+    }
+
+    #[test]
+    fn declared_effects_come_from_the_frame_alone() {
+        let app = null_xapp();
+        for msg in every_msg() {
+            let expect = match &msg {
+                XMsg::KeyedOp { keys, .. } => Effects::Keys(keys.clone()),
+                _ => Effects::Admin,
+            };
+            assert_eq!(app.declared_effects(&msg.encode()), expect, "{msg:?}");
+        }
+        // Not a frame: a plain inner-app op, and a frame cut short.
+        assert_eq!(app.declared_effects(&KvApp::op_put(1, 2)), Effects::None);
+        let frame = XMsg::KeyedOp {
+            txid: 1,
+            keys: vec![b"k".to_vec()],
+            op: KvApp::op_get(1),
+        }
+        .encode();
+        assert_eq!(
+            app.declared_effects(&frame[..frame.len() - 1]),
+            Effects::None
+        );
+        // An app mounted without the wrapper does not speak the format, so
+        // the replica applies none of it.
+        let bare = KvApp::new(test_state(), 6 * PAGE, 64);
+        assert_eq!(bare.declared_effects(&frame), Effects::None);
+    }
+
+    #[test]
+    fn standard_section_fills_the_reserved_wrapper_pages() {
+        let sec = xshard_section();
+        assert_eq!(sec.base, 8 * PAGE);
+        assert_eq!(sec.len, 56 * PAGE);
     }
 
     #[test]
@@ -2489,11 +2545,18 @@ mod tests {
             keys: vec![moved.clone()],
             op: vec![1],
         };
-        let (r, _) = app.execute(ClientId(1), &keyed.encode(), &nd(), false);
-        assert!(matches!(
-            XReply::decode(&r),
-            Some(XReply::WrongEpoch { txid: 5, .. })
-        ));
+        // A keyed read is what the replica's contention gate releases once
+        // the flip commits: the rejection it then gets carries that map.
+        for read_only in [false, true] {
+            let (r, _) = app.execute(ClientId(1), &keyed.encode(), &nd(), read_only);
+            assert_eq!(
+                XReply::decode(&r),
+                Some(XReply::WrongEpoch {
+                    txid: 5,
+                    map: plan.new_map
+                })
+            );
+        }
 
         // Still-owned keys keep working, framed or not.
         let ok = XMsg::Prepare {

@@ -13,5 +13,6 @@ pub use pbft_core;
 pub use pbft_crypto;
 pub use pbft_sql;
 pub use pbft_state;
+pub use pbft_xshard;
 pub use simnet;
 pub use webgate;

@@ -26,9 +26,13 @@ fn every_reexported_crate_is_linked() {
     // pbft_core
     let cfg = umbrella::pbft_core::PbftConfig::default();
     assert_eq!(cfg.n(), 3 * cfg.f + 1);
-    // pbft_sql, evoting, webgate, harness: constructing a cluster for each
-    // application kind below links all four (the harness builds on webgate's
-    // bridge and the SQL/evoting apps).
+    // pbft_xshard
+    assert_eq!(
+        umbrella::pbft_xshard::routing::ShardMap::new(1).shard_of(b"smoke"),
+        0
+    );
+    // pbft_sql, harness (which builds on the SQL/evoting apps), evoting and
+    // webgate (which the umbrella links itself).
     let spec = umbrella::harness::ClusterSpec::default();
     assert!(spec.num_clients > 0);
     let op = umbrella::evoting::VoteOp::CreateElection {
