@@ -7,7 +7,6 @@
 //! to the whole group. The client also runs the blind NewKey retransmission
 //! timer of §2.3 and, in dynamic deployments, the two-phase Join of §3.1.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -21,7 +20,7 @@ use crate::messages::{
     AuthTag, Envelope, Message, NewKeyMsg, Operation, ReplyMsg, RequestMsg, Sender,
 };
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
-use crate::types::{ClientId, NetAddr, ReplicaId, View};
+use crate::types::{ClientId, FoldMap, FoldState, NetAddr, ReplicaId, View};
 
 /// Client retransmission timeout, in nanoseconds.
 pub(crate) const RETRANSMIT_NS: u64 = 150_000_000;
@@ -63,9 +62,9 @@ struct Outstanding {
     last_send_ns: u64,
     big: bool,
     /// Per-replica replies: result digest + tentative flag.
-    replies: HashMap<ReplicaId, (Digest, bool)>,
+    replies: FoldMap<ReplicaId, (Digest, bool)>,
     /// First full result seen per digest (to hand to the application).
-    results: HashMap<Digest, Vec<u8>>,
+    results: FoldMap<Digest, Vec<u8>>,
 }
 
 /// Client metrics for experiments.
@@ -91,6 +90,8 @@ pub struct Client {
     join_nonce: u64,
     timestamp: u64,
     view_guess: View,
+    /// Key of the per-request reply maps.
+    hash_state: FoldState,
     outstanding: Option<Outstanding>,
     /// Whether the host holds a pending `Retransmit` firing. The one timer
     /// is re-armed lazily: armed only when none is pending, never cancelled
@@ -114,6 +115,11 @@ impl std::fmt::Debug for Client {
     }
 }
 
+/// A client's map key: the top bit keeps it apart from every replica's.
+fn client_hash_state(group_seed: u64, id: ClientId) -> FoldState {
+    FoldState::keyed(group_seed, id.0 | 1 << 63)
+}
+
 impl Client {
     /// A statically configured client (known to all replicas a priori).
     pub fn new_static(cfg: PbftConfig, group_seed: u64, id: ClientId, addr: NetAddr) -> Client {
@@ -129,6 +135,7 @@ impl Client {
             join_nonce: 0,
             timestamp: 0,
             view_guess: 0,
+            hash_state: client_hash_state(group_seed, id),
             outstanding: None,
             retransmit_armed: false,
             queue: VecDeque::new(),
@@ -162,6 +169,7 @@ impl Client {
             join_nonce: identity_seed,
             timestamp: 0,
             view_guess: 0,
+            hash_state: client_hash_state(group_seed, provisional),
             outstanding: None,
             retransmit_armed: false,
             queue: VecDeque::new(),
@@ -262,8 +270,8 @@ impl Client {
             sent_ns: now_ns,
             last_send_ns: now_ns,
             big,
-            replies: HashMap::new(),
-            results: HashMap::new(),
+            replies: FoldMap::with_hasher(self.hash_state),
+            results: FoldMap::with_hasher(self.hash_state),
         });
         if !self.retransmit_armed {
             self.arm_retransmit(RETRANSMIT_NS, res);

@@ -8,8 +8,6 @@
 //! based on a timer"). A restarted replica has lost them — the root cause of
 //! the erratic recovery the paper documents in §2.3.
 
-use std::collections::HashMap;
-
 use pbft_crypto::auth::{Authenticator, MacKey};
 use pbft_crypto::hmac::derive_key;
 use pbft_crypto::{Digest, KeyPair, Mac64, PublicKey};
@@ -17,7 +15,7 @@ use pbft_crypto::{Digest, KeyPair, Mac64, PublicKey};
 use crate::config::AuthMode;
 use crate::messages::AuthTag;
 use crate::output::OpCounts;
-use crate::types::{ClientId, ReplicaId};
+use crate::types::{ClientId, FoldMap, FoldState, ReplicaId};
 
 /// Deterministically derive a node key pair from the deployment seed.
 pub fn node_keypair(
@@ -76,9 +74,9 @@ pub struct KeyStore {
     replica_pubkeys: Vec<PublicKey>,
     replica_keys: Vec<MacKey>,
     /// Transient client session keys (lost on restart — §2.3).
-    client_keys: HashMap<ClientId, MacKey>,
+    client_keys: FoldMap<ClientId, MacKey>,
     /// Client public keys (static config or learned from Joins).
-    client_pubkeys: HashMap<ClientId, PublicKey>,
+    client_pubkeys: FoldMap<ClientId, PublicKey>,
 }
 
 impl std::fmt::Debug for KeyStore {
@@ -111,8 +109,9 @@ impl KeyStore {
         let replica_keys = (0..n as u32)
             .map(|i| replica_pair_key(group_seed, me, ReplicaId(i)))
             .collect();
-        let mut client_keys = HashMap::new();
-        let mut client_pubkeys = HashMap::new();
+        let hash_state = FoldState::keyed(group_seed, u64::from(me.0));
+        let mut client_keys = FoldMap::with_hasher(hash_state);
+        let mut client_pubkeys = FoldMap::with_hasher(hash_state);
         for &c in preinstalled_clients {
             client_keys.insert(c, client_session_key(group_seed, c, me));
             client_pubkeys.insert(c, node_keypair(group_seed, None, Some(c)).public());
@@ -142,6 +141,12 @@ impl KeyStore {
     /// Group size.
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// The key of this replica's digest- and client-keyed maps, derived
+    /// here once from the deployment seed and the replica's id.
+    pub fn hash_state(&self) -> FoldState {
+        *self.client_keys.hasher()
     }
 
     /// The deployment seed (used to derive static client keys lazily).

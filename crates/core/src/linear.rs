@@ -60,7 +60,7 @@ use crate::engine::ConsensusEngine;
 use crate::messages::{CommitMsg, Message, QuorumCertMsg};
 use crate::output::{HandleResult, NetTarget, TimerKind};
 use crate::replica::{Replica, ReplicaMetrics};
-use crate::types::{ClientId, ReplicaId, SeqNum, View};
+use crate::types::{ClientId, ReplicaId, SeqNum, View, VoteSet};
 
 /// The linear-communication engine: a [`Replica`] constructed with its
 /// `linear` mode flag set. See the [module docs](self) for the protocol
@@ -189,6 +189,18 @@ impl ConsensusEngine for LinearReplica {
 // The linear-mode certificate handlers live on `Replica` itself (gated on
 // the `linear` flag) so they can reach the shared log/execution machinery.
 impl Replica {
+    /// A certificate's voter list as the set it can stand for: distinct ids
+    /// of this group. The list is wire input — a repeated id is one voter,
+    /// and an id no member has is none.
+    fn group_members(&self, voters: &[ReplicaId]) -> VoteSet {
+        let n = self.cfg.n();
+        voters
+            .iter()
+            .copied()
+            .filter(|r| (r.0 as usize) < n)
+            .collect()
+    }
+
     /// Handle the leader's prepare certificate: adopt the quorum, mark the
     /// slot prepared, and answer with a commit vote addressed to the leader.
     pub(crate) fn on_prepare_qc(&mut self, qc: QuorumCertMsg, now_ns: u64, res: &mut HandleResult) {
@@ -200,8 +212,8 @@ impl Replica {
             return;
         }
         let primary = self.cfg.primary_of(qc.view);
-        let needed = 2 * self.cfg.f;
-        if qc.voters.iter().filter(|&&r| r != primary).count() < needed {
+        let voters = self.group_members(&qc.voters);
+        if voters.len() - usize::from(voters.contains(primary)) < 2 * self.cfg.f {
             return;
         }
         let me = self.id();
@@ -209,7 +221,7 @@ impl Replica {
             return; // digest conflict: certified minority, ignore
         };
         let newly_prepared = !e.prepared;
-        e.prepares.extend(qc.voters.iter().copied());
+        e.prepares.extend(voters.iter());
         e.prepared = true;
         e.commits.insert(me);
         let committed = e.committed;
@@ -241,7 +253,8 @@ impl Replica {
         {
             return;
         }
-        if qc.voters.len() < self.cfg.quorum() {
+        let voters = self.group_members(&qc.voters);
+        if voters.len() < self.cfg.quorum() {
             return;
         }
         let Some(e) = self.log.entry_for(qc.seq, qc.view, qc.digest) else {
@@ -251,7 +264,7 @@ impl Replica {
         // prepared even if the PrepareQC itself was lost —
         // `update_committed` insists on it.
         e.prepared = true;
-        e.commits.extend(qc.voters.iter().copied());
+        e.commits.extend(voters.iter());
         self.update_committed(qc.seq, now_ns, res);
     }
 }
@@ -338,6 +351,65 @@ mod tests {
         e.inner_mut().on_commit_qc(qc, 0, &mut res);
         assert!(res.outputs.is_empty());
         assert_eq!(e.last_executed(), 0);
+    }
+
+    /// A certificate's voter list is wire input: only distinct members of
+    /// the group count toward its quorum, and one that falls short touches
+    /// nothing.
+    #[test]
+    fn qc_voters_must_be_distinct_group_members() {
+        let digest = pbft_crypto::Digest::of(b"batch");
+        let qc = |voters: Vec<ReplicaId>| QuorumCertMsg {
+            view: 0,
+            seq: 3,
+            digest,
+            voters,
+        };
+        let forged: [(&str, Vec<ReplicaId>); 4] = [
+            ("one backup 2f times", vec![ReplicaId(2), ReplicaId(2)]),
+            ("ids n..n+2f", vec![ReplicaId(4), ReplicaId(5)]),
+            (
+                "the leader and one backup",
+                vec![ReplicaId(0), ReplicaId(2)],
+            ),
+            (
+                "ids past the vote mask",
+                vec![ReplicaId(128), ReplicaId(u32::MAX), ReplicaId(2)],
+            ),
+        ];
+        for (what, voters) in forged {
+            let mut e = engine(1);
+            let mut res = HandleResult::default();
+            e.inner_mut().on_prepare_qc(qc(voters), 0, &mut res);
+            assert!(res.outputs.is_empty(), "{what}: no commit vote");
+            assert!(e.inner().log.get(3).is_none(), "{what}: slot untouched");
+        }
+        let forged: [(&str, Vec<ReplicaId>); 2] = [
+            ("one voter 2f+1 times", vec![ReplicaId(0); 3]),
+            (
+                "two members and a stranger",
+                vec![ReplicaId(0), ReplicaId(2), ReplicaId(7)],
+            ),
+        ];
+        for (what, voters) in forged {
+            let mut e = engine(1);
+            let mut res = HandleResult::default();
+            e.inner_mut().on_commit_qc(qc(voters), 0, &mut res);
+            assert!(res.outputs.is_empty(), "{what}");
+            assert!(e.inner().log.get(3).is_none(), "{what}: slot untouched");
+        }
+        // Repeats and strangers beside a real quorum do no harm: the slot
+        // records the members only.
+        let mut e = engine(1);
+        let mut res = HandleResult::default();
+        let padded = vec![ReplicaId(2), ReplicaId(9), ReplicaId(3), ReplicaId(2)];
+        e.inner_mut().on_prepare_qc(qc(padded), 0, &mut res);
+        let slot = e.inner().log.get(3).expect("adopted");
+        assert!(slot.prepared);
+        assert_eq!(
+            slot.prepares.iter().collect::<Vec<_>>(),
+            vec![ReplicaId(2), ReplicaId(3)]
+        );
     }
 
     #[test]

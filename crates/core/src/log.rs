@@ -1,11 +1,12 @@
 //! The replica message log: per-sequence agreement state between watermarks.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::ops::RangeBounds;
 
 use pbft_crypto::Digest;
 
 use crate::messages::PrePrepareMsg;
-use crate::types::{ReplicaId, SeqNum, View};
+use crate::types::{SeqNum, View, VoteSet};
 
 /// Agreement state for one sequence number.
 #[derive(Debug, Clone)]
@@ -17,9 +18,9 @@ pub struct LogEntry {
     /// The pre-prepare (with inline bodies for non-big requests).
     pub preprepare: Option<PrePrepareMsg>,
     /// Replicas whose prepare we hold.
-    pub prepares: BTreeSet<ReplicaId>,
+    pub prepares: VoteSet,
     /// Replicas whose commit we hold.
-    pub commits: BTreeSet<ReplicaId>,
+    pub commits: VoteSet,
     /// 2f prepares + pre-prepare reached.
     pub prepared: bool,
     /// 2f+1 commits reached.
@@ -36,8 +37,8 @@ impl LogEntry {
             view,
             digest,
             preprepare: None,
-            prepares: BTreeSet::new(),
-            commits: BTreeSet::new(),
+            prepares: VoteSet::default(),
+            commits: VoteSet::default(),
             prepared: false,
             committed: false,
             executed: false,
@@ -47,7 +48,7 @@ impl LogEntry {
 }
 
 /// The sequence-indexed log with low/high watermarks.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct MessageLog {
     entries: BTreeMap<SeqNum, LogEntry>,
     /// Low watermark: the last stable checkpoint sequence.
@@ -113,14 +114,35 @@ impl MessageLog {
         self.entries.iter()
     }
 
+    /// Iterate the entries whose sequence number lies in `seqs`, in order —
+    /// what the per-message paths use instead of walking the whole window.
+    pub fn range(
+        &self,
+        seqs: impl RangeBounds<SeqNum>,
+    ) -> impl DoubleEndedIterator<Item = (&SeqNum, &LogEntry)> {
+        self.entries.range(seqs)
+    }
+
     /// Iterate entries mutably in sequence order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&SeqNum, &mut LogEntry)> {
         self.entries.iter_mut()
     }
 
-    /// Discard entries at or below `stable_seq` and advance the low
-    /// watermark (checkpoint garbage collection).
-    pub fn collect_garbage(&mut self, stable_seq: SeqNum) {
+    /// Take the entries at or below `stable_seq` out of the log and advance
+    /// the low watermark (checkpoint garbage collection). The dead entries
+    /// come back to the caller still allocated — one tree split, nothing
+    /// freed here — so it decides when the allocator pays for them.
+    pub fn collect_garbage(&mut self, stable_seq: SeqNum) -> BTreeMap<SeqNum, LogEntry> {
+        self.low = self.low.max(stable_seq);
+        let live = self.entries.split_off(&stable_seq.saturating_add(1));
+        std::mem::replace(&mut self.entries, live)
+    }
+
+    /// Checkpoint garbage collection as it was before retirement was split
+    /// from reclamation: the reference the replica's retire step is checked
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn collect_garbage_reference(&mut self, stable_seq: SeqNum) {
         self.low = self.low.max(stable_seq);
         self.entries.retain(|&s, _| s > stable_seq);
     }
@@ -202,7 +224,7 @@ mod tests {
         let mut log = MessageLog::new(256);
         {
             let e = log.entry_for(5, 0, digest(1)).expect("create");
-            e.prepares.insert(ReplicaId(1));
+            e.prepares.insert(crate::types::ReplicaId(1));
             e.prepared = true;
         }
         let e = log.entry_for(5, 1, digest(2)).expect("supersede");
@@ -221,11 +243,39 @@ mod tests {
             log.entry_for(s, 0, digest(s as u8)).expect("create");
         }
         assert_eq!(log.len(), 10);
-        log.collect_garbage(7);
+        let mut reference = log.clone();
+        let dead = log.collect_garbage(7);
+        assert_eq!(
+            dead.keys().copied().collect::<Vec<_>>(),
+            (1..=7).collect::<Vec<_>>()
+        );
         assert_eq!(log.len(), 3);
         assert!(log.get(7).is_none());
         assert!(log.get(8).is_some());
         assert!(!log.is_empty());
+        reference.collect_garbage_reference(7);
+        assert!(log
+            .iter()
+            .map(|(s, _)| s)
+            .eq(reference.iter().map(|(s, _)| s)));
+        assert_eq!(log.low, reference.low);
+        // Collecting below the low watermark takes nothing and moves nothing.
+        assert!(log.collect_garbage(3).is_empty());
+        assert_eq!((log.low, log.len()), (7, 3));
+    }
+
+    #[test]
+    fn range_is_the_filtered_iteration() {
+        let mut log = MessageLog::new(256);
+        for s in [2u64, 3, 5, 9] {
+            log.entry_for(s, 0, digest(s as u8)).expect("create");
+        }
+        let seqs = |it: &mut dyn Iterator<Item = (&SeqNum, &LogEntry)>| -> Vec<SeqNum> {
+            it.map(|(&s, _)| s).collect()
+        };
+        assert_eq!(seqs(&mut log.range(3..)), vec![3, 5, 9]);
+        assert_eq!(seqs(&mut log.range(..=5)), vec![2, 3, 5]);
+        assert_eq!(seqs(&mut log.range(6..=8)), Vec::<SeqNum>::new());
     }
 
     #[test]

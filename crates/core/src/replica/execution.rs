@@ -10,9 +10,9 @@ use crate::messages::{
     PrepareMsg, QuorumCertMsg, ReplyMsg, RequestMsg,
 };
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
-use crate::types::{ClientId, ReplicaId, SeqNum};
+use crate::types::{ClientId, FoldMap, FoldSet, ReplicaId, SeqNum};
 
-use super::{QueuedRequest, Replica, TentativeEffects};
+use super::{QueuedRequest, Replica, Retired, TentativeEffects, RECLAIM_SLOTS_PER_BATCH};
 
 /// Pipelined batch formation: while at least one batch is already in
 /// flight, the primary holds a pre-prepare back until this many requests
@@ -42,8 +42,8 @@ impl Replica {
     /// gauge).
     pub(crate) fn requests_in_flight(&self) -> u64 {
         self.log
-            .iter()
-            .filter(|(&s, e)| s > self.last_executed && !e.executed && e.preprepare.is_some())
+            .range(self.last_executed + 1..)
+            .filter(|(_, e)| !e.executed && e.preprepare.is_some())
             .count() as u64
     }
 
@@ -298,14 +298,14 @@ impl Replica {
             // when the leader's PrepareQC arrives (`on_prepare_qc`).
             return;
         }
-        let backup_prepares = e.prepares.iter().filter(|&&r| r != primary).count();
+        let backup_prepares = e.prepares.len() - usize::from(e.prepares.contains(primary));
         if backup_prepares < needed {
             return;
         }
         e.prepared = true;
         let digest = e.digest;
         let view = e.view;
-        let voters: Vec<ReplicaId> = e.prepares.iter().copied().collect();
+        let voters: Vec<ReplicaId> = e.prepares.iter().collect();
         e.commits.insert(me);
         if linear {
             // The leader certifies the prepare quorum in a single broadcast;
@@ -375,7 +375,7 @@ impl Replica {
                 view: e.view,
                 seq,
                 digest: e.digest,
-                voters: e.commits.iter().copied().collect(),
+                voters: e.commits.iter().collect(),
             })
         } else {
             None
@@ -477,7 +477,8 @@ impl Replica {
             // and goes back with the verdict.
             let e = self.log.get_mut(seq).expect("entry exists");
             let pp = e.preprepare.take().expect("checked above");
-            self.execute_batch(&pp, committed, now_ns, res);
+            let digest = e.digest;
+            self.execute_batch(&pp, digest, committed, now_ns, res);
             let e = self.log.get_mut(seq).expect("entry exists");
             e.preprepare = Some(pp);
             e.executed = true;
@@ -487,6 +488,7 @@ impl Replica {
             }
             self.last_executed = seq;
             self.metrics.batches_executed += 1;
+            self.reclaim(RECLAIM_SLOTS_PER_BATCH);
             self.maybe_checkpoint(seq, res);
         }
         // Execution may have freed congestion-window room.
@@ -495,9 +497,13 @@ impl Replica {
         }
     }
 
+    /// Execute one batch. `digest` is `pp.batch_digest()` — the value the
+    /// log entry has carried since the pre-prepare was matched against it,
+    /// so the execution chain costs no second hash of the batch.
     pub(crate) fn execute_batch(
         &mut self,
         pp: &PrePrepareMsg,
+        digest: Digest,
         committed: bool,
         _now_ns: u64,
         res: &mut HandleResult,
@@ -510,7 +516,10 @@ impl Replica {
         // Requests are executed where they are stored: the body store is
         // moved out for the batch, because execution borrows the whole
         // replica (nothing in there reads `self.bodies`).
-        let bodies = std::mem::take(&mut self.bodies);
+        let bodies = std::mem::replace(
+            &mut self.bodies,
+            FoldMap::with_hasher(self.keys.hash_state()),
+        );
         for entry in &pp.entries {
             let req = match &entry.full {
                 Some(r) => r,
@@ -556,7 +565,8 @@ impl Replica {
         let mut h = Sha256::new();
         h.update(self.exec_chain.as_bytes());
         h.update(&pp.seq.to_be_bytes());
-        h.update(pp.batch_digest().as_bytes());
+        debug_assert_eq!(digest, pp.batch_digest());
+        h.update(digest.as_bytes());
         self.exec_chain = h.finish();
     }
 
@@ -698,8 +708,8 @@ impl Replica {
         // holes below the checkpoint).
         let tentative_below = self
             .log
-            .iter()
-            .any(|(&s, e)| s <= seq && e.executed && e.tentative);
+            .range(..=seq)
+            .any(|(_, e)| e.executed && e.tentative);
         if tentative_below {
             return;
         }
@@ -743,10 +753,13 @@ impl Replica {
             return;
         }
         self.stable = (seq, root);
-        self.log.collect_garbage(seq);
+        #[cfg(test)]
+        let reference = retire_reference::Retained::by_the_old_code(self, seq);
+        self.retire_garbage(seq);
+        #[cfg(test)]
+        reference.assert_matches(self);
         self.ckpt_votes.retain(|&(s, _), _| s > seq);
         self.checkpoints.retain(|&s, _| s >= seq);
-        self.prune_bodies();
         // Divergence / lag detection: if we have not executed up to `seq`
         // (wedged on a missing body §2.4, restarted §2.3, or plain lagging),
         // or if we took a checkpoint at `seq` whose digest differs from the
@@ -762,34 +775,85 @@ impl Replica {
         }
     }
 
-    /// Drop stored bodies that no live log entry references. Executed
-    /// entries above the stable checkpoint still count: a view-change
-    /// rollback may need to re-execute them.
-    fn prune_bodies(&mut self) {
-        let referenced: std::collections::HashSet<Digest> = self
-            .log
-            .iter()
-            .flat_map(|(_, e)| {
-                e.preprepare
-                    .iter()
-                    .flat_map(|pp| pp.entries.iter().map(|en| en.digest))
-            })
-            .collect();
+    /// Retire what the checkpoint now stable at `seq` made garbage: log
+    /// entries at or below it leave the log, and stored bodies that no live
+    /// log entry references leave `bodies` / `observed` — executed entries
+    /// above the stable checkpoint still count, a view-change rollback may
+    /// need to re-execute them. What they own on the heap is moved onto the
+    /// retired queue, none of it dropped: [`Replica::reclaim`] frees it, a
+    /// slot per executed batch. What an earlier checkpoint left on the
+    /// queue goes at once, so the queue never holds more than one
+    /// stabilisation's garbage.
+    fn retire_garbage(&mut self, seq: SeqNum) {
+        self.retired = Retired {
+            slots: self.log.collect_garbage(seq),
+            payloads: Vec::with_capacity(self.bodies.len()),
+            executed_mark: self.last_executed,
+        };
+        let mut referenced = FoldSet::with_hasher(self.keys.hash_state());
+        referenced.extend(self.log.iter().flat_map(|(_, e)| {
+            e.preprepare
+                .iter()
+                .flat_map(|pp| pp.entries.iter().map(|en| en.digest))
+        }));
+        // A condemned request leaves its map as an empty shell: the buffer
+        // it owned is queued first, so removing it frees nothing.
+        let payloads = &mut self.retired.payloads;
+        let mut retire = |req: &mut RequestMsg| payloads.push(req.op.take_payload());
         // Keep bodies that a live log entry references *or* that belong to a
         // request not yet executed for its client (pending in the batching
         // queue or observed but not yet pre-prepared) — dropping those would
         // wedge execution exactly like a §2.4 packet loss.
         let last_ts = &self.last_req_ts;
         self.bodies.retain(|d, req| {
-            referenced.contains(d) || req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0)
+            let keep = referenced.contains(d)
+                || req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0);
+            if !keep {
+                retire(req);
+            }
+            keep
         });
-        self.pending_digests
-            .retain(|d| referenced.contains(d) || self.pending.iter().any(|q| q.digest == *d));
+        if !self.pending_digests.is_empty() {
+            let mut queued = FoldSet::with_hasher(self.keys.hash_state());
+            queued.extend(self.pending.iter().map(|q| q.digest));
+            self.pending_digests
+                .retain(|d| referenced.contains(d) || queued.contains(d));
+        }
         // Observed requests already executed under a different digest path
         // are dropped via the per-client timestamp.
-        let last_ts = &self.last_req_ts;
-        self.observed
-            .retain(|_, r| r.timestamp > last_ts.get(&r.client).copied().unwrap_or(0));
+        self.observed.retain(|_, req| {
+            let keep = req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0);
+            if !keep {
+                retire(req);
+            }
+            keep
+        });
+    }
+
+    /// Give `slots` retired slots back to the allocator, each with an even
+    /// share of the retired payloads (rounded up, so they never outlast the
+    /// slots; with no slot left the first call takes them all).
+    pub(crate) fn reclaim(&mut self, slots: usize) {
+        let retired = &mut self.retired;
+        for _ in 0..slots {
+            let share = retired.payloads.len().div_ceil(retired.slots.len().max(1));
+            retired.slots.pop_first();
+            retired.payloads.truncate(retired.payloads.len() - share);
+        }
+        if retired.payloads.is_empty() {
+            // The queue's own buffer goes with its last payload.
+            retired.payloads = Vec::new();
+        }
+    }
+
+    /// Status tick: a replica that executed nothing since the previous mark
+    /// will not reclaim by executing, and nobody is waiting on it — drain
+    /// the whole queue.
+    pub(crate) fn reclaim_if_idle(&mut self) {
+        if self.retired.executed_mark == self.last_executed {
+            self.reclaim(self.retired.slots.len().max(1));
+        }
+        self.retired.executed_mark = self.last_executed;
     }
 
     // ------------------------------------------------------------------
@@ -853,6 +917,12 @@ impl Replica {
         self.bodies.len()
     }
 
+    /// Log slots the last stable checkpoint retired that are still waiting
+    /// for reclamation (tests).
+    pub fn retired_slots(&self) -> usize {
+        self.retired.slots.len()
+    }
+
     /// Last reply cached for a client (tests).
     pub fn cached_reply(&self, client: ClientId) -> Option<&ReplyMsg> {
         self.last_reply.get(&client)
@@ -874,5 +944,108 @@ impl Replica {
                     .filter(|&r| r != self.id())
                     .collect()
             })
+    }
+}
+
+/// The garbage collection a stable checkpoint ran before retirement was
+/// split from reclamation, kept as the oracle of the split: every
+/// stabilisation in this crate's tests first works out, on copies, what the
+/// old code would have retained, then checks that `retire_garbage` retained
+/// exactly that.
+#[cfg(test)]
+pub(crate) mod retire_reference {
+    use std::cell::Cell;
+    use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+
+    use pbft_crypto::Digest;
+
+    use crate::log::MessageLog;
+    use crate::messages::RequestMsg;
+    use crate::types::{ClientId, SeqNum};
+
+    use super::{QueuedRequest, Replica};
+
+    thread_local! {
+        /// Stabilisations checked on this thread (a property asserts its
+        /// schedules reached some).
+        pub(crate) static CHECKED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Drop stored bodies that no live log entry references. Executed
+    /// entries above the stable checkpoint still count: a view-change
+    /// rollback may need to re-execute them.
+    fn prune_bodies(
+        log: &MessageLog,
+        pending: &VecDeque<QueuedRequest>,
+        last_req_ts: &HashMap<ClientId, u64>,
+        bodies: &mut HashMap<Digest, RequestMsg>,
+        pending_digests: &mut HashSet<Digest>,
+        observed: &mut BTreeMap<Digest, RequestMsg>,
+    ) {
+        let referenced: HashSet<Digest> = log
+            .iter()
+            .flat_map(|(_, e)| {
+                e.preprepare
+                    .iter()
+                    .flat_map(|pp| pp.entries.iter().map(|en| en.digest))
+            })
+            .collect();
+        let last_ts = last_req_ts;
+        bodies.retain(|d, req| {
+            referenced.contains(d) || req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0)
+        });
+        pending_digests
+            .retain(|d| referenced.contains(d) || pending.iter().any(|q| q.digest == *d));
+        observed.retain(|_, r| r.timestamp > last_ts.get(&r.client).copied().unwrap_or(0));
+    }
+
+    /// The keys the old code leaves live after a stabilisation at `seq`.
+    #[derive(Debug, PartialEq, Eq)]
+    pub(crate) struct Retained {
+        log: Vec<SeqNum>,
+        low: SeqNum,
+        bodies: BTreeSet<Digest>,
+        pending_digests: BTreeSet<Digest>,
+        observed: Vec<Digest>,
+    }
+
+    impl Retained {
+        pub(crate) fn by_the_old_code(r: &Replica, seq: SeqNum) -> Retained {
+            let mut log = r.log.clone();
+            log.collect_garbage_reference(seq);
+            let mut bodies = r.bodies.iter().map(|(d, req)| (*d, req.clone())).collect();
+            let mut pending_digests = r.pending_digests.iter().copied().collect();
+            let mut observed = r.observed.clone();
+            prune_bodies(
+                &log,
+                &r.pending,
+                &r.last_req_ts.iter().map(|(c, ts)| (*c, *ts)).collect(),
+                &mut bodies,
+                &mut pending_digests,
+                &mut observed,
+            );
+            Retained {
+                log: log.iter().map(|(&s, _)| s).collect(),
+                low: log.low,
+                bodies: bodies.into_keys().collect(),
+                pending_digests: pending_digests.into_iter().collect(),
+                observed: observed.into_keys().collect(),
+            }
+        }
+
+        pub(crate) fn assert_matches(&self, r: &Replica) {
+            let now = Retained {
+                log: r.log.iter().map(|(&s, _)| s).collect(),
+                low: r.log.low,
+                bodies: r.bodies.keys().copied().collect(),
+                pending_digests: r.pending_digests.iter().copied().collect(),
+                observed: r.observed.keys().copied().collect(),
+            };
+            assert_eq!(
+                now, *self,
+                "retirement diverged from the old garbage collection"
+            );
+            CHECKED.with(|c| c.set(c.get() + 1));
+        }
     }
 }

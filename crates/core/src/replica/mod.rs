@@ -13,7 +13,7 @@ mod viewchange;
 #[cfg(test)]
 mod tests;
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use pbft_crypto::Digest;
 use pbft_state::{FetchRequest, Fetcher, Section, Snapshot};
@@ -21,14 +21,14 @@ use pbft_state::{FetchRequest, Fetcher, Section, Snapshot};
 use crate::app::{App, Effects, NonDet, StateHandle};
 use crate::config::PbftConfig;
 use crate::keys::KeyStore;
-use crate::log::MessageLog;
+use crate::log::{LogEntry, MessageLog};
 use crate::membership::Membership;
 use crate::messages::view::{AuthView, PacketView};
 use crate::messages::{
     AuthTag, Envelope, Message, NewKeyMsg, ReplyMsg, RequestMsg, Sender, StatusMsg, ViewChangeMsg,
 };
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
-use crate::types::{ClientId, NetAddr, ReplicaId, SeqNum, View};
+use crate::types::{ClientId, FoldMap, FoldSet, NetAddr, ReplicaId, SeqNum, View, MAX_REPLICAS};
 
 /// Pages holding the membership tables at the front of the state region.
 pub const MEMBERSHIP_PAGES: u64 = 4;
@@ -187,6 +187,43 @@ pub(crate) struct QueuedRequest {
     pub(crate) big: bool,
 }
 
+/// What the last stable checkpoint retired and the allocator has not yet
+/// been asked to take back: the dead log entries in sequence order, and the
+/// buffers of the request bodies the retention rule condemned with them.
+/// Retirement is the protocol's garbage collection and happens whole, at
+/// the instant the checkpoint stabilises — nothing in here is reachable
+/// from `log`, `bodies`, `pending_digests` or `observed` any more.
+/// Reclamation is only *when `free` runs*: one slot per batch this replica
+/// executes ([`RECLAIM_SLOTS_PER_BATCH`]), so an interval's garbage is paid
+/// back across the next interval instead of in the one call that every
+/// replica of the group makes in the same instant.
+#[derive(Default)]
+pub(crate) struct Retired {
+    /// Dead log entries; a slot is one of these.
+    pub(crate) slots: BTreeMap<SeqNum, LogEntry>,
+    /// The heap buffers of the condemned requests (from `bodies` and
+    /// `observed`), in no order: the rule that condemns a request is the
+    /// retention rule, not membership in a dead pre-prepare, so they are
+    /// handed out evenly over the slots. Only the buffer is queued — the
+    /// rest of a request owns nothing — which keeps the queue itself a
+    /// quarter the size of the structs it stands for.
+    pub(crate) payloads: Vec<Vec<u8>>,
+    /// `last_executed` when the queue was filled, then at each status tick
+    /// that found it unchanged: a tick that sees no batch executed since
+    /// the previous mark is on an idle replica and drains the queue whole.
+    pub(crate) executed_mark: SeqNum,
+}
+
+/// Retired slots reclaimed per executed batch. A stable checkpoint retires
+/// one slot per sequence number of its interval and the next one stabilises
+/// `checkpoint_interval` executed batches later, so a pace of one keeps the
+/// reclamation lag constant at one interval and the queue drains just as
+/// its successor arrives. A faster pace would only concentrate the same
+/// `free`s on fewer operations (paced per handled *packet*, the whole queue
+/// lands on the dozen requests in flight at the checkpoint and their p99
+/// stays where the stall put it).
+const RECLAIM_SLOTS_PER_BATCH: usize = 1;
+
 /// The PBFT replica state machine. See the crate docs for the driving
 /// contract.
 pub struct Replica {
@@ -207,20 +244,20 @@ pub struct Replica {
 
     /// Primary-side batching queue and assignment dedupe.
     pub(crate) pending: VecDeque<QueuedRequest>,
-    pub(crate) pending_digests: HashSet<Digest>,
-    pub(crate) assigned_ts: HashMap<ClientId, u64>,
+    pub(crate) pending_digests: FoldSet<Digest>,
+    pub(crate) assigned_ts: FoldMap<ClientId, u64>,
 
     /// Big-request body store, keyed by request digest (§2.1/§2.4).
-    pub(crate) bodies: HashMap<Digest, RequestMsg>,
+    pub(crate) bodies: FoldMap<Digest, RequestMsg>,
 
     /// Requests observed (as a backup) but not yet executed — the basis for
     /// primary suspicion, and re-queued if this replica becomes primary.
     pub(crate) observed: BTreeMap<Digest, RequestMsg>,
 
     /// Per-client last executed timestamp and cached reply.
-    pub(crate) last_req_ts: HashMap<ClientId, u64>,
-    pub(crate) last_reply: HashMap<ClientId, ReplyMsg>,
-    pub(crate) client_addr: HashMap<ClientId, NetAddr>,
+    pub(crate) last_req_ts: FoldMap<ClientId, u64>,
+    pub(crate) last_reply: FoldMap<ClientId, ReplyMsg>,
+    pub(crate) client_addr: FoldMap<ClientId, NetAddr>,
 
     /// Own checkpoints (serving state transfer) and votes.
     pub(crate) checkpoints: BTreeMap<SeqNum, Snapshot>,
@@ -228,6 +265,10 @@ pub struct Replica {
     pub(crate) checkpoint_chain: BTreeMap<SeqNum, Digest>,
     pub(crate) ckpt_votes: BTreeMap<(SeqNum, Digest), std::collections::BTreeSet<ReplicaId>>,
     pub(crate) stable: (SeqNum, Digest),
+    /// Garbage of the last stable checkpoint awaiting reclamation, and of
+    /// no earlier one: a checkpoint that stabilises while the queue still
+    /// holds slots drops the remainder before refilling it.
+    pub(crate) retired: Retired,
 
     pub(crate) fetch: Option<FetchState>,
     pub(crate) vc: ViewChangeState,
@@ -310,7 +351,14 @@ impl Replica {
         preinstalled_clients: &[ClientId],
     ) -> Replica {
         let n = cfg.n();
+        assert!(
+            n <= MAX_REPLICAS,
+            "a group of n = 3f + 1 = {n} replicas (f = {}) exceeds the {MAX_REPLICAS} a log \
+             slot's vote masks can record",
+            cfg.f
+        );
         let keys = KeyStore::new_replica(group_seed, me, n, preinstalled_clients);
+        let hash_state = keys.hash_state();
         let page = pbft_state::PAGE_SIZE as u64;
         let lib_section = Section {
             base: 0,
@@ -343,17 +391,18 @@ impl Replica {
             last_executed: 0,
             max_pp_seen: 0,
             pending: VecDeque::new(),
-            pending_digests: HashSet::new(),
-            assigned_ts: HashMap::new(),
-            bodies: HashMap::new(),
+            pending_digests: FoldSet::with_hasher(hash_state),
+            assigned_ts: FoldMap::with_hasher(hash_state),
+            bodies: FoldMap::with_hasher(hash_state),
             observed: BTreeMap::new(),
-            last_req_ts: HashMap::new(),
-            last_reply: HashMap::new(),
-            client_addr: HashMap::new(),
+            last_req_ts: FoldMap::with_hasher(hash_state),
+            last_reply: FoldMap::with_hasher(hash_state),
+            client_addr: FoldMap::with_hasher(hash_state),
             checkpoints: BTreeMap::new(),
             checkpoint_chain: BTreeMap::new(),
             ckpt_votes: BTreeMap::new(),
             stable: (0, Digest::ZERO),
+            retired: Retired::default(),
             sessions,
             session_section,
             fetch: None,
@@ -669,6 +718,7 @@ impl Replica {
                     kind: TimerKind::StatusTick,
                     delay_ns: STATUS_INTERVAL_NS,
                 });
+                self.reclaim_if_idle();
             }
             TimerKind::Retransmit | TimerKind::NewKey => { /* client-side timers */ }
         }
@@ -1180,8 +1230,8 @@ impl Replica {
             || !self.observed.is_empty()
             || self
                 .log
-                .iter()
-                .any(|(&s, e)| s > self.last_executed && e.preprepare.is_some() && !e.executed);
+                .range(self.last_executed + 1..)
+                .any(|(_, e)| e.preprepare.is_some() && !e.executed);
         // If the head of the execution queue is agreed but waiting on a
         // missing request body, the primary is not at fault — the §2.4
         // recovery paths (body fetch or checkpoint transfer) will unwedge

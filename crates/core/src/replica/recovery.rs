@@ -169,7 +169,7 @@ impl Replica {
             let Some(pp) = &e.preprepare else { continue };
             if self.cfg.primary_of(e.view) == me {
                 msgs.push(Message::PrePrepare(pp.clone()));
-            } else if !self.linear && e.prepares.contains(&me) {
+            } else if !self.linear && e.prepares.contains(me) {
                 msgs.push(Message::Prepare(crate::messages::PrepareMsg {
                     view: e.view,
                     seq,
@@ -181,20 +181,18 @@ impl Replica {
                 // Linear mode: individual votes are useless to the lagging
                 // peer (only the leader aggregates them), but any replica
                 // that holds a certificate's voter set can replay it.
-                let qc = |voters: &std::collections::BTreeSet<crate::types::ReplicaId>| {
-                    crate::messages::QuorumCertMsg {
-                        view: e.view,
-                        seq,
-                        digest: e.digest,
-                        voters: voters.iter().copied().collect(),
-                    }
+                let qc = |voters: crate::types::VoteSet| crate::messages::QuorumCertMsg {
+                    view: e.view,
+                    seq,
+                    digest: e.digest,
+                    voters: voters.iter().collect(),
                 };
                 if e.committed {
-                    msgs.push(Message::CommitQC(qc(&e.commits)));
+                    msgs.push(Message::CommitQC(qc(e.commits)));
                 } else if e.prepared {
-                    msgs.push(Message::PrepareQC(qc(&e.prepares)));
+                    msgs.push(Message::PrepareQC(qc(e.prepares)));
                 }
-            } else if e.commits.contains(&me) {
+            } else if e.commits.contains(me) {
                 msgs.push(Message::Commit(crate::messages::CommitMsg {
                     view: e.view,
                     seq,
@@ -387,7 +385,9 @@ impl Replica {
             }
         }
         self.last_executed = seq;
-        self.log.collect_garbage(seq);
+        // A transfer is rare and nobody's request waits on this replica:
+        // what it makes garbage is dropped here, not queued.
+        drop(self.log.collect_garbage(seq));
         self.ckpt_votes.retain(|&(s, _), _| s > seq);
         let snap = self.state.borrow().snapshot(seq);
         self.checkpoints.retain(|&s, _| s >= seq);

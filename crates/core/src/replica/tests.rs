@@ -596,6 +596,258 @@ fn checkpoints_garbage_collect_log_and_bodies() {
     }
 }
 
+/// Retirement is immediate and whole; reclamation is one slot per executed
+/// batch, everything on an idle status tick, and never more than the last
+/// stabilisation's worth.
+#[test]
+fn retired_slots_are_reclaimed_one_per_executed_batch() {
+    use crate::output::TimerKind;
+    let mut net = Net::new(default_cfg(), 1, AppKind::Kv);
+    let mut next_key = 0u64;
+    let mut one_batch = |net: &mut Net| {
+        net.submit(0, KvApp::op_put(next_key, next_key), false);
+        next_key += 1;
+        net.pump(10_000);
+    };
+    // Interval 4, one request per batch: the fourth batch's checkpoint
+    // stabilises and retires slots 1..=4 — gone from the log and the body
+    // store at once, queued for the allocator.
+    for _ in 0..4 {
+        one_batch(&mut net);
+    }
+    for r in &net.replicas {
+        assert_eq!(r.stable_checkpoint().0, 4);
+        assert_eq!(r.log.len(), 0, "retired entries are out of the log");
+        assert_eq!(r.body_store_len(), 0, "retired bodies are out of the store");
+        assert_eq!(r.retired_slots(), 4, "one interval queued");
+        assert_eq!(
+            r.retired.payloads.len(),
+            4,
+            "with the buffers of its requests"
+        );
+    }
+    // Each executed batch gives back exactly one slot and its share.
+    for left in (1..4).rev() {
+        one_batch(&mut net);
+        for r in &net.replicas {
+            assert_eq!(r.retired_slots(), left);
+            assert_eq!(r.retired.payloads.len(), left);
+        }
+    }
+    // The eighth batch drains the queue and its checkpoint refills it.
+    one_batch(&mut net);
+    for r in &net.replicas {
+        assert_eq!(r.stable_checkpoint().0, 8);
+        assert_eq!((r.retired_slots(), r.body_store_len()), (4, 0));
+    }
+    // A replica executing nothing reclaims on its status tick: the first
+    // tick after a batch only notes the position, the next finds it
+    // unchanged and drains the queue whole.
+    one_batch(&mut net);
+    for i in 0..4 {
+        net.fire_replica_timer(i, TimerKind::StatusTick);
+    }
+    net.pump(10_000);
+    for r in &net.replicas {
+        assert_eq!(
+            r.retired_slots(),
+            3,
+            "a replica that just executed is not idle"
+        );
+    }
+    for i in 0..4 {
+        net.fire_replica_timer(i, TimerKind::StatusTick);
+    }
+    net.pump(10_000);
+    for r in &net.replicas {
+        assert_eq!(r.retired_slots(), 0, "idle for a whole status interval");
+        assert!(r.retired.payloads.is_empty());
+    }
+    // A stabilisation that finds slots outstanding drops them before it
+    // queues its own. Lose the votes for checkpoint 12, so that 16 retires
+    // two intervals (9..=16) at once; four batches later four of those
+    // eight slots are still queued when 20 stabilises — and only 20's own
+    // four remain.
+    net.drop = Some(Box::new(|_, _, disc| disc == 6));
+    for _ in 9..12 {
+        one_batch(&mut net);
+    }
+    net.drop = None;
+    for _ in 12..16 {
+        one_batch(&mut net);
+    }
+    for r in &net.replicas {
+        assert_eq!(r.stable_checkpoint().0, 16);
+        assert_eq!(r.retired_slots(), 8);
+    }
+    for _ in 16..20 {
+        one_batch(&mut net);
+    }
+    for r in &net.replicas {
+        assert_eq!(r.stable_checkpoint().0, 20);
+        assert_eq!(
+            r.retired_slots(),
+            4,
+            "17..=20 only: the remainder of 9..=16 went at once"
+        );
+        assert_eq!(
+            r.retired.slots.keys().copied().collect::<Vec<_>>(),
+            vec![17, 18, 19, 20]
+        );
+    }
+}
+
+/// Every stabilisation in this crate's tests runs the old garbage
+/// collection on copies and compares (`retire_reference`); this property
+/// drives that oracle through random schedules of load, lost commits
+/// followed by a primary failure (tentative execution, rollback, view
+/// change), lost checkpoint votes, blank restarts (state transfer) and
+/// status ticks.
+#[test]
+fn retirement_matches_the_old_garbage_collection_on_random_schedules() {
+    use std::cell::Cell;
+
+    use super::execution::retire_reference::CHECKED;
+    use crate::output::TimerKind;
+
+    const CLIENTS: usize = 3;
+    let (checked, view_changes, rollbacks, transfers) =
+        (Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0));
+    propcheck::check_budgeted("retirement_matches_old_gc", 24, 200, |g| {
+        let before = CHECKED.with(Cell::get);
+        let mut net = Net::new(default_cfg(), CLIENTS, AppKind::Kv);
+        let mut key = 0u64;
+        let mut load = |net: &mut Net, rounds: usize| {
+            for _ in 0..rounds {
+                for c in 0..CLIENTS {
+                    net.submit(c, KvApp::op_put(key % 64, key), false);
+                    key += 1;
+                }
+                net.pump(200_000);
+            }
+        };
+        let tick = |net: &mut Net| {
+            for i in 0..4 {
+                if net.alive[i] {
+                    net.fire_replica_timer(i, TimerKind::StatusTick);
+                }
+            }
+            net.pump(200_000);
+        };
+        for _ in 0..g.usize_in(4..14) {
+            match g.choice(6) {
+                0 | 1 => load(&mut net, g.usize_in(1..5)),
+                2 => {
+                    // Batches that prepare but never commit execute
+                    // tentatively; the primary then dies, and the new view
+                    // rolls them back to the stable checkpoint.
+                    net.drop = Some(Box::new(|_, _, disc| disc == 4));
+                    load(&mut net, g.usize_in(1..3));
+                    net.drop = None;
+                    let primary = net.replicas.iter().map(|r| r.view()).max().unwrap() as usize % 4;
+                    let tentative = (0..4).any(|i| {
+                        i != primary
+                            && net.replicas[i]
+                                .log
+                                .iter()
+                                .any(|(_, e)| e.executed && e.tentative)
+                    });
+                    net.alive[primary] = false;
+                    // Work the dead primary will never order; a suspicion
+                    // timer that sees no progress on it twice running votes.
+                    for c in 0..CLIENTS {
+                        net.submit(c, KvApp::op_put(c as u64, 0), false);
+                    }
+                    net.pump(200_000);
+                    for _ in 0..2 {
+                        for i in (0..4).filter(|&i| i != primary) {
+                            net.fire_replica_timer(i, TimerKind::ViewChange);
+                        }
+                        net.pump(200_000);
+                    }
+                    net.alive[primary] = true;
+                    let entered = (0..4)
+                        .filter(|&i| i != primary)
+                        .all(|i| net.replicas[i].view() as usize % 4 != primary);
+                    view_changes.set(view_changes.get() + u32::from(entered));
+                    rollbacks.set(rollbacks.get() + u32::from(entered && tentative));
+                    for c in 0..CLIENTS {
+                        if net.clients[c].has_outstanding() {
+                            net.fire_client_timer(c, TimerKind::Retransmit);
+                        }
+                    }
+                    net.pump(200_000);
+                    tick(&mut net);
+                }
+                3 => {
+                    // A blank restart: the replica finds its footing by
+                    // state transfer.
+                    let i = g.index(4);
+                    net.replicas[i] = make_replica(&net.cfg, i as u32, AppKind::Kv, &[]);
+                    let res = net.replicas[i].on_start(net.now, true);
+                    net.route(Source::Replica(i), res.outputs);
+                    net.pump(200_000);
+                    for c in 0..CLIENTS {
+                        net.fire_client_timer(c, TimerKind::NewKey);
+                    }
+                    net.pump(200_000);
+                    transfers
+                        .set(transfers.get() + net.replicas[i].metrics().state_transfers_completed);
+                }
+                4 => {
+                    // Lost checkpoint votes: the next stabilisation retires
+                    // more than one interval.
+                    net.drop = Some(Box::new(|_, _, disc| disc == 6));
+                    load(&mut net, g.usize_in(1..3));
+                    net.drop = None;
+                }
+                _ => tick(&mut net),
+            }
+            for r in &net.replicas {
+                assert!(r.retired_slots() as u64 <= net.cfg.log_size);
+            }
+        }
+        load(&mut net, 2);
+        checked.set(checked.get() + CHECKED.with(Cell::get) - before);
+    });
+    // The schedules reached what they were built to reach.
+    assert!(
+        checked.get() >= 200,
+        "{} stabilisations checked",
+        checked.get()
+    );
+    assert!(
+        view_changes.get() >= 5,
+        "{} view changes",
+        view_changes.get()
+    );
+    assert!(
+        rollbacks.get() >= 3,
+        "{} tentative rollbacks",
+        rollbacks.get()
+    );
+    assert!(transfers.get() >= 5, "{} state transfers", transfers.get());
+}
+
+/// A slot's votes are a 128-bit mask; a larger group is refused by name
+/// instead of by a shift overflow on its 129th replica.
+#[test]
+#[should_panic(expected = "exceeds the 128")]
+fn group_larger_than_the_vote_mask_is_refused() {
+    let cfg = PbftConfig {
+        f: 43, // n = 130
+        ..default_cfg()
+    };
+    Replica::new(
+        cfg,
+        SEED,
+        ReplicaId(0),
+        make_state(),
+        Box::new(NullApp::new(8)),
+        &[],
+    );
+}
+
 // ----------------------------------------------------------------------
 // §2.4: big-request body loss
 // ----------------------------------------------------------------------

@@ -250,7 +250,8 @@ impl Replica {
             if !bodies_ok {
                 break;
             }
-            self.execute_batch(&pp, true, 0, res);
+            let digest = pp.batch_digest();
+            self.execute_batch(&pp, digest, true, 0, res);
             let e = self.log.get_mut(seq).expect("entry exists");
             e.executed = true;
             e.tentative = false;

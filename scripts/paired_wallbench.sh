@@ -16,6 +16,8 @@
 #     distance between the medians in units of A's inter-quartile distance
 #     (a claimed gain needs > 1 and B better in >= 9/10 pairs), and in how
 #     many pairs B won;
+#   * per side, latency_p99_us / latency_p50_us of those medians (the tail
+#     target of ROADMAP item 4 is stated as that ratio);
 #   * the per-layer timings of the traced runs (one run each: informational);
 #   * every exact count that differs between A and B.
 # Exit code: 0 = all runs correct and every exact count identical; 1 = an
@@ -23,7 +25,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,22p' "$0" >&2
+    sed -n '2,24p' "$0" >&2
     exit 2
 fi
 a_bin=$(readlink -f "$1")
@@ -121,6 +123,7 @@ for workload in order:
     names = list(plain["A"][0]["metrics"])
     print(f"{'end-to-end metric':<16} {'A q1':>11} {'A median':>11} {'A q3':>11}"
           f" {'B q1':>11} {'B median':>11} {'B q3':>11} {'B/A':>7} {'gap/IQR(A)':>10}  B better in")
+    medians = {}
     for name in names:
         a = [d["metrics"][name]["value"] for d in plain["A"] if name in d["metrics"]]
         b = [d["metrics"][name]["value"] for d in plain["B"] if name in d["metrics"]]
@@ -134,6 +137,12 @@ for workload in order:
         gap = abs(mb - ma) / iqr if iqr else (float("inf") if mb != ma else 0.0)
         print(f"{name:<16} {qa1:11.3f} {ma:11.3f} {qa3:11.3f} {qb1:11.3f} {mb:11.3f} {qb3:11.3f}"
               f" {ratio} {gap:10.2f}  {wins}/{len(a)} pairs")
+        medians[name] = (ma, mb)
+    # ROADMAP item 4 states its tail target as this ratio (p99 <= 2 x p50).
+    if all(medians.get(n, (0, 0))[0] for n in ("latency_p50_us", "latency_p99_us")):
+        (a50, b50), (a99, b99) = medians["latency_p50_us"], medians["latency_p99_us"]
+        print(f"{'p99/p50':<16} {'':11} {a99 / a50:11.3f} {'':11} {'':11} {b99 / b50:11.3f}"
+              f"   (of the medians above)")
     ta = runs[(workload, "1")]["A"][0]["metrics"]
     tb = runs[(workload, "1")]["B"][0]["metrics"]
     print(f"{'per-layer (1 traced run each)':<30} {'A':>12} {'B':>12}")
