@@ -12,7 +12,10 @@ use crate::messages::{
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
 use crate::types::{ClientId, FoldMap, FoldSet, ReplicaId, SeqNum};
 
-use super::{QueuedRequest, Replica, Retired, TentativeEffects, RECLAIM_SLOTS_PER_BATCH};
+use super::{
+    QueuedRequest, Replica, Retired, TentativeEffects, RECLAIM_SLOTS_PER_BATCH,
+    SETTLE_PAGES_PER_BATCH,
+};
 
 /// Pipelined batch formation: while at least one batch is already in
 /// flight, the primary holds a pre-prepare back until this many requests
@@ -489,6 +492,7 @@ impl Replica {
             self.last_executed = seq;
             self.metrics.batches_executed += 1;
             self.reclaim(RECLAIM_SLOTS_PER_BATCH);
+            res.counts.pages_hashed += self.state.borrow_mut().hash_settled(SETTLE_PAGES_PER_BATCH);
             self.maybe_checkpoint(seq, res);
         }
         // Execution may have freed congestion-window room.

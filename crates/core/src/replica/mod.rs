@@ -224,6 +224,17 @@ pub(crate) struct Retired {
 /// stays where the stall put it).
 const RECLAIM_SLOTS_PER_BATCH: usize = 1;
 
+/// Pages [`pbft_state::PagedState::hash_settled`] may digest after each
+/// executed batch, so that the checkpoint's `refresh_digest` — which every
+/// replica of the group runs in the same instant — is left with the pages
+/// the last batch wrote and not the interval's. An interval of
+/// `checkpoint_interval` = 128 batches has room for 128 × 4 = 512 early
+/// hashes; the §4.2 INSERT workload dirties 34 pages in it, so the budget is
+/// never what delays a page. The cap is for the other end: a transaction
+/// that rewrites a hundred pages is paid off over the next 25 batches
+/// instead of becoming the next batch's stall.
+const SETTLE_PAGES_PER_BATCH: usize = 4;
+
 /// The PBFT replica state machine. See the crate docs for the driving
 /// contract.
 pub struct Replica {

@@ -44,7 +44,10 @@ pub fn decode_row(data: &[u8]) -> Result<Vec<Value>, SqlError> {
     }
     let n = u16::from_be_bytes([data[0], data[1]]) as usize;
     let mut pos = 2usize;
-    let mut out = Vec::with_capacity(n);
+    // The count is the record's claim, and records arrive by state
+    // transfer: reserve no more than the bytes left can hold, every value
+    // being at least its one-byte tag.
+    let mut out = Vec::with_capacity(n.min(data.len() - pos));
     let take = |pos: &mut usize, len: usize| -> Result<&[u8], SqlError> {
         if *pos + len > data.len() {
             return Err(SqlError::Corrupt("record: truncated field".into()));

@@ -24,6 +24,16 @@
 //! equivalent of the sparse file trick the paper uses to give SQLite a large
 //! fixed-size region without occupying disk (§3.2).
 //!
+//! A checkpoint is taken by every replica of a group in the same instant, so
+//! what it costs is kept proportional to what the *last batch* wrote, not
+//! the interval: [`PagedState::hash_settled`] digests a page once it has sat
+//! out a batch (at most once per interval) and parks the digest beside the
+//! tree, [`PagedState::refresh_digest`] hashes what is still stale and folds
+//! all the interval's leaves into the tree in one pass, and the page table
+//! and the tree live in `Arc`-shared chunks, so a [`Snapshot`] copies what
+//! changed since the previous one. None of it is visible in a root, a
+//! snapshot or a transferred page.
+//!
 //! The whole contract in one example — modify-before-write, digests over
 //! pages, and the tree-walk transfer reconciling a diverged replica:
 //!
@@ -59,6 +69,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod chunked;
 mod codec;
 mod merkle;
 mod range;

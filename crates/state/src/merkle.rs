@@ -3,15 +3,27 @@
 //! Leaves are page digests; internal nodes bind their `(level, index)`
 //! position, so identical sibling subtrees at different positions still hash
 //! differently and a tree cannot be "rearranged" without changing the root.
-//! Updating one leaf recomputes only the path to the root (`O(log n)`).
+//! Updating one leaf recomputes only the path to the root (`O(log n)`);
+//! updating a sorted set of leaves recomputes each affected internal node
+//! once, however many of the leaves below it changed.
 
 use pbft_crypto::{Digest, Sha256};
 
+use crate::chunked::ChunkedVec;
+
 /// A Merkle tree with a fixed number of leaves (padded to a power of two).
+///
+/// A clone shares its nodes with the original in chunks that are un-shared
+/// on first write, so the copy a snapshot keeps costs what changed since
+/// the previous one, not the tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleTree {
-    /// `levels[0]` = leaf digests (padded); `levels.last()` = `[root]`.
-    levels: Vec<Vec<Digest>>,
+    /// Every level in one array, leaves first: level `l` holds
+    /// `width >> l` nodes starting at [`MerkleTree::level_start`]; the last
+    /// node is the root.
+    nodes: ChunkedVec<Digest>,
+    /// Leaf-level width: `leaf_count` rounded up to a power of two.
+    width: usize,
     /// Number of real (unpadded) leaves.
     leaf_count: usize,
 }
@@ -39,25 +51,39 @@ impl MerkleTree {
         assert!(!leaves.is_empty(), "tree needs at least one leaf");
         let leaf_count = leaves.len();
         let width = leaf_count.next_power_of_two();
-        let mut level0 = leaves;
-        level0.resize(width, pad_leaf());
-        let mut levels = vec![level0];
-        let mut lvl = 1u32;
-        while levels.last().expect("non-empty").len() > 1 {
-            let below = levels.last().expect("non-empty");
-            let mut above = Vec::with_capacity(below.len() / 2);
-            for i in 0..below.len() / 2 {
-                above.push(combine(lvl, i as u64, &below[2 * i], &below[2 * i + 1]));
+        let mut nodes = leaves;
+        nodes.reserve(2 * width - 1 - leaf_count);
+        nodes.resize(width, pad_leaf());
+        let (mut below, mut lvl) = (0usize, 1u32);
+        while nodes.len() < 2 * width - 1 {
+            let above = nodes.len();
+            for i in 0..(above - below) / 2 {
+                let parent = combine(
+                    lvl,
+                    i as u64,
+                    &nodes[below + 2 * i],
+                    &nodes[below + 2 * i + 1],
+                );
+                nodes.push(parent);
             }
-            levels.push(above);
-            lvl += 1;
+            (below, lvl) = (above, lvl + 1);
         }
-        MerkleTree { levels, leaf_count }
+        MerkleTree {
+            nodes: ChunkedVec::from_vec(nodes),
+            width,
+            leaf_count,
+        }
+    }
+
+    /// Offset of level `level`'s first node: the widths of the levels below
+    /// it, `width + width / 2 + ...`, summed.
+    fn level_start(&self, level: u32) -> usize {
+        2 * self.width - ((2 * self.width) >> level)
     }
 
     /// The root digest.
     pub fn root(&self) -> Digest {
-        self.levels.last().expect("non-empty")[0]
+        self.nodes[self.nodes.len() - 1]
     }
 
     /// Number of real leaves.
@@ -67,7 +93,7 @@ impl MerkleTree {
 
     /// Number of levels including the leaf level (a 1-leaf tree has 1).
     pub fn height(&self) -> u32 {
-        self.levels.len() as u32
+        self.width.trailing_zeros() + 1
     }
 
     /// Digest of leaf `index`.
@@ -76,28 +102,38 @@ impl MerkleTree {
     /// Panics if `index >= leaf_count`.
     pub fn leaf(&self, index: usize) -> Digest {
         assert!(index < self.leaf_count, "leaf index out of range");
-        self.levels[0][index]
+        self.nodes[index]
     }
 
     /// Digest of the node at `(level, index)`; level 0 = leaves.
     /// Returns `None` if out of range (useful for the transfer protocol,
     /// which must tolerate malformed requests from faulty peers).
     pub fn node(&self, level: u32, index: u64) -> Option<Digest> {
-        self.levels
-            .get(level as usize)
-            .and_then(|l| l.get(index as usize))
-            .copied()
+        if level >= self.height() || index >= (self.width >> level) as u64 {
+            return None;
+        }
+        Some(self.nodes[self.level_start(level) + index as usize])
     }
 
     /// The two children digests of internal node `(level, index)`.
     pub fn children(&self, level: u32, index: u64) -> Option<(Digest, Digest)> {
-        if level == 0 {
+        if level == 0 || self.node(level, index).is_none() {
             return None;
         }
-        let below = self.levels.get(level as usize - 1)?;
-        let l = *below.get(2 * index as usize)?;
-        let r = *below.get(2 * index as usize + 1)?;
-        Some((l, r))
+        let below = self.level_start(level - 1) + 2 * index as usize;
+        Some((self.nodes[below], self.nodes[below + 1]))
+    }
+
+    /// Recompute internal node `(level, index)` from its two children.
+    fn recombine(&mut self, level: u32, index: usize) {
+        let below = self.level_start(level - 1) + 2 * index;
+        let parent = combine(
+            level,
+            index as u64,
+            &self.nodes[below],
+            &self.nodes[below + 1],
+        );
+        *self.nodes.get_mut(self.level_start(level) + index) = parent;
     }
 
     /// Replace leaf `index` and recompute the path to the root.
@@ -106,15 +142,40 @@ impl MerkleTree {
     /// Panics if `index >= leaf_count`.
     pub fn update_leaf(&mut self, index: usize, digest: Digest) {
         assert!(index < self.leaf_count, "leaf index out of range");
-        self.levels[0][index] = digest;
+        *self.nodes.get_mut(index) = digest;
         let mut idx = index;
-        for lvl in 1..self.levels.len() {
+        for lvl in 1..self.height() {
             idx /= 2;
-            let (a, b) = (
-                self.levels[lvl - 1][2 * idx],
-                self.levels[lvl - 1][2 * idx + 1],
-            );
-            self.levels[lvl][idx] = combine(lvl as u32, idx as u64, &a, &b);
+            self.recombine(lvl, idx);
+        }
+    }
+
+    /// Replace a set of leaves, given in ascending index order, and
+    /// recompute every internal node above any of them exactly once, level
+    /// by level — the same tree as one [`MerkleTree::update_leaf`] per
+    /// leaf, without re-hashing the ancestors neighbouring leaves share.
+    ///
+    /// # Panics
+    /// Panics if an index is `>= leaf_count` or the indices do not ascend.
+    pub fn update_leaves(&mut self, leaves: &[(usize, Digest)]) {
+        assert!(
+            leaves.windows(2).all(|w| w[0].0 < w[1].0),
+            "leaf indices must ascend"
+        );
+        let mut touched = Vec::with_capacity(leaves.len());
+        for &(index, digest) in leaves {
+            assert!(index < self.leaf_count, "leaf index out of range");
+            *self.nodes.get_mut(index) = digest;
+            touched.push(index);
+        }
+        for lvl in 1..self.height() {
+            // Ascending children give ascending parents: siblings collapse
+            // as adjacent duplicates.
+            touched.iter_mut().for_each(|i| *i /= 2);
+            touched.dedup();
+            for &idx in &touched {
+                self.recombine(lvl, idx);
+            }
         }
     }
 }
@@ -183,6 +244,41 @@ mod tests {
         assert_eq!(t.node(9, 0), None);
         assert_eq!(t.children(0, 0), None);
         assert_eq!(t.node(2, 0), Some(t.root()));
+    }
+
+    #[test]
+    fn batched_update_matches_rebuild_and_hashes_shared_ancestors_once() {
+        for n in [1usize, 2, 3, 5, 64, 100, 1084] {
+            let mut ls = leaves(n);
+            let mut t = MerkleTree::build(ls.clone());
+            // Neighbours, a lone leaf and the last real leaf before the pad.
+            let mut set: Vec<usize> = [0, 1, n / 3, n / 2, n / 2 + 1, n - 1]
+                .into_iter()
+                .filter(|&i| i < n)
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+            let update: Vec<(usize, Digest)> = set
+                .iter()
+                .map(|&i| (i, Digest::of(&[i as u8, 0xee])))
+                .collect();
+            for &(i, d) in &update {
+                ls[i] = d;
+            }
+            t.update_leaves(&update);
+            assert_eq!(t, MerkleTree::build(ls), "n={n}");
+        }
+        let mut t = MerkleTree::build(leaves(4));
+        let same = t.clone();
+        t.update_leaves(&[]);
+        assert_eq!(t, same);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf indices must ascend")]
+    fn batched_update_rejects_unsorted_leaves() {
+        let mut t = MerkleTree::build(leaves(4));
+        t.update_leaves(&[(2, Digest::ZERO), (1, Digest::ZERO)]);
     }
 
     #[test]

@@ -291,7 +291,7 @@ mod tests {
         let st = source_with(&[(0, b"attested")]);
         let mut snap = st.snapshot(1);
         // Corrupt the page behind the tree's back.
-        let page = std::sync::Arc::make_mut(snap.pages[0].as_mut().expect("materialized"));
+        let page = std::sync::Arc::make_mut(snap.pages.get_mut(0).as_mut().expect("materialized"));
         page[0] ^= 0xFF;
         assert_eq!(
             RangeExport::extract(&snap, [(0u64, 8usize)]),

@@ -1,11 +1,12 @@
 //! The paged state region with enforced modify-notifications.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 use pbft_crypto::{Digest, Sha256};
 
+use crate::chunked::ChunkedVec;
 use crate::merkle::MerkleTree;
 use crate::snapshot::Snapshot;
 
@@ -65,21 +66,48 @@ fn zero_page_digest() -> Digest {
     Digest::of(&[0u8; PAGE_SIZE])
 }
 
-fn page_digest(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finish()
+fn slot_digest(slot: &PageSlot) -> Digest {
+    match slot {
+        Some(data) => {
+            let mut h = Sha256::new();
+            h.update(data);
+            h.finish()
+        }
+        None => zero_page_digest(),
+    }
+}
+
+/// One page-table slot; `None` = all-zero page not yet materialized.
+pub(crate) type PageSlot = Option<Arc<Vec<u8>>>;
+
+/// Where a page notified via `modify` stands in the current checkpoint
+/// interval. A page's leaf in the tree is out of date from its first
+/// `modify` until the next `refresh_digest`, whatever its mark says: the
+/// marks only decide *when* its bytes are hashed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    /// Notified or written since the last [`PagedState::hash_settled`]:
+    /// presumably still being written.
+    Recent,
+    /// Has sat out at least one `hash_settled` without a write and has not
+    /// been hashed early yet.
+    Waiting,
+    /// Hashed early; the digest is current because nothing wrote the page
+    /// since.
+    Settled(Digest),
+    /// Hashed early and written again: hashed at the refresh, not a second
+    /// time before it (at most one early hash per page per interval).
+    Spent,
 }
 
 /// A fixed-size, page-granular memory region with copy-on-write snapshots
 /// and an incremental Merkle tree. See the crate docs for the contract.
 #[derive(Debug, Clone)]
 pub struct PagedState {
-    /// `None` = all-zero page not yet materialized (sparse).
-    pages: Vec<Option<Arc<Vec<u8>>>>,
+    pages: ChunkedVec<PageSlot>,
     tree: MerkleTree,
     /// Pages notified via `modify` since the last `refresh_digest`.
-    dirty: BTreeSet<u64>,
+    stale: BTreeMap<u64, Mark>,
     /// Pages hashed by the last `refresh_digest` (for cost accounting).
     last_refresh_hashed: u64,
     len: u64,
@@ -95,9 +123,9 @@ impl PagedState {
         let zp = zero_page_digest();
         let tree = MerkleTree::build(vec![zp; num_pages]);
         PagedState {
-            pages: vec![None; num_pages],
+            pages: ChunkedVec::from_vec(vec![None; num_pages]),
             tree,
-            dirty: BTreeSet::new(),
+            stale: BTreeMap::new(),
             last_refresh_hashed: 0,
             len: (num_pages * PAGE_SIZE) as u64,
         }
@@ -184,7 +212,7 @@ impl PagedState {
         let first = offset / PAGE_SIZE as u64;
         let last = (offset + len as u64 - 1) / PAGE_SIZE as u64;
         for p in first..=last {
-            self.dirty.insert(p);
+            self.stale.entry(p).or_insert(Mark::Recent);
         }
         Ok(())
     }
@@ -202,9 +230,16 @@ impl PagedState {
         let first = offset / PAGE_SIZE as u64;
         let last = (offset + data.len() as u64 - 1) / PAGE_SIZE as u64;
         for p in first..=last {
-            if !self.dirty.contains(&p) {
-                return Err(StateError::NotModified { page: p });
-            }
+            // One notification covers every write of the interval, so it is
+            // the write, not the `modify`, that outdates an early digest.
+            let mark = self
+                .stale
+                .get_mut(&p)
+                .ok_or(StateError::NotModified { page: p })?;
+            *mark = match *mark {
+                Mark::Recent | Mark::Waiting => Mark::Recent,
+                Mark::Settled(_) | Mark::Spent => Mark::Spent,
+            };
         }
         let mut off = offset as usize;
         let mut written = 0usize;
@@ -212,7 +247,7 @@ impl PagedState {
             let page = off / PAGE_SIZE;
             let in_page = off % PAGE_SIZE;
             let take = (PAGE_SIZE - in_page).min(data.len() - written);
-            let slot = &mut self.pages[page];
+            let slot = self.pages.get_mut(page);
             let buf = match slot {
                 Some(arc) => Arc::make_mut(arc), // copy-on-write un-share
                 None => {
@@ -227,19 +262,59 @@ impl PagedState {
         Ok(())
     }
 
+    /// Hash up to `limit` pages ahead of the next
+    /// [`PagedState::refresh_digest`] and return how many were hashed.
+    ///
+    /// The caller marks the end of a unit of writing — the replica calls
+    /// this after each executed batch. A page is hashed here once it has
+    /// sat out one whole such unit without a `write` (the batch just
+    /// executed did not touch it), and at most once per checkpoint
+    /// interval: a page written again after its early hash is hashed by the
+    /// refresh, so an interval hashes no page more than twice and
+    /// append-shaped traffic hashes nothing twice. The digests are parked
+    /// beside the tree — [`PagedState::tree`], [`PagedState::dirty_pages`]
+    /// and the `modify`-before-`write` contract do not see them — and the
+    /// refresh only folds them in, so the root is the one it would have
+    /// produced without this call. One pass over the interval's notified
+    /// pages, lowest first.
+    pub fn hash_settled(&mut self, limit: usize) -> u64 {
+        let mut hashed = 0;
+        let pages = &self.pages;
+        for (&p, mark) in &mut self.stale {
+            match *mark {
+                Mark::Waiting if hashed < limit => {
+                    *mark = Mark::Settled(slot_digest(&pages[p as usize]));
+                    hashed += 1;
+                }
+                Mark::Recent => *mark = Mark::Waiting,
+                _ => {}
+            }
+        }
+        hashed as u64
+    }
+
     /// Recompute digests for dirty pages and return the Merkle root. Clears
     /// the dirty set (ending the checkpoint epoch: further writes need new
-    /// `modify` notifications).
+    /// `modify` notifications). This is the one place a root is produced:
+    /// pages [`PagedState::hash_settled`] already hashed are not hashed
+    /// again, and the tree is folded once over all the interval's leaves.
     pub fn refresh_digest(&mut self) -> Digest {
-        let dirty = std::mem::take(&mut self.dirty);
-        self.last_refresh_hashed = dirty.len() as u64;
-        for p in dirty {
-            let d = match &self.pages[p as usize] {
-                Some(data) => page_digest(data),
-                None => zero_page_digest(),
-            };
-            self.tree.update_leaf(p as usize, d);
-        }
+        let stale = std::mem::take(&mut self.stale);
+        self.last_refresh_hashed = 0;
+        let leaves: Vec<(usize, Digest)> = stale
+            .into_iter()
+            .map(|(p, mark)| {
+                let digest = match mark {
+                    Mark::Settled(digest) => digest,
+                    _ => {
+                        self.last_refresh_hashed += 1;
+                        slot_digest(&self.pages[p as usize])
+                    }
+                };
+                (p as usize, digest)
+            })
+            .collect();
+        self.tree.update_leaves(&leaves);
         self.tree.root()
     }
 
@@ -256,11 +331,14 @@ impl PagedState {
 
     /// Number of pages currently awaiting re-hash.
     pub fn dirty_pages(&self) -> usize {
-        self.dirty.len()
+        self.stale.len()
     }
 
     /// Take a copy-on-write snapshot at `seq`. Call after
     /// [`PagedState::refresh_digest`] so the recorded root is current.
+    /// The page table and the tree are shared in chunks, so this costs (and
+    /// the snapshot later keeps private) what changed since the previous
+    /// snapshot, not the region.
     pub fn snapshot(&self, seq: u64) -> Snapshot {
         Snapshot {
             seq,
@@ -282,7 +360,7 @@ impl PagedState {
         }
         self.pages = snap.pages.clone();
         self.tree = snap.tree.clone();
-        self.dirty.clear();
+        self.stale.clear();
         Ok(())
     }
 
@@ -302,25 +380,17 @@ impl PagedState {
                 region_len: self.len,
             });
         }
-        match data {
-            Some(d) => {
-                if d.len() != PAGE_SIZE {
-                    return Err(StateError::OutOfBounds {
-                        offset: page * PAGE_SIZE as u64,
-                        len: d.len(),
-                        region_len: self.len,
-                    });
-                }
-                let digest = page_digest(&d);
-                self.pages[idx] = Some(Arc::new(d));
-                self.tree.update_leaf(idx, digest);
-            }
-            None => {
-                self.pages[idx] = None;
-                self.tree.update_leaf(idx, zero_page_digest());
-            }
+        if let Some(d) = data.as_ref().filter(|d| d.len() != PAGE_SIZE) {
+            return Err(StateError::OutOfBounds {
+                offset: page * PAGE_SIZE as u64,
+                len: d.len(),
+                region_len: self.len,
+            });
         }
-        self.dirty.remove(&page);
+        let slot = data.map(Arc::new);
+        self.tree.update_leaf(idx, slot_digest(&slot));
+        *self.pages.get_mut(idx) = slot;
+        self.stale.remove(&page);
         Ok(())
     }
 
@@ -509,7 +579,7 @@ mod tests {
         st.modify(0, 1).expect("modify");
         st.write(0, &[2]).expect("write");
         // The snapshot still sees the old byte (copy-on-write).
-        assert_eq!(snap.pages[0].as_ref().expect("page")[0], 1);
+        assert_eq!(snap.page(0).expect("page")[0], 1);
     }
 
     #[test]
@@ -559,6 +629,66 @@ mod tests {
             sec.write(&mut st, sec.len - 1, b"xy"),
             Err(StateError::OutOfBounds { .. })
         ));
+    }
+
+    /// Write one byte to each of `pages` (notifying first).
+    fn touch(st: &mut PagedState, pages: &[u64], byte: u8) {
+        for &p in pages {
+            st.modify(p * PAGE_SIZE as u64, 1).expect("modify");
+            st.write(p * PAGE_SIZE as u64, &[byte]).expect("write");
+        }
+    }
+
+    #[test]
+    fn hash_settled_waits_out_a_batch_and_hashes_a_page_once() {
+        let mut st = PagedState::new(8);
+        let mut plain = PagedState::new(8);
+        let before = st.tree().clone();
+        touch(&mut st, &[0, 1, 2], 1);
+        assert_eq!(st.hash_settled(4), 0, "all written in the batch just ended");
+        touch(&mut st, &[0], 2);
+        assert_eq!(
+            st.hash_settled(4),
+            2,
+            "1 and 2 sat the batch out, 0 did not"
+        );
+        assert_eq!(st.hash_settled(4), 1, "now 0 has");
+        // One notification covers the interval: a bare write must outdate
+        // the early digest, and the page is not hashed early a second time.
+        st.write(PAGE_SIZE as u64, &[3]).expect("still notified");
+        assert_eq!(st.hash_settled(4), 0);
+        assert_eq!(st.hash_settled(4), 0);
+        assert_eq!(st.dirty_pages(), 3);
+        assert_eq!(st.tree(), &before, "early digests stay beside the tree");
+
+        touch(&mut plain, &[0, 1, 2], 1);
+        touch(&mut plain, &[0], 2);
+        touch(&mut plain, &[1], 3);
+        assert_eq!(st.refresh_digest(), plain.refresh_digest());
+        assert_eq!(st.tree(), plain.tree());
+        assert_eq!(st.last_refresh_hashed(), 1, "only the rewritten page");
+        assert_eq!(plain.last_refresh_hashed(), 3);
+        assert_eq!(st.dirty_pages(), 0);
+    }
+
+    #[test]
+    fn hash_settled_respects_its_limit_and_restore_drops_early_digests() {
+        let mut st = PagedState::new(8);
+        st.refresh_digest();
+        let clean = st.snapshot(0);
+        touch(&mut st, &[1, 2, 3, 4, 5], 9);
+        assert_eq!(st.hash_settled(2), 0);
+        assert_eq!(st.hash_settled(2), 2);
+        assert_eq!(st.hash_settled(2), 2);
+        st.restore(&clean).expect("restore");
+        assert_eq!(st.hash_settled(2), 0, "nothing is stale after a restore");
+        assert_eq!(st.refresh_digest(), clean.root);
+        // A transferred page overrides whatever was parked for it.
+        touch(&mut st, &[1], 9);
+        st.hash_settled(1);
+        assert_eq!(st.hash_settled(1), 1);
+        st.install_page(1, None).expect("install");
+        assert_eq!(st.refresh_digest(), clean.root);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Copy-on-write checkpoints of the state region.
 
-use std::sync::Arc;
-
 use pbft_crypto::Digest;
 
+use crate::chunked::ChunkedVec;
 use crate::merkle::MerkleTree;
-use crate::region::PAGE_SIZE;
+use crate::region::{PageSlot, PAGE_SIZE};
 
 /// A checkpoint: the page table (shared copy-on-write with the live region)
 /// plus the Merkle tree at the checkpoint sequence number.
@@ -20,7 +19,7 @@ pub struct Snapshot {
     /// Merkle root over all pages.
     pub root: Digest,
     /// Page table; `None` = zero page.
-    pub(crate) pages: Vec<Option<Arc<Vec<u8>>>>,
+    pub(crate) pages: ChunkedVec<PageSlot>,
     /// The full tree, for serving meta (tree-walk) requests.
     pub(crate) tree: MerkleTree,
 }
@@ -50,7 +49,7 @@ impl Snapshot {
 
     /// Always false (snapshots cover at least one page).
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.pages.len() == 0
     }
 }
 

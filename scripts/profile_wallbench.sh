@@ -1,0 +1,102 @@
+#!/usr/bin/env bash
+# Where does a wallbench workload spend its CPU time? A sampling profile
+# with nothing but cc, nm and python3 (the box has no perf).
+#
+#   scripts/profile_wallbench.sh WORKLOAD [seconds=5]
+#
+# Builds `wallbench` with frame pointers into its own target directory
+# (target/profile, so the benchmark's build is not disturbed), compiles
+# scripts/prof/sampler.c into a shared object, runs the workload untraced
+# with the sampler preloaded (SIGPROF on CPU time: 1 kHz asked, the kernel's
+# tick granted), symbolises the samples with `nm` and prints two tables:
+# self time (the function the sample landed in) and inclusive time (every
+# function on the sampled frame-pointer chain, once per sample). Inlined
+# callees are charged to the function they were inlined into; frames of code
+# built without frame pointers (the prebuilt std, libc) end a chain early,
+# so inclusive figures are lower bounds; a shared object's internal
+# functions (libc's memcpy variants) show as the object's name. Not part of
+# tier-1 or verify.sh.
+set -euo pipefail
+
+if [ $# -lt 1 ]; then
+    sed -n '2,19p' "$0" >&2
+    exit 2
+fi
+for tool in cc nm python3 cargo; do
+    if ! command -v "$tool" >/dev/null 2>&1; then
+        echo "profile_wallbench: needs \`$tool\` on PATH" >&2
+        exit 2
+    fi
+done
+workload=$1
+seconds=${2:-5}
+cd "$(dirname "$0")/.."
+
+dir=target/profile
+RUSTFLAGS="-C force-frame-pointers=yes" CARGO_TARGET_DIR=$dir \
+    cargo build --release --offline -q -p wallbench
+cc -O2 -shared -fPIC -o "$dir/sampler.so" scripts/prof/sampler.c
+
+bin=$dir/release/wallbench
+samples=$dir/samples.txt
+rm -f "$samples"
+# The traced-run span file goes under CARGO_TARGET_DIR; keep it out of the tree.
+CARGO_TARGET_DIR=$dir PROF_OUT=$samples LD_PRELOAD=$PWD/$dir/sampler.so \
+    "$bin" --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 >"$dir/run.txt"
+grep -E '^ +(ops_per_s|latency_p50_us|latency_p99_us) ' "$dir/run.txt" || true
+
+python3 - "$bin" "$samples" <<'PY'
+import bisect, collections, os, re, subprocess, sys
+
+binary, samples_path = sys.argv[1], sys.argv[2]
+real = os.path.realpath(binary)
+
+maps, stacks = [], []  # maps: (lo, hi, file offset, path)
+for line in open(samples_path):
+    if line.startswith("S "):
+        stacks.append([int(w, 16) for w in line.split()[1:]])
+    elif line.startswith("M "):
+        f = line.split()
+        lo, hi = (int(x, 16) for x in f[1].split("-"))
+        maps.append((lo, hi, int(f[3], 16), f[6] if len(f) > 6 else "[anon]"))
+
+tables = {}  # path -> (load base, [(vaddr, size, name)]): the executable's
+             # static symbols, a shared object's exported ones
+def table(path):
+    if path not in tables:
+        flags = ["-C", "-n", "-S", "--defined-only"] + ([] if path == real else ["-D"])
+        out = subprocess.run(["nm"] + flags + [path], capture_output=True, text=True).stdout
+        syms = [l.split(None, 3) for l in out.splitlines()]
+        syms = [(int(s[0], 16), int(s[1], 16), re.sub(r"(::h[0-9a-f]{16}|@.*)$", "", s[3]))
+                for s in syms if len(s) == 4 and s[2] in "tTwWi"]
+        # Position-independent code is loaded at the start of its offset-0 mapping.
+        base = min((lo for lo, _, off, p in maps if p == path and off == 0), default=0)
+        tables[path] = (base, syms)
+    return tables[path]
+
+def name(pc):
+    for lo, hi, _, path in maps:
+        if lo <= pc < hi:
+            if not path.startswith("/"):
+                return path
+            base, syms = table(path)
+            i = bisect.bisect_right(syms, (pc - base, float("inf"), "")) - 1
+            where = "" if path == real else " [%s]" % os.path.basename(path)
+            if i >= 0 and pc - base < syms[i][0] + max(syms[i][1], 1):
+                return syms[i][2] + where
+            return where.strip() or "[wallbench]"
+    return "[unmapped]"
+
+self_t, incl_t = collections.Counter(), collections.Counter()
+for stack in stacks:
+    # Return addresses point after the call: step back into the caller.
+    names = [name(stack[0])] + [name(pc - 1) for pc in stack[1:]]
+    self_t[names[0]] += 1
+    incl_t.update(set(names))
+total = len(stacks)
+print("%d samples" % total)
+for title, table in (("self", self_t), ("inclusive", incl_t)):
+    print("\n%-9s %%      samples  function" % title)
+    for fn, n in table.most_common(30):
+        print("%8.2f  %9d  %s" % (100.0 * n / max(total, 1), n, fn))
+PY
