@@ -83,6 +83,9 @@ pub enum AggFunc {
 pub enum Expr {
     /// Literal value.
     Literal(Value),
+    /// The statement's `n`-th literal, bound at execution (a plan parsed
+    /// once per shape holds these where the text held literals).
+    Param(usize),
     /// Column reference.
     Column(String),
     /// Unary minus.
@@ -213,4 +216,7 @@ pub struct SelectStmt {
     pub order_by: Vec<OrderBy>,
     /// LIMIT.
     pub limit: Option<u64>,
+    /// LIMIT as the statement's `n`-th literal (a plan parsed once per
+    /// shape); `limit` is then `None`.
+    pub limit_param: Option<usize>,
 }

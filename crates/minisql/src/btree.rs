@@ -20,6 +20,12 @@
 //! with, and the `crosscheck_*` tests compare the two page for page — and
 //! `tests/golden.rs` pins the resulting database files.
 //!
+//! An INSERT descends once: [`BTree::tail`] walks down the rightmost edge
+//! to the last leaf and over its cells, which gives the largest key (the
+//! next automatic rowid) and the end of the leaf, and [`BTree::append`]
+//! writes every larger key there in place — the bytes [`BTree::insert`]
+//! would write after a descent of its own.
+//!
 //! Every page can arrive by PBFT state transfer, so nothing here trusts a
 //! count, a length or a child id: a malformed page is
 //! [`SqlError::Corrupt`], never a panic, and descents and chain walks are
@@ -319,6 +325,18 @@ struct Split {
     right: u32,
 }
 
+/// The end of a tree: its rightmost leaf, which in a tree this code wrote
+/// holds keys above every separator on the way down to it, so a key above
+/// its last one belongs after that last cell.
+#[derive(Debug)]
+pub struct Tail {
+    leaf: u32,
+    /// The leaf's last key (`None`: the leaf is empty, or the tail is spent).
+    last: Option<i64>,
+    /// End of the used part of the leaf.
+    used: usize,
+}
+
 /// A descent from the root: the interior pages crossed, each with the cell
 /// slot taken (`None` = rightmost child), and the leaf reached.
 struct Path {
@@ -390,6 +408,57 @@ impl BTree {
             }
         }
         Err(corrupt("descent deeper than any valid tree"))
+    }
+
+    /// One descent to the rightmost leaf and one walk over its cells.
+    ///
+    /// # Errors
+    /// Storage failures / corruption.
+    pub fn tail(&self, pager: &mut Pager) -> Result<Tail, SqlError> {
+        let leaf = self.edge_leaf(pager, true)?;
+        let mut cells = LeafCells::new(pager.page(leaf)?);
+        let mut last = None;
+        for cell in cells.by_ref() {
+            last = Some(cell?.key);
+        }
+        Ok(Tail {
+            leaf,
+            last,
+            used: cells.pos,
+        })
+    }
+
+    /// Insert a new `(key, payload)` given the tree's [`Tail`]: a key above
+    /// the tail's last one is written after it in place — what [`insert`]
+    /// would do after its own descent — and the tail moves on; any other
+    /// key, or a cell that does not fit, goes through [`insert`] and spends
+    /// the tail (every later key goes that way too).
+    ///
+    /// [`insert`]: BTree::insert
+    ///
+    /// # Errors
+    /// As [`BTree::insert`].
+    pub fn append(
+        &self,
+        pager: &mut Pager,
+        tail: &mut Tail,
+        key: i64,
+        payload: &[u8],
+    ) -> Result<(), SqlError> {
+        let need = LEAF_CELL_HDR + payload.len();
+        if !(tail.used + need <= PAGE_SIZE && tail.last.is_some_and(|last| key > last)) {
+            tail.last = None;
+            return self.insert(pager, key, payload);
+        }
+        let page = pager.page_mut(tail.leaf)?;
+        let at = tail.used;
+        page[at..at + 8].copy_from_slice(&key.to_be_bytes());
+        page[at + 8..at + 10].copy_from_slice(&(payload.len() as u16).to_be_bytes());
+        page[at + LEAF_CELL_HDR..at + need].copy_from_slice(payload);
+        set_cell_count(page, u16_at(page, 1) + 1);
+        tail.used += need;
+        tail.last = Some(key);
+        Ok(())
     }
 
     /// Point lookup: the payload, borrowed from the cached page.
@@ -627,14 +696,19 @@ impl BTree {
     /// # Errors
     /// Storage failures / corruption.
     pub fn max_key(&self, pager: &mut Pager) -> Result<Option<i64>, SqlError> {
-        let leaf = self.edge_leaf(pager, true)?;
-        let mut last = None;
-        for cell in LeafCells::new(pager.page(leaf)?) {
-            last = Some(cell?.key);
-        }
+        let tail = self.tail(pager)?;
+        self.max_key_at(pager, &tail)
+    }
+
+    /// Largest key in the tree, given its fresh [`Tail`]: the tail's last
+    /// key, or — the rightmost leaf can be empty after deletions — the last
+    /// key of a full scan.
+    ///
+    /// # Errors
+    /// Storage failures / corruption.
+    pub fn max_key_at(&self, pager: &mut Pager, tail: &Tail) -> Result<Option<i64>, SqlError> {
+        let mut last = tail.last;
         if last.is_none() {
-            // The rightmost leaf can be empty after deletions; fall back to
-            // a full scan.
             self.scan(pager, |key, _| {
                 last = Some(key);
                 Ok(())
@@ -945,8 +1019,136 @@ mod tests {
                 oracle::get(tb, pb, key)
             ),
             4 => assert_eq!(ta.max_key(pa), oracle::max_key(tb, pb)),
+            6 => {
+                let rows = [(None, payload)];
+                assert_eq!(append_rows(ta, pa, &rows), oracle_rows(tb, pb, &rows));
+            }
+            7 => {
+                let rows = [(Some(key), payload)];
+                assert_eq!(append_rows(ta, pa, &rows), oracle_rows(tb, pb, &rows));
+            }
             _ => assert_eq!(ta.collect_all(pa), oracle::collect_all(tb, pb)),
         }
+    }
+
+    /// What an INSERT statement does with its rows: one [`Tail`] for the
+    /// statement, and an automatic rowid (`None`) one past the largest so
+    /// far.
+    fn append_rows(
+        tree: &BTree,
+        pager: &mut Pager,
+        rows: &[(Option<i64>, &[u8])],
+    ) -> Result<(), SqlError> {
+        let mut tail = tree.tail(pager)?;
+        let mut next = tree.max_key_at(pager, &tail)?.unwrap_or(0) + 1;
+        for &(key, payload) in rows {
+            let key = key.unwrap_or(next);
+            next = next.max(key + 1);
+            tree.append(pager, &mut tail, key, payload)?;
+        }
+        Ok(())
+    }
+
+    /// [`append_rows`] through the oracle: `max_key`, then an insert per row.
+    fn oracle_rows(
+        tree: &BTree,
+        pager: &mut Pager,
+        rows: &[(Option<i64>, &[u8])],
+    ) -> Result<(), SqlError> {
+        let mut next = oracle::max_key(tree, pager)?.unwrap_or(0) + 1;
+        for &(key, payload) in rows {
+            let key = key.unwrap_or(next);
+            next = next.max(key + 1);
+            oracle::insert(tree, pager, key, payload.to_vec())?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn crosscheck_prop_appends_match_node_oracle() {
+        // Multi-row INSERTs through one tail: automatic rowids, explicit
+        // ones above and below the largest key and equal to it, rows that
+        // fill or split the rightmost leaf or fit nowhere; deletes empty
+        // the rightmost leaf now and then.
+        propcheck::check("btree_appends_match_node_oracle", 64, |g| {
+            let (mut pa, ta) = fresh();
+            let (mut pb, tb) = fresh();
+            for _ in 0..g.usize_in(1..120) {
+                if g.choice(6) == 0 {
+                    // Delete the largest few keys.
+                    let max = ta.max_key(&mut pa).expect("max").unwrap_or(0);
+                    for key in max - g.i64_in(0..12)..=max {
+                        both((&mut pa, &ta), (&mut pb, &tb), 1, key, &[]);
+                    }
+                    continue;
+                }
+                let max = ta.max_key(&mut pa).expect("max").unwrap_or(0);
+                let rows: Vec<(Option<i64>, Vec<u8>)> = (0..g.usize_in(1..6))
+                    .map(|_| {
+                        let key = match g.choice(6) {
+                            0 => Some(max + g.i64_in(1..4)),
+                            1 => Some(g.i64_in(-3..max + 1)),
+                            _ => None,
+                        };
+                        let len = match g.choice(8) {
+                            0..=4 => g.usize_in(0..300),
+                            5 | 6 => g.usize_in(300..2000),
+                            _ => g.usize_in(2000..MAX_PAYLOAD + 2),
+                        };
+                        (key, vec![g.u8(); len])
+                    })
+                    .collect();
+                let rows: Vec<(Option<i64>, &[u8])> =
+                    rows.iter().map(|(k, p)| (*k, p.as_slice())).collect();
+                assert_eq!(
+                    append_rows(&ta, &mut pa, &rows),
+                    oracle_rows(&tb, &mut pb, &rows)
+                );
+                assert_same_pages(&mut pa, &mut pb);
+            }
+            both((&mut pa, &ta), (&mut pb, &tb), 5, 0, &[]);
+        });
+    }
+
+    #[test]
+    fn crosscheck_appends_through_interior_splits_match_oracle() {
+        // Rows of ~1.4 KB, two to a leaf: every other automatic rowid is
+        // appended in place, the rest split the rightmost leaf, until the
+        // root interior page (340 cells) and then its right child split.
+        let (mut pa, ta) = fresh();
+        let (mut pb, tb) = fresh();
+        for i in 0..700usize {
+            let payload = vec![i as u8; 1380 + i * 7 % 200];
+            both((&mut pa, &ta), (&mut pb, &tb), 6, 0, &payload);
+            if i % 50 == 0 {
+                assert_same_pages(&mut pa, &mut pb);
+            }
+        }
+        let interior = (2..pa.page_count())
+            .filter(|&id| pa.page(id).expect("page")[0] == INTERIOR)
+            .count();
+        assert!(
+            interior >= 3,
+            "root and two interior children, got {interior}"
+        );
+        // Explicit rowids above the largest and below it.
+        both((&mut pa, &ta), (&mut pb, &tb), 7, 5_000, b"above");
+        both((&mut pa, &ta), (&mut pb, &tb), 6, 0, b"after above");
+        both((&mut pa, &ta), (&mut pb, &tb), 7, 0, b"below");
+        both((&mut pa, &ta), (&mut pb, &tb), 7, 350, b"duplicate");
+        both((&mut pa, &ta), (&mut pb, &tb), 7, 5_001, b"duplicate");
+        both((&mut pa, &ta), (&mut pb, &tb), 6, 0, b"after below");
+        // Empty the rightmost leaves: the next rowid comes from a full
+        // scan and the row from `insert`.
+        for key in 600..=5_002 {
+            both((&mut pa, &ta), (&mut pb, &tb), 1, key, &[]);
+        }
+        assert_eq!(ta.tail(&mut pa).expect("tail").last, None);
+        for _ in 0..5 {
+            both((&mut pa, &ta), (&mut pb, &tb), 6, 0, &[9u8; 1500]);
+        }
+        assert_same_pages(&mut pa, &mut pb);
+        both((&mut pa, &ta), (&mut pb, &tb), 5, 0, &[]);
     }
 
     #[test]
@@ -1117,13 +1319,22 @@ mod tests {
             for _ in 0..g.usize_in(1..40) {
                 let key = g.i64_in(-2..key_range + 2);
                 let payload = vec![g.u8(); g.usize_in(0..2200)];
-                match g.choice(7) {
-                    0 | 1 => clean(tree.insert(&mut pager, key, &payload)),
+                match g.choice(8) {
+                    0 => clean(tree.insert(&mut pager, key, &payload)),
+                    1 => {
+                        let auto = g.bool().then_some(key);
+                        clean(append_rows(
+                            &tree,
+                            &mut pager,
+                            &[(auto, &payload), (None, b"x")],
+                        ));
+                    }
                     2 => clean(tree.delete(&mut pager, key).map(drop)),
                     3 => clean(tree.update(&mut pager, key, &payload)),
                     4 => clean(tree.get(&mut pager, key).map(drop)),
                     5 => clean(tree.max_key(&mut pager).map(drop)),
-                    _ => clean(tree.scan(&mut pager, |_, _| Ok(()))),
+                    6 => clean(tree.scan(&mut pager, |_, _| Ok(()))),
+                    _ => clean(append_rows(&tree, &mut pager, &[(None, &payload)])),
                 }
             }
             if g.bool() {

@@ -10,9 +10,10 @@ use crate::btree::BTree;
 use crate::env::{Env, SystemEnv};
 use crate::error::SqlError;
 use crate::pager::{IoStats, JournalMode, Pager};
-use crate::parser::{parse, parse_script};
 use crate::record::{decode_row, encode_row};
 use crate::schema::{delete_table, load_catalog, save_new_table, TableSchema};
+use crate::shape::{Bound, Shapes};
+use crate::token::{statements, tokenize};
 use crate::value::Value;
 use crate::vfs::Vfs;
 
@@ -70,6 +71,11 @@ pub struct Database {
     env: Box<dyn Env>,
     catalog: Option<BTreeMap<String, Rc<TableSchema>>>,
     in_txn: bool,
+    /// Plans by statement shape (parse once per shape).
+    shapes: Shapes,
+    /// The literals of the statement being executed, which its plan's
+    /// [`Expr::Param`]s index.
+    binds: Vec<Value>,
 }
 
 impl std::fmt::Debug for Database {
@@ -100,6 +106,8 @@ impl Database {
             env: opts.env,
             catalog: None,
             in_txn: false,
+            shapes: Shapes::default(),
+            binds: Vec::new(),
         })
     }
 
@@ -165,19 +173,23 @@ impl Database {
     /// transaction (a documented simplification vs. SQLite's statement-level
     /// rollback).
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome, SqlError> {
-        let stmt = parse(sql)?;
-        self.execute_stmt(&stmt)
+        let bound = self.shapes.bind(tokenize(sql)?)?;
+        self.execute_bound(bound)
     }
 
     /// Execute several `;`-separated statements; returns the last outcome.
+    /// Every statement is parsed before the first one runs, so a script
+    /// with a syntax error anywhere executes nothing.
     ///
     /// # Errors
     /// Stops at the first failing statement.
     pub fn execute_script(&mut self, sql: &str) -> Result<ExecOutcome, SqlError> {
-        let stmts = parse_script(sql)?;
+        let bound = statements(sql)
+            .map(|tokens| self.shapes.bind(tokens?))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut last = ExecOutcome::Done;
-        for stmt in &stmts {
-            last = self.execute_stmt(stmt)?;
+        for b in bound {
+            last = self.execute_bound(b)?;
         }
         Ok(last)
     }
@@ -194,6 +206,11 @@ impl Database {
                 "statement produced {other:?}, not rows"
             ))),
         }
+    }
+
+    fn execute_bound(&mut self, bound: Bound) -> Result<ExecOutcome, SqlError> {
+        self.binds = bound.binds;
+        self.execute_stmt(&bound.plan)
     }
 
     fn execute_stmt(&mut self, stmt: &Stmt) -> Result<ExecOutcome, SqlError> {
@@ -372,7 +389,10 @@ impl Database {
                 .collect::<Result<_, _>>()?
         };
         let mut affected = 0u64;
-        let mut next_rowid = tree.max_key(&mut self.pager)?.unwrap_or(0) + 1;
+        // One descent to the end of the table: the largest rowid, and the
+        // leaf where every larger one is appended.
+        let mut tail = tree.tail(&mut self.pager)?;
+        let mut next_rowid = tree.max_key_at(&mut self.pager, &tail)?.unwrap_or(0) + 1;
         for tuple in rows {
             if tuple.len() != indices.len() {
                 return Err(SqlError::Schema(format!(
@@ -413,7 +433,7 @@ impl Database {
                     )));
                 }
             }
-            tree.insert(&mut self.pager, rowid, &encode_row(&row))?;
+            tree.append(&mut self.pager, &mut tail, rowid, &encode_row(&row))?;
             affected += 1;
         }
         Ok(ExecOutcome::Affected(affected))
@@ -426,7 +446,7 @@ impl Database {
         filter: Option<&Expr>,
     ) -> Result<Vec<(i64, Vec<Value>)>, SqlError> {
         let tree = BTree { root: schema.root };
-        if let Some(rowid) = filter.and_then(|f| pk_eq_literal(f, schema)) {
+        if let Some(rowid) = filter.and_then(|f| pk_eq_literal(f, schema, &self.binds)) {
             return match tree.get(&mut self.pager, rowid)? {
                 Some(payload) => Ok(vec![(rowid, decode_row(payload)?)]),
                 None => Ok(Vec::new()),
@@ -642,7 +662,13 @@ impl Database {
             });
         }
         let mut rows: Vec<Vec<Value>> = keyed.into_iter().map(|(_, r)| r).collect();
-        if let Some(limit) = s.limit {
+        // A LIMIT parameter's slot is an integer one, and the tokenizer's
+        // integers are never negative.
+        let limit = match s.limit_param {
+            Some(i) => self.binds[i].as_i64().map(|n| n as u64),
+            None => s.limit,
+        };
+        if let Some(limit) = limit {
             rows.truncate(limit as usize);
         }
         Ok(Rows { columns, rows })
@@ -659,7 +685,7 @@ impl Database {
                 }
                 SelectItem::Expr { expr, alias } => out.push(match alias {
                     Some(a) => a.clone(),
-                    None => expr_name(expr),
+                    None => expr_name(expr, &self.binds),
                 }),
             }
         }
@@ -673,6 +699,7 @@ impl Database {
     fn eval(&mut self, expr: &Expr, ctx: &Ctx<'_>) -> Result<Value, SqlError> {
         match expr {
             Expr::Literal(v) => Ok(v.clone()),
+            Expr::Param(i) => Ok(self.binds[*i].clone()),
             Expr::Column(name) => ctx.column(name),
             Expr::Neg(e) => match self.eval(e, ctx)? {
                 Value::Null => Ok(Value::Null),
@@ -951,12 +978,21 @@ fn contains_aggregate(expr: &Expr) -> bool {
         Expr::IsNull { expr, .. } => contains_aggregate(expr),
         Expr::Binary { left, right, .. } => contains_aggregate(left) || contains_aggregate(right),
         Expr::Call { args, .. } => args.iter().any(contains_aggregate),
-        Expr::Literal(_) | Expr::Column(_) => false,
+        Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => false,
+    }
+}
+
+/// The value a literal or a bound parameter stands for.
+fn literal<'e>(expr: &'e Expr, binds: &'e [Value]) -> Option<&'e Value> {
+    match expr {
+        Expr::Literal(v) => Some(v),
+        Expr::Param(i) => Some(&binds[*i]),
+        _ => None,
     }
 }
 
 /// Detect `pk = <integer literal>` (either operand order).
-fn pk_eq_literal(filter: &Expr, schema: &TableSchema) -> Option<i64> {
+fn pk_eq_literal(filter: &Expr, schema: &TableSchema, binds: &[Value]) -> Option<i64> {
     let pk = schema.pk_index()?;
     let pk_name = &schema.columns[pk].name;
     let Expr::Binary {
@@ -968,17 +1004,17 @@ fn pk_eq_literal(filter: &Expr, schema: &TableSchema) -> Option<i64> {
         return None;
     };
     match (left.as_ref(), right.as_ref()) {
-        (Expr::Column(c), Expr::Literal(Value::Integer(i)))
-        | (Expr::Literal(Value::Integer(i)), Expr::Column(c))
-            if c.eq_ignore_ascii_case(pk_name) =>
-        {
-            Some(*i)
+        (Expr::Column(c), other) | (other, Expr::Column(c)) if c.eq_ignore_ascii_case(pk_name) => {
+            match literal(other, binds) {
+                Some(Value::Integer(i)) => Some(*i),
+                _ => None,
+            }
         }
         _ => None,
     }
 }
 
-fn expr_name(expr: &Expr) -> String {
+fn expr_name(expr: &Expr, binds: &[Value]) -> String {
     match expr {
         Expr::Column(c) => c.clone(),
         Expr::Aggregate { func, arg } => {
@@ -991,12 +1027,14 @@ fn expr_name(expr: &Expr) -> String {
             };
             match arg {
                 None => format!("{f}(*)"),
-                Some(a) => format!("{f}({})", expr_name(a)),
+                Some(a) => format!("{f}({})", expr_name(a, binds)),
             }
         }
         Expr::Call { name, .. } => format!("{name}(..)"),
-        Expr::Literal(v) => v.to_string(),
-        _ => "expr".into(),
+        _ => match literal(expr, binds) {
+            Some(v) => v.to_string(),
+            None => "expr".into(),
+        },
     }
 }
 
@@ -1115,6 +1153,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::env::FixedEnv;
+    use crate::parser::{parse, parse_script};
     use crate::vfs::MemVfs;
 
     fn db() -> Database {
@@ -1455,6 +1494,184 @@ mod tests {
             ExecOutcome::Rows(r) => assert_eq!(r.rows[0][0], Value::Integer(1)),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn scripts_split_where_the_tokenizer_does() {
+        let mut db = db();
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+            .expect("create");
+        // A `;` inside a comment ends nothing.
+        assert_eq!(
+            db.execute_script("INSERT INTO t (v) VALUES ('c') -- no; really"),
+            Ok(ExecOutcome::Affected(1))
+        );
+        // A `'` inside a quoted identifier opens no string.
+        let script =
+            "INSERT INTO t (v) VALUES ('d'); SELECT v AS \"it's\" FROM t WHERE id = 1; SELECT COUNT(*) FROM t";
+        let count = Rows {
+            columns: vec!["count(*)".into()],
+            rows: vec![vec![Value::Integer(2)]],
+        };
+        assert_eq!(db.execute_script(script), Ok(ExecOutcome::Rows(count)));
+        let rows = db
+            .query("SELECT v AS \"it's\" FROM t WHERE id = 1")
+            .expect("select");
+        assert_eq!(rows.columns, vec!["it's"]);
+        assert_eq!(rows.rows, vec![vec![Value::Text("c".into())]]);
+    }
+
+    /// A literal in `sql`-text form, drawn so that one slot sees every kind.
+    fn literal_text(g: &mut propcheck::Gen) -> String {
+        match g.choice(12) {
+            0 => g.i64_in(0..20).to_string(),
+            1 => g.i64_in(0..1_000_000).to_string(),
+            2 => format!("-{}", g.i64_in(0..50)),
+            3 => format!("{}.{}", g.i64_in(0..100), g.i64_in(0..100)),
+            4 => format!("-{}.5", g.i64_in(0..9)),
+            5 => ["1e3", "2.5e-3", "0.0"][g.choice(3)].into(),
+            6 => {
+                let text = g.string_from(&['a', 'z', ' ', ';', '\'', '"', '\u{e9}', '|'], 0..8);
+                format!("'{}'", text.replace('\'', "''"))
+            }
+            7 => {
+                let blob = g.bytes(0..4);
+                format!(
+                    "x'{}'",
+                    blob.iter().map(|b| format!("{b:02x}")).collect::<String>()
+                )
+            }
+            8 => "NULL".into(),
+            // The same shape with an integer, a float, a string and a blob.
+            _ => ["1", "1.0", "'1'", "x'01'"][g.choice(4)].into(),
+        }
+    }
+
+    /// One statement of the differential grammar.
+    fn statement(g: &mut propcheck::Gen) -> String {
+        let mut lit = || literal_text(g);
+        let (a, b, c) = (lit(), lit(), lit());
+        match g.choice(20) {
+            0 | 1 => format!("INSERT INTO t (a, b, c) VALUES ({a}, {b}, {c})"),
+            2 => format!("INSERT INTO t (id, a, b) VALUES ({a}, {b}, {c})"),
+            3 => format!("INSERT INTO t (a, b) VALUES ({a}, {b}), (NULL, {c}), ({b}, {a})"),
+            4 => format!("INSERT INTO \"s;'|\" (\"it's\", n) VALUES ({a}, {b})"),
+            5 => format!("SELECT a, b, \"x AS y\" FROM t WHERE id = {a}"),
+            6 => format!("SELECT b FROM t WHERE {a} = id OR c > {b}"),
+            7 => format!("SELECT {a}, {b} + {c}, -{a}, {c} AS lit"),
+            8 => format!(
+                "SELECT * FROM t WHERE a >= {a} ORDER BY id DESC LIMIT {}",
+                g.i64_in(0..6)
+            ),
+            9 => format!("SELECT id FROM t LIMIT {a}"),
+            // A joined key would give these two one plan.
+            10 => "SELECT x AS y FROM t".into(),
+            11 => "SELECT \"x AS y\" FROM t".into(),
+            12 => format!("UPDATE t SET b = {a}, c = {b} WHERE id = {c}"),
+            13 => format!("DELETE FROM t WHERE id = {a} OR a < {b}"),
+            14 => format!(
+                "SELECT COUNT(*), SUM(a) + {a}, -SUM(c), MAX(id) - {b}, {c} FROM t WHERE b != {c}"
+            ),
+            15 => format!(
+                "SELECT b, COUNT(*), {a} FROM t GROUP BY b ORDER BY b LIMIT {}",
+                g.i64_in(0..4)
+            ),
+            16 => format!(
+                "SELECT id AS c{} FROM \"s;'|\" WHERE id = {a}",
+                g.i64_in(0..100)
+            ),
+            17 => ["BEGIN", "COMMIT", "ROLLBACK"][g.choice(3)].into(),
+            18 => format!("SELEKT {a}"),
+            _ => format!("SELECT {a} {b}"),
+        }
+    }
+
+    /// Both files of a database, byte for byte.
+    fn files(db: &Database) -> [Vec<u8>; 2] {
+        [db.db_file(), db.journal_file()].map(|v| snapshot_vfs(v).bytes().to_vec())
+    }
+
+    #[test]
+    fn prop_plans_cached_per_shape_match_parsing_every_statement() {
+        // The reference parses every statement from its literal text and
+        // runs it (`parse` + `execute_stmt`, no cache); the database under
+        // test runs the same statements through its shape cache. Outcomes,
+        // error text, both files and `IoStats` must agree after every one.
+        propcheck::check("plans_cached_per_shape_match_reference", 48, |g| {
+            let mode = [JournalMode::Rollback, JournalMode::Wal, JournalMode::Off][g.choice(3)];
+            let open = || {
+                Database::open(
+                    Box::new(MemVfs::new()),
+                    Box::new(MemVfs::new()),
+                    DbOptions {
+                        journal_mode: mode,
+                        wal_autocheckpoint: 16,
+                        env: Box::new(FixedEnv {
+                            now_ns: 1_000,
+                            random_state: 1,
+                        }),
+                    },
+                )
+                .expect("open")
+            };
+            let (mut cached, mut reference) = (open(), open());
+            let setup = "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b TEXT, c REAL, \"x AS y\" BLOB); \
+                         CREATE TABLE \"s;'|\" (id INTEGER PRIMARY KEY, \"it's\" TEXT NOT NULL, n INTEGER)";
+            // (script, through the single-statement entry point)
+            let mut scripts: Vec<(String, bool)> = vec![(setup.into(), false)];
+            if g.choice(4) == 0 {
+                // More shapes than the cache keeps, each twice, before
+                // anything else.
+                scripts.extend((0..140).map(|i| {
+                    let k = i / 2;
+                    (format!("SELECT a AS k{k} FROM t WHERE id = {i}"), false)
+                }));
+            }
+            for _ in 0..g.usize_in(1..60) {
+                let n = g.usize_in(1..4);
+                let mut script = (0..n).map(|_| statement(g)).collect::<Vec<_>>().join("; ");
+                match g.choice(4) {
+                    0 => script.push(';'),
+                    1 => script.push_str(" -- trailing; comment"),
+                    _ => {}
+                }
+                scripts.push((script, n == 1 && g.bool()));
+            }
+            for (script, single) in &scripts {
+                let single = *single;
+                if g.choice(8) == 0 {
+                    // A cold page cache (as after a state transfer), so that
+                    // a point lookup and a scan read different pages.
+                    assert_eq!(cached.invalidate_cache(), reference.invalidate_cache());
+                }
+                let got = if single {
+                    cached.execute(script)
+                } else {
+                    cached.execute_script(script)
+                };
+                let want = if single {
+                    parse(script).and_then(|stmt| reference.execute_stmt(&stmt))
+                } else {
+                    parse_script(script).and_then(|stmts| {
+                        let mut last = ExecOutcome::Done;
+                        for stmt in &stmts {
+                            last = reference.execute_stmt(stmt)?;
+                        }
+                        Ok(last)
+                    })
+                };
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{script}");
+                assert_eq!(
+                    cached.take_io_stats(),
+                    reference.take_io_stats(),
+                    "{script}"
+                );
+                assert!(
+                    files(&cached) == files(&reference),
+                    "files differ after {script}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -48,11 +48,13 @@ mod btree;
 mod db;
 mod env;
 mod error;
+mod hash;
 mod journal;
 mod pager;
 mod parser;
 mod record;
 mod schema;
+mod shape;
 mod token;
 mod value;
 mod vfs;

@@ -8,15 +8,18 @@
 //!
 //! Pages are handed out as fixed-size slices of the cached image
 //! ([`Pager::page`], [`Pager::page_mut`]) and edited in place; a cached page
-//! never changes length. A commit copies each byte once: the header is
+//! never changes length. The cache is a hash map keyed by page id, so a page
+//! is found in O(1) and the cache holds the pages read, never a slot per id
+//! a header claims. A commit copies each byte once: the header is
 //! patched into the cached page 0, and each pre-image is read from the
 //! database file straight into the journal image, whose buffer is reused
 //! from commit to commit.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 
 use crate::error::SqlError;
+use crate::hash::BuildMulHasher;
 use crate::journal::{clear_journal, read_journal, JournalImage};
 use crate::vfs::Vfs;
 
@@ -106,7 +109,11 @@ pub struct Pager {
     db: Box<dyn Vfs>,
     journal: Box<dyn Vfs>,
     mode: JournalMode,
-    cache: BTreeMap<u32, Vec<u8>>,
+    /// Cached page images by page id: as many entries as pages read or
+    /// allocated, whatever ids a (transferred) header or child pointer
+    /// claims.
+    cache: HashMap<u32, Vec<u8>, BuildMulHasher>,
+    /// Pages to write at commit, ascending: the journal's entry order.
     dirty: BTreeSet<u32>,
     header: Header,
     /// Durable page count (on disk, or committed to the WAL).
@@ -188,7 +195,7 @@ impl Pager {
                 db,
                 journal,
                 mode,
-                cache: BTreeMap::new(),
+                cache: HashMap::default(),
                 dirty: BTreeSet::new(),
                 header,
                 disk_page_count: 0,
@@ -222,7 +229,7 @@ impl Pager {
             db,
             journal,
             mode,
-            cache: BTreeMap::new(),
+            cache: HashMap::default(),
             dirty: BTreeSet::new(),
             header,
             disk_page_count,

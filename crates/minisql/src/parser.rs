@@ -2,16 +2,22 @@
 
 use crate::ast::*;
 use crate::error::SqlError;
-use crate::token::{tokenize, Token};
+use crate::token::{Lit, Token};
 use crate::value::Value;
 
-/// Parse one SQL statement (a trailing semicolon is allowed).
+/// Parse one statement's tokens (a trailing semicolon is allowed). A
+/// [`Token::Slot`] parses as the next [`Expr::Param`] wherever a literal
+/// may stand; a literal in any other place is an error either way, so a
+/// statement's slotted tokens parse exactly when its literal ones do.
 ///
 /// # Errors
-/// [`SqlError::Lex`] / [`SqlError::Parse`] on malformed input.
-pub fn parse(sql: &str) -> Result<Stmt, SqlError> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+/// [`SqlError::Parse`] on a malformed statement.
+pub fn parse_tokens(tokens: &[Token<'_>]) -> Result<Stmt, SqlError> {
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        params: 0,
+    };
     let stmt = p.statement()?;
     p.eat_punct(";");
     if p.pos != p.tokens.len() {
@@ -23,42 +29,24 @@ pub fn parse(sql: &str) -> Result<Stmt, SqlError> {
     Ok(stmt)
 }
 
-/// Split a script on top-level semicolons and parse each statement.
+/// Parse one SQL statement (a trailing semicolon is allowed).
+///
+/// # Errors
+/// [`SqlError::Lex`] / [`SqlError::Parse`] on malformed input.
+#[cfg(test)]
+pub fn parse(sql: &str) -> Result<Stmt, SqlError> {
+    parse_tokens(&crate::token::tokenize(sql)?)
+}
+
+/// Parse every statement of a script.
 ///
 /// # Errors
 /// Propagates the first statement error.
+#[cfg(test)]
 pub fn parse_script(sql: &str) -> Result<Vec<Stmt>, SqlError> {
-    let mut out = Vec::new();
-    for piece in split_statements(sql) {
-        let trimmed = piece.trim();
-        if !trimmed.is_empty() {
-            out.push(parse(trimmed)?);
-        }
-    }
-    Ok(out)
-}
-
-/// Split on semicolons that are not inside string literals; the pieces are
-/// slices of the script (both delimiters are ASCII, so every cut is a char
-/// boundary).
-fn split_statements(sql: &str) -> impl Iterator<Item = &str> {
-    let mut rest = Some(sql);
-    std::iter::from_fn(move || {
-        let s = rest?;
-        let mut in_str = false;
-        for (i, b) in s.bytes().enumerate() {
-            match b {
-                b'\'' => in_str = !in_str,
-                b';' if !in_str => {
-                    rest = Some(&s[i + 1..]);
-                    return Some(&s[..i]);
-                }
-                _ => {}
-            }
-        }
-        rest = None;
-        Some(s)
-    })
+    crate::token::statements(sql)
+        .map(|tokens| parse_tokens(&tokens?))
+        .collect()
 }
 
 /// Keywords that cannot appear as bare column references.
@@ -68,8 +56,11 @@ const RESERVED: &[&str] = &[
 ];
 
 struct Parser<'a> {
-    tokens: Vec<Token<'a>>,
+    tokens: &'a [Token<'a>],
     pos: usize,
+    /// Slots taken so far: the index of the next [`Expr::Param`]. The
+    /// parser never looks back, so slots are taken in token order.
+    params: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -77,15 +68,16 @@ impl<'a> Parser<'a> {
         self.tokens.get(self.pos)
     }
 
-    /// Take the next token. The parser never looks back, so the token is
-    /// moved out of its slot rather than cloned.
+    /// Take the next token. A copy costs nothing but for a literal's
+    /// text, and literals are slotted out of every statement but one that
+    /// fails to parse.
     fn next(&mut self) -> Result<Token<'a>, SqlError> {
-        let slot = self
+        let token = self
             .tokens
-            .get_mut(self.pos)
+            .get(self.pos)
             .ok_or_else(|| SqlError::Parse("unexpected end of input".into()))?;
         self.pos += 1;
-        Ok(std::mem::replace(slot, Token::Punct("")))
+        Ok(token.clone())
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
@@ -126,6 +118,11 @@ impl<'a> Parser<'a> {
                 self.peek()
             )))
         }
+    }
+
+    fn param(&mut self) -> usize {
+        self.params += 1;
+        self.params - 1
     }
 
     fn ident(&mut self) -> Result<String, SqlError> {
@@ -343,14 +340,14 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        let limit = if self.eat_kw("limit") {
+        let (mut limit, mut limit_param) = (None, None);
+        if self.eat_kw("limit") {
             match self.next()? {
-                Token::Int(n) if n >= 0 => Some(n as u64),
+                Token::Int(n) if n >= 0 => limit = Some(n as u64),
+                Token::Slot(Lit::Int) => limit_param = Some(self.param()),
                 other => return Err(SqlError::Parse(format!("bad LIMIT {other:?}"))),
             }
-        } else {
-            None
-        };
+        }
         Ok(SelectStmt {
             items,
             from,
@@ -358,6 +355,7 @@ impl<'a> Parser<'a> {
             group_by,
             order_by,
             limit,
+            limit_param,
         })
     }
 
@@ -529,6 +527,7 @@ impl<'a> Parser<'a> {
             Token::Float(v) => Ok(Expr::Literal(Value::Real(v))),
             Token::Str(s) => Ok(Expr::Literal(Value::Text(s.into_owned()))),
             Token::Hex(b) => Ok(Expr::Literal(Value::Blob(b))),
+            Token::Slot(_) => Ok(Expr::Param(self.param())),
             Token::Punct("(") => {
                 let e = self.expr()?;
                 self.expect_punct(")")?;
@@ -709,13 +708,6 @@ mod tests {
             parse_script("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1); SELECT ';' ")
                 .expect("parse");
         assert_eq!(stmts.len(), 3);
-    }
-
-    #[test]
-    fn script_pieces_are_slices_cut_outside_quotes() {
-        let pieces: Vec<&str> = split_statements("a 'x;''y;' b;;c 'caf\u{e9};'; ").collect();
-        assert_eq!(pieces, vec!["a 'x;''y;' b", "", "c 'caf\u{e9};'", " "]);
-        assert_eq!(split_statements("").collect::<Vec<_>>(), vec![""]);
     }
 
     #[test]

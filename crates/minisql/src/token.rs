@@ -1,5 +1,8 @@
 //! SQL tokenizer. Tokens borrow from the statement text: an identifier is a
 //! slice of it, and so is a string literal unless it contains a `''` escape.
+//! A script is cut into statements at the tokenizer's own `;` tokens, so a
+//! `;` or a `'` inside a string, a quoted identifier or a comment never
+//! splits one.
 
 use std::borrow::Cow;
 
@@ -21,6 +24,22 @@ pub enum Token<'a> {
     Hex(Vec<u8>),
     /// Punctuation / operator.
     Punct(&'static str),
+    /// Where a literal of this kind was: the statement's shape, which the
+    /// parser reads as a parameter (never produced by the tokenizer).
+    Slot(Lit),
+}
+
+/// The kind of a literal token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lit {
+    /// [`Token::Int`].
+    Int,
+    /// [`Token::Float`].
+    Float,
+    /// [`Token::Str`].
+    Str,
+    /// [`Token::Hex`].
+    Hex,
 }
 
 impl Token<'_> {
@@ -35,145 +54,185 @@ impl Token<'_> {
 /// # Errors
 /// [`SqlError::Lex`] on unterminated strings, bad hex, or unknown bytes.
 pub fn tokenize(sql: &str) -> Result<Vec<Token<'_>>, SqlError> {
-    let bytes = sql.as_bytes();
-    // A token per four bytes is typical; the cap keeps one huge literal from
-    // reserving megabytes.
-    let mut out = Vec::with_capacity((sql.len() / 4).min(64));
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            '(' | ')' | ',' | ';' | '+' | '-' | '/' | '%' | '*' | '.' => {
-                out.push(Token::Punct(match c {
-                    '(' => "(",
-                    ')' => ")",
-                    ',' => ",",
-                    ';' => ";",
-                    '+' => "+",
-                    '-' => "-",
-                    '/' => "/",
-                    '%' => "%",
-                    '*' => "*",
-                    _ => ".",
-                }));
-                i += 1;
-            }
-            '|' if bytes.get(i + 1) == Some(&b'|') => {
-                out.push(Token::Punct("||"));
-                i += 2;
-            }
-            '=' => {
-                out.push(Token::Punct("="));
-                i += 1;
-                if bytes.get(i) == Some(&b'=') {
-                    i += 1; // accept == as =
-                }
-            }
-            '!' if bytes.get(i + 1) == Some(&b'=') => {
-                out.push(Token::Punct("!="));
-                i += 2;
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Punct("<="));
-                    i += 2;
-                } else if bytes.get(i + 1) == Some(&b'>') {
-                    out.push(Token::Punct("!="));
-                    i += 2;
-                } else {
-                    out.push(Token::Punct("<"));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Punct(">="));
-                    i += 2;
-                } else {
-                    out.push(Token::Punct(">"));
-                    i += 1;
-                }
-            }
-            '\'' => {
-                let (s, ni) = lex_string(sql, i)?;
-                out.push(Token::Str(s));
-                i = ni;
-            }
-            'x' | 'X' if bytes.get(i + 1) == Some(&b'\'') => {
-                let (s, ni) = lex_string(sql, i + 1)?;
-                let mut blob = Vec::with_capacity(s.len() / 2);
-                if s.len() % 2 != 0 {
-                    return Err(SqlError::Lex("odd-length hex literal".into()));
-                }
-                for pair in s.as_bytes().chunks(2) {
-                    let hi = hex_digit(pair[0])?;
-                    let lo = hex_digit(pair[1])?;
-                    blob.push(hi << 4 | lo);
-                }
-                out.push(Token::Hex(blob));
-                i = ni;
-            }
-            '0'..='9' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_digit()) {
-                    i += 1;
-                }
-                let mut is_float = false;
-                if i < bytes.len() && bytes[i] == b'.' {
-                    is_float = true;
-                    i += 1;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
-                    is_float = true;
-                    i += 1;
-                    if i < bytes.len() && (bytes[i] == b'+' || bytes[i] == b'-') {
-                        i += 1;
-                    }
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                let text = &sql[start..i];
-                if is_float {
-                    let v: f64 = text
-                        .parse()
-                        .map_err(|_| SqlError::Lex(format!("bad float literal {text}")))?;
-                    out.push(Token::Float(v));
-                } else {
-                    let v: i64 = text
-                        .parse()
-                        .map_err(|_| SqlError::Lex(format!("bad integer literal {text}")))?;
-                    out.push(Token::Int(v));
-                }
-            }
-            'a'..='z' | 'A'..='Z' | '_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                out.push(Token::Ident(&sql[start..i]));
-            }
-            '"' => {
-                // Quoted identifier.
-                let end = sql[i + 1..]
-                    .find('"')
-                    .ok_or_else(|| SqlError::Lex("unterminated quoted identifier".into()))?;
-                out.push(Token::Ident(&sql[i + 1..i + 1 + end]));
-                i += end + 2;
-            }
-            other => return Err(SqlError::Lex(format!("unexpected character {other:?}"))),
-        }
+    let mut out = Vec::with_capacity(token_room(sql.len()));
+    for token in Lexer::new(sql) {
+        out.push(token?);
     }
     Ok(out)
+}
+
+/// A token per four bytes is typical; the cap keeps one huge literal from
+/// reserving megabytes.
+fn token_room(bytes: usize) -> usize {
+    (bytes / 4).min(64)
+}
+
+/// The statements of a script: its tokens cut at every `;` token, empty
+/// statements skipped. Each statement is lexed when it is asked for, so a
+/// lex error in one surfaces after everything the caller did with the
+/// statements before it; after an error the iterator ends.
+pub fn statements(sql: &str) -> impl Iterator<Item = Result<Vec<Token<'_>>, SqlError>> {
+    let mut lexer = Lexer::new(sql);
+    std::iter::from_fn(move || loop {
+        let mut tokens = Vec::with_capacity(token_room(sql.len() - lexer.pos));
+        let at_end = loop {
+            match lexer.next() {
+                None => break true,
+                Some(Ok(Token::Punct(";"))) => break false,
+                Some(Ok(token)) => tokens.push(token),
+                Some(Err(e)) => return Some(Err(e)),
+            }
+        };
+        if !tokens.is_empty() {
+            return Some(Ok(tokens));
+        }
+        if at_end {
+            return None;
+        }
+    })
+}
+
+/// The tokenizer, one token at a time; after an error it yields nothing.
+struct Lexer<'a> {
+    sql: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    fn new(sql: &'a str) -> Self {
+        Lexer { sql, pos: 0 }
+    }
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Result<Token<'a>, SqlError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let bytes = self.sql.as_bytes();
+        let mut i = self.pos;
+        loop {
+            let Some(&c) = bytes.get(i) else {
+                self.pos = i;
+                return None;
+            };
+            match c {
+                b' ' | b'\t' | b'\n' | b'\r' => i += 1,
+                b'-' if bytes.get(i + 1) == Some(&b'-') => {
+                    while i < bytes.len() && bytes[i] != b'\n' {
+                        i += 1;
+                    }
+                }
+                _ => {
+                    return Some(match lex_token(self.sql, i, c) {
+                        Ok((token, end)) => {
+                            self.pos = end;
+                            Ok(token)
+                        }
+                        Err(e) => {
+                            self.pos = bytes.len();
+                            Err(e)
+                        }
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// The token that starts with byte `c` at `i`, and the offset after it.
+fn lex_token(sql: &str, i: usize, c: u8) -> Result<(Token<'_>, usize), SqlError> {
+    let bytes = sql.as_bytes();
+    let next = bytes.get(i + 1).copied();
+    let punct = |p: &'static str, len: usize| Ok((Token::Punct(p), i + len));
+    match c {
+        b'(' => punct("(", 1),
+        b')' => punct(")", 1),
+        b',' => punct(",", 1),
+        b';' => punct(";", 1),
+        b'+' => punct("+", 1),
+        b'-' => punct("-", 1),
+        b'/' => punct("/", 1),
+        b'%' => punct("%", 1),
+        b'*' => punct("*", 1),
+        b'.' => punct(".", 1),
+        b'|' if next == Some(b'|') => punct("||", 2),
+        // `==` is accepted as `=`.
+        b'=' => punct("=", if next == Some(b'=') { 2 } else { 1 }),
+        b'!' if next == Some(b'=') => punct("!=", 2),
+        b'<' if next == Some(b'=') => punct("<=", 2),
+        b'<' if next == Some(b'>') => punct("!=", 2),
+        b'<' => punct("<", 1),
+        b'>' if next == Some(b'=') => punct(">=", 2),
+        b'>' => punct(">", 1),
+        b'\'' => {
+            let (s, end) = lex_string(sql, i)?;
+            Ok((Token::Str(s), end))
+        }
+        b'x' | b'X' if next == Some(b'\'') => {
+            let (s, end) = lex_string(sql, i + 1)?;
+            if s.len() % 2 != 0 {
+                return Err(SqlError::Lex("odd-length hex literal".into()));
+            }
+            let mut blob = Vec::with_capacity(s.len() / 2);
+            for pair in s.as_bytes().chunks(2) {
+                blob.push(hex_digit(pair[0])? << 4 | hex_digit(pair[1])?);
+            }
+            Ok((Token::Hex(blob), end))
+        }
+        b'0'..=b'9' => {
+            let digits = |mut j: usize| {
+                while j < bytes.len() && bytes[j].is_ascii_digit() {
+                    j += 1;
+                }
+                j
+            };
+            let mut end = digits(i);
+            let mut is_float = false;
+            if bytes.get(end) == Some(&b'.') {
+                is_float = true;
+                end = digits(end + 1);
+            }
+            if matches!(bytes.get(end), Some(b'e' | b'E')) {
+                is_float = true;
+                end += 1;
+                if matches!(bytes.get(end), Some(b'+' | b'-')) {
+                    end += 1;
+                }
+                end = digits(end);
+            }
+            let text = &sql[i..end];
+            let token = if is_float {
+                Token::Float(
+                    text.parse()
+                        .map_err(|_| SqlError::Lex(format!("bad float literal {text}")))?,
+                )
+            } else {
+                Token::Int(
+                    text.parse()
+                        .map_err(|_| SqlError::Lex(format!("bad integer literal {text}")))?,
+                )
+            };
+            Ok((token, end))
+        }
+        b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+            let mut end = i + 1;
+            while end < bytes.len() && (bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_') {
+                end += 1;
+            }
+            Ok((Token::Ident(&sql[i..end]), end))
+        }
+        b'"' => {
+            // Quoted identifier.
+            let len = sql[i + 1..]
+                .find('"')
+                .ok_or_else(|| SqlError::Lex("unterminated quoted identifier".into()))?;
+            Ok((Token::Ident(&sql[i + 1..i + 1 + len]), i + len + 2))
+        }
+        other => Err(SqlError::Lex(format!(
+            "unexpected character {:?}",
+            other as char
+        ))),
+    }
 }
 
 fn lex_string(sql: &str, start: usize) -> Result<(Cow<'_, str>, usize), SqlError> {
@@ -293,5 +352,45 @@ mod tests {
     fn quoted_identifiers() {
         let toks = tokenize("\"weird name\"").expect("lex");
         assert_eq!(toks[0], Token::Ident("weird name"));
+    }
+
+    fn split(sql: &str) -> Vec<Result<Vec<Token<'_>>, SqlError>> {
+        statements(sql).collect()
+    }
+
+    #[test]
+    fn statements_split_on_semicolon_tokens() {
+        // A `;` inside a string (escaped quotes and all), empty statements
+        // and a whitespace tail.
+        assert_eq!(
+            split("a 'x;''y;' b;;c 'caf\u{e9};'; "),
+            vec![
+                Ok(vec![
+                    Token::Ident("a"),
+                    Token::Str("x;'y;".into()),
+                    Token::Ident("b")
+                ]),
+                Ok(vec![Token::Ident("c"), Token::Str("caf\u{e9};".into())]),
+            ]
+        );
+        assert!(split("").is_empty());
+        assert!(split(" ; ;\n-- only a comment; really\n").is_empty());
+        // A `;` or a `'` in a comment or a quoted identifier is text.
+        assert_eq!(
+            split("v -- no; really\n; \"it's;\" w"),
+            vec![
+                Ok(vec![Token::Ident("v")]),
+                Ok(vec![Token::Ident("it's;"), Token::Ident("w")]),
+            ]
+        );
+        // A statement is lexed when asked for, and a lex error ends the
+        // script.
+        assert_eq!(
+            split("1 2; 'open; 3"),
+            vec![
+                Ok(vec![Token::Int(1), Token::Int(2)]),
+                Err(SqlError::Lex("unterminated string literal".into())),
+            ]
+        );
     }
 }

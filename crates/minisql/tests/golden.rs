@@ -349,6 +349,204 @@ fn run_script(mode: JournalMode) -> Golden {
     r.finish()
 }
 
+impl Run {
+    /// Like [`Run::exec`], through the single-statement entry point.
+    fn exec_one(&mut self, sql: &str) -> bool {
+        let result = self.db.execute(sql);
+        self.outcomes = fnv(self.outcomes, format!("{result:?}").as_bytes());
+        self.io.add(&self.db.take_io_stats());
+        result.is_ok()
+    }
+}
+
+/// The same statement shapes over and over with different literals — the
+/// traffic a replicated application sends: every literal kind in every
+/// position a literal can take, point lookups that decide `pages_read`,
+/// computed column names, LIMITs, automatic rowids through leaf splits,
+/// explicit ones above and below the largest, DDL between two uses of one
+/// shape, failing scripts, and more distinct shapes than a small cache
+/// would hold, twice over. The literals were computed on the commit before
+/// statements were parsed once per shape (165112f), using this file.
+fn run_shapes(mode: JournalMode) -> Golden {
+    let mut r = Run::new(mode);
+    r.ok("CREATE TABLE votes (id INTEGER PRIMARY KEY, voter TEXT NOT NULL, choice TEXT, w REAL, raw BLOB)");
+    r.ok("CREATE TABLE \"wide rows\" (id INTEGER PRIMARY KEY, pad TEXT)");
+    r.ok("CREATE TABLE nokey (a INTEGER, b TEXT)");
+
+    // One INSERT shape, automatic rowids, a float and a blob per row.
+    for i in 0..300 {
+        let w = (r.rand() % 1000) as f64 / 8.0;
+        r.ok(&format!(
+            "INSERT INTO votes (voter, choice, w, raw) VALUES ('voter-{i}', 'c{}', {w:?}, x'{:02x}{:04X}')",
+            i % 3,
+            i % 256,
+            i * 7
+        ));
+    }
+    // The same shape with every literal kind in one slot.
+    for lit in [
+        "1", "1.0", "'1'", "x'01'", "-1", "-1.5", "''", "'it''s'", "1e3",
+    ] {
+        r.ok(&format!(
+            "INSERT INTO votes (voter, choice, w, raw) VALUES ('kinds', {lit}, {lit}, {lit})"
+        ));
+    }
+    // Rows of ≈ 600 bytes: six to a leaf, so automatic rowids append
+    // through some forty leaf splits, the first of which splits the root.
+    for _ in 0..260 {
+        let len = 500 + (r.rand() % 200) as usize;
+        let pad = r.pad(len);
+        r.ok(&format!("INSERT INTO \"wide rows\" (pad) VALUES ('{pad}')"));
+    }
+    // Explicit rowids above the largest (the next automatic one follows
+    // them) and below it, and a multi-row INSERT that mixes the two.
+    r.ok("INSERT INTO votes (id, voter) VALUES (1000, 'above')");
+    r.ok("INSERT INTO votes (voter) VALUES ('after-above')");
+    r.ok("INSERT INTO votes (id, voter) VALUES (500, 'below')");
+    r.ok("INSERT INTO votes (voter) VALUES ('after-below')");
+    r.ok("INSERT INTO votes (id, voter) VALUES (NULL, 'a'), (2000, 'b'), (NULL, 'c'), (1500, 'd'), (NULL, 'e')");
+    assert!(!r.exec("INSERT INTO votes (id, voter) VALUES (1500, 'dup')"));
+    assert!(!r.exec("INSERT INTO votes (id, voter) VALUES ('two', 'x')"));
+    assert!(!r.exec("INSERT INTO votes (id, voter) VALUES (3000, NULL)"));
+    for i in 0..40 {
+        r.ok(&format!(
+            "INSERT INTO nokey (a, b) VALUES ({i}, 'no key {i}')"
+        ));
+    }
+
+    r.reopen();
+    // Point lookups (integer literal on either side), and the same shape
+    // with a literal that is not an integer: a full scan.
+    for id in [1i64, 150, 299, 300, 305, 1000, 1001, 2002, 4242] {
+        r.ok(&format!("SELECT voter, w, raw FROM votes WHERE id = {id}"));
+        r.ok(&format!("SELECT voter FROM votes WHERE {id} = id"));
+    }
+    r.ok("SELECT voter FROM votes WHERE id = '7'");
+    r.ok("SELECT voter FROM votes WHERE id = 7.0");
+    r.ok("SELECT voter FROM votes WHERE id = x'07'");
+    for id in [3i64, 130, 259] {
+        r.ok(&format!(
+            "SELECT length(pad) FROM \"wide rows\" WHERE id = {id}"
+        ));
+    }
+    // Literals that name their column, in and out of aggregates.
+    for lit in ["5", "5.5", "'five'", "x'05'", "-5", "NULL", "1 + 2"] {
+        r.ok(&format!("SELECT {lit}"));
+        r.ok(&format!("SELECT {lit}, COUNT(*) FROM votes"));
+    }
+    r.ok("SELECT -SUM(w), -7, MAX(id) - 1000, COUNT(*) + 1 FROM votes WHERE w > 2.5");
+    r.ok(
+        "SELECT choice, COUNT(*), SUM(w) FROM votes WHERE id < 200 GROUP BY choice ORDER BY choice",
+    );
+    for limit in [0, 1, 3, 10] {
+        r.ok(&format!(
+            "SELECT id, voter FROM votes WHERE w >= {limit} ORDER BY id DESC LIMIT {limit}"
+        ));
+    }
+    assert!(!r.exec("SELECT id FROM votes LIMIT 'x'"));
+    assert!(!r.exec("SELECT id FROM votes LIMIT 1.5"));
+    assert!(!r.exec("SELECT 1 + 'a'"));
+    // UPDATE and DELETE shapes with literals in SET and WHERE.
+    for i in (10..290).step_by(9) {
+        r.ok(&format!(
+            "UPDATE votes SET choice = 'changed-{i}', w = {}.25 WHERE id = {i}",
+            i % 11
+        ));
+    }
+    for i in (5..290).step_by(13) {
+        r.ok(&format!("DELETE FROM votes WHERE id = {i}"));
+    }
+    r.ok("UPDATE votes SET w = w * 2 WHERE choice = 'c1' AND w > 10");
+
+    // Scripts: one shape several times, and a syntax error in a later
+    // statement, which executes nothing.
+    r.ok("INSERT INTO votes (voter) VALUES ('m1'); INSERT INTO votes (voter) VALUES ('m2'); INSERT INTO votes (voter) VALUES ('m3')");
+    assert!(!r.exec("INSERT INTO votes (voter) VALUES ('never'); SELEKT 1"));
+    assert!(!r.exec("INSERT INTO votes (voter) VALUES ('never'); SELECT 1 2"));
+    r.ok("SELECT COUNT(*) FROM votes WHERE voter = 'never'");
+    r.ok("BEGIN; INSERT INTO votes (voter) VALUES ('t1'); INSERT INTO votes (voter) VALUES ('t2'); COMMIT");
+    r.ok("BEGIN");
+    r.ok("INSERT INTO votes (voter) VALUES ('gone')");
+    r.ok("ROLLBACK");
+    r.ok("INSERT INTO votes (voter) VALUES ('kept')");
+    // The single-statement entry point, with and without a trailing `;`.
+    assert!(r.exec_one("SELECT voter FROM votes WHERE id = 301;"));
+    assert!(r.exec_one("SELECT voter FROM votes WHERE id = 302"));
+    assert!(!r.exec_one("SELECT 1; SELECT 2"));
+    assert!(!r.exec_one(""));
+
+    // One INSERT shape against two different tables of the same name.
+    r.ok("CREATE TABLE tmp (a INTEGER, b TEXT)");
+    r.ok("INSERT INTO tmp (a, b) VALUES (7, 'x')");
+    r.ok("INSERT INTO tmp (a, b) VALUES (8, 'y')");
+    r.ok("DROP TABLE tmp");
+    r.ok("CREATE TABLE tmp (b TEXT NOT NULL, a INTEGER PRIMARY KEY)");
+    r.ok("INSERT INTO tmp (a, b) VALUES (7, 'x')");
+    assert!(!r.exec("INSERT INTO tmp (a, b) VALUES (7, 'y')"));
+    r.ok("SELECT * FROM tmp");
+
+    // Eighty distinct shapes, twice, each with fresh literals.
+    for round in 0..2 {
+        for j in 0..80 {
+            r.ok(&format!(
+                "SELECT id AS a{j}, voter FROM votes WHERE id = {}",
+                j * 3 + round
+            ));
+        }
+    }
+    r.reopen();
+    r.ok("SELECT COUNT(*), SUM(id), MAX(id), SUM(length(voter)), SUM(w) FROM votes");
+    r.ok("SELECT COUNT(*), MAX(id), SUM(length(pad)) FROM \"wide rows\"");
+    r.ok("SELECT * FROM nokey WHERE a > 30 ORDER BY a DESC LIMIT 4");
+    r.finish()
+}
+
+#[test]
+fn golden_repeated_shapes() {
+    // The database image and the outcomes are the same in all three modes.
+    let golden = |db_trace, journal_len, journal_fnv, journal_trace, io| Golden {
+        db_len: 409_600,
+        db_fnv: 1239726094534833218,
+        db_trace,
+        journal_len,
+        journal_fnv,
+        journal_trace,
+        outcomes: 7085917696483766169,
+        io,
+        interior_pages: 2,
+    };
+    assert_eq!(
+        run_shapes(JournalMode::Rollback),
+        golden(
+            15228876420174774480,
+            0,
+            FNV_OFFSET,
+            17355578136909525922,
+            [1565, 6_017_444, 2052, 114, 0]
+        )
+    );
+    assert_eq!(
+        run_shapes(JournalMode::Wal),
+        golden(
+            11562840982724767602,
+            206_032,
+            3852498671379388474,
+            10880424581586769114,
+            [206, 6_447_832, 750, 114, 33]
+        )
+    );
+    assert_eq!(
+        run_shapes(JournalMode::Off),
+        golden(
+            3217751268356679758,
+            0,
+            FNV_OFFSET,
+            FNV_OFFSET,
+            [1565, 0, 0, 114, 0]
+        )
+    );
+}
+
 #[test]
 fn golden_rollback_journal() {
     assert_eq!(

@@ -1,8 +1,11 @@
 /* Sampling profiler for scripts/profile_wallbench.sh: preload it into a
  * binary built with frame pointers. SIGPROF fires on ITIMER_PROF (CPU time,
- * 1 kHz asked, the kernel tick granted); the handler records the interrupted RIP and the frame-pointer
- * chain of the main thread; at exit the samples are written to $PROF_OUT,
- * one "S rip ret ret ..." line each, followed by /proc/self/maps. */
+ * 1 kHz asked, the kernel tick granted); the handler records the interrupted
+ * RIP, the word at RSP (the return address, if the interrupted function is a
+ * leaf that pushed nothing — libc's memcpy and memset are) and the
+ * frame-pointer chain of the main thread; at exit the samples are written to
+ * $PROF_OUT, one "S rip word ret ret ..." line each (word 0: RSP was not on
+ * the main stack), followed by /proc/self/maps. */
 #define _GNU_SOURCE
 #include <signal.h>
 #include <stdint.h>
@@ -27,10 +30,11 @@ static void on_prof(int sig, siginfo_t *info, void *uctx) {
     uintptr_t *sample = &words[used];
     size_t n = 0;
     sample[++n] = (uintptr_t)regs[REG_RIP];
+    int on_main_stack = sp >= stack_lo && sp < stack_hi;
+    sample[++n] = on_main_stack && sp + 8 <= stack_hi ? *(const uintptr_t *)sp : 0;
     /* Follow saved frame pointers only while they climb inside the mapped
      * stack: code without frame pointers (the prebuilt std, libc) may hold
      * anything in RBP, and this must never fault. */
-    int on_main_stack = sp >= stack_lo && sp < stack_hi;
     while (on_main_stack && n < MAX_DEPTH && fp > sp && fp + 16 <= stack_hi && fp % 8 == 0) {
         const uintptr_t *frame = (const uintptr_t *)fp;
         if (frame[1] < 4096) break;

@@ -8,18 +8,24 @@
 # (target/profile, so the benchmark's build is not disturbed), compiles
 # scripts/prof/sampler.c into a shared object, runs the workload untraced
 # with the sampler preloaded (SIGPROF on CPU time: 1 kHz asked, the kernel's
-# tick granted), symbolises the samples with `nm` and prints two tables:
-# self time (the function the sample landed in) and inclusive time (every
-# function on the sampled frame-pointer chain, once per sample). Inlined
+# tick granted), symbolises the samples with `nm` and prints three tables:
+# self time (the function the sample landed in), inclusive time (every
+# function on the sampled frame-pointer chain, once per sample) and the
+# shared-object samples by caller (below). Inlined
 # callees are charged to the function they were inlined into; frames of code
 # built without frame pointers (the prebuilt std, libc) end a chain early,
 # so inclusive figures are lower bounds; a shared object's internal
-# functions (libc's memcpy variants) show as the object's name. Not part of
-# tier-1 or verify.sh.
+# functions (libc's memcpy variants) show as the object's name. Such a
+# function is usually a leaf called from the program, and its caller's frame
+# is the one the chain skips: when a sample lands in a shared object and the
+# word at RSP points into the executable's text, that word is taken as the
+# return address and its function charged as the caller, tagged
+# "[caller by rsp]" — a heuristic (the word may be anything a function
+# pushed). Not part of tier-1 or verify.sh.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-    sed -n '2,19p' "$0" >&2
+    sed -n '2,24p' "$0" >&2
     exit 2
 fi
 for tool in cc nm python3 cargo; do
@@ -51,7 +57,8 @@ import bisect, collections, os, re, subprocess, sys
 binary, samples_path = sys.argv[1], sys.argv[2]
 real = os.path.realpath(binary)
 
-maps, stacks = [], []  # maps: (lo, hi, file offset, path)
+maps, stacks = [], []  # maps: (lo, hi, file offset, path); stacks: [rip, rsp word, ret...]
+text = []  # the executable's executable mappings
 for line in open(samples_path):
     if line.startswith("S "):
         stacks.append([int(w, 16) for w in line.split()[1:]])
@@ -59,6 +66,8 @@ for line in open(samples_path):
         f = line.split()
         lo, hi = (int(x, 16) for x in f[1].split("-"))
         maps.append((lo, hi, int(f[3], 16), f[6] if len(f) > 6 else "[anon]"))
+        if maps[-1][3] == real and "x" in f[2]:
+            text.append((lo, hi))
 
 tables = {}  # path -> (load base, [(vaddr, size, name)]): the executable's
              # static symbols, a shared object's exported ones
@@ -87,15 +96,20 @@ def name(pc):
             return where.strip() or "[wallbench]"
     return "[unmapped]"
 
-self_t, incl_t = collections.Counter(), collections.Counter()
-for stack in stacks:
+self_t, incl_t, by_rsp = collections.Counter(), collections.Counter(), collections.Counter()
+for rip, word, *chain in stacks:
     # Return addresses point after the call: step back into the caller.
-    names = [name(stack[0])] + [name(pc - 1) for pc in stack[1:]]
+    names = [name(rip)] + [name(pc - 1) for pc in chain]
+    in_object = any(lo <= rip < hi and p.startswith("/") and p != real for lo, hi, _, p in maps)
+    if in_object and any(lo <= word < hi for lo, hi in text):
+        caller = name(word - 1) + " [caller by rsp]"
+        names.insert(1, caller)
+        by_rsp["%s <- %s" % (names[0], caller)] += 1
     self_t[names[0]] += 1
     incl_t.update(set(names))
 total = len(stacks)
 print("%d samples" % total)
-for title, table in (("self", self_t), ("inclusive", incl_t)):
+for title, table in (("self", self_t), ("inclusive", incl_t), ("by rsp", by_rsp)):
     print("\n%-9s %%      samples  function" % title)
     for fn, n in table.most_common(30):
         print("%8.2f  %9d  %s" % (100.0 * n / max(total, 1), n, fn))
