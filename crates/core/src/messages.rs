@@ -682,8 +682,11 @@ impl Message {
             Message::Fetch(m) => {
                 e.u64(m.target_seq);
                 match &m.req {
-                    FetchRequest::Meta { level, index } => {
-                        e.u8(0).u32(*level).u64(*index);
+                    FetchRequest::Meta { level, indices } => {
+                        e.u8(0).u32(*level).u32(indices.len() as u32);
+                        for &index in indices {
+                            e.u64(index);
+                        }
                     }
                     FetchRequest::Page { index } => {
                         e.u8(1).u64(*index);
@@ -694,16 +697,11 @@ impl Message {
             Message::FetchResp(m) => {
                 e.u64(m.target_seq);
                 match &m.resp {
-                    FetchResponse::Meta {
-                        level,
-                        index,
-                        children,
-                    } => {
-                        e.u8(0)
-                            .u32(*level)
-                            .u64(*index)
-                            .digest(&children.0)
-                            .digest(&children.1);
+                    FetchResponse::Meta { level, nodes } => {
+                        e.u8(0).u32(*level).u32(nodes.len() as u32);
+                        for (index, left, right) in nodes {
+                            e.u64(*index).digest(left).digest(right);
+                        }
                     }
                     FetchResponse::Page { index, data } => {
                         e.u8(1).u64(*index);
@@ -832,10 +830,15 @@ impl Message {
             11 => {
                 let target_seq = d.u64()?;
                 let req = match d.u8()? {
-                    0 => FetchRequest::Meta {
-                        level: d.u32()?,
-                        index: d.u64()?,
-                    },
+                    0 => {
+                        let level = d.u32()?;
+                        let n = d.count(8)?;
+                        let mut indices = Vec::with_capacity(n);
+                        for _ in 0..n {
+                            indices.push(d.u64()?);
+                        }
+                        FetchRequest::Meta { level, indices }
+                    }
                     1 => FetchRequest::Page { index: d.u64()? },
                     t => return Err(WireError::BadTag(t)),
                 };
@@ -848,11 +851,15 @@ impl Message {
             12 => {
                 let target_seq = d.u64()?;
                 let resp = match d.u8()? {
-                    0 => FetchResponse::Meta {
-                        level: d.u32()?,
-                        index: d.u64()?,
-                        children: (d.digest()?, d.digest()?),
-                    },
+                    0 => {
+                        let level = d.u32()?;
+                        let n = d.count(8 + 2 * 32)?;
+                        let mut nodes = Vec::with_capacity(n);
+                        for _ in 0..n {
+                            nodes.push((d.u64()?, d.digest()?, d.digest()?));
+                        }
+                        FetchResponse::Meta { level, nodes }
+                    }
                     1 => {
                         let index = d.u64()?;
                         let data = match d.u8()? {
@@ -1427,7 +1434,10 @@ mod tests {
         roundtrip(
             Message::Fetch(FetchMsg {
                 target_seq: 128,
-                req: FetchRequest::Meta { level: 3, index: 1 },
+                req: FetchRequest::Meta {
+                    level: 3,
+                    indices: vec![1, 4],
+                },
                 replica: ReplicaId(0),
             }),
             Sender::Replica(ReplicaId(0)),
@@ -1436,8 +1446,14 @@ mod tests {
         for resp in [
             FetchResponse::Meta {
                 level: 3,
-                index: 1,
-                children: (Digest::of(b"l"), Digest::of(b"r")),
+                nodes: vec![
+                    (1, Digest::of(b"l"), Digest::of(b"r")),
+                    (4, Digest::of(b"l4"), Digest::of(b"r4")),
+                ],
+            },
+            FetchResponse::Meta {
+                level: 3,
+                nodes: Vec::new(),
             },
             FetchResponse::Page {
                 index: 9,
@@ -1522,7 +1538,7 @@ mod tests {
         const CLAIM: u32 = 100_000;
         let zero = Digest::of(b"");
         type Body<'a> = &'a dyn Fn(&mut Enc);
-        let sites: [(&str, u8, Body<'_>); 7] = [
+        let sites: [(&str, u8, Body<'_>); 9] = [
             ("pre-prepare entries", 2, &|e| {
                 e.u64(0).u64(1).u64(0).u64(0).u32(CLAIM);
             }),
@@ -1540,6 +1556,12 @@ mod tests {
             }),
             ("quorum-certificate voters", 15, &|e| {
                 e.u64(0).u64(1).digest(&zero).u32(CLAIM);
+            }),
+            ("fetch meta indices", 11, &|e| {
+                e.u64(128).u8(0).u32(1).u32(CLAIM);
+            }),
+            ("fetch-resp meta nodes", 12, &|e| {
+                e.u64(128).u8(0).u32(1).u32(CLAIM);
             }),
             ("authenticator entries", 13, &|e| {
                 // A complete body-fetch, then a forged trailer.

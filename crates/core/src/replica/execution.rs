@@ -901,7 +901,7 @@ impl Replica {
         f.attempt += 1;
         let peer = f.peers[f.attempt % f.peers.len()];
         let target_seq = f.target_seq;
-        let reqs = f.outstanding.clone();
+        let reqs = f.fetcher.outstanding();
         for req in reqs {
             let msg = Message::Fetch(crate::messages::FetchMsg {
                 target_seq,

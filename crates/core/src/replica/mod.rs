@@ -16,7 +16,7 @@ mod tests;
 use std::collections::{BTreeMap, VecDeque};
 
 use pbft_crypto::Digest;
-use pbft_state::{FetchRequest, Fetcher, Section, Snapshot};
+use pbft_state::{Fetcher, Section, Snapshot};
 
 use crate::app::{App, Effects, NonDet, StateHandle};
 use crate::config::PbftConfig;
@@ -156,14 +156,14 @@ impl TentativeEffects {
     }
 }
 
-/// An in-progress state transfer.
+/// An in-progress state transfer. What is still unanswered is the
+/// fetcher's to say ([`Fetcher::outstanding`]).
 pub(crate) struct FetchState {
     pub target_seq: SeqNum,
     pub target_root: Digest,
     pub fetcher: Fetcher,
     pub peers: Vec<ReplicaId>,
     pub attempt: usize,
-    pub outstanding: Vec<FetchRequest>,
 }
 
 /// View-change vote collection.

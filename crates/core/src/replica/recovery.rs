@@ -16,7 +16,7 @@
 //! transaction's prepare answer the later commit like its peers.
 
 use pbft_crypto::Digest;
-use pbft_state::{serve_fetch, FetchRequest, FetchResponse, Fetcher};
+use pbft_state::{serve_fetch, FetchResponse, Fetcher};
 
 use crate::membership::Membership;
 use crate::messages::{CheckpointMsg, FetchMsg, FetchRespMsg, Message, StatusMsg};
@@ -254,7 +254,7 @@ impl Replica {
             res.counts.pages_hashed += st.last_refresh_hashed();
             Fetcher::new(st.tree(), root)
         };
-        if reqs.is_empty() && fetcher.is_complete() {
+        if fetcher.is_complete() {
             // Content already matches the target: adopt the checkpoint.
             self.fetch = Some(FetchState {
                 target_seq: seq,
@@ -262,7 +262,6 @@ impl Replica {
                 fetcher,
                 peers: vec![self.id()],
                 attempt: 0,
-                outstanding: Vec::new(),
             });
             self.finish_transfer(res);
             return;
@@ -275,7 +274,6 @@ impl Replica {
             fetcher,
             peers,
             attempt: 0,
-            outstanding: reqs.clone(),
         });
         for req in reqs {
             let msg = Message::Fetch(FetchMsg {
@@ -309,7 +307,6 @@ impl Replica {
         if fr.target_seq != fs.target_seq {
             return;
         }
-        remove_outstanding(&mut fs.outstanding, &fr.resp);
         let outcome = {
             let st = self.state.borrow();
             fs.fetcher.on_response(st.tree(), fr.resp)
@@ -329,15 +326,14 @@ impl Replica {
             }
         };
         let peer = fs.peers[fs.attempt % fs.peers.len()];
-        fs.outstanding.extend(next.iter().cloned());
         let target_seq = fs.target_seq;
-        // Install validated pages.
+        // Install validated pages: the fetcher's hash is the page's leaf.
         let ready = fs.fetcher.take_ready();
         if !ready.is_empty() {
             let mut st = self.state.borrow_mut();
-            for (idx, data) in ready {
+            for (idx, data, digest) in ready {
                 res.counts.pages_hashed += 1;
-                st.install_page(idx, data)
+                st.install_page(idx, data, digest)
                     .expect("fetcher validated the page index");
             }
         }
@@ -363,6 +359,8 @@ impl Replica {
     pub(crate) fn finish_transfer(&mut self, res: &mut HandleResult) {
         let Some(fs) = self.fetch.take() else { return };
         let (seq, root) = (fs.target_seq, fs.target_root);
+        // One fold for the whole transfer's pages.
+        self.state.borrow_mut().fold_installed();
         debug_assert_eq!(
             self.state.borrow().tree().root(),
             root,
@@ -419,27 +417,5 @@ impl Replica {
                 .unwrap_or_else(|_| Membership::new(MAX_CLIENTS));
             self.membership = Some(m);
         }
-    }
-}
-
-/// Drop the outstanding request a response answers.
-fn remove_outstanding(outstanding: &mut Vec<FetchRequest>, resp: &FetchResponse) {
-    let idx = outstanding.iter().position(|req| match (req, resp) {
-        (
-            FetchRequest::Meta {
-                level: l1,
-                index: i1,
-            },
-            FetchResponse::Meta {
-                level: l2,
-                index: i2,
-                ..
-            },
-        ) => l1 == l2 && i1 == i2,
-        (FetchRequest::Page { index: i1 }, FetchResponse::Page { index: i2, .. }) => i1 == i2,
-        _ => false,
-    });
-    if let Some(i) = idx {
-        outstanding.swap_remove(i);
     }
 }

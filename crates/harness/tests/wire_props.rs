@@ -176,7 +176,7 @@ fn gen_message(g: &mut Gen, disc: u8) -> Message {
             req: if g.bool() {
                 FetchRequest::Meta {
                     level: g.u32() % 20,
-                    index: g.u64_in(0..1 << 20),
+                    indices: g.vec(0..6, |g| g.u64_in(0..1 << 20)),
                 }
             } else {
                 FetchRequest::Page {
@@ -190,8 +190,9 @@ fn gen_message(g: &mut Gen, disc: u8) -> Message {
             resp: match g.choice(3) {
                 0 => FetchResponse::Meta {
                     level: g.u32() % 20,
-                    index: g.u64_in(0..1 << 20),
-                    children: (gen_digest(g), gen_digest(g)),
+                    nodes: g.vec(0..6, |g| {
+                        (g.u64_in(0..1 << 20), gen_digest(g), gen_digest(g))
+                    }),
                 },
                 1 => FetchResponse::Page {
                     index: g.u64_in(0..1 << 20),

@@ -34,6 +34,12 @@
 //! changed since the previous one. None of it is visible in a root, a
 //! snapshot or a transferred page.
 //!
+//! A state transfer is priced the same way, by the pages it moves: the
+//! [`Fetcher`] asks for a whole tree level per message, a transferred page
+//! is hashed once (the digest that validated it becomes its leaf),
+//! [`PagedState::fold_installed`] folds the tree once per transfer, and a
+//! blank region's tree is built once per page count and shared.
+//!
 //! The whole contract in one example — modify-before-write, digests over
 //! pages, and the tree-walk transfer reconciling a diverged replica:
 //!
@@ -58,12 +64,13 @@
 //! while let Some(req) = requests.pop() {
 //!     let resp = serve_fetch(&checkpoint, &req);
 //!     requests.extend(fetcher.on_response(behind.tree(), resp).unwrap());
-//!     for (page, data) in fetcher.take_ready() {
-//!         behind.install_page(page, data).unwrap();
+//!     for (page, data, digest) in fetcher.take_ready() {
+//!         behind.install_page(page, data, digest).unwrap();
 //!     }
 //! }
 //! assert!(fetcher.is_complete());
-//! assert_eq!(behind.refresh_digest(), root, "one differing page, transferred");
+//! behind.fold_installed();
+//! assert_eq!(behind.tree().root(), root, "one differing page, transferred");
 //! ```
 
 #![forbid(unsafe_code)]

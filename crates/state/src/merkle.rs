@@ -33,7 +33,8 @@ fn pad_leaf() -> Digest {
     Digest::of(b"pbft-state-merkle-pad")
 }
 
-fn combine(level: u32, index: u64, left: &Digest, right: &Digest) -> Digest {
+/// Internal node `(level, index)` over its two children.
+pub(crate) fn combine(level: u32, index: u64, left: &Digest, right: &Digest) -> Digest {
     let mut h = Sha256::new();
     h.update(&level.to_be_bytes());
     h.update(&index.to_be_bytes());
@@ -136,13 +137,22 @@ impl MerkleTree {
         *self.nodes.get_mut(self.level_start(level) + index) = parent;
     }
 
+    /// Replace leaf `index` and leave its ancestors as they are, for a
+    /// caller that folds them later with [`MerkleTree::update_leaves`].
+    ///
+    /// # Panics
+    /// Panics if `index >= leaf_count`.
+    pub(crate) fn set_leaf(&mut self, index: usize, digest: Digest) {
+        assert!(index < self.leaf_count, "leaf index out of range");
+        *self.nodes.get_mut(index) = digest;
+    }
+
     /// Replace leaf `index` and recompute the path to the root.
     ///
     /// # Panics
     /// Panics if `index >= leaf_count`.
     pub fn update_leaf(&mut self, index: usize, digest: Digest) {
-        assert!(index < self.leaf_count, "leaf index out of range");
-        *self.nodes.get_mut(index) = digest;
+        self.set_leaf(index, digest);
         let mut idx = index;
         for lvl in 1..self.height() {
             idx /= 2;
@@ -164,8 +174,7 @@ impl MerkleTree {
         );
         let mut touched = Vec::with_capacity(leaves.len());
         for &(index, digest) in leaves {
-            assert!(index < self.leaf_count, "leaf index out of range");
-            *self.nodes.get_mut(index) = digest;
+            self.set_leaf(index, digest);
             touched.push(index);
         }
         for lvl in 1..self.height() {

@@ -1,8 +1,9 @@
 //! The paged state region with enforced modify-notifications.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pbft_crypto::{Digest, Sha256};
 
@@ -61,9 +62,28 @@ impl fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
-/// Digest of an all-zero page (shared by every lazily allocated page).
-fn zero_page_digest() -> Digest {
-    Digest::of(&[0u8; PAGE_SIZE])
+/// Digest of an all-zero page (shared by every lazily allocated page),
+/// hashed once per process.
+pub(crate) fn zero_page_digest() -> Digest {
+    static ZERO: OnceLock<Digest> = OnceLock::new();
+    *ZERO.get_or_init(|| Digest::of(&[0u8; PAGE_SIZE]))
+}
+
+/// The tree of an all-zero region of `num_pages` pages. It is a function of
+/// the page count alone, so it is built once per count (per thread) and
+/// every blank region starts from a clone that shares its chunks; a first
+/// write un-shares a chunk, as it does for a snapshot.
+fn blank_tree(num_pages: usize) -> MerkleTree {
+    thread_local! {
+        static BLANK: RefCell<HashMap<usize, MerkleTree>> = RefCell::new(HashMap::new());
+    }
+    BLANK.with(|blank| {
+        blank
+            .borrow_mut()
+            .entry(num_pages)
+            .or_insert_with(|| MerkleTree::build(vec![zero_page_digest(); num_pages]))
+            .clone()
+    })
 }
 
 fn slot_digest(slot: &PageSlot) -> Digest {
@@ -108,6 +128,9 @@ pub struct PagedState {
     tree: MerkleTree,
     /// Pages notified via `modify` since the last `refresh_digest`.
     stale: BTreeMap<u64, Mark>,
+    /// Pages installed by state transfer whose leaf is set and whose
+    /// ancestors wait for [`PagedState::fold_installed`].
+    installed: BTreeSet<usize>,
     /// Pages hashed by the last `refresh_digest` (for cost accounting).
     last_refresh_hashed: u64,
     len: u64,
@@ -120,12 +143,11 @@ impl PagedState {
     /// Panics if `num_pages == 0`.
     pub fn new(num_pages: usize) -> PagedState {
         assert!(num_pages > 0, "state needs at least one page");
-        let zp = zero_page_digest();
-        let tree = MerkleTree::build(vec![zp; num_pages]);
         PagedState {
             pages: ChunkedVec::from_vec(vec![None; num_pages]),
-            tree,
+            tree: blank_tree(num_pages),
             stale: BTreeMap::new(),
+            installed: BTreeSet::new(),
             last_refresh_hashed: 0,
             len: (num_pages * PAGE_SIZE) as u64,
         }
@@ -298,7 +320,10 @@ impl PagedState {
     /// `modify` notifications). This is the one place a root is produced:
     /// pages [`PagedState::hash_settled`] already hashed are not hashed
     /// again, and the tree is folded once over all the interval's leaves.
+    /// Transferred pages still unfolded are folded first, so a tree walk
+    /// started after a refresh always sees a consistent tree.
     pub fn refresh_digest(&mut self) -> Digest {
+        self.fold_installed();
         let stale = std::mem::take(&mut self.stale);
         self.last_refresh_hashed = 0;
         let leaves: Vec<(usize, Digest)> = stale
@@ -324,7 +349,9 @@ impl PagedState {
         self.last_refresh_hashed
     }
 
-    /// The Merkle tree as of the last digest refresh.
+    /// The Merkle tree as of the last digest refresh. A page installed by
+    /// state transfer shows in its leaf at once and in its ancestors from
+    /// the next [`PagedState::fold_installed`].
     pub fn tree(&self) -> &MerkleTree {
         &self.tree
     }
@@ -361,17 +388,28 @@ impl PagedState {
         self.pages = snap.pages.clone();
         self.tree = snap.tree.clone();
         self.stale.clear();
+        self.installed.clear();
         Ok(())
     }
 
     /// Install a page received via state transfer (bypasses the modify
     /// contract — transfer is a library-internal operation). `None` installs
-    /// the zero page. Updates the Merkle leaf immediately.
+    /// the zero page. `digest` is the page's digest — the one the
+    /// [`crate::Fetcher`] validated it against — and becomes its leaf
+    /// unhashed; the leaf's ancestors are recomputed by the next
+    /// [`PagedState::fold_installed`], once for the whole transfer. A tree
+    /// walk compares a node before it installs any page below it, so the
+    /// unfolded ancestors are never read while a walk runs.
     ///
     /// # Errors
     /// [`StateError::OutOfBounds`] if `page` is out of range or data is not
     /// page-sized.
-    pub fn install_page(&mut self, page: u64, data: Option<Vec<u8>>) -> Result<(), StateError> {
+    pub fn install_page(
+        &mut self,
+        page: u64,
+        data: Option<Vec<u8>>,
+        digest: Digest,
+    ) -> Result<(), StateError> {
         let idx = page as usize;
         if idx >= self.pages.len() {
             return Err(StateError::OutOfBounds {
@@ -387,11 +425,22 @@ impl PagedState {
                 region_len: self.len,
             });
         }
-        let slot = data.map(Arc::new);
-        self.tree.update_leaf(idx, slot_digest(&slot));
-        *self.pages.get_mut(idx) = slot;
+        self.tree.set_leaf(idx, digest);
+        *self.pages.get_mut(idx) = data.map(Arc::new);
         self.stale.remove(&page);
+        self.installed.insert(idx);
         Ok(())
+    }
+
+    /// Recompute the ancestors of every page installed since the last fold,
+    /// each ancestor once however many installed pages share it. Call when
+    /// a transfer completes; [`PagedState::refresh_digest`] calls it first.
+    pub fn fold_installed(&mut self) {
+        let leaves: Vec<(usize, Digest)> = std::mem::take(&mut self.installed)
+            .into_iter()
+            .map(|idx| (idx, self.tree.leaf(idx)))
+            .collect();
+        self.tree.update_leaves(&leaves);
     }
 
     /// Raw page contents for state-transfer serving (`None` = zero page).
@@ -598,16 +647,43 @@ mod tests {
         let root_a = a.refresh_digest();
 
         let page0 = a.page(0).expect("materialized").to_vec();
-        b.refresh_digest();
-        b.install_page(0, Some(page0)).expect("install");
+        let root_b = b.refresh_digest();
+        b.install_page(0, Some(page0), a.tree().leaf(0))
+            .expect("install");
+        assert_eq!(b.tree().leaf(0), a.tree().leaf(0), "the leaf at once");
+        assert_eq!(b.tree().root(), root_b, "the ancestors at the fold");
+        b.fold_installed();
         assert_eq!(b.tree().root(), root_a);
         assert_eq!(b.read_vec(0, 4).expect("read"), b"sync");
 
-        // Installing None restores the zero page.
-        b.install_page(0, None).expect("install zero");
+        // Installing None restores the zero page; a refresh folds it too.
+        b.install_page(0, None, zero_page_digest())
+            .expect("install zero");
         assert_eq!(b.read_vec(0, 4).expect("read"), vec![0u8; 4]);
-        assert!(b.install_page(99, None).is_err());
-        assert!(b.install_page(0, Some(vec![0u8; 3])).is_err());
+        assert_eq!(b.refresh_digest(), root_b);
+        assert_eq!(b.last_refresh_hashed(), 0, "a fold hashes no page");
+        assert!(b.install_page(99, None, zero_page_digest()).is_err());
+        assert!(b
+            .install_page(0, Some(vec![0u8; 3]), zero_page_digest())
+            .is_err());
+    }
+
+    #[test]
+    fn a_blank_tree_is_built_once_per_geometry() {
+        let mut a = PagedState::new(100);
+        let b = PagedState::new(100);
+        assert_eq!(a.tree(), b.tree());
+        assert_eq!(
+            a.tree(),
+            &MerkleTree::build(vec![Digest::of(&[0u8; PAGE_SIZE]); 100])
+        );
+        // A write to one region reaches neither the other nor the next one.
+        a.modify(0, 1).expect("modify");
+        a.write(0, &[1]).expect("write");
+        a.refresh_digest();
+        assert_ne!(a.tree(), b.tree());
+        assert_eq!(PagedState::new(100).tree(), b.tree());
+        assert_eq!(PagedState::new(3).tree().leaf_count(), 3);
     }
 
     #[test]
@@ -687,7 +763,8 @@ mod tests {
         touch(&mut st, &[1], 9);
         st.hash_settled(1);
         assert_eq!(st.hash_settled(1), 1);
-        st.install_page(1, None).expect("install");
+        st.install_page(1, None, zero_page_digest())
+            .expect("install");
         assert_eq!(st.refresh_digest(), clean.root);
     }
 

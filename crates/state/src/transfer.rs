@@ -7,29 +7,36 @@
 //! local tree and descend only into differing subtrees; at the leaf level,
 //! fetch the differing pages.
 //!
+//! The walk asks for a whole tree level at a time: one [`FetchRequest::Meta`]
+//! names every divergent node of a level, so a transfer costs the tree's
+//! height in meta round trips, not its divergent node count. A page is
+//! requested as soon as its parent is known, and hashed once, here: the
+//! validated digest travels with the page into
+//! [`crate::PagedState::install_page`].
+//!
 //! This module is transport-agnostic: [`Fetcher`] is the requester-side state
 //! machine emitting [`FetchRequest`]s and consuming [`FetchResponse`]s;
 //! [`serve_fetch`] answers requests from a [`Snapshot`]. `pbft-core` wraps
 //! both in protocol messages.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use pbft_crypto::Digest;
 
-use crate::merkle::MerkleTree;
-use crate::region::PAGE_SIZE;
+use crate::merkle::{combine, MerkleTree};
+use crate::region::{zero_page_digest, PAGE_SIZE};
 use crate::snapshot::Snapshot;
 
 /// A state-transfer request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FetchRequest {
-    /// Request the children digests of internal tree node `(level, index)`.
+    /// Request the children digests of internal tree nodes of one level.
     Meta {
         /// Tree level (0 = leaves), so this must be ≥ 1.
         level: u32,
-        /// Node index within the level.
-        index: u64,
+        /// Node indices within the level.
+        indices: Vec<u64>,
     },
     /// Request the contents of a data page.
     Page {
@@ -41,14 +48,12 @@ pub enum FetchRequest {
 /// A state-transfer response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FetchResponse {
-    /// Children digests of the requested node.
+    /// Children digests of requested nodes of one level.
     Meta {
         /// Echoed level.
         level: u32,
-        /// Echoed index.
-        index: u64,
-        /// Left and right child digests.
-        children: (Digest, Digest),
+        /// `(index, left child, right child)` per answered node.
+        nodes: Vec<(u64, Digest, Digest)>,
     },
     /// A data page (`None` = zero page).
     Page {
@@ -97,18 +102,17 @@ impl std::error::Error for TransferError {}
 ///
 /// The fetcher validates everything it receives against the target root, so
 /// a Byzantine peer cannot inject wrong pages — responses that fail digest
-/// checks surface as [`TransferError`]s and the caller retries elsewhere.
+/// checks surface as [`TransferError`]s and the caller retries elsewhere. A
+/// response that fails changes nothing; one that answers part of a request
+/// leaves exactly the rest outstanding ([`Fetcher::outstanding`]).
 #[derive(Debug)]
 pub struct Fetcher {
     target_root: Digest,
-    /// Expected digest for every node we have committed to fetching.
-    expected: Vec<(u32, u64, Digest)>,
-    /// Pages confirmed divergent, awaiting data.
-    pending_pages: BTreeSet<u64>,
+    /// Expected digest of every node asked for and not yet answered, keyed
+    /// by `(level, index)`; level 0 holds the pages.
+    expected: BTreeMap<(u32, u64), Digest>,
     /// Pages fetched and validated, ready to install.
-    ready: Vec<(u64, Option<Vec<u8>>)>,
-    outstanding_meta: usize,
-    done: bool,
+    ready: Vec<(u64, Option<Vec<u8>>, Digest)>,
 }
 
 impl Fetcher {
@@ -117,32 +121,15 @@ impl Fetcher {
     pub fn new(local: &MerkleTree, target_root: Digest) -> (Fetcher, Vec<FetchRequest>) {
         let mut f = Fetcher {
             target_root,
-            expected: Vec::new(),
-            pending_pages: BTreeSet::new(),
+            expected: BTreeMap::new(),
             ready: Vec::new(),
-            outstanding_meta: 0,
-            done: false,
         };
-        if local.root() == target_root {
-            f.done = true;
-            return (f, Vec::new());
+        if local.root() != target_root {
+            // A single-page state's root *is* the page digest.
+            f.expected.insert((local.height() - 1, 0), target_root);
         }
-        let top = local.height() - 1;
-        if top == 0 {
-            // Single-page state: the root *is* the page digest.
-            f.pending_pages.insert(0);
-            f.expected.push((0, 0, target_root));
-            return (f, vec![FetchRequest::Page { index: 0 }]);
-        }
-        f.expected.push((top, 0, target_root));
-        f.outstanding_meta = 1;
-        (
-            f,
-            vec![FetchRequest::Meta {
-                level: top,
-                index: 0,
-            }],
-        )
+        let reqs = f.outstanding();
+        (f, reqs)
     }
 
     /// The checkpoint root this transfer is converging toward.
@@ -152,129 +139,132 @@ impl Fetcher {
 
     /// True when every divergent page has been fetched and validated.
     pub fn is_complete(&self) -> bool {
-        self.done && self.outstanding_meta == 0 && self.pending_pages.is_empty()
-            || (self.outstanding_meta == 0 && self.pending_pages.is_empty())
+        self.expected.is_empty()
     }
 
-    /// Drain validated pages for installation into the local region.
-    pub fn take_ready(&mut self) -> Vec<(u64, Option<Vec<u8>>)> {
+    /// Drain validated pages for installation into the local region: index,
+    /// bytes (`None` = zero page) and the digest the page was validated
+    /// against, which [`crate::PagedState::install_page`] takes as its leaf.
+    pub fn take_ready(&mut self) -> Vec<(u64, Option<Vec<u8>>, Digest)> {
         std::mem::take(&mut self.ready)
     }
 
-    fn expected_digest(&self, level: u32, index: u64) -> Option<Digest> {
-        self.expected
-            .iter()
-            .find(|(l, i, _)| *l == level && *i == index)
-            .map(|(_, _, d)| *d)
+    /// The requests still unanswered — what a retry re-sends: one `Meta`
+    /// per level, one `Page` per page.
+    pub fn outstanding(&self) -> Vec<FetchRequest> {
+        let mut reqs = Vec::new();
+        for &(level, index) in self.expected.keys() {
+            if level == 0 {
+                reqs.push(FetchRequest::Page { index });
+                continue;
+            }
+            if let Some(FetchRequest::Meta { level: l, indices }) = reqs.last_mut() {
+                if *l == level {
+                    indices.push(index);
+                    continue;
+                }
+            }
+            reqs.push(FetchRequest::Meta {
+                level,
+                indices: vec![index],
+            });
+        }
+        reqs
     }
 
     /// Consume a response; returns follow-up requests.
     ///
     /// # Errors
-    /// Digest-validation failures (Byzantine or corrupted peer data).
+    /// Digest-validation failures (Byzantine or corrupted peer data). The
+    /// fetcher is then as it was before the response.
     pub fn on_response(
         &mut self,
         local: &MerkleTree,
         resp: FetchResponse,
     ) -> Result<Vec<FetchRequest>, TransferError> {
         match resp {
-            FetchResponse::Meta {
-                level,
-                index,
-                children,
-            } => {
-                let Some(pos) = self
-                    .expected
-                    .iter()
-                    .position(|(l, i, _)| *l == level && *i == index)
-                else {
-                    return Ok(Vec::new()); // unsolicited; ignore
-                };
-                let expect = self.expected[pos].2;
-                // Validate: H(level, index, l, r) must equal the expected
-                // digest. Recompute with the same combine as MerkleTree by
-                // checking against a 2-leaf reconstruction.
-                let recomputed = combine_check(level, index, &children.0, &children.1);
-                if recomputed != expect {
-                    return Err(TransferError::MetaDigestMismatch { level, index });
-                }
-                // Consume the expectation: a duplicate response (a retry
-                // racing the original) must not decrement the counter twice.
-                self.expected.swap_remove(pos);
-                self.outstanding_meta -= 1;
-                let mut out = Vec::new();
-                let child_level = level - 1;
-                for (side, child_digest) in [(0u64, children.0), (1u64, children.1)] {
-                    let child_index = 2 * index + side;
-                    let local_digest = local.node(child_level, child_index);
-                    if local_digest == Some(child_digest) {
-                        continue; // subtree already matches
-                    }
-                    if child_level == 0 {
-                        if (child_index as usize) < local.leaf_count() {
-                            self.pending_pages.insert(child_index);
-                            self.expected.push((0, child_index, child_digest));
-                            out.push(FetchRequest::Page { index: child_index });
+            // A leaf has no children: a level-0 meta answers nothing asked.
+            FetchResponse::Meta { level: 0, .. } | FetchResponse::Unavailable => Ok(Vec::new()),
+            FetchResponse::Meta { level, nodes } => {
+                // Validate every answered node before acting on any, so a
+                // bad node leaves the walk untouched. Unasked nodes (and
+                // repeats of answered ones) are ignored.
+                for &(index, left, right) in &nodes {
+                    if let Some(expect) = self.expected.get(&(level, index)) {
+                        if combine(level, index, &left, &right) != *expect {
+                            return Err(TransferError::MetaDigestMismatch { level, index });
                         }
-                        // Padding leaves can never diverge for equal-geometry
-                        // trees; ignore them.
-                    } else {
-                        self.expected.push((child_level, child_index, child_digest));
-                        self.outstanding_meta += 1;
-                        out.push(FetchRequest::Meta {
-                            level: child_level,
-                            index: child_index,
-                        });
                     }
                 }
+                let child_level = level - 1;
+                let mut indices = Vec::new();
+                let mut pages = Vec::new();
+                for (index, left, right) in nodes {
+                    if self.expected.remove(&(level, index)).is_none() {
+                        continue;
+                    }
+                    for (child, digest) in [(2 * index, left), (2 * index + 1, right)] {
+                        if local.node(child_level, child) == Some(digest) {
+                            continue; // subtree already matches
+                        }
+                        if child_level > 0 {
+                            indices.push(child);
+                        } else if (child as usize) < local.leaf_count() {
+                            pages.push(FetchRequest::Page { index: child });
+                        } else {
+                            // Padding leaves can never diverge for
+                            // equal-geometry trees; ignore them.
+                            continue;
+                        }
+                        self.expected.insert((child_level, child), digest);
+                    }
+                }
+                let mut out = Vec::with_capacity(pages.len() + 1);
+                if !indices.is_empty() {
+                    out.push(FetchRequest::Meta {
+                        level: child_level,
+                        indices,
+                    });
+                }
+                out.append(&mut pages);
                 Ok(out)
             }
             FetchResponse::Page { index, data } => {
-                if !self.pending_pages.contains(&index) {
+                let Some(&expect) = self.expected.get(&(0, index)) else {
                     return Ok(Vec::new()); // unsolicited; ignore
-                }
-                let expect = self
-                    .expected_digest(0, index)
-                    .expect("pending page has an expected digest");
+                };
                 let actual = match &data {
-                    Some(d) => Digest::of(d),
-                    None => Digest::of(&[0u8; PAGE_SIZE]),
+                    Some(d) if d.len() == PAGE_SIZE => Digest::of(d),
+                    Some(_) => return Err(TransferError::PageDigestMismatch { index }),
+                    None => zero_page_digest(),
                 };
                 if actual != expect {
                     return Err(TransferError::PageDigestMismatch { index });
                 }
-                self.pending_pages.remove(&index);
-                self.ready.push((index, data));
+                self.expected.remove(&(0, index));
+                self.ready.push((index, data, expect));
                 Ok(Vec::new())
             }
-            FetchResponse::Unavailable => Ok(Vec::new()),
         }
     }
 }
 
-/// Recompute an internal node digest from its children (mirrors
-/// `MerkleTree`'s combine function via a tiny 2-leaf tree).
-fn combine_check(level: u32, index: u64, left: &Digest, right: &Digest) -> Digest {
-    use pbft_crypto::Sha256;
-    let mut h = Sha256::new();
-    h.update(&level.to_be_bytes());
-    h.update(&index.to_be_bytes());
-    h.update(left.as_bytes());
-    h.update(right.as_bytes());
-    h.finish()
-}
-
-/// Serve a fetch request from a checkpoint snapshot.
+/// Serve a fetch request from a checkpoint snapshot. A request naming any
+/// node or page outside the tree (an index past its level's width, a leaf
+/// or a level above the root) is answered [`FetchResponse::Unavailable`].
 pub fn serve_fetch(snap: &Snapshot, req: &FetchRequest) -> FetchResponse {
     match req {
-        FetchRequest::Meta { level, index } => match snap.tree().children(*level, *index) {
-            Some(children) => FetchResponse::Meta {
+        FetchRequest::Meta { level, indices } => indices
+            .iter()
+            .map(|&index| {
+                let (left, right) = snap.tree().children(*level, index)?;
+                Some((index, left, right))
+            })
+            .collect::<Option<Vec<_>>>()
+            .map_or(FetchResponse::Unavailable, |nodes| FetchResponse::Meta {
                 level: *level,
-                index: *index,
-                children,
-            },
-            None => FetchResponse::Unavailable,
-        },
+                nodes,
+            }),
         FetchRequest::Page { index } => {
             if (*index as usize) < snap.num_pages() {
                 FetchResponse::Page {
@@ -305,14 +295,15 @@ mod tests {
             for r in &reqs {
                 let resp = serve_fetch(snap, r);
                 next.extend(fetcher.on_response(dst.tree(), resp).expect("valid"));
-                for (idx, data) in fetcher.take_ready() {
-                    dst.install_page(idx, data).expect("install");
+                for (idx, data, digest) in fetcher.take_ready() {
+                    dst.install_page(idx, data, digest).expect("install");
                     moved += 1;
                 }
             }
             reqs = next;
         }
         assert!(fetcher.is_complete());
+        dst.fold_installed();
         moved
     }
 
@@ -432,8 +423,7 @@ mod tests {
         assert_eq!(reqs.len(), 1);
         let evil = FetchResponse::Meta {
             level: 2,
-            index: 0,
-            children: (Digest::of(b"lie"), Digest::of(b"lie2")),
+            nodes: vec![(0, Digest::of(b"lie"), Digest::of(b"lie2"))],
         };
         assert_eq!(
             fetcher.on_response(b.tree(), evil),
@@ -476,8 +466,87 @@ mod tests {
             FetchResponse::Unavailable
         );
         assert_eq!(
-            serve_fetch(&snap, &FetchRequest::Meta { level: 9, index: 0 }),
+            serve_fetch(
+                &snap,
+                &FetchRequest::Meta {
+                    level: 9,
+                    indices: vec![0]
+                }
+            ),
             FetchResponse::Unavailable
         );
+    }
+
+    #[test]
+    fn a_level_travels_in_one_message_and_a_partial_answer_leaves_the_rest() {
+        // 16 pages, 5 levels; pages 1, 6, 9 and 14 differ, one under each
+        // level-2 node, so levels 3, 2 and 1 have 2, 4 and 4 divergent nodes.
+        let mut a = PagedState::new(16);
+        for p in [1u64, 6, 9, 14] {
+            scribble(&mut a, p, 7);
+        }
+        a.refresh_digest();
+        let snap = a.snapshot(0);
+        let mut b = PagedState::new(16);
+        b.refresh_digest();
+        let (mut fetcher, reqs) = Fetcher::new(b.tree(), snap.root);
+        let mut reqs = fetcher
+            .on_response(b.tree(), serve_fetch(&snap, &reqs[0]))
+            .unwrap();
+        assert_eq!(
+            reqs,
+            vec![FetchRequest::Meta {
+                level: 3,
+                indices: vec![0, 1]
+            }]
+        );
+        // The peer answers only node 1 of level 3; node 0 stays outstanding.
+        let FetchResponse::Meta { level, mut nodes } = serve_fetch(&snap, &reqs[0]) else {
+            panic!("meta");
+        };
+        let first = nodes.remove(0);
+        reqs = fetcher
+            .on_response(b.tree(), FetchResponse::Meta { level, nodes })
+            .unwrap();
+        assert_eq!(
+            fetcher.outstanding(),
+            vec![
+                FetchRequest::Meta {
+                    level: 2,
+                    indices: vec![2, 3]
+                },
+                FetchRequest::Meta {
+                    level: 3,
+                    indices: vec![0]
+                },
+            ]
+        );
+        reqs.extend(
+            fetcher
+                .on_response(
+                    b.tree(),
+                    FetchResponse::Meta {
+                        level,
+                        nodes: vec![first],
+                    },
+                )
+                .unwrap(),
+        );
+        assert_eq!(reqs.len(), 2, "one message per level answered");
+        let mut msgs = 0;
+        while !fetcher.is_complete() {
+            let outstanding = fetcher.outstanding();
+            msgs += outstanding.len();
+            for r in outstanding {
+                fetcher
+                    .on_response(b.tree(), serve_fetch(&snap, &r))
+                    .unwrap();
+            }
+            for (idx, data, digest) in fetcher.take_ready() {
+                b.install_page(idx, data, digest).unwrap();
+            }
+        }
+        assert_eq!(msgs, 1 + 1 + 4, "level 2, level 1, then the four pages");
+        assert_eq!(b.refresh_digest(), snap.root);
     }
 }

@@ -2265,7 +2265,8 @@ mod tests {
             st.refresh_digest();
             for page in 0..st.num_pages() as u64 {
                 let data = checkpoint.page(page).map(|p| p.to_vec());
-                st.install_page(page, data).expect("same geometry");
+                let digest = checkpoint.tree().leaf(page as usize);
+                st.install_page(page, data, digest).expect("same geometry");
             }
         }
         b.on_state_installed();

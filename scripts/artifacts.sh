@@ -3,7 +3,9 @@
 # pure function of the code, so a refactor that changes no behaviour must
 # regenerate them byte for byte. Re-runs the five benches that write a
 # committed BENCH_*.json (~10 min, two thirds of it `cross_shard`) and fails
-# if any artifact differs from the last commit.
+# if any artifact differs from the last commit. On a difference it names
+# each changed JSON leaf as `file path: old -> new` (needs python3), so a
+# change that moves artifacts on purpose can list its moved cells.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,5 +20,28 @@ for bench in table1 sharding availability cross_shard hotpath; do
     echo "    [$bench: $((SECONDS - t0))s]"
 done
 
-git diff --exit-code HEAD -- 'BENCH_*.json'
-echo "artifacts: byte-identical"
+if git diff --quiet HEAD -- 'BENCH_*.json'; then
+    echo "artifacts: byte-identical"
+    exit 0
+fi
+git diff --name-only HEAD -- 'BENCH_*.json' | python3 -c '
+import json, subprocess, sys
+
+def walk(path, where, a, b):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in list(a) + [k for k in b if k not in a]:
+            walk(path, f"{where}.{k}", a.get(k, "<absent>"), b.get(k, "<absent>"))
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            walk(path, f"{where}[{i}]", x, y)
+    elif a != b:
+        where = where or "."
+        print(f"{path} {where}: {json.dumps(a)} -> {json.dumps(b)}")
+
+for path in sys.stdin.read().split():
+    old = json.loads(subprocess.run(["git", "show", f"HEAD:{path}"],
+                                    capture_output=True, check=True).stdout)
+    walk(path, "", old, json.load(open(path)))
+'
+echo "artifacts: differ from HEAD (changed leaves above)" >&2
+exit 1

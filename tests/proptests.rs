@@ -64,13 +64,14 @@ fn state_transfer_syncs_arbitrary_divergence() {
             for r in &reqs {
                 let resp = serve_fetch(&snap, r);
                 next.extend(fetcher.on_response(dst.tree(), resp).expect("honest peer"));
-                for (idx, data) in fetcher.take_ready() {
-                    dst.install_page(idx, data).expect("install");
+                for (idx, data, digest) in fetcher.take_ready() {
+                    dst.install_page(idx, data, digest).expect("install");
                 }
             }
             reqs = next;
         }
         assert!(fetcher.is_complete());
+        dst.fold_installed();
         assert_eq!(dst.tree().root(), snap.root);
     });
 }
