@@ -45,12 +45,12 @@ use harness::scenario::{
     paper, run_scenario, run_scenario_adaptive, Scenario, ScenarioEvent, ScenarioReport,
 };
 use harness::testkit::{
-    adversary_cluster_engine, failover_spec, fetching_spec, ms, scenario_cluster_engine,
-    sharded_spec, xshard_spec,
+    adversary_cluster, failover_spec, fetching_spec, ms, scenario_cluster, sharded_spec,
+    xshard_spec,
 };
 use harness::workload::{cross_null_txs, keyed_null_ops, null_ops};
 use harness::{Cluster, ShardedCluster, XShardCluster};
-use pbft_core::{ConsensusEngine, LinearReplica, Replica};
+use pbft_core::Engine;
 use simnet::SimDuration;
 
 /// Offered load: one op per client per 4 ms, open loop (fixed while the
@@ -74,14 +74,15 @@ struct Row {
 /// members count from their restart (their pre-crash counters die with
 /// them) — the loss is identical across engines, so the comparison stays
 /// fair.
-fn group_msgs<E: ConsensusEngine>(cluster: &Cluster<E>) -> (u64, u64) {
+fn group_msgs(cluster: &Cluster) -> (u64, u64) {
     (0..cluster.replicas.len()).fold((0, 0), |(agg, vc), i| {
         let m = cluster.replica_metrics(i);
         (agg + m.agreement_msgs_sent, vc + m.viewchange_msgs_sent)
     })
 }
 
-fn measure<E: ConsensusEngine>(
+fn measure(
+    engine: Engine,
     scenario: &Scenario,
     report: &ScenarioReport,
     (agreement_msgs, viewchange_msgs): (u64, u64),
@@ -92,7 +93,7 @@ fn measure<E: ConsensusEngine>(
     let fault_bucket = t.bucket_index(first_fault);
     let repair_bucket = t.bucket_index(last_repair) + 1;
     Row {
-        engine: E::engine_name(),
+        engine: engine.name(),
         name: scenario.name,
         steady_tps: t.window_tps(0, fault_bucket),
         degraded_tps: t.window_tps(fault_bucket, repair_bucket),
@@ -103,26 +104,30 @@ fn measure<E: ConsensusEngine>(
     }
 }
 
-fn single_group<E: ConsensusEngine>(scenario: &Scenario, seed: u64) -> Row {
-    let mut cluster = scenario_cluster_engine::<E>(4, seed);
+fn single_group(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
+    let mut cluster = scenario_cluster(engine, 4, seed);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let report = run_scenario(&mut cluster, scenario);
-    measure::<E>(scenario, &report, group_msgs(&cluster))
+    measure(engine, scenario, &report, group_msgs(&cluster))
 }
 
-fn sharded<E: ConsensusEngine>(scenario: &Scenario, seed: u64) -> Row {
-    let mut sc = ShardedCluster::<E>::build_engine(sharded_spec(2, fetching_spec(3, seed)));
+fn sharded(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
+    let mut base = fetching_spec(3, seed);
+    base.cfg.engine = engine;
+    let mut sc = ShardedCluster::build(sharded_spec(2, base));
     sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     let report = run_scenario(&mut sc, scenario);
     let msgs = (0..sc.shards()).fold((0, 0), |(a, v), s| {
         let (ga, gv) = group_msgs(sc.group(s));
         (a + ga, v + gv)
     });
-    measure::<E>(scenario, &report, msgs)
+    measure(engine, scenario, &report, msgs)
 }
 
-fn xshard<E: ConsensusEngine>(scenario: &Scenario, seed: u64) -> Row {
-    let mut xc = XShardCluster::<E>::build_engine(xshard_spec(2, 4, fetching_spec(1, seed)));
+fn xshard(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
+    let mut base = fetching_spec(1, seed);
+    base.cfg.engine = engine;
+    let mut xc = XShardCluster::build(xshard_spec(2, 4, base));
     let map = xc.sharded().router().map();
     xc.start_paced_background(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
@@ -131,18 +136,18 @@ fn xshard<E: ConsensusEngine>(scenario: &Scenario, seed: u64) -> Row {
         let (ga, gv) = group_msgs(xc.sharded().group(s));
         (a + ga, v + gv)
     });
-    measure::<E>(scenario, &report, msgs)
+    measure(engine, scenario, &report, msgs)
 }
 
 /// The five conformance scenarios under one engine (fixed seeds, so the
 /// two engines see identical scripts and workload arrival processes).
-fn scenario_rows<E: ConsensusEngine>() -> Vec<Row> {
+fn scenario_rows(engine: Engine) -> Vec<Row> {
     vec![
-        single_group::<E>(&paper::primary_crash_under_load(), 71),
-        single_group::<E>(&paper::slow_primary(), 72),
-        single_group::<E>(&paper::rolling_crash(), 73),
-        xshard::<E>(&paper::coordinator_outage(), 74),
-        sharded::<E>(&paper::partition_then_heal(), 75),
+        single_group(engine, &paper::primary_crash_under_load(), 71),
+        single_group(engine, &paper::slow_primary(), 72),
+        single_group(engine, &paper::rolling_crash(), 73),
+        xshard(engine, &paper::coordinator_outage(), 74),
+        sharded(engine, &paper::partition_then_heal(), 75),
     ]
 }
 
@@ -167,12 +172,13 @@ impl SweepRow {
 
 /// Run the *same* primary-crash fault script on a `3f + 1`-member group and
 /// count what one leader rotation costs in view-change packets.
-fn rotation_sweep<E: ConsensusEngine>(f: usize, seed: u64) -> SweepRow {
+fn rotation_sweep(engine: Engine, f: usize, seed: u64) -> SweepRow {
     let mut spec = failover_spec(4, seed);
+    spec.cfg.engine = engine;
     spec.cfg.f = f;
     spec.cfg.checkpoint_interval = 32;
     spec.cfg.fetch_missing_bodies = true;
-    let mut cluster = Cluster::<E>::build_engine(spec);
+    let mut cluster = Cluster::build(spec);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let scenario = paper::primary_crash_under_load();
     let report = run_scenario(&mut cluster, &scenario);
@@ -187,7 +193,7 @@ fn rotation_sweep<E: ConsensusEngine>(f: usize, seed: u64) -> SweepRow {
         .unwrap_or(0);
     let (agreement_msgs, viewchange_msgs) = group_msgs(&cluster);
     SweepRow {
-        engine: E::engine_name(),
+        engine: engine.name(),
         f,
         n: 3 * f + 1,
         rotations,
@@ -264,7 +270,8 @@ fn rolling_recovery(seats: &[usize], cured_seat: usize) -> Vec<(SimDuration, Sce
 /// One hour-long cell: a single group under paced load, one adaptive
 /// adversary, rolling recovery. Returns the distribution row and the raw
 /// report (the caller re-runs one cell for the determinism check).
-fn reliability_run<E: ConsensusEngine>(
+fn reliability_run(
+    engine: Engine,
     scenario_name: &'static str,
     seed: u64,
     seats: &[usize],
@@ -275,9 +282,9 @@ fn reliability_run<E: ConsensusEngine>(
     // An equivocating adversary needs its seat provisioned with a silent
     // split-brain twin; other strategies run on the plain honest host.
     let mut cluster = if twin {
-        adversary_cluster_engine::<E>(2, seed, cured_seat as u32)
+        adversary_cluster(engine, 2, seed, cured_seat as u32)
     } else {
-        scenario_cluster_engine::<E>(2, seed)
+        scenario_cluster(engine, 2, seed)
     };
     cluster.start_paced_workload(RELIABILITY_PACE, |_| null_ops(64));
     let scenario = Scenario {
@@ -313,7 +320,7 @@ fn reliability_run<E: ConsensusEngine>(
         .filter(|b| (b.completed as f64 / per_sec) < threshold_tps)
         .count();
     let row = ReliabilityRow {
-        engine: E::engine_name(),
+        engine: engine.name(),
         scenario: scenario_name,
         availability: report.timeline.availability(),
         tps_p50,
@@ -359,23 +366,30 @@ fn reliability_rows() -> Vec<ReliabilityRow> {
     const CENSOR: &str = "adaptive-censor+rolling-recovery";
     const EQUIV: &str = "adaptive-equivocation+rolling-recovery";
     let mut rows = Vec::new();
-    let (row, first) =
-        reliability_run::<Replica>(CENSOR, 90, &[1, 2, 3], censor_adversary(), false);
+    let censor =
+        |engine| reliability_run(engine, CENSOR, 90, &[1, 2, 3], censor_adversary(), false);
+    let equiv = |engine| {
+        reliability_run(
+            engine,
+            EQUIV,
+            91,
+            &[1, 2, 3],
+            equivocation_adversary(),
+            true,
+        )
+    };
+    let (row, first) = censor(Engine::Pbft);
     rows.push(row);
     // Determinism acceptance: the same seed must reproduce the hour
     // byte-for-byte — trace, marks, and every bucket of the timeline.
-    let (_, again) = reliability_run::<Replica>(CENSOR, 90, &[1, 2, 3], censor_adversary(), false);
+    let (_, again) = censor(Engine::Pbft);
     assert_eq!(
         first, again,
         "an hour-long adaptive run must be a pure function of its seed"
     );
-    rows.push(
-        reliability_run::<LinearReplica>(CENSOR, 90, &[1, 2, 3], censor_adversary(), false).0,
-    );
-    rows.push(reliability_run::<Replica>(EQUIV, 91, &[1, 2, 3], equivocation_adversary(), true).0);
-    rows.push(
-        reliability_run::<LinearReplica>(EQUIV, 91, &[1, 2, 3], equivocation_adversary(), true).0,
-    );
+    rows.push(censor(Engine::Linear).0);
+    rows.push(equiv(Engine::Pbft).0);
+    rows.push(equiv(Engine::Linear).0);
     rows
 }
 
@@ -394,10 +408,7 @@ fn recovery_ms(r: Option<SimDuration>) -> Json {
 }
 
 fn main() {
-    let rows: Vec<Row> = scenario_rows::<Replica>()
-        .into_iter()
-        .chain(scenario_rows::<LinearReplica>())
-        .collect();
+    let rows: Vec<Row> = Engine::ALL.into_iter().flat_map(scenario_rows).collect();
 
     println!(
         "{:<28} {:<8} {:>12} {:>14} {:>8} {:>14} {:>10} {:>9}",
@@ -440,12 +451,7 @@ fn main() {
     );
     let sweep: Vec<SweepRow> = [1usize, 2, 3]
         .iter()
-        .flat_map(|&f| {
-            [
-                rotation_sweep::<Replica>(f, 80 + f as u64),
-                rotation_sweep::<LinearReplica>(f, 80 + f as u64),
-            ]
-        })
+        .flat_map(|&f| Engine::ALL.map(|engine| rotation_sweep(engine, f, 80 + f as u64)))
         .collect();
     for s in &sweep {
         let recovery = fmt_recovery(s.recovery, &mut all_finite);

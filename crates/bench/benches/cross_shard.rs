@@ -41,7 +41,7 @@ use harness::shard::{ShardedCluster, ShardedClusterSpec};
 use harness::workload::{cross_null_txs, keyed_kv_ops, keyed_null_ops};
 use harness::xshard::{XShardCluster, XShardSpec};
 use harness::{AppKind, ClusterSpec, Stats};
-use pbft_core::{ConsensusEngine, LinearReplica, Replica};
+use pbft_core::{Engine, PbftConfig};
 use simnet::SimDuration;
 
 const WARMUP: SimDuration = SimDuration::from_millis(300);
@@ -68,15 +68,19 @@ struct Point {
     vs_local: f64,
 }
 
-fn base(seed: u64, num_clients: usize) -> ClusterSpec {
+fn base(engine: Engine, seed: u64, num_clients: usize) -> ClusterSpec {
     ClusterSpec {
+        cfg: PbftConfig {
+            engine,
+            ..Default::default()
+        },
         num_clients,
         seed,
         ..Default::default()
     }
 }
 
-fn measure_point<E: ConsensusEngine>(shards: usize, pct: usize, trials: usize) -> Point {
+fn measure_point(engine: Engine, shards: usize, pct: usize, trials: usize) -> Point {
     // Convert pct% of the 12-client budget into transaction initiators.
     let init_per_group = (NUM_CLIENTS * pct + 50) / 100;
     let bg_per_group = NUM_CLIENTS - init_per_group;
@@ -87,11 +91,11 @@ fn measure_point<E: ConsensusEngine>(shards: usize, pct: usize, trials: usize) -
     for trial in 0..trials {
         let spec = XShardSpec {
             shards,
-            base: base(9000 + trial as u64, bg_per_group),
+            base: base(engine, 9000 + trial as u64, bg_per_group),
             initiators,
             ..Default::default()
         };
-        let mut xc = XShardCluster::<E>::build_engine(spec);
+        let mut xc = XShardCluster::build(spec);
         let map = xc.sharded().router().map();
         if bg_per_group > 0 {
             xc.start_background(|s, c| keyed_null_ops(REQUEST_SIZE, (s * NUM_CLIENTS + c) as u64));
@@ -106,7 +110,7 @@ fn measure_point<E: ConsensusEngine>(shards: usize, pct: usize, trials: usize) -
         aborted_txs += t.tx_aborted;
     }
     Point {
-        engine: E::engine_name(),
+        engine: engine.name(),
         shards,
         pct,
         bg_per_group,
@@ -121,12 +125,12 @@ fn measure_point<E: ConsensusEngine>(shards: usize, pct: usize, trials: usize) -
 
 /// The PR 2 all-local baseline: the same deployment without the xshard
 /// harness at all.
-fn measure_baseline<E: ConsensusEngine>(shards: usize, trials: usize) -> Stats {
+fn measure_baseline(engine: Engine, shards: usize, trials: usize) -> Stats {
     let samples: Vec<f64> = (0..trials)
         .map(|trial| {
-            let mut sc = ShardedCluster::<E>::build_engine(ShardedClusterSpec {
+            let mut sc = ShardedCluster::build(ShardedClusterSpec {
                 shards,
-                base: base(9000 + trial as u64, NUM_CLIENTS),
+                base: base(engine, 9000 + trial as u64, NUM_CLIENTS),
                 elastic: false,
             });
             sc.start_keyed_workload(|s, c| {
@@ -139,13 +143,13 @@ fn measure_baseline<E: ConsensusEngine>(shards: usize, trials: usize) -> Stats {
 }
 
 /// One engine's full cross-shard sweep, with the 0%-vs-baseline guard.
-fn sweep_engine<E: ConsensusEngine>(trials: usize) -> Vec<Point> {
+fn sweep(engine: Engine, trials: usize) -> Vec<Point> {
     let mut all = Vec::new();
     for &shards in &SHARD_COUNTS {
-        let baseline = measure_baseline::<E>(shards, trials);
+        let baseline = measure_baseline(engine, shards, trials);
         let mut points: Vec<Point> = CROSS_PCT
             .iter()
-            .map(|&pct| measure_point::<E>(shards, pct, trials))
+            .map(|&pct| measure_point(engine, shards, pct, trials))
             .collect();
         let local = Stats::from_samples(&points[0].tps).mean;
         for p in &mut points {
@@ -173,7 +177,7 @@ fn sweep_engine<E: ConsensusEngine>(trials: usize) -> Vec<Point> {
         println!(
             "  -> {} 0% row vs PR 2 sharding baseline ({:.0} TPS): {ratio:.3}x \
              (must be within noise)\n",
-            E::engine_name(),
+            engine.name(),
             baseline.mean
         );
         assert!(
@@ -215,14 +219,14 @@ struct ReshardRow {
     availability: f64,
 }
 
-fn measure_reshard<E: ConsensusEngine>() -> ReshardRow {
+fn measure_reshard(engine: Engine) -> ReshardRow {
     let ms = SimDuration::from_millis;
-    let mut b = base(9100, NUM_CLIENTS);
+    let mut b = base(engine, 9100, NUM_CLIENTS);
     b.app = AppKind::Kv {
         slots: RESHARD_SLOTS,
     };
     b.cfg.checkpoint_interval = 32;
-    let mut sc = ShardedCluster::<E>::build_engine(ShardedClusterSpec {
+    let mut sc = ShardedCluster::build(ShardedClusterSpec {
         shards: 2,
         base: b,
         elastic: true,
@@ -262,7 +266,7 @@ fn measure_reshard<E: ConsensusEngine>() -> ReshardRow {
                 panic!(
                     "{}: throughput never recovered to {RECOVERY_FRACTION}x steady \
                      ({steady:.0} TPS) after {}",
-                    E::engine_name(),
+                    engine.name(),
                     mark.label
                 )
             });
@@ -274,7 +278,7 @@ fn measure_reshard<E: ConsensusEngine>() -> ReshardRow {
     let n = tl.buckets.len();
     let recovered = tl.window_tps(n - 12, n);
     ReshardRow {
-        engine: E::engine_name(),
+        engine: engine.name(),
         steady_tps: steady,
         dip_tps: dip,
         recovered_tps: recovered,
@@ -307,8 +311,10 @@ fn main() {
         "tx c/a",
         "abort%"
     );
-    let mut rows = sweep_engine::<Replica>(trials);
-    rows.extend(sweep_engine::<LinearReplica>(trials));
+    let rows: Vec<Point> = Engine::ALL
+        .into_iter()
+        .flat_map(|engine| sweep(engine, trials))
+        .collect();
 
     println!(
         "Elastic resharding — 2 -> 4 live splits under closed-loop keyed load \
@@ -319,10 +325,7 @@ fn main() {
         "{:<8} {:>12} {:>10} {:>13} {:>11} {:>7}",
         "engine", "steady TPS", "dip TPS", "recovered TPS", "recover ms", "avail"
     );
-    let reshard = [
-        measure_reshard::<Replica>(),
-        measure_reshard::<LinearReplica>(),
-    ];
+    let reshard = Engine::ALL.map(measure_reshard);
     for r in &reshard {
         println!(
             "{:<8} {:>12.0} {:>10.0} {:>13.0} {:>11.1} {:>6.1}%",

@@ -32,8 +32,7 @@
 use bench::artifact::{self, Json};
 use harness::cluster::{AppKind, Cluster, ClusterSpec};
 use harness::workload::{null_ops, null_reads};
-use pbft_core::{AuthMode, ConsensusEngine, PbftConfig};
-use pbft_core::{LinearReplica, Replica};
+use pbft_core::{AuthMode, Engine, PbftConfig};
 use simnet::SimDuration;
 
 const SIZE: usize = 1024;
@@ -55,8 +54,9 @@ struct HotpathRow {
     agreement_msgs_per_op: f64,
 }
 
-fn run<E: ConsensusEngine>(f: usize, read: bool) -> HotpathRow {
+fn run(engine: Engine, f: usize, read: bool) -> HotpathRow {
     let cfg = PbftConfig {
+        engine,
         f,
         auth: AuthMode::Macs,
         all_requests_big: true,
@@ -71,7 +71,7 @@ fn run<E: ConsensusEngine>(f: usize, read: bool) -> HotpathRow {
         seed: 1000,
         ..Default::default()
     };
-    let mut cluster = Cluster::<E>::build_engine(spec);
+    let mut cluster = Cluster::build(spec);
     if read {
         cluster.start_workload(|_| null_reads(SIZE));
     } else {
@@ -100,7 +100,7 @@ fn run<E: ConsensusEngine>(f: usize, read: bool) -> HotpathRow {
     }
     let per_op = |total: u64| total as f64 / (n as f64 * ops as f64);
     HotpathRow {
-        engine: E::engine_name(),
+        engine: engine.name(),
         n,
         path: if read { "read" } else { "write" },
         tps,
@@ -186,8 +186,9 @@ fn main() {
     let mut rows = Vec::new();
     for f in FS {
         for read in [false, true] {
-            rows.push(run::<Replica>(f, read));
-            rows.push(run::<LinearReplica>(f, read));
+            for engine in Engine::ALL {
+                rows.push(run(engine, f, read));
+            }
         }
     }
     println!("hot-path cost per completed op (per replica), batch config, 12 clients:");

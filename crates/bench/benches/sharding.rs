@@ -20,7 +20,7 @@ use harness::experiments::NUM_CLIENTS;
 use harness::shard::{ShardedCluster, ShardedClusterSpec, ShardedThroughput};
 use harness::workload::keyed_null_ops;
 use harness::{ClusterSpec, Stats};
-use pbft_core::{ConsensusEngine, LinearReplica, PbftConfig, Replica};
+use pbft_core::{Engine, PbftConfig};
 use simnet::SimDuration;
 
 const WARMUP: SimDuration = SimDuration::from_millis(300);
@@ -67,13 +67,14 @@ impl Row {
     }
 }
 
-fn measure<E: ConsensusEngine>(shards: usize, batching: bool, trials: usize) -> Row {
+fn measure(engine: Engine, shards: usize, batching: bool, trials: usize) -> Row {
     let trials = (0..trials)
         .map(|trial| {
             let spec = ShardedClusterSpec {
                 shards,
                 base: ClusterSpec {
                     cfg: PbftConfig {
+                        engine,
                         batching,
                         ..Default::default()
                     },
@@ -83,7 +84,7 @@ fn measure<E: ConsensusEngine>(shards: usize, batching: bool, trials: usize) -> 
                 },
                 elastic: false,
             };
-            let mut sc = ShardedCluster::<E>::build_engine(spec);
+            let mut sc = ShardedCluster::build(spec);
             sc.start_keyed_workload(|shard, client| {
                 keyed_null_ops(REQUEST_SIZE, (shard * NUM_CLIENTS + client) as u64)
             });
@@ -91,7 +92,7 @@ fn measure<E: ConsensusEngine>(shards: usize, batching: bool, trials: usize) -> 
         })
         .collect();
     Row {
-        engine: E::engine_name(),
+        engine: engine.name(),
         shards,
         batching,
         trials,
@@ -101,12 +102,12 @@ fn measure<E: ConsensusEngine>(shards: usize, batching: bool, trials: usize) -> 
 /// The full shards × batching grid for one engine, with that engine's own
 /// 1-shard row as the scaling baseline. Prints the rows and enforces the
 /// 2.5x acceptance floor at 4 shards.
-fn engine_grid<E: ConsensusEngine>(trials: usize) -> Vec<Row> {
+fn engine_grid(engine: Engine, trials: usize) -> Vec<Row> {
     let mut all = Vec::new();
     for batching in [true, false] {
         let rows: Vec<Row> = SHARD_COUNTS
             .iter()
-            .map(|&s| measure::<E>(s, batching, trials))
+            .map(|&s| measure(engine, s, batching, trials))
             .collect();
         let baseline = rows[0].aggregate().mean;
         for row in &rows {
@@ -131,12 +132,12 @@ fn engine_grid<E: ConsensusEngine>(trials: usize) -> Vec<Row> {
         println!(
             "  -> {} 4-shard speedup over 1 shard: {speedup:.2}x \
              (scaling model expects ~4x; acceptance floor 2.5x)",
-            E::engine_name(),
+            engine.name(),
         );
         assert!(
             speedup >= 2.5,
             "{}: 4-shard aggregate ({:.0} TPS) fell below 2.5x the 1-shard baseline ({:.0} TPS)",
-            E::engine_name(),
+            engine.name(),
             four.aggregate().mean,
             baseline
         );
@@ -161,8 +162,10 @@ fn main() {
         "engine", "batching", "shards", "agg TPS", "StDev", "per-shard", "±", "efficiency"
     );
 
-    let mut rows = engine_grid::<Replica>(trials);
-    rows.extend(engine_grid::<LinearReplica>(trials));
+    let rows: Vec<Row> = Engine::ALL
+        .into_iter()
+        .flat_map(|engine| engine_grid(engine, trials))
+        .collect();
 
     let baselines: Vec<(&'static str, bool, f64)> = rows
         .iter()

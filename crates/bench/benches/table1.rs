@@ -9,9 +9,9 @@
 //! `BENCH_table1.json`.
 
 use bench::artifact::{self, Json};
-use harness::experiments::{null_throughput_engine, render_table, table1, table1_configs};
+use harness::experiments::{null_throughput, render_table, table1, table1_configs};
 use harness::Stats;
-use pbft_core::{ConsensusEngine, LinearReplica, Replica};
+use pbft_core::{Engine, PbftConfig};
 
 const SIZE: usize = 1024;
 
@@ -38,11 +38,15 @@ struct Cell {
     tps: Stats,
 }
 
-fn cell<E: ConsensusEngine>(cfg: &pbft_core::PbftConfig, trials: usize) -> Cell {
+fn cell(cfg: &PbftConfig, engine: Engine, trials: usize) -> Cell {
+    let cfg = PbftConfig {
+        engine,
+        ..cfg.clone()
+    };
     Cell {
         config: cfg.table1_name(),
-        engine: E::engine_name(),
-        tps: null_throughput_engine::<E>(cfg, SIZE, trials),
+        engine: engine.name(),
+        tps: null_throughput(&cfg, SIZE, trials),
     }
 }
 
@@ -83,10 +87,8 @@ fn main() {
         "configuration", "engine", "TPS", "StDev"
     );
     for cfg in picks {
-        for c in [
-            cell::<Replica>(cfg, trials),
-            cell::<LinearReplica>(cfg, trials),
-        ] {
+        for engine in Engine::ALL {
+            let c = cell(cfg, engine, trials);
             println!(
                 "{:<32} {:<8} {:>10.0} {:>8.0}",
                 c.config, c.engine, c.tps.mean, c.tps.std_dev

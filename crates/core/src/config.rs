@@ -13,6 +13,33 @@ pub enum AuthMode {
     Signatures,
 }
 
+/// Which agreement protocol the one [`Replica`](crate::Replica) runs. Both
+/// share the log, checkpoints, state transfer, recovery and the wire
+/// format; they differ only in how votes travel (see [`crate::linear`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Engine {
+    /// Classic quadratic PBFT: all-to-all prepare and commit votes, and
+    /// all-to-all view-change votes.
+    #[default]
+    Pbft,
+    /// Linear communication: votes go to the leader, which broadcasts
+    /// quorum certificates; view-change votes go to the incoming leader.
+    Linear,
+}
+
+impl Engine {
+    /// Both engines, PBFT first (the order every head-to-head bench uses).
+    pub const ALL: [Engine; 2] = [Engine::Pbft, Engine::Linear];
+
+    /// Short stable name for bench columns and reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Pbft => "pbft",
+            Engine::Linear => "linear",
+        }
+    }
+}
+
 /// Policy for validating the primary's non-deterministic data (paper §2.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NonDetPolicy {
@@ -43,6 +70,8 @@ impl Default for NonDetPolicy {
 /// treated as big, batching enabled, static membership.
 #[derive(Debug, Clone)]
 pub struct PbftConfig {
+    /// The agreement protocol (PBFT or linear).
+    pub engine: Engine,
     /// Number of tolerated Byzantine faults.
     pub f: usize,
     /// Authentication mode (Table 1 `mac` axis).
@@ -103,6 +132,7 @@ pub struct PbftConfig {
 impl Default for PbftConfig {
     fn default() -> Self {
         PbftConfig {
+            engine: Engine::Pbft,
             f: 1,
             auth: AuthMode::Macs,
             all_requests_big: true,

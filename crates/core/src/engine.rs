@@ -1,9 +1,12 @@
-//! The consensus-engine abstraction: the narrow, sans-io surface the
-//! simulation harness drives.
+//! The consensus-engine trait: the narrow, sans-io surface of a replica,
+//! spelled as a type.
 //!
-//! Everything above `pbft_core` — `harness::cluster`, the Byzantine fault
-//! hosts, the scenario engine, the shard and cross-shard drivers — talks to a
-//! replica exclusively through [`ConsensusEngine`]. The trait splits replica
+//! The protocol is chosen by *value*: [`PbftConfig::engine`] picks PBFT or
+//! the linear engine, and the simulation harness hosts the one concrete
+//! [`Replica`] everywhere. [`ConsensusEngine`] (with
+//! [`LinearReplica`](crate::linear::LinearReplica)) is the same choice
+//! made by *type*; the wall-clock benchmark's driver is generic over it,
+//! and nothing else in the workspace names it. The trait splits replica
 //! *node logic* from the *service* that hosts it (the shape sawtooth-pbft
 //! uses for its node/Service split): an engine owns its protocol state
 //! machine, message log, and timers, while the host owns the network, the
@@ -20,13 +23,13 @@
 //! - the network (sends are returned, never performed),
 //! - randomness (all nondeterminism is agreed through the protocol).
 //!
-//! Two engine *types* live in this crate: classic quadratic PBFT
-//! ([`Replica`]) and the linear-communication rotating-leader engine
+//! Two engine *types* implement it: classic quadratic PBFT ([`Replica`])
+//! and the linear-communication rotating-leader engine
 //! ([`LinearReplica`](crate::linear::LinearReplica)). They are one state
-//! machine, not two: `LinearReplica` is `Replica` with its `linear` mode
-//! flag set, and the flag switches vote delivery and aggregation at a
-//! handful of branches inside `Replica`. The trait is what the *harness*
-//! is generic over; it is not a boundary between two implementations.
+//! machine, not two: `LinearReplica` is `Replica` built with
+//! `cfg.engine = Engine::Linear`, which switches vote delivery and
+//! aggregation at a handful of branches inside `Replica`. The trait is not
+//! a boundary between two implementations.
 //!
 //! # Implementing a custom engine
 //!
@@ -127,7 +130,8 @@ use crate::output::{HandleResult, TimerKind};
 use crate::replica::{Replica, ReplicaMetrics};
 use crate::types::{ClientId, ReplicaId, SeqNum, View};
 
-/// A sans-io replica protocol engine the harness can host.
+/// A sans-io replica protocol engine a host can be generic over (the
+/// wall-clock benchmark's driver is).
 ///
 /// All methods that consume input take an explicit `now_ns` and return a
 /// [`HandleResult`]; an engine never touches a clock or a socket itself.

@@ -54,7 +54,7 @@ pub mod wire;
 
 pub use app::{App, Effects, ExecMetrics, NonDet, NullApp};
 pub use client::{Client, ClientEvent};
-pub use config::{AuthMode, PbftConfig};
+pub use config::{AuthMode, Engine, PbftConfig};
 pub use engine::ConsensusEngine;
 pub use keys::KeyStore;
 pub use linear::LinearReplica;

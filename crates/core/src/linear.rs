@@ -1,21 +1,24 @@
 //! A linear-communication, rotating-leader consensus engine.
 //!
-//! [`LinearReplica`] is the second [`ConsensusEngine`] in this crate,
+//! [`Engine::Linear`] selects the second agreement protocol of this crate,
 //! built to make the paper's quadratic-PBFT cost measurable against the
 //! HotStuff/Tendermint-style alternative the later literature settled on.
 //!
-//! It is **not a second implementation**: `LinearReplica` is a newtype
-//! over [`Replica`] whose constructor sets one mode flag
-//! (`Replica::linear`), and every [`ConsensusEngine`] method forwards to
-//! the wrapped replica. The protocol delta lives inside the one `Replica`
-//! state machine as `if self.linear` branches at the points where votes
-//! are routed and counted (`replica/execution.rs`, `replica/viewchange.rs`,
-//! `replica/recovery.rs`) plus the two QC handlers in this file. The
-//! newtype exists so the engine is chosen by *type* (`Cluster<E>`, the
-//! conformance suite) and reports its own `engine_name`; the message log,
-//! checkpointing, Merkle state transfer, recovery statuses, batching and
-//! the wire format are not merely "shared" — they are the same code on the
-//! same struct. What the mode changes is how votes travel:
+//! It is **not a second implementation**: a [`Replica`] whose
+//! [`PbftConfig::engine`] is `Engine::Linear` runs it. The protocol delta
+//! lives inside the one `Replica` state machine as `if self.is_linear()`
+//! branches at the points where votes are routed and counted
+//! (`replica/execution.rs`, `replica/viewchange.rs`, `replica/recovery.rs`)
+//! plus the two QC handlers in this file. The message log, checkpointing,
+//! Merkle state transfer, recovery statuses, batching and the wire format
+//! are not merely "shared" — they are the same code on the same struct.
+//!
+//! [`LinearReplica`] is the same thing spelled as a type: a newtype whose
+//! constructor sets `engine = Engine::Linear` and whose
+//! [`ConsensusEngine`] methods forward to the wrapped replica. It is kept
+//! for the wall-clock benchmark, which picks its engine by type; everything
+//! else in the workspace hosts a plain `Replica` and picks by value. What
+//! the linear engine changes is how votes travel:
 //!
 //! - **Agreement is leader-aggregated.** Backups send their prepare vote to
 //!   the current leader only. When the leader holds 2f backup prepares it
@@ -50,39 +53,38 @@
 //! path), checkpoint attestations, state transfer, the §2.3 restart
 //! recovery protocol, dynamic membership, and the cross-shard layer all
 //! operate above the agreement substrate and work identically under either
-//! engine. That is the point of the [`ConsensusEngine`] split.
+//! engine.
 
 use pbft_crypto::Digest;
 
 use crate::app::{App, StateHandle};
-use crate::config::PbftConfig;
+use crate::config::{Engine, PbftConfig};
 use crate::engine::ConsensusEngine;
 use crate::messages::{CommitMsg, Message, QuorumCertMsg};
 use crate::output::{HandleResult, NetTarget, TimerKind};
 use crate::replica::{Replica, ReplicaMetrics};
 use crate::types::{ClientId, ReplicaId, SeqNum, View, VoteSet};
 
-/// The linear-communication engine: a [`Replica`] constructed with its
-/// `linear` mode flag set. See the [module docs](self) for the protocol
-/// delta.
+/// The linear-communication engine as a type: a [`Replica`] constructed
+/// with `engine = Engine::Linear`. See the [module docs](self) for the
+/// protocol delta.
 ///
-/// Dereferences to [`Replica`], so every inspection helper the test
-/// harness uses on the PBFT engine works here too.
+/// Dereferences to [`Replica`], so every inspection helper works here too.
 pub struct LinearReplica(Replica);
 
 impl LinearReplica {
-    /// Create a linear-mode replica. Parameters are those of
-    /// [`Replica::new`].
+    /// Create a linear-engine replica. Parameters are those of
+    /// [`Replica::new`]; `cfg.engine` is overridden.
     pub fn new(
-        cfg: PbftConfig,
+        mut cfg: PbftConfig,
         group_seed: u64,
         me: ReplicaId,
         state: StateHandle,
         app: Box<dyn App>,
         preinstalled_clients: &[ClientId],
     ) -> LinearReplica {
-        let mut r = Replica::new(cfg, group_seed, me, state, app, preinstalled_clients);
-        r.linear = true;
+        cfg.engine = Engine::Linear;
+        let r = Replica::new(cfg, group_seed, me, state, app, preinstalled_clients);
         LinearReplica(r)
     }
 
@@ -186,8 +188,8 @@ impl ConsensusEngine for LinearReplica {
     }
 }
 
-// The linear-mode certificate handlers live on `Replica` itself (gated on
-// the `linear` flag) so they can reach the shared log/execution machinery.
+// The linear-engine certificate handlers live on `Replica` itself (gated on
+// `cfg.engine`) so they can reach the shared log/execution machinery.
 impl Replica {
     /// A certificate's voter list as the set it can stand for: distinct ids
     /// of this group. The list is wire input — a repeated id is one voter,
@@ -204,7 +206,7 @@ impl Replica {
     /// Handle the leader's prepare certificate: adopt the quorum, mark the
     /// slot prepared, and answer with a commit vote addressed to the leader.
     pub(crate) fn on_prepare_qc(&mut self, qc: QuorumCertMsg, now_ns: u64, res: &mut HandleResult) {
-        if !self.linear
+        if !self.is_linear()
             || self.in_view_change
             || qc.view != self.view
             || !self.log.in_watermarks(qc.seq)
@@ -246,7 +248,7 @@ impl Replica {
     /// Handle the leader's commit certificate: adopt the quorum and run the
     /// shared committed-local path (execution, reply upgrade, checkpoints).
     pub(crate) fn on_commit_qc(&mut self, qc: QuorumCertMsg, now_ns: u64, res: &mut HandleResult) {
-        if !self.linear
+        if !self.is_linear()
             || self.in_view_change
             || qc.view != self.view
             || !self.log.in_watermarks(qc.seq)
@@ -311,6 +313,145 @@ mod tests {
         assert!(e.inner().is_linear());
         assert_eq!(LinearReplica::engine_name(), "linear");
         assert_eq!(<Replica as ConsensusEngine>::engine_name(), "pbft");
+        assert_eq!(LinearReplica::engine_name(), Engine::Linear.name());
+        assert_eq!(
+            <Replica as ConsensusEngine>::engine_name(),
+            Engine::Pbft.name()
+        );
+    }
+
+    /// What one scripted run emitted: every packet in send order with its
+    /// sender, every call's work record, and the final execution chains.
+    #[derive(Debug, PartialEq)]
+    struct Transcript {
+        packets: Vec<(usize, NetTarget, Vec<u8>)>,
+        counts: Vec<crate::output::OpCounts>,
+        chains: Vec<Digest>,
+        executed: Vec<SeqNum>,
+    }
+
+    impl Transcript {
+        /// Record one call's work and sends; queue the sends for delivery.
+        fn emit(
+            &mut self,
+            from: usize,
+            res: HandleResult,
+            queue: &mut std::collections::VecDeque<(NetTarget, crate::output::PacketBuf)>,
+        ) {
+            self.counts.push(res.counts);
+            for o in res.outputs {
+                if let Output::Send { to, packet, .. } = o {
+                    self.packets.push((from, to, packet.to_vec()));
+                    queue.push_back((to, packet));
+                }
+            }
+        }
+    }
+
+    const SCRIPT_CLIENTS: [ClientId; 3] = [ClientId(1), ClientId(2), ClientId(3)];
+    const SCRIPT_CLIENT_BASE: u32 = 100;
+
+    /// Drive four replicas and three static clients through one script:
+    /// three rounds of one request per client (a read-only one in the
+    /// last), each delivered to quiescence in FIFO order, then a status
+    /// tick on every replica.
+    fn scripted_run(replicas: &mut [&mut Replica]) -> Transcript {
+        use crate::client::Client;
+
+        let cfg = PbftConfig::default();
+        let mut clients: Vec<Client> = SCRIPT_CLIENTS
+            .iter()
+            .zip(SCRIPT_CLIENT_BASE..)
+            .map(|(&id, addr)| Client::new_static(cfg.clone(), 7, id, addr))
+            .collect();
+        let mut out = Transcript {
+            packets: Vec::new(),
+            counts: Vec::new(),
+            chains: Vec::new(),
+            executed: Vec::new(),
+        };
+        let mut queue = std::collections::VecDeque::new();
+        let mut now = 1_000_000;
+        for (i, r) in replicas.iter_mut().enumerate() {
+            out.emit(i, r.on_start(now, false), &mut queue);
+        }
+        for (c, client) in clients.iter_mut().enumerate() {
+            out.emit(100 + c, client.on_start(now), &mut queue);
+        }
+        for round in 0..3u8 {
+            for (c, client) in clients.iter_mut().enumerate() {
+                let read_only = round == 2 && c == 0;
+                let res = client.submit(vec![round, c as u8], read_only, now);
+                out.emit(100 + c, res, &mut queue);
+            }
+            while let Some((to, packet)) = queue.pop_front() {
+                now += 10_000;
+                match to {
+                    NetTarget::Replica(r) => {
+                        let i = r.0 as usize;
+                        let res = replicas[i].handle_packet(&packet, now);
+                        out.emit(i, res, &mut queue);
+                    }
+                    NetTarget::Client(addr) => {
+                        let c = (addr - SCRIPT_CLIENT_BASE) as usize;
+                        let res = clients[c].handle_packet(&packet, now);
+                        out.emit(100 + c, res, &mut queue);
+                    }
+                }
+            }
+        }
+        for (i, r) in replicas.iter_mut().enumerate() {
+            out.emit(i, r.on_timer(TimerKind::StatusTick, now), &mut queue);
+        }
+        out.chains = replicas.iter().map(|r| r.exec_chain()).collect();
+        out.executed = replicas.iter().map(|r| r.last_executed()).collect();
+        out
+    }
+
+    /// The wall-clock benchmark builds the linear engine through the type
+    /// ([`LinearReplica::new`]); everything else builds a [`Replica`] with
+    /// `cfg.engine = Engine::Linear`. The two must be one engine: the same
+    /// script yields byte-equal packets, equal work records and equal
+    /// execution chains.
+    #[test]
+    fn type_path_and_value_path_build_the_same_engine() {
+        let state = || {
+            let pages = LIB_REGION_PAGES as usize + 4;
+            Rc::new(RefCell::new(pbft_state::PagedState::new(pages)))
+        };
+        let app = || Box::new(NullApp::new(64));
+        let mut by_type: Vec<LinearReplica> = (0..4)
+            .map(|i| {
+                let cfg = PbftConfig::default();
+                LinearReplica::new(cfg, 7, ReplicaId(i), state(), app(), &SCRIPT_CLIENTS)
+            })
+            .collect();
+        let mut by_value: Vec<Replica> = (0..4)
+            .map(|i| {
+                let cfg = PbftConfig {
+                    engine: Engine::Linear,
+                    ..PbftConfig::default()
+                };
+                Replica::new(cfg, 7, ReplicaId(i), state(), app(), &SCRIPT_CLIENTS)
+            })
+            .collect();
+        let a = scripted_run(
+            &mut by_type
+                .iter_mut()
+                .map(|r| r.inner_mut())
+                .collect::<Vec<_>>(),
+        );
+        let b = scripted_run(&mut by_value.iter_mut().collect::<Vec<_>>());
+        assert!(
+            a.executed.iter().all(|&s| s >= 3),
+            "the script ran several batches: {:?}",
+            a.executed
+        );
+        assert!(
+            a.packets.iter().any(|(_, _, p)| p[0] == 15),
+            "the linear engine's PrepareQC was on the wire"
+        );
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -247,7 +247,7 @@ impl Replica {
                 digest,
                 replica: me,
             };
-            if self.linear {
+            if self.is_linear() {
                 // Linear mode: the prepare vote goes to the leader alone,
                 // which aggregates the quorum into a PrepareQC broadcast.
                 let leader = self.cfg.primary_of(view);
@@ -284,7 +284,7 @@ impl Replica {
     pub(crate) fn update_prepared(&mut self, seq: SeqNum, now_ns: u64, res: &mut HandleResult) {
         let needed = 2 * self.cfg.f;
         let me = self.id();
-        let linear = self.linear;
+        let linear = self.is_linear();
         let Some(e) = self.log.get_mut(seq) else {
             return;
         };
@@ -352,7 +352,7 @@ impl Replica {
     pub(crate) fn update_committed(&mut self, seq: SeqNum, now_ns: u64, res: &mut HandleResult) {
         let quorum = self.cfg.quorum();
         let me = self.id();
-        let linear = self.linear;
+        let linear = self.is_linear();
         let Some(e) = self.log.get_mut(seq) else {
             return;
         };

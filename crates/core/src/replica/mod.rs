@@ -19,7 +19,7 @@ use pbft_crypto::Digest;
 use pbft_state::{Fetcher, Section, Snapshot};
 
 use crate::app::{App, Effects, NonDet, StateHandle};
-use crate::config::PbftConfig;
+use crate::config::{Engine, PbftConfig};
 use crate::keys::KeyStore;
 use crate::log::{LogEntry, MessageLog};
 use crate::membership::Membership;
@@ -63,10 +63,11 @@ const STATUS_INTERVAL_NS: u64 = 150_000_000;
 /// request whose declared keys are dirty in a tentatively executed
 /// (prepared but uncommitted) batch is parked until local commit instead of
 /// being answered from uncommitted state — the answer would force the
-/// client through retransmit-and-escalate. Once the queue is full, further
-/// contended reads fall back to immediate optimistic service (safe: the
-/// client's 2f+1 matching rule still protects it, at the cost of possible
-/// escalation).
+/// client through retransmit-and-escalate. A client parks at most one read
+/// (a newer timestamp replaces its older one), so the queue holds one entry
+/// per client. Once it is full, a further contended read is dropped: the
+/// client's retransmit-then-escalate path answers it through ordering.
+/// Nothing is ever answered from tentative state.
 const READ_DEFER_MAX: usize = 64;
 
 /// Counters exposed for experiments and tests.
@@ -102,9 +103,9 @@ pub struct ReplicaMetrics {
     /// tentatively executed, not-yet-committed batch, so the read was held
     /// until local commit instead of being answered from uncommitted state.
     pub read_only_deferred: u64,
-    /// Contended reads served immediately because the deferred-read queue
-    /// was at capacity (64 parked reads) — the
-    /// pre-gate optimistic behavior, kept as the overload fallback.
+    /// Contended reads dropped because the deferred-read queue was at
+    /// capacity (64 clients with a parked read). The client's
+    /// retransmit-then-escalate path answers them through ordering.
     pub read_defer_overflow: u64,
     /// Malformed packets dropped.
     pub decode_failures: u64,
@@ -304,19 +305,14 @@ pub struct Replica {
     /// transfer — the three places tentative marks are resolved.
     pub(crate) tentative_effects: BTreeMap<SeqNum, TentativeEffects>,
     /// Read-only requests parked by the contention gate until the dirty
-    /// batches covering their keys commit locally. Bounded by
-    /// [`READ_DEFER_MAX`]; flushed wherever
+    /// batches covering their keys commit locally, at most one per client.
+    /// Bounded by [`READ_DEFER_MAX`]; flushed wherever
     /// `tentative_effects` entries are resolved.
     pub(crate) deferred_reads: VecDeque<RequestMsg>,
 
     /// Execution-order commitment: running digest of executed batches, used
     /// by tests to prove all replicas executed the same sequence.
     pub(crate) exec_chain: Digest,
-
-    /// Linear-communication mode ([`crate::linear`]): votes flow to the
-    /// leader, which broadcasts quorum certificates; view-change votes go to
-    /// the incoming leader only.
-    pub(crate) linear: bool,
 
     /// Last pre-prepare issuance time (the no-batching pacing quantum).
     pub(crate) last_issue_ns: u64,
@@ -425,7 +421,6 @@ impl Replica {
             tentative_effects: BTreeMap::new(),
             deferred_reads: VecDeque::new(),
             exec_chain: Digest::ZERO,
-            linear: false,
             last_issue_ns: 0,
             gather_deadline_ns: None,
             last_issue_width: 0,
@@ -505,10 +500,12 @@ impl Replica {
         self.in_view_change
     }
 
-    /// True when running in linear-communication mode (constructed through
-    /// [`crate::linear::LinearReplica`]).
+    /// True when running the linear-communication engine
+    /// ([`Engine::Linear`], see
+    /// [`crate::linear`]): votes flow to the leader, which broadcasts quorum
+    /// certificates, and view-change votes go to the incoming leader only.
     pub fn is_linear(&self) -> bool {
-        self.linear
+        self.cfg.engine == Engine::Linear
     }
 
     /// Fault-injection surface: cast an unjustified view-change vote, the
@@ -921,26 +918,33 @@ impl Replica {
     /// and push the client into retransmit-and-escalate. Reads with no
     /// conflict are answered immediately against committed-or-tentative
     /// state exactly as before.
+    ///
+    /// A client parks at most one read, and a newer timestamp replaces its
+    /// older one: read-only requests never advance the client's executed
+    /// timestamp, so without that one client could fill the queue alone. A
+    /// read that finds the queue full is dropped, never served.
     fn serve_read_only(&mut self, req: &RequestMsg, now_ns: u64, res: &mut HandleResult) {
         use crate::messages::Operation;
         let Operation::App(op) = &req.op else { return };
-        if self.read_defers(op) {
-            if self.deferred_reads.len() >= READ_DEFER_MAX {
-                self.metrics.read_defer_overflow += 1;
-                // Queue full: fall back to immediate optimistic service.
-            } else {
-                if !self
-                    .deferred_reads
-                    .iter()
-                    .any(|r| r.client == req.client && r.timestamp == req.timestamp)
-                {
-                    self.metrics.read_only_deferred += 1;
-                    self.deferred_reads.push_back(req.clone());
-                }
-                return;
-            }
+        if !self.read_defers(op) {
+            self.serve_read_now(req, now_ns, res);
+            return;
         }
-        self.serve_read_now(req, now_ns, res);
+        let parked = self
+            .deferred_reads
+            .iter_mut()
+            .find(|r| r.client == req.client);
+        if let Some(parked) = parked {
+            if req.timestamp > parked.timestamp {
+                *parked = req.clone();
+                self.metrics.read_only_deferred += 1;
+            }
+        } else if self.deferred_reads.len() < READ_DEFER_MAX {
+            self.deferred_reads.push_back(req.clone());
+            self.metrics.read_only_deferred += 1;
+        } else {
+            self.metrics.read_defer_overflow += 1;
+        }
     }
 
     /// Would serving `op` now observe a tentatively executed effect?

@@ -169,7 +169,7 @@ impl Replica {
             let Some(pp) = &e.preprepare else { continue };
             if self.cfg.primary_of(e.view) == me {
                 msgs.push(Message::PrePrepare(pp.clone()));
-            } else if !self.linear && e.prepares.contains(me) {
+            } else if !self.is_linear() && e.prepares.contains(me) {
                 msgs.push(Message::Prepare(crate::messages::PrepareMsg {
                     view: e.view,
                     seq,
@@ -177,7 +177,7 @@ impl Replica {
                     replica: me,
                 }));
             }
-            if self.linear {
+            if self.is_linear() {
                 // Linear mode: individual votes are useless to the lagging
                 // peer (only the leader aggregates them), but any replica
                 // that holds a certificate's voter set can replay it.

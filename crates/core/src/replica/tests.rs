@@ -519,6 +519,68 @@ fn contended_read_defers_until_tentative_state_resolves() {
     net.assert_states_equal(&[0, 1, 2, 3]);
 }
 
+/// One client must not be able to fill the deferred-read queue: read-only
+/// requests never advance its executed timestamp, so a client can send any
+/// number of distinct-timestamp reads. They share one parked slot, and a
+/// full queue drops a read rather than answer it from tentative state.
+#[test]
+fn overflowing_read_queue_never_answers_from_tentative_state() {
+    use crate::keys::ClientKeys;
+    use crate::messages::{Envelope, Message, Operation, RequestMsg, Sender};
+
+    let mut net = Net::new(default_cfg(), 3, AppKind::DeclaringKv);
+    net.hold = Some(Box::new(|_, _, disc| disc == 4));
+    net.submit(0, KvApp::op_put(5, 55), false);
+    net.pump(50_000);
+    assert_eq!(net.completed(0), 1, "the write executed tentatively");
+
+    // Client 1 floods every replica with 65 contended reads of the dirty
+    // key, each correctly authenticated under its own session keys.
+    let flooder = ClientId(2);
+    let keys = ClientKeys::new(SEED, flooder, net.cfg.n());
+    for timestamp in 1..=65 {
+        let msg = Message::Request(RequestMsg {
+            client: flooder,
+            timestamp,
+            read_only: true,
+            reply_addr: CLIENT_ADDR_BASE + 1,
+            op: Operation::App(KvApp::op_get(5)),
+        });
+        let prefix = Envelope::encode_prefix(Sender::Client(flooder), &msg);
+        let auth = keys.seal_request(net.cfg.auth, &prefix, &mut Default::default());
+        let packet = std::sync::Arc::new(Envelope::seal(prefix, &auth));
+        for r in 0..net.cfg.n() as u32 {
+            let to = NetTarget::Replica(ReplicaId(r));
+            let disc = packet[0];
+            net.queue
+                .push_back((Source::Client(1), to, std::sync::Arc::clone(&packet), disc));
+        }
+    }
+    net.pump(100_000);
+
+    // Client 2's read of the same key must wait for the commit.
+    net.submit(2, KvApp::op_get(5), true);
+    net.pump(50_000);
+    assert_eq!(
+        net.completed(2),
+        0,
+        "a flooded read queue answered a read from tentative state"
+    );
+    for r in &net.replicas {
+        assert_eq!(
+            r.metrics().read_only_served,
+            0,
+            "nothing served tentatively"
+        );
+    }
+    net.release_held();
+    net.pump(100_000);
+    assert_eq!(net.completed(2), 1, "parked read served after local commit");
+    let mut expect = 5u64.to_be_bytes().to_vec();
+    expect.extend_from_slice(&55u64.to_be_bytes());
+    assert_eq!(net.last_reply(2).expect("read completed"), expect);
+}
+
 /// An [`Effects::Admin`] operation (the cross-shard layer's epoch flip is
 /// the motivating case) conflicts with every declared read while it is
 /// uncommitted: answering from it could leak a reconfiguration that a view

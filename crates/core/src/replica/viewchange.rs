@@ -49,7 +49,7 @@ impl Replica {
             .entry(target)
             .or_default()
             .insert(me, vc.clone());
-        if self.linear {
+        if self.is_linear() {
             // Linear rotation: the vote goes to the incoming leader alone —
             // O(n) messages per rotation across the group instead of the
             // O(n²) all-to-all exchange. The leader already counted its own

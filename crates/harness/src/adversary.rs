@@ -10,7 +10,7 @@
 //! compromised replica hurts the most. This module supplies that opponent:
 //!
 //! * [`Observation`] — the protocol state an adversary is allowed to see,
-//!   read through the [`ConsensusEngine`] introspection surface (current
+//!   read through the replica's introspection surface (current
 //!   view, execution progress, stable checkpoint, rotation/recovery flags).
 //!   Nothing here is privileged: every field is information a real
 //!   compromised member would hold.
@@ -34,7 +34,7 @@
 //! fire on the virtual clock, so the same seed reproduces the same attack
 //! trace byte for byte.
 
-use pbft_core::{ConsensusEngine, SeqNum, View};
+use pbft_core::{SeqNum, View};
 use simnet::SimTime;
 
 use crate::byzantine::Fault;
@@ -189,11 +189,8 @@ impl Adversary {
         let n = group.spec().cfg.n();
         let engine = group.replica(self.member)?;
         let view = engine.view();
-        let rotation_in_flight = (0..n).any(|m| {
-            group
-                .replica(m)
-                .is_some_and(|e: &T::Engine| e.in_view_change())
-        });
+        let rotation_in_flight =
+            (0..n).any(|m| group.replica(m).is_some_and(|e| e.in_view_change()));
         Some(Observation {
             shard: self.shard,
             member: self.member,

@@ -54,10 +54,10 @@
 use pbft_core::messages::view::PacketView;
 use pbft_core::messages::Sender;
 use pbft_core::replica::Replica;
-use pbft_core::{ClientId, ConsensusEngine, NetTarget, Output, PacketBuf};
+use pbft_core::{ClientId, NetTarget, Output, PacketBuf};
 use simnet::{Node, NodeCtx, NodeId, SimDuration, TimerId};
 
-use crate::cluster::{make_engine, Cluster, ClusterSpec};
+use crate::cluster::{make_replica, Cluster, ClusterSpec};
 use crate::cost::CostModel;
 
 /// Which Byzantine behaviour to mount.
@@ -125,11 +125,10 @@ const TAG_COMMIT_QC: u8 = 16;
 /// outside the engine's `TimerKind` index range, so the two cannot collide.
 const STORM_TIMER: TimerId = TimerId(1_000);
 
-/// A replica host that can misbehave. Generic over the hosted
-/// [`ConsensusEngine`]; defaults to the PBFT [`Replica`].
-pub struct FaultyReplicaHost<E: ConsensusEngine = Replica> {
+/// A replica host that can misbehave.
+pub struct FaultyReplicaHost {
     /// Engine(s): one, or two for [`Fault::SplitBrain`].
-    pub engines: Vec<E>,
+    pub engines: Vec<Replica>,
     /// Cumulative work record of engine 0 (cost-model inputs), for
     /// experiment reports.
     pub cum_counts: pbft_core::OpCounts,
@@ -142,35 +141,35 @@ pub struct FaultyReplicaHost<E: ConsensusEngine = Replica> {
     restarted: bool,
 }
 
-impl<E: ConsensusEngine> FaultyReplicaHost<E> {
+impl FaultyReplicaHost {
     /// Wrap `replica` with `fault` mounted from the start. For
-    /// [`Fault::SplitBrain`] pass the twin engine created with
-    /// [`make_engine`] for the same id.
-    pub fn new(replica: E, twin: Option<E>, fault: Fault, model: CostModel, n: usize) -> Self {
-        let mut engines = vec![replica];
-        if let Some(t) = twin {
+    /// [`Fault::SplitBrain`] pass the twin created with [`make_replica`]
+    /// for the same id.
+    pub fn new(
+        replica: Replica,
+        twin: Option<Replica>,
+        fault: Fault,
+        model: CostModel,
+        n: usize,
+    ) -> Self {
+        let mut host = Self::honest(replica, model, n);
+        if let Some(twin) = twin {
             assert_eq!(
                 fault,
                 Fault::SplitBrain,
                 "twin engines are for split-brain only"
             );
-            engines.push(t);
+            host.engines.push(twin);
         }
-        FaultyReplicaHost {
-            engines,
-            cum_counts: Default::default(),
-            fault: Some(fault),
-            model,
-            n,
-            restarted: false,
-        }
+        host.fault = Some(fault);
+        host
     }
 
     /// Wrap `replica` with *no* fault mounted: an honest member, on which a
     /// scenario can mount a fault later. This is how
     /// [`Cluster::build`](crate::cluster::Cluster::build) mounts every
     /// replica.
-    pub fn honest(replica: E, model: CostModel, n: usize) -> Self {
+    pub fn honest(replica: Replica, model: CostModel, n: usize) -> Self {
         FaultyReplicaHost {
             engines: vec![replica],
             cum_counts: Default::default(),
@@ -186,15 +185,10 @@ impl<E: ConsensusEngine> FaultyReplicaHost<E> {
     /// engine (so it shares the whole protocol history) but its outputs are
     /// suppressed until [`Fault::SplitBrain`] is mounted. This is what lets
     /// an adaptive adversary turn equivocation on and off mid-run.
-    pub fn honest_with_twin(replica: E, twin: E, model: CostModel, n: usize) -> Self {
-        FaultyReplicaHost {
-            engines: vec![replica, twin],
-            cum_counts: Default::default(),
-            fault: None,
-            model,
-            n,
-            restarted: false,
-        }
+    pub fn honest_with_twin(replica: Replica, twin: Replica, model: CostModel, n: usize) -> Self {
+        let mut host = Self::honest(replica, model, n);
+        host.engines.push(twin);
+        host
     }
 
     /// Flag this host as mounted by a restart, so the engine(s) run their
@@ -361,7 +355,7 @@ impl<E: ConsensusEngine> FaultyReplicaHost<E> {
     }
 }
 
-impl<E: ConsensusEngine> Node for FaultyReplicaHost<E> {
+impl Node for FaultyReplicaHost {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         for i in 0..self.engines.len() {
             let restarted = self.restarted;
@@ -438,21 +432,12 @@ fn corrupt(mut packet: Vec<u8>) -> Vec<u8> {
 /// Build a cluster where `faulty` misbehaves per `fault` from the start;
 /// all other replicas and all clients are honest.
 pub fn build_faulty_cluster(spec: ClusterSpec, faulty: u32, fault: Fault) -> Cluster {
-    build_faulty_cluster_engine::<Replica>(spec, faulty, fault)
-}
-
-/// [`build_faulty_cluster`] for any [`ConsensusEngine`].
-pub fn build_faulty_cluster_engine<E: ConsensusEngine>(
-    spec: ClusterSpec,
-    faulty: u32,
-    fault: Fault,
-) -> Cluster<E> {
     let n = spec.cfg.n();
     let cost = spec.cost;
     let spec_for_twin = spec.clone();
-    Cluster::build_engine_with(spec, move |i, replica| {
+    Cluster::build_with(spec, move |i, replica| {
         if i == faulty {
-            let twin = (fault == Fault::SplitBrain).then(|| make_engine::<E>(&spec_for_twin, i));
+            let twin = (fault == Fault::SplitBrain).then(|| make_replica(&spec_for_twin, i));
             Box::new(FaultyReplicaHost::new(replica, twin, fault, cost, n))
         } else {
             Box::new(FaultyReplicaHost::honest(replica, cost, n))
@@ -465,20 +450,12 @@ pub fn build_faulty_cluster_engine<E: ConsensusEngine>(
 /// fault on it mid-run — including [`Fault::SplitBrain`]. Behaviour is
 /// honest until something is mounted.
 pub fn build_adversary_cluster(spec: ClusterSpec, compromised: u32) -> Cluster {
-    build_adversary_cluster_engine::<Replica>(spec, compromised)
-}
-
-/// [`build_adversary_cluster`] for any [`ConsensusEngine`].
-pub fn build_adversary_cluster_engine<E: ConsensusEngine>(
-    spec: ClusterSpec,
-    compromised: u32,
-) -> Cluster<E> {
     let n = spec.cfg.n();
     let cost = spec.cost;
     let spec_for_twin = spec.clone();
-    Cluster::build_engine_with(spec, move |i, replica| {
+    Cluster::build_with(spec, move |i, replica| {
         if i == compromised {
-            let twin = make_engine::<E>(&spec_for_twin, i);
+            let twin = make_replica(&spec_for_twin, i);
             Box::new(FaultyReplicaHost::honest_with_twin(replica, twin, cost, n))
         } else {
             Box::new(FaultyReplicaHost::honest(replica, cost, n))
@@ -502,9 +479,9 @@ mod tests {
     fn split_brain_audiences_are_disjoint_and_cover() {
         let spec = ClusterSpec::default();
         let n = spec.cfg.n();
-        let host: FaultyReplicaHost = FaultyReplicaHost::new(
-            make_engine(&spec, 0),
-            Some(make_engine(&spec, 0)),
+        let host = FaultyReplicaHost::new(
+            make_replica(&spec, 0),
+            Some(make_replica(&spec, 0)),
             Fault::SplitBrain,
             CostModel::default(),
             n,
@@ -522,8 +499,7 @@ mod tests {
     #[test]
     fn honest_host_passes_everything_through() {
         let spec = ClusterSpec::default();
-        let host: FaultyReplicaHost =
-            FaultyReplicaHost::honest(make_engine(&spec, 1), CostModel::default(), 4);
+        let host = FaultyReplicaHost::honest(make_replica(&spec, 1), CostModel::default(), 4);
         assert_eq!(host.fault(), None);
         assert_eq!(host.slowdown(), SimDuration::ZERO);
         assert!(host.audience_allows(0, NodeId(2)));
@@ -540,8 +516,7 @@ mod tests {
     #[test]
     fn tamper_agreement_covers_linear_qc_tags() {
         let spec = ClusterSpec::default();
-        let mut host: FaultyReplicaHost =
-            FaultyReplicaHost::honest(make_engine(&spec, 0), CostModel::default(), 4);
+        let mut host = FaultyReplicaHost::honest(make_replica(&spec, 0), CostModel::default(), 4);
         host.fault = Some(Fault::TamperAgreement);
         for tag in [TAG_PREPARE, TAG_COMMIT, TAG_PREPARE_QC, TAG_COMMIT_QC] {
             let packet = PacketBuf::new(vec![tag, 7, 7, 7, 7]);
@@ -572,8 +547,7 @@ mod tests {
         assert!(!Fault::Mute.censors(ClientId(1)));
 
         let spec = ClusterSpec::default();
-        let mut host: FaultyReplicaHost =
-            FaultyReplicaHost::honest(make_engine(&spec, 0), CostModel::default(), n);
+        let mut host = FaultyReplicaHost::honest(make_replica(&spec, 0), CostModel::default(), n);
         host.fault = Some(fault);
         // Client k sits at node id n + k - 1.
         assert!(host.censored_node(NodeId(n as u32))); // client 1
@@ -589,9 +563,9 @@ mod tests {
     fn provisioned_twin_stays_silent_until_split_brain_mounts() {
         let spec = ClusterSpec::default();
         let n = spec.cfg.n();
-        let mut host: FaultyReplicaHost = FaultyReplicaHost::honest_with_twin(
-            make_engine(&spec, 0),
-            make_engine(&spec, 0),
+        let mut host = FaultyReplicaHost::honest_with_twin(
+            make_replica(&spec, 0),
+            make_replica(&spec, 0),
             CostModel::default(),
             n,
         );
@@ -613,8 +587,7 @@ mod tests {
     #[test]
     fn slow_primary_charges_but_never_drops() {
         let spec = ClusterSpec::default();
-        let mut host: FaultyReplicaHost =
-            FaultyReplicaHost::honest(make_engine(&spec, 0), CostModel::default(), 4);
+        let mut host = FaultyReplicaHost::honest(make_replica(&spec, 0), CostModel::default(), 4);
         host.fault = Some(Fault::SlowPrimary { delay_ns: 750_000 });
         assert_eq!(host.slowdown(), SimDuration::from_nanos(750_000));
         for tag in [TAG_PREPARE, TAG_COMMIT, TAG_REPLY] {

@@ -7,9 +7,7 @@ use minisql::JournalMode;
 use pbft_core::app::{App, KvApp, NullApp, StateHandle};
 use pbft_core::client::{Client, ClientEvent, ClientMetrics};
 use pbft_core::replica::{Replica, ReplicaMetrics, LIB_REGION_PAGES};
-use pbft_core::{
-    ClientId, ConsensusEngine, HandleResult, NetTarget, Output, PbftConfig, ReplicaId, TimerKind,
-};
+use pbft_core::{ClientId, HandleResult, NetTarget, Output, PbftConfig, ReplicaId, TimerKind};
 use pbft_sql::{CostProfile, SqlApp};
 use pbft_state::PagedState;
 use pbft_xshard::routing::ShardMap;
@@ -305,12 +303,10 @@ impl Node for ClientHost {
     }
 }
 
-/// A running simulated cluster, generic over the hosted
-/// [`ConsensusEngine`] (default: the PBFT [`Replica`]). Build the default
-/// flavor with [`Cluster::build`]; build any engine with
-/// [`Cluster::build_engine`] (e.g.
-/// `Cluster::<LinearReplica>::build_engine(spec)`).
-pub struct Cluster<E: ConsensusEngine = Replica> {
+/// A running simulated cluster. Every replica runs the engine
+/// `spec.cfg.engine` names, including every replica a restart, a proactive
+/// recovery or a split-brain twin builds later.
+pub struct Cluster {
     /// The simulator.
     pub sim: Simulator,
     /// Node ids of the replicas (index = replica id).
@@ -318,13 +314,12 @@ pub struct Cluster<E: ConsensusEngine = Replica> {
     /// Node ids of the clients.
     pub clients: Vec<NodeId>,
     spec: ClusterSpec,
-    _engine: std::marker::PhantomData<fn() -> E>,
 }
 
-/// Build one replica engine per the spec (used by [`Cluster::build_engine`]
-/// and by fault-injection harnesses that need extra engines, e.g. a
-/// split-brain equivocating primary).
-pub fn make_engine<E: ConsensusEngine>(spec: &ClusterSpec, i: u32) -> E {
+/// Build replica `i` per the spec, over a fresh state region (used by
+/// [`Cluster::build`] and by fault-injection harnesses that need extra
+/// replicas, e.g. a split-brain equivocating primary).
+pub fn make_replica(spec: &ClusterSpec, i: u32) -> Replica {
     let static_clients: Vec<ClientId> = if spec.cfg.dynamic_membership {
         Vec::new()
     } else {
@@ -332,7 +327,7 @@ pub fn make_engine<E: ConsensusEngine>(spec: &ClusterSpec, i: u32) -> E {
     };
     let state: StateHandle = Rc::new(RefCell::new(PagedState::new(spec.app.state_pages())));
     let app = spec.make_app(state.clone());
-    E::build(
+    Replica::new(
         spec.cfg.clone(),
         GROUP_SEED,
         ReplicaId(i),
@@ -342,14 +337,18 @@ pub fn make_engine<E: ConsensusEngine>(spec: &ClusterSpec, i: u32) -> E {
     )
 }
 
-/// The PBFT-engine constructors, kept non-generic so the many existing call
-/// sites (`Cluster::build(spec)`) resolve without type annotations.
 impl Cluster {
     /// Build the cluster: replicas first (node id == replica id), then
     /// clients. Dynamic deployments complete their joins before this
-    /// returns.
+    /// returns. Every replica is mounted on a fault-free
+    /// [`FaultyReplicaHost`], so scenarios can [`Cluster::mount_fault`] on
+    /// any member at runtime.
     pub fn build(spec: ClusterSpec) -> Cluster {
-        Cluster::build_engine(spec)
+        let cost = spec.cost;
+        let n = spec.cfg.n();
+        Self::build_with(spec, move |_, replica| {
+            Box::new(FaultyReplicaHost::honest(replica, cost, n))
+        })
     }
 
     /// Fully custom node assembly: the closure adds every node to the
@@ -359,27 +358,6 @@ impl Cluster {
         spec: ClusterSpec,
         assemble: impl FnOnce(&mut Simulator, &ClusterSpec) -> (Vec<NodeId>, Vec<NodeId>),
     ) -> Cluster {
-        Cluster::build_engine_custom(spec, assemble)
-    }
-}
-
-impl<E: ConsensusEngine> Cluster<E> {
-    /// [`Cluster::build`] for any engine type. Every replica is mounted on
-    /// a fault-free [`FaultyReplicaHost`], so scenarios can
-    /// [`Cluster::mount_fault`] on any member at runtime.
-    pub fn build_engine(spec: ClusterSpec) -> Cluster<E> {
-        let cost = spec.cost;
-        let n = spec.cfg.n();
-        Self::build_engine_with(spec, move |_, replica| {
-            Box::new(FaultyReplicaHost::honest(replica, cost, n))
-        })
-    }
-
-    /// [`Cluster::build_custom`] for any engine type.
-    pub fn build_engine_custom(
-        spec: ClusterSpec,
-        assemble: impl FnOnce(&mut Simulator, &ClusterSpec) -> (Vec<NodeId>, Vec<NodeId>),
-    ) -> Cluster<E> {
         let mut sim = Simulator::new(SimConfig {
             seed: spec.seed,
             default_link: spec.link,
@@ -392,59 +370,44 @@ impl<E: ConsensusEngine> Cluster<E> {
             replicas,
             clients,
             spec,
-            _engine: std::marker::PhantomData,
         };
         cluster.settle();
         cluster
     }
 
-    /// [`Cluster::build_engine`] with custom replica hosts — the hook for
+    /// [`Cluster::build`] with custom replica hosts — the hook for
     /// mounting Byzantine behaviours on selected replicas.
-    pub fn build_engine_with(
+    pub fn build_with(
         spec: ClusterSpec,
-        mut make_host: impl FnMut(u32, E) -> Box<dyn Node>,
-    ) -> Cluster<E> {
-        let mut sim = Simulator::new(SimConfig {
-            seed: spec.seed,
-            default_link: spec.link,
-            trace: spec.trace,
-            ..Default::default()
-        });
-        let n = spec.cfg.n();
-        let mut replicas = Vec::with_capacity(n);
-        for i in 0..n as u32 {
-            let replica = make_engine::<E>(&spec, i);
-            let id = sim.add_node(make_host(i, replica));
-            replicas.push(id);
-        }
-        let mut clients = Vec::with_capacity(spec.num_clients);
-        for c in 0..spec.num_clients {
-            // The client's transport address is its (future) simnet node id.
-            let addr = (n + c) as u32;
-            let client = if spec.cfg.dynamic_membership {
-                let idbuf = match &spec.app {
-                    AppKind::Evoting { voters, .. } => {
-                        let (u, s) = &voters[c % voters.len()];
-                        evoting::idbuf(u, s)
-                    }
-                    _ => format!("user-{c}").into_bytes(),
-                };
-                Client::new_dynamic(spec.cfg.clone(), GROUP_SEED, c as u64 + 1, addr, idbuf)
-            } else {
-                Client::new_static(spec.cfg.clone(), GROUP_SEED, ClientId(c as u64 + 1), addr)
-            };
-            let id = sim.add_node(Box::new(ClientHost::new(client, spec.cost)));
-            clients.push(id);
-        }
-        let mut cluster = Cluster {
-            sim,
-            replicas,
-            clients,
-            spec,
-            _engine: std::marker::PhantomData,
-        };
-        cluster.settle();
-        cluster
+        mut make_host: impl FnMut(u32, Replica) -> Box<dyn Node>,
+    ) -> Cluster {
+        Self::build_custom(spec, |sim, spec| {
+            let n = spec.cfg.n();
+            let replicas = (0..n as u32)
+                .map(|i| sim.add_node(make_host(i, make_replica(spec, i))))
+                .collect();
+            let clients = (0..spec.num_clients)
+                .map(|c| {
+                    // The client's transport address is its (future) simnet node id.
+                    let addr = (n + c) as u32;
+                    let client = if spec.cfg.dynamic_membership {
+                        let idbuf = match &spec.app {
+                            AppKind::Evoting { voters, .. } => {
+                                let (u, s) = &voters[c % voters.len()];
+                                evoting::idbuf(u, s)
+                            }
+                            _ => format!("user-{c}").into_bytes(),
+                        };
+                        Client::new_dynamic(spec.cfg.clone(), GROUP_SEED, c as u64 + 1, addr, idbuf)
+                    } else {
+                        let id = ClientId(c as u64 + 1);
+                        Client::new_static(spec.cfg.clone(), GROUP_SEED, id, addr)
+                    };
+                    sim.add_node(Box::new(ClientHost::new(client, spec.cost)))
+                })
+                .collect();
+            (replicas, clients)
+        })
     }
 
     /// Wait for joins / key distribution to complete.
@@ -592,12 +555,12 @@ impl<E: ConsensusEngine> Cluster<E> {
             .unwrap_or_default()
     }
 
-    /// Access a replica engine (engine 0 of its host: the identity a
-    /// split-brain twin shares). `None` while the member is crashed, or
-    /// when a [`Cluster::build_engine_with`] closure mounted some other node type.
-    pub fn replica(&self, i: usize) -> Option<&E> {
+    /// Access a replica (engine 0 of its host: the identity a split-brain
+    /// twin shares). `None` while the member is crashed, or when a
+    /// [`Cluster::build_with`] closure mounted some other node type.
+    pub fn replica(&self, i: usize) -> Option<&Replica> {
         self.sim
-            .node_ref::<FaultyReplicaHost<E>>(self.replicas[i])
+            .node_ref::<FaultyReplicaHost>(self.replicas[i])
             .map(|h| &h.engines[0])
     }
 
@@ -609,7 +572,7 @@ impl<E: ConsensusEngine> Cluster<E> {
     pub fn mount_fault(&mut self, i: usize, fault: Fault) {
         let mounted = self
             .sim
-            .with_node_ctx::<FaultyReplicaHost<E>, _>(self.replicas[i], |host, ctx| {
+            .with_node_ctx::<FaultyReplicaHost, _>(self.replicas[i], |host, ctx| {
                 host.mount(fault, ctx)
             });
         assert!(mounted.is_some(), "replica {i} is crashed");
@@ -621,9 +584,7 @@ impl<E: ConsensusEngine> Cluster<E> {
     pub fn unmount_fault(&mut self, i: usize) {
         let unmounted = self
             .sim
-            .with_node_ctx::<FaultyReplicaHost<E>, _>(self.replicas[i], |host, ctx| {
-                host.unmount(ctx)
-            });
+            .with_node_ctx::<FaultyReplicaHost, _>(self.replicas[i], |host, ctx| host.unmount(ctx));
         assert!(unmounted.is_some(), "replica {i} is crashed");
     }
 
@@ -631,14 +592,14 @@ impl<E: ConsensusEngine> Cluster<E> {
     /// crashed members).
     pub fn mounted_fault(&self, i: usize) -> Option<Fault> {
         self.sim
-            .node_ref::<FaultyReplicaHost<E>>(self.replicas[i])
+            .node_ref::<FaultyReplicaHost>(self.replicas[i])
             .and_then(|h| h.fault())
     }
 
     /// A replica's cumulative work record (cost-model inputs).
     pub fn replica_counts(&self, i: usize) -> pbft_core::OpCounts {
         self.sim
-            .node_ref::<FaultyReplicaHost<E>>(self.replicas[i])
+            .node_ref::<FaultyReplicaHost>(self.replicas[i])
             .map(|h| h.cum_counts)
             .unwrap_or_default()
     }
@@ -685,7 +646,7 @@ impl<E: ConsensusEngine> Cluster<E> {
             .take_node(node_id)
             .and_then(|node| {
                 (node as Box<dyn std::any::Any>)
-                    .downcast::<FaultyReplicaHost<E>>()
+                    .downcast::<FaultyReplicaHost>()
                     .ok()
             })
             .map_or((None, false), |host| {
@@ -696,7 +657,7 @@ impl<E: ConsensusEngine> Cluster<E> {
             _ => Rc::new(RefCell::new(PagedState::new(self.spec.app.state_pages()))),
         };
         let app = self.spec.make_app(state.clone());
-        let replica = E::build(
+        let replica = Replica::new(
             self.spec.cfg.clone(),
             GROUP_SEED,
             ReplicaId(i as u32),
@@ -709,7 +670,7 @@ impl<E: ConsensusEngine> Cluster<E> {
             // Re-provision a fresh silent twin: the rebooted member can be
             // re-compromised later, but the reboot itself wiped whatever the
             // old twin knew.
-            let twin = make_engine::<E>(&self.spec, i as u32);
+            let twin = make_replica(&self.spec, i as u32);
             FaultyReplicaHost::honest_with_twin(replica, twin, cost, n)
         } else {
             FaultyReplicaHost::honest(replica, cost, n)

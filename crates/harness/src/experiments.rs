@@ -1,7 +1,7 @@
 //! One entry point per table and figure of the paper's evaluation.
 
 use minisql::JournalMode;
-use pbft_core::{AuthMode, ConsensusEngine, PbftConfig};
+use pbft_core::{AuthMode, PbftConfig};
 use simnet::SimDuration;
 
 use crate::cluster::{AppKind, Cluster, ClusterSpec};
@@ -56,18 +56,10 @@ pub fn table1_configs() -> Vec<PbftConfig> {
     ]
 }
 
-/// Measure null-op throughput for one configuration (Table 1 cell).
+/// Measure null-op throughput for one configuration (Table 1 cell) under
+/// the engine `cfg.engine` names — the head-to-head bench columns (PBFT vs
+/// linear) are measured through this too.
 pub fn null_throughput(cfg: &PbftConfig, size: usize, trials: usize) -> Stats {
-    null_throughput_engine::<pbft_core::Replica>(cfg, size, trials)
-}
-
-/// [`null_throughput`] for an arbitrary [`ConsensusEngine`] — the hook the
-/// head-to-head bench columns (PBFT vs linear) are measured through.
-pub fn null_throughput_engine<E: ConsensusEngine>(
-    cfg: &PbftConfig,
-    size: usize,
-    trials: usize,
-) -> Stats {
     let samples: Vec<f64> = (0..trials)
         .map(|t| {
             let spec = ClusterSpec {
@@ -77,7 +69,7 @@ pub fn null_throughput_engine<E: ConsensusEngine>(
                 seed: 1000 + t as u64,
                 ..Default::default()
             };
-            let mut cluster = Cluster::<E>::build_engine(spec);
+            let mut cluster = Cluster::build(spec);
             cluster.start_workload(|_| null_ops(size));
             cluster.measure_throughput(WARMUP, WINDOW)
         })

@@ -23,7 +23,7 @@ use pbft_core::{ClientId, Message};
 use simnet::{Node, NodeCtx, NodeId, TimerId};
 
 use crate::byzantine::FaultyReplicaHost;
-use crate::cluster::{make_engine, ClientHost, Cluster, ClusterSpec};
+use crate::cluster::{make_replica, ClientHost, Cluster, ClusterSpec};
 use crate::cost::CostModel;
 
 /// Reply-filtering state for one `(client, timestamp)`.
@@ -189,7 +189,7 @@ pub fn build_firewalled_cluster(spec: ClusterSpec, rows: usize) -> FirewalledClu
         // Replicas.
         let mut replicas = Vec::with_capacity(n);
         for i in 0..n as u32 {
-            let replica = make_engine::<pbft_core::Replica>(spec, i);
+            let replica = make_replica(spec, i);
             let host = FaultyReplicaHost::honest(replica, cost, n);
             replicas.push(sim.add_node(Box::new(host)));
         }

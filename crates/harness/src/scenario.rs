@@ -55,7 +55,6 @@
 //! assert!(report.timeline.availability() > 0.9, "a backup crash barely dents a 4-group");
 //! ```
 
-use pbft_core::ConsensusEngine;
 use simnet::{SimDuration, SimTime};
 
 use crate::adversary::Adversary;
@@ -195,13 +194,10 @@ impl ScenarioEvent {
 /// A deployment the scenario engine can drive: groups of replicas sharing
 /// one (lockstep) virtual clock, each group a [`Cluster`].
 ///
-/// The trait is engine-polymorphic: the same fault scripts drive a
-/// deployment of any [`ConsensusEngine`] (the conformance suite runs them
-/// under both the PBFT and the linear engine).
+/// The engine a deployment runs is part of its protocol configuration
+/// (`cfg.engine`), so the same fault scripts drive either engine (the
+/// conformance suite runs them under both PBFT and the linear engine).
 pub trait ScenarioTarget {
-    /// The consensus engine every group of the deployment runs.
-    type Engine: ConsensusEngine;
-
     /// Number of groups.
     fn shard_count(&self) -> usize;
     /// The shared virtual clock.
@@ -210,9 +206,9 @@ pub trait ScenarioTarget {
     /// runs, e.g. the cross-shard transaction initiators).
     fn advance(&mut self, d: SimDuration);
     /// One group, read-only.
-    fn group(&self, shard: usize) -> &Cluster<Self::Engine>;
+    fn group(&self, shard: usize) -> &Cluster;
     /// One group, for fault injection.
-    fn group_mut(&mut self, shard: usize) -> &mut Cluster<Self::Engine>;
+    fn group_mut(&mut self, shard: usize) -> &mut Cluster;
 
     /// Live-split group `source` ([`ScenarioEvent::Reshard`]). The default
     /// panics: a single-group deployment has no shard map to split.
@@ -260,9 +256,7 @@ pub trait ScenarioTarget {
     }
 }
 
-impl<E: ConsensusEngine> ScenarioTarget for Cluster<E> {
-    type Engine = E;
-
+impl ScenarioTarget for Cluster {
     fn shard_count(&self) -> usize {
         1
     }
@@ -272,19 +266,17 @@ impl<E: ConsensusEngine> ScenarioTarget for Cluster<E> {
     fn advance(&mut self, d: SimDuration) {
         self.run_for(d);
     }
-    fn group(&self, shard: usize) -> &Cluster<E> {
+    fn group(&self, shard: usize) -> &Cluster {
         assert_eq!(shard, 0, "a single-group deployment has only shard 0");
         self
     }
-    fn group_mut(&mut self, shard: usize) -> &mut Cluster<E> {
+    fn group_mut(&mut self, shard: usize) -> &mut Cluster {
         assert_eq!(shard, 0, "a single-group deployment has only shard 0");
         self
     }
 }
 
-impl<E: ConsensusEngine> ScenarioTarget for ShardedCluster<E> {
-    type Engine = E;
-
+impl ScenarioTarget for ShardedCluster {
     fn shard_count(&self) -> usize {
         self.shards()
     }
@@ -294,10 +286,10 @@ impl<E: ConsensusEngine> ScenarioTarget for ShardedCluster<E> {
     fn advance(&mut self, d: SimDuration) {
         self.run_for(d);
     }
-    fn group(&self, shard: usize) -> &Cluster<E> {
+    fn group(&self, shard: usize) -> &Cluster {
         ShardedCluster::group(self, shard)
     }
-    fn group_mut(&mut self, shard: usize) -> &mut Cluster<E> {
+    fn group_mut(&mut self, shard: usize) -> &mut Cluster {
         ShardedCluster::group_mut(self, shard)
     }
     fn reshard(&mut self, source: usize) {
@@ -305,9 +297,7 @@ impl<E: ConsensusEngine> ScenarioTarget for ShardedCluster<E> {
     }
 }
 
-impl<E: ConsensusEngine> ScenarioTarget for XShardCluster<E> {
-    type Engine = E;
-
+impl ScenarioTarget for XShardCluster {
     fn shard_count(&self) -> usize {
         self.shards()
     }
@@ -318,10 +308,10 @@ impl<E: ConsensusEngine> ScenarioTarget for XShardCluster<E> {
         // Pumps the transaction driver alongside the lockstep clock.
         self.run_for(d);
     }
-    fn group(&self, shard: usize) -> &Cluster<E> {
+    fn group(&self, shard: usize) -> &Cluster {
         self.sharded().group(shard)
     }
-    fn group_mut(&mut self, shard: usize) -> &mut Cluster<E> {
+    fn group_mut(&mut self, shard: usize) -> &mut Cluster {
         self.sharded_mut().group_mut(shard)
     }
     fn reshard(&mut self, source: usize) {

@@ -56,7 +56,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use pbft_core::{ClientEvent, ConsensusEngine, Replica};
+use pbft_core::ClientEvent;
 use pbft_state::{PagedState, RangeExport};
 use pbft_xshard::routing::{stable_key_hash, RouteError, ShardMap, SplitPlan};
 use pbft_xshard::xshard::{TxId, XMsg, XReply};
@@ -335,53 +335,45 @@ struct WorkloadTemplate {
 /// requests, throughput windows, merged traces) compare like-for-like
 /// instants.
 ///
-/// Generic over the [`ConsensusEngine`] running in every group (default:
-/// the PBFT [`Replica`]); all groups run the same engine.
-pub struct ShardedCluster<E: ConsensusEngine = Replica> {
+/// Every group, including one born by a split, runs the engine
+/// `base.cfg.engine` names.
+pub struct ShardedCluster {
     router: ShardRouter,
-    groups: Vec<Cluster<E>>,
+    groups: Vec<Cluster>,
     metrics: Rc<RefCell<RouterMetrics>>,
     base: ClusterSpec,
     elastic: bool,
-    make_cluster: Box<dyn FnMut(usize, ClusterSpec) -> Cluster<E>>,
+    make_cluster: Box<dyn FnMut(usize, ClusterSpec) -> Cluster>,
     workload: Option<WorkloadTemplate>,
     admin_seq: u64,
 }
 
 impl ShardedCluster {
-    /// Build `spec.shards` PBFT groups and align their clocks.
+    /// Build `spec.shards` groups and align their clocks.
     pub fn build(spec: ShardedClusterSpec) -> ShardedCluster {
-        Self::build_engine(spec)
-    }
-}
-
-impl<E: ConsensusEngine> ShardedCluster<E> {
-    /// [`ShardedCluster::build`] for an arbitrary engine: build `spec.shards`
-    /// groups of `E` replicas and align their clocks.
-    pub fn build_engine(spec: ShardedClusterSpec) -> ShardedCluster<E> {
-        Self::build_engine_with(spec, |_, gspec| Cluster::build_engine(gspec))
+        Self::build_with(spec, |_, gspec| Cluster::build(gspec))
     }
 
-    /// [`ShardedCluster::build_engine`] with a per-group cluster factory —
-    /// the hook for mounting faulty replicas in selected groups (the factory
+    /// [`ShardedCluster::build`] with a per-group cluster factory — the
+    /// hook for mounting faulty replicas in selected groups (the factory
     /// receives the shard index and the seed-decorrelated group spec, and
-    /// typically calls [`Cluster::build_engine`] or
+    /// typically calls [`Cluster::build`] or
     /// [`crate::byzantine::build_faulty_cluster`]). The factory is retained:
     /// splits use it to boot the target group, so it must own its captures
     /// (`'static`).
-    pub fn build_engine_with(
+    pub fn build_with(
         spec: ShardedClusterSpec,
-        make_cluster: impl FnMut(usize, ClusterSpec) -> Cluster<E> + 'static,
-    ) -> ShardedCluster<E> {
+        make_cluster: impl FnMut(usize, ClusterSpec) -> Cluster + 'static,
+    ) -> ShardedCluster {
         assert!(spec.shards > 0, "a deployment needs at least one shard");
         let map = if spec.elastic {
             ShardMap::ranged(spec.shards as u32)
         } else {
             ShardMap::new(spec.shards as u32)
         };
-        let mut make_cluster: Box<dyn FnMut(usize, ClusterSpec) -> Cluster<E>> =
+        let mut make_cluster: Box<dyn FnMut(usize, ClusterSpec) -> Cluster> =
             Box::new(make_cluster);
-        let groups: Vec<Cluster<E>> = (0..spec.shards)
+        let groups: Vec<Cluster> = (0..spec.shards)
             .map(|s| {
                 let gspec = group_spec(&spec.base, spec.elastic.then_some(map), s);
                 make_cluster(s, gspec)
@@ -432,12 +424,12 @@ impl<E: ConsensusEngine> ShardedCluster<E> {
     }
 
     /// One group's cluster.
-    pub fn group(&self, shard: usize) -> &Cluster<E> {
+    pub fn group(&self, shard: usize) -> &Cluster {
         &self.groups[shard]
     }
 
     /// One group's cluster, mutably (fault injection per shard).
-    pub fn group_mut(&mut self, shard: usize) -> &mut Cluster<E> {
+    pub fn group_mut(&mut self, shard: usize) -> &mut Cluster {
         &mut self.groups[shard]
     }
 
@@ -1267,6 +1259,75 @@ mod tests {
         let m = sc.router_metrics();
         assert_eq!(m.epoch, 1, "metrics follow the router's epoch");
         assert_eq!(m.routed_this_epoch.len(), 3);
+    }
+
+    /// The engine is a configuration value, so every path that builds a
+    /// replica after the first must read it from the spec: a blank
+    /// restart, a restart from disk, a proactive recovery (and the
+    /// split-brain twin it re-provisions), and a group born by a split.
+    fn assert_rebuilds_keep_engine(engine: pbft_core::Engine) {
+        use crate::byzantine::{build_adversary_cluster, FaultyReplicaHost};
+
+        const SEAT: usize = 1;
+        let mut base = ClusterSpec {
+            num_clients: 1,
+            ..Default::default()
+        };
+        base.cfg.engine = engine;
+        base.cfg.checkpoint_interval = 32;
+        let spec = ShardedClusterSpec {
+            shards: 2,
+            base,
+            elastic: true,
+        };
+        let mut sc = ShardedCluster::build_with(spec, |shard, gspec| {
+            if shard == 0 {
+                build_adversary_cluster(gspec, SEAT as u32)
+            } else {
+                Cluster::build(gspec)
+            }
+        });
+        sc.run_for(SimDuration::from_millis(100));
+        sc.crash_member(0, 2);
+        sc.crash_member(1, 3);
+        sc.run_for(SimDuration::from_millis(100));
+        sc.restart_member(0, 2, false);
+        sc.restart_member(1, 3, true);
+        sc.run_for(SimDuration::from_secs(1));
+        sc.group_mut(0).proactive_recover(SEAT);
+        sc.run_for(SimDuration::from_secs(1));
+        sc.split_auto(0);
+        assert_eq!(sc.shards(), 3, "the split appended a group");
+
+        let linear = engine == pbft_core::Engine::Linear;
+        for shard in 0..sc.shards() {
+            let group = sc.group(shard);
+            for member in 0..group.replicas.len() {
+                let host = group
+                    .sim
+                    .node_ref::<FaultyReplicaHost>(group.replicas[member])
+                    .expect("every member is live");
+                let twins = if (shard, member) == (0, SEAT) { 2 } else { 1 };
+                assert_eq!(host.engines.len(), twins, "group {shard} member {member}");
+                for replica in &host.engines {
+                    assert_eq!(
+                        replica.is_linear(),
+                        linear,
+                        "{engine:?}: group {shard} member {member} runs the wrong engine"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_rebuild_path_keeps_the_linear_engine() {
+        assert_rebuilds_keep_engine(pbft_core::Engine::Linear);
+    }
+
+    #[test]
+    fn every_rebuild_path_keeps_the_pbft_engine() {
+        assert_rebuilds_keep_engine(pbft_core::Engine::Pbft);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Everything here is plain test plumbing: no assertions beyond
 //! [`assert_correct_replicas_agree`], no hidden workload.
 
-use pbft_core::{ConsensusEngine, PbftConfig};
+use pbft_core::{Engine, PbftConfig};
 use simnet::SimDuration;
 
 use crate::cluster::{Cluster, ClusterSpec};
@@ -120,38 +120,38 @@ pub fn xshard_spec(shards: usize, initiators: usize, base: ClusterSpec) -> XShar
     }
 }
 
-/// A single group for scenario runs: [`failover_spec`] +
-/// [`recovery_cfg`]'s fetch/checkpoint knobs.
-pub fn scenario_cluster(num_clients: usize, seed: u64) -> Cluster {
-    scenario_cluster_engine::<pbft_core::Replica>(num_clients, seed)
-}
-
-/// [`scenario_cluster`] for an arbitrary [`ConsensusEngine`] — the builder
-/// the engine-generic conformance suite uses.
-pub fn scenario_cluster_engine<E: ConsensusEngine>(num_clients: usize, seed: u64) -> Cluster<E> {
+/// The spec of a scenario group: [`failover_spec`] + [`recovery_cfg`]'s
+/// fetch/checkpoint knobs, pipelined at [`CONFORMANCE_PIPELINE_DEPTH`],
+/// running `engine`.
+fn scenario_spec(engine: Engine, num_clients: usize, seed: u64) -> ClusterSpec {
     let mut spec = failover_spec(num_clients, seed);
+    spec.cfg.engine = engine;
     spec.cfg.checkpoint_interval = 32;
     spec.cfg.fetch_missing_bodies = true;
     spec.cfg.congestion_window = CONFORMANCE_PIPELINE_DEPTH;
-    Cluster::build_engine(spec)
+    spec
 }
 
-/// [`scenario_cluster_engine`] with member `compromised` additionally
-/// carrying a silent split-brain twin (see
+/// A single group for scenario runs, running `engine` — the builder the
+/// conformance suite uses.
+pub fn scenario_cluster(engine: Engine, num_clients: usize, seed: u64) -> Cluster {
+    Cluster::build(scenario_spec(engine, num_clients, seed))
+}
+
+/// [`scenario_cluster`] with member `compromised` additionally carrying a
+/// silent split-brain twin (see
 /// [`build_adversary_cluster`](crate::byzantine::build_adversary_cluster)):
 /// the seat an adaptive adversary occupies, so every fault — including
 /// [`Fault::SplitBrain`](crate::byzantine::Fault::SplitBrain) — is
 /// mountable mid-run.
-pub fn adversary_cluster_engine<E: ConsensusEngine>(
+pub fn adversary_cluster(
+    engine: Engine,
     num_clients: usize,
     seed: u64,
     compromised: u32,
-) -> Cluster<E> {
-    let mut spec = failover_spec(num_clients, seed);
-    spec.cfg.checkpoint_interval = 32;
-    spec.cfg.fetch_missing_bodies = true;
-    spec.cfg.congestion_window = CONFORMANCE_PIPELINE_DEPTH;
-    crate::byzantine::build_adversary_cluster_engine::<E>(spec, compromised)
+) -> Cluster {
+    let spec = scenario_spec(engine, num_clients, seed);
+    crate::byzantine::build_adversary_cluster(spec, compromised)
 }
 
 /// Exec chains of the *correct* replicas must agree pairwise (safety), and
@@ -167,17 +167,12 @@ pub fn adversary_cluster_engine<E: ConsensusEngine>(
 ///   transferred. Transferred replicas are still held to the state-digest
 ///   comparison, which is the stronger ground truth.
 ///
-/// The check is engine-generic: it reads exec chains, heights, transfer
-/// counts and state digests exclusively through the [`ConsensusEngine`]
-/// surface, so it holds any engine to the same safety contract.
+/// The check holds either engine to the same safety contract.
 ///
 /// # Panics
 /// Panics on a safety violation (divergent execution or divergent state),
 /// or if a listed replica is crashed.
-pub fn assert_correct_replicas_agree<E: ConsensusEngine>(
-    cluster: &mut Cluster<E>,
-    correct: &[usize],
-) {
+pub fn assert_correct_replicas_agree(cluster: &mut Cluster, correct: &[usize]) {
     let chains: Vec<_> = correct
         .iter()
         .map(|&i| cluster.replica(i).expect("alive").exec_chain())
@@ -246,7 +241,7 @@ mod tests {
 
     #[test]
     fn scenario_cluster_mounts_and_unmounts_faults() {
-        let mut cluster = scenario_cluster(1, 5);
+        let mut cluster = scenario_cluster(Engine::Pbft, 1, 5);
         assert_eq!(cluster.mounted_fault(0), None);
         cluster.mount_fault(0, crate::byzantine::Fault::Mute);
         assert_eq!(

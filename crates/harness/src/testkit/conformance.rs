@@ -1,9 +1,9 @@
-//! Engine-generic runs of the paper-fault conformance scripts.
+//! Runs of the paper-fault conformance scripts under either engine.
 //!
 //! The root `scenario_conformance` suite pins PBFT-specific availability
 //! bounds and recovery windows. This module factors out the part of that
-//! contract every [`ConsensusEngine`] must honor — run the identical fault
-//! script, then assert
+//! contract every [`Engine`] must honor — run the identical fault script,
+//! then assert
 //!
 //! 1. **safety**: correct replicas never diverge (exec chains + state
 //!    digests via [`assert_correct_replicas_agree`]; the ground-truth
@@ -18,20 +18,17 @@
 //! inside a crash window (elastic resharding) and sweeps key ownership as
 //! ground truth.
 //!
-//! Each function is generic over the engine and returns the
+//! Each function takes the engine as a value and returns the
 //! [`ScenarioReport`], so suites can layer engine-specific pins on top.
-//! The root suite instantiates all eight for both the PBFT [`Replica`] and
-//! the linear-communication [`LinearReplica`] engine.
-//!
-//! [`Replica`]: pbft_core::Replica
-//! [`LinearReplica`]: pbft_core::LinearReplica
+//! The root suite runs all eight under both [`Engine::Pbft`] and the
+//! linear-communication [`Engine::Linear`].
 
-use pbft_core::ConsensusEngine;
+use pbft_core::Engine;
 use simnet::SimDuration;
 
 use super::{
-    adversary_cluster_engine, assert_correct_replicas_agree, fetching_spec, ms,
-    scenario_cluster_engine, sharded_spec, xshard_spec, AUDIT_TIMEOUT,
+    adversary_cluster, assert_correct_replicas_agree, fetching_spec, ms, scenario_cluster,
+    sharded_spec, xshard_spec, AUDIT_TIMEOUT,
 };
 use pbft_core::app::KvApp;
 
@@ -58,9 +55,9 @@ fn secs(n: u64) -> SimDuration {
 /// Script 1: the primary crashes under load and later restarts from disk.
 /// The survivors must elect a replacement (finite recovery) and the
 /// restarted ex-primary must fold back into a converged group.
-pub fn primary_crash_under_load<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
-    let name = E::engine_name();
-    let mut cluster = scenario_cluster_engine::<E>(4, seed);
+pub fn primary_crash_under_load(engine: Engine, seed: u64) -> ScenarioReport {
+    let name = engine.name();
+    let mut cluster = scenario_cluster(engine, 4, seed);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let report = run_scenario(&mut cluster, &paper::primary_crash_under_load());
     let recovery = report
@@ -86,9 +83,9 @@ pub fn primary_crash_under_load<E: ConsensusEngine>(seed: u64) -> ScenarioReport
 /// Script 2: the primary turns slow-but-not-dead; only timeouts can evict
 /// it. After the fault is unmounted the slow member (which never lied)
 /// must drain its backlog and agree bit for bit.
-pub fn slow_primary<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
-    let name = E::engine_name();
-    let mut cluster = scenario_cluster_engine::<E>(4, seed);
+pub fn slow_primary(engine: Engine, seed: u64) -> ScenarioReport {
+    let name = engine.name();
+    let mut cluster = scenario_cluster(engine, 4, seed);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let report = run_scenario(&mut cluster, &paper::slow_primary());
     let recovery = report
@@ -108,9 +105,9 @@ pub fn slow_primary<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
 /// Script 3: every backup crashes and restarts blank in turn, never more
 /// than f = 1 down at once. Each crash window must close, each restarted
 /// member must rejoin by state transfer, and the whole group must converge.
-pub fn rolling_crash<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
-    let name = E::engine_name();
-    let mut cluster = scenario_cluster_engine::<E>(4, seed);
+pub fn rolling_crash(engine: Engine, seed: u64) -> ScenarioReport {
+    let name = engine.name();
+    let mut cluster = scenario_cluster(engine, 4, seed);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let report = run_scenario(&mut cluster, &paper::rolling_crash());
     for mark in report.trace.iter().filter(|m| m.label.starts_with("crash")) {
@@ -142,9 +139,11 @@ pub fn rolling_crash<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
 /// Script 4: a whole group becomes unreachable mid-2PC and later heals.
 /// Stranded transactions must settle through the recovery pass and the
 /// ground-truth atomicity audit must come back clean.
-pub fn coordinator_outage<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
-    let name = E::engine_name();
-    let mut xc = XShardCluster::<E>::build_engine(xshard_spec(2, 4, fetching_spec(1, seed)));
+pub fn coordinator_outage(engine: Engine, seed: u64) -> ScenarioReport {
+    let name = engine.name();
+    let mut base = fetching_spec(1, seed);
+    base.cfg.engine = engine;
+    let mut xc = XShardCluster::build(xshard_spec(2, 4, base));
     let map = xc.sharded().router().map();
     xc.start_paced_background(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
@@ -171,9 +170,11 @@ pub fn coordinator_outage<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
 
 /// Script 5: one member is partitioned away and the partition later heals;
 /// the member must catch back up without ever having diverged.
-pub fn partition_then_heal<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
-    let name = E::engine_name();
-    let mut sc = ShardedCluster::<E>::build_engine(sharded_spec(2, fetching_spec(3, seed)));
+pub fn partition_then_heal(engine: Engine, seed: u64) -> ScenarioReport {
+    let name = engine.name();
+    let mut base = fetching_spec(3, seed);
+    base.cfg.engine = engine;
+    let mut sc = ShardedCluster::build(sharded_spec(2, base));
     sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     let report = run_scenario(&mut sc, &paper::partition_then_heal());
     let recovery = report
@@ -199,9 +200,9 @@ pub fn partition_then_heal<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
 /// group must stay largely available (the honest side of the split keeps a
 /// reply quorum), and commits must resume within the bound after the
 /// recovery.
-pub fn equivocating_primary<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
-    let name = E::engine_name();
-    let mut cluster = adversary_cluster_engine::<E>(4, seed, 0);
+pub fn equivocating_primary(engine: Engine, seed: u64) -> ScenarioReport {
+    let name = engine.name();
+    let mut cluster = adversary_cluster(engine, 4, seed, 0);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let mut adversaries = [Adversary::new(0, 0, EquivocatingPrimary)];
     let report = run_scenario_adaptive(
@@ -259,9 +260,9 @@ pub fn equivocating_primary<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
 /// heuristic never fires against a censor, so no rotation will save the
 /// lane; the recovery must not widen the damage; and once the censor
 /// unmounts the lane must resume.
-pub fn censorship_under_recovery<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
-    let name = E::engine_name();
-    let mut cluster = scenario_cluster_engine::<E>(4, seed);
+pub fn censorship_under_recovery(engine: Engine, seed: u64) -> ScenarioReport {
+    let name = engine.name();
+    let mut cluster = scenario_cluster(engine, 4, seed);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let report = run_scenario(&mut cluster, &paper::censorship_under_recovery());
     let t = &report.timeline;
@@ -325,16 +326,17 @@ pub fn censorship_under_recovery<E: ConsensusEngine>(seed: u64) -> ScenarioRepor
 /// post-quiescence ground-truth sweep finds every key owned by exactly
 /// one group — the group the epoch-1 router names — with the crashed
 /// member folded back in.
-pub fn split_under_load<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
+pub fn split_under_load(engine: Engine, seed: u64) -> ScenarioReport {
     use crate::scenario::{Scenario, ScenarioEvent};
 
-    let name = E::engine_name();
+    let name = engine.name();
     const SLOTS: u64 = 64;
     let mut base = fetching_spec(3, seed);
+    base.cfg.engine = engine;
     base.cfg.checkpoint_interval = 32;
     base.cfg.congestion_window = super::CONFORMANCE_PIPELINE_DEPTH;
     base.app = AppKind::Kv { slots: SLOTS };
-    let mut sc = ShardedCluster::<E>::build_engine(ShardedClusterSpec {
+    let mut sc = ShardedCluster::build(ShardedClusterSpec {
         shards: 2,
         base,
         elastic: true,
@@ -416,13 +418,13 @@ pub fn split_under_load<E: ConsensusEngine>(seed: u64) -> ScenarioReport {
 }
 
 /// All eight scripts back to back — the one-call engine conformance pass.
-pub fn full_suite<E: ConsensusEngine>(seed_base: u64) {
-    primary_crash_under_load::<E>(seed_base);
-    slow_primary::<E>(seed_base + 1);
-    rolling_crash::<E>(seed_base + 2);
-    coordinator_outage::<E>(seed_base + 3);
-    partition_then_heal::<E>(seed_base + 4);
-    equivocating_primary::<E>(seed_base + 5);
-    censorship_under_recovery::<E>(seed_base + 6);
-    split_under_load::<E>(seed_base + 7);
+pub fn full_suite(engine: Engine, seed_base: u64) {
+    primary_crash_under_load(engine, seed_base);
+    slow_primary(engine, seed_base + 1);
+    rolling_crash(engine, seed_base + 2);
+    coordinator_outage(engine, seed_base + 3);
+    partition_then_heal(engine, seed_base + 4);
+    equivocating_primary(engine, seed_base + 5);
+    censorship_under_recovery(engine, seed_base + 6);
+    split_under_load(engine, seed_base + 7);
 }

@@ -57,7 +57,6 @@
 use std::collections::BTreeSet;
 
 use pbft_core::client::ClientEvent;
-use pbft_core::{ConsensusEngine, Replica};
 use pbft_xshard::routing::RouteError;
 use pbft_xshard::xshard::{TxCoordinator, TxId, XMsg, XReply, XShardOp};
 use simnet::{SimDuration, SimTime};
@@ -244,11 +243,10 @@ impl Initiator {
 /// A running cross-shard deployment: a [`ShardedCluster`] whose groups run
 /// the [`pbft_xshard::xshard::XShardApp`] wrapper, plus the transaction driver.
 ///
-/// Generic over the [`ConsensusEngine`] ordering each group's operations
-/// (default: the PBFT [`Replica`]); the 2PC driver above the groups is
-/// engine-agnostic.
-pub struct XShardCluster<E: ConsensusEngine = Replica> {
-    sc: ShardedCluster<E>,
+/// The 2PC driver above the groups is engine-agnostic: each group orders
+/// its operations with the engine `base.cfg.engine` names.
+pub struct XShardCluster {
+    sc: ShardedCluster,
     bg_clients: usize,
     initiators: Vec<Initiator>,
     metrics: XShardMetrics,
@@ -259,10 +257,9 @@ pub struct XShardCluster<E: ConsensusEngine = Replica> {
 }
 
 impl XShardCluster {
-    /// Build the deployment over PBFT groups (see
-    /// [`XShardCluster::build_with`]).
+    /// Build the deployment (see [`XShardCluster::build_with`]).
     pub fn build(spec: XShardSpec) -> XShardCluster {
-        Self::build_engine(spec)
+        Self::build_with(spec, |_, gspec| Cluster::build(gspec))
     }
 
     /// Build with a per-group cluster factory (the hook for mounting faulty
@@ -273,28 +270,13 @@ impl XShardCluster {
         spec: XShardSpec,
         make_cluster: impl FnMut(usize, ClusterSpec) -> Cluster + 'static,
     ) -> XShardCluster {
-        Self::build_engine_with(spec, make_cluster)
-    }
-}
-
-impl<E: ConsensusEngine> XShardCluster<E> {
-    /// [`XShardCluster::build`] for an arbitrary engine.
-    pub fn build_engine(spec: XShardSpec) -> XShardCluster<E> {
-        Self::build_engine_with(spec, |_, gspec| Cluster::build_engine(gspec))
-    }
-
-    /// [`XShardCluster::build_with`] for an arbitrary engine.
-    pub fn build_engine_with(
-        spec: XShardSpec,
-        make_cluster: impl FnMut(usize, ClusterSpec) -> Cluster<E> + 'static,
-    ) -> XShardCluster<E> {
         let bg_clients = spec.base.num_clients;
         let mut base = spec.base.clone();
         base.xshard = true;
         // Elastic deployments reserve one extra client per group (index 0)
         // for the reshard admin traffic — see `crate::shard::ADMIN_CLIENT`.
         base.num_clients = bg_clients + spec.initiators + spec.elastic as usize;
-        let sc = ShardedCluster::build_engine_with(
+        let sc = ShardedCluster::build_with(
             ShardedClusterSpec {
                 shards: spec.shards,
                 base,
@@ -315,12 +297,12 @@ impl<E: ConsensusEngine> XShardCluster<E> {
     }
 
     /// The underlying sharded cluster (groups, router, traces).
-    pub fn sharded(&self) -> &ShardedCluster<E> {
+    pub fn sharded(&self) -> &ShardedCluster {
         &self.sc
     }
 
     /// The underlying sharded cluster, mutably (fault injection).
-    pub fn sharded_mut(&mut self) -> &mut ShardedCluster<E> {
+    pub fn sharded_mut(&mut self) -> &mut ShardedCluster {
         &mut self.sc
     }
 

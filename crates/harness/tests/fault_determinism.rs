@@ -9,7 +9,7 @@
 //! down to the per-client completion counts in every 25 ms bucket.
 //!
 //! The cluster is built through
-//! [`adversary_cluster_engine`](harness::testkit::adversary_cluster_engine)
+//! [`adversary_cluster`](harness::testkit::adversary_cluster)
 //! so member 0 carries a provisioned split-brain twin — that makes
 //! [`Fault::SplitBrain`] mountable at runtime like every other fault, and
 //! simultaneously checks that a *dormant* twin perturbs nothing (the six
@@ -18,9 +18,9 @@
 
 use harness::byzantine::Fault;
 use harness::scenario::{run_scenario, Scenario, ScenarioEvent, ScenarioReport};
-use harness::testkit::{adversary_cluster_engine, ms};
+use harness::testkit::{adversary_cluster, ms};
 use harness::workload::null_ops;
-use pbft_core::{ConsensusEngine, LinearReplica, Replica};
+use pbft_core::Engine;
 
 /// The full fault vocabulary, one representative parameterization each.
 fn all_faults() -> [Fault; 7] {
@@ -43,8 +43,8 @@ fn all_faults() -> [Fault; 7] {
 /// most consequential seat) at 400 ms, unmount at 1000 ms, observe
 /// through 1600 ms. Returns the full report plus the completed-op count
 /// so post-scenario divergence would also be caught.
-fn one_run<E: ConsensusEngine>(seed: u64, fault: Fault) -> (ScenarioReport, u64) {
-    let mut cluster = adversary_cluster_engine::<E>(2, seed, 0);
+fn one_run(engine: Engine, seed: u64, fault: Fault) -> (ScenarioReport, u64) {
+    let mut cluster = adversary_cluster(engine, 2, seed, 0);
     cluster.start_paced_workload(ms(5), |_| null_ops(64));
     let scenario = Scenario {
         name: "determinism-probe",
@@ -73,45 +73,45 @@ fn one_run<E: ConsensusEngine>(seed: u64, fault: Fault) -> (ScenarioReport, u64)
 }
 
 /// Two runs from the same seed must be indistinguishable, for every fault.
-fn assert_engine_deterministic<E: ConsensusEngine>(engine: &str) {
+fn assert_deterministic(engine: Engine) {
     for (k, fault) in all_faults().into_iter().enumerate() {
         let seed = 9_100 + k as u64;
-        let (report_a, completed_a) = one_run::<E>(seed, fault);
-        let (report_b, completed_b) = one_run::<E>(seed, fault);
+        let (report_a, completed_a) = one_run(engine, seed, fault);
+        let (report_b, completed_b) = one_run(engine, seed, fault);
         assert_eq!(
             report_a, report_b,
-            "{engine}: {fault:?} produced divergent traces/timelines from seed {seed}"
+            "{engine:?}: {fault:?} produced divergent traces/timelines from seed {seed}"
         );
         assert_eq!(
             completed_a, completed_b,
-            "{engine}: {fault:?} diverged in completed ops from seed {seed}"
+            "{engine:?}: {fault:?} diverged in completed ops from seed {seed}"
         );
         // The probe must be live, not vacuous: a scenario that commits
         // nothing would make the timeline comparison meaningless.
         assert!(
             completed_a > 0,
-            "{engine}: {fault:?} sterilized the run (seed {seed})"
+            "{engine:?}: {fault:?} sterilized the run (seed {seed})"
         );
-        assert_eq!(report_a.trace.len(), 2, "{engine}: both events fired");
+        assert_eq!(report_a.trace.len(), 2, "{engine:?}: both events fired");
     }
 }
 
 #[test]
 fn every_fault_is_deterministic_under_pbft() {
-    assert_engine_deterministic::<Replica>("pbft");
+    assert_deterministic(Engine::Pbft);
 }
 
 #[test]
 fn every_fault_is_deterministic_under_linear() {
-    assert_engine_deterministic::<LinearReplica>("linear");
+    assert_deterministic(Engine::Linear);
 }
 
 /// Different seeds must actually steer the run — otherwise the equality
 /// assertions above would pass trivially on a seed-blind harness.
 #[test]
 fn seeds_steer_the_run() {
-    let (report_a, _) = one_run::<Replica>(9_200, Fault::Mute);
-    let (report_b, _) = one_run::<Replica>(9_201, Fault::Mute);
+    let (report_a, _) = one_run(Engine::Pbft, 9_200, Fault::Mute);
+    let (report_b, _) = one_run(Engine::Pbft, 9_201, Fault::Mute);
     assert_ne!(
         report_a, report_b,
         "two different seeds produced identical timelines — the seed is not reaching the run"

@@ -1,6 +1,6 @@
 //! Randomized fault schedules against the **linear-communication engine**:
 //! the `scenario_props` suite's single-group property, instantiated for
-//! [`pbft_core::LinearReplica`] through the engine-generic harness.
+//! [`Engine::Linear`] through the same harness.
 //!
 //! The linear engine funnels votes through the leader, so its failure
 //! surface differs from PBFT's in exactly the ways random timing probes
@@ -13,9 +13,9 @@
 
 use harness::byzantine::Fault;
 use harness::scenario::{run_scenario, Scenario, ScenarioEvent};
-use harness::testkit::{assert_correct_replicas_agree, ms, scenario_cluster_engine};
+use harness::testkit::{assert_correct_replicas_agree, ms, scenario_cluster};
 use harness::workload::null_ops;
-use pbft_core::LinearReplica;
+use pbft_core::Engine;
 use simnet::SimDuration;
 
 /// Draw a fault schedule for one 4-member group inside `[0, window_ms)`:
@@ -102,7 +102,7 @@ fn random_schedules_preserve_linear_single_group_safety() {
         let seed = g.u64_in(1..1_000);
         let events = random_schedule(g, 2_400);
         let n_events = events.len();
-        let mut cluster = scenario_cluster_engine::<LinearReplica>(3, seed);
+        let mut cluster = scenario_cluster(Engine::Linear, 3, seed);
         cluster.start_paced_workload(ms(5), |_| null_ops(64));
         let scenario = Scenario {
             name: "linear-random-single",
@@ -135,7 +135,7 @@ fn random_schedules_preserve_linear_single_group_safety() {
 /// its own voice.
 #[test]
 fn tampered_linear_leader_qcs_are_rejected_and_rotation_recovers() {
-    let mut cluster = scenario_cluster_engine::<LinearReplica>(3, 91);
+    let mut cluster = scenario_cluster(Engine::Linear, 3, 91);
     cluster.mount_fault(0, Fault::TamperAgreement);
     cluster.start_paced_workload(ms(5), |_| null_ops(64));
     cluster.run_for(SimDuration::from_secs(3));
@@ -182,7 +182,7 @@ fn partition_churn_converges_under_rotation() {
             t += hold + 150 + g.u64_in(0..400);
         }
         let n_events = events.len();
-        let mut cluster = scenario_cluster_engine::<LinearReplica>(3, seed);
+        let mut cluster = scenario_cluster(Engine::Linear, 3, seed);
         cluster.start_paced_workload(ms(5), |_| null_ops(64));
         let scenario = Scenario {
             name: "linear-partition-churn",

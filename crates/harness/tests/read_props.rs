@@ -25,7 +25,7 @@ use harness::testkit::{assert_correct_replicas_agree, failover_spec, ms};
 use harness::workload::keyed_kv_mix;
 use harness::{AppKind, Cluster, ShardedCluster, ShardedClusterSpec};
 use pbft_core::app::KvApp;
-use pbft_core::{ClientEvent, ConsensusEngine, LinearReplica, Replica};
+use pbft_core::{ClientEvent, Engine};
 use pbft_xshard::xshard::XMsg;
 use simnet::SimDuration;
 
@@ -76,12 +76,7 @@ fn check_read(key: u64, result: &[u8], allowed: &HashMap<u64, HashSet<u64>>, see
 }
 
 /// Submit one operation on `client` and pump until its reply arrives.
-fn await_one<E: ConsensusEngine>(
-    cluster: &mut Cluster<E>,
-    client: usize,
-    op: Vec<u8>,
-    read_only: bool,
-) -> Vec<u8> {
+fn await_one(cluster: &mut Cluster, client: usize, op: Vec<u8>, read_only: bool) -> Vec<u8> {
     cluster.client_submit(client, op, read_only);
     for _ in 0..400 {
         cluster.run_for(ms(10));
@@ -99,10 +94,11 @@ fn await_one<E: ConsensusEngine>(
 /// is checked against the submitted-write record, and at quiescence the
 /// optimistic read of every key must agree with an ordered execution of
 /// the same `get`.
-fn reads_return_committed_values<E: ConsensusEngine>(prop_name: &'static str) {
+fn reads_return_committed_values(engine: Engine, prop_name: &'static str) {
     propcheck::check_budgeted(prop_name, 3, 10, |g| {
         let seed = g.u64_in(1..1_000);
         let mut spec = failover_spec(CLIENTS, seed);
+        spec.cfg.engine = engine;
         // Recovery-friendly knobs, like the resharding suites: frequent
         // checkpoints so a fresh-disk restart has a transfer target, and
         // the §2.4 body refetch so an isolated replica can rejoin.
@@ -110,7 +106,7 @@ fn reads_return_committed_values<E: ConsensusEngine>(prop_name: &'static str) {
         spec.cfg.fetch_missing_bodies = true;
         spec.app = AppKind::Kv { slots: KEYS };
         spec.xshard = true; // mounts the KeyedOp wrapper (no shard identity)
-        let mut cluster = Cluster::<E>::build_engine(spec);
+        let mut cluster = Cluster::build(spec);
 
         // Draw a fault schedule: at most one degraded member at a time.
         let mut sched = Schedule::default();
@@ -223,27 +219,28 @@ fn reads_return_committed_values<E: ConsensusEngine>(prop_name: &'static str) {
 
 #[test]
 fn reads_return_committed_values_pbft() {
-    reads_return_committed_values::<Replica>("reads_return_committed_values_pbft");
+    reads_return_committed_values(Engine::Pbft, "reads_return_committed_values_pbft");
 }
 
 #[test]
 fn reads_return_committed_values_linear() {
-    reads_return_committed_values::<LinearReplica>("reads_return_committed_values_linear");
+    reads_return_committed_values(Engine::Linear, "reads_return_committed_values_linear");
 }
 
 /// Property 3: one live split under a keyed read/write mix. After the
 /// split settles, sweep every key over the *read* path: exactly the
 /// owning group serves the read, every other group answers `WrongEpoch`,
 /// and the served record agrees with the ordered path on the owner.
-fn split_keeps_reads_epoch_gated<E: ConsensusEngine>(prop_name: &'static str) {
+fn split_keeps_reads_epoch_gated(engine: Engine, prop_name: &'static str) {
     propcheck::check_budgeted(prop_name, 3, 10, |g| {
         let seed = g.u64_in(1..1_000);
         let read_pct = 20 + g.u64_in(0..60);
         let mut base = failover_spec(3, seed);
+        base.cfg.engine = engine;
         base.cfg.checkpoint_interval = 32;
         base.cfg.fetch_missing_bodies = true;
         base.app = AppKind::Kv { slots: KEYS };
-        let mut sc = ShardedCluster::<E>::build_engine(ShardedClusterSpec {
+        let mut sc = ShardedCluster::build(ShardedClusterSpec {
             shards: 2,
             base,
             elastic: true,
@@ -297,10 +294,10 @@ fn split_keeps_reads_epoch_gated<E: ConsensusEngine>(prop_name: &'static str) {
 
 #[test]
 fn split_keeps_reads_epoch_gated_pbft() {
-    split_keeps_reads_epoch_gated::<Replica>("split_keeps_reads_epoch_gated_pbft");
+    split_keeps_reads_epoch_gated(Engine::Pbft, "split_keeps_reads_epoch_gated_pbft");
 }
 
 #[test]
 fn split_keeps_reads_epoch_gated_linear() {
-    split_keeps_reads_epoch_gated::<LinearReplica>("split_keeps_reads_epoch_gated_linear");
+    split_keeps_reads_epoch_gated(Engine::Linear, "split_keeps_reads_epoch_gated_linear");
 }

@@ -16,12 +16,12 @@ use harness::adversary::{Adversary, TargetedCensor, ViewChangeWindowAttacker};
 use harness::byzantine::Fault;
 use harness::scenario::{run_scenario_adaptive, Scenario, ScenarioEvent};
 use harness::testkit::{
-    assert_correct_replicas_agree, fetching_spec, ms, scenario_cluster_engine, xshard_spec,
-    AUDIT_TIMEOUT, TEST_VC_TIMEOUT_NS,
+    assert_correct_replicas_agree, fetching_spec, ms, scenario_cluster, xshard_spec, AUDIT_TIMEOUT,
+    TEST_VC_TIMEOUT_NS,
 };
 use harness::workload::{cross_null_txs, keyed_null_ops, null_ops};
 use harness::xshard::XShardCluster;
-use pbft_core::{ConsensusEngine, LinearReplica, Replica};
+use pbft_core::Engine;
 use simnet::SimDuration;
 
 /// Sequential episodes inside `[0, window_ms)`: each either a proactive
@@ -65,11 +65,11 @@ fn random_recovery_schedule(
 /// agreement set: `force_suspect` keeps it voting for phantom view changes,
 /// which stalls *its own* execution — the same qualification the static
 /// byzantine suite applies.)
-fn random_recovery_single_group<E: ConsensusEngine>(engine: &str) {
+fn random_recovery_single_group(engine: Engine) {
     propcheck::check_budgeted(
         match engine {
-            "pbft" => "recovery_random_single_pbft",
-            _ => "recovery_random_single_linear",
+            Engine::Pbft => "recovery_random_single_pbft",
+            Engine::Linear => "recovery_random_single_linear",
         },
         3,
         10,
@@ -77,7 +77,7 @@ fn random_recovery_single_group<E: ConsensusEngine>(engine: &str) {
             let seed = g.u64_in(1..1_000);
             let events = random_recovery_schedule(g, 2_400);
             let n_events = events.len();
-            let mut cluster = scenario_cluster_engine::<E>(3, seed);
+            let mut cluster = scenario_cluster(engine, 3, seed);
             cluster.start_paced_workload(ms(5), |_| null_ops(64));
             let scenario = Scenario {
                 name: "recovery-random-single",
@@ -119,12 +119,12 @@ fn random_recovery_single_group<E: ConsensusEngine>(engine: &str) {
 
 #[test]
 fn random_recovery_schedules_preserve_single_group_safety_pbft() {
-    random_recovery_single_group::<Replica>("pbft");
+    random_recovery_single_group(Engine::Pbft);
 }
 
 #[test]
 fn random_recovery_schedules_preserve_single_group_safety_linear() {
-    random_recovery_single_group::<LinearReplica>("linear");
+    random_recovery_single_group(Engine::Linear);
 }
 
 /// Proactively recovering a member that is *already mid state-transfer*:
@@ -132,12 +132,12 @@ fn random_recovery_schedules_preserve_single_group_safety_linear() {
 /// in from a checkpoint), then a proactive reboot lands a random few
 /// milliseconds later — before the transfer has settled. The doubly
 /// rebooted member must still fold back in, and nobody else may notice.
-fn recover_mid_transfer<E: ConsensusEngine>(name: &'static str) {
+fn recover_mid_transfer(engine: Engine, name: &'static str) {
     propcheck::check_budgeted(name, 3, 10, |g| {
         let seed = g.u64_in(1..1_000);
         let member = 1 + g.usize_in(0..3); // a backup: the transfer path, not the rotation path
         let gap = 5 + g.u64_in(0..120); // proactive reboot lands mid-transfer
-        let mut cluster = scenario_cluster_engine::<E>(3, seed);
+        let mut cluster = scenario_cluster(engine, 3, seed);
         cluster.start_paced_workload(ms(5), |_| null_ops(64));
         let scenario = Scenario {
             name: "recover-mid-transfer",
@@ -174,23 +174,23 @@ fn recover_mid_transfer<E: ConsensusEngine>(name: &'static str) {
 
 #[test]
 fn recovering_mid_state_transfer_is_safe_pbft() {
-    recover_mid_transfer::<Replica>("recovery_mid_transfer_pbft");
+    recover_mid_transfer(Engine::Pbft, "recovery_mid_transfer_pbft");
 }
 
 #[test]
 fn recovering_mid_state_transfer_is_safe_linear() {
-    recover_mid_transfer::<LinearReplica>("recovery_mid_transfer_linear");
+    recover_mid_transfer(Engine::Linear, "recovery_mid_transfer_linear");
 }
 
 /// Proactively recovering whoever is the *current* primary at a random
 /// instant: the group loses its sequencer mid-stream, fails over, and the
 /// rebooted ex-primary transfers back in as a backup. Progress must resume
 /// and all four members must converge.
-fn recover_current_primary<E: ConsensusEngine>(name: &'static str) {
+fn recover_current_primary(engine: Engine, name: &'static str) {
     propcheck::check_budgeted(name, 3, 10, |g| {
         let seed = g.u64_in(1..1_000);
         let warmup = 400 + g.u64_in(0..400);
-        let mut cluster = scenario_cluster_engine::<E>(3, seed);
+        let mut cluster = scenario_cluster(engine, 3, seed);
         cluster.start_paced_workload(ms(5), |_| null_ops(64));
         cluster.run_for(ms(warmup));
         let view = cluster.replica(1).expect("alive").view();
@@ -209,12 +209,12 @@ fn recover_current_primary<E: ConsensusEngine>(name: &'static str) {
 
 #[test]
 fn recovering_the_current_primary_is_safe_pbft() {
-    recover_current_primary::<Replica>("recovery_primary_pbft");
+    recover_current_primary(Engine::Pbft, "recovery_primary_pbft");
 }
 
 #[test]
 fn recovering_the_current_primary_is_safe_linear() {
-    recover_current_primary::<LinearReplica>("recovery_primary_linear");
+    recover_current_primary(Engine::Linear, "recovery_primary_linear");
 }
 
 /// Cross-shard atomicity under rolling recovery with an adaptive censor in
@@ -303,7 +303,7 @@ fn xshard_atomicity_survives_rolling_recovery_with_adaptive_censor() {
 /// unmount edge is reachable.
 #[test]
 fn vc_window_attacker_fires_during_a_stalled_rotation() {
-    let mut cluster = scenario_cluster_engine::<Replica>(2, 93);
+    let mut cluster = scenario_cluster(Engine::Pbft, 2, 93);
     cluster.start_paced_workload(ms(5), |_| null_ops(64));
     let scenario = Scenario {
         name: "stalled-rotation-window",

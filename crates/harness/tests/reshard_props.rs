@@ -24,7 +24,7 @@ use harness::testkit::{assert_correct_replicas_agree, fetching_spec, ms};
 use harness::workload::{cross_null_txs, keyed_kv_ops};
 use harness::{AppKind, ShardedCluster, ShardedClusterSpec, XShardCluster, XShardSpec};
 use pbft_core::app::KvApp;
-use pbft_core::{ConsensusEngine, LinearReplica, Replica};
+use pbft_core::Engine;
 use simnet::SimDuration;
 
 /// Key space of the KV deployments; small enough that the post-run sweep
@@ -38,11 +38,12 @@ fn secs(n: u64) -> SimDuration {
 /// An elastic two-group KV deployment with recovery-friendly knobs
 /// (frequent checkpoints + body refetch, so crash-restarted members can
 /// rejoin whichever epoch they wake up in).
-fn elastic_kv<E: ConsensusEngine>(seed: u64) -> ShardedCluster<E> {
+fn elastic_kv(engine: Engine, seed: u64) -> ShardedCluster {
     let mut base = fetching_spec(3, seed);
+    base.cfg.engine = engine;
     base.cfg.checkpoint_interval = 32;
     base.app = AppKind::Kv { slots: SLOTS };
-    ShardedCluster::build_engine(ShardedClusterSpec {
+    ShardedCluster::build(ShardedClusterSpec {
         shards: 2,
         base,
         elastic: true,
@@ -53,7 +54,7 @@ fn elastic_kv<E: ConsensusEngine>(seed: u64) -> ShardedCluster<E> {
 /// crashes. After the schedule settles, every key has exactly one owner
 /// (the router's), records are self-consistent, and every group's correct
 /// replicas agree.
-fn split_schedules_keep_keys_single_owned<E: ConsensusEngine>(prop_name: &'static str) {
+fn split_schedules_keep_keys_single_owned(engine: Engine, prop_name: &'static str) {
     propcheck::check_budgeted(prop_name, 3, 10, |g| {
         let seed = g.u64_in(1..1_000);
         let mut events = Vec::new();
@@ -86,7 +87,7 @@ fn split_schedules_keep_keys_single_owned<E: ConsensusEngine>(prop_name: &'stati
             }
         }
         let n_events = events.len();
-        let mut sc = elastic_kv::<E>(seed);
+        let mut sc = elastic_kv(engine, seed);
         sc.start_paced_keyed_workload(ms(5), |s, c| keyed_kv_ops(SLOTS, (s * 10 + c) as u64));
         let scenario = Scenario {
             name: "random-splits",
@@ -147,19 +148,19 @@ fn split_schedules_keep_keys_single_owned<E: ConsensusEngine>(prop_name: &'stati
 
 #[test]
 fn split_schedules_keep_keys_single_owned_pbft() {
-    split_schedules_keep_keys_single_owned::<Replica>("reshard_single_owner_pbft");
+    split_schedules_keep_keys_single_owned(Engine::Pbft, "reshard_single_owner_pbft");
 }
 
 #[test]
 fn split_schedules_keep_keys_single_owned_linear() {
-    split_schedules_keep_keys_single_owned::<LinearReplica>("reshard_single_owner_linear");
+    split_schedules_keep_keys_single_owned(Engine::Linear, "reshard_single_owner_linear");
 }
 
 /// Property 3: splits racing live 2PC traffic, plus a client population
 /// rewound to the pre-split map. Whatever the timing, the transaction log
 /// audits all-or-nothing, the stale routers recover to the newest epoch
 /// purely through `WrongEpoch` rejections, and all groups converge.
-fn splits_racing_2pc_stay_atomic<E: ConsensusEngine>(prop_name: &'static str) {
+fn splits_racing_2pc_stay_atomic(engine: Engine, prop_name: &'static str) {
     propcheck::check_budgeted(prop_name, 3, 10, |g| {
         let seed = g.u64_in(1..1_000);
         let mut spec = XShardSpec {
@@ -169,10 +170,11 @@ fn splits_racing_2pc_stay_atomic<E: ConsensusEngine>(prop_name: &'static str) {
         spec.shards = 2;
         spec.initiators = 3;
         spec.base = fetching_spec(1, seed);
+        spec.base.cfg.engine = engine;
         spec.base.cfg.checkpoint_interval = 32;
         spec.prepare_timeout = ms(80);
         spec.finish_timeout = ms(120);
-        let mut xc = XShardCluster::<E>::build_engine(spec);
+        let mut xc = XShardCluster::build(spec);
         let old_map = xc.sharded().router().map();
         xc.start_transactions(|i| cross_null_txs(old_map, 64, 1 << 20, i as u64));
 
@@ -234,12 +236,12 @@ fn splits_racing_2pc_stay_atomic<E: ConsensusEngine>(prop_name: &'static str) {
 
 #[test]
 fn splits_racing_2pc_stay_atomic_pbft() {
-    splits_racing_2pc_stay_atomic::<Replica>("reshard_2pc_atomic_pbft");
+    splits_racing_2pc_stay_atomic(Engine::Pbft, "reshard_2pc_atomic_pbft");
 }
 
 #[test]
 fn splits_racing_2pc_stay_atomic_linear() {
-    splits_racing_2pc_stay_atomic::<LinearReplica>("reshard_2pc_atomic_linear");
+    splits_racing_2pc_stay_atomic(Engine::Linear, "reshard_2pc_atomic_linear");
 }
 
 /// Property 4 (read-under-split): a keyed read/write *mix* runs straight
@@ -250,11 +252,11 @@ fn splits_racing_2pc_stay_atomic_linear() {
 /// path: the source group answers reads for moved keys with `WrongEpoch`
 /// carrying the post-split map — never frozen pre-migration state — and
 /// the owner's read agrees with its ordered execution byte for byte.
-fn reads_under_split_respect_the_epoch<E: ConsensusEngine>(prop_name: &'static str) {
+fn reads_under_split_respect_the_epoch(engine: Engine, prop_name: &'static str) {
     propcheck::check_budgeted(prop_name, 3, 10, |g| {
         let seed = g.u64_in(1..1_000);
         let read_pct = 20 + g.u64_in(0..60);
-        let mut sc = elastic_kv::<E>(seed);
+        let mut sc = elastic_kv(engine, seed);
         sc.start_paced_keyed_workload(ms(5), move |s, c| {
             harness::workload::keyed_kv_mix(SLOTS, read_pct, (s * 10 + c) as u64)
         });
@@ -311,10 +313,10 @@ fn reads_under_split_respect_the_epoch<E: ConsensusEngine>(prop_name: &'static s
 
 #[test]
 fn reads_under_split_respect_the_epoch_pbft() {
-    reads_under_split_respect_the_epoch::<Replica>("reshard_read_epoch_pbft");
+    reads_under_split_respect_the_epoch(Engine::Pbft, "reshard_read_epoch_pbft");
 }
 
 #[test]
 fn reads_under_split_respect_the_epoch_linear() {
-    reads_under_split_respect_the_epoch::<LinearReplica>("reshard_read_epoch_linear");
+    reads_under_split_respect_the_epoch(Engine::Linear, "reshard_read_epoch_linear");
 }

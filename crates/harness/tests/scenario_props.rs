@@ -20,6 +20,7 @@ use harness::testkit::{
 };
 use harness::workload::{cross_null_txs, keyed_null_ops, null_ops};
 use harness::XShardCluster;
+use pbft_core::Engine;
 use simnet::SimDuration;
 
 /// Draw a fault schedule for `shards` groups of `members` replicas inside
@@ -114,7 +115,7 @@ fn random_schedules_preserve_single_group_safety() {
         let seed = g.u64_in(1..1_000);
         let events = random_schedule(g, 1, 4, 2_400);
         let n_events = events.len();
-        let mut cluster = scenario_cluster(3, seed);
+        let mut cluster = scenario_cluster(Engine::Pbft, 3, seed);
         cluster.start_paced_workload(ms(5), |_| null_ops(64));
         let scenario = Scenario {
             name: "random-single",

@@ -33,8 +33,8 @@ use pbft_core::messages::{
 };
 use pbft_core::replica::LIB_REGION_PAGES;
 use pbft_core::{
-    AuthMode, ClientId, ConsensusEngine, Envelope, LinearReplica, Message, OpCounts, Operation,
-    PbftConfig, Replica, ReplicaId, RequestMsg,
+    AuthMode, ClientId, Engine, Envelope, Message, OpCounts, Operation, PbftConfig, Replica,
+    ReplicaId, RequestMsg,
 };
 use pbft_crypto::challenge::ChallengeResponse;
 use pbft_crypto::{Digest, KeyPair, Mac64, PublicKey};
@@ -502,33 +502,18 @@ fn prop_tampered_entry_rejected_by_exactly_the_addressed_peer() {
 //    an auth_failures tick at exactly the right replica
 // ---------------------------------------------------------------------------
 
-fn build_engines(linear: bool) -> Vec<Box<dyn ConsensusEngine>> {
-    let cfg = PbftConfig::default();
+fn build_group(engine: Engine) -> Vec<Replica> {
+    let cfg = PbftConfig {
+        engine,
+        ..PbftConfig::default()
+    };
     (0..cfg.n() as u32)
         .map(|i| {
             let state: pbft_core::app::StateHandle = Rc::new(RefCell::new(PagedState::new(
                 LIB_REGION_PAGES as usize + 16,
             )));
             let app = Box::new(NullApp::new(8));
-            if linear {
-                Box::new(LinearReplica::new(
-                    cfg.clone(),
-                    SEED,
-                    ReplicaId(i),
-                    state,
-                    app,
-                    &[],
-                )) as Box<dyn ConsensusEngine>
-            } else {
-                Box::new(Replica::new(
-                    cfg.clone(),
-                    SEED,
-                    ReplicaId(i),
-                    state,
-                    app,
-                    &[],
-                )) as Box<dyn ConsensusEngine>
-            }
+            Replica::new(cfg.clone(), SEED, ReplicaId(i), state, app, &[])
         })
         .collect()
 }
@@ -550,10 +535,10 @@ fn sealed_checkpoint(g: &mut Gen, n: usize) -> (Vec<u8>, Vec<u8>, AuthTag) {
     (packet, prefix, auth)
 }
 
-fn engine_tamper_property(linear: bool) {
-    let label = if linear { "linear" } else { "pbft" };
+fn engine_tamper_property(engine: Engine) {
+    let label = engine.name();
     check(&format!("engine_tamper_{label}"), 24, |g| {
-        let mut engines = build_engines(linear);
+        let mut engines = build_group(engine);
         let n = engines.len();
         let (packet, prefix, auth) = sealed_checkpoint(g, n);
 
@@ -625,10 +610,10 @@ fn engine_tamper_property(linear: bool) {
 
 #[test]
 fn prop_engine_rejects_tampering_pbft() {
-    engine_tamper_property(false);
+    engine_tamper_property(Engine::Pbft);
 }
 
 #[test]
 fn prop_engine_rejects_tampering_linear() {
-    engine_tamper_property(true);
+    engine_tamper_property(Engine::Linear);
 }

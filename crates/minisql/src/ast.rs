@@ -215,8 +215,14 @@ pub struct SelectStmt {
     /// ORDER BY terms.
     pub order_by: Vec<OrderBy>,
     /// LIMIT.
-    pub limit: Option<u64>,
-    /// LIMIT as the statement's `n`-th literal (a plan parsed once per
-    /// shape); `limit` is then `None`.
-    pub limit_param: Option<usize>,
+    pub limit: Option<Limit>,
+}
+
+/// A SELECT's row limit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Limit {
+    /// A literal row count.
+    Value(u64),
+    /// The statement's `n`-th literal (a plan parsed once per shape).
+    Param(usize),
 }

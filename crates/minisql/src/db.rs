@@ -664,9 +664,10 @@ impl Database {
         let mut rows: Vec<Vec<Value>> = keyed.into_iter().map(|(_, r)| r).collect();
         // A LIMIT parameter's slot is an integer one, and the tokenizer's
         // integers are never negative.
-        let limit = match s.limit_param {
-            Some(i) => self.binds[i].as_i64().map(|n| n as u64),
-            None => s.limit,
+        let limit = match s.limit {
+            Some(Limit::Value(n)) => Some(n),
+            Some(Limit::Param(i)) => self.binds[i].as_i64().map(|n| n as u64),
+            None => None,
         };
         if let Some(limit) = limit {
             rows.truncate(limit as usize);

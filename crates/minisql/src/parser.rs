@@ -340,14 +340,15 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        let (mut limit, mut limit_param) = (None, None);
-        if self.eat_kw("limit") {
-            match self.next()? {
-                Token::Int(n) if n >= 0 => limit = Some(n as u64),
-                Token::Slot(Lit::Int) => limit_param = Some(self.param()),
+        let limit = if self.eat_kw("limit") {
+            Some(match self.next()? {
+                Token::Int(n) if n >= 0 => Limit::Value(n as u64),
+                Token::Slot(Lit::Int) => Limit::Param(self.param()),
                 other => return Err(SqlError::Parse(format!("bad LIMIT {other:?}"))),
-            }
-        }
+            })
+        } else {
+            None
+        };
         Ok(SelectStmt {
             items,
             from,
@@ -355,7 +356,6 @@ impl<'a> Parser<'a> {
             group_by,
             order_by,
             limit,
-            limit_param,
         })
     }
 
@@ -654,7 +654,7 @@ mod tests {
                 assert_eq!(s.group_by.len(), 1);
                 assert_eq!(s.order_by.len(), 2);
                 assert!(s.order_by[0].desc);
-                assert_eq!(s.limit, Some(10));
+                assert_eq!(s.limit, Some(Limit::Value(10)));
             }
             other => panic!("{other:?}"),
         }

@@ -28,13 +28,14 @@ use harness::adversary::{
 use harness::byzantine::Fault;
 use harness::scenario::{paper, run_scenario, run_scenario_adaptive, Scenario, ScenarioEvent};
 use harness::testkit::{
-    adversary_cluster_engine, assert_correct_replicas_agree, failover_spec, fetching_spec, ms,
+    adversary_cluster, assert_correct_replicas_agree, failover_spec, fetching_spec, ms,
     scenario_cluster, sharded_spec, xshard_spec, AUDIT_TIMEOUT,
 };
 use harness::workload::{cross_null_txs, keyed_kv_ops, keyed_null_ops, null_ops};
 use harness::{
     AppKind, Cluster, ScenarioReport, ShardedCluster, ShardedClusterSpec, XShardCluster, XShardSpec,
 };
+use pbft_core::Engine;
 use simnet::SimDuration;
 
 /// Offered load for single-group scenarios: one op per client per 4 ms —
@@ -64,7 +65,7 @@ fn elastic_kv_sharded(seed: u64) -> ShardedCluster {
 
 #[test]
 fn primary_crash_under_load() {
-    let mut cluster = scenario_cluster(4, 21);
+    let mut cluster = scenario_cluster(Engine::Pbft, 4, 21);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let report = run_scenario(&mut cluster, &paper::primary_crash_under_load());
     assert_eq!(report.trace[0].label, "crash(0/0)");
@@ -105,7 +106,7 @@ fn primary_crash_under_load() {
 
 #[test]
 fn slow_primary_is_evicted_by_timeout() {
-    let mut cluster = scenario_cluster(4, 22);
+    let mut cluster = scenario_cluster(Engine::Pbft, 4, 22);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let report = run_scenario(&mut cluster, &paper::slow_primary());
     let mount = &report.trace[0];
@@ -142,7 +143,7 @@ fn slow_primary_is_evicted_by_timeout() {
 
 #[test]
 fn rolling_crash_of_f_replicas() {
-    let mut cluster = scenario_cluster(4, 23);
+    let mut cluster = scenario_cluster(Engine::Pbft, 4, 23);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let report = run_scenario(&mut cluster, &paper::rolling_crash());
     assert_eq!(report.trace.len(), 6, "three crash/restart pairs fired");
@@ -257,7 +258,7 @@ fn partition_then_heal() {
 #[test]
 fn all_scenarios_are_deterministic() {
     fn single(scenario: &Scenario, seed: u64) -> ScenarioReport {
-        let mut cluster = scenario_cluster(4, seed);
+        let mut cluster = scenario_cluster(Engine::Pbft, 4, seed);
         cluster.start_paced_workload(PACE, |_| null_ops(64));
         run_scenario(&mut cluster, scenario)
     }
@@ -299,7 +300,7 @@ fn all_scenarios_are_deterministic() {
         (
             "equivocating-primary",
             Box::new(|| {
-                let mut cluster = adversary_cluster_engine::<pbft_core::Replica>(4, 36, 0);
+                let mut cluster = adversary_cluster(Engine::Pbft, 4, 36, 0);
                 cluster.start_paced_workload(PACE, |_| null_ops(64));
                 let mut adversaries = [Adversary::new(0, 0, EquivocatingPrimary)];
                 run_scenario_adaptive(
@@ -346,7 +347,7 @@ fn all_scenarios_are_deterministic() {
 /// backoff changes that widen the outage fail here, not in production.
 #[test]
 fn view_change_latency_is_pinned() {
-    let mut cluster = scenario_cluster(4, 26);
+    let mut cluster = scenario_cluster(Engine::Pbft, 4, 26);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let scenario = Scenario {
         name: "vc-latency-pin",
@@ -428,7 +429,7 @@ fn view_change_timeout_knob_controls_the_outage() {
 
 #[test]
 fn smoke_single_group_flavor() {
-    let mut cluster = scenario_cluster(2, 41);
+    let mut cluster = scenario_cluster(Engine::Pbft, 2, 41);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let scenario = Scenario {
         name: "smoke-single",
@@ -555,7 +556,7 @@ fn smoke_reshard_xshard() {
 
 #[test]
 fn smoke_adaptive_single_group() {
-    let mut cluster = adversary_cluster_engine::<pbft_core::Replica>(2, 45, 0);
+    let mut cluster = adversary_cluster(Engine::Pbft, 2, 45, 0);
     cluster.start_paced_workload(PACE, |_| null_ops(64));
     let scenario = Scenario {
         name: "smoke-adaptive-single",
@@ -687,80 +688,80 @@ fn smoke_adaptive_xshard() {
 }
 
 // ---------------------------------------------------------------------
-// Engine-generic conformance: the same eight scripts, both engines
+// Engine conformance: the same eight scripts, both engines
 // ---------------------------------------------------------------------
 
-/// The eight fault scripts run generically over any [`pbft_core::ConsensusEngine`]
-/// through `harness::testkit::conformance`, asserting the engine-independent
+/// The eight fault scripts run under either [`Engine`] through
+/// `harness::testkit::conformance`, asserting the engine-independent
 /// contract (safety + finite recovery). One test per (script, engine) pair
 /// so a regression names the exact combination that broke.
 mod engine_conformance {
     use harness::testkit::conformance;
-    use pbft_core::{LinearReplica, Replica};
+    use pbft_core::Engine;
 
     #[test]
     fn primary_crash_pbft() {
-        conformance::primary_crash_under_load::<Replica>(61);
+        conformance::primary_crash_under_load(Engine::Pbft, 61);
     }
     #[test]
     fn primary_crash_linear() {
-        conformance::primary_crash_under_load::<LinearReplica>(61);
+        conformance::primary_crash_under_load(Engine::Linear, 61);
     }
     #[test]
     fn slow_primary_pbft() {
-        conformance::slow_primary::<Replica>(62);
+        conformance::slow_primary(Engine::Pbft, 62);
     }
     #[test]
     fn slow_primary_linear() {
-        conformance::slow_primary::<LinearReplica>(62);
+        conformance::slow_primary(Engine::Linear, 62);
     }
     #[test]
     fn rolling_crash_pbft() {
-        conformance::rolling_crash::<Replica>(63);
+        conformance::rolling_crash(Engine::Pbft, 63);
     }
     #[test]
     fn rolling_crash_linear() {
-        conformance::rolling_crash::<LinearReplica>(63);
+        conformance::rolling_crash(Engine::Linear, 63);
     }
     #[test]
     fn coordinator_outage_pbft() {
-        conformance::coordinator_outage::<Replica>(64);
+        conformance::coordinator_outage(Engine::Pbft, 64);
     }
     #[test]
     fn coordinator_outage_linear() {
-        conformance::coordinator_outage::<LinearReplica>(64);
+        conformance::coordinator_outage(Engine::Linear, 64);
     }
     #[test]
     fn partition_then_heal_pbft() {
-        conformance::partition_then_heal::<Replica>(65);
+        conformance::partition_then_heal(Engine::Pbft, 65);
     }
     #[test]
     fn partition_then_heal_linear() {
-        conformance::partition_then_heal::<LinearReplica>(65);
+        conformance::partition_then_heal(Engine::Linear, 65);
     }
     #[test]
     fn equivocating_primary_pbft() {
-        conformance::equivocating_primary::<Replica>(66);
+        conformance::equivocating_primary(Engine::Pbft, 66);
     }
     #[test]
     fn equivocating_primary_linear() {
-        conformance::equivocating_primary::<LinearReplica>(66);
+        conformance::equivocating_primary(Engine::Linear, 66);
     }
     #[test]
     fn censorship_under_recovery_pbft() {
-        conformance::censorship_under_recovery::<Replica>(67);
+        conformance::censorship_under_recovery(Engine::Pbft, 67);
     }
     #[test]
     fn censorship_under_recovery_linear() {
-        conformance::censorship_under_recovery::<LinearReplica>(67);
+        conformance::censorship_under_recovery(Engine::Linear, 67);
     }
     #[test]
     fn split_under_load_pbft() {
-        conformance::split_under_load::<Replica>(68);
+        conformance::split_under_load(Engine::Pbft, 68);
     }
     #[test]
     fn split_under_load_linear() {
-        conformance::split_under_load::<LinearReplica>(68);
+        conformance::split_under_load(Engine::Linear, 68);
     }
 }
 
