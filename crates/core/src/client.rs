@@ -367,16 +367,20 @@ impl Client {
         }
     }
 
-    /// Proactive-recovery hook: re-derive this client's session keys
-    /// ([`ClientKeys::rekey`]) and redistribute them with a fresh signed
-    /// NewKey broadcast. A replica that was just rebooted on the rolling
-    /// recovery schedule lost its transient session keys (§2.3); this
-    /// re-keys it immediately instead of waiting for the blind NewKey
-    /// retransmission timer. No-op for clients still mid-join.
+    /// Proactive-recovery hook: redistribute this client's session keys
+    /// with a fresh signed NewKey broadcast, re-deriving them first
+    /// ([`ClientKeys::rekey`]) if its id changed since they were derived —
+    /// they are a function of the id, so a static client's never do. A
+    /// replica that was just rebooted on the rolling recovery schedule lost
+    /// its transient session keys (§2.3); this re-keys it immediately
+    /// instead of waiting for the blind NewKey retransmission timer. No-op
+    /// for clients still mid-join.
     pub fn redistribute_session_keys(&mut self) -> HandleResult {
         let mut res = HandleResult::default();
         if matches!(self.join, JoinState::Member) {
-            self.keys.rekey(self.group_seed, self.id);
+            if self.keys.id() != self.id {
+                self.keys.rekey(self.group_seed, self.id);
+            }
             self.send_new_key(&mut res);
         }
         res

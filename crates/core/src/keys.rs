@@ -10,7 +10,7 @@
 
 use pbft_crypto::auth::{Authenticator, MacKey};
 use pbft_crypto::hmac::derive_key;
-use pbft_crypto::{Digest, KeyPair, Mac64, PublicKey};
+use pbft_crypto::{Digest, KeyPair, Mac64, PublicKey, Signature};
 
 use crate::config::AuthMode;
 use crate::messages::AuthTag;
@@ -104,7 +104,14 @@ impl KeyStore {
     ) -> KeyStore {
         let keypair = node_keypair(group_seed, Some(me), None);
         let replica_pubkeys = (0..n as u32)
-            .map(|i| node_keypair(group_seed, Some(ReplicaId(i)), None).public())
+            .map(ReplicaId)
+            .map(|r| {
+                if r == me {
+                    keypair.public()
+                } else {
+                    node_keypair(group_seed, Some(r), None).public()
+                }
+            })
             .collect();
         let replica_keys = (0..n as u32)
             .map(|i| replica_pair_key(group_seed, me, ReplicaId(i)))
@@ -163,6 +170,26 @@ impl KeyStore {
     /// with their Join.
     pub fn static_client_pubkey(&self, client: ClientId) -> PublicKey {
         node_keypair(self.group_seed, None, Some(client)).public()
+    }
+
+    /// Verify `sig` over `prefix` by the public key a static deployment's
+    /// configuration assigns to `client` ([`KeyStore::static_client_pubkey`]),
+    /// and install that key only if it verifies: a claim to a client id that
+    /// fails authentication leaves no entry behind.
+    pub fn verify_static_client_sig(
+        &mut self,
+        client: ClientId,
+        prefix: &[u8],
+        sig: &Signature,
+        counts: &mut OpCounts,
+    ) -> bool {
+        counts.sig_verify += 1;
+        let pk = self.static_client_pubkey(client);
+        let ok = pk.verify(prefix, sig).is_ok();
+        if ok {
+            self.install_client_pubkey(client, pk);
+        }
+        ok
     }
 
     /// Install a client session key (from a verified NewKey message).

@@ -219,7 +219,10 @@ impl Replica {
             return;
         }
         let me = self.id();
-        let Some(e) = self.log.entry_for(qc.seq, qc.view, qc.digest) else {
+        let Some(e) = self
+            .log
+            .entry_for(qc.seq, qc.view, qc.digest, &mut self.bodies)
+        else {
             return; // digest conflict: certified minority, ignore
         };
         let newly_prepared = !e.prepared;
@@ -259,7 +262,10 @@ impl Replica {
         if voters.len() < self.cfg.quorum() {
             return;
         }
-        let Some(e) = self.log.entry_for(qc.seq, qc.view, qc.digest) else {
+        let Some(e) = self
+            .log
+            .entry_for(qc.seq, qc.view, qc.digest, &mut self.bodies)
+        else {
             return;
         };
         // A commit quorum implies the prepare quorum, so mark the slot
@@ -460,7 +466,8 @@ mod tests {
         let digest = pbft_crypto::Digest::of(b"batch");
         // The slot must exist within watermarks; fabricate the log entry the
         // way a pre-prepare would.
-        e.inner_mut().log.entry_for(3, 0, digest).expect("entry");
+        let r = e.inner_mut();
+        r.log.entry_for(3, 0, digest, &mut r.bodies).expect("entry");
         let qc = QuorumCertMsg {
             view: 0,
             seq: 3,
@@ -481,7 +488,8 @@ mod tests {
     fn commit_qc_with_subquorum_votes_is_ignored() {
         let mut e = engine(1);
         let digest = pbft_crypto::Digest::of(b"batch");
-        e.inner_mut().log.entry_for(3, 0, digest).expect("entry");
+        let r = e.inner_mut();
+        r.log.entry_for(3, 0, digest, &mut r.bodies).expect("entry");
         let qc = QuorumCertMsg {
             view: 0,
             seq: 3,
@@ -560,11 +568,8 @@ mod tests {
         let mut sender = engine(3);
         let mut receiver = engine(1);
         let digest = pbft_crypto::Digest::of(b"batch");
-        receiver
-            .inner_mut()
-            .log
-            .entry_for(2, 0, digest)
-            .expect("entry");
+        let r = receiver.inner_mut();
+        r.log.entry_for(2, 0, digest, &mut r.bodies).expect("entry");
         let msg = Message::PrepareQC(QuorumCertMsg {
             view: 0,
             seq: 2,

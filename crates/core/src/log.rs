@@ -5,7 +5,7 @@ use std::ops::RangeBounds;
 
 use pbft_crypto::Digest;
 
-use crate::messages::PrePrepareMsg;
+use crate::messages::{PrePrepareMsg, RequestMsg};
 use crate::types::{SeqNum, View, VoteSet};
 
 /// Agreement state for one sequence number.
@@ -29,6 +29,12 @@ pub struct LogEntry {
     pub executed: bool,
     /// Batch was executed tentatively (after prepare, before commit).
     pub tentative: bool,
+    /// The request bodies this slot owns, keyed by request digest: every
+    /// body its pre-prepare names that sat in the replica's body store when
+    /// the batch first executed, moved here in batch order. They leave the
+    /// log with the slot, and a re-execution (rollback, a state transfer)
+    /// finds them here.
+    pub bodies: Vec<(Digest, RequestMsg)>,
 }
 
 impl LogEntry {
@@ -43,7 +49,16 @@ impl LogEntry {
             committed: false,
             executed: false,
             tentative: false,
+            bodies: Vec::new(),
         }
+    }
+
+    /// The body of request `digest`, if this slot holds it.
+    pub fn held(&self, digest: &Digest) -> Option<&RequestMsg> {
+        self.bodies
+            .iter()
+            .find(|(d, _)| d == digest)
+            .map(|(_, req)| req)
     }
 }
 
@@ -81,8 +96,17 @@ impl MessageLog {
     ///
     /// Returns `None` on a *conflicting* digest for an existing `(view,
     /// seq)` — the Byzantine-primary signal callers must treat as a protocol
-    /// violation.
-    pub fn entry_for(&mut self, seq: SeqNum, view: View, digest: Digest) -> Option<&mut LogEntry> {
+    /// violation. A slot a higher view supersedes gives the bodies it held
+    /// back to `store`: which batch the new view agrees on there is not yet
+    /// known (a batch digest covers the view, so it never matches the old
+    /// one), and whatever that batch names finds them in the store.
+    pub fn entry_for(
+        &mut self,
+        seq: SeqNum,
+        view: View,
+        digest: Digest,
+        store: &mut impl Extend<(Digest, RequestMsg)>,
+    ) -> Option<&mut LogEntry> {
         let e = self
             .entries
             .entry(seq)
@@ -92,6 +116,7 @@ impl MessageLog {
         }
         if view > e.view {
             // Higher view supersedes (view change re-issued this seq).
+            store.extend(std::mem::take(&mut e.bodies));
             *e = LogEntry::new(view, digest);
         } else if view < e.view {
             return None;
@@ -156,12 +181,6 @@ impl MessageLog {
             .collect()
     }
 
-    /// Drop all entries (used when a view change rebuilds the log from a
-    /// new-view message).
-    pub fn clear_above(&mut self, seq: SeqNum) {
-        self.entries.retain(|&s, _| s <= seq);
-    }
-
     /// Discard uncommitted entries above `max_s` left over from views
     /// before `view` — pre-prepares a dead primary issued that no
     /// view-change vote carried into the new view's re-issue set. Nothing
@@ -170,10 +189,21 @@ impl MessageLog {
     /// safe; keeping them would pin the congestion window on slots the new
     /// view will never re-agree. Matters most for leader-aggregated
     /// engines, where backups hold no prepare quorums of their own and a
-    /// leader failure routinely strands its in-flight tail.
-    pub fn drop_stale_above(&mut self, max_s: SeqNum, view: View) {
-        self.entries
-            .retain(|&s, e| s <= max_s || e.view >= view || e.committed);
+    /// leader failure routinely strands its in-flight tail. A dropped slot
+    /// that executed tentatively gives its bodies back to `store`.
+    pub fn drop_stale_above(
+        &mut self,
+        max_s: SeqNum,
+        view: View,
+        store: &mut impl Extend<(Digest, RequestMsg)>,
+    ) {
+        self.entries.retain(|&s, e| {
+            let keep = s <= max_s || e.view >= view || e.committed;
+            if !keep {
+                store.extend(std::mem::take(&mut e.bodies));
+            }
+            keep
+        });
     }
 
     /// Number of live entries.
@@ -211,36 +241,84 @@ mod tests {
     #[test]
     fn conflicting_digest_rejected() {
         let mut log = MessageLog::new(256);
-        assert!(log.entry_for(5, 0, digest(1)).is_some());
+        let store = &mut Vec::new();
+        assert!(log.entry_for(5, 0, digest(1), store).is_some());
         assert!(
-            log.entry_for(5, 0, digest(2)).is_none(),
+            log.entry_for(5, 0, digest(2), store).is_none(),
             "same view, different digest"
         );
-        assert!(log.entry_for(5, 0, digest(1)).is_some(), "same digest fine");
+        assert!(
+            log.entry_for(5, 0, digest(1), store).is_some(),
+            "same digest fine"
+        );
     }
 
     #[test]
     fn higher_view_supersedes() {
         let mut log = MessageLog::new(256);
+        let store = &mut Vec::new();
         {
-            let e = log.entry_for(5, 0, digest(1)).expect("create");
+            let e = log.entry_for(5, 0, digest(1), store).expect("create");
             e.prepares.insert(crate::types::ReplicaId(1));
             e.prepared = true;
         }
-        let e = log.entry_for(5, 1, digest(2)).expect("supersede");
+        let e = log.entry_for(5, 1, digest(2), store).expect("supersede");
         assert_eq!(e.view, 1);
         assert!(!e.prepared, "state reset for the new view");
         assert!(
-            log.entry_for(5, 0, digest(1)).is_none(),
+            log.entry_for(5, 0, digest(1), store).is_none(),
             "stale view rejected"
         );
+    }
+
+    fn body(ts: u64) -> (Digest, RequestMsg) {
+        let req = RequestMsg {
+            client: crate::types::ClientId(1),
+            timestamp: ts,
+            read_only: false,
+            reply_addr: 0,
+            op: crate::messages::Operation::Noop,
+        };
+        (req.digest(), req)
+    }
+
+    /// A slot that leaves the log other than by retirement — superseded by
+    /// a higher view, or dropped as a stale tail — gives what it held back
+    /// to the store; nothing else it does touches the store.
+    #[test]
+    fn superseded_and_dropped_slots_give_their_bodies_back() {
+        let mut log = MessageLog::new(256);
+        let mut store = Vec::new();
+        for s in 1..=3u64 {
+            let e = log
+                .entry_for(s, 0, digest(s as u8), &mut store)
+                .expect("create");
+            e.bodies.push(body(s));
+        }
+        log.get_mut(3).expect("slot 3").committed = true;
+        assert!(log.entry_for(1, 0, digest(1), &mut store).is_some());
+        assert!(store.is_empty(), "the same view keeps its bodies");
+        assert!(log.get(1).expect("slot 1").held(&body(1).0).is_some());
+
+        log.entry_for(1, 1, digest(9), &mut store)
+            .expect("supersede");
+        assert!(log.get(1).expect("slot 1").bodies.is_empty());
+        assert_eq!(store, vec![body(1)]);
+
+        // Above max_s = 1 in view 1: the uncommitted view-0 slot 2 goes with
+        // its body, the committed slot 3 stays with its own.
+        log.drop_stale_above(1, 1, &mut store);
+        assert!(log.get(2).is_none());
+        assert_eq!(store, vec![body(1), body(2)]);
+        assert_eq!(log.get(3).expect("slot 3").bodies, vec![body(3)]);
     }
 
     #[test]
     fn garbage_collection_drops_entries() {
         let mut log = MessageLog::new(256);
         for s in 1..=10 {
-            log.entry_for(s, 0, digest(s as u8)).expect("create");
+            log.entry_for(s, 0, digest(s as u8), &mut Vec::new())
+                .expect("create");
         }
         assert_eq!(log.len(), 10);
         let mut reference = log.clone();
@@ -268,7 +346,8 @@ mod tests {
     fn range_is_the_filtered_iteration() {
         let mut log = MessageLog::new(256);
         for s in [2u64, 3, 5, 9] {
-            log.entry_for(s, 0, digest(s as u8)).expect("create");
+            log.entry_for(s, 0, digest(s as u8), &mut Vec::new())
+                .expect("create");
         }
         let seqs = |it: &mut dyn Iterator<Item = (&SeqNum, &LogEntry)>| -> Vec<SeqNum> {
             it.map(|(&s, _)| s).collect()
@@ -282,7 +361,9 @@ mod tests {
     fn prepared_proofs_filtered() {
         let mut log = MessageLog::new(256);
         for s in 1..=4u64 {
-            let e = log.entry_for(s, 0, digest(s as u8)).expect("create");
+            let e = log
+                .entry_for(s, 0, digest(s as u8), &mut Vec::new())
+                .expect("create");
             if s % 2 == 0 {
                 e.prepared = true;
                 e.preprepare = Some(PrePrepareMsg {

@@ -48,19 +48,6 @@ pub enum Operation {
 }
 
 impl Operation {
-    /// Take the one heap buffer the operation owns, leaving it empty, so
-    /// that dropping the operation afterwards frees nothing (the replica
-    /// retires request bodies this way, see `Replica::retire_garbage`).
-    /// The match is exhaustive on purpose: a new variant that owns memory
-    /// has to say here which buffer that is.
-    pub(crate) fn take_payload(&mut self) -> Vec<u8> {
-        match self {
-            Operation::App(op) => std::mem::take(op),
-            Operation::JoinPhase1 { idbuf, .. } => std::mem::take(idbuf),
-            Operation::Noop | Operation::JoinPhase2 { .. } | Operation::Leave => Vec::new(),
-        }
-    }
-
     fn encode(&self, e: &mut Enc) {
         match self {
             Operation::App(op) => {

@@ -1,9 +1,12 @@
 //! Normal-case ordering and execution: batching, the 3-phase agreement,
 //! tentative execution, checkpoints, and the big-request hazard of §2.4.
 
+use std::collections::BTreeMap;
+
 use pbft_crypto::{Digest, Sha256};
 
 use crate::app::NonDet;
+use crate::log::LogEntry;
 use crate::membership::JoinOutcome;
 use crate::messages::{
     BatchEntry, BodyFetchMsg, CheckpointMsg, CommitMsg, Message, Operation, PrePrepareMsg,
@@ -13,8 +16,7 @@ use crate::output::{HandleResult, NetTarget, Output, TimerKind};
 use crate::types::{ClientId, FoldMap, FoldSet, ReplicaId, SeqNum};
 
 use super::{
-    QueuedRequest, Replica, Retired, TentativeEffects, RECLAIM_SLOTS_PER_BATCH,
-    SETTLE_PAGES_PER_BATCH,
+    QueuedRequest, Replica, TentativeEffects, RECLAIM_SLOTS_PER_BATCH, SETTLE_PAGES_PER_BATCH,
 };
 
 /// Pipelined batch formation: while at least one batch is already in
@@ -168,7 +170,7 @@ impl Replica {
             let digest = pp.batch_digest();
             res.counts.digest_bytes += 64 + 48 * pp.entries.len() as u64;
             self.seq_assign = seq;
-            if let Some(e) = self.log.entry_for(seq, self.view, digest) {
+            if let Some(e) = self.log.entry_for(seq, self.view, digest, &mut self.bodies) {
                 e.preprepare = Some(pp.clone());
             }
             self.stash_inline_bodies(&pp);
@@ -222,7 +224,7 @@ impl Replica {
         res.counts.digest_bytes += 64 + 48 * pp.entries.len() as u64;
         let me_primary = self.is_primary();
         let (view, seq) = (pp.view, pp.seq);
-        match self.log.entry_for(seq, view, digest) {
+        match self.log.entry_for(seq, view, digest, &mut self.bodies) {
             Some(e) if e.preprepare.is_some() => return, // duplicate
             Some(_) => {}
             None => {
@@ -272,7 +274,10 @@ impl Replica {
         if p.replica == self.cfg.primary_of(p.view) {
             return; // the primary never sends prepares
         }
-        let Some(e) = self.log.entry_for(p.seq, p.view, p.digest) else {
+        let Some(e) = self
+            .log
+            .entry_for(p.seq, p.view, p.digest, &mut self.bodies)
+        else {
             return; // digest conflict: ignore the minority vote
         };
         e.prepares.insert(p.replica);
@@ -341,7 +346,10 @@ impl Replica {
         if self.in_view_change || c.view != self.view || !self.log.in_watermarks(c.seq) {
             return;
         }
-        let Some(e) = self.log.entry_for(c.seq, c.view, c.digest) else {
+        let Some(e) = self
+            .log
+            .entry_for(c.seq, c.view, c.digest, &mut self.bodies)
+        else {
             return;
         };
         e.commits.insert(c.replica);
@@ -439,11 +447,10 @@ impl Replica {
         }
         loop {
             let seq = self.last_executed + 1;
-            let Some(e) = self.log.get(seq) else { break };
-            let Some(pp) = &e.preprepare else {
+            let Some(e) = self.log.get_mut(seq) else {
                 break;
             };
-            if e.executed {
+            if e.executed || e.preprepare.is_none() {
                 break;
             }
             let committed = e.committed;
@@ -452,13 +459,12 @@ impl Replica {
                 break;
             }
             // Check body availability.
-            let missing: Vec<Digest> = pp
-                .entries
-                .iter()
-                .filter(|en| en.full.is_none() && !self.bodies.contains_key(&en.digest))
-                .map(|en| en.digest)
-                .collect();
+            let mut missing = unheld_bodies(e, &self.bodies);
             if !missing.is_empty() {
+                self.copy_bodies_held_elsewhere(&mut missing);
+                if missing.is_empty() {
+                    continue;
+                }
                 self.metrics.stuck_missing_body += 1;
                 if self.cfg.fetch_missing_bodies {
                     for d in missing {
@@ -475,15 +481,16 @@ impl Replica {
                 }
                 break;
             }
-            // Execution borrows the whole replica, so the pre-prepare leaves
-            // its log entry for the batch (nothing in there reads the log)
-            // and goes back with the verdict.
-            let e = self.log.get_mut(seq).expect("entry exists");
+            // Execution borrows the whole replica, so the pre-prepare and the
+            // slot's bodies leave their log entry for the batch (nothing in
+            // there reads the log) and go back with the verdict.
             let pp = e.preprepare.take().expect("checked above");
+            let mut held = std::mem::take(&mut e.bodies);
             let digest = e.digest;
-            self.execute_batch(&pp, digest, committed, now_ns, res);
+            self.execute_batch(&pp, &mut held, digest, committed, now_ns, res);
             let e = self.log.get_mut(seq).expect("entry exists");
             e.preprepare = Some(pp);
+            e.bodies = held;
             e.executed = true;
             e.tentative = !committed;
             if !committed {
@@ -503,10 +510,15 @@ impl Replica {
 
     /// Execute one batch. `digest` is `pp.batch_digest()` — the value the
     /// log entry has carried since the pre-prepare was matched against it,
-    /// so the execution chain costs no second hash of the batch.
+    /// so the execution chain costs no second hash of the batch. `held` is
+    /// the slot's body list: every body the batch names that the store
+    /// still holds moves into it here (on a first execution all of them,
+    /// into the buffer the last reclaimed slot left behind), and a
+    /// re-execution finds them there.
     pub(crate) fn execute_batch(
         &mut self,
         pp: &PrePrepareMsg,
+        held: &mut Vec<(Digest, RequestMsg)>,
         digest: Digest,
         committed: bool,
         _now_ns: u64,
@@ -517,17 +529,33 @@ impl Replica {
         // read-only contention gate can defer conflicting reads until the
         // batch commits (or rolls back).
         let mut effects = TentativeEffects::default();
-        // Requests are executed where they are stored: the body store is
-        // moved out for the batch, because execution borrows the whole
-        // replica (nothing in there reads `self.bodies`).
-        let bodies = std::mem::replace(
-            &mut self.bodies,
-            FoldMap::with_hasher(self.keys.hash_state()),
-        );
+        if held.capacity() == 0 {
+            *held = std::mem::take(&mut self.retired.spare);
+        }
+        // Room for the batch and no more (a growing `Vec` would round a
+        // one-request batch up to four).
+        held.reserve_exact(pp.entries.len().saturating_sub(held.len()));
+        for entry in &pp.entries {
+            if let Some(req) = self.bodies.remove(&entry.digest) {
+                held.push((entry.digest, req));
+            }
+        }
+        // Held in batch order, so the next big body is almost always the
+        // one after the last.
+        let mut next = 0;
         for entry in &pp.entries {
             let req = match &entry.full {
                 Some(r) => r,
-                None => bodies.get(&entry.digest).expect("checked above"),
+                None => {
+                    if held.get(next).is_none_or(|(d, _)| *d != entry.digest) {
+                        next = held
+                            .iter()
+                            .position(|(d, _)| *d == entry.digest)
+                            .expect("checked above");
+                    }
+                    next += 1;
+                    &held[next - 1].1
+                }
             };
             self.observed.remove(&entry.digest);
             if !committed {
@@ -558,7 +586,6 @@ impl Replica {
             res.counts.requests_executed += 1;
             self.metrics.executed_requests += 1;
         }
-        self.bodies = bodies;
         if membership_dirty {
             self.persist_membership();
         }
@@ -780,42 +807,35 @@ impl Replica {
     }
 
     /// Retire what the checkpoint now stable at `seq` made garbage: log
-    /// entries at or below it leave the log, and stored bodies that no live
-    /// log entry references leave `bodies` / `observed` — executed entries
-    /// above the stable checkpoint still count, a view-change rollback may
-    /// need to re-execute them. What they own on the heap is moved onto the
-    /// retired queue, none of it dropped: [`Replica::reclaim`] frees it, a
-    /// slot per executed batch. What an earlier checkpoint left on the
-    /// queue goes at once, so the queue never holds more than one
-    /// stabilisation's garbage.
+    /// entries at or below it leave the log with the bodies their batches
+    /// executed, and stored bodies that no live log entry references leave
+    /// `bodies` / `observed`. The retention rule is the one garbage
+    /// collection always had — a body stays while a live entry references
+    /// it or its request has not executed for its client — but the map
+    /// holds only bodies whose batch has not executed, about a window's
+    /// worth, so the walk is that long and not an interval's. The slots
+    /// are moved onto the retired queue, nothing in them dropped:
+    /// [`Replica::reclaim`] frees one per executed batch. What an earlier
+    /// checkpoint left on the queue goes at once, so the queue never holds
+    /// more than one stabilisation's garbage.
     fn retire_garbage(&mut self, seq: SeqNum) {
-        self.retired = Retired {
-            slots: self.log.collect_garbage(seq),
-            payloads: Vec::with_capacity(self.bodies.len()),
-            executed_mark: self.last_executed,
-        };
+        let mut slots = self.log.collect_garbage(seq);
+        self.keep_named_bodies(&mut slots);
+        self.retired.slots = slots;
+        self.retired.executed_mark = self.last_executed;
         let mut referenced = FoldSet::with_hasher(self.keys.hash_state());
         referenced.extend(self.log.iter().flat_map(|(_, e)| {
             e.preprepare
                 .iter()
                 .flat_map(|pp| pp.entries.iter().map(|en| en.digest))
         }));
-        // A condemned request leaves its map as an empty shell: the buffer
-        // it owned is queued first, so removing it frees nothing.
-        let payloads = &mut self.retired.payloads;
-        let mut retire = |req: &mut RequestMsg| payloads.push(req.op.take_payload());
         // Keep bodies that a live log entry references *or* that belong to a
         // request not yet executed for its client (pending in the batching
         // queue or observed but not yet pre-prepared) — dropping those would
         // wedge execution exactly like a §2.4 packet loss.
         let last_ts = &self.last_req_ts;
         self.bodies.retain(|d, req| {
-            let keep = referenced.contains(d)
-                || req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0);
-            if !keep {
-                retire(req);
-            }
-            keep
+            referenced.contains(d) || req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0)
         });
         if !self.pending_digests.is_empty() {
             let mut queued = FoldSet::with_hasher(self.keys.hash_state());
@@ -825,28 +845,67 @@ impl Replica {
         }
         // Observed requests already executed under a different digest path
         // are dropped via the per-client timestamp.
-        self.observed.retain(|_, req| {
-            let keep = req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0);
-            if !keep {
-                retire(req);
+        self.observed
+            .retain(|_, req| req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0));
+    }
+
+    /// Before slots leave the log: a body a live entry names but neither
+    /// the map nor that entry's slot holds never arrived (§2.4) or is in
+    /// another slot — a request the group ordered twice, as when a new
+    /// primary re-queues an observed request the new view also re-issues.
+    /// If a leaving slot has it, it goes
+    /// back into the map, where the retention rule keeps it (it is
+    /// referenced), as the old shared store did. Only those digests are
+    /// looked for among the leaving slots; normally there are none.
+    pub(crate) fn keep_named_bodies(&mut self, leaving: &mut BTreeMap<SeqNum, LogEntry>) {
+        let bodies = &self.bodies;
+        let wanted: Vec<Digest> = self
+            .log
+            .iter()
+            .flat_map(|(_, e)| {
+                let named = e.preprepare.iter().flat_map(|pp| pp.entries.iter());
+                named
+                    .filter(move |en| e.held(&en.digest).is_none())
+                    .map(|en| en.digest)
+            })
+            .filter(|d| !bodies.contains_key(d))
+            .collect();
+        for d in wanted {
+            for slot in leaving.values_mut() {
+                if let Some(i) = slot.bodies.iter().position(|(h, _)| *h == d) {
+                    let (d, req) = slot.bodies.swap_remove(i);
+                    self.bodies.insert(d, req);
+                    break;
+                }
             }
-            keep
+        }
+    }
+
+    /// The rare half of the body check: copy each of `missing` that another
+    /// live slot holds (a request the group ordered twice) into the map,
+    /// and leave in `missing` only what no one here has.
+    pub(crate) fn copy_bodies_held_elsewhere(&mut self, missing: &mut Vec<Digest>) {
+        let log = &self.log;
+        let bodies = &mut self.bodies;
+        missing.retain(|d| match log.iter().find_map(|(_, e)| e.held(d)) {
+            Some(req) => {
+                bodies.insert(*d, req.clone());
+                false
+            }
+            None => true,
         });
     }
 
-    /// Give `slots` retired slots back to the allocator, each with an even
-    /// share of the retired payloads (rounded up, so they never outlast the
-    /// slots; with no slot left the first call takes them all).
+    /// Give `slots` retired slots back to the allocator, each with the
+    /// bodies its batch executed. The last one's emptied body list is kept
+    /// for the next batch to execute, so executing allocates no list.
     pub(crate) fn reclaim(&mut self, slots: usize) {
-        let retired = &mut self.retired;
         for _ in 0..slots {
-            let share = retired.payloads.len().div_ceil(retired.slots.len().max(1));
-            retired.slots.pop_first();
-            retired.payloads.truncate(retired.payloads.len() - share);
-        }
-        if retired.payloads.is_empty() {
-            // The queue's own buffer goes with its last payload.
-            retired.payloads = Vec::new();
+            let Some((_, mut slot)) = self.retired.slots.pop_first() else {
+                return;
+            };
+            slot.bodies.clear();
+            self.retired.spare = std::mem::take(&mut slot.bodies);
         }
     }
 
@@ -855,7 +914,7 @@ impl Replica {
     /// the whole queue.
     pub(crate) fn reclaim_if_idle(&mut self) {
         if self.retired.executed_mark == self.last_executed {
-            self.reclaim(self.retired.slots.len().max(1));
+            self.reclaim(self.retired.slots.len());
         }
         self.retired.executed_mark = self.last_executed;
     }
@@ -865,12 +924,13 @@ impl Replica {
     // ------------------------------------------------------------------
 
     pub(crate) fn on_body_fetch(&mut self, bf: BodyFetchMsg, res: &mut HandleResult) {
-        if let Some(req) = self.bodies.get(&bf.digest) {
-            self.send_plain(
-                NetTarget::Replica(bf.replica),
-                Message::BodyResp(req.clone()),
-                res,
-            );
+        // Not yet executed here: in the map; executed: in its slot.
+        let found = self
+            .bodies
+            .get(&bf.digest)
+            .or_else(|| self.log.iter().find_map(|(_, e)| e.held(&bf.digest)));
+        if let Some(req) = found.cloned() {
+            self.send_plain(NetTarget::Replica(bf.replica), Message::BodyResp(req), res);
         }
     }
 
@@ -916,9 +976,10 @@ impl Replica {
         });
     }
 
-    /// Replicas the harness can ask about (tests).
+    /// Request bodies this replica keeps: those waiting for their batch to
+    /// execute, and those live log slots own (tests).
     pub fn body_store_len(&self) -> usize {
-        self.bodies.len()
+        self.bodies.len() + self.log.iter().map(|(_, e)| e.bodies.len()).sum::<usize>()
     }
 
     /// Log slots the last stable checkpoint retired that are still waiting
@@ -937,18 +998,39 @@ impl Replica {
         self.checkpoints.len()
     }
 
-    /// Peers that voted for the current stable checkpoint (transfer sources).
+    /// Peers that voted for the current stable checkpoint (transfer sources),
+    /// or every peer when no other replica's vote for it is known — a
+    /// checkpoint adopted from a new view's votes may carry only this
+    /// replica's own.
     pub(crate) fn checkpoint_peers(&self, seq: SeqNum, root: Digest) -> Vec<ReplicaId> {
-        self.ckpt_votes
+        let me = self.id();
+        let voters: Vec<ReplicaId> = self
+            .ckpt_votes
             .get(&(seq, root))
-            .map(|v| v.iter().copied().filter(|&r| r != self.id()).collect())
-            .unwrap_or_else(|| {
-                (0..self.cfg.n() as u32)
-                    .map(ReplicaId)
-                    .filter(|&r| r != self.id())
-                    .collect()
-            })
+            .map(|v| v.iter().copied().filter(|&r| r != me).collect())
+            .unwrap_or_default();
+        if !voters.is_empty() {
+            return voters;
+        }
+        (0..self.cfg.n() as u32)
+            .map(ReplicaId)
+            .filter(|&r| r != me)
+            .collect()
     }
+}
+
+/// The big bodies `e`'s pre-prepare names that neither its own slot nor the
+/// map `bodies` holds. Empty for a batch that can execute, unless one of its
+/// requests was ordered twice ([`Replica::copy_bodies_held_elsewhere`]).
+pub(crate) fn unheld_bodies(e: &LogEntry, bodies: &FoldMap<Digest, RequestMsg>) -> Vec<Digest> {
+    e.preprepare
+        .iter()
+        .flat_map(|pp| pp.entries.iter())
+        .filter(|en| {
+            en.full.is_none() && e.held(&en.digest).is_none() && !bodies.contains_key(&en.digest)
+        })
+        .map(|en| en.digest)
+        .collect()
 }
 
 /// The garbage collection a stable checkpoint ran before retirement was
@@ -1003,6 +1085,39 @@ pub(crate) mod retire_reference {
         observed.retain(|_, r| r.timestamp > last_ts.get(&r.client).copied().unwrap_or(0));
     }
 
+    /// Digests of the bodies live log slots hold.
+    fn held(r: &Replica) -> impl Iterator<Item = Digest> + '_ {
+        r.log
+            .iter()
+            .flat_map(|(_, e)| e.bodies.iter().map(|(d, _)| *d))
+    }
+
+    /// The ownership invariant, at any point between two calls into `r`:
+    /// every executed live slot holds every big body its pre-prepare names
+    /// (a rollback or a transfer re-executes from there), and a body leaves
+    /// with its slot — what the retired queue holds sits in slots not yet
+    /// reclaimed, and the buffer the last reclaimed slot left holds nothing.
+    pub(crate) fn assert_bodies_owned(r: &Replica) {
+        for (&seq, e) in r.log.iter().filter(|(_, e)| e.executed) {
+            let pp = e
+                .preprepare
+                .as_ref()
+                .expect("an executed slot has its batch");
+            for en in pp.entries.iter().filter(|en| en.full.is_none()) {
+                assert!(
+                    e.held(&en.digest).is_some(),
+                    "replica {}: executed slot {seq} lost a body it names",
+                    r.id().0
+                );
+            }
+        }
+        assert!(
+            r.retired.spare.is_empty(),
+            "a reclaimed slot's bodies outlived it"
+        );
+        assert!(r.retired.slots.keys().all(|&s| s <= r.stable.0));
+    }
+
     /// The keys the old code leaves live after a stabilisation at `seq`.
     #[derive(Debug, PartialEq, Eq)]
     pub(crate) struct Retained {
@@ -1017,7 +1132,11 @@ pub(crate) mod retire_reference {
         pub(crate) fn by_the_old_code(r: &Replica, seq: SeqNum) -> Retained {
             let mut log = r.log.clone();
             log.collect_garbage_reference(seq);
-            let mut bodies = r.bodies.iter().map(|(d, req)| (*d, req.clone())).collect();
+            // The old code kept every body in one store: the map's, and the
+            // ones execution has since moved into the slots.
+            let mut bodies: HashMap<Digest, RequestMsg> =
+                r.bodies.iter().map(|(d, req)| (*d, req.clone())).collect();
+            bodies.extend(r.log.iter().flat_map(|(_, e)| e.bodies.iter().cloned()));
             let mut pending_digests = r.pending_digests.iter().copied().collect();
             let mut observed = r.observed.clone();
             prune_bodies(
@@ -1041,7 +1160,7 @@ pub(crate) mod retire_reference {
             let now = Retained {
                 log: r.log.iter().map(|(&s, _)| s).collect(),
                 low: r.log.low,
-                bodies: r.bodies.keys().copied().collect(),
+                bodies: r.bodies.keys().copied().chain(held(r)).collect(),
                 pending_digests: r.pending_digests.iter().copied().collect(),
                 observed: r.observed.keys().copied().collect(),
             };

@@ -189,30 +189,26 @@ pub(crate) struct QueuedRequest {
 }
 
 /// What the last stable checkpoint retired and the allocator has not yet
-/// been asked to take back: the dead log entries in sequence order, and the
-/// buffers of the request bodies the retention rule condemned with them.
-/// Retirement is the protocol's garbage collection and happens whole, at
-/// the instant the checkpoint stabilises — nothing in here is reachable
-/// from `log`, `bodies`, `pending_digests` or `observed` any more.
-/// Reclamation is only *when `free` runs*: one slot per batch this replica
-/// executes ([`RECLAIM_SLOTS_PER_BATCH`]), so an interval's garbage is paid
-/// back across the next interval instead of in the one call that every
-/// replica of the group makes in the same instant.
+/// been asked to take back: the dead log entries in sequence order, each
+/// with the request bodies its batch executed (a body belongs to the slot
+/// of the batch that executed it). Retirement is the protocol's garbage
+/// collection and happens whole, at the instant the checkpoint stabilises —
+/// nothing in here is reachable from `log`, `bodies`, `pending_digests` or
+/// `observed` any more. Reclamation is only *when `free` runs*: one slot
+/// per batch this replica executes ([`RECLAIM_SLOTS_PER_BATCH`]), so an
+/// interval's garbage is paid back across the next interval instead of in
+/// the one call that every replica of the group makes in the same instant.
 #[derive(Default)]
 pub(crate) struct Retired {
     /// Dead log entries; a slot is one of these.
     pub(crate) slots: BTreeMap<SeqNum, LogEntry>,
-    /// The heap buffers of the condemned requests (from `bodies` and
-    /// `observed`), in no order: the rule that condemns a request is the
-    /// retention rule, not membership in a dead pre-prepare, so they are
-    /// handed out evenly over the slots. Only the buffer is queued — the
-    /// rest of a request owns nothing — which keeps the queue itself a
-    /// quarter the size of the structs it stands for.
-    pub(crate) payloads: Vec<Vec<u8>>,
     /// `last_executed` when the queue was filled, then at each status tick
     /// that found it unchanged: a tick that sees no batch executed since
     /// the previous mark is on an idle replica and drains the queue whole.
     pub(crate) executed_mark: SeqNum,
+    /// The emptied body list of the last reclaimed slot, which the next
+    /// batch to execute fills: in steady state executing allocates no list.
+    pub(crate) spare: Vec<(Digest, RequestMsg)>,
 }
 
 /// Retired slots reclaimed per executed batch. A stable checkpoint retires
@@ -259,7 +255,9 @@ pub struct Replica {
     pub(crate) pending_digests: FoldSet<Digest>,
     pub(crate) assigned_ts: FoldMap<ClientId, u64>,
 
-    /// Big-request body store, keyed by request digest (§2.1/§2.4).
+    /// Big-request body store, keyed by request digest (§2.1/§2.4): the
+    /// bodies whose batch has not executed here. Executing a batch moves
+    /// its bodies into its log slot ([`LogEntry::bodies`]).
     pub(crate) bodies: FoldMap<Digest, RequestMsg>,
 
     /// Requests observed (as a backup) but not yet executed — the basis for
@@ -784,18 +782,27 @@ impl Replica {
                     self.metrics.auth_failures += 1;
                     return;
                 }
-            } else if self.keys.client_pubkey(req.client).is_none() {
-                // Static deployments: client public keys are configuration,
-                // not session state, so a restarted replica still has them —
-                // re-derive lazily. Without this, a signature-mode request
-                // could never verify again after a restart.
-                let pk = self.keys.static_client_pubkey(req.client);
-                self.keys.install_client_pubkey(req.client, pk);
             }
-            if !self
-                .keys
-                .verify_from_client(req.client, prefix, auth, &mut res.counts)
-            {
+            let verified = match auth {
+                // Static deployments: client public keys are configuration,
+                // not session state, so a restarted replica re-derives one
+                // lazily. Without this, a signature-mode request could never
+                // verify again after a restart. Only a signed request pays
+                // for the derivation, and the key is kept only once it has
+                // verified: an unauthenticated claim to a fresh client id
+                // costs no key generation and no table entry.
+                AuthTag::Sig(sig)
+                    if self.membership.is_none()
+                        && self.keys.client_pubkey(req.client).is_none() =>
+                {
+                    self.keys
+                        .verify_static_client_sig(req.client, prefix, sig, &mut res.counts)
+                }
+                _ => self
+                    .keys
+                    .verify_from_client(req.client, prefix, auth, &mut res.counts),
+            };
+            if !verified {
                 self.metrics.auth_failures += 1;
                 return;
             }
@@ -1038,31 +1045,32 @@ impl Replica {
         };
         // Resolve the client's public key: static configuration or the
         // membership session established at Join time.
-        let pubkey = self
-            .keys
-            .client_pubkey(nk.client)
-            .or_else(|| {
-                self.membership
-                    .as_ref()
-                    .and_then(|m| m.session(nk.client))
-                    .map(|s| s.pubkey)
-            })
-            .or_else(|| {
-                // Static deployments: the client's public key is part of the
-                // (restart-surviving) configuration — derive it so the blind
-                // NewKey can be verified and the session key re-learned, the
-                // §2.3 recovery this retransmission exists for. Before this
-                // fallback a replica restarted with empty tables could never
-                // re-admit any client: the NewKey needs the pubkey, and the
-                // pubkey only arrived at construction.
-                (self.membership.is_none()).then(|| self.keys.static_client_pubkey(nk.client))
-            });
-        let Some(pubkey) = pubkey else {
-            self.metrics.auth_failures += 1;
-            return;
+        let pubkey = self.keys.client_pubkey(nk.client).or_else(|| {
+            self.membership
+                .as_ref()
+                .and_then(|m| m.session(nk.client))
+                .map(|s| s.pubkey)
+        });
+        let verified = match pubkey {
+            Some(pubkey) => {
+                res.counts.sig_verify += 1;
+                pubkey.verify(prefix, sig).is_ok()
+            }
+            // Static deployments: the client's public key is part of the
+            // (restart-surviving) configuration — derive it so the blind
+            // NewKey can be verified and the session key re-learned, the
+            // §2.3 recovery this retransmission exists for, and keep it, so
+            // the client's next signed request does not derive it again.
+            // Before this fallback a replica restarted with empty tables
+            // could never re-admit any client: the NewKey needs the pubkey,
+            // and the pubkey only arrived at construction.
+            None if self.membership.is_none() => {
+                self.keys
+                    .verify_static_client_sig(nk.client, prefix, sig, &mut res.counts)
+            }
+            None => false,
         };
-        res.counts.sig_verify += 1;
-        if pubkey.verify(prefix, sig).is_err() {
+        if !verified {
             self.metrics.auth_failures += 1;
             return;
         }
@@ -1251,17 +1259,12 @@ impl Replica {
         // missing request body, the primary is not at fault — the §2.4
         // recovery paths (body fetch or checkpoint transfer) will unwedge
         // us; a view change would not.
-        let head_blocked_on_body = self
-            .log
-            .get(self.last_executed + 1)
-            .and_then(|e| e.preprepare.as_ref().map(|pp| (e, pp)))
-            .is_some_and(|(e, pp)| {
-                (e.prepared || e.committed)
-                    && pp
-                        .entries
-                        .iter()
-                        .any(|en| en.full.is_none() && !self.bodies.contains_key(&en.digest))
-            });
+        let head_blocked_on_body = self.log.get(self.last_executed + 1).is_some_and(|e| {
+            (e.prepared || e.committed)
+                && execution::unheld_bodies(e, &self.bodies)
+                    .iter()
+                    .any(|d| self.log.iter().all(|(_, other)| other.held(d).is_none()))
+        });
         if self.last_executed == self.vc_timer_baseline && has_outstanding && !head_blocked_on_body
         {
             // No progress on known work: suspect the primary.

@@ -384,8 +384,11 @@ impl Replica {
         }
         self.last_executed = seq;
         // A transfer is rare and nobody's request waits on this replica:
-        // what it makes garbage is dropped here, not queued.
-        drop(self.log.collect_garbage(seq));
+        // what it makes garbage is dropped here, not queued. The slots above
+        // `seq` keep their bodies for the re-execution.
+        let mut dead = self.log.collect_garbage(seq);
+        self.keep_named_bodies(&mut dead);
+        drop(dead);
         self.ckpt_votes.retain(|&(s, _), _| s > seq);
         let snap = self.state.borrow().snapshot(seq);
         self.checkpoints.retain(|&s, _| s >= seq);

@@ -635,6 +635,40 @@ fn bad_authenticator_rejected() {
     }
 }
 
+/// A claimed client id costs a replica nothing until something signed by it
+/// verifies: a thousand MAC-authenticated requests under unknown ids fail
+/// without a public key being derived or stored for any of them.
+#[test]
+fn unauthenticated_client_ids_install_no_public_key() {
+    use crate::keys::ClientKeys;
+    use crate::messages::{Envelope, Message, Operation, RequestMsg, Sender};
+
+    let cfg = default_cfg();
+    let mut r = make_replica(&cfg, 1, AppKind::Null(16), &[ClientId(1)]);
+    // Authenticators sealed under some client's keys, claimed by others.
+    let keys = ClientKeys::new(SEED, ClientId(1), cfg.n());
+    let ids = (1_000..2_000).map(ClientId);
+    for client in ids.clone() {
+        let msg = Message::Request(RequestMsg {
+            client,
+            timestamp: 1,
+            read_only: false,
+            reply_addr: CLIENT_ADDR_BASE,
+            op: Operation::App(vec![7; 16]),
+        });
+        let prefix = Envelope::encode_prefix(Sender::Client(client), &msg);
+        let auth = keys.seal_request(AuthMode::Macs, &prefix, &mut Default::default());
+        r.handle_packet(&Envelope::seal(prefix, &auth), 1_000_000);
+    }
+    assert_eq!(r.metrics().auth_failures, 1_000);
+    for client in ids {
+        assert!(
+            r.keys.client_pubkey(client).is_none(),
+            "an unauthenticated request installed a public key for {client:?}"
+        );
+    }
+}
+
 // ----------------------------------------------------------------------
 // Checkpoints & watermarks
 // ----------------------------------------------------------------------
@@ -664,6 +698,8 @@ fn checkpoints_garbage_collect_log_and_bodies() {
 #[test]
 fn retired_slots_are_reclaimed_one_per_executed_batch() {
     use crate::output::TimerKind;
+    let retired_bodies =
+        |r: &Replica| -> usize { r.retired.slots.values().map(|e| e.bodies.len()).sum() };
     let mut net = Net::new(default_cfg(), 1, AppKind::Kv);
     let mut next_key = 0u64;
     let mut one_batch = |net: &mut Net| {
@@ -682,18 +718,14 @@ fn retired_slots_are_reclaimed_one_per_executed_batch() {
         assert_eq!(r.log.len(), 0, "retired entries are out of the log");
         assert_eq!(r.body_store_len(), 0, "retired bodies are out of the store");
         assert_eq!(r.retired_slots(), 4, "one interval queued");
-        assert_eq!(
-            r.retired.payloads.len(),
-            4,
-            "with the buffers of its requests"
-        );
+        assert_eq!(retired_bodies(r), 4, "with the bodies of its requests");
     }
     // Each executed batch gives back exactly one slot and its share.
     for left in (1..4).rev() {
         one_batch(&mut net);
         for r in &net.replicas {
             assert_eq!(r.retired_slots(), left);
-            assert_eq!(r.retired.payloads.len(), left);
+            assert_eq!(retired_bodies(r), left);
         }
     }
     // The eighth batch drains the queue and its checkpoint refills it.
@@ -723,7 +755,7 @@ fn retired_slots_are_reclaimed_one_per_executed_batch() {
     net.pump(10_000);
     for r in &net.replicas {
         assert_eq!(r.retired_slots(), 0, "idle for a whole status interval");
-        assert!(r.retired.payloads.is_empty());
+        assert_eq!(retired_bodies(r), 0);
     }
     // A stabilisation that finds slots outstanding drops them before it
     // queues its own. Lose the votes for checkpoint 12, so that 16 retires
@@ -759,22 +791,55 @@ fn retired_slots_are_reclaimed_one_per_executed_batch() {
     }
 }
 
+/// Slots holding bodies, per replica: `(seq, view)`.
+fn slots_holding_bodies(net: &Net) -> Vec<Vec<(u64, u64)>> {
+    net.replicas
+        .iter()
+        .map(|r| {
+            r.log
+                .iter()
+                .filter(|(_, e)| !e.bodies.is_empty())
+                .map(|(&s, e)| (s, e.view))
+                .collect()
+        })
+        .collect()
+}
+
+/// Of the slots `before` listed as holding bodies, how many a higher view
+/// has since superseded, and how many left the log above its low watermark
+/// (dropped as a stale tail).
+fn superseded_and_dropped(net: &Net, before: &[Vec<(u64, u64)>]) -> (u32, u32) {
+    let (mut superseded, mut dropped) = (0, 0);
+    for (r, slots) in net.replicas.iter().zip(before) {
+        for &(s, v) in slots {
+            match r.log.get(s) {
+                Some(e) if e.view > v => superseded += 1,
+                None if s > r.log.low => dropped += 1,
+                _ => {}
+            }
+        }
+    }
+    (superseded, dropped)
+}
+
 /// Every stabilisation in this crate's tests runs the old garbage
 /// collection on copies and compares (`retire_reference`); this property
 /// drives that oracle through random schedules of load, lost commits
 /// followed by a primary failure (tentative execution, rollback, view
-/// change), lost checkpoint votes, blank restarts (state transfer) and
-/// status ticks.
+/// change), a batch prepared at one backup only that the next view leaves
+/// out, lost checkpoint votes, blank restarts (state transfer) and status
+/// ticks — and checks the body ownership invariant after every step.
 #[test]
 fn retirement_matches_the_old_garbage_collection_on_random_schedules() {
     use std::cell::Cell;
 
-    use super::execution::retire_reference::CHECKED;
+    use super::execution::retire_reference::{assert_bodies_owned, CHECKED};
     use crate::output::TimerKind;
 
     const CLIENTS: usize = 3;
     let (checked, view_changes, rollbacks, transfers) =
         (Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0));
+    let (superseded, dropped) = (Cell::new(0), Cell::new(0));
     propcheck::check_budgeted("retirement_matches_old_gc", 24, 200, |g| {
         let before = CHECKED.with(Cell::get);
         let mut net = Net::new(default_cfg(), CLIENTS, AppKind::Kv);
@@ -797,12 +862,14 @@ fn retirement_matches_the_old_garbage_collection_on_random_schedules() {
             net.pump(200_000);
         };
         for _ in 0..g.usize_in(4..14) {
-            match g.choice(6) {
+            let holding = slots_holding_bodies(&net);
+            match g.choice(7) {
                 0 | 1 => load(&mut net, g.usize_in(1..5)),
                 2 => {
                     // Batches that prepare but never commit execute
                     // tentatively; the primary then dies, and the new view
-                    // rolls them back to the stable checkpoint.
+                    // rolls them back to the stable checkpoint and
+                    // re-issues them, superseding their slots.
                     net.drop = Some(Box::new(|_, _, disc| disc == 4));
                     load(&mut net, g.usize_in(1..3));
                     net.drop = None;
@@ -863,10 +930,47 @@ fn retirement_matches_the_old_garbage_collection_on_random_schedules() {
                     load(&mut net, g.usize_in(1..3));
                     net.drop = None;
                 }
+                5 => {
+                    // One backup alone sees the prepares of a batch (and
+                    // nobody its commits), so it alone executes it
+                    // tentatively. The other three vote the next view
+                    // without it: the new view leaves the batch out, and
+                    // that backup's slot is dropped as a stale tail or
+                    // superseded by a gap-filling null.
+                    let view = net.replicas.iter().map(|r| r.view()).max().unwrap();
+                    let (primary, next) = (view as usize % 4, (view as usize + 1) % 4);
+                    let others: Vec<usize> =
+                        (0..4).filter(|&i| i != primary && i != next).collect();
+                    let lone = others[g.index(2)];
+                    let to_lone = NetTarget::Replica(ReplicaId(lone as u32));
+                    net.drop = Some(Box::new(move |_, to, disc| {
+                        disc == 4 || (disc == 3 && *to != to_lone)
+                    }));
+                    net.submit(0, KvApp::op_put(63, 0), false);
+                    net.pump(200_000);
+                    net.drop = None;
+                    for _ in 0..2 {
+                        for i in (0..4).filter(|&i| i != lone) {
+                            net.fire_replica_timer(i, TimerKind::ViewChange);
+                        }
+                        net.pump(200_000);
+                    }
+                    for c in 0..CLIENTS {
+                        if net.clients[c].has_outstanding() {
+                            net.fire_client_timer(c, TimerKind::Retransmit);
+                        }
+                    }
+                    net.pump(200_000);
+                    tick(&mut net);
+                }
                 _ => tick(&mut net),
             }
+            let (s, d) = superseded_and_dropped(&net, &holding);
+            superseded.set(superseded.get() + s);
+            dropped.set(dropped.get() + d);
             for r in &net.replicas {
                 assert!(r.retired_slots() as u64 <= net.cfg.log_size);
+                assert_bodies_owned(r);
             }
         }
         load(&mut net, 2);
@@ -889,6 +993,74 @@ fn retirement_matches_the_old_garbage_collection_on_random_schedules() {
         rollbacks.get()
     );
     assert!(transfers.get() >= 5, "{} state transfers", transfers.get());
+    assert!(
+        superseded.get() >= 10,
+        "{} slots holding bodies superseded",
+        superseded.get()
+    );
+    assert!(
+        dropped.get() >= 3,
+        "{} slots holding bodies dropped",
+        dropped.get()
+    );
+}
+
+/// A request the group ordered twice — a new primary re-queues an observed
+/// request that the new view also re-issues — finds its body the second
+/// time in the slot that executed it first, and a stable checkpoint that
+/// retires those slots while a third ordering still waits keeps the body
+/// for it, as the old shared store did.
+#[test]
+fn a_request_ordered_twice_finds_its_body() {
+    use crate::messages::{BatchEntry, PrePrepareMsg};
+    use crate::output::HandleResult;
+
+    let mut net = Net::new(default_cfg(), 1, AppKind::Kv);
+    net.submit(0, KvApp::op_put(1, 1), false);
+    net.pump(10_000);
+    let now = net.now;
+    let r = &mut net.replicas[1];
+    assert_eq!(r.last_executed(), 1);
+    let (digest, req) = r.log.get(1).expect("slot 1").bodies[0].clone();
+    assert!(!r.bodies.contains_key(&digest), "slot 1 owns it");
+    // Slots 2 and 3 name the same request again: 2 commits, 3 waits.
+    for seq in [2, 3] {
+        let pp = PrePrepareMsg {
+            view: 0,
+            seq,
+            nondet: NonDet::default(),
+            entries: vec![BatchEntry {
+                digest,
+                client: req.client,
+                timestamp: req.timestamp,
+                full: None,
+            }],
+        };
+        let e = r
+            .log
+            .entry_for(seq, 0, pp.batch_digest(), &mut r.bodies)
+            .expect("slot");
+        e.preprepare = Some(pp);
+        e.prepared = seq == 2;
+        e.committed = seq == 2;
+    }
+    let mut res = HandleResult::default();
+    r.try_execute(now, &mut res);
+    assert_eq!(r.last_executed(), 2, "slot 2 found the body in slot 1");
+    assert_eq!(r.metrics().stuck_missing_body, 0);
+
+    // Slots 1 and 2 retire; slot 3 still names the body.
+    let root = pbft_crypto::Digest::of(b"checkpoint 2");
+    r.ckpt_votes
+        .insert((2, root), (0..3).map(ReplicaId).collect());
+    r.maybe_stabilize(2, root, &mut res);
+    assert_eq!(r.stable_checkpoint().0, 2);
+    assert!(r.bodies.contains_key(&digest), "kept for slot 3");
+    let e = r.log.get_mut(3).expect("slot 3");
+    (e.prepared, e.committed) = (true, true);
+    r.try_execute(now, &mut res);
+    assert_eq!(r.last_executed(), 3);
+    assert!(r.log.get(3).expect("slot 3").held(&digest).is_some());
 }
 
 /// A slot's votes are a 128-bit mask; a larger group is refused by name

@@ -179,7 +179,7 @@ impl Replica {
         // Stale pre-prepares beyond the re-issued range would otherwise sit
         // in the log counting against the congestion window forever — the
         // new view never re-agrees them (see `drop_stale_above`).
-        self.log.drop_stale_above(max_s, w);
+        self.log.drop_stale_above(max_s, w, &mut self.bodies);
         self.vc_timer_armed = false;
         self.arm_vc_timer(res);
         res.outputs.push(Output::CancelTimer {
@@ -237,22 +237,23 @@ impl Replica {
         // batch (it will be re-agreed in the new view).
         for seq in base + 1..=old_last {
             let Some(e) = self.log.get(seq) else { break };
-            if !e.committed {
+            if !e.committed || e.preprepare.is_none() {
                 break;
             }
-            let Some(pp) = e.preprepare.clone() else {
-                break;
-            };
-            let bodies_ok = pp
-                .entries
-                .iter()
-                .all(|en| en.full.is_some() || self.bodies.contains_key(&en.digest));
-            if !bodies_ok {
+            // The batch ran before: its bodies are in its own slot.
+            let mut missing = super::execution::unheld_bodies(e, &self.bodies);
+            self.copy_bodies_held_elsewhere(&mut missing);
+            if !missing.is_empty() {
                 break;
             }
-            let digest = pp.batch_digest();
-            self.execute_batch(&pp, digest, true, 0, res);
             let e = self.log.get_mut(seq).expect("entry exists");
+            let pp = e.preprepare.take().expect("checked above");
+            let mut held = std::mem::take(&mut e.bodies);
+            let digest = e.digest;
+            self.execute_batch(&pp, &mut held, digest, true, 0, res);
+            let e = self.log.get_mut(seq).expect("entry exists");
+            e.preprepare = Some(pp);
+            e.bodies = held;
             e.executed = true;
             e.tentative = false;
             self.last_executed = seq;

