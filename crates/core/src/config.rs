@@ -103,13 +103,6 @@ pub struct PbftConfig {
     /// Dynamic client membership (the paper's extension; Table 1 `sta` /
     /// `nosta` axis — `nosta` means dynamic enabled).
     pub dynamic_membership: bool,
-    /// Primary issuance quantum when batching is off, in nanoseconds
-    /// (0 = none). Without batching the original library issues pre-prepares
-    /// from its event-loop tick rather than inline with request arrival;
-    /// this quantum is what clusters all four of Table 1's no-batching rows
-    /// near 1,000 TPS regardless of the crypto mode. Modeled explicitly so
-    /// the ablation benches can turn it off.
-    pub nobatch_issue_tick_ns: u64,
     /// Execute requests tentatively after prepare, before commit (§2.1).
     pub tentative_execution: bool,
     /// Backup timer before suspecting the primary and starting a view
@@ -137,7 +130,6 @@ impl Default for PbftConfig {
             auth: AuthMode::Macs,
             all_requests_big: true,
             batching: true,
-            nobatch_issue_tick_ns: 1_000_000,
             congestion_window: 8,
             checkpoint_interval: 128,
             log_size: 256,

@@ -1,8 +1,6 @@
 //! Normal-case ordering and execution: batching, the 3-phase agreement,
 //! tentative execution, checkpoints, and the big-request hazard of §2.4.
 
-use std::collections::BTreeMap;
-
 use pbft_crypto::{Digest, Sha256};
 
 use crate::app::NonDet;
@@ -15,9 +13,7 @@ use crate::messages::{
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
 use crate::types::{ClientId, FoldMap, FoldSet, ReplicaId, SeqNum};
 
-use super::{
-    QueuedRequest, Replica, TentativeEffects, RECLAIM_SLOTS_PER_BATCH, SETTLE_PAGES_PER_BATCH,
-};
+use super::{QueuedRequest, Replica, TentativeEffects, SETTLE_PAGES_PER_BATCH};
 
 /// Pipelined batch formation: while at least one batch is already in
 /// flight, the primary holds a pre-prepare back until this many requests
@@ -37,6 +33,13 @@ const _: () = assert!(PIPELINE_MIN_BATCH <= crate::config::MAX_BATCH);
 /// nanoseconds: a trickle of requests below the gate threshold is issued at
 /// the latest this long after gathering began.
 const BATCH_GATHER_NS: u64 = 600_000;
+
+/// Primary issuance quantum when batching is off, in nanoseconds. Without
+/// batching the original library issues pre-prepares from its event-loop
+/// tick rather than inline with request arrival; this quantum is what
+/// clusters all four of Table 1's no-batching rows near 1,000 TPS
+/// regardless of the crypto mode.
+const NOBATCH_ISSUE_TICK_NS: u64 = 1_000_000;
 
 /// Sessions idle longer than this (60 s) are eligible for cleanup when the
 /// client table is full (paper §3.1).
@@ -86,17 +89,13 @@ impl Replica {
                 });
                 return;
             }
-            if !self.cfg.batching && self.cfg.nobatch_issue_tick_ns > 0 {
-                // Without batching the original library issues agreements
-                // from its event-loop tick; pace accordingly.
-                let since = now_ns.saturating_sub(self.last_issue_ns);
-                if since < self.cfg.nobatch_issue_tick_ns {
-                    res.outputs.push(Output::SetTimer {
-                        kind: TimerKind::BatchKick,
-                        delay_ns: self.cfg.nobatch_issue_tick_ns - since,
-                    });
-                    return;
-                }
+            let since = now_ns.saturating_sub(self.last_issue_ns);
+            if !self.cfg.batching && since < NOBATCH_ISSUE_TICK_NS {
+                res.outputs.push(Output::SetTimer {
+                    kind: TimerKind::BatchKick,
+                    delay_ns: NOBATCH_ISSUE_TICK_NS - since,
+                });
+                return;
             }
             // Pipelined batch formation: while the pipeline is busy a thin
             // batch gains nothing from issuing now (its agreement latency
@@ -116,8 +115,7 @@ impl Replica {
             // gathered request grows the pre-prepare toward MTU
             // fragmentation and the gather economics invert, so the gate
             // stays off there.
-            let refractory = self.last_issue_width >= PIPELINE_MIN_BATCH
-                && now_ns.saturating_sub(self.last_issue_ns) < BATCH_GATHER_NS;
+            let refractory = self.last_issue_width >= PIPELINE_MIN_BATCH && since < BATCH_GATHER_NS;
             if self.cfg.batching
                 && self.cfg.all_requests_big
                 && (in_flight >= 1 || refractory)
@@ -481,24 +479,15 @@ impl Replica {
                 }
                 break;
             }
-            // Execution borrows the whole replica, so the pre-prepare and the
-            // slot's bodies leave their log entry for the batch (nothing in
-            // there reads the log) and go back with the verdict.
-            let pp = e.preprepare.take().expect("checked above");
-            let mut held = std::mem::take(&mut e.bodies);
-            let digest = e.digest;
-            self.execute_batch(&pp, &mut held, digest, committed, now_ns, res);
-            let e = self.log.get_mut(seq).expect("entry exists");
-            e.preprepare = Some(pp);
-            e.bodies = held;
-            e.executed = true;
-            e.tentative = !committed;
+            // One dead slot is freed per executed batch, so an interval's
+            // garbage is paid back across the next interval instead of in
+            // the one call that every replica makes in the same instant.
+            let list = self.log.free_next();
+            self.execute_slot(seq, committed, list, res);
             if !committed {
                 self.metrics.tentative_executions += 1;
             }
-            self.last_executed = seq;
             self.metrics.batches_executed += 1;
-            self.reclaim(RECLAIM_SLOTS_PER_BATCH);
             res.counts.pages_hashed += self.state.borrow_mut().hash_settled(SETTLE_PAGES_PER_BATCH);
             self.maybe_checkpoint(seq, res);
         }
@@ -508,30 +497,35 @@ impl Replica {
         }
     }
 
-    /// Execute one batch. `digest` is `pp.batch_digest()` — the value the
-    /// log entry has carried since the pre-prepare was matched against it,
-    /// so the execution chain costs no second hash of the batch. `held` is
-    /// the slot's body list: every body the batch names that the store
-    /// still holds moves into it here (on a first execution all of them,
-    /// into the buffer the last reclaimed slot left behind), and a
-    /// re-execution finds them there.
-    pub(crate) fn execute_batch(
+    /// Execute the batch logged at `seq` — committed, or tentatively — and
+    /// mark it executed. Every body the batch names that the store still
+    /// holds moves into the slot's body list (on a first execution all of
+    /// them, into `list`, the emptied list of the slot freed for it), and a
+    /// re-execution finds them there. The slot's digest is
+    /// `pp.batch_digest()`, matched when the pre-prepare arrived, so the
+    /// execution chain costs no second hash of the batch.
+    pub(crate) fn execute_slot(
         &mut self,
-        pp: &PrePrepareMsg,
-        held: &mut Vec<(Digest, RequestMsg)>,
-        digest: Digest,
+        seq: SeqNum,
         committed: bool,
-        _now_ns: u64,
+        list: Vec<(Digest, RequestMsg)>,
         res: &mut HandleResult,
     ) {
+        // Execution borrows the whole replica, so the pre-prepare and the
+        // slot's bodies leave their log entry for the batch (nothing in
+        // there reads the log) and go back with the verdict.
+        let e = self.log.get_mut(seq).expect("a logged batch");
+        let pp = e.preprepare.take().expect("a pre-prepared batch");
+        let mut held = std::mem::take(&mut e.bodies);
+        if held.capacity() == 0 {
+            held = list;
+        }
+        let digest = e.digest;
         let mut membership_dirty = false;
         // Tentative batches record their declared write-effects so the
         // read-only contention gate can defer conflicting reads until the
         // batch commits (or rolls back).
         let mut effects = TentativeEffects::default();
-        if held.capacity() == 0 {
-            *held = std::mem::take(&mut self.retired.spare);
-        }
         // Room for the batch and no more (a growing `Vec` would round a
         // one-request batch up to four).
         held.reserve_exact(pp.entries.len().saturating_sub(held.len()));
@@ -590,15 +584,24 @@ impl Replica {
             self.persist_membership();
         }
         if !committed && !effects.is_empty() {
-            self.tentative_effects.insert(pp.seq, effects);
+            self.tentative_effects.insert(seq, effects);
         }
         // Extend the execution-order commitment.
         let mut h = Sha256::new();
         h.update(self.exec_chain.as_bytes());
-        h.update(&pp.seq.to_be_bytes());
+        h.update(&seq.to_be_bytes());
         debug_assert_eq!(digest, pp.batch_digest());
         h.update(digest.as_bytes());
         self.exec_chain = h.finish();
+        let e = self
+            .log
+            .get_mut(seq)
+            .expect("execution leaves the log alone");
+        e.preprepare = Some(pp);
+        e.bodies = held;
+        e.executed = true;
+        e.tentative = !committed;
+        self.last_executed = seq;
     }
 
     fn execute_one(
@@ -751,10 +754,7 @@ impl Replica {
             root
         };
         let snap = self.state.borrow().snapshot(seq);
-        self.checkpoints.insert(seq, snap);
-        self.checkpoint_chain.insert(seq, self.exec_chain);
-        self.checkpoint_chain
-            .retain(|s, _| self.checkpoints.contains_key(s));
+        self.checkpoints.insert(seq, (snap, self.exec_chain));
         self.metrics.checkpoints_taken += 1;
         let me = self.id();
         let msg = CheckpointMsg {
@@ -798,7 +798,7 @@ impl Replica {
         // commence[s] on the next checkpoint". A replica that executed past
         // `seq` tentatively simply adopts the certificate: its own commits
         // will confirm the tentative prefix.
-        let mine = self.checkpoints.get(&seq).map(|s| s.root);
+        let mine = self.checkpoints.get(&seq).map(|(snap, _)| snap.root);
         let behind = self.last_executed < seq && mine != Some(root);
         let diverged = mine.is_some() && mine != Some(root);
         if behind || diverged {
@@ -807,22 +807,19 @@ impl Replica {
     }
 
     /// Retire what the checkpoint now stable at `seq` made garbage: log
-    /// entries at or below it leave the log with the bodies their batches
-    /// executed, and stored bodies that no live log entry references leave
-    /// `bodies` / `observed`. The retention rule is the one garbage
-    /// collection always had — a body stays while a live entry references
-    /// it or its request has not executed for its client — but the map
-    /// holds only bodies whose batch has not executed, about a window's
-    /// worth, so the walk is that long and not an interval's. The slots
-    /// are moved onto the retired queue, nothing in them dropped:
-    /// [`Replica::reclaim`] frees one per executed batch. What an earlier
-    /// checkpoint left on the queue goes at once, so the queue never holds
-    /// more than one stabilisation's garbage.
+    /// entries at or below it leave the window with the bodies their
+    /// batches executed, and stored bodies that no live log entry
+    /// references leave `bodies` / `observed`. The retention rule is the
+    /// one garbage collection always had — a body stays while a live entry
+    /// references it or its request has not executed for its client — but
+    /// the map holds only bodies whose batch has not executed, about a
+    /// window's worth, so the walk is that long and not an interval's.
+    /// Nothing in the retired slots is dropped here: `try_execute` frees
+    /// one per executed batch, and what is still unfreed at the next
+    /// stabilisation goes at once ([`crate::log::MessageLog::advance`]).
     fn retire_garbage(&mut self, seq: SeqNum) {
-        let mut slots = self.log.collect_garbage(seq);
-        self.keep_named_bodies(&mut slots);
-        self.retired.slots = slots;
-        self.retired.executed_mark = self.last_executed;
+        self.keep_named_bodies(seq);
+        self.log.advance(seq);
         let mut referenced = FoldSet::with_hasher(self.keys.hash_state());
         referenced.extend(self.log.iter().flat_map(|(_, e)| {
             e.preprepare
@@ -849,19 +846,19 @@ impl Replica {
             .retain(|_, req| req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0));
     }
 
-    /// Before slots leave the log: a body a live entry names but neither
-    /// the map nor that entry's slot holds never arrived (§2.4) or is in
-    /// another slot — a request the group ordered twice, as when a new
-    /// primary re-queues an observed request the new view also re-issues.
-    /// If a leaving slot has it, it goes
-    /// back into the map, where the retention rule keeps it (it is
-    /// referenced), as the old shared store did. Only those digests are
-    /// looked for among the leaving slots; normally there are none.
-    pub(crate) fn keep_named_bodies(&mut self, leaving: &mut BTreeMap<SeqNum, LogEntry>) {
+    /// Before the slots at or below `stable` leave the window: a body an
+    /// entry above it names but neither the map nor that entry's slot holds
+    /// never arrived (§2.4) or is in another slot — a request the group
+    /// ordered twice, as when a new primary re-queues an observed request
+    /// the new view also re-issues. If a leaving slot has it, it goes back
+    /// into the map, where the retention rule keeps it (it is referenced),
+    /// as the old shared store did. Only those digests are looked for among
+    /// the leaving slots; normally there are none.
+    pub(crate) fn keep_named_bodies(&mut self, stable: SeqNum) {
         let bodies = &self.bodies;
         let wanted: Vec<Digest> = self
             .log
-            .iter()
+            .range(stable + 1..)
             .flat_map(|(_, e)| {
                 let named = e.preprepare.iter().flat_map(|pp| pp.entries.iter());
                 named
@@ -871,12 +868,14 @@ impl Replica {
             .filter(|d| !bodies.contains_key(d))
             .collect();
         for d in wanted {
-            for slot in leaving.values_mut() {
-                if let Some(i) = slot.bodies.iter().position(|(h, _)| *h == d) {
-                    let (d, req) = slot.bodies.swap_remove(i);
-                    self.bodies.insert(d, req);
-                    break;
-                }
+            let found = self.log.range(..=stable).find_map(|(&s, slot)| {
+                let i = slot.bodies.iter().position(|(h, _)| *h == d)?;
+                Some((s, i))
+            });
+            if let Some((s, i)) = found {
+                let slot = self.log.get_mut(s).expect("a leaving slot is live");
+                let (d, req) = slot.bodies.swap_remove(i);
+                self.bodies.insert(d, req);
             }
         }
     }
@@ -894,29 +893,6 @@ impl Replica {
             }
             None => true,
         });
-    }
-
-    /// Give `slots` retired slots back to the allocator, each with the
-    /// bodies its batch executed. The last one's emptied body list is kept
-    /// for the next batch to execute, so executing allocates no list.
-    pub(crate) fn reclaim(&mut self, slots: usize) {
-        for _ in 0..slots {
-            let Some((_, mut slot)) = self.retired.slots.pop_first() else {
-                return;
-            };
-            slot.bodies.clear();
-            self.retired.spare = std::mem::take(&mut slot.bodies);
-        }
-    }
-
-    /// Status tick: a replica that executed nothing since the previous mark
-    /// will not reclaim by executing, and nobody is waiting on it — drain
-    /// the whole queue.
-    pub(crate) fn reclaim_if_idle(&mut self) {
-        if self.retired.executed_mark == self.last_executed {
-            self.reclaim(self.retired.slots.len());
-        }
-        self.retired.executed_mark = self.last_executed;
     }
 
     // ------------------------------------------------------------------
@@ -982,17 +958,6 @@ impl Replica {
         self.bodies.len() + self.log.iter().map(|(_, e)| e.bodies.len()).sum::<usize>()
     }
 
-    /// Log slots the last stable checkpoint retired that are still waiting
-    /// for reclamation (tests).
-    pub fn retired_slots(&self) -> usize {
-        self.retired.slots.len()
-    }
-
-    /// Last reply cached for a client (tests).
-    pub fn cached_reply(&self, client: ClientId) -> Option<&ReplyMsg> {
-        self.last_reply.get(&client)
-    }
-
     /// Number of checkpoints currently retained.
     pub fn retained_checkpoints(&self) -> usize {
         self.checkpoints.len()
@@ -1045,7 +1010,7 @@ pub(crate) mod retire_reference {
 
     use pbft_crypto::Digest;
 
-    use crate::log::MessageLog;
+    use crate::log::reference::{self, MessageLog};
     use crate::messages::RequestMsg;
     use crate::types::{ClientId, SeqNum};
 
@@ -1095,9 +1060,10 @@ pub(crate) mod retire_reference {
     /// The ownership invariant, at any point between two calls into `r`:
     /// every executed live slot holds every big body its pre-prepare names
     /// (a rollback or a transfer re-executes from there), and a body leaves
-    /// with its slot — what the retired queue holds sits in slots not yet
-    /// reclaimed, and the buffer the last reclaimed slot left holds nothing.
-    pub(crate) fn assert_bodies_owned(r: &Replica) {
+    /// with its slot — a freed slot holds nothing, and the cursor is never
+    /// behind `previous_stable`, the stable checkpoint before the current
+    /// one, so the dead never hold more than one stabilisation's garbage.
+    pub(crate) fn assert_bodies_owned(r: &Replica, previous_stable: SeqNum) {
         for (&seq, e) in r.log.iter().filter(|(_, e)| e.executed) {
             let pp = e
                 .preprepare
@@ -1111,11 +1077,12 @@ pub(crate) mod retire_reference {
                 );
             }
         }
+        reference::assert_freed_hold_nothing(&r.log);
         assert!(
-            r.retired.spare.is_empty(),
-            "a reclaimed slot's bodies outlived it"
+            reference::freed(&r.log) >= previous_stable,
+            "replica {}: slots below the previous stable checkpoint {previous_stable} unfreed",
+            r.id().0
         );
-        assert!(r.retired.slots.keys().all(|&s| s <= r.stable.0));
     }
 
     /// The keys the old code leaves live after a stabilisation at `seq`.
@@ -1130,8 +1097,8 @@ pub(crate) mod retire_reference {
 
     impl Retained {
         pub(crate) fn by_the_old_code(r: &Replica, seq: SeqNum) -> Retained {
-            let mut log = r.log.clone();
-            log.collect_garbage_reference(seq);
+            let mut log = MessageLog::of(&r.log);
+            log.collect_garbage(seq);
             // The old code kept every body in one store: the map's, and the
             // ones execution has since moved into the slots.
             let mut bodies: HashMap<Digest, RequestMsg> =

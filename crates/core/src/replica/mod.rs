@@ -21,7 +21,7 @@ use pbft_state::{Fetcher, Section, Snapshot};
 use crate::app::{App, Effects, NonDet, StateHandle};
 use crate::config::{Engine, PbftConfig};
 use crate::keys::KeyStore;
-use crate::log::{LogEntry, MessageLog};
+use crate::log::MessageLog;
 use crate::membership::Membership;
 use crate::messages::view::{AuthView, PacketView};
 use crate::messages::{
@@ -188,39 +188,6 @@ pub(crate) struct QueuedRequest {
     pub(crate) big: bool,
 }
 
-/// What the last stable checkpoint retired and the allocator has not yet
-/// been asked to take back: the dead log entries in sequence order, each
-/// with the request bodies its batch executed (a body belongs to the slot
-/// of the batch that executed it). Retirement is the protocol's garbage
-/// collection and happens whole, at the instant the checkpoint stabilises —
-/// nothing in here is reachable from `log`, `bodies`, `pending_digests` or
-/// `observed` any more. Reclamation is only *when `free` runs*: one slot
-/// per batch this replica executes ([`RECLAIM_SLOTS_PER_BATCH`]), so an
-/// interval's garbage is paid back across the next interval instead of in
-/// the one call that every replica of the group makes in the same instant.
-#[derive(Default)]
-pub(crate) struct Retired {
-    /// Dead log entries; a slot is one of these.
-    pub(crate) slots: BTreeMap<SeqNum, LogEntry>,
-    /// `last_executed` when the queue was filled, then at each status tick
-    /// that found it unchanged: a tick that sees no batch executed since
-    /// the previous mark is on an idle replica and drains the queue whole.
-    pub(crate) executed_mark: SeqNum,
-    /// The emptied body list of the last reclaimed slot, which the next
-    /// batch to execute fills: in steady state executing allocates no list.
-    pub(crate) spare: Vec<(Digest, RequestMsg)>,
-}
-
-/// Retired slots reclaimed per executed batch. A stable checkpoint retires
-/// one slot per sequence number of its interval and the next one stabilises
-/// `checkpoint_interval` executed batches later, so a pace of one keeps the
-/// reclamation lag constant at one interval and the queue drains just as
-/// its successor arrives. A faster pace would only concentrate the same
-/// `free`s on fewer operations (paced per handled *packet*, the whole queue
-/// lands on the dozen requests in flight at the checkpoint and their p99
-/// stays where the stall put it).
-const RECLAIM_SLOTS_PER_BATCH: usize = 1;
-
 /// Pages [`pbft_state::PagedState::hash_settled`] may digest after each
 /// executed batch, so that the checkpoint's `refresh_digest` — which every
 /// replica of the group runs in the same instant — is left with the pages
@@ -269,16 +236,11 @@ pub struct Replica {
     pub(crate) last_reply: FoldMap<ClientId, ReplyMsg>,
     pub(crate) client_addr: FoldMap<ClientId, NetAddr>,
 
-    /// Own checkpoints (serving state transfer) and votes.
-    pub(crate) checkpoints: BTreeMap<SeqNum, Snapshot>,
-    /// Execution-chain value at each retained checkpoint (for rollback).
-    pub(crate) checkpoint_chain: BTreeMap<SeqNum, Digest>,
+    /// Own checkpoints: the snapshot (serving state transfer) and the
+    /// execution-chain value at it (for rollback). Then the votes.
+    pub(crate) checkpoints: BTreeMap<SeqNum, (Snapshot, Digest)>,
     pub(crate) ckpt_votes: BTreeMap<(SeqNum, Digest), std::collections::BTreeSet<ReplicaId>>,
     pub(crate) stable: (SeqNum, Digest),
-    /// Garbage of the last stable checkpoint awaiting reclamation, and of
-    /// no earlier one: a checkpoint that stabilises while the queue still
-    /// holds slots drops the remainder before refilling it.
-    pub(crate) retired: Retired,
 
     pub(crate) fetch: Option<FetchState>,
     pub(crate) vc: ViewChangeState,
@@ -404,10 +366,8 @@ impl Replica {
             last_reply: FoldMap::with_hasher(hash_state),
             client_addr: FoldMap::with_hasher(hash_state),
             checkpoints: BTreeMap::new(),
-            checkpoint_chain: BTreeMap::new(),
             ckpt_votes: BTreeMap::new(),
             stable: (0, Digest::ZERO),
-            retired: Retired::default(),
             sessions,
             session_section,
             fetch: None,
@@ -431,8 +391,7 @@ impl Replica {
         let root = r.state.borrow_mut().refresh_digest();
         let snap = r.state.borrow().snapshot(0);
         r.stable = (0, root);
-        r.checkpoints.insert(0, snap);
-        r.checkpoint_chain.insert(0, Digest::ZERO);
+        r.checkpoints.insert(0, (snap, Digest::ZERO));
         r
     }
 
@@ -477,11 +436,6 @@ impl Replica {
         self.state.clone()
     }
 
-    /// Mutable access to the application (test injection).
-    pub fn app_mut(&mut self) -> &mut dyn App {
-        self.app.as_mut()
-    }
-
     /// Membership tables (dynamic mode only).
     pub fn membership(&self) -> Option<&Membership> {
         self.membership.as_ref()
@@ -521,62 +475,6 @@ impl Replica {
         let target = self.vc.target.unwrap_or(self.view).max(self.view) + 1;
         self.start_view_change(target, now_ns, &mut res);
         res
-    }
-
-    /// Diagnostic snapshot of agreement state (wedge debugging in the
-    /// harness; not part of the protocol).
-    pub fn debug_wedge_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "view={:?} exec={} stable={} assign={} pending={} in_vc={} fetch={}",
-            self.view,
-            self.last_executed,
-            self.stable.0,
-            self.seq_assign,
-            self.pending.len(),
-            self.in_view_change,
-            self.fetch.is_some(),
-        );
-        for (&s, e) in self.log.iter() {
-            if e.executed && !e.tentative && s % 64 != 0 {
-                continue; // only interesting entries
-            }
-            let _ = write!(
-                out,
-                "\n  seq={s} v={:?} pp={} prep={}({}) comm={}({}) exec={} tent={}",
-                e.view,
-                e.preprepare.is_some(),
-                e.prepared,
-                e.prepares.len(),
-                e.committed,
-                e.commits.len(),
-                e.executed,
-                e.tentative,
-            );
-        }
-        let _ = write!(
-            out,
-            "\n  ckpts={:?}",
-            self.checkpoints.keys().collect::<Vec<_>>()
-        );
-        for (r, st) in &self.peer_status {
-            let _ = write!(
-                out,
-                "\n  peer {:?}: view={:?} exec={} stable={} root={:?}",
-                r, st.view, st.last_executed, st.last_stable_seq, st.stable_root
-            );
-        }
-        let _ = write!(
-            out,
-            "\n  votes={:?}",
-            self.ckpt_votes
-                .iter()
-                .map(|((s, _), v)| (*s, v.len()))
-                .collect::<Vec<_>>()
-        );
-        out
     }
 
     /// Called once when the replica (re)starts. `restarted` replays the
@@ -724,7 +622,7 @@ impl Replica {
                     kind: TimerKind::StatusTick,
                     delay_ns: STATUS_INTERVAL_NS,
                 });
-                self.reclaim_if_idle();
+                self.log.free_if_idle();
             }
             TimerKind::Retransmit | TimerKind::NewKey => { /* client-side timers */ }
         }

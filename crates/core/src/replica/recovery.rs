@@ -137,7 +137,7 @@ impl Replica {
             .rev()
             .filter(|&(&seq, _)| seq > s.last_stable_seq)
             .take(MAX_VOTES)
-            .map(|(&seq, snap)| {
+            .map(|(&seq, (snap, _))| {
                 Message::Checkpoint(CheckpointMsg {
                     seq,
                     root: snap.root,
@@ -291,7 +291,7 @@ impl Replica {
 
     pub(crate) fn on_fetch(&mut self, f: FetchMsg, res: &mut HandleResult) {
         let resp = match self.checkpoints.get(&f.target_seq) {
-            Some(snap) => serve_fetch(snap, &f.req),
+            Some((snap, _)) => serve_fetch(snap, &f.req),
             None => FetchResponse::Unavailable,
         };
         let msg = Message::FetchResp(FetchRespMsg {
@@ -376,27 +376,26 @@ impl Replica {
         // Clear their executed marks so the execution loop re-runs them on
         // top of the checkpoint image — otherwise the replica silently
         // loses those updates and re-diverges at the very next checkpoint.
-        for (&s, e) in self.log.iter_mut() {
-            if s > seq && e.executed {
+        for e in self.log.iter_mut() {
+            if e.seq > seq && e.executed {
                 e.executed = false;
                 e.tentative = false;
             }
         }
         self.last_executed = seq;
         // A transfer is rare and nobody's request waits on this replica:
-        // what it makes garbage is dropped here, not queued. The slots above
-        // `seq` keep their bodies for the re-execution.
-        let mut dead = self.log.collect_garbage(seq);
-        self.keep_named_bodies(&mut dead);
-        drop(dead);
+        // every dead slot is freed here, not paced. The slots above `seq`
+        // keep their bodies for the re-execution.
+        self.keep_named_bodies(seq);
+        self.log.advance(seq);
+        self.log.free_dead();
         self.ckpt_votes.retain(|&(s, _), _| s > seq);
         let snap = self.state.borrow().snapshot(seq);
         self.checkpoints.retain(|&s, _| s >= seq);
-        self.checkpoints.insert(seq, snap);
         // The execution chain is only meaningful for locally executed
         // history; mark the discontinuity with the checkpoint root.
+        self.checkpoints.insert(seq, (snap, root));
         self.exec_chain = root;
-        self.checkpoint_chain.insert(seq, root);
         self.metrics.state_transfers_completed += 1;
         self.recovering = false;
         // The installed checkpoint replaced every tentative effect; parked

@@ -350,7 +350,7 @@ fn batching_disabled_still_executes() {
         net.submit(c, vec![c as u8], false);
     }
     // Without batching the primary paces issuance on its event-loop tick
-    // (`nobatch_issue_tick_ns`); drive the tick manually — each firing
+    // (`NOBATCH_ISSUE_TICK_NS`); drive the tick manually — each firing
     // advances the clock 1 ms and releases the next agreement.
     for _ in 0..4 {
         net.pump(50_000);
@@ -360,26 +360,6 @@ fn batching_disabled_still_executes() {
     for c in 0..3 {
         assert_eq!(net.completed(c), 1);
     }
-    net.assert_chains_equal(&[0, 1, 2, 3]);
-}
-
-#[test]
-fn batching_disabled_without_tick_executes_inline() {
-    let cfg = PbftConfig {
-        batching: false,
-        nobatch_issue_tick_ns: 0,
-        ..default_cfg()
-    };
-    let mut net = Net::new(cfg, 3, AppKind::Null(16));
-    for c in 0..3 {
-        net.submit(c, vec![c as u8], false);
-    }
-    net.pump(50_000);
-    for c in 0..3 {
-        assert_eq!(net.completed(c), 1);
-    }
-    // One request per agreement: at least 3 batches executed.
-    assert!(net.replicas[0].metrics().batches_executed >= 3);
     net.assert_chains_equal(&[0, 1, 2, 3]);
 }
 
@@ -692,14 +672,14 @@ fn checkpoints_garbage_collect_log_and_bodies() {
     }
 }
 
-/// Retirement is immediate and whole; reclamation is one slot per executed
-/// batch, everything on an idle status tick, and never more than the last
-/// stabilisation's worth.
+/// Retirement is immediate and whole; freeing is one dead slot per executed
+/// batch, in sequence order, everything on an idle status tick, and a
+/// stabilisation that finds slots still unfreed frees them at once, so the
+/// dead never hold more than the last stabilisation's worth.
 #[test]
 fn retired_slots_are_reclaimed_one_per_executed_batch() {
+    use crate::log::reference::unfreed;
     use crate::output::TimerKind;
-    let retired_bodies =
-        |r: &Replica| -> usize { r.retired.slots.values().map(|e| e.bodies.len()).sum() };
     let mut net = Net::new(default_cfg(), 1, AppKind::Kv);
     let mut next_key = 0u64;
     let mut one_batch = |net: &mut Net| {
@@ -707,36 +687,40 @@ fn retired_slots_are_reclaimed_one_per_executed_batch() {
         next_key += 1;
         net.pump(10_000);
     };
+    // `(seq, bodies held)` of every dead slot in `seqs`.
+    let dead = |seqs: std::ops::RangeInclusive<u64>| seqs.map(|s| (s, 1)).collect::<Vec<_>>();
     // Interval 4, one request per batch: the fourth batch's checkpoint
-    // stabilises and retires slots 1..=4 — gone from the log and the body
-    // store at once, queued for the allocator.
+    // stabilises and retires slots 1..=4 — out of the window and the body
+    // store at once, each still holding its request's body.
     for _ in 0..4 {
         one_batch(&mut net);
     }
     for r in &net.replicas {
         assert_eq!(r.stable_checkpoint().0, 4);
-        assert_eq!(r.log.len(), 0, "retired entries are out of the log");
+        assert_eq!(
+            r.log.iter().count(),
+            0,
+            "retired entries are out of the log"
+        );
         assert_eq!(r.body_store_len(), 0, "retired bodies are out of the store");
-        assert_eq!(r.retired_slots(), 4, "one interval queued");
-        assert_eq!(retired_bodies(r), 4, "with the bodies of its requests");
+        assert_eq!(unfreed(&r.log), dead(1..=4), "one interval dead");
     }
-    // Each executed batch gives back exactly one slot and its share.
-    for left in (1..4).rev() {
+    // Each executed batch frees exactly one slot and its body.
+    for freed in 1..4 {
         one_batch(&mut net);
         for r in &net.replicas {
-            assert_eq!(r.retired_slots(), left);
-            assert_eq!(retired_bodies(r), left);
+            assert_eq!(unfreed(&r.log), dead(freed + 1..=4));
         }
     }
-    // The eighth batch drains the queue and its checkpoint refills it.
+    // The eighth batch frees slot 4, and its checkpoint retires 5..=8.
     one_batch(&mut net);
     for r in &net.replicas {
         assert_eq!(r.stable_checkpoint().0, 8);
-        assert_eq!((r.retired_slots(), r.body_store_len()), (4, 0));
+        assert_eq!((unfreed(&r.log), r.body_store_len()), (dead(5..=8), 0));
     }
-    // A replica executing nothing reclaims on its status tick: the first
-    // tick after a batch only notes the position, the next finds it
-    // unchanged and drains the queue whole.
+    // A replica executing nothing frees on its status tick: the first tick
+    // after a batch only notes the cursor, the next finds it where it was
+    // and frees every dead slot.
     one_batch(&mut net);
     for i in 0..4 {
         net.fire_replica_timer(i, TimerKind::StatusTick);
@@ -744,8 +728,8 @@ fn retired_slots_are_reclaimed_one_per_executed_batch() {
     net.pump(10_000);
     for r in &net.replicas {
         assert_eq!(
-            r.retired_slots(),
-            3,
+            unfreed(&r.log),
+            dead(6..=8),
             "a replica that just executed is not idle"
         );
     }
@@ -754,13 +738,13 @@ fn retired_slots_are_reclaimed_one_per_executed_batch() {
     }
     net.pump(10_000);
     for r in &net.replicas {
-        assert_eq!(r.retired_slots(), 0, "idle for a whole status interval");
-        assert_eq!(retired_bodies(r), 0);
+        assert_eq!(unfreed(&r.log), vec![], "idle for a whole status interval");
+        crate::log::reference::assert_freed_hold_nothing(&r.log);
     }
-    // A stabilisation that finds slots outstanding drops them before it
-    // queues its own. Lose the votes for checkpoint 12, so that 16 retires
+    // A stabilisation that finds slots unfreed frees them before it
+    // retires its own. Lose the votes for checkpoint 12, so that 16 retires
     // two intervals (9..=16) at once; four batches later four of those
-    // eight slots are still queued when 20 stabilises — and only 20's own
+    // eight slots are still unfreed when 20 stabilises — and only 20's own
     // four remain.
     net.drop = Some(Box::new(|_, _, disc| disc == 6));
     for _ in 9..12 {
@@ -772,7 +756,7 @@ fn retired_slots_are_reclaimed_one_per_executed_batch() {
     }
     for r in &net.replicas {
         assert_eq!(r.stable_checkpoint().0, 16);
-        assert_eq!(r.retired_slots(), 8);
+        assert_eq!(unfreed(&r.log), dead(9..=16));
     }
     for _ in 16..20 {
         one_batch(&mut net);
@@ -780,14 +764,11 @@ fn retired_slots_are_reclaimed_one_per_executed_batch() {
     for r in &net.replicas {
         assert_eq!(r.stable_checkpoint().0, 20);
         assert_eq!(
-            r.retired_slots(),
-            4,
-            "17..=20 only: the remainder of 9..=16 went at once"
+            unfreed(&r.log),
+            dead(17..=20),
+            "the remainder of 9..=16 went at once"
         );
-        assert_eq!(
-            r.retired.slots.keys().copied().collect::<Vec<_>>(),
-            vec![17, 18, 19, 20]
-        );
+        crate::log::reference::assert_freed_hold_nothing(&r.log);
     }
 }
 
@@ -843,6 +824,8 @@ fn retirement_matches_the_old_garbage_collection_on_random_schedules() {
     propcheck::check_budgeted("retirement_matches_old_gc", 24, 200, |g| {
         let before = CHECKED.with(Cell::get);
         let mut net = Net::new(default_cfg(), CLIENTS, AppKind::Kv);
+        // Per replica: its low watermark, and the one before it.
+        let mut lows = [(0, 0); 4];
         let mut key = 0u64;
         let mut load = |net: &mut Net, rounds: usize| {
             for _ in 0..rounds {
@@ -968,9 +951,14 @@ fn retirement_matches_the_old_garbage_collection_on_random_schedules() {
             let (s, d) = superseded_and_dropped(&net, &holding);
             superseded.set(superseded.get() + s);
             dropped.set(dropped.get() + d);
-            for r in &net.replicas {
-                assert!(r.retired_slots() as u64 <= net.cfg.log_size);
-                assert_bodies_owned(r);
+            for (r, low) in net.replicas.iter().zip(&mut lows) {
+                if r.log.low < low.0 {
+                    *low = (0, 0); // a blank restart
+                }
+                if r.log.low != low.0 {
+                    *low = (r.log.low, low.0);
+                }
+                assert_bodies_owned(r, low.1);
             }
         }
         load(&mut net, 2);

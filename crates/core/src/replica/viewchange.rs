@@ -213,7 +213,7 @@ impl Replica {
             return;
         }
         let base = self.stable.0;
-        let Some(snap) = self.checkpoints.get(&base).cloned() else {
+        let Some((snap, chain)) = self.checkpoints.get(&base).cloned() else {
             return; // no snapshot to roll back to (cannot happen: we retain stable)
         };
         {
@@ -226,11 +226,7 @@ impl Replica {
         self.app.on_state_installed();
         self.reload_membership();
         self.reload_sessions();
-        self.exec_chain = self
-            .checkpoint_chain
-            .get(&base)
-            .copied()
-            .unwrap_or(Digest::ZERO);
+        self.exec_chain = chain;
         let old_last = self.last_executed;
         self.last_executed = base;
         // Re-execute the committed prefix; stop at the first non-committed
@@ -246,17 +242,7 @@ impl Replica {
             if !missing.is_empty() {
                 break;
             }
-            let e = self.log.get_mut(seq).expect("entry exists");
-            let pp = e.preprepare.take().expect("checked above");
-            let mut held = std::mem::take(&mut e.bodies);
-            let digest = e.digest;
-            self.execute_batch(&pp, &mut held, digest, true, 0, res);
-            let e = self.log.get_mut(seq).expect("entry exists");
-            e.preprepare = Some(pp);
-            e.bodies = held;
-            e.executed = true;
-            e.tentative = false;
-            self.last_executed = seq;
+            self.execute_slot(seq, true, Vec::new(), res);
             // Take interval-boundary checkpoints exactly like the normal
             // execution path: the state at this instant *is* the post-`seq`
             // image, so the snapshot is correct. Skipping them here left a

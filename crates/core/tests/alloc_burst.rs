@@ -86,10 +86,9 @@ const HOP_NS: u64 = 2_000;
 /// execution's own and as old as the code (the parent frees 9–19 on a
 /// six-request batch): the cached `last_reply` the new reply replaces, the
 /// observed copy a backup drops, a buffer of the reply's sealing. Two are
-/// the reclaimed slot's: the request's share of the retired payloads — one
-/// 1 KiB buffer — and of what the dead log entry owns (the pre-prepare's
-/// entry list, now and then a log-tree node). Measured: 16–29 per
-/// six-request batch.
+/// the freed dead slot's: the request's body — one 1 KiB buffer — and its
+/// share of what the slot owns (the pre-prepare's entry list). Measured:
+/// 16–29 per six-request batch.
 const FREES_PER_REQUEST: u64 = 5;
 /// Large blocks a replica call may free whatever it executes: the primary
 /// issuing a batch drops the queued twin of each body it already stored,
@@ -102,16 +101,17 @@ const FREES_PER_CALL: u64 = 8;
 /// Large allocations per completed 1 KiB null write at n = 4, ten times,
 /// over every engine call (four replicas and the client, the operation's
 /// own buffer included). The count is the optimiser's as much as the
-/// code's, so it is pinned per profile: 26.9 under `cargo test` (the parent
-/// 26.96; the difference is one payload queue per stabilisation), where
+/// code's, so it is pinned per profile: 26.8 under `cargo test`, where
 /// the execution chain's `debug_assert` still encodes each batch a second
-/// time, and 24.3 under `--release`, the build the benchmark runs. PR 20's
-/// whole-process count was ≈ 39 before its copy audit. A change that moves
-/// either number says so here.
+/// time, and 24.2 under `--release`, the build the benchmark runs. Both
+/// fell by 0.12 when the log became a ring allocated once (26.95 → 26.83,
+/// 24.28 → 24.16): its tree nodes, and the retired queue's, are gone.
+/// The whole-process count was ≈ 39 before the copy audit of the send
+/// path. A change that moves either number says so here.
 const ALLOCS_PER_OP_X10: std::ops::RangeInclusive<u64> = if cfg!(debug_assertions) {
-    268..=270
+    267..=269
 } else {
-    242..=244
+    241..=243
 };
 
 /// One measured call into a replica.
@@ -264,7 +264,7 @@ impl Loopback {
 fn no_replica_call_frees_an_interval_at_once() {
     let mut net = Loopback::new();
     let interval = PbftConfig::default().checkpoint_interval;
-    // Warm-up: one interval, so the window starts with a queue to reclaim
+    // Warm-up: one interval, so the window starts with dead slots to free
     // and tables at their working size.
     net.run_until_executed(interval + 8);
     let stable_before = net.replicas[0].stable_checkpoint().0;
