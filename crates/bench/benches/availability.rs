@@ -45,11 +45,10 @@ use harness::scenario::{
     paper, run_scenario, run_scenario_adaptive, Scenario, ScenarioEvent, ScenarioReport,
 };
 use harness::testkit::{
-    adversary_cluster, failover_spec, fetching_spec, ms, scenario_cluster, sharded_spec,
-    xshard_spec,
+    adversary_deployment, deployment_spec, failover_spec, fetching_spec, ms, scenario_deployment,
 };
 use harness::workload::{cross_null_txs, keyed_null_ops, null_ops};
-use harness::{Cluster, ShardedCluster, XShardCluster};
+use harness::{Cluster, Deployment};
 use pbft_core::Engine;
 use simnet::SimDuration;
 
@@ -105,16 +104,18 @@ fn measure(
 }
 
 fn single_group(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
-    let mut cluster = scenario_cluster(engine, 4, seed);
-    cluster.start_paced_workload(PACE, |_| null_ops(64));
-    let report = run_scenario(&mut cluster, scenario);
-    measure(engine, scenario, &report, group_msgs(&cluster))
+    let mut deployment = scenario_deployment(engine, 4, seed);
+    deployment
+        .group_mut(0)
+        .start_paced_workload(PACE, |_| null_ops(64));
+    let report = run_scenario(&mut deployment, scenario);
+    measure(engine, scenario, &report, group_msgs(deployment.group(0)))
 }
 
 fn sharded(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
     let mut base = fetching_spec(3, seed);
     base.cfg.engine = engine;
-    let mut sc = ShardedCluster::build(sharded_spec(2, base));
+    let mut sc = Deployment::build(deployment_spec(2, 0, base));
     sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     let report = run_scenario(&mut sc, scenario);
     let msgs = (0..sc.shards()).fold((0, 0), |(a, v), s| {
@@ -127,13 +128,13 @@ fn sharded(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
 fn xshard(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
     let mut base = fetching_spec(1, seed);
     base.cfg.engine = engine;
-    let mut xc = XShardCluster::build(xshard_spec(2, 4, base));
-    let map = xc.sharded().router().map();
-    xc.start_paced_background(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    let mut xc = Deployment::build(deployment_spec(2, 4, base));
+    let map = xc.router().map();
+    xc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
     let report = run_scenario(&mut xc, scenario);
-    let msgs = (0..xc.sharded().shards()).fold((0, 0), |(a, v), s| {
-        let (ga, gv) = group_msgs(xc.sharded().group(s));
+    let msgs = (0..xc.shards()).fold((0, 0), |(a, v), s| {
+        let (ga, gv) = group_msgs(xc.group(s));
         (a + ga, v + gv)
     });
     measure(engine, scenario, &report, msgs)
@@ -178,10 +179,13 @@ fn rotation_sweep(engine: Engine, f: usize, seed: u64) -> SweepRow {
     spec.cfg.f = f;
     spec.cfg.checkpoint_interval = 32;
     spec.cfg.fetch_missing_bodies = true;
-    let mut cluster = Cluster::build(spec);
-    cluster.start_paced_workload(PACE, |_| null_ops(64));
+    let mut deployment = Deployment::build(deployment_spec(1, 0, spec));
+    deployment
+        .group_mut(0)
+        .start_paced_workload(PACE, |_| null_ops(64));
     let scenario = paper::primary_crash_under_load();
-    let report = run_scenario(&mut cluster, &scenario);
+    let report = run_scenario(&mut deployment, &scenario);
+    let cluster = deployment.group(0);
     let first_fault = report
         .trace
         .first()
@@ -191,7 +195,7 @@ fn rotation_sweep(engine: Engine, f: usize, seed: u64) -> SweepRow {
         .map(|i| cluster.replica_metrics(i).new_views_entered)
         .max()
         .unwrap_or(0);
-    let (agreement_msgs, viewchange_msgs) = group_msgs(&cluster);
+    let (agreement_msgs, viewchange_msgs) = group_msgs(cluster);
     SweepRow {
         engine: engine.name(),
         f,
@@ -281,12 +285,14 @@ fn reliability_run(
     let cured_seat = adversary.seat().1;
     // An equivocating adversary needs its seat provisioned with a silent
     // split-brain twin; other strategies run on the plain honest host.
-    let mut cluster = if twin {
-        adversary_cluster(engine, 2, seed, cured_seat as u32)
+    let mut deployment = if twin {
+        adversary_deployment(engine, 2, seed, cured_seat as u32)
     } else {
-        scenario_cluster(engine, 2, seed)
+        scenario_deployment(engine, 2, seed)
     };
-    cluster.start_paced_workload(RELIABILITY_PACE, |_| null_ops(64));
+    deployment
+        .group_mut(0)
+        .start_paced_workload(RELIABILITY_PACE, |_| null_ops(64));
     let scenario = Scenario {
         name: scenario_name,
         duration: HORIZON,
@@ -294,7 +300,7 @@ fn reliability_run(
         events: rolling_recovery(seats, cured_seat),
     };
     let report = run_scenario_adaptive(
-        &mut cluster,
+        &mut deployment,
         &scenario,
         std::slice::from_mut(&mut adversary),
         ADVERSARY_TICK,

@@ -13,10 +13,10 @@
 //! ops + committed transaction sub-ops), transaction commit/abort counts,
 //! the abort rate, and the degradation relative to the same deployment's
 //! all-local (0%) row. The 0% row is additionally checked against a plain
-//! PR 2 `ShardedCluster` baseline — the two must agree within noise, since
-//! with zero initiators the cross-shard harness *is* the PR 2 deployment
-//! (a pinned test in `crates/harness/tests/xshard.rs` holds exact equality
-//! per seed).
+//! PR 2 deployment (groups not wrapped for cross-shard frames) — the two
+//! must agree within noise, since with zero initiators the wrapped
+//! deployment *is* the PR 2 deployment (a pinned test in
+//! `crates/harness/tests/xshard.rs` holds exact equality per seed).
 //!
 //! A second table measures **elastic resharding**: an elastic KV deployment
 //! under closed-loop keyed load grows 2 → 4 groups through two live splits,
@@ -37,10 +37,8 @@
 use bench::artifact::{self, Json};
 use harness::experiments::NUM_CLIENTS;
 use harness::scenario::{run_scenario, Scenario, ScenarioEvent};
-use harness::shard::{ShardedCluster, ShardedClusterSpec};
 use harness::workload::{cross_null_txs, keyed_kv_ops, keyed_null_ops};
-use harness::xshard::{XShardCluster, XShardSpec};
-use harness::{AppKind, ClusterSpec, Stats};
+use harness::{AppKind, ClusterSpec, Deployment, DeploymentSpec, Stats};
 use pbft_core::{Engine, PbftConfig};
 use simnet::SimDuration;
 
@@ -89,16 +87,21 @@ fn measure_point(engine: Engine, shards: usize, pct: usize, trials: usize) -> Po
     let mut abort_rate = Vec::with_capacity(trials);
     let (mut committed_txs, mut aborted_txs) = (0, 0);
     for trial in 0..trials {
-        let spec = XShardSpec {
+        // Every row runs xshard-wrapped groups, the 0% row included.
+        let mut base = base(engine, 9000 + trial as u64, bg_per_group);
+        base.xshard = true;
+        let spec = DeploymentSpec {
             shards,
-            base: base(engine, 9000 + trial as u64, bg_per_group),
+            base,
             initiators,
             ..Default::default()
         };
-        let mut xc = XShardCluster::build(spec);
-        let map = xc.sharded().router().map();
+        let mut xc = Deployment::build(spec);
+        let map = xc.router().map();
         if bg_per_group > 0 {
-            xc.start_background(|s, c| keyed_null_ops(REQUEST_SIZE, (s * NUM_CLIENTS + c) as u64));
+            xc.start_keyed_workload(|s, c| {
+                keyed_null_ops(REQUEST_SIZE, (s * NUM_CLIENTS + c) as u64)
+            });
         }
         if initiators > 0 {
             xc.start_transactions(|i| cross_null_txs(map, REQUEST_SIZE, KEY_SPACE, i as u64));
@@ -128,10 +131,10 @@ fn measure_point(engine: Engine, shards: usize, pct: usize, trials: usize) -> Po
 fn measure_baseline(engine: Engine, shards: usize, trials: usize) -> Stats {
     let samples: Vec<f64> = (0..trials)
         .map(|trial| {
-            let mut sc = ShardedCluster::build(ShardedClusterSpec {
+            let mut sc = Deployment::build(DeploymentSpec {
                 shards,
                 base: base(engine, 9000 + trial as u64, NUM_CLIENTS),
-                elastic: false,
+                ..Default::default()
             });
             sc.start_keyed_workload(|s, c| {
                 keyed_null_ops(REQUEST_SIZE, (s * NUM_CLIENTS + c) as u64)
@@ -226,10 +229,11 @@ fn measure_reshard(engine: Engine) -> ReshardRow {
         slots: RESHARD_SLOTS,
     };
     b.cfg.checkpoint_interval = 32;
-    let mut sc = ShardedCluster::build(ShardedClusterSpec {
+    let mut sc = Deployment::build(DeploymentSpec {
         shards: 2,
         base: b,
         elastic: true,
+        ..Default::default()
     });
     sc.start_keyed_workload(|s, c| keyed_kv_ops(RESHARD_SLOTS, (s * NUM_CLIENTS + c) as u64));
     // Split both original groups in turn: 2 → 3 → 4, epochs 1 and 2.

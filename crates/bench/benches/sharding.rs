@@ -17,7 +17,7 @@
 
 use bench::artifact::{self, Json};
 use harness::experiments::NUM_CLIENTS;
-use harness::shard::{ShardedCluster, ShardedClusterSpec, ShardedThroughput};
+use harness::shard::{Deployment, DeploymentSpec, ShardedThroughput};
 use harness::workload::keyed_null_ops;
 use harness::{ClusterSpec, Stats};
 use pbft_core::{Engine, PbftConfig};
@@ -70,7 +70,7 @@ impl Row {
 fn measure(engine: Engine, shards: usize, batching: bool, trials: usize) -> Row {
     let trials = (0..trials)
         .map(|trial| {
-            let spec = ShardedClusterSpec {
+            let spec = DeploymentSpec {
                 shards,
                 base: ClusterSpec {
                     cfg: PbftConfig {
@@ -82,9 +82,9 @@ fn measure(engine: Engine, shards: usize, batching: bool, trials: usize) -> Row 
                     seed: 5000 + trial as u64,
                     ..Default::default()
                 },
-                elastic: false,
+                ..Default::default()
             };
-            let mut sc = ShardedCluster::build(spec);
+            let mut sc = Deployment::build(spec);
             sc.start_keyed_workload(|shard, client| {
                 keyed_null_ops(REQUEST_SIZE, (shard * NUM_CLIENTS + client) as u64)
             });

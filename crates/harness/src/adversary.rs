@@ -17,7 +17,7 @@
 //! * [`Strategy`] — the decision rule: per tick, map an observation to the
 //!   [`Fault`] that should currently be mounted (or `None` for honest).
 //! * [`Adversary`] — the binding of one strategy to one `(shard, member)`
-//!   seat, mounting and unmounting faults through the scenario target as
+//!   seat, mounting and unmounting faults on the deployment's group as
 //!   its decisions change. Driven by
 //!   [`run_scenario_adaptive`](crate::scenario::run_scenario_adaptive).
 //!
@@ -38,7 +38,8 @@ use pbft_core::{SeqNum, View};
 use simnet::SimTime;
 
 use crate::byzantine::Fault;
-use crate::scenario::{ScenarioEvent, ScenarioTarget};
+use crate::scenario::ScenarioEvent;
+use crate::shard::Deployment;
 
 /// What a compromised member can see of its group's protocol state: its own
 /// engine's introspection surface plus whether *any* live member is mid
@@ -184,7 +185,7 @@ impl Adversary {
 
     /// Read the seat's observation off the deployment. `None` if the seat
     /// is currently crashed (a dead replica observes nothing).
-    pub fn observe<T: ScenarioTarget>(&self, target: &T) -> Option<Observation> {
+    pub fn observe(&self, target: &Deployment) -> Option<Observation> {
         let group = target.group(self.shard);
         let n = group.spec().cfg.n();
         let engine = group.replica(self.member)?;
@@ -228,7 +229,7 @@ impl Adversary {
     /// One decision cycle: observe, decide, reconcile the seat's mounted
     /// fault. Returns a trace label when the mounted fault changed (or the
     /// seat was unreachable), `None` on a quiet tick.
-    pub fn tick<T: ScenarioTarget>(&mut self, target: &mut T) -> Option<String> {
+    pub fn tick(&mut self, target: &mut Deployment) -> Option<String> {
         if !self.armed {
             return None;
         }

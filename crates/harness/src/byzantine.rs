@@ -438,9 +438,9 @@ pub fn build_faulty_cluster(spec: ClusterSpec, faulty: u32, fault: Fault) -> Clu
     Cluster::build_with(spec, move |i, replica| {
         if i == faulty {
             let twin = (fault == Fault::SplitBrain).then(|| make_replica(&spec_for_twin, i));
-            Box::new(FaultyReplicaHost::new(replica, twin, fault, cost, n))
+            FaultyReplicaHost::new(replica, twin, fault, cost, n)
         } else {
-            Box::new(FaultyReplicaHost::honest(replica, cost, n))
+            FaultyReplicaHost::honest(replica, cost, n)
         }
     })
 }
@@ -456,9 +456,9 @@ pub fn build_adversary_cluster(spec: ClusterSpec, compromised: u32) -> Cluster {
     Cluster::build_with(spec, move |i, replica| {
         if i == compromised {
             let twin = make_replica(&spec_for_twin, i);
-            Box::new(FaultyReplicaHost::honest_with_twin(replica, twin, cost, n))
+            FaultyReplicaHost::honest_with_twin(replica, twin, cost, n)
         } else {
-            Box::new(FaultyReplicaHost::honest(replica, cost, n))
+            FaultyReplicaHost::honest(replica, cost, n)
         }
     })
 }

@@ -210,7 +210,6 @@ impl ClientHost {
             issued: 0,
             events: Vec::new(),
             pace: None,
-            missed_slots: 0,
         }
     }
 }
@@ -225,9 +224,8 @@ impl ClientHost {
 /// * **open loop** ([`Cluster::start_paced_workload`]): operations are
 ///   issued on a fixed pacing interval regardless of replies — except that
 ///   PBFT allows one outstanding request per client, so a slot whose
-///   previous request is still in flight is *skipped* and counted in
-///   [`ClientHost::missed_slots`]. Missed slots are the client-visible
-///   unavailability signal fault scenarios measure.
+///   previous request is still in flight is *skipped*. Skipped slots are
+///   the client-visible unavailability that fault scenarios measure.
 pub struct ClientHost {
     /// The client engine.
     pub client: Client,
@@ -238,9 +236,6 @@ pub struct ClientHost {
     pub events: Vec<ClientEvent>,
     /// Open-loop pacing interval; `None` = closed loop.
     pace: Option<SimDuration>,
-    /// Pacing slots skipped because the previous request was still
-    /// outstanding (open-loop mode only).
-    pub missed_slots: u64,
 }
 
 impl ClientHost {
@@ -264,12 +259,7 @@ impl ClientHost {
             return; // pacing stopped: let the timer die
         };
         ctx.set_timer(PACE_TIMER, pace);
-        if !self.client.is_member() || self.gen.is_none() {
-            return;
-        }
-        if self.client.has_outstanding() {
-            self.missed_slots += 1;
-        } else {
+        if self.client.is_member() && !self.client.has_outstanding() {
             self.issue_next(ctx);
         }
     }
@@ -347,7 +337,7 @@ impl Cluster {
         let cost = spec.cost;
         let n = spec.cfg.n();
         Self::build_with(spec, move |_, replica| {
-            Box::new(FaultyReplicaHost::honest(replica, cost, n))
+            FaultyReplicaHost::honest(replica, cost, n)
         })
     }
 
@@ -379,12 +369,12 @@ impl Cluster {
     /// mounting Byzantine behaviours on selected replicas.
     pub fn build_with(
         spec: ClusterSpec,
-        mut make_host: impl FnMut(u32, Replica) -> Box<dyn Node>,
+        mut make_host: impl FnMut(u32, Replica) -> FaultyReplicaHost,
     ) -> Cluster {
         Self::build_custom(spec, |sim, spec| {
             let n = spec.cfg.n();
             let replicas = (0..n as u32)
-                .map(|i| sim.add_node(make_host(i, make_replica(spec, i))))
+                .map(|i| sim.add_node(Box::new(make_host(i, make_replica(spec, i)))))
                 .collect();
             let clients = (0..spec.num_clients)
                 .map(|c| {
@@ -457,7 +447,7 @@ impl Cluster {
 
     /// Install an **open-loop** workload on every client: each issues one
     /// operation per `pace` interval (slots with the previous request still
-    /// in flight are skipped and counted — see [`ClientHost::missed_slots`]).
+    /// in flight are skipped).
     /// Fault scenarios use this so offered load stays constant while the
     /// cluster degrades, making the availability timeline honest.
     pub fn start_paced_workload(
@@ -556,8 +546,7 @@ impl Cluster {
     }
 
     /// Access a replica (engine 0 of its host: the identity a split-brain
-    /// twin shares). `None` while the member is crashed, or when a
-    /// [`Cluster::build_with`] closure mounted some other node type.
+    /// twin shares). `None` while the member is crashed.
     pub fn replica(&self, i: usize) -> Option<&Replica> {
         self.sim
             .node_ref::<FaultyReplicaHost>(self.replicas[i])
@@ -641,19 +630,14 @@ impl Cluster {
         // Salvage the durable state (if preserving) and whether a
         // split-brain twin was provisioned (adversary-ready members stay
         // adversary-ready across proactive recovery).
-        let (old_state, had_twin) = self
-            .sim
-            .take_node(node_id)
-            .and_then(|node| {
-                (node as Box<dyn std::any::Any>)
-                    .downcast::<FaultyReplicaHost>()
-                    .ok()
-            })
-            .map_or((None, false), |host| {
-                (Some(host.engines[0].state_handle()), host.engines.len() > 1)
-            });
-        let state: StateHandle = match (preserve_disk, old_state) {
-            (true, Some(state)) => state,
+        let old = self.sim.take_node(node_id).map(|node| {
+            (node as Box<dyn std::any::Any>)
+                .downcast::<FaultyReplicaHost>()
+                .expect("every replica is mounted on a FaultyReplicaHost")
+        });
+        let had_twin = old.as_ref().is_some_and(|host| host.engines.len() > 1);
+        let state: StateHandle = match old {
+            Some(host) if preserve_disk => host.engines[0].state_handle(),
             _ => Rc::new(RefCell::new(PagedState::new(self.spec.app.state_pages()))),
         };
         let app = self.spec.make_app(state.clone());
@@ -762,15 +746,6 @@ impl Cluster {
     pub fn isolate_from_clients(&mut self) {
         let (replicas, clients) = (self.replicas.clone(), self.clients.clone());
         self.sim.partition(&replicas, &clients);
-    }
-
-    /// Pacing slots client `i` skipped because its previous request was
-    /// still outstanding (open-loop mode; see [`ClientHost::missed_slots`]).
-    pub fn client_missed_slots(&self, i: usize) -> u64 {
-        self.sim
-            .node_ref::<ClientHost>(self.clients[i])
-            .map(|c| c.missed_slots)
-            .unwrap_or_default()
     }
 
     /// Are all live replicas' state digests identical? (Safety check.)

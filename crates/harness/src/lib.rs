@@ -7,8 +7,9 @@
 //!
 //! * [`cost`] — the calibrated cost model turning engine work-counts
 //!   ([`pbft_core::OpCounts`]) and packet sizes into virtual CPU time,
-//! * [`cluster`] — replica/client adapters mounting the sans-io engines on
-//!   `simnet`, a cluster builder, and fault injection,
+//! * [`cluster`] — the group type: replica/client adapters mounting the
+//!   sans-io engines on one `simnet` simulator, its builder, and its fault
+//!   surface,
 //! * [`byzantine`] — adversarial replica hosts (mute, tampering,
 //!   split-brain equivocating primaries, targeted censorship) for
 //!   safety/liveness experiments,
@@ -20,17 +21,19 @@
 //! * [`workload`] — closed-loop client workload generators (null ops of the
 //!   paper's sizes, the §4.2 SQL row insert, e-voting sessions), plus their
 //!   key-tagged variants for sharded deployments,
-//! * [`shard`] — sharded multi-group composition: a deterministic
-//!   client-side shard router over N independent groups sharing one virtual
-//!   clock, with cross-shard operations rejected by a typed error,
-//! * [`xshard`] — cross-shard atomic commit on top of [`shard`]: closed-loop
-//!   transaction initiators driving the two-phase commit of
-//!   [`pbft_xshard::xshard`] through every group's own PBFT agreement, with
-//!   timeout aborts and a ground-truth atomicity audit,
+//! * [`shard`] — the one deployment type, [`Deployment`]: N independent
+//!   groups (N = 1 is the single-group testbed) sharing one virtual clock
+//!   behind a deterministic client-side shard router, with cross-shard
+//!   operations rejected by a typed error and live elastic splits,
+//! * [`xshard`] — cross-shard atomic commit inside [`Deployment`]: the
+//!   closed-loop transaction initiators of its transaction driver,
+//!   driving the two-phase commit of [`pbft_xshard::xshard`] through every
+//!   group's own PBFT agreement, with timeout aborts and a ground-truth
+//!   atomicity audit,
 //! * [`scenario`] — deterministic fault-schedule scenarios: timed
 //!   crash/restart, runtime fault mount/unmount, partition/degrade/heal
-//!   events scripted against any cluster flavor over the shared lockstep
-//!   clock, with a bucketed client-visible availability timeline,
+//!   events scripted against a deployment over the shared lockstep clock,
+//!   with a bucketed client-visible availability timeline,
 //! * [`testkit`] — the shared cluster-setup vocabulary of the test suites
 //!   (spec builders, fast-failover configs, safety assertions),
 //! * [`stats`] — mean/standard deviation over trials (the paper's TPS ±
@@ -75,6 +78,6 @@ pub use cost::CostModel;
 pub use scenario::{
     run_scenario, run_scenario_adaptive, Scenario, ScenarioEvent, ScenarioReport, Timeline,
 };
-pub use shard::{ShardRouter, ShardedCluster, ShardedClusterSpec};
+pub use shard::{Deployment, DeploymentSpec, ShardRouter};
 pub use stats::Stats;
-pub use xshard::{XShardCluster, XShardMetrics, XShardSpec};
+pub use xshard::XShardMetrics;

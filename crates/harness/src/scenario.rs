@@ -12,9 +12,9 @@
 //! * [`ScenarioEvent`] — the fault vocabulary: crash/restart a member,
 //!   mount/unmount a Byzantine fault at runtime, isolate a member, pause a
 //!   whole group (the coordinator-outage case), degrade links, heal.
-//! * [`ScenarioTarget`] — the deployment abstraction: one [`Cluster`], a
-//!   [`ShardedCluster`], or an [`XShardCluster`], addressed uniformly as
-//!   `(shard, member)` over the shared lockstep clock.
+//! * [`Deployment::apply`] — the event vocabulary mapped onto a
+//!   [`Deployment`]'s groups, addressed as `(shard, member)` over the
+//!   shared lockstep clock; a single group is a one-group deployment.
 //! * [`Scenario`] — a named, seeded script: events at virtual-time offsets
 //!   plus a measurement window; the runner advances the clock to each
 //!   event's instant, so every event fires *exactly* on time (no slicing
@@ -31,16 +31,16 @@
 //!
 //! ```
 //! use harness::scenario::{run_scenario, Scenario, ScenarioEvent};
-//! use harness::{Cluster, ClusterSpec};
+//! use harness::{ClusterSpec, Deployment, DeploymentSpec};
 //! use harness::workload::null_ops;
 //! use simnet::SimDuration;
 //!
 //! let ms = SimDuration::from_millis;
-//! let mut cluster = Cluster::build(ClusterSpec {
-//!     num_clients: 2,
+//! let mut deployment = Deployment::build(DeploymentSpec {
+//!     base: ClusterSpec { num_clients: 2, ..Default::default() },
 //!     ..Default::default()
 //! });
-//! cluster.start_paced_workload(ms(5), |_| null_ops(64));
+//! deployment.group_mut(0).start_paced_workload(ms(5), |_| null_ops(64));
 //! let scenario = Scenario {
 //!     name: "crash-a-backup",
 //!     duration: ms(400),
@@ -50,7 +50,7 @@
 //!         (ms(250), ScenarioEvent::RestartMember { shard: 0, member: 2, preserve_disk: true }),
 //!     ],
 //! };
-//! let report = run_scenario(&mut cluster, &scenario);
+//! let report = run_scenario(&mut deployment, &scenario);
 //! assert_eq!(report.trace.len(), 2);
 //! assert!(report.timeline.availability() > 0.9, "a backup crash barely dents a 4-group");
 //! ```
@@ -59,9 +59,7 @@ use simnet::{SimDuration, SimTime};
 
 use crate::adversary::Adversary;
 use crate::byzantine::Fault;
-use crate::cluster::Cluster;
-use crate::shard::ShardedCluster;
-use crate::xshard::XShardCluster;
+use crate::shard::Deployment;
 
 /// One scheduled fault (or repair) against a deployment, addressed as
 /// `(shard, member)`; single-group deployments use `shard = 0`.
@@ -88,8 +86,9 @@ pub enum ScenarioEvent {
     /// keys flushed) and have clients redistribute fresh session keys — the
     /// rolling recovery schedule's unit step, refreshing the fault budget
     /// without the group losing more than this one member. See
-    /// [`Cluster::proactive_recover`]. Disarms any adaptive adversary
-    /// occupying the seat (see [`crate::adversary`]).
+    /// [`Cluster::proactive_recover`](crate::cluster::Cluster::proactive_recover).
+    /// Disarms any adaptive adversary occupying the seat (see
+    /// [`crate::adversary`]).
     ProactiveRecover {
         /// Group index.
         shard: usize,
@@ -145,9 +144,8 @@ pub enum ScenarioEvent {
     /// Live-split an elastic group mid-run: the upper half of `source`'s
     /// widest key range is handed to a freshly booted group under a
     /// bumped-epoch map, with the workload still offered (see
-    /// [`ShardedCluster::split`]). Only elastic sharded/cross-shard
-    /// deployments support it — a single [`Cluster`] has no shard map, and
-    /// a static partition cannot change; both panic.
+    /// [`Deployment::split`]). Only elastic deployments support it — a
+    /// static partition cannot change, so [`Deployment::apply`] panics.
     Reshard {
         /// Group whose key range is split.
         source: usize,
@@ -191,36 +189,13 @@ impl ScenarioEvent {
     }
 }
 
-/// A deployment the scenario engine can drive: groups of replicas sharing
-/// one (lockstep) virtual clock, each group a [`Cluster`].
-///
-/// The engine a deployment runs is part of its protocol configuration
-/// (`cfg.engine`), so the same fault scripts drive either engine (the
-/// conformance suite runs them under both PBFT and the linear engine).
-pub trait ScenarioTarget {
-    /// Number of groups.
-    fn shard_count(&self) -> usize;
-    /// The shared virtual clock.
-    fn now(&self) -> SimTime;
-    /// Advance the shared clock by `d` (pumping any drivers the flavor
-    /// runs, e.g. the cross-shard transaction initiators).
-    fn advance(&mut self, d: SimDuration);
-    /// One group, read-only.
-    fn group(&self, shard: usize) -> &Cluster;
-    /// One group, for fault injection.
-    fn group_mut(&mut self, shard: usize) -> &mut Cluster;
-
-    /// Live-split group `source` ([`ScenarioEvent::Reshard`]). The default
-    /// panics: a single-group deployment has no shard map to split.
-    /// Elastic sharded flavors override (with
-    /// [`ShardedCluster::split_auto`] / [`XShardCluster::split_auto`]).
-    fn reshard(&mut self, source: usize) {
-        panic!("this deployment flavor cannot reshard (split of group {source} requested)");
-    }
-
-    /// Apply one event. The default maps the event vocabulary onto the
-    /// group's fault surface; flavors only override if they must intercept.
-    fn apply(&mut self, event: &ScenarioEvent) {
+impl Deployment {
+    /// Apply one scenario event to the group it addresses.
+    ///
+    /// # Panics
+    /// Panics if the event addresses a group the deployment lacks, and on
+    /// [`ScenarioEvent::Reshard`] of a deployment that is not elastic.
+    pub fn apply(&mut self, event: &ScenarioEvent) {
         match *event {
             ScenarioEvent::CrashMember { shard, member } => {
                 self.group_mut(shard).crash_replica(member)
@@ -251,71 +226,10 @@ pub trait ScenarioTarget {
                 extra_latency,
             } => self.group_mut(shard).degrade_links(loss, extra_latency),
             ScenarioEvent::HealGroup { shard } => self.group_mut(shard).restore_links(),
-            ScenarioEvent::Reshard { source } => self.reshard(source),
+            ScenarioEvent::Reshard { source } => {
+                self.split_auto(source);
+            }
         }
-    }
-}
-
-impl ScenarioTarget for Cluster {
-    fn shard_count(&self) -> usize {
-        1
-    }
-    fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-    fn advance(&mut self, d: SimDuration) {
-        self.run_for(d);
-    }
-    fn group(&self, shard: usize) -> &Cluster {
-        assert_eq!(shard, 0, "a single-group deployment has only shard 0");
-        self
-    }
-    fn group_mut(&mut self, shard: usize) -> &mut Cluster {
-        assert_eq!(shard, 0, "a single-group deployment has only shard 0");
-        self
-    }
-}
-
-impl ScenarioTarget for ShardedCluster {
-    fn shard_count(&self) -> usize {
-        self.shards()
-    }
-    fn now(&self) -> SimTime {
-        self.group(0).sim.now()
-    }
-    fn advance(&mut self, d: SimDuration) {
-        self.run_for(d);
-    }
-    fn group(&self, shard: usize) -> &Cluster {
-        ShardedCluster::group(self, shard)
-    }
-    fn group_mut(&mut self, shard: usize) -> &mut Cluster {
-        ShardedCluster::group_mut(self, shard)
-    }
-    fn reshard(&mut self, source: usize) {
-        ShardedCluster::split_auto(self, source);
-    }
-}
-
-impl ScenarioTarget for XShardCluster {
-    fn shard_count(&self) -> usize {
-        self.shards()
-    }
-    fn now(&self) -> SimTime {
-        XShardCluster::now(self)
-    }
-    fn advance(&mut self, d: SimDuration) {
-        // Pumps the transaction driver alongside the lockstep clock.
-        self.run_for(d);
-    }
-    fn group(&self, shard: usize) -> &Cluster {
-        self.sharded().group(shard)
-    }
-    fn group_mut(&mut self, shard: usize) -> &mut Cluster {
-        self.sharded_mut().group_mut(shard)
-    }
-    fn reshard(&mut self, source: usize) {
-        XShardCluster::split_auto(self, source);
     }
 }
 
@@ -447,9 +361,9 @@ impl Timeline {
 
 /// Per-client `(completed, total_latency_ns)` across all groups, flattened
 /// group-major — the quantity the timeline diffs per bucket.
-fn snapshot<T: ScenarioTarget + ?Sized>(target: &T) -> Vec<(u64, u64)> {
+fn snapshot(target: &Deployment) -> Vec<(u64, u64)> {
     let mut v = Vec::new();
-    for s in 0..target.shard_count() {
+    for s in 0..target.shards() {
         let g = target.group(s);
         for c in 0..g.clients.len() {
             let m = g.client_metrics(c);
@@ -472,10 +386,7 @@ fn snapshot<T: ScenarioTarget + ?Sized>(target: &T) -> Vec<(u64, u64)> {
 /// `scenario.bucket` (the timeline would misreport its last bucket), if an
 /// event addresses a group the deployment doesn't have, or if an event's
 /// offset falls at or beyond `scenario.duration` (it could never fire).
-pub fn run_scenario<T: ScenarioTarget + 'static>(
-    target: &mut T,
-    scenario: &Scenario,
-) -> ScenarioReport {
+pub fn run_scenario(target: &mut Deployment, scenario: &Scenario) -> ScenarioReport {
     run_scenario_adaptive(target, scenario, &mut [], scenario.bucket)
 }
 
@@ -494,8 +405,8 @@ pub fn run_scenario<T: ScenarioTarget + 'static>(
 /// # Panics
 /// Panics on the same malformed scripts as [`run_scenario`], on a zero
 /// `tick`, and on an adversary seated in a group the deployment lacks.
-pub fn run_scenario_adaptive<T: ScenarioTarget + 'static>(
-    target: &mut T,
+pub fn run_scenario_adaptive(
+    target: &mut Deployment,
     scenario: &Scenario,
     adversaries: &mut [Adversary],
     tick: SimDuration,
@@ -513,7 +424,7 @@ pub fn run_scenario_adaptive<T: ScenarioTarget + 'static>(
         "a zero adversary tick would spin the clock"
     );
     // Every Reshard in the script appends one group mid-run, so later
-    // events may legitimately address indexes up to shard_count + splits
+    // events may legitimately address indexes up to shards + splits
     // (an event that fires too early still panics in `group_mut`).
     let splits = scenario
         .events
@@ -540,18 +451,18 @@ pub fn run_scenario_adaptive<T: ScenarioTarget + 'static>(
             | ScenarioEvent::Reshard { source: shard } => shard,
         };
         assert!(
-            shard < target.shard_count() + splits,
+            shard < target.shards() + splits,
             "event {} addresses shard {shard} of a {}-group deployment",
             ev.label(),
-            target.shard_count()
+            target.shards()
         );
     }
     for adv in adversaries.iter() {
         assert!(
-            adv.seat().0 < target.shard_count(),
+            adv.seat().0 < target.shards(),
             "adversary seated in shard {} of a {}-group deployment",
             adv.seat().0,
-            target.shard_count()
+            target.shards()
         );
     }
 
@@ -588,7 +499,7 @@ pub fn run_scenario_adaptive<T: ScenarioTarget + 'static>(
             if !adversaries.is_empty() && next_tick < stop {
                 stop = next_tick;
             }
-            target.advance(stop.saturating_sub(target.now()));
+            target.run_for(stop.saturating_sub(target.now()));
             let now = target.now();
             while let Some(&(at, ev)) = events.get(next_event) {
                 if at > now {
@@ -854,11 +765,25 @@ pub mod paper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterSpec;
+    use crate::cluster::{Cluster, ClusterSpec};
+    use crate::shard::DeploymentSpec;
     use crate::workload::null_ops;
+    use pbft_core::Engine;
 
     fn ms(n: u64) -> SimDuration {
         SimDuration::from_millis(n)
+    }
+
+    /// One default group of `num_clients` clients.
+    fn one_group(num_clients: usize, seed: u64) -> Deployment {
+        Deployment::build(DeploymentSpec {
+            base: ClusterSpec {
+                num_clients,
+                seed,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
     }
 
     #[test]
@@ -905,12 +830,10 @@ mod tests {
     #[test]
     fn scenario_runs_and_is_deterministic() {
         let run = || {
-            let mut cluster = Cluster::build(ClusterSpec {
-                num_clients: 2,
-                seed: 3,
-                ..Default::default()
-            });
-            cluster.start_paced_workload(ms(5), |_| null_ops(64));
+            let mut deployment = one_group(2, 3);
+            deployment
+                .group_mut(0)
+                .start_paced_workload(ms(5), |_| null_ops(64));
             let scenario = Scenario {
                 name: "smoke",
                 duration: ms(300),
@@ -933,7 +856,7 @@ mod tests {
                     ),
                 ],
             };
-            run_scenario(&mut cluster, &scenario)
+            run_scenario(&mut deployment, &scenario)
         };
         let a = run();
         assert_eq!(a.trace.len(), 2);
@@ -945,12 +868,8 @@ mod tests {
 
     #[test]
     fn events_fire_at_exact_offsets() {
-        let mut cluster = Cluster::build(ClusterSpec {
-            num_clients: 1,
-            seed: 4,
-            ..Default::default()
-        });
-        let start = ScenarioTarget::now(&cluster);
+        let mut deployment = one_group(1, 4);
+        let start = deployment.now();
         let scenario = Scenario {
             name: "offsets",
             duration: ms(100),
@@ -968,7 +887,7 @@ mod tests {
                 ),
             ],
         };
-        let report = run_scenario(&mut cluster, &scenario);
+        let report = run_scenario(&mut deployment, &scenario);
         assert_eq!(report.trace[0].at, start + ms(33));
         assert_eq!(report.trace[1].at, start + ms(77));
     }
@@ -976,42 +895,35 @@ mod tests {
     #[test]
     #[should_panic(expected = "whole number of buckets")]
     fn ragged_duration_is_rejected() {
-        let mut cluster = Cluster::build(ClusterSpec {
-            num_clients: 1,
-            ..Default::default()
-        });
+        let mut deployment = one_group(1, 1);
         let scenario = Scenario {
             name: "ragged",
             duration: ms(105),
             bucket: ms(50),
             events: vec![],
         };
-        run_scenario(&mut cluster, &scenario);
+        run_scenario(&mut deployment, &scenario);
     }
 
     #[test]
     #[should_panic(expected = "addresses shard 3")]
     fn out_of_range_shard_is_rejected() {
-        let mut cluster = Cluster::build(ClusterSpec {
-            num_clients: 1,
-            ..Default::default()
-        });
+        let mut deployment = one_group(1, 1);
         let scenario = Scenario {
             name: "bad-shard",
             duration: ms(100),
             bucket: ms(50),
             events: vec![(ms(10), ScenarioEvent::PauseGroup { shard: 3 })],
         };
-        run_scenario(&mut cluster, &scenario);
+        run_scenario(&mut deployment, &scenario);
     }
 
     #[test]
     fn reshard_event_splits_an_elastic_deployment_mid_run() {
         use crate::cluster::AppKind;
-        use crate::shard::ShardedClusterSpec;
         use crate::workload::keyed_kv_ops;
 
-        let mut sc = ShardedCluster::build(ShardedClusterSpec {
+        let mut sc = Deployment::build(DeploymentSpec {
             shards: 2,
             elastic: true,
             base: ClusterSpec {
@@ -1020,6 +932,7 @@ mod tests {
                 app: AppKind::Kv { slots: 64 },
                 ..Default::default()
             },
+            ..Default::default()
         });
         sc.start_paced_keyed_workload(ms(4), |s, c| keyed_kv_ops(64, (s * 10 + c) as u64));
         let scenario = Scenario {
@@ -1045,19 +958,126 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot reshard")]
+    #[should_panic(expected = "elastic")]
     fn reshard_of_a_single_group_deployment_is_rejected() {
-        let mut cluster = Cluster::build(ClusterSpec {
-            num_clients: 1,
-            ..Default::default()
-        });
+        let mut deployment = one_group(1, 1);
         let scenario = Scenario {
             name: "bad-reshard",
             duration: ms(100),
             bucket: ms(50),
             events: vec![(ms(10), ScenarioEvent::Reshard { source: 0 })],
         };
-        run_scenario(&mut cluster, &scenario);
+        run_scenario(&mut deployment, &scenario);
+    }
+
+    /// The single-group path adds nothing: a one-group [`Deployment`] run
+    /// through [`run_scenario`] ends bit for bit where a bare [`Cluster`]
+    /// built from the same spec ends when driven by hand — the clock
+    /// advanced to each event's instant, the event applied to the group,
+    /// the clock advanced to the end. Events sit off every bucket edge and
+    /// off the driver's poll grid, so a runner that sliced or pumped the
+    /// one-group clock differently, or mounted extra clients, diverges.
+    #[test]
+    fn one_group_deployment_reproduces_a_bare_cluster() {
+        let events = [
+            (
+                SimDuration::from_micros(60_050),
+                ScenarioEvent::CrashMember {
+                    shard: 0,
+                    member: 0,
+                },
+            ),
+            (
+                SimDuration::from_micros(140_030),
+                ScenarioEvent::DegradeLinks {
+                    shard: 0,
+                    loss: 0.05,
+                    extra_latency: SimDuration::from_micros(70),
+                },
+            ),
+            (
+                SimDuration::from_micros(260_010),
+                ScenarioEvent::RestartMember {
+                    shard: 0,
+                    member: 0,
+                    preserve_disk: false,
+                },
+            ),
+            (
+                SimDuration::from_micros(310_090),
+                ScenarioEvent::HealGroup { shard: 0 },
+            ),
+        ];
+        let scenario = Scenario {
+            name: "one-group-equivalence",
+            duration: ms(450),
+            bucket: ms(30),
+            events: events.to_vec(),
+        };
+        for engine in Engine::ALL {
+            let mut base = crate::testkit::recovery_spec(3, 17);
+            base.cfg.engine = engine;
+            base.cfg.view_change_timeout_ns = crate::testkit::TEST_VC_TIMEOUT_NS;
+
+            let mut deployment = Deployment::build(DeploymentSpec {
+                base: base.clone(),
+                ..Default::default()
+            });
+            deployment
+                .group_mut(0)
+                .start_paced_workload(ms(4), |_| null_ops(64));
+            let report = run_scenario(&mut deployment, &scenario);
+            let via_runner = deployment.group_mut(0);
+
+            let mut by_hand = Cluster::build(base);
+            by_hand.start_paced_workload(ms(4), |_| null_ops(64));
+            let start = by_hand.sim.now();
+            for (off, event) in &events {
+                by_hand.sim.run_until(start + *off);
+                match *event {
+                    ScenarioEvent::CrashMember { member, .. } => by_hand.crash_replica(member),
+                    ScenarioEvent::RestartMember {
+                        member,
+                        preserve_disk,
+                        ..
+                    } => by_hand.restart_replica(member, preserve_disk),
+                    ScenarioEvent::DegradeLinks {
+                        loss,
+                        extra_latency,
+                        ..
+                    } => by_hand.degrade_links(loss, extra_latency),
+                    ScenarioEvent::HealGroup { .. } => by_hand.restore_links(),
+                    _ => unreachable!("not in this script"),
+                }
+            }
+            by_hand.sim.run_until(start + scenario.duration);
+
+            let name = engine.name();
+            assert_eq!(report.timeline.start, start, "{name}");
+            assert_eq!(via_runner.sim.now(), by_hand.sim.now(), "{name}");
+            assert_eq!(via_runner.clients.len(), by_hand.clients.len(), "{name}");
+            for c in 0..by_hand.clients.len() {
+                assert_eq!(
+                    via_runner.client_metrics(c).completed,
+                    by_hand.client_metrics(c).completed,
+                    "{name}: client {c}"
+                );
+            }
+            assert!(by_hand.completed() > 0, "{name}: the script must commit");
+            let all: Vec<usize> = (0..by_hand.replicas.len()).collect();
+            for r in all.iter().copied() {
+                let (a, b) = (
+                    via_runner.replica(r).expect("alive"),
+                    by_hand.replica(r).expect("alive"),
+                );
+                assert_eq!(a.last_executed(), b.last_executed(), "{name}: replica {r}");
+                assert_eq!(a.exec_chain(), b.exec_chain(), "{name}: replica {r}");
+                let digest = |r: &pbft_core::replica::Replica| {
+                    r.state_handle().borrow_mut().refresh_digest()
+                };
+                assert_eq!(digest(a), digest(b), "{name}: replica {r} state");
+            }
+        }
     }
 
     #[test]

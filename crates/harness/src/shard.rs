@@ -22,12 +22,14 @@
 //!   are rejected with the typed
 //!   [`RouteError::CrossShard`](pbft_xshard::routing::RouteError) —
 //!   cross-shard *coordination* lives in [`crate::xshard`].
-//! * [`ShardedClusterSpec`] / [`ShardedCluster`] — the harness layer:
-//!   composes N [`Cluster`]s (one [`simnet`] simulation each, advanced in
-//!   lockstep via [`simnet::run_lockstep`] so they share one virtual clock),
-//!   installs router-filtered keyed workloads, and aggregates completed
-//!   requests, throughput and traces across groups.
-//! * [`ShardedCluster::split`] — the live resharding orchestration: hold
+//! * [`DeploymentSpec`] / [`Deployment`] — the harness layer and its one
+//!   deployment type: composes N [`Cluster`]s (one [`simnet`] simulation
+//!   each, advanced in lockstep via [`simnet::run_lockstep`] so they share
+//!   one virtual clock), installs router-filtered keyed workloads,
+//!   aggregates completed requests and throughput across groups, and
+//!   carries the cross-shard transaction driver of [`crate::xshard`]. One
+//!   group without initiators is the single-group testbed.
+//! * [`Deployment::split`] — the live resharding orchestration: hold
 //!   back traffic to the moving span, commit an ordered
 //!   [`XMsg::Reshard`] on the source, export the moved key range from the
 //!   source's attested snapshot ([`pbft_state::RangeExport`]), boot the
@@ -60,11 +62,12 @@ use pbft_core::ClientEvent;
 use pbft_state::{PagedState, RangeExport};
 use pbft_xshard::routing::{stable_key_hash, RouteError, ShardMap, SplitPlan};
 use pbft_xshard::xshard::{TxId, XMsg, XReply};
-use simnet::{merge_traces, run_lockstep, SimDuration, TraceEntry};
+use simnet::{run_lockstep, SimDuration, SimTime};
 
 use crate::cluster::{AppKind, Cluster, ClusterSpec, APP_PARTITION_BASE};
 use crate::stats::Stats;
 use crate::workload::{KeyedOp, KeyedOpGen, OpGen};
+use crate::xshard::{TxDriver, TX_POLL_INTERVAL};
 
 /// Decorrelates the network randomness of the groups: shard `s` simulates
 /// with seed `base.seed + s * SHARD_SEED_STRIDE`, so trials (which vary
@@ -220,7 +223,7 @@ pub struct RouterMetrics {
     /// The map epoch the per-shard counters below were collected under.
     pub epoch: u64,
     /// Operations the router assigned to a single owning group — via a
-    /// [`ShardedCluster::route`] probe or a workload adapter (the adapters
+    /// [`Deployment::route`] probe or a workload adapter (the adapters
     /// then submit them on the owning group). Cumulative across epochs.
     pub routed: u64,
     /// Routed operations per owning group, **this epoch only** (reset on
@@ -279,37 +282,53 @@ impl RouterMetrics {
     }
 }
 
-/// Configuration of a sharded deployment: `shards` independent PBFT groups,
-/// each built from the `base` template (same protocol config, app, client
-/// count and cost model; the simulation seed is decorrelated per shard).
+/// Configuration of a deployment: `shards` independent PBFT groups, each
+/// built from the `base` template (same protocol config, app, client count
+/// and cost model; the simulation seed is decorrelated per shard), plus
+/// `initiators` cross-shard transaction agents. The default is one plain
+/// group with no transaction driver.
 #[derive(Debug, Clone)]
-pub struct ShardedClusterSpec {
+pub struct DeploymentSpec {
     /// Number of independent PBFT groups.
     pub shards: usize,
     /// Per-group template. `base.num_clients` clients are mounted *per
     /// group* — a sharded deployment scales clients with groups, like the
-    /// paper's fixed 12-clients-per-group population.
+    /// paper's fixed 12-clients-per-group population. In elastic
+    /// deployments client 0 of every group is the reshard admin client.
     pub base: ClusterSpec,
     /// Elastic mode: partition by explicit key ranges
     /// ([`ShardMap::ranged`]) instead of the static hash, mount every group
     /// xshard-wrapped with its shard identity installed (the replica-side
     /// ownership gate), and reserve client 0 (`ADMIN_CLIENT`) of every
-    /// group for reshard admin traffic. Required by
-    /// [`ShardedCluster::split`].
+    /// group for reshard admin traffic. Required by [`Deployment::split`].
     pub elastic: bool,
+    /// Closed-loop cross-shard transaction initiators (see
+    /// [`crate::xshard`]). Each gets one agent client on every group,
+    /// mounted after the `base.num_clients` ones, so concurrent
+    /// transactions never contend for a client slot. Any initiator forces
+    /// `base.xshard` on.
+    pub initiators: usize,
+    /// How long a transaction waits for all votes before deciding abort.
+    pub prepare_timeout: SimDuration,
+    /// How long the decide and finish phases wait before giving up on
+    /// unreachable groups (the transaction outcome is already determined).
+    pub finish_timeout: SimDuration,
 }
 
-impl Default for ShardedClusterSpec {
+impl Default for DeploymentSpec {
     fn default() -> Self {
-        ShardedClusterSpec {
-            shards: 4,
+        DeploymentSpec {
+            shards: 1,
             base: ClusterSpec::default(),
             elastic: false,
+            initiators: 0,
+            prepare_timeout: SimDuration::from_millis(100),
+            finish_timeout: SimDuration::from_millis(200),
         }
     }
 }
 
-/// What a completed [`ShardedCluster::split`] did.
+/// What a completed [`Deployment::split`] did.
 #[derive(Debug, Clone)]
 pub struct SplitReport {
     /// The routing-level plan (source, target, moved span, next map).
@@ -320,92 +339,97 @@ pub struct SplitReport {
     pub handoff: SimDuration,
 }
 
-/// The stored full-coverage workload template, replayed onto groups born by
-/// later splits so new shards receive offered load too.
+/// The stored workload template, replayed onto groups born by later
+/// splits so new shards receive offered load too.
 struct WorkloadTemplate {
     /// Open-loop pace; `None` = closed loop.
     pace: Option<SimDuration>,
     make_gen: Rc<RefCell<dyn FnMut(usize, usize) -> KeyedOpGen>>,
 }
 
-/// A running sharded deployment: N [`Cluster`]s sharing one virtual clock.
+/// A running deployment: N [`Cluster`]s sharing one virtual clock, a
+/// router over them, and the cross-shard transaction driver. One group
+/// with no initiators is the single-group testbed; the scenario engine and
+/// the adversaries drive every shape through this one type.
 ///
 /// All time-advancing methods move every group in lockstep
 /// ([`simnet::run_lockstep`]), so cross-group aggregates (completed
-/// requests, throughput windows, merged traces) compare like-for-like
-/// instants.
+/// requests, throughput windows) compare like-for-like instants.
 ///
 /// Every group, including one born by a split, runs the engine
 /// `base.cfg.engine` names.
-pub struct ShardedCluster {
-    router: ShardRouter,
-    groups: Vec<Cluster>,
-    metrics: Rc<RefCell<RouterMetrics>>,
+pub struct Deployment {
+    pub(crate) router: ShardRouter,
+    pub(crate) groups: Vec<Cluster>,
+    pub(crate) router_metrics: Rc<RefCell<RouterMetrics>>,
     base: ClusterSpec,
     elastic: bool,
     make_cluster: Box<dyn FnMut(usize, ClusterSpec) -> Cluster>,
     workload: Option<WorkloadTemplate>,
     admin_seq: u64,
+    pub(crate) driver: TxDriver,
 }
 
-impl ShardedCluster {
+impl Deployment {
     /// Build `spec.shards` groups and align their clocks.
-    pub fn build(spec: ShardedClusterSpec) -> ShardedCluster {
+    pub fn build(spec: DeploymentSpec) -> Deployment {
         Self::build_with(spec, |_, gspec| Cluster::build(gspec))
     }
 
-    /// [`ShardedCluster::build`] with a per-group cluster factory — the
-    /// hook for mounting faulty replicas in selected groups (the factory
+    /// [`Deployment::build`] with a per-group cluster factory — the hook
+    /// for mounting faulty replicas in selected groups (the factory
     /// receives the shard index and the seed-decorrelated group spec, and
     /// typically calls [`Cluster::build`] or
     /// [`crate::byzantine::build_faulty_cluster`]). The factory is retained:
     /// splits use it to boot the target group, so it must own its captures
     /// (`'static`).
     pub fn build_with(
-        spec: ShardedClusterSpec,
+        spec: DeploymentSpec,
         make_cluster: impl FnMut(usize, ClusterSpec) -> Cluster + 'static,
-    ) -> ShardedCluster {
+    ) -> Deployment {
         assert!(spec.shards > 0, "a deployment needs at least one shard");
         let map = if spec.elastic {
             ShardMap::ranged(spec.shards as u32)
         } else {
             ShardMap::new(spec.shards as u32)
         };
+        let driver = TxDriver::new(&spec);
+        let mut base = spec.base;
+        base.num_clients += spec.initiators;
+        base.xshard |= spec.initiators > 0;
         let mut make_cluster: Box<dyn FnMut(usize, ClusterSpec) -> Cluster> =
             Box::new(make_cluster);
         let groups: Vec<Cluster> = (0..spec.shards)
-            .map(|s| {
-                let gspec = group_spec(&spec.base, spec.elastic.then_some(map), s);
-                make_cluster(s, gspec)
-            })
+            .map(|s| make_cluster(s, group_spec(&base, spec.elastic.then_some(map), s)))
             .collect();
-        let mut cluster = ShardedCluster {
+        let mut deployment = Deployment {
             router: ShardRouter::from_map(map),
             groups,
-            metrics: Rc::new(RefCell::new(RouterMetrics::default())),
-            base: spec.base,
+            router_metrics: Rc::new(RefCell::new(RouterMetrics::default())),
+            base,
             elastic: spec.elastic,
             make_cluster,
             workload: None,
             admin_seq: 0,
+            driver,
         };
-        cluster
-            .metrics
+        deployment
+            .router_metrics
             .borrow_mut()
             .observe_epoch(map.epoch(), map.shards() as usize);
         // Group builds settle independently (joins may take a different
         // number of rounds per seed); advance stragglers to the latest
         // clock so the lockstep invariant holds from here on.
-        let horizon = cluster
+        let horizon = deployment
             .groups
             .iter()
             .map(|g| g.sim.now())
             .max()
             .expect("non-empty");
-        for g in &mut cluster.groups {
+        for g in &mut deployment.groups {
             g.sim.run_until(horizon);
         }
-        cluster
+        deployment
     }
 
     /// The router of this deployment.
@@ -433,37 +457,45 @@ impl ShardedCluster {
         &mut self.groups[shard]
     }
 
+    /// Current shared virtual time.
+    pub fn now(&self) -> SimTime {
+        self.groups[0].sim.now()
+    }
+
     /// Route an operation through the deployment's router, recording the
     /// outcome in [`RouterMetrics`].
     pub fn route(&self, op: &KeyedOp) -> Result<usize, RouteError> {
         let verdict = self.router.route(op);
-        let mut m = self.metrics.borrow_mut();
+        let mut m = self.router_metrics.borrow_mut();
         m.observe_epoch(self.router.epoch(), self.router.shards());
         m.record(&verdict);
         verdict
     }
 
-    /// Counters accumulated by [`ShardedCluster::route`] and the workload
-    /// adapters installed by [`ShardedCluster::start_keyed_workload`].
+    /// Counters accumulated by [`Deployment::route`], the workload adapters
+    /// installed by [`Deployment::start_keyed_workload`] and the
+    /// `WrongEpoch` retries of the request and transaction paths.
     pub fn router_metrics(&self) -> RouterMetrics {
-        self.metrics.borrow().clone()
+        self.router_metrics.borrow().clone()
     }
 
-    /// Count one resolved `WrongEpoch` retry (drivers that re-route with
-    /// the map carried in the rejection call this — see [`crate::xshard`]).
-    pub fn note_epoch_retry(&self) {
-        self.metrics.borrow_mut().epoch_retries += 1;
+    /// Install `map` carried by a `WrongEpoch` rejection on the router and
+    /// count the retry it resolves.
+    pub(crate) fn note_epoch_retry(&self, map: ShardMap) {
+        self.router_metrics.borrow_mut().epoch_retries += 1;
+        self.router.install(map);
     }
 
-    /// The client indices of group `shard` available for background
-    /// workload (elastic deployments keep [`ADMIN_CLIENT`] free).
-    fn workload_clients(&self, shard: usize) -> Vec<usize> {
+    /// The background-workload clients of every group: all of them but the
+    /// elastic admin client and the transaction agents.
+    pub(crate) fn workload_clients(&self) -> std::ops::Range<usize> {
         let lo = if self.elastic { ADMIN_CLIENT + 1 } else { 0 };
-        (lo..self.groups[shard].clients.len()).collect()
+        lo..self.driver.first_agent
     }
 
-    /// Install a keyed workload on every client of every group (in elastic
-    /// deployments: every client except the reserved admin client).
+    /// Install a keyed workload on the workload clients of every group
+    /// (every client except the elastic admin client and the transaction
+    /// agents).
     ///
     /// `make_gen(shard, client)` produces the client's keyed stream. Each
     /// client rejection-samples its stream through the router: operations
@@ -473,7 +505,7 @@ impl ShardedCluster {
     /// group), and cross-shard operations are rejected and counted in
     /// [`RouterMetrics::rejected_cross_shard`].
     ///
-    /// The generator factory is retained: a later [`ShardedCluster::split`]
+    /// The generator factory is retained: a later [`Deployment::split`]
     /// replays it onto the newborn group's clients so the new shard
     /// receives offered load too.
     ///
@@ -488,38 +520,12 @@ impl ShardedCluster {
         self.install_template(None, make_gen);
     }
 
-    /// [`ShardedCluster::start_keyed_workload`] restricted to the given
-    /// client indices of each group (`indices[shard]`); the other clients
-    /// stay idle for manual driving (the cross-shard transaction agents).
-    /// Not retained for split replay — partial-coverage layouts re-cover
-    /// new groups themselves.
-    pub fn start_keyed_workload_on(
-        &mut self,
-        indices: &[Vec<usize>],
-        mut make_gen: impl FnMut(usize, usize) -> KeyedOpGen,
-    ) {
-        let router = self.router.clone();
-        let elastic = self.elastic;
-        for (s, group) in self.groups.iter_mut().enumerate() {
-            let metrics = &self.metrics;
-            group.start_workload_on(&indices[s], |client| {
-                adapt_keyed(
-                    router.clone(),
-                    Rc::clone(metrics),
-                    elastic,
-                    s,
-                    make_gen(s, client),
-                )
-            });
-        }
-    }
-
-    /// The **open-loop** counterpart of
-    /// [`ShardedCluster::start_keyed_workload`]: every workload client of
-    /// every group issues one routable operation per `pace` interval (see
-    /// [`Cluster::start_paced_workload`] for the slot semantics). Fault
-    /// scenarios use this so offered load stays constant while groups
-    /// degrade. Retained for split replay like the closed-loop variant.
+    /// The **open-loop** counterpart of [`Deployment::start_keyed_workload`]:
+    /// every workload client of every group issues one routable operation
+    /// per `pace` interval (see [`Cluster::start_paced_workload`] for the
+    /// slot semantics). Fault scenarios use this so offered load stays
+    /// constant while groups degrade. Retained for split replay like the
+    /// closed-loop variant.
     pub fn start_paced_keyed_workload(
         &mut self,
         pace: SimDuration,
@@ -528,33 +534,7 @@ impl ShardedCluster {
         self.install_template(Some(pace), make_gen);
     }
 
-    /// [`ShardedCluster::start_paced_keyed_workload`] restricted to the
-    /// given client indices of each group (`indices[shard]`). Not retained
-    /// for split replay.
-    pub fn start_paced_keyed_workload_on(
-        &mut self,
-        indices: &[Vec<usize>],
-        pace: SimDuration,
-        mut make_gen: impl FnMut(usize, usize) -> KeyedOpGen,
-    ) {
-        let router = self.router.clone();
-        let elastic = self.elastic;
-        for (s, group) in self.groups.iter_mut().enumerate() {
-            let metrics = &self.metrics;
-            group.start_paced_workload_on(&indices[s], pace, |client| {
-                adapt_keyed(
-                    router.clone(),
-                    Rc::clone(metrics),
-                    elastic,
-                    s,
-                    make_gen(s, client),
-                )
-            });
-        }
-    }
-
-    /// Store the full-coverage template and install it on every existing
-    /// group.
+    /// Store the template and install it on every existing group.
     fn install_template(
         &mut self,
         pace: Option<SimDuration>,
@@ -572,10 +552,10 @@ impl ShardedCluster {
 
     /// Install the template's generators on one group's workload clients.
     fn install_template_on_group(&mut self, template: &WorkloadTemplate, shard: usize) {
-        let indices = self.workload_clients(shard);
+        let indices: Vec<usize> = self.workload_clients().collect();
         let router = self.router.clone();
         let elastic = self.elastic;
-        let metrics = Rc::clone(&self.metrics);
+        let metrics = Rc::clone(&self.router_metrics);
         let make_gen = Rc::clone(&template.make_gen);
         let install = |client: usize| {
             adapt_keyed(
@@ -592,17 +572,40 @@ impl ShardedCluster {
         }
     }
 
-    /// Advance all groups in lockstep by `d` of shared virtual time.
+    /// Advance all groups in lockstep by `d` of shared virtual time. With
+    /// transaction initiators the clock moves in [`TX_POLL_INTERVAL`]
+    /// slices and the driver is pumped after each; without, it is one
+    /// lockstep call.
     pub fn run_for(&mut self, d: SimDuration) {
+        if !self.driver.is_active() {
+            self.lockstep(d);
+            return;
+        }
+        let mut left = d.as_nanos();
+        while left > 0 {
+            let slice = TX_POLL_INTERVAL.as_nanos().min(left);
+            self.lockstep(SimDuration::from_nanos(slice));
+            left -= slice;
+            self.pump();
+        }
+    }
+
+    /// Advance every group by `d` without pumping the transaction driver —
+    /// the clock of the admin and query paths, which read replies
+    /// themselves.
+    pub(crate) fn lockstep(&mut self, d: SimDuration) {
         run_lockstep(self.groups.iter_mut().map(|g| &mut g.sim), d);
     }
 
-    /// Stop issuing operations everywhere and drain in-flight work.
+    /// Stop all traffic and drain: workload generators are removed, no new
+    /// transactions are drawn, and the clock (and the driver, so in-flight
+    /// transactions finish or time out) runs on for `drain`.
     pub fn quiesce(&mut self, drain: SimDuration) {
         for g in &mut self.groups {
             g.quiesce(SimDuration::ZERO);
         }
         self.workload = None;
+        self.stop_transactions();
         self.run_for(drain);
     }
 
@@ -655,42 +658,33 @@ impl ShardedCluster {
         ShardedThroughput { per_shard_tps }
     }
 
-    /// Crash one member replica of one group — a *real* node failure (its
-    /// transient protocol state is gone), unlike the partition/stall faults
-    /// PR 3 limited itself to. The group keeps committing as long as at
-    /// most f members are down.
-    pub fn crash_member(&mut self, shard: usize, member: usize) {
-        self.groups[shard].crash_replica(member);
-    }
-
-    /// Restart a crashed member of one group. `preserve_disk` keeps the
-    /// replica's state region (its durable "disk" — including the xshard
-    /// section, so 2PC tables reload); otherwise it restarts blank and
-    /// reconstructs everything via checkpoint state transfer. Client
-    /// session keys are always lost (the §2.3 scenario).
-    pub fn restart_member(&mut self, shard: usize, member: usize, preserve_disk: bool) {
-        self.groups[shard].restart_replica(member, preserve_disk);
-    }
-
-    /// Are all replicas' state digests identical *within every group*?
-    /// (Safety holds per group; groups legitimately diverge from each other
-    /// — they serve disjoint key spaces.)
+    /// Are all replicas' states digest-identical *within every group*,
+    /// including the xshard section? (Safety holds per group; groups
+    /// legitimately diverge from each other — they serve disjoint key
+    /// spaces.) The region digest already covers the section — the 2PC
+    /// tables are ordinary Merkle-covered pages — but the per-section
+    /// comparison is kept explicit so a lock/stage/decision divergence is
+    /// reported even if the region comparison were ever relaxed.
     pub fn states_converged(&mut self) -> bool {
-        let all: Vec<Vec<usize>> = self
-            .groups
-            .iter()
-            .map(|g| (0..g.spec().cfg.n()).collect())
-            .collect();
-        self.groups
-            .iter_mut()
-            .zip(all)
-            .all(|(g, replicas)| g.states_converged(&replicas))
-    }
-
-    /// Drain every group's message trace into one shared timeline tagged by
-    /// shard index (requires `base.trace`).
-    pub fn merged_trace(&mut self) -> Vec<(usize, TraceEntry)> {
-        merge_traces(self.groups.iter_mut().map(|g| g.sim.take_trace()).collect())
+        let sec = pbft_xshard::xshard::xshard_section();
+        self.groups.iter_mut().all(|g| {
+            let all: Vec<usize> = (0..g.spec().cfg.n()).collect();
+            if !g.states_converged(&all) {
+                return false;
+            }
+            let mut images: Vec<Vec<u8>> = Vec::new();
+            for replica in all.iter().filter_map(|&i| g.replica(i)) {
+                let mut image = vec![0u8; sec.len as usize];
+                if sec
+                    .read(&replica.state_handle().borrow(), 0, &mut image)
+                    .is_err()
+                {
+                    return false; // region too small to hold the section
+                }
+                images.push(image);
+            }
+            images.windows(2).all(|w| w[0] == w[1])
+        })
     }
 
     // ----- elastic resharding -------------------------------------------
@@ -715,7 +709,12 @@ impl ShardedCluster {
     ///    the target;
     /// 6. commit the [`XMsg::Reshard`] on every remaining group;
     /// 7. install the new map on the router, clear the hold, and replay the
-    ///    stored workload template onto the newborn group.
+    ///    stored workload template onto the newborn group;
+    /// 8. pump the transaction driver once: a prepare that raced the split
+    ///    and landed on a shard that no longer owns its keys comes back
+    ///    `WrongEpoch`, which the driver records as a no-vote and answers by
+    ///    installing the carried map — so atomicity holds across the epoch
+    ///    boundary and the aborted transaction's successors re-route.
     ///
     /// # Panics
     /// Panics if the deployment is not elastic, if the routing-level split
@@ -728,14 +727,14 @@ impl ShardedCluster {
     ) -> SplitReport {
         assert!(
             self.elastic,
-            "split needs an elastic deployment (ShardedClusterSpec::elastic)"
+            "split needs an elastic deployment (DeploymentSpec::elastic)"
         );
         let started = self.groups[0].sim.now();
         let plan = self.router.map().split(source as u32);
 
         // 1. Steer new load around the moving span, drain what's in flight.
         self.router.hold(Some((plan.moved_lo, plan.moved_hi)));
-        self.run_for(SPLIT_DRAIN);
+        self.lockstep(SPLIT_DRAIN);
 
         // 2. The source flips first: after this ordered operation commits,
         //    no write to the moved span can ever commit on the source again,
@@ -804,22 +803,26 @@ impl ShardedCluster {
         // 7. Cut the routers over and release the held span.
         self.router.install(plan.new_map);
         self.router.hold(None);
-        self.metrics
+        self.router_metrics
             .borrow_mut()
             .observe_epoch(plan.new_map.epoch(), self.groups.len());
         if let Some(template) = self.workload.take() {
             self.install_template_on_group(&template, target);
             self.workload = Some(template);
         }
+        let handoff = self.now() - started;
 
+        // 8. Drain the WrongEpoch rejections the hand-off produced before
+        //    the caller resumes the run loop.
+        self.pump();
         SplitReport {
             plan,
             moved_bytes,
-            handoff: self.groups[0].sim.now() - started,
+            handoff,
         }
     }
 
-    /// [`ShardedCluster::split`] with the moved-span mapping derived from
+    /// [`Deployment::split`] with the moved-span mapping derived from
     /// the deployment's application kind: KV slots move with their keys
     /// (see [`kv_moved_spans`]); app kinds without per-key state move no
     /// application bytes — ownership still flips, which is all their
@@ -849,20 +852,9 @@ impl ShardedCluster {
                 .map()
                 .route(&keys)
                 .expect("keyed requests are single-group") as usize;
-            let framed = XMsg::KeyedOp {
-                txid: PROBE_TX,
-                keys: keys.clone(),
-                op: op.clone(),
-            }
-            .encode();
-            self.groups[shard].client_submit(ADMIN_CLIENT, framed, read_only);
-            let reply = self.await_reply(shard, |_| true);
-            match XReply::decode(&reply) {
-                Some(XReply::WrongEpoch { map, .. }) => {
-                    self.note_epoch_retry();
-                    self.router.install(map);
-                }
-                _ => return reply,
+            match self.probe_ownership(shard, keys.clone(), op.clone(), read_only) {
+                Err(map) => self.note_epoch_retry(map),
+                Ok(reply) => return reply,
             }
         }
         panic!("epoch retry did not converge in 8 rounds");
@@ -871,7 +863,10 @@ impl ShardedCluster {
     /// Ask group `shard` directly whether it owns `keys` under its
     /// installed epoch: `Ok(reply)` when it executed the probe, `Err(map)`
     /// with the group's map when it answered `WrongEpoch`. The
-    /// double-ownership audit sweeps every group with this.
+    /// double-ownership audit sweeps every group with this; with
+    /// `read_only` the probe rides the §2.1 optimistic read path (no
+    /// agreement), so `Err(map)` means the group's *read* gate rejected the
+    /// key — the read-side epoch audit of the resharding suites.
     // The Err carries the rejecting group's (`Copy`) map by value, like the
     // wire reply it unwraps — a test-audit path, not a hot one.
     #[allow(clippy::result_large_err)]
@@ -880,6 +875,7 @@ impl ShardedCluster {
         shard: usize,
         keys: Vec<Vec<u8>>,
         op: Vec<u8>,
+        read_only: bool,
     ) -> Result<Vec<u8>, ShardMap> {
         let framed = XMsg::KeyedOp {
             txid: PROBE_TX,
@@ -887,32 +883,7 @@ impl ShardedCluster {
             op,
         }
         .encode();
-        self.groups[shard].client_submit(ADMIN_CLIENT, framed, false);
-        let reply = self.await_reply(shard, |_| true);
-        match XReply::decode(&reply) {
-            Some(XReply::WrongEpoch { map, .. }) => Err(map),
-            _ => Ok(reply),
-        }
-    }
-
-    /// [`ShardedCluster::probe_ownership`] over the §2.1 optimistic read
-    /// path: the probe rides the read-only fast path (no agreement), so
-    /// `Err(map)` here means the group's *read* gate rejected the key —
-    /// the read-side epoch audit of the resharding suites.
-    #[allow(clippy::result_large_err)]
-    pub fn probe_read(
-        &mut self,
-        shard: usize,
-        keys: Vec<Vec<u8>>,
-        op: Vec<u8>,
-    ) -> Result<Vec<u8>, ShardMap> {
-        let framed = XMsg::KeyedOp {
-            txid: PROBE_TX,
-            keys,
-            op,
-        }
-        .encode();
-        self.groups[shard].client_submit(ADMIN_CLIENT, framed, true);
+        self.groups[shard].client_submit(ADMIN_CLIENT, framed, read_only);
         let reply = self.await_reply(shard, |_| true);
         match XReply::decode(&reply) {
             Some(XReply::WrongEpoch { map, .. }) => Err(map),
@@ -938,7 +909,7 @@ impl ShardedCluster {
     /// `accept`s; returns its bytes.
     fn await_reply(&mut self, shard: usize, accept: impl Fn(&[u8]) -> bool) -> Vec<u8> {
         for _ in 0..REPLY_TIMEOUT_SLICES {
-            self.run_for(REPLY_SLICE);
+            self.lockstep(REPLY_SLICE);
             for ev in self.groups[shard].take_client_events(ADMIN_CLIENT) {
                 if let ClientEvent::ReplyDelivered { result, .. } = ev {
                     if accept(&result) {
@@ -1092,7 +1063,7 @@ mod tests {
 
     #[test]
     fn sharded_build_aligns_clocks() {
-        let spec = ShardedClusterSpec {
+        let spec = DeploymentSpec {
             shards: 3,
             base: ClusterSpec {
                 num_clients: 2,
@@ -1100,14 +1071,14 @@ mod tests {
             },
             ..Default::default()
         };
-        let sc = ShardedCluster::build(spec);
+        let sc = Deployment::build(spec);
         let now = sc.group(0).sim.now();
         assert!((1..3).all(|s| sc.group(s).sim.now() == now));
     }
 
     #[test]
     fn keyed_workload_routes_and_completes_on_every_shard() {
-        let spec = ShardedClusterSpec {
+        let spec = DeploymentSpec {
             shards: 2,
             base: ClusterSpec {
                 num_clients: 3,
@@ -1115,7 +1086,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut sc = ShardedCluster::build(spec);
+        let mut sc = Deployment::build(spec);
         sc.start_keyed_workload(|shard, client| keyed_null_ops(128, (shard * 100 + client) as u64));
         let t = sc.measure_throughput(SimDuration::from_millis(200), SimDuration::from_millis(500));
         assert!(
@@ -1141,7 +1112,7 @@ mod tests {
 
     #[test]
     fn route_counts_cross_shard_rejections() {
-        let sc = ShardedCluster::build(ShardedClusterSpec {
+        let sc = Deployment::build(DeploymentSpec {
             shards: 8,
             base: ClusterSpec {
                 num_clients: 1,
@@ -1199,7 +1170,7 @@ mod tests {
     #[test]
     fn live_split_moves_keys_without_loss_or_double_ownership() {
         const SLOTS: u64 = 64;
-        let mut sc = ShardedCluster::build(ShardedClusterSpec {
+        let mut sc = Deployment::build(DeploymentSpec {
             shards: 2,
             base: ClusterSpec {
                 app: AppKind::Kv { slots: SLOTS },
@@ -1207,6 +1178,7 @@ mod tests {
                 ..Default::default()
             },
             elastic: true,
+            ..Default::default()
         });
         // Seed ground-truth keys through the epoch-checked request path.
         for key in 0..SLOTS {
@@ -1240,7 +1212,7 @@ mod tests {
             let owner = sc.router().route_key(&kb);
             let mut owners = 0;
             for shard in 0..sc.shards() {
-                match sc.probe_ownership(shard, vec![kb.clone()], KvApp::op_get(key)) {
+                match sc.probe_ownership(shard, vec![kb.clone()], KvApp::op_get(key), false) {
                     Ok(rec) => {
                         owners += 1;
                         assert_eq!(shard, owner, "only the router's owner serves key {key}");
@@ -1275,12 +1247,13 @@ mod tests {
         };
         base.cfg.engine = engine;
         base.cfg.checkpoint_interval = 32;
-        let spec = ShardedClusterSpec {
+        let spec = DeploymentSpec {
             shards: 2,
             base,
             elastic: true,
+            ..Default::default()
         };
-        let mut sc = ShardedCluster::build_with(spec, |shard, gspec| {
+        let mut sc = Deployment::build_with(spec, |shard, gspec| {
             if shard == 0 {
                 build_adversary_cluster(gspec, SEAT as u32)
             } else {
@@ -1288,11 +1261,11 @@ mod tests {
             }
         });
         sc.run_for(SimDuration::from_millis(100));
-        sc.crash_member(0, 2);
-        sc.crash_member(1, 3);
+        sc.group_mut(0).crash_replica(2);
+        sc.group_mut(1).crash_replica(3);
         sc.run_for(SimDuration::from_millis(100));
-        sc.restart_member(0, 2, false);
-        sc.restart_member(1, 3, true);
+        sc.group_mut(0).restart_replica(2, false);
+        sc.group_mut(1).restart_replica(3, true);
         sc.run_for(SimDuration::from_secs(1));
         sc.group_mut(0).proactive_recover(SEAT);
         sc.run_for(SimDuration::from_secs(1));
@@ -1332,7 +1305,7 @@ mod tests {
 
     #[test]
     fn split_panics_on_static_deployments() {
-        let mut sc = ShardedCluster::build(ShardedClusterSpec {
+        let mut sc = Deployment::build(DeploymentSpec {
             shards: 2,
             base: ClusterSpec {
                 num_clients: 1,

@@ -2,7 +2,7 @@
 //!
 //! Every integration suite used to open with the same ritual: a
 //! `ClusterSpec` with a fast view-change timeout, a "recovery" config with
-//! frequent checkpoints and the §2.4 body-fetch fix, an `XShardSpec`
+//! frequent checkpoints and the §2.4 body-fetch fix, a `DeploymentSpec`
 //! wrapper, a millisecond helper, and a pairwise exec-chain safety check.
 //! This module is that ritual, written once — the suites
 //! (`crates/harness/tests/*`, the root `tests/*`) and the scenario
@@ -16,8 +16,7 @@ use pbft_core::{Engine, PbftConfig};
 use simnet::SimDuration;
 
 use crate::cluster::{Cluster, ClusterSpec};
-use crate::shard::ShardedClusterSpec;
-use crate::xshard::XShardSpec;
+use crate::shard::{Deployment, DeploymentSpec};
 
 pub mod conformance;
 
@@ -100,19 +99,11 @@ pub fn fetching_spec(num_clients: usize, seed: u64) -> ClusterSpec {
     spec
 }
 
-/// A sharded deployment of `shards` groups built from `base`.
-pub fn sharded_spec(shards: usize, base: ClusterSpec) -> ShardedClusterSpec {
-    ShardedClusterSpec {
-        shards,
-        base,
-        elastic: false,
-    }
-}
-
-/// A cross-shard deployment: `shards` groups from `base`, driven by
-/// `initiators` transaction agents (driver timeouts at their defaults).
-pub fn xshard_spec(shards: usize, initiators: usize, base: ClusterSpec) -> XShardSpec {
-    XShardSpec {
+/// A static deployment of `shards` groups built from `base`, driven by
+/// `initiators` transaction agents (none: no cross-shard driver; driver
+/// timeouts at their defaults).
+pub fn deployment_spec(shards: usize, initiators: usize, base: ClusterSpec) -> DeploymentSpec {
+    DeploymentSpec {
         shards,
         base,
         initiators,
@@ -132,26 +123,32 @@ fn scenario_spec(engine: Engine, num_clients: usize, seed: u64) -> ClusterSpec {
     spec
 }
 
-/// A single group for scenario runs, running `engine` — the builder the
-/// conformance suite uses.
-pub fn scenario_cluster(engine: Engine, num_clients: usize, seed: u64) -> Cluster {
-    Cluster::build(scenario_spec(engine, num_clients, seed))
+/// A one-group deployment for scenario runs, running `engine` — the
+/// builder the conformance suite uses.
+pub fn scenario_deployment(engine: Engine, num_clients: usize, seed: u64) -> Deployment {
+    Deployment::build(deployment_spec(
+        1,
+        0,
+        scenario_spec(engine, num_clients, seed),
+    ))
 }
 
-/// [`scenario_cluster`] with member `compromised` additionally carrying a
-/// silent split-brain twin (see
+/// [`scenario_deployment`] with member `compromised` additionally carrying
+/// a silent split-brain twin (see
 /// [`build_adversary_cluster`](crate::byzantine::build_adversary_cluster)):
 /// the seat an adaptive adversary occupies, so every fault — including
 /// [`Fault::SplitBrain`](crate::byzantine::Fault::SplitBrain) — is
 /// mountable mid-run.
-pub fn adversary_cluster(
+pub fn adversary_deployment(
     engine: Engine,
     num_clients: usize,
     seed: u64,
     compromised: u32,
-) -> Cluster {
+) -> Deployment {
     let spec = scenario_spec(engine, num_clients, seed);
-    crate::byzantine::build_adversary_cluster(spec, compromised)
+    Deployment::build_with(deployment_spec(1, 0, spec), move |_, gspec| {
+        crate::byzantine::build_adversary_cluster(gspec, compromised)
+    })
 }
 
 /// Exec chains of the *correct* replicas must agree pairwise (safety), and
@@ -221,9 +218,9 @@ mod tests {
             fetching_spec(2, 1).cfg.checkpoint_interval,
             PbftConfig::default().checkpoint_interval
         );
-        let x = xshard_spec(2, 3, small_spec(1, 9));
+        let x = deployment_spec(2, 3, small_spec(1, 9));
         assert_eq!((x.shards, x.initiators, x.base.num_clients), (2, 3, 1));
-        assert_eq!(sharded_spec(8, small_spec(2, 4)).shards, 8);
+        assert!(!x.elastic);
     }
 
     #[test]
@@ -240,8 +237,10 @@ mod tests {
     }
 
     #[test]
-    fn scenario_cluster_mounts_and_unmounts_faults() {
-        let mut cluster = scenario_cluster(Engine::Pbft, 1, 5);
+    fn scenario_deployment_mounts_and_unmounts_faults() {
+        let mut deployment = scenario_deployment(Engine::Pbft, 1, 5);
+        assert_eq!(deployment.shards(), 1);
+        let cluster = deployment.group_mut(0);
         assert_eq!(cluster.mounted_fault(0), None);
         cluster.mount_fault(0, crate::byzantine::Fault::Mute);
         assert_eq!(

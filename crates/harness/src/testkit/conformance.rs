@@ -27,17 +27,16 @@ use pbft_core::Engine;
 use simnet::SimDuration;
 
 use super::{
-    adversary_cluster, assert_correct_replicas_agree, fetching_spec, ms, scenario_cluster,
-    sharded_spec, xshard_spec, AUDIT_TIMEOUT,
+    adversary_deployment, assert_correct_replicas_agree, deployment_spec, fetching_spec, ms,
+    scenario_deployment, AUDIT_TIMEOUT,
 };
 use pbft_core::app::KvApp;
 
 use crate::adversary::{Adversary, EquivocatingPrimary};
 use crate::cluster::AppKind;
 use crate::scenario::{paper, run_scenario, run_scenario_adaptive, ScenarioReport};
-use crate::shard::{ShardedCluster, ShardedClusterSpec};
+use crate::shard::{Deployment, DeploymentSpec};
 use crate::workload::{cross_null_txs, keyed_kv_ops, keyed_null_ops, null_ops};
-use crate::xshard::XShardCluster;
 
 /// Offered load for the conformance scripts: one op per client per 4 ms,
 /// open loop, so the offered rate stays fixed while the group degrades.
@@ -57,9 +56,11 @@ fn secs(n: u64) -> SimDuration {
 /// restarted ex-primary must fold back into a converged group.
 pub fn primary_crash_under_load(engine: Engine, seed: u64) -> ScenarioReport {
     let name = engine.name();
-    let mut cluster = scenario_cluster(engine, 4, seed);
-    cluster.start_paced_workload(PACE, |_| null_ops(64));
-    let report = run_scenario(&mut cluster, &paper::primary_crash_under_load());
+    let mut deployment = scenario_deployment(engine, 4, seed);
+    deployment
+        .group_mut(0)
+        .start_paced_workload(PACE, |_| null_ops(64));
+    let report = run_scenario(&mut deployment, &paper::primary_crash_under_load());
     let recovery = report
         .timeline
         .recovery_after(report.trace[0].at)
@@ -68,11 +69,12 @@ pub fn primary_crash_under_load(engine: Engine, seed: u64) -> ScenarioReport {
         recovery <= RECOVERY_BOUND,
         "{name}: failover recovery {recovery:?} exceeds the conformance bound"
     );
+    let cluster = deployment.group_mut(0);
     cluster.quiesce(secs(2));
     // The restarted ex-primary fast-forwards by state transfer (its chain
     // reseeds), so chains are compared among the never-crashed survivors
     // and the full group is held to state-digest convergence.
-    assert_correct_replicas_agree(&mut cluster, &[1, 2, 3]);
+    assert_correct_replicas_agree(cluster, &[1, 2, 3]);
     assert!(
         cluster.states_converged(&[0, 1, 2, 3]),
         "{name}: the restarted primary must fold back into the group"
@@ -85,9 +87,11 @@ pub fn primary_crash_under_load(engine: Engine, seed: u64) -> ScenarioReport {
 /// must drain its backlog and agree bit for bit.
 pub fn slow_primary(engine: Engine, seed: u64) -> ScenarioReport {
     let name = engine.name();
-    let mut cluster = scenario_cluster(engine, 4, seed);
-    cluster.start_paced_workload(PACE, |_| null_ops(64));
-    let report = run_scenario(&mut cluster, &paper::slow_primary());
+    let mut deployment = scenario_deployment(engine, 4, seed);
+    deployment
+        .group_mut(0)
+        .start_paced_workload(PACE, |_| null_ops(64));
+    let report = run_scenario(&mut deployment, &paper::slow_primary());
     let recovery = report
         .timeline
         .recovery_after(report.trace[0].at)
@@ -96,9 +100,10 @@ pub fn slow_primary(engine: Engine, seed: u64) -> ScenarioReport {
         recovery <= RECOVERY_BOUND,
         "{name}: slow-primary eviction {recovery:?} exceeds the conformance bound"
     );
+    let cluster = deployment.group_mut(0);
     cluster.run_for(secs(2));
     cluster.quiesce(secs(2));
-    assert_correct_replicas_agree(&mut cluster, &[0, 1, 2, 3]);
+    assert_correct_replicas_agree(cluster, &[0, 1, 2, 3]);
     report
 }
 
@@ -107,9 +112,11 @@ pub fn slow_primary(engine: Engine, seed: u64) -> ScenarioReport {
 /// member must rejoin by state transfer, and the whole group must converge.
 pub fn rolling_crash(engine: Engine, seed: u64) -> ScenarioReport {
     let name = engine.name();
-    let mut cluster = scenario_cluster(engine, 4, seed);
-    cluster.start_paced_workload(PACE, |_| null_ops(64));
-    let report = run_scenario(&mut cluster, &paper::rolling_crash());
+    let mut deployment = scenario_deployment(engine, 4, seed);
+    deployment
+        .group_mut(0)
+        .start_paced_workload(PACE, |_| null_ops(64));
+    let report = run_scenario(&mut deployment, &paper::rolling_crash());
     for mark in report.trace.iter().filter(|m| m.label.starts_with("crash")) {
         let recovery = report
             .timeline
@@ -121,6 +128,7 @@ pub fn rolling_crash(engine: Engine, seed: u64) -> ScenarioReport {
             mark.label
         );
     }
+    let cluster = deployment.group_mut(0);
     cluster.quiesce(secs(2));
     for m in 1..4 {
         let rm = cluster.replica_metrics(m);
@@ -143,9 +151,9 @@ pub fn coordinator_outage(engine: Engine, seed: u64) -> ScenarioReport {
     let name = engine.name();
     let mut base = fetching_spec(1, seed);
     base.cfg.engine = engine;
-    let mut xc = XShardCluster::build(xshard_spec(2, 4, base));
-    let map = xc.sharded().router().map();
-    xc.start_paced_background(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    let mut xc = Deployment::build(deployment_spec(2, 4, base));
+    let map = xc.router().map();
+    xc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
     let report = run_scenario(&mut xc, &paper::coordinator_outage());
     let heal = report.trace[1].clone();
@@ -158,7 +166,7 @@ pub fn coordinator_outage(engine: Engine, seed: u64) -> ScenarioReport {
         "{name}: post-heal recovery {recovery:?} exceeds the conformance bound"
     );
     xc.quiesce(secs(2));
-    if xc.metrics().tx_unresolved > 0 {
+    if xc.tx_metrics().tx_unresolved > 0 {
         xc.resolve_unresolved(AUDIT_TIMEOUT)
             .unwrap_or_else(|e| panic!("{name}: recovery pass failed: {e}"));
     }
@@ -174,7 +182,7 @@ pub fn partition_then_heal(engine: Engine, seed: u64) -> ScenarioReport {
     let name = engine.name();
     let mut base = fetching_spec(3, seed);
     base.cfg.engine = engine;
-    let mut sc = ShardedCluster::build(sharded_spec(2, base));
+    let mut sc = Deployment::build(deployment_spec(2, 0, base));
     sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     let report = run_scenario(&mut sc, &paper::partition_then_heal());
     let recovery = report
@@ -202,11 +210,13 @@ pub fn partition_then_heal(engine: Engine, seed: u64) -> ScenarioReport {
 /// recovery.
 pub fn equivocating_primary(engine: Engine, seed: u64) -> ScenarioReport {
     let name = engine.name();
-    let mut cluster = adversary_cluster(engine, 4, seed, 0);
-    cluster.start_paced_workload(PACE, |_| null_ops(64));
+    let mut deployment = adversary_deployment(engine, 4, seed, 0);
+    deployment
+        .group_mut(0)
+        .start_paced_workload(PACE, |_| null_ops(64));
     let mut adversaries = [Adversary::new(0, 0, EquivocatingPrimary)];
     let report = run_scenario_adaptive(
-        &mut cluster,
+        &mut deployment,
         &paper::equivocating_primary(),
         &mut adversaries,
         ms(25),
@@ -241,11 +251,12 @@ pub fn equivocating_primary(engine: Engine, seed: u64) -> ScenarioReport {
         "{name}: equivocation must not collapse availability: {}",
         report.timeline.availability()
     );
+    let cluster = deployment.group_mut(0);
     cluster.quiesce(secs(2));
     // The split's starved backup (and the rebooted seat) may have caught up
     // by state transfer; chains are compared among the never-rebooted
     // survivors and the whole group is held to state-digest convergence.
-    assert_correct_replicas_agree(&mut cluster, &[1, 2, 3]);
+    assert_correct_replicas_agree(cluster, &[1, 2, 3]);
     assert!(
         cluster.states_converged(&[0, 1, 2, 3]),
         "{name}: the recovered seat must fold back into the group"
@@ -262,9 +273,11 @@ pub fn equivocating_primary(engine: Engine, seed: u64) -> ScenarioReport {
 /// unmounts the lane must resume.
 pub fn censorship_under_recovery(engine: Engine, seed: u64) -> ScenarioReport {
     let name = engine.name();
-    let mut cluster = scenario_cluster(engine, 4, seed);
-    cluster.start_paced_workload(PACE, |_| null_ops(64));
-    let report = run_scenario(&mut cluster, &paper::censorship_under_recovery());
+    let mut deployment = scenario_deployment(engine, 4, seed);
+    deployment
+        .group_mut(0)
+        .start_paced_workload(PACE, |_| null_ops(64));
+    let report = run_scenario(&mut deployment, &paper::censorship_under_recovery());
     let t = &report.timeline;
     let lane = |b: &crate::scenario::TimelineBucket| b.per_client_completed[0];
 
@@ -309,11 +322,12 @@ pub fn censorship_under_recovery(engine: Engine, seed: u64) -> ScenarioReport {
         "{name}: the censored lane never resumed after the censor cleared"
     );
 
+    let cluster = deployment.group_mut(0);
     cluster.quiesce(secs(2));
     // A censor never lies in agreement, so every member is held to the full
     // check (the rebooted member's chain is skipped automatically — it
     // transferred).
-    assert_correct_replicas_agree(&mut cluster, &[0, 1, 2, 3]);
+    assert_correct_replicas_agree(cluster, &[0, 1, 2, 3]);
     report
 }
 
@@ -336,10 +350,11 @@ pub fn split_under_load(engine: Engine, seed: u64) -> ScenarioReport {
     base.cfg.checkpoint_interval = 32;
     base.cfg.congestion_window = super::CONFORMANCE_PIPELINE_DEPTH;
     base.app = AppKind::Kv { slots: SLOTS };
-    let mut sc = ShardedCluster::build(ShardedClusterSpec {
+    let mut sc = Deployment::build(DeploymentSpec {
         shards: 2,
         base,
         elastic: true,
+        ..Default::default()
     });
     sc.start_paced_keyed_workload(PACE, |s, c| keyed_kv_ops(SLOTS, (s * 10 + c) as u64));
     let script = Scenario {
@@ -393,7 +408,7 @@ pub fn split_under_load(engine: Engine, seed: u64) -> ScenarioReport {
         let mut owners = Vec::new();
         for shard in 0..sc.shards() {
             if sc
-                .probe_ownership(shard, vec![shard_key.clone()], KvApp::op_get(key))
+                .probe_ownership(shard, vec![shard_key.clone()], KvApp::op_get(key), false)
                 .is_ok()
             {
                 owners.push(shard);

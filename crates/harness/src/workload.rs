@@ -8,8 +8,7 @@
 //! * [`KeyedOpGen`] — the sharded shape: each operation additionally names
 //!   the **shard keys** it touches ([`KeyedOp`]), so the shard router can
 //!   assign it to the PBFT group owning those keys (or reject it as
-//!   cross-shard). [`ShardedCluster`](crate::shard::ShardedCluster) installs
-//!   these.
+//!   cross-shard). [`Deployment`](crate::Deployment) installs these.
 //! * [`TxGen`] — the transactional shape: each draw is a [`TxOp`], a *set*
 //!   of single-shard sub-operations to apply atomically. Transactions whose
 //!   sub-ops span groups go through the two-phase commit of
@@ -51,7 +50,7 @@ pub struct TxOp {
 }
 
 /// A generator producing the next transaction for a closed-loop initiator
-/// of a cross-shard deployment ([`crate::xshard::XShardCluster`]).
+/// of a deployment's cross-shard driver (see [`crate::xshard`]).
 pub type TxGen = Box<dyn FnMut(u64) -> TxOp>;
 
 /// Deterministic workload randomness: a stable hash over the generator tag,

@@ -1,15 +1,15 @@
 //! Cross-shard transaction driving: two-phase commit over a
-//! [`ShardedCluster`].
+//! [`Deployment`].
 //!
 //! [`crate::shard`] scales throughput by running N independent PBFT groups,
 //! but rejects any operation touching keys in two groups. This module layers
-//! the deterministic two-phase commit of [`pbft_xshard::xshard`] on top: an
-//! [`XShardCluster`] mounts every group's application inside the
-//! lock-and-log [`pbft_xshard::xshard::XShardApp`] wrapper and drives closed-loop
-//! **transaction initiators**, each owning one dedicated agent client *per
-//! group* (so an initiator can talk to every participant of its transaction
-//! concurrently while PBFT's one-outstanding-request-per-client rule holds
-//! per agent).
+//! the deterministic two-phase commit of [`pbft_xshard::xshard`] on top: a
+//! deployment built with `initiators > 0` mounts every group's application
+//! inside the lock-and-log [`pbft_xshard::xshard::XShardApp`] wrapper and
+//! its `TxDriver` runs closed-loop **transaction initiators**, each owning
+//! one dedicated agent client *per group* (so an initiator can talk to
+//! every participant of its transaction concurrently while PBFT's
+//! one-outstanding-request-per-client rule holds per agent).
 //!
 //! Per transaction drawn from a [`TxGen`]:
 //!
@@ -34,82 +34,43 @@
 //!    `Commit`s apply when the shard heals, and a shard that never voted
 //!    can only be aborted — never half-applied.
 //!
-//! [`XShardCluster::audit_atomicity`] is the ground-truth check the
-//! property tests lean on: it replays the transaction log against every
-//! participant group's quorum-certified `QueryApplied` answer and demands
-//! all-or-nothing application.
+//! [`Deployment::audit_atomicity`] is the ground-truth check the property
+//! tests lean on: it replays the transaction log against every participant
+//! group's quorum-certified `QueryApplied` answer and demands all-or-nothing
+//! application.
 //!
-//! Fault surface: beyond the PR 3 partition/stall faults
-//! ([`XShardCluster::isolate_shard`]/[`XShardCluster::heal_shard`]), the
-//! driver exposes *real* member faults —
-//! [`XShardCluster::crash_member`]/[`XShardCluster::restart_member`] crash
-//! and restart an individual replica inside a group, exercising the
-//! execution-skipping recovery paths the durable 2PC tables exist for
-//! (crash-restart over a preserved disk, and checkpoint state transfer
-//! that fast-forwards a blank restart over a transaction's prepare). A
-//! transaction abandoned [`TxOutcome::Unresolved`] (coordinator group
-//! unreachable after an all-yes vote) is settled after the heal by
-//! [`XShardCluster::resolve_unresolved`], which recovers the logged
-//! verdict via `QueryDecision` and releases the participants' held locks.
-//! [`XShardCluster::states_converged`] checks digests *including* the
-//! xshard section, so a lock-table divergence fails loudly.
+//! Faults come from the groups' own surface: a whole group cut off from
+//! its clients ([`Cluster::isolate_from_clients`] /
+//! [`Cluster::restore_links`]), or a member crashed and restarted inside a
+//! group ([`Cluster::crash_replica`] / [`Cluster::restart_replica`]),
+//! exercising the execution-skipping recovery paths the durable 2PC tables
+//! exist for (crash-restart over a preserved disk, and checkpoint state
+//! transfer that fast-forwards a blank restart over a transaction's
+//! prepare). A transaction abandoned [`TxOutcome::Unresolved`] (coordinator
+//! group unreachable after an all-yes vote) is settled after the heal by
+//! [`Deployment::resolve_unresolved`], which recovers the logged verdict
+//! via `QueryDecision` and releases the participants' held locks.
+//! [`Deployment::states_converged`] checks digests *including* the xshard
+//! section, so a lock-table divergence fails loudly.
+//!
+//! [`Cluster::isolate_from_clients`]: crate::cluster::Cluster::isolate_from_clients
+//! [`Cluster::restore_links`]: crate::cluster::Cluster::restore_links
+//! [`Cluster::crash_replica`]: crate::cluster::Cluster::crash_replica
+//! [`Cluster::restart_replica`]: crate::cluster::Cluster::restart_replica
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use pbft_core::client::ClientEvent;
 use pbft_xshard::routing::RouteError;
 use pbft_xshard::xshard::{TxCoordinator, TxId, XMsg, XReply, XShardOp};
 use simnet::{SimDuration, SimTime};
 
-use pbft_state::PagedState;
-use pbft_xshard::routing::SplitPlan;
+use crate::shard::{Deployment, DeploymentSpec};
+use crate::workload::TxGen;
 
-use crate::cluster::{Cluster, ClusterSpec};
-use crate::shard::{ShardedCluster, ShardedClusterSpec, SplitReport};
-use crate::workload::{KeyedOpGen, TxGen};
-
-/// Configuration of a cross-shard deployment.
-#[derive(Debug, Clone)]
-pub struct XShardSpec {
-    /// Number of PBFT groups.
-    pub shards: usize,
-    /// Per-group template. `base.num_clients` is the number of *background*
-    /// workload clients per group (the PR 2 single-shard path); the
-    /// transaction agents are mounted on top of them. `base.xshard` is
-    /// forced on.
-    pub base: ClusterSpec,
-    /// Closed-loop transaction initiators. Each initiator gets one agent
-    /// client on every group, so concurrent transactions never contend for
-    /// a client slot.
-    pub initiators: usize,
-    /// How long a transaction waits for all votes before deciding abort.
-    pub prepare_timeout: SimDuration,
-    /// How long the decide and finish phases wait before giving up on
-    /// unreachable groups (the transaction outcome is already determined).
-    pub finish_timeout: SimDuration,
-    /// Driver polling quantum: the lockstep slice between initiator pumps.
-    /// Smaller = tighter closed loop, more wall-clock overhead.
-    pub poll_interval: SimDuration,
-    /// Elastic mode: range-partitioned groups with replica-side ownership
-    /// gates, splittable at runtime via
-    /// [`XShardCluster::split`] (see
-    /// [`crate::shard::ShardedClusterSpec::elastic`]).
-    pub elastic: bool,
-}
-
-impl Default for XShardSpec {
-    fn default() -> Self {
-        XShardSpec {
-            shards: 4,
-            base: ClusterSpec::default(),
-            initiators: 4,
-            prepare_timeout: SimDuration::from_millis(100),
-            finish_timeout: SimDuration::from_millis(200),
-            poll_interval: SimDuration::from_micros(100),
-            elastic: false,
-        }
-    }
-}
+/// The driver's polling quantum: the lockstep slice between initiator
+/// pumps (and between reply checks of [`Deployment::submit_and_wait`]).
+pub const TX_POLL_INTERVAL: SimDuration = SimDuration::from_micros(100);
 
 /// Driver-side counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -128,7 +89,7 @@ pub struct XShardMetrics {
     /// Transactions abandoned with an undetermined outcome (coordinator
     /// unreachable after an all-yes vote; participants keep their locks
     /// until the coordinator heals and a
-    /// [`XShardCluster::resolve_unresolved`] pass settles them).
+    /// [`Deployment::resolve_unresolved`] pass settles them).
     pub tx_unresolved: u64,
     /// Previously-unresolved transactions that a recovery pass drove to
     /// commit (the coordinator had logged the commit decision).
@@ -150,7 +111,7 @@ pub struct XShardMetrics {
     pub finish_timeouts: u64,
     /// Single-group batches whose ack timed out (recorded committed — the
     /// batch executes when the shard processes its queue; see
-    /// [`XShardSpec::finish_timeout`]).
+    /// [`DeploymentSpec::finish_timeout`]).
     pub batch_timeouts: u64,
 }
 
@@ -178,7 +139,7 @@ pub struct TxRecord {
     /// Whether the transaction was single-group (`AtomicBatch`).
     pub single_group: bool,
     /// Final outcome ([`TxOutcome::Unresolved`] entries are rewritten in
-    /// place by [`XShardCluster::resolve_unresolved`]).
+    /// place by [`Deployment::resolve_unresolved`]).
     pub outcome: TxOutcome,
 }
 
@@ -240,220 +201,99 @@ impl Initiator {
     }
 }
 
-/// A running cross-shard deployment: a [`ShardedCluster`] whose groups run
-/// the [`pbft_xshard::xshard::XShardApp`] wrapper, plus the transaction driver.
+/// The cross-shard transaction driver a [`Deployment`] carries: the
+/// initiators' phase machines, their counters and the transaction log.
+/// With zero initiators it does nothing, and the deployment's clock runs
+/// unsliced.
 ///
-/// The 2PC driver above the groups is engine-agnostic: each group orders
-/// its operations with the engine `base.cfg.engine` names.
-pub struct XShardCluster {
-    sc: ShardedCluster,
-    bg_clients: usize,
+/// The driver is engine-agnostic: each group orders its operations with
+/// the engine `base.cfg.engine` names.
+pub(crate) struct TxDriver {
     initiators: Vec<Initiator>,
+    /// Client index of initiator 0's agent on every group; initiator `i`'s
+    /// agent is `first_agent + i`, after the `base.num_clients` workload
+    /// (and elastic admin) clients.
+    pub(crate) first_agent: usize,
     metrics: XShardMetrics,
     tx_log: Vec<TxRecord>,
     prepare_timeout: SimDuration,
     finish_timeout: SimDuration,
-    poll_interval: SimDuration,
 }
 
-impl XShardCluster {
-    /// Build the deployment (see [`XShardCluster::build_with`]).
-    pub fn build(spec: XShardSpec) -> XShardCluster {
-        Self::build_with(spec, |_, gspec| Cluster::build(gspec))
-    }
-
-    /// Build with a per-group cluster factory (the hook for mounting faulty
-    /// replicas in chosen groups; the factory receives the shard index and
-    /// the group's spec and usually calls [`Cluster::build`] or
-    /// [`crate::byzantine::build_faulty_cluster`]).
-    pub fn build_with(
-        spec: XShardSpec,
-        make_cluster: impl FnMut(usize, ClusterSpec) -> Cluster + 'static,
-    ) -> XShardCluster {
-        let bg_clients = spec.base.num_clients;
-        let mut base = spec.base.clone();
-        base.xshard = true;
-        // Elastic deployments reserve one extra client per group (index 0)
-        // for the reshard admin traffic — see `crate::shard::ADMIN_CLIENT`.
-        base.num_clients = bg_clients + spec.initiators + spec.elastic as usize;
-        let sc = ShardedCluster::build_with(
-            ShardedClusterSpec {
-                shards: spec.shards,
-                base,
-                elastic: spec.elastic,
-            },
-            make_cluster,
-        );
-        XShardCluster {
-            sc,
-            bg_clients,
+impl TxDriver {
+    pub(crate) fn new(spec: &DeploymentSpec) -> TxDriver {
+        TxDriver {
             initiators: (0..spec.initiators).map(|_| Initiator::new()).collect(),
+            first_agent: spec.base.num_clients,
             metrics: XShardMetrics::default(),
             tx_log: Vec::new(),
             prepare_timeout: spec.prepare_timeout,
             finish_timeout: spec.finish_timeout,
-            poll_interval: spec.poll_interval,
         }
     }
 
-    /// The underlying sharded cluster (groups, router, traces).
-    pub fn sharded(&self) -> &ShardedCluster {
-        &self.sc
+    /// Does the deployment run any initiators?
+    pub(crate) fn is_active(&self) -> bool {
+        !self.initiators.is_empty()
     }
+}
 
-    /// The underlying sharded cluster, mutably (fault injection).
-    pub fn sharded_mut(&mut self) -> &mut ShardedCluster {
-        &mut self.sc
-    }
-
-    /// Live-split group `source` under whatever transaction traffic is in
-    /// flight (see [`ShardedCluster::split`] for the hand-off protocol).
-    /// A prepare that raced the split and landed on a shard that no longer
-    /// owns its keys comes back [`XReply::WrongEpoch`]; the driver records
-    /// it as a no-vote, installs the carried map, and the aborted
-    /// transaction's successor draws re-route under the new epoch — so
-    /// atomicity holds across the epoch boundary without manual repair.
-    pub fn split(
-        &mut self,
-        source: usize,
-        moved_spans: impl Fn(&PagedState, &SplitPlan) -> Vec<(u64, usize)>,
-    ) -> SplitReport {
-        let report = self.sc.split(source, moved_spans);
-        // Drain any WrongEpoch rejections the hand-off produced before the
-        // caller resumes the run loop.
-        self.pump();
-        report
-    }
-
-    /// [`XShardCluster::split`] with the moved-span mapping derived from
-    /// the application kind (see [`ShardedCluster::split_auto`]).
-    pub fn split_auto(&mut self, source: usize) -> SplitReport {
-        let report = self.sc.split_auto(source);
-        self.pump();
-        report
-    }
-
-    /// Number of groups.
-    pub fn shards(&self) -> usize {
-        self.sc.shards()
-    }
-
-    /// Driver counters.
-    pub fn metrics(&self) -> XShardMetrics {
-        self.metrics
+impl Deployment {
+    /// Transaction-driver counters.
+    pub fn tx_metrics(&self) -> XShardMetrics {
+        self.driver.metrics
     }
 
     /// The transaction log (one record per finished transaction).
     pub fn tx_log(&self) -> &[TxRecord] {
-        &self.tx_log
+        &self.driver.tx_log
     }
 
     /// The client index of initiator `i`'s agent on every group.
     fn agent(&self, initiator: usize) -> usize {
-        self.client_offset() + self.bg_clients + initiator
-    }
-
-    /// Elastic deployments shift every workload/agent client up by one:
-    /// client 0 is reserved for reshard admin traffic.
-    fn client_offset(&self) -> usize {
-        self.sc.is_elastic() as usize
-    }
-
-    /// Current shared virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sc.group(0).sim.now()
-    }
-
-    /// Install the background (single-shard, PR 2 fast path) workload on
-    /// the `base.num_clients` ordinary clients of every group.
-    pub fn start_background(&mut self, mut make_gen: impl FnMut(usize, usize) -> KeyedOpGen) {
-        let off = self.client_offset();
-        let indices: Vec<Vec<usize>> = (0..self.sc.shards())
-            .map(|_| (off..off + self.bg_clients).collect())
-            .collect();
-        self.sc
-            .start_keyed_workload_on(&indices, |s, c| make_gen(s, c));
-    }
-
-    /// The open-loop counterpart of [`XShardCluster::start_background`]:
-    /// the ordinary clients issue one routable operation per `pace`
-    /// interval (see [`ShardedCluster::start_paced_keyed_workload_on`]).
-    pub fn start_paced_background(
-        &mut self,
-        pace: SimDuration,
-        mut make_gen: impl FnMut(usize, usize) -> KeyedOpGen,
-    ) {
-        let off = self.client_offset();
-        let indices: Vec<Vec<usize>> = (0..self.sc.shards())
-            .map(|_| (off..off + self.bg_clients).collect())
-            .collect();
-        self.sc
-            .start_paced_keyed_workload_on(&indices, pace, |s, c| make_gen(s, c));
+        self.driver.first_agent + initiator
     }
 
     /// Install a transaction stream on every initiator and issue the first
     /// transactions.
     pub fn start_transactions(&mut self, mut make_gen: impl FnMut(usize) -> TxGen) {
-        for i in 0..self.initiators.len() {
-            self.initiators[i].gen = Some(make_gen(i));
+        for (i, init) in self.driver.initiators.iter_mut().enumerate() {
+            init.gen = Some(make_gen(i));
         }
         self.pump();
     }
 
     /// Stop drawing new transactions (in-flight ones keep running).
     pub fn stop_transactions(&mut self) {
-        for init in &mut self.initiators {
+        for init in &mut self.driver.initiators {
             init.gen = None;
         }
     }
 
-    /// Advance shared virtual time by `d`, pumping the transaction driver
-    /// every [`XShardSpec::poll_interval`].
-    pub fn run_for(&mut self, d: SimDuration) {
-        let mut left = d.as_nanos();
-        while left > 0 {
-            let slice = self.poll_interval.as_nanos().min(left);
-            self.sc.run_for(SimDuration::from_nanos(slice));
-            left -= slice;
-            self.pump();
-        }
-    }
-
-    /// Stop all traffic and drain: background generators are removed, no
-    /// new transactions are drawn, and the driver keeps pumping for `drain`
-    /// so in-flight transactions finish or time out.
-    pub fn quiesce(&mut self, drain: SimDuration) {
-        for s in 0..self.sc.shards() {
-            self.sc.group_mut(s).quiesce(SimDuration::ZERO);
-        }
-        self.stop_transactions();
-        self.run_for(drain);
-    }
-
     /// Are all in-flight transactions finished (every initiator idle)?
     pub fn drained(&self) -> bool {
-        self.initiators
+        self.driver
+            .initiators
             .iter()
             .all(|i| matches!(i.phase, Phase::Idle))
     }
 
-    /// Total committed work units: background completions plus every
+    /// Total committed work units: workload-client completions plus every
     /// sub-operation applied by a committed transaction. Protocol traffic
     /// (prepares, decides, acks) is deliberately *not* counted — this is
-    /// application throughput, comparable with the PR 2 sharding numbers.
+    /// application throughput, comparable with the sharding numbers.
     pub fn committed_units(&self) -> u64 {
-        self.background_completed() + self.metrics.committed_sub_ops
+        self.background_completed() + self.driver.metrics.committed_sub_ops
     }
 
-    /// Completed requests of the background clients only.
+    /// Completed requests of the workload clients only (no agents, no
+    /// admin client).
     pub fn background_completed(&self) -> u64 {
-        let off = self.client_offset();
-        (0..self.sc.shards())
-            .map(|s| {
-                let g = self.sc.group(s);
-                (off..(off + self.bg_clients).min(g.clients.len()))
+        self.groups
+            .iter()
+            .flat_map(|g| {
+                self.workload_clients()
                     .map(|c| g.client_metrics(c).completed)
-                    .sum::<u64>()
             })
             .sum()
     }
@@ -463,9 +303,9 @@ impl XShardCluster {
     pub fn measure(&mut self, warmup: SimDuration, window: SimDuration) -> XShardThroughput {
         self.run_for(warmup);
         let units0 = self.committed_units();
-        let m0 = self.metrics;
+        let m0 = self.driver.metrics;
         self.run_for(window);
-        let m1 = self.metrics;
+        let m1 = self.driver.metrics;
         let committed = (m1.tx_committed + m1.local_txs) - (m0.tx_committed + m0.local_txs);
         let aborted = m1.tx_aborted - m0.tx_aborted;
         XShardThroughput {
@@ -473,68 +313,6 @@ impl XShardCluster {
             tx_committed: committed,
             tx_aborted: aborted,
         }
-    }
-
-    /// Partition a group's replicas from all of its clients — the
-    /// "participant shard crashed" fault: the group is healthy internally
-    /// but unreachable, so prepares time out and transactions abort.
-    pub fn isolate_shard(&mut self, shard: usize) {
-        let g = self.sc.group_mut(shard);
-        let (replicas, clients) = (g.replicas.clone(), g.clients.clone());
-        g.sim.partition(&replicas, &clients);
-    }
-
-    /// Heal every link of a group partitioned by
-    /// [`XShardCluster::isolate_shard`].
-    pub fn heal_shard(&mut self, shard: usize) {
-        self.sc.group_mut(shard).sim.heal_all();
-    }
-
-    /// Crash one member replica of one group mid-transaction — a real node
-    /// failure, not a partition (see [`ShardedCluster::crash_member`]).
-    pub fn crash_member(&mut self, shard: usize, member: usize) {
-        self.sc.crash_member(shard, member);
-    }
-
-    /// Restart a crashed member (see [`ShardedCluster::restart_member`]).
-    /// With `preserve_disk` the member reloads its 2PC tables from the
-    /// xshard section of its preserved region; without it, checkpoint state
-    /// transfer reinstalls them along with the rest of the region.
-    pub fn restart_member(&mut self, shard: usize, member: usize, preserve_disk: bool) {
-        self.sc.restart_member(shard, member, preserve_disk);
-    }
-
-    /// Are all replicas' states digest-identical within every group —
-    /// *including* the xshard section? The region digest already covers the
-    /// section (the 2PC tables are ordinary Merkle-covered pages since they
-    /// moved into the region), but the per-section comparison is kept
-    /// explicit so a lock/stage/decision divergence is reported even if the
-    /// surrounding region comparison were ever relaxed.
-    pub fn states_converged(&mut self) -> bool {
-        if !self.sc.states_converged() {
-            return false;
-        }
-        let sec = pbft_xshard::xshard::xshard_section();
-        for s in 0..self.sc.shards() {
-            let g = self.sc.group(s);
-            let mut images: Vec<Vec<u8>> = Vec::new();
-            for i in 0..g.spec().cfg.n() {
-                let Some(replica) = g.replica(i) else {
-                    continue;
-                };
-                let handle = replica.state_handle();
-                let st = handle.borrow();
-                let mut image = vec![0u8; sec.len as usize];
-                if sec.read(&st, 0, &mut image).is_err() {
-                    return false; // region too small to hold the section
-                }
-                images.push(image);
-            }
-            if !images.windows(2).all(|w| w[0] == w[1]) {
-                return false;
-            }
-        }
-        true
     }
 
     /// Submit `op` on initiator `initiator`'s agent of `shard` and run the
@@ -546,7 +324,7 @@ impl XShardCluster {
     /// the only manually drivable clients — build with `initiators >= 1` to
     /// use the query/audit surface), or when transactions are still in
     /// flight: the wait loop consumes the agents' replies itself, so it may
-    /// only run once the driver is [`drained`](XShardCluster::drained)
+    /// only run once the driver is [`drained`](Deployment::drained)
     /// (quiesce first) — otherwise it would eat an in-flight transaction's
     /// votes and acks and corrupt its outcome.
     pub fn submit_and_wait(
@@ -559,10 +337,10 @@ impl XShardCluster {
         timeout: SimDuration,
     ) -> Option<Vec<u8>> {
         assert!(
-            initiator < self.initiators.len(),
+            initiator < self.driver.initiators.len(),
             "submit_and_wait needs a transaction agent: initiator {initiator} of {} (build the \
              deployment with initiators >= 1 to use queries and audits)",
-            self.initiators.len()
+            self.driver.initiators.len()
         );
         assert!(
             self.drained(),
@@ -570,12 +348,12 @@ impl XShardCluster {
              transactions) before querying or auditing"
         );
         let agent = self.agent(initiator);
-        self.sc.group_mut(shard).client_submit(agent, op, read_only);
+        self.groups[shard].client_submit(agent, op, read_only);
         let mut waited = SimDuration::ZERO;
         while waited < timeout {
-            self.sc.run_for(self.poll_interval);
-            waited = waited.saturating_add(self.poll_interval);
-            for ev in self.sc.group_mut(shard).take_client_events(agent) {
+            self.lockstep(TX_POLL_INTERVAL);
+            waited = waited.saturating_add(TX_POLL_INTERVAL);
+            for ev in self.groups[shard].take_client_events(agent) {
                 if let ClientEvent::ReplyDelivered { result, .. } = ev {
                     match (match_txid, XReply::decode(&result)) {
                         // A plain-op caller must not be handed a stale
@@ -611,22 +389,8 @@ impl XShardCluster {
     /// A human-readable description of the first violation found, or of a
     /// shard that failed to answer within `timeout`.
     pub fn audit_atomicity(&mut self, timeout: SimDuration) -> Result<(), String> {
-        // Per-group GC floors, read straight from a live replica's region.
-        let floors: Vec<std::collections::BTreeMap<u64, TxId>> = (0..self.sc.shards())
-            .map(|s| {
-                let g = self.sc.group(s);
-                (0..g.spec().cfg.n())
-                    .find_map(|i| g.replica(i))
-                    .map(|r| pbft_xshard::xshard::read_gc_floors(&r.state_handle().borrow()))
-                    .unwrap_or_default()
-            })
-            .collect();
-        let gc_evicted = |shard: usize, txid: TxId| {
-            floors[shard]
-                .get(&(txid >> pbft_xshard::xshard::TX_STRIPE_SHIFT))
-                .is_some_and(|&floor| txid <= floor)
-        };
-        let records = self.tx_log.clone();
+        let floors = self.gc_floors();
+        let records = self.driver.tx_log.clone();
         for rec in records {
             let want = match rec.outcome {
                 TxOutcome::Committed => true,
@@ -636,7 +400,7 @@ impl XShardCluster {
                 TxOutcome::Unresolved => false,
             };
             for &shard in &rec.shards {
-                if gc_evicted(shard, rec.txid) {
+                if gc_evicted(&floors, shard, rec.txid) {
                     continue; // collected by the watermark: unauditable
                 }
                 let q = XMsg::QueryApplied { txid: rec.txid }.encode();
@@ -669,18 +433,18 @@ impl XShardCluster {
         Ok(())
     }
 
-    /// Is `txid` at or below the GC floor of `shard`'s group, read from a
-    /// live replica's region? (The audit pre-reads all floors instead —
-    /// this is the one-off variant for the recovery pass.)
-    fn shard_gc_evicted(&self, shard: usize, txid: TxId) -> bool {
-        let g = self.sc.group(shard);
-        let floors = (0..g.spec().cfg.n())
-            .find_map(|i| g.replica(i))
-            .map(|r| pbft_xshard::xshard::read_gc_floors(&r.state_handle().borrow()))
-            .unwrap_or_default();
-        floors
-            .get(&(txid >> pbft_xshard::xshard::TX_STRIPE_SHIFT))
-            .is_some_and(|&floor| txid <= floor)
+    /// Per-group GC floors (txid stripe → highest collected txid), read
+    /// straight from a live replica's region.
+    fn gc_floors(&self) -> Vec<BTreeMap<u64, TxId>> {
+        self.groups
+            .iter()
+            .map(|g| {
+                (0..g.spec().cfg.n())
+                    .find_map(|i| g.replica(i))
+                    .map(|r| pbft_xshard::xshard::read_gc_floors(&r.state_handle().borrow()))
+                    .unwrap_or_default()
+            })
+            .collect()
     }
 
     /// Recovery pass for [`TxOutcome::Unresolved`] transactions, run after
@@ -695,7 +459,7 @@ impl XShardCluster {
     /// then driven to every participant (`Commit`/`Abort`), releasing the
     /// locks participants held across the outage, and the transaction log
     /// entry is rewritten to the settled outcome (so
-    /// [`XShardCluster::audit_atomicity`] audits it like any other).
+    /// [`Deployment::audit_atomicity`] audits it like any other).
     ///
     /// # Errors
     /// A description of the first shard that failed to answer within
@@ -703,10 +467,11 @@ impl XShardCluster {
     ///
     /// # Panics
     /// Panics if transactions are still in flight (see
-    /// [`XShardCluster::submit_and_wait`]) or the deployment has no
+    /// [`Deployment::submit_and_wait`]) or the deployment has no
     /// initiators.
     pub fn resolve_unresolved(&mut self, timeout: SimDuration) -> Result<RecoveryReport, String> {
         let unresolved: Vec<(usize, TxRecord)> = self
+            .driver
             .tx_log
             .iter()
             .cloned()
@@ -767,7 +532,8 @@ impl XShardCluster {
                     // watermark speaking, not a violation, when the txid's
                     // records were garbage-collected on that group during a
                     // very long outage (same exemption as the audit).
-                    (true, Some(XReply::Aborted { .. })) if self.shard_gc_evicted(shard, txid) => {}
+                    (true, Some(XReply::Aborted { .. }))
+                        if gc_evicted(&self.gc_floors(), shard, txid) => {}
                     (false, Some(XReply::Committed { .. })) => {
                         return Err(format!(
                             "recovery found tx {txid:#x} applied on shard {shard} without a \
@@ -781,17 +547,17 @@ impl XShardCluster {
                     }
                 }
             }
-            self.tx_log[idx].outcome = if commit {
+            self.driver.tx_log[idx].outcome = if commit {
                 TxOutcome::Committed
             } else {
                 TxOutcome::Aborted
             };
             if commit {
                 report.committed += 1;
-                self.metrics.recovered_committed += 1;
+                self.driver.metrics.recovered_committed += 1;
             } else {
                 report.aborted += 1;
-                self.metrics.recovered_aborted += 1;
+                self.driver.metrics.recovered_aborted += 1;
             }
         }
         Ok(report)
@@ -801,9 +567,11 @@ impl XShardCluster {
     // The driver proper
     // ------------------------------------------------------------------
 
-    fn pump(&mut self) {
+    /// Hand every initiator its replies, enforce its deadlines, and start
+    /// its next transaction when idle.
+    pub(crate) fn pump(&mut self) {
         let now = self.now();
-        for i in 0..self.initiators.len() {
+        for i in 0..self.driver.initiators.len() {
             self.pump_initiator(i, now);
         }
     }
@@ -813,8 +581,8 @@ impl XShardCluster {
         // Collect this initiator's replies across all groups, tagged by
         // shard, before touching the phase machine.
         let mut replies: Vec<(usize, XReply)> = Vec::new();
-        for s in 0..self.sc.shards() {
-            for ev in self.sc.group_mut(s).take_client_events(agent) {
+        for s in 0..self.groups.len() {
+            for ev in self.groups[s].take_client_events(agent) {
                 if let ClientEvent::ReplyDelivered { result, .. } = ev {
                     if let Some(reply) = XReply::decode(&result) {
                         replies.push((s, reply));
@@ -822,7 +590,7 @@ impl XShardCluster {
                 }
             }
         }
-        let current = self.initiators[i].txid;
+        let current = self.driver.initiators[i].txid;
         for (shard, reply) in replies {
             if reply.txid() == current {
                 self.on_reply(i, shard, reply, now);
@@ -830,18 +598,18 @@ impl XShardCluster {
             // else: stale reply from an earlier (timed-out) transaction.
         }
         self.check_deadlines(i, now);
-        if matches!(self.initiators[i].phase, Phase::Idle) {
+        if matches!(self.driver.initiators[i].phase, Phase::Idle) {
             self.start_next(i, now);
         }
     }
 
     fn on_reply(&mut self, i: usize, shard: usize, reply: XReply, now: SimTime) {
         let agent = self.agent(i);
-        let init = &mut self.initiators[i];
+        let init = &mut self.driver.initiators[i];
         match (&mut init.phase, reply) {
             (Phase::Batch { .. }, XReply::Committed { replies, .. }) => {
-                self.metrics.local_txs += 1;
-                self.metrics.committed_sub_ops += replies.len() as u64;
+                self.driver.metrics.local_txs += 1;
+                self.driver.metrics.committed_sub_ops += replies.len() as u64;
                 self.finish(i, TxOutcome::Committed);
             }
             (
@@ -866,8 +634,8 @@ impl XShardCluster {
                     // rejection as a no-vote: the transaction aborts
                     // deterministically in the old epoch.
                     XReply::WrongEpoch { map, .. } => {
-                        self.sc.router().install(map);
-                        self.sc.note_epoch_retry();
+                        self.router.install(map);
+                        self.router_metrics.borrow_mut().epoch_retries += 1;
                         (false, true)
                     }
                     _ => (false, false),
@@ -883,16 +651,14 @@ impl XShardCluster {
                         commit: verdict,
                         conflict,
                         timed_out: false,
-                        deadline: now + self.finish_timeout,
+                        deadline: now + self.driver.finish_timeout,
                     };
                     let decide = XMsg::Decide {
                         txid,
                         commit: verdict,
                     }
                     .encode();
-                    self.sc
-                        .group_mut(coordinator)
-                        .client_submit(agent, decide, false);
+                    self.groups[coordinator].client_submit(agent, decide, false);
                 }
             }
             (
@@ -917,7 +683,7 @@ impl XShardCluster {
                     timed_out,
                     pending: shards.iter().copied().collect(),
                     sub_ops_applied: 0,
-                    deadline: now + self.finish_timeout,
+                    deadline: now + self.driver.finish_timeout,
                 };
                 let msg = if commit {
                     XMsg::Commit { txid }
@@ -925,9 +691,7 @@ impl XShardCluster {
                     XMsg::Abort { txid }
                 };
                 for s in shards {
-                    self.sc
-                        .group_mut(s)
-                        .client_submit(agent, msg.encode(), false);
+                    self.groups[s].client_submit(agent, msg.encode(), false);
                 }
             }
             // Only real finish acks count: a late vote or DecisionLogged for
@@ -963,7 +727,7 @@ impl XShardCluster {
             SettleFinish,
         }
         let action = {
-            let init = &mut self.initiators[i];
+            let init = &mut self.driver.initiators[i];
             match &mut init.phase {
                 Phase::Batch { sub_ops, deadline } if now >= *deadline => {
                     Action::SettleBatch { sub_ops: *sub_ops }
@@ -1005,27 +769,28 @@ impl XShardCluster {
                 // retransmits until the (possibly stalled) group orders it,
                 // so the truthful record is "committed"; the late ack is
                 // dropped by the stale-txid filter when it arrives.
-                self.metrics.batch_timeouts += 1;
-                self.metrics.local_txs += 1;
-                self.metrics.committed_sub_ops += sub_ops;
+                self.driver.metrics.batch_timeouts += 1;
+                self.driver.metrics.local_txs += 1;
+                self.driver.metrics.committed_sub_ops += sub_ops;
                 self.finish(i, TxOutcome::Committed);
             }
             Action::DecideAbort { conflict } => {
-                let (txid, coordinator) = (self.initiators[i].txid, self.initiators[i].coordinator);
-                self.initiators[i].phase = Phase::Deciding {
+                let (txid, coordinator) = (
+                    self.driver.initiators[i].txid,
+                    self.driver.initiators[i].coordinator,
+                );
+                self.driver.initiators[i].phase = Phase::Deciding {
                     commit: false,
                     conflict,
                     timed_out: true,
-                    deadline: now + self.finish_timeout,
+                    deadline: now + self.driver.finish_timeout,
                 };
                 let decide = XMsg::Decide {
                     txid,
                     commit: false,
                 }
                 .encode();
-                self.sc
-                    .group_mut(coordinator)
-                    .client_submit(agent, decide, false);
+                self.groups[coordinator].client_submit(agent, decide, false);
             }
             Action::AbandonCommit => {
                 // All participants voted yes but the commit decision could
@@ -1035,7 +800,7 @@ impl XShardCluster {
                 // Decide still queued there. Participants keep their locks
                 // until the coordinator heals and `resolve_unresolved`
                 // recovers the verdict via QueryDecision.
-                self.metrics.tx_unresolved += 1;
+                self.driver.metrics.tx_unresolved += 1;
                 self.finish(i, TxOutcome::Unresolved);
             }
             Action::AbortAll {
@@ -1044,23 +809,24 @@ impl XShardCluster {
             } => {
                 // The abort verdict needs no durable record (presumed
                 // abort): release the participants directly.
-                let (txid, shards) = (self.initiators[i].txid, self.initiators[i].shards.clone());
-                self.initiators[i].phase = Phase::Finishing {
+                let (txid, shards) = (
+                    self.driver.initiators[i].txid,
+                    self.driver.initiators[i].shards.clone(),
+                );
+                self.driver.initiators[i].phase = Phase::Finishing {
                     commit: false,
                     conflict,
                     timed_out,
                     pending: shards.iter().copied().collect(),
                     sub_ops_applied: 0,
-                    deadline: now + self.finish_timeout,
+                    deadline: now + self.driver.finish_timeout,
                 };
                 for s in shards {
-                    self.sc
-                        .group_mut(s)
-                        .client_submit(agent, XMsg::Abort { txid }.encode(), false);
+                    self.groups[s].client_submit(agent, XMsg::Abort { txid }.encode(), false);
                 }
             }
             Action::SettleFinish => {
-                self.metrics.finish_timeouts += 1;
+                self.driver.metrics.finish_timeouts += 1;
                 self.settle_finish(i);
             }
         }
@@ -1074,21 +840,21 @@ impl XShardCluster {
             timed_out,
             sub_ops_applied,
             ..
-        } = std::mem::replace(&mut self.initiators[i].phase, Phase::Idle)
+        } = std::mem::replace(&mut self.driver.initiators[i].phase, Phase::Idle)
         else {
             return;
         };
         if commit {
-            self.metrics.tx_committed += 1;
-            self.metrics.committed_sub_ops += sub_ops_applied;
+            self.driver.metrics.tx_committed += 1;
+            self.driver.metrics.committed_sub_ops += sub_ops_applied;
             self.finish(i, TxOutcome::Committed);
         } else {
-            self.metrics.tx_aborted += 1;
+            self.driver.metrics.tx_aborted += 1;
             if conflict {
-                self.metrics.aborts_conflict += 1;
+                self.driver.metrics.aborts_conflict += 1;
             }
             if timed_out {
-                self.metrics.aborts_timeout += 1;
+                self.driver.metrics.aborts_timeout += 1;
             }
             self.finish(i, TxOutcome::Aborted);
         }
@@ -1096,8 +862,8 @@ impl XShardCluster {
 
     /// Record the transaction's outcome and return the initiator to idle.
     fn finish(&mut self, i: usize, outcome: TxOutcome) {
-        let init = &mut self.initiators[i];
-        self.tx_log.push(TxRecord {
+        let init = &mut self.driver.initiators[i];
+        self.driver.tx_log.push(TxRecord {
             txid: init.txid,
             shards: init.shards.clone(),
             coordinator: init.coordinator,
@@ -1109,8 +875,8 @@ impl XShardCluster {
 
     fn start_next(&mut self, i: usize, now: SimTime) {
         let agent = self.agent(i);
-        let map = self.sc.router().map();
-        let init = &mut self.initiators[i];
+        let map = self.router.map();
+        let init = &mut self.driver.initiators[i];
         let Some(gen) = &mut init.gen else { return };
         let seq = init.next_seq;
         init.next_seq += 1;
@@ -1120,7 +886,7 @@ impl XShardCluster {
         let routed = match XShardOp::route(txid, tx.sub_ops, &map) {
             Ok(routed) => routed,
             Err(RouteError::NoKeys | RouteError::CrossShard { .. }) => {
-                self.metrics.rejected_draws += 1;
+                self.driver.metrics.rejected_draws += 1;
                 return; // skip this draw; next pump tries the next one
             }
         };
@@ -1131,30 +897,33 @@ impl XShardCluster {
             let leg = routed.legs.into_iter().next().expect("one leg");
             init.phase = Phase::Batch {
                 sub_ops: leg.ops.len() as u64,
-                deadline: now + self.finish_timeout,
+                deadline: now + self.driver.finish_timeout,
             };
             let op = XMsg::AtomicBatch { txid, ops: leg.ops }.encode();
-            self.sc
-                .group_mut(leg.shard as usize)
-                .client_submit(agent, op, false);
+            self.groups[leg.shard as usize].client_submit(agent, op, false);
         } else {
             let tally = TxCoordinator::new(routed.legs.iter().map(|l| l.shard));
             init.phase = Phase::Preparing {
                 tally,
                 conflict: false,
-                deadline: now + self.prepare_timeout,
+                deadline: now + self.driver.prepare_timeout,
             };
             for leg in routed.legs {
                 let op = XMsg::Prepare { txid, ops: leg.ops }.encode();
-                self.sc
-                    .group_mut(leg.shard as usize)
-                    .client_submit(agent, op, false);
+                self.groups[leg.shard as usize].client_submit(agent, op, false);
             }
         }
     }
 }
 
-/// What a [`XShardCluster::resolve_unresolved`] pass settled.
+/// Is `txid` at or below the GC floor of `shard`'s group in `floors`?
+fn gc_evicted(floors: &[BTreeMap<u64, TxId>], shard: usize, txid: TxId) -> bool {
+    floors[shard]
+        .get(&(txid >> pbft_xshard::xshard::TX_STRIPE_SHIFT))
+        .is_some_and(|&floor| txid <= floor)
+}
+
+/// What a [`Deployment::resolve_unresolved`] pass settled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Transactions whose logged decision was commit: commits delivered to
@@ -1192,10 +961,11 @@ impl XShardThroughput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterSpec;
     use crate::workload::{cross_null_txs, keyed_null_ops};
 
-    fn small_spec(shards: usize, initiators: usize) -> XShardSpec {
-        XShardSpec {
+    fn small_spec(shards: usize, initiators: usize) -> DeploymentSpec {
+        DeploymentSpec {
             shards,
             base: ClusterSpec {
                 num_clients: 2,
@@ -1208,13 +978,13 @@ mod tests {
 
     #[test]
     fn cross_shard_transactions_commit_and_audit_clean() {
-        let mut xc = XShardCluster::build(small_spec(2, 2));
-        let map = xc.sharded().router().map();
-        xc.start_background(|s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+        let mut xc = Deployment::build(small_spec(2, 2));
+        let map = xc.router().map();
+        xc.start_keyed_workload(|s, c| keyed_null_ops(64, (s * 10 + c) as u64));
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
         xc.run_for(SimDuration::from_millis(800));
         xc.quiesce(SimDuration::from_millis(500));
-        let m = xc.metrics();
+        let m = xc.tx_metrics();
         assert!(m.tx_committed > 0, "2PC transactions must commit: {m:?}");
         assert_eq!(m.committed_sub_ops, (2 * m.tx_committed));
         assert!(
@@ -1232,12 +1002,12 @@ mod tests {
         // Two initiators fighting over a two-key space: conflicts are near
         // certain, and every abort must release its locks so later
         // transactions can still commit.
-        let mut xc = XShardCluster::build(small_spec(2, 2));
-        let map = xc.sharded().router().map();
+        let mut xc = Deployment::build(small_spec(2, 2));
+        let map = xc.router().map();
         xc.start_transactions(|i| cross_null_txs(map, 32, 4, i as u64));
         xc.run_for(SimDuration::from_secs(1));
         xc.quiesce(SimDuration::from_millis(500));
-        let m = xc.metrics();
+        let m = xc.tx_metrics();
         assert!(m.tx_committed > 0, "the system must not livelock: {m:?}");
         assert!(m.aborts_conflict > 0, "a 4-key space must conflict: {m:?}");
         xc.audit_atomicity(SimDuration::from_millis(200))
@@ -1246,16 +1016,16 @@ mod tests {
 
     #[test]
     fn isolated_participant_times_out_to_abort() {
-        let mut xc = XShardCluster::build(XShardSpec {
+        let mut xc = Deployment::build(DeploymentSpec {
             prepare_timeout: SimDuration::from_millis(50),
             finish_timeout: SimDuration::from_millis(50),
             ..small_spec(2, 1)
         });
-        let map = xc.sharded().router().map();
-        xc.isolate_shard(1);
+        let map = xc.router().map();
+        xc.group_mut(1).isolate_from_clients();
         xc.start_transactions(|i| cross_null_txs(map, 32, 1 << 20, i as u64));
         xc.run_for(SimDuration::from_millis(600));
-        let m = xc.metrics();
+        let m = xc.tx_metrics();
         assert!(
             m.aborts_timeout > 0,
             "unreachable participant must abort: {m:?}"
@@ -1265,7 +1035,7 @@ mod tests {
             "no transaction can commit without shard 1"
         );
         // Heal, drain the backlog, and every outcome must audit atomic.
-        xc.heal_shard(1);
+        xc.group_mut(1).restore_links();
         xc.quiesce(SimDuration::from_secs(2));
         xc.audit_atomicity(SimDuration::from_millis(500))
             .expect("atomic after heal");
@@ -1273,12 +1043,12 @@ mod tests {
 
     #[test]
     fn batch_to_an_isolated_shard_times_out_instead_of_wedging() {
-        let mut xc = XShardCluster::build(XShardSpec {
+        let mut xc = Deployment::build(DeploymentSpec {
             finish_timeout: SimDuration::from_millis(50),
             ..small_spec(2, 1)
         });
-        let victim = xc.sharded().router().route_key(b"same");
-        xc.isolate_shard(victim);
+        let victim = xc.router().route_key(b"same");
+        xc.group_mut(victim).isolate_from_clients();
         // Every draw is a single-group batch homed on the isolated shard.
         xc.start_transactions(|_| {
             Box::new(|seq| crate::workload::TxOp {
@@ -1289,14 +1059,14 @@ mod tests {
             })
         });
         xc.run_for(SimDuration::from_millis(300));
-        let m = xc.metrics();
+        let m = xc.tx_metrics();
         assert!(m.batch_timeouts > 0, "the initiator must not wedge: {m:?}");
         xc.stop_transactions();
         xc.run_for(SimDuration::from_millis(100));
         assert!(xc.drained(), "initiator returns to idle after each timeout");
         // After healing, the queued batches execute (they cannot abort) and
         // the committed records audit clean.
-        xc.heal_shard(victim);
+        xc.group_mut(victim).restore_links();
         xc.quiesce(SimDuration::from_secs(2));
         xc.audit_atomicity(SimDuration::from_millis(500))
             .expect("atomic after heal");
@@ -1304,11 +1074,13 @@ mod tests {
 
     #[test]
     fn split_under_live_2pc_stays_atomic_and_stale_routes_recover() {
-        let mut xc = XShardCluster::build(XShardSpec {
-            elastic: true,
-            ..small_spec(2, 2)
-        });
-        let old_map = xc.sharded().router().map();
+        // Client 0 of an elastic group is the admin client; one more
+        // client keeps the two workload clients of the static layout.
+        let mut spec = small_spec(2, 2);
+        spec.elastic = true;
+        spec.base.num_clients += 1;
+        let mut xc = Deployment::build(spec);
+        let old_map = xc.router().map();
         xc.start_transactions(|i| cross_null_txs(old_map, 64, 1 << 20, i as u64));
         // Transactions mid-flight, then split group 0 underneath them: a
         // prepare staged before the flip completes in the old epoch (the
@@ -1323,17 +1095,17 @@ mod tests {
         // keys now land on a group that no longer owns them; the driver
         // must turn each WrongEpoch into a no-vote abort, install the
         // carried map, and commit the successor draws under epoch 1.
-        xc.sharded().router().force(old_map);
+        xc.router().force(old_map);
         xc.run_for(SimDuration::from_millis(300));
         xc.quiesce(SimDuration::from_millis(500));
-        let m = xc.metrics();
+        let m = xc.tx_metrics();
         assert!(m.tx_committed > 0, "{m:?}");
         assert!(
-            xc.sharded().router_metrics().epoch_retries > 0,
+            xc.router_metrics().epoch_retries > 0,
             "stale-routed prepares must be rejected and retried: {m:?}"
         );
         assert_eq!(
-            xc.sharded().router().epoch(),
+            xc.router().epoch(),
             1,
             "the rejection's carried map re-installs itself"
         );
@@ -1345,7 +1117,7 @@ mod tests {
 
     #[test]
     fn single_group_transactions_take_the_batch_path() {
-        let mut xc = XShardCluster::build(small_spec(2, 1));
+        let mut xc = Deployment::build(small_spec(2, 1));
         // A generator whose two sub-ops share one key: always single-leg.
         xc.start_transactions(|_| {
             Box::new(|seq| crate::workload::TxOp {
@@ -1363,7 +1135,7 @@ mod tests {
         });
         xc.run_for(SimDuration::from_millis(400));
         xc.quiesce(SimDuration::from_millis(300));
-        let m = xc.metrics();
+        let m = xc.tx_metrics();
         assert!(m.local_txs > 0, "{m:?}");
         assert_eq!(
             m.tx_committed, 0,

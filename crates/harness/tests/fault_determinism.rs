@@ -8,8 +8,8 @@
 //! byte-identical event traces and byte-identical availability timelines,
 //! down to the per-client completion counts in every 25 ms bucket.
 //!
-//! The cluster is built through
-//! [`adversary_cluster`](harness::testkit::adversary_cluster)
+//! The group is built through
+//! [`adversary_deployment`](harness::testkit::adversary_deployment)
 //! so member 0 carries a provisioned split-brain twin — that makes
 //! [`Fault::SplitBrain`] mountable at runtime like every other fault, and
 //! simultaneously checks that a *dormant* twin perturbs nothing (the six
@@ -18,7 +18,7 @@
 
 use harness::byzantine::Fault;
 use harness::scenario::{run_scenario, Scenario, ScenarioEvent, ScenarioReport};
-use harness::testkit::{adversary_cluster, ms};
+use harness::testkit::{adversary_deployment, ms};
 use harness::workload::null_ops;
 use pbft_core::Engine;
 
@@ -44,8 +44,10 @@ fn all_faults() -> [Fault; 7] {
 /// through 1600 ms. Returns the full report plus the completed-op count
 /// so post-scenario divergence would also be caught.
 fn one_run(engine: Engine, seed: u64, fault: Fault) -> (ScenarioReport, u64) {
-    let mut cluster = adversary_cluster(engine, 2, seed, 0);
-    cluster.start_paced_workload(ms(5), |_| null_ops(64));
+    let mut deployment = adversary_deployment(engine, 2, seed, 0);
+    deployment
+        .group_mut(0)
+        .start_paced_workload(ms(5), |_| null_ops(64));
     let scenario = Scenario {
         name: "determinism-probe",
         duration: ms(1_600),
@@ -68,8 +70,8 @@ fn one_run(engine: Engine, seed: u64, fault: Fault) -> (ScenarioReport, u64) {
             ),
         ],
     };
-    let report = run_scenario(&mut cluster, &scenario);
-    (report, cluster.completed())
+    let report = run_scenario(&mut deployment, &scenario);
+    (report, deployment.completed())
 }
 
 /// Two runs from the same seed must be indistinguishable, for every fault.

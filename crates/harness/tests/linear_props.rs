@@ -13,7 +13,7 @@
 
 use harness::byzantine::Fault;
 use harness::scenario::{run_scenario, Scenario, ScenarioEvent};
-use harness::testkit::{assert_correct_replicas_agree, ms, scenario_cluster};
+use harness::testkit::{assert_correct_replicas_agree, ms, scenario_deployment};
 use harness::workload::null_ops;
 use pbft_core::Engine;
 use simnet::SimDuration;
@@ -102,15 +102,18 @@ fn random_schedules_preserve_linear_single_group_safety() {
         let seed = g.u64_in(1..1_000);
         let events = random_schedule(g, 2_400);
         let n_events = events.len();
-        let mut cluster = scenario_cluster(Engine::Linear, 3, seed);
-        cluster.start_paced_workload(ms(5), |_| null_ops(64));
+        let mut deployment = scenario_deployment(Engine::Linear, 3, seed);
+        deployment
+            .group_mut(0)
+            .start_paced_workload(ms(5), |_| null_ops(64));
         let scenario = Scenario {
             name: "linear-random-single",
             duration: ms(3_000),
             bucket: ms(50),
             events,
         };
-        let report = run_scenario(&mut cluster, &scenario);
+        let report = run_scenario(&mut deployment, &scenario);
+        let cluster = deployment.group_mut(0);
         assert_eq!(
             report.trace.len(),
             n_events,
@@ -120,7 +123,7 @@ fn random_schedules_preserve_linear_single_group_safety() {
         // workload drains.
         cluster.run_for(SimDuration::from_secs(2));
         cluster.quiesce(SimDuration::from_secs(2));
-        assert_correct_replicas_agree(&mut cluster, &[0, 1, 2, 3]);
+        assert_correct_replicas_agree(cluster, &[0, 1, 2, 3]);
     });
 }
 
@@ -135,7 +138,8 @@ fn random_schedules_preserve_linear_single_group_safety() {
 /// its own voice.
 #[test]
 fn tampered_linear_leader_qcs_are_rejected_and_rotation_recovers() {
-    let mut cluster = scenario_cluster(Engine::Linear, 3, 91);
+    let mut deployment = scenario_deployment(Engine::Linear, 3, 91);
+    let cluster = deployment.group_mut(0);
     cluster.mount_fault(0, Fault::TamperAgreement);
     cluster.start_paced_workload(ms(5), |_| null_ops(64));
     cluster.run_for(SimDuration::from_secs(3));
@@ -160,7 +164,7 @@ fn tampered_linear_leader_qcs_are_rejected_and_rotation_recovers() {
         cluster.completed()
     );
     cluster.quiesce(SimDuration::from_secs(2));
-    assert_correct_replicas_agree(&mut cluster, &[1, 2, 3]);
+    assert_correct_replicas_agree(cluster, &[1, 2, 3]);
 }
 
 /// Partition churn aimed at the rotation path: random members (leaders
@@ -182,19 +186,22 @@ fn partition_churn_converges_under_rotation() {
             t += hold + 150 + g.u64_in(0..400);
         }
         let n_events = events.len();
-        let mut cluster = scenario_cluster(Engine::Linear, 3, seed);
-        cluster.start_paced_workload(ms(5), |_| null_ops(64));
+        let mut deployment = scenario_deployment(Engine::Linear, 3, seed);
+        deployment
+            .group_mut(0)
+            .start_paced_workload(ms(5), |_| null_ops(64));
         let scenario = Scenario {
             name: "linear-partition-churn",
             duration: ms(3_000),
             bucket: ms(50),
             events,
         };
-        let report = run_scenario(&mut cluster, &scenario);
+        let report = run_scenario(&mut deployment, &scenario);
+        let cluster = deployment.group_mut(0);
         assert_eq!(report.trace.len(), n_events, "seed={seed}");
         cluster.run_for(SimDuration::from_secs(2));
         cluster.quiesce(SimDuration::from_secs(2));
-        assert_correct_replicas_agree(&mut cluster, &[0, 1, 2, 3]);
+        assert_correct_replicas_agree(cluster, &[0, 1, 2, 3]);
         // Convergence alone could be satisfied by a wedged group that never
         // commits; demand the schedule left a live system behind.
         assert!(

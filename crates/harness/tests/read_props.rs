@@ -23,7 +23,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use harness::testkit::{assert_correct_replicas_agree, failover_spec, ms};
 use harness::workload::keyed_kv_mix;
-use harness::{AppKind, Cluster, ShardedCluster, ShardedClusterSpec};
+use harness::{AppKind, Cluster, Deployment, DeploymentSpec};
 use pbft_core::app::KvApp;
 use pbft_core::{ClientEvent, Engine};
 use pbft_xshard::xshard::XMsg;
@@ -240,10 +240,11 @@ fn split_keeps_reads_epoch_gated(engine: Engine, prop_name: &'static str) {
         base.cfg.checkpoint_interval = 32;
         base.cfg.fetch_missing_bodies = true;
         base.app = AppKind::Kv { slots: KEYS };
-        let mut sc = ShardedCluster::build(ShardedClusterSpec {
+        let mut sc = Deployment::build(DeploymentSpec {
             shards: 2,
             base,
             elastic: true,
+            ..Default::default()
         });
         sc.start_paced_keyed_workload(ms(5), move |s, c| {
             keyed_kv_mix(KEYS, read_pct, (s * 10 + c) as u64)
@@ -264,11 +265,16 @@ fn split_keeps_reads_epoch_gated(engine: Engine, prop_name: &'static str) {
             let owner = sc.router().route_key(&shard_key);
             let mut served = Vec::new();
             for shard in 0..sc.shards() {
-                match sc.probe_read(shard, vec![shard_key.clone()], KvApp::op_get(key)) {
+                match sc.probe_ownership(shard, vec![shard_key.clone()], KvApp::op_get(key), true) {
                     Ok(record) => {
                         served.push(shard);
                         let ordered = sc
-                            .probe_ownership(shard, vec![shard_key.clone()], KvApp::op_get(key))
+                            .probe_ownership(
+                                shard,
+                                vec![shard_key.clone()],
+                                KvApp::op_get(key),
+                                false,
+                            )
                             .expect("the serving group owns the key");
                         assert_eq!(
                             record, ordered,

@@ -16,11 +16,11 @@ use harness::adversary::{Adversary, TargetedCensor, ViewChangeWindowAttacker};
 use harness::byzantine::Fault;
 use harness::scenario::{run_scenario_adaptive, Scenario, ScenarioEvent};
 use harness::testkit::{
-    assert_correct_replicas_agree, fetching_spec, ms, scenario_cluster, xshard_spec, AUDIT_TIMEOUT,
-    TEST_VC_TIMEOUT_NS,
+    assert_correct_replicas_agree, deployment_spec, fetching_spec, ms, scenario_deployment,
+    AUDIT_TIMEOUT, TEST_VC_TIMEOUT_NS,
 };
 use harness::workload::{cross_null_txs, keyed_null_ops, null_ops};
-use harness::xshard::XShardCluster;
+use harness::Deployment;
 use pbft_core::Engine;
 use simnet::SimDuration;
 
@@ -77,8 +77,10 @@ fn random_recovery_single_group(engine: Engine) {
             let seed = g.u64_in(1..1_000);
             let events = random_recovery_schedule(g, 2_400);
             let n_events = events.len();
-            let mut cluster = scenario_cluster(engine, 3, seed);
-            cluster.start_paced_workload(ms(5), |_| null_ops(64));
+            let mut deployment = scenario_deployment(engine, 3, seed);
+            deployment
+                .group_mut(0)
+                .start_paced_workload(ms(5), |_| null_ops(64));
             let scenario = Scenario {
                 name: "recovery-random-single",
                 duration: ms(3_000),
@@ -94,7 +96,9 @@ fn random_recovery_single_group(engine: Engine) {
                     },
                 },
             )];
-            let report = run_scenario_adaptive(&mut cluster, &scenario, &mut adversaries, ms(10));
+            let report =
+                run_scenario_adaptive(&mut deployment, &scenario, &mut adversaries, ms(10));
+            let cluster = deployment.group_mut(0);
             let fired = report
                 .trace
                 .iter()
@@ -108,7 +112,7 @@ fn random_recovery_single_group(engine: Engine) {
             }
             cluster.run_for(SimDuration::from_secs(2));
             cluster.quiesce(SimDuration::from_secs(2));
-            assert_correct_replicas_agree(&mut cluster, &[0, 1, 2]);
+            assert_correct_replicas_agree(cluster, &[0, 1, 2]);
             assert!(
                 cluster.completed() > 0,
                 "rolling recovery must not sterilize the workload (seed={seed})"
@@ -137,8 +141,10 @@ fn recover_mid_transfer(engine: Engine, name: &'static str) {
         let seed = g.u64_in(1..1_000);
         let member = 1 + g.usize_in(0..3); // a backup: the transfer path, not the rotation path
         let gap = 5 + g.u64_in(0..120); // proactive reboot lands mid-transfer
-        let mut cluster = scenario_cluster(engine, 3, seed);
-        cluster.start_paced_workload(ms(5), |_| null_ops(64));
+        let mut deployment = scenario_deployment(engine, 3, seed);
+        deployment
+            .group_mut(0)
+            .start_paced_workload(ms(5), |_| null_ops(64));
         let scenario = Scenario {
             name: "recover-mid-transfer",
             duration: ms(2_200),
@@ -159,7 +165,8 @@ fn recover_mid_transfer(engine: Engine, name: &'static str) {
                 ),
             ],
         };
-        let report = run_scenario_adaptive(&mut cluster, &scenario, &mut [], ms(50));
+        let report = run_scenario_adaptive(&mut deployment, &scenario, &mut [], ms(50));
+        let cluster = deployment.group_mut(0);
         assert_eq!(report.trace.len(), 3, "seed={seed} member={member}");
         cluster.run_for(SimDuration::from_secs(2));
         cluster.quiesce(SimDuration::from_secs(2));
@@ -167,7 +174,7 @@ fn recover_mid_transfer(engine: Engine, name: &'static str) {
             cluster.replica_metrics(member).state_transfers_completed >= 1,
             "a blank-disk member can only return via state transfer (seed={seed})"
         );
-        assert_correct_replicas_agree(&mut cluster, &[0, 1, 2, 3]);
+        assert_correct_replicas_agree(cluster, &[0, 1, 2, 3]);
         assert!(cluster.completed() > 0, "seed={seed}");
     });
 }
@@ -190,7 +197,8 @@ fn recover_current_primary(engine: Engine, name: &'static str) {
     propcheck::check_budgeted(name, 3, 10, |g| {
         let seed = g.u64_in(1..1_000);
         let warmup = 400 + g.u64_in(0..400);
-        let mut cluster = scenario_cluster(engine, 3, seed);
+        let mut deployment = scenario_deployment(engine, 3, seed);
+        let cluster = deployment.group_mut(0);
         cluster.start_paced_workload(ms(5), |_| null_ops(64));
         cluster.run_for(ms(warmup));
         let view = cluster.replica(1).expect("alive").view();
@@ -203,7 +211,7 @@ fn recover_current_primary(engine: Engine, name: &'static str) {
             cluster.completed() > before,
             "progress after decapitating view {view} (seed={seed})"
         );
-        assert_correct_replicas_agree(&mut cluster, &[0, 1, 2, 3]);
+        assert_correct_replicas_agree(cluster, &[0, 1, 2, 3]);
     });
 }
 
@@ -229,9 +237,9 @@ fn xshard_atomicity_survives_rolling_recovery_with_adaptive_censor() {
         let mut base = fetching_spec(1, seed);
         base.cfg.view_change_timeout_ns = TEST_VC_TIMEOUT_NS;
         base.cfg.checkpoint_interval = 32;
-        let mut xc = XShardCluster::build(xshard_spec(2, 2, base));
-        let map = xc.sharded().router().map();
-        xc.start_paced_background(ms(5), |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+        let mut xc = Deployment::build(deployment_spec(2, 2, base));
+        let map = xc.router().map();
+        xc.start_paced_keyed_workload(ms(5), |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
         // Sequential episodes across both shards: reboots never overlap.
         let mut events = Vec::new();
@@ -274,14 +282,14 @@ fn xshard_atomicity_survives_rolling_recovery_with_adaptive_censor() {
         // The schedule may have rebooted the censor's seat out from under
         // it (disarming it mid-run) — either way the settle phase must be
         // honest: clear any fault still mounted on the seat.
-        if xc.sharded().group(0).mounted_fault(0).is_some() {
-            xc.sharded_mut().group_mut(0).unmount_fault(0);
+        if xc.group(0).mounted_fault(0).is_some() {
+            xc.group_mut(0).unmount_fault(0);
         }
         xc.quiesce(SimDuration::from_secs(2));
-        if xc.metrics().tx_unresolved > 0 {
+        if xc.tx_metrics().tx_unresolved > 0 {
             xc.resolve_unresolved(AUDIT_TIMEOUT).expect("settles");
         }
-        let m = xc.metrics();
+        let m = xc.tx_metrics();
         assert!(
             m.tx_committed + m.tx_aborted > 0,
             "some transactions must resolve under rolling recovery (seed={seed}): {m:?}"
@@ -303,8 +311,10 @@ fn xshard_atomicity_survives_rolling_recovery_with_adaptive_censor() {
 /// unmount edge is reachable.
 #[test]
 fn vc_window_attacker_fires_during_a_stalled_rotation() {
-    let mut cluster = scenario_cluster(Engine::Pbft, 2, 93);
-    cluster.start_paced_workload(ms(5), |_| null_ops(64));
+    let mut deployment = scenario_deployment(Engine::Pbft, 2, 93);
+    deployment
+        .group_mut(0)
+        .start_paced_workload(ms(5), |_| null_ops(64));
     let scenario = Scenario {
         name: "stalled-rotation-window",
         duration: ms(2_400),
@@ -351,7 +361,8 @@ fn vc_window_attacker_fires_during_a_stalled_rotation() {
             },
         },
     )];
-    let report = run_scenario_adaptive(&mut cluster, &scenario, &mut adversaries, ms(10));
+    let report = run_scenario_adaptive(&mut deployment, &scenario, &mut adversaries, ms(10));
+    let cluster = deployment.group_mut(0);
     let mount = report
         .trace
         .iter()
@@ -379,6 +390,6 @@ fn vc_window_attacker_fires_during_a_stalled_rotation() {
     );
     cluster.run_for(SimDuration::from_secs(2));
     cluster.quiesce(SimDuration::from_secs(2));
-    assert_correct_replicas_agree(&mut cluster, &[0, 1, 2, 3]);
+    assert_correct_replicas_agree(cluster, &[0, 1, 2, 3]);
     assert!(cluster.completed() > 0);
 }

@@ -22,7 +22,7 @@
 use harness::scenario::{run_scenario, Scenario, ScenarioEvent};
 use harness::testkit::{assert_correct_replicas_agree, fetching_spec, ms};
 use harness::workload::{cross_null_txs, keyed_kv_ops};
-use harness::{AppKind, ShardedCluster, ShardedClusterSpec, XShardCluster, XShardSpec};
+use harness::{AppKind, Deployment, DeploymentSpec};
 use pbft_core::app::KvApp;
 use pbft_core::Engine;
 use simnet::SimDuration;
@@ -38,15 +38,16 @@ fn secs(n: u64) -> SimDuration {
 /// An elastic two-group KV deployment with recovery-friendly knobs
 /// (frequent checkpoints + body refetch, so crash-restarted members can
 /// rejoin whichever epoch they wake up in).
-fn elastic_kv(engine: Engine, seed: u64) -> ShardedCluster {
+fn elastic_kv(engine: Engine, seed: u64) -> Deployment {
     let mut base = fetching_spec(3, seed);
     base.cfg.engine = engine;
     base.cfg.checkpoint_interval = 32;
     base.app = AppKind::Kv { slots: SLOTS };
-    ShardedCluster::build(ShardedClusterSpec {
+    Deployment::build(DeploymentSpec {
         shards: 2,
         base,
         elastic: true,
+        ..Default::default()
     })
 }
 
@@ -113,7 +114,7 @@ fn split_schedules_keep_keys_single_owned(engine: Engine, prop_name: &'static st
             let mut record = Vec::new();
             for shard in 0..sc.shards() {
                 if let Ok(reply) =
-                    sc.probe_ownership(shard, vec![shard_key.clone()], KvApp::op_get(key))
+                    sc.probe_ownership(shard, vec![shard_key.clone()], KvApp::op_get(key), false)
                 {
                     owners.push(shard);
                     record = reply;
@@ -163,19 +164,20 @@ fn split_schedules_keep_keys_single_owned_linear() {
 fn splits_racing_2pc_stay_atomic(engine: Engine, prop_name: &'static str) {
     propcheck::check_budgeted(prop_name, 3, 10, |g| {
         let seed = g.u64_in(1..1_000);
-        let mut spec = XShardSpec {
+        let mut spec = DeploymentSpec {
             elastic: true,
-            ..XShardSpec::default()
+            ..DeploymentSpec::default()
         };
         spec.shards = 2;
         spec.initiators = 3;
-        spec.base = fetching_spec(1, seed);
+        // One workload client plus client 0, the elastic admin client.
+        spec.base = fetching_spec(2, seed);
         spec.base.cfg.engine = engine;
         spec.base.cfg.checkpoint_interval = 32;
         spec.prepare_timeout = ms(80);
         spec.finish_timeout = ms(120);
-        let mut xc = XShardCluster::build(spec);
-        let old_map = xc.sharded().router().map();
+        let mut xc = Deployment::build(spec);
+        let old_map = xc.router().map();
         xc.start_transactions(|i| cross_null_txs(old_map, 64, 1 << 20, i as u64));
 
         // Optionally take one member down before the first split and bring
@@ -183,7 +185,7 @@ fn splits_racing_2pc_stay_atomic(engine: Engine, prop_name: &'static str) {
         // source or bystander.
         let crashed = g.bool().then(|| {
             let (shard, member) = (g.choice(2), 1 + g.choice(3));
-            xc.crash_member(shard, member);
+            xc.group_mut(shard).crash_replica(member);
             (shard, member)
         });
 
@@ -195,33 +197,33 @@ fn splits_racing_2pc_stay_atomic(engine: Engine, prop_name: &'static str) {
             assert_eq!(report.plan.new_map.epoch(), (k + 1) as u64, "seed={seed}");
         }
         if let Some((shard, member)) = crashed {
-            xc.restart_member(shard, member, g.bool());
+            xc.group_mut(shard).restart_replica(member, g.bool());
         }
         xc.run_for(ms(200));
 
         // A population that never heard of any split: rewind the shared
         // router to epoch 0 and keep drawing. Recovery must come entirely
         // from the rejections' carried maps.
-        xc.sharded().router().force(old_map);
+        xc.router().force(old_map);
         xc.run_for(ms(400));
         xc.quiesce(secs(2));
 
-        let m = xc.metrics();
+        let m = xc.tx_metrics();
         assert!(
             m.tx_committed + m.local_txs > 0,
             "seed={seed}: the schedule must not sterilize the workload: {m:?}"
         );
         assert!(
-            xc.sharded().router_metrics().epoch_retries > 0,
+            xc.router_metrics().epoch_retries > 0,
             "seed={seed}: stale-routed prepares must be rejected and retried: {m:?}"
         );
         assert_eq!(
-            xc.sharded().router().epoch(),
+            xc.router().epoch(),
             n_splits as u64,
             "seed={seed}: the stale router must recover the newest epoch"
         );
         let patient = ms(2_000);
-        if xc.metrics().tx_unresolved > 0 {
+        if xc.tx_metrics().tx_unresolved > 0 {
             xc.resolve_unresolved(patient)
                 .unwrap_or_else(|e| panic!("seed={seed}: recovery failed: {e}"));
         }
@@ -279,14 +281,14 @@ fn reads_under_split_respect_the_epoch(engine: Engine, prop_name: &'static str) 
             let shard_key = key.to_be_bytes().to_vec();
             let owner = sc.router().route_key(&shard_key);
             for shard in 0..sc.shards() {
-                match sc.probe_read(shard, vec![shard_key.clone()], KvApp::op_get(key)) {
+                match sc.probe_ownership(shard, vec![shard_key.clone()], KvApp::op_get(key), true) {
                     Ok(record) => {
                         assert_eq!(
                             shard, owner,
                             "seed={seed}: group {shard} served a read for key {key} it no longer owns"
                         );
                         let ordered = sc
-                            .probe_ownership(shard, vec![shard_key], KvApp::op_get(key))
+                            .probe_ownership(shard, vec![shard_key], KvApp::op_get(key), false)
                             .expect("owner serves the ordered probe too");
                         assert_eq!(
                             record, ordered,

@@ -16,10 +16,10 @@
 use harness::byzantine::Fault;
 use harness::scenario::{run_scenario, Scenario, ScenarioEvent};
 use harness::testkit::{
-    assert_correct_replicas_agree, fetching_spec, ms, scenario_cluster, xshard_spec,
+    assert_correct_replicas_agree, deployment_spec, fetching_spec, ms, scenario_deployment,
 };
 use harness::workload::{cross_null_txs, keyed_null_ops, null_ops};
-use harness::XShardCluster;
+use harness::Deployment;
 use pbft_core::Engine;
 use simnet::SimDuration;
 
@@ -115,15 +115,18 @@ fn random_schedules_preserve_single_group_safety() {
         let seed = g.u64_in(1..1_000);
         let events = random_schedule(g, 1, 4, 2_400);
         let n_events = events.len();
-        let mut cluster = scenario_cluster(Engine::Pbft, 3, seed);
-        cluster.start_paced_workload(ms(5), |_| null_ops(64));
+        let mut deployment = scenario_deployment(Engine::Pbft, 3, seed);
+        deployment
+            .group_mut(0)
+            .start_paced_workload(ms(5), |_| null_ops(64));
         let scenario = Scenario {
             name: "random-single",
             duration: ms(3_000),
             bucket: ms(50),
             events,
         };
-        let report = run_scenario(&mut cluster, &scenario);
+        let report = run_scenario(&mut deployment, &scenario);
+        let cluster = deployment.group_mut(0);
         assert_eq!(
             report.trace.len(),
             n_events,
@@ -133,7 +136,7 @@ fn random_schedules_preserve_single_group_safety() {
         // workload drains.
         cluster.run_for(SimDuration::from_secs(2));
         cluster.quiesce(SimDuration::from_secs(2));
-        assert_correct_replicas_agree(&mut cluster, &[0, 1, 2, 3]);
+        assert_correct_replicas_agree(cluster, &[0, 1, 2, 3]);
     });
 }
 
@@ -156,14 +159,14 @@ fn random_schedules_preserve_cross_shard_atomicity() {
                 ScenarioEvent::HealGroup { shard },
             ));
         }
-        let mut spec = xshard_spec(2, 3, fetching_spec(1, seed));
+        let mut spec = deployment_spec(2, 3, fetching_spec(1, seed));
         spec.base.cfg.checkpoint_interval = 32;
         spec.prepare_timeout = ms(80);
         spec.finish_timeout = ms(120);
         // Fault-ready groups: the schedule draws runtime fault mounts.
-        let mut xc = XShardCluster::build(spec);
-        let map = xc.sharded().router().map();
-        xc.start_paced_background(ms(5), |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+        let mut xc = Deployment::build(spec);
+        let map = xc.router().map();
+        xc.start_paced_keyed_workload(ms(5), |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 16, i as u64));
         let scenario = Scenario {
             name: "random-xshard",
@@ -176,7 +179,7 @@ fn random_schedules_preserve_cross_shard_atomicity() {
         // transfers and the last transactions drain.
         xc.run_for(SimDuration::from_secs(2));
         xc.quiesce(SimDuration::from_secs(2));
-        let m = xc.metrics();
+        let m = xc.tx_metrics();
         assert!(
             m.tx_committed + m.local_txs + m.tx_aborted > 0,
             "the schedule must not sterilize the workload (seed={seed}): {m:?}"

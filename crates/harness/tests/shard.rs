@@ -4,8 +4,8 @@
 //! operations go through `harness::xshard` instead — see tests/xshard.rs),
 //! and an end-to-end sharded-cluster scenario.
 
-use harness::shard::{ShardRouter, ShardedCluster};
-use harness::testkit::{sharded_spec, small_spec};
+use harness::shard::{Deployment, ShardRouter};
+use harness::testkit::{deployment_spec, small_spec};
 use harness::workload::{keyed_sql_insert_ops, KeyedOp};
 use harness::ClusterSpec;
 use minisql::JournalMode;
@@ -134,8 +134,9 @@ fn sharded_sql_cluster_partitions_and_converges() {
     // End to end: 2 groups × 3 clients of keyed SQL inserts. Each group
     // commits only rows it owns, groups stay internally convergent, and the
     // shared clock keeps the aggregate window honest.
-    let spec = sharded_spec(
+    let spec = deployment_spec(
         2,
+        0,
         ClusterSpec {
             app: harness::AppKind::Sql {
                 journal: JournalMode::Rollback,
@@ -143,7 +144,7 @@ fn sharded_sql_cluster_partitions_and_converges() {
             ..small_spec(3, 1)
         },
     );
-    let mut sc = ShardedCluster::build(spec);
+    let mut sc = Deployment::build(spec);
     sc.start_keyed_workload(|shard, client| keyed_sql_insert_ops((shard * 10 + client) as u64));
     let t = sc.measure_throughput(SimDuration::from_millis(300), SimDuration::from_secs(1));
     assert!(

@@ -4,11 +4,10 @@
 //! regression that single-shard traffic keeps the PR 2 fast path untouched.
 
 use harness::byzantine::{build_faulty_cluster, Fault};
-use harness::shard::{ShardedCluster, ShardedClusterSpec};
 use harness::testkit::AUDIT_TIMEOUT;
 use harness::workload::{cross_null_txs, cross_precinct_ballot_txs, keyed_null_ops, transfer_txs};
-use harness::xshard::{TxOutcome, XShardCluster, XShardSpec};
-use harness::{AppKind, Cluster, ClusterSpec};
+use harness::xshard::TxOutcome;
+use harness::{AppKind, Cluster, ClusterSpec, Deployment, DeploymentSpec};
 use minisql::JournalMode;
 use pbft_sql::transfer::{accounts_setup, decode_sum, SUM_BALANCES_SQL};
 use simnet::SimDuration;
@@ -32,19 +31,19 @@ fn atomicity_under_message_drops() {
     propcheck::check("xshard_atomic_under_drops", 3, |g| {
         let loss = g.u64_in(10..60) as f64 / 1000.0; // 1%–6% on every directed link
         let seed = g.u64_in(1..1000);
-        let mut spec = XShardSpec {
+        let mut spec = DeploymentSpec {
             shards: 2,
             base: base_spec(1, seed),
             initiators: 2,
             ..Default::default()
         };
         spec.base.link.loss = loss;
-        let mut xc = XShardCluster::build(spec);
-        let map = xc.sharded().router().map();
+        let mut xc = Deployment::build(spec);
+        let map = xc.router().map();
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
         xc.run_for(SimDuration::from_millis(800));
         xc.quiesce(SimDuration::from_secs(1));
-        let m = xc.metrics();
+        let m = xc.tx_metrics();
         assert!(
             m.tx_committed + m.tx_aborted > 0,
             "some transactions must resolve under {loss:.3} loss: {m:?}"
@@ -65,7 +64,7 @@ fn atomicity_under_participant_crash() {
     propcheck::check("xshard_atomic_under_crash", 3, |g| {
         let seed = g.u64_in(1..1000);
         let victim = g.choice(3);
-        let spec = XShardSpec {
+        let spec = DeploymentSpec {
             shards: 3,
             base: base_spec(1, seed),
             initiators: 2,
@@ -73,16 +72,16 @@ fn atomicity_under_participant_crash() {
             finish_timeout: SimDuration::from_millis(60),
             ..Default::default()
         };
-        let mut xc = XShardCluster::build(spec);
-        let map = xc.sharded().router().map();
+        let mut xc = Deployment::build(spec);
+        let map = xc.router().map();
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
         // Healthy phase, failure window, heal, drain.
         xc.run_for(SimDuration::from_millis(250));
-        xc.isolate_shard(victim);
+        xc.group_mut(victim).isolate_from_clients();
         xc.run_for(SimDuration::from_millis(400));
-        xc.heal_shard(victim);
+        xc.group_mut(victim).restore_links();
         xc.quiesce(SimDuration::from_secs(2));
-        let m = xc.metrics();
+        let m = xc.tx_metrics();
         assert!(m.tx_committed > 0, "healthy phases must commit: {m:?}");
         assert!(
             m.aborts_timeout > 0 || m.tx_aborted > 0 || m.tx_unresolved > 0,
@@ -105,7 +104,7 @@ fn atomicity_with_one_byzantine_participant() {
         let fault = [Fault::TamperReplies, Fault::TamperAgreement, Fault::Mute][g.choice(3)];
         let faulty_shard = g.choice(2);
         let seed = g.u64_in(1..1000);
-        let spec = XShardSpec {
+        let spec = DeploymentSpec {
             shards: 2,
             base: base_spec(1, seed),
             initiators: 2,
@@ -113,18 +112,18 @@ fn atomicity_with_one_byzantine_participant() {
         };
         // Mount the fault on a backup (replica 3) of the chosen group so the
         // group stays in view 0 and masks the liar with its honest quorum.
-        let mut xc = XShardCluster::build_with(spec, move |s, gspec| {
+        let mut xc = Deployment::build_with(spec, move |s, gspec| {
             if s == faulty_shard {
                 build_faulty_cluster(gspec, 3, fault)
             } else {
                 Cluster::build(gspec)
             }
         });
-        let map = xc.sharded().router().map();
+        let map = xc.router().map();
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
         xc.run_for(SimDuration::from_millis(800));
         xc.quiesce(SimDuration::from_secs(1));
-        let m = xc.metrics();
+        let m = xc.tx_metrics();
         assert!(
             m.tx_committed > 0,
             "{fault:?} on shard {faulty_shard} must be masked: {m:?}"
@@ -145,7 +144,7 @@ fn atomicity_with_one_byzantine_participant() {
 fn sql_transfers_conserve_the_global_balance() {
     const ACCOUNTS: u64 = 32;
     const INITIAL: i64 = 1000;
-    let spec = XShardSpec {
+    let spec = DeploymentSpec {
         shards: 2,
         base: ClusterSpec {
             app: AppKind::SqlWith {
@@ -158,11 +157,11 @@ fn sql_transfers_conserve_the_global_balance() {
         initiators: 3,
         ..Default::default()
     };
-    let mut xc = XShardCluster::build(spec);
+    let mut xc = Deployment::build(spec);
     xc.start_transactions(|i| transfer_txs(ACCOUNTS, 10, i as u64));
     xc.run_for(SimDuration::from_millis(700));
     xc.quiesce(SimDuration::from_secs(1));
-    let m = xc.metrics();
+    let m = xc.tx_metrics();
     assert!(
         m.tx_committed > 0,
         "cross-shard transfers must commit: {m:?}"
@@ -204,7 +203,7 @@ fn sql_transfers_conserve_the_global_balance() {
 /// added one vote on each side, and no aborted ballot added any.
 #[test]
 fn cross_precinct_ballots_keep_precinct_tallies_in_step() {
-    let spec = XShardSpec {
+    let spec = DeploymentSpec {
         shards: 2,
         base: ClusterSpec {
             app: AppKind::Evoting {
@@ -217,11 +216,11 @@ fn cross_precinct_ballots_keep_precinct_tallies_in_step() {
         initiators: 2,
         ..Default::default()
     };
-    let mut xc = XShardCluster::build(spec);
+    let mut xc = Deployment::build(spec);
     // Pick one fixed pair of precinct elections owned by different groups,
     // so every ballot is genuinely cross-shard and every voter's final
     // state is one vote in each.
-    let map = xc.sharded().router().map();
+    let map = xc.router().map();
     let e1 = 1i64;
     let e2 = (2..100i64)
         .find(|e| map.shard_of(&e.to_be_bytes()) != map.shard_of(&e1.to_be_bytes()))
@@ -230,7 +229,7 @@ fn cross_precinct_ballots_keep_precinct_tallies_in_step() {
     xc.start_transactions(|i| cross_precinct_ballot_txs(pair, &["alice", "bob"], i as u64));
     xc.run_for(SimDuration::from_millis(600));
     xc.quiesce(SimDuration::from_secs(1));
-    let m = xc.metrics();
+    let m = xc.tx_metrics();
     assert!(
         m.tx_committed > 0,
         "cross-precinct ballots must commit: {m:?}"
@@ -259,36 +258,37 @@ fn cross_precinct_ballots_keep_precinct_tallies_in_step() {
     assert!(xc.states_converged());
 }
 
-/// Pinned regression: with zero initiators, an [`XShardCluster`] is the
-/// PR 2 sharded deployment, bit for bit — the XShardApp wrapper passes
-/// single-shard operations through untouched and the driver adds no 2PC
-/// overhead, so the completed counts per shard are *equal*, not merely
-/// close.
+/// Pinned regression: groups mounted inside the XShardApp wrapper
+/// (`base.xshard`) with zero initiators are the PR 2 sharded deployment,
+/// bit for bit — the wrapper passes single-shard operations through
+/// untouched and the idle driver adds no 2PC overhead, so the completed
+/// counts per shard are *equal*, not merely close.
 #[test]
 fn single_shard_ops_keep_the_pr2_fast_path() {
     let seed = 77;
     let clients = 3;
     let run_sharded = |seed| {
-        let mut sc = ShardedCluster::build(ShardedClusterSpec {
+        let mut sc = Deployment::build(DeploymentSpec {
             shards: 2,
             base: base_spec(clients, seed),
-            elastic: false,
+            ..Default::default()
         });
         sc.start_keyed_workload(|s, c| keyed_null_ops(128, (s * 100 + c) as u64));
         sc.run_for(SimDuration::from_millis(600));
         sc.per_shard_completed()
     };
     let run_xshard = |seed| {
-        let mut xc = XShardCluster::build(XShardSpec {
+        let mut base = base_spec(clients, seed);
+        base.xshard = true;
+        let mut xc = Deployment::build(DeploymentSpec {
             shards: 2,
-            base: base_spec(clients, seed),
-            initiators: 0,
+            base,
             ..Default::default()
         });
-        xc.start_background(|s, c| keyed_null_ops(128, (s * 100 + c) as u64));
+        xc.start_keyed_workload(|s, c| keyed_null_ops(128, (s * 100 + c) as u64));
         xc.run_for(SimDuration::from_millis(600));
-        let per_shard: Vec<u64> = xc.sharded().per_shard_completed();
-        let m = xc.metrics();
+        let per_shard: Vec<u64> = xc.per_shard_completed();
+        let m = xc.tx_metrics();
         assert_eq!((m.tx_committed, m.tx_aborted, m.local_txs), (0, 0, 0));
         per_shard
     };
@@ -308,17 +308,17 @@ fn single_shard_ops_keep_the_pr2_fast_path() {
 /// outcomes with their participant sets.
 #[test]
 fn tx_log_outcomes_match_metrics() {
-    let mut xc = XShardCluster::build(XShardSpec {
+    let mut xc = Deployment::build(DeploymentSpec {
         shards: 2,
         base: base_spec(1, 5),
         initiators: 2,
         ..Default::default()
     });
-    let map = xc.sharded().router().map();
+    let map = xc.router().map();
     xc.start_transactions(|i| cross_null_txs(map, 64, 4, i as u64)); // tiny key space: conflicts
     xc.run_for(SimDuration::from_millis(600));
     xc.quiesce(SimDuration::from_millis(500));
-    let m = xc.metrics();
+    let m = xc.tx_metrics();
     let log = xc.tx_log();
     let committed = log
         .iter()

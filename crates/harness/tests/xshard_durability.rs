@@ -10,7 +10,8 @@
 
 use harness::testkit::{recovery_spec as recovery_base, AUDIT_TIMEOUT};
 use harness::workload::{cross_null_txs, keyed_null_ops};
-use harness::xshard::{TxOutcome, XShardCluster, XShardSpec};
+use harness::xshard::TxOutcome;
+use harness::{Deployment, DeploymentSpec};
 use simnet::SimDuration;
 
 /// A replica crashed and restarted *mid-transaction* rejoins with its 2PC
@@ -25,32 +26,32 @@ fn member_crash_restart_mid_transaction_recovers_tables() {
         let shard = g.choice(2);
         let member = 1 + g.choice(3); // a backup: the group keeps committing
         let preserve_disk = g.choice(2) == 0;
-        let spec = XShardSpec {
+        let spec = DeploymentSpec {
             shards: 2,
             base: recovery_base(1, seed),
             initiators: 2,
             ..Default::default()
         };
-        let mut xc = XShardCluster::build(spec);
-        let map = xc.sharded().router().map();
-        xc.start_background(|s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+        let mut xc = Deployment::build(spec);
+        let map = xc.router().map();
+        xc.start_keyed_workload(|s, c| keyed_null_ops(64, (s * 10 + c) as u64));
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
 
         xc.run_for(SimDuration::from_millis(300));
-        xc.crash_member(shard, member);
+        xc.group_mut(shard).crash_replica(member);
         // Transactions keep flowing while the member is down (f = 1): some
         // prepare while it is dead, and commit only after it returns.
         xc.run_for(SimDuration::from_millis(400));
-        xc.restart_member(shard, member, preserve_disk);
+        xc.group_mut(shard).restart_replica(member, preserve_disk);
         xc.run_for(SimDuration::from_secs(2));
         xc.quiesce(SimDuration::from_secs(1));
 
-        let m = xc.metrics();
+        let m = xc.tx_metrics();
         assert!(
             m.tx_committed > 0,
             "transactions must commit across the fault: {m:?}"
         );
-        let rm = xc.sharded().group(shard).replica_metrics(member);
+        let rm = xc.group(shard).replica_metrics(member);
         assert!(
             rm.state_transfers_completed >= 1,
             "restarted member must recover via state transfer \
@@ -79,34 +80,34 @@ fn blank_restart_fast_forwards_over_prepares_via_transfer() {
         let seed = g.u64_in(1..1000);
         let shard = g.choice(2);
         let member = 1 + g.choice(3);
-        let spec = XShardSpec {
+        let spec = DeploymentSpec {
             shards: 2,
             base: recovery_base(1, seed),
             initiators: 4,
             ..Default::default()
         };
-        let mut xc = XShardCluster::build(spec);
-        let map = xc.sharded().router().map();
-        xc.start_background(|s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+        let mut xc = Deployment::build(spec);
+        let map = xc.router().map();
+        xc.start_keyed_workload(|s, c| keyed_null_ops(64, (s * 10 + c) as u64));
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
 
         xc.run_for(SimDuration::from_millis(200));
-        xc.crash_member(shard, member);
-        let committed_before = xc.metrics().tx_committed;
+        xc.group_mut(shard).crash_replica(member);
+        let committed_before = xc.tx_metrics().tx_committed;
         // A long outage: several checkpoint intervals of agreements — with
         // 4 initiators there are essentially always transactions staged
         // inside the window the restarted replica will jump.
         xc.run_for(SimDuration::from_millis(900));
-        let committed_during = xc.metrics().tx_committed - committed_before;
+        let committed_during = xc.tx_metrics().tx_committed - committed_before;
         assert!(
             committed_during > 0,
             "the outage window must order transactions without the member: seed={seed}"
         );
-        xc.restart_member(shard, member, false);
+        xc.group_mut(shard).restart_replica(member, false);
         xc.run_for(SimDuration::from_secs(2));
         xc.quiesce(SimDuration::from_secs(1));
 
-        let rm = xc.sharded().group(shard).replica_metrics(member);
+        let rm = xc.group(shard).replica_metrics(member);
         assert!(
             rm.state_transfers_completed >= 1,
             "blank restart must fast-forward via transfer: {rm:?}"
@@ -131,7 +132,7 @@ fn blank_restart_fast_forwards_over_prepares_via_transfer() {
 fn unresolved_transactions_settle_after_coordinator_heals() {
     propcheck::check("xshard_unresolved_recovery", 3, |g| {
         let seed = g.u64_in(1..1000);
-        let mut spec = XShardSpec {
+        let mut spec = DeploymentSpec {
             shards: 2,
             base: recovery_base(0, seed),
             initiators: 6,
@@ -140,8 +141,8 @@ fn unresolved_transactions_settle_after_coordinator_heals() {
             ..Default::default()
         };
         spec.base.num_clients = 0;
-        let mut xc = XShardCluster::build(spec);
-        let map = xc.sharded().router().map();
+        let mut xc = Deployment::build(spec);
+        let map = xc.router().map();
         // A small key space keeps the post-recovery probe honest: new
         // transactions overlap keys the unresolved ones held locks on.
         xc.start_transactions(|i| cross_null_txs(map, 64, 32, i as u64));
@@ -153,20 +154,20 @@ fn unresolved_transactions_settle_after_coordinator_heals() {
         for round in 0..10 {
             xc.run_for(SimDuration::from_millis(120));
             victim = round % 2;
-            xc.isolate_shard(victim);
+            xc.group_mut(victim).isolate_from_clients();
             xc.run_for(SimDuration::from_millis(250));
-            xc.heal_shard(victim);
-            if xc.metrics().tx_unresolved > 0 {
+            xc.group_mut(victim).restore_links();
+            if xc.tx_metrics().tx_unresolved > 0 {
                 break;
             }
         }
         xc.quiesce(SimDuration::from_secs(2));
-        let unresolved = xc.metrics().tx_unresolved;
+        let unresolved = xc.tx_metrics().tx_unresolved;
         assert!(
             unresolved > 0,
             "ten isolation windows must strand at least one transaction \
              (seed={seed} victim={victim}): {:?}",
-            xc.metrics()
+            xc.tx_metrics()
         );
         assert!(
             xc.tx_log()
@@ -195,14 +196,14 @@ fn unresolved_transactions_settle_after_coordinator_heals() {
 
         // Locks are actually free again: fresh transactions over the same
         // tiny key space must be able to commit.
-        let committed_before = xc.metrics().tx_committed;
+        let committed_before = xc.tx_metrics().tx_committed;
         xc.start_transactions(|i| cross_null_txs(map, 64, 32, 100 + i as u64));
         xc.run_for(SimDuration::from_secs(1));
         xc.quiesce(SimDuration::from_secs(1));
         assert!(
-            xc.metrics().tx_committed > committed_before,
+            xc.tx_metrics().tx_committed > committed_before,
             "post-recovery transactions must commit over the released keys: {:?}",
-            xc.metrics()
+            xc.tx_metrics()
         );
         xc.audit_atomicity(AUDIT_TIMEOUT)
             .unwrap_or_else(|e| panic!("seed={seed}: final audit: {e}"));

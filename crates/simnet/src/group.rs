@@ -4,18 +4,14 @@
 //! crosses a group boundary, so each group can live in its own
 //! [`Simulator`] — but an experiment still needs the groups to share **one
 //! virtual clock** (aggregate throughput over a common window is meaningless
-//! otherwise) and **one trace timeline** (the paper's §2.2 common-clock
-//! message log, extended with a group column).
+//! otherwise).
 //!
 //! [`run_lockstep`] is that shared clock: it advances every member
 //! simulation to the same horizon and refuses to run a set whose clocks have
-//! drifted apart. [`merge_traces`] is the shared timeline: a deterministic
-//! k-way merge of per-group traces ordered by virtual time (ties broken by
-//! group index, so merged output is reproducible run-to-run like everything
-//! else here).
+//! drifted apart.
 //!
 //! ```
-//! use simnet::{merge_traces, run_lockstep, SimConfig, SimDuration, Simulator};
+//! use simnet::{run_lockstep, SimConfig, SimDuration, Simulator};
 //!
 //! let mut a = Simulator::new(SimConfig::default());
 //! let mut b = Simulator::new(SimConfig { seed: 1, ..SimConfig::default() });
@@ -27,7 +23,6 @@
 
 use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceEntry;
 
 /// Advance every simulator by `d`, keeping their clocks identical; returns
 /// the common horizon they all reached.
@@ -40,7 +35,7 @@ use crate::trace::TraceEntry;
 /// # Panics
 /// Panics if the members' clocks already disagree: that means some were
 /// advanced outside the lockstep and any cross-group time comparison
-/// (throughput windows, merged traces) would silently lie.
+/// (throughput windows) would silently lie.
 pub fn run_lockstep<'a>(
     sims: impl IntoIterator<Item = &'a mut Simulator>,
     d: SimDuration,
@@ -63,28 +58,11 @@ pub fn run_lockstep<'a>(
     horizon
 }
 
-/// Merge per-group traces into one timeline: entries ordered by virtual
-/// time, ties broken by group index (then by position within the group's own
-/// trace, which is already time-ordered). Each output row carries the index
-/// of the group it came from.
-pub fn merge_traces(groups: Vec<Vec<TraceEntry>>) -> Vec<(usize, TraceEntry)> {
-    let total = groups.iter().map(Vec::len).sum();
-    let mut out: Vec<(usize, TraceEntry)> = Vec::with_capacity(total);
-    for (g, trace) in groups.into_iter().enumerate() {
-        out.extend(trace.into_iter().map(|e| (g, e)));
-    }
-    // Stable sort on time alone: per-group order (and the group-index tie
-    // break, since groups were appended in index order) is preserved.
-    out.sort_by_key(|(_, e)| e.at);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node::{Node, NodeCtx, NodeId, TimerId};
     use crate::sim::SimConfig;
-    use crate::trace::TraceEvent;
 
     struct Chatter {
         peer: NodeId,
@@ -104,7 +82,6 @@ mod tests {
     fn chatty_sim(seed: u64, period_us: u64) -> Simulator {
         let cfg = SimConfig {
             seed,
-            trace: true,
             ..Default::default()
         };
         let mut sim = Simulator::new(cfg);
@@ -136,41 +113,5 @@ mod tests {
         let mut b = chatty_sim(2, 100);
         a.run_for(SimDuration::from_micros(1));
         run_lockstep([&mut a, &mut b], SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn merged_trace_is_time_ordered_and_tagged() {
-        let mut sims = [chatty_sim(10, 90), chatty_sim(11, 110)];
-        run_lockstep(sims.iter_mut(), SimDuration::from_millis(2));
-        let merged = merge_traces(sims.iter_mut().map(|s| s.take_trace()).collect());
-        assert!(!merged.is_empty());
-        assert!(
-            merged.windows(2).all(|w| w[0].1.at <= w[1].1.at),
-            "time-ordered"
-        );
-        assert!(merged.iter().any(|(g, _)| *g == 0));
-        assert!(merged.iter().any(|(g, _)| *g == 1));
-        // Ties (same instant) resolve by group index — deterministic merge.
-        assert!(merged
-            .windows(2)
-            .filter(|w| w[0].1.at == w[1].1.at)
-            .all(|w| w[0].0 <= w[1].0 || w[0].1.at != w[1].1.at));
-        assert!(merged.iter().all(|(_, e)| matches!(
-            e.event,
-            TraceEvent::Sent
-                | TraceEvent::Delivered
-                | TraceEvent::Dropped
-                | TraceEvent::DeadDestination
-        )));
-    }
-
-    #[test]
-    fn merge_is_deterministic() {
-        let run = || {
-            let mut sims = [chatty_sim(5, 100), chatty_sim(6, 100)];
-            run_lockstep(sims.iter_mut(), SimDuration::from_millis(1));
-            merge_traces(sims.iter_mut().map(|s| s.take_trace()).collect())
-        };
-        assert_eq!(run(), run());
     }
 }

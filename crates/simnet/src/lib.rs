@@ -21,8 +21,8 @@
 //! traces. Experiment trials vary the seed to obtain standard deviations.
 //!
 //! Several independent simulations can be composed under one shared virtual
-//! clock with [`run_lockstep`] / [`merge_traces`] — the substrate for the
-//! sharded multi-group deployments in the `harness` crate. Timed fault
+//! clock with [`run_lockstep`] — the substrate for the multi-group
+//! deployments in the `harness` crate. Timed fault
 //! scripts ("crash the primary at t = 500 ms") are expressed as a
 //! [`Schedule`] of fire-at-tick callbacks, driven by
 //! [`Simulator::run_scheduled`] for a lone simulation or by the harness's
@@ -75,7 +75,7 @@ mod stats;
 mod time;
 mod trace;
 
-pub use group::{merge_traces, run_lockstep};
+pub use group::run_lockstep;
 pub use link::LinkParams;
 pub use node::{Node, NodeCtx, NodeId, PacketBuf, TimerId};
 pub use rng::SimRng;

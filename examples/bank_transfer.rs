@@ -13,8 +13,7 @@
 //! Run with: `cargo run --example bank_transfer`
 
 use harness::workload::transfer_txs;
-use harness::xshard::{XShardCluster, XShardSpec};
-use harness::{AppKind, ClusterSpec};
+use harness::{AppKind, ClusterSpec, Deployment, DeploymentSpec};
 use minisql::JournalMode;
 use pbft_sql::transfer::{accounts_setup, decode_sum, Transfer, SUM_BALANCES_SQL};
 use simnet::SimDuration;
@@ -24,7 +23,7 @@ const INITIAL: i64 = 1_000;
 
 fn main() {
     println!("--- 1. two PBFT groups, one 'accounts' table partitioned by row key ---");
-    let spec = XShardSpec {
+    let spec = DeploymentSpec {
         shards: 2,
         base: ClusterSpec {
             app: AppKind::SqlWith {
@@ -37,8 +36,8 @@ fn main() {
         initiators: 3,
         ..Default::default()
     };
-    let mut bank = XShardCluster::build(spec);
-    let map = bank.sharded().router().map();
+    let mut bank = Deployment::build(spec);
+    let map = bank.router().map();
     let sample = Transfer {
         from: "acct-0".into(),
         to: "acct-1".into(),
@@ -61,7 +60,7 @@ fn main() {
     bank.start_transactions(|i| transfer_txs(ACCOUNTS, 25, i as u64));
     let t = bank.measure(SimDuration::from_millis(200), SimDuration::from_secs(1));
     bank.quiesce(SimDuration::from_secs(1));
-    let m = bank.metrics();
+    let m = bank.tx_metrics();
     println!("  committed application ops/s: {:>8.0}", t.committed_tps);
     println!(
         "  transactions: {} committed cross-shard (2PC), {} committed same-shard (batch), \

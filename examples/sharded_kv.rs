@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --example sharded_kv`
 
-use harness::shard::{ShardRouter, ShardedCluster, ShardedClusterSpec};
+use harness::shard::{Deployment, DeploymentSpec, ShardRouter};
 use harness::workload::{keyed_sql_insert_ops, KeyedOp};
 use harness::{AppKind, ClusterSpec};
 use minisql::JournalMode;
@@ -28,7 +28,7 @@ fn main() {
     }
 
     println!("\n--- 2. building {shards} groups x 4 replicas, 6 clients each ---");
-    let spec = ShardedClusterSpec {
+    let spec = DeploymentSpec {
         shards,
         base: ClusterSpec {
             app: AppKind::Sql {
@@ -37,9 +37,9 @@ fn main() {
             num_clients: 6,
             ..Default::default()
         },
-        elastic: false,
+        ..Default::default()
     };
-    let mut kv = ShardedCluster::build(spec);
+    let mut kv = Deployment::build(spec);
     kv.start_keyed_workload(|shard, client| keyed_sql_insert_ops((shard * 6 + client) as u64));
     let t = kv.measure_throughput(SimDuration::from_millis(300), SimDuration::from_secs(1));
 

@@ -2,7 +2,7 @@
 # Tier-1 verification gate, fully offline:
 #   1. formatting is canonical (cargo fmt --check)
 #   2. release build of every workspace crate
-#   3. scenario smoke pass: one short fault scenario per cluster flavor,
+#   3. scenario smoke pass: one short fault scenario per deployment shape,
 #      then the crypto cross-checks (hardware vs scalar, pinned outputs) and
 #      the minisql ones (pinned database files, in place vs `Node` oracle)
 #   4. the whole test suite (unit + integration + property tests),
@@ -28,8 +28,9 @@ cargo fmt --all --check
 step cargo build --release
 
 # Fast fault-scenario signal before the full suite: the smoke_* scenarios
-# drive the scenario engine once per cluster flavor (single-group, sharded,
-# cross-shard) plus one live split per elastic flavor (smoke_reshard_*).
+# drive the scenario engine once per deployment shape (one group, several
+# groups, groups with the cross-shard driver) plus one live split per
+# elastic shape (smoke_reshard_*).
 echo "==> scenario smoke pass (tests/scenario_conformance.rs smoke_*)"
 cargo test -q -p pbft-practicality --test scenario_conformance smoke_
 

@@ -18,9 +18,10 @@
 //! Determinism (same seed ⇒ identical event trace and timeline) is asserted
 //! for every scenario in `all_scenarios_are_deterministic` (the
 //! per-`Fault` matrix lives in `crates/harness/tests/fault_determinism.rs`).
-//! The `smoke_*` tests are the short per-flavor passes `scripts/verify.sh`
-//! runs as its scenario gate — including one adaptive-adversary pass per
-//! cluster flavor (`smoke_adaptive_*`).
+//! The `smoke_*` tests are the short per-shape passes `scripts/verify.sh`
+//! runs as its scenario gate — one group, several groups, groups with the
+//! cross-shard driver, and the elastic splits of each — including one
+//! adaptive-adversary pass per shape (`smoke_adaptive_*`).
 
 use harness::adversary::{
     Adversary, EquivocatingPrimary, TargetedCensor, ViewChangeWindowAttacker,
@@ -28,13 +29,11 @@ use harness::adversary::{
 use harness::byzantine::Fault;
 use harness::scenario::{paper, run_scenario, run_scenario_adaptive, Scenario, ScenarioEvent};
 use harness::testkit::{
-    adversary_cluster, assert_correct_replicas_agree, failover_spec, fetching_spec, ms,
-    scenario_cluster, sharded_spec, xshard_spec, AUDIT_TIMEOUT,
+    adversary_deployment, assert_correct_replicas_agree, deployment_spec, failover_spec,
+    fetching_spec, ms, scenario_deployment, AUDIT_TIMEOUT,
 };
 use harness::workload::{cross_null_txs, keyed_kv_ops, keyed_null_ops, null_ops};
-use harness::{
-    AppKind, Cluster, ScenarioReport, ShardedCluster, ShardedClusterSpec, XShardCluster, XShardSpec,
-};
+use harness::{AppKind, Deployment, DeploymentSpec, ScenarioReport};
 use pbft_core::Engine;
 use simnet::SimDuration;
 
@@ -46,17 +45,44 @@ fn secs(n: u64) -> SimDuration {
     SimDuration::from_secs(n)
 }
 
-/// An elastic two-group KV deployment — the splittable flavor the reshard
+/// An elastic two-group KV deployment — the splittable shape the reshard
 /// scenarios run against.
-fn elastic_kv_sharded(seed: u64) -> ShardedCluster {
+fn elastic_kv_sharded(seed: u64) -> Deployment {
     let mut base = fetching_spec(3, seed);
     base.cfg.checkpoint_interval = 32;
     base.app = AppKind::Kv { slots: 64 };
-    ShardedCluster::build(ShardedClusterSpec {
+    Deployment::build(DeploymentSpec {
         shards: 2,
         base,
         elastic: true,
+        ..Default::default()
     })
+}
+
+/// A one-group scenario deployment under the paced null workload.
+fn paced_single(num_clients: usize, seed: u64) -> Deployment {
+    let mut deployment = scenario_deployment(Engine::Pbft, num_clients, seed);
+    deployment
+        .group_mut(0)
+        .start_paced_workload(PACE, |_| null_ops(64));
+    deployment
+}
+
+/// Two groups built from `base` plus `initiators` transaction agents,
+/// running paced keyed background load and cross-shard transactions.
+fn paced_xshard(base: harness::ClusterSpec, initiators: usize) -> Deployment {
+    let mut xc = Deployment::build(deployment_spec(2, initiators, base));
+    let map = xc.router().map();
+    xc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
+    xc
+}
+
+/// Two static groups under paced keyed background load.
+fn paced_sharded(num_clients: usize, seed: u64) -> Deployment {
+    let mut sc = Deployment::build(deployment_spec(2, 0, fetching_spec(num_clients, seed)));
+    sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    sc
 }
 
 // ---------------------------------------------------------------------
@@ -65,9 +91,9 @@ fn elastic_kv_sharded(seed: u64) -> ShardedCluster {
 
 #[test]
 fn primary_crash_under_load() {
-    let mut cluster = scenario_cluster(Engine::Pbft, 4, 21);
-    cluster.start_paced_workload(PACE, |_| null_ops(64));
-    let report = run_scenario(&mut cluster, &paper::primary_crash_under_load());
+    let mut deployment = paced_single(4, 21);
+    let report = run_scenario(&mut deployment, &paper::primary_crash_under_load());
+    let cluster = deployment.group_mut(0);
     assert_eq!(report.trace[0].label, "crash(0/0)");
 
     // Liveness: the survivors elected a new primary and the availability
@@ -96,7 +122,7 @@ fn primary_crash_under_load() {
     // restarted ex-primary fast-forwards by state transfer, so its chain
     // restarts — state digests, not chains, are its safety check) ...
     cluster.quiesce(secs(2));
-    assert_correct_replicas_agree(&mut cluster, &[1, 2, 3]);
+    assert_correct_replicas_agree(cluster, &[1, 2, 3]);
     // ... and full state convergence including the rejoined ex-primary.
     assert!(
         cluster.states_converged(&[0, 1, 2, 3]),
@@ -106,9 +132,9 @@ fn primary_crash_under_load() {
 
 #[test]
 fn slow_primary_is_evicted_by_timeout() {
-    let mut cluster = scenario_cluster(Engine::Pbft, 4, 22);
-    cluster.start_paced_workload(PACE, |_| null_ops(64));
-    let report = run_scenario(&mut cluster, &paper::slow_primary());
+    let mut deployment = paced_single(4, 22);
+    let report = run_scenario(&mut deployment, &paper::slow_primary());
+    let cluster = deployment.group_mut(0);
     let mount = &report.trace[0];
 
     // The slow primary drops nothing — only the backups' timeouts can have
@@ -138,14 +164,14 @@ fn slow_primary_is_evicted_by_timeout() {
     // must agree with the group bit for bit.
     cluster.run_for(secs(2));
     cluster.quiesce(secs(2));
-    assert_correct_replicas_agree(&mut cluster, &[0, 1, 2, 3]);
+    assert_correct_replicas_agree(cluster, &[0, 1, 2, 3]);
 }
 
 #[test]
 fn rolling_crash_of_f_replicas() {
-    let mut cluster = scenario_cluster(Engine::Pbft, 4, 23);
-    cluster.start_paced_workload(PACE, |_| null_ops(64));
-    let report = run_scenario(&mut cluster, &paper::rolling_crash());
+    let mut deployment = paced_single(4, 23);
+    let report = run_scenario(&mut deployment, &paper::rolling_crash());
+    let cluster = deployment.group_mut(0);
     assert_eq!(report.trace.len(), 6, "three crash/restart pairs fired");
 
     // Never more than f = 1 down at once: the primary keeps its quorum the
@@ -183,17 +209,14 @@ fn rolling_crash_of_f_replicas() {
 
 #[test]
 fn coordinator_outage_mid_2pc() {
-    let mut xc = XShardCluster::build(xshard_spec(2, 4, fetching_spec(1, 24)));
-    let map = xc.sharded().router().map();
-    xc.start_paced_background(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
-    xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
+    let mut xc = paced_xshard(fetching_spec(1, 24), 4);
     let report = run_scenario(&mut xc, &paper::coordinator_outage());
     let heal = report.trace[1].clone();
     assert_eq!(report.trace[0].label, "pause(0)");
 
     // The paused group strands or aborts the transactions it coordinates:
     // prepares against it time out, decides against it abandon Unresolved.
-    let m = xc.metrics();
+    let m = xc.tx_metrics();
     assert!(
         m.aborts_timeout + m.tx_unresolved > 0,
         "the outage window must strand or abort transactions: {m:?}"
@@ -215,7 +238,7 @@ fn coordinator_outage_mid_2pc() {
 
     // Settle the stranded transactions and audit ground-truth atomicity.
     xc.quiesce(secs(2));
-    if xc.metrics().tx_unresolved > 0 {
+    if xc.tx_metrics().tx_unresolved > 0 {
         xc.resolve_unresolved(AUDIT_TIMEOUT)
             .expect("recovery pass settles the stranded transactions");
     }
@@ -225,8 +248,7 @@ fn coordinator_outage_mid_2pc() {
 
 #[test]
 fn partition_then_heal() {
-    let mut sc = ShardedCluster::build(sharded_spec(2, fetching_spec(3, 25)));
-    sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    let mut sc = paced_sharded(3, 25);
     let report = run_scenario(&mut sc, &paper::partition_then_heal());
 
     // Losing one backup to a partition costs nothing in a 4-replica group,
@@ -258,21 +280,13 @@ fn partition_then_heal() {
 #[test]
 fn all_scenarios_are_deterministic() {
     fn single(scenario: &Scenario, seed: u64) -> ScenarioReport {
-        let mut cluster = scenario_cluster(Engine::Pbft, 4, seed);
-        cluster.start_paced_workload(PACE, |_| null_ops(64));
-        run_scenario(&mut cluster, scenario)
+        run_scenario(&mut paced_single(4, seed), scenario)
     }
     fn xshard(scenario: &Scenario, seed: u64) -> ScenarioReport {
-        let mut xc = XShardCluster::build(xshard_spec(2, 4, fetching_spec(1, seed)));
-        let map = xc.sharded().router().map();
-        xc.start_paced_background(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
-        xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
-        run_scenario(&mut xc, scenario)
+        run_scenario(&mut paced_xshard(fetching_spec(1, seed), 4), scenario)
     }
     fn sharded(scenario: &Scenario, seed: u64) -> ScenarioReport {
-        let mut sc = ShardedCluster::build(sharded_spec(2, fetching_spec(3, seed)));
-        sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
-        run_scenario(&mut sc, scenario)
+        run_scenario(&mut paced_sharded(3, seed), scenario)
     }
 
     type Runner = Box<dyn Fn() -> ScenarioReport>;
@@ -300,11 +314,13 @@ fn all_scenarios_are_deterministic() {
         (
             "equivocating-primary",
             Box::new(|| {
-                let mut cluster = adversary_cluster(Engine::Pbft, 4, 36, 0);
-                cluster.start_paced_workload(PACE, |_| null_ops(64));
+                let mut deployment = adversary_deployment(Engine::Pbft, 4, 36, 0);
+                deployment
+                    .group_mut(0)
+                    .start_paced_workload(PACE, |_| null_ops(64));
                 let mut adversaries = [Adversary::new(0, 0, EquivocatingPrimary)];
                 run_scenario_adaptive(
-                    &mut cluster,
+                    &mut deployment,
                     &paper::equivocating_primary(),
                     &mut adversaries,
                     ms(25),
@@ -347,8 +363,7 @@ fn all_scenarios_are_deterministic() {
 /// backoff changes that widen the outage fail here, not in production.
 #[test]
 fn view_change_latency_is_pinned() {
-    let mut cluster = scenario_cluster(Engine::Pbft, 4, 26);
-    cluster.start_paced_workload(PACE, |_| null_ops(64));
+    let mut deployment = paced_single(4, 26);
     let scenario = Scenario {
         name: "vc-latency-pin",
         duration: ms(2000),
@@ -361,7 +376,7 @@ fn view_change_latency_is_pinned() {
             },
         )],
     };
-    let report = run_scenario(&mut cluster, &scenario);
+    let report = run_scenario(&mut deployment, &scenario);
     let crash = report.trace[0].at;
     let recovery = report
         .timeline
@@ -379,7 +394,7 @@ fn view_change_latency_is_pinned() {
         recovery >= ms(100),
         "recovery faster than plausible suspicion: {recovery:?}"
     );
-    assert!(cluster.replica(1).expect("alive").view() >= 1);
+    assert!(deployment.group(0).replica(1).expect("alive").view() >= 1);
 }
 
 /// The view-change timeout knob (exposed for scenario sweeps) actually
@@ -391,8 +406,10 @@ fn view_change_timeout_knob_controls_the_outage() {
         let mut spec = failover_spec(4, seed);
         spec.cfg.view_change_timeout_ns = timeout_ms * 1_000_000;
         spec.cfg.fetch_missing_bodies = true;
-        let mut cluster = Cluster::build(spec);
-        cluster.start_paced_workload(PACE, |_| null_ops(64));
+        let mut deployment = Deployment::build(deployment_spec(1, 0, spec));
+        deployment
+            .group_mut(0)
+            .start_paced_workload(PACE, |_| null_ops(64));
         let scenario = Scenario {
             name: "vc-knob-sweep",
             duration: ms(2500),
@@ -405,7 +422,7 @@ fn view_change_timeout_knob_controls_the_outage() {
                 },
             )],
         };
-        let report = run_scenario(&mut cluster, &scenario);
+        let report = run_scenario(&mut deployment, &scenario);
         report
             .timeline
             .recovery_after(report.trace[0].at)
@@ -424,13 +441,12 @@ fn view_change_timeout_knob_controls_the_outage() {
 }
 
 // ---------------------------------------------------------------------
-// Smoke passes: one short scenario per cluster flavor (verify.sh gate)
+// Smoke passes: one short scenario per deployment shape (verify.sh gate)
 // ---------------------------------------------------------------------
 
 #[test]
 fn smoke_single_group_flavor() {
-    let mut cluster = scenario_cluster(Engine::Pbft, 2, 41);
-    cluster.start_paced_workload(PACE, |_| null_ops(64));
+    let mut deployment = paced_single(2, 41);
     let scenario = Scenario {
         name: "smoke-single",
         duration: ms(600),
@@ -453,15 +469,14 @@ fn smoke_single_group_flavor() {
             ),
         ],
     };
-    let report = run_scenario(&mut cluster, &scenario);
+    let report = run_scenario(&mut deployment, &scenario);
     assert_eq!(report.trace.len(), 2);
     assert!(report.timeline.availability() >= 0.9, "{report:?}");
 }
 
 #[test]
 fn smoke_sharded_flavor() {
-    let mut sc = ShardedCluster::build(sharded_spec(2, fetching_spec(2, 42)));
-    sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    let mut sc = paced_sharded(2, 42);
     let scenario = Scenario {
         name: "smoke-sharded",
         duration: ms(600),
@@ -487,10 +502,7 @@ fn smoke_sharded_flavor() {
 
 #[test]
 fn smoke_xshard_flavor() {
-    let mut xc = XShardCluster::build(xshard_spec(2, 2, fetching_spec(1, 43)));
-    let map = xc.sharded().router().map();
-    xc.start_paced_background(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
-    xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
+    let mut xc = paced_xshard(fetching_spec(1, 43), 2);
     let scenario = Scenario {
         name: "smoke-xshard",
         duration: ms(600),
@@ -503,7 +515,7 @@ fn smoke_xshard_flavor() {
     let report = run_scenario(&mut xc, &scenario);
     assert_eq!(report.trace.len(), 2);
     xc.quiesce(secs(2));
-    if xc.metrics().tx_unresolved > 0 {
+    if xc.tx_metrics().tx_unresolved > 0 {
         xc.resolve_unresolved(AUDIT_TIMEOUT).expect("settles");
     }
     xc.audit_atomicity(AUDIT_TIMEOUT).expect("atomic");
@@ -530,11 +542,13 @@ fn smoke_reshard_sharded() {
 
 #[test]
 fn smoke_reshard_xshard() {
-    let mut xc = XShardCluster::build(XShardSpec {
+    // Client 0 of an elastic group is the admin client, on top of the one
+    // background client of the static layout.
+    let mut xc = Deployment::build(DeploymentSpec {
         elastic: true,
-        ..xshard_spec(2, 2, fetching_spec(1, 48))
+        ..deployment_spec(2, 2, fetching_spec(2, 48))
     });
-    let map = xc.sharded().router().map();
+    let map = xc.router().map();
     xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
     let scenario = Scenario {
         name: "smoke-reshard-xshard",
@@ -546,7 +560,7 @@ fn smoke_reshard_xshard() {
     assert_eq!(report.trace[0].label, "reshard(0)");
     assert_eq!(xc.shards(), 3, "the split appended a group");
     xc.quiesce(secs(2));
-    if xc.metrics().tx_unresolved > 0 {
+    if xc.tx_metrics().tx_unresolved > 0 {
         xc.resolve_unresolved(AUDIT_TIMEOUT).expect("settles");
     }
     xc.audit_atomicity(AUDIT_TIMEOUT)
@@ -556,8 +570,10 @@ fn smoke_reshard_xshard() {
 
 #[test]
 fn smoke_adaptive_single_group() {
-    let mut cluster = adversary_cluster(Engine::Pbft, 2, 45, 0);
-    cluster.start_paced_workload(PACE, |_| null_ops(64));
+    let mut deployment = adversary_deployment(Engine::Pbft, 2, 45, 0);
+    deployment
+        .group_mut(0)
+        .start_paced_workload(PACE, |_| null_ops(64));
     let scenario = Scenario {
         name: "smoke-adaptive-single",
         duration: ms(800),
@@ -571,7 +587,7 @@ fn smoke_adaptive_single_group() {
         )],
     };
     let mut adversaries = [Adversary::new(0, 0, EquivocatingPrimary)];
-    let report = run_scenario_adaptive(&mut cluster, &scenario, &mut adversaries, ms(25));
+    let report = run_scenario_adaptive(&mut deployment, &scenario, &mut adversaries, ms(25));
     assert!(
         report
             .trace
@@ -590,8 +606,7 @@ fn smoke_adaptive_single_group() {
 
 #[test]
 fn smoke_adaptive_sharded() {
-    let mut sc = ShardedCluster::build(sharded_spec(2, fetching_spec(2, 46)));
-    sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    let mut sc = paced_sharded(2, 46);
     let scenario = Scenario {
         name: "smoke-adaptive-sharded",
         duration: ms(800),
@@ -632,10 +647,7 @@ fn smoke_adaptive_sharded() {
 fn smoke_adaptive_xshard() {
     let mut base = fetching_spec(1, 47);
     base.cfg.view_change_timeout_ns = harness::testkit::TEST_VC_TIMEOUT_NS;
-    let mut xc = XShardCluster::build(xshard_spec(2, 2, base));
-    let map = xc.sharded().router().map();
-    xc.start_paced_background(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
-    xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
+    let mut xc = paced_xshard(base, 2);
     let scenario = Scenario {
         name: "smoke-adaptive-xshard",
         duration: ms(1000),
@@ -681,7 +693,7 @@ fn smoke_adaptive_xshard() {
         2
     );
     xc.quiesce(secs(2));
-    if xc.metrics().tx_unresolved > 0 {
+    if xc.tx_metrics().tx_unresolved > 0 {
         xc.resolve_unresolved(AUDIT_TIMEOUT).expect("settles");
     }
     xc.audit_atomicity(AUDIT_TIMEOUT).expect("atomic");
@@ -774,8 +786,7 @@ mod engine_conformance {
 /// group 1's keep completing.
 #[test]
 fn timeline_attributes_outages_per_client() {
-    let mut sc = ShardedCluster::build(sharded_spec(2, fetching_spec(2, 44)));
-    sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    let mut sc = paced_sharded(2, 44);
     let scenario = Scenario {
         name: "per-client-lanes",
         duration: ms(1000),
