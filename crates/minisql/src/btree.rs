@@ -24,7 +24,9 @@
 //! to the last leaf and over its cells, which gives the largest key (the
 //! next automatic rowid) and the end of the leaf, and [`BTree::append`]
 //! writes every larger key there in place — the bytes [`BTree::insert`]
-//! would write after a descent of its own.
+//! would write after a descent of its own. The database keeps the tail
+//! for the next INSERT into the same tree ([`BTree::resume_tail`]), so
+//! consecutive appends descend not at all.
 //!
 //! Every page can arrive by PBFT state transfer, so nothing here trusts a
 //! count, a length or a child id: a malformed page is
@@ -330,6 +332,8 @@ struct Split {
 /// its last one belongs after that last cell.
 #[derive(Debug)]
 pub struct Tail {
+    /// The tree's root page.
+    root: u32,
     leaf: u32,
     /// The leaf's last key (`None`: the leaf is empty, or the tail is spent).
     last: Option<i64>,
@@ -422,10 +426,25 @@ impl BTree {
             last = Some(cell?.key);
         }
         Ok(Tail {
+            root: self.root,
             leaf,
             last,
             used: cells.pos,
         })
+    }
+
+    /// The tree's [`Tail`]: `kept`, if it is this tree's and not spent,
+    /// else a fresh one ([`BTree::tail`]). The caller vouches that since
+    /// `kept` was last used, nothing but [`BTree::append`] through it has
+    /// changed the tree's cached pages.
+    ///
+    /// # Errors
+    /// As [`BTree::tail`].
+    pub fn resume_tail(&self, pager: &mut Pager, kept: Option<Tail>) -> Result<Tail, SqlError> {
+        match kept {
+            Some(tail) if tail.root == self.root && tail.last.is_some() => Ok(tail),
+            _ => self.tail(pager),
+        }
     }
 
     /// Insert a new `(key, payload)` given the tree's [`Tail`]: a key above

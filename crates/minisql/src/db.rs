@@ -6,14 +6,14 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::ast::*;
-use crate::btree::BTree;
+use crate::btree::{BTree, Tail};
 use crate::env::{Env, SystemEnv};
 use crate::error::SqlError;
 use crate::pager::{IoStats, JournalMode, Pager};
 use crate::record::{decode_row, encode_row};
 use crate::schema::{delete_table, load_catalog, save_new_table, TableSchema};
-use crate::shape::{Bound, Shapes};
-use crate::token::{statements, tokenize};
+use crate::shape::Shapes;
+use crate::token::Lexer;
 use crate::value::Value;
 use crate::vfs::Vfs;
 
@@ -74,8 +74,12 @@ pub struct Database {
     /// Plans by statement shape (parse once per shape).
     shapes: Shapes,
     /// The literals of the statement being executed, which its plan's
-    /// [`Expr::Param`]s index.
+    /// [`Expr::Param`]s index; reused from statement to statement.
     binds: Vec<Value>,
+    /// The tail of the tree the last INSERT appended to. Dropped by every
+    /// other write, a rollback, a failed commit and a cache invalidation,
+    /// so the cached pages it describes have changed only through it.
+    tail: Option<Tail>,
 }
 
 impl std::fmt::Debug for Database {
@@ -108,6 +112,7 @@ impl Database {
             in_txn: false,
             shapes: Shapes::default(),
             binds: Vec::new(),
+            tail: None,
         })
     }
 
@@ -134,11 +139,6 @@ impl Database {
         self.pager.has_dirty()
     }
 
-    /// Replace the environment (e.g. per-request deterministic values).
-    pub fn set_env(&mut self, env: Box<dyn Env>) {
-        self.env = env;
-    }
-
     /// Drain I/O statistics (for execution-cost accounting).
     pub fn take_io_stats(&mut self) -> IoStats {
         self.pager.take_stats()
@@ -162,6 +162,7 @@ impl Database {
     pub fn invalidate_cache(&mut self) -> Result<(), SqlError> {
         self.catalog = None;
         self.in_txn = false;
+        self.tail = None;
         self.pager.invalidate_cache()
     }
 
@@ -173,23 +174,51 @@ impl Database {
     /// transaction (a documented simplification vs. SQLite's statement-level
     /// rollback).
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome, SqlError> {
-        let bound = self.shapes.bind(tokenize(sql)?)?;
-        self.execute_bound(bound)
+        let plan = self.bind(sql)?;
+        self.execute_stmt(&plan)
+    }
+
+    /// Execute one statement if it is a SELECT; `Ok(None)` if it is not,
+    /// and then nothing ran — the read-only path, which must leave the
+    /// database as it found it.
+    ///
+    /// # Errors
+    /// As [`Database::execute`].
+    pub fn execute_select(&mut self, sql: &str) -> Result<Option<Rows>, SqlError> {
+        let plan = self.bind(sql)?;
+        if !matches!(*plan, Stmt::Select(_)) {
+            return Ok(None);
+        }
+        match self.execute_stmt(&plan)? {
+            ExecOutcome::Rows(rows) => Ok(Some(rows)),
+            other => unreachable!("a SELECT produced {other:?}"),
+        }
     }
 
     /// Execute several `;`-separated statements; returns the last outcome.
     /// Every statement is parsed before the first one runs, so a script
-    /// with a syntax error anywhere executes nothing.
+    /// with a syntax error anywhere executes nothing. A one-statement
+    /// script binds straight into the reused literal buffer, as
+    /// [`Database::execute`] does.
     ///
     /// # Errors
     /// Stops at the first failing statement.
     pub fn execute_script(&mut self, sql: &str) -> Result<ExecOutcome, SqlError> {
-        let bound = statements(sql)
-            .map(|tokens| self.shapes.bind(tokens?))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut last = ExecOutcome::Done;
-        for b in bound {
-            last = self.execute_bound(b)?;
+        let mut lexer = Lexer::new(sql);
+        if lexer.skip_empty() {
+            return Ok(ExecOutcome::Done);
+        }
+        let first = self.shapes.bind(&mut lexer, true, &mut self.binds)?;
+        let mut rest = Vec::new();
+        while !lexer.skip_empty() {
+            let mut binds = Vec::new();
+            let plan = self.shapes.bind(&mut lexer, true, &mut binds)?;
+            rest.push((plan, binds));
+        }
+        let mut last = self.execute_stmt(&first)?;
+        for (plan, binds) in rest {
+            self.binds = binds;
+            last = self.execute_stmt(&plan)?;
         }
         Ok(last)
     }
@@ -208,9 +237,10 @@ impl Database {
         }
     }
 
-    fn execute_bound(&mut self, bound: Bound) -> Result<ExecOutcome, SqlError> {
-        self.binds = bound.binds;
-        self.execute_stmt(&bound.plan)
+    /// The plan of one statement, its literals bound.
+    fn bind(&mut self, sql: &str) -> Result<Rc<Stmt>, SqlError> {
+        self.shapes
+            .bind(&mut Lexer::new(sql), false, &mut self.binds)
     }
 
     fn execute_stmt(&mut self, stmt: &Stmt) -> Result<ExecOutcome, SqlError> {
@@ -226,7 +256,7 @@ impl Database {
                 if !self.in_txn {
                     return Err(SqlError::Txn("COMMIT outside a transaction".into()));
                 }
-                self.pager.commit()?;
+                self.commit()?;
                 self.in_txn = false;
                 return Ok(ExecOutcome::Done);
             }
@@ -234,9 +264,7 @@ impl Database {
                 if !self.in_txn {
                     return Err(SqlError::Txn("ROLLBACK outside a transaction".into()));
                 }
-                self.pager.rollback();
-                self.catalog = None;
-                self.in_txn = false;
+                self.rollback();
                 return Ok(ExecOutcome::Done);
             }
             _ => {}
@@ -245,20 +273,36 @@ impl Database {
         match result {
             Ok(outcome) => {
                 if !self.in_txn {
-                    self.pager.commit()?;
+                    self.commit()?;
                 }
                 Ok(outcome)
             }
             Err(e) => {
-                self.pager.rollback();
-                self.catalog = None;
-                self.in_txn = false;
+                self.rollback();
                 Err(e)
             }
         }
     }
 
+    fn commit(&mut self) -> Result<(), SqlError> {
+        self.pager.commit().inspect_err(|_| self.tail = None)
+    }
+
+    /// Drop the transaction: the pager's uncommitted pages, and everything
+    /// read from them.
+    fn rollback(&mut self) {
+        self.pager.rollback();
+        self.catalog = None;
+        self.tail = None;
+        self.in_txn = false;
+    }
+
     fn run(&mut self, stmt: &Stmt) -> Result<ExecOutcome, SqlError> {
+        // An INSERT appends through the kept tail and a SELECT reads; every
+        // other statement may change the pages the tail describes.
+        if !matches!(stmt, Stmt::Insert { .. } | Stmt::Select(_)) {
+            self.tail = None;
+        }
         match stmt {
             Stmt::CreateTable {
                 name,
@@ -375,34 +419,37 @@ impl Database {
     ) -> Result<ExecOutcome, SqlError> {
         let schema = self.table(table)?;
         let tree = BTree { root: schema.root };
-        // Map the provided column list to schema indices.
-        let indices: Vec<usize> = if columns.is_empty() {
-            (0..schema.columns.len()).collect()
+        // Every named column exists, before any value is evaluated; a
+        // tuple's values go to the named columns, or to all of them in
+        // order.
+        if let Some(c) = columns.iter().find(|c| schema.column_index(c).is_none()) {
+            return Err(SqlError::Schema(format!("no such column: {c}")));
+        }
+        let width = if columns.is_empty() {
+            schema.columns.len()
         } else {
-            columns
-                .iter()
-                .map(|c| {
-                    schema
-                        .column_index(c)
-                        .ok_or_else(|| SqlError::Schema(format!("no such column: {c}")))
-                })
-                .collect::<Result<_, _>>()?
+            columns.len()
         };
         let mut affected = 0u64;
-        // One descent to the end of the table: the largest rowid, and the
-        // leaf where every larger one is appended.
-        let mut tail = tree.tail(&mut self.pager)?;
+        // The end of the table — the largest rowid, and the leaf where every
+        // larger one is appended: kept from the last INSERT into it, else
+        // one descent.
+        let mut tail = tree.resume_tail(&mut self.pager, self.tail.take())?;
         let mut next_rowid = tree.max_key_at(&mut self.pager, &tail)?.unwrap_or(0) + 1;
         for tuple in rows {
-            if tuple.len() != indices.len() {
+            if tuple.len() != width {
                 return Err(SqlError::Schema(format!(
                     "{} values for {} columns",
                     tuple.len(),
-                    indices.len()
+                    width
                 )));
             }
             let mut row = vec![Value::Null; schema.columns.len()];
-            for (expr, &idx) in tuple.iter().zip(&indices) {
+            for (i, expr) in tuple.iter().enumerate() {
+                let idx = match columns.get(i) {
+                    Some(c) => schema.column_index(c).expect("checked above"),
+                    None => i,
+                };
                 let v = self.eval(expr, &Ctx::none())?;
                 row[idx] = coerce(v, schema.columns[idx].ctype)?;
             }
@@ -436,6 +483,7 @@ impl Database {
             tree.append(&mut self.pager, &mut tail, rowid, &encode_row(&row))?;
             affected += 1;
         }
+        self.tail = Some(tail);
         Ok(ExecOutcome::Affected(affected))
     }
 
@@ -1552,7 +1600,7 @@ mod tests {
     fn statement(g: &mut propcheck::Gen) -> String {
         let mut lit = || literal_text(g);
         let (a, b, c) = (lit(), lit(), lit());
-        match g.choice(20) {
+        match g.choice(28) {
             0 | 1 => format!("INSERT INTO t (a, b, c) VALUES ({a}, {b}, {c})"),
             2 => format!("INSERT INTO t (id, a, b) VALUES ({a}, {b}, {c})"),
             3 => format!("INSERT INTO t (a, b) VALUES ({a}, {b}), (NULL, {c}), ({b}, {a})"),
@@ -1583,8 +1631,62 @@ mod tests {
             ),
             17 => ["BEGIN", "COMMIT", "ROLLBACK"][g.choice(3)].into(),
             18 => format!("SELEKT {a}"),
-            _ => format!("SELECT {a} {b}"),
+            19 => format!("SELECT {a} {b}"),
+            // Other spellings of the same tokens: quoted identifiers spelled
+            // like bare ones, `==` and `<>`, keywords in other cases, a
+            // comment inside the statement.
+            20 => format!("select \"a\", B from \"t\" where ID == {a} -- or; not\n or c <> {b}"),
+            21 => format!("Insert Into \"t\" (a, \"b\") Values ({a}, {b})"),
+            // Two shapes with one hash (found by search): only the token
+            // compare tells them apart.
+            22 | 23 => format!(
+                "SELECT id AS \"{}\" FROM t",
+                ["collideswithYYYY", "Km0HCEoIfn3RqPfu"][g.choice(2)]
+            ),
+            // Lex errors: the script they end runs nothing.
+            24 => format!("SELECT {a} + 'open"),
+            25 => ["SELECT x'abc'", "SELECT # FROM t", "SELECT \"open"][g.choice(3)].into(),
+            // Larger rows, so that leaves split and the tail moves on.
+            26 => format!(
+                "INSERT INTO t (a, b) VALUES ({a}, '{}')",
+                "p".repeat(g.usize_in(0..400))
+            ),
+            _ => format!("SELECT id FROM t WHERE id >= {a} ORDER BY id DESC LIMIT 2"),
         }
+    }
+
+    /// Writes on `t` around the tail the last INSERT leaves: appends, a
+    /// failing INSERT (its second row repeats its first's key), an UPDATE
+    /// that resizes every row or moves some past the end, a DELETE, an
+    /// explicit transaction rolled back or committed, reads.
+    fn tail_sequence(g: &mut propcheck::Gen) -> Vec<String> {
+        (0..g.usize_in(2..10))
+            .map(|_| {
+                let pad = "q".repeat(g.usize_in(0..300));
+                let key = 1_000 + g.i64_in(0..2_000);
+                match g.choice(12) {
+                    0..=3 => format!("INSERT INTO t (a, b) VALUES ({}, '{pad}')", g.i64_in(0..9)),
+                    4 => format!("INSERT INTO t (id, a) VALUES ({key}, 1), ({key}, 2)"),
+                    5 => format!("INSERT INTO t (id, b) VALUES ({key}, '{pad}')"),
+                    6 => format!("UPDATE t SET b = '{pad}'"),
+                    7 => format!("UPDATE t SET id = id + 5000 WHERE id > {}", g.i64_in(0..50)),
+                    8 => format!("DELETE FROM t WHERE id > {}", g.i64_in(0..50)),
+                    9 => format!(
+                        "BEGIN; INSERT INTO t (b) VALUES ('{pad}'); INSERT INTO t (a) VALUES (1); {}",
+                        ["ROLLBACK", "COMMIT"][g.choice(2)]
+                    ),
+                    10 => ["BEGIN", "ROLLBACK", "COMMIT"][g.choice(3)].into(),
+                    _ => "SELECT COUNT(*), MAX(id) FROM t".into(),
+                }
+            })
+            .collect()
+    }
+
+    /// Run a statement as the engine did before it kept a tail: every
+    /// INSERT descends to the end of its table.
+    fn descend_every_time(db: &mut Database, stmt: &Stmt) -> Result<ExecOutcome, SqlError> {
+        db.tail = None;
+        db.execute_stmt(stmt)
     }
 
     /// Both files of a database, byte for byte.
@@ -1595,8 +1697,9 @@ mod tests {
     #[test]
     fn prop_plans_cached_per_shape_match_parsing_every_statement() {
         // The reference parses every statement from its literal text and
-        // runs it (`parse` + `execute_stmt`, no cache); the database under
-        // test runs the same statements through its shape cache. Outcomes,
+        // runs it (`parse` + `execute_stmt`, no cache) with a fresh descent
+        // for every INSERT; the database under test runs the same
+        // statements through its shape cache and its kept tail. Outcomes,
         // error text, both files and `IoStats` must agree after every one.
         propcheck::check("plans_cached_per_shape_match_reference", 48, |g| {
             let mode = [JournalMode::Rollback, JournalMode::Wal, JournalMode::Off][g.choice(3)];
@@ -1629,6 +1732,13 @@ mod tests {
                 }));
             }
             for _ in 0..g.usize_in(1..60) {
+                if g.choice(6) == 0 {
+                    for script in tail_sequence(g) {
+                        let single = !script.contains(';') && g.bool();
+                        scripts.push((script, single));
+                    }
+                    continue;
+                }
                 let n = g.usize_in(1..4);
                 let mut script = (0..n).map(|_| statement(g)).collect::<Vec<_>>().join("; ");
                 match g.choice(4) {
@@ -1651,12 +1761,12 @@ mod tests {
                     cached.execute_script(script)
                 };
                 let want = if single {
-                    parse(script).and_then(|stmt| reference.execute_stmt(&stmt))
+                    parse(script).and_then(|stmt| descend_every_time(&mut reference, &stmt))
                 } else {
                     parse_script(script).and_then(|stmts| {
                         let mut last = ExecOutcome::Done;
                         for stmt in &stmts {
-                            last = reference.execute_stmt(stmt)?;
+                            last = descend_every_time(&mut reference, stmt)?;
                         }
                         Ok(last)
                     })

@@ -5,7 +5,17 @@ use crate::value::Value;
 
 /// Serialize a row of values.
 pub fn encode_row(values: &[Value]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + values.len() * 8);
+    // Sized exactly: one allocation, never a regrowth.
+    let len = 2 + values
+        .iter()
+        .map(|v| match v {
+            Value::Null => 1,
+            Value::Integer(_) | Value::Real(_) => 9,
+            Value::Text(t) => 5 + t.len(),
+            Value::Blob(b) => 5 + b.len(),
+        })
+        .sum::<usize>();
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&(values.len() as u16).to_be_bytes());
     for v in values {
         match v {

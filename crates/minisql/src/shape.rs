@@ -5,11 +5,15 @@
 //! shape is kept, and a later statement of that shape runs it with its own
 //! literals bound to the plan's `Expr::Param`s.
 //!
-//! A shape is compared token by token — kind and text — never by a hash
-//! alone and never as a joined string (a quoted identifier may hold any
-//! byte). Plans name tables and columns by text and resolve them at
-//! execution, so no DDL, rollback or state transfer invalidates one, and
-//! what a statement does never depends on whether its shape was cached.
+//! A statement is lexed into a buffer the cache owns, and each token is
+//! compared as it is lexed with the shape bound last — a service sends one
+//! shape after another — so a repeated shape is read once; only a
+//! statement that departs from it is hashed and looked up. A shape is
+//! compared token by token — kind and text — never by a hash alone and
+//! never as a joined string (a quoted identifier may hold any byte).
+//! Plans name tables and columns by text and resolve them at execution,
+//! so no DDL, rollback or state transfer invalidates one, and what a
+//! statement does never depends on whether its shape was cached.
 
 use std::borrow::Cow;
 use std::hash::Hasher;
@@ -19,7 +23,7 @@ use crate::ast::Stmt;
 use crate::error::SqlError;
 use crate::hash::MulHasher;
 use crate::parser::parse_tokens;
-use crate::token::{Lit, Token};
+use crate::token::{Lexer, Lit, Token};
 use crate::value::Value;
 
 /// Shapes kept. The e-voting application uses 11 (3 of them its CREATE
@@ -30,22 +34,26 @@ use crate::value::Value;
 /// than this.
 const CAPACITY: usize = 64;
 
-/// A statement ready to run: its plan, and the values the plan's
-/// `Expr::Param`s stand for, in order.
-#[derive(Debug)]
-pub struct Bound {
-    /// The parsed statement.
-    pub plan: Rc<Stmt>,
-    /// The statement's literals.
-    pub binds: Vec<Value>,
-}
-
-/// A token of a kept shape; an identifier is a range of the shape's text.
-#[derive(Debug)]
+/// A token of a shape. An identifier is a byte range of the text it was
+/// lexed from: the statement's while it is being bound, the shape's own
+/// once it is kept.
+#[derive(Debug, Clone, Copy)]
 enum KeyToken {
     Ident(usize, usize),
     Punct(&'static str),
     Slot(Lit),
+}
+
+impl KeyToken {
+    /// The same token: kind, and text read from each token's own text.
+    fn same(&self, text: &[u8], other: &KeyToken, other_text: &[u8]) -> bool {
+        match (self, other) {
+            (KeyToken::Ident(a, b), KeyToken::Ident(c, d)) => text[*a..*b] == other_text[*c..*d],
+            (KeyToken::Punct(a), KeyToken::Punct(b)) => a == b,
+            (KeyToken::Slot(a), KeyToken::Slot(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 /// A kept shape: its tokens, their identifiers in one buffer, and its plan.
@@ -58,26 +66,23 @@ struct Shape {
 }
 
 impl Shape {
-    fn new(hash: u64, tokens: &[Token<'_>], plan: Rc<Stmt>) -> Shape {
+    fn new(hash: u64, key: &[KeyToken], sql: &str, plan: Rc<Stmt>) -> Shape {
         let mut text = String::with_capacity(
-            tokens
-                .iter()
-                .map(|t| match t {
-                    Token::Ident(s) => s.len(),
+            key.iter()
+                .map(|k| match k {
+                    KeyToken::Ident(a, b) => b - a,
                     _ => 0,
                 })
                 .sum(),
         );
-        let key = tokens
+        let key = key
             .iter()
-            .map(|t| match t {
-                Token::Ident(s) => {
-                    text.push_str(s);
-                    KeyToken::Ident(text.len() - s.len(), text.len())
+            .map(|&k| match k {
+                KeyToken::Ident(a, b) => {
+                    text.push_str(&sql[a..b]);
+                    KeyToken::Ident(text.len() - (b - a), text.len())
                 }
-                Token::Punct(p) => KeyToken::Punct(p),
-                Token::Slot(kind) => KeyToken::Slot(*kind),
-                literal => unreachable!("literals were slotted: {literal:?}"),
+                other => other,
             })
             .collect();
         Shape {
@@ -88,94 +93,171 @@ impl Shape {
         }
     }
 
-    fn matches(&self, hash: u64, tokens: &[Token<'_>]) -> bool {
+    /// Is token `at` of this shape `token`, an identifier of `sql`?
+    fn matches_at(&self, at: usize, token: &KeyToken, sql: &str) -> bool {
+        self.key
+            .get(at)
+            .is_some_and(|k| k.same(self.text.as_bytes(), token, sql.as_bytes()))
+    }
+
+    fn matches(&self, hash: u64, key: &[KeyToken], sql: &str) -> bool {
         let text = self.text.as_bytes();
         self.hash == hash
-            && self.key.len() == tokens.len()
-            && self.key.iter().zip(tokens).all(|(k, t)| match (k, t) {
-                (KeyToken::Ident(start, end), Token::Ident(b)) => {
-                    text[*start..*end] == *b.as_bytes()
-                }
-                (KeyToken::Punct(a), Token::Punct(b)) => a == b,
-                (KeyToken::Slot(a), Token::Slot(b)) => a == b,
-                _ => false,
-            })
+            && self.key.len() == key.len()
+            && self
+                .key
+                .iter()
+                .zip(key)
+                .all(|(k, t)| k.same(text, t, sql.as_bytes()))
     }
 }
 
-/// The plans of the shapes a database has run (see the module docs).
+/// The plans of the shapes a database has run (see the module docs), and
+/// the buffer a statement's shape is lexed into.
 #[derive(Debug, Default)]
 pub struct Shapes {
     shapes: Vec<Shape>,
+    /// The shape bound last: the one a statement is compared with while it
+    /// is lexed (an index past the end before there is one).
+    recent: usize,
+    /// The statement being bound; reused.
+    key: Vec<KeyToken>,
 }
 
 impl Shapes {
-    /// The plan of one statement's tokens, with its literals to bind:
-    /// looked up by shape, else parsed and kept.
+    /// Lex one statement and return its plan, with its literals written to
+    /// `binds` in order (a string literal into the `String` already in its
+    /// place, if there is one).
+    ///
+    /// Each token is compared with the shape bound last as it is lexed, so
+    /// a statement of that shape costs one pass and allocates nothing but
+    /// a literal that fits no slot's allocation; any other statement is
+    /// looked up by hash and compared token by token, and parsed and kept
+    /// if no shape matches. In a `script`, the statement ends at a `;`
+    /// token (consumed) — the caller skips empty statements first
+    /// ([`Lexer::skip_empty`]); otherwise it is the rest of the text.
     ///
     /// # Errors
-    /// [`SqlError::Parse`], with the text parsing the literal tokens gives.
-    pub fn bind(&mut self, mut tokens: Vec<Token<'_>>) -> Result<Bound, SqlError> {
-        let (hash, binds) = slot_literals(&mut tokens);
-        if let Some(shape) = self.shapes.iter().find(|s| s.matches(hash, &tokens)) {
-            return Ok(Bound {
-                plan: Rc::clone(&shape.plan),
-                binds,
-            });
+    /// [`SqlError::Lex`], or [`SqlError::Parse`] with the text parsing the
+    /// literal tokens gives.
+    pub fn bind(
+        &mut self,
+        lexer: &mut Lexer<'_>,
+        script: bool,
+        binds: &mut Vec<Value>,
+    ) -> Result<Rc<Stmt>, SqlError> {
+        let Shapes {
+            shapes,
+            recent,
+            key,
+        } = self;
+        let sql = lexer.text();
+        key.clear();
+        let mut bound = 0;
+        // The shape bound last, while every token so far has matched it.
+        let mut candidate = shapes.get(*recent);
+        for token in lexer.by_ref() {
+            let token = match token? {
+                Token::Punct(";") if script => break,
+                Token::Ident(s) => {
+                    // Every identifier is a slice of the text.
+                    let start = s.as_ptr() as usize - sql.as_ptr() as usize;
+                    KeyToken::Ident(start, start + s.len())
+                }
+                Token::Punct(p) => KeyToken::Punct(p),
+                literal => {
+                    let kind = put_literal(binds, bound, literal);
+                    bound += 1;
+                    KeyToken::Slot(kind)
+                }
+            };
+            if candidate.is_some_and(|shape| !shape.matches_at(key.len(), &token, sql)) {
+                candidate = None;
+            }
+            key.push(token);
         }
+        binds.truncate(bound);
+        if let Some(shape) = candidate.filter(|shape| shape.key.len() == key.len()) {
+            return Ok(Rc::clone(&shape.plan));
+        }
+        let hash = hash_key(key, sql);
+        if let Some(i) = shapes.iter().position(|s| s.matches(hash, key, sql)) {
+            *recent = i;
+            return Ok(Rc::clone(&shapes[i].plan));
+        }
+        let mut tokens: Vec<Token<'_>> = key
+            .iter()
+            .map(|&k| match k {
+                KeyToken::Ident(a, b) => Token::Ident(&sql[a..b]),
+                KeyToken::Punct(p) => Token::Punct(p),
+                KeyToken::Slot(kind) => Token::Slot(kind),
+            })
+            .collect();
         let Ok(plan) = parse_tokens(&tokens) else {
             // An error names the token it stopped at: parse the statement
             // as written.
             unslot(&mut tokens, binds);
-            let plan = parse_tokens(&tokens)?;
-            return Ok(Bound {
-                plan: Rc::new(plan),
-                binds: Vec::new(),
-            });
+            return Ok(Rc::new(parse_tokens(&tokens)?));
         };
         let plan = Rc::new(plan);
-        if self.shapes.len() == CAPACITY {
-            self.shapes.clear();
+        if shapes.len() == CAPACITY {
+            shapes.clear();
         }
-        self.shapes
-            .push(Shape::new(hash, &tokens, Rc::clone(&plan)));
-        Ok(Bound { plan, binds })
+        *recent = shapes.len();
+        shapes.push(Shape::new(hash, key, sql, Rc::clone(&plan)));
+        Ok(plan)
     }
 }
 
-/// Replace every literal token by a slot of its kind; returns the hash of
-/// the resulting shape and the literals' values, in order.
-fn slot_literals(tokens: &mut [Token<'_>]) -> (u64, Vec<Value>) {
-    let mut hash = MulHasher::default();
-    let mut binds = Vec::new();
-    for token in tokens {
-        let (kind, value) = match token {
-            Token::Ident(s) => {
-                hash.write_u8(0);
-                hash.write(s.as_bytes());
-                continue;
+/// Write a literal token's value to `binds[i]` (pushed when `i` is the
+/// length) and return its kind.
+fn put_literal(binds: &mut Vec<Value>, i: usize, token: Token<'_>) -> Lit {
+    let (kind, value) = match token {
+        Token::Int(v) => (Lit::Int, Value::Integer(v)),
+        Token::Float(v) => (Lit::Float, Value::Real(v)),
+        Token::Str(s) => {
+            if let Some(Value::Text(text)) = binds.get_mut(i) {
+                text.clear();
+                text.push_str(&s);
+                return Lit::Str;
             }
-            Token::Punct(p) => {
+            (Lit::Str, Value::Text(s.into_owned()))
+        }
+        Token::Hex(b) => (Lit::Hex, Value::Blob(b)),
+        Token::Ident(_) | Token::Punct(_) | Token::Slot(_) => {
+            unreachable!("not a literal: {token:?}")
+        }
+    };
+    match binds.get_mut(i) {
+        Some(slot) => *slot = value,
+        None => binds.push(value),
+    }
+    kind
+}
+
+/// The hash of a shape, its identifiers read from `sql`.
+fn hash_key(key: &[KeyToken], sql: &str) -> u64 {
+    let mut hash = MulHasher::default();
+    for token in key {
+        match *token {
+            KeyToken::Ident(a, b) => {
+                hash.write_u8(0);
+                hash.write(&sql.as_bytes()[a..b]);
+            }
+            KeyToken::Punct(p) => {
                 hash.write_u8(1);
                 hash.write(p.as_bytes());
-                continue;
             }
-            Token::Int(v) => (Lit::Int, Value::Integer(*v)),
-            Token::Float(v) => (Lit::Float, Value::Real(*v)),
-            Token::Str(s) => (Lit::Str, Value::Text(std::mem::take(s).into_owned())),
-            Token::Hex(b) => (Lit::Hex, Value::Blob(std::mem::take(b))),
-            Token::Slot(_) => unreachable!("the tokenizer makes no slots"),
-        };
-        hash.write_u8(2 + kind as u8);
-        *token = Token::Slot(kind);
-        binds.push(value);
+            KeyToken::Slot(kind) => hash.write_u8(2 + kind as u8),
+        }
     }
-    (hash.finish(), binds)
+    hash.finish()
 }
 
-/// Put a statement's literals back in place of its slots.
-fn unslot(tokens: &mut [Token<'_>], binds: Vec<Value>) {
-    let mut binds = binds.into_iter();
+/// Put a statement's literals back in place of its slots; `binds` is left
+/// empty.
+fn unslot(tokens: &mut [Token<'_>], binds: &mut Vec<Value>) {
+    let mut binds = binds.drain(..);
     for token in tokens.iter_mut().filter(|t| matches!(t, Token::Slot(_))) {
         *token = match binds.next() {
             Some(Value::Integer(v)) => Token::Int(v),
@@ -191,10 +273,17 @@ fn unslot(tokens: &mut [Token<'_>], binds: Vec<Value>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::token::tokenize;
+
+    /// A statement's plan and literals.
+    struct Bound {
+        plan: Rc<Stmt>,
+        binds: Vec<Value>,
+    }
 
     fn bind(shapes: &mut Shapes, sql: &str) -> Result<Bound, SqlError> {
-        shapes.bind(tokenize(sql).expect("lex"))
+        let mut binds = Vec::new();
+        let plan = shapes.bind(&mut Lexer::new(sql), false, &mut binds)?;
+        Ok(Bound { plan, binds })
     }
 
     #[test]
@@ -244,6 +333,59 @@ mod tests {
             }
         }
         assert!(shapes.shapes.is_empty());
+    }
+
+    #[test]
+    fn shapes_with_one_hash_keep_their_own_plans() {
+        // Two aliases found by search to leave the hasher in one state.
+        let [a, b] = ["collideswithYYYY", "Km0HCEoIfn3RqPfu"]
+            .map(|alias| format!("SELECT id AS \"{alias}\" FROM t"));
+        let mut shapes = Shapes::default();
+        let mut hash = |sql: &str| {
+            let plan = bind(&mut shapes, sql).expect("bind").plan;
+            (hash_key(&shapes.key, sql), plan)
+        };
+        let (hash_a, plan_a) = hash(&a);
+        let (hash_b, plan_b) = hash(&b);
+        assert_eq!(hash_a, hash_b, "the pair no longer collides");
+        assert!(!Rc::ptr_eq(&plan_a, &plan_b));
+        // Not the shape bound last, so found by hash, then told apart by
+        // token.
+        assert!(Rc::ptr_eq(&hash(&a).1, &plan_a));
+        assert!(Rc::ptr_eq(&hash(&b).1, &plan_b));
+        assert_eq!(shapes.shapes.len(), 2);
+    }
+
+    #[test]
+    fn the_shape_bound_last_is_matched_while_lexing() {
+        let mut shapes = Shapes::default();
+        let insert = |i: i64| format!("INSERT INTO t (a, b) VALUES ({i}, 'v{i}')");
+        let first = bind(&mut shapes, &insert(1)).expect("bind");
+        let other = bind(&mut shapes, "SELECT a FROM t WHERE id = 1").expect("bind");
+        // Back to the INSERT: found by hash, then matched as it is lexed.
+        for i in 2..5 {
+            let again = bind(&mut shapes, &insert(i)).expect("bind");
+            assert!(Rc::ptr_eq(&first.plan, &again.plan));
+            assert_eq!(
+                again.binds,
+                vec![Value::Integer(i), Value::Text(format!("v{i}"))]
+            );
+        }
+        // A longer or a shorter statement with the same prefix is another
+        // shape.
+        for sql in [
+            "SELECT a FROM t WHERE id = 1 AND a = 2",
+            "SELECT a FROM t WHERE id",
+            "SELECT a FROM t WHERE id = 1",
+        ] {
+            let plan = bind(&mut shapes, sql).expect("bind").plan;
+            assert_eq!(
+                Rc::ptr_eq(&plan, &other.plan),
+                sql.ends_with("= 1"),
+                "{sql}"
+            );
+        }
+        assert_eq!(shapes.shapes.len(), 4);
     }
 
     #[test]

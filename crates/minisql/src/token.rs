@@ -2,7 +2,10 @@
 //! slice of it, and so is a string literal unless it contains a `''` escape.
 //! A script is cut into statements at the tokenizer's own `;` tokens, so a
 //! `;` or a `'` inside a string, a quoted identifier or a comment never
-//! splits one.
+//! splits one. The database lexes a statement one token at a time
+//! ([`Lexer`], driven by `shape::Shapes::bind`); [`tokenize`] and
+//! [`statements`] collect whole token vectors for the parser's own tests
+//! and the reference the shape cache is tested against.
 
 use std::borrow::Cow;
 
@@ -53,6 +56,7 @@ impl Token<'_> {
 ///
 /// # Errors
 /// [`SqlError::Lex`] on unterminated strings, bad hex, or unknown bytes.
+#[cfg(test)]
 pub fn tokenize(sql: &str) -> Result<Vec<Token<'_>>, SqlError> {
     let mut out = Vec::with_capacity(token_room(sql.len()));
     for token in Lexer::new(sql) {
@@ -63,6 +67,7 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token<'_>>, SqlError> {
 
 /// A token per four bytes is typical; the cap keeps one huge literal from
 /// reserving megabytes.
+#[cfg(test)]
 fn token_room(bytes: usize) -> usize {
     (bytes / 4).min(64)
 }
@@ -71,6 +76,7 @@ fn token_room(bytes: usize) -> usize {
 /// statements skipped. Each statement is lexed when it is asked for, so a
 /// lex error in one surfaces after everything the caller did with the
 /// statements before it; after an error the iterator ends.
+#[cfg(test)]
 pub fn statements(sql: &str) -> impl Iterator<Item = Result<Vec<Token<'_>>, SqlError>> {
     let mut lexer = Lexer::new(sql);
     std::iter::from_fn(move || loop {
@@ -93,28 +99,39 @@ pub fn statements(sql: &str) -> impl Iterator<Item = Result<Vec<Token<'_>>, SqlE
 }
 
 /// The tokenizer, one token at a time; after an error it yields nothing.
-struct Lexer<'a> {
+pub struct Lexer<'a> {
     sql: &'a str,
     pos: usize,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(sql: &'a str) -> Self {
+    /// A lexer at the start of `sql`.
+    pub fn new(sql: &'a str) -> Self {
         Lexer { sql, pos: 0 }
     }
-}
 
-impl<'a> Iterator for Lexer<'a> {
-    type Item = Result<Token<'a>, SqlError>;
+    /// The text being lexed, which every [`Token::Ident`] is a slice of.
+    pub fn text(&self) -> &'a str {
+        self.sql
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Skip whitespace, comments and `;` tokens — the empty statements
+    /// between two statements of a script; true when nothing is left.
+    pub fn skip_empty(&mut self) -> bool {
+        loop {
+            self.skip_space();
+            match self.sql.as_bytes().get(self.pos) {
+                None => return true,
+                Some(b';') => self.pos += 1,
+                Some(_) => return false,
+            }
+        }
+    }
+
+    fn skip_space(&mut self) {
         let bytes = self.sql.as_bytes();
         let mut i = self.pos;
-        loop {
-            let Some(&c) = bytes.get(i) else {
-                self.pos = i;
-                return None;
-            };
+        while let Some(&c) = bytes.get(i) {
             match c {
                 b' ' | b'\t' | b'\n' | b'\r' => i += 1,
                 b'-' if bytes.get(i + 1) == Some(&b'-') => {
@@ -122,20 +139,30 @@ impl<'a> Iterator for Lexer<'a> {
                         i += 1;
                     }
                 }
-                _ => {
-                    return Some(match lex_token(self.sql, i, c) {
-                        Ok((token, end)) => {
-                            self.pos = end;
-                            Ok(token)
-                        }
-                        Err(e) => {
-                            self.pos = bytes.len();
-                            Err(e)
-                        }
-                    });
-                }
+                _ => break,
             }
         }
+        self.pos = i;
+    }
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Result<Token<'a>, SqlError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.skip_space();
+        let i = self.pos;
+        let &c = self.sql.as_bytes().get(i)?;
+        Some(match lex_token(self.sql, i, c) {
+            Ok((token, end)) => {
+                self.pos = end;
+                Ok(token)
+            }
+            Err(e) => {
+                self.pos = self.sql.len();
+                Err(e)
+            }
+        })
     }
 }
 

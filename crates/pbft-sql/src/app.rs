@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use minisql::{Database, DbOptions, FixedEnv, JournalMode, MemVfs, SqlError};
+use minisql::{Database, DbOptions, Env, ExecOutcome, FixedEnv, JournalMode, MemVfs, SqlError};
 use pbft_core::app::{App, ExecMetrics, NonDet, StateHandle};
 use pbft_core::replica::LIB_REGION_PAGES;
 use pbft_core::types::ClientId;
@@ -51,10 +51,26 @@ pub const REPLICATED_WAL_AUTOCHECKPOINT: u64 = 64;
 /// application identity to bind, or `None` to deny.
 pub type JoinAuthorizer = Box<dyn FnMut(&[u8]) -> Option<Vec<u8>>>;
 
+/// The database's `now()` / `random()`: the primary's agreed values,
+/// shared with the [`SqlApp`] that sets them before each operation.
+#[derive(Debug, Clone, Default)]
+struct AgreedEnv(Rc<RefCell<FixedEnv>>);
+
+impl Env for AgreedEnv {
+    fn now_ns(&mut self) -> i64 {
+        self.0.borrow_mut().now_ns()
+    }
+
+    fn random(&mut self) -> i64 {
+        self.0.borrow_mut().random()
+    }
+}
+
 /// A [`pbft_core::App`] whose operations are SQL scripts (UTF-8 bytes) and
 /// whose replies are canonically encoded outcomes.
 pub struct SqlApp {
     db: Database,
+    env: AgreedEnv,
     state: StateHandle,
     vfs_syncs: SyncCounter,
     cost: CostProfile,
@@ -152,13 +168,14 @@ impl SqlApp {
         };
         let vfs = StateVfs::new(state.clone(), db_section, syncs.clone());
         let fresh = minisql::Vfs::len(&vfs) == 0 && !minisql::wal::is_present(wal_vfs.as_ref());
+        let env = AgreedEnv::default();
         let mut db = Database::open(
             Box::new(vfs),
             wal_vfs,
             DbOptions {
                 journal_mode,
                 wal_autocheckpoint,
-                env: Box::new(FixedEnv::default()),
+                env: Box::new(env.clone()),
             },
         )?;
         if fresh {
@@ -168,6 +185,7 @@ impl SqlApp {
         }
         let mut app = SqlApp {
             db,
+            env,
             state,
             vfs_syncs: syncs,
             cost,
@@ -225,22 +243,32 @@ impl App for SqlApp {
     ) -> (Vec<u8>, ExecMetrics) {
         // Non-determinism plumbing (§3.2): `now()`/`random()` evaluate to the
         // primary's agreed values on every replica.
-        self.db.set_env(Box::new(FixedEnv {
+        *self.env.0.borrow_mut() = FixedEnv {
             now_ns: nondet.timestamp_ns as i64,
             random_state: nondet.random as i64,
-        }));
-        let sql = String::from_utf8_lossy(op);
+        };
+        // Invalid bytes are replaced (the lossy form); valid text is used as
+        // it is, without the lossy form's slower scan.
+        let lossy;
+        let sql = match std::str::from_utf8(op) {
+            Ok(sql) => sql,
+            Err(_) => {
+                lossy = String::from_utf8_lossy(op);
+                &*lossy
+            }
+        };
         let result = if read_only {
-            // The read-only fast path must not modify state; reject writes.
-            match self.db.execute(&sql) {
-                Ok(minisql::ExecOutcome::Rows(r)) => Ok(minisql::ExecOutcome::Rows(r)),
-                Ok(_) => Err(SqlError::Runtime(
+            // The read-only fast path must not modify state: a statement
+            // that is not a SELECT is rejected before it runs.
+            match self.db.execute_select(sql) {
+                Ok(Some(rows)) => Ok(ExecOutcome::Rows(rows)),
+                Ok(None) => Err(SqlError::Runtime(
                     "write statement on the read-only path".into(),
                 )),
                 Err(e) => Err(e),
             }
         } else {
-            self.db.execute_script(&sql)
+            self.db.execute_script(sql)
         };
         self.executed += 1;
         let reply = encode_outcome(&result);
@@ -348,15 +376,42 @@ mod tests {
     #[test]
     fn read_only_path_rejects_writes() {
         let mut a = app(JournalMode::Rollback);
-        let (reply, _) = a.execute(
-            ClientId(1),
+        let insert: &[u8] = b"INSERT INTO kv (k, v, ts, rnd) VALUES ('a', 'b', now(), random())";
+        let count = |a: &mut SqlApp| {
+            let (reply, _) = a.execute(ClientId(1), b"SELECT COUNT(*) FROM kv", &nd(1, 1), true);
+            match decode_outcome(&reply) {
+                Some(WireOutcome::Rows(rows)) => rows.rows[0][0].clone(),
+                other => panic!("{other:?}"),
+            }
+        };
+        let root = |a: &SqlApp| a.state.borrow_mut().refresh_digest();
+        a.execute(ClientId(1), insert, &nd(1, 1), false);
+        let writes: [&[u8]; 5] = [
             b"INSERT INTO kv (k) VALUES ('x')",
-            &nd(1, 1),
-            true,
-        );
-        match decode_outcome(&reply) {
-            Some(WireOutcome::Error(e)) => assert!(e.contains("read-only")),
-            other => panic!("{other:?}"),
+            b"UPDATE kv SET v = 'z'",
+            b"DELETE FROM kv",
+            b"CREATE TABLE other (x INTEGER)",
+            b"BEGIN",
+        ];
+        for (i, op) in writes.into_iter().enumerate() {
+            let what = String::from_utf8_lossy(op);
+            let (rows, before) = (count(&mut a), root(&a));
+            let (reply, _) = a.execute(ClientId(1), op, &nd(2, 2), true);
+            assert_eq!(
+                decode_outcome(&reply),
+                Some(WireOutcome::Error(
+                    "runtime error: write statement on the read-only path".into()
+                )),
+                "{what}"
+            );
+            assert_eq!(count(&mut a), rows, "{what} ran");
+            assert_eq!(root(&a), before, "{what} changed the state");
+            // The next ordered write commits.
+            let (reply, _) = a.execute(ClientId(1), insert, &nd(3, 3), false);
+            assert_eq!(decode_outcome(&reply), Some(WireOutcome::Affected(1)));
+            assert!(!a.db.has_uncommitted(), "after {what}");
+            assert_ne!(root(&a), before, "after {what}");
+            assert_eq!(count(&mut a), Value::Integer(i as i64 + 2), "after {what}");
         }
     }
 

@@ -2,7 +2,8 @@
 # Where does a wallbench workload spend its CPU time? A sampling profile
 # with nothing but cc, nm and python3 (the box has no perf).
 #
-#   scripts/profile_wallbench.sh WORKLOAD [seconds=5]
+#   scripts/profile_wallbench.sh WORKLOAD [seconds=5] [rows=30]
+#   FOCUS=FUNCTION scripts/profile_wallbench.sh WORKLOAD [seconds] [rows]
 #
 # Builds `wallbench` with frame pointers into its own target directory
 # (target/profile, so the benchmark's build is not disturbed), compiles
@@ -21,11 +22,15 @@
 # word at RSP points into the executable's text, that word is taken as the
 # return address and its function charged as the caller, tagged
 # "[caller by rsp]" — a heuristic (the word may be anything a function
-# pushed). Not part of tier-1 or verify.sh.
+# pushed). Each table prints its `rows` largest entries. With FOCUS set, a
+# fourth table repeats the inclusive one over only the samples whose chain
+# holds a function whose name contains FOCUS (e.g. `SqlApp as`), as a share
+# of those samples: the decomposition of that function. Not part of tier-1
+# or verify.sh.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-    sed -n '2,24p' "$0" >&2
+    sed -n '2,29p' "$0" >&2
     exit 2
 fi
 for tool in cc nm python3 cargo; do
@@ -36,6 +41,7 @@ for tool in cc nm python3 cargo; do
 done
 workload=$1
 seconds=${2:-5}
+rows=${3:-30}
 cd "$(dirname "$0")/.."
 
 dir=target/profile
@@ -51,10 +57,11 @@ CARGO_TARGET_DIR=$dir PROF_OUT=$samples LD_PRELOAD=$PWD/$dir/sampler.so \
     "$bin" --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 >"$dir/run.txt"
 grep -E '^ +(ops_per_s|latency_p50_us|latency_p99_us) ' "$dir/run.txt" || true
 
-python3 - "$bin" "$samples" <<'PY'
+FOCUS=${FOCUS:-} python3 - "$bin" "$samples" "$rows" <<'PY'
 import bisect, collections, os, re, subprocess, sys
 
-binary, samples_path = sys.argv[1], sys.argv[2]
+binary, samples_path, rows = sys.argv[1], sys.argv[2], int(sys.argv[3])
+focus = os.environ["FOCUS"]
 real = os.path.realpath(binary)
 
 maps, stacks = [], []  # maps: (lo, hi, file offset, path); stacks: [rip, rsp word, ret...]
@@ -97,6 +104,7 @@ def name(pc):
     return "[unmapped]"
 
 self_t, incl_t, by_rsp = collections.Counter(), collections.Counter(), collections.Counter()
+focus_t, focused = collections.Counter(), 0
 for rip, word, *chain in stacks:
     # Return addresses point after the call: step back into the caller.
     names = [name(rip)] + [name(pc - 1) for pc in chain]
@@ -107,10 +115,17 @@ for rip, word, *chain in stacks:
         by_rsp["%s <- %s" % (names[0], caller)] += 1
     self_t[names[0]] += 1
     incl_t.update(set(names))
+    if focus and any(focus in n for n in names):
+        focused += 1
+        focus_t.update(set(names))
 total = len(stacks)
 print("%d samples" % total)
-for title, table in (("self", self_t), ("inclusive", incl_t), ("by rsp", by_rsp)):
+tables = [("self", self_t, total), ("inclusive", incl_t, total), ("by rsp", by_rsp, total)]
+if focus:
+    print("%d samples (%.2f %%) hold %r" % (focused, 100.0 * focused / max(total, 1), focus))
+    tables.append(("in focus", focus_t, focused))
+for title, table, of in tables:
     print("\n%-9s %%      samples  function" % title)
-    for fn, n in table.most_common(30):
-        print("%8.2f  %9d  %s" % (100.0 * n / max(total, 1), n, fn))
+    for fn, n in table.most_common(rows):
+        print("%8.2f  %9d  %s" % (100.0 * n / max(of, 1), n, fn))
 PY
