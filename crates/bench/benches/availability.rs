@@ -40,6 +40,7 @@
 //! minutes; seeds are fixed so rows are reproducible).
 
 use bench::artifact::{self, Json};
+use bench::obj;
 use harness::adversary::{Adversary, EquivocatingPrimary, TargetedCensor};
 use harness::scenario::{
     paper, run_scenario, run_scenario_adaptive, Scenario, ScenarioEvent, ScenarioReport,
@@ -510,77 +511,46 @@ fn main() {
         );
     }
 
-    let json = Json::obj([
-        ("bench", "availability".into()),
-        (
-            "scenarios",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("scenario", r.name.into()),
-                            ("engine", r.engine.into()),
-                            ("steady_tps", r.steady_tps.into()),
-                            ("degraded_tps", r.degraded_tps.into()),
-                            ("availability", r.availability.into()),
-                            ("recovery_ms", recovery_ms(r.recovery)),
-                            ("agreement_msgs", r.agreement_msgs.into()),
-                            ("viewchange_msgs", r.viewchange_msgs.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "rotation_sweep",
-            Json::Arr(
-                sweep
-                    .iter()
-                    .map(|s| {
-                        Json::obj([
-                            ("engine", s.engine.into()),
-                            ("f", s.f.into()),
-                            ("n", s.n.into()),
-                            ("rotations", s.rotations.into()),
-                            ("viewchange_msgs", s.viewchange_msgs.into()),
-                            ("viewchange_msgs_per_rotation", s.per_rotation().into()),
-                            ("agreement_msgs", s.agreement_msgs.into()),
-                            ("recovery_ms", recovery_ms(s.recovery)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "reliability",
-            Json::Arr(
-                reliability
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("scenario", r.scenario.into()),
-                            ("engine", r.engine.into()),
-                            ("horizon_ms", (HORIZON.as_nanos() / 1_000_000).into()),
-                            (
-                                "bucket_ms",
-                                (RELIABILITY_BUCKET.as_nanos() / 1_000_000).into(),
-                            ),
-                            ("availability", r.availability.into()),
-                            ("tps_p50", r.tps_p50.into()),
-                            ("tps_p99", r.tps_p99.into()),
-                            ("threshold_tps", r.threshold_tps.into()),
-                            (
-                                "time_below_threshold_ms",
-                                (r.time_below_threshold.as_nanos() / 1_000_000).into(),
-                            ),
-                            ("recoveries", r.recoveries.into()),
-                            ("adversary_actions", r.adversary_actions.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
+    let scenarios: Vec<Json> = rows
+        .iter()
+        .map(|r| {
+            obj! {
+                "scenario": r.name, "engine": r.engine,
+                "steady_tps": r.steady_tps, "degraded_tps": r.degraded_tps,
+                "availability": r.availability, "recovery_ms": recovery_ms(r.recovery),
+                "agreement_msgs": r.agreement_msgs, "viewchange_msgs": r.viewchange_msgs,
+            }
+        })
+        .collect();
+    let sweep_rows: Vec<Json> = sweep
+        .iter()
+        .map(|s| {
+            obj! {
+                "engine": s.engine, "f": s.f, "n": s.n, "rotations": s.rotations,
+                "viewchange_msgs": s.viewchange_msgs,
+                "viewchange_msgs_per_rotation": s.per_rotation(),
+                "agreement_msgs": s.agreement_msgs, "recovery_ms": recovery_ms(s.recovery),
+            }
+        })
+        .collect();
+    let reliability_rows: Vec<Json> = reliability
+        .iter()
+        .map(|r| {
+            obj! {
+                "scenario": r.scenario, "engine": r.engine,
+                "horizon_ms": HORIZON.as_nanos() / 1_000_000,
+                "bucket_ms": RELIABILITY_BUCKET.as_nanos() / 1_000_000,
+                "availability": r.availability, "tps_p50": r.tps_p50, "tps_p99": r.tps_p99,
+                "threshold_tps": r.threshold_tps,
+                "time_below_threshold_ms": r.time_below_threshold.as_nanos() / 1_000_000,
+                "recoveries": r.recoveries, "adversary_actions": r.adversary_actions,
+            }
+        })
+        .collect();
+    let json = obj! {
+        "bench": "availability", "scenarios": scenarios,
+        "rotation_sweep": sweep_rows, "reliability": reliability_rows,
+    };
     artifact::write("BENCH_availability.json", &json);
 
     assert!(

@@ -25,7 +25,7 @@
 //! is back within 90% of steady. Both engines again.
 //!
 //! Results land in `BENCH_cross_shard.json` at the repo root (parse-gated
-//! by `scripts/verify.sh`). Knobs: `XSHARD_TRIALS` (default 2) trades
+//! by `tests/artifacts.rs`). Knobs: `XSHARD_TRIALS` (default 2) trades
 //! runtime for tighter standard deviations.
 //!
 //! Since PR 4 the 2PC tables are durable in the replicated state region
@@ -35,6 +35,7 @@
 //! baseline.
 
 use bench::artifact::{self, Json};
+use bench::obj;
 use harness::experiments::NUM_CLIENTS;
 use harness::scenario::{run_scenario, Scenario, ScenarioEvent};
 use harness::workload::{cross_null_txs, keyed_kv_ops, keyed_null_ops};
@@ -350,54 +351,32 @@ fn main() {
         );
     }
 
-    let json = Json::obj([
-        ("bench", "cross_shard".into()),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|p| {
-                        let agg = Stats::from_samples(&p.tps);
-                        let aborts = Stats::from_samples(&p.abort_rate);
-                        Json::obj([
-                            ("engine", p.engine.into()),
-                            ("shards", p.shards.into()),
-                            ("cross_pct", p.pct.into()),
-                            ("bg_per_group", p.bg_per_group.into()),
-                            ("initiators", p.initiators.into()),
-                            ("tps_mean", agg.mean.into()),
-                            ("tps_stddev", agg.std_dev.into()),
-                            ("vs_local", p.vs_local.into()),
-                            ("committed_txs", p.committed_txs.into()),
-                            ("aborted_txs", p.aborted_txs.into()),
-                            ("abort_rate", aborts.mean.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "reshard",
-            Json::Arr(
-                reshard
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("engine", r.engine.into()),
-                            ("shards_before", 2usize.into()),
-                            ("shards_after", 4usize.into()),
-                            ("epochs", 2usize.into()),
-                            ("steady_tps", r.steady_tps.into()),
-                            ("dip_tps", r.dip_tps.into()),
-                            ("recovered_tps", r.recovered_tps.into()),
-                            ("recover_ms", r.recover_ms.into()),
-                            ("availability", r.availability.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
+    let rows: Vec<Json> = rows
+        .iter()
+        .map(|p| {
+            let agg = Stats::from_samples(&p.tps);
+            let aborts = Stats::from_samples(&p.abort_rate);
+            obj! {
+                "engine": p.engine, "shards": p.shards, "cross_pct": p.pct,
+                "bg_per_group": p.bg_per_group, "initiators": p.initiators,
+                "tps_mean": agg.mean, "tps_stddev": agg.std_dev, "vs_local": p.vs_local,
+                "committed_txs": p.committed_txs, "aborted_txs": p.aborted_txs,
+                "abort_rate": aborts.mean,
+            }
+        })
+        .collect();
+    let reshard: Vec<Json> = reshard
+        .iter()
+        .map(|r| {
+            obj! {
+                "engine": r.engine, "shards_before": 2usize, "shards_after": 4usize,
+                "epochs": 2usize, "steady_tps": r.steady_tps, "dip_tps": r.dip_tps,
+                "recovered_tps": r.recovered_tps, "recover_ms": r.recover_ms,
+                "availability": r.availability,
+            }
+        })
+        .collect();
+    let json = obj! {"bench": "cross_shard", "rows": rows, "reshard": reshard};
     artifact::write("BENCH_cross_shard.json", &json);
 
     println!(

@@ -26,10 +26,11 @@
 //!     the reply-byte fan-in stays O(1) full bodies per read.
 //!
 //! The run lands in the committed `BENCH_hotpath.json`, which
-//! `scripts/verify.sh` parse-gates so later PRs cannot silently regress
+//! `tests/artifacts.rs` parse-gates so later PRs cannot silently regress
 //! the per-op cost trajectory along either axis.
 
 use bench::artifact::{self, Json};
+use bench::obj;
 use harness::cluster::{AppKind, Cluster, ClusterSpec};
 use harness::workload::{null_ops, null_reads};
 use pbft_core::{AuthMode, Engine, PbftConfig};
@@ -213,30 +214,18 @@ fn main() {
     }
     println!("amortized cost model: OK (encode-once, batched authenticators, O(1) reads)");
 
-    let json = Json::obj([
-        ("bench", "hotpath".into()),
-        ("request_size", SIZE.into()),
-        ("num_clients", 12usize.into()),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("engine", r.engine.into()),
-                            ("n", r.n.into()),
-                            ("path", r.path.into()),
-                            ("tps", r.tps.into()),
-                            ("ops", (r.ops as f64).into()),
-                            ("avg_batch", r.avg_batch.into()),
-                            ("macs_per_op", r.macs_per_op.into()),
-                            ("encodings_per_op", r.encodings_per_op.into()),
-                            ("agreement_msgs_per_op", r.agreement_msgs_per_op.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
+    let rows: Vec<Json> = rows
+        .iter()
+        .map(|r| {
+            obj! {
+                "engine": r.engine, "n": r.n, "path": r.path, "tps": r.tps, "ops": r.ops as f64,
+                "avg_batch": r.avg_batch, "macs_per_op": r.macs_per_op,
+                "encodings_per_op": r.encodings_per_op,
+                "agreement_msgs_per_op": r.agreement_msgs_per_op,
+            }
+        })
+        .collect();
+    let json =
+        obj! {"bench": "hotpath", "request_size": SIZE, "num_clients": 12usize, "rows": rows};
     artifact::write("BENCH_hotpath.json", &json);
 }

@@ -16,6 +16,7 @@
 //! deviations.
 
 use bench::artifact::{self, Json};
+use bench::obj;
 use harness::experiments::NUM_CLIENTS;
 use harness::shard::{Deployment, DeploymentSpec, ShardedThroughput};
 use harness::workload::keyed_null_ops;
@@ -172,34 +173,23 @@ fn main() {
         .filter(|r| r.shards == 1)
         .map(|r| (r.engine, r.batching, r.aggregate().mean))
         .collect();
-    let json = Json::obj([
-        ("bench", "sharding".into()),
-        ("trials", trials.into()),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        let (aggregate, balance) = (r.aggregate(), r.balance());
-                        let baseline = baselines
-                            .iter()
-                            .find(|(e, b, _)| *e == r.engine && *b == r.batching)
-                            .map(|(_, _, tps)| *tps)
-                            .expect("every grid has its 1-shard row");
-                        Json::obj([
-                            ("engine", r.engine.into()),
-                            ("batching", r.batching.into()),
-                            ("shards", r.shards.into()),
-                            ("aggregate_tps", aggregate.mean.into()),
-                            ("aggregate_tps_stddev", aggregate.std_dev.into()),
-                            ("per_shard_tps", balance.mean.into()),
-                            ("per_shard_tps_stddev", balance.std_dev.into()),
-                            ("scaling_efficiency", r.efficiency(baseline).into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
+    let rows: Vec<Json> = rows
+        .iter()
+        .map(|r| {
+            let (aggregate, balance) = (r.aggregate(), r.balance());
+            let baseline = baselines
+                .iter()
+                .find(|(e, b, _)| *e == r.engine && *b == r.batching)
+                .map(|(_, _, tps)| *tps)
+                .expect("every grid has its 1-shard row");
+            obj! {
+                "engine": r.engine, "batching": r.batching, "shards": r.shards,
+                "aggregate_tps": aggregate.mean, "aggregate_tps_stddev": aggregate.std_dev,
+                "per_shard_tps": balance.mean, "per_shard_tps_stddev": balance.std_dev,
+                "scaling_efficiency": r.efficiency(baseline),
+            }
+        })
+        .collect();
+    let json = obj! {"bench": "sharding", "trials": trials, "rows": rows};
     artifact::write("BENCH_sharding.json", &json);
 }

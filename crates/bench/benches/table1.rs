@@ -9,7 +9,10 @@
 //! `BENCH_table1.json`.
 
 use bench::artifact::{self, Json};
-use harness::experiments::{null_throughput, render_table, table1, table1_configs};
+use bench::obj;
+use harness::experiments::{
+    null_throughput, render_table, table1, table1_configs, TABLE1_PAPER_TPS,
+};
 use harness::Stats;
 use pbft_core::{Engine, PbftConfig};
 
@@ -58,12 +61,9 @@ fn main() {
         render_table(
             &format!("Table 1 — null ops, 1 KiB request/reply, 12 clients / 4 replicas ({trials} trials)"),
             &rows,
-            None,
         )
     );
-    let paper = [
-        17014.0, 1051.0, 3030.0, 1109.0, 1291.0, 1199.0, 992.0, 1186.0, 988.0, 1205.0,
-    ];
+    let paper = TABLE1_PAPER_TPS;
     println!("paper-vs-measured (speedup is vs the committed PR 8 seed):");
     for ((r, p), s) in rows.iter().zip(paper).zip(SEED_ROWS) {
         println!(
@@ -98,7 +98,7 @@ fn main() {
     }
 
     // Trajectory floor: the batch row must stay ≥ 1.3× the PR 8 seed on
-    // both engines. Failing here (and in scripts/verify.sh, which gates
+    // both engines. Failing here (and in tests/artifacts.rs, which gates
     // the committed artifact) keeps the hot-path speedup from silently
     // eroding in later PRs.
     for (c, seed) in cells.iter().zip(SEED_CELLS).take(2) {
@@ -116,49 +116,32 @@ fn main() {
         );
     }
 
-    let json = Json::obj([
-        ("bench", "table1".into()),
-        ("request_size", SIZE.into()),
-        ("trials", trials.into()),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .zip(paper)
-                    .zip(SEED_ROWS)
-                    .map(|((r, p), s)| {
-                        Json::obj([
-                            ("config", r.name.as_str().into()),
-                            ("engine", "pbft".into()),
-                            ("tps_mean", r.tps.mean.into()),
-                            ("tps_stddev", r.tps.std_dev.into()),
-                            ("paper_tps", p.into()),
-                            ("seed_tps", s.into()),
-                            ("speedup_vs_seed", (r.tps.mean / s).into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "engine_head_to_head",
-            Json::Arr(
-                cells
-                    .iter()
-                    .zip(SEED_CELLS)
-                    .map(|(c, s)| {
-                        Json::obj([
-                            ("config", c.config.as_str().into()),
-                            ("engine", c.engine.into()),
-                            ("tps_mean", c.tps.mean.into()),
-                            ("tps_stddev", c.tps.std_dev.into()),
-                            ("seed_tps", s.into()),
-                            ("speedup_vs_seed", (c.tps.mean / s).into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
+    let rows: Vec<Json> = rows
+        .iter()
+        .zip(paper)
+        .zip(SEED_ROWS)
+        .map(|((r, p), s)| {
+            obj! {
+                "config": r.name.as_str(), "engine": "pbft",
+                "tps_mean": r.tps.mean, "tps_stddev": r.tps.std_dev,
+                "paper_tps": p, "seed_tps": s, "speedup_vs_seed": r.tps.mean / s,
+            }
+        })
+        .collect();
+    let cells: Vec<Json> = cells
+        .iter()
+        .zip(SEED_CELLS)
+        .map(|(c, s)| {
+            obj! {
+                "config": c.config.as_str(), "engine": c.engine,
+                "tps_mean": c.tps.mean, "tps_stddev": c.tps.std_dev,
+                "seed_tps": s, "speedup_vs_seed": c.tps.mean / s,
+            }
+        })
+        .collect();
+    let json = obj! {
+        "bench": "table1", "request_size": SIZE, "trials": trials,
+        "rows": rows, "engine_head_to_head": cells,
+    };
     artifact::write("BENCH_table1.json", &json);
 }

@@ -1,25 +1,35 @@
-//! Benchmark crate: the targets live in `benches/` — one per table/figure of
-//! the paper's evaluation (see `EXPERIMENTS.md` at the repo root for the
-//! bench ↔ table/figure index).
+//! Benchmark crate: the targets live in `benches/` — `table1`, `sharding`,
+//! `cross_shard`, `availability`, `hotpath`, and `paper`, which holds every
+//! other table, figure and failure demonstration of the paper's evaluation
+//! (see `EXPERIMENTS.md` at the repo root for the index).
 //!
 //! Every target is a plain `fn main()` driver (`harness = false`) that
-//! prints its table directly; the ones that record the perf trajectory also
-//! write a committed `BENCH_*.json` through [`artifact`], the only code in
-//! this file. Per-primitive costs (SHA-256, MACs, the codec, page digests,
-//! minisql statements, one simulator event) are measured by the layer
-//! probes of `crates/wallbench`, not here.
+//! asserts its expectations and writes a committed `BENCH_*.json` through
+//! [`artifact`], the only code in this file; `tests/artifacts.rs` holds the
+//! committed files to the same bounds. Per-primitive costs (SHA-256, MACs,
+//! the codec, page digests, minisql statements, one simulator event) are
+//! measured by the layer probes of `crates/wallbench`, not here.
 //!
-//! Run everything with `cargo bench`, or a single experiment with e.g.
-//! `cargo bench --bench table1`.
+//! Run everything with `cargo bench`, or a single target with e.g.
+//! `cargo bench --bench paper`.
 
 #![forbid(unsafe_code)]
+
+/// `obj!{"key": value, ...}`: the [`artifact::Json::Obj`] a bench row is,
+/// keys in order, each value converted with `Json::from`.
+#[macro_export]
+macro_rules! obj {
+    ($($k:literal: $v:expr),* $(,)?) => {
+        $crate::artifact::Json::Obj(vec![$(($k.to_string(), $crate::artifact::Json::from($v))),*])
+    };
+}
 
 pub mod artifact {
     //! Committed bench artifacts: the `BENCH_*.json` files at the repo root
     //! that record the perf trajectory across PRs. The dependency tree has
     //! no serde (and the records are flat), so JSON is emitted by hand
-    //! through the small [`Json`] tree below; `scripts/verify.sh` parses the
-    //! committed files back to keep them well-formed.
+    //! through the small [`Json`] tree below; `tests/artifacts.rs` parses
+    //! the committed files back to keep them well-formed.
 
     use std::path::{Path, PathBuf};
 
@@ -65,6 +75,16 @@ pub mod artifact {
             Json::Str(v.to_string())
         }
     }
+    impl From<String> for Json {
+        fn from(v: String) -> Json {
+            Json::Str(v)
+        }
+    }
+    impl From<Vec<Json>> for Json {
+        fn from(v: Vec<Json>) -> Json {
+            Json::Arr(v)
+        }
+    }
     impl<T: Into<Json>> From<Option<T>> for Json {
         fn from(v: Option<T>) -> Json {
             v.map(Into::into).unwrap_or(Json::Null)
@@ -72,14 +92,24 @@ pub mod artifact {
     }
 
     impl Json {
-        /// Object from `(key, value)` pairs — the shape every bench row uses.
-        pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
-            Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
+        /// The value under `key`, if this is an object that has one.
+        pub fn get(&self, key: &str) -> Option<&Json> {
+            match self {
+                Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+
+        /// This object with `key: value` appended.
+        ///
+        /// # Panics
+        /// Panics if `self` is not an object.
+        pub fn with(self, key: &str, value: impl Into<Json>) -> Json {
+            let Json::Obj(mut fields) = self else {
+                panic!("Json::with on a non-object");
+            };
+            fields.push((key.to_string(), value.into()));
+            Json::Obj(fields)
         }
 
         /// Pretty-render with two-space indentation (stable diffs matter
@@ -163,15 +193,15 @@ mod tests {
     #[test]
     fn json_renders_flat_records() {
         use artifact::Json;
-        let v = Json::obj([
-            ("name", "steady \"tps\"".into()),
-            ("tps", 1234.5.into()),
-            ("count", 7u64.into()),
-            ("recovery_ms", Json::from(None::<f64>)),
-            ("nan", f64::NAN.into()),
-            ("ok", true.into()),
-            ("rows", Json::Arr(vec![1u64.into(), 2u64.into()])),
-        ]);
+        let v = obj! {
+            "name": "steady \"tps\"",
+            "tps": 1234.5,
+            "count": 7u64,
+            "recovery_ms": None::<f64>,
+            "nan": f64::NAN,
+            "ok": true,
+            "rows": vec![Json::from(1u64), Json::from(2u64)],
+        };
         let s = v.render();
         assert!(s.contains("\"name\": \"steady \\\"tps\\\"\""));
         assert!(s.contains("\"tps\": 1234.5"));
@@ -186,6 +216,6 @@ mod tests {
         use artifact::Json;
         assert_eq!(Json::from("a\nb\u{1}").render(), "\"a\\nb\\u0001\"");
         assert_eq!(Json::Arr(vec![]).render(), "[]");
-        assert_eq!(Json::obj([]).render(), "{}");
+        assert_eq!(obj! {}.render(), "{}");
     }
 }

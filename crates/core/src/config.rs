@@ -81,21 +81,9 @@ pub struct PbftConfig {
     /// big threshold to 0, "resulting in all requests treated as big").
     pub all_requests_big: bool,
     /// Request batching (Table 1 `batch` axis). When off, every request gets
-    /// its own agreement and the congestion window is forced to 1.
+    /// its own agreement and the congestion window is forced to 1 (see
+    /// [`PbftConfig::effective_window`]).
     pub batching: bool,
-    /// Congestion window / pipeline depth k: maximum *agreements*
-    /// (pre-prepared batches) not yet executed before the primary postpones
-    /// further pre-prepares, "giving itself time to catch up on request
-    /// execution" and then including "as many outstanding request messages
-    /// as possible" in one pre-prepare (§2.1). With k > 1 the primary (and
-    /// the linear leader) keeps k pre-prepares in flight across the
-    /// sequence window — windowed pipelining: a new batch is issued while
-    /// its predecessors are still in the prepare/commit phases, and
-    /// backpressure comes from the log watermarks plus this cap. A view
-    /// change re-issues the whole in-flight window (the new-view `O` set
-    /// spans every pre-prepared sequence). Small values force aggregation
-    /// under load; 1 serializes agreements entirely.
-    pub congestion_window: u64,
     /// Take a checkpoint every this many sequence numbers.
     pub checkpoint_interval: u64,
     /// Log capacity: high watermark = low watermark + `log_size`.
@@ -130,7 +118,6 @@ impl Default for PbftConfig {
             auth: AuthMode::Macs,
             all_requests_big: true,
             batching: true,
-            congestion_window: 8,
             checkpoint_interval: 128,
             log_size: 256,
             dynamic_membership: false,
@@ -145,6 +132,21 @@ impl Default for PbftConfig {
 
 /// Maximum requests folded into one pre-prepare.
 pub(crate) const MAX_BATCH: usize = 64;
+
+/// Congestion window / pipeline depth k: maximum *agreements*
+/// (pre-prepared batches) not yet executed before the primary postpones
+/// further pre-prepares, "giving itself time to catch up on request
+/// execution" and then including "as many outstanding request messages
+/// as possible" in one pre-prepare (§2.1). With k > 1 the primary (and
+/// the linear leader) keeps k pre-prepares in flight across the
+/// sequence window — windowed pipelining: a new batch is issued while
+/// its predecessors are still in the prepare/commit phases, and
+/// backpressure comes from the log watermarks plus this cap. A view
+/// change re-issues the whole in-flight window (the new-view `O` set
+/// spans every pre-prepared sequence). Small values force aggregation
+/// under load; 1 serializes agreements entirely (what batching off
+/// forces, see [`PbftConfig::effective_window`]).
+const CONGESTION_WINDOW: u64 = 8;
 
 /// Size threshold for big-request handling when
 /// [`PbftConfig::all_requests_big`] is off.
@@ -192,7 +194,7 @@ impl PbftConfig {
     /// batching the library serializes agreements).
     pub fn effective_window(&self) -> u64 {
         if self.batching {
-            self.congestion_window.max(1)
+            CONGESTION_WINDOW
         } else {
             1
         }

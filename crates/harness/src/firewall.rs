@@ -12,9 +12,9 @@
 //! filters replies per `(client, timestamp)`: only the first f+1 replies
 //! whose results agree are forwarded; duplicates and divergent minority
 //! replies are suppressed, so nothing a single faulty replica says beyond
-//! the agreed answer can leak past the first row. The
-//! `cargo bench -p bench --bench privacy` ablation measures what the rows
-//! cost in latency and throughput — the paper's qualitative claim.
+//! the agreed answer can leak past the first row. The `privacy` section of
+//! `cargo bench -p bench --bench paper` measures what the rows cost in
+//! latency and throughput — the paper's qualitative claim.
 
 use std::collections::{HashMap, HashSet};
 

@@ -38,7 +38,8 @@
 //!   (spec builders, fast-failover configs, safety assertions),
 //! * [`stats`] — mean/standard deviation over trials (the paper's TPS ±
 //!   StDev columns),
-//! * [`experiments`] — one entry point per table/figure.
+//! * [`experiments`] — the Table 1 sweep and the seeded-trials throughput
+//!   measurement the paper benches share.
 //!
 //! # Example: measure a small cluster's throughput
 //!

@@ -348,7 +348,6 @@ pub fn split_under_load(engine: Engine, seed: u64) -> ScenarioReport {
     let mut base = fetching_spec(3, seed);
     base.cfg.engine = engine;
     base.cfg.checkpoint_interval = 32;
-    base.cfg.congestion_window = super::CONFORMANCE_PIPELINE_DEPTH;
     base.app = AppKind::Kv { slots: SLOTS };
     let mut sc = Deployment::build(DeploymentSpec {
         shards: 2,

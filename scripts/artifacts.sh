@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Behaviour-preservation proof: the deterministic bench artifacts are a
 # pure function of the code, so a refactor that changes no behaviour must
-# regenerate them byte for byte. Re-runs the five benches that write a
-# committed BENCH_*.json (~10 min, two thirds of it `cross_shard`) and fails
-# if any artifact differs from the last commit. On a difference it names
-# each changed JSON leaf as `file path: old -> new` (needs python3), so a
-# change that moves artifacts on purpose can list its moved cells.
+# regenerate them byte for byte. Re-runs the six benches that write a
+# committed BENCH_*.json (~11 min: two thirds of it `cross_shard`, ~75 s
+# `paper`) and fails if any artifact differs from the last commit. On a
+# difference it names each changed JSON leaf as `file path: old -> new`
+# (needs python3), so a change that moves artifacts on purpose can list its
+# moved cells.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,7 +14,7 @@ export CARGO_NET_OFFLINE=true
 # The trial-count knobs change the artifacts; pin them to their defaults.
 unset XSHARD_TRIALS SHARDING_TRIALS
 
-for bench in table1 sharding availability cross_shard hotpath; do
+for bench in table1 sharding availability cross_shard hotpath paper; do
     echo "==> cargo bench --bench $bench"
     t0=$SECONDS
     cargo bench -q -p bench --bench "$bench" >/dev/null
@@ -39,9 +40,11 @@ def walk(path, where, a, b):
         print(f"{path} {where}: {json.dumps(a)} -> {json.dumps(b)}")
 
 for path in sys.stdin.read().split():
-    old = json.loads(subprocess.run(["git", "show", f"HEAD:{path}"],
-                                    capture_output=True, check=True).stdout)
-    walk(path, "", old, json.load(open(path)))
+    old = subprocess.run(["git", "show", f"HEAD:{path}"], capture_output=True)
+    if old.returncode != 0:
+        print(f"{path}: new file, absent at HEAD")
+        continue
+    walk(path, "", json.loads(old.stdout), json.load(open(path)))
 '
 echo "artifacts: differ from HEAD (changed leaves above)" >&2
 exit 1
