@@ -25,8 +25,7 @@
 //! is back within 90% of steady. Both engines again.
 //!
 //! Results land in `BENCH_cross_shard.json` at the repo root (parse-gated
-//! by `tests/artifacts.rs`). Knobs: `XSHARD_TRIALS` (default 2) trades
-//! runtime for tighter standard deviations.
+//! by `tests/artifacts.rs`).
 //!
 //! Since PR 4 the 2PC tables are durable in the replicated state region
 //! (write-through per protocol op); that cost lands only on the
@@ -48,6 +47,8 @@ const WINDOW: SimDuration = SimDuration::from_secs(1);
 const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
 const CROSS_PCT: [usize; 4] = [0, 10, 50, 100];
 const REQUEST_SIZE: usize = 1024;
+/// Seed-varied runs behind every sweep point's standard deviation.
+const TRIALS: usize = 2;
 /// Bounded key space for the transactional workload — small enough that
 /// concurrent initiators occasionally contend (a real abort rate), large
 /// enough that conflicts stay the exception.
@@ -79,15 +80,15 @@ fn base(engine: Engine, seed: u64, num_clients: usize) -> ClusterSpec {
     }
 }
 
-fn measure_point(engine: Engine, shards: usize, pct: usize, trials: usize) -> Point {
+fn measure_point(engine: Engine, shards: usize, pct: usize) -> Point {
     // Convert pct% of the 12-client budget into transaction initiators.
     let init_per_group = (NUM_CLIENTS * pct + 50) / 100;
     let bg_per_group = NUM_CLIENTS - init_per_group;
     let initiators = init_per_group * shards;
-    let mut tps = Vec::with_capacity(trials);
-    let mut abort_rate = Vec::with_capacity(trials);
+    let mut tps = Vec::with_capacity(TRIALS);
+    let mut abort_rate = Vec::with_capacity(TRIALS);
     let (mut committed_txs, mut aborted_txs) = (0, 0);
-    for trial in 0..trials {
+    for trial in 0..TRIALS {
         // Every row runs xshard-wrapped groups, the 0% row included.
         let mut base = base(engine, 9000 + trial as u64, bg_per_group);
         base.xshard = true;
@@ -129,8 +130,8 @@ fn measure_point(engine: Engine, shards: usize, pct: usize, trials: usize) -> Po
 
 /// The PR 2 all-local baseline: the same deployment without the xshard
 /// harness at all.
-fn measure_baseline(engine: Engine, shards: usize, trials: usize) -> Stats {
-    let samples: Vec<f64> = (0..trials)
+fn measure_baseline(engine: Engine, shards: usize) -> Stats {
+    let samples: Vec<f64> = (0..TRIALS)
         .map(|trial| {
             let mut sc = Deployment::build(DeploymentSpec {
                 shards,
@@ -147,13 +148,13 @@ fn measure_baseline(engine: Engine, shards: usize, trials: usize) -> Stats {
 }
 
 /// One engine's full cross-shard sweep, with the 0%-vs-baseline guard.
-fn sweep(engine: Engine, trials: usize) -> Vec<Point> {
+fn sweep(engine: Engine) -> Vec<Point> {
     let mut all = Vec::new();
     for &shards in &SHARD_COUNTS {
-        let baseline = measure_baseline(engine, shards, trials);
+        let baseline = measure_baseline(engine, shards);
         let mut points: Vec<Point> = CROSS_PCT
             .iter()
-            .map(|&pct| measure_point(engine, shards, pct, trials))
+            .map(|&pct| measure_point(engine, shards, pct))
             .collect();
         let local = Stats::from_samples(&points[0].tps).mean;
         for p in &mut points {
@@ -293,14 +294,9 @@ fn measure_reshard(engine: Engine) -> ReshardRow {
 }
 
 fn main() {
-    let trials: usize = std::env::var("XSHARD_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-
     println!(
         "Cross-shard transactions — committed TPS and abort rate vs cross-shard \
-         fraction (1 KiB ops, {NUM_CLIENTS}-client budget per group, {trials} trials, \
+         fraction (1 KiB ops, {NUM_CLIENTS}-client budget per group, {TRIALS} trials, \
          both engines)\n"
     );
     println!(
@@ -316,10 +312,7 @@ fn main() {
         "tx c/a",
         "abort%"
     );
-    let rows: Vec<Point> = Engine::ALL
-        .into_iter()
-        .flat_map(|engine| sweep(engine, trials))
-        .collect();
+    let rows: Vec<Point> = Engine::ALL.into_iter().flat_map(sweep).collect();
 
     println!(
         "Elastic resharding — 2 -> 4 live splits under closed-loop keyed load \

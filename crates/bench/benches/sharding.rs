@@ -12,8 +12,6 @@
 //! engine's own 1-shard baseline, and writes the grid to the committed
 //! `BENCH_sharding.json`.
 //!
-//! Knobs: `SHARDING_TRIALS` (default 2) trades runtime for tighter standard
-//! deviations.
 
 use bench::artifact::{self, Json};
 use bench::obj;
@@ -28,6 +26,8 @@ const WARMUP: SimDuration = SimDuration::from_millis(300);
 const WINDOW: SimDuration = SimDuration::from_secs(1);
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const REQUEST_SIZE: usize = 1024;
+/// Seed-varied runs behind every row's standard deviation.
+const TRIALS: usize = 2;
 
 struct Row {
     engine: &'static str,
@@ -68,8 +68,8 @@ impl Row {
     }
 }
 
-fn measure(engine: Engine, shards: usize, batching: bool, trials: usize) -> Row {
-    let trials = (0..trials)
+fn measure(engine: Engine, shards: usize, batching: bool) -> Row {
+    let trials = (0..TRIALS)
         .map(|trial| {
             let spec = DeploymentSpec {
                 shards,
@@ -103,12 +103,12 @@ fn measure(engine: Engine, shards: usize, batching: bool, trials: usize) -> Row 
 /// The full shards × batching grid for one engine, with that engine's own
 /// 1-shard row as the scaling baseline. Prints the rows and enforces the
 /// 2.5x acceptance floor at 4 shards.
-fn engine_grid(engine: Engine, trials: usize) -> Vec<Row> {
+fn engine_grid(engine: Engine) -> Vec<Row> {
     let mut all = Vec::new();
     for batching in [true, false] {
         let rows: Vec<Row> = SHARD_COUNTS
             .iter()
-            .map(|&s| measure(engine, s, batching, trials))
+            .map(|&s| measure(engine, s, batching))
             .collect();
         let baseline = rows[0].aggregate().mean;
         for row in &rows {
@@ -149,24 +149,16 @@ fn engine_grid(engine: Engine, trials: usize) -> Vec<Row> {
 }
 
 fn main() {
-    let trials: usize = std::env::var("SHARDING_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-
     println!(
         "Sharding — aggregate committed null-op TPS vs shard count per engine \
-         (1 KiB ops, {NUM_CLIENTS} clients/group, {trials} trials)\n"
+         (1 KiB ops, {NUM_CLIENTS} clients/group, {TRIALS} trials)\n"
     );
     println!(
         "{:<8} {:<10} {:>7} {:>12} {:>8} {:>14} {:>10} {:>12}",
         "engine", "batching", "shards", "agg TPS", "StDev", "per-shard", "±", "efficiency"
     );
 
-    let rows: Vec<Row> = Engine::ALL
-        .into_iter()
-        .flat_map(|engine| engine_grid(engine, trials))
-        .collect();
+    let rows: Vec<Row> = Engine::ALL.into_iter().flat_map(engine_grid).collect();
 
     let baselines: Vec<(&'static str, bool, f64)> = rows
         .iter()
@@ -190,6 +182,6 @@ fn main() {
             }
         })
         .collect();
-    let json = obj! {"bench": "sharding", "trials": trials, "rows": rows};
+    let json = obj! {"bench": "sharding", "trials": TRIALS, "rows": rows};
     artifact::write("BENCH_sharding.json", &json);
 }

@@ -88,6 +88,12 @@ impl Enc {
         self
     }
 
+    /// Append a big-endian u16.
+    pub fn u16(&mut self, v: u16) -> &mut Self {
+        self.buf.extend_from_slice(&v.to_be_bytes());
+        self
+    }
+
     /// Append a big-endian u32.
     pub fn u32(&mut self, v: u32) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
@@ -182,6 +188,16 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// Read a big-endian u16.
+    ///
+    /// # Errors
+    /// [`WireError::Truncated`].
+    pub fn u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_be_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
+    }
+
     /// Read a big-endian u32.
     ///
     /// # Errors
@@ -217,13 +233,37 @@ impl<'a> Dec<'a> {
     /// Read a `u32` element count, rejecting one that cannot be honest:
     /// `count` elements of at least `min_elem_len` encoded bytes each must
     /// fit in what is left of the input. Every count-driven
-    /// `Vec::with_capacity` goes through here, so an unauthenticated packet
-    /// can never make its decoder reserve more than O(its own length).
+    /// `Vec::with_capacity` goes through here or through
+    /// [`Dec::count_u16`] / [`Dec::count_u8`], which share the check, so an
+    /// unauthenticated packet can never make its decoder reserve more than
+    /// O(its own length).
     ///
     /// # Errors
     /// [`WireError::Truncated`] or [`WireError::BadLength`].
     pub fn count(&mut self, min_elem_len: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
+        let n = self.u32()?;
+        self.fits(n as usize, min_elem_len)
+    }
+
+    /// [`Dec::count`] for a `u16` count.
+    ///
+    /// # Errors
+    /// [`WireError::Truncated`] or [`WireError::BadLength`].
+    pub fn count_u16(&mut self, min_elem_len: usize) -> Result<usize, WireError> {
+        let n = self.u16()?;
+        self.fits(n.into(), min_elem_len)
+    }
+
+    /// [`Dec::count`] for a one-byte count.
+    ///
+    /// # Errors
+    /// [`WireError::Truncated`] or [`WireError::BadLength`].
+    pub fn count_u8(&mut self, min_elem_len: usize) -> Result<usize, WireError> {
+        let n = self.u8()?;
+        self.fits(n.into(), min_elem_len)
+    }
+
+    fn fits(&self, n: usize, min_elem_len: usize) -> Result<usize, WireError> {
         if n.saturating_mul(min_elem_len) > self.remaining() {
             return Err(WireError::BadLength(n as u64));
         }
@@ -258,6 +298,14 @@ impl<'a> Dec<'a> {
         self.take(n)
     }
 
+    /// Read everything that is left (a field that runs to the end of the
+    /// input).
+    pub fn rest(&mut self) -> &'a [u8] {
+        let out = &self.data[self.pos..];
+        self.pos = self.data.len();
+        out
+    }
+
     /// Read a digest (32 raw bytes).
     ///
     /// # Errors
@@ -278,6 +326,7 @@ mod tests {
     fn scalar_roundtrip() {
         let mut e = Enc::new();
         e.u8(7)
+            .u16(0xbeef)
             .u32(0xdead_beef)
             .u64(0x1122_3344_5566_7788)
             .boolean(true)
@@ -285,6 +334,7 @@ mod tests {
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u8().unwrap(), 7);
+        assert_eq!(d.u16().unwrap(), 0xbeef);
         assert_eq!(d.u32().unwrap(), 0xdead_beef);
         assert_eq!(d.u64().unwrap(), 0x1122_3344_5566_7788);
         assert!(d.boolean().unwrap());
@@ -301,6 +351,11 @@ mod tests {
         assert_eq!(d.bytes().unwrap(), b"hello");
         assert_eq!(d.bytes().unwrap(), b"");
         assert_eq!(d.raw(3).unwrap(), &[1, 2, 3]);
+        d.finish().unwrap();
+        let mut d = Dec::new(&bytes);
+        d.bytes_ref().unwrap();
+        assert_eq!(d.rest(), &bytes[9..]);
+        assert_eq!(d.rest(), b"");
         d.finish().unwrap();
     }
 
@@ -386,6 +441,30 @@ mod tests {
             Err(WireError::BadLength(u32::MAX as u64))
         );
         assert_eq!(Dec::new(&[0, 0]).count(1), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn narrow_counts_share_the_bound_check() {
+        // Two 4-byte elements claimed behind a u16 and a u8 count.
+        let mut e = Enc::new();
+        e.u16(2).raw(&[0u8; 8]);
+        let bytes = e.into_bytes();
+        assert_eq!(Dec::new(&bytes).count_u16(4), Ok(2));
+        assert_eq!(
+            Dec::new(&bytes[..bytes.len() - 1]).count_u16(4),
+            Err(WireError::BadLength(2))
+        );
+        assert_eq!(
+            Dec::new(&[0xFF, 0xFF]).count_u16(1),
+            Err(WireError::BadLength(0xFFFF))
+        );
+        assert_eq!(Dec::new(&[2, 0, 0, 0, 0, 0, 0, 0, 0]).count_u8(4), Ok(2));
+        assert_eq!(
+            Dec::new(&[2, 0, 0, 0, 0, 0, 0, 0]).count_u8(4),
+            Err(WireError::BadLength(2))
+        );
+        assert_eq!(Dec::new(&[0]).count_u16(1), Err(WireError::Truncated));
+        assert_eq!(Dec::new(&[]).count_u8(1), Err(WireError::Truncated));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! [`GroupSignature`] a third party can verify against the public group
 //! descriptor — no single replica (nor any f of them) can forge it.
 
+use pbft_core::wire::{Dec, Enc};
 use pbft_crypto::threshold::{
     combine, GroupSignature, PartialSignature, ThresholdError, ThresholdGroup,
 };
@@ -37,23 +38,23 @@ pub struct CertifyReply {
 impl CertifyReply {
     /// Wire-encode: x (4) + weighted contribution (8) + tally bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.tally.len());
-        out.extend_from_slice(&self.partial.x.to_be_bytes());
-        out.extend_from_slice(&self.partial.weighted.to_be_bytes());
-        out.extend_from_slice(&self.tally);
-        out
+        let mut e = Enc::from_vec(Vec::with_capacity(12 + self.tally.len()));
+        e.u32(self.partial.x)
+            .u64(self.partial.weighted)
+            .raw(&self.tally);
+        e.into_bytes()
     }
 
     /// Decode a reply body.
     pub fn decode(bytes: &[u8]) -> Option<CertifyReply> {
-        if bytes.len() < 12 {
-            return None;
-        }
-        let x = u32::from_be_bytes(bytes[..4].try_into().ok()?);
-        let weighted = u64::from_be_bytes(bytes[4..12].try_into().ok()?);
+        let mut d = Dec::new(bytes);
+        let partial = PartialSignature {
+            x: d.u32().ok()?,
+            weighted: d.u64().ok()?,
+        };
         Some(CertifyReply {
-            partial: PartialSignature { x, weighted },
-            tally: bytes[12..].to_vec(),
+            partial,
+            tally: d.rest().to_vec(),
         })
     }
 }

@@ -1,6 +1,7 @@
 //! Client-visible operations and their wire encoding.
 
 use minisql::Value;
+use pbft_core::wire::{Dec, Enc};
 use pbft_sql::{decode_outcome, WireOutcome};
 
 /// An e-voting operation.
@@ -69,69 +70,77 @@ impl VoteOp {
         }
     }
 
-    /// Encode for transport inside a PBFT request.
+    /// Encode for transport inside a PBFT request: a tag byte, then the
+    /// variant's fields — a big-endian election id, text running to the
+    /// end of the operation, and for `Certify` a one-byte count of
+    /// big-endian signer points.
+    ///
+    /// # Panics
+    /// Panics if `Certify` names more than 255 participants: the one-byte
+    /// count would wrap and the request would ask for a different set.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut e = Enc::new();
         match self {
             VoteOp::CreateElection { title } => {
-                out.push(1);
-                out.extend_from_slice(title.as_bytes());
+                e.u8(1).raw(title.as_bytes());
             }
             VoteOp::CastVote { election, choice } => {
-                out.push(2);
-                out.extend_from_slice(&election.to_be_bytes());
-                out.extend_from_slice(choice.as_bytes());
+                e.u8(2).u64(*election as u64).raw(choice.as_bytes());
             }
             VoteOp::Tally { election } => {
-                out.push(3);
-                out.extend_from_slice(&election.to_be_bytes());
+                e.u8(3).u64(*election as u64);
             }
-            VoteOp::ListElections => out.push(4),
+            VoteOp::ListElections => {
+                e.u8(4);
+            }
             VoteOp::MyVote { election } => {
-                out.push(5);
-                out.extend_from_slice(&election.to_be_bytes());
+                e.u8(5).u64(*election as u64);
             }
             VoteOp::Certify {
                 election,
                 participants,
             } => {
-                out.push(6);
-                out.extend_from_slice(&election.to_be_bytes());
-                out.push(participants.len() as u8);
+                let count = u8::try_from(participants.len()).unwrap_or_else(|_| {
+                    panic!(
+                        "certify names {} participants, more than 255",
+                        participants.len()
+                    )
+                });
+                e.u8(6).u64(*election as u64).u8(count);
                 for p in participants {
-                    out.extend_from_slice(&p.to_be_bytes());
+                    e.u32(*p);
                 }
             }
         }
-        out
+        e.into_bytes()
     }
 
-    /// Decode from request bytes.
+    /// Decode from request bytes. Bytes after a fixed-length operation are
+    /// ignored.
     pub fn decode(bytes: &[u8]) -> Option<VoteOp> {
-        let (&tag, rest) = bytes.split_first()?;
-        Some(match tag {
+        let mut d = Dec::new(bytes);
+        let text = |d: &mut Dec<'_>| String::from_utf8(d.rest().to_vec()).ok();
+        Some(match d.u8().ok()? {
             1 => VoteOp::CreateElection {
-                title: String::from_utf8(rest.to_vec()).ok()?,
+                title: text(&mut d)?,
             },
-            2 => {
-                let election = i64::from_be_bytes(rest.get(..8)?.try_into().ok()?);
-                let choice = String::from_utf8(rest.get(8..)?.to_vec()).ok()?;
-                VoteOp::CastVote { election, choice }
-            }
+            2 => VoteOp::CastVote {
+                election: d.u64().ok()? as i64,
+                choice: text(&mut d)?,
+            },
             3 => VoteOp::Tally {
-                election: i64::from_be_bytes(rest.get(..8)?.try_into().ok()?),
+                election: d.u64().ok()? as i64,
             },
             4 => VoteOp::ListElections,
             5 => VoteOp::MyVote {
-                election: i64::from_be_bytes(rest.get(..8)?.try_into().ok()?),
+                election: d.u64().ok()? as i64,
             },
             6 => {
-                let election = i64::from_be_bytes(rest.get(..8)?.try_into().ok()?);
-                let count = *rest.get(8)? as usize;
+                let election = d.u64().ok()? as i64;
+                let count = d.count_u8(4).ok()?;
                 let mut participants = Vec::with_capacity(count);
-                for i in 0..count {
-                    let off = 9 + i * 4;
-                    participants.push(u32::from_be_bytes(rest.get(off..off + 4)?.try_into().ok()?));
+                for _ in 0..count {
+                    participants.push(d.u32().ok()?);
                 }
                 VoteOp::Certify {
                     election,
@@ -209,6 +218,10 @@ mod tests {
                 election: 2,
                 participants: vec![1, 3],
             },
+            VoteOp::Certify {
+                election: 1,
+                participants: (1..=255).collect(),
+            },
         ] {
             assert_eq!(VoteOp::decode(&op.encode()), Some(op));
         }
@@ -243,6 +256,16 @@ mod tests {
         assert!(VoteOp::Tally { election: 1 }.is_read_only());
         assert!(VoteOp::ListElections.is_read_only());
         assert!(VoteOp::MyVote { election: 1 }.is_read_only());
+    }
+
+    #[test]
+    #[should_panic(expected = "certify names 256 participants, more than 255")]
+    fn certify_refuses_a_participant_count_its_byte_cannot_hold() {
+        VoteOp::Certify {
+            election: 1,
+            participants: (1..=256).collect(),
+        }
+        .encode();
     }
 
     #[test]

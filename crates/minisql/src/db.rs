@@ -180,11 +180,19 @@ impl Database {
 
     /// Execute one statement if it is a SELECT; `Ok(None)` if it is not,
     /// and then nothing ran — the read-only path, which must leave the
-    /// database as it found it.
+    /// database as it found it. Inside an explicit transaction it runs
+    /// nothing: a SELECT would read uncommitted rows, and a failing one
+    /// would roll the transaction back.
     ///
     /// # Errors
-    /// As [`Database::execute`].
+    /// [`SqlError::Txn`] while an explicit transaction is open; otherwise
+    /// as [`Database::execute`].
     pub fn execute_select(&mut self, sql: &str) -> Result<Option<Rows>, SqlError> {
+        if self.in_txn {
+            return Err(SqlError::Txn(
+                "read-only statement inside an open transaction".into(),
+            ));
+        }
         let plan = self.bind(sql)?;
         if !matches!(*plan, Stmt::Select(_)) {
             return Ok(None);

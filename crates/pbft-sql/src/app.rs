@@ -415,6 +415,60 @@ mod tests {
         }
     }
 
+    /// An ordered `BEGIN` and `INSERT` on every replica of `replicas`.
+    fn open_transaction(replicas: &mut [&mut SqlApp]) {
+        for a in replicas {
+            a.execute(ClientId(1), b"BEGIN", &nd(1, 1), false);
+            let (reply, _) = a.execute(
+                ClientId(1),
+                b"INSERT INTO kv (k, v, ts, rnd) VALUES ('a', 'b', 0, 0)",
+                &nd(1, 1),
+                false,
+            );
+            assert_eq!(decode_outcome(&reply), Some(WireOutcome::Affected(1)));
+        }
+    }
+
+    const READ_IN_TXN: &str = "transaction error: read-only statement inside an open transaction";
+
+    #[test]
+    fn a_read_only_select_does_not_see_an_open_transaction() {
+        let mut a = app(JournalMode::Rollback);
+        open_transaction(&mut [&mut a]);
+        let (reply, _) = a.execute(ClientId(1), b"SELECT COUNT(*) FROM kv", &nd(2, 2), true);
+        assert_eq!(
+            decode_outcome(&reply),
+            Some(WireOutcome::Error(READ_IN_TXN.into())),
+            "the uncommitted row was read"
+        );
+    }
+
+    #[test]
+    fn a_failing_read_only_select_leaves_an_open_transaction_alone() {
+        let (mut served, mut other) = (app(JournalMode::Rollback), app(JournalMode::Rollback));
+        open_transaction(&mut [&mut served, &mut other]);
+        let (read, _) = served.execute(ClientId(1), b"SELECT * FROM nosuch", &nd(2, 2), true);
+        for (who, a) in [("served", &mut served), ("other", &mut other)] {
+            let (reply, _) = a.execute(ClientId(1), b"COMMIT", &nd(3, 3), false);
+            assert_eq!(decode_outcome(&reply), Some(WireOutcome::Done), "{who}");
+            let (reply, _) = a.execute(ClientId(1), b"SELECT COUNT(*) FROM kv", &nd(4, 4), true);
+            assert_eq!(
+                decode_outcome(&reply),
+                Some(WireOutcome::Rows(minisql::Rows {
+                    columns: vec!["count(*)".into()],
+                    rows: vec![vec![Value::Integer(1)]],
+                })),
+                "{who}"
+            );
+        }
+        let root = |a: &SqlApp| a.state.borrow_mut().refresh_digest();
+        assert_eq!(root(&served), root(&other), "the replicas diverged");
+        assert_eq!(
+            decode_outcome(&read),
+            Some(WireOutcome::Error(READ_IN_TXN.into()))
+        );
+    }
+
     #[test]
     fn errors_are_deterministic() {
         let mut a = app(JournalMode::Rollback);

@@ -7,9 +7,10 @@
 //! whose Merkle root a quorum attested. This module extracts the moving
 //! byte spans from such a snapshot — verifying every touched page against
 //! the snapshot's own tree, exactly like tree-walk state transfer verifies
-//! fetched pages — and packages them as a [`RangeExport`]: a verified,
-//! wire-encodable list of `(offset, bytes)` chunks plus the root they were
-//! extracted under.
+//! fetched pages — and packages them as a [`RangeExport`]: a verified list
+//! of `(offset, bytes)` chunks plus the root they were extracted under. The
+//! chunks travel to the target group inside ordered `XMsg::RangeInstall`
+//! operations.
 //!
 //! The caller (the deployment harness, or an operator tool) decides *which*
 //! byte spans constitute the moving key range — that mapping is an
@@ -32,8 +33,7 @@
 //! let export = RangeExport::extract(&checkpoint, [(4096u64, 16usize)]).unwrap();
 //! assert_eq!(export.root, checkpoint.root);
 //!
-//! // Round-trip the wire image and install on a fresh target region.
-//! let export = RangeExport::decode(&export.encode()).unwrap();
+//! // Install on a fresh target region.
 //! let mut target = PagedState::new(4);
 //! export.install(&mut target).unwrap();
 //! assert_eq!(target.read_vec(4096, 16).unwrap(), b"moved-slot-bytes");
@@ -46,7 +46,7 @@ use pbft_crypto::Digest;
 use crate::region::{PagedState, StateError, PAGE_SIZE};
 use crate::snapshot::Snapshot;
 
-/// Why a range export could not be produced or decoded.
+/// Why a range export could not be produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RangeError {
     /// A requested span leaves the snapshot's region.
@@ -63,8 +63,6 @@ pub enum RangeError {
         /// The page whose contents disagree with the tree.
         page: u64,
     },
-    /// A wire image was truncated or structurally invalid.
-    Malformed,
 }
 
 impl fmt::Display for RangeError {
@@ -76,7 +74,6 @@ impl fmt::Display for RangeError {
             RangeError::DigestMismatch { page } => {
                 write!(f, "page {page} does not match the snapshot tree leaf")
             }
-            RangeError::Malformed => write!(f, "malformed range-export image"),
         }
     }
 }
@@ -175,45 +172,6 @@ impl RangeExport {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Canonical wire encoding: root, chunk count, then each chunk as
-    /// big-endian offset + length-prefixed bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40 + self.len());
-        out.extend_from_slice(self.root.as_bytes());
-        out.extend_from_slice(&(self.chunks.len() as u32).to_be_bytes());
-        for (offset, bytes) in &self.chunks {
-            out.extend_from_slice(&offset.to_be_bytes());
-            out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-            out.extend_from_slice(bytes);
-        }
-        out
-    }
-
-    /// Decode an [`RangeExport::encode`] image.
-    ///
-    /// # Errors
-    /// [`RangeError::Malformed`] on truncation or trailing bytes.
-    pub fn decode(image: &[u8]) -> Result<RangeExport, RangeError> {
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Result<&[u8], RangeError> {
-            let s = image.get(*at..*at + n).ok_or(RangeError::Malformed)?;
-            *at += n;
-            Ok(s)
-        };
-        let root = Digest(take(&mut at, 32)?.try_into().expect("32 bytes"));
-        let count = u32::from_be_bytes(take(&mut at, 4)?.try_into().expect("4 bytes"));
-        let mut chunks = Vec::with_capacity(count.min(4096) as usize);
-        for _ in 0..count {
-            let offset = u64::from_be_bytes(take(&mut at, 8)?.try_into().expect("8 bytes"));
-            let len = u32::from_be_bytes(take(&mut at, 4)?.try_into().expect("4 bytes")) as usize;
-            chunks.push((offset, take(&mut at, len)?.to_vec()));
-        }
-        if at != image.len() {
-            return Err(RangeError::Malformed);
-        }
-        Ok(RangeExport { root, chunks })
-    }
 }
 
 #[cfg(test)]
@@ -248,11 +206,8 @@ mod tests {
         assert_eq!(export.chunks[0].1, data, "boundary-crossing bytes exact");
         assert_eq!(export.chunks[1].1, vec![0u8; 8], "sparse page reads zero");
 
-        let decoded = RangeExport::decode(&export.encode()).expect("roundtrip");
-        assert_eq!(decoded, export);
-
         let mut target = PagedState::new(4);
-        decoded.install(&mut target).expect("fits");
+        export.install(&mut target).expect("fits");
         assert_eq!(target.read_vec(off, 100).expect("read"), data);
         // Installed pages are dirty: they enter the next checkpoint.
         assert!(target.dirty_pages() > 0);
@@ -297,18 +252,6 @@ mod tests {
             RangeExport::extract(&snap, [(0u64, 8usize)]),
             Err(RangeError::DigestMismatch { page: 0 })
         );
-    }
-
-    #[test]
-    fn malformed_images_are_rejected() {
-        let st = source_with(&[(16, b"x")]);
-        let export = RangeExport::extract(&st.snapshot(1), [(16u64, 1usize)]).expect("ok");
-        let image = export.encode();
-        assert!(RangeExport::decode(&image[..image.len() - 1]).is_err());
-        let mut trailing = image.clone();
-        trailing.push(7);
-        assert!(RangeExport::decode(&trailing).is_err());
-        assert!(RangeExport::decode(&[]).is_err());
     }
 
     #[test]

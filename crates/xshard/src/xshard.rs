@@ -120,7 +120,7 @@ use crate::routing::{RouteError, ShardMap};
 use pbft_core::app::{App, Effects, ExecMetrics, NonDet, StateHandle};
 use pbft_core::session::SessionCtx;
 use pbft_core::types::ClientId;
-use pbft_core::wire::{Dec, Enc};
+use pbft_core::wire::{Dec, Enc, WireError};
 
 /// Globally unique transaction identifier (assigned by the initiator;
 /// harness initiators stripe their index into the high bits).
@@ -305,42 +305,67 @@ const TAG_RESHARD: u8 = 8;
 const TAG_RANGE_INSTALL: u8 = 9;
 const TAG_KEYED_OP: u8 = 10;
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_be_bytes());
-    out.extend_from_slice(b);
+/// A list length as its `u16` wire count. The counts are a wire
+/// invariant, not a silent cap: truncating would make a participant stage
+/// (and later apply) a *subset* of the transaction — exactly the partial
+/// application 2PC exists to prevent — so an oversized list fails loudly
+/// at the encoder.
+fn count_u16(len: usize, what: &str) -> u16 {
+    u16::try_from(len).unwrap_or_else(|_| panic!("{what} exceeds {} entries", u16::MAX))
 }
 
-fn get_bytes(buf: &[u8], at: &mut usize) -> Option<Vec<u8>> {
-    let len = u32::from_be_bytes(buf.get(*at..*at + 4)?.try_into().ok()?) as usize;
-    *at += 4;
-    let b = buf.get(*at..*at + len)?.to_vec();
-    *at += len;
-    Some(b)
-}
-
-fn put_sub_ops(out: &mut Vec<u8>, ops: &[SubOp]) {
-    // The u16 counts are a wire invariant, not a silent cap: truncating
-    // here would make a participant stage (and later apply) a *subset* of
-    // the transaction — exactly the partial application 2PC exists to
-    // prevent — so oversized transactions fail loudly at the initiator.
-    assert!(
-        ops.len() <= u16::MAX as usize,
-        "transaction exceeds {} sub-ops",
-        u16::MAX
-    );
-    out.extend_from_slice(&(ops.len() as u16).to_be_bytes());
+/// A sub-op list: a `u16` count, then per sub-op a `u16` key count, the
+/// length-prefixed keys and the length-prefixed operation.
+fn encode_sub_ops(e: &mut Enc, ops: &[SubOp]) {
+    e.u16(count_u16(ops.len(), "transaction sub-op list"));
     for sub in ops {
-        assert!(
-            sub.keys.len() <= u16::MAX as usize,
-            "sub-op exceeds {} keys",
-            u16::MAX
-        );
-        out.extend_from_slice(&(sub.keys.len() as u16).to_be_bytes());
+        e.u16(count_u16(sub.keys.len(), "sub-op key list"));
         for k in &sub.keys {
-            put_bytes(out, k);
+            e.bytes(k);
         }
-        put_bytes(out, &sub.op);
+        e.bytes(&sub.op);
     }
+}
+
+fn decode_sub_ops(d: &mut Dec<'_>) -> Result<Vec<SubOp>, WireError> {
+    // The smallest sub-op is an empty key list and an empty operation.
+    let n = d.count_u16(2 + 4)?;
+    let mut ops = Vec::with_capacity(n);
+    for _ in 0..n {
+        ops.push(SubOp {
+            keys: decode_byte_strings(d)?,
+            op: d.bytes()?,
+        });
+    }
+    Ok(ops)
+}
+
+/// A `u16`-counted list of length-prefixed byte strings.
+fn encode_byte_strings(e: &mut Enc, list: &[Vec<u8>], what: &str) {
+    e.u16(count_u16(list.len(), what));
+    for b in list {
+        e.bytes(b);
+    }
+}
+
+fn decode_byte_strings(d: &mut Dec<'_>) -> Result<Vec<Vec<u8>>, WireError> {
+    let n = d.count_u16(4)?;
+    let mut list = Vec::with_capacity(n);
+    for _ in 0..n {
+        list.push(d.bytes()?);
+    }
+    Ok(list)
+}
+
+/// Range-install chunks: a `u16` count, then per chunk a region offset and
+/// a length-prefixed run of bytes.
+fn decode_chunks(d: &mut Dec<'_>) -> Result<Vec<(u64, Vec<u8>)>, WireError> {
+    let n = d.count_u16(8 + 4)?;
+    let mut chunks = Vec::with_capacity(n);
+    for _ in 0..n {
+        chunks.push((d.u64()?, d.bytes()?));
+    }
+    Ok(chunks)
 }
 
 /// Decode a [`XShardApp`] in-flight table image (the inverse of
@@ -355,7 +380,7 @@ fn decode_tables_image(
         BTreeMap<u64, TxId>,
         Option<(u32, ShardMap)>,
     ),
-    pbft_core::wire::WireError,
+    WireError,
 > {
     let mut d = Dec::new(image);
     let mut locks = BTreeMap::new();
@@ -367,8 +392,7 @@ fn decode_tables_image(
     let mut staged = BTreeMap::new();
     for _ in 0..d.u32()? {
         let txid = d.u64()?;
-        let encoded = d.bytes()?;
-        let ops = get_sub_ops(&encoded, &mut 0).ok_or(pbft_core::wire::WireError::Truncated)?;
+        let ops = decode_sub_ops(&mut Dec::new(d.bytes_ref()?))?;
         staged.insert(txid, ops);
     }
     let mut floors = BTreeMap::new();
@@ -385,23 +409,6 @@ fn decode_tables_image(
         None
     };
     Ok((locks, staged, floors, identity))
-}
-
-fn get_sub_ops(buf: &[u8], at: &mut usize) -> Option<Vec<SubOp>> {
-    let n = u16::from_be_bytes(buf.get(*at..*at + 2)?.try_into().ok()?) as usize;
-    *at += 2;
-    let mut ops = Vec::with_capacity(n);
-    for _ in 0..n {
-        let nk = u16::from_be_bytes(buf.get(*at..*at + 2)?.try_into().ok()?) as usize;
-        *at += 2;
-        let mut keys = Vec::with_capacity(nk);
-        for _ in 0..nk {
-            keys.push(get_bytes(buf, at)?);
-        }
-        let op = get_bytes(buf, at)?;
-        ops.push(SubOp { keys, op });
-    }
-    Some(ops)
 }
 
 impl XMsg {
@@ -432,7 +439,6 @@ impl XMsg {
     /// Panics if a sub-op list or key list exceeds the `u16` wire counts —
     /// truncation would silently drop part of an atomic transaction.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = XSHARD_MAGIC.to_vec();
         let (tag, txid) = match self {
             XMsg::Prepare { txid, .. } => (TAG_PREPARE, txid),
             XMsg::Decide { txid, .. } => (TAG_DECIDE, txid),
@@ -445,57 +451,49 @@ impl XMsg {
             XMsg::RangeInstall { txid, .. } => (TAG_RANGE_INSTALL, txid),
             XMsg::KeyedOp { txid, .. } => (TAG_KEYED_OP, txid),
         };
-        out.push(tag);
-        out.extend_from_slice(&txid.to_be_bytes());
+        let mut e = Enc::new();
+        e.raw(&XSHARD_MAGIC).u8(tag).u64(*txid);
         match self {
-            XMsg::Prepare { ops, .. } | XMsg::AtomicBatch { ops, .. } => put_sub_ops(&mut out, ops),
-            XMsg::Decide { commit, .. } => out.push(u8::from(*commit)),
-            XMsg::Reshard { map, .. } => put_bytes(&mut out, &map.encode()),
+            XMsg::Prepare { ops, .. } | XMsg::AtomicBatch { ops, .. } => {
+                encode_sub_ops(&mut e, ops)
+            }
+            XMsg::Decide { commit, .. } => {
+                e.boolean(*commit);
+            }
+            XMsg::Reshard { map, .. } => {
+                e.bytes(&map.encode());
+            }
             XMsg::RangeInstall { chunks, .. } => {
-                assert!(
-                    chunks.len() <= u16::MAX as usize,
-                    "range install exceeds {} chunks",
-                    u16::MAX
-                );
-                out.extend_from_slice(&(chunks.len() as u16).to_be_bytes());
+                e.u16(count_u16(chunks.len(), "range install"));
                 for (off, bytes) in chunks {
-                    out.extend_from_slice(&off.to_be_bytes());
-                    put_bytes(&mut out, bytes);
+                    e.u64(*off).bytes(bytes);
                 }
             }
             XMsg::KeyedOp { keys, op, .. } => {
-                assert!(
-                    keys.len() <= u16::MAX as usize,
-                    "keyed op exceeds {} keys",
-                    u16::MAX
-                );
-                out.extend_from_slice(&(keys.len() as u16).to_be_bytes());
-                for k in keys {
-                    put_bytes(&mut out, k);
-                }
-                put_bytes(&mut out, op);
+                encode_byte_strings(&mut e, keys, "keyed op key list");
+                e.bytes(op);
             }
             _ => {}
         }
-        out
+        e.into_bytes()
     }
 
     /// Decode an operation body. `None` for anything that is not a
     /// well-formed xshard frame — plain application operations fall through
-    /// untouched (the [`XShardApp`] pass-through path).
+    /// untouched (the [`XShardApp`] pass-through path). Bytes after a
+    /// complete frame are ignored.
     pub fn decode(body: &[u8]) -> Option<XMsg> {
-        let rest = body.strip_prefix(&XSHARD_MAGIC[..])?;
-        let (&tag, rest) = rest.split_first()?;
-        let txid = TxId::from_be_bytes(rest.get(..8)?.try_into().ok()?);
-        let mut at = 8;
+        let mut d = Dec::new(body.strip_prefix(&XSHARD_MAGIC[..])?);
+        let tag = d.u8().ok()?;
+        let txid = d.u64().ok()?;
         let msg = match tag {
             TAG_PREPARE => XMsg::Prepare {
                 txid,
-                ops: get_sub_ops(rest, &mut at)?,
+                ops: decode_sub_ops(&mut d).ok()?,
             },
             TAG_DECIDE => XMsg::Decide {
                 txid,
-                commit: *rest.get(at)? != 0,
+                commit: d.u8().ok()? != 0,
             },
             TAG_COMMIT => XMsg::Commit { txid },
             TAG_ABORT => XMsg::Abort { txid },
@@ -503,36 +501,21 @@ impl XMsg {
             TAG_QUERY_APPLIED => XMsg::QueryApplied { txid },
             TAG_ATOMIC_BATCH => XMsg::AtomicBatch {
                 txid,
-                ops: get_sub_ops(rest, &mut at)?,
+                ops: decode_sub_ops(&mut d).ok()?,
             },
             TAG_RESHARD => XMsg::Reshard {
                 txid,
-                map: ShardMap::decode(&get_bytes(rest, &mut at)?).ok()?,
+                map: ShardMap::decode(d.bytes_ref().ok()?).ok()?,
             },
-            TAG_RANGE_INSTALL => {
-                let n = u16::from_be_bytes(rest.get(at..at + 2)?.try_into().ok()?) as usize;
-                at += 2;
-                let mut chunks = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let off = u64::from_be_bytes(rest.get(at..at + 8)?.try_into().ok()?);
-                    at += 8;
-                    chunks.push((off, get_bytes(rest, &mut at)?));
-                }
-                XMsg::RangeInstall { txid, chunks }
-            }
-            TAG_KEYED_OP => {
-                let n = u16::from_be_bytes(rest.get(at..at + 2)?.try_into().ok()?) as usize;
-                at += 2;
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(get_bytes(rest, &mut at)?);
-                }
-                XMsg::KeyedOp {
-                    txid,
-                    keys,
-                    op: get_bytes(rest, &mut at)?,
-                }
-            }
+            TAG_RANGE_INSTALL => XMsg::RangeInstall {
+                txid,
+                chunks: decode_chunks(&mut d).ok()?,
+            },
+            TAG_KEYED_OP => XMsg::KeyedOp {
+                txid,
+                keys: decode_byte_strings(&mut d).ok()?,
+                op: d.bytes().ok()?,
+            },
             _ => return None,
         };
         Some(msg)
@@ -645,7 +628,6 @@ impl XReply {
     /// Panics if a `Committed` reply carries more than `u16::MAX` sub-op
     /// replies (the wire count would truncate).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = XSHARD_MAGIC.to_vec();
         let (tag, txid) = match self {
             XReply::PrepareOk { txid } => (RTAG_PREPARE_OK, txid),
             XReply::PrepareFail { txid, .. } => (RTAG_PREPARE_FAIL, txid),
@@ -657,64 +639,63 @@ impl XReply {
             XReply::WrongEpoch { txid, .. } => (RTAG_WRONG_EPOCH, txid),
             XReply::Resharded { txid, .. } => (RTAG_RESHARDED, txid),
         };
-        out.push(tag);
-        out.extend_from_slice(&txid.to_be_bytes());
+        let mut e = Enc::new();
+        e.raw(&XSHARD_MAGIC).u8(tag).u64(*txid);
         match self {
-            XReply::PrepareFail { holder, .. } => out.extend_from_slice(&holder.to_be_bytes()),
-            XReply::Committed { replies, .. } => {
-                assert!(
-                    replies.len() <= u16::MAX as usize,
-                    "reply count exceeds {}",
-                    u16::MAX
-                );
-                out.extend_from_slice(&(replies.len() as u16).to_be_bytes());
-                for r in replies {
-                    put_bytes(&mut out, r);
-                }
+            XReply::PrepareFail { holder, .. } => {
+                e.u64(*holder);
             }
-            XReply::DecisionLogged { commit, .. } => out.push(u8::from(*commit)),
-            XReply::Decision { commit, .. } => out.push(match commit {
-                None => 2,
-                Some(false) => 0,
-                Some(true) => 1,
-            }),
-            XReply::Applied { applied, .. } => out.push(u8::from(*applied)),
-            XReply::WrongEpoch { map, .. } => put_bytes(&mut out, &map.encode()),
-            XReply::Resharded { epoch, .. } => out.extend_from_slice(&epoch.to_be_bytes()),
+            XReply::Committed { replies, .. } => {
+                encode_byte_strings(&mut e, replies, "committed reply list")
+            }
+            XReply::DecisionLogged { commit, .. } => {
+                e.boolean(*commit);
+            }
+            XReply::Decision { commit, .. } => {
+                e.u8(match commit {
+                    None => 2,
+                    Some(false) => 0,
+                    Some(true) => 1,
+                });
+            }
+            XReply::Applied { applied, .. } => {
+                e.boolean(*applied);
+            }
+            XReply::WrongEpoch { map, .. } => {
+                e.bytes(&map.encode());
+            }
+            XReply::Resharded { epoch, .. } => {
+                e.u64(*epoch);
+            }
             _ => {}
         }
-        out
+        e.into_bytes()
     }
 
-    /// Decode a reply body; `None` for plain application replies.
+    /// Decode a reply body; `None` for plain application replies. Bytes
+    /// after a complete frame are ignored.
     pub fn decode(body: &[u8]) -> Option<XReply> {
-        let rest = body.strip_prefix(&XSHARD_MAGIC[..])?;
-        let (&tag, rest) = rest.split_first()?;
-        let txid = TxId::from_be_bytes(rest.get(..8)?.try_into().ok()?);
-        let mut at = 8;
+        let mut d = Dec::new(body.strip_prefix(&XSHARD_MAGIC[..])?);
+        let tag = d.u8().ok()?;
+        let txid = d.u64().ok()?;
         let reply = match tag {
             RTAG_PREPARE_OK => XReply::PrepareOk { txid },
             RTAG_PREPARE_FAIL => XReply::PrepareFail {
                 txid,
-                holder: TxId::from_be_bytes(rest.get(at..at + 8)?.try_into().ok()?),
+                holder: d.u64().ok()?,
             },
-            RTAG_COMMITTED => {
-                let n = u16::from_be_bytes(rest.get(at..at + 2)?.try_into().ok()?) as usize;
-                at += 2;
-                let mut replies = Vec::with_capacity(n);
-                for _ in 0..n {
-                    replies.push(get_bytes(rest, &mut at)?);
-                }
-                XReply::Committed { txid, replies }
-            }
+            RTAG_COMMITTED => XReply::Committed {
+                txid,
+                replies: decode_byte_strings(&mut d).ok()?,
+            },
             RTAG_ABORTED => XReply::Aborted { txid },
             RTAG_DECISION_LOGGED => XReply::DecisionLogged {
                 txid,
-                commit: *rest.get(at)? != 0,
+                commit: d.u8().ok()? != 0,
             },
             RTAG_DECISION => XReply::Decision {
                 txid,
-                commit: match *rest.get(at)? {
+                commit: match d.u8().ok()? {
                     0 => Some(false),
                     1 => Some(true),
                     _ => None,
@@ -722,15 +703,15 @@ impl XReply {
             },
             RTAG_APPLIED => XReply::Applied {
                 txid,
-                applied: *rest.get(at)? != 0,
+                applied: d.u8().ok()? != 0,
             },
             RTAG_WRONG_EPOCH => XReply::WrongEpoch {
                 txid,
-                map: ShardMap::decode(&get_bytes(rest, &mut at)?).ok()?,
+                map: ShardMap::decode(d.bytes_ref().ok()?).ok()?,
             },
             RTAG_RESHARDED => XReply::Resharded {
                 txid,
-                epoch: u64::from_be_bytes(rest.get(at..at + 8)?.try_into().ok()?),
+                epoch: d.u64().ok()?,
             },
             _ => return None,
         };
@@ -1130,9 +1111,9 @@ impl XShardApp {
         }
         e.u32(self.staged.len() as u32);
         for (txid, ops) in &self.staged {
-            let mut encoded = Vec::new();
-            put_sub_ops(&mut encoded, ops);
-            e.u64(*txid).bytes(&encoded);
+            let mut sub_ops = Enc::new();
+            encode_sub_ops(&mut sub_ops, ops);
+            e.u64(*txid).bytes(sub_ops.as_slice());
         }
         e.u32(self.floors.len() as u32);
         for (stripe, floor) in &self.floors {

@@ -11,8 +11,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
-# The trial-count knobs change the artifacts; pin them to their defaults.
-unset XSHARD_TRIALS SHARDING_TRIALS
 
 for bench in table1 sharding availability cross_shard hotpath paper; do
     echo "==> cargo bench --bench $bench"
