@@ -101,11 +101,6 @@ impl Operation {
             t => Err(WireError::BadTag(t)),
         }
     }
-
-    /// Is this one of the membership system requests?
-    pub fn is_system(&self) -> bool {
-        !matches!(self, Operation::App(_) | Operation::Noop)
-    }
 }
 
 /// A client request.

@@ -138,19 +138,16 @@ impl Replica {
             self.last_issue_width = take;
             let mut entries = Vec::with_capacity(take);
             for _ in 0..take {
-                let QueuedRequest { req, digest, big } =
-                    self.pending.pop_front().expect("non-empty");
+                let QueuedRequest { digest, big } = self.pending.pop_front().expect("non-empty");
                 self.pending_digests.remove(&digest);
-                if big {
-                    // Stored at admission; only a body pruned since then
-                    // has to be put back.
-                    self.bodies.entry(digest).or_insert_with(|| req.clone());
-                }
+                // A queued digest names a stored body, which stays there
+                // until the batch executes; a small one also rides inline.
+                let req = &self.bodies[&digest];
                 entries.push(BatchEntry {
                     digest,
                     client: req.client,
                     timestamp: req.timestamp,
-                    full: if big { None } else { Some(req) },
+                    full: (!big).then(|| req.clone()),
                 });
             }
             // Non-determinism upcall: the primary attaches its clock and a
@@ -171,7 +168,6 @@ impl Replica {
             if let Some(e) = self.log.entry_for(seq, self.view, digest, &mut self.bodies) {
                 e.preprepare = Some(pp.clone());
             }
-            self.stash_inline_bodies(&pp);
             self.multicast(Message::PrePrepare(pp), res);
             // The primary's pre-prepare counts as its prepare; check whether
             // f = 0 degenerate groups can progress immediately.
@@ -179,10 +175,11 @@ impl Replica {
         }
     }
 
+    /// Store the inline bodies of `pp` that this replica never admitted.
     pub(crate) fn stash_inline_bodies(&mut self, pp: &PrePrepareMsg) {
         for e in &pp.entries {
             if let Some(req) = &e.full {
-                self.bodies.insert(e.digest, req.clone());
+                self.bodies.entry(e.digest).or_insert_with(|| req.clone());
             }
         }
     }
@@ -530,7 +527,14 @@ impl Replica {
         // one-request batch up to four).
         held.reserve_exact(pp.entries.len().saturating_sub(held.len()));
         for entry in &pp.entries {
-            if let Some(req) = self.bodies.remove(&entry.digest) {
+            // A request still queued was ordered twice (a new primary
+            // re-queued it): the queue keeps the body, the slot a copy.
+            let body = if self.pending_digests.contains(&entry.digest) {
+                self.bodies.get(&entry.digest).cloned()
+            } else {
+                self.bodies.remove(&entry.digest)
+            };
+            if let Some(req) = body {
                 held.push((entry.digest, req));
             }
         }
@@ -809,11 +813,12 @@ impl Replica {
     /// Retire what the checkpoint now stable at `seq` made garbage: log
     /// entries at or below it leave the window with the bodies their
     /// batches executed, and stored bodies that no live log entry
-    /// references leave `bodies` / `observed`. The retention rule is the
-    /// one garbage collection always had — a body stays while a live entry
-    /// references it or its request has not executed for its client — but
-    /// the map holds only bodies whose batch has not executed, about a
-    /// window's worth, so the walk is that long and not an interval's.
+    /// references leave `bodies`, their digests `observed`. The retention
+    /// rule is the one garbage collection always had — a body stays while a
+    /// live entry references it, the primary's queue names it, or its
+    /// request has not executed for its client — but the map holds only
+    /// bodies whose batch has not executed, about a window's worth, so the
+    /// walk is that long and not an interval's.
     /// Nothing in the retired slots is dropped here: `try_execute` frees
     /// one per executed batch, and what is still unfreed at the next
     /// stabilisation goes at once ([`crate::log::MessageLog::advance`]).
@@ -826,24 +831,21 @@ impl Replica {
                 .iter()
                 .flat_map(|pp| pp.entries.iter().map(|en| en.digest))
         }));
-        // Keep bodies that a live log entry references *or* that belong to a
-        // request not yet executed for its client (pending in the batching
-        // queue or observed but not yet pre-prepared) — dropping those would
+        // Keep bodies that a live log entry references, that the batching
+        // queue names, or that belong to a request not yet executed for its
+        // client (observed but not yet pre-prepared) — dropping those would
         // wedge execution exactly like a §2.4 packet loss.
         let last_ts = &self.last_req_ts;
-        self.bodies.retain(|d, req| {
-            referenced.contains(d) || req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0)
-        });
-        if !self.pending_digests.is_empty() {
-            let mut queued = FoldSet::with_hasher(self.keys.hash_state());
-            queued.extend(self.pending.iter().map(|q| q.digest));
-            self.pending_digests
-                .retain(|d| referenced.contains(d) || queued.contains(d));
-        }
+        let unexecuted =
+            |req: &RequestMsg| req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0);
+        let queued = &self.pending_digests;
+        self.bodies
+            .retain(|d, req| referenced.contains(d) || queued.contains(d) || unexecuted(req));
         // Observed requests already executed under a different digest path
         // are dropped via the per-client timestamp.
+        let bodies = &self.bodies;
         self.observed
-            .retain(|_, req| req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0));
+            .retain(|d| bodies.get(d).is_some_and(unexecuted));
     }
 
     /// Before the slots at or below `stable` leave the window: a body an
@@ -1006,7 +1008,7 @@ pub(crate) fn unheld_bodies(e: &LogEntry, bodies: &FoldMap<Digest, RequestMsg>) 
 #[cfg(test)]
 pub(crate) mod retire_reference {
     use std::cell::Cell;
-    use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+    use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
     use pbft_crypto::Digest;
 
@@ -1022,16 +1024,16 @@ pub(crate) mod retire_reference {
         pub(crate) static CHECKED: Cell<u64> = const { Cell::new(0) };
     }
 
-    /// Drop stored bodies that no live log entry references. Executed
-    /// entries above the stable checkpoint still count: a view-change
-    /// rollback may need to re-execute them.
+    /// Drop stored bodies that no live log entry references and the queue
+    /// does not name. Executed entries above the stable checkpoint still
+    /// count: a view-change rollback may need to re-execute them.
     fn prune_bodies(
         log: &MessageLog,
         pending: &VecDeque<QueuedRequest>,
         last_req_ts: &HashMap<ClientId, u64>,
         bodies: &mut HashMap<Digest, RequestMsg>,
         pending_digests: &mut HashSet<Digest>,
-        observed: &mut BTreeMap<Digest, RequestMsg>,
+        observed: &mut BTreeSet<Digest>,
     ) {
         let referenced: HashSet<Digest> = log
             .iter()
@@ -1042,12 +1044,18 @@ pub(crate) mod retire_reference {
             })
             .collect();
         let last_ts = last_req_ts;
-        bodies.retain(|d, req| {
-            referenced.contains(d) || req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0)
+        let queued = |d: &Digest| pending.iter().any(|q| q.digest == *d);
+        observed.retain(|d| {
+            bodies
+                .get(d)
+                .is_some_and(|r| r.timestamp > last_ts.get(&r.client).copied().unwrap_or(0))
         });
-        pending_digests
-            .retain(|d| referenced.contains(d) || pending.iter().any(|q| q.digest == *d));
-        observed.retain(|_, r| r.timestamp > last_ts.get(&r.client).copied().unwrap_or(0));
+        bodies.retain(|d, req| {
+            referenced.contains(d)
+                || queued(d)
+                || req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0)
+        });
+        pending_digests.retain(|d| referenced.contains(d) || queued(d));
     }
 
     /// Digests of the bodies live log slots hold.
@@ -1058,12 +1066,21 @@ pub(crate) mod retire_reference {
     }
 
     /// The ownership invariant, at any point between two calls into `r`:
-    /// every executed live slot holds every big body its pre-prepare names
-    /// (a rollback or a transfer re-executes from there), and a body leaves
+    /// every digest the batching queue or `observed` names has its body in
+    /// the store (a new primary re-queues, and issues, from there); every
+    /// executed live slot holds every big body its pre-prepare names (a
+    /// rollback or a transfer re-executes from there); and a body leaves
     /// with its slot — a freed slot holds nothing, and the cursor is never
     /// behind `previous_stable`, the stable checkpoint before the current
     /// one, so the dead never hold more than one stabilisation's garbage.
     pub(crate) fn assert_bodies_owned(r: &Replica, previous_stable: SeqNum) {
+        for d in r.pending.iter().map(|q| &q.digest).chain(&r.observed) {
+            assert!(
+                r.bodies.contains_key(d),
+                "replica {}: a queued or observed digest names no stored body",
+                r.id().0
+            );
+        }
         for (&seq, e) in r.log.iter().filter(|(_, e)| e.executed) {
             let pp = e
                 .preprepare
@@ -1119,7 +1136,7 @@ pub(crate) mod retire_reference {
                 low: log.low,
                 bodies: bodies.into_keys().collect(),
                 pending_digests: pending_digests.into_iter().collect(),
-                observed: observed.into_keys().collect(),
+                observed: observed.into_iter().collect(),
             }
         }
 
@@ -1129,7 +1146,7 @@ pub(crate) mod retire_reference {
                 low: r.log.low,
                 bodies: r.bodies.keys().copied().chain(held(r)).collect(),
                 pending_digests: r.pending_digests.iter().copied().collect(),
-                observed: r.observed.keys().copied().collect(),
+                observed: r.observed.iter().copied().collect(),
             };
             assert_eq!(
                 now, *self,

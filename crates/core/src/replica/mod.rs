@@ -13,7 +13,7 @@ mod viewchange;
 #[cfg(test)]
 mod tests;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use pbft_crypto::Digest;
 use pbft_state::{Fetcher, Section, Snapshot};
@@ -179,10 +179,10 @@ pub(crate) struct ViewChangeState {
 
 /// A request in the primary's batching queue, with what admission already
 /// worked out about it (so issuing it re-encodes and re-hashes nothing).
+/// The request itself waits in [`Replica::bodies`].
 pub(crate) struct QueuedRequest {
-    pub(crate) req: RequestMsg,
     /// Digest of the canonical request encoding — the key it is stored
-    /// under in `pending_digests`, `bodies` and `observed`.
+    /// under in `pending_digests` and `bodies`.
     pub(crate) digest: Digest,
     /// The `is_big` verdict on its encoded length.
     pub(crate) big: bool,
@@ -217,19 +217,21 @@ pub struct Replica {
     /// retransmission/replay for non-determinism validation purposes (§2.5).
     pub(crate) max_pp_seen: SeqNum,
 
-    /// Primary-side batching queue and assignment dedupe.
+    /// Primary-side batching queue (digests, as a list and as a set) and
+    /// assignment dedupe.
     pub(crate) pending: VecDeque<QueuedRequest>,
     pub(crate) pending_digests: FoldSet<Digest>,
     pub(crate) assigned_ts: FoldMap<ClientId, u64>,
 
-    /// Big-request body store, keyed by request digest (§2.1/§2.4): the
-    /// bodies whose batch has not executed here. Executing a batch moves
-    /// its bodies into its log slot ([`LogEntry::bodies`]).
+    /// The one store a request waits in before execution, keyed by digest
+    /// (§2.1/§2.4): every body admission accepted or a pre-prepare named,
+    /// and each that `pending` and `observed` name, until its batch executes
+    /// and it moves into the log slot ([`LogEntry::bodies`]).
     pub(crate) bodies: FoldMap<Digest, RequestMsg>,
 
     /// Requests observed (as a backup) but not yet executed — the basis for
-    /// primary suspicion, and re-queued if this replica becomes primary.
-    pub(crate) observed: BTreeMap<Digest, RequestMsg>,
+    /// primary suspicion, and re-queued in digest order on becoming primary.
+    pub(crate) observed: BTreeSet<Digest>,
 
     /// Per-client last executed timestamp and cached reply.
     pub(crate) last_req_ts: FoldMap<ClientId, u64>,
@@ -239,7 +241,7 @@ pub struct Replica {
     /// Own checkpoints: the snapshot (serving state transfer) and the
     /// execution-chain value at it (for rollback). Then the votes.
     pub(crate) checkpoints: BTreeMap<SeqNum, (Snapshot, Digest)>,
-    pub(crate) ckpt_votes: BTreeMap<(SeqNum, Digest), std::collections::BTreeSet<ReplicaId>>,
+    pub(crate) ckpt_votes: BTreeMap<(SeqNum, Digest), BTreeSet<ReplicaId>>,
     pub(crate) stable: (SeqNum, Digest),
 
     pub(crate) fetch: Option<FetchState>,
@@ -361,7 +363,7 @@ impl Replica {
             pending_digests: FoldSet::with_hasher(hash_state),
             assigned_ts: FoldMap::with_hasher(hash_state),
             bodies: FoldMap::with_hasher(hash_state),
-            observed: BTreeMap::new(),
+            observed: BTreeSet::new(),
             last_req_ts: FoldMap::with_hasher(hash_state),
             last_reply: FoldMap::with_hasher(hash_state),
             client_addr: FoldMap::with_hasher(hash_state),
@@ -737,14 +739,17 @@ impl Replica {
         let digest = Digest::of(body);
         res.counts.digest_bytes += body.len() as u64;
         let big = self.cfg.is_big(body.len());
-        if big {
-            // Body delivered by client multicast; remember it for execution.
-            self.bodies.insert(digest, req.clone());
-        }
+        let (client, timestamp) = (req.client, req.timestamp);
+        // Backups relay non-big requests to the primary verbatim — the
+        // client's own envelope, so its authenticator stays valid. The
+        // relay's envelope is the packet's copy; the request itself waits
+        // for its batch in `bodies`, and the queue or `observed` names it.
+        let relay = (!big && !self.is_primary()).then(|| Message::Request(req.clone()));
+        self.bodies.insert(digest, req);
 
         if self.is_primary() {
-            let assigned = self.assigned_ts.get(&req.client).copied().unwrap_or(0);
-            if req.timestamp <= assigned || self.pending_digests.contains(&digest) {
+            let assigned = self.assigned_ts.get(&client).copied().unwrap_or(0);
+            if timestamp <= assigned || self.pending_digests.contains(&digest) {
                 // Already queued or assigned — but a retransmission is a
                 // sign the client is waiting, so make sure the batching
                 // engine is awake before dropping the duplicate.
@@ -752,23 +757,14 @@ impl Replica {
                 return;
             }
             self.pending_digests.insert(digest);
-            self.assigned_ts.insert(req.client, req.timestamp);
-            self.pending.push_back(QueuedRequest { req, digest, big });
+            self.assigned_ts.insert(client, timestamp);
+            self.pending.push_back(QueuedRequest { digest, big });
             self.try_issue(now_ns, res);
         } else {
-            // Backups relay non-big requests to the primary verbatim — the
-            // client's own envelope, so its authenticator stays valid — and
-            // arm the suspicion timer. Encoded once, to the one destination;
-            // no deep envelope clone. One copy of the request either way:
-            // a big one went into `bodies` above and `observed` takes the
-            // original, a small one goes into `observed` and the relay takes
-            // the original.
-            if big {
-                self.observed.insert(digest, req);
-            } else {
-                self.observed.insert(digest, req.clone());
+            // Relay, encoded once, and arm the suspicion timer.
+            self.observed.insert(digest);
+            if let Some(msg) = relay {
                 let primary = self.cfg.primary_of(self.view);
-                let msg = Message::Request(req);
                 let relay_prefix = Envelope::encode_prefix(sender, &msg);
                 self.metrics.hot_encodings += 1;
                 let packet = std::sync::Arc::new(Envelope::seal(relay_prefix, auth));

@@ -187,9 +187,10 @@ impl Replica {
         });
         self.try_execute(now_ns, res);
         // If we are the new primary, requests observed as a backup but never
-        // ordered become our initial batching queue.
+        // ordered become our initial batching queue, in digest order.
         if self.is_primary() {
-            for (digest, req) in std::mem::take(&mut self.observed) {
+            for digest in std::mem::take(&mut self.observed) {
+                let req = &self.bodies[&digest]; // an observed digest names a stored body
                 let executed_ts = self.last_req_ts.get(&req.client).copied().unwrap_or(0);
                 let assigned = self.assigned_ts.get(&req.client).copied().unwrap_or(0);
                 if req.timestamp > executed_ts.max(assigned)
@@ -198,7 +199,7 @@ impl Replica {
                     self.pending_digests.insert(digest);
                     self.assigned_ts.insert(req.client, req.timestamp);
                     let big = self.cfg.is_big(req.encoded_len());
-                    self.pending.push_back(QueuedRequest { req, digest, big });
+                    self.pending.push_back(QueuedRequest { digest, big });
                 }
             }
         }

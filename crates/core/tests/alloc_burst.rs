@@ -82,36 +82,38 @@ const OP_BYTES: usize = 1024;
 /// gather, as on a loaded host.
 const HOP_NS: u64 = 2_000;
 
-/// Large blocks a replica call may free per request it executes. Three are
-/// execution's own and as old as the code (the parent frees 9–19 on a
-/// six-request batch): the cached `last_reply` the new reply replaces, the
-/// observed copy a backup drops, a buffer of the reply's sealing. Two are
-/// the freed dead slot's: the request's body — one 1 KiB buffer — and its
-/// share of what the slot owns (the pre-prepare's entry list). Measured:
-/// 16–29 per six-request batch.
-const FREES_PER_REQUEST: u64 = 5;
-/// Large blocks a replica call may free whatever it executes: the primary
-/// issuing a batch drops the queued twin of each body it already stored,
-/// `PIPELINE_MIN_BATCH` = 6 of them, with the queue's and the entry list's
-/// temporaries — measured 7 on both sides of this change. A stabilising
-/// call, which executes nothing either, frees 8 (the superseded
-/// checkpoint's snapshot, the retire scan's scratch set); the parent's
-/// freed 921.
-const FREES_PER_CALL: u64 = 8;
+/// Large blocks a replica call may free per request it executes: the
+/// cached `last_reply` the new reply replaces, a buffer of the reply's
+/// sealing, and the freed dead slot's request body — one 1 KiB buffer —
+/// with its share of what the slot owns (the pre-prepare's entry list).
+/// Measured: at most 13 per six-request batch under `--release`, 18 under
+/// `cargo test` (the `debug_assert` re-encoding). 5 while a backup kept an
+/// observed copy of each request to drop at execution.
+const FREES_PER_REQUEST: u64 = 3;
+/// Large blocks a replica call may free whatever it executes: a
+/// stabilising call, which executes nothing, frees 1 (the superseded
+/// checkpoint's snapshot). 8 while the primary issuing a batch dropped the
+/// queued twin of each body and the retire scan built a scratch set of the
+/// queue; the call that stabilised before retirement was split from
+/// reclamation freed 921.
+const FREES_PER_CALL: u64 = 2;
 /// Large allocations per completed 1 KiB null write at n = 4, ten times,
 /// over every engine call (four replicas and the client, the operation's
 /// own buffer included). The count is the optimiser's as much as the
-/// code's, so it is pinned per profile: 26.8 under `cargo test`, where
+/// code's, so it is pinned per profile: 22.3 under `cargo test`, where
 /// the execution chain's `debug_assert` still encodes each batch a second
-/// time, and 24.2 under `--release`, the build the benchmark runs. Both
-/// fell by 0.12 when the log became a ring allocated once (26.95 → 26.83,
-/// 24.28 → 24.16): its tree nodes, and the retired queue's, are gone.
+/// time, and 19.7 under `--release`, the build the benchmark runs. Both
+/// fell by 4.5 when `bodies` became the only store a request waits in
+/// (26.83 → 22.33, 24.16 → 19.66): 4.0 is the second copy of each body
+/// every replica kept at admission, and 0.5 is `observed`'s B-tree nodes,
+/// which held (digest, request) pairs — 1 424-byte leaves — and now hold
+/// digests. Both fell by 0.12 when the log became a ring allocated once.
 /// The whole-process count was ≈ 39 before the copy audit of the send
 /// path. A change that moves either number says so here.
 const ALLOCS_PER_OP_X10: std::ops::RangeInclusive<u64> = if cfg!(debug_assertions) {
-    267..=269
+    222..=224
 } else {
-    241..=243
+    195..=197
 };
 
 /// One measured call into a replica.

@@ -48,6 +48,3 @@ pub use auth::{Authenticator, MacKey};
 pub use fastmac::Mac64;
 pub use sha256::{sha256, Digest, Sha256};
 pub use sig::{KeyPair, PublicKey, SigError, Signature};
-
-/// Convenience alias used throughout the workspace for digest bytes.
-pub type DigestBytes = [u8; 32];

@@ -74,11 +74,6 @@ impl EvotingApp {
         self.threshold_share = Some(share);
     }
 
-    /// Direct database access (tests and inspection).
-    pub fn sql_mut(&mut self) -> &mut SqlApp {
-        &mut self.sql
-    }
-
     fn op_to_sql(&self, client: ClientId, op: &VoteOp) -> String {
         // Voter identity is the *session*, not anything client-supplied.
         let voter = format!("voter-{}", client.0);

@@ -374,8 +374,9 @@ fn snapshot(target: &Deployment) -> Vec<(u64, u64)> {
 }
 
 /// Execute `scenario` against `target`: events fire exactly at their
-/// offsets (scheduled on a [`simnet::Schedule`] over the deployment), the
-/// timeline samples every `scenario.bucket`, and the report carries both.
+/// offsets (the event loop of [`run_scenario_adaptive`] runs the deployment
+/// up to each one and applies it there), the timeline samples every
+/// `scenario.bucket`, and the report carries both.
 ///
 /// The run starts at the target's current clock — build, install the
 /// workload, then run; warmup is part of the script (schedule the first

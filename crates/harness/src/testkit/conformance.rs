@@ -430,15 +430,3 @@ pub fn split_under_load(engine: Engine, seed: u64) -> ScenarioReport {
     );
     report
 }
-
-/// All eight scripts back to back — the one-call engine conformance pass.
-pub fn full_suite(engine: Engine, seed_base: u64) {
-    primary_crash_under_load(engine, seed_base);
-    slow_primary(engine, seed_base + 1);
-    rolling_crash(engine, seed_base + 2);
-    coordinator_outage(engine, seed_base + 3);
-    partition_then_heal(engine, seed_base + 4);
-    equivocating_primary(engine, seed_base + 5);
-    censorship_under_recovery(engine, seed_base + 6);
-    split_under_load(engine, seed_base + 7);
-}

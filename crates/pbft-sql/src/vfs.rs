@@ -68,12 +68,6 @@ impl StateVfs {
         }
     }
 
-    /// Re-derive the logical length after the region changed underneath
-    /// (state transfer).
-    pub fn refresh_len(&mut self) {
-        self.len = Self::probe_len(&self.state, &self.section);
-    }
-
     fn probe_len(state: &StateHandle, section: &Section) -> u64 {
         let st = state.borrow();
         let mut header = [0u8; 12];

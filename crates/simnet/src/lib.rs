@@ -22,11 +22,11 @@
 //!
 //! Several independent simulations can be composed under one shared virtual
 //! clock with [`run_lockstep`] — the substrate for the multi-group
-//! deployments in the `harness` crate. Timed fault
-//! scripts ("crash the primary at t = 500 ms") are expressed as a
-//! [`Schedule`] of fire-at-tick callbacks, driven by
-//! [`Simulator::run_scheduled`] for a lone simulation or by the harness's
-//! scenario engine across a whole deployment.
+//! deployments in the `harness` crate. Timed fault scripts ("crash the
+//! primary at t = 500 ms") run in the harness's scenario engine, whose
+//! event loop advances the whole deployment with [`run_lockstep`] to the
+//! earliest of the next scripted event, the next adversary tick and the
+//! next timeline bucket edge, applies what is due there, and resumes.
 //!
 //! # Example
 //!
@@ -69,7 +69,6 @@ mod group;
 mod link;
 mod node;
 mod rng;
-mod sched;
 mod sim;
 mod stats;
 mod time;
@@ -79,7 +78,6 @@ pub use group::run_lockstep;
 pub use link::LinkParams;
 pub use node::{Node, NodeCtx, NodeId, PacketBuf, TimerId};
 pub use rng::SimRng;
-pub use sched::{Hook, Schedule};
 pub use sim::{SimConfig, Simulator};
 pub use stats::NodeStats;
 pub use time::{SimDuration, SimTime};

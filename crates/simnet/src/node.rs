@@ -57,12 +57,14 @@ pub(crate) enum Action {
 /// The context passed to every handler invocation.
 ///
 /// Collects outgoing actions and the CPU cost the handler wants charged.
+/// `'a` is the invocation: the simulator makes one context per handler
+/// call and drains it when the call returns.
 pub struct NodeCtx<'a> {
     pub(crate) now: SimTime,
     pub(crate) self_id: NodeId,
     pub(crate) actions: Vec<Action>,
     pub(crate) cost: SimDuration,
-    pub(crate) rng: &'a mut crate::rng::SimRng,
+    pub(crate) invocation: std::marker::PhantomData<&'a mut ()>,
 }
 
 impl<'a> NodeCtx<'a> {
@@ -102,11 +104,5 @@ impl<'a> NodeCtx<'a> {
     /// The node stays busy (deliveries queue) until the charge elapses.
     pub fn charge(&mut self, cost: SimDuration) {
         self.cost += cost;
-    }
-
-    /// Deterministic randomness for protocol-level decisions (e.g. timer
-    /// jitter). Drawn from the simulation's seeded generator.
-    pub fn rng_u64(&mut self) -> u64 {
-        self.rng.next_u64()
     }
 }

@@ -138,12 +138,6 @@ impl Simulator {
         self.links.insert((src, dst), params);
     }
 
-    /// Install a link override in both directions.
-    pub fn set_link_bidirectional(&mut self, a: NodeId, b: NodeId, params: LinkParams) {
-        self.set_link(a, b, params);
-        self.set_link(b, a, params);
-    }
-
     /// Replace the default link parameters (applies to pairs without
     /// overrides, including nodes added later).
     pub fn set_default_link(&mut self, params: LinkParams) {
@@ -184,11 +178,6 @@ impl Simulator {
         slot.alive = false;
         slot.incarnation += 1;
         slot.timer_gens.clear();
-    }
-
-    /// Whether a node is currently alive.
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.nodes[id.0 as usize].alive
     }
 
     /// Remove and return the node value (e.g. to extract its durable state
@@ -258,11 +247,6 @@ impl Simulator {
         std::mem::take(&mut self.trace)
     }
 
-    /// Number of live node addresses.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Process events until virtual time `t`; afterwards `now() == t`.
     pub fn run_until(&mut self, t: SimTime) {
         while let Some(Reverse(entry)) = self.queue.peek() {
@@ -288,19 +272,6 @@ impl Simulator {
                 true
             }
             None => false,
-        }
-    }
-
-    /// Run until the event queue is empty (leaving `now` at the last event)
-    /// or until `max` is reached (leaving `now == max`).
-    pub fn run_until_idle(&mut self, max: SimTime) {
-        while let Some(Reverse(e)) = self.queue.peek() {
-            if e.at > max {
-                self.now = max;
-                return;
-            }
-            let Reverse(entry) = self.queue.pop().expect("peeked");
-            self.dispatch(entry);
         }
     }
 
@@ -405,7 +376,7 @@ impl Simulator {
             self_id: id,
             actions: Vec::new(),
             cost: SimDuration::ZERO,
-            rng: &mut self.rng,
+            invocation: std::marker::PhantomData,
         };
         f(node.as_mut(), &mut ctx);
         let NodeCtx { actions, cost, .. } = ctx;

@@ -153,12 +153,6 @@ impl PagedState {
         }
     }
 
-    /// Create a region of at least `len_bytes` bytes (rounded up to pages).
-    pub fn with_len(len_bytes: u64) -> PagedState {
-        let pages = (len_bytes as usize).div_ceil(PAGE_SIZE).max(1);
-        PagedState::new(pages)
-    }
-
     /// Region length in bytes.
     pub fn len(&self) -> u64 {
         self.len

@@ -3,8 +3,10 @@
 #   1. formatting is canonical (cargo fmt --check)
 #   2. release build of every workspace crate
 #   3. scenario smoke pass: one short fault scenario per deployment shape,
-#      then the crypto cross-checks (hardware vs scalar, pinned outputs) and
+#      then the crypto cross-checks (hardware vs scalar, pinned outputs),
 #      the minisql ones (pinned database files, in place vs `Node` oracle)
+#      and the allocation pins (alloc_burst, alloc_insert) in the release
+#      profile, whose bands the test-profile pass below never checks
 #   4. the whole test suite (unit + integration + property tests),
 #      per package with timing so slow suites are visible; it includes
 #      crates/bench/tests/artifacts.rs, which holds the committed
@@ -72,6 +74,15 @@ cargo test -q --release -p pbft_crypto crosscheck
 echo "==> minisql bytes (cargo test -p minisql -- golden_ crosscheck_, test + release profiles)"
 cargo test -q -p minisql -- golden_ crosscheck_
 cargo test -q --release -p minisql -- golden_ crosscheck_
+
+# The allocation pins count heap requests under a counting allocator, and
+# the count is the optimiser's as much as the code's: each pins a band per
+# profile. The per-package pass below runs them under the test profile;
+# the release bands (the build the wall-clock benchmark runs) are checked
+# here.
+echo "==> allocation pins (alloc_burst, alloc_insert), release profile"
+cargo test -q --release -p pbft_core --test alloc_burst
+cargo test -q --release -p pbft_sql --test alloc_insert
 
 echo "==> cargo test (per package, timed)"
 # Every workspace package: the first `name =` of each manifest.
