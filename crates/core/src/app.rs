@@ -396,7 +396,11 @@ mod tests {
     fn session_counter_app_counts_per_session() {
         use crate::session::{SessionCtx, SessionStore};
         let mut app = SessionCounterApp;
-        let mut store = SessionStore::new();
+        let section = pbft_state::Section {
+            base: 0,
+            len: pbft_state::PAGE_SIZE as u64,
+        };
+        let mut store = SessionStore::open(section, &pbft_state::PagedState::new(1));
         for expect in 1..=3u64 {
             let mut ctx = SessionCtx::new(&mut store, ClientId(1), false);
             let (r, _) =

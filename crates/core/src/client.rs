@@ -493,9 +493,10 @@ impl Client {
                     d.copy_from_slice(&result);
                     self.send_join_phase2(Challenge(Digest(d)), now_ns, res);
                 } else {
+                    // A refused phase one (`denied:` and its reason).
                     self.join = JoinState::AwaitingChallenge;
-                    self.events
-                        .push(ClientEvent::JoinDenied("malformed challenge".into()));
+                    let reason = String::from_utf8_lossy(&result).into_owned();
+                    self.events.push(ClientEvent::JoinDenied(reason));
                 }
             }
             JoinState::AwaitingAdmission => {

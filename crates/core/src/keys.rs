@@ -202,15 +202,10 @@ impl KeyStore {
         self.client_pubkeys.insert(client, pk);
     }
 
-    /// Forget a client entirely (Leave).
+    /// Forget a client entirely (its session ended).
     pub fn remove_client(&mut self, client: ClientId) {
         self.client_keys.remove(&client);
         self.client_pubkeys.remove(&client);
-    }
-
-    /// Whether a session key for `client` is installed.
-    pub fn has_client_key(&self, client: ClientId) -> bool {
-        self.client_keys.contains_key(&client)
     }
 
     /// A client's public key, if known.

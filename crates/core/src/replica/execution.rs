@@ -5,12 +5,13 @@ use pbft_crypto::{Digest, Sha256};
 
 use crate::app::NonDet;
 use crate::log::LogEntry;
-use crate::membership::JoinOutcome;
+use crate::membership::{JoinOutcome, SECTION_FULL};
 use crate::messages::{
     BatchEntry, BodyFetchMsg, CheckpointMsg, CommitMsg, Message, Operation, PrePrepareMsg,
     PrepareMsg, QuorumCertMsg, ReplyMsg, RequestMsg,
 };
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
+use crate::session::SessionCtx;
 use crate::types::{ClientId, FoldMap, FoldSet, ReplicaId, SeqNum};
 
 use super::{QueuedRequest, Replica, TentativeEffects, SETTLE_PAGES_PER_BATCH};
@@ -43,7 +44,7 @@ const NOBATCH_ISSUE_TICK_NS: u64 = 1_000_000;
 
 /// Sessions idle longer than this (60 s) are eligible for cleanup when the
 /// client table is full (paper §3.1).
-const SESSION_STALE_NS: u64 = 60_000_000_000;
+pub(super) const SESSION_STALE_NS: u64 = 60_000_000_000;
 
 impl Replica {
     /// Agreements assigned but not yet executed (the congestion-window
@@ -585,7 +586,9 @@ impl Replica {
             self.metrics.executed_requests += 1;
         }
         if membership_dirty {
-            self.persist_membership();
+            if let Some(m) = &self.membership {
+                m.store(&mut self.state.borrow_mut());
+            }
         }
         if !committed && !effects.is_empty() {
             self.tentative_effects.insert(seq, effects);
@@ -622,13 +625,13 @@ impl Replica {
                     m.touch(req.client, nondet.timestamp_ns);
                     *membership_dirty = true;
                 }
-                let mut ctx =
-                    crate::session::SessionCtx::new(&mut self.sessions, req.client, false);
+                let mut ctx = SessionCtx::new(&mut self.sessions, req.client, false);
                 let (result, exec) = self
                     .app
                     .execute_with_session(req.client, op, nondet, false, &mut ctx);
+                self.metrics.table_refusals += ctx.refusals();
                 if ctx.is_dirty() {
-                    self.persist_sessions();
+                    self.sessions.store(&mut self.state.borrow_mut());
                 }
                 res.counts.exec_cpu_us += exec.cpu_us;
                 res.counts.disk_flushes += exec.disk_flushes;
@@ -646,7 +649,10 @@ impl Replica {
                     m.phase1(*pubkey, *nonce, *reply_addr, idbuf.clone(), req.timestamp);
                 *membership_dirty = true;
                 self.client_addr.insert(req.client, *reply_addr);
-                Some(challenge.0.as_bytes().to_vec())
+                match challenge {
+                    Some(c) => Some(c.0.as_bytes().to_vec()),
+                    None => Some(self.denied(SECTION_FULL)),
+                }
             }
             Operation::JoinPhase2 {
                 fingerprint,
@@ -663,14 +669,9 @@ impl Replica {
                 );
                 *membership_dirty = true;
                 match outcome {
-                    JoinOutcome::Joined { client, terminated } => {
-                        if let Some(t) = terminated {
-                            self.keys.remove_client(t);
-                            // The terminated session's library-managed state
-                            // dies with it (§3.3.2).
-                            if self.sessions.remove(t) {
-                                self.persist_sessions();
-                            }
+                    JoinOutcome::Joined { client, ended } => {
+                        for c in ended {
+                            self.end_session(c);
                         }
                         if let Some(s) = self.membership.as_ref().and_then(|m| m.session(client)) {
                             let (pk, addr) = (s.pubkey, s.addr);
@@ -681,11 +682,7 @@ impl Replica {
                         out.extend_from_slice(&client.0.to_be_bytes());
                         Some(out)
                     }
-                    JoinOutcome::Denied(reason) => {
-                        let mut out = b"denied:".to_vec();
-                        out.extend_from_slice(reason.as_bytes());
-                        Some(out)
-                    }
+                    JoinOutcome::Denied(reason) => Some(self.denied(reason)),
                 }
             }
             Operation::Leave => {
@@ -693,31 +690,27 @@ impl Replica {
                     m.leave(req.client);
                     *membership_dirty = true;
                 }
-                self.keys.remove_client(req.client);
-                if self.sessions.remove(req.client) {
-                    self.persist_sessions();
-                }
+                self.end_session(req.client);
                 Some(b"left".to_vec())
             }
         }
     }
 
-    pub(crate) fn persist_sessions(&mut self) {
-        let mut st = self.state.borrow_mut();
-        // The session section is sized for MAX_SESSION_BYTES x the client
-        // table capacity; persistence failure would be a configuration bug.
-        self.sessions
-            .persist(&self.session_section, &mut st)
-            .expect("session section large enough for the session table");
+    /// The reply to a denied join, counting a full section as a refusal.
+    fn denied(&mut self, reason: &str) -> Vec<u8> {
+        self.metrics.table_refusals += u64::from(reason == SECTION_FULL);
+        [b"denied:", reason.as_bytes()].concat()
     }
 
-    pub(crate) fn persist_membership(&mut self) {
-        if let Some(m) = &self.membership {
-            let mut st = self.state.borrow_mut();
-            // The library partition is sized for the configured table
-            // capacity; persistence failure would be a configuration bug.
-            m.persist(&self.lib_section, &mut st)
-                .expect("library partition large enough for membership tables");
+    /// End `client`'s session on this replica, the one exit of a Leave, a
+    /// same-identity takeover and a stale eviction: drop its keys and its
+    /// library-managed state (§3.3.2). Its executed timestamp and cached
+    /// reply stay, so a retransmission of its last request is still
+    /// answered and never executed twice.
+    pub(crate) fn end_session(&mut self, client: ClientId) {
+        self.keys.remove_client(client);
+        if self.sessions.remove(client) {
+            self.sessions.store(&mut self.state.borrow_mut());
         }
     }
 

@@ -28,6 +28,7 @@ use crate::messages::{
     AuthTag, Envelope, Message, NewKeyMsg, ReplyMsg, RequestMsg, Sender, StatusMsg, ViewChangeMsg,
 };
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
+use crate::session::{SessionCtx, SessionStore};
 use crate::types::{ClientId, FoldMap, FoldSet, NetAddr, ReplicaId, SeqNum, View, MAX_REPLICAS};
 
 /// Pages holding the membership tables at the front of the state region.
@@ -125,6 +126,11 @@ pub struct ReplicaMetrics {
     /// broadcast, independent of fan-out — the hotpath bench divides it by
     /// executed requests to check the amortized cost model.
     pub hot_encodings: u64,
+    /// Changes refused because the membership or session table image would
+    /// no longer fit its section: joins denied with
+    /// [`crate::membership::SECTION_FULL`] and session writes refused with
+    /// [`crate::session::SessionError::SectionFull`].
+    pub table_refusals: u64,
 }
 
 /// Declared write-effects of one tentatively executed (prepared but not
@@ -206,7 +212,6 @@ pub struct Replica {
     pub(crate) keys: KeyStore,
     pub(crate) state: StateHandle,
     pub(crate) app: Box<dyn App>,
-    pub(crate) lib_section: Section,
 
     pub(crate) view: View,
     pub(crate) in_view_change: bool,
@@ -249,8 +254,7 @@ pub struct Replica {
     pub(crate) membership: Option<Membership>,
     /// Per-session application state (§3.3.2), mirrored in its region
     /// section.
-    pub(crate) sessions: crate::session::SessionStore,
-    pub(crate) session_section: Section,
+    pub(crate) sessions: SessionStore,
 
     /// Recovery state (§2.3): set after a restart until the first state
     /// transfer completes.
@@ -329,30 +333,26 @@ impl Replica {
         let keys = KeyStore::new_replica(group_seed, me, n, preinstalled_clients);
         let hash_state = keys.hash_state();
         let page = pbft_state::PAGE_SIZE as u64;
-        let lib_section = Section {
-            base: 0,
-            len: MEMBERSHIP_PAGES * page,
-        };
-        let session_section = Section {
-            base: MEMBERSHIP_PAGES * page,
-            len: SESSION_PAGES * page,
-        };
-        let sessions = crate::session::SessionStore::load(&session_section, &state.borrow())
-            .unwrap_or_default();
-        let membership = if cfg.dynamic_membership {
-            let m = Membership::load(&lib_section, &state.borrow(), MAX_CLIENTS)
-                .unwrap_or_else(|_| Membership::new(MAX_CLIENTS));
-            Some(m)
-        } else {
-            None
-        };
+        let sessions = SessionStore::open(
+            Section {
+                base: MEMBERSHIP_PAGES * page,
+                len: SESSION_PAGES * page,
+            },
+            &state.borrow(),
+        );
+        let membership = cfg.dynamic_membership.then(|| {
+            let section = Section {
+                base: 0,
+                len: MEMBERSHIP_PAGES * page,
+            };
+            Membership::open(section, &state.borrow(), MAX_CLIENTS)
+        });
         let log = MessageLog::new(cfg.log_size);
         let mut r = Replica {
             cfg,
             keys,
             state,
             app,
-            lib_section,
             view: 0,
             in_view_change: false,
             seq_assign: 0,
@@ -371,7 +371,6 @@ impl Replica {
             ckpt_votes: BTreeMap::new(),
             stable: (0, Digest::ZERO),
             sessions,
-            session_section,
             fetch: None,
             vc: ViewChangeState::default(),
             membership,
@@ -676,9 +675,11 @@ impl Replica {
         } else {
             // "the system first checks to see if the identifier exists in the
             // redirection table before going into the more lengthy process of
-            // verifying its signature or authenticator."
+            // verifying its signature or authenticator." In a dynamic
+            // deployment membership alone answers: a key this replica still
+            // holds admits nobody whose session has ended.
             if let Some(m) = &self.membership {
-                if !m.contains(req.client) && !self.keys.has_client_key(req.client) {
+                if !m.contains(req.client) {
                     self.metrics.auth_failures += 1;
                     return;
                 }
@@ -908,7 +909,7 @@ impl Replica {
             timestamp_ns: now_ns,
             random: 0,
         };
-        let mut ctx = crate::session::SessionCtx::new(&mut self.sessions, req.client, true);
+        let mut ctx = SessionCtx::new(&mut self.sessions, req.client, true);
         let (result, exec) = self
             .app
             .execute_with_session(req.client, op, &nondet, true, &mut ctx);

@@ -10,20 +10,19 @@
 //! Because every library- and wrapper-level table that must survive these
 //! paths is mirrored into the region (membership, sessions, and whatever
 //! a wrapper keeps in [`super::APP_WRAPPER_PAGES`]), a completed transfer ends
-//! with reload calls — [`crate::app::App::on_state_installed`] plus the
-//! library reloads — that rebuild the in-memory caches from the installed
+//! with one reload call — [`crate::app::App::on_state_installed`] plus the
+//! library reloads — that rebuilds the in-memory caches from the installed
 //! pages. That is what lets a replica fast-forwarded *over* a
 //! transaction's prepare answer the later commit like its peers.
 
 use pbft_crypto::Digest;
 use pbft_state::{serve_fetch, FetchResponse, Fetcher};
 
-use crate::membership::Membership;
 use crate::messages::{CheckpointMsg, FetchMsg, FetchRespMsg, Message, StatusMsg};
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
 use crate::types::SeqNum;
 
-use super::{FetchState, Replica, MAX_CLIENTS, STATUS_INTERVAL_NS};
+use super::{FetchState, Replica, STATUS_INTERVAL_NS};
 
 impl Replica {
     pub(crate) fn on_status(&mut self, s: StatusMsg, now_ns: u64, res: &mut HandleResult) {
@@ -366,9 +365,7 @@ impl Replica {
             root,
             "transfer converged"
         );
-        self.app.on_state_installed();
-        self.reload_membership();
-        self.reload_sessions();
+        self.reload_region_tables();
         self.stable = (seq, root);
         // Batches executed above the installed checkpoint (necessarily
         // tentative or on divergent state) ran against the *pre-transfer*
@@ -407,17 +404,14 @@ impl Replica {
         });
     }
 
-    pub(crate) fn reload_sessions(&mut self) {
-        self.sessions =
-            crate::session::SessionStore::load(&self.session_section, &self.state.borrow())
-                .unwrap_or_default();
-    }
-
-    pub(crate) fn reload_membership(&mut self) {
-        if self.cfg.dynamic_membership {
-            let m = Membership::load(&self.lib_section, &self.state.borrow(), MAX_CLIENTS)
-                .unwrap_or_else(|_| Membership::new(MAX_CLIENTS));
-            self.membership = Some(m);
+    /// The region was rewritten under the replica (state transfer,
+    /// rollback): the app and the library's tables re-read it.
+    pub(crate) fn reload_region_tables(&mut self) {
+        self.app.on_state_installed();
+        let st = self.state.borrow();
+        self.sessions.reload(&st);
+        if let Some(m) = self.membership.as_mut() {
+            m.reload(&st);
         }
     }
 }

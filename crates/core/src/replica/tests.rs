@@ -29,6 +29,7 @@ enum AppKind {
     /// which is what the read-only contention gate keys on.
     DeclaringKv,
     SessionCounter,
+    FullSession,
 }
 
 /// Packet filter: `(source, destination, message discriminant) -> drop?`.
@@ -76,6 +77,7 @@ fn make_replica(cfg: &PbftConfig, i: u32, app: AppKind, clients: &[ClientId]) ->
             128,
         ))),
         AppKind::SessionCounter => Box::new(crate::app::SessionCounterApp),
+        AppKind::FullSession => Box::new(FullSessionApp),
     };
     Replica::new(cfg.clone(), SEED, ReplicaId(i), state, app, clients)
 }
@@ -1331,6 +1333,7 @@ fn leave_terminates_session() {
     for r in &net.replicas {
         assert_eq!(r.membership().expect("dynamic").active_sessions(), 0);
     }
+    assert_session_ended(&net, net.clients[0].id());
     // Further requests are rejected ("all further communication with the
     // service is prohibited").
     let failures_before: u64 = net.replicas.iter().map(|r| r.metrics().auth_failures).sum();
@@ -1365,6 +1368,143 @@ fn second_join_with_same_identity_terminates_first_session() {
         assert_eq!(m.active_sessions(), 1, "single session per identity");
         assert!(!m.contains(first_id), "previous session terminated");
     }
+    assert_session_ended(&net, first_id);
+}
+
+/// No replica holds anything of `client`'s ended session: no public key, no
+/// MAC session key, no session blob.
+fn assert_session_ended(net: &Net, client: ClientId) {
+    let probe = b"probe";
+    let mut counts = crate::output::OpCounts::default();
+    let auth = crate::keys::ClientKeys::new(SEED, client, net.cfg.n()).seal_request(
+        AuthMode::Macs,
+        probe,
+        &mut counts,
+    );
+    for r in &net.replicas {
+        let me = r.id();
+        assert!(
+            r.keys.client_pubkey(client).is_none(),
+            "{me:?} keeps the public key of {client:?}"
+        );
+        assert!(
+            !r.keys.verify_from_client(client, probe, &auth, &mut counts),
+            "{me:?} keeps the session key of {client:?}"
+        );
+        assert!(
+            r.sessions.get(client).is_none(),
+            "{me:?} keeps the session state of {client:?}"
+        );
+    }
+}
+
+#[test]
+fn stale_eviction_ends_sessions_and_the_evicted_are_refused() {
+    use super::execution::SESSION_STALE_NS;
+    use super::MAX_CLIENTS;
+    let cfg = dynamic_cfg();
+    let mut net = Net::new(cfg.clone(), 0, AppKind::SessionCounter);
+    for i in 0..MAX_CLIENTS {
+        let identity = format!("member-{i}");
+        let addr = CLIENT_ADDR_BASE + i as NetAddr;
+        let c = join_dynamic_client(&mut net, &cfg, 100 + i as u64, addr, identity.as_bytes());
+        net.submit(c, b"incr".to_vec(), false);
+        net.pump(50_000);
+        assert_eq!(net.completed(c), 1);
+    }
+    let members: Vec<ClientId> = net.clients.iter().map(Client::id).collect();
+    for r in &net.replicas {
+        assert_eq!(r.sessions.len(), MAX_CLIENTS, "every member holds state");
+    }
+
+    // Every member goes stale; a 65th join evicts all 64.
+    net.now += SESSION_STALE_NS + 1_000_000_000;
+    let addr = CLIENT_ADDR_BASE + MAX_CLIENTS as NetAddr;
+    join_dynamic_client(&mut net, &cfg, 999, addr, b"latecomer");
+    for r in &net.replicas {
+        assert_eq!(r.membership().expect("dynamic").active_sessions(), 1);
+        assert!(r.sessions.is_empty());
+    }
+    for &id in &members {
+        assert_session_ended(&net, id);
+    }
+
+    // The evicted client's next request is refused.
+    net.submit(0, b"incr".to_vec(), false);
+    net.pump(50_000);
+    assert_eq!(net.completed(0), 1, "an evicted client is not served");
+
+    // Membership alone admits: a session key installed by hand for the
+    // evicted id admits nobody.
+    for r in &mut net.replicas {
+        let key = crate::keys::client_session_key(SEED, members[0], r.id());
+        r.keys.install_client_key(members[0], *key.as_bytes());
+    }
+    net.fire_client_timer(0, crate::output::TimerKind::Retransmit);
+    net.pump(50_000);
+    assert_eq!(net.completed(0), 1, "a key without membership is refused");
+    net.assert_states_equal(&[0, 1, 2, 3]);
+}
+
+#[test]
+fn anonymous_join_cannot_overflow_the_membership_table() {
+    use crate::membership::SECTION_FULL;
+    let cfg = dynamic_cfg();
+    let mut net = Net::new(cfg.clone(), 0, AppKind::Null(16));
+    // One self-signed phase one whose identification buffer alone exceeds
+    // the 4-page section: denied, on every replica, without an entry.
+    let mut big = Client::new_dynamic(cfg.clone(), SEED, 30, CLIENT_ADDR_BASE, vec![7; 16_400]);
+    let res = big.on_start(net.now);
+    net.clients.push(big);
+    net.route(Source::Client(0), res.outputs);
+    net.pump(50_000);
+    let denied = format!("denied:{SECTION_FULL}");
+    assert!(
+        net.client_events(0)
+            .contains(&ClientEvent::JoinDenied(denied)),
+        "the oversized join is denied"
+    );
+    for r in &net.replicas {
+        assert_eq!(r.membership().expect("dynamic").pending_joins(), 0);
+        assert_eq!(r.metrics().table_refusals, 1);
+    }
+
+    // An honest join whose phase one is ordered before the flood; holding
+    // its challenge puts its phase two after it.
+    let honest_addr = CLIENT_ADDR_BASE + 1;
+    net.hold = Some(Box::new(move |_, to, _| {
+        *to == NetTarget::Client(honest_addr)
+    }));
+    let mut honest = Client::new_dynamic(cfg.clone(), SEED, 31, honest_addr, vec![0xAA; 64]);
+    let res = honest.on_start(net.now);
+    net.clients.push(honest);
+    net.route(Source::Client(1), res.outputs);
+    net.pump(50_000);
+
+    // A flood of phase ones with 64-byte buffers that never answer their
+    // challenge (no client listens at their addresses). Each pending entry
+    // takes 160 bytes of the image, so 101 fit beside the 80 bytes of an
+    // empty 64-slot table: the honest attempt and the first 100 of the
+    // flood. The 101st is denied.
+    for i in 0..101u64 {
+        let addr = CLIENT_ADDR_BASE + 1_000 + i as NetAddr;
+        let mut c = Client::new_dynamic(cfg.clone(), SEED, 100 + i, addr, vec![i as u8; 64]);
+        let res = c.on_start(net.now);
+        net.route(Source::Client(2), res.outputs);
+    }
+    net.pump(500_000);
+    for r in &net.replicas {
+        assert_eq!(r.membership().expect("dynamic").pending_joins(), 101);
+        assert_eq!(r.metrics().table_refusals, 2);
+    }
+
+    net.release_held();
+    net.pump(50_000);
+    assert!(
+        net.clients[1].is_member(),
+        "the earlier pending join completes"
+    );
+    net.assert_states_equal(&[0, 1, 2, 3]);
 }
 
 // ----------------------------------------------------------------------
@@ -1503,6 +1643,64 @@ fn session_state_survives_state_transfer() {
         net.last_reply(c).expect("reply"),
         7u64.to_be_bytes().to_vec()
     );
+    net.assert_states_equal(&[0, 1, 2, 3]);
+}
+
+/// Writes a full [`crate::session::MAX_SESSION_BYTES`] blob into the
+/// requesting session and replies with the outcome.
+struct FullSessionApp;
+
+impl App for FullSessionApp {
+    fn execute(
+        &mut self,
+        _client: ClientId,
+        _op: &[u8],
+        _nondet: &NonDet,
+        _read_only: bool,
+    ) -> (Vec<u8>, ExecMetrics) {
+        (b"err: session app".to_vec(), ExecMetrics::default())
+    }
+
+    fn execute_with_session(
+        &mut self,
+        client: ClientId,
+        _op: &[u8],
+        _nondet: &NonDet,
+        _read_only: bool,
+        session: &mut crate::session::SessionCtx<'_>,
+    ) -> (Vec<u8>, ExecMetrics) {
+        let blob = [client.0 as u8; crate::session::MAX_SESSION_BYTES];
+        let reply = match session.put(&blob) {
+            Ok(()) => b"ok".to_vec(),
+            Err(e) => e.to_string().into_bytes(),
+        };
+        (reply, ExecMetrics::default())
+    }
+}
+
+#[test]
+fn full_session_table_refuses_writes() {
+    // A 1 KiB blob takes 1 036 bytes of the image (id, length, blob) and
+    // the 4-page section holds 16 368 after the cell header: the 16th
+    // session's write does not fit.
+    let mut net = Net::new(default_cfg(), 16, AppKind::FullSession);
+    for c in 0..16 {
+        net.submit(c, b"fill".to_vec(), false);
+        net.pump(50_000);
+        assert_eq!(net.completed(c), 1, "the replicas agree on the reply");
+        let expect = if c < 15 {
+            b"ok".to_vec()
+        } else {
+            crate::session::SessionError::SectionFull
+                .to_string()
+                .into_bytes()
+        };
+        assert_eq!(net.last_reply(c).expect("reply"), expect);
+    }
+    for r in &net.replicas {
+        assert_eq!(r.metrics().table_refusals, 1);
+        assert_eq!(r.sessions.len(), 15);
+    }
     net.assert_states_equal(&[0, 1, 2, 3]);
 }
 

@@ -224,9 +224,7 @@ impl Replica {
         // The app (and any wrapper keeping region-backed tables in the
         // `APP_WRAPPER_PAGES` section) plus the library's own region mirrors
         // must all rewind to the restored image before re-execution.
-        self.app.on_state_installed();
-        self.reload_membership();
-        self.reload_sessions();
+        self.reload_region_tables();
         self.exec_chain = chain;
         let old_last = self.last_executed;
         self.last_executed = base;

@@ -13,14 +13,17 @@
 //! session state is ordered with the requests that mutate it, covered by
 //! checkpoints, moved by state transfer, and identical on every replica.
 //! The replica hands the executing application a [`SessionCtx`] scoped to
-//! the requesting client; the engine persists mutations back into the
-//! region before the next request executes, and clears a session's state
-//! when dynamic membership terminates the session (Leave, or takeover by a
-//! new sign-on with the same identity — §3.1).
+//! the requesting client; the engine stores mutations back into the region
+//! before the next request executes. The table is one [`BlobCell`] image,
+//! so the section bounds it: a write whose image would not fit is refused
+//! with [`SessionError::SectionFull`], identically on every replica. A
+//! session's state is cleared when its session ends — by Leave, by
+//! takeover (a new sign-on with the same identity) or by stale-session
+//! eviction at a join (§3.1).
 
 use std::collections::BTreeMap;
 
-use pbft_state::{PagedState, Section, StateError};
+use pbft_state::{BlobCell, PagedState, Section};
 
 use crate::types::ClientId;
 use crate::wire::{Dec, Enc, WireError};
@@ -29,16 +32,47 @@ use crate::wire::{Dec, Enc, WireError};
 /// the shared section.
 pub const MAX_SESSION_BYTES: usize = 1024;
 
-/// The session-state table, mirrored between memory and its region section.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Tag of the session cell image.
+const SESSION_MAGIC: u64 = 0x5345_5353_4E53_0001; // "SESSNS" + version
+
+/// The session-state table, held in a [`BlobCell`] over its section.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionStore {
+    cell: BlobCell,
     entries: BTreeMap<ClientId, Vec<u8>>,
 }
 
 impl SessionStore {
-    /// An empty store.
-    pub fn new() -> SessionStore {
-        SessionStore::default()
+    /// The table stored in `section`; empty when the section was never
+    /// written.
+    ///
+    /// # Panics
+    /// When the section holds an image that does not decode: the region is
+    /// corrupt, and starting empty would overwrite it at the next store.
+    pub fn open(section: Section, state: &PagedState) -> SessionStore {
+        let cell = BlobCell::new(section, SESSION_MAGIC);
+        let entries = match cell.load(state).expect("session cell readable") {
+            Some(image) => decode(&image).expect("session table image decodes"),
+            None => BTreeMap::new(),
+        };
+        SessionStore { cell, entries }
+    }
+
+    /// Re-read the table from the region (state transfer, rollback);
+    /// panics as [`SessionStore::open`] does.
+    pub fn reload(&mut self, state: &PagedState) {
+        *self = SessionStore::open(self.cell.section(), state);
+    }
+
+    /// Write the table to its section (modify-notified).
+    ///
+    /// # Panics
+    /// Never for a table changed only through this type: [`SessionStore::set`]
+    /// refuses a blob whose image would not fit.
+    pub fn store(&self, state: &mut PagedState) {
+        self.cell
+            .store(state, &self.image())
+            .expect("every write was checked against the cell capacity");
     }
 
     /// This client's session blob, if any.
@@ -46,22 +80,33 @@ impl SessionStore {
         self.entries.get(&client).map(|v| v.as_slice())
     }
 
-    /// Replace this client's session blob.
+    /// Replace this client's session blob (an empty one clears it).
     ///
-    /// # Panics
-    /// If `data` exceeds [`MAX_SESSION_BYTES`] (the [`SessionCtx`] API
-    /// returns an error instead; this is the trusted engine-side entry).
-    pub fn set(&mut self, client: ClientId, data: Vec<u8>) {
-        assert!(data.len() <= MAX_SESSION_BYTES, "session blob too large");
+    /// # Errors
+    /// [`SessionError::TooLarge`] over [`MAX_SESSION_BYTES`], and
+    /// [`SessionError::SectionFull`] when the table image with this blob
+    /// would not fit the section. Either way nothing changes.
+    pub fn set(&mut self, client: ClientId, data: Vec<u8>) -> Result<(), SessionError> {
+        if data.len() > MAX_SESSION_BYTES {
+            return Err(SessionError::TooLarge(data.len()));
+        }
         if data.is_empty() {
             self.entries.remove(&client);
-        } else {
-            self.entries.insert(client, data);
+            return Ok(());
         }
+        let old = self.entries.insert(client, data);
+        if self.image().len() > self.cell.capacity() {
+            match old {
+                Some(old) => self.entries.insert(client, old),
+                None => self.entries.remove(&client),
+            };
+            return Err(SessionError::SectionFull);
+        }
+        Ok(())
     }
 
-    /// Drop this client's session state (Leave / session takeover).
-    /// Returns true when state existed.
+    /// Drop this client's session state (its session ended). Returns true
+    /// when state existed.
     pub fn remove(&mut self, client: ClientId) -> bool {
         self.entries.remove(&client).is_some()
     }
@@ -76,56 +121,32 @@ impl SessionStore {
         self.entries.is_empty()
     }
 
-    /// Serialize into the session section of the state region (with the
-    /// modify-notification the PBFT contract demands).
-    ///
-    /// # Errors
-    /// [`StateError`] when the section cannot hold the table.
-    pub fn persist(&self, section: &Section, state: &mut PagedState) -> Result<(), StateError> {
+    /// The cell payload: entry count, then each client and its blob.
+    fn image(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.u32(self.entries.len() as u32);
         for (client, data) in &self.entries {
             e.u64(client.0).bytes(data);
         }
-        let bytes = e.into_bytes();
-        let mut framed = Enc::new();
-        framed.bytes(&bytes);
-        let framed = framed.into_bytes();
-        section.modify(state, 0, framed.len())?;
-        section.write(state, 0, &framed)
+        e.into_bytes()
     }
+}
 
-    /// Reload from the session section (restart, state transfer). A
-    /// never-persisted section yields the empty store.
-    ///
-    /// # Errors
-    /// [`WireError`] when the section holds a corrupt table.
-    pub fn load(section: &Section, state: &PagedState) -> Result<SessionStore, WireError> {
-        let mut header = [0u8; 4];
-        if section.read(state, 0, &mut header).is_err() {
-            return Ok(SessionStore::new());
+fn decode(image: &[u8]) -> Result<BTreeMap<ClientId, Vec<u8>>, WireError> {
+    let mut d = Dec::new(image);
+    // Client id and blob length.
+    let count = d.count(8 + 4)?;
+    let mut entries = BTreeMap::new();
+    for _ in 0..count {
+        let client = ClientId(d.u64()?);
+        let data = d.bytes()?;
+        if data.len() > MAX_SESSION_BYTES {
+            return Err(WireError::BadLength(data.len() as u64));
         }
-        let len = u32::from_be_bytes(header) as usize;
-        if len == 0 {
-            return Ok(SessionStore::new());
-        }
-        let mut buf = vec![0u8; len];
-        section
-            .read(state, 4, &mut buf)
-            .map_err(|_| WireError::Truncated)?;
-        let mut d = Dec::new(&buf);
-        let count = d.u32()? as usize;
-        let mut entries = BTreeMap::new();
-        for _ in 0..count {
-            let client = ClientId(d.u64()?);
-            let data = d.bytes()?;
-            if data.len() > MAX_SESSION_BYTES {
-                return Err(WireError::Truncated);
-            }
-            entries.insert(client, data);
-        }
-        Ok(SessionStore { entries })
+        entries.insert(client, data);
     }
+    d.finish()?;
+    Ok(entries)
 }
 
 /// The view of the session store handed to one execution upcall: scoped to
@@ -137,6 +158,7 @@ pub struct SessionCtx<'a> {
     client: ClientId,
     read_only: bool,
     dirty: bool,
+    refusals: u64,
 }
 
 impl<'a> SessionCtx<'a> {
@@ -148,12 +170,8 @@ impl<'a> SessionCtx<'a> {
             client,
             read_only,
             dirty: false,
+            refusals: 0,
         }
-    }
-
-    /// The requesting client.
-    pub fn client(&self) -> ClientId {
-        self.client
     }
 
     /// This session's blob (empty slice when none).
@@ -164,18 +182,16 @@ impl<'a> SessionCtx<'a> {
     /// Replace this session's blob.
     ///
     /// # Errors
-    /// When the blob exceeds [`MAX_SESSION_BYTES`] or this is a read-only
-    /// execution.
+    /// [`SessionError::ReadOnly`] on the read-only path, and the errors of
+    /// [`SessionStore::set`].
     pub fn put(&mut self, data: &[u8]) -> Result<(), SessionError> {
         if self.read_only {
             return Err(SessionError::ReadOnly);
         }
-        if data.len() > MAX_SESSION_BYTES {
-            return Err(SessionError::TooLarge(data.len()));
-        }
-        self.store.set(self.client, data.to_vec());
-        self.dirty = true;
-        Ok(())
+        let out = self.store.set(self.client, data.to_vec());
+        self.dirty |= out.is_ok();
+        self.refusals += u64::from(out == Err(SessionError::SectionFull));
+        out
     }
 
     /// Clear this session's blob.
@@ -192,9 +208,14 @@ impl<'a> SessionCtx<'a> {
         Ok(())
     }
 
-    /// Whether this upcall mutated session state (engine-side: persist?).
+    /// Whether this upcall mutated session state (engine-side: store?).
     pub fn is_dirty(&self) -> bool {
         self.dirty
+    }
+
+    /// Writes this upcall had refused with [`SessionError::SectionFull`].
+    pub fn refusals(&self) -> u64 {
+        self.refusals
     }
 }
 
@@ -205,6 +226,8 @@ pub enum SessionError {
     ReadOnly,
     /// Blob exceeds [`MAX_SESSION_BYTES`].
     TooLarge(usize),
+    /// The table image with this blob would not fit the session section.
+    SectionFull,
 }
 
 impl std::fmt::Display for SessionError {
@@ -217,6 +240,7 @@ impl std::fmt::Display for SessionError {
                     "session blob of {n} bytes exceeds the {MAX_SESSION_BYTES}-byte limit"
                 )
             }
+            SessionError::SectionFull => write!(f, "session section full"),
         }
     }
 }
@@ -226,53 +250,90 @@ impl std::error::Error for SessionError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
-    fn setup() -> (Rc<RefCell<PagedState>>, Section) {
-        let state = Rc::new(RefCell::new(PagedState::new(8)));
-        let section = Section {
-            base: 0,
-            len: 4 * pbft_state::PAGE_SIZE as u64,
-        };
-        (state, section)
+    const SECTION: Section = Section {
+        base: 0,
+        len: 4 * pbft_state::PAGE_SIZE as u64,
+    };
+
+    fn empty() -> SessionStore {
+        SessionStore::open(SECTION, &PagedState::new(8))
     }
 
     #[test]
     fn store_roundtrips_through_region() {
-        let (state, section) = setup();
-        let mut store = SessionStore::new();
-        store.set(ClientId(1), b"cart: 3 items".to_vec());
-        store.set(ClientId(9), b"page 4".to_vec());
+        let mut state = PagedState::new(8);
+        let mut store = empty();
         store
-            .persist(&section, &mut state.borrow_mut())
-            .expect("persist");
-        let back = SessionStore::load(&section, &state.borrow()).expect("load");
+            .set(ClientId(1), b"cart: 3 items".to_vec())
+            .expect("fits");
+        store.set(ClientId(9), b"page 4".to_vec()).expect("fits");
+        store.store(&mut state);
+        let back = SessionStore::open(SECTION, &state);
         assert_eq!(back, store);
         assert_eq!(back.get(ClientId(9)), Some(b"page 4".as_slice()));
     }
 
     #[test]
     fn fresh_region_loads_empty() {
-        let (state, section) = setup();
-        let store = SessionStore::load(&section, &state.borrow()).expect("load");
-        assert!(store.is_empty());
+        assert!(empty().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "session table image decodes")]
+    fn open_over_a_corrupt_image_stops() {
+        let mut state = PagedState::new(8);
+        BlobCell::new(SECTION, SESSION_MAGIC)
+            .store(&mut state, b"not a table")
+            .expect("fits");
+        let _ = SessionStore::open(SECTION, &state);
+    }
+
+    #[test]
+    fn full_section_refuses_and_changes_nothing() {
+        let mut store = empty();
+        let blob = vec![1u8; MAX_SESSION_BYTES];
+        // 12 bytes of id and length per entry, 4 of count, in 16 KiB less
+        // the cell header: fifteen full blobs fit, the sixteenth does not.
+        for c in 0..15 {
+            store.set(ClientId(c), blob.clone()).expect("fits");
+        }
+        let before = store.clone();
+        assert_eq!(
+            store.set(ClientId(15), blob.clone()),
+            Err(SessionError::SectionFull)
+        );
+        assert_eq!(
+            store.set(ClientId(0), vec![2u8; 1]).map(|()| store.len()),
+            Ok(15),
+            "shrinking a blob always fits"
+        );
+        assert_eq!(
+            store.set(ClientId(0), blob.clone()),
+            Ok(()),
+            "and so does growing it back"
+        );
+        assert_eq!(store, before);
+        let mut ctx = SessionCtx::new(&mut store, ClientId(15), false);
+        assert_eq!(ctx.put(&blob), Err(SessionError::SectionFull));
+        assert_eq!(ctx.refusals(), 1);
+        assert!(!ctx.is_dirty());
     }
 
     #[test]
     fn remove_and_empty_set_drop_entries() {
-        let mut store = SessionStore::new();
-        store.set(ClientId(1), b"x".to_vec());
+        let mut store = empty();
+        store.set(ClientId(1), b"x".to_vec()).expect("fits");
         assert!(store.remove(ClientId(1)));
         assert!(!store.remove(ClientId(1)));
-        store.set(ClientId(2), b"y".to_vec());
-        store.set(ClientId(2), Vec::new()); // empty = clear
+        store.set(ClientId(2), b"y".to_vec()).expect("fits");
+        store.set(ClientId(2), Vec::new()).expect("clears"); // empty = clear
         assert!(store.is_empty());
     }
 
     #[test]
     fn ctx_tracks_dirtiness() {
-        let mut store = SessionStore::new();
+        let mut store = empty();
         let mut ctx = SessionCtx::new(&mut store, ClientId(3), false);
         assert_eq!(ctx.get(), b"");
         assert!(!ctx.is_dirty());
@@ -284,7 +345,7 @@ mod tests {
 
     #[test]
     fn ctx_clear_only_dirties_when_state_existed() {
-        let mut store = SessionStore::new();
+        let mut store = empty();
         let mut ctx = SessionCtx::new(&mut store, ClientId(3), false);
         ctx.clear().expect("clear nothing");
         assert!(!ctx.is_dirty());
@@ -296,7 +357,7 @@ mod tests {
 
     #[test]
     fn read_only_ctx_rejects_writes() {
-        let mut store = SessionStore::new();
+        let mut store = empty();
         let mut ctx = SessionCtx::new(&mut store, ClientId(3), true);
         assert_eq!(ctx.put(b"x"), Err(SessionError::ReadOnly));
         assert_eq!(ctx.clear(), Err(SessionError::ReadOnly));
@@ -305,17 +366,22 @@ mod tests {
 
     #[test]
     fn oversized_blob_rejected() {
-        let mut store = SessionStore::new();
+        let mut store = empty();
         let mut ctx = SessionCtx::new(&mut store, ClientId(3), false);
         let big = vec![0u8; MAX_SESSION_BYTES + 1];
         assert!(matches!(ctx.put(&big), Err(SessionError::TooLarge(_))));
+        assert_eq!(
+            ctx.refusals(),
+            0,
+            "a blob over the limit is not a full section"
+        );
         let ok = vec![0u8; MAX_SESSION_BYTES];
         assert!(ctx.put(&ok).is_ok());
     }
 
     #[test]
     fn sessions_isolated_per_client() {
-        let mut store = SessionStore::new();
+        let mut store = empty();
         SessionCtx::new(&mut store, ClientId(1), false)
             .put(b"a")
             .expect("put");
@@ -330,5 +396,6 @@ mod tests {
     fn errors_display() {
         assert!(SessionError::ReadOnly.to_string().contains("read-only"));
         assert!(SessionError::TooLarge(9999).to_string().contains("9999"));
+        assert!(SessionError::SectionFull.to_string().contains("full"));
     }
 }

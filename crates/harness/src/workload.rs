@@ -219,27 +219,6 @@ pub fn keyed_sql_insert_ops(client_tag: u64) -> KeyedOpGen {
     })
 }
 
-/// E-voting sessions over several elections, keyed so that each election's
-/// traffic routes to the group owning it (see [`evoting::VoteOp::shard_key`]).
-pub fn keyed_evoting_ops(
-    elections: &'static [i64],
-    choices: &'static [&'static str],
-) -> KeyedOpGen {
-    Box::new(move |seq| {
-        let election = elections[(seq as usize) % elections.len()];
-        let choice = choices[(seq as usize) % choices.len()];
-        let op = evoting::VoteOp::CastVote {
-            election,
-            choice: choice.to_string(),
-        };
-        KeyedOp {
-            keys: vec![op.shard_key()],
-            op: op.encode(),
-            read_only: false,
-        }
-    })
-}
-
 /// Null operations of a fixed size — the workload behind Table 1 / Figure 4
 /// ("The client and server programs built to measure throughput transmit
 /// null requests and responses of varying sizes").
@@ -319,18 +298,6 @@ pub fn sql_insert_ops(client_tag: u64) -> OpGen {
 /// The schema the SQL workloads expect.
 pub const SQL_BENCH_SCHEMA: &str =
     "CREATE TABLE bench (id INTEGER PRIMARY KEY, k TEXT, v TEXT, ts INTEGER, rnd INTEGER)";
-
-/// E-voting sessions: every operation casts a vote in election 1.
-pub fn evoting_ops(choices: &'static [&'static str]) -> OpGen {
-    Box::new(move |seq| {
-        let choice = choices[(seq as usize) % choices.len()];
-        let op = evoting::VoteOp::CastVote {
-            election: 1,
-            choice: choice.to_string(),
-        };
-        (op.encode(), false)
-    })
-}
 
 #[cfg(test)]
 mod tests {
@@ -436,16 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn keyed_evoting_ops_key_on_the_election() {
-        let mut gen = keyed_evoting_ops(&[1, 2], &["a", "b", "c"]);
-        let first = gen(0);
-        let third = gen(2);
-        assert_eq!(first.keys, third.keys, "elections rotate with period 2");
-        assert_ne!(first.keys, gen(1).keys);
-        assert!(evoting::VoteOp::decode(&first.op).is_some());
-    }
-
-    #[test]
     fn cross_null_txs_always_span_two_shards() {
         let map = ShardMap::new(4);
         let mut gen = cross_null_txs(map, 64, 128, 7);
@@ -495,14 +452,5 @@ mod tests {
             assert_ne!(tx.sub_ops[0].keys, tx.sub_ops[1].keys);
             assert!(evoting::VoteOp::decode(&tx.sub_ops[0].op).is_some());
         }
-    }
-
-    #[test]
-    fn evoting_ops_rotate_choices() {
-        let mut gen = evoting_ops(&["a", "b"]);
-        let (op1, _) = gen(0);
-        let (op2, _) = gen(1);
-        assert_ne!(op1, op2);
-        assert!(evoting::VoteOp::decode(&op1).is_some());
     }
 }

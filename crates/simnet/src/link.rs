@@ -33,14 +33,6 @@ impl Default for LinkParams {
 }
 
 impl LinkParams {
-    /// A LAN link with the default parameters and the given loss probability.
-    pub fn lan_with_loss(loss: f64) -> Self {
-        LinkParams {
-            loss,
-            ..Default::default()
-        }
-    }
-
     /// A WAN link: high latency, moderate jitter, no loss.
     pub fn wan(one_way: SimDuration) -> Self {
         LinkParams {
@@ -85,7 +77,6 @@ mod tests {
 
     #[test]
     fn constructors() {
-        assert_eq!(LinkParams::lan_with_loss(0.25).loss, 0.25);
         let w = LinkParams::wan(SimDuration::from_millis(40));
         assert_eq!(w.latency, SimDuration::from_millis(40));
     }

@@ -61,7 +61,6 @@ pub(crate) enum Action {
 /// call and drains it when the call returns.
 pub struct NodeCtx<'a> {
     pub(crate) now: SimTime,
-    pub(crate) self_id: NodeId,
     pub(crate) actions: Vec<Action>,
     pub(crate) cost: SimDuration,
     pub(crate) invocation: std::marker::PhantomData<&'a mut ()>,
@@ -71,11 +70,6 @@ impl<'a> NodeCtx<'a> {
     /// The virtual time at which this handler runs.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// This node's own address.
-    pub fn self_id(&self) -> NodeId {
-        self.self_id
     }
 
     /// Queue a packet to `dst`. Packets depart after the handler's charged

@@ -373,7 +373,6 @@ impl Simulator {
         };
         let mut ctx = NodeCtx {
             now: self.now,
-            self_id: id,
             actions: Vec::new(),
             cost: SimDuration::ZERO,
             invocation: std::marker::PhantomData,

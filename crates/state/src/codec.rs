@@ -68,7 +68,7 @@ const BLOB_HEADER: usize = 16;
 ///     Some(b"lock table image".to_vec())
 /// );
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlobCell {
     section: Section,
     magic: u64,

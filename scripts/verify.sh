@@ -11,7 +11,9 @@
 #      per package with timing so slow suites are visible; it includes
 #      crates/bench/tests/artifacts.rs, which holds the committed
 #      BENCH_*.json artifacts to the bounds their benches assert
-#   5. examples and all six bench targets compile
+#   5. examples and all six bench targets compile, and each of the nine
+#      examples runs to a zero exit (evoting and web_voting are the ones
+#      that use dynamic membership)
 #   6. clippy is clean across every target (warnings are errors)
 #   7. rustdoc is complete and warning-free, and the doc-examples run
 set -euo pipefail
@@ -97,6 +99,16 @@ done
 echo "    [all packages: $((SECONDS - total0))s]"
 
 step cargo build --examples --benches
+
+# Every example asserts its own outcome; run each (dev profile, opt-level 2),
+# fail on a non-zero exit and print its time.
+echo "==> examples (cargo run -q --example, each)"
+for ex in examples/*.rs; do
+    name=$(basename "$ex" .rs)
+    t0=${EPOCHREALTIME/./}
+    cargo run -q --example "$name" > /dev/null
+    echo "    [$name: $(((${EPOCHREALTIME/./} - t0) / 1000)) ms]"
+done
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --quiet -- -D warnings

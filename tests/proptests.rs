@@ -407,7 +407,7 @@ fn wal_crash_recovers_synced_prefix() {
 }
 
 // ----------------------------------------------------------------------
-// Session store: persist/load through the region is lossless for any table,
+// Session store: store/open through the region is lossless for any table,
 // and the region bytes are deterministic (replica agreement).
 // ----------------------------------------------------------------------
 
@@ -421,20 +421,20 @@ fn session_store_roundtrips_and_is_deterministic() {
             base: 0,
             len: 4 * PAGE_SIZE as u64,
         };
-        let mut store = SessionStore::new();
+        let mut store = SessionStore::open(section, &PagedState::new(4));
         for (&c, data) in &entries {
-            store.set(ClientId(c), data.clone());
+            store.set(ClientId(c), data.clone()).expect("fits");
         }
         let mut a = PagedState::new(4);
         let mut b = PagedState::new(4);
-        store.persist(&section, &mut a).expect("persist a");
-        store.persist(&section, &mut b).expect("persist b");
+        store.store(&mut a);
+        store.store(&mut b);
         assert_eq!(
             a.refresh_digest(),
             b.refresh_digest(),
             "deterministic bytes"
         );
-        let back = SessionStore::load(&section, &a).expect("load");
+        let back = SessionStore::open(section, &a);
         assert_eq!(back, store);
     });
 }
