@@ -1,10 +1,11 @@
 //! The committed `BENCH_*.json` artifacts stay well-formed and inside the
 //! bounds their benches assert: every file parses and names its bench, the
 //! engine-keyed artifacts carry a pbft column, the availability and
-//! cross-shard files carry their reliability and resharding sections, the
-//! hot-path sweep stays inside the amortized cost model, Table 1's batch row
-//! stays above its trajectory floor, and every paper figure in
-//! `BENCH_paper.json` sits beside its reproduction.
+//! cross-shard files carry their reliability and resharding sections, each
+//! leader rotation costs what its engine's formula says, the hot-path sweep
+//! stays inside the amortized cost model, Table 1's batch row stays above
+//! its trajectory floor, and every paper figure in `BENCH_paper.json` sits
+//! beside its reproduction.
 
 use std::collections::BTreeSet;
 
@@ -125,6 +126,34 @@ fn availability_carries_hour_long_reliability_distributions() {
     assert!(
         engines(rel).is_superset(&BTreeSet::from(["pbft", "linear"])),
         "reliability section must cover both engines"
+    );
+}
+
+/// The headline engine comparison README.md points at: view-change packets
+/// per leader rotation are n(n - 1) under PBFT's all-to-all votes and
+/// 2n - 3 under the linear engine's leader-directed ones.
+#[test]
+fn availability_rotation_costs_follow_their_formulas() {
+    let name = "BENCH_availability.json";
+    let doc = load(name);
+    let rows = section(&doc, name, "rotation_sweep");
+    for row in rows {
+        let n = num(row, "n");
+        let expect = match text(row, "engine") {
+            "pbft" => n * (n - 1.0),
+            "linear" => 2.0 * n - 3.0,
+            other => panic!("{name}: unknown engine '{other}'"),
+        };
+        assert_eq!(
+            num(row, "viewchange_msgs_per_rotation"),
+            expect,
+            "rotation cost off its formula: {row:?}"
+        );
+    }
+    assert_eq!(
+        engines(rows),
+        BTreeSet::from(["pbft", "linear"]),
+        "rotation_sweep must cover both engines"
     );
 }
 

@@ -14,7 +14,9 @@ use crate::output::{HandleResult, NetTarget, Output, TimerKind};
 use crate::session::SessionCtx;
 use crate::types::{ClientId, FoldMap, FoldSet, ReplicaId, SeqNum};
 
-use super::{QueuedRequest, Replica, TentativeEffects, SETTLE_PAGES_PER_BATCH};
+use super::{
+    wire_reply, ClientRecord, QueuedRequest, Replica, TentativeEffects, SETTLE_PAGES_PER_BATCH,
+};
 
 /// Pipelined batch formation: while at least one batch is already in
 /// flight, the primary holds a pre-prepare back until this many requests
@@ -399,10 +401,9 @@ impl Replica {
                 .flat_map(|pp| pp.entries.iter().map(|en| (en.client, en.timestamp)))
                 .collect();
             for (client, ts) in entries {
-                if let Some(reply) = self.last_reply.get_mut(&client) {
-                    if reply.timestamp == ts {
-                        reply.tentative = false;
-                    }
+                let reply = self.clients.get_mut(&client).and_then(|c| c.reply.as_mut());
+                if let Some(reply) = reply.filter(|r| r.timestamp == ts) {
+                    reply.tentative = false;
                 }
             }
         }
@@ -562,10 +563,9 @@ impl Replica {
                     effects.note(self.app.declared_effects(op));
                 }
             }
-            let reply_body = self.execute_one(req, &pp.nondet, &mut membership_dirty, res);
-            self.last_req_ts.insert(req.client, req.timestamp);
-            if let Some(result) = reply_body {
-                let reply = ReplyMsg {
+            let reply = self
+                .execute_one(req, &pp.nondet, &mut membership_dirty, res)
+                .map(|result| ReplyMsg {
                     view: self.view,
                     client: req.client,
                     timestamp: req.timestamp,
@@ -573,14 +573,17 @@ impl Replica {
                     tentative: !committed,
                     digest_only: false,
                     result,
-                };
-                let addr = self
-                    .client_addr
-                    .get(&req.client)
-                    .copied()
-                    .unwrap_or(req.reply_addr);
-                let digest_only = !self.sends_full_reply(req.client, req.timestamp);
-                self.send_reply(reply, addr, digest_only, res);
+                });
+            let digest_only = !self.sends_full_reply(req.client, req.timestamp);
+            // One look at the client's record: the executed timestamp, the
+            // reply address and the cached reply.
+            let record = self.clients.entry(req.client).or_default();
+            record.executed = Some(req.timestamp);
+            if let Some(reply) = reply {
+                let wire = wire_reply(&reply, digest_only, res);
+                record.reply = Some(reply);
+                let addr = record.addr.unwrap_or(req.reply_addr);
+                self.send_reply(wire, addr, res);
             }
             res.counts.requests_executed += 1;
             self.metrics.executed_requests += 1;
@@ -648,7 +651,7 @@ impl Replica {
                 let challenge =
                     m.phase1(*pubkey, *nonce, *reply_addr, idbuf.clone(), req.timestamp);
                 *membership_dirty = true;
-                self.client_addr.insert(req.client, *reply_addr);
+                self.clients.entry(req.client).or_default().addr = Some(*reply_addr);
                 match challenge {
                     Some(c) => Some(c.0.as_bytes().to_vec()),
                     None => Some(self.denied(SECTION_FULL)),
@@ -676,7 +679,7 @@ impl Replica {
                         if let Some(s) = self.membership.as_ref().and_then(|m| m.session(client)) {
                             let (pk, addr) = (s.pubkey, s.addr);
                             self.keys.install_client_pubkey(client, pk);
-                            self.client_addr.insert(client, addr);
+                            self.clients.entry(client).or_default().addr = Some(addr);
                         }
                         let mut out = b"joined:".to_vec();
                         out.extend_from_slice(&client.0.to_be_bytes());
@@ -704,9 +707,11 @@ impl Replica {
 
     /// End `client`'s session on this replica, the one exit of a Leave, a
     /// same-identity takeover and a stale eviction: drop its keys and its
-    /// library-managed state (§3.3.2). Its executed timestamp and cached
-    /// reply stay, so a retransmission of its last request is still
-    /// answered and never executed twice.
+    /// library-managed state (§3.3.2). Its client record stays: its
+    /// executed timestamp is what body retention, the view-change re-queue
+    /// and deferred reads compare against. (A retransmission is not
+    /// answered from the cached reply: admission refuses a non-member
+    /// before the dedupe runs.)
     pub(crate) fn end_session(&mut self, client: ClientId) {
         self.keys.remove_client(client);
         if self.sessions.remove(client) {
@@ -828,9 +833,9 @@ impl Replica {
         // queue names, or that belong to a request not yet executed for its
         // client (observed but not yet pre-prepared) — dropping those would
         // wedge execution exactly like a §2.4 packet loss.
-        let last_ts = &self.last_req_ts;
-        let unexecuted =
-            |req: &RequestMsg| req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0);
+        let clients = &self.clients;
+        let executed = |c: &ClientId| clients.get(c).map_or(0, ClientRecord::executed_ts);
+        let unexecuted = |req: &RequestMsg| req.timestamp > executed(&req.client);
         let queued = &self.pending_digests;
         self.bodies
             .retain(|d, req| referenced.contains(d) || queued.contains(d) || unexecuted(req));
@@ -1023,7 +1028,7 @@ pub(crate) mod retire_reference {
     fn prune_bodies(
         log: &MessageLog,
         pending: &VecDeque<QueuedRequest>,
-        last_req_ts: &HashMap<ClientId, u64>,
+        executed: &HashMap<ClientId, u64>,
         bodies: &mut HashMap<Digest, RequestMsg>,
         pending_digests: &mut HashSet<Digest>,
         observed: &mut BTreeSet<Digest>,
@@ -1036,17 +1041,16 @@ pub(crate) mod retire_reference {
                     .flat_map(|pp| pp.entries.iter().map(|en| en.digest))
             })
             .collect();
-        let last_ts = last_req_ts;
         let queued = |d: &Digest| pending.iter().any(|q| q.digest == *d);
         observed.retain(|d| {
             bodies
                 .get(d)
-                .is_some_and(|r| r.timestamp > last_ts.get(&r.client).copied().unwrap_or(0))
+                .is_some_and(|r| r.timestamp > executed.get(&r.client).copied().unwrap_or(0))
         });
         bodies.retain(|d, req| {
             referenced.contains(d)
                 || queued(d)
-                || req.timestamp > last_ts.get(&req.client).copied().unwrap_or(0)
+                || req.timestamp > executed.get(&req.client).copied().unwrap_or(0)
         });
         pending_digests.retain(|d| referenced.contains(d) || queued(d));
     }
@@ -1119,7 +1123,10 @@ pub(crate) mod retire_reference {
             prune_bodies(
                 &log,
                 &r.pending,
-                &r.last_req_ts.iter().map(|(c, ts)| (*c, *ts)).collect(),
+                &r.clients
+                    .iter()
+                    .filter_map(|(c, rec)| Some((*c, rec.executed?)))
+                    .collect(),
                 &mut bodies,
                 &mut pending_digests,
                 &mut observed,

@@ -14,6 +14,7 @@ mod viewchange;
 mod tests;
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use pbft_crypto::Digest;
 use pbft_state::{Fetcher, Section, Snapshot};
@@ -27,7 +28,7 @@ use crate::messages::view::{AuthView, PacketView};
 use crate::messages::{
     AuthTag, Envelope, Message, NewKeyMsg, ReplyMsg, RequestMsg, Sender, StatusMsg, ViewChangeMsg,
 };
-use crate::output::{HandleResult, NetTarget, Output, TimerKind};
+use crate::output::{HandleResult, NetTarget, OpCounts, Output, TimerKind};
 use crate::session::{SessionCtx, SessionStore};
 use crate::types::{ClientId, FoldMap, FoldSet, NetAddr, ReplicaId, SeqNum, View, MAX_REPLICAS};
 
@@ -194,6 +195,44 @@ pub(crate) struct QueuedRequest {
     pub(crate) big: bool,
 }
 
+/// What goes on the wire for `reply`: only its digest when `digest_only`
+/// (this replica is not a designated replier) and the result is longer
+/// than a digest, else the full body.
+pub(crate) fn wire_reply(reply: &ReplyMsg, digest_only: bool, res: &mut HandleResult) -> ReplyMsg {
+    if digest_only && reply.result.len() > 32 {
+        res.counts.digest_bytes += reply.result.len() as u64;
+        reply.to_digest_only()
+    } else {
+        reply.clone()
+    }
+}
+
+/// One client's entry in [`Replica::clients`]. An absent record and a
+/// default one mean the same thing to every reader.
+#[derive(Debug, Default)]
+pub(crate) struct ClientRecord {
+    /// Timestamp of the client's last executed request: admission answers
+    /// an equal timestamp from `reply` and drops an older one. `None` until
+    /// one executes, so an unseen client is distinct from timestamp 0.
+    pub(crate) executed: Option<u64>,
+    /// The last reply sent to the client, full body: an executed request's,
+    /// or a read-only answer's.
+    pub(crate) reply: Option<ReplyMsg>,
+    /// Where replies go: the address of the client's latest admitted
+    /// request, NewKey or join.
+    pub(crate) addr: Option<NetAddr>,
+    /// Primary side: the highest timestamp queued for ordering (0 = none).
+    pub(crate) assigned: u64,
+}
+
+impl ClientRecord {
+    /// The executed timestamp, with "none" as 0 — what "has this request
+    /// executed for its client" compares against.
+    pub(crate) fn executed_ts(&self) -> u64 {
+        self.executed.unwrap_or(0)
+    }
+}
+
 /// Pages [`pbft_state::PagedState::hash_settled`] may digest after each
 /// executed batch, so that the checkpoint's `refresh_digest` — which every
 /// replica of the group runs in the same instant — is left with the pages
@@ -222,11 +261,9 @@ pub struct Replica {
     /// retransmission/replay for non-determinism validation purposes (§2.5).
     pub(crate) max_pp_seen: SeqNum,
 
-    /// Primary-side batching queue (digests, as a list and as a set) and
-    /// assignment dedupe.
+    /// Primary-side batching queue (digests, as a list and as a set).
     pub(crate) pending: VecDeque<QueuedRequest>,
     pub(crate) pending_digests: FoldSet<Digest>,
-    pub(crate) assigned_ts: FoldMap<ClientId, u64>,
 
     /// The one store a request waits in before execution, keyed by digest
     /// (§2.1/§2.4): every body admission accepted or a pre-prepare named,
@@ -238,10 +275,10 @@ pub struct Replica {
     /// primary suspicion, and re-queued in digest order on becoming primary.
     pub(crate) observed: BTreeSet<Digest>,
 
-    /// Per-client last executed timestamp and cached reply.
-    pub(crate) last_req_ts: FoldMap<ClientId, u64>,
-    pub(crate) last_reply: FoldMap<ClientId, ReplyMsg>,
-    pub(crate) client_addr: FoldMap<ClientId, NetAddr>,
+    /// What this replica remembers about each client it has admitted a
+    /// request, a NewKey or a join from. Replica-local (not in the region),
+    /// and never dropped: an ended session keeps its record.
+    pub(crate) clients: FoldMap<ClientId, ClientRecord>,
 
     /// Own checkpoints: the snapshot (serving state transfer) and the
     /// execution-chain value at it (for rollback). Then the votes.
@@ -361,12 +398,9 @@ impl Replica {
             max_pp_seen: 0,
             pending: VecDeque::new(),
             pending_digests: FoldSet::with_hasher(hash_state),
-            assigned_ts: FoldMap::with_hasher(hash_state),
             bodies: FoldMap::with_hasher(hash_state),
             observed: BTreeSet::new(),
-            last_req_ts: FoldMap::with_hasher(hash_state),
-            last_reply: FoldMap::with_hasher(hash_state),
-            client_addr: FoldMap::with_hasher(hash_state),
+            clients: FoldMap::with_hasher(hash_state),
             checkpoints: BTreeMap::new(),
             ckpt_votes: BTreeMap::new(),
             stable: (0, Digest::ZERO),
@@ -709,26 +743,36 @@ impl Replica {
             }
         }
 
-        self.client_addr.insert(req.client, req.reply_addr);
-
-        // Duplicate suppression / reply retransmission.
-        if let Some(&ts) = self.last_req_ts.get(&req.client) {
+        // The one look at the client's record: its reply address, duplicate
+        // suppression / reply retransmission, and the primary's claim on the
+        // timestamp for ordering.
+        let read_only = req.read_only && matches!(req.op, Operation::App(_));
+        let orders = self.is_primary() && !read_only;
+        let record = self.clients.entry(req.client).or_default();
+        record.addr = Some(req.reply_addr);
+        if let Some(ts) = record.executed {
             if req.timestamp < ts {
                 return;
             }
             if req.timestamp == ts {
                 self.metrics.duplicate_requests += 1;
-                if let Some(reply) = self.last_reply.get(&req.client).cloned() {
+                if let Some(reply) = record.reply.clone() {
                     // Retransmissions always get the full body: the client
                     // may be stuck holding a digest quorum without it.
-                    self.send_reply(reply, req.reply_addr, false, res);
+                    self.send_reply(reply, req.reply_addr, res);
                 }
                 return;
             }
         }
+        // A queued digest's timestamp is at most its client's `assigned`, so
+        // a claimed timestamp is never already queued.
+        let claimed = orders && req.timestamp > record.assigned;
+        if claimed {
+            record.assigned = req.timestamp;
+        }
 
         // Read-only fast path (§2.1).
-        if req.read_only && matches!(req.op, Operation::App(_)) {
+        if read_only {
             self.serve_read_only(&req, now_ns, res);
             return;
         }
@@ -740,7 +784,6 @@ impl Replica {
         let digest = Digest::of(body);
         res.counts.digest_bytes += body.len() as u64;
         let big = self.cfg.is_big(body.len());
-        let (client, timestamp) = (req.client, req.timestamp);
         // Backups relay non-big requests to the primary verbatim — the
         // client's own envelope, so its authenticator stays valid. The
         // relay's envelope is the packet's copy; the request itself waits
@@ -749,16 +792,15 @@ impl Replica {
         self.bodies.insert(digest, req);
 
         if self.is_primary() {
-            let assigned = self.assigned_ts.get(&client).copied().unwrap_or(0);
-            if timestamp <= assigned || self.pending_digests.contains(&digest) {
+            if !claimed {
                 // Already queued or assigned — but a retransmission is a
                 // sign the client is waiting, so make sure the batching
                 // engine is awake before dropping the duplicate.
                 self.try_issue(now_ns, res);
                 return;
             }
+            debug_assert!(!self.pending_digests.contains(&digest));
             self.pending_digests.insert(digest);
-            self.assigned_ts.insert(client, timestamp);
             self.pending.push_back(QueuedRequest { digest, big });
             self.try_issue(now_ns, res);
         } else {
@@ -768,8 +810,8 @@ impl Replica {
                 let primary = self.cfg.primary_of(self.view);
                 let relay_prefix = Envelope::encode_prefix(sender, &msg);
                 self.metrics.hot_encodings += 1;
-                let packet = std::sync::Arc::new(Envelope::seal(relay_prefix, auth));
-                let env = std::sync::Arc::new(Envelope {
+                let packet = Arc::new(Envelope::seal(relay_prefix, auth));
+                let env = Arc::new(Envelope {
                     sender,
                     msg,
                     auth: auth.clone(),
@@ -883,11 +925,8 @@ impl Replica {
             // A newer (or equal) executed timestamp means the client gave
             // up on the optimistic round and escalated: the ordered
             // execution already replied.
-            if self
-                .last_req_ts
-                .get(&req.client)
-                .is_some_and(|&ts| ts >= req.timestamp)
-            {
+            let executed = self.clients.get(&req.client).and_then(|c| c.executed);
+            if executed.is_some_and(|ts| ts >= req.timestamp) {
                 continue;
             }
             let Operation::App(op) = &req.op else {
@@ -926,7 +965,8 @@ impl Replica {
             result,
         };
         let digest_only = !self.sends_full_reply(req.client, req.timestamp);
-        self.send_reply(reply, req.reply_addr, digest_only, res);
+        self.send_reply(wire_reply(&reply, digest_only, res), req.reply_addr, res);
+        self.clients.entry(req.client).or_default().reply = Some(reply);
     }
 
     // ------------------------------------------------------------------
@@ -972,7 +1012,7 @@ impl Replica {
         let my_index = self.id().0 as usize;
         if let Some(key) = nk.keys.get(my_index) {
             self.keys.install_client_key(nk.client, *key);
-            self.client_addr.insert(nk.client, nk.reply_addr);
+            self.clients.entry(nk.client).or_default().addr = Some(nk.reply_addr);
         }
     }
 
@@ -997,34 +1037,41 @@ impl Replica {
         }
     }
 
-    /// Broadcast to every other replica. The encode-once rule: one prefix
-    /// encoding, one authenticator vector (one short MAC per peer over the
-    /// shared prefix digest), one seal — then every destination shares the
-    /// same reference-counted packet and envelope. Nothing is cloned per
-    /// destination.
-    pub(crate) fn multicast(&mut self, msg: Message, res: &mut HandleResult) {
-        self.note_protocol_msgs(&msg, self.cfg.n() as u64 - 1);
-        let prefix = Envelope::encode_prefix(Sender::Replica(self.id()), &msg);
+    /// The encode-once rule: one prefix encoding, one authenticator (what
+    /// `seal` makes of the prefix), one seal — then every destination in
+    /// `to` shares the same reference-counted packet and envelope. Nothing
+    /// is cloned per destination.
+    fn send_sealed(
+        &mut self,
+        to: impl IntoIterator<Item = NetTarget>,
+        msg: Message,
+        seal: impl FnOnce(&KeyStore, &[u8], &mut OpCounts) -> AuthTag,
+        res: &mut HandleResult,
+    ) {
+        let sender = Sender::Replica(self.id());
+        let prefix = Envelope::encode_prefix(sender, &msg);
         self.metrics.hot_encodings += 1;
-        let auth = self
-            .keys
-            .seal_multicast(self.cfg.auth, &prefix, &mut res.counts);
-        let packet = std::sync::Arc::new(Envelope::seal(prefix, &auth));
-        let env = std::sync::Arc::new(Envelope {
-            sender: Sender::Replica(self.id()),
-            msg,
-            auth,
-        });
-        for i in 0..self.cfg.n() as u32 {
-            if i == self.id().0 {
-                continue;
-            }
-            res.outputs.push(Output::Send {
-                to: NetTarget::Replica(ReplicaId(i)),
-                packet: std::sync::Arc::clone(&packet),
-                envelope: std::sync::Arc::clone(&env),
-            });
-        }
+        let auth = seal(&self.keys, &prefix, &mut res.counts);
+        let packet = Arc::new(Envelope::seal(prefix, &auth));
+        let envelope = Arc::new(Envelope { sender, msg, auth });
+        let before = res.outputs.len();
+        res.outputs.extend(to.into_iter().map(|to| Output::Send {
+            to,
+            packet: Arc::clone(&packet),
+            envelope: Arc::clone(&envelope),
+        }));
+        self.note_protocol_msgs(&envelope.msg, (res.outputs.len() - before) as u64);
+    }
+
+    /// Broadcast to every other replica under one authenticator vector (one
+    /// short MAC per peer over the shared prefix digest).
+    pub(crate) fn multicast(&mut self, msg: Message, res: &mut HandleResult) {
+        let (me, mode) = (self.id(), self.cfg.auth);
+        let peers = (0..self.cfg.n() as u32)
+            .map(ReplicaId)
+            .filter(move |&r| r != me)
+            .map(NetTarget::Replica);
+        self.send_sealed(peers, msg, |k, p, c| k.seal_multicast(mode, p, c), res);
     }
 
     /// Send an authenticated message to a single replica (retransmissions).
@@ -1036,41 +1083,13 @@ impl Replica {
         msg: Message,
         res: &mut HandleResult,
     ) {
-        self.note_protocol_msgs(&msg, 1);
-        let prefix = Envelope::encode_prefix(Sender::Replica(self.id()), &msg);
-        self.metrics.hot_encodings += 1;
-        let auth = self
-            .keys
-            .seal_multicast(self.cfg.auth, &prefix, &mut res.counts);
-        let packet = std::sync::Arc::new(Envelope::seal(prefix, &auth));
-        let env = std::sync::Arc::new(Envelope {
-            sender: Sender::Replica(self.id()),
-            msg,
-            auth,
-        });
-        res.outputs.push(Output::Send {
-            to,
-            packet,
-            envelope: env,
-        });
+        let mode = self.cfg.auth;
+        self.send_sealed([to], msg, |k, p, c| k.seal_multicast(mode, p, c), res);
     }
 
     /// Send an unauthenticated (digest-validated) message to one target.
     pub(crate) fn send_plain(&mut self, to: NetTarget, msg: Message, res: &mut HandleResult) {
-        self.note_protocol_msgs(&msg, 1);
-        let prefix = Envelope::encode_prefix(Sender::Replica(self.id()), &msg);
-        self.metrics.hot_encodings += 1;
-        let packet = std::sync::Arc::new(Envelope::seal(prefix, &AuthTag::None));
-        let env = std::sync::Arc::new(Envelope {
-            sender: Sender::Replica(self.id()),
-            msg,
-            auth: AuthTag::None,
-        });
-        res.outputs.push(Output::Send {
-            to,
-            packet,
-            envelope: env,
-        });
+        self.send_sealed([to], msg, |_, _, _| AuthTag::None, res);
     }
 
     /// §2.1 designated-replier rule: per request, f+1 rotating replicas
@@ -1086,42 +1105,15 @@ impl Replica {
         offset < self.cfg.weak_quorum() as u64
     }
 
-    /// Send (and cache) a reply. The cache always keeps the full body —
-    /// retransmitted requests are answered with it unconditionally, the
-    /// fallback that keeps digest-only replies (§2.1 designated-replier
-    /// optimization) live under more than f reply losses.
-    pub(crate) fn send_reply(
-        &mut self,
-        reply: ReplyMsg,
-        addr: NetAddr,
-        digest_only: bool,
-        res: &mut HandleResult,
-    ) {
-        let client = reply.client;
-        let wire = if digest_only && reply.result.len() > 32 {
-            res.counts.digest_bytes += reply.result.len() as u64;
-            reply.to_digest_only()
-        } else {
-            reply.clone()
-        };
-        self.last_reply.insert(client, reply);
-        let msg = Message::Reply(wire);
-        let prefix = Envelope::encode_prefix(Sender::Replica(self.id()), &msg);
-        self.metrics.hot_encodings += 1;
-        let auth = self
-            .keys
-            .seal_to_client(self.cfg.auth, client, &prefix, &mut res.counts);
-        let packet = std::sync::Arc::new(Envelope::seal(prefix, &auth));
-        let env = std::sync::Arc::new(Envelope {
-            sender: Sender::Replica(self.id()),
-            msg,
-            auth,
-        });
-        res.outputs.push(Output::Send {
-            to: NetTarget::Client(addr),
-            packet,
-            envelope: env,
-        });
+    /// Send `wire`, a reply as [`wire_reply`] made it. The caller keeps the
+    /// full body in the client's record — retransmitted requests are
+    /// answered with it unconditionally, the fallback that keeps
+    /// digest-only replies (§2.1 designated-replier optimization) live under
+    /// more than f reply losses.
+    pub(crate) fn send_reply(&mut self, wire: ReplyMsg, addr: NetAddr, res: &mut HandleResult) {
+        let (mode, client) = (self.cfg.auth, wire.client);
+        let seal = |k: &KeyStore, p: &[u8], c: &mut OpCounts| k.seal_to_client(mode, client, p, c);
+        self.send_sealed([NetTarget::Client(addr)], Message::Reply(wire), seal, res);
     }
 
     // ------------------------------------------------------------------

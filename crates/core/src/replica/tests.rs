@@ -403,6 +403,104 @@ fn duplicate_request_served_from_reply_cache() {
     assert_eq!(before, after, "duplicates must not re-execute");
 }
 
+/// Submit `op` for `client` and return the request packet it sent.
+fn submit_capturing(net: &mut Net, client: usize, op: Vec<u8>) -> crate::output::PacketBuf {
+    assert!(net.queue.is_empty(), "the net is quiet");
+    net.submit(client, op, false);
+    net.queue.back().expect("the request").2.clone()
+}
+
+/// Deliver `packet` from `client` to every replica again, and return the
+/// replies the replicas sent back (held, not delivered).
+fn retransmit_to_all(
+    net: &mut Net,
+    client: usize,
+    packet: &crate::output::PacketBuf,
+) -> Vec<crate::messages::ReplyMsg> {
+    use crate::messages::view::PacketView;
+    use crate::messages::Message;
+    for i in 0..net.replicas.len() {
+        let to = NetTarget::Replica(ReplicaId(i as u32));
+        let disc = packet.first().copied().unwrap_or(0);
+        net.queue
+            .push_back((Source::Client(client), to, packet.clone(), disc));
+    }
+    net.hold = Some(Box::new(|_, to, _| matches!(to, NetTarget::Client(_))));
+    net.pump(10_000);
+    net.hold = None;
+    std::mem::take(&mut net.held)
+        .into_iter()
+        .map(
+            |(_, _, packet, _)| match PacketView::parse(&packet).expect("a packet").msg {
+                Message::Reply(reply) => reply,
+                other => panic!("a replica sent a client {other:?}"),
+            },
+        )
+        .collect()
+}
+
+fn executed(net: &Net) -> Vec<u64> {
+    net.replicas
+        .iter()
+        .map(|r| r.metrics().executed_requests)
+        .collect()
+}
+
+/// A request executed tentatively and then committed: every replica
+/// upgraded its cached reply at commit, so a retransmission is answered
+/// from the cache, in full and stable (f + 1 of them suffice), and runs
+/// nothing.
+#[test]
+fn retransmission_after_commit_is_answered_stable_from_the_cache() {
+    let mut net = Net::new(default_cfg(), 1, AppKind::Kv);
+    let packet = submit_capturing(&mut net, 0, KvApp::op_put(3, 9));
+    net.pump(10_000);
+    assert_eq!(net.completed(0), 1);
+    for r in &net.replicas {
+        assert_eq!(r.metrics().tentative_executions, 1, "executed tentatively");
+    }
+    let before = executed(&net);
+    let replies = retransmit_to_all(&mut net, 0, &packet);
+    assert_eq!(executed(&net), before, "duplicates must not re-execute");
+    let mut from: Vec<u32> = replies.iter().map(|r| r.replica.0).collect();
+    from.sort_unstable();
+    assert_eq!(from, [0, 1, 2, 3], "every replica answers");
+    for reply in &replies {
+        assert!(
+            !reply.tentative,
+            "replica {} answered tentative",
+            reply.replica.0
+        );
+        assert!(!reply.digest_only, "a retransmission gets the full body");
+        assert_eq!(reply.timestamp, 1);
+    }
+    for r in &net.replicas {
+        assert_eq!(r.metrics().duplicate_requests, 1);
+    }
+}
+
+/// A request older than its client's last executed one is dropped at
+/// admission: no reply, no execution, and nothing stored or observed.
+#[test]
+fn request_older_than_the_last_executed_is_dropped() {
+    let mut net = Net::new(default_cfg(), 1, AppKind::Kv);
+    let first = submit_capturing(&mut net, 0, KvApp::op_put(3, 9));
+    net.pump(10_000);
+    net.submit(0, KvApp::op_put(3, 10), false);
+    net.pump(10_000);
+    assert_eq!(net.completed(0), 2);
+    let before = executed(&net);
+    let stored: Vec<usize> = net.replicas.iter().map(|r| r.bodies.len()).collect();
+    let replies = retransmit_to_all(&mut net, 0, &first);
+    assert!(replies.is_empty(), "answered a stale request: {replies:?}");
+    assert_eq!(executed(&net), before);
+    for (r, stored) in net.replicas.iter().zip(stored) {
+        assert_eq!(r.metrics().duplicate_requests, 0);
+        assert_eq!(r.bodies.len(), stored, "replica {} stored it", r.id().0);
+        assert!(r.observed.is_empty(), "replica {} observed it", r.id().0);
+    }
+}
+
 #[test]
 fn read_only_fast_path() {
     let mut net = Net::new(default_cfg(), 1, AppKind::Kv);
@@ -1051,6 +1149,9 @@ fn a_request_ordered_twice_finds_its_body() {
     r.try_execute(now, &mut res);
     assert_eq!(r.last_executed(), 3);
     assert!(r.log.get(3).expect("slot 3").held(&digest).is_some());
+    // Execution does not dedupe: the one put ran once per slot that named
+    // it (ARCHITECTURE.md, "Deliberate deviations").
+    assert_eq!(r.metrics().executed_requests, 3);
 }
 
 /// A slot's votes are a 128-bit mask; a larger group is refused by name

@@ -191,13 +191,12 @@ impl Replica {
         if self.is_primary() {
             for digest in std::mem::take(&mut self.observed) {
                 let req = &self.bodies[&digest]; // an observed digest names a stored body
-                let executed_ts = self.last_req_ts.get(&req.client).copied().unwrap_or(0);
-                let assigned = self.assigned_ts.get(&req.client).copied().unwrap_or(0);
-                if req.timestamp > executed_ts.max(assigned)
+                let record = self.clients.entry(req.client).or_default();
+                if req.timestamp > record.executed_ts().max(record.assigned)
                     && !self.pending_digests.contains(&digest)
                 {
                     self.pending_digests.insert(digest);
-                    self.assigned_ts.insert(req.client, req.timestamp);
+                    record.assigned = req.timestamp;
                     let big = self.cfg.is_big(req.encoded_len());
                     self.pending.push_back(QueuedRequest { digest, big });
                 }

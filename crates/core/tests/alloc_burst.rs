@@ -83,9 +83,10 @@ const OP_BYTES: usize = 1024;
 const HOP_NS: u64 = 2_000;
 
 /// Large blocks a replica call may free per request it executes: the
-/// cached `last_reply` the new reply replaces, a buffer of the reply's
-/// sealing, and the freed dead slot's request body — one 1 KiB buffer —
-/// with its share of what the slot owns (the pre-prepare's entry list).
+/// client record's cached reply the new reply replaces, a buffer of the
+/// reply's sealing, and the freed dead slot's request body — one 1 KiB
+/// buffer — with its share of what the slot owns (the pre-prepare's entry
+/// list).
 /// Measured: at most 13 per six-request batch under `--release`, 18 under
 /// `cargo test` (the `debug_assert` re-encoding). 5 while a backup kept an
 /// observed copy of each request to drop at execution.

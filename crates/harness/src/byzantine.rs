@@ -54,10 +54,10 @@
 use pbft_core::messages::view::PacketView;
 use pbft_core::messages::Sender;
 use pbft_core::replica::Replica;
-use pbft_core::{ClientId, NetTarget, Output, PacketBuf};
+use pbft_core::{ClientId, HandleResult, NetTarget, Output, PacketBuf};
 use simnet::{Node, NodeCtx, NodeId, SimDuration, TimerId};
 
-use crate::cluster::{make_replica, Cluster, ClusterSpec};
+use crate::cluster::{apply_outputs, make_replica, node_of, Cluster, ClusterSpec};
 use crate::cost::CostModel;
 
 /// Which Byzantine behaviour to mount.
@@ -321,37 +321,22 @@ impl FaultyReplicaHost {
         }
     }
 
-    fn route(&mut self, engine_idx: usize, outputs: Vec<Output>, ctx: &mut NodeCtx<'_>) {
-        for out in outputs {
-            match out {
-                Output::Send { to, packet, .. } => {
-                    let (dst, to_client) = match to {
-                        NetTarget::Replica(r) => (NodeId(r.0), false),
-                        NetTarget::Client(addr) => (NodeId(addr), true),
-                    };
-                    if !self.audience_allows(engine_idx, dst) {
-                        continue;
-                    }
-                    if to_client && self.censored_node(dst) {
-                        continue;
-                    }
-                    let Some(packet) = self.transform(packet, to_client) else {
-                        continue;
-                    };
-                    ctx.charge(self.model.packet_cost(packet.len()));
-                    ctx.send(dst, packet);
-                }
-                Output::SetTimer { kind, delay_ns } => {
-                    // Timers collapse across engines (same kinds); close
-                    // enough for fault scenarios.
-                    ctx.set_timer(
-                        TimerId(kind.index()),
-                        simnet::SimDuration::from_nanos(delay_ns),
-                    );
-                }
-                Output::CancelTimer { kind } => ctx.cancel_timer(TimerId(kind.index())),
+    /// Emit `res` with only the sends this engine's audience, the censor
+    /// and the tamperer let through. Timers collapse across engines (same
+    /// kinds); close enough for fault scenarios.
+    fn route(&self, engine_idx: usize, mut res: HandleResult, ctx: &mut NodeCtx<'_>) {
+        res.outputs.retain_mut(|out| {
+            let Output::Send { to, packet, .. } = out else {
+                return true;
+            };
+            let (dst, to_client) = (node_of(*to), matches!(to, NetTarget::Client(_)));
+            if !self.audience_allows(engine_idx, dst) || (to_client && self.censored_node(dst)) {
+                return false;
             }
-        }
+            let passed = self.transform(PacketBuf::clone(packet), to_client);
+            passed.map(|passed| *packet = passed).is_some()
+        });
+        apply_outputs(res, &self.model, ctx);
     }
 }
 
@@ -363,8 +348,7 @@ impl Node for FaultyReplicaHost {
             if i == 0 {
                 self.cum_counts.add(&res.counts);
             }
-            ctx.charge(self.model.charge_counts(&res.counts));
-            self.route(i, res.outputs, ctx);
+            self.route(i, res, ctx);
         }
         if let Some(Fault::ViewChangeStorm { period_ns }) = self.fault {
             ctx.set_timer(STORM_TIMER, SimDuration::from_nanos(period_ns));
@@ -387,8 +371,7 @@ impl Node for FaultyReplicaHost {
             if i == 0 {
                 self.cum_counts.add(&res.counts);
             }
-            ctx.charge(self.model.charge_counts(&res.counts));
-            self.route(i, res.outputs, ctx);
+            self.route(i, res, ctx);
         }
     }
 
@@ -398,8 +381,7 @@ impl Node for FaultyReplicaHost {
             if let Some(Fault::ViewChangeStorm { period_ns }) = self.fault {
                 let res = self.engines[0].force_suspect(ctx.now().as_nanos());
                 self.cum_counts.add(&res.counts);
-                ctx.charge(self.model.charge_counts(&res.counts));
-                self.route(0, res.outputs, ctx);
+                self.route(0, res, ctx);
                 ctx.set_timer(STORM_TIMER, SimDuration::from_nanos(period_ns));
             }
             return;
@@ -413,8 +395,7 @@ impl Node for FaultyReplicaHost {
             if i == 0 {
                 self.cum_counts.add(&res.counts);
             }
-            ctx.charge(self.model.charge_counts(&res.counts));
-            self.route(i, res.outputs, ctx);
+            self.route(i, res, ctx);
         }
     }
 }

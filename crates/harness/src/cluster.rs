@@ -180,17 +180,25 @@ impl Default for ClusterSpec {
     }
 }
 
-fn apply_outputs(res: HandleResult, model: &CostModel, ctx: &mut NodeCtx<'_>) {
+/// The simulator node a [`NetTarget`] names.
+pub(crate) fn node_of(to: NetTarget) -> NodeId {
+    match to {
+        NetTarget::Replica(r) => NodeId(r.0),
+        NetTarget::Client(addr) => NodeId(addr),
+    }
+}
+
+/// Charge `res`'s counts, then hand each output to the network or the
+/// timer wheel in order, charging each packet's cost as it is sent. Every
+/// host's one output path: a faulty replica filters and transforms its
+/// sends first.
+pub(crate) fn apply_outputs(res: HandleResult, model: &CostModel, ctx: &mut NodeCtx<'_>) {
     ctx.charge(model.charge_counts(&res.counts));
     for out in res.outputs {
         match out {
             Output::Send { to, packet, .. } => {
                 ctx.charge(model.packet_cost(packet.len()));
-                let dst = match to {
-                    NetTarget::Replica(r) => NodeId(r.0),
-                    NetTarget::Client(addr) => NodeId(addr),
-                };
-                ctx.send(dst, packet);
+                ctx.send(node_of(to), packet);
             }
             Output::SetTimer { kind, delay_ns } => {
                 ctx.set_timer(TimerId(kind.index()), SimDuration::from_nanos(delay_ns));

@@ -90,9 +90,9 @@ const SPLIT_DRAIN: SimDuration = SimDuration::from_millis(10);
 /// Lockstep slice while waiting for an admin reply.
 const REPLY_SLICE: SimDuration = SimDuration::from_millis(1);
 
-/// Reply-wait bound, in [`REPLY_SLICE`]s (5 s of virtual time — far beyond
-/// any view change an f-bounded group needs).
-const REPLY_TIMEOUT_SLICES: u32 = 5_000;
+/// Admin reply-wait bound: 5 s of virtual time, far beyond any view change
+/// an f-bounded group needs.
+const REPLY_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// The admin txid stripe: far above every initiator stripe the cross-shard
 /// harness allocates (`(i + 1) << 40`).
@@ -908,17 +908,35 @@ impl Deployment {
     /// Advance lockstep until the admin client of `shard` delivers a reply
     /// `accept`s; returns its bytes.
     fn await_reply(&mut self, shard: usize, accept: impl Fn(&[u8]) -> bool) -> Vec<u8> {
-        for _ in 0..REPLY_TIMEOUT_SLICES {
-            self.lockstep(REPLY_SLICE);
-            for ev in self.groups[shard].take_client_events(ADMIN_CLIENT) {
-                if let ClientEvent::ReplyDelivered { result, .. } = ev {
-                    if accept(&result) {
-                        return result;
-                    }
-                }
+        self.wait_for_reply(shard, ADMIN_CLIENT, REPLY_SLICE, REPLY_TIMEOUT, accept)
+            .unwrap_or_else(|| panic!("no admin reply from group {shard} within the bound"))
+    }
+
+    /// Advance lockstep in `slice`s until client `client` of group `shard`
+    /// delivers a reply `accept`s and return its bytes, or `None` once
+    /// `bound` has passed. Every reply drained on the way is consumed.
+    pub(crate) fn wait_for_reply(
+        &mut self,
+        shard: usize,
+        client: usize,
+        slice: SimDuration,
+        bound: SimDuration,
+        accept: impl Fn(&[u8]) -> bool,
+    ) -> Option<Vec<u8>> {
+        let mut waited = SimDuration::ZERO;
+        while waited < bound {
+            self.lockstep(slice);
+            waited = waited.saturating_add(slice);
+            let events = self.groups[shard].take_client_events(client);
+            let reply = events.into_iter().find_map(|ev| match ev {
+                ClientEvent::ReplyDelivered { result, .. } if accept(&result) => Some(result),
+                _ => None,
+            });
+            if reply.is_some() {
+                return reply;
             }
         }
-        panic!("no admin reply from group {shard} within the bound");
+        None
     }
 }
 

@@ -349,24 +349,16 @@ impl Deployment {
         );
         let agent = self.agent(initiator);
         self.groups[shard].client_submit(agent, op, read_only);
-        let mut waited = SimDuration::ZERO;
-        while waited < timeout {
-            self.lockstep(TX_POLL_INTERVAL);
-            waited = waited.saturating_add(TX_POLL_INTERVAL);
-            for ev in self.groups[shard].take_client_events(agent) {
-                if let ClientEvent::ReplyDelivered { result, .. } = ev {
-                    match (match_txid, XReply::decode(&result)) {
-                        // A plain-op caller must not be handed a stale
-                        // protocol ack from an abandoned transaction that
-                        // the agent was still retransmitting.
-                        (None, None) => return Some(result),
-                        (Some(want), Some(reply)) if reply.txid() == want => return Some(result),
-                        _ => {} // stale reply from an abandoned transaction
-                    }
-                }
+        self.wait_for_reply(shard, agent, TX_POLL_INTERVAL, timeout, |result| {
+            match (match_txid, XReply::decode(result)) {
+                // A plain-op caller must not be handed a stale protocol ack
+                // from an abandoned transaction that the agent was still
+                // retransmitting.
+                (None, None) => true,
+                (Some(want), Some(reply)) => reply.txid() == want,
+                _ => false, // stale reply from an abandoned transaction
             }
-        }
-        None
+        })
     }
 
     /// Ground-truth atomicity audit: for every recorded transaction with a
