@@ -441,16 +441,23 @@ impl Client {
             return;
         }
         // Digest-only replies (§2.1 designated-replier optimization) vote
-        // with the carried digest; full replies are digested here and also
-        // supply the body the quorum certifies.
-        let Some(digest) = reply.matching_digest() else {
-            return; // malformed digest-only reply
-        };
-        if !reply.digest_only {
+        // with the carried digest; full replies supply the body the quorum
+        // certifies. A body equal to one already held votes with that
+        // body's digest: each distinct body is hashed once.
+        let digest = if reply.digest_only {
+            let Some(digest) = reply.matching_digest() else {
+                return; // malformed digest-only reply
+            };
+            digest
+        } else if let Some((&digest, _)) = out.results.iter().find(|(_, r)| **r == reply.result) {
+            digest
+        } else {
             res.counts.digest_bytes += reply.result.len() as u64;
-            let result = std::mem::take(&mut reply.result);
-            out.results.entry(digest).or_insert(result);
-        }
+            let digest = Digest::of(&reply.result);
+            let body = std::mem::take(&mut reply.result);
+            out.results.insert(digest, body);
+            digest
+        };
         out.replies.insert(reply.replica, (digest, reply.tentative));
         // Quorum rules (§2.1): f+1 matching stable replies, or 2f+1 matching
         // when any of them are tentative (incl. the read-only path).
@@ -680,6 +687,29 @@ mod tests {
         assert!(!c.has_outstanding());
         let evs = c.take_events();
         assert!(matches!(&evs[0], ClientEvent::ReplyDelivered { result, .. } if result == b"yes"));
+    }
+
+    #[test]
+    fn each_distinct_reply_body_is_hashed_once() {
+        let mut c = client();
+        let _ = c.submit(vec![1], false, 0);
+        let (yes, no) = (vec![7u8; 100], vec![8u8; 100]);
+        let hashed = |c: &mut Client, r: u32, body: &[u8]| {
+            c.handle_packet(&sealed_reply(r, 1, body, true), 1000)
+                .counts
+                .digest_bytes
+        };
+        assert_eq!(hashed(&mut c, 0, &yes), 100, "a new body is hashed");
+        assert_eq!(hashed(&mut c, 1, &no), 100, "a differing body is hashed");
+        assert_eq!(hashed(&mut c, 2, &yes), 0, "an identical body is not");
+        assert!(
+            c.has_outstanding(),
+            "the differing body joined the quorum of the other"
+        );
+        assert_eq!(hashed(&mut c, 3, &yes), 0);
+        assert!(!c.has_outstanding(), "2f+1 matching tentative replies");
+        let evs = c.take_events();
+        assert!(matches!(&evs[0], ClientEvent::ReplyDelivered { result, .. } if *result == yes));
     }
 
     #[test]

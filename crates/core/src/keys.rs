@@ -10,7 +10,7 @@
 
 use pbft_crypto::auth::{Authenticator, MacKey};
 use pbft_crypto::hmac::derive_key;
-use pbft_crypto::{Digest, KeyPair, Mac64, PublicKey, Signature};
+use pbft_crypto::{KeyPair, Mac64, PublicKey, Signature};
 
 use crate::config::AuthMode;
 use crate::messages::AuthTag;
@@ -52,17 +52,6 @@ pub fn client_session_key(group_seed: u64, client: ClientId, replica: ReplicaId)
         "client-session",
         &ctx,
     ))
-}
-
-/// The MAC input for a replica-multicast authenticator: the 32-byte digest
-/// of the authenticated prefix. One digest covers the whole (possibly
-/// batch-sized) prefix, after which each of the n−1 per-peer MACs runs over
-/// a fixed 32 bytes — the paper's batching amortization applied to
-/// authentication: authenticator cost is `1 digest + (n−1) short MACs` per
-/// broadcast, independent of how many requests the batch carries.
-fn multicast_mac_input(prefix: &[u8], counts: &mut OpCounts) -> Digest {
-    counts.digest_bytes += prefix.len() as u64;
-    Digest::of(prefix)
 }
 
 /// A replica-side key store.
@@ -213,16 +202,15 @@ impl KeyStore {
         self.client_pubkeys.get(&client).copied()
     }
 
-    /// Authenticate an outgoing replica-multicast message prefix: one
-    /// prefix digest, then one short MAC per peer over it (see
-    /// `multicast_mac_input`).
+    /// Authenticate an outgoing replica-multicast message prefix: one MAC
+    /// per peer over the prefix itself, under the pair key (nonce 0). Pair
+    /// keys authenticate nothing else, so the prefix needs no digest first.
     pub fn seal_multicast(&self, mode: AuthMode, prefix: &[u8], counts: &mut OpCounts) -> AuthTag {
         match mode {
             AuthMode::Macs => {
-                let input = multicast_mac_input(prefix, counts);
                 let entries: Vec<(u32, Mac64)> = (0..self.n as u32)
                     .filter(|&i| i != self.me.0)
-                    .map(|i| (i, self.replica_keys[i as usize].mac(input.as_bytes(), 0)))
+                    .map(|i| (i, self.replica_keys[i as usize].mac(prefix, 0)))
                     .collect();
                 counts.mac_gen += entries.len() as u64;
                 AuthTag::Authenticator(Authenticator::from_entries(entries))
@@ -273,13 +261,7 @@ impl KeyStore {
         match auth {
             AuthTag::Authenticator(a) => {
                 counts.mac_verify += 1;
-                let input = multicast_mac_input(prefix, counts);
-                a.verify_for(
-                    self.me.0,
-                    &self.replica_keys[from.0 as usize],
-                    input.as_bytes(),
-                    0,
-                )
+                a.verify_for(self.me.0, &self.replica_keys[from.0 as usize], prefix, 0)
             }
             AuthTag::Sig(sig) => {
                 counts.sig_verify += 1;
@@ -307,8 +289,7 @@ impl KeyStore {
             return false;
         }
         counts.mac_verify += 1;
-        let input = multicast_mac_input(prefix, counts);
-        self.replica_keys[from.0 as usize].verify(input.as_bytes(), 0, mac)
+        self.replica_keys[from.0 as usize].verify(prefix, 0, mac)
     }
 
     /// Verify a single borrowed authenticator entry from client `from`
@@ -506,15 +487,18 @@ mod tests {
     }
 
     #[test]
-    fn authenticator_amortizes_over_the_prefix_digest() {
-        // One digest of the (arbitrarily long) prefix, then short MACs:
-        // digest_bytes grows with the prefix, mac_gen stays n−1.
+    fn authenticator_macs_the_prefix_and_hashes_nothing() {
+        // The n−1 MACs run over the (arbitrarily long) prefix itself: a seal
+        // hashes nothing, and neither does a verify.
         let a = KeyStore::new_replica(SEED, ReplicaId(0), 4, &[]);
+        let b = KeyStore::new_replica(SEED, ReplicaId(1), 4, &[]);
         let big = vec![7u8; 4096];
         let mut counts = OpCounts::default();
-        a.seal_multicast(AuthMode::Macs, &big, &mut counts);
+        let auth = a.seal_multicast(AuthMode::Macs, &big, &mut counts);
         assert_eq!(counts.mac_gen, 3);
-        assert_eq!(counts.digest_bytes, 4096);
+        assert_eq!(counts.digest_bytes, 0);
+        assert!(b.verify_from_replica(ReplicaId(0), &big, &auth, &mut counts));
+        assert_eq!(counts.digest_bytes, 0);
     }
 
     #[test]

@@ -1063,8 +1063,8 @@ impl Replica {
         self.note_protocol_msgs(&envelope.msg, (res.outputs.len() - before) as u64);
     }
 
-    /// Broadcast to every other replica under one authenticator vector (one
-    /// short MAC per peer over the shared prefix digest).
+    /// Broadcast to every other replica under one authenticator vector: one
+    /// encoding, then one MAC per peer over the shared prefix itself.
     pub(crate) fn multicast(&mut self, msg: Message, res: &mut HandleResult) {
         let (me, mode) = (self.id(), self.cfg.auth);
         let peers = (0..self.cfg.n() as u32)

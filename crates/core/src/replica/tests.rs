@@ -380,27 +380,22 @@ fn tentative_execution_disabled_still_executes() {
     }
 }
 
+/// The request a client already had answered, delivered again to every
+/// replica: each counts a duplicate and answers from its reply cache, and
+/// none executes it again.
 #[test]
 fn duplicate_request_served_from_reply_cache() {
     let mut net = Net::new(default_cfg(), 1, AppKind::Null(16));
-    net.submit(0, vec![1], false);
+    let packet = submit_capturing(&mut net, 0, vec![1]);
     net.pump(10_000);
     assert_eq!(net.completed(0), 1);
-    let before: u64 = net
-        .replicas
-        .iter()
-        .map(|r| r.metrics().executed_requests)
-        .sum();
-    // Fire the client's retransmit timer manually: the request was answered,
-    // so this is a pure duplicate.
-    net.fire_client_timer(0, crate::output::TimerKind::Retransmit);
-    net.pump(10_000);
-    let after: u64 = net
-        .replicas
-        .iter()
-        .map(|r| r.metrics().executed_requests)
-        .sum();
-    assert_eq!(before, after, "duplicates must not re-execute");
+    let before = executed(&net);
+    let replies = retransmit_to_all(&mut net, 0, &packet);
+    assert_eq!(executed(&net), before, "duplicates must not re-execute");
+    assert_eq!(replies.len(), net.replicas.len(), "every replica answers");
+    for r in &net.replicas {
+        assert_eq!(r.metrics().duplicate_requests, 1, "replica {}", r.id().0);
+    }
 }
 
 /// Submit `op` for `client` and return the request packet it sent.

@@ -10,15 +10,17 @@
 //!    of a sealed packet of each kind is either rejected or accepted as
 //!    *something* — never a panic — and whatever is accepted re-seals to a
 //!    packet that parses to the same envelope.
-//! 3. **Equivalence**: the digest-amortized multicast authenticator (one
-//!    MAC per peer over the batch digest) verifies exactly like a
-//!    per-message MAC computed directly under the pairwise key, whether
-//!    verified through the owned vector or the borrowed wire-form entry.
-//! 4. **Tamper rejection**: flipping any prefix byte (including any batch
-//!    element of a pre-prepare) is rejected by *every* peer; corrupting an
-//!    authenticator entry is rejected by *exactly* the addressed peer and
-//!    no one else — driven both at the key-store layer and end-to-end
-//!    through both consensus engines' `handle_packet`.
+//! 3. **Equivalence**: the multicast authenticator (one MAC per peer over
+//!    the whole prefix, however many requests its batch carries) verifies
+//!    exactly like a per-message MAC computed directly under the pairwise
+//!    key, whether verified through the owned vector or the borrowed
+//!    wire-form entry.
+//! 4. **Tamper rejection**: changing any prefix byte (including any batch
+//!    element of a pre-prepare and the sender bytes) or truncating the
+//!    prefix is rejected by *every* peer; corrupting an authenticator entry
+//!    is rejected by *exactly* the addressed peer and no one else — driven
+//!    both at the key-store layer and end-to-end through both consensus
+//!    engines' `handle_packet`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -335,31 +337,26 @@ fn prop_batch_authenticator_equivalent_to_per_message_macs() {
         let s = ReplicaId(g.u32() % n as u32);
         let seed = g.u64();
         // An arbitrarily long prefix stands in for a batch of any size: the
-        // authenticator never MACs it directly, only its digest.
+        // authenticator MACs it directly and hashes nothing.
         let prefix = g.bytes(1..2048);
         let sender = KeyStore::new_replica(seed, s, n, &[]);
 
         let mut counts = OpCounts::default();
         let auth = sender.seal_multicast(AuthMode::Macs, &prefix, &mut counts);
-        assert_eq!(counts.mac_gen, n as u64 - 1, "one short MAC per peer");
-        assert_eq!(
-            counts.digest_bytes,
-            prefix.len() as u64,
-            "exactly one digest pass over the prefix, regardless of batch size"
-        );
+        assert_eq!(counts.mac_gen, n as u64 - 1, "one MAC per peer");
+        assert_eq!(counts.digest_bytes, 0, "a seal hashes nothing");
         let AuthTag::Authenticator(vector) = &auth else {
             panic!("MAC mode seals an authenticator");
         };
 
-        let batch_digest = Digest::of(&prefix);
         for j in 0..n as u32 {
             if j == s.0 {
                 continue;
             }
             let peer = ReplicaId(j);
             // The vectored entry IS the per-message MAC: the same pairwise
-            // key over the same 32-byte digest input.
-            let per_message = replica_pair_key(seed, s, peer).mac(batch_digest.as_bytes(), 0);
+            // key over the same prefix.
+            let per_message = replica_pair_key(seed, s, peer).mac(&prefix, 0);
             assert_eq!(
                 vector.tag_for(j),
                 Some(per_message),
@@ -436,7 +433,6 @@ fn prop_tampered_prefix_rejected_by_every_peer() {
         let pos = g.index(tampered.len());
         tampered[pos] ^= 1 << g.choice(8);
 
-        let digest = Digest::of(&tampered);
         for j in 0..n as u32 {
             if j == s.0 {
                 continue;
@@ -451,7 +447,69 @@ fn prop_tampered_prefix_rejected_by_every_peer() {
                 _ => unreachable!(),
             };
             assert!(!store.verify_replica_entry(s, &tampered, entry, &mut counts));
-            let _ = digest; // digest recomputation happens inside verify
+        }
+    });
+}
+
+/// The entries MAC the whole sealed prefix: changing any one byte of a
+/// protocol message's prefix to any other value — the discriminant and the
+/// sender bytes included — or cutting it anywhere fails every peer's entry.
+#[test]
+fn prop_changed_or_truncated_prefix_fails_every_entry() {
+    check("changed_or_truncated_prefix", 32, |g| {
+        let n = g.usize_in(4..8);
+        let s = ReplicaId(g.u32() % n as u32);
+        let seed = g.u64();
+        let msg = if g.bool() {
+            Message::PrePrepare(gen_preprepare(g))
+        } else {
+            Message::Checkpoint(CheckpointMsg {
+                seq: g.u64_in(0..10_000),
+                root: gen_digest(g),
+                replica: s,
+            })
+        };
+        let prefix = Envelope::encode_prefix(Sender::Replica(s), &msg);
+        let sender = KeyStore::new_replica(seed, s, n, &[]);
+        let mut counts = OpCounts::default();
+        let AuthTag::Authenticator(vector) =
+            sender.seal_multicast(AuthMode::Macs, &prefix, &mut counts)
+        else {
+            panic!("MAC mode seals an authenticator");
+        };
+        let peers: Vec<(KeyStore, Mac64)> = (0..n as u32)
+            .filter(|&j| j != s.0)
+            .map(|j| {
+                let entry = vector.tag_for(j).expect("an entry per peer");
+                (KeyStore::new_replica(seed, ReplicaId(j), n, &[]), entry)
+            })
+            .collect();
+        let rejected_by_all = |bytes: &[u8], counts: &mut OpCounts| {
+            peers
+                .iter()
+                .all(|(store, entry)| !store.verify_replica_entry(s, bytes, *entry, counts))
+        };
+        assert!(peers
+            .iter()
+            .all(|(store, entry)| store.verify_replica_entry(s, &prefix, *entry, &mut counts)));
+        let mut changed = prefix.clone();
+        for pos in 0..prefix.len() {
+            changed[pos] ^= g.u8_in(1..u8::MAX);
+            assert!(
+                rejected_by_all(&changed, &mut counts),
+                "{}: byte {pos} of {} changed",
+                msg.name(),
+                prefix.len()
+            );
+            changed[pos] = prefix[pos];
+        }
+        for cut in 0..prefix.len() {
+            assert!(
+                rejected_by_all(&prefix[..cut], &mut counts),
+                "{}: cut at {cut} of {}",
+                msg.name(),
+                prefix.len()
+            );
         }
     });
 }

@@ -3,7 +3,7 @@
 # to rest on (ROADMAP, "State": the box has a ~1.5x slow mode that can hold
 # for a whole invocation, so one number per side proves nothing).
 #
-#   scripts/paired_wallbench.sh A_BIN B_BIN [seconds=10] [pairs=3] [workload...]
+#   scripts/paired_wallbench.sh [--moves COUNT[,COUNT...]] A_BIN B_BIN [seconds=10] [pairs=3] [workload...]
 #
 # A_BIN / B_BIN are two `wallbench` executables (build each commit into its
 # own target directory: `CARGO_TARGET_DIR=/some/dir cargo build --release -p
@@ -20,12 +20,42 @@
 #     target of ROADMAP item 4 is stated as that ratio);
 #   * the per-layer timings of the traced runs (one run each: informational);
 #   * every exact count that differs between A and B.
-# Exit code: 0 = all runs correct and every exact count identical; 1 = an
-# exact count differs, a run failed, or a run reported `correct: false`.
+# `--moves` (repeatable, comma-separated) names the exact counts the change
+# predicts will move, e.g. `--moves crypto.digest_kib_per_op`: each is
+# printed A -> B per workload (and noted when it did not move there) and is
+# not a failure.
+# Exit code: 0 = all runs correct and every exact count not named by
+# `--moves` identical; 1 = such a count differs, a run failed, or a run
+# reported `correct: false`; 2 = bad arguments.
 set -euo pipefail
 
+# README "Per-layer (a)": repeat exactly run to run, so any difference is the code's.
+exact="net.msgs_per_op net.bytes_per_op batch.ops_per_batch crypto.macs_per_op \
+crypto.digest_kib_per_op crypto.mac_kib_per_op codec.encodings_per_op \
+state.pages_hashed_per_op state.checkpoints state.transfer_kib_per_recovery \
+replica.view_changes client.retransmits timers.fired loop.events_per_op \
+failover.virtual_ms"
+
+moves=""
+while [ $# -gt 0 ] && [ "$1" = --moves ]; do
+    if [ $# -lt 2 ]; then
+        echo "paired_wallbench: --moves needs a count name" >&2
+        exit 2
+    fi
+    for count in ${2//,/ }; do
+        case " $exact " in
+        *" $count "*) moves="$moves $count" ;;
+        *)
+            echo "paired_wallbench: $count is not an exact count (known: $exact)" >&2
+            exit 2
+            ;;
+        esac
+    done
+    shift 2
+done
+
 if [ $# -lt 2 ]; then
-    sed -n '2,24p' "$0" >&2
+    sed -n '2,29p' "$0" >&2
     exit 2
 fi
 a_bin=$(readlink -f "$1")
@@ -82,18 +112,11 @@ for workload in $workloads; do
     run B "$b_bin" "$workload" 1 1
 done
 
-python3 - "$work/runs.tsv" <<'EOF'
+python3 - "$work/runs.tsv" "$exact" "$moves" <<'EOF'
 import json, statistics, sys
 
-# README "Per-layer (a)": repeat exactly run to run, so any difference is the code's.
-EXACT = [
-    "net.msgs_per_op", "net.bytes_per_op", "batch.ops_per_batch",
-    "crypto.macs_per_op", "crypto.digest_kib_per_op", "crypto.mac_kib_per_op",
-    "codec.encodings_per_op", "state.pages_hashed_per_op", "state.checkpoints",
-    "state.transfer_kib_per_recovery", "replica.view_changes",
-    "client.retransmits", "timers.fired", "loop.events_per_op",
-    "failover.virtual_ms",
-]
+EXACT = sys.argv[2].split()
+MOVES = set(sys.argv[3].split())
 HIGHER_IS_BETTER = {"ops_per_s"}
 
 
@@ -153,13 +176,18 @@ for workload in order:
         if va or vb:
             print(f"{name:<30} {va:12.3f} {vb:12.3f}")
     differing = [n for n in EXACT if ta.get(n) != tb.get(n)]
-    for name in differing:
+    for name in EXACT:
         va = ta.get(name, {}).get("value")
         vb = tb.get(name, {}).get("value")
-        print(f"EXACT COUNT DIFFERS  {name}: A {va!r}  B {vb!r}")
-        bad.append(f"{workload}: {name} differs")
-    if not differing:
-        print(f"exact counts: all {len(EXACT)} identical")
+        if name in MOVES:
+            verb = "moved" if name in differing else "did not move"
+            print(f"PREDICTED MOVE {verb}  {name}: A {va!r} -> B {vb!r}")
+        elif name in differing:
+            print(f"EXACT COUNT DIFFERS  {name}: A {va!r}  B {vb!r}")
+            bad.append(f"{workload}: {name} differs")
+    unnamed = [n for n in EXACT if n not in MOVES]
+    if not any(n in differing for n in unnamed):
+        print(f"exact counts: all {len(unnamed)} not named by --moves identical")
 
 print()
 if bad:
@@ -167,5 +195,5 @@ if bad:
     for why in bad:
         print(f"  {why}")
     sys.exit(1)
-print("paired_wallbench: every run correct, every exact count identical")
+print("paired_wallbench: every run correct, every exact count not named by --moves identical")
 EOF
