@@ -22,7 +22,7 @@
 //!   * **Reads skip agreement entirely.** A read costs each replica one
 //!     request-authenticator verify, one local execution, and one reply —
 //!     ~2 MACs and ~1 encoding per op *independent of n*, with zero
-//!     agreement messages. 2f of the repliers send digest-only stubs, so
+//!     agreement messages. 2f of the repliers send body-less vouches, so
 //!     the reply-byte fan-in stays O(1) full bodies per read.
 //!
 //! The run lands in the committed `BENCH_hotpath.json`, which

@@ -20,7 +20,7 @@ use crate::messages::{
     AuthTag, Envelope, Message, NewKeyMsg, Operation, ReplyMsg, RequestMsg, Sender,
 };
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
-use crate::types::{ClientId, FoldMap, FoldState, NetAddr, ReplicaId, View};
+use crate::types::{ClientId, NetAddr, ReplicaId, View};
 
 /// Client retransmission timeout, in nanoseconds.
 pub(crate) const RETRANSMIT_NS: u64 = 150_000_000;
@@ -61,10 +61,50 @@ struct Outstanding {
     /// `last_send_ns + RETRANSMIT_NS`.
     last_send_ns: u64,
     big: bool,
-    /// Per-replica replies: result digest + tentative flag.
-    replies: FoldMap<ReplicaId, (Digest, bool)>,
-    /// First full result seen per digest (to hand to the application).
-    results: FoldMap<Digest, Vec<u8>>,
+    /// Each distinct result a full reply carried, with the replicas that
+    /// answered it. A replica answers at most one, and a result nobody
+    /// answers any more is dropped, so there are at most n.
+    held: Vec<Held>,
+    /// Vouches that no held result verified yet, at most one per replica:
+    /// each is tried against every result that arrives after it.
+    parked: Vec<Parked>,
+}
+
+/// A result, byte for byte, and the replicas that answered with it.
+#[derive(Debug)]
+struct Held {
+    result: Vec<u8>,
+    /// `(replica, tentative)` per authenticated answer.
+    voters: Vec<(ReplicaId, bool)>,
+}
+
+/// A vouch waiting for the result its authenticator covers.
+#[derive(Debug)]
+struct Parked {
+    replica: ReplicaId,
+    tentative: bool,
+    /// The vouch's wire prefix, which the authenticator covers with the
+    /// result appended.
+    prefix: Vec<u8>,
+    auth: AuthTag,
+}
+
+impl Outstanding {
+    /// `replica` answered with `held[i]`'s result; any earlier answer of
+    /// its no longer counts. Returns the index that result has after the
+    /// results nobody answers any more are dropped.
+    fn answer(&mut self, i: usize, replica: ReplicaId, tentative: bool) -> usize {
+        for h in &mut self.held {
+            h.voters.retain(|&(r, _)| r != replica);
+        }
+        self.held[i].voters.push((replica, tentative));
+        let before = self.held[..i]
+            .iter()
+            .filter(|h| h.voters.is_empty())
+            .count();
+        self.held.retain(|h| !h.voters.is_empty());
+        i - before
+    }
 }
 
 /// Client metrics for experiments.
@@ -90,8 +130,6 @@ pub struct Client {
     join_nonce: u64,
     timestamp: u64,
     view_guess: View,
-    /// Key of the per-request reply maps.
-    hash_state: FoldState,
     outstanding: Option<Outstanding>,
     /// Whether the host holds a pending `Retransmit` firing. The one timer
     /// is re-armed lazily: armed only when none is pending, never cancelled
@@ -115,11 +153,6 @@ impl std::fmt::Debug for Client {
     }
 }
 
-/// A client's map key: the top bit keeps it apart from every replica's.
-fn client_hash_state(group_seed: u64, id: ClientId) -> FoldState {
-    FoldState::keyed(group_seed, id.0 | 1 << 63)
-}
-
 impl Client {
     /// A statically configured client (known to all replicas a priori).
     pub fn new_static(cfg: PbftConfig, group_seed: u64, id: ClientId, addr: NetAddr) -> Client {
@@ -135,7 +168,6 @@ impl Client {
             join_nonce: 0,
             timestamp: 0,
             view_guess: 0,
-            hash_state: client_hash_state(group_seed, id),
             outstanding: None,
             retransmit_armed: false,
             queue: VecDeque::new(),
@@ -169,7 +201,6 @@ impl Client {
             join_nonce: identity_seed,
             timestamp: 0,
             view_guess: 0,
-            hash_state: client_hash_state(group_seed, provisional),
             outstanding: None,
             retransmit_armed: false,
             queue: VecDeque::new(),
@@ -270,8 +301,8 @@ impl Client {
             sent_ns: now_ns,
             last_send_ns: now_ns,
             big,
-            replies: FoldMap::with_hasher(self.hash_state),
-            results: FoldMap::with_hasher(self.hash_state),
+            held: Vec::new(),
+            parked: Vec::new(),
         });
         if !self.retransmit_armed {
             self.arm_retransmit(RETRANSMIT_NS, res);
@@ -426,58 +457,88 @@ impl Client {
             return res;
         }
         let auth = view.auth.to_tag();
-        if !self.keys.verify_reply(from, prefix, &auth, &mut res.counts) {
-            return res;
+        if reply.body_omitted {
+            // A vouch verifies only against the result it omits.
+            self.on_reply(reply, Some((prefix, auth)), now_ns, &mut res);
+        } else if self
+            .keys
+            .verify_reply(from, prefix, &[], &auth, &mut res.counts)
+        {
+            self.on_reply(reply, None, now_ns, &mut res);
         }
-        self.on_reply(reply, now_ns, &mut res);
         res
     }
 
-    fn on_reply(&mut self, mut reply: ReplyMsg, now_ns: u64, res: &mut HandleResult) {
+    /// A reply from `reply.replica`: a full one, already verified, or a
+    /// vouch (`vouch` holds its prefix and authenticator), verified here
+    /// against each held result in turn. A result is never hashed: replies
+    /// match byte for byte, and a vouch's authenticator covers the bytes.
+    fn on_reply(
+        &mut self,
+        mut reply: ReplyMsg,
+        vouch: Option<(&[u8], AuthTag)>,
+        now_ns: u64,
+        res: &mut HandleResult,
+    ) {
         let Some(out) = &mut self.outstanding else {
             return;
         };
         if reply.client != self.id || reply.timestamp != out.req.timestamp {
             return;
         }
-        // Digest-only replies (§2.1 designated-replier optimization) vote
-        // with the carried digest; full replies supply the body the quorum
-        // certifies. A body equal to one already held votes with that
-        // body's digest: each distinct body is hashed once.
-        let digest = if reply.digest_only {
-            let Some(digest) = reply.matching_digest() else {
-                return; // malformed digest-only reply
-            };
-            digest
-        } else if let Some((&digest, _)) = out.results.iter().find(|(_, r)| **r == reply.result) {
-            digest
-        } else {
-            res.counts.digest_bytes += reply.result.len() as u64;
-            let digest = Digest::of(&reply.result);
-            let body = std::mem::take(&mut reply.result);
-            out.results.insert(digest, body);
-            digest
+        let (replica, tentative) = (reply.replica, reply.tentative);
+        let (keys, counts) = (&self.keys, &mut res.counts);
+        let i = match vouch {
+            Some((prefix, auth)) => {
+                if !reply.result.is_empty() || auth == AuthTag::None {
+                    return; // a vouch carries no result and is authenticated
+                }
+                let found = out
+                    .held
+                    .iter()
+                    .position(|h| keys.verify_reply(replica, prefix, &h.result, &auth, counts));
+                let Some(i) = found else {
+                    out.parked.retain(|p| p.replica != replica);
+                    out.parked.push(Parked {
+                        replica,
+                        tentative,
+                        prefix: prefix.to_vec(),
+                        auth,
+                    });
+                    return;
+                };
+                out.answer(i, replica, tentative)
+            }
+            None => match out.held.iter().position(|h| h.result == reply.result) {
+                Some(i) => out.answer(i, replica, tentative),
+                None => {
+                    out.held.push(Held {
+                        result: std::mem::take(&mut reply.result),
+                        voters: Vec::new(),
+                    });
+                    let mut i = out.answer(out.held.len() - 1, replica, tentative);
+                    // The vouches this result was missing.
+                    for p in std::mem::take(&mut out.parked) {
+                        let result = &out.held[i].result;
+                        if keys.verify_reply(p.replica, &p.prefix, result, &p.auth, counts) {
+                            i = out.answer(i, p.replica, p.tentative);
+                        } else {
+                            out.parked.push(p);
+                        }
+                    }
+                    i
+                }
+            },
         };
-        out.replies.insert(reply.replica, (digest, reply.tentative));
         // Quorum rules (§2.1): f+1 matching stable replies, or 2f+1 matching
         // when any of them are tentative (incl. the read-only path).
-        let stable_matching = out
-            .replies
-            .values()
-            .filter(|(d, tent)| *d == digest && !tent)
-            .count();
-        let any_matching = out.replies.values().filter(|(d, _)| *d == digest).count();
-        let done = stable_matching >= self.cfg.weak_quorum() || any_matching >= self.cfg.quorum();
+        let voters = &out.held[i].voters;
+        let stable_matching = voters.iter().filter(|&&(_, tent)| !tent).count();
+        let done = stable_matching >= self.cfg.weak_quorum() || voters.len() >= self.cfg.quorum();
         if !done {
             return;
         }
-        let Some(result) = out.results.remove(&digest) else {
-            // A digest quorum with no body yet: a designated full reply is
-            // still in flight (or lost — retransmission recovers it, since
-            // replicas answer retransmits with the full body). Keep
-            // collecting.
-            return;
-        };
+        let result = out.held.swap_remove(i).result;
         let latency_ns = now_ns.saturating_sub(out.sent_ns);
         self.view_guess = self.view_guess.max(reply.view);
         // The retransmit timer stays armed: its firing finds nothing due
@@ -547,8 +608,8 @@ impl Client {
             // optimistic answer instead of ordering the request.
             self.timestamp += 1;
             out.req.timestamp = self.timestamp;
-            out.replies.clear();
-            out.results.clear();
+            out.held.clear();
+            out.parked.clear();
         }
         out.last_send_ns = now_ns;
         self.metrics.retransmissions += 1;
@@ -609,20 +670,46 @@ mod tests {
 
     /// Seal a reply as replica `r` would (keys preinstalled for client 1).
     fn sealed_reply(r: u32, timestamp: u64, result: &[u8], tentative: bool) -> Vec<u8> {
+        seal(r, timestamp, result, tentative, false)
+    }
+
+    /// Seal replica `r`'s vouch for `result`.
+    fn sealed_vouch(r: u32, timestamp: u64, result: &[u8], tentative: bool) -> Vec<u8> {
+        seal(r, timestamp, result, tentative, true)
+    }
+
+    fn seal(r: u32, timestamp: u64, result: &[u8], tentative: bool, vouch: bool) -> Vec<u8> {
         let store = KeyStore::new_replica(SEED, ReplicaId(r), 4, &[ClientId(1)]);
+        let prefix = reply_prefix(
+            r,
+            timestamp,
+            tentative,
+            vouch,
+            if vouch { &[] } else { result },
+        );
+        let omitted = if vouch { result } else { &[] };
+        let mut counts = crate::output::OpCounts::default();
+        let auth = store.seal_to_client(AuthMode::Macs, ClientId(1), &prefix, omitted, &mut counts);
+        Envelope::seal(prefix, &auth)
+    }
+
+    fn reply_prefix(
+        r: u32,
+        timestamp: u64,
+        tentative: bool,
+        omitted: bool,
+        result: &[u8],
+    ) -> Vec<u8> {
         let msg = Message::Reply(ReplyMsg {
             view: 0,
             client: ClientId(1),
             timestamp,
             replica: ReplicaId(r),
             tentative,
-            digest_only: false,
+            body_omitted: omitted,
             result: result.to_vec(),
         });
-        let prefix = Envelope::encode_prefix(Sender::Replica(ReplicaId(r)), &msg);
-        let mut counts = crate::output::OpCounts::default();
-        let auth = store.seal_to_client(AuthMode::Macs, ClientId(1), &prefix, &mut counts);
-        Envelope::seal(prefix, &auth)
+        Envelope::encode_prefix(Sender::Replica(ReplicaId(r)), &msg)
     }
 
     #[test]
@@ -689,27 +776,131 @@ mod tests {
         assert!(matches!(&evs[0], ClientEvent::ReplyDelivered { result, .. } if result == b"yes"));
     }
 
+    /// The reply packets of replicas 0..4 for one 1 KiB result: 0 and 1
+    /// send it in full, 2 and 3 vouch for it.
+    fn designated_and_vouches(result: &[u8], tentative: bool) -> Vec<Vec<u8>> {
+        (0..4u32)
+            .map(|r| seal(r, 1, result, tentative, r >= 2))
+            .collect()
+    }
+
+    /// Deliver `packets` in order; the digest bytes they cost and whether
+    /// the request was outstanding after each.
+    fn deliver(c: &mut Client, packets: &[&Vec<u8>]) -> (u64, Vec<bool>) {
+        let mut hashed = 0;
+        let mut outstanding = Vec::new();
+        for p in packets {
+            hashed += c.handle_packet(p, 1000).counts.digest_bytes;
+            outstanding.push(c.has_outstanding());
+        }
+        (hashed, outstanding)
+    }
+
     #[test]
-    fn each_distinct_reply_body_is_hashed_once() {
+    fn no_reply_result_is_hashed_in_any_order() {
+        let body = vec![7u8; 1024];
+        let replies = designated_and_vouches(&body, true);
+        // Every order of the four replies: the 24 of 4^4 tuples that hold
+        // each index once.
+        let orders: Vec<[usize; 4]> = (0..256usize)
+            .map(|i| [i & 3, (i >> 2) & 3, (i >> 4) & 3, (i >> 6) & 3])
+            .filter(|o| (0..4).all(|r| o.contains(&r)))
+            .collect();
+        assert_eq!(orders.len(), 24);
+        for order in orders {
+            let mut c = client();
+            let _ = c.submit(vec![1], false, 0);
+            let packets: Vec<&Vec<u8>> = order.iter().map(|&r| &replies[r]).collect();
+            let (hashed, outstanding) = deliver(&mut c, &packets);
+            assert_eq!(hashed, 0, "order {order:?}");
+            assert_eq!(outstanding, [true, true, false, false], "order {order:?}");
+            let evs = c.take_events();
+            assert!(
+                matches!(&evs[0], ClientEvent::ReplyDelivered { result, .. } if *result == body),
+                "order {order:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_vouch_before_its_result_counts_once_the_result_arrives() {
+        let body = vec![7u8; 1024];
+        let replies = designated_and_vouches(&body, true);
         let mut c = client();
         let _ = c.submit(vec![1], false, 0);
-        let (yes, no) = (vec![7u8; 100], vec![8u8; 100]);
-        let hashed = |c: &mut Client, r: u32, body: &[u8]| {
-            c.handle_packet(&sealed_reply(r, 1, body, true), 1000)
-                .counts
-                .digest_bytes
-        };
-        assert_eq!(hashed(&mut c, 0, &yes), 100, "a new body is hashed");
-        assert_eq!(hashed(&mut c, 1, &no), 100, "a differing body is hashed");
-        assert_eq!(hashed(&mut c, 2, &yes), 0, "an identical body is not");
-        assert!(
-            c.has_outstanding(),
-            "the differing body joined the quorum of the other"
+        let (_, outstanding) = deliver(&mut c, &[&replies[2], &replies[3]]);
+        assert_eq!(outstanding, [true, true], "vouches alone never complete");
+        let res = c.handle_packet(&replies[0], 1000);
+        assert!(!c.has_outstanding(), "the full reply and both vouches");
+        assert_eq!(
+            res.counts.mac_verify, 3,
+            "the full reply, then each parked vouch"
         );
-        assert_eq!(hashed(&mut c, 3, &yes), 0);
-        assert!(!c.has_outstanding(), "2f+1 matching tentative replies");
-        let evs = c.take_events();
-        assert!(matches!(&evs[0], ClientEvent::ReplyDelivered { result, .. } if *result == yes));
+        // A late vouch is dropped unverified.
+        let res = c.handle_packet(&sealed_vouch(3, 1, &body, true), 1000);
+        assert_eq!(res.counts, crate::output::OpCounts::default());
+    }
+
+    /// Packets that claim to vouch for `body` as replica `r` and must never
+    /// count.
+    fn forged_vouches(r: u32, body: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+        let mut tampered = sealed_vouch(r, 1, body, true);
+        *tampered.last_mut().expect("a tag") ^= 1;
+        let other = sealed_vouch(r, 1, &vec![8u8; body.len()], true);
+        let unauthenticated = Envelope::seal(reply_prefix(r, 1, true, true, &[]), &AuthTag::None);
+        let store = KeyStore::new_replica(SEED, ReplicaId(r), 4, &[ClientId(1)]);
+        let mut counts = crate::output::OpCounts::default();
+        let mut carrying = |omitted: &[u8]| {
+            let prefix = reply_prefix(r, 1, true, true, body);
+            let auth =
+                store.seal_to_client(AuthMode::Macs, ClientId(1), &prefix, omitted, &mut counts);
+            Envelope::seal(prefix, &auth)
+        };
+        vec![
+            ("a tampered tag", tampered),
+            ("a vouch for another result", other),
+            ("an unauthenticated vouch", unauthenticated),
+            ("a vouch carrying its result", carrying(&[])),
+            ("a vouch carrying and covering its result", carrying(body)),
+        ]
+    }
+
+    #[test]
+    fn forged_vouches_never_count() {
+        let body = vec![7u8; 1024];
+        let replies = designated_and_vouches(&body, true);
+        for (what, forged) in forged_vouches(2, &body) {
+            // Before the result (parked) and after it.
+            for early in [true, false] {
+                let mut c = client();
+                let _ = c.submit(vec![1], false, 0);
+                let mut packets = vec![&replies[0], &replies[3]];
+                packets.insert(if early { 0 } else { 2 }, &forged);
+                let (hashed, outstanding) = deliver(&mut c, &packets);
+                assert_eq!(hashed, 0);
+                assert_eq!(outstanding, [true; 3], "{what} counted (early: {early})");
+                // The genuine vouch of the same replica completes it.
+                let _ = c.handle_packet(&replies[2], 1000);
+                assert!(!c.has_outstanding(), "{what} (early: {early})");
+            }
+        }
+    }
+
+    #[test]
+    fn parked_vouches_stay_one_per_replica() {
+        let mut c = client();
+        let _ = c.submit(vec![1], false, 0);
+        let parked = |c: &Client| c.outstanding.as_ref().expect("outstanding").parked.len();
+        for round in 0..5u8 {
+            for r in 1..4u32 {
+                let _ = c.handle_packet(&sealed_vouch(r, 1, &[round; 64], true), 1000);
+            }
+            assert_eq!(parked(&c), 3, "round {round}");
+        }
+        // The latest vouch of each replica is the one kept: their result
+        // completes the request with one full reply.
+        let _ = c.handle_packet(&sealed_reply(0, 1, &[4; 64], true), 1000);
+        assert!(!c.has_outstanding());
     }
 
     #[test]
@@ -883,12 +1074,12 @@ mod tests {
             timestamp: 1,
             replica: ReplicaId(0),
             tentative: false,
-            digest_only: false,
+            body_omitted: false,
             result: b"forged".to_vec(),
         });
         let prefix = Envelope::encode_prefix(Sender::Replica(ReplicaId(0)), &msg);
         let mut counts = crate::output::OpCounts::default();
-        let auth = store.seal_to_client(AuthMode::Macs, ClientId(1), &prefix, &mut counts);
+        let auth = store.seal_to_client(AuthMode::Macs, ClientId(1), &prefix, &[], &mut counts);
         let packet = Envelope::seal(prefix, &auth);
         let _ = c.handle_packet(&packet, 1000);
         let _ = c.handle_packet(&sealed_reply(1, 1, b"forged", false), 1000);

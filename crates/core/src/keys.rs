@@ -222,27 +222,38 @@ impl KeyStore {
         }
     }
 
-    /// Authenticate an outgoing reply to a client. Falls back to
-    /// unauthenticated when no session key exists (join replies) — clients
-    /// protect themselves by matching f+1 identical replies.
+    /// Whether this replica can authenticate a reply to `client`: always
+    /// under signatures, and under MACs once it holds the client's session
+    /// key.
+    pub(crate) fn can_seal_to_client(&self, mode: AuthMode, client: ClientId) -> bool {
+        mode == AuthMode::Signatures || self.client_keys.contains_key(&client)
+    }
+
+    /// Authenticate an outgoing reply to a client: its wire `prefix`
+    /// followed by `omitted`, the result a body-less reply (a *vouch*)
+    /// leaves out — empty for a full reply, whose result is in the prefix.
+    /// Falls back to unauthenticated when no session key exists (join
+    /// replies) — clients protect themselves by matching f+1 identical
+    /// replies.
     pub fn seal_to_client(
         &self,
         mode: AuthMode,
         client: ClientId,
         prefix: &[u8],
+        omitted: &[u8],
         counts: &mut OpCounts,
     ) -> AuthTag {
         match mode {
             AuthMode::Macs => match self.client_keys.get(&client) {
                 Some(k) => {
                     counts.mac_gen += 1;
-                    AuthTag::Mac(k.mac(prefix, 1))
+                    AuthTag::Mac(k.mac_parts(&[prefix, omitted], 1))
                 }
                 None => AuthTag::None,
             },
             AuthMode::Signatures => {
                 counts.sign += 1;
-                AuthTag::Sig(self.keypair.sign(prefix))
+                AuthTag::Sig(self.keypair.sign_parts(&[prefix, omitted]))
             }
         }
     }
@@ -426,11 +437,14 @@ impl ClientKeys {
         }
     }
 
-    /// Verify a reply from `replica`.
+    /// Verify a reply from `replica` over its wire `prefix` followed by
+    /// `omitted`, the result a vouch leaves out (empty for a full reply).
+    /// An unauthenticated reply passes only when it carries its result.
     pub fn verify_reply(
         &self,
         replica: ReplicaId,
         prefix: &[u8],
+        omitted: &[u8],
         auth: &AuthTag,
         counts: &mut OpCounts,
     ) -> bool {
@@ -438,20 +452,20 @@ impl ClientKeys {
             AuthTag::Mac(tag) => match self.session_keys.get(replica.0 as usize) {
                 Some(k) => {
                     counts.mac_verify += 1;
-                    k.verify(prefix, 1, *tag)
+                    k.verify_parts(&[prefix, omitted], 1, *tag)
                 }
                 None => false,
             },
             AuthTag::Sig(sig) => match self.replica_pubkeys.get(replica.0 as usize) {
                 Some(pk) => {
                     counts.sig_verify += 1;
-                    pk.verify(prefix, sig).is_ok()
+                    pk.verify_parts(&[prefix, omitted], sig).is_ok()
                 }
                 None => false,
             },
             // Unauthenticated replies are acceptable only for join replies;
             // the client engine enforces f+1 content matching before acting.
-            AuthTag::None => true,
+            AuthTag::None => omitted.is_empty(),
             _ => false,
         }
     }
@@ -578,17 +592,19 @@ mod tests {
         let c = ClientKeys::new(SEED, ClientId(5), 4);
         let r = KeyStore::new_replica(SEED, ReplicaId(1), 4, &[ClientId(5)]);
         let mut counts = OpCounts::default();
-        let auth = r.seal_to_client(AuthMode::Macs, ClientId(5), b"reply", &mut counts);
-        assert!(c.verify_reply(ReplicaId(1), b"reply", &auth, &mut counts));
-        assert!(!c.verify_reply(ReplicaId(2), b"reply", &auth, &mut counts));
+        let auth = r.seal_to_client(AuthMode::Macs, ClientId(5), b"reply", &[], &mut counts);
+        assert!(c.verify_reply(ReplicaId(1), b"reply", &[], &auth, &mut counts));
+        assert!(!c.verify_reply(ReplicaId(2), b"reply", &[], &auth, &mut counts));
     }
 
     #[test]
     fn reply_to_unknown_client_is_unauthenticated() {
         let r = KeyStore::new_replica(SEED, ReplicaId(1), 4, &[]);
         let mut counts = OpCounts::default();
-        let auth = r.seal_to_client(AuthMode::Macs, ClientId(9), b"reply", &mut counts);
+        let auth = r.seal_to_client(AuthMode::Macs, ClientId(9), b"reply", &[], &mut counts);
         assert_eq!(auth, AuthTag::None);
+        assert!(!r.can_seal_to_client(AuthMode::Macs, ClientId(9)));
+        assert!(r.can_seal_to_client(AuthMode::Signatures, ClientId(9)));
     }
 
     #[test]

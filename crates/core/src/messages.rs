@@ -172,6 +172,22 @@ impl BatchEntry {
     /// Smallest encoding: digest, client, timestamp and the body tag.
     const MIN_LEN: usize = 32 + 8 + 8 + 1;
 
+    /// Whether the inline body, if any, is the request this entry names:
+    /// the same client and timestamp, and a canonical encoding that hashes
+    /// to `digest`. Adds the bytes it hashed to `hashed`.
+    pub(crate) fn body_matches(&self, hashed: &mut u64) -> bool {
+        let Some(req) = &self.full else {
+            return true;
+        };
+        if req.client != self.client || req.timestamp != self.timestamp {
+            return false;
+        }
+        let mut e = Enc::new();
+        req.encode(&mut e);
+        *hashed += e.len() as u64;
+        Digest::of(e.as_slice()) == self.digest
+    }
+
     fn encode(&self, e: &mut Enc) {
         e.digest(&self.digest)
             .u64(self.client.0)
@@ -363,42 +379,16 @@ pub struct ReplyMsg {
     /// of these instead of f+1 stable ones (§2.1).
     pub tentative: bool,
     /// Designated-replier optimization (§2.1): `false` means `result` is
-    /// the execution result itself; `true` means the body was omitted and
-    /// `result` holds its 32-byte digest instead. Only f+1 rotating
-    /// replicas send the full body per request — enough that a correct one
-    /// always reaches the client — and the rest vote with the digest.
-    pub digest_only: bool,
-    /// The execution result (or its digest, see
-    /// [`ReplyMsg::digest_only`]).
+    /// the execution result itself; `true` marks a *vouch*, whose `result`
+    /// is empty and whose authenticator covers the wire prefix followed by
+    /// the omitted result. Only f+1 rotating replicas send the full body per
+    /// request — enough that a correct one always reaches the client — and
+    /// the rest vouch for it. The flag is inside the authenticated prefix, so
+    /// a vouch's tag never passes for a full reply's, nor the reverse.
+    pub body_omitted: bool,
+    /// The execution result (empty in a vouch, see
+    /// [`ReplyMsg::body_omitted`]).
     pub result: Vec<u8>,
-}
-
-impl ReplyMsg {
-    /// The digest clients match replies on: carried directly by a
-    /// digest-only reply, computed from the body otherwise. `None` for a
-    /// malformed digest-only reply (payload not exactly 32 bytes).
-    pub fn matching_digest(&self) -> Option<Digest> {
-        if self.digest_only {
-            let b: [u8; 32] = self.result.as_slice().try_into().ok()?;
-            Some(Digest(b))
-        } else {
-            Some(Digest::of(&self.result))
-        }
-    }
-
-    /// The digest-only form of this reply: body replaced by its digest —
-    /// what a non-designated replica sends. Results no longer than a
-    /// digest are kept inline (stripping would grow the packet).
-    pub fn to_digest_only(&self) -> ReplyMsg {
-        if self.result.len() <= 32 {
-            return self.clone();
-        }
-        ReplyMsg {
-            digest_only: true,
-            result: Digest::of(&self.result).as_bytes().to_vec(),
-            ..self.clone()
-        }
-    }
 }
 
 /// Checkpoint attestation (§2.1).
@@ -617,7 +607,7 @@ impl Message {
                     .u64(m.timestamp)
                     .u32(m.replica.0)
                     .boolean(m.tentative)
-                    .boolean(m.digest_only)
+                    .boolean(m.body_omitted)
                     .bytes(&m.result);
             }
             Message::Checkpoint(m) => {
@@ -733,7 +723,7 @@ impl Message {
                 timestamp: d.u64()?,
                 replica: ReplicaId(d.u32()?),
                 tentative: d.boolean()?,
-                digest_only: d.boolean()?,
+                body_omitted: d.boolean()?,
                 result: d.bytes()?,
             }),
             6 => Message::Checkpoint(CheckpointMsg {
@@ -1310,38 +1300,25 @@ mod tests {
                 timestamp: 42,
                 replica: ReplicaId(1),
                 tentative: true,
-                digest_only: false,
+                body_omitted: false,
                 result: b"ok".to_vec(),
             }),
             Sender::Replica(ReplicaId(1)),
             AuthTag::Mac(Mac64(5)),
         );
-        // The digest-only form strips big bodies and keeps small ones.
-        let full = ReplyMsg {
-            view: 0,
-            client: ClientId(7),
-            timestamp: 42,
-            replica: ReplicaId(1),
-            tentative: false,
-            digest_only: false,
-            result: vec![9u8; 1024],
-        };
-        let stripped = full.to_digest_only();
-        assert!(stripped.digest_only);
-        assert_eq!(stripped.result, Digest::of(&full.result).as_bytes());
-        assert_eq!(stripped.matching_digest(), full.matching_digest());
+        // A vouch: the flag set, no result.
         roundtrip(
-            Message::Reply(stripped),
+            Message::Reply(ReplyMsg {
+                view: 0,
+                client: ClientId(7),
+                timestamp: 42,
+                replica: ReplicaId(1),
+                tentative: false,
+                body_omitted: true,
+                result: Vec::new(),
+            }),
             Sender::Replica(ReplicaId(1)),
             AuthTag::Mac(Mac64(5)),
-        );
-        let small = ReplyMsg {
-            result: b"ok".to_vec(),
-            ..full
-        };
-        assert!(
-            !small.to_digest_only().digest_only,
-            "small bodies stay inline"
         );
     }
 

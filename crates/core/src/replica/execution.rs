@@ -15,7 +15,7 @@ use crate::session::SessionCtx;
 use crate::types::{ClientId, FoldMap, FoldSet, ReplicaId, SeqNum};
 
 use super::{
-    wire_reply, ClientRecord, QueuedRequest, Replica, TentativeEffects, SETTLE_PAGES_PER_BATCH,
+    reply_output, ClientRecord, QueuedRequest, Replica, TentativeEffects, SETTLE_PAGES_PER_BATCH,
 };
 
 /// Pipelined batch formation: while at least one batch is already in
@@ -216,6 +216,17 @@ impl Replica {
                 .validate_nondet(&pp.nondet, now_ns, self.cfg.nondet.validate_window_ns)
         {
             self.metrics.nondet_validation_failures += 1;
+            return;
+        }
+        // An inline body is stored and executed under its entry's digest,
+        // which is all the batch digest covers: one that is not the request
+        // the entry names would let a Byzantine primary hand some backups
+        // one body and the rest another under one agreement.
+        if !pp
+            .entries
+            .iter()
+            .all(|e| e.body_matches(&mut res.counts.digest_bytes))
+        {
             return;
         }
         let digest = pp.batch_digest();
@@ -571,19 +582,26 @@ impl Replica {
                     timestamp: req.timestamp,
                     replica: self.id(),
                     tentative: !committed,
-                    digest_only: false,
+                    body_omitted: false,
                     result,
                 });
-            let digest_only = !self.sends_full_reply(req.client, req.timestamp);
+            let designated = self.sends_full_reply(req.client, req.timestamp);
             // One look at the client's record: the executed timestamp, the
             // reply address and the cached reply.
             let record = self.clients.entry(req.client).or_default();
             record.executed = Some(req.timestamp);
             if let Some(reply) = reply {
-                let wire = wire_reply(&reply, digest_only, res);
-                record.reply = Some(reply);
                 let addr = record.addr.unwrap_or(req.reply_addr);
-                self.send_reply(wire, addr, res);
+                res.outputs.push(reply_output(
+                    &self.keys,
+                    self.cfg.auth,
+                    &mut self.metrics,
+                    &reply,
+                    designated,
+                    addr,
+                    &mut res.counts,
+                ));
+                record.reply = Some(reply);
             }
             res.counts.requests_executed += 1;
             self.metrics.executed_requests += 1;

@@ -20,7 +20,7 @@ use pbft_crypto::Digest;
 use pbft_state::{Fetcher, Section, Snapshot};
 
 use crate::app::{App, Effects, NonDet, StateHandle};
-use crate::config::{Engine, PbftConfig};
+use crate::config::{AuthMode, Engine, PbftConfig};
 use crate::keys::KeyStore;
 use crate::log::MessageLog;
 use crate::membership::Membership;
@@ -28,7 +28,7 @@ use crate::messages::view::{AuthView, PacketView};
 use crate::messages::{
     AuthTag, Envelope, Message, NewKeyMsg, ReplyMsg, RequestMsg, Sender, StatusMsg, ViewChangeMsg,
 };
-use crate::output::{HandleResult, NetTarget, OpCounts, Output, TimerKind};
+use crate::output::{HandleResult, NetTarget, OpCounts, Output, PacketBuf, TimerKind};
 use crate::session::{SessionCtx, SessionStore};
 use crate::types::{ClientId, FoldMap, FoldSet, NetAddr, ReplicaId, SeqNum, View, MAX_REPLICAS};
 
@@ -195,16 +195,65 @@ pub(crate) struct QueuedRequest {
     pub(crate) big: bool,
 }
 
-/// What goes on the wire for `reply`: only its digest when `digest_only`
-/// (this replica is not a designated replier) and the result is longer
-/// than a digest, else the full body.
-pub(crate) fn wire_reply(reply: &ReplyMsg, digest_only: bool, res: &mut HandleResult) -> ReplyMsg {
-    if digest_only && reply.result.len() > 32 {
-        res.counts.digest_bytes += reply.result.len() as u64;
-        reply.to_digest_only()
-    } else {
-        reply.clone()
+/// The packet answering `reply` to the client at `addr`. A replica that is
+/// not one of the request's `designated` repliers (§2.1) *vouches* instead
+/// of sending the result when it can authenticate to the client and the
+/// result is longer than a digest: the reply goes out with `body_omitted`
+/// set and no result, and its authenticator covers its wire prefix
+/// followed by the full result, so it counts for exactly the result bytes
+/// a designated replier sent. A short result travels in full (omitting it
+/// saves at most 32 bytes, and a full reply counts without waiting for
+/// another), as does a reply to a client this replica holds no key for.
+/// Takes the fields it uses rather than the replica, so a caller can send
+/// while it holds the client's record.
+pub(crate) fn reply_output(
+    keys: &KeyStore,
+    mode: AuthMode,
+    metrics: &mut ReplicaMetrics,
+    reply: &ReplyMsg,
+    designated: bool,
+    addr: NetAddr,
+    counts: &mut OpCounts,
+) -> Output {
+    let vouch =
+        !designated && reply.result.len() > 32 && keys.can_seal_to_client(mode, reply.client);
+    let omitted: &[u8] = if vouch { &reply.result } else { &[] };
+    let wire = ReplyMsg {
+        body_omitted: vouch,
+        result: if vouch {
+            Vec::new()
+        } else {
+            reply.result.clone()
+        },
+        ..*reply
+    };
+    let seal = |k: &KeyStore, p: &[u8], c: &mut OpCounts| {
+        k.seal_to_client(mode, reply.client, p, omitted, c)
+    };
+    let (packet, envelope) = seal_envelope(keys, metrics, Message::Reply(wire), seal, counts);
+    Output::Send {
+        to: NetTarget::Client(addr),
+        packet,
+        envelope,
     }
+}
+
+/// The encode-once rule: one prefix encoding, one authenticator (what
+/// `seal` makes of the prefix), one seal. Every destination shares the
+/// reference-counted packet and envelope this returns.
+fn seal_envelope(
+    keys: &KeyStore,
+    metrics: &mut ReplicaMetrics,
+    msg: Message,
+    seal: impl FnOnce(&KeyStore, &[u8], &mut OpCounts) -> AuthTag,
+    counts: &mut OpCounts,
+) -> (PacketBuf, Arc<Envelope>) {
+    let sender = Sender::Replica(keys.me());
+    let prefix = Envelope::encode_prefix(sender, &msg);
+    metrics.hot_encodings += 1;
+    let auth = seal(keys, &prefix, counts);
+    let packet = Arc::new(Envelope::seal(prefix, &auth));
+    (packet, Arc::new(Envelope { sender, msg, auth }))
 }
 
 /// One client's entry in [`Replica::clients`]. An absent record and a
@@ -756,10 +805,18 @@ impl Replica {
             }
             if req.timestamp == ts {
                 self.metrics.duplicate_requests += 1;
-                if let Some(reply) = record.reply.clone() {
+                if let Some(reply) = &record.reply {
                     // Retransmissions always get the full body: the client
-                    // may be stuck holding a digest quorum without it.
-                    self.send_reply(reply, req.reply_addr, res);
+                    // may be stuck holding vouches without it.
+                    res.outputs.push(reply_output(
+                        &self.keys,
+                        self.cfg.auth,
+                        &mut self.metrics,
+                        reply,
+                        true,
+                        req.reply_addr,
+                        &mut res.counts,
+                    ));
                 }
                 return;
             }
@@ -961,11 +1018,19 @@ impl Replica {
             timestamp: req.timestamp,
             replica: self.id(),
             tentative: true, // read-only replies need a 2f+1 quorum
-            digest_only: false,
+            body_omitted: false,
             result,
         };
-        let digest_only = !self.sends_full_reply(req.client, req.timestamp);
-        self.send_reply(wire_reply(&reply, digest_only, res), req.reply_addr, res);
+        let designated = self.sends_full_reply(req.client, req.timestamp);
+        res.outputs.push(reply_output(
+            &self.keys,
+            self.cfg.auth,
+            &mut self.metrics,
+            &reply,
+            designated,
+            req.reply_addr,
+            &mut res.counts,
+        ));
         self.clients.entry(req.client).or_default().reply = Some(reply);
     }
 
@@ -1037,10 +1102,9 @@ impl Replica {
         }
     }
 
-    /// The encode-once rule: one prefix encoding, one authenticator (what
-    /// `seal` makes of the prefix), one seal — then every destination in
-    /// `to` shares the same reference-counted packet and envelope. Nothing
-    /// is cloned per destination.
+    /// Seal `msg` once ([`seal_envelope`]) and send it to every destination
+    /// in `to`: each shares the same reference-counted packet and envelope.
+    /// Nothing is cloned per destination.
     fn send_sealed(
         &mut self,
         to: impl IntoIterator<Item = NetTarget>,
@@ -1048,12 +1112,8 @@ impl Replica {
         seal: impl FnOnce(&KeyStore, &[u8], &mut OpCounts) -> AuthTag,
         res: &mut HandleResult,
     ) {
-        let sender = Sender::Replica(self.id());
-        let prefix = Envelope::encode_prefix(sender, &msg);
-        self.metrics.hot_encodings += 1;
-        let auth = seal(&self.keys, &prefix, &mut res.counts);
-        let packet = Arc::new(Envelope::seal(prefix, &auth));
-        let envelope = Arc::new(Envelope { sender, msg, auth });
+        let (packet, envelope) =
+            seal_envelope(&self.keys, &mut self.metrics, msg, seal, &mut res.counts);
         let before = res.outputs.len();
         res.outputs.extend(to.into_iter().map(|to| Output::Send {
             to,
@@ -1093,7 +1153,8 @@ impl Replica {
     }
 
     /// §2.1 designated-replier rule: per request, f+1 rotating replicas
-    /// return the full result and the remaining 2f send only its digest.
+    /// return the full result and the remaining 2f vouch for it
+    /// ([`reply_output`]).
     /// With at most f faults a correct designated replica always reaches
     /// the client, so the fast path never waits on a retransmission; the
     /// rotation (keyed on client and timestamp) spreads the full-reply
@@ -1103,17 +1164,6 @@ impl Replica {
         let base = (client.0 ^ timestamp) % n;
         let offset = (u64::from(self.id().0) + n - base) % n;
         offset < self.cfg.weak_quorum() as u64
-    }
-
-    /// Send `wire`, a reply as [`wire_reply`] made it. The caller keeps the
-    /// full body in the client's record — retransmitted requests are
-    /// answered with it unconditionally, the fallback that keeps
-    /// digest-only replies (§2.1 designated-replier optimization) live under
-    /// more than f reply losses.
-    pub(crate) fn send_reply(&mut self, wire: ReplyMsg, addr: NetAddr, res: &mut HandleResult) {
-        let (mode, client) = (self.cfg.auth, wire.client);
-        let seal = |k: &KeyStore, p: &[u8], c: &mut OpCounts| k.seal_to_client(mode, client, p, c);
-        self.send_sealed([NetTarget::Client(addr)], Message::Reply(wire), seal, res);
     }
 
     // ------------------------------------------------------------------

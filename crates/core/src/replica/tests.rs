@@ -332,13 +332,90 @@ fn signature_mode_works() {
         auth: AuthMode::Signatures,
         ..default_cfg()
     };
-    let mut net = Net::new(cfg, 2, AppKind::Null(32));
+    let mut net = Net::new(cfg, 2, AppKind::Null(64));
     net.submit(0, vec![1], false);
     net.submit(1, vec![2], false);
+    hold_replies(&mut net);
+    let vouches = held_replies(&net).iter().filter(|r| r.body_omitted).count();
+    assert_eq!(vouches, 4, "2f signed vouches per request");
+    net.release_held();
     net.pump(10_000);
     assert_eq!(net.completed(0), 1);
     assert_eq!(net.completed(1), 1);
     net.assert_chains_equal(&[0, 1, 2, 3]);
+}
+
+/// Pump with every packet to a client held back.
+fn hold_replies(net: &mut Net) {
+    net.hold = Some(Box::new(|_, to, _| matches!(to, NetTarget::Client(_))));
+    net.pump(10_000);
+}
+
+/// The replies held back from the clients, decoded.
+fn held_replies(net: &Net) -> Vec<crate::messages::ReplyMsg> {
+    use crate::messages::view::PacketView;
+    use crate::messages::Message;
+    net.held
+        .iter()
+        .map(
+            |(_, _, packet, _)| match PacketView::parse(packet).expect("a packet").msg {
+                Message::Reply(reply) => reply,
+                other => panic!("a replica sent a client {other:?}"),
+            },
+        )
+        .collect()
+}
+
+/// §2.1 with vouches: of a request's replies, the f+1 designated ones
+/// carry the result and the other 2f are body-less vouches the client
+/// completes on. A retransmission is answered in full by every replica.
+#[test]
+fn non_designated_replicas_vouch_and_retransmissions_get_the_result() {
+    let mut net = Net::new(default_cfg(), 1, AppKind::Null(64));
+    let packet = submit_capturing(&mut net, 0, vec![1]);
+    hold_replies(&mut net);
+    let mut replies = held_replies(&net);
+    replies.sort_by_key(|r| r.replica);
+    // Client 1, timestamp 1: replicas 0 and 1 are designated.
+    let shape: Vec<(u32, bool, usize)> = replies
+        .iter()
+        .map(|r| (r.replica.0, r.body_omitted, r.result.len()))
+        .collect();
+    assert_eq!(
+        shape,
+        [(0, false, 64), (1, false, 64), (2, true, 0), (3, true, 0)]
+    );
+    net.release_held();
+    net.pump(10_000);
+    assert_eq!(net.completed(0), 1);
+    let replies = retransmit_to_all(&mut net, 0, &packet);
+    assert_eq!(replies.len(), 4);
+    for reply in &replies {
+        assert!(!reply.body_omitted, "replica {}", reply.replica.0);
+        assert_eq!(reply.result.len(), 64);
+    }
+}
+
+/// A non-designated replica that holds no key for the client cannot
+/// vouch: it sends the result, unauthenticated.
+#[test]
+fn a_replica_without_the_clients_key_sends_the_result() {
+    let cfg = PbftConfig {
+        all_requests_big: false, // backups learn the body from the pre-prepare
+        ..default_cfg()
+    };
+    let mut net = Net::new(cfg, 1, AppKind::Null(64));
+    net.replicas[3].keys.remove_client(ClientId(1));
+    net.submit(0, vec![1], false);
+    hold_replies(&mut net);
+    let mut replies = held_replies(&net);
+    replies.sort_by_key(|r| r.replica);
+    let omitted: Vec<bool> = replies.iter().map(|r| r.body_omitted).collect();
+    assert_eq!(omitted, [false, false, true, false]);
+    assert_eq!(replies[3].result.len(), 64);
+    net.release_held();
+    net.pump(10_000);
+    assert_eq!(net.completed(0), 1);
 }
 
 #[test]
@@ -412,26 +489,17 @@ fn retransmit_to_all(
     client: usize,
     packet: &crate::output::PacketBuf,
 ) -> Vec<crate::messages::ReplyMsg> {
-    use crate::messages::view::PacketView;
-    use crate::messages::Message;
     for i in 0..net.replicas.len() {
         let to = NetTarget::Replica(ReplicaId(i as u32));
         let disc = packet.first().copied().unwrap_or(0);
         net.queue
             .push_back((Source::Client(client), to, packet.clone(), disc));
     }
-    net.hold = Some(Box::new(|_, to, _| matches!(to, NetTarget::Client(_))));
-    net.pump(10_000);
+    hold_replies(net);
     net.hold = None;
-    std::mem::take(&mut net.held)
-        .into_iter()
-        .map(
-            |(_, _, packet, _)| match PacketView::parse(&packet).expect("a packet").msg {
-                Message::Reply(reply) => reply,
-                other => panic!("a replica sent a client {other:?}"),
-            },
-        )
-        .collect()
+    let replies = held_replies(net);
+    net.held.clear();
+    replies
 }
 
 fn executed(net: &Net) -> Vec<u64> {
@@ -466,7 +534,7 @@ fn retransmission_after_commit_is_answered_stable_from_the_cache() {
             "replica {} answered tentative",
             reply.replica.0
         );
-        assert!(!reply.digest_only, "a retransmission gets the full body");
+        assert!(!reply.body_omitted, "a retransmission gets the full body");
         assert_eq!(reply.timestamp, 1);
     }
     for r in &net.replicas {
@@ -1147,6 +1215,70 @@ fn a_request_ordered_twice_finds_its_body() {
     // Execution does not dedupe: the one put ran once per slot that named
     // it (ARCHITECTURE.md, "Deliberate deviations").
     assert_eq!(r.metrics().executed_requests, 3);
+}
+
+/// A pre-prepare whose inline body is not the request its entry names is
+/// refused. The batch digest covers only the entries' digests, clients and
+/// timestamps, so without the check a Byzantine primary could order
+/// `put(1, 1)` at some backups and `put(1, 666)` at others in one slot.
+#[test]
+fn an_inline_body_must_be_the_request_its_entry_names() {
+    use crate::messages::{BatchEntry, Operation, PrePrepareMsg, RequestMsg};
+    use crate::output::HandleResult;
+
+    let cfg = PbftConfig {
+        all_requests_big: false,
+        ..default_cfg()
+    };
+    let mut net = Net::new(cfg, 1, AppKind::Kv);
+    let honest = RequestMsg {
+        client: ClientId(1),
+        timestamp: 1,
+        read_only: false,
+        reply_addr: CLIENT_ADDR_BASE,
+        op: Operation::App(KvApp::op_put(1, 1)),
+    };
+    let digest = honest.digest();
+    let forged = RequestMsg {
+        op: Operation::App(KvApp::op_put(1, 666)),
+        ..honest.clone()
+    };
+    let now = net.now;
+    let pp = |full: &RequestMsg, client: u64, timestamp: u64| PrePrepareMsg {
+        view: 0,
+        seq: 1,
+        nondet: NonDet {
+            timestamp_ns: now,
+            random: 0,
+        },
+        entries: vec![BatchEntry {
+            digest,
+            client: ClientId(client),
+            timestamp,
+            full: Some(full.clone()),
+        }],
+    };
+    assert_eq!(
+        pp(&honest, 1, 1).batch_digest(),
+        pp(&forged, 1, 1).batch_digest()
+    );
+    let accepts = |r: &mut Replica, pp: PrePrepareMsg| {
+        let mut res = HandleResult::default();
+        r.on_preprepare(pp, now, false, &mut res);
+        r.log.get(1).is_some_and(|e| e.preprepare.is_some())
+    };
+    assert!(accepts(&mut net.replicas[1], pp(&honest, 1, 1)));
+    assert!(net.replicas[1].bodies.contains_key(&digest));
+    let refused = [
+        ("another body under the digest", pp(&forged, 1, 1)),
+        ("an entry naming another client", pp(&honest, 2, 1)),
+        ("an entry naming another timestamp", pp(&honest, 1, 2)),
+    ];
+    for (what, pp) in refused {
+        let r = &mut net.replicas[2];
+        assert!(!accepts(r, pp), "{what}");
+        assert!(!r.bodies.contains_key(&digest), "{what}: body stored");
+    }
 }
 
 /// A slot's votes are a 128-bit mask; a larger group is refused by name

@@ -47,6 +47,17 @@ impl MacKey {
     pub fn verify(&self, msg: &[u8], nonce: u64, tag: Mac64) -> bool {
         self.fast.verify(msg, nonce, tag)
     }
+
+    /// MAC the concatenation of `parts` (equal to [`MacKey::mac`] of the
+    /// joined bytes, without joining them).
+    pub fn mac_parts(&self, parts: &[&[u8]], nonce: u64) -> Mac64 {
+        self.fast.mac_parts(parts, nonce)
+    }
+
+    /// Verify a tag over the concatenation of `parts`.
+    pub fn verify_parts(&self, parts: &[&[u8]], nonce: u64, tag: Mac64) -> bool {
+        self.fast.mac_parts(parts, nonce) == tag
+    }
 }
 
 /// An authenticator: `(receiver index, tag)` pairs in receiver order.

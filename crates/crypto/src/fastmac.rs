@@ -120,14 +120,43 @@ impl FastMacKey {
     /// MAC `msg`, mixing in a `nonce` that callers use for domain separation
     /// (PBFT uses distinct nonces for request vs reply directions).
     pub fn mac(&self, msg: &[u8], nonce: u64) -> Mac64 {
-        // Polynomial evaluation: treat msg as 8-byte little-endian limbs
-        // (with the final partial limb zero-padded and the length appended so
-        // that ("ab", "") and ("a", "b...") cannot collide), four limbs per
-        // step while four are left.
-        let point = self.powers[0];
-        let mut acc: u64 = 1; // distinguishes empty message from zero limbs
-        let mut blocks = msg.chunks_exact(32);
-        for b in blocks.by_ref() {
+        let whole = msg.len() / 32 * 32;
+        let acc = self.absorb_blocks(1, &msg[..whole]);
+        self.finish(acc, &msg[whole..], msg.len(), nonce)
+    }
+
+    /// MAC the concatenation of `parts` without joining them: equal to
+    /// [`FastMacKey::mac`] of the joined bytes.
+    pub fn mac_parts(&self, parts: &[&[u8]], nonce: u64) -> Mac64 {
+        // A block that straddles two parts is assembled in `carry`.
+        let mut carry = [0u8; 32];
+        let (mut held, mut len, mut acc) = (0, 0, 1);
+        for &part in parts {
+            len += part.len();
+            let mut rest = part;
+            if held > 0 {
+                let take = rest.len().min(32 - held);
+                carry[held..held + take].copy_from_slice(&rest[..take]);
+                (held, rest) = (held + take, &rest[take..]);
+                if held < 32 {
+                    continue;
+                }
+                acc = self.absorb_blocks(acc, &carry);
+            }
+            let whole = rest.len() / 32 * 32;
+            acc = self.absorb_blocks(acc, &rest[..whole]);
+            held = rest.len() - whole;
+            carry[..held].copy_from_slice(&rest[whole..]);
+        }
+        self.finish(acc, &carry[..held], len, nonce)
+    }
+
+    /// Polynomial evaluation over whole 32-byte blocks: `msg` as 8-byte
+    /// little-endian limbs, four limbs per step. `acc` starts at 1, which
+    /// distinguishes the empty message from zero limbs.
+    #[inline(always)]
+    fn absorb_blocks(&self, mut acc: u64, blocks: &[u8]) -> u64 {
+        for b in blocks.chunks_exact(32) {
             let limbs = [
                 limb(&b[..8]),
                 limb(&b[8..16]),
@@ -136,7 +165,17 @@ impl FastMacKey {
             ];
             acc = horner_step4(acc, &self.powers, limbs);
         }
-        let mut chunks = blocks.remainder().chunks_exact(8);
+        acc
+    }
+
+    /// The last `tail` (< 32 bytes) of a `len`-byte message: its whole limbs,
+    /// the final partial limb zero-padded, then the length — so that ("ab",
+    /// "") and ("a", "b...") cannot collide — and the nonce; the hash is
+    /// encrypted with the nonce's pad.
+    #[inline(always)]
+    fn finish(&self, mut acc: u64, tail: &[u8], len: usize, nonce: u64) -> Mac64 {
+        let point = self.powers[0];
+        let mut chunks = tail.chunks_exact(8);
         for c in chunks.by_ref() {
             acc = horner_step(acc, point, limb(c));
         }
@@ -146,9 +185,8 @@ impl FastMacKey {
             last[..rem.len()].copy_from_slice(rem);
             acc = horner_step(acc, point, u64::from_le_bytes(last));
         }
-        acc = horner_step(acc, point, msg.len() as u64);
+        acc = horner_step(acc, point, len as u64);
         acc = horner_step(acc, point, nonce);
-        // Encrypt the 61-bit hash with the nonce's pad.
         let tabled = usize::try_from(nonce).ok().and_then(|i| self.pads.get(i));
         let pad = match tabled {
             Some(&pad) => pad,
@@ -289,6 +327,32 @@ mod tests {
             }
         }
         assert_eq!(k.mac(&[0xff; 64], u64::MAX), Mac64(0x971fb19c8d626acc));
+    }
+
+    /// Any split of a message into parts MACs as the joined message: parts
+    /// that end inside a block, empty parts, and one part per byte.
+    #[test]
+    fn crosscheck_prop_mac_parts_matches_the_joined_message() {
+        propcheck::check("fastmac_parts", 64, |g| {
+            let k = FastMacKey::from_session_key(&g.byte_array());
+            let msg = g.bytes(0..200);
+            let nonce = g.u64_in(0..3);
+            let mut cuts: Vec<usize> = (0..g.u64_in(0..6))
+                .map(|_| g.u64_in(0..msg.len() as u64 + 1) as usize)
+                .collect();
+            cuts.sort_unstable();
+            let mut parts = Vec::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([msg.len()]) {
+                parts.push(&msg[at..cut]);
+                at = cut;
+            }
+            let expect = k.mac(&msg, nonce);
+            assert_eq!(k.mac_parts(&parts, nonce), expect, "cut into {parts:?}");
+            let bytes: Vec<&[u8]> = msg.chunks(1).collect();
+            assert_eq!(k.mac_parts(&bytes, nonce), expect, "one part per byte");
+            assert_eq!(k.mac_parts(&[&msg, &[]], nonce), expect, "an empty tail");
+        });
     }
 
     #[test]

@@ -137,6 +137,12 @@ impl KeyPair {
         self.sign_digest(&digest)
     }
 
+    /// Sign the concatenation of `parts` (equal to [`KeyPair::sign`] of the
+    /// joined bytes, without joining them).
+    pub fn sign_parts(&self, parts: &[&[u8]]) -> Signature {
+        self.sign_digest(&Digest::of_parts(parts))
+    }
+
     /// Sign a precomputed digest.
     pub fn sign_digest(&self, digest: &Digest) -> Signature {
         let m = representative(digest, self.public.n);
@@ -154,6 +160,14 @@ impl PublicKey {
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), SigError> {
         let digest = Digest::of(msg);
         self.verify_digest(&digest, sig)
+    }
+
+    /// Verify `sig` over the concatenation of `parts`.
+    ///
+    /// # Errors
+    /// As [`PublicKey::verify`] of the joined bytes.
+    pub fn verify_parts(&self, parts: &[&[u8]], sig: &Signature) -> Result<(), SigError> {
+        self.verify_digest(&Digest::of_parts(parts), sig)
     }
 
     /// Verify `sig` over a precomputed digest.

@@ -21,12 +21,16 @@
 //!    is rejected by *exactly* the addressed peer and no one else — driven
 //!    both at the key-store layer and end-to-end through both consensus
 //!    engines' `handle_packet`.
+//!
+//! And one for the reply path: a **vouch** (a reply with its result
+//! omitted) binds its replica to exactly the result bytes its tag covers,
+//! and its tag never passes for the full reply's, nor the reverse.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use pbft_core::app::{NonDet, NullApp};
-use pbft_core::keys::{replica_pair_key, KeyStore};
+use pbft_core::keys::{replica_pair_key, ClientKeys, KeyStore};
 use pbft_core::messages::view::{AuthView, PacketView};
 use pbft_core::messages::{
     AuthTag, BatchEntry, BodyFetchMsg, CheckpointMsg, CommitMsg, FetchMsg, FetchRespMsg, NewKeyMsg,
@@ -146,7 +150,7 @@ fn gen_message(g: &mut Gen, disc: u8) -> Message {
             timestamp: g.u64(),
             replica: ReplicaId(g.u32() % 7),
             tentative: g.bool(),
-            digest_only: g.bool(),
+            body_omitted: g.bool(),
             result: g.bytes(0..128),
         }),
         6 => Message::Checkpoint(CheckpointMsg {
@@ -674,4 +678,97 @@ fn prop_engine_rejects_tampering_pbft() {
 #[test]
 fn prop_engine_rejects_tampering_linear() {
     engine_tamper_property(Engine::Linear);
+}
+
+// ---------------------------------------------------------------------------
+// 6. Vouches: a body-less reply's tag covers exactly its result
+// ---------------------------------------------------------------------------
+
+/// A vouch sealed by replica `r` over its prefix and result `B` verifies
+/// for `B` and for nothing else: not for any one-byte change, truncation
+/// or extension of `B`, not under any one-byte change of its prefix (the
+/// `body_omitted` flag included), and not as the full reply's tag — nor
+/// does the full reply's tag pass as the vouch's.
+#[test]
+fn prop_vouch_verifies_for_exactly_its_result() {
+    check("vouch_binds_its_result", 48, |g| {
+        let n = g.usize_in(4..8);
+        let r = ReplicaId(g.u32() % n as u32);
+        let client = ClientId(g.u64_in(0..1000));
+        let seed = g.u64();
+        let mode = if g.choice(4) == 0 {
+            AuthMode::Signatures
+        } else {
+            AuthMode::Macs
+        };
+        let body = g.bytes(0..300);
+        let header = ReplyMsg {
+            view: g.u64_in(0..100),
+            client,
+            timestamp: g.u64(),
+            replica: r,
+            tentative: g.bool(),
+            body_omitted: true,
+            result: Vec::new(),
+        };
+        let full = ReplyMsg {
+            body_omitted: false,
+            result: body.clone(),
+            ..header.clone()
+        };
+        let prefix_of =
+            |m: &ReplyMsg| Envelope::encode_prefix(Sender::Replica(r), &Message::Reply(m.clone()));
+        let (prefix, full_prefix) = (prefix_of(&header), prefix_of(&full));
+        let replica = KeyStore::new_replica(seed, r, n, &[client]);
+        let keys = ClientKeys::new(seed, client, n);
+        let mut counts = OpCounts::default();
+        let tag = replica.seal_to_client(mode, client, &prefix, &body, &mut counts);
+        let full_tag = replica.seal_to_client(mode, client, &full_prefix, &[], &mut counts);
+        let mut verifies = |prefix: &[u8], result: &[u8], tag: &AuthTag| {
+            keys.verify_reply(r, prefix, result, tag, &mut counts)
+        };
+        assert!(verifies(&prefix, &body, &tag));
+        assert!(verifies(&full_prefix, &[], &full_tag));
+        assert!(
+            !verifies(&full_prefix, &[], &tag),
+            "a vouch's tag as the full reply's"
+        );
+        assert!(
+            !verifies(&prefix, &body, &full_tag),
+            "a full reply's tag as a vouch's"
+        );
+        let mut changed = body.clone();
+        for pos in 0..body.len() {
+            changed[pos] ^= g.u8_in(1..u8::MAX);
+            assert!(
+                !verifies(&prefix, &changed, &tag),
+                "result byte {pos} changed"
+            );
+            changed[pos] = body[pos];
+        }
+        for cut in 0..body.len() {
+            assert!(
+                !verifies(&prefix, &body[..cut], &tag),
+                "result cut at {cut}"
+            );
+        }
+        let mut longer = body.clone();
+        for _ in 0..g.usize_in(1..40) {
+            longer.push(g.u8_in(0..u8::MAX));
+            assert!(
+                !verifies(&prefix, &longer, &tag),
+                "result extended to {}",
+                longer.len()
+            );
+        }
+        let mut changed = prefix.clone();
+        for pos in 0..prefix.len() {
+            changed[pos] ^= g.u8_in(1..u8::MAX);
+            assert!(
+                !verifies(&changed, &body, &tag),
+                "prefix byte {pos} changed"
+            );
+            changed[pos] = prefix[pos];
+        }
+    });
 }

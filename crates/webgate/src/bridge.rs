@@ -254,7 +254,7 @@ mod tests {
             timestamp: 7,
             replica: ReplicaId(2),
             tentative: true,
-            digest_only: false,
+            body_omitted: false,
             result: vec![1, 2, 3],
         });
         let prefix = Envelope::encode_prefix(Sender::Replica(ReplicaId(2)), &msg);

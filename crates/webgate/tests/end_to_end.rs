@@ -159,7 +159,7 @@ fn tampered_channel_traffic_cannot_forge_replies() {
             timestamp: 999,
             replica: ReplicaId(0),
             tentative: false,
-            digest_only: false,
+            body_omitted: false,
             result: b"forged".to_vec(),
         });
         let prefix = Envelope::encode_prefix(Sender::Replica(ReplicaId(0)), &msg);

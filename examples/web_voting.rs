@@ -183,7 +183,7 @@ fn main() {
             timestamp: 3,
             replica: ReplicaId(2),
             tentative: false,
-            digest_only: false,
+            body_omitted: false,
             result: reply.clone(),
         });
         let prefix = Envelope::encode_prefix(Sender::Replica(ReplicaId(2)), &msg);

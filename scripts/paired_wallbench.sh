@@ -3,15 +3,15 @@
 # to rest on (ROADMAP, "State": the box has a ~1.5x slow mode that can hold
 # for a whole invocation, so one number per side proves nothing).
 #
-#   scripts/paired_wallbench.sh [--moves COUNT[,COUNT...]] A_BIN B_BIN [seconds=10] [pairs=3] [workload...]
+#   scripts/paired_wallbench.sh [--moves COUNT[,COUNT...]] [--seed-base N] A_BIN B_BIN [seconds=10] [pairs=3] [workload...]
 #
 # A_BIN / B_BIN are two `wallbench` executables (build each commit into its
 # own target directory: `CARGO_TARGET_DIR=/some/dir cargo build --release -p
 # wallbench`). Per workload (default: all seven; name some to give a claim on
 # one workload the >= 10 pairs it needs in minutes instead of half an hour)
 # it runs A,B,B,A,A,B,... (`pairs` >= 3 untraced pairs, the side that goes
-# first alternating, seed = pair number) and one traced run per side, then
-# prints
+# first alternating, pair k on seed N + k, N = `--seed-base`, default 0) and
+# one traced run per side (seed N + 1), then prints
 #   * per end-to-end metric: each side's median and quartiles, B/A, the
 #     distance between the medians in units of A's inter-quartile distance
 #     (a claimed gain needs > 1 and B better in >= 9/10 pairs), and in how
@@ -23,7 +23,8 @@
 # `--moves` (repeatable, comma-separated) names the exact counts the change
 # predicts will move, e.g. `--moves crypto.digest_kib_per_op`: each is
 # printed A -> B per workload (and noted when it did not move there) and is
-# not a failure.
+# not a failure. `--seed-base N` moves every run to unseen seeds: a change
+# tuned while watching seeds 1..k confirms its claim on `--seed-base 10`.
 # Exit code: 0 = all runs correct and every exact count not named by
 # `--moves` identical; 1 = such a count differs, a run failed, or a run
 # reported `correct: false`; 2 = bad arguments.
@@ -37,10 +38,26 @@ replica.view_changes client.retransmits timers.fired loop.events_per_op \
 failover.virtual_ms"
 
 moves=""
-while [ $# -gt 0 ] && [ "$1" = --moves ]; do
+seed_base=0
+while [ $# -gt 0 ]; do
+    case "$1" in
+    --moves | --seed-base) ;;
+    *) break ;;
+    esac
     if [ $# -lt 2 ]; then
-        echo "paired_wallbench: --moves needs a count name" >&2
+        echo "paired_wallbench: $1 needs a value" >&2
         exit 2
+    fi
+    if [ "$1" = --seed-base ]; then
+        case "$2" in
+        '' | *[!0-9]*)
+            echo "paired_wallbench: --seed-base needs a non-negative integer, got $2" >&2
+            exit 2
+            ;;
+        esac
+        seed_base=$2
+        shift 2
+        continue
     fi
     for count in ${2//,/ }; do
         case " $exact " in
@@ -55,7 +72,7 @@ while [ $# -gt 0 ] && [ "$1" = --moves ]; do
 done
 
 if [ $# -lt 2 ]; then
-    sed -n '2,29p' "$0" >&2
+    sed -n '2,30p' "$0" >&2
     exit 2
 fi
 a_bin=$(readlink -f "$1")
@@ -98,18 +115,19 @@ run() {
 }
 
 for workload in $workloads; do
-    echo "== $workload: $pairs pairs x ${seconds}s + 1 traced run per side" >&2
+    echo "== $workload: $pairs pairs x ${seconds}s + 1 traced run per side, seeds $((seed_base + 1))..$((seed_base + pairs))" >&2
     for pair in $(seq "$pairs"); do
+        seed=$((seed_base + pair))
         if [ $((pair % 2)) -eq 1 ]; then
-            run A "$a_bin" "$workload" "$pair" 0
-            run B "$b_bin" "$workload" "$pair" 0
+            run A "$a_bin" "$workload" "$seed" 0
+            run B "$b_bin" "$workload" "$seed" 0
         else
-            run B "$b_bin" "$workload" "$pair" 0
-            run A "$a_bin" "$workload" "$pair" 0
+            run B "$b_bin" "$workload" "$seed" 0
+            run A "$a_bin" "$workload" "$seed" 0
         fi
     done
-    run A "$a_bin" "$workload" 1 1
-    run B "$b_bin" "$workload" 1 1
+    run A "$a_bin" "$workload" $((seed_base + 1)) 1
+    run B "$b_bin" "$workload" $((seed_base + 1)) 1
 done
 
 python3 - "$work/runs.tsv" "$exact" "$moves" <<'EOF'
