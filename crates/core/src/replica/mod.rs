@@ -536,6 +536,13 @@ impl Replica {
         self.in_view_change
     }
 
+    /// The requests this replica has seen as a backup and not yet seen
+    /// executed: what its view-change timer waits on.
+    pub fn observed_requests(&self) -> impl Iterator<Item = &RequestMsg> {
+        // An observed digest names a stored body (`assert_bodies_owned`).
+        self.observed.iter().map(|d| &self.bodies[d])
+    }
+
     /// True when running the linear-communication engine
     /// ([`Engine::Linear`], see
     /// [`crate::linear`]): votes flow to the leader, which broadcasts quorum
@@ -628,9 +635,7 @@ impl Replica {
         let out = &mut res;
         let from = |r: ReplicaId| sender == Sender::Replica(r);
         match msg {
-            Message::Request(req) => {
-                self.on_request(sender, req, &auth.to_tag(), prefix, body, now_ns, out)
-            }
+            Message::Request(req) => self.on_request(sender, req, auth, prefix, body, now_ns, out),
             Message::PrePrepare(pp) => self.on_preprepare(pp, now_ns, false, out),
             Message::Prepare(p) if from(p.replica) => self.on_prepare(p, now_ns, out),
             Message::Commit(c) if from(c.replica) => self.on_commit(c, now_ns, out),
@@ -639,7 +644,7 @@ impl Replica {
             Message::NewView(nv) if from(self.cfg.primary_of(nv.view)) => {
                 self.on_new_view(nv, now_ns, out)
             }
-            Message::NewKey(nk) => self.on_new_key(nk, prefix, &auth.to_tag(), out),
+            Message::NewKey(nk) => self.on_new_key(nk, prefix, auth, out),
             Message::Status(s) if from(s.replica) => self.on_status(s, now_ns, out),
             Message::Fetch(f) => self.on_fetch(f, out),
             Message::FetchResp(fr) => self.on_fetch_resp(fr, now_ns, out),
@@ -722,7 +727,7 @@ impl Replica {
         &mut self,
         sender: Sender,
         req: RequestMsg,
-        auth: &AuthTag,
+        auth: AuthView<'_>,
         prefix: &[u8],
         body: &[u8],
         now_ns: u64,
@@ -768,6 +773,12 @@ impl Replica {
                 }
             }
             let verified = match auth {
+                // This replica's own authenticator entry, picked out of the
+                // borrowed vector.
+                AuthView::Authenticator { .. } => auth.mac_for(self.id().0).is_some_and(|mac| {
+                    self.keys
+                        .verify_client_entry(req.client, prefix, mac, &mut res.counts)
+                }),
                 // Static deployments: client public keys are configuration,
                 // not session state, so a restarted replica re-derives one
                 // lazily. Without this, a signature-mode request could never
@@ -775,16 +786,20 @@ impl Replica {
                 // for the derivation, and the key is kept only once it has
                 // verified: an unauthenticated claim to a fresh client id
                 // costs no key generation and no table entry.
-                AuthTag::Sig(sig)
+                AuthView::Sig(sig)
                     if self.membership.is_none()
                         && self.keys.client_pubkey(req.client).is_none() =>
                 {
                     self.keys
-                        .verify_static_client_sig(req.client, prefix, sig, &mut res.counts)
+                        .verify_static_client_sig(req.client, prefix, &sig, &mut res.counts)
                 }
-                _ => self
-                    .keys
-                    .verify_from_client(req.client, prefix, auth, &mut res.counts),
+                AuthView::Sig(sig) => self.keys.verify_from_client(
+                    req.client,
+                    prefix,
+                    &AuthTag::Sig(sig),
+                    &mut res.counts,
+                ),
+                AuthView::None | AuthView::Mac(_) => false,
             };
             if !verified {
                 self.metrics.auth_failures += 1;
@@ -867,12 +882,9 @@ impl Replica {
                 let primary = self.cfg.primary_of(self.view);
                 let relay_prefix = Envelope::encode_prefix(sender, &msg);
                 self.metrics.hot_encodings += 1;
-                let packet = Arc::new(Envelope::seal(relay_prefix, auth));
-                let env = Arc::new(Envelope {
-                    sender,
-                    msg,
-                    auth: auth.clone(),
-                });
+                let auth = auth.to_tag();
+                let packet = Arc::new(Envelope::seal(relay_prefix, &auth));
+                let env = Arc::new(Envelope { sender, msg, auth });
                 res.outputs.push(Output::Send {
                     to: NetTarget::Replica(primary),
                     packet,
@@ -886,12 +898,12 @@ impl Replica {
     fn verify_join_auth(
         &self,
         req: &RequestMsg,
-        auth: &AuthTag,
+        auth: AuthView<'_>,
         prefix: &[u8],
         res: &mut HandleResult,
     ) -> bool {
         use crate::messages::Operation;
-        let AuthTag::Sig(sig) = auth else {
+        let AuthView::Sig(sig) = auth else {
             return false;
         };
         let pubkey = match &req.op {
@@ -909,7 +921,7 @@ impl Replica {
             _ => return false,
         };
         res.counts.sig_verify += 1;
-        pubkey.verify(prefix, sig).is_ok()
+        pubkey.verify(prefix, &sig).is_ok()
     }
 
     /// §2.1 read-only fast path, behind the contention gate: a read whose
@@ -1038,8 +1050,14 @@ impl Replica {
     // NewKey (§2.3): install client session keys
     // ------------------------------------------------------------------
 
-    fn on_new_key(&mut self, nk: NewKeyMsg, prefix: &[u8], auth: &AuthTag, res: &mut HandleResult) {
-        let AuthTag::Sig(sig) = auth else {
+    fn on_new_key(
+        &mut self,
+        nk: NewKeyMsg,
+        prefix: &[u8],
+        auth: AuthView<'_>,
+        res: &mut HandleResult,
+    ) {
+        let AuthView::Sig(sig) = auth else {
             self.metrics.auth_failures += 1;
             return;
         };
@@ -1054,7 +1072,7 @@ impl Replica {
         let verified = match pubkey {
             Some(pubkey) => {
                 res.counts.sig_verify += 1;
-                pubkey.verify(prefix, sig).is_ok()
+                pubkey.verify(prefix, &sig).is_ok()
             }
             // Static deployments: the client's public key is part of the
             // (restart-surviving) configuration — derive it so the blind
@@ -1066,7 +1084,7 @@ impl Replica {
             // and the pubkey only arrived at construction.
             None if self.membership.is_none() => {
                 self.keys
-                    .verify_static_client_sig(nk.client, prefix, sig, &mut res.counts)
+                    .verify_static_client_sig(nk.client, prefix, &sig, &mut res.counts)
             }
             None => false,
         };

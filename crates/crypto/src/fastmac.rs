@@ -40,8 +40,9 @@ const TABLED_NONCES: usize = 2;
 /// Keyed fast MAC. Cheap to construct from a 32-byte session key.
 #[derive(Clone, PartialEq, Eq)]
 pub struct FastMacKey {
-    /// `point^1 ..= point^4` for the polynomial hash, each in `[1, P-1]`.
-    powers: [u64; 4],
+    /// `point^1 ..= point^16` for the polynomial hash, each in `[1, P-1]`.
+    /// The 16-limb step reads all of them, the 4-limb step the first four.
+    powers: [u64; 16],
     /// The pads of nonces `0..TABLED_NONCES`.
     pads: [u64; TABLED_NONCES],
     /// Pad key for encrypting the hash output under any other nonce,
@@ -78,6 +79,13 @@ fn horner_step(acc: u64, point: u64, limb: u64) -> u64 {
     reduce(prod + (limb & P) + (limb >> 61)) // < 2^63
 }
 
+/// Three 61-bit digits of `x < 2^128` (the top one `< 2^6`), each worth 1
+/// mod P, summed: `< 2^62 + 2^6`, congruent to `x`.
+#[inline(always)]
+fn fold(x: u128) -> u64 {
+    (x as u64 & P) + ((x >> 61) as u64 & P) + (x >> 122) as u64
+}
+
 /// Four Horner steps at once: `acc*p^4 + l0*p^3 + l1*p^2 + l2*p + l3 mod P`
 /// for `acc < P` and `powers = [p, p^2, p^3, p^4]`, each `< P`.
 ///
@@ -90,11 +98,36 @@ fn horner_step4(acc: u64, powers: &[u64; 4], limbs: [u64; 4]) -> u64 {
     let [p1, p2, p3, p4] = powers.map(u128::from);
     let [l0, l1, l2, l3] = limbs.map(u128::from);
     let sum = u128::from(acc) * p4 + l0 * p3 + l1 * p2 + l2 * p1 + l3;
-    // Three 61-bit digits (the top one < 2^6), each worth 1 mod P.
-    let lo = sum as u64 & P;
-    let mid = (sum >> 61) as u64 & P;
-    let top = (sum >> 122) as u64;
-    reduce(lo + mid + top) // < 2^62 + 2^6
+    reduce(fold(sum)) // < 2^62 + 2^6
+}
+
+/// Sixteen Horner steps at once, `acc*p^16 + l0*p^15 + ... + l14*p + l15`,
+/// for `acc < 2^61 + 4` and `powers = [p, ..., p^16]`, each `< P`; the
+/// result is congruent to it mod P and below `2^61 + 4`, not canonical.
+///
+/// Only the `acc * p^16` product waits for the previous step; the fifteen
+/// limb products do not, so the multiplier runs at its throughput. They are
+/// gathered in four partial sums of at most four products each. Every
+/// limb product is below `2^64 * 2^61 = 2^125` and `acc * p^16` below
+/// `(2^61 + 4) * 2^61 = 2^122 + 2^63`, so
+///
+/// * `s0 + s3 < (2^122 + 2^63 + 3 * 2^125) + (4 * 2^125 + 2^64) < 2^128`,
+/// * `s1 + s2 < 8 * 2^125 = 2^128`,
+///
+/// and neither pair overflows its `u128`. Each pair folds to below
+/// `2^62 + 2^6`, the two folds sum to below `2^63 + 2^7`, and one more fold
+/// of that (`< 2^61 + 2^2`) restores the bound on `acc`. The canonical
+/// `reduce` is left to whoever reads the accumulator next.
+#[inline(always)]
+fn horner_step16(acc: u64, powers: &[u64; 16], block: &[u8; 128]) -> u64 {
+    let l = |i: usize| u128::from(limb(&block[8 * i..8 * i + 8]));
+    let p = |e: usize| u128::from(powers[e - 1]);
+    let s0 = l(0) * p(15) + l(1) * p(14) + l(2) * p(13) + u128::from(acc) * p(16);
+    let s1 = l(3) * p(12) + l(4) * p(11) + l(5) * p(10) + l(6) * p(9);
+    let s2 = l(7) * p(8) + l(8) * p(7) + l(9) * p(6) + l(10) * p(5);
+    let s3 = l(11) * p(4) + l(12) * p(3) + l(13) * p(2) + l(14) * p(1) + l(15);
+    let x = fold(s0 + s3) + fold(s1 + s2); // < 2^63 + 2^7
+    (x & P) + (x >> 61)
 }
 
 fn limb(bytes: &[u8]) -> u64 {
@@ -108,8 +141,8 @@ impl FastMacKey {
         let pad_key = derive_key(session_key, "fastmac-pad", b"");
         // Map into [1, P-1].
         let point = limb(&point_bytes[..8]) % (P - 1) + 1;
-        let mut powers = [point; 4];
-        for i in 1..4 {
+        let mut powers = [point; 16];
+        for i in 1..16 {
             powers[i] = horner_step(powers[i - 1], point, 0);
         }
         let pad = HmacKey::new(&pad_key);
@@ -152,18 +185,21 @@ impl FastMacKey {
     }
 
     /// Polynomial evaluation over whole 32-byte blocks: `msg` as 8-byte
-    /// little-endian limbs, four limbs per step. `acc` starts at 1, which
-    /// distinguishes the empty message from zero limbs.
+    /// little-endian limbs, sixteen limbs per step while 128 bytes remain
+    /// (the accumulator only partially reduced in between), then four. `acc`
+    /// starts at 1, which distinguishes the empty message from zero limbs;
+    /// it is canonical on entry and on return.
     #[inline(always)]
     fn absorb_blocks(&self, mut acc: u64, blocks: &[u8]) -> u64 {
-        for b in blocks.chunks_exact(32) {
-            let limbs = [
-                limb(&b[..8]),
-                limb(&b[8..16]),
-                limb(&b[16..24]),
-                limb(&b[24..]),
-            ];
-            acc = horner_step4(acc, &self.powers, limbs);
+        let (wide, rest) = blocks.as_chunks::<128>();
+        for b in wide {
+            acc = horner_step16(acc, &self.powers, b);
+        }
+        acc = reduce(acc);
+        let powers = self.powers.first_chunk().expect("16 powers");
+        for b in rest.as_chunks::<32>().0 {
+            let limbs = [0, 8, 16, 24].map(|i| limb(&b[i..i + 8]));
+            acc = horner_step4(acc, powers, limbs);
         }
         acc
     }
@@ -172,27 +208,33 @@ impl FastMacKey {
     /// the final partial limb zero-padded, then the length — so that ("ab",
     /// "") and ("a", "b...") cannot collide — and the nonce; the hash is
     /// encrypted with the nonce's pad.
+    ///
+    /// The `k <= 6` terms `t_i` are one sum, `acc*p^k + sum t_i*p^(k-1-i)`,
+    /// not `k` dependent Horner steps: with `acc < 2^61`, every power below
+    /// `2^61` and every term below `2^64` the sum of its seven terms is below
+    /// `7 * 2^125 < 2^128`, and one fold and a `reduce` make it canonical.
     #[inline(always)]
-    fn finish(&self, mut acc: u64, tail: &[u8], len: usize, nonce: u64) -> Mac64 {
-        let point = self.powers[0];
-        let mut chunks = tail.chunks_exact(8);
-        for c in chunks.by_ref() {
-            acc = horner_step(acc, point, limb(c));
+    fn finish(&self, acc: u64, tail: &[u8], len: usize, nonce: u64) -> Mac64 {
+        let mul = |x: u64, power: u64| u128::from(x) * u128::from(power);
+        let rem = tail.len() % 8;
+        let k = tail.len() / 8 + usize::from(rem > 0) + 2;
+        let powers = &self.powers[..k];
+        let mut sum = mul(acc, powers[k - 1]) + mul(len as u64, powers[0]) + u128::from(nonce);
+        for (i, c) in tail.chunks_exact(8).enumerate() {
+            sum += mul(limb(c), powers[k - 2 - i]);
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
+        if rem > 0 {
             let mut last = [0u8; 8];
-            last[..rem.len()].copy_from_slice(rem);
-            acc = horner_step(acc, point, u64::from_le_bytes(last));
+            last[..rem].copy_from_slice(&tail[tail.len() - rem..]);
+            sum += mul(u64::from_le_bytes(last), powers[1]);
         }
-        acc = horner_step(acc, point, len as u64);
-        acc = horner_step(acc, point, nonce);
+        let hash = reduce(fold(sum));
         let tabled = usize::try_from(nonce).ok().and_then(|i| self.pads.get(i));
         let pad = match tabled {
             Some(&pad) => pad,
             None => pad_for(&self.pad, nonce),
         };
-        Mac64(acc ^ pad)
+        Mac64(hash ^ pad)
     }
 
     /// Verify a tag.
@@ -265,13 +307,14 @@ mod tests {
         });
     }
 
-    /// Every length up to 4 KiB plus 31 — all residues mod 32 (the whole
-    /// limbs the four-lane loop leaves over) and mod 8 (the partial limb) at
-    /// every block count — over saturated bytes, whose limbs (>= 2^61) reach
-    /// the top of every fold, and over random ones.
+    /// Every length up to 4 KiB plus 127 — all residues mod 128 (the
+    /// 4-limb blocks and whole limbs the 16-limb loop leaves over) and mod 8
+    /// (the partial limb) at every 16-limb block count — over saturated
+    /// bytes, whose limbs (>= 2^61) reach the top of every fold, and over
+    /// random ones.
     #[test]
-    fn crosscheck_prop_four_lane_matches_reference_at_every_length() {
-        const MAX_LEN: usize = 4096 + 31;
+    fn crosscheck_prop_matches_reference_at_every_length() {
+        const MAX_LEN: usize = 4096 + 127;
         propcheck::check("fastmac_every_length", 2, |g| {
             let session_key: [u8; 32] = g.byte_array();
             let k = FastMacKey::from_session_key(&session_key);
@@ -327,6 +370,28 @@ mod tests {
             }
         }
         assert_eq!(k.mac(&[0xff; 64], u64::MAX), Mac64(0x971fb19c8d626acc));
+    }
+
+    /// Splits at every offset within 33 bytes of a 128-byte boundary, one
+    /// cut or two: a part that ends just before or after a 16-limb block,
+    /// and a 32-byte carry that shifts where the next part's 16-limb blocks
+    /// start, MAC as the joined message.
+    #[test]
+    fn crosscheck_mac_parts_split_near_every_wide_block_boundary() {
+        let k = key(9);
+        let len = 4 * 128 + 40;
+        for msg in [vec![0xff; len], pattern(len)] {
+            let expect = k.mac(&msg, 1);
+            let cuts: Vec<usize> = (1..=4).flat_map(|b| 128 * b - 33..=128 * b + 33).collect();
+            for (i, &a) in cuts.iter().enumerate() {
+                let two = k.mac_parts(&[&msg[..a], &msg[a..]], 1);
+                assert_eq!(two, expect, "cut at {a}");
+                for &b in &cuts[i..] {
+                    let three = k.mac_parts(&[&msg[..a], &msg[a..b], &msg[b..]], 1);
+                    assert_eq!(three, expect, "cuts at {a} and {b}");
+                }
+            }
+        }
     }
 
     /// Any split of a message into parts MACs as the joined message: parts
@@ -389,11 +454,88 @@ mod tests {
         }
     }
 
+    /// The largest 16-limb step the bounds allow — the accumulator at its
+    /// partial-reduction ceiling, every limb `u64::MAX`, every power `P - 1`
+    /// — does not overflow a `u128` (debug builds trap it), keeps the
+    /// accumulator below the ceiling, and reduces to the right residue.
+    #[test]
+    fn crosscheck_horner_step16_at_the_extremes() {
+        const CEILING: u64 = (1 << 61) + 3;
+        let p = u128::from(P);
+        let term = |x: u64, y: u64| u128::from(x) * u128::from(y) % p;
+        for (acc, power, l) in [
+            (CEILING, P - 1, u64::MAX),
+            (CEILING, P - 1, 0),
+            (CEILING, 1, P),
+            (P - 1, P - 1, u64::MAX),
+            (0, 1, 0),
+            (0, P - 1, u64::MAX),
+            (1, 1, 1),
+        ] {
+            let expect = (term(acc, power) + 15 * term(l, power) + u128::from(l) % p) % p;
+            let block: Vec<u8> = (0..16).flat_map(|_| l.to_le_bytes()).collect();
+            let got = horner_step16(acc, &[power; 16], block.as_slice().try_into().unwrap());
+            assert!(got <= CEILING, "acc {acc} power {power} limb {l}: {got}");
+            assert_eq!(
+                u128::from(reduce(got)),
+                expect,
+                "acc {acc} power {power} limb {l}"
+            );
+        }
+    }
+
+    /// `finish` sums every tail term at once and folds once: at every tail
+    /// length its hash is the one the dependent Horner steps give, for
+    /// random keys, and at the bound (accumulator `P - 1`, saturated tail,
+    /// length and nonce `u64::MAX`, every power `P - 1`) it is canonical.
+    #[test]
+    fn crosscheck_finish_folds_once_at_every_tail_length() {
+        let p = u128::from(P);
+        let unpadded = |k: &FastMacKey, tag: Mac64, nonce: u64| tag.0 ^ pad_for(&k.pad, nonce);
+        propcheck::check("fastmac_finish_tails", 16, |g| {
+            let k = FastMacKey::from_session_key(&g.byte_array());
+            let point = u128::from(k.powers[0]);
+            let acc = g.u64_in(0..P);
+            let data = g.bytes(31..32);
+            let (len, nonce) = (g.u64_in(0..u64::MAX) as usize, g.u64_in(0..u64::MAX));
+            for t in 0..=31 {
+                let mut expect = u128::from(acc);
+                for c in data[..t].chunks(8) {
+                    let mut limb = [0u8; 8];
+                    limb[..c.len()].copy_from_slice(c);
+                    expect = (expect * point + u128::from(u64::from_le_bytes(limb))) % p;
+                }
+                expect = (expect * point + len as u128) % p;
+                expect = (expect * point + u128::from(nonce)) % p;
+                let got = unpadded(&k, k.finish(acc, &data[..t], len, nonce), nonce);
+                assert_eq!(u128::from(got), expect, "tail {t}");
+            }
+        });
+        let mut k = key(2);
+        k.powers = [P - 1; 16];
+        let term = |x: u64| u128::from(x) * u128::from(P - 1) % p;
+        for t in 0..=31 {
+            let tail = [0xff; 31];
+            // Every limb the tail makes, zero-padded, then the length: each
+            // times `P - 1`; the nonce last, unmultiplied.
+            let limbs = tail[..t].chunks(8).map(|c| {
+                let mut limb = [0u8; 8];
+                limb[..c.len()].copy_from_slice(c);
+                u64::from_le_bytes(limb)
+            });
+            let sum: u128 = limbs.chain([u64::MAX]).map(term).sum();
+            let expect = (term(P - 1) + sum + u128::from(u64::MAX)) % p;
+            let tag = k.finish(P - 1, &tail[..t], u64::MAX as usize, u64::MAX);
+            let got = unpadded(&k, tag, u64::MAX);
+            assert_eq!(u128::from(got), expect, "tail {t}");
+        }
+    }
+
     #[test]
     fn key_is_small_comparable_and_opaque() {
-        // Four powers of the evaluation point, the two tabled pads and two
-        // SHA-256 chaining values: nothing that grows with use.
-        assert_eq!(std::mem::size_of::<FastMacKey>(), 112);
+        // Sixteen powers of the evaluation point, the two tabled pads and
+        // two SHA-256 chaining values: nothing that grows with use.
+        assert_eq!(std::mem::size_of::<FastMacKey>(), 208);
         assert_eq!(key(1), key(1));
         assert_ne!(key(1), key(2));
         assert_eq!(format!("{:?}", key(1)), "FastMacKey(..)");

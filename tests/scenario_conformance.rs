@@ -167,6 +167,77 @@ fn slow_primary_is_evicted_by_timeout() {
     assert_correct_replicas_agree(cluster, &[0, 1, 2, 3]);
 }
 
+/// A primary that censors one client while serving the others is never
+/// suspected: a backup's suspicion timer fires only when *nothing* executes,
+/// so the censored request sits in every backup's `observed` for as long as
+/// the others' requests keep executing (ARCHITECTURE.md, "Deliberate
+/// deviations"). This pins the deviation; a timer per observed request
+/// would evict the primary within two timeouts and flip it.
+fn censoring_primary_is_never_suspected(engine: Engine, seed: u64) {
+    let mut deployment = scenario_deployment(engine, 4, seed);
+    let cluster = deployment.group_mut(0);
+    cluster.start_paced_workload(PACE, |_| null_ops(1024));
+    let timeout_ns = cluster.spec().cfg.view_change_timeout_ns;
+    let timeout = SimDuration::from_nanos(timeout_ns);
+    cluster.run_for(ms(300));
+    // `client_bits` 0b1 censors `ClientId(1)`.
+    cluster.mount_fault(0, Fault::Censor { client_bits: 0b1 });
+    let censored = |r: &pbft_core::Replica| -> Vec<u64> {
+        r.observed_requests()
+            .filter(|req| req.client == pbft_core::ClientId(1))
+            .map(|req| req.timestamp)
+            .collect()
+    };
+    // The client retransmits to every replica once its first send to the
+    // primary goes unanswered; from then on every backup holds it.
+    cluster.run_for(SimDuration::from_nanos(2 * timeout_ns));
+    let held: Vec<Vec<u64>> = (1..4)
+        .map(|r| censored(cluster.replica(r).expect("alive")))
+        .collect();
+    for (r, ts) in (1..).zip(&held) {
+        assert!(
+            !ts.is_empty(),
+            "backup {r} never observed the censored request"
+        );
+    }
+    let mut executed: Vec<u64> = (1..4)
+        .map(|r| cluster.replica(r).expect("alive").last_executed())
+        .collect();
+    for step in 1..=11 {
+        cluster.run_for(timeout);
+        for (i, r) in (1..4).enumerate() {
+            let replica = cluster.replica(r).expect("alive");
+            let now = censored(replica);
+            assert!(
+                held[i].iter().all(|ts| now.contains(ts)),
+                "backup {r}, {step} timeouts on: the censored request left `observed` ({:?} -> {now:?})",
+                held[i]
+            );
+            assert!(
+                replica.last_executed() > executed[i],
+                "backup {r}: nothing executed in timeout {step}"
+            );
+            executed[i] = replica.last_executed();
+            assert_eq!(replica.view(), 0, "backup {r} changed view");
+            assert_eq!(
+                replica.metrics().view_changes_started,
+                0,
+                "backup {r} suspected"
+            );
+        }
+    }
+}
+
+#[test]
+fn censoring_primary_is_never_suspected_pbft() {
+    censoring_primary_is_never_suspected(Engine::Pbft, 24);
+}
+
+#[test]
+fn censoring_primary_is_never_suspected_linear() {
+    censoring_primary_is_never_suspected(Engine::Linear, 24);
+}
+
 #[test]
 fn rolling_crash_of_f_replicas() {
     let mut deployment = paced_single(4, 23);
