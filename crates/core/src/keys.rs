@@ -10,9 +10,10 @@
 
 use pbft_crypto::auth::{Authenticator, MacKey};
 use pbft_crypto::hmac::derive_key;
-use pbft_crypto::{KeyPair, Mac64, PublicKey, Signature};
+use pbft_crypto::{KeyPair, Mac64, PublicKey};
 
 use crate::config::AuthMode;
+use crate::messages::view::AuthView;
 use crate::messages::AuthTag;
 use crate::output::OpCounts;
 use crate::types::{ClientId, FoldMap, FoldState, ReplicaId};
@@ -64,7 +65,10 @@ pub struct KeyStore {
     replica_keys: Vec<MacKey>,
     /// Transient client session keys (lost on restart — §2.3).
     client_keys: FoldMap<ClientId, MacKey>,
-    /// Client public keys (static config or learned from Joins).
+    /// Static clients' public keys: configuration, installed with the
+    /// preinstalled session keys or derived from the seed and kept once a
+    /// signature verifies under one. A dynamic member's key lives only in
+    /// the replicated membership table.
     client_pubkeys: FoldMap<ClientId, PublicKey>,
 }
 
@@ -145,60 +149,18 @@ impl KeyStore {
         *self.client_keys.hasher()
     }
 
-    /// The deployment seed (used to derive static client keys lazily).
-    pub fn group_seed(&self) -> u64 {
-        self.group_seed
-    }
-
-    /// The public key a *static* deployment's configuration assigns to
-    /// `client`, derived from the deployment seed. Static configuration —
-    /// unlike session MAC keys — survives a restart, so a restarted replica
-    /// uses this to verify a client's signed blind NewKey and re-learn its
-    /// session key (the §2.3 recovery path), and to verify signature-mode
-    /// requests. Meaningless for dynamic members, whose public keys arrive
-    /// with their Join.
-    pub fn static_client_pubkey(&self, client: ClientId) -> PublicKey {
-        node_keypair(self.group_seed, None, Some(client)).public()
-    }
-
-    /// Verify `sig` over `prefix` by the public key a static deployment's
-    /// configuration assigns to `client` ([`KeyStore::static_client_pubkey`]),
-    /// and install that key only if it verifies: a claim to a client id that
-    /// fails authentication leaves no entry behind.
-    pub fn verify_static_client_sig(
-        &mut self,
-        client: ClientId,
-        prefix: &[u8],
-        sig: &Signature,
-        counts: &mut OpCounts,
-    ) -> bool {
-        counts.sig_verify += 1;
-        let pk = self.static_client_pubkey(client);
-        let ok = pk.verify(prefix, sig).is_ok();
-        if ok {
-            self.install_client_pubkey(client, pk);
-        }
-        ok
-    }
-
     /// Install a client session key (from a verified NewKey message).
     pub fn install_client_key(&mut self, client: ClientId, key: [u8; 32]) {
         self.client_keys.insert(client, MacKey::new(key));
     }
 
-    /// Record a client's public key (static config or from a Join).
-    pub fn install_client_pubkey(&mut self, client: ClientId, pk: PublicKey) {
-        self.client_pubkeys.insert(client, pk);
-    }
-
-    /// Forget a client entirely (its session ended).
+    /// Drop a client's session MAC key (its session ended).
     pub fn remove_client(&mut self, client: ClientId) {
         self.client_keys.remove(&client);
-        self.client_pubkeys.remove(&client);
     }
 
-    /// A client's public key, if known.
-    pub fn client_pubkey(&self, client: ClientId) -> Option<PublicKey> {
+    /// The public key this replica keeps for a static client.
+    pub(crate) fn client_pubkey(&self, client: ClientId) -> Option<PublicKey> {
         self.client_pubkeys.get(&client).copied()
     }
 
@@ -258,95 +220,76 @@ impl KeyStore {
         }
     }
 
-    /// Verify a packet from a fellow replica.
-    pub fn verify_from_replica(
+    /// Verify a packet from fellow replica `from` over its borrowed
+    /// trailer: this replica's authenticator entry under the pair key, or
+    /// the peer's signature. An out-of-range or self sender, and an
+    /// authenticator with no entry for this replica, are refused without a
+    /// MAC.
+    pub fn verify_replica(
         &self,
         from: ReplicaId,
         prefix: &[u8],
-        auth: &AuthTag,
+        auth: AuthView<'_>,
         counts: &mut OpCounts,
     ) -> bool {
-        if from.0 as usize >= self.n || from == self.me {
+        let i = from.0 as usize;
+        if i >= self.n || from == self.me {
             return false;
         }
         match auth {
-            AuthTag::Authenticator(a) => {
+            AuthView::Authenticator { .. } => auth.mac_for(self.me.0).is_some_and(|mac| {
                 counts.mac_verify += 1;
-                a.verify_for(self.me.0, &self.replica_keys[from.0 as usize], prefix, 0)
-            }
-            AuthTag::Sig(sig) => {
+                self.replica_keys[i].verify(prefix, 0, mac)
+            }),
+            AuthView::Sig(sig) => {
                 counts.sig_verify += 1;
-                self.replica_pubkeys[from.0 as usize]
-                    .verify(prefix, sig)
-                    .is_ok()
+                self.replica_pubkeys[i].verify(prefix, &sig).is_ok()
             }
-            _ => false,
+            AuthView::None | AuthView::Mac(_) => false,
         }
     }
 
-    /// Verify a single *borrowed* authenticator entry from peer `from` —
-    /// the zero-copy receive path, where the caller extracted its own MAC
-    /// from the wire-form authenticator without materializing the vector.
-    /// Accepts exactly when [`KeyStore::verify_from_replica`] would accept
-    /// an authenticator whose entry for this replica is `mac`.
-    pub fn verify_replica_entry(
-        &self,
-        from: ReplicaId,
+    /// Verify a packet from `client` over its borrowed trailer: this
+    /// replica's authenticator entry under the client's session key (none
+    /// is held until a NewKey installs one — the §2.3 condition for a
+    /// restarted replica), or a signature.
+    ///
+    /// `member_key` is the key a dynamic member's signature must verify
+    /// under, read from its membership session, which the caller consults
+    /// first. `None` means a static deployment: the key is configuration,
+    /// derived from the deployment seed, and kept only once a signature
+    /// verifies under it, so a claim to an id that fails authentication
+    /// leaves nothing behind.
+    pub fn verify_client(
+        &mut self,
+        client: ClientId,
         prefix: &[u8],
-        mac: Mac64,
-        counts: &mut OpCounts,
-    ) -> bool {
-        if from.0 as usize >= self.n || from == self.me {
-            return false;
-        }
-        counts.mac_verify += 1;
-        self.replica_keys[from.0 as usize].verify(prefix, 0, mac)
-    }
-
-    /// Verify a single borrowed authenticator entry from client `from`
-    /// (client request authenticators MAC the full prefix, domain 0).
-    /// Accepts exactly when [`KeyStore::verify_from_client`] would.
-    pub fn verify_client_entry(
-        &self,
-        from: ClientId,
-        prefix: &[u8],
-        mac: Mac64,
-        counts: &mut OpCounts,
-    ) -> bool {
-        match self.client_keys.get(&from) {
-            Some(k) => {
-                counts.mac_verify += 1;
-                k.verify(prefix, 0, mac)
-            }
-            None => false,
-        }
-    }
-
-    /// Verify a packet from a client. Fails when no session key is installed
-    /// — the §2.3 condition for a restarted replica.
-    pub fn verify_from_client(
-        &self,
-        from: ClientId,
-        prefix: &[u8],
-        auth: &AuthTag,
+        auth: AuthView<'_>,
+        member_key: Option<PublicKey>,
         counts: &mut OpCounts,
     ) -> bool {
         match auth {
-            AuthTag::Authenticator(a) => match self.client_keys.get(&from) {
-                Some(k) => {
-                    counts.mac_verify += 1;
-                    a.verify_for(self.me.0, k, prefix, 0)
+            AuthView::Authenticator { .. } => {
+                match (auth.mac_for(self.me.0), self.client_keys.get(&client)) {
+                    (Some(mac), Some(key)) => {
+                        counts.mac_verify += 1;
+                        key.verify(prefix, 0, mac)
+                    }
+                    _ => false,
                 }
-                None => false,
-            },
-            AuthTag::Sig(sig) => match self.client_pubkeys.get(&from) {
-                Some(pk) => {
-                    counts.sig_verify += 1;
-                    pk.verify(prefix, sig).is_ok()
+            }
+            AuthView::Sig(sig) => {
+                counts.sig_verify += 1;
+                let known = member_key.or_else(|| self.client_pubkey(client));
+                let pk = known
+                    .unwrap_or_else(|| node_keypair(self.group_seed, None, Some(client)).public());
+                let ok = pk.verify(prefix, &sig).is_ok();
+                if ok && known.is_none() {
+                    self.client_pubkeys.insert(client, pk);
                 }
-                None => false,
-            },
-            _ => false,
+                ok
+            }
+            AuthView::None | AuthView::Mac(_) => false,
         }
     }
 }
@@ -474,8 +417,27 @@ impl ClientKeys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::view::PacketView;
+    use crate::messages::{CheckpointMsg, Envelope, Message, Sender};
 
     const SEED: u64 = 42;
+
+    /// A packet carrying `auth` behind a stand-in message: parsing it gives
+    /// the trailer as a receiver borrows it off the wire.
+    fn carrier(auth: &AuthTag) -> Vec<u8> {
+        let msg = Message::Checkpoint(CheckpointMsg {
+            seq: 0,
+            root: pbft_crypto::Digest::of(b""),
+            replica: ReplicaId(0),
+        });
+        Envelope::seal(Envelope::encode_prefix(Sender::Anonymous, &msg), auth)
+    }
+
+    fn borrowed(packet: &[u8]) -> AuthView<'_> {
+        PacketView::parse(packet)
+            .expect("a sealed packet parses")
+            .auth
+    }
 
     #[test]
     fn pairwise_keys_symmetric() {
@@ -493,11 +455,48 @@ mod tests {
         let mut counts = OpCounts::default();
         let auth = a.seal_multicast(AuthMode::Macs, b"prefix", &mut counts);
         assert_eq!(counts.mac_gen, 3);
-        assert!(b.verify_from_replica(ReplicaId(0), b"prefix", &auth, &mut counts));
-        assert!(!b.verify_from_replica(ReplicaId(0), b"tampered", &auth, &mut counts));
-        // Self-verification and out-of-range ids rejected.
-        assert!(!a.verify_from_replica(ReplicaId(0), b"prefix", &auth, &mut counts));
-        assert!(!b.verify_from_replica(ReplicaId(9), b"prefix", &auth, &mut counts));
+        let packet = carrier(&auth);
+        let view = borrowed(&packet);
+        assert!(b.verify_replica(ReplicaId(0), b"prefix", view, &mut counts));
+        assert!(!b.verify_replica(ReplicaId(0), b"tampered", view, &mut counts));
+        assert_eq!(counts.mac_verify, 2);
+        // Self-verification, out-of-range and wrong senders are rejected,
+        // the first two without a MAC.
+        assert!(!a.verify_replica(ReplicaId(0), b"prefix", view, &mut counts));
+        assert!(!b.verify_replica(ReplicaId(9), b"prefix", view, &mut counts));
+        assert_eq!(counts.mac_verify, 2);
+        assert!(!b.verify_replica(ReplicaId(2), b"prefix", view, &mut counts));
+        // The entry addressed to replica 2 does not verify at replica 1.
+        let c = KeyStore::new_replica(SEED, ReplicaId(2), 4, &[]);
+        assert!(c.verify_replica(ReplicaId(0), b"prefix", view, &mut counts));
+        let AuthTag::Authenticator(v) = &auth else {
+            panic!("expected authenticator");
+        };
+        let only_2 = AuthTag::Authenticator(Authenticator::from_entries(vec![(
+            1,
+            v.tag_for(2).expect("an entry for replica 2"),
+        )]));
+        let packet = carrier(&only_2);
+        assert!(!b.verify_replica(ReplicaId(0), b"prefix", borrowed(&packet), &mut counts));
+    }
+
+    #[test]
+    fn an_authenticator_without_my_entry_is_refused_without_a_mac() {
+        let a = KeyStore::new_replica(SEED, ReplicaId(0), 4, &[]);
+        let mut r = KeyStore::new_replica(SEED, ReplicaId(3), 4, &[ClientId(5)]);
+        let mut counts = OpCounts::default();
+        let AuthTag::Authenticator(v) = a.seal_multicast(AuthMode::Macs, b"m", &mut counts) else {
+            panic!("expected authenticator");
+        };
+        let without_3: Vec<_> = v.iter().filter(|&(i, _)| i != 3).collect();
+        let packet = carrier(&AuthTag::Authenticator(Authenticator::from_entries(
+            without_3,
+        )));
+        let view = borrowed(&packet);
+        let mut counts = OpCounts::default();
+        assert!(!r.verify_replica(ReplicaId(0), b"m", view, &mut counts));
+        assert!(!r.verify_client(ClientId(5), b"m", view, None, &mut counts));
+        assert_eq!(counts.mac_verify, 0);
     }
 
     #[test]
@@ -511,42 +510,9 @@ mod tests {
         let auth = a.seal_multicast(AuthMode::Macs, &big, &mut counts);
         assert_eq!(counts.mac_gen, 3);
         assert_eq!(counts.digest_bytes, 0);
-        assert!(b.verify_from_replica(ReplicaId(0), &big, &auth, &mut counts));
+        let packet = carrier(&auth);
+        assert!(b.verify_replica(ReplicaId(0), &big, borrowed(&packet), &mut counts));
         assert_eq!(counts.digest_bytes, 0);
-    }
-
-    #[test]
-    fn borrowed_entry_verify_matches_authenticator_verify() {
-        let a = KeyStore::new_replica(SEED, ReplicaId(0), 4, &[]);
-        let b = KeyStore::new_replica(SEED, ReplicaId(1), 4, &[]);
-        let mut counts = OpCounts::default();
-        let auth = a.seal_multicast(AuthMode::Macs, b"prefix", &mut counts);
-        let AuthTag::Authenticator(v) = &auth else {
-            panic!("expected authenticator");
-        };
-        let mine = v.iter().find(|(i, _)| *i == 1).map(|(_, m)| m).unwrap();
-        assert!(b.verify_replica_entry(ReplicaId(0), b"prefix", mine, &mut counts));
-        assert!(!b.verify_replica_entry(ReplicaId(0), b"tampered", mine, &mut counts));
-        assert!(!b.verify_replica_entry(ReplicaId(1), b"prefix", mine, &mut counts));
-        assert!(!b.verify_replica_entry(ReplicaId(9), b"prefix", mine, &mut counts));
-        // The entry addressed to replica 2 must not verify at replica 1.
-        let other = v.iter().find(|(i, _)| *i == 2).map(|(_, m)| m).unwrap();
-        assert!(!b.verify_replica_entry(ReplicaId(0), b"prefix", other, &mut counts));
-    }
-
-    #[test]
-    fn borrowed_client_entry_matches_full_verify() {
-        let c = ClientKeys::new(SEED, ClientId(5), 4);
-        let r = KeyStore::new_replica(SEED, ReplicaId(2), 4, &[ClientId(5)]);
-        let mut counts = OpCounts::default();
-        let auth = c.seal_request(AuthMode::Macs, b"req", &mut counts);
-        let AuthTag::Authenticator(v) = &auth else {
-            panic!("expected authenticator");
-        };
-        let mine = v.iter().find(|(i, _)| *i == 2).map(|(_, m)| m).unwrap();
-        assert!(r.verify_client_entry(ClientId(5), b"req", mine, &mut counts));
-        assert!(!r.verify_client_entry(ClientId(5), b"other", mine, &mut counts));
-        assert!(!r.verify_client_entry(ClientId(6), b"req", mine, &mut counts));
     }
 
     #[test]
@@ -556,35 +522,51 @@ mod tests {
         let mut counts = OpCounts::default();
         let auth = a.seal_multicast(AuthMode::Signatures, b"prefix", &mut counts);
         assert_eq!(counts.sign, 1);
-        assert!(b.verify_from_replica(ReplicaId(0), b"prefix", &auth, &mut counts));
+        let packet = carrier(&auth);
+        let view = borrowed(&packet);
+        assert!(b.verify_replica(ReplicaId(0), b"prefix", view, &mut counts));
         assert_eq!(counts.sig_verify, 1);
+        assert!(!b.verify_replica(ReplicaId(0), b"tampered", view, &mut counts));
+        assert!(!b.verify_replica(ReplicaId(1), b"prefix", view, &mut counts));
+        assert!(!b.verify_replica(ReplicaId(3), b"prefix", view, &mut counts));
+        assert_eq!(counts.sig_verify, 3);
     }
 
     #[test]
     fn client_request_roundtrip() {
         let c = ClientKeys::new(SEED, ClientId(5), 4);
-        let r = KeyStore::new_replica(SEED, ReplicaId(2), 4, &[ClientId(5)]);
+        let mut r = KeyStore::new_replica(SEED, ReplicaId(2), 4, &[ClientId(5)]);
         let mut counts = OpCounts::default();
         let auth = c.seal_request(AuthMode::Macs, b"req", &mut counts);
         assert_eq!(counts.mac_gen, 4);
-        assert!(r.verify_from_client(ClientId(5), b"req", &auth, &mut counts));
+        let packet = carrier(&auth);
+        let view = borrowed(&packet);
+        assert!(r.verify_client(ClientId(5), b"req", view, None, &mut counts));
+        assert!(!r.verify_client(ClientId(5), b"other", view, None, &mut counts));
+        assert_eq!(counts.mac_verify, 2);
+        // An unknown client has no session key: refused without a MAC.
+        assert!(!r.verify_client(ClientId(6), b"req", view, None, &mut counts));
+        assert_eq!(counts.mac_verify, 2);
     }
 
     #[test]
     fn restarted_replica_lacks_client_keys() {
         let c = ClientKeys::new(SEED, ClientId(5), 4);
         // Restarted: no preinstalled clients.
-        let r = KeyStore::new_replica(SEED, ReplicaId(2), 4, &[]);
+        let mut r = KeyStore::new_replica(SEED, ReplicaId(2), 4, &[]);
         let mut counts = OpCounts::default();
         let auth = c.seal_request(AuthMode::Macs, b"req", &mut counts);
+        let packet = carrier(&auth);
+        let view = borrowed(&packet);
         assert!(
-            !r.verify_from_client(ClientId(5), b"req", &auth, &mut counts),
+            !r.verify_client(ClientId(5), b"req", view, None, &mut counts),
             "restarted replica must fail authentication until NewKey arrives (§2.3)"
         );
         // NewKey re-installs the session key.
-        let mut r = r;
         r.install_client_key(ClientId(5), c.session_key_bytes()[2]);
-        assert!(r.verify_from_client(ClientId(5), b"req", &auth, &mut counts));
+        assert!(r.verify_client(ClientId(5), b"req", view, None, &mut counts));
+        r.remove_client(ClientId(5));
+        assert!(!r.verify_client(ClientId(5), b"req", view, None, &mut counts));
     }
 
     #[test]
@@ -607,15 +589,39 @@ mod tests {
         assert!(r.can_seal_to_client(AuthMode::Signatures, ClientId(9)));
     }
 
+    /// A static client's key is configuration: derived on the first signed
+    /// request and kept only once it verifies. A dynamic member's signature
+    /// verifies under the key its membership session holds, and nothing is
+    /// kept for it.
     #[test]
     fn client_sig_requests_verify_via_pubkey() {
         let c = ClientKeys::new(SEED, ClientId(7), 4);
         let mut r = KeyStore::new_replica(SEED, ReplicaId(0), 4, &[]);
-        r.install_client_pubkey(ClientId(7), c.keypair().public());
         let mut counts = OpCounts::default();
         let auth = c.seal_request(AuthMode::Signatures, b"req", &mut counts);
-        assert!(r.verify_from_client(ClientId(7), b"req", &auth, &mut counts));
-        r.remove_client(ClientId(7));
-        assert!(!r.verify_from_client(ClientId(7), b"req", &auth, &mut counts));
+        let packet = carrier(&auth);
+        let view = borrowed(&packet);
+        assert!(!r.verify_client(ClientId(7), b"forged", view, None, &mut counts));
+        assert_eq!(r.client_pubkey(ClientId(7)), None);
+        assert!(r.verify_client(ClientId(7), b"req", view, None, &mut counts));
+        assert_eq!(r.client_pubkey(ClientId(7)), Some(c.keypair().public()));
+        assert!(r.verify_client(ClientId(7), b"req", view, None, &mut counts));
+        assert_eq!(counts.sig_verify, 3);
+
+        let member = ClientKeys::new_dynamic(SEED, 99, ClientId(8), 4);
+        let auth = member.seal_request(AuthMode::Signatures, b"req", &mut counts);
+        let packet = carrier(&auth);
+        let view = borrowed(&packet);
+        let key = Some(member.keypair().public());
+        assert!(r.verify_client(ClientId(8), b"req", view, key, &mut counts));
+        assert!(!r.verify_client(ClientId(8), b"req", view, None, &mut counts));
+        assert!(!r.verify_client(
+            ClientId(8),
+            b"req",
+            view,
+            Some(c.keypair().public()),
+            &mut counts
+        ));
+        assert_eq!(r.client_pubkey(ClientId(8)), None);
     }
 }

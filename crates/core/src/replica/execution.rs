@@ -695,9 +695,7 @@ impl Replica {
                             self.end_session(c);
                         }
                         if let Some(s) = self.membership.as_ref().and_then(|m| m.session(client)) {
-                            let (pk, addr) = (s.pubkey, s.addr);
-                            self.keys.install_client_pubkey(client, pk);
-                            self.clients.entry(client).or_default().addr = Some(addr);
+                            self.clients.entry(client).or_default().addr = Some(s.addr);
                         }
                         let mut out = b"joined:".to_vec();
                         out.extend_from_slice(&client.0.to_be_bytes());
@@ -724,12 +722,13 @@ impl Replica {
     }
 
     /// End `client`'s session on this replica, the one exit of a Leave, a
-    /// same-identity takeover and a stale eviction: drop its keys and its
-    /// library-managed state (§3.3.2). Its client record stays: its
-    /// executed timestamp is what body retention, the view-change re-queue
-    /// and deferred reads compare against. (A retransmission is not
-    /// answered from the cached reply: admission refuses a non-member
-    /// before the dedupe runs.)
+    /// same-identity takeover and a stale eviction: drop its session MAC
+    /// key and its library-managed state (§3.3.2). A dynamic member's
+    /// public key lives only in the membership session the caller ended.
+    /// Its client record stays: its executed timestamp is what body
+    /// retention, the view-change re-queue and deferred reads compare
+    /// against. (A retransmission is not answered from the cached reply:
+    /// admission refuses a non-member before the dedupe runs.)
     pub(crate) fn end_session(&mut self, client: ClientId) {
         self.keys.remove_client(client);
         if self.sessions.remove(client) {

@@ -663,9 +663,8 @@ impl Replica {
         res
     }
 
-    /// Verify a packet claiming to come from a fellow replica: this
-    /// replica's own authenticator entry (extracted without building the
-    /// vector) or the signature, over the borrowed prefix.
+    /// Verify a packet claiming to come from a fellow replica
+    /// ([`KeyStore::verify_replica`] over the borrowed trailer).
     fn verify_peer(
         &mut self,
         sender: Sender,
@@ -673,19 +672,45 @@ impl Replica {
         auth: AuthView<'_>,
         res: &mut HandleResult,
     ) -> bool {
-        let ok = match (sender, auth) {
-            (Sender::Replica(from), AuthView::Authenticator { .. }) => {
-                auth.mac_for(self.id().0).is_some_and(|mac| {
-                    self.keys
-                        .verify_replica_entry(from, prefix, mac, &mut res.counts)
-                })
-            }
-            (Sender::Replica(from), AuthView::Sig(sig)) => {
-                self.keys
-                    .verify_from_replica(from, prefix, &AuthTag::Sig(sig), &mut res.counts)
-            }
+        let ok = match sender {
+            Sender::Replica(from) => self
+                .keys
+                .verify_replica(from, prefix, auth, &mut res.counts),
             _ => false,
         };
+        if !ok {
+            self.metrics.auth_failures += 1;
+        }
+        ok
+    }
+
+    /// Verify a packet from `client`. "the system first checks to see if
+    /// the identifier exists in the redirection table before going into
+    /// the more lengthy process of verifying its signature or
+    /// authenticator": a dynamic deployment admits only a member, and its
+    /// membership session holds the key a signature must verify under (a
+    /// restart or a state transfer loses none). Then
+    /// [`KeyStore::verify_client`] over the borrowed trailer.
+    fn verify_member(
+        &mut self,
+        client: ClientId,
+        prefix: &[u8],
+        auth: AuthView<'_>,
+        res: &mut HandleResult,
+    ) -> bool {
+        let member_key = match &self.membership {
+            Some(m) => match m.session(client) {
+                Some(s) => Some(s.pubkey),
+                None => {
+                    self.metrics.auth_failures += 1;
+                    return false;
+                }
+            },
+            None => None,
+        };
+        let ok = self
+            .keys
+            .verify_client(client, prefix, auth, member_key, &mut res.counts);
         if !ok {
             self.metrics.auth_failures += 1;
         }
@@ -760,51 +785,8 @@ impl Replica {
                 self.metrics.auth_failures += 1;
                 return;
             }
-        } else {
-            // "the system first checks to see if the identifier exists in the
-            // redirection table before going into the more lengthy process of
-            // verifying its signature or authenticator." In a dynamic
-            // deployment membership alone answers: a key this replica still
-            // holds admits nobody whose session has ended.
-            if let Some(m) = &self.membership {
-                if !m.contains(req.client) {
-                    self.metrics.auth_failures += 1;
-                    return;
-                }
-            }
-            let verified = match auth {
-                // This replica's own authenticator entry, picked out of the
-                // borrowed vector.
-                AuthView::Authenticator { .. } => auth.mac_for(self.id().0).is_some_and(|mac| {
-                    self.keys
-                        .verify_client_entry(req.client, prefix, mac, &mut res.counts)
-                }),
-                // Static deployments: client public keys are configuration,
-                // not session state, so a restarted replica re-derives one
-                // lazily. Without this, a signature-mode request could never
-                // verify again after a restart. Only a signed request pays
-                // for the derivation, and the key is kept only once it has
-                // verified: an unauthenticated claim to a fresh client id
-                // costs no key generation and no table entry.
-                AuthView::Sig(sig)
-                    if self.membership.is_none()
-                        && self.keys.client_pubkey(req.client).is_none() =>
-                {
-                    self.keys
-                        .verify_static_client_sig(req.client, prefix, &sig, &mut res.counts)
-                }
-                AuthView::Sig(sig) => self.keys.verify_from_client(
-                    req.client,
-                    prefix,
-                    &AuthTag::Sig(sig),
-                    &mut res.counts,
-                ),
-                AuthView::None | AuthView::Mac(_) => false,
-            };
-            if !verified {
-                self.metrics.auth_failures += 1;
-                return;
-            }
+        } else if !self.verify_member(req.client, prefix, auth, res) {
+            return;
         }
 
         // The one look at the client's record: its reply address, duplicate
@@ -1057,39 +1039,13 @@ impl Replica {
         auth: AuthView<'_>,
         res: &mut HandleResult,
     ) {
-        let AuthView::Sig(sig) = auth else {
+        // Session keys travel only under a signature: the NewKey is what
+        // a replica that lost them (§2.3) re-learns them from.
+        if !matches!(auth, AuthView::Sig(_)) {
             self.metrics.auth_failures += 1;
             return;
-        };
-        // Resolve the client's public key: static configuration or the
-        // membership session established at Join time.
-        let pubkey = self.keys.client_pubkey(nk.client).or_else(|| {
-            self.membership
-                .as_ref()
-                .and_then(|m| m.session(nk.client))
-                .map(|s| s.pubkey)
-        });
-        let verified = match pubkey {
-            Some(pubkey) => {
-                res.counts.sig_verify += 1;
-                pubkey.verify(prefix, &sig).is_ok()
-            }
-            // Static deployments: the client's public key is part of the
-            // (restart-surviving) configuration — derive it so the blind
-            // NewKey can be verified and the session key re-learned, the
-            // §2.3 recovery this retransmission exists for, and keep it, so
-            // the client's next signed request does not derive it again.
-            // Before this fallback a replica restarted with empty tables
-            // could never re-admit any client: the NewKey needs the pubkey,
-            // and the pubkey only arrived at construction.
-            None if self.membership.is_none() => {
-                self.keys
-                    .verify_static_client_sig(nk.client, prefix, &sig, &mut res.counts)
-            }
-            None => false,
-        };
-        if !verified {
-            self.metrics.auth_failures += 1;
+        }
+        if !self.verify_member(nk.client, prefix, auth, res) {
             return;
         }
         let my_index = self.id().0 as usize;

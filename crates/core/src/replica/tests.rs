@@ -1561,7 +1561,8 @@ fn leave_terminates_session() {
     for r in &net.replicas {
         assert_eq!(r.membership().expect("dynamic").active_sessions(), 0);
     }
-    assert_session_ended(&net, net.clients[0].id());
+    let id = net.clients[0].id();
+    assert_session_ended(&mut net, id);
     // Further requests are rejected ("all further communication with the
     // service is prohibited").
     let failures_before: u64 = net.replicas.iter().map(|r| r.metrics().auth_failures).sum();
@@ -1596,27 +1597,40 @@ fn second_join_with_same_identity_terminates_first_session() {
         assert_eq!(m.active_sessions(), 1, "single session per identity");
         assert!(!m.contains(first_id), "previous session terminated");
     }
-    assert_session_ended(&net, first_id);
+    assert_session_ended(&mut net, first_id);
 }
 
 /// No replica holds anything of `client`'s ended session: no public key, no
 /// MAC session key, no session blob.
-fn assert_session_ended(net: &Net, client: ClientId) {
-    let probe = b"probe";
+fn assert_session_ended(net: &mut Net, client: ClientId) {
+    use crate::messages::view::PacketView;
+    use crate::messages::{Envelope, Message, Operation, RequestMsg, Sender};
+
+    let probe = Message::Request(RequestMsg {
+        client,
+        timestamp: u64::MAX,
+        read_only: false,
+        reply_addr: CLIENT_ADDR_BASE,
+        op: Operation::App(b"probe".to_vec()),
+    });
+    let prefix = Envelope::encode_prefix(Sender::Client(client), &probe);
     let mut counts = crate::output::OpCounts::default();
     let auth = crate::keys::ClientKeys::new(SEED, client, net.cfg.n()).seal_request(
         AuthMode::Macs,
-        probe,
+        &prefix,
         &mut counts,
     );
-    for r in &net.replicas {
+    let packet = Envelope::seal(prefix, &auth);
+    let view = PacketView::parse(&packet).expect("the probe parses");
+    for r in &mut net.replicas {
         let me = r.id();
         assert!(
             r.keys.client_pubkey(client).is_none(),
             "{me:?} keeps the public key of {client:?}"
         );
         assert!(
-            !r.keys.verify_from_client(client, probe, &auth, &mut counts),
+            !r.keys
+                .verify_client(client, view.prefix(), view.auth, None, &mut counts),
             "{me:?} keeps the session key of {client:?}"
         );
         assert!(
@@ -1654,7 +1668,7 @@ fn stale_eviction_ends_sessions_and_the_evicted_are_refused() {
         assert!(r.sessions.is_empty());
     }
     for &id in &members {
-        assert_session_ended(&net, id);
+        assert_session_ended(&mut net, id);
     }
 
     // The evicted client's next request is refused.
@@ -1867,6 +1881,74 @@ fn session_state_survives_state_transfer() {
     // every replica (exercised through the normal agreement path).
     net.submit(c, b"incr".to_vec(), false);
     net.pump(50_000);
+    assert_eq!(
+        net.last_reply(c).expect("reply"),
+        7u64.to_be_bytes().to_vec()
+    );
+    net.assert_states_equal(&[0, 1, 2, 3]);
+}
+
+/// A member's public key has one home, its membership session: a replica
+/// that learns the Join only through state transfer verifies the member's
+/// signed NewKey and signed request like the replicas that executed it.
+#[test]
+fn a_replica_that_transferred_the_join_verifies_the_members_signatures() {
+    use crate::messages::view::PacketView;
+    use pbft_crypto::Digest;
+
+    let cfg = PbftConfig {
+        auth: AuthMode::Signatures,
+        ..dynamic_cfg()
+    };
+    let mut net = Net::new(cfg.clone(), 0, AppKind::SessionCounter);
+    let c = join_dynamic_client(&mut net, &cfg, 27, CLIENT_ADDR_BASE, b"heidi");
+    for _ in 0..6 {
+        net.submit(c, b"incr".to_vec(), false);
+        net.pump(50_000);
+    }
+    assert_eq!(net.completed(c), 6);
+    // Replica 3 comes back blank: the Join reaches it only in the
+    // transferred membership table.
+    net.alive[3] = false;
+    net.replicas[3] = make_replica(&net.cfg, 3, AppKind::SessionCounter, &[]);
+    net.alive[3] = true;
+    let res = net.replicas[3].on_start(net.now, true);
+    net.route(Source::Replica(3), res.outputs);
+    net.pump(50_000);
+    let member = net.clients[c].id();
+    assert!(net.replicas[3].metrics().state_transfers_completed >= 1);
+    assert!(net.replicas[3]
+        .membership()
+        .expect("dynamic")
+        .contains(member));
+
+    // The signed NewKey verifies and installs the session key.
+    let res = net.clients[c].redistribute_session_keys();
+    net.route(Source::Client(c), res.outputs);
+    net.pump(50_000);
+    assert_eq!(net.replicas[3].metrics().auth_failures, 0, "NewKey refused");
+    assert!(net.replicas[3]
+        .keys
+        .can_seal_to_client(AuthMode::Macs, member));
+
+    // The signed request verifies and its body is stored.
+    let packet = submit_capturing(&mut net, c, b"incr".to_vec());
+    let digest = Digest::of(PacketView::parse(&packet).expect("parses").body());
+    let (_, to, packet, _) = net.queue.pop_back().expect("replica 3's copy");
+    assert_eq!(to, NetTarget::Replica(ReplicaId(3)));
+    let res = net.replicas[3].handle_packet(&packet, net.now);
+    net.route(Source::Replica(3), res.outputs);
+    assert_eq!(
+        net.replicas[3].metrics().auth_failures,
+        0,
+        "request refused"
+    );
+    assert!(
+        net.replicas[3].bodies.contains_key(&digest),
+        "body not stored"
+    );
+    net.pump(50_000);
+    assert_eq!(net.completed(c), 7);
     assert_eq!(
         net.last_reply(c).expect("reply"),
         7u64.to_be_bytes().to_vec()

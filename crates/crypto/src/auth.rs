@@ -99,18 +99,6 @@ impl Authenticator {
             .map(|(_, t)| *t)
     }
 
-    /// Verify the entry addressed to `replica` using `key`.
-    ///
-    /// Returns `false` when there is no entry for `replica` — a restarted
-    /// replica that was left out of an authenticator must treat the message
-    /// as unauthenticated (paper §2.3).
-    pub fn verify_for(&self, replica: u32, key: &MacKey, msg: &[u8], nonce: u64) -> bool {
-        match self.tag_for(replica) {
-            Some(tag) => key.verify(msg, nonce, tag),
-            None => false,
-        }
-    }
-
     /// Iterate over `(replica, tag)` entries.
     pub fn iter(&self) -> impl Iterator<Item = (u32, Mac64)> + '_ {
         self.entries.iter().copied()
@@ -140,7 +128,7 @@ mod tests {
         );
         assert_eq!(auth.len(), 4);
         for (i, k) in ks.iter().enumerate() {
-            assert!(auth.verify_for(i as u32, k, b"request", 5));
+            assert!(k.verify(b"request", 5, auth.tag_for(i as u32).unwrap()));
         }
     }
 
@@ -153,7 +141,7 @@ mod tests {
             5,
         );
         let other = MacKey::new([0xee; 32]);
-        assert!(!auth.verify_for(0, &other, b"request", 5));
+        assert!(!other.verify(b"request", 5, auth.tag_for(0).unwrap()));
     }
 
     #[test]
@@ -164,7 +152,6 @@ mod tests {
             b"request",
             5,
         );
-        assert!(!auth.verify_for(7, &ks[0], b"request", 5));
         assert_eq!(auth.tag_for(7), None);
     }
 
@@ -176,7 +163,7 @@ mod tests {
             b"request",
             5,
         );
-        assert!(!auth.verify_for(0, &ks[0], b"requesT", 5));
+        assert!(!ks[0].verify(b"requesT", 5, auth.tag_for(0).unwrap()));
     }
 
     #[test]

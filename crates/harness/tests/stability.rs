@@ -14,7 +14,7 @@
 //! high retransmission counts, and an inverted ACID / no-ACID ratio.
 
 use harness::cluster::{AppKind, Cluster, ClusterSpec};
-use harness::workload::sql_insert_ops;
+use harness::workload::{null_ops, sql_insert_ops};
 use minisql::JournalMode;
 use pbft_core::{AuthMode, PbftConfig};
 use simnet::SimDuration;
@@ -89,5 +89,47 @@ fn wal_lands_between_rollback_and_off() {
     assert!(
         off > wal,
         "no journal ({off:.0}) should beat WAL ({wal:.0})"
+    );
+}
+
+/// A replica restarted over its disk in the robust configuration (dynamic
+/// membership, signed requests) still verifies the members that joined
+/// while it was up: their public keys live in the replicated membership
+/// table, which the restart keeps, not in anything the restart loses. When
+/// the primary then fails, the restarted replica takes over in view 1 and
+/// orders the members' signed requests; a replica that refused them would
+/// be suspected in turn and the group would need a second view change.
+#[test]
+fn a_restarted_replica_verifies_members_and_leads_after_failover() {
+    let spec = ClusterSpec {
+        cfg: PbftConfig {
+            view_change_timeout_ns: 200_000_000,
+            ..robust_cfg()
+        },
+        num_clients: 3,
+        seed: 7,
+        ..Default::default()
+    };
+    let mut cluster = Cluster::build(spec);
+    cluster.start_workload(|_| null_ops(64));
+    cluster.run_for(SimDuration::from_millis(300));
+    cluster.crash_replica(1);
+    cluster.restart_replica(1, true);
+    cluster.run_for(SimDuration::from_millis(300));
+    cluster.crash_replica(0);
+    let before = cluster.completed();
+    cluster.run_for(SimDuration::from_secs(2));
+    let views: Vec<_> = (1..4)
+        .map(|r| cluster.replica(r).expect("alive").view())
+        .collect();
+    let failures = cluster.replica_metrics(1).auth_failures;
+    assert_eq!(
+        (views, failures),
+        (vec![1, 1, 1], 0),
+        "(views of replicas 1..4, auth failures at the restarted replica 1)"
+    );
+    assert!(
+        cluster.completed() > before,
+        "no progress after the failover"
     );
 }

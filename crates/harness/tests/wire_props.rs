@@ -13,8 +13,7 @@
 //! 3. **Equivalence**: the multicast authenticator (one MAC per peer over
 //!    the whole prefix, however many requests its batch carries) verifies
 //!    exactly like a per-message MAC computed directly under the pairwise
-//!    key, whether verified through the owned vector or the borrowed
-//!    wire-form entry.
+//!    key, and verifies through the borrowed wire-form trailer.
 //! 4. **Tamper rejection**: changing any prefix byte (including any batch
 //!    element of a pre-prepare and the sender bytes) or truncating the
 //!    prefix is rejected by *every* peer; corrupting an authenticator entry
@@ -55,6 +54,24 @@ const SEED: u64 = 0x11EE;
 
 fn gen_digest(g: &mut Gen) -> Digest {
     Digest::of(&g.bytes(1..33))
+}
+
+/// A packet carrying `auth` behind a stand-in message: parsing it gives
+/// the trailer as a receiver borrows it off the wire, to verify against
+/// whatever prefix a property chooses.
+fn carrier(auth: &AuthTag) -> Vec<u8> {
+    let msg = Message::Checkpoint(CheckpointMsg {
+        seq: 0,
+        root: Digest::of(b""),
+        replica: ReplicaId(0),
+    });
+    Envelope::seal(Envelope::encode_prefix(Sender::Anonymous, &msg), auth)
+}
+
+fn borrowed(packet: &[u8]) -> AuthView<'_> {
+    PacketView::parse(packet)
+        .expect("a sealed packet parses")
+        .auth
 }
 
 fn gen_mac(g: &mut Gen) -> Mac64 {
@@ -352,6 +369,7 @@ fn prop_batch_authenticator_equivalent_to_per_message_macs() {
         let AuthTag::Authenticator(vector) = &auth else {
             panic!("MAC mode seals an authenticator");
         };
+        let packet = carrier(&auth);
 
         for j in 0..n as u32 {
             if j == s.0 {
@@ -367,10 +385,9 @@ fn prop_batch_authenticator_equivalent_to_per_message_macs() {
                 "vector entry for peer {j} equals a directly-computed MAC"
             );
 
-            // Owned-vector verify and borrowed-entry verify agree.
+            // The peer verifies its entry in the borrowed trailer.
             let store = KeyStore::new_replica(seed, peer, n, &[]);
-            assert!(store.verify_from_replica(s, &prefix, &auth, &mut counts));
-            assert!(store.verify_replica_entry(s, &prefix, per_message, &mut counts));
+            assert!(store.verify_replica(s, &prefix, borrowed(&packet), &mut counts));
         }
 
         // The wire form agrees too: seal a real protocol message, parse it
@@ -431,7 +448,7 @@ fn prop_tampered_prefix_rejected_by_every_peer() {
         };
         let sender = KeyStore::new_replica(seed, s, n, &[]);
         let mut counts = OpCounts::default();
-        let auth = sender.seal_multicast(AuthMode::Macs, &prefix, &mut counts);
+        let packet = carrier(&sender.seal_multicast(AuthMode::Macs, &prefix, &mut counts));
 
         let mut tampered = prefix.clone();
         let pos = g.index(tampered.len());
@@ -443,14 +460,9 @@ fn prop_tampered_prefix_rejected_by_every_peer() {
             }
             let store = KeyStore::new_replica(seed, ReplicaId(j), n, &[]);
             assert!(
-                !store.verify_from_replica(s, &tampered, &auth, &mut counts),
+                !store.verify_replica(s, &tampered, borrowed(&packet), &mut counts),
                 "peer {j} must reject a prefix with byte {pos} flipped"
             );
-            let entry = match &auth {
-                AuthTag::Authenticator(v) => v.tag_for(j).expect("entry exists"),
-                _ => unreachable!(),
-            };
-            assert!(!store.verify_replica_entry(s, &tampered, entry, &mut counts));
         }
     });
 }
@@ -476,26 +488,20 @@ fn prop_changed_or_truncated_prefix_fails_every_entry() {
         let prefix = Envelope::encode_prefix(Sender::Replica(s), &msg);
         let sender = KeyStore::new_replica(seed, s, n, &[]);
         let mut counts = OpCounts::default();
-        let AuthTag::Authenticator(vector) =
-            sender.seal_multicast(AuthMode::Macs, &prefix, &mut counts)
-        else {
-            panic!("MAC mode seals an authenticator");
-        };
-        let peers: Vec<(KeyStore, Mac64)> = (0..n as u32)
+        let packet = carrier(&sender.seal_multicast(AuthMode::Macs, &prefix, &mut counts));
+        let auth = borrowed(&packet);
+        let peers: Vec<KeyStore> = (0..n as u32)
             .filter(|&j| j != s.0)
-            .map(|j| {
-                let entry = vector.tag_for(j).expect("an entry per peer");
-                (KeyStore::new_replica(seed, ReplicaId(j), n, &[]), entry)
-            })
+            .map(|j| KeyStore::new_replica(seed, ReplicaId(j), n, &[]))
             .collect();
         let rejected_by_all = |bytes: &[u8], counts: &mut OpCounts| {
             peers
                 .iter()
-                .all(|(store, entry)| !store.verify_replica_entry(s, bytes, *entry, counts))
+                .all(|store| !store.verify_replica(s, bytes, auth, counts))
         };
         assert!(peers
             .iter()
-            .all(|(store, entry)| store.verify_replica_entry(s, &prefix, *entry, &mut counts)));
+            .all(|store| store.verify_replica(s, &prefix, auth, &mut counts)));
         let mut changed = prefix.clone();
         for pos in 0..prefix.len() {
             changed[pos] ^= g.u8_in(1..u8::MAX);
@@ -539,14 +545,16 @@ fn prop_tampered_entry_rejected_by_exactly_the_addressed_peer() {
         let mut mac_bytes = entries[victim_pos].1.to_bytes();
         mac_bytes[g.index(8)] ^= 1 << g.choice(8);
         entries[victim_pos].1 = Mac64::from_bytes(mac_bytes);
-        let tampered = AuthTag::Authenticator(pbft_crypto::Authenticator::from_entries(entries));
+        let tampered = carrier(&AuthTag::Authenticator(
+            pbft_crypto::Authenticator::from_entries(entries),
+        ));
 
         for j in 0..n as u32 {
             if j == s.0 {
                 continue;
             }
             let store = KeyStore::new_replica(seed, ReplicaId(j), n, &[]);
-            let ok = store.verify_from_replica(s, &prefix, &tampered, &mut counts);
+            let ok = store.verify_replica(s, &prefix, borrowed(&tampered), &mut counts);
             if j == victim {
                 assert!(!ok, "the addressed peer {j} must reject its corrupted MAC");
             } else {

@@ -3,8 +3,10 @@
 #   1. formatting is canonical (cargo fmt --check)
 #   2. release build of every workspace crate
 #   3. scenario smoke pass: one short fault scenario per deployment shape,
-#      then the crypto cross-checks (hardware vs scalar, pinned outputs),
-#      the minisql ones (pinned database files, in place vs `Node` oracle)
+#      the resharding, read and stability suites (the last restarts a
+#      replica in the paper's robust configuration and fails the primary
+#      over to it), then the crypto cross-checks (hardware vs scalar,
+#      pinned outputs), the minisql ones (pinned database files, in place vs `Node` oracle)
 #      and the allocation pins (alloc_burst, alloc_insert) in the release
 #      profile, whose bands the test-profile pass below never checks
 #   4. the whole test suite (unit + integration + property tests),
@@ -55,6 +57,16 @@ echo "==> read property suite (crates/harness/tests/read_props.rs)"
 t0=$SECONDS
 cargo test -q -p harness --test read_props
 echo "    [read_props: $((SECONDS - t0))s]"
+
+# The stability suite is the only tier-1 suite that restarts a replica in
+# the paper's most robust configuration (dynamic membership, signed
+# requests) and then fails the primary over to it: a restarted replica
+# that could not authenticate the existing members shows up there as a
+# second view change. Its own timing line keeps its cost visible.
+echo "==> stability suite (crates/harness/tests/stability.rs)"
+t0=$SECONDS
+cargo test -q -p harness --test stability
+echo "    [stability: $((SECONDS - t0))s]"
 
 # The crypto cross-checks are the proof that the hardware SHA-256 path, the
 # keyed-HMAC pad and the division-free polynomial produce the bits the
