@@ -303,6 +303,121 @@ pub const SQL_BENCH_SCHEMA: &str =
 mod tests {
     use super::*;
 
+    /// Append `bytes` length-prefixed, so adjacent fields cannot alias.
+    fn put(buf: &mut Vec<u8>, bytes: &[u8]) {
+        buf.extend((bytes.len() as u64).to_be_bytes());
+        buf.extend(bytes);
+    }
+
+    /// Append one draw's op bytes and read flag.
+    fn put_op(buf: &mut Vec<u8>, op: &[u8], read_only: bool) {
+        put(buf, op);
+        buf.push(read_only as u8);
+    }
+
+    /// Append one draw's shard keys.
+    fn put_keys(buf: &mut Vec<u8>, keys: &[Vec<u8>]) {
+        buf.extend((keys.len() as u64).to_be_bytes());
+        for key in keys {
+            put(buf, key);
+        }
+    }
+
+    /// Append one transaction: each sub-op's keys and body.
+    fn put_tx(buf: &mut Vec<u8>, tx: &TxOp) {
+        buf.extend((tx.sub_ops.len() as u64).to_be_bytes());
+        for sub in &tx.sub_ops {
+            put_keys(buf, &sub.keys);
+            put(buf, &sub.op);
+        }
+    }
+
+    /// SHA-256 over the first 64 draws, each appended by `draw`.
+    fn draws_digest(mut draw: impl FnMut(u64, &mut Vec<u8>)) -> String {
+        let mut buf = Vec::new();
+        for seq in 0..64 {
+            draw(seq, &mut buf);
+        }
+        pbft_crypto::sha256(&buf).to_string()
+    }
+
+    /// The generators' bytes are what every committed artifact replays:
+    /// the first 64 draws of each are pinned, so a change to a generator's
+    /// shape that alters one op byte, read flag or key fails here in
+    /// seconds rather than in a bench re-run.
+    #[test]
+    fn golden_generator_draws() {
+        let unkeyed = |mut gen: OpGen| {
+            draws_digest(move |seq, buf| {
+                let (op, read_only) = gen(seq);
+                put_op(buf, &op, read_only);
+            })
+        };
+        let keyed = |mut gen: KeyedOpGen| {
+            draws_digest(move |seq, buf| {
+                let draw = gen(seq);
+                put_keys(buf, &draw.keys);
+                put_op(buf, &draw.op, draw.read_only);
+            })
+        };
+        let txs = |mut gen: TxGen| draws_digest(move |seq, buf| put_tx(buf, &gen(seq)));
+        let pinned = [
+            (
+                "null_ops(64)",
+                unkeyed(null_ops(64)),
+                "1b430112d97e184b59810f6ebae40964775c60a4ac90b4362e85a38e4bfae89f",
+            ),
+            (
+                "null_ops(1024)",
+                unkeyed(null_ops(1024)),
+                "3946ee511de34577521da6c0138f868fbd5b51139d17730b21899732712d41d7",
+            ),
+            (
+                "null_reads(128)",
+                unkeyed(null_reads(128)),
+                "184ea8ca9f0ec86b3348f5051261cd5fd6aa6c495052c4fdb0a78809e2e54fec",
+            ),
+            (
+                "sql_insert_ops(3)",
+                unkeyed(sql_insert_ops(3)),
+                "3dc30be2ec998c5ccf519546993b37bf7a2cd54499407eac899e46018d58cdaf",
+            ),
+            (
+                "keyed_null_ops(64, 9)",
+                keyed(keyed_null_ops(64, 9)),
+                "6e67c83de57f723c68dbfface39cc3ddc9e833208bf750d8e0ad5bc85e4cb95b",
+            ),
+            (
+                "keyed_kv_ops(64, 5)",
+                keyed(keyed_kv_ops(64, 5)),
+                "5812ddaea413af38f581b3314223fa2924023e44405b0d8a5857fd157cfc4e9f",
+            ),
+            (
+                "keyed_kv_mix(8, 50, 5)",
+                keyed(keyed_kv_mix(8, 50, 5)),
+                "ae1a33863e435a156db78dfb46d8e4d9db9e02a190bf426a0cde2d89f1af5c12",
+            ),
+            (
+                "cross_null_txs(4 shards, 64, 128, 7)",
+                txs(cross_null_txs(ShardMap::new(4), 64, 128, 7)),
+                "d6ff71da4483a5215b1668e13390c501a381661be8bd03dba799fffe4fdb7327",
+            ),
+            (
+                "transfer_txs(16, 10, 3)",
+                txs(transfer_txs(16, 10, 3)),
+                "fed643de6e5a32a2e2cf6c80778861a831a2ec5d646c1d44575b8b5b037426b5",
+            ),
+            (
+                "cross_precinct_ballot_txs([1, 2, 3], [a, b], 5)",
+                txs(cross_precinct_ballot_txs(&[1, 2, 3], &["a", "b"], 5)),
+                "b5fa51b17abb150992842f898dcf86db1fd0bdf94285d4904fefb97cb551f526",
+            ),
+        ];
+        for (name, got, want) in pinned {
+            assert_eq!(got, want, "{name}");
+        }
+    }
+
     #[test]
     fn null_ops_are_distinct_and_sized() {
         let mut gen = null_ops(256);
