@@ -106,9 +106,7 @@ fn measure(
 
 fn single_group(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
     let mut deployment = scenario_deployment(engine, 4, seed);
-    deployment
-        .group_mut(0)
-        .start_paced_workload(PACE, |_| null_ops(64));
+    deployment.start_paced_workload(PACE, |_, _| null_ops(64));
     let report = run_scenario(&mut deployment, scenario);
     measure(engine, scenario, &report, group_msgs(deployment.group(0)))
 }
@@ -117,7 +115,7 @@ fn sharded(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
     let mut base = fetching_spec(3, seed);
     base.cfg.engine = engine;
     let mut sc = Deployment::build(deployment_spec(2, 0, base));
-    sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    sc.start_paced_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     let report = run_scenario(&mut sc, scenario);
     let msgs = (0..sc.shards()).fold((0, 0), |(a, v), s| {
         let (ga, gv) = group_msgs(sc.group(s));
@@ -131,7 +129,7 @@ fn xshard(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
     base.cfg.engine = engine;
     let mut xc = Deployment::build(deployment_spec(2, 4, base));
     let map = xc.router().map();
-    xc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    xc.start_paced_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
     let report = run_scenario(&mut xc, scenario);
     let msgs = (0..xc.shards()).fold((0, 0), |(a, v), s| {
@@ -181,9 +179,7 @@ fn rotation_sweep(engine: Engine, f: usize, seed: u64) -> SweepRow {
     spec.cfg.checkpoint_interval = 32;
     spec.cfg.fetch_missing_bodies = true;
     let mut deployment = Deployment::build(deployment_spec(1, 0, spec));
-    deployment
-        .group_mut(0)
-        .start_paced_workload(PACE, |_| null_ops(64));
+    deployment.start_paced_workload(PACE, |_, _| null_ops(64));
     let scenario = paper::primary_crash_under_load();
     let report = run_scenario(&mut deployment, &scenario);
     let cluster = deployment.group(0);
@@ -291,9 +287,7 @@ fn reliability_run(
     } else {
         scenario_deployment(engine, 2, seed)
     };
-    deployment
-        .group_mut(0)
-        .start_paced_workload(RELIABILITY_PACE, |_| null_ops(64));
+    deployment.start_paced_workload(RELIABILITY_PACE, |_, _| null_ops(64));
     let scenario = Scenario {
         name: scenario_name,
         duration: HORIZON,

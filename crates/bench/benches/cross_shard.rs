@@ -101,9 +101,7 @@ fn measure_point(engine: Engine, shards: usize, pct: usize) -> Point {
         let mut xc = Deployment::build(spec);
         let map = xc.router().map();
         if bg_per_group > 0 {
-            xc.start_keyed_workload(|s, c| {
-                keyed_null_ops(REQUEST_SIZE, (s * NUM_CLIENTS + c) as u64)
-            });
+            xc.start_workload(|s, c| keyed_null_ops(REQUEST_SIZE, (s * NUM_CLIENTS + c) as u64));
         }
         if initiators > 0 {
             xc.start_transactions(|i| cross_null_txs(map, REQUEST_SIZE, KEY_SPACE, i as u64));
@@ -138,9 +136,7 @@ fn measure_baseline(engine: Engine, shards: usize) -> Stats {
                 base: base(engine, 9000 + trial as u64, NUM_CLIENTS),
                 ..Default::default()
             });
-            sc.start_keyed_workload(|s, c| {
-                keyed_null_ops(REQUEST_SIZE, (s * NUM_CLIENTS + c) as u64)
-            });
+            sc.start_workload(|s, c| keyed_null_ops(REQUEST_SIZE, (s * NUM_CLIENTS + c) as u64));
             sc.measure_throughput(WARMUP, WINDOW).aggregate_tps()
         })
         .collect();
@@ -237,7 +233,7 @@ fn measure_reshard(engine: Engine) -> ReshardRow {
         elastic: true,
         ..Default::default()
     });
-    sc.start_keyed_workload(|s, c| keyed_kv_ops(RESHARD_SLOTS, (s * NUM_CLIENTS + c) as u64));
+    sc.start_workload(|s, c| keyed_kv_ops(RESHARD_SLOTS, (s * NUM_CLIENTS + c) as u64));
     // Split both original groups in turn: 2 → 3 → 4, epochs 1 and 2.
     let scenario = Scenario {
         name: "reshard-2-to-4",

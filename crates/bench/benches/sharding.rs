@@ -86,7 +86,7 @@ fn measure(engine: Engine, shards: usize, batching: bool) -> Row {
                 ..Default::default()
             };
             let mut sc = Deployment::build(spec);
-            sc.start_keyed_workload(|shard, client| {
+            sc.start_workload(|shard, client| {
                 keyed_null_ops(REQUEST_SIZE, (shard * NUM_CLIENTS + client) as u64)
             });
             sc.measure_throughput(WARMUP, WINDOW)

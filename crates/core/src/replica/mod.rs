@@ -69,7 +69,9 @@ const STATUS_INTERVAL_NS: u64 = 150_000_000;
 /// (a newer timestamp replaces its older one), so the queue holds one entry
 /// per client. Once it is full, a further contended read is dropped: the
 /// client's retransmit-then-escalate path answers it through ordering.
-/// Nothing is ever answered from tentative state.
+/// No read of a declared operation is answered from tentative state; one
+/// that declares nothing ([`Effects::None`]) is served at once, tentative
+/// state included (ARCHITECTURE.md, "Deliberate deviations").
 const READ_DEFER_MAX: usize = 64;
 
 /// Counters exposed for experiments and tests.

@@ -724,6 +724,47 @@ fn overflowing_read_queue_never_answers_from_tentative_state() {
     assert_eq!(net.last_reply(2).expect("read completed"), expect);
 }
 
+/// The contention gate parks only reads of operations the app declares.
+/// Plain [`KvApp`] declares nothing, so a read of the key an uncommitted
+/// put wrote is answered at once from tentative state (ARCHITECTURE.md,
+/// "Deliberate deviations"); Castro–Liskov §5.1.3 hold that reply until
+/// the tentative state commits. The fix flips the read's completion here.
+#[test]
+fn an_undeclared_read_is_answered_from_tentative_state() {
+    let mut net = Net::new(default_cfg(), 2, AppKind::Kv);
+    net.hold = Some(Box::new(|_, _, disc| disc == 4));
+    net.submit(0, KvApp::op_put(5, 55), false);
+    net.pump(50_000);
+    assert_eq!(net.completed(0), 1, "the write executed tentatively");
+    net.submit(1, KvApp::op_get(5), true);
+    net.pump(50_000);
+    assert_eq!(net.completed(1), 1, "the read completed before any commit");
+    let mut expect = 5u64.to_be_bytes().to_vec();
+    expect.extend_from_slice(&55u64.to_be_bytes());
+    assert_eq!(
+        net.last_reply(1).expect("read completed"),
+        expect,
+        "the read returned the tentative value"
+    );
+    for r in &net.replicas {
+        assert_eq!(r.metrics().read_only_deferred, 0, "nothing parked");
+        let slot = r.log.get(1).expect("slot 1");
+        assert!(
+            slot.executed && !slot.committed,
+            "slot 1 is still tentative"
+        );
+    }
+    net.release_held();
+    net.pump(100_000);
+    for r in &net.replicas {
+        assert!(
+            r.log.get(1).is_some_and(|e| e.committed),
+            "slot 1 committed"
+        );
+    }
+    net.assert_states_equal(&[0, 1, 2, 3]);
+}
+
 /// An [`Effects::Admin`] operation (the cross-shard layer's epoch flip is
 /// the motivating case) conflicts with every declared read while it is
 /// uncommitted: answering from it could leak a reconfiguration that a view

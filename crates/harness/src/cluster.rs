@@ -249,9 +249,11 @@ pub struct ClientHost {
 impl ClientHost {
     fn issue_next(&mut self, ctx: &mut NodeCtx<'_>) {
         if let Some(gen) = &mut self.gen {
-            let (op, read_only) = gen(self.issued);
+            let draw = gen(self.issued);
             self.issued += 1;
-            let res = self.client.submit(op, read_only, ctx.now().as_nanos());
+            let res = self
+                .client
+                .submit(draw.op, draw.read_only, ctx.now().as_nanos());
             apply_outputs(res, &self.model.clone(), ctx);
         }
     }
@@ -429,28 +431,9 @@ impl Cluster {
     }
 
     /// Install a workload generator on every client and issue the first op.
-    pub fn start_workload(&mut self, mut make_gen: impl FnMut(usize) -> OpGen) {
+    pub fn start_workload(&mut self, make_gen: impl FnMut(usize) -> OpGen) {
         let all: Vec<usize> = (0..self.clients.len()).collect();
-        self.start_workload_on(&all, |i| make_gen(i));
-    }
-
-    /// Install a workload generator on a subset of clients (by index),
-    /// leaving the rest idle — e.g. the cross-shard harness reserves the
-    /// trailing clients as manually driven transaction agents.
-    pub fn start_workload_on(
-        &mut self,
-        indices: &[usize],
-        mut make_gen: impl FnMut(usize) -> OpGen,
-    ) {
-        for &i in indices {
-            let id = self.clients[i];
-            let gen = make_gen(i);
-            self.sim.with_node_ctx::<ClientHost, _>(id, |host, ctx| {
-                host.gen = Some(gen);
-                host.pace = None;
-                host.pump_workload(ctx);
-            });
-        }
+        self.install_workload(&all, None, make_gen);
     }
 
     /// Install an **open-loop** workload on every client: each issues one
@@ -461,30 +444,41 @@ impl Cluster {
     pub fn start_paced_workload(
         &mut self,
         pace: SimDuration,
-        mut make_gen: impl FnMut(usize) -> OpGen,
+        make_gen: impl FnMut(usize) -> OpGen,
     ) {
         let all: Vec<usize> = (0..self.clients.len()).collect();
-        self.start_paced_workload_on(&all, pace, |i| make_gen(i));
+        self.install_workload(&all, Some(pace), make_gen);
     }
 
-    /// [`Cluster::start_paced_workload`] on a subset of clients. First slots
-    /// are staggered across the pacing interval so the fleet doesn't thunder
-    /// in lockstep (deterministically, by position in `indices`).
-    pub fn start_paced_workload_on(
+    /// Install `make_gen(i)` on each client `i` of `indices`, leaving the
+    /// rest idle (a deployment reserves its admin client and transaction
+    /// agents). Closed loop (`pace = None`) issues the first op at once;
+    /// paced, first slots are staggered across the pacing interval so the
+    /// fleet doesn't thunder in lockstep (deterministically, by position in
+    /// `indices`).
+    pub(crate) fn install_workload(
         &mut self,
         indices: &[usize],
-        pace: SimDuration,
+        pace: Option<SimDuration>,
         mut make_gen: impl FnMut(usize) -> OpGen,
     ) {
-        assert!(pace > SimDuration::ZERO, "a zero pace would spin the clock");
+        assert!(
+            pace != Some(SimDuration::ZERO),
+            "a zero pace would spin the clock"
+        );
         for (k, &i) in indices.iter().enumerate() {
             let id = self.clients[i];
             let gen = make_gen(i);
-            let phase = SimDuration::from_nanos(1 + pace.as_nanos() * (k as u64 % 8) / 8);
             self.sim.with_node_ctx::<ClientHost, _>(id, |host, ctx| {
                 host.gen = Some(gen);
-                host.pace = Some(pace);
-                ctx.set_timer(PACE_TIMER, phase);
+                host.pace = pace;
+                match pace {
+                    Some(pace) => {
+                        let phase = 1 + pace.as_nanos() * (k as u64 % 8) / 8;
+                        ctx.set_timer(PACE_TIMER, SimDuration::from_nanos(phase));
+                    }
+                    None => host.pump_workload(ctx),
+                }
             });
         }
     }

@@ -18,9 +18,10 @@
 //!   faults in reaction, opposed by scheduled proactive recovery,
 //! * [`firewall`] — the Yin et al. privacy-firewall topology of §3.3.1,
 //!   for the deployment-cost ablation,
-//! * [`workload`] — closed-loop client workload generators (null ops of the
-//!   paper's sizes, the §4.2 SQL row insert, e-voting sessions), plus their
-//!   key-tagged variants for sharded deployments,
+//! * [`workload`] — client workload generators, one shape for all of them:
+//!   each draw is an operation tagged with the shard keys it touches (null
+//!   ops of the paper's sizes, the §4.2 SQL row insert, keyed KV traffic),
+//!   beside the transaction generators of the cross-shard driver,
 //! * [`shard`] — the one deployment type, [`Deployment`]: N independent
 //!   groups (N = 1 is the single-group testbed) sharing one virtual clock
 //!   behind a deterministic client-side shard router, with cross-shard

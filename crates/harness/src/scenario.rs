@@ -40,7 +40,7 @@
 //!     base: ClusterSpec { num_clients: 2, ..Default::default() },
 //!     ..Default::default()
 //! });
-//! deployment.group_mut(0).start_paced_workload(ms(5), |_| null_ops(64));
+//! deployment.start_paced_workload(ms(5), |_, _| null_ops(64));
 //! let scenario = Scenario {
 //!     name: "crash-a-backup",
 //!     duration: ms(400),
@@ -832,9 +832,7 @@ mod tests {
     fn scenario_runs_and_is_deterministic() {
         let run = || {
             let mut deployment = one_group(2, 3);
-            deployment
-                .group_mut(0)
-                .start_paced_workload(ms(5), |_| null_ops(64));
+            deployment.start_paced_workload(ms(5), |_, _| null_ops(64));
             let scenario = Scenario {
                 name: "smoke",
                 duration: ms(300),
@@ -935,7 +933,7 @@ mod tests {
             },
             ..Default::default()
         });
-        sc.start_paced_keyed_workload(ms(4), |s, c| keyed_kv_ops(64, (s * 10 + c) as u64));
+        sc.start_paced_workload(ms(4), |s, c| keyed_kv_ops(64, (s * 10 + c) as u64));
         let scenario = Scenario {
             name: "reshard-smoke",
             duration: ms(400),
@@ -977,7 +975,10 @@ mod tests {
     /// advanced to each event's instant, the event applied to the group,
     /// the clock advanced to the end. Events sit off every bucket edge and
     /// off the driver's poll grid, so a runner that sliced or pumped the
-    /// one-group clock differently, or mounted extra clients, diverges.
+    /// one-group clock differently, or mounted extra clients, diverges. The
+    /// deployment's load goes through its router, paced and closed loop,
+    /// and the cluster's straight onto its clients: the router adds nothing
+    /// either.
     #[test]
     fn one_group_deployment_reproduces_a_bare_cluster() {
         let events = [
@@ -1015,7 +1016,13 @@ mod tests {
             bucket: ms(30),
             events: events.to_vec(),
         };
-        for engine in Engine::ALL {
+        let cases = Engine::ALL.into_iter().flat_map(|engine| {
+            [
+                (engine, "paced", Some(ms(4))),
+                (engine, "closed loop", None),
+            ]
+        });
+        for (engine, mode, pace) in cases {
             let mut base = crate::testkit::recovery_spec(3, 17);
             base.cfg.engine = engine;
             base.cfg.view_change_timeout_ns = crate::testkit::TEST_VC_TIMEOUT_NS;
@@ -1024,14 +1031,20 @@ mod tests {
                 base: base.clone(),
                 ..Default::default()
             });
-            deployment
-                .group_mut(0)
-                .start_paced_workload(ms(4), |_| null_ops(64));
+            let mut by_hand = Cluster::build(base);
+            match pace {
+                Some(pace) => {
+                    deployment.start_paced_workload(pace, |_, _| null_ops(64));
+                    by_hand.start_paced_workload(pace, |_| null_ops(64));
+                }
+                None => {
+                    deployment.start_workload(|_, _| null_ops(64));
+                    by_hand.start_workload(|_| null_ops(64));
+                }
+            }
             let report = run_scenario(&mut deployment, &scenario);
             let via_runner = deployment.group_mut(0);
 
-            let mut by_hand = Cluster::build(base);
-            by_hand.start_paced_workload(ms(4), |_| null_ops(64));
             let start = by_hand.sim.now();
             for (off, event) in &events {
                 by_hand.sim.run_until(start + *off);
@@ -1053,7 +1066,7 @@ mod tests {
             }
             by_hand.sim.run_until(start + scenario.duration);
 
-            let name = engine.name();
+            let name = format!("{} {mode}", engine.name());
             assert_eq!(report.timeline.start, start, "{name}");
             assert_eq!(via_runner.sim.now(), by_hand.sim.now(), "{name}");
             assert_eq!(via_runner.clients.len(), by_hand.clients.len(), "{name}");

@@ -66,7 +66,7 @@ use simnet::{run_lockstep, SimDuration, SimTime};
 
 use crate::cluster::{AppKind, Cluster, ClusterSpec, APP_PARTITION_BASE};
 use crate::stats::Stats;
-use crate::workload::{KeyedOp, KeyedOpGen, OpGen};
+use crate::workload::{KeyedOp, OpGen};
 use crate::xshard::{TxDriver, TX_POLL_INTERVAL};
 
 /// Decorrelates the network randomness of the groups: shard `s` simulates
@@ -344,7 +344,7 @@ pub struct SplitReport {
 struct WorkloadTemplate {
     /// Open-loop pace; `None` = closed loop.
     pace: Option<SimDuration>,
-    make_gen: Rc<RefCell<dyn FnMut(usize, usize) -> KeyedOpGen>>,
+    make_gen: Rc<RefCell<dyn FnMut(usize, usize) -> OpGen>>,
 }
 
 /// A running deployment: N [`Cluster`]s sharing one virtual clock, a
@@ -473,7 +473,7 @@ impl Deployment {
     }
 
     /// Counters accumulated by [`Deployment::route`], the workload adapters
-    /// installed by [`Deployment::start_keyed_workload`] and the
+    /// installed by [`Deployment::start_workload`] and the
     /// `WrongEpoch` retries of the request and transaction paths.
     pub fn router_metrics(&self) -> RouterMetrics {
         self.router_metrics.borrow().clone()
@@ -493,11 +493,11 @@ impl Deployment {
         lo..self.driver.first_agent
     }
 
-    /// Install a keyed workload on the workload clients of every group
+    /// Install a workload on the workload clients of every group
     /// (every client except the elastic admin client and the transaction
     /// agents).
     ///
-    /// `make_gen(shard, client)` produces the client's keyed stream. Each
+    /// `make_gen(shard, client)` produces the client's stream. Each
     /// client rejection-samples its stream through the router: operations
     /// whose keys belong to another group are skipped (counted in
     /// [`RouterMetrics::skipped_foreign`] — in a real deployment that
@@ -513,23 +513,20 @@ impl Deployment {
     /// Panics (at pump time) if a generator yields 100 000 consecutive
     /// operations that don't route to its shard — a mis-partitioned
     /// workload would otherwise spin the closed loop forever.
-    pub fn start_keyed_workload(
-        &mut self,
-        make_gen: impl FnMut(usize, usize) -> KeyedOpGen + 'static,
-    ) {
+    pub fn start_workload(&mut self, make_gen: impl FnMut(usize, usize) -> OpGen + 'static) {
         self.install_template(None, make_gen);
     }
 
-    /// The **open-loop** counterpart of [`Deployment::start_keyed_workload`]:
+    /// The **open-loop** counterpart of [`Deployment::start_workload`]:
     /// every workload client of every group issues one routable operation
     /// per `pace` interval (see [`Cluster::start_paced_workload`] for the
     /// slot semantics). Fault scenarios use this so offered load stays
     /// constant while groups degrade. Retained for split replay like the
     /// closed-loop variant.
-    pub fn start_paced_keyed_workload(
+    pub fn start_paced_workload(
         &mut self,
         pace: SimDuration,
-        make_gen: impl FnMut(usize, usize) -> KeyedOpGen + 'static,
+        make_gen: impl FnMut(usize, usize) -> OpGen + 'static,
     ) {
         self.install_template(Some(pace), make_gen);
     }
@@ -538,7 +535,7 @@ impl Deployment {
     fn install_template(
         &mut self,
         pace: Option<SimDuration>,
-        make_gen: impl FnMut(usize, usize) -> KeyedOpGen + 'static,
+        make_gen: impl FnMut(usize, usize) -> OpGen + 'static,
     ) {
         let template = WorkloadTemplate {
             pace,
@@ -566,10 +563,7 @@ impl Deployment {
                 (make_gen.borrow_mut())(shard, client),
             )
         };
-        match template.pace {
-            Some(pace) => self.groups[shard].start_paced_workload_on(&indices, pace, install),
-            None => self.groups[shard].start_workload_on(&indices, install),
-        }
+        self.groups[shard].install_workload(&indices, template.pace, install);
     }
 
     /// Advance all groups in lockstep by `d` of shared virtual time. With
@@ -976,7 +970,7 @@ pub fn kv_moved_spans(slots: u64) -> impl Fn(&PagedState, &SplitPlan) -> Vec<(u6
     }
 }
 
-/// Rejection-sample a keyed stream into shard `s`'s raw [`OpGen`]: ops owned
+/// Rejection-sample a stream into shard `s`'s own [`OpGen`]: ops owned
 /// by another group are skipped (counted `skipped_foreign`), ops whose key
 /// is mid-hand-off are skipped (counted `held_back`), unroutable ops are
 /// counted by kind, and a stream that never feeds the shard panics after
@@ -985,19 +979,20 @@ pub fn kv_moved_spans(slots: u64) -> impl Fn(&PagedState, &SplitPlan) -> Vec<(u6
 /// elastic deployments the op is framed as an epoch-checked
 /// [`XMsg::KeyedOp`], so a stale submission is *rejected by the replicas*
 /// (`WrongEpoch`) rather than silently executed by a group that no longer
-/// owns the key.
+/// owns the key (the keys move into the frame); otherwise the op passes
+/// through unchanged.
 fn adapt_keyed(
     router: ShardRouter,
     metrics: Rc<RefCell<RouterMetrics>>,
     elastic: bool,
     s: usize,
-    mut gen: KeyedOpGen,
+    mut gen: OpGen,
 ) -> OpGen {
     let mut next = 0u64;
     Box::new(move |_| {
         let mut misses = 0u32;
         loop {
-            let keyed = gen(next);
+            let mut keyed = gen(next);
             next += 1;
             let held = keyed.keys.iter().any(|k| router.is_held(k));
             let verdict = router.route(&keyed);
@@ -1008,18 +1003,15 @@ fn adapt_keyed(
                     (Ok(_), true) => m.held_back += 1,
                     (Ok(home), false) if *home == s => {
                         m.record(&verdict);
-                        drop(m);
-                        let op = if elastic {
-                            XMsg::KeyedOp {
+                        if elastic {
+                            keyed.op = XMsg::KeyedOp {
                                 txid: PROBE_TX,
-                                keys: keyed.keys,
+                                keys: std::mem::take(&mut keyed.keys),
                                 op: keyed.op,
                             }
-                            .encode()
-                        } else {
-                            keyed.op
-                        };
-                        return (op, keyed.read_only);
+                            .encode();
+                        }
+                        return keyed;
                     }
                     (Ok(_), false) => m.skipped_foreign += 1,
                     (Err(e), _) => m.record(&Err(e.clone())),
@@ -1105,7 +1097,7 @@ mod tests {
             ..Default::default()
         };
         let mut sc = Deployment::build(spec);
-        sc.start_keyed_workload(|shard, client| keyed_null_ops(128, (shard * 100 + client) as u64));
+        sc.start_workload(|shard, client| keyed_null_ops(128, (shard * 100 + client) as u64));
         let t = sc.measure_throughput(SimDuration::from_millis(200), SimDuration::from_millis(500));
         assert!(
             t.per_shard_tps.iter().all(|&tps| tps > 100.0),
@@ -1208,7 +1200,7 @@ mod tests {
             assert_eq!(reply, b"ok");
         }
         // Paced background load keeps flowing across the split.
-        sc.start_paced_keyed_workload(SimDuration::from_millis(4), |shard, client| {
+        sc.start_paced_workload(SimDuration::from_millis(4), |shard, client| {
             keyed_kv_ops(SLOTS, (shard * 100 + client) as u64 + 1)
         });
         sc.run_for(SimDuration::from_millis(50));

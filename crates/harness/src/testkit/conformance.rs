@@ -57,9 +57,7 @@ fn secs(n: u64) -> SimDuration {
 pub fn primary_crash_under_load(engine: Engine, seed: u64) -> ScenarioReport {
     let name = engine.name();
     let mut deployment = scenario_deployment(engine, 4, seed);
-    deployment
-        .group_mut(0)
-        .start_paced_workload(PACE, |_| null_ops(64));
+    deployment.start_paced_workload(PACE, |_, _| null_ops(64));
     let report = run_scenario(&mut deployment, &paper::primary_crash_under_load());
     let recovery = report
         .timeline
@@ -88,9 +86,7 @@ pub fn primary_crash_under_load(engine: Engine, seed: u64) -> ScenarioReport {
 pub fn slow_primary(engine: Engine, seed: u64) -> ScenarioReport {
     let name = engine.name();
     let mut deployment = scenario_deployment(engine, 4, seed);
-    deployment
-        .group_mut(0)
-        .start_paced_workload(PACE, |_| null_ops(64));
+    deployment.start_paced_workload(PACE, |_, _| null_ops(64));
     let report = run_scenario(&mut deployment, &paper::slow_primary());
     let recovery = report
         .timeline
@@ -113,9 +109,7 @@ pub fn slow_primary(engine: Engine, seed: u64) -> ScenarioReport {
 pub fn rolling_crash(engine: Engine, seed: u64) -> ScenarioReport {
     let name = engine.name();
     let mut deployment = scenario_deployment(engine, 4, seed);
-    deployment
-        .group_mut(0)
-        .start_paced_workload(PACE, |_| null_ops(64));
+    deployment.start_paced_workload(PACE, |_, _| null_ops(64));
     let report = run_scenario(&mut deployment, &paper::rolling_crash());
     for mark in report.trace.iter().filter(|m| m.label.starts_with("crash")) {
         let recovery = report
@@ -153,7 +147,7 @@ pub fn coordinator_outage(engine: Engine, seed: u64) -> ScenarioReport {
     base.cfg.engine = engine;
     let mut xc = Deployment::build(deployment_spec(2, 4, base));
     let map = xc.router().map();
-    xc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    xc.start_paced_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
     let report = run_scenario(&mut xc, &paper::coordinator_outage());
     let heal = report.trace[1].clone();
@@ -183,7 +177,7 @@ pub fn partition_then_heal(engine: Engine, seed: u64) -> ScenarioReport {
     let mut base = fetching_spec(3, seed);
     base.cfg.engine = engine;
     let mut sc = Deployment::build(deployment_spec(2, 0, base));
-    sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    sc.start_paced_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     let report = run_scenario(&mut sc, &paper::partition_then_heal());
     let recovery = report
         .timeline
@@ -211,9 +205,7 @@ pub fn partition_then_heal(engine: Engine, seed: u64) -> ScenarioReport {
 pub fn equivocating_primary(engine: Engine, seed: u64) -> ScenarioReport {
     let name = engine.name();
     let mut deployment = adversary_deployment(engine, 4, seed, 0);
-    deployment
-        .group_mut(0)
-        .start_paced_workload(PACE, |_| null_ops(64));
+    deployment.start_paced_workload(PACE, |_, _| null_ops(64));
     let mut adversaries = [Adversary::new(0, 0, EquivocatingPrimary)];
     let report = run_scenario_adaptive(
         &mut deployment,
@@ -274,9 +266,7 @@ pub fn equivocating_primary(engine: Engine, seed: u64) -> ScenarioReport {
 pub fn censorship_under_recovery(engine: Engine, seed: u64) -> ScenarioReport {
     let name = engine.name();
     let mut deployment = scenario_deployment(engine, 4, seed);
-    deployment
-        .group_mut(0)
-        .start_paced_workload(PACE, |_| null_ops(64));
+    deployment.start_paced_workload(PACE, |_, _| null_ops(64));
     let report = run_scenario(&mut deployment, &paper::censorship_under_recovery());
     let t = &report.timeline;
     let lane = |b: &crate::scenario::TimelineBucket| b.per_client_completed[0];
@@ -355,7 +345,7 @@ pub fn split_under_load(engine: Engine, seed: u64) -> ScenarioReport {
         elastic: true,
         ..Default::default()
     });
-    sc.start_paced_keyed_workload(PACE, |s, c| keyed_kv_ops(SLOTS, (s * 10 + c) as u64));
+    sc.start_paced_workload(PACE, |s, c| keyed_kv_ops(SLOTS, (s * 10 + c) as u64));
     let script = Scenario {
         name: "split-under-load",
         duration: ms(2000),

@@ -1,14 +1,12 @@
-//! Closed-loop client workloads.
+//! Client workloads.
 //!
-//! Two generator shapes coexist:
-//!
-//! * [`OpGen`] — the original single-group shape: a stream of raw
-//!   `(op bytes, read_only)` pairs, installed per client by
-//!   [`Cluster::start_workload`](crate::Cluster::start_workload).
-//! * [`KeyedOpGen`] — the sharded shape: each operation additionally names
-//!   the **shard keys** it touches ([`KeyedOp`]), so the shard router can
-//!   assign it to the PBFT group owning those keys (or reject it as
-//!   cross-shard). [`Deployment`](crate::Deployment) installs these.
+//! * [`OpGen`] — the one operation shape: each draw is a [`KeyedOp`], the
+//!   op bytes, the read-only flag and the **shard keys** the op touches, so
+//!   the shard router can assign it to the PBFT group owning those keys (or
+//!   reject it as cross-shard). [`Deployment`](crate::Deployment) installs
+//!   these through its router on every group, one group included;
+//!   [`Cluster::start_workload`](crate::Cluster::start_workload) installs
+//!   them on a bare cluster, where the keys are not read.
 //! * [`TxGen`] — the transactional shape: each draw is a [`TxOp`], a *set*
 //!   of single-shard sub-operations to apply atomically. Transactions whose
 //!   sub-ops span groups go through the two-phase commit of
@@ -16,10 +14,6 @@
 
 use pbft_xshard::routing::{stable_key_hash, ShardMap};
 use pbft_xshard::xshard::SubOp;
-
-/// A generator producing the next operation for a closed-loop client:
-/// `(op bytes, read_only)`.
-pub type OpGen = Box<dyn FnMut(u64) -> (Vec<u8>, bool)>;
 
 /// An operation tagged with the shard keys it touches.
 ///
@@ -37,9 +31,9 @@ pub struct KeyedOp {
     pub read_only: bool,
 }
 
-/// A generator producing the next key-tagged operation for a closed-loop
-/// client of a sharded deployment.
-pub type KeyedOpGen = Box<dyn FnMut(u64) -> KeyedOp>;
+/// A generator producing a client's next operation from its sequence
+/// number.
+pub type OpGen = Box<dyn FnMut(u64) -> KeyedOp>;
 
 /// A transaction: sub-operations to apply atomically (all-or-nothing),
 /// each single-shard on its own but possibly spanning groups together.
@@ -172,7 +166,7 @@ pub fn cross_precinct_ballot_txs(
 /// [`crate::shard::kv_moved_spans`]). Deployments pick `key_space` no
 /// larger than the [`KvApp`](pbft_core::app::KvApp) slot count so distinct
 /// keys never evict each other.
-pub fn keyed_kv_ops(key_space: u64, tag: u64) -> KeyedOpGen {
+pub fn keyed_kv_ops(key_space: u64, tag: u64) -> OpGen {
     Box::new(move |seq| {
         let key = mix(tag, seq, 0) % key_space;
         KeyedOp {
@@ -188,7 +182,7 @@ pub fn keyed_kv_ops(key_space: u64, tag: u64) -> KeyedOpGen {
 /// disambiguator) and the sequence number, 16 big-endian bytes — is stamped
 /// into the op body, making each op a distinct "write" to a distinct key
 /// that the router spreads across groups.
-pub fn keyed_null_ops(size: usize, tag: u64) -> KeyedOpGen {
+pub fn keyed_null_ops(size: usize, tag: u64) -> OpGen {
     Box::new(move |seq| {
         let key = [tag.to_be_bytes(), seq.to_be_bytes()].concat();
         let mut op = vec![0u8; size];
@@ -202,33 +196,11 @@ pub fn keyed_null_ops(size: usize, tag: u64) -> KeyedOpGen {
     })
 }
 
-/// The §4.2 SQL row-insert workload with its shard key attached: the key is
-/// the inserted row's `k` column (the voter identity), extracted by the same
-/// [`pbft_sql::shard_key`] convention every router-side tool uses.
-pub fn keyed_sql_insert_ops(client_tag: u64) -> KeyedOpGen {
-    let mut inner = sql_insert_ops(client_tag);
-    Box::new(move |seq| {
-        let (op, read_only) = inner(seq);
-        let sql = std::str::from_utf8(&op).expect("generated SQL is UTF-8");
-        let key = pbft_sql::shard_key(sql).expect("inserts always carry a key literal");
-        KeyedOp {
-            keys: vec![key],
-            op,
-            read_only,
-        }
-    })
-}
-
 /// Null operations of a fixed size — the workload behind Table 1 / Figure 4
 /// ("The client and server programs built to measure throughput transmit
 /// null requests and responses of varying sizes").
 pub fn null_ops(size: usize) -> OpGen {
-    Box::new(move |seq| {
-        let mut op = vec![0u8; size];
-        // Stamp the sequence so requests are distinct (distinct digests).
-        op[..8.min(size)].copy_from_slice(&seq.to_be_bytes()[..8.min(size)]);
-        (op, false)
-    })
+    null_stream(size, false)
 }
 
 /// Read-only null operations: the Table 1 null-op body with the read-only
@@ -236,28 +208,22 @@ pub fn null_ops(size: usize) -> OpGen {
 /// round trip, 2f+1 matching replies, no agreement). The pure-read
 /// counterpart of [`null_ops`], used by the hot-path bench's read rows.
 pub fn null_reads(size: usize) -> OpGen {
-    Box::new(move |seq| {
-        let mut op = vec![0u8; size];
-        op[..8.min(size)].copy_from_slice(&seq.to_be_bytes()[..8.min(size)]);
-        (op, true)
-    })
+    null_stream(size, true)
 }
 
-/// A deterministic read/write mix of null operations: each draw is
-/// read-only with probability `read_pct`/100 (decided by the same stable
-/// hash as every other workload, so a `(tag, seq)` pair always lands on
-/// the same side). `read_pct = 0` degenerates to [`null_ops`], `100` to
-/// [`null_reads`]; anything between exercises the optimistic read path
-/// *interleaved* with agreement traffic — the contention regime the
-/// deferred-read gate and the escalation fallback exist for.
-pub fn null_mix(size: usize, read_pct: u64, tag: u64) -> OpGen {
-    assert!(read_pct <= 100, "read_pct is a percentage");
+/// `size` zero bytes stamped with the big-endian sequence number, which is
+/// also the op's shard key, so requests are distinct (distinct digests).
+fn null_stream(size: usize, read_only: bool) -> OpGen {
     Box::new(move |seq| {
+        let key = seq.to_be_bytes();
         let mut op = vec![0u8; size];
-        let stamp = [tag.to_be_bytes(), seq.to_be_bytes()].concat();
-        let n = stamp.len().min(size);
-        op[..n].copy_from_slice(&stamp[..n]);
-        (op, mix(tag, seq, 9) % 100 < read_pct)
+        let n = key.len().min(size);
+        op[..n].copy_from_slice(&key[..n]);
+        KeyedOp {
+            keys: vec![key.to_vec()],
+            op,
+            read_only,
+        }
     })
 }
 
@@ -266,7 +232,7 @@ pub fn null_mix(size: usize, read_pct: u64, tag: u64) -> OpGen {
 /// `put` of a fresh value otherwise. Reads and writes contend for the same
 /// bounded key space, so replicas genuinely hit the dirty-key deferral
 /// path when the mix runs against an uncommitted tentative batch.
-pub fn keyed_kv_mix(key_space: u64, read_pct: u64, tag: u64) -> KeyedOpGen {
+pub fn keyed_kv_mix(key_space: u64, read_pct: u64, tag: u64) -> OpGen {
     assert!(read_pct <= 100, "read_pct is a percentage");
     Box::new(move |seq| {
         let key = mix(tag, seq, 0) % key_space;
@@ -285,13 +251,20 @@ pub fn keyed_kv_mix(key_space: u64, read_pct: u64, tag: u64) -> KeyedOpGen {
 
 /// The §4.2 workload: "the insertion of a single row into a database table
 /// ... a simple key and value text (representing voter identity and
-/// accompanying vote), in addition to a timestamp and a random value".
+/// accompanying vote), in addition to a timestamp and a random value". The
+/// shard key is the inserted row's `k` column (the voter identity), the
+/// literal [`pbft_sql::shard_key`] extracts.
 pub fn sql_insert_ops(client_tag: u64) -> OpGen {
     Box::new(move |seq| {
+        let key = format!("voter-{client_tag}-{seq}");
         let sql = format!(
-            "INSERT INTO bench (k, v, ts, rnd) VALUES ('voter-{client_tag}-{seq}', 'vote-{seq}', now(), random())"
+            "INSERT INTO bench (k, v, ts, rnd) VALUES ('{key}', 'vote-{seq}', now(), random())"
         );
-        (sql.into_bytes(), false)
+        KeyedOp {
+            keys: vec![key.into_bytes()],
+            op: sql.into_bytes(),
+            read_only: false,
+        }
     })
 }
 
@@ -344,16 +317,19 @@ mod tests {
     /// The generators' bytes are what every committed artifact replays:
     /// the first 64 draws of each are pinned, so a change to a generator's
     /// shape that alters one op byte, read flag or key fails here in
-    /// seconds rather than in a bench re-run.
+    /// seconds rather than in a bench re-run. `unkeyed` leaves the keys
+    /// out: the pins of `null_ops`, `null_reads` and `sql_insert_ops` were
+    /// taken before those generators named keys, and their keys are pinned
+    /// by the stamp and row-key tests below.
     #[test]
     fn golden_generator_draws() {
         let unkeyed = |mut gen: OpGen| {
             draws_digest(move |seq, buf| {
-                let (op, read_only) = gen(seq);
-                put_op(buf, &op, read_only);
+                let draw = gen(seq);
+                put_op(buf, &draw.op, draw.read_only);
             })
         };
-        let keyed = |mut gen: KeyedOpGen| {
+        let keyed = |mut gen: OpGen| {
             draws_digest(move |seq, buf| {
                 let draw = gen(seq);
                 put_keys(buf, &draw.keys);
@@ -421,44 +397,33 @@ mod tests {
     #[test]
     fn null_ops_are_distinct_and_sized() {
         let mut gen = null_ops(256);
-        let (a, ro) = gen(1);
-        let (b, _) = gen(2);
-        assert_eq!(a.len(), 256);
-        assert!(!ro);
-        assert_ne!(a, b);
+        let (a, b) = (gen(1), gen(2));
+        assert_eq!(a.op.len(), 256);
+        assert!(!a.read_only);
+        assert_ne!(a.op, b.op);
+        assert_eq!(
+            a.keys,
+            vec![1u64.to_be_bytes().to_vec()],
+            "key is the stamp"
+        );
+        assert_eq!(&a.op[..8], &a.keys[0][..]);
+        let short = null_ops(4)(7);
+        assert_eq!(
+            short.op,
+            7u64.to_be_bytes()[..4],
+            "a short op holds a cut stamp"
+        );
+        assert_eq!(short.keys[0], 7u64.to_be_bytes(), "but its key is whole");
     }
 
     #[test]
     fn null_reads_are_read_only() {
         let mut gen = null_reads(128);
-        let (a, ro) = gen(1);
-        let (b, _) = gen(2);
-        assert_eq!(a.len(), 128);
-        assert!(ro);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn null_mix_respects_the_read_fraction() {
-        let mut pure_writes = null_mix(64, 0, 3);
-        let mut pure_reads = null_mix(64, 100, 3);
-        let mut mixed = null_mix(64, 40, 3);
-        let mut reads = 0u64;
-        for seq in 0..200 {
-            assert!(!pure_writes(seq).1);
-            assert!(pure_reads(seq).1);
-            if mixed(seq).1 {
-                reads += 1;
-            }
-        }
-        // Deterministic hash, so the realized fraction is stable and near
-        // the requested one.
-        assert!((60..=100).contains(&reads), "40% of 200 draws, got {reads}");
-        assert_eq!(
-            mixed(7),
-            null_mix(64, 40, 3)(7),
-            "same (tag, seq), same draw"
-        );
+        let (a, b) = (gen(1), gen(2));
+        assert_eq!(a.op.len(), 128);
+        assert!(a.read_only);
+        assert_ne!(a.op, b.op);
+        assert_eq!(a.keys, null_ops(128)(1).keys, "reads key like writes");
     }
 
     #[test]
@@ -487,13 +452,13 @@ mod tests {
     #[test]
     fn sql_ops_insert_rows() {
         let mut gen = sql_insert_ops(3);
-        let (op, ro) = gen(9);
-        let sql = String::from_utf8(op).expect("utf8");
+        let draw = gen(9);
+        let sql = String::from_utf8(draw.op).expect("utf8");
         assert!(sql.contains("INSERT INTO bench"));
         assert!(sql.contains("voter-3-9"));
         assert!(sql.contains("now()"));
         assert!(sql.contains("random()"));
-        assert!(!ro);
+        assert!(!draw.read_only);
     }
 
     #[test]
@@ -510,11 +475,12 @@ mod tests {
 
     #[test]
     fn keyed_sql_ops_key_on_the_row_key() {
-        let mut gen = keyed_sql_insert_ops(3);
+        let mut gen = sql_insert_ops(3);
         let keyed = gen(9);
         assert_eq!(keyed.keys, vec![b"voter-3-9".to_vec()]);
         let sql = String::from_utf8(keyed.op).expect("utf8");
         assert!(sql.contains("'voter-3-9'"));
+        assert_eq!(pbft_sql::shard_key(&sql), Some(keyed.keys[0].clone()));
     }
 
     #[test]

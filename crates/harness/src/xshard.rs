@@ -972,7 +972,7 @@ mod tests {
     fn cross_shard_transactions_commit_and_audit_clean() {
         let mut xc = Deployment::build(small_spec(2, 2));
         let map = xc.router().map();
-        xc.start_keyed_workload(|s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+        xc.start_workload(|s, c| keyed_null_ops(64, (s * 10 + c) as u64));
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
         xc.run_for(SimDuration::from_millis(800));
         xc.quiesce(SimDuration::from_millis(500));

@@ -45,9 +45,7 @@ fn all_faults() -> [Fault; 7] {
 /// so post-scenario divergence would also be caught.
 fn one_run(engine: Engine, seed: u64, fault: Fault) -> (ScenarioReport, u64) {
     let mut deployment = adversary_deployment(engine, 2, seed, 0);
-    deployment
-        .group_mut(0)
-        .start_paced_workload(ms(5), |_| null_ops(64));
+    deployment.start_paced_workload(ms(5), |_, _| null_ops(64));
     let scenario = Scenario {
         name: "determinism-probe",
         duration: ms(1_600),

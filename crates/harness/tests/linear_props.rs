@@ -103,9 +103,7 @@ fn random_schedules_preserve_linear_single_group_safety() {
         let events = random_schedule(g, 2_400);
         let n_events = events.len();
         let mut deployment = scenario_deployment(Engine::Linear, 3, seed);
-        deployment
-            .group_mut(0)
-            .start_paced_workload(ms(5), |_| null_ops(64));
+        deployment.start_paced_workload(ms(5), |_, _| null_ops(64));
         let scenario = Scenario {
             name: "linear-random-single",
             duration: ms(3_000),
@@ -139,9 +137,11 @@ fn random_schedules_preserve_linear_single_group_safety() {
 #[test]
 fn tampered_linear_leader_qcs_are_rejected_and_rotation_recovers() {
     let mut deployment = scenario_deployment(Engine::Linear, 3, 91);
+    deployment
+        .group_mut(0)
+        .mount_fault(0, Fault::TamperAgreement);
+    deployment.start_paced_workload(ms(5), |_, _| null_ops(64));
     let cluster = deployment.group_mut(0);
-    cluster.mount_fault(0, Fault::TamperAgreement);
-    cluster.start_paced_workload(ms(5), |_| null_ops(64));
     cluster.run_for(SimDuration::from_secs(3));
     // Every backup saw forged QCs and rejected them at the auth layer.
     for r in 1..4 {
@@ -187,9 +187,7 @@ fn partition_churn_converges_under_rotation() {
         }
         let n_events = events.len();
         let mut deployment = scenario_deployment(Engine::Linear, 3, seed);
-        deployment
-            .group_mut(0)
-            .start_paced_workload(ms(5), |_| null_ops(64));
+        deployment.start_paced_workload(ms(5), |_, _| null_ops(64));
         let scenario = Scenario {
             name: "linear-partition-churn",
             duration: ms(3_000),

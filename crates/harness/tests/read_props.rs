@@ -246,7 +246,7 @@ fn split_keeps_reads_epoch_gated(engine: Engine, prop_name: &'static str) {
             elastic: true,
             ..Default::default()
         });
-        sc.start_paced_keyed_workload(ms(5), move |s, c| {
+        sc.start_paced_workload(ms(5), move |s, c| {
             keyed_kv_mix(KEYS, read_pct, (s * 10 + c) as u64)
         });
         sc.run_for(ms(300 + g.u64_in(0..300)));

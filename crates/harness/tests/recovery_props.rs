@@ -78,9 +78,7 @@ fn random_recovery_single_group(engine: Engine) {
             let events = random_recovery_schedule(g, 2_400);
             let n_events = events.len();
             let mut deployment = scenario_deployment(engine, 3, seed);
-            deployment
-                .group_mut(0)
-                .start_paced_workload(ms(5), |_| null_ops(64));
+            deployment.start_paced_workload(ms(5), |_, _| null_ops(64));
             let scenario = Scenario {
                 name: "recovery-random-single",
                 duration: ms(3_000),
@@ -142,9 +140,7 @@ fn recover_mid_transfer(engine: Engine, name: &'static str) {
         let member = 1 + g.usize_in(0..3); // a backup: the transfer path, not the rotation path
         let gap = 5 + g.u64_in(0..120); // proactive reboot lands mid-transfer
         let mut deployment = scenario_deployment(engine, 3, seed);
-        deployment
-            .group_mut(0)
-            .start_paced_workload(ms(5), |_| null_ops(64));
+        deployment.start_paced_workload(ms(5), |_, _| null_ops(64));
         let scenario = Scenario {
             name: "recover-mid-transfer",
             duration: ms(2_200),
@@ -198,8 +194,8 @@ fn recover_current_primary(engine: Engine, name: &'static str) {
         let seed = g.u64_in(1..1_000);
         let warmup = 400 + g.u64_in(0..400);
         let mut deployment = scenario_deployment(engine, 3, seed);
+        deployment.start_paced_workload(ms(5), |_, _| null_ops(64));
         let cluster = deployment.group_mut(0);
-        cluster.start_paced_workload(ms(5), |_| null_ops(64));
         cluster.run_for(ms(warmup));
         let view = cluster.replica(1).expect("alive").view();
         let primary = (view % 4) as usize;
@@ -239,7 +235,7 @@ fn xshard_atomicity_survives_rolling_recovery_with_adaptive_censor() {
         base.cfg.checkpoint_interval = 32;
         let mut xc = Deployment::build(deployment_spec(2, 2, base));
         let map = xc.router().map();
-        xc.start_paced_keyed_workload(ms(5), |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+        xc.start_paced_workload(ms(5), |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
         // Sequential episodes across both shards: reboots never overlap.
         let mut events = Vec::new();
@@ -312,9 +308,7 @@ fn xshard_atomicity_survives_rolling_recovery_with_adaptive_censor() {
 #[test]
 fn vc_window_attacker_fires_during_a_stalled_rotation() {
     let mut deployment = scenario_deployment(Engine::Pbft, 2, 93);
-    deployment
-        .group_mut(0)
-        .start_paced_workload(ms(5), |_| null_ops(64));
+    deployment.start_paced_workload(ms(5), |_, _| null_ops(64));
     let scenario = Scenario {
         name: "stalled-rotation-window",
         duration: ms(2_400),

@@ -89,7 +89,7 @@ fn split_schedules_keep_keys_single_owned(engine: Engine, prop_name: &'static st
         }
         let n_events = events.len();
         let mut sc = elastic_kv(engine, seed);
-        sc.start_paced_keyed_workload(ms(5), |s, c| keyed_kv_ops(SLOTS, (s * 10 + c) as u64));
+        sc.start_paced_workload(ms(5), |s, c| keyed_kv_ops(SLOTS, (s * 10 + c) as u64));
         let scenario = Scenario {
             name: "random-splits",
             duration: ms(2_500),
@@ -259,7 +259,7 @@ fn reads_under_split_respect_the_epoch(engine: Engine, prop_name: &'static str) 
         let seed = g.u64_in(1..1_000);
         let read_pct = 20 + g.u64_in(0..60);
         let mut sc = elastic_kv(engine, seed);
-        sc.start_paced_keyed_workload(ms(5), move |s, c| {
+        sc.start_paced_workload(ms(5), move |s, c| {
             harness::workload::keyed_kv_mix(SLOTS, read_pct, (s * 10 + c) as u64)
         });
         // Whole buckets: the runner requires duration % bucket == 0.

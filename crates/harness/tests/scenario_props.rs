@@ -116,9 +116,7 @@ fn random_schedules_preserve_single_group_safety() {
         let events = random_schedule(g, 1, 4, 2_400);
         let n_events = events.len();
         let mut deployment = scenario_deployment(Engine::Pbft, 3, seed);
-        deployment
-            .group_mut(0)
-            .start_paced_workload(ms(5), |_| null_ops(64));
+        deployment.start_paced_workload(ms(5), |_, _| null_ops(64));
         let scenario = Scenario {
             name: "random-single",
             duration: ms(3_000),
@@ -166,7 +164,7 @@ fn random_schedules_preserve_cross_shard_atomicity() {
         // Fault-ready groups: the schedule draws runtime fault mounts.
         let mut xc = Deployment::build(spec);
         let map = xc.router().map();
-        xc.start_paced_keyed_workload(ms(5), |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+        xc.start_paced_workload(ms(5), |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 16, i as u64));
         let scenario = Scenario {
             name: "random-xshard",

@@ -6,7 +6,7 @@
 
 use harness::shard::{Deployment, ShardRouter};
 use harness::testkit::{deployment_spec, small_spec};
-use harness::workload::{keyed_sql_insert_ops, KeyedOp};
+use harness::workload::{sql_insert_ops, KeyedOp};
 use harness::ClusterSpec;
 use minisql::JournalMode;
 use pbft_xshard::routing::RouteError;
@@ -145,7 +145,7 @@ fn sharded_sql_cluster_partitions_and_converges() {
         },
     );
     let mut sc = Deployment::build(spec);
-    sc.start_keyed_workload(|shard, client| keyed_sql_insert_ops((shard * 10 + client) as u64));
+    sc.start_workload(|shard, client| sql_insert_ops((shard * 10 + client) as u64));
     let t = sc.measure_throughput(SimDuration::from_millis(300), SimDuration::from_secs(1));
     assert!(
         t.per_shard_tps.iter().all(|&tps| tps > 20.0),

@@ -273,7 +273,7 @@ fn single_shard_ops_keep_the_pr2_fast_path() {
             base: base_spec(clients, seed),
             ..Default::default()
         });
-        sc.start_keyed_workload(|s, c| keyed_null_ops(128, (s * 100 + c) as u64));
+        sc.start_workload(|s, c| keyed_null_ops(128, (s * 100 + c) as u64));
         sc.run_for(SimDuration::from_millis(600));
         sc.per_shard_completed()
     };
@@ -285,7 +285,7 @@ fn single_shard_ops_keep_the_pr2_fast_path() {
             base,
             ..Default::default()
         });
-        xc.start_keyed_workload(|s, c| keyed_null_ops(128, (s * 100 + c) as u64));
+        xc.start_workload(|s, c| keyed_null_ops(128, (s * 100 + c) as u64));
         xc.run_for(SimDuration::from_millis(600));
         let per_shard: Vec<u64> = xc.per_shard_completed();
         let m = xc.tx_metrics();

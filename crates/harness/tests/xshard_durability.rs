@@ -34,7 +34,7 @@ fn member_crash_restart_mid_transaction_recovers_tables() {
         };
         let mut xc = Deployment::build(spec);
         let map = xc.router().map();
-        xc.start_keyed_workload(|s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+        xc.start_workload(|s, c| keyed_null_ops(64, (s * 10 + c) as u64));
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
 
         xc.run_for(SimDuration::from_millis(300));
@@ -88,7 +88,7 @@ fn blank_restart_fast_forwards_over_prepares_via_transfer() {
         };
         let mut xc = Deployment::build(spec);
         let map = xc.router().map();
-        xc.start_keyed_workload(|s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+        xc.start_workload(|s, c| keyed_null_ops(64, (s * 10 + c) as u64));
         xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
 
         xc.run_for(SimDuration::from_millis(200));

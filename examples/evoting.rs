@@ -11,6 +11,7 @@
 
 use evoting::VoteOp;
 use harness::cluster::ClientHost;
+use harness::workload::KeyedOp;
 use harness::{AppKind, Cluster, ClusterSpec};
 use minisql::JournalMode;
 use pbft_core::PbftConfig;
@@ -69,7 +70,11 @@ fn main() {
                     choice: "quince".into(),
                 },
             };
-            (op.encode(), false)
+            KeyedOp {
+                keys: vec![op.shard_key()],
+                op: op.encode(),
+                read_only: false,
+            }
         })
     });
     cluster.run_for(SimDuration::from_millis(400));

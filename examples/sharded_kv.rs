@@ -12,7 +12,7 @@
 //! Run with: `cargo run --example sharded_kv`
 
 use harness::shard::{Deployment, DeploymentSpec, ShardRouter};
-use harness::workload::{keyed_sql_insert_ops, KeyedOp};
+use harness::workload::{sql_insert_ops, KeyedOp};
 use harness::{AppKind, ClusterSpec};
 use minisql::JournalMode;
 use simnet::SimDuration;
@@ -40,7 +40,7 @@ fn main() {
         ..Default::default()
     };
     let mut kv = Deployment::build(spec);
-    kv.start_keyed_workload(|shard, client| keyed_sql_insert_ops((shard * 6 + client) as u64));
+    kv.start_workload(|shard, client| sql_insert_ops((shard * 6 + client) as u64));
     let t = kv.measure_throughput(SimDuration::from_millis(300), SimDuration::from_secs(1));
 
     println!("\n--- 3. one second of keyed inserts on the shared clock ---");

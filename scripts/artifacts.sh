@@ -1,9 +1,17 @@
 #!/usr/bin/env bash
 # Behaviour-preservation proof: the deterministic bench artifacts are a
 # pure function of the code, so a refactor that changes no behaviour must
-# regenerate them byte for byte. Re-runs the six benches that write a
-# committed BENCH_*.json (~11 min: two thirds of it `cross_shard`, ~75 s
-# `paper`) and fails if any artifact differs from the last commit. On a
+# regenerate them byte for byte.
+#
+#   scripts/artifacts.sh              all six benches that write a committed
+#                                     BENCH_*.json (~11 min: two thirds of it
+#                                     `cross_shard`, ~75 s `paper`)
+#   scripts/artifacts.sh BENCH ...    only the named benches, and only their
+#                                     BENCH_<name>.json is checked (e.g.
+#                                     `paper hotpath availability`, a few
+#                                     minutes); an unknown name exits 2
+#
+# Fails if a checked artifact differs from the last commit. On a
 # difference it names each changed JSON leaf as `file path: old -> new`
 # (needs python3), so a change that moves artifacts on purpose can list its
 # moved cells.
@@ -12,18 +20,35 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-for bench in table1 sharding availability cross_shard hotpath paper; do
+all=(table1 sharding availability cross_shard hotpath paper)
+if [ $# -eq 0 ]; then
+    benches=("${all[@]}")
+else
+    benches=("$@")
+    for bench in "${benches[@]}"; do
+        if [[ ! " ${all[*]} " =~ " $bench " ]]; then
+            echo "artifacts: unknown bench '$bench' (one of: ${all[*]})" >&2
+            exit 2
+        fi
+    done
+fi
+artifacts=()
+for bench in "${benches[@]}"; do
+    artifacts+=("BENCH_$bench.json")
+done
+
+for bench in "${benches[@]}"; do
     echo "==> cargo bench --bench $bench"
     t0=$SECONDS
     cargo bench -q -p bench --bench "$bench" >/dev/null
     echo "    [$bench: $((SECONDS - t0))s]"
 done
 
-if git diff --quiet HEAD -- 'BENCH_*.json'; then
-    echo "artifacts: byte-identical"
+if git diff --quiet HEAD -- "${artifacts[@]}"; then
+    echo "artifacts: byte-identical (${artifacts[*]})"
     exit 0
 fi
-git diff --name-only HEAD -- 'BENCH_*.json' | python3 -c '
+git diff --name-only HEAD -- "${artifacts[@]}" | python3 -c '
 import json, subprocess, sys
 
 def walk(path, where, a, b):

@@ -4,7 +4,7 @@
 
 use harness::cluster::ClientHost;
 use harness::testkit::{ms, small_spec};
-use harness::workload::{null_ops, sql_insert_ops};
+use harness::workload::{null_ops, sql_insert_ops, KeyedOp};
 use harness::{AppKind, Cluster, ClusterSpec};
 use minisql::JournalMode;
 use pbft_core::{AuthMode, PbftConfig};
@@ -181,7 +181,11 @@ fn evoting_end_to_end_with_dynamic_members() {
                     choice: format!("c{}", i % 2),
                 }
             };
-            (op.encode(), false)
+            KeyedOp {
+                keys: vec![op.shard_key()],
+                op: op.encode(),
+                read_only: false,
+            }
         })
     });
     cluster.run_for(ms(600));

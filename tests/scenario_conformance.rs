@@ -62,9 +62,7 @@ fn elastic_kv_sharded(seed: u64) -> Deployment {
 /// A one-group scenario deployment under the paced null workload.
 fn paced_single(num_clients: usize, seed: u64) -> Deployment {
     let mut deployment = scenario_deployment(Engine::Pbft, num_clients, seed);
-    deployment
-        .group_mut(0)
-        .start_paced_workload(PACE, |_| null_ops(64));
+    deployment.start_paced_workload(PACE, |_, _| null_ops(64));
     deployment
 }
 
@@ -73,7 +71,7 @@ fn paced_single(num_clients: usize, seed: u64) -> Deployment {
 fn paced_xshard(base: harness::ClusterSpec, initiators: usize) -> Deployment {
     let mut xc = Deployment::build(deployment_spec(2, initiators, base));
     let map = xc.router().map();
-    xc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    xc.start_paced_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     xc.start_transactions(|i| cross_null_txs(map, 64, 1 << 20, i as u64));
     xc
 }
@@ -81,7 +79,7 @@ fn paced_xshard(base: harness::ClusterSpec, initiators: usize) -> Deployment {
 /// Two static groups under paced keyed background load.
 fn paced_sharded(num_clients: usize, seed: u64) -> Deployment {
     let mut sc = Deployment::build(deployment_spec(2, 0, fetching_spec(num_clients, seed)));
-    sc.start_paced_keyed_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
+    sc.start_paced_workload(PACE, |s, c| keyed_null_ops(64, (s * 10 + c) as u64));
     sc
 }
 
@@ -175,8 +173,8 @@ fn slow_primary_is_evicted_by_timeout() {
 /// would evict the primary within two timeouts and flip it.
 fn censoring_primary_is_never_suspected(engine: Engine, seed: u64) {
     let mut deployment = scenario_deployment(engine, 4, seed);
+    deployment.start_paced_workload(PACE, |_, _| null_ops(1024));
     let cluster = deployment.group_mut(0);
-    cluster.start_paced_workload(PACE, |_| null_ops(1024));
     let timeout_ns = cluster.spec().cfg.view_change_timeout_ns;
     let timeout = SimDuration::from_nanos(timeout_ns);
     cluster.run_for(ms(300));
@@ -386,9 +384,7 @@ fn all_scenarios_are_deterministic() {
             "equivocating-primary",
             Box::new(|| {
                 let mut deployment = adversary_deployment(Engine::Pbft, 4, 36, 0);
-                deployment
-                    .group_mut(0)
-                    .start_paced_workload(PACE, |_| null_ops(64));
+                deployment.start_paced_workload(PACE, |_, _| null_ops(64));
                 let mut adversaries = [Adversary::new(0, 0, EquivocatingPrimary)];
                 run_scenario_adaptive(
                     &mut deployment,
@@ -406,7 +402,7 @@ fn all_scenarios_are_deterministic() {
             "split-under-load",
             Box::new(|| {
                 let mut sc = elastic_kv_sharded(38);
-                sc.start_paced_keyed_workload(PACE, |s, c| keyed_kv_ops(64, (s * 10 + c) as u64));
+                sc.start_paced_workload(PACE, |s, c| keyed_kv_ops(64, (s * 10 + c) as u64));
                 let scenario = Scenario {
                     name: "split-determinism",
                     duration: ms(600),
@@ -478,9 +474,7 @@ fn view_change_timeout_knob_controls_the_outage() {
         spec.cfg.view_change_timeout_ns = timeout_ms * 1_000_000;
         spec.cfg.fetch_missing_bodies = true;
         let mut deployment = Deployment::build(deployment_spec(1, 0, spec));
-        deployment
-            .group_mut(0)
-            .start_paced_workload(PACE, |_| null_ops(64));
+        deployment.start_paced_workload(PACE, |_, _| null_ops(64));
         let scenario = Scenario {
             name: "vc-knob-sweep",
             duration: ms(2500),
@@ -595,7 +589,7 @@ fn smoke_xshard_flavor() {
 #[test]
 fn smoke_reshard_sharded() {
     let mut sc = elastic_kv_sharded(49);
-    sc.start_paced_keyed_workload(PACE, |s, c| keyed_kv_ops(64, (s * 10 + c) as u64));
+    sc.start_paced_workload(PACE, |s, c| keyed_kv_ops(64, (s * 10 + c) as u64));
     let scenario = Scenario {
         name: "smoke-reshard-sharded",
         duration: ms(600),
@@ -642,9 +636,7 @@ fn smoke_reshard_xshard() {
 #[test]
 fn smoke_adaptive_single_group() {
     let mut deployment = adversary_deployment(Engine::Pbft, 2, 45, 0);
-    deployment
-        .group_mut(0)
-        .start_paced_workload(PACE, |_| null_ops(64));
+    deployment.start_paced_workload(PACE, |_, _| null_ops(64));
     let scenario = Scenario {
         name: "smoke-adaptive-single",
         duration: ms(800),
