@@ -570,6 +570,9 @@ fn read_durable_page(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+
     use super::*;
     use crate::journal::write_journal;
     use crate::vfs::MemVfs;
@@ -659,6 +662,140 @@ mod tests {
         assert_eq!(&page0[..8], MAGIC);
         assert_eq!(page0[8..12], 4u32.to_be_bytes(), "page count");
         assert!(page0[HEADER_LEN..].iter().all(|&b| b == 0));
+    }
+
+    /// A file whose mutating calls (`write_at`, `set_len`, `sync`) each take
+    /// one unit from a budget shared by both files of a database: once it is
+    /// spent, every further mutating call is dropped — the power failed
+    /// there.
+    struct Budgeted {
+        file: Rc<RefCell<MemVfs>>,
+        budget: Rc<Cell<u64>>,
+    }
+
+    impl Budgeted {
+        fn spend(&self) -> bool {
+            let left = self.budget.get();
+            self.budget.set(left.saturating_sub(1));
+            left > 0
+        }
+    }
+
+    impl Vfs for Budgeted {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), crate::vfs::VfsError> {
+            self.file.borrow().read_at(offset, buf)
+        }
+        fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), crate::vfs::VfsError> {
+            if self.spend() {
+                self.file.borrow_mut().write_at(offset, data)?;
+            }
+            Ok(())
+        }
+        fn len(&self) -> u64 {
+            self.file.borrow().len()
+        }
+        fn set_len(&mut self, len: u64) -> Result<(), crate::vfs::VfsError> {
+            if self.spend() {
+                self.file.borrow_mut().set_len(len)?;
+            }
+            Ok(())
+        }
+        fn sync(&mut self) -> Result<(), crate::vfs::VfsError> {
+            if self.spend() {
+                self.file.borrow_mut().sync()?;
+            }
+            Ok(())
+        }
+    }
+
+    fn image(v: &dyn Vfs) -> Vec<u8> {
+        let mut buf = vec![0u8; v.len() as usize];
+        v.read_at(0, &mut buf).expect("read");
+        buf
+    }
+
+    #[test]
+    fn crosscheck_every_crash_point_of_a_commit_recovers() {
+        use crate::db::{Database, DbOptions};
+
+        let big = |n: usize| format!("INSERT INTO t (pad) VALUES ('{}')", "x".repeat(n));
+        let count = |db: &mut Database| format!("{:?}", db.execute("SELECT COUNT(*) FROM t"));
+        // A database built by `setup` with unlimited budget, and the budget.
+        let build = |setup: &[String]| {
+            let files = [(); 2].map(|_| Rc::new(RefCell::new(MemVfs::new())));
+            let budget = Rc::new(Cell::new(u64::MAX));
+            let [db, journal] = files.clone().map(|file| {
+                Box::new(Budgeted {
+                    file,
+                    budget: budget.clone(),
+                })
+            });
+            let mut d = Database::open(db, journal, DbOptions::default()).expect("open");
+            for sql in setup {
+                d.execute(sql).expect("setup");
+            }
+            (d, files, budget)
+        };
+
+        let create = "CREATE TABLE t (id INTEGER PRIMARY KEY, pad TEXT)".to_string();
+        let cases = [
+            // Fits its leaf: the file keeps its length.
+            (vec![create.clone(), big(100)], big(100), "fits"),
+            // Two rows of 1.5 KB fill a leaf; the third splits it.
+            (
+                vec![create.clone(), big(1500), big(1500)],
+                big(1500),
+                "splits",
+            ),
+            // A multi-leaf table goes to the freelist.
+            (
+                std::iter::once(create)
+                    .chain((0..6).map(|_| big(1500)))
+                    .collect(),
+                "DROP TABLE t".to_string(),
+                "frees",
+            ),
+        ];
+        for (setup, stmt, case) in &cases {
+            let (mut d, _, budget) = build(setup);
+            let before = image(d.db_file());
+            let count_before = count(&mut d);
+            budget.set(u64::MAX);
+            d.execute(stmt).expect("statement");
+            let calls = u64::MAX - budget.get();
+            let after = image(d.db_file());
+            let count_after = count(&mut d);
+            match *case {
+                "fits" => assert_eq!(after.len(), before.len()),
+                "splits" => assert!(after.len() > before.len()),
+                _ => assert_ne!(after[12..16], [0; 4], "the freelist holds the table"),
+            }
+            assert_ne!(before, after);
+            for k in 0..=calls {
+                let (mut d, [db, journal], budget) = build(setup);
+                budget.set(k);
+                let _ = d.execute(stmt);
+                let (db, journal) = (db.borrow().crash(), journal.borrow().crash());
+                let mut reopened =
+                    Database::open(Box::new(db), Box::new(journal), DbOptions::default())
+                        .unwrap_or_else(|e| panic!("{case}: reopen after {k}/{calls} calls: {e}"));
+                let recovered = image(reopened.db_file());
+                let expected = if recovered == before {
+                    &count_before
+                } else {
+                    assert!(
+                        recovered == after,
+                        "{case}: after {k}/{calls} calls the file is neither image"
+                    );
+                    &count_after
+                };
+                assert_eq!(
+                    &count(&mut reopened),
+                    expected,
+                    "{case}: after {k}/{calls} calls"
+                );
+            }
+        }
     }
 
     #[test]

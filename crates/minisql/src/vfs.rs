@@ -206,6 +206,81 @@ mod tests {
         assert_eq!(v.sync_count(), 1);
     }
 
+    /// The reference model: a file that copies its whole image aside at
+    /// every `sync`.
+    #[derive(Default)]
+    struct CopyAtSync {
+        data: Vec<u8>,
+        stable: Vec<u8>,
+    }
+
+    impl CopyAtSync {
+        fn write_at(&mut self, offset: usize, data: &[u8]) {
+            if self.data.len() < offset + data.len() {
+                self.data.resize(offset + data.len(), 0);
+            }
+            self.data[offset..offset + data.len()].copy_from_slice(data);
+        }
+
+        fn read_at(&self, offset: usize, len: usize) -> Vec<u8> {
+            (offset..offset + len)
+                .map(|i| self.data.get(i).copied().unwrap_or(0))
+                .collect()
+        }
+
+        fn crash(&self) -> CopyAtSync {
+            CopyAtSync {
+                data: self.stable.clone(),
+                stable: self.stable.clone(),
+            }
+        }
+    }
+
+    #[test]
+    fn crosscheck_prop_memvfs_matches_copy_at_sync() {
+        propcheck::check("memvfs_matches_copy_at_sync", 128, |g| {
+            let mut v = MemVfs::new();
+            let mut r = CopyAtSync::default();
+            for step in 0..g.usize_in(0..201) {
+                let len = r.data.len();
+                // Inside the file, at its end, or past it.
+                let offset = |g: &mut propcheck::Gen| match g.choice(3) {
+                    0 => g.usize_in(0..len + 1),
+                    1 => len,
+                    _ => len + g.usize_in(1..64),
+                };
+                match g.choice(8) {
+                    0..=2 => {
+                        let at = offset(g);
+                        let data = g.bytes(0..96);
+                        v.write_at(at as u64, &data).expect("write");
+                        r.write_at(at, &data);
+                    }
+                    3 | 4 => {
+                        let to = if g.bool() { 0 } else { offset(g) };
+                        v.set_len(to as u64).expect("set_len");
+                        r.data.resize(to, 0);
+                    }
+                    5 | 6 => {
+                        v.sync().expect("sync");
+                        r.stable.clone_from(&r.data);
+                    }
+                    _ => {
+                        v = v.crash();
+                        r = r.crash();
+                    }
+                }
+                assert_eq!(v.bytes(), r.data, "step {step}");
+                assert_eq!(v.len(), r.data.len() as u64, "step {step}");
+                let (at, n) = (g.usize_in(0..r.data.len() + 8), g.usize_in(0..64));
+                let mut buf = vec![0xa5; n];
+                v.read_at(at as u64, &mut buf).expect("read");
+                assert_eq!(buf, r.read_at(at, n), "step {step}");
+                assert_eq!(v.crash().bytes(), r.stable, "step {step}");
+            }
+        });
+    }
+
     #[test]
     fn set_len_truncates() {
         let mut v = MemVfs::new();
