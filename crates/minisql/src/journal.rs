@@ -18,40 +18,50 @@ const HEADER: usize = 8 + 4 + 4; // magic, old_page_count, entry count
 
 /// A journal image under construction in a caller-owned buffer: the pager
 /// reads each pre-image straight into its final place and reuses the buffer
-/// from one commit to the next.
+/// from one commit to the next. The buffer keeps its length between images,
+/// so a slot is filled in place and never zeroed first.
 pub struct JournalImage<'a> {
     buf: &'a mut Vec<u8>,
     page_size: usize,
     entries: u32,
+    /// Bytes of `buf` this image occupies; the rest is an earlier image's.
+    len: usize,
 }
 
 impl<'a> JournalImage<'a> {
-    /// Start an image in `buf` (its previous contents are discarded).
+    /// Start an image in `buf` (its previous contents are overwritten or
+    /// left beyond the image's end).
     pub fn begin(buf: &'a mut Vec<u8>, page_size: usize, old_page_count: u32) -> Self {
-        buf.clear();
-        buf.extend_from_slice(&MAGIC.to_be_bytes());
-        buf.extend_from_slice(&old_page_count.to_be_bytes());
-        buf.extend_from_slice(&0u32.to_be_bytes()); // entry count, patched by `write`
+        if buf.len() < HEADER {
+            buf.resize(HEADER, 0);
+        }
+        buf[..8].copy_from_slice(&MAGIC.to_be_bytes());
+        buf[8..12].copy_from_slice(&old_page_count.to_be_bytes());
+        // The entry count at 12..16 is patched by `write`.
         JournalImage {
             buf,
             page_size,
             entries: 0,
+            len: HEADER,
         }
     }
 
-    /// Append an entry for `page_id` and return its page-sized slot for the
-    /// caller to fill with the pre-image.
+    /// Append an entry for `page_id` and return its page-sized slot, which
+    /// the caller must overwrite whole with the pre-image.
     pub fn entry(&mut self, page_id: u32) -> &mut [u8] {
-        self.buf.extend_from_slice(&page_id.to_be_bytes());
-        let start = self.buf.len();
-        self.buf.resize(start + self.page_size, 0);
+        let start = self.len + 4;
+        self.len = start + self.page_size;
+        if self.buf.len() < self.len {
+            self.buf.resize(self.len, 0);
+        }
+        self.buf[start - 4..start].copy_from_slice(&page_id.to_be_bytes());
         self.entries += 1;
-        &mut self.buf[start..]
+        &mut self.buf[start..self.len]
     }
 
     /// Bytes the image occupies in the journal file.
     pub fn bytes(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// Replace the journal file with this image and (optionally) sync it.
@@ -61,7 +71,7 @@ impl<'a> JournalImage<'a> {
     pub fn write(self, vfs: &mut dyn Vfs, sync: bool) -> Result<(), SqlError> {
         self.buf[12..HEADER].copy_from_slice(&self.entries.to_be_bytes());
         vfs.set_len(0)?;
-        vfs.write_at(0, self.buf)?;
+        vfs.write_at(0, &self.buf[..self.len])?;
         if sync {
             vfs.sync()?;
         }

@@ -390,7 +390,7 @@ impl Pager {
             }
             self.stats.journal_bytes += image.bytes() as u64;
             image.write(self.journal.as_mut(), true)?;
-            self.journal_buf.clear();
+            self.journal_buf.truncate(JOURNAL_BUF_KEEP);
             self.journal_buf.shrink_to(JOURNAL_BUF_KEEP);
             self.stats.syncs += 1;
         }

@@ -81,10 +81,18 @@ pub trait Vfs {
 /// An in-memory file with crash-durability modeling: [`MemVfs::crash`]
 /// yields the file as it would be found after a power failure — only
 /// content present at the last `sync` survives.
+///
+/// A `sync` copies nothing: it marks the current bytes as the synced image.
+/// The synced bytes are kept aside only when a later call would destroy
+/// them — by swapping buffers when the call truncates the file to zero
+/// (what every rollback-journal commit does), by copying otherwise.
 #[derive(Debug, Clone, Default)]
 pub struct MemVfs {
     data: Vec<u8>,
+    /// The synced image, unless `synced` says `data` is.
     stable: Vec<u8>,
+    /// No mutating call since the last `sync`: `data` is the synced image.
+    synced: bool,
     syncs: u64,
 }
 
@@ -96,9 +104,15 @@ impl MemVfs {
 
     /// The file a post-crash open would see (last synced image).
     pub fn crash(&self) -> MemVfs {
+        let synced = if self.synced {
+            &self.data
+        } else {
+            &self.stable
+        };
         MemVfs {
-            data: self.stable.clone(),
-            stable: self.stable.clone(),
+            data: synced.clone(),
+            stable: Vec::new(),
+            synced: true,
             syncs: 0,
         }
     }
@@ -111,6 +125,20 @@ impl MemVfs {
     /// Current (volatile) contents.
     pub fn bytes(&self) -> &[u8] {
         &self.data
+    }
+
+    /// Keep the synced image aside before a mutating call changes `data`:
+    /// `data` itself when the call discards all of it, a copy otherwise.
+    fn unsync(&mut self, discards_all: bool) {
+        if !self.synced {
+            return;
+        }
+        self.synced = false;
+        if discards_all {
+            std::mem::swap(&mut self.data, &mut self.stable);
+        } else {
+            self.stable.clone_from(&self.data);
+        }
     }
 }
 
@@ -127,6 +155,7 @@ impl Vfs for MemVfs {
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), VfsError> {
+        self.unsync(false);
         let start = offset as usize;
         if self.data.len() < start {
             self.data.resize(start, 0);
@@ -144,12 +173,13 @@ impl Vfs for MemVfs {
     }
 
     fn set_len(&mut self, len: u64) -> Result<(), VfsError> {
+        self.unsync(len == 0);
         self.data.resize(len as usize, 0);
         Ok(())
     }
 
     fn sync(&mut self) -> Result<(), VfsError> {
-        self.stable.clone_from(&self.data);
+        self.synced = true;
         self.syncs += 1;
         Ok(())
     }
