@@ -10,10 +10,12 @@
 //! ([`Pager::page`], [`Pager::page_mut`]) and edited in place; a cached page
 //! never changes length. The cache is a hash map keyed by page id, so a page
 //! is found in O(1) and the cache holds the pages read, never a slot per id
-//! a header claims. A commit copies each byte once: the header is
-//! patched into the cached page 0, and each pre-image is read from the
-//! database file straight into the journal image, whose buffer is reused
-//! from commit to commit.
+//! a header claims. A commit writes what changed and copies each byte once:
+//! page 0 is written and journaled only when the header changed (database
+//! creation, [`Pager::allocate`], [`Pager::free`]), and then the header is
+//! patched into the cached page 0; each pre-image is read from the database
+//! file straight into the journal image, whose buffer is reused from commit
+//! to commit and keeps its length, so no slot is zeroed before it is filled.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -32,8 +34,10 @@ const MAGIC: &[u8; 8] = b"MINISQL1";
 /// Bytes of page 0 the header occupies; the rest of the page is zero.
 const HEADER_LEN: usize = 20;
 
-/// Journal-image capacity kept between commits: the header page, a leaf and
-/// a split sibling. A larger transaction's buffer is released after use.
+/// Journal-image length kept between commits: three pre-images, what a leaf
+/// split that allocates journals (the leaf, its parent and the header page;
+/// a commit that neither allocates nor frees journals no header). A larger
+/// transaction's buffer is released after use.
 const JOURNAL_BUF_KEEP: usize = 16 + 3 * (4 + PAGE_SIZE);
 
 /// Journal / durability mode (the paper's §4.2 ACID vs no-ACID axis; §3.2
@@ -364,14 +368,17 @@ impl Pager {
         if self.dirty.is_empty() {
             return Ok(());
         }
-        self.dirty.insert(0);
-        // The header goes into the cached page 0 (never *read* for this: a
-        // cache miss here is not a page the statement asked for).
-        let header = self.header;
-        match self.cache.entry(0) {
-            Entry::Occupied(e) => header.write_to(e.into_mut()),
-            Entry::Vacant(e) => {
-                e.insert(header.encode());
+        // Page 0 is written (and journaled) only when the transaction changed
+        // the header — creation, `allocate`, `free` — and then the header
+        // goes into the cached page 0 (never *read* for this: a cache miss
+        // here is not a page the statement asked for).
+        if self.dirty.contains(&0) {
+            let header = self.header;
+            match self.cache.entry(0) {
+                Entry::Occupied(e) => header.write_to(e.into_mut()),
+                Entry::Vacant(e) => {
+                    e.insert(header.encode());
+                }
             }
         }
 
@@ -664,16 +671,59 @@ mod tests {
         assert!(page0[HEADER_LEN..].iter().all(|&b| b == 0));
     }
 
-    /// A file whose mutating calls (`write_at`, `set_len`, `sync`) each take
-    /// one unit from a budget shared by both files of a database: once it is
-    /// spent, every further mutating call is dropped — the power failed
-    /// there.
-    struct Budgeted {
-        file: Rc<RefCell<MemVfs>>,
+    /// One file of a database under test: every mutating call (`write_at`,
+    /// `set_len`, `sync`) takes one unit from a budget shared by both files,
+    /// and every `write_at` is logged. Once the budget is spent, further
+    /// mutating calls are dropped — the power failed there.
+    struct Probe {
+        file: Probed,
         budget: Rc<Cell<u64>>,
     }
 
-    impl Budgeted {
+    /// The test's handle on a probed file: its bytes and its write log.
+    #[derive(Clone, Default)]
+    struct Probed {
+        file: Rc<RefCell<MemVfs>>,
+        writes: Rc<RefCell<Vec<(u64, Vec<u8>)>>>,
+    }
+
+    impl Probed {
+        /// The pages written at page-aligned offsets since the last call.
+        fn pages_written(&self) -> Vec<u64> {
+            let writes = std::mem::take(&mut *self.writes.borrow_mut());
+            writes
+                .iter()
+                .map(|(off, _)| off / PAGE_SIZE as u64)
+                .collect()
+        }
+
+        /// The page ids of the journal images written since the last call.
+        fn pages_journaled(&self) -> Vec<u32> {
+            let writes = std::mem::take(&mut *self.writes.borrow_mut());
+            let mut ids = Vec::new();
+            for (_, image) in &writes {
+                for entry in image[16..].chunks(4 + PAGE_SIZE) {
+                    ids.push(u32::from_be_bytes(entry[..4].try_into().expect("4 bytes")));
+                }
+            }
+            ids
+        }
+    }
+
+    /// Both files of a fresh database, probed, and their budget (unlimited).
+    fn probed() -> ([Box<dyn Vfs>; 2], [Probed; 2], Rc<Cell<u64>>) {
+        let handles: [Probed; 2] = Default::default();
+        let budget = Rc::new(Cell::new(u64::MAX));
+        let files = handles.clone().map(|file| {
+            Box::new(Probe {
+                file,
+                budget: budget.clone(),
+            }) as Box<dyn Vfs>
+        });
+        (files, handles, budget)
+    }
+
+    impl Probe {
         fn spend(&self) -> bool {
             let left = self.budget.get();
             self.budget.set(left.saturating_sub(1));
@@ -681,28 +731,29 @@ mod tests {
         }
     }
 
-    impl Vfs for Budgeted {
+    impl Vfs for Probe {
         fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), crate::vfs::VfsError> {
-            self.file.borrow().read_at(offset, buf)
+            self.file.file.borrow().read_at(offset, buf)
         }
         fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), crate::vfs::VfsError> {
             if self.spend() {
-                self.file.borrow_mut().write_at(offset, data)?;
+                self.file.writes.borrow_mut().push((offset, data.to_vec()));
+                self.file.file.borrow_mut().write_at(offset, data)?;
             }
             Ok(())
         }
         fn len(&self) -> u64 {
-            self.file.borrow().len()
+            self.file.file.borrow().len()
         }
         fn set_len(&mut self, len: u64) -> Result<(), crate::vfs::VfsError> {
             if self.spend() {
-                self.file.borrow_mut().set_len(len)?;
+                self.file.file.borrow_mut().set_len(len)?;
             }
             Ok(())
         }
         fn sync(&mut self) -> Result<(), crate::vfs::VfsError> {
             if self.spend() {
-                self.file.borrow_mut().sync()?;
+                self.file.file.borrow_mut().sync()?;
             }
             Ok(())
         }
@@ -722,19 +773,12 @@ mod tests {
         let count = |db: &mut Database| format!("{:?}", db.execute("SELECT COUNT(*) FROM t"));
         // A database built by `setup` with unlimited budget, and the budget.
         let build = |setup: &[String]| {
-            let files = [(); 2].map(|_| Rc::new(RefCell::new(MemVfs::new())));
-            let budget = Rc::new(Cell::new(u64::MAX));
-            let [db, journal] = files.clone().map(|file| {
-                Box::new(Budgeted {
-                    file,
-                    budget: budget.clone(),
-                })
-            });
+            let ([db, journal], handles, budget) = probed();
             let mut d = Database::open(db, journal, DbOptions::default()).expect("open");
             for sql in setup {
                 d.execute(sql).expect("setup");
             }
-            (d, files, budget)
+            (d, handles.map(|h| h.file), budget)
         };
 
         let create = "CREATE TABLE t (id INTEGER PRIMARY KEY, pad TEXT)".to_string();
@@ -796,6 +840,59 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn an_insert_that_fits_its_leaf_commits_one_page() {
+        use crate::db::{Database, DbOptions};
+
+        let ([db, journal], [db_log, journal_log], _) = probed();
+        let mut d = Database::open(db, journal, DbOptions::default()).expect("open");
+        d.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+            .expect("create");
+        d.execute("INSERT INTO t (v) VALUES ('a')").expect("insert");
+        d.take_io_stats();
+        db_log.pages_written();
+        journal_log.pages_journaled();
+
+        d.execute("INSERT INTO t (v) VALUES ('b')").expect("insert");
+        let io = d.take_io_stats();
+        assert_eq!(io.db_pages_written, 1);
+        assert_eq!(io.journal_bytes, 16 + 4 + PAGE_SIZE as u64);
+        assert_eq!(io.syncs, 3);
+        let written = db_log.pages_written();
+        assert_eq!(written.len(), 1);
+        assert!(!written.contains(&0), "page 0 written: {written:?}");
+        let journaled = journal_log.pages_journaled();
+        assert_eq!(journaled, [written[0] as u32], "the written page alone");
+    }
+
+    #[test]
+    fn a_header_change_journals_and_writes_page_zero() {
+        let ([db, journal], [db_log, journal_log], _) = probed();
+        let mut p = Pager::open(db, journal, JournalMode::Rollback).expect("open");
+        p.take_stats();
+        db_log.pages_written();
+        journal_log.pages_journaled();
+
+        // `allocate` past the end: the new page has no pre-image.
+        let id = p.allocate().expect("alloc");
+        p.commit().expect("commit");
+        assert_eq!(db_log.pages_written(), [0, u64::from(id)]);
+        assert_eq!(journal_log.pages_journaled(), [0]);
+        let io = p.take_stats();
+        assert_eq!((io.db_pages_written, io.syncs), (2, 3));
+
+        p.free(id).expect("free");
+        p.commit().expect("commit");
+        assert_eq!(db_log.pages_written(), [0, u64::from(id)]);
+        assert_eq!(journal_log.pages_journaled(), [0, id]);
+
+        // `allocate` from the freelist.
+        assert_eq!(p.allocate().expect("alloc"), id);
+        p.commit().expect("commit");
+        assert_eq!(db_log.pages_written(), [0, u64::from(id)]);
+        assert_eq!(journal_log.pages_journaled(), [0, id]);
     }
 
     #[test]

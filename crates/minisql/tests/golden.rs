@@ -2,11 +2,17 @@
 //! file, every mutating VFS call, every statement outcome and the summed
 //! [`IoStats`] as literals, in all three journal modes.
 //!
-//! The literals were computed on the commit *before* the B+tree went in
-//! place (0f3ba65, where every page was parsed into a `Node` and
-//! re-serialized), using this file unchanged — it only touches the public
-//! API. A storage-layer change that moves one byte of a file, journals one
-//! page more or less, or counts one I/O differently fails here, which is what
+//! The database literals (`db_len`, `db_fnv`, `outcomes`, `interior_pages`)
+//! were computed on the commit *before* the B+tree went in place (0f3ba65,
+//! where every page was parsed into a `Node` and re-serialized), using this
+//! file unchanged — it only touches the public API. The literals of the
+//! writes (`io`, `db_trace`, `journal_trace`, and in WAL mode `journal_fnv`
+//! and, for the repeated shapes, `journal_len`) come from the change that
+//! writes and journals page 0 only when the header changed: it dropped one
+//! page-0 write (and its pre-image or WAL frame) from every commit that
+//! neither allocates nor frees, and moved no byte of a database file. A
+//! storage-layer change that moves one byte of a file, journals one page
+//! more or less, or counts one I/O differently fails here, which is what
 //! lets the PBFT embedding (page digests, `ExecMetrics`) stay untouched.
 
 use std::cell::Cell;
@@ -365,8 +371,9 @@ impl Run {
 /// computed column names, LIMITs, automatic rowids through leaf splits,
 /// explicit ones above and below the largest, DDL between two uses of one
 /// shape, failing scripts, and more distinct shapes than a small cache
-/// would hold, twice over. The literals were computed on the commit before
-/// statements were parsed once per shape (165112f), using this file.
+/// would hold, twice over. The database literals were computed on the
+/// commit before statements were parsed once per shape (165112f), using
+/// this file; the literals of the writes as the file header says.
 fn run_shapes(mode: JournalMode) -> Golden {
     let mut r = Run::new(mode);
     r.ok("CREATE TABLE votes (id INTEGER PRIMARY KEY, voter TEXT NOT NULL, choice TEXT, w REAL, raw BLOB)");
@@ -518,31 +525,31 @@ fn golden_repeated_shapes() {
     assert_eq!(
         run_shapes(JournalMode::Rollback),
         golden(
-            15228876420174774480,
+            4945109511942788252,
             0,
             FNV_OFFSET,
-            17355578136909525922,
-            [1565, 6_017_444, 2052, 114, 0]
+            12149601961249255130,
+            [980, 3_618_944, 2052, 114, 0]
         )
     );
     assert_eq!(
         run_shapes(JournalMode::Wal),
         golden(
-            11562840982724767602,
-            206_032,
-            3852498671379388474,
-            10880424581586769114,
-            [206, 6_447_832, 750, 114, 33]
+            17545822642618247990,
+            210_152,
+            11302448003699329301,
+            7083827496654969557,
+            [170, 4_037_632, 726, 114, 21]
         )
     );
     assert_eq!(
         run_shapes(JournalMode::Off),
         golden(
-            3217751268356679758,
+            4616987717307940904,
             0,
             FNV_OFFSET,
             FNV_OFFSET,
-            [1565, 0, 0, 114, 0]
+            [980, 0, 0, 114, 0]
         )
     );
 }
@@ -554,12 +561,12 @@ fn golden_rollback_journal() {
         Golden {
             db_len: 2_772_992,
             db_fnv: 543832710404558686,
-            db_trace: 14406165904124436768,
+            db_trace: 7009599480761868740,
             journal_len: 0,
             journal_fnv: FNV_OFFSET,
-            journal_trace: 6947938836331642127,
+            journal_trace: 7562700634163712045,
             outcomes: 15736594356689605965,
-            io: [3350, 10_978_148, 3534, 1266, 0],
+            io: [2376, 6_984_748, 3534, 1266, 0],
             interior_pages: 5,
         }
     );
@@ -572,12 +579,12 @@ fn golden_wal() {
         Golden {
             db_len: 2_772_992,
             db_fnv: 543832710404558686,
-            db_trace: 12076326738174546339,
+            db_trace: 10917342980156782234,
             journal_len: 370_832,
-            journal_fnv: 13975147701930736185,
-            journal_trace: 6838071869252795029,
+            journal_fnv: 92400852601502215,
+            journal_trace: 10739453024702023603,
             outcomes: 15736594356689605965,
-            io: [1081, 13_802_032, 1308, 1266, 65],
+            io: [997, 9_789_152, 1266, 1266, 44],
             interior_pages: 5,
         }
     );
@@ -590,12 +597,12 @@ fn golden_no_journal() {
         Golden {
             db_len: 2_772_992,
             db_fnv: 543832710404558686,
-            db_trace: 9117713675705079304,
+            db_trace: 1596951588493843434,
             journal_len: 0,
             journal_fnv: FNV_OFFSET,
             journal_trace: FNV_OFFSET,
             outcomes: 15736594356689605965,
-            io: [3350, 0, 0, 1266, 0],
+            io: [2376, 0, 0, 1266, 0],
             interior_pages: 5,
         }
     );
