@@ -23,7 +23,6 @@ const HEADER: usize = 8 + 4 + 4; // magic, old_page_count, entry count
 pub struct JournalImage<'a> {
     buf: &'a mut Vec<u8>,
     page_size: usize,
-    entries: u32,
     /// Bytes of `buf` this image occupies; the rest is an earlier image's.
     len: usize,
 }
@@ -41,7 +40,6 @@ impl<'a> JournalImage<'a> {
         JournalImage {
             buf,
             page_size,
-            entries: 0,
             len: HEADER,
         }
     }
@@ -55,7 +53,6 @@ impl<'a> JournalImage<'a> {
             self.buf.resize(self.len, 0);
         }
         self.buf[start - 4..start].copy_from_slice(&page_id.to_be_bytes());
-        self.entries += 1;
         &mut self.buf[start..self.len]
     }
 
@@ -69,7 +66,8 @@ impl<'a> JournalImage<'a> {
     /// # Errors
     /// Storage failures.
     pub fn write(self, vfs: &mut dyn Vfs, sync: bool) -> Result<(), SqlError> {
-        self.buf[12..HEADER].copy_from_slice(&self.entries.to_be_bytes());
+        let entries = ((self.len - HEADER) / (4 + self.page_size)) as u32;
+        self.buf[12..HEADER].copy_from_slice(&entries.to_be_bytes());
         vfs.set_len(0)?;
         vfs.write_at(0, &self.buf[..self.len])?;
         if sync {

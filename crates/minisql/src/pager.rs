@@ -760,9 +760,7 @@ mod tests {
     }
 
     fn image(v: &dyn Vfs) -> Vec<u8> {
-        let mut buf = vec![0u8; v.len() as usize];
-        v.read_at(0, &mut buf).expect("read");
-        buf
+        clone_vfs(v).bytes().to_vec()
     }
 
     #[test]
