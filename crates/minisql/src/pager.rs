@@ -680,11 +680,14 @@ mod tests {
         budget: Rc<Cell<u64>>,
     }
 
+    /// `(offset, bytes)` of every applied `write_at`.
+    type WriteLog = Rc<RefCell<Vec<(u64, Vec<u8>)>>>;
+
     /// The test's handle on a probed file: its bytes and its write log.
     #[derive(Clone, Default)]
     struct Probed {
         file: Rc<RefCell<MemVfs>>,
-        writes: Rc<RefCell<Vec<(u64, Vec<u8>)>>>,
+        writes: WriteLog,
     }
 
     impl Probed {
@@ -710,8 +713,11 @@ mod tests {
         }
     }
 
+    /// A database file and its journal.
+    type DbFiles = [Box<dyn Vfs>; 2];
+
     /// Both files of a fresh database, probed, and their budget (unlimited).
-    fn probed() -> ([Box<dyn Vfs>; 2], [Probed; 2], Rc<Cell<u64>>) {
+    fn probed() -> (DbFiles, [Probed; 2], Rc<Cell<u64>>) {
         let handles: [Probed; 2] = Default::default();
         let budget = Rc::new(Cell::new(u64::MAX));
         let files = handles.clone().map(|file| {
