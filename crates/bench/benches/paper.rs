@@ -9,12 +9,14 @@
 //! this run checks before anything is written, and under `contradicted`
 //! the part of a claim the run does not bear out, with its numbers.
 
+use std::sync::OnceLock;
+
 use bench::artifact::{self, Json};
 use bench::obj;
 use harness::byzantine::{build_faulty_cluster, Fault};
 use harness::cluster::{AppKind, Cluster, ClusterSpec};
 use harness::experiments::{
-    best_tps, config, null_spec, null_throughput, table1, throughput, ConfigResult, NUM_CLIENTS,
+    config, null_spec, null_throughput, table1_configs, throughput_inspected, NUM_CLIENTS,
     TABLE1_PAPER_TPS, WARMUP, WINDOW,
 };
 use harness::firewall::build_firewalled_cluster;
@@ -35,13 +37,83 @@ macro_rules! check {
     }};
 }
 
+/// One row of the artifact: a stable id (`<section>/<sweep point>`) and the
+/// run that measures it. Every cell is built from its own seed, so it
+/// measures the same alone as in the full run. The row holds what the cell
+/// measures; a field derived from other rows (a share of the sweep's best,
+/// an increase over the baseline row) is added by its section.
+struct Cell {
+    id: String,
+    run: Box<dyn Fn() -> Json>,
+}
+
+fn cell(id: String, run: impl Fn() -> Json + 'static) -> Cell {
+    Cell {
+        id,
+        run: Box::new(run),
+    }
+}
+
+/// A section of the artifact: its key, its cells in row order, and what it
+/// makes of their rows.
+type Section = (&'static str, Vec<Cell>, fn(Vec<Json>) -> Json);
+
+/// Set when one cell runs alone: its id, and whether its message trace is
+/// written.
+static ALONE: OnceLock<(String, bool)> = OnceLock::new();
+
+/// `cargo bench --bench paper` runs every cell and writes
+/// `BENCH_paper.json`; `-- --cells` lists each cell's id and row;
+/// `-- --cell ID` runs that cell alone and prints its row (`--trace` also
+/// writes the message trace of each of its trials under
+/// `target/paper-cells/`, where the cell's cluster is built by a
+/// throughput trial).
 fn main() {
-    let json = obj! {
-        "bench": "paper", "fig4": fig4(), "fig5": fig5(), "acid": acid(),
-        "membership": membership(), "recovery": recovery(), "packet_loss": packet_loss(),
-        "nondet_replay": nondet_replay(), "privacy": privacy(), "wan": wan(),
-        "byzantine": byzantine(),
-    };
+    let mut args = std::env::args().skip(1);
+    let (mut alone, mut trace, mut list) = (None, false, false);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--cell" => alone = Some(args.next().expect("--cell takes a cell id")),
+            "--trace" => trace = true,
+            "--cells" => list = true,
+            _ => {} // `cargo bench` passes `--bench`
+        }
+    }
+    let sections: Vec<Section> = vec![
+        ("fig4", fig4_cells(), fig4),
+        ("fig5", fig5_cells(), fig5),
+        ("acid", acid_cells(), acid),
+        ("membership", membership_cells(), membership),
+        ("recovery", recovery_cells(), recovery),
+        ("packet_loss", packet_loss_cells(), packet_loss),
+        ("nondet_replay", nondet_replay_cells(), nondet_replay),
+        ("privacy", privacy_cells(), privacy),
+        ("wan", wan_cells(), wan),
+        ("byzantine", byzantine_cells(), byzantine),
+    ];
+    if list {
+        for (name, cells, _) in &sections {
+            for (i, c) in cells.iter().enumerate() {
+                println!("{}\t{name}.rows[{i}]", c.id);
+            }
+        }
+        return;
+    }
+    if let Some(id) = alone {
+        let cells = sections.iter().flat_map(|(_, cells, _)| cells);
+        let Some(c) = cells.into_iter().find(|c| c.id == id) else {
+            panic!("no cell {id} (`-- --cells` lists them)");
+        };
+        ALONE.set((id.clone(), trace)).expect("set once");
+        let row = (c.run)();
+        println!("== cell {id}\n{}", row.render());
+        return;
+    }
+    let mut json = obj! {"bench": "paper"};
+    for (name, cells, section) in sections {
+        let rows = cells.iter().map(|c| (c.run)()).collect();
+        json = json.with(name, section(rows));
+    }
     artifact::write("BENCH_paper.json", &json);
 }
 
@@ -60,12 +132,6 @@ fn tps_cell(row: Json, tps: Stats, paper: Option<f64>) -> Json {
     measured(row, tps.mean, paper).with("stddev", tps.std_dev)
 }
 
-/// A configuration-sweep row: throughput and share of the sweep's best.
-fn sweep_row(r: &ConfigResult, best: f64, paper: Option<f64>) -> Json {
-    tps_cell(obj! {"config": r.name.as_str()}, r.tps, paper)
-        .with("pct_of_best", 100.0 * r.tps.mean / best)
-}
-
 /// The number under `key` of a row built here.
 fn n(row: &Json, key: &str) -> f64 {
     match row.get(key) {
@@ -74,29 +140,63 @@ fn n(row: &Json, key: &str) -> f64 {
     }
 }
 
+/// The string under `key` of a row built here.
+fn text<'a>(row: &'a Json, key: &str) -> &'a str {
+    match row.get(key) {
+        Some(Json::Str(v)) => v,
+        other => panic!("'{key}' is not a string: {other:?}"),
+    }
+}
+
 /// Whether the row's `converged` flag is set.
 fn converged(row: &Json) -> bool {
     matches!(row.get("converged"), Some(Json::Bool(true)))
 }
 
-/// **Figure 4**: the Table 1 sweep at 256, 1024, 2048 and 4096 B. The paper
-/// plots 1024 B (its Table 1 column) as representative because "the
-/// results for varying request and response sizes are similar".
-fn fig4() -> Json {
-    const SIZES: [usize; 4] = [256, 1024, 2048, 4096];
-    let runs: Vec<Vec<ConfigResult>> = SIZES.iter().map(|&s| table1(s, 1)).collect();
-    let tps = |s: usize, i: usize| runs[s][i].tps.mean;
-    let names: Vec<&str> = runs[0].iter().map(|r| r.name.as_str()).collect();
+/// The highest `measured` among `rows`.
+fn best_measured(rows: &[Json]) -> f64 {
+    rows.iter()
+        .map(|r| n(r, "measured"))
+        .fold(f64::MIN, f64::max)
+}
+
+/// Figure 4's request sizes; the paper's Table 1 column is 1024 B.
+const FIG4_SIZES: [usize; 4] = [256, 1024, 2048, 4096];
+
+/// **Figure 4**: the Table 1 sweep at 256, 1024, 2048 and 4096 B, one cell
+/// per size and configuration. The paper plots 1024 B (its Table 1
+/// column) as representative because "the results for varying request
+/// and response sizes are similar".
+fn fig4_cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for size in FIG4_SIZES {
+        for (i, cfg) in table1_configs().into_iter().enumerate() {
+            let name = cfg.table1_name();
+            cells.push(cell(format!("fig4/{size}/{name}"), move || {
+                let paper = (size == 1024).then_some(TABLE1_PAPER_TPS[i]);
+                let row = obj! {"config": name.as_str()};
+                tps_cell(row, null_throughput(&cfg, size, 1), paper).with("size", size)
+            }));
+        }
+    }
+    cells
+}
+
+fn fig4(rows: Vec<Json>) -> Json {
+    let per_size = rows.len() / FIG4_SIZES.len();
+    let sweep = |s: usize| &rows[s * per_size..(s + 1) * per_size];
+    let tps = |s: usize, i: usize| n(&sweep(s)[i], "measured");
+    let names: Vec<&str> = sweep(0).iter().map(|r| text(r, "config")).collect();
     // Table 1's row order: rows 2k and 2k + 1 differ only in batching, rows
     // k and k + 4 (k < 4) only in MACs vs signatures.
     let beats = |pairs: &[(usize, usize)]| {
         pairs
             .iter()
-            .all(|&(i, j)| (0..SIZES.len()).all(|s| tps(s, i) > tps(s, j)))
+            .all(|&(i, j)| (0..FIG4_SIZES.len()).all(|s| tps(s, i) > tps(s, j)))
     };
-    let asserted = check!(runs;
+    let asserted = check!(rows;
         "sta_mac_allbig_batch is the fastest configuration at every size" =>
-            (0..SIZES.len()).all(|s| tps(s, 0) == best_tps(&runs[s])),
+            (0..FIG4_SIZES.len()).all(|s| tps(s, 0) == best_measured(sweep(s))),
         "with every other knob equal, the batching row is faster at every size" =>
             beats(&[(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]),
         "with every other knob equal, the MAC row is faster at every size" =>
@@ -110,8 +210,11 @@ fn fig4() -> Json {
     for s in [0, 2, 3] {
         for (a, b) in (0..names.len()).flat_map(|a| (0..names.len()).map(move |b| (a, b))) {
             if tps(1, a) > tps(1, b) && tps(s, a) < tps(s, b) {
-                let (size, (x, y), (p, q)) =
-                    (SIZES[s], (tps(s, a), tps(s, b)), (tps(1, a), tps(1, b)));
+                let (size, (x, y), (p, q)) = (
+                    FIG4_SIZES[s],
+                    (tps(s, a), tps(s, b)),
+                    (tps(1, a), tps(1, b)),
+                );
                 let (a, b) = (names[a], names[b]);
                 contradicted.push(
                     format!("{size} B: {a} {x:.0} < {b} {y:.0} (1024 B: {p:.0} > {q:.0})").into(),
@@ -119,58 +222,128 @@ fn fig4() -> Json {
             }
         }
     }
-    let mut rows = Vec::new();
-    for (s, size) in SIZES.into_iter().enumerate() {
-        for (i, r) in runs[s].iter().enumerate() {
-            let paper = (size == 1024).then_some(TABLE1_PAPER_TPS[i]);
-            rows.push(sweep_row(r, best_tps(&runs[s]), paper).with("size", size));
-        }
-    }
+    // Each row's share of its sweep's best goes before its size.
+    let shares: Vec<Json> = rows
+        .iter()
+        .enumerate()
+        .map(|(k, row)| {
+            let best = best_measured(sweep(k / per_size));
+            let Json::Obj(mut fields) = row.clone() else {
+                unreachable!("rows are objects")
+            };
+            let size = fields.pop().expect("the size is last");
+            fields.push((
+                "pct_of_best".into(),
+                Json::from(100.0 * n(row, "measured") / best),
+            ));
+            fields.push(size);
+            Json::Obj(fields)
+        })
+        .collect();
     obj! {
-        "ref": "Figure 4", "trials": 1u64, "rows": rows,
+        "ref": "Figure 4", "trials": 1u64, "rows": shares,
         "asserted": asserted, "contradicted": contradicted,
     }
 }
 
 /// SQL row-insert throughput of `cfg` under `journal` (seeds 2000 + trial).
+/// Run as a cell alone, it prints each trial's mean batch and, with
+/// `--trace`, writes each trial's message trace.
 fn sql_tps(cfg: &PbftConfig, journal: JournalMode, trials: usize) -> Stats {
+    let alone = ALONE.get();
     let spec = ClusterSpec {
         cfg: cfg.clone(),
         app: AppKind::Sql { journal },
         num_clients: NUM_CLIENTS,
         seed: 2000,
+        trace: alone.is_some_and(|(_, trace)| *trace),
         ..Default::default()
     };
-    throughput(&spec, trials, |i| sql_insert_ops(i as u64))
+    throughput_inspected(
+        &spec,
+        trials,
+        |i| sql_insert_ops(i as u64),
+        |t, cluster| {
+            if let Some((id, trace)) = alone {
+                report_trial(id, *trace, t, cluster);
+            }
+        },
+    )
+}
+
+/// One trial of a cell run alone: its mean batch on replica 0 and, when
+/// traced, where its message trace went.
+fn report_trial(id: &str, trace: bool, trial: usize, cluster: &Cluster) {
+    let m = cluster.replica_metrics(0);
+    let batch = m.executed_requests as f64 / m.batches_executed.max(1) as f64;
+    eprint!(
+        "{id} trial {trial}: mean batch {batch:.3} ({} requests in {} batches on replica 0)",
+        m.executed_requests, m.batches_executed
+    );
+    if trace {
+        let dir = artifact::repo_root().join("target/paper-cells");
+        std::fs::create_dir_all(&dir).expect("create the trace directory");
+        let path = dir.join(format!("{}.trial{trial}.trace", id.replace('/', "_")));
+        let lines: String = cluster
+            .sim
+            .trace()
+            .iter()
+            .map(|e| {
+                let at = e.at.as_nanos();
+                let (src, dst, tag, size) = (e.src, e.dst, e.tag, e.size);
+                format!("{at} {:?} {src} -> {dst} tag {tag} size {size}\n", e.event)
+            })
+            .collect();
+        std::fs::write(&path, lines).expect("write the trace");
+        eprint!(
+            ", {} messages traced to {}",
+            cluster.sim.trace().len(),
+            path.display()
+        );
+    }
+    eprintln!();
 }
 
 /// **Figure 5**, "PBFT + SQL": the §4.2 single-row insert with ACID
 /// semantics (rollback journal), batching on, sweeping MACs × big requests
 /// × dynamic clients. The paper's one figure for it: the most robust
 /// configuration with dynamic clients reaches 43 % of the best.
-fn fig5() -> Json {
-    let trials = 2;
-    let rows: Vec<ConfigResult> = [false, true]
+fn fig5_cells() -> Vec<Cell> {
+    [false, true]
         .into_iter()
         .flat_map(|dynamic| {
             [(true, true), (true, false), (false, true), (false, false)]
                 .map(|(macs, allbig)| config(dynamic, macs, allbig, true))
         })
-        .map(|cfg| ConfigResult {
-            name: cfg.table1_name(),
-            tps: sql_tps(&cfg, JournalMode::Rollback, trials),
+        .map(|cfg| {
+            let name = cfg.table1_name();
+            cell(format!("fig5/{name}"), move || {
+                let tps = sql_tps(&cfg, JournalMode::Rollback, FIG5_TRIALS);
+                tps_cell(obj! {"config": name.as_str()}, tps, None)
+            })
         })
-        .collect();
-    let best = best_tps(&rows);
+        .collect()
+}
+
+const FIG5_TRIALS: usize = 2;
+
+fn fig5(rows: Vec<Json>) -> Json {
+    let best = best_measured(&rows);
     let robust = rows
         .iter()
-        .find(|r| r.name == "nosta_nomac_noallbig_batch")
+        .find(|r| text(r, "config") == "nosta_nomac_noallbig_batch")
         .expect("config present");
-    let pct = 100.0 * robust.tps.mean / best;
-    let robust_pct = measured(obj! {"config": robust.name.as_str()}, pct, Some(43.0));
-    let rows: Vec<Json> = rows.iter().map(|r| sweep_row(r, best, None)).collect();
+    let pct = 100.0 * n(robust, "measured") / best;
+    let robust_pct = measured(obj! {"config": text(robust, "config")}, pct, Some(43.0));
+    let rows: Vec<Json> = rows
+        .iter()
+        .map(|r| {
+            r.clone()
+                .with("pct_of_best", 100.0 * n(r, "measured") / best)
+        })
+        .collect();
     obj! {
-        "ref": "Figure 5", "trials": trials, "rows": rows,
+        "ref": "Figure 5", "trials": FIG5_TRIALS, "rows": rows,
         "robust_dynamic_pct_of_best": robust_pct,
     }
 }
@@ -180,47 +353,64 @@ fn fig5() -> Json {
 /// clients, plus the write-ahead log (§3.2's "different mode of operation")
 /// between them: 3, 1 and 0 synchronous flushes per commit (rollback and
 /// WAL are ACID, off is not).
-fn acid() -> Json {
-    let (trials, cfg) = (3, config(true, false, false, true));
-    let [rollback, wal, off] = [JournalMode::Rollback, JournalMode::Wal, JournalMode::Off]
-        .map(|j| sql_tps(&cfg, j, trials));
-    let asserted = check!([rollback, wal, off];
+fn acid_cells() -> Vec<Cell> {
+    [
+        ("rollback", JournalMode::Rollback, 3u64, Some(534.0)),
+        ("wal", JournalMode::Wal, 1, None),
+        ("off", JournalMode::Off, 0, Some(1155.0)),
+    ]
+    .into_iter()
+    .map(|(journal, mode, syncs, paper)| {
+        cell(format!("acid/{journal}"), move || {
+            let tps = sql_tps(&acid_config(), mode, ACID_TRIALS);
+            let row = obj! {"journal": journal, "syncs_per_commit": syncs};
+            tps_cell(row, tps, paper)
+        })
+    })
+    .collect()
+}
+
+const ACID_TRIALS: usize = 3;
+
+fn acid_config() -> PbftConfig {
+    config(true, false, false, true)
+}
+
+fn acid(rows: Vec<Json>) -> Json {
+    let [rollback, wal, off] = [0, 1, 2].map(|i| n(&rows[i], "measured"));
+    let asserted = check!(rows;
         "fewer syncs per commit, more throughput: rollback < WAL < off" =>
-            rollback.mean < wal.mean && wal.mean < off.mean,
+            rollback < wal && wal < off,
     );
-    let mode = |journal: &str, syncs: u64| obj! {"journal": journal, "syncs_per_commit": syncs};
-    let rows = vec![
-        tps_cell(mode("rollback", 3), rollback, Some(534.0)),
-        tps_cell(mode("wal", 1), wal, None),
-        tps_cell(mode("off", 0), off, Some(1155.0)),
-    ];
-    let speedup = measured(obj! {}, off.mean / rollback.mean, Some(1155.0 / 534.0));
+    let speedup = measured(obj! {}, off / rollback, Some(1155.0 / 534.0));
     obj! {
-        "ref": "§4.2", "config": cfg.table1_name(), "trials": trials, "rows": rows,
-        "speedup_without_acid": speedup, "asserted": asserted,
+        "ref": "§4.2", "config": acid_config().table1_name(), "trials": ACID_TRIALS,
+        "rows": rows, "speedup_without_acid": speedup, "asserted": asserted,
     }
 }
 
 /// **§4.1 dynamic-membership overhead** — "The performance decrease is 0,5%
 /// (988 vs 992), which is negligible" — on the most robust configuration.
-fn membership() -> Json {
-    let trials = 3;
-    let [fixed, dynamic] = [false, true].map(|d| config(d, false, false, true));
-    let [fixed_tps, dynamic_tps] = [&fixed, &dynamic].map(|cfg| null_throughput(cfg, 1024, trials));
-    let row = |membership: &str, cfg: &PbftConfig, tps, paper| {
-        tps_cell(
-            obj! {"membership": membership, "config": cfg.table1_name()},
-            tps,
-            paper,
-        )
-    };
-    let rows = vec![
-        row("static", &fixed, fixed_tps, Some(992.0)),
-        row("dynamic", &dynamic, dynamic_tps, Some(988.0)),
-    ];
-    let overhead = 100.0 * (1.0 - dynamic_tps.mean / fixed_tps.mean);
+fn membership_cells() -> Vec<Cell> {
+    [("static", false, 992.0), ("dynamic", true, 988.0)]
+        .into_iter()
+        .map(|(membership, dynamic, paper)| {
+            cell(format!("membership/{membership}"), move || {
+                let cfg = config(dynamic, false, false, true);
+                let tps = null_throughput(&cfg, 1024, MEMBERSHIP_TRIALS);
+                let row = obj! {"membership": membership, "config": cfg.table1_name()};
+                tps_cell(row, tps, Some(paper))
+            })
+        })
+        .collect()
+}
+
+const MEMBERSHIP_TRIALS: usize = 3;
+
+fn membership(rows: Vec<Json>) -> Json {
+    let overhead = 100.0 * (1.0 - n(&rows[1], "measured") / n(&rows[0], "measured"));
     let overhead = measured(obj! {}, overhead, Some(0.5));
-    obj! {"ref": "§4.1", "trials": trials, "rows": rows, "overhead_pct": overhead}
+    obj! {"ref": "§4.1", "trials": MEMBERSHIP_TRIALS, "rows": rows, "overhead_pct": overhead}
 }
 
 /// **§2.3 erratic recovery and authenticators**: replica 2 crashes at
@@ -228,44 +418,49 @@ fn membership() -> Json {
 /// client requests until the blind NewKey retransmission re-installs them
 /// ("The only way to lower the time frame for this service interruption is
 /// to reduce the authenticator retransmission timeout").
-fn recovery() -> Json {
-    let rows: Vec<Json> = [250u64, 500, 1000, 2000, 4000]
+fn recovery_cells() -> Vec<Cell> {
+    [250u64, 500, 1000, 2000, 4000]
         .into_iter()
         .map(|ms| {
-            let cfg = PbftConfig {
-                checkpoint_interval: 64,
-                newkey_interval_ns: ms * 1_000_000,
-                ..Default::default()
-            };
-            let mut cluster = Cluster::build(null_spec(cfg, 256, 4, 7));
-            cluster.start_workload(|_| null_ops(256));
-            cluster.run_for(SimDuration::from_millis(500));
-            cluster.crash_replica(2);
-            cluster.run_for(SimDuration::from_millis(200));
-            cluster.restart_replica(2, false);
-            let restart = cluster.sim.now();
-            // Recovered: executing within 16 of a peer, after a transfer.
-            let recovered = (0..200).any(|_| {
-                cluster.run_for(SimDuration::from_millis(50));
-                let r = cluster.replica(2).expect("alive");
-                let peer = cluster.replica(0).expect("alive").last_executed();
-                r.last_executed() + 16 >= peer && r.metrics().state_transfers_completed > 0
-            });
-            let since_restart = (cluster.sim.now() - restart).as_secs_f64() * 1e3;
-            let recovery_ms = if recovered {
-                since_restart
-            } else {
-                f64::INFINITY
-            };
-            let m = cluster.replica_metrics(2);
-            let converged = cluster.states_converged(&[0, 1, 3]);
-            obj! {
-                "newkey_ms": ms, "auth_failures": m.auth_failures,
-                "transfers": m.state_transfers_completed, "recovery_ms": recovery_ms,
-                "converged": converged,
-            }
+            cell(format!("recovery/newkey_ms={ms}"), move || {
+                let cfg = PbftConfig {
+                    checkpoint_interval: 64,
+                    newkey_interval_ns: ms * 1_000_000,
+                    ..Default::default()
+                };
+                let mut cluster = Cluster::build(null_spec(cfg, 256, 4, 7));
+                cluster.start_workload(|_| null_ops(256));
+                cluster.run_for(SimDuration::from_millis(500));
+                cluster.crash_replica(2);
+                cluster.run_for(SimDuration::from_millis(200));
+                cluster.restart_replica(2, false);
+                let restart = cluster.sim.now();
+                // Recovered: executing within 16 of a peer, after a transfer.
+                let recovered = (0..200).any(|_| {
+                    cluster.run_for(SimDuration::from_millis(50));
+                    let r = cluster.replica(2).expect("alive");
+                    let peer = cluster.replica(0).expect("alive").last_executed();
+                    r.last_executed() + 16 >= peer && r.metrics().state_transfers_completed > 0
+                });
+                let since_restart = (cluster.sim.now() - restart).as_secs_f64() * 1e3;
+                let recovery_ms = if recovered {
+                    since_restart
+                } else {
+                    f64::INFINITY
+                };
+                let m = cluster.replica_metrics(2);
+                let converged = cluster.states_converged(&[0, 1, 3]);
+                obj! {
+                    "newkey_ms": ms, "auth_failures": m.auth_failures,
+                    "transfers": m.state_transfers_completed, "recovery_ms": recovery_ms,
+                    "converged": converged,
+                }
+            })
         })
-        .collect();
+        .collect()
+}
+
+fn recovery(rows: Vec<Json>) -> Json {
     let failures = |r: &Json| n(r, "auth_failures");
     let asserted = check!(rows;
         "the restarted replica recovers through state transfer at every interval" =>
@@ -291,32 +486,40 @@ fn recovery() -> Json {
 /// replica 3 drops packets, so replica 3 misses request bodies and wedges
 /// "until the next checkpoint arrives and the recovery process kicks in";
 /// the body-fetch fix asks a peer for the missing body instead.
-fn packet_loss() -> Json {
-    let rows: Vec<Json> = [0.01, 0.05, 0.20]
+fn packet_loss_cells() -> Vec<Cell> {
+    [0.01, 0.05, 0.20]
         .into_iter()
         .flat_map(|loss| [(loss, false), (loss, true)])
         .map(|(loss, fix)| {
-            let cfg = PbftConfig {
-                checkpoint_interval: 64,
-                fetch_missing_bodies: fix,
-                ..Default::default()
-            };
-            let mut cluster = Cluster::build(null_spec(cfg, 1024, 4, 42));
-            for c in cluster.clients.clone() {
-                let r3 = cluster.replicas[3];
-                cluster.set_loss(c, r3, loss);
-            }
-            cluster.start_workload(|_| null_ops(1024));
-            cluster.run_for(SimDuration::from_secs(3));
-            let m = cluster.replica_metrics(3);
-            let converged = cluster.states_converged(&[0, 1, 2, 3]);
-            obj! {
-                "loss": loss, "fetch_fix": fix, "stuck_events": m.stuck_missing_body,
-                "transfers": m.state_transfers_completed, "completed": cluster.completed(),
-                "converged": converged,
-            }
+            cell(
+                format!("packet_loss/loss={loss}/fetch_fix={fix}"),
+                move || {
+                    let cfg = PbftConfig {
+                        checkpoint_interval: 64,
+                        fetch_missing_bodies: fix,
+                        ..Default::default()
+                    };
+                    let mut cluster = Cluster::build(null_spec(cfg, 1024, 4, 42));
+                    for c in cluster.clients.clone() {
+                        let r3 = cluster.replicas[3];
+                        cluster.set_loss(c, r3, loss);
+                    }
+                    cluster.start_workload(|_| null_ops(1024));
+                    cluster.run_for(SimDuration::from_secs(3));
+                    let m = cluster.replica_metrics(3);
+                    let converged = cluster.states_converged(&[0, 1, 2, 3]);
+                    obj! {
+                        "loss": loss, "fetch_fix": fix, "stuck_events": m.stuck_missing_body,
+                        "transfers": m.state_transfers_completed, "completed": cluster.completed(),
+                        "converged": converged,
+                    }
+                },
+            )
         })
-        .collect();
+        .collect()
+}
+
+fn packet_loss(rows: Vec<Json>) -> Json {
     // (library default, body-fetch fix) per loss rate.
     let pairs: Vec<(&Json, &Json)> = rows.chunks(2).map(|p| (&p[0], &p[1])).collect();
     let stuck = |r: &Json| n(r, "stuck_events");
@@ -348,42 +551,47 @@ fn packet_loss() -> Json {
 /// the group never commits again; skip-on-replay proceeds. The body-fetch
 /// fix is on so that the restarted replica's missing bodies (§2.4) do not
 /// stand in for the hazard.
-fn nondet_replay() -> Json {
-    let rows: Vec<Json> = [false, true]
+fn nondet_replay_cells() -> Vec<Cell> {
+    [false, true]
         .into_iter()
         .map(|skip| {
-            let nondet = NonDetPolicy {
-                validate_window_ns: 400_000_000,
-                skip_validation_on_replay: skip,
-            };
-            let cfg = PbftConfig {
-                tentative_execution: false,
-                nondet,
-                view_change_timeout_ns: 200_000_000,
-                fetch_missing_bodies: true,
-                ..Default::default()
-            };
-            let mut cluster = Cluster::build(null_spec(cfg, 64, 2, 11));
-            cluster.start_workload(|_| null_ops(64));
-            cluster.run_for(SimDuration::from_millis(300));
-            cluster.crash_replica(3);
-            cluster.run_for(SimDuration::from_millis(300));
-            cluster.crash_replica(0);
-            cluster.run_for(SimDuration::from_millis(700));
-            cluster.restart_replica(0, false);
-            cluster.run_for(SimDuration::from_secs(2));
-            let before = cluster.completed();
-            cluster.run_for(SimDuration::from_secs(2));
-            let failures: u64 = (0..4)
-                .map(|i| cluster.replica_metrics(i).nondet_validation_failures)
-                .sum();
-            let completed = cluster.completed() - before;
-            obj! {
-                "skip_on_replay": skip, "validation_failures": failures,
-                "completed_after_replay": completed,
-            }
+            cell(format!("nondet_replay/skip_on_replay={skip}"), move || {
+                let nondet = NonDetPolicy {
+                    validate_window_ns: 400_000_000,
+                    skip_validation_on_replay: skip,
+                };
+                let cfg = PbftConfig {
+                    tentative_execution: false,
+                    nondet,
+                    view_change_timeout_ns: 200_000_000,
+                    fetch_missing_bodies: true,
+                    ..Default::default()
+                };
+                let mut cluster = Cluster::build(null_spec(cfg, 64, 2, 11));
+                cluster.start_workload(|_| null_ops(64));
+                cluster.run_for(SimDuration::from_millis(300));
+                cluster.crash_replica(3);
+                cluster.run_for(SimDuration::from_millis(300));
+                cluster.crash_replica(0);
+                cluster.run_for(SimDuration::from_millis(700));
+                cluster.restart_replica(0, false);
+                cluster.run_for(SimDuration::from_secs(2));
+                let before = cluster.completed();
+                cluster.run_for(SimDuration::from_secs(2));
+                let failures: u64 = (0..4)
+                    .map(|i| cluster.replica_metrics(i).nondet_validation_failures)
+                    .sum();
+                let completed = cluster.completed() - before;
+                obj! {
+                    "skip_on_replay": skip, "validation_failures": failures,
+                    "completed_after_replay": completed,
+                }
+            })
         })
-        .collect();
+        .collect()
+}
+
+fn nondet_replay(rows: Vec<Json>) -> Json {
     let failures = |r: &Json| n(r, "validation_failures");
     let completed = |r: &Json| n(r, "completed_after_replay");
     let (strict, skip) = (&rows[0], &rows[1]);
@@ -398,33 +606,42 @@ fn nondet_replay() -> Json {
 /// **Privacy-firewall ablation (§3.3.1)**: Yin et al.'s (h+1)-row firewall
 /// on the reply path "obviously increases both deployment complexity and
 /// request execution latency". Null ops, 12 clients, 0 to 3 rows.
-fn privacy() -> Json {
-    // (rows, TPS, mean latency ms, replies the outermost row suppressed)
-    let runs: Vec<(usize, f64, f64, u64)> = (0..=3)
+fn privacy_cells() -> Vec<Cell> {
+    (0..=3usize)
         .map(|rows| {
-            let mut fc =
-                build_firewalled_cluster(null_spec(PbftConfig::default(), 1024, 12, 4242), rows);
-            fc.cluster.start_workload(|i| null_ops(1024 + i));
-            let tps = fc
-                .cluster
-                .measure_throughput(SimDuration::from_secs(1), SimDuration::from_secs(2));
-            let suppressed = fc.row_stats().first().map_or(0, |s| s.suppressed);
-            (rows, tps, fc.cluster.mean_latency_ms(), suppressed)
+            cell(format!("privacy/rows={rows}"), move || {
+                let spec = null_spec(PbftConfig::default(), 1024, 12, 4242);
+                let mut fc = build_firewalled_cluster(spec, rows);
+                fc.cluster.start_workload(|i| null_ops(1024 + i));
+                let tps = fc
+                    .cluster
+                    .measure_throughput(SimDuration::from_secs(1), SimDuration::from_secs(2));
+                // Replies the outermost row suppressed.
+                let suppressed = fc.row_stats().first().map_or(0, |s| s.suppressed);
+                obj! {
+                    "rows": rows, "tps": tps, "latency_ms": fc.cluster.mean_latency_ms(),
+                    "suppressed_row0": (rows > 0).then_some(suppressed),
+                }
+            })
         })
-        .collect();
-    let asserted = check!(runs;
-        "each row adds latency" => runs.windows(2).all(|w| w[0].2 < w[1].2),
-        "the outermost row suppresses surplus replies" => runs[1..].iter().all(|r| r.3 > 0),
+        .collect()
+}
+
+fn privacy(rows: Vec<Json>) -> Json {
+    let latency = |r: &Json| n(r, "latency_ms");
+    let asserted = check!(rows;
+        "each row adds latency" => rows.windows(2).all(|w| latency(&w[0]) < latency(&w[1])),
+        "the outermost row suppresses surplus replies" =>
+            rows[1..].iter().all(|r| n(r, "suppressed_row0") > 0.0),
     );
-    let rows: Vec<Json> = runs
+    let base = latency(&rows[0]);
+    let rows: Vec<Json> = rows
         .iter()
-        .map(|&(rows, tps, latency, suppressed)| {
-            let (firewalled, increase) = (rows > 0, (latency / runs[0].2 - 1.0) * 100.0);
-            obj! {
-                "rows": rows, "tps": tps, "latency_ms": latency,
-                "suppressed_row0": firewalled.then_some(suppressed),
-                "latency_increase_pct": firewalled.then_some(increase),
-            }
+        .map(|r| {
+            let increase = (latency(r) / base - 1.0) * 100.0;
+            let firewalled = n(r, "rows") > 0.0;
+            r.clone()
+                .with("latency_increase_pct", firewalled.then_some(increase))
         })
         .collect();
     obj! {"ref": "§3.3.1", "rows": rows, "asserted": asserted}
@@ -434,21 +651,26 @@ fn privacy() -> Json {
 /// delay — "the quadratic message complexity of PBFT will most probably
 /// prove costly regarding request latency" — the experiment the paper
 /// could not run.
-fn wan() -> Json {
-    let rows: Vec<Json> = [1u64, 5, 15, 40, 80]
+fn wan_cells() -> Vec<Cell> {
+    [1u64, 5, 15, 40, 80]
         .into_iter()
         .map(|ms| {
-            let link = LinkParams::wan(SimDuration::from_millis(ms));
-            let spec = null_spec(PbftConfig::default(), 1024, NUM_CLIENTS, 3000);
-            let mut cluster = Cluster::build(ClusterSpec { link, ..spec });
-            cluster.start_workload(|_| null_ops(1024));
-            let tps = cluster.measure_throughput(WARMUP, WINDOW);
-            let latency = cluster.mean_latency_ms();
-            // Little's law: a closed loop of 12 clients keeps 12 requests in flight.
-            let in_flight = tps * latency / 1e3;
-            obj! {"one_way_ms": ms, "tps": tps, "latency_ms": latency, "in_flight": in_flight}
+            cell(format!("wan/one_way_ms={ms}"), move || {
+                let link = LinkParams::wan(SimDuration::from_millis(ms));
+                let spec = null_spec(PbftConfig::default(), 1024, NUM_CLIENTS, 3000);
+                let mut cluster = Cluster::build(ClusterSpec { link, ..spec });
+                cluster.start_workload(|_| null_ops(1024));
+                let tps = cluster.measure_throughput(WARMUP, WINDOW);
+                let latency = cluster.mean_latency_ms();
+                // Little's law: a closed loop of 12 clients keeps 12 requests in flight.
+                let in_flight = tps * latency / 1e3;
+                obj! {"one_way_ms": ms, "tps": tps, "latency_ms": latency, "in_flight": in_flight}
+            })
         })
-        .collect();
+        .collect()
+}
+
+fn wan(rows: Vec<Json>) -> Json {
     let tps = |r: &Json| n(r, "tps");
     let latency = |r: &Json| n(r, "latency_ms");
     let asserted = check!(rows;
@@ -463,17 +685,29 @@ fn wan() -> Json {
 /// **Byzantine-fault ablation** — not a paper table (the paper injects only
 /// crashes and packet loss): null-op throughput with one adversarial
 /// replica per fault type, the cost of *surviving* each.
-fn byzantine() -> Json {
-    let faults = [
-        ("none (baseline)", None),
-        ("mute primary", Some(Fault::Mute)),
-        ("tampered replies", Some(Fault::TamperReplies)),
-        ("tampered prepares/commits", Some(Fault::TamperAgreement)),
-        ("split-brain primary", Some(Fault::SplitBrain)),
-    ];
-    let runs: Vec<(&str, f64)> = faults
-        .into_iter()
-        .map(|(name, fault)| {
+fn byzantine_cells() -> Vec<Cell> {
+    [
+        ("none (baseline)", "none", None),
+        ("mute primary", "mute", Some(Fault::Mute)),
+        (
+            "tampered replies",
+            "tamper_replies",
+            Some(Fault::TamperReplies),
+        ),
+        (
+            "tampered prepares/commits",
+            "tamper_agreement",
+            Some(Fault::TamperAgreement),
+        ),
+        (
+            "split-brain primary",
+            "split_brain",
+            Some(Fault::SplitBrain),
+        ),
+    ]
+    .into_iter()
+    .map(|(name, slug, fault)| {
+        cell(format!("byzantine/{slug}"), move || {
             let cfg = PbftConfig {
                 view_change_timeout_ns: 200_000_000,
                 checkpoint_interval: 16,
@@ -487,19 +721,23 @@ fn byzantine() -> Json {
             };
             cluster.start_workload(|i| null_ops(1024 + i));
             let two_s = SimDuration::from_secs(2);
-            (name, cluster.measure_throughput(two_s, two_s))
+            obj! {"fault": name, "tps": cluster.measure_throughput(two_s, two_s)}
         })
-        .collect();
-    let asserted = check!(runs;
-        "every fault is survived" => runs.iter().all(|r| r.1 > 0.0),
+    })
+    .collect()
+}
+
+fn byzantine(rows: Vec<Json>) -> Json {
+    let tps = |r: &Json| n(r, "tps");
+    let asserted = check!(rows;
+        "every fault is survived" => rows.iter().all(|r| tps(r) > 0.0),
         "equivocation (the split-brain primary) costs the most" =>
-            runs.iter().all(|r| r.1 >= runs[4].1),
+            rows.iter().all(|r| tps(r) >= tps(&rows[4])),
     );
-    let rows: Vec<Json> = runs
+    let baseline = tps(&rows[0]);
+    let rows: Vec<Json> = rows
         .iter()
-        .map(|&(fault, tps)| {
-            obj! {"fault": fault, "tps": tps, "pct_of_baseline": 100.0 * tps / runs[0].1}
-        })
+        .map(|r| r.clone().with("pct_of_baseline", 100.0 * tps(r) / baseline))
         .collect();
     obj! {"ref": "extends Table 1", "rows": rows, "asserted": asserted}
 }

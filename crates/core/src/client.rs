@@ -294,7 +294,8 @@ impl Client {
     }
 
     fn dispatch_request(&mut self, req: RequestMsg, now_ns: u64, res: &mut HandleResult) {
-        let big = self.cfg.is_big(req.encoded_len());
+        // Under `all_requests_big` every request is big: no trial encoding.
+        let big = self.cfg.all_requests_big || self.cfg.is_big(req.encoded_len());
         self.send_request(&req, big, false, res);
         self.outstanding = Some(Outstanding {
             req,
@@ -456,6 +457,12 @@ impl Client {
         if from != reply.replica || from.0 as usize >= self.cfg.n() {
             return res;
         }
+        // A reply for anything but the outstanding request — a late one
+        // after the quorum, a stale one — is dropped before it costs a MAC.
+        let expected = self.outstanding.as_ref().map(|out| out.req.timestamp);
+        if reply.client != self.id || Some(reply.timestamp) != expected {
+            return res;
+        }
         let auth = view.auth.to_tag();
         if reply.body_omitted {
             // A vouch verifies only against the result it omits.
@@ -469,10 +476,11 @@ impl Client {
         res
     }
 
-    /// A reply from `reply.replica`: a full one, already verified, or a
-    /// vouch (`vouch` holds its prefix and authenticator), verified here
-    /// against each held result in turn. A result is never hashed: replies
-    /// match byte for byte, and a vouch's authenticator covers the bytes.
+    /// A reply to the outstanding request from `reply.replica`: a full one,
+    /// already verified, or a vouch (`vouch` holds its prefix and
+    /// authenticator), verified here against each held result in turn. A
+    /// result is never hashed: replies match byte for byte, and a vouch's
+    /// authenticator covers the bytes.
     fn on_reply(
         &mut self,
         mut reply: ReplyMsg,
@@ -480,12 +488,7 @@ impl Client {
         now_ns: u64,
         res: &mut HandleResult,
     ) {
-        let Some(out) = &mut self.outstanding else {
-            return;
-        };
-        if reply.client != self.id || reply.timestamp != out.req.timestamp {
-            return;
-        }
+        let out = self.outstanding.as_mut().expect("the reply matched it");
         let (replica, tentative) = (reply.replica, reply.tentative);
         let (keys, counts) = (&self.keys, &mut res.counts);
         let i = match vouch {
@@ -839,6 +842,27 @@ mod tests {
         // A late vouch is dropped unverified.
         let res = c.handle_packet(&sealed_vouch(3, 1, &body, true), 1000);
         assert_eq!(res.counts, crate::output::OpCounts::default());
+    }
+
+    #[test]
+    fn a_reply_for_no_outstanding_request_costs_no_mac() {
+        let body = vec![7u8; 1024];
+        let replies = designated_and_vouches(&body, true);
+        let mut c = client();
+        let _ = c.submit(vec![1], false, 0);
+        let (_, outstanding) = deliver(&mut c, &[&replies[0], &replies[2], &replies[3]]);
+        assert_eq!(outstanding, [true, true, false]);
+        // The second designated replier's full reply arrives after the
+        // quorum: dropped unverified.
+        let res = c.handle_packet(&replies[1], 1000);
+        assert_eq!(res.counts, crate::output::OpCounts::default());
+        // So is a full reply for another timestamp while one is outstanding.
+        let _ = c.submit(vec![2], false, 0);
+        let res = c.handle_packet(&sealed_reply(1, 1, &body, true), 1000);
+        assert_eq!(res.counts, crate::output::OpCounts::default());
+        assert!(c.has_outstanding());
+        let res = c.handle_packet(&sealed_reply(1, 2, &body, true), 1000);
+        assert_eq!(res.counts.mac_verify, 1, "the outstanding one is verified");
     }
 
     /// Packets that claim to vouch for `body` as replica `r` and must never

@@ -15,7 +15,8 @@ use crate::session::SessionCtx;
 use crate::types::{ClientId, FoldMap, FoldSet, ReplicaId, SeqNum};
 
 use super::{
-    reply_output, ClientRecord, QueuedRequest, Replica, TentativeEffects, SETTLE_PAGES_PER_BATCH,
+    reply_output, ClientRecord, QueuedRequest, Replica, TentativeEffects, CHECKPOINT_STEP_PAGES,
+    SETTLE_PAGES_PER_BATCH,
 };
 
 /// Pipelined batch formation: while at least one batch is already in
@@ -322,11 +323,11 @@ impl Replica {
         e.prepared = true;
         let digest = e.digest;
         let view = e.view;
-        let voters: Vec<ReplicaId> = e.prepares.iter().collect();
         e.commits.insert(me);
         if linear {
             // The leader certifies the prepare quorum in a single broadcast;
             // backups answer with commit votes addressed to the leader.
+            let voters = e.prepares.iter().collect();
             self.multicast(
                 Message::PrepareQC(QuorumCertMsg {
                     view,
@@ -406,14 +407,12 @@ impl Replica {
             // client retransmission collects *stable* replies (f+1 suffice).
             e.tentative = false;
             self.tentative_effects.remove(&seq);
-            let entries: Vec<(ClientId, u64)> = e
-                .preprepare
-                .iter()
-                .flat_map(|pp| pp.entries.iter().map(|en| (en.client, en.timestamp)))
-                .collect();
-            for (client, ts) in entries {
-                let reply = self.clients.get_mut(&client).and_then(|c| c.reply.as_mut());
-                if let Some(reply) = reply.filter(|r| r.timestamp == ts) {
+            for en in e.preprepare.iter().flat_map(|pp| &pp.entries) {
+                let reply = self
+                    .clients
+                    .get_mut(&en.client)
+                    .and_then(|c| c.reply.as_mut());
+                if let Some(reply) = reply.filter(|r| r.timestamp == en.timestamp) {
                     reply.tentative = false;
                 }
             }
@@ -499,6 +498,13 @@ impl Replica {
             }
             self.metrics.batches_executed += 1;
             res.counts.pages_hashed += self.state.borrow_mut().hash_settled(SETTLE_PAGES_PER_BATCH);
+            // The replicas step a sealed root in turn, one per batch (the
+            // one whose id is the batch's sequence number mod n): in any
+            // batch's round at most one replica is slower by a step, and
+            // the other 2f + 1 are a quorum without it.
+            if seq % self.cfg.n() as u64 == u64::from(self.id().0) {
+                self.step_checkpoint(CHECKPOINT_STEP_PAGES, res);
+            }
             self.maybe_checkpoint(seq, res);
         }
         // Execution may have freed congestion-window room.
@@ -740,13 +746,15 @@ impl Replica {
     // Checkpoints (§2.1)
     // ------------------------------------------------------------------
 
-    /// Take a checkpoint when `seq` is an interval boundary and its batch is
-    /// committed and executed.
+    /// Seal a checkpoint when `seq` is an interval boundary and its batch is
+    /// committed and executed: the state region sets the interval aside,
+    /// and its root is finished by this call's step and the next batches'
+    /// ([`Replica::step_checkpoint`]).
     pub(crate) fn maybe_checkpoint(&mut self, seq: SeqNum, res: &mut HandleResult) {
         if !seq.is_multiple_of(self.cfg.checkpoint_interval) {
             return;
         }
-        if self.checkpoints.contains_key(&seq) {
+        if self.checkpoints.contains_key(&seq) || self.sealed.is_some_and(|(s, _)| s == seq) {
             return;
         }
         let ready = self
@@ -766,24 +774,71 @@ impl Replica {
         if tentative_below {
             return;
         }
-        let root = {
-            let mut st = self.state.borrow_mut();
-            let root = st.refresh_digest();
-            res.counts.pages_hashed += st.last_refresh_hashed();
-            root
+        // A root still unfinished a whole interval later is finished first:
+        // checkpoints are recorded in order.
+        self.finish_checkpoint(res);
+        self.state.borrow_mut().seal(seq);
+        self.sealed = Some((seq, self.exec_chain));
+        self.step_checkpoint(CHECKPOINT_STEP_PAGES, res);
+    }
+
+    /// Spend `pages` page hashes' worth of work on the sealed checkpoint's
+    /// root. The step that finishes it records the checkpoint with the
+    /// execution chain sealed beside it, votes for it and tries to
+    /// stabilise it, as taking the checkpoint whole at the boundary did.
+    pub(crate) fn step_checkpoint(&mut self, pages: usize, res: &mut HandleResult) {
+        let Some((seq, chain)) = self.sealed else {
+            return;
         };
-        let snap = self.state.borrow().snapshot(seq);
-        self.checkpoints.insert(seq, (snap, self.exec_chain));
+        // Executed up to the high watermark, the group orders nothing more
+        // until a checkpoint stabilises: no batch is coming to step this
+        // one. A peer behind the stable checkpoint waits on this one.
+        let pages = if self.last_executed >= self.log.high() || self.peer_behind {
+            usize::MAX
+        } else {
+            pages
+        };
+        let snap = {
+            let mut st = self.state.borrow_mut();
+            let before = st.root_work().pages_hashed;
+            let snap = st.checkpoint_step(pages);
+            res.counts.pages_hashed += st.root_work().pages_hashed - before;
+            snap
+        };
+        let Some(snap) = snap else {
+            return;
+        };
+        self.sealed = None;
+        self.peer_behind = false;
         self.metrics.checkpoints_taken += 1;
+        if seq < self.stable.0 {
+            return; // the group moved past it while it was being finished
+        }
+        let root = snap.root;
+        self.checkpoints.insert(seq, (snap, chain));
         let me = self.id();
         let msg = CheckpointMsg {
             seq,
             root,
             replica: me,
         };
-        self.ckpt_votes.entry((seq, root)).or_default().insert(me);
         self.multicast(Message::Checkpoint(msg), res);
+        if seq == self.stable.0 {
+            // The others' votes stabilised the boundary while this root was
+            // being finished: hold it against their certificate now.
+            if root != self.stable.1 {
+                self.start_state_transfer(seq, self.stable.1, res);
+            }
+            return;
+        }
+        self.ckpt_votes.entry((seq, root)).or_default().insert(me);
         self.maybe_stabilize(seq, root, res);
+    }
+
+    /// Finish the sealed checkpoint's root in this call, before anything
+    /// that rewrites the region or reads the checkpoints.
+    pub(crate) fn finish_checkpoint(&mut self, res: &mut HandleResult) {
+        self.step_checkpoint(usize::MAX, res);
     }
 
     pub(crate) fn on_checkpoint(&mut self, c: CheckpointMsg, _now_ns: u64, res: &mut HandleResult) {

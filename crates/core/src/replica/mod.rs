@@ -295,6 +295,21 @@ impl ClientRecord {
 /// instead of becoming the next batch's stall.
 const SETTLE_PAGES_PER_BATCH: usize = 4;
 
+/// Page hashes' worth of work (a Merkle node folded is
+/// 1 / [`pbft_state::FOLDS_PER_PAGE_HASH`] of one) a step spends on the
+/// root of the checkpoint sealed at the last boundary, so that the
+/// boundary — reached by every replica of the group in the same instant —
+/// costs one step instead of the root: one page hash, what one early hash
+/// costs, which [`SETTLE_PAGES_PER_BATCH`] already lets a batch pay four
+/// times over. Every replica takes a step at the boundary (a root with
+/// nothing to hash or fold, as on the null workloads, is finished by it),
+/// then the replicas step in turn, one per executed batch. On the §4.2
+/// INSERT workload a root is the pages the boundary batch wrote and a fold
+/// over the interval's ≈ 30 leaves, 142–144 fold units in all (≈ 4.5 page
+/// hashes; `checkpoint_stall` reads them): 5 steps, finished ≈ 5n batches
+/// into a 128-batch interval.
+const CHECKPOINT_STEP_PAGES: usize = 1;
+
 /// The PBFT replica state machine. See the crate docs for the driving
 /// contract.
 pub struct Replica {
@@ -334,6 +349,16 @@ pub struct Replica {
     /// Own checkpoints: the snapshot (serving state transfer) and the
     /// execution-chain value at it (for rollback). Then the votes.
     pub(crate) checkpoints: BTreeMap<SeqNum, (Snapshot, Digest)>,
+    /// The boundary sealed in the state region whose root is still being
+    /// finished, and the execution chain at it.
+    pub(crate) sealed: Option<(SeqNum, Digest)>,
+    /// `last_executed` at the previous status tick.
+    pub(crate) ticked_executed: SeqNum,
+    /// A peer's status reported it executing below this replica's stable
+    /// checkpoint: it can only catch up by a transfer, to the next
+    /// checkpoint the group stabilises, so that root is finished at once
+    /// instead of over the next batches.
+    pub(crate) peer_behind: bool,
     pub(crate) ckpt_votes: BTreeMap<(SeqNum, Digest), BTreeSet<ReplicaId>>,
     pub(crate) stable: (SeqNum, Digest),
 
@@ -453,6 +478,9 @@ impl Replica {
             observed: BTreeSet::new(),
             clients: FoldMap::with_hasher(hash_state),
             checkpoints: BTreeMap::new(),
+            sealed: None,
+            ticked_executed: 0,
+            peer_behind: false,
             ckpt_votes: BTreeMap::new(),
             stable: (0, Digest::ZERO),
             sessions,
@@ -474,7 +502,14 @@ impl Replica {
         };
         // Record the genesis checkpoint (seq 0) so state transfer toward it
         // and rollback of early tentative executions are possible.
-        let root = r.state.borrow_mut().refresh_digest();
+        let root = {
+            let mut st = r.state.borrow_mut();
+            let root = st.refresh_digest();
+            // A region kept across a restart may still hold the checkpoint
+            // its previous replica sealed: it was that replica's to vote.
+            let _ = st.checkpoint_step(0);
+            root
+        };
         let snap = r.state.borrow().snapshot(0);
         r.stable = (0, root);
         r.checkpoints.insert(0, (snap, Digest::ZERO));
@@ -730,6 +765,13 @@ impl Replica {
                 self.try_issue(now_ns, &mut res);
             }
             TimerKind::StatusTick => {
+                // A root no batch stepped since the previous tick belongs to
+                // a replica nobody waits on: finish it, as the idle log is
+                // freed below.
+                if self.last_executed == self.ticked_executed {
+                    self.finish_checkpoint(&mut res);
+                }
+                self.ticked_executed = self.last_executed;
                 // Periodic status broadcast: peers respond by retransmitting
                 // what we are missing (recovery from lost datagrams).
                 let status = self.my_status();

@@ -29,6 +29,10 @@ impl Replica {
         if s.replica == self.id() {
             return;
         }
+        if s.last_executed < self.stable.0 {
+            self.peer_behind = true;
+            self.finish_checkpoint(res);
+        }
         let prev = self.peer_status.insert(s.replica, s);
         self.maybe_rejoin_group_view(res);
         let mine = self.my_status();
@@ -241,6 +245,7 @@ impl Replica {
         root: Digest,
         res: &mut HandleResult,
     ) {
+        self.finish_checkpoint(res);
         if let Some(f) = &self.fetch {
             if f.target_seq >= seq {
                 return; // already fetching something at least as new
@@ -289,6 +294,9 @@ impl Replica {
     }
 
     pub(crate) fn on_fetch(&mut self, f: FetchMsg, res: &mut HandleResult) {
+        if self.sealed.is_some_and(|(s, _)| s == f.target_seq) {
+            self.finish_checkpoint(res);
+        }
         let resp = match self.checkpoints.get(&f.target_seq) {
             Some((snap, _)) => serve_fetch(snap, &f.req),
             None => FetchResponse::Unavailable,

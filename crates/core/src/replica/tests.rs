@@ -197,6 +197,24 @@ impl Net {
         self.route(Source::Replica(i), res.outputs);
     }
 
+    /// Let the group sit idle for two status intervals: every live replica
+    /// takes a status tick, what they send is delivered and the interval
+    /// passes, twice. The second tick finds the execution position where
+    /// the first left it, so a checkpoint root still being finished — no
+    /// batch is coming to step it — is finished and voted for, and an idle
+    /// log is freed.
+    fn idle(&mut self) {
+        for _ in 0..2 {
+            for i in 0..self.replicas.len() {
+                if self.alive[i] {
+                    self.fire_replica_timer(i, crate::output::TimerKind::StatusTick);
+                }
+            }
+            self.pump(50_000);
+            self.now += super::STATUS_INTERVAL_NS;
+        }
+    }
+
     fn fire_client_timer(&mut self, i: usize, kind: crate::output::TimerKind) {
         // The client acts on a retransmit firing only at its deadline.
         self.now += match kind {
@@ -864,6 +882,7 @@ fn checkpoints_garbage_collect_log_and_bodies() {
         net.submit(0, KvApp::op_put(i, i), false);
         net.pump(10_000);
     }
+    net.idle();
     assert_eq!(net.completed(0), 8);
     for r in &net.replicas {
         assert!(
@@ -876,15 +895,111 @@ fn checkpoints_garbage_collect_log_and_bodies() {
     }
 }
 
+/// A root with pages to hash is finished over the batches after its
+/// boundary, one step per batch. A group that executes none after the
+/// boundary still stabilises it: the status tick that finds a replica's
+/// execution position where the previous tick left it finishes the root.
+#[test]
+fn a_group_idle_after_a_boundary_still_stabilises_it() {
+    use crate::output::TimerKind;
+    let mut net = Net::new(default_cfg(), 1, AppKind::Kv);
+    for i in 0..4u64 {
+        net.submit(0, KvApp::op_put(i, i), false);
+        net.pump(10_000);
+    }
+    for r in &net.replicas {
+        assert_eq!(r.last_executed(), 4);
+        assert_eq!(
+            r.sealed.map(|(seq, _)| seq),
+            Some(4),
+            "the boundary's root takes more than the boundary's step"
+        );
+        assert_eq!(r.stable_checkpoint().0, 0);
+    }
+    let tick = |net: &mut Net| {
+        for i in 0..4 {
+            net.fire_replica_timer(i, TimerKind::StatusTick);
+        }
+        net.pump(10_000);
+    };
+    tick(&mut net);
+    for r in &net.replicas {
+        assert_eq!(
+            r.sealed.map(|(seq, _)| seq),
+            Some(4),
+            "a replica that executed since the previous tick is not idle"
+        );
+    }
+    tick(&mut net);
+    let root = net.replicas[0].state_handle().borrow_mut().refresh_digest();
+    for r in &net.replicas {
+        assert_eq!(r.sealed, None);
+        assert_eq!(r.stable_checkpoint(), (4, root));
+        assert_eq!(r.checkpoints[&4].0.root, root);
+        assert_eq!(r.checkpoints[&4].1, r.exec_chain(), "the chain sealed at 4");
+    }
+}
+
+/// A peer whose status reports it executing below the stable checkpoint
+/// can only catch up by a transfer, to the next checkpoint the group
+/// stabilises: its peers finish that root at the boundary instead of over
+/// the next batches.
+#[test]
+fn a_peer_behind_the_stable_checkpoint_gets_the_next_root_at_once() {
+    use crate::messages::StatusMsg;
+    let mut net = Net::new(default_cfg(), 1, AppKind::Kv);
+    for i in 0..4u64 {
+        net.submit(0, KvApp::op_put(i, i), false);
+        net.pump(10_000);
+    }
+    net.idle();
+    let stable = net.replicas[0].stable_checkpoint();
+    assert_eq!(stable.0, 4);
+    // Replica 3 reports having executed nothing, as a blank restart does.
+    let behind = StatusMsg {
+        replica: ReplicaId(3),
+        view: 0,
+        last_stable_seq: 0,
+        stable_root: stable.1,
+        last_executed: 0,
+        in_view_change: false,
+    };
+    for i in 0..3 {
+        let mut res = crate::output::HandleResult::default();
+        net.replicas[i].on_status(behind, net.now, &mut res);
+        net.route(Source::Replica(i), res.outputs);
+    }
+    net.pump(10_000);
+    for i in 4..8u64 {
+        net.submit(0, KvApp::op_put(i, i), false);
+        net.pump(10_000);
+    }
+    for r in &net.replicas[..3] {
+        assert_eq!(r.sealed, None, "the root was finished at the boundary");
+    }
+    assert_eq!(
+        net.replicas[3].sealed.map(|(seq, _)| seq),
+        Some(8),
+        "no peer was behind replica 3's stable checkpoint"
+    );
+    for r in &net.replicas {
+        assert_eq!(r.stable_checkpoint().0, 8);
+    }
+}
+
 /// Retirement is immediate and whole; freeing is one dead slot per executed
 /// batch, in sequence order, everything on an idle status tick, and a
 /// stabilisation that finds slots still unfreed frees them at once, so the
-/// dead never hold more than the last stabilisation's worth.
+/// dead never hold more than the last stabilisation's worth. The
+/// application writes no state page, so every boundary's root is finished
+/// by the step the boundary itself takes and each checkpoint stabilises in
+/// its boundary batch's round (a root with pages to hash is finished over
+/// the next batches: `a_group_idle_after_a_boundary_still_stabilises_it`).
 #[test]
 fn retired_slots_are_reclaimed_one_per_executed_batch() {
     use crate::log::reference::unfreed;
     use crate::output::TimerKind;
-    let mut net = Net::new(default_cfg(), 1, AppKind::Kv);
+    let mut net = Net::new(default_cfg(), 1, AppKind::Null(8));
     let mut next_key = 0u64;
     let mut one_batch = |net: &mut Net| {
         net.submit(0, KvApp::op_put(next_key, next_key), false);
@@ -1372,6 +1487,7 @@ fn lost_big_request_body_wedges_replica_until_checkpoint() {
         net.pump(50_000);
     }
     net.pump(50_000);
+    net.idle();
     assert!(net.replicas[3].metrics().state_transfers_completed >= 1);
     assert_eq!(net.replicas[3].last_executed(), 4);
     net.assert_states_equal(&[0, 1, 2, 3]);
@@ -1505,6 +1621,7 @@ fn restarted_replica_recovers_via_state_transfer() {
         net.submit(0, KvApp::op_put(i, i * 10), false);
         net.pump(50_000);
     }
+    net.idle();
     assert_eq!(net.completed(0), 4);
     // Crash replica 2 and replace it with a blank instance (transient state
     // and client session keys lost; durable state zeroed — the strongest
@@ -1905,6 +2022,7 @@ fn session_state_survives_state_transfer() {
         net.submit(c, b"incr".to_vec(), false);
         net.pump(50_000);
     }
+    net.idle();
     // Crash replica 3 and bring it back blank: it must recover the session
     // table through the Merkle transfer.
     net.alive[3] = false;
@@ -1947,6 +2065,7 @@ fn a_replica_that_transferred_the_join_verifies_the_members_signatures() {
         net.submit(c, b"incr".to_vec(), false);
         net.pump(50_000);
     }
+    net.idle();
     assert_eq!(net.completed(c), 6);
     // Replica 3 comes back blank: the Join reaches it only in the
     // transferred membership table.

@@ -212,6 +212,7 @@ impl Replica {
         if !has_tentative {
             return;
         }
+        self.finish_checkpoint(res);
         let base = self.stable.0;
         let Some((snap, chain)) = self.checkpoints.get(&base).cloned() else {
             return; // no snapshot to roll back to (cannot happen: we retain stable)

@@ -80,6 +80,18 @@ pub fn null_spec(cfg: PbftConfig, size: usize, clients: usize, seed: u64) -> Clu
 /// `ops(client)`, and the run counts completions over [`WINDOW`] after
 /// [`WARMUP`].
 pub fn throughput(spec: &ClusterSpec, trials: usize, ops: impl Fn(usize) -> OpGen) -> Stats {
+    throughput_inspected(spec, trials, ops, |_, _| {})
+}
+
+/// [`throughput`], handing each trial's cluster to `inspect` (with the
+/// trial's index) once its window is counted — where a re-run of one
+/// artifact cell reads its batching and message trace.
+pub fn throughput_inspected(
+    spec: &ClusterSpec,
+    trials: usize,
+    ops: impl Fn(usize) -> OpGen,
+    mut inspect: impl FnMut(usize, &Cluster),
+) -> Stats {
     let samples: Vec<f64> = (0..trials)
         .map(|t| {
             let mut cluster = Cluster::build(ClusterSpec {
@@ -87,7 +99,9 @@ pub fn throughput(spec: &ClusterSpec, trials: usize, ops: impl Fn(usize) -> OpGe
                 ..spec.clone()
             });
             cluster.start_workload(&ops);
-            cluster.measure_throughput(WARMUP, WINDOW)
+            let tps = cluster.measure_throughput(WARMUP, WINDOW);
+            inspect(t, &cluster);
+            tps
         })
         .collect();
     Stats::from_samples(&samples)

@@ -7,7 +7,11 @@
 //! `counts.pages_hashed` — read here exactly, where the benchmark can only
 //! see it as the p99 of a replicated INSERT. Before pages were hashed as
 //! they settle, the call that took a checkpoint hashed all ≈ 34 pages the
-//! interval had dirtied, on every replica in the same instant.
+//! interval had dirtied, on every replica in the same instant. And the
+//! root itself — the pages the boundary batch wrote and the fold over the
+//! interval's leaves, ≈ 8 page hashes' worth — is finished over the next
+//! batches, so no call does more than one step of it; each call's share is
+//! read from the region's `root_work` counters.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -21,7 +25,7 @@ use pbft_core::{
     PbftConfig, Replica, ReplicaId, TimerKind,
 };
 use pbft_sql::{CostProfile, SqlApp};
-use pbft_state::{MerkleTree, PagedState, PAGE_SIZE};
+use pbft_state::{MerkleTree, PagedState, RootWork, FOLDS_PER_PAGE_HASH, PAGE_SIZE};
 
 const SEED: u64 = 0x5E771E;
 const CLIENTS: usize = 12;
@@ -38,11 +42,19 @@ struct Interval {
     hashed: u64,
     /// Leaves the interval's refresh changed.
     distinct: u64,
+    /// Root work of every call of the interval, in fold units.
+    root_units: u64,
+}
+
+/// `work` in fold units: a page hash is [`FOLDS_PER_PAGE_HASH`] of them.
+fn units(work: RootWork) -> u64 {
+    work.pages_hashed * FOLDS_PER_PAGE_HASH as u64 + work.nodes_folded
 }
 
 struct Watch {
     tree: MerkleTree,
     hashed: u64,
+    root_units: u64,
     intervals: Vec<Interval>,
 }
 
@@ -59,6 +71,9 @@ struct Loopback {
     op: fn(u64) -> Vec<u8>,
     /// Most pages any one replica call hashed since the last reset.
     worst_call: u64,
+    /// Most root work, in fold units, any one replica call did since the
+    /// last reset.
+    worst_step: u64,
 }
 
 impl Loopback {
@@ -83,6 +98,7 @@ impl Loopback {
             .map(|r| Watch {
                 tree: r.state_handle().borrow().tree().clone(),
                 hashed: 0,
+                root_units: 0,
                 intervals: Vec::new(),
             })
             .collect();
@@ -96,6 +112,7 @@ impl Loopback {
             submitted: 0,
             op,
             worst_call: 0,
+            worst_step: 0,
         };
         for i in 0..net.replicas.len() {
             let res = net.replicas[i].on_start(net.now, false);
@@ -141,12 +158,16 @@ impl Loopback {
     /// and nothing here transfers state, so a call that leaves a new root
     /// behind is the one that took the checkpoint.
     fn on_replica(&mut self, i: usize, f: impl FnOnce(&mut Replica, u64) -> HandleResult) {
+        let state = self.replicas[i].state_handle();
+        let before = units(state.borrow().root_work());
         let res = f(&mut self.replicas[i], self.now);
         let watch = &mut self.watches[i];
         watch.hashed += res.counts.pages_hashed;
         self.worst_call = self.worst_call.max(res.counts.pages_hashed);
-        let state = self.replicas[i].state_handle();
         let state = state.borrow();
+        let step = units(state.root_work()) - before;
+        watch.root_units += step;
+        self.worst_step = self.worst_step.max(step);
         if state.tree().root() != watch.tree.root() {
             let distinct = (0..state.num_pages())
                 .filter(|&p| state.tree().leaf(p) != watch.tree.leaf(p))
@@ -154,6 +175,7 @@ impl Loopback {
             watch.intervals.push(Interval {
                 hashed: std::mem::take(&mut watch.hashed),
                 distinct,
+                root_units: std::mem::take(&mut watch.root_units),
             });
             watch.tree = state.tree().clone();
         }
@@ -192,49 +214,64 @@ impl Loopback {
     }
 
     /// Run one warm-up interval (schema pages, tables reaching their working
-    /// size), then `intervals` more; returns the measured intervals of every
-    /// replica and the most pages one call hashed in them.
-    fn run(mut self, intervals: u64) -> (Vec<Interval>, u64) {
+    /// size), then `intervals` more, each closed when its root is finished;
+    /// returns the measured intervals of every replica, the most pages one
+    /// call hashed in them and the most root work one call did, in fold
+    /// units.
+    fn run(mut self, intervals: u64) -> (Vec<Interval>, u64, u64) {
         let interval = PbftConfig::default().checkpoint_interval;
         let executed = |net: &Loopback, seq| net.replicas.iter().all(|r| r.last_executed() >= seq);
         while !executed(&self, interval + 8) {
             self.step();
         }
         self.worst_call = 0;
-        while !executed(&self, (intervals + 1) * interval + 8) {
+        self.worst_step = 0;
+        // A root is finished over the batches after its boundary: run until
+        // every replica has finished the warm-up boundary's and `intervals`
+        // more.
+        let finished = |net: &Loopback| {
+            net.watches
+                .iter()
+                .all(|w| w.intervals.len() as u64 > intervals)
+        };
+        while !executed(&self, (intervals + 1) * interval + 8) || !finished(&self) {
             self.step();
         }
         let measured = self
             .watches
             .into_iter()
-            .flat_map(|w| w.intervals.into_iter().skip(1))
+            .flat_map(|w| w.intervals.into_iter().skip(1).take(intervals as usize))
             .collect::<Vec<_>>();
         assert_eq!(measured.len() as u64, 4 * intervals);
-        (measured, self.worst_call)
+        (measured, self.worst_call, self.worst_step)
     }
+}
+
+/// wallbench's `sql_insert` application: minisql with a rollback journal.
+fn sql(state: StateHandle) -> Box<dyn App> {
+    let schema =
+        "CREATE TABLE bench (id INTEGER PRIMARY KEY, k TEXT, v TEXT, ts INTEGER, rnd INTEGER)";
+    let app = SqlApp::open(
+        state,
+        JournalMode::Rollback,
+        CostProfile::default(),
+        Some(schema),
+    );
+    Box::new(app.expect("the schema fits the state region"))
+}
+
+/// The `n`th single-row INSERT.
+fn insert(n: u64) -> Vec<u8> {
+    format!(
+        "INSERT INTO bench (k, v, ts, rnd) VALUES ('voter-{n}', 'vote-{:x}', now(), random())",
+        n.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    )
+    .into_bytes()
 }
 
 #[test]
 fn no_replica_call_hashes_an_interval_of_sql_pages() {
-    let sql: fn(StateHandle) -> Box<dyn App> = |state| {
-        let schema =
-            "CREATE TABLE bench (id INTEGER PRIMARY KEY, k TEXT, v TEXT, ts INTEGER, rnd INTEGER)";
-        let app = SqlApp::open(
-            state,
-            JournalMode::Rollback,
-            CostProfile::default(),
-            Some(schema),
-        );
-        Box::new(app.expect("the schema fits the state region"))
-    };
-    let insert = |n: u64| {
-        format!(
-            "INSERT INTO bench (k, v, ts, rnd) VALUES ('voter-{n}', 'vote-{:x}', now(), random())",
-            n.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        )
-        .into_bytes()
-    };
-    let (intervals, worst_call) = Loopback::new(sql, insert).run(3);
+    let (intervals, worst_call, _) = Loopback::new(sql, insert).run(3);
     assert!(
         worst_call <= 8,
         "one replica call hashed {worst_call} pages (the checkpointing call used to hash ≈ 34)"
@@ -288,7 +325,7 @@ fn rewriting_the_same_pages_hashes_each_at_most_twice_an_interval() {
         }
         .to_vec()
     };
-    let (intervals, _) = Loopback::new(|state| Box::new(Rewrite(state)), bursts).run(3);
+    let (intervals, _, _) = Loopback::new(|state| Box::new(Rewrite(state)), bursts).run(3);
     for iv in &intervals {
         assert_eq!(iv.distinct, HOT_PAGES, "{iv:?}");
         assert!(iv.hashed > iv.distinct, "{iv:?}: no page was hashed early");
@@ -297,4 +334,22 @@ fn rewriting_the_same_pages_hashes_each_at_most_twice_an_interval() {
             "{iv:?}: a page was hashed three times"
         );
     }
+}
+
+#[test]
+fn no_replica_call_does_more_than_one_step_of_checkpoint_work() {
+    let (intervals, _, worst_step) = Loopback::new(sql, insert).run(3);
+    let step = FOLDS_PER_PAGE_HASH as u64;
+    for iv in &intervals {
+        assert!(
+            iv.root_units > 4 * step,
+            "{iv:?}: a root worth several steps, or this pins nothing"
+        );
+    }
+    assert!(
+        worst_step <= step,
+        "one replica call did {worst_step} fold units of checkpoint work, more than one \
+         page hash's worth ({step}); roots took {:?}",
+        intervals.iter().map(|iv| iv.root_units).collect::<Vec<_>>()
+    );
 }

@@ -24,15 +24,17 @@
 //! equivalent of the sparse file trick the paper uses to give SQLite a large
 //! fixed-size region without occupying disk (§3.2).
 //!
-//! A checkpoint is taken by every replica of a group in the same instant, so
-//! what it costs is kept proportional to what the *last batch* wrote, not
-//! the interval: [`PagedState::hash_settled`] digests a page once it has sat
+//! A checkpoint boundary is reached by every replica of a group in the same
+//! instant, so what it costs there is kept to a bounded step, not the
+//! interval's pages: [`PagedState::hash_settled`] digests a page once it has sat
 //! out a batch (at most once per interval) and parks the digest beside the
-//! tree, [`PagedState::refresh_digest`] hashes what is still stale and folds
-//! all the interval's leaves into the tree in one pass, and the page table
-//! and the tree live in `Arc`-shared chunks, so a [`Snapshot`] copies what
-//! changed since the previous one. None of it is visible in a root, a
-//! snapshot or a transferred page.
+//! tree, [`PagedState::seal`] sets the interval aside at the boundary and
+//! [`PagedState::checkpoint_step`] hashes what is still stale and folds all
+//! the interval's leaves into the tree in steps of about one page hash
+//! while the next interval runs ([`PagedState::refresh_digest`] is the same
+//! work in one call), and the page table and the tree live in `Arc`-shared
+//! chunks, so a [`Snapshot`] copies what changed since the previous one.
+//! None of it is visible in a root, a snapshot or a transferred page.
 //!
 //! A state transfer is priced the same way, by the pages it moves: the
 //! [`Fetcher`] asks for a whole tree level per message, a transferred page
@@ -87,6 +89,6 @@ mod transfer;
 pub use codec::{BlobCell, CodecError, SlotRing};
 pub use merkle::MerkleTree;
 pub use range::{RangeError, RangeExport};
-pub use region::{PagedState, Section, StateError, PAGE_SIZE};
+pub use region::{PagedState, RootWork, Section, StateError, FOLDS_PER_PAGE_HASH, PAGE_SIZE};
 pub use snapshot::Snapshot;
 pub use transfer::{serve_fetch, FetchRequest, FetchResponse, Fetcher, TransferError};

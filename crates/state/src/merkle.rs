@@ -168,24 +168,71 @@ impl MerkleTree {
     /// # Panics
     /// Panics if an index is `>= leaf_count` or the indices do not ascend.
     pub fn update_leaves(&mut self, leaves: &[(usize, Digest)]) {
-        assert!(
-            leaves.windows(2).all(|w| w[0].0 < w[1].0),
-            "leaf indices must ascend"
-        );
-        let mut touched = Vec::with_capacity(leaves.len());
+        let mut fold = Fold::new(leaves.iter().map(|&(index, _)| index).collect());
         for &(index, digest) in leaves {
             self.set_leaf(index, digest);
-            touched.push(index);
         }
-        for lvl in 1..self.height() {
-            // Ascending children give ascending parents: siblings collapse
-            // as adjacent duplicates.
-            touched.iter_mut().for_each(|i| *i /= 2);
-            touched.dedup();
-            for &idx in &touched {
-                self.recombine(lvl, idx);
+        fold.step(self, usize::MAX);
+    }
+}
+
+/// [`MerkleTree::update_leaves`]'s fold, resumable: the internal nodes
+/// above a set of already-set leaves, recomputed level by level, each once,
+/// in steps of a bounded number of nodes. A cursor (a level and a position
+/// in its list of touched nodes) is all that carries over between steps.
+#[derive(Debug, Clone)]
+pub(crate) struct Fold {
+    /// The touched nodes of `level`, ascending.
+    touched: Vec<usize>,
+    level: u32,
+    /// `touched[..pos]` are recomputed.
+    pos: usize,
+}
+
+impl Fold {
+    /// A fold above the leaves `indices`, which must ascend.
+    ///
+    /// # Panics
+    /// Panics if the indices do not ascend.
+    pub(crate) fn new(indices: Vec<usize>) -> Fold {
+        assert!(
+            indices.windows(2).all(|w| w[0] < w[1]),
+            "leaf indices must ascend"
+        );
+        Fold {
+            pos: indices.len(),
+            touched: indices,
+            level: 0,
+        }
+    }
+
+    /// Recompute up to `budget` nodes; returns how many were.
+    pub(crate) fn step(&mut self, tree: &mut MerkleTree, budget: usize) -> usize {
+        let mut folded = 0;
+        while folded < budget {
+            if self.pos == self.touched.len() {
+                if self.is_done(tree) {
+                    break;
+                }
+                // Ascending children give ascending parents: siblings
+                // collapse as adjacent duplicates.
+                self.level += 1;
+                self.touched.iter_mut().for_each(|i| *i /= 2);
+                self.touched.dedup();
+                self.pos = 0;
+                continue;
             }
+            tree.recombine(self.level, self.touched[self.pos]);
+            self.pos += 1;
+            folded += 1;
         }
+        folded
+    }
+
+    /// Whether every node above the leaves is recomputed.
+    pub(crate) fn is_done(&self, tree: &MerkleTree) -> bool {
+        self.pos == self.touched.len()
+            && (self.touched.is_empty() || self.level + 1 >= tree.height())
     }
 }
 

@@ -8,13 +8,33 @@ use std::sync::{Arc, OnceLock};
 use pbft_crypto::{Digest, Sha256};
 
 use crate::chunked::ChunkedVec;
-use crate::merkle::MerkleTree;
+use crate::merkle::{Fold, MerkleTree};
 use crate::snapshot::Snapshot;
 
 /// Page size in bytes. 4 KiB, matching both the PBFT library's state pages
 /// and minisql's database pages (which is what lets the database file map
 /// 1:1 onto state pages).
 pub const PAGE_SIZE: usize = 4096;
+
+/// Internal Merkle nodes folded for the price of one page hash: a node
+/// hashes its position and two digests, 76 bytes or two SHA-256 blocks
+/// with the padding, and a page is 65 blocks. A budget of `pages` page
+/// hashes ([`PagedState::checkpoint_step`]) is `pages` times this many
+/// units, a page costing this many and a node one.
+pub const FOLDS_PER_PAGE_HASH: usize = 32;
+
+/// The work spent producing roots — pages hashed and internal nodes folded
+/// by [`PagedState::refresh_digest`] and by a sealed checkpoint's steps —
+/// summed over a region's life; what one call did is the difference
+/// between two readings.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RootWork {
+    /// Pages hashed for a root (early hashes by
+    /// [`PagedState::hash_settled`] are not counted).
+    pub pages_hashed: u64,
+    /// Internal nodes recomputed.
+    pub nodes_folded: u64,
+}
 
 /// Errors from state-region operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,19 +140,92 @@ enum Mark {
     Spent,
 }
 
+/// What is left of producing a root over one interval's leaves: the pages
+/// still to hash, then the fold above every leaf.
+#[derive(Debug, Clone)]
+struct Refresh {
+    unhashed: Vec<usize>,
+    fold: Fold,
+}
+
+impl Refresh {
+    /// Start on the interval `stale`: early digests go into `tree`'s leaves
+    /// at once, the other pages wait for [`Refresh::step`].
+    fn begin(stale: BTreeMap<u64, Mark>, tree: &mut MerkleTree) -> Refresh {
+        let mut unhashed = Vec::new();
+        for (&p, mark) in &stale {
+            match *mark {
+                Mark::Settled(digest) => tree.set_leaf(p as usize, digest),
+                _ => unhashed.push(p as usize),
+            }
+        }
+        let fold = Fold::new(stale.into_keys().map(|p| p as usize).collect());
+        Refresh { unhashed, fold }
+    }
+
+    /// Spend up to `budget` units (a page hash is [`FOLDS_PER_PAGE_HASH`],
+    /// a node one) hashing pages of `pages` into `tree`'s leaves, then
+    /// folding; returns whether the root is finished.
+    fn step(
+        &mut self,
+        pages: &ChunkedVec<PageSlot>,
+        tree: &mut MerkleTree,
+        budget: usize,
+        work: &mut RootWork,
+    ) -> bool {
+        let mut left = budget;
+        while let Some(&p) = self.unhashed.last() {
+            if left < FOLDS_PER_PAGE_HASH {
+                return false;
+            }
+            tree.set_leaf(p, slot_digest(&pages[p]));
+            self.unhashed.pop();
+            left -= FOLDS_PER_PAGE_HASH;
+            work.pages_hashed += 1;
+        }
+        work.nodes_folded += self.fold.step(tree, left) as u64;
+        self.fold.is_done(tree)
+    }
+}
+
+/// A checkpoint interval sealed by [`PagedState::seal`]: the page table and
+/// the tree as of the boundary (copy-on-write clones of the region's), and
+/// the work left before the tree's root is the interval's.
+#[derive(Debug, Clone)]
+struct Sealed {
+    seq: u64,
+    pages: ChunkedVec<PageSlot>,
+    tree: MerkleTree,
+    refresh: Refresh,
+}
+
+impl Sealed {
+    /// Returns whether the root is finished.
+    fn step(&mut self, budget: usize, work: &mut RootWork) -> bool {
+        self.refresh.step(&self.pages, &mut self.tree, budget, work)
+    }
+}
+
 /// A fixed-size, page-granular memory region with copy-on-write snapshots
 /// and an incremental Merkle tree. See the crate docs for the contract.
 #[derive(Debug, Clone)]
 pub struct PagedState {
     pages: ChunkedVec<PageSlot>,
     tree: MerkleTree,
-    /// Pages notified via `modify` since the last `refresh_digest`.
+    /// Pages notified via `modify` since the last `refresh_digest` or
+    /// `seal`.
     stale: BTreeMap<u64, Mark>,
     /// Pages installed by state transfer whose leaf is set and whose
     /// ancestors wait for [`PagedState::fold_installed`].
     installed: BTreeSet<usize>,
+    /// The sealed checkpoint whose root is still being finished.
+    sealed: Option<Sealed>,
+    /// A sealed checkpoint another call finished, until
+    /// [`PagedState::checkpoint_step`] hands it out.
+    finished: Option<Snapshot>,
     /// Pages hashed by the last `refresh_digest` (for cost accounting).
     last_refresh_hashed: u64,
+    work: RootWork,
     len: u64,
 }
 
@@ -148,7 +241,10 @@ impl PagedState {
             tree: blank_tree(num_pages),
             stale: BTreeMap::new(),
             installed: BTreeSet::new(),
+            sealed: None,
+            finished: None,
             last_refresh_hashed: 0,
+            work: RootWork::default(),
             len: (num_pages * PAGE_SIZE) as u64,
         }
     }
@@ -311,41 +407,113 @@ impl PagedState {
 
     /// Recompute digests for dirty pages and return the Merkle root. Clears
     /// the dirty set (ending the checkpoint epoch: further writes need new
-    /// `modify` notifications). This is the one place a root is produced:
-    /// pages [`PagedState::hash_settled`] already hashed are not hashed
-    /// again, and the tree is folded once over all the interval's leaves.
-    /// Transferred pages still unfolded are folded first, so a tree walk
-    /// started after a refresh always sees a consistent tree.
+    /// `modify` notifications). Pages [`PagedState::hash_settled`] already
+    /// hashed are not hashed again, and the tree is folded once over all the
+    /// interval's leaves. A sealed checkpoint still being finished is
+    /// finished first (and handed out by the next
+    /// [`PagedState::checkpoint_step`]), and transferred pages still
+    /// unfolded are folded, so a tree walk started after a refresh always
+    /// sees a consistent tree. This is [`PagedState::seal`]'s work run to
+    /// completion in one call, into the region's own tree.
     pub fn refresh_digest(&mut self) -> Digest {
+        let before = self.work.pages_hashed;
         self.fold_installed();
-        let stale = std::mem::take(&mut self.stale);
-        self.last_refresh_hashed = 0;
-        let leaves: Vec<(usize, Digest)> = stale
-            .into_iter()
-            .map(|(p, mark)| {
-                let digest = match mark {
-                    Mark::Settled(digest) => digest,
-                    _ => {
-                        self.last_refresh_hashed += 1;
-                        slot_digest(&self.pages[p as usize])
-                    }
-                };
-                (p as usize, digest)
-            })
-            .collect();
-        self.tree.update_leaves(&leaves);
+        let mut refresh = Refresh::begin(std::mem::take(&mut self.stale), &mut self.tree);
+        refresh.step(&self.pages, &mut self.tree, usize::MAX, &mut self.work);
+        self.last_refresh_hashed = self.work.pages_hashed - before;
         self.tree.root()
     }
 
-    /// Pages hashed by the most recent [`PagedState::refresh_digest`]
-    /// (experiments charge digest cost per hashed page).
+    /// Pages hashed by the most recent [`PagedState::refresh_digest`],
+    /// a sealed checkpoint it finished included (experiments charge digest
+    /// cost per hashed page).
     pub fn last_refresh_hashed(&self) -> u64 {
         self.last_refresh_hashed
     }
 
-    /// The Merkle tree as of the last digest refresh. A page installed by
-    /// state transfer shows in its leaf at once and in its ancestors from
-    /// the next [`PagedState::fold_installed`].
+    /// Pages hashed and nodes folded for roots so far.
+    pub fn root_work(&self) -> RootWork {
+        self.work
+    }
+
+    /// Seal the checkpoint interval at `seq` without producing its root:
+    /// the interval's notified pages and copy-on-write clones of the page
+    /// table and the tree are set aside, and the dirty set is cleared as a
+    /// refresh clears it, so writes of the next interval need new `modify`
+    /// notifications and touch neither. The root — the one
+    /// [`PagedState::refresh_digest`] would have returned here — is then
+    /// finished in bounded [`PagedState::checkpoint_step`]s. Until it is,
+    /// [`PagedState::tree`] is the tree of the refresh before; every call
+    /// that replaces the tree ([`PagedState::refresh_digest`],
+    /// [`PagedState::restore`], [`PagedState::install_page`],
+    /// [`PagedState::fold_installed`]) finishes it first.
+    ///
+    /// # Panics
+    /// Panics if the previously sealed checkpoint was not yet handed out.
+    pub fn seal(&mut self, seq: u64) {
+        assert!(
+            self.sealed.is_none() && self.finished.is_none(),
+            "the previous sealed checkpoint was not handed out"
+        );
+        self.fold_installed();
+        let mut tree = self.tree.clone();
+        let refresh = Refresh::begin(std::mem::take(&mut self.stale), &mut tree);
+        self.sealed = Some(Sealed {
+            seq,
+            pages: self.pages.clone(),
+            tree,
+            refresh,
+        });
+    }
+
+    /// Spend up to `pages` page hashes' worth of work (a node folded costs
+    /// 1 / [`FOLDS_PER_PAGE_HASH`] of one) on the sealed checkpoint's root;
+    /// the call that finishes it returns the checkpoint, exactly the
+    /// snapshot [`PagedState::refresh_digest`] then
+    /// [`PagedState::snapshot`] would have taken at the seal, and makes its
+    /// tree the region's. A checkpoint another call finished is returned
+    /// without further work. `None` while work is left, or when nothing is
+    /// sealed.
+    pub fn checkpoint_step(&mut self, pages: usize) -> Option<Snapshot> {
+        if let Some(snap) = self.finished.take() {
+            return Some(snap);
+        }
+        let sealed = self.sealed.as_mut()?;
+        if !sealed.step(pages.saturating_mul(FOLDS_PER_PAGE_HASH), &mut self.work) {
+            return None;
+        }
+        let Sealed {
+            seq, pages, tree, ..
+        } = self.sealed.take().expect("just stepped");
+        self.tree = tree.clone();
+        Some(Snapshot {
+            seq,
+            root: tree.root(),
+            pages,
+            tree,
+        })
+    }
+
+    /// The sequence number of the sealed checkpoint not yet handed out, if
+    /// any.
+    pub fn sealed_seq(&self) -> Option<u64> {
+        match (&self.finished, &self.sealed) {
+            (Some(snap), _) => Some(snap.seq),
+            (None, sealed) => sealed.as_ref().map(|s| s.seq),
+        }
+    }
+
+    /// Finish the sealed checkpoint, if one is being finished, and park it
+    /// for the next [`PagedState::checkpoint_step`].
+    fn finish_sealed(&mut self) {
+        if self.sealed.is_some() {
+            self.finished = self.checkpoint_step(usize::MAX);
+        }
+    }
+
+    /// The Merkle tree as of the last finished refresh or checkpoint. A
+    /// page installed by state transfer shows in its leaf at once and in
+    /// its ancestors from the next [`PagedState::fold_installed`].
     pub fn tree(&self) -> &MerkleTree {
         &self.tree
     }
@@ -359,18 +527,29 @@ impl PagedState {
     /// [`PagedState::refresh_digest`] so the recorded root is current.
     /// The page table and the tree are shared in chunks, so this costs (and
     /// the snapshot later keeps private) what changed since the previous
-    /// snapshot, not the region.
+    /// snapshot, not the region. While a sealed checkpoint is being
+    /// finished, the tree recorded is its finished one (worked out on a
+    /// copy: this call changes nothing).
     pub fn snapshot(&self, seq: u64) -> Snapshot {
+        let tree = match &self.sealed {
+            Some(sealed) => {
+                let mut sealed = sealed.clone();
+                sealed.step(usize::MAX, &mut RootWork::default());
+                sealed.tree
+            }
+            None => self.tree.clone(),
+        };
         Snapshot {
             seq,
-            root: self.tree.root(),
+            root: tree.root(),
             pages: self.pages.clone(),
-            tree: self.tree.clone(),
+            tree,
         }
     }
 
     /// Restore the region to a snapshot (used to roll back tentative
-    /// execution and as the base for state transfer).
+    /// execution and as the base for state transfer). A sealed checkpoint
+    /// still being finished is finished first.
     ///
     /// # Errors
     /// [`StateError::GeometryMismatch`] if the snapshot has a different page
@@ -379,6 +558,7 @@ impl PagedState {
         if snap.pages.len() != self.pages.len() {
             return Err(StateError::GeometryMismatch);
         }
+        self.finish_sealed();
         self.pages = snap.pages.clone();
         self.tree = snap.tree.clone();
         self.stale.clear();
@@ -419,6 +599,7 @@ impl PagedState {
                 region_len: self.len,
             });
         }
+        self.finish_sealed();
         self.tree.set_leaf(idx, digest);
         *self.pages.get_mut(idx) = data.map(Arc::new);
         self.stale.remove(&page);
@@ -430,6 +611,7 @@ impl PagedState {
     /// each ancestor once however many installed pages share it. Call when
     /// a transfer completes; [`PagedState::refresh_digest`] calls it first.
     pub fn fold_installed(&mut self) {
+        self.finish_sealed();
         let leaves: Vec<(usize, Digest)> = std::mem::take(&mut self.installed)
             .into_iter()
             .map(|idx| (idx, self.tree.leaf(idx)))
@@ -760,6 +942,46 @@ mod tests {
         st.install_page(1, None, zero_page_digest())
             .expect("install");
         assert_eq!(st.refresh_digest(), clean.root);
+    }
+
+    #[test]
+    fn a_sealed_root_is_finished_in_steps_and_the_tree_waits_for_it() {
+        let mut st = PagedState::new(8);
+        let mut plain = PagedState::new(8);
+        touch(&mut st, &[1, 2, 3], 5);
+        touch(&mut plain, &[1, 2, 3], 5);
+        let before = st.tree().clone();
+        st.seal(7);
+        assert_eq!(st.sealed_seq(), Some(7));
+        // The next interval writes on, notified afresh.
+        assert_eq!(
+            st.write(PAGE_SIZE as u64, &[6]),
+            Err(StateError::NotModified { page: 1 })
+        );
+        touch(&mut st, &[1], 6);
+        assert!(st.checkpoint_step(1).is_none(), "three pages and a fold");
+        assert_eq!(st.tree(), &before, "the tree is the last finished one");
+        let snap = loop {
+            if let Some(snap) = st.checkpoint_step(1) {
+                break snap;
+            }
+        };
+        assert_eq!((snap.seq, snap.root), (7, plain.refresh_digest()));
+        assert_eq!(st.tree(), plain.tree());
+        assert_eq!(snap.page(1).expect("written")[0], 5, "the page as sealed");
+        assert_eq!(st.root_work().pages_hashed, 3);
+        assert_eq!(
+            (st.sealed_seq(), st.checkpoint_step(1).is_none()),
+            (None, true)
+        );
+        // A refresh finishes a pending root first (the one page it hashes
+        // is page 1 as sealed) and parks it for the next step.
+        st.seal(8);
+        st.refresh_digest();
+        assert_eq!(st.last_refresh_hashed(), 1);
+        assert_eq!(st.sealed_seq(), Some(8));
+        assert_eq!(st.checkpoint_step(0).map(|snap| snap.seq), Some(8));
+        assert_eq!(st.sealed_seq(), None);
     }
 
     #[test]

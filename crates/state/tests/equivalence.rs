@@ -9,12 +9,17 @@
 //! the root) builds, whatever order, repeats and strays the responses come
 //! in; it resumes after a crash without fetching a page twice; and forged
 //! responses neither panic it, nor install a page, nor lose a request.
+//!
+//! A checkpoint sealed at a boundary and finished in steps of any budget,
+//! with the next interval's writes and every other call interleaved, is the
+//! checkpoint a synchronous refresh and snapshot took at the seal.
 
 use std::collections::{BTreeSet, VecDeque};
 
 use pbft_crypto::Digest;
 use pbft_state::{
-    serve_fetch, FetchRequest, FetchResponse, Fetcher, MerkleTree, PagedState, Snapshot, PAGE_SIZE,
+    serve_fetch, FetchRequest, FetchResponse, Fetcher, MerkleTree, PagedState, Snapshot,
+    FOLDS_PER_PAGE_HASH, PAGE_SIZE,
 };
 use propcheck::Gen;
 
@@ -143,6 +148,141 @@ fn hashing_early_changes_no_root_snapshot_or_transfer() {
                 assert_eq!(p.tree().root(), p.root);
                 assert_same_tree(p.tree(), e.tree());
             }
+        },
+    );
+}
+
+/// Same sequence number, root, tree and bytes.
+fn assert_same_snapshot(a: &Snapshot, b: &Snapshot) {
+    assert_eq!((a.seq, a.root), (b.seq, b.root));
+    assert_eq!(a.tree().root(), a.root);
+    assert_same_tree(a.tree(), b.tree());
+    for page in 0..PAGES as u64 {
+        assert_eq!(a.page(page), b.page(page), "snapshot page {page}");
+    }
+}
+
+#[test]
+fn a_checkpoint_finished_in_steps_is_the_one_taken_at_the_seal() {
+    propcheck::check(
+        "a_checkpoint_finished_in_steps_is_the_one_taken_at_the_seal",
+        128,
+        |g| {
+            let blank = {
+                let mut st = PagedState::new(PAGES);
+                st.refresh_digest();
+                st
+            };
+            // `sync` refreshes and snapshots at each seal; `stepped` seals
+            // and is finished in steps of random budgets while both go on.
+            let mut sync = blank.clone();
+            let mut stepped = blank.clone();
+            // Per seal: the synchronous checkpoint, and the stepped one
+            // once it is handed out.
+            let mut taken: Vec<(Snapshot, Option<Snapshot>)> = Vec::new();
+            let hand_out = |snap: Snapshot, taken: &mut Vec<(Snapshot, Option<Snapshot>)>| {
+                let slot = &mut taken[snap.seq as usize];
+                assert!(slot.1.is_none(), "checkpoint {} handed out twice", snap.seq);
+                assert_same_snapshot(&slot.0, &snap);
+                slot.1 = Some(snap);
+            };
+            let page_at = |g: &mut Gen| {
+                if g.choice(4) == 0 {
+                    g.u64_in(0..PAGES as u64)
+                } else {
+                    60 + g.u64_in(0..10)
+                }
+            };
+            for _ in 0..g.usize_in(1..80) {
+                match g.choice(12) {
+                    0..=3 => {
+                        let off = page_at(g) * PAGE_SIZE as u64 + g.u64_in(0..PAGE_SIZE as u64 - 8);
+                        let data = g.bytes(1..8);
+                        for st in [&mut sync, &mut stepped] {
+                            st.modify(off, data.len()).expect("modify");
+                            st.write(off, &data).expect("write");
+                        }
+                    }
+                    4 => {
+                        // A bare write is legal iff the page was notified in
+                        // the interval, and a seal ends the interval as a
+                        // refresh does.
+                        let off = page_at(g) * PAGE_SIZE as u64;
+                        let byte = [g.u8()];
+                        assert_eq!(sync.write(off, &byte), stepped.write(off, &byte));
+                    }
+                    5 => {
+                        let page = page_at(g);
+                        let data = g.bool().then(|| vec![g.u8(); PAGE_SIZE]);
+                        let digest = page_digest(data.as_deref());
+                        sync.install_page(page, data.clone(), digest)
+                            .expect("install");
+                        stepped.install_page(page, data, digest).expect("install");
+                    }
+                    6 if !taken.is_empty() => {
+                        // Each side restores its own copy of a checkpoint.
+                        let (a, b) = &taken[g.index(taken.len())];
+                        sync.restore(a).expect("restore");
+                        stepped.restore(b.as_ref().unwrap_or(a)).expect("restore");
+                    }
+                    7 => {
+                        assert_eq!(sync.refresh_digest(), stepped.refresh_digest());
+                    }
+                    8 => {
+                        // A snapshot mid-job records the root the job will
+                        // finish, worked out on a copy.
+                        let work = stepped.root_work();
+                        let (a, b) = (sync.snapshot(99), stepped.snapshot(99));
+                        assert_eq!(stepped.root_work(), work, "a snapshot does no root work");
+                        assert_eq!(a.root, b.root);
+                        assert_same_tree(a.tree(), b.tree());
+                    }
+                    9 => {
+                        let limit = g.usize_in(0..6);
+                        assert!(stepped.hash_settled(limit) <= limit as u64);
+                    }
+                    _ => {
+                        // Seal the next boundary, handing out the previous
+                        // checkpoint first if it is still out.
+                        if stepped.sealed_seq().is_some() {
+                            let snap = stepped.checkpoint_step(usize::MAX).expect("finished");
+                            hand_out(snap, &mut taken);
+                        }
+                        let seq = taken.len() as u64;
+                        sync.refresh_digest();
+                        taken.push((sync.snapshot(seq), None));
+                        stepped.seal(seq);
+                        assert_eq!(stepped.sealed_seq(), Some(seq));
+                    }
+                }
+                if stepped.sealed_seq().is_some() && g.bool() {
+                    let pages = g.usize_in(0..3);
+                    let before = stepped.root_work();
+                    let snap = stepped.checkpoint_step(pages);
+                    let after = stepped.root_work();
+                    let hashed = (after.pages_hashed - before.pages_hashed) as usize;
+                    let folded = (after.nodes_folded - before.nodes_folded) as usize;
+                    assert!(
+                        hashed * FOLDS_PER_PAGE_HASH + folded <= pages * FOLDS_PER_PAGE_HASH,
+                        "a step of {pages} hashed {hashed} pages and folded {folded} nodes"
+                    );
+                    if let Some(snap) = snap {
+                        hand_out(snap, &mut taken);
+                    }
+                }
+                if stepped.sealed_seq().is_none() {
+                    assert_same_tree(sync.tree(), stepped.tree());
+                }
+            }
+            if let Some(snap) = stepped.checkpoint_step(usize::MAX) {
+                hand_out(snap, &mut taken);
+            }
+            assert!(
+                taken.iter().all(|(_, s)| s.is_some()),
+                "every seal handed out"
+            );
+            assert_eq!(sync.refresh_digest(), stepped.refresh_digest());
+            assert_same_tree(sync.tree(), stepped.tree());
         },
     );
 }

@@ -16,7 +16,10 @@
 #   * for the slowest 1.5 %: their windows in the first run, merged where
 #     they overlap — a cluster is a set of operations that shared a stall —
 #     with, per cluster, the span kinds that took the most time inside the
-#     window and every driver gap (no span running) over 50 us.
+#     window and every driver gap (no span running) over 50 us; a cluster
+#     whose window holds a `replica.checkpoint` span is labelled
+#     `checkpoint`, and a last line counts those clusters and their
+#     operations (how much of the slowest 1.5 % a checkpoint is in).
 # Needs python3.
 set -euo pipefail
 
@@ -96,7 +99,8 @@ for (start, end), op in slow:
 spans = timelines[0]
 starts = [s["start_ns"] for s in spans]
 print(f"{len(clusters)} clusters (windows in run 1, overlapping ones merged), largest first:")
-for start, end, members in sorted(clusters, key=lambda c: -len(c[2]))[:20]:
+at_checkpoint = [0, 0]
+for rank, (start, end, members) in enumerate(sorted(clusters, key=lambda c: -len(c[2]))):
     per_kind = defaultdict(lambda: [0, 0])
     gaps, cursor = [], start
     # Spans never overlap (the driver makes one call at a time): only the
@@ -114,13 +118,21 @@ for start, end, members in sorted(clusters, key=lambda c: -len(c[2]))[:20]:
         cursor = max(cursor, b)
     if end - cursor > GAP_NS:
         gaps.append(end - cursor)
+    label = "checkpoint" if "replica.checkpoint" in per_kind else "-"
+    if label == "checkpoint":
+        at_checkpoint[0] += 1
+        at_checkpoint[1] += len(members)
+    if rank >= 20:
+        continue
     lats = sorted(best[op] for op in members)
     top = sorted(per_kind.items(), key=lambda kv: -kv[1][1])[:4]
     kinds = ", ".join(f"{name} {n}x {t / 1e3:.1f} us" for name, (n, t) in top)
-    print(f"  {len(members):3} ops  window {(end - start) / 1e3:8.1f} us"
+    print(f"  {len(members):3} ops  {label:10}  window {(end - start) / 1e3:8.1f} us"
           f"  best {lats[0] / 1e3:.1f}-{lats[-1] / 1e3:.1f} us  | {kinds}")
     if gaps:
         print(f"      driver gaps > {GAP_NS // 1000} us: "
               + ", ".join(f"{g / 1e3:.1f}" for g in sorted(gaps, reverse=True)[:5]) + " us")
+print(f"checkpoint clusters: {at_checkpoint[0]} of {len(clusters)},"
+      f" holding {at_checkpoint[1]} of the {len(slow)} slowest operations")
 print(f"span files kept in {keep}")
 EOF

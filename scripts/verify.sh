@@ -7,8 +7,9 @@
 #      replica in the paper's robust configuration and fails the primary
 #      over to it), then the crypto cross-checks (hardware vs scalar,
 #      pinned outputs), the minisql ones (pinned database files, in place vs `Node` oracle)
-#      and the allocation pins (alloc_burst, alloc_insert) in the release
-#      profile, whose bands the test-profile pass below never checks
+#      and the allocation pins (alloc_burst, alloc_insert) and the stepped
+#      checkpoint proofs (equivalence a_checkpoint_, checkpoint_stall) in the
+#      release profile, whose bands the test-profile pass below never checks
 #   4. the whole test suite (unit + integration + property tests),
 #      per package with timing so slow suites are visible; it includes
 #      crates/bench/tests/artifacts.rs, which holds the committed
@@ -97,6 +98,15 @@ cargo test -q --release -p minisql -- golden_ crosscheck_
 echo "==> allocation pins (alloc_burst, alloc_insert), release profile"
 cargo test -q --release -p pbft_core --test alloc_burst
 cargo test -q --release -p pbft_sql --test alloc_insert
+
+# A checkpoint's root is finished in steps over the batches after its
+# boundary. The proof that a stepped root is the synchronous one (the
+# equivalence property) and the pin that no replica call does more than
+# one step of it (checkpoint_stall) run in the release profile too: the
+# build the wall-clock benchmark runs.
+echo "==> stepped checkpoint roots (equivalence a_checkpoint_, checkpoint_stall), release profile"
+cargo test -q --release -p pbft_state --test equivalence a_checkpoint_
+cargo test -q --release -p pbft_sql --test checkpoint_stall
 
 echo "==> cargo test (per package, timed)"
 # Every workspace package: the first `name =` of each manifest.
