@@ -12,12 +12,9 @@
 //!   check of the dynamic-membership Join (§3.1),
 //! * [`App::on_state_installed`] — invalidate caches after state transfer
 //!   (an upcall the original library also needs but the paper shows is easy
-//!   to get wrong),
-//! * [`App::declared_effects`] — which keys an operation touches, asked
-//!   before it commits so the read-only contention gate can park a read
-//!   that would observe a tentative write. Operations stay opaque to the
-//!   library: an application (or a wrapper around it) that frames its
-//!   operations answers from its own format.
+//!   to get wrong).
+//!
+//! Operations stay opaque to the library: it never asks what one touches.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -63,23 +60,6 @@ impl ExecMetrics {
         self.disk_flushes += other.disk_flushes;
         self.disk_write_bytes += other.disk_write_bytes;
     }
-}
-
-/// What an operation declares it touches, as far as the read-only
-/// contention gate needs to know (see [`App::declared_effects`]). For a
-/// tentatively executed operation these are its writes; for a read-only
-/// request, what it reads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Effects {
-    /// Declares nothing: writes are not tracked and reads take the pure
-    /// optimistic path (the client's 2f+1 matching rule protects them).
-    None,
-    /// Touches exactly these application-designated keys.
-    Keys(Vec<Vec<u8>>),
-    /// Touches state every keyed operation depends on (a reconfiguration,
-    /// a protocol table): conflicts with every declared read, and as a read
-    /// conflicts with every tracked write.
-    Admin,
 }
 
 /// The replicated application.
@@ -142,16 +122,6 @@ pub trait App {
     /// Called after the engine installs pages via state transfer or rollback
     /// so the application can drop caches derived from state contents.
     fn on_state_installed(&mut self) {}
-
-    /// What `op` declares it touches, without executing it. The replica
-    /// asks once per tentatively executed operation and once per read-only
-    /// request that arrives while tentative effects are outstanding; a read
-    /// that conflicts is parked until local commit. The default declares
-    /// nothing, which keeps the paper's plain optimistic read path.
-    fn declared_effects(&self, op: &[u8]) -> Effects {
-        let _ = op;
-        Effects::None
-    }
 }
 
 /// The null application: empty execution, used for the paper's §4.1

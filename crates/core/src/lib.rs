@@ -23,8 +23,7 @@
 //! Operations are opaque byte strings to this crate. The application is
 //! reached through the up-calls of [`app::App`] only — execution, the
 //! non-determinism pair, join authorization, cache invalidation after an
-//! install, and [`App::declared_effects`] for the read-only contention
-//! gate — so a layer that gives operations structure (the workspace's
+//! install — so a layer that gives operations structure (the workspace's
 //! cross-shard two-phase commit and its key → group map are one) is an
 //! `App` wrapper in a crate built on this one, never a module inside it.
 //!
@@ -52,7 +51,7 @@ pub mod session;
 pub mod types;
 pub mod wire;
 
-pub use app::{App, Effects, ExecMetrics, NonDet, NullApp};
+pub use app::{App, ExecMetrics, NonDet, NullApp};
 pub use client::{Client, ClientEvent};
 pub use config::{AuthMode, Engine, PbftConfig};
 pub use engine::ConsensusEngine;

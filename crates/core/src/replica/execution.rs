@@ -15,7 +15,7 @@ use crate::session::SessionCtx;
 use crate::types::{ClientId, FoldMap, FoldSet, ReplicaId, SeqNum};
 
 use super::{
-    reply_output, ClientRecord, QueuedRequest, Replica, TentativeEffects, CHECKPOINT_STEP_PAGES,
+    reply_output, ClientRecord, QueuedRequest, Replica, CHECKPOINT_STEP_PAGES,
     SETTLE_PAGES_PER_BATCH,
 };
 
@@ -406,7 +406,6 @@ impl Replica {
             // Tentative execution confirmed; upgrade the cached replies so a
             // client retransmission collects *stable* replies (f+1 suffice).
             e.tentative = false;
-            self.tentative_effects.remove(&seq);
             for en in e.preprepare.iter().flat_map(|pp| &pp.entries) {
                 let reply = self
                     .clients
@@ -420,21 +419,37 @@ impl Replica {
         if let Some(qc) = commit_qc {
             self.multicast(Message::CommitQC(qc), res);
         }
+        self.advance_committed();
         self.try_execute(now_ns, res);
         // A commit may clear the tentative hole that deferred an interval
         // boundary's checkpoint; retry every pending boundary.
-        self.try_pending_checkpoints(res);
-        // The resolved tentative marks may release contention-gated reads.
-        self.flush_deferred_reads(now_ns, res);
+        self.try_pending_checkpoints(now_ns, res);
+        // The watermark may have reached reads held behind this batch.
+        self.release_reads(res);
+    }
+
+    /// Raise the commit watermark over the executed batches that have
+    /// committed since it last moved. A batch at or below the stable
+    /// checkpoint is committed: the group's certificate says so, and its
+    /// slot may be gone. Each slot is passed once, so this costs O(1) per
+    /// batch.
+    pub(crate) fn advance_committed(&mut self) {
+        let mut w = self
+            .committed_upto
+            .max(self.stable.0.min(self.last_executed));
+        while w < self.last_executed && self.log.get(w + 1).is_some_and(|e| e.committed) {
+            w += 1;
+        }
+        self.committed_upto = w;
     }
 
     /// Take any interval-boundary checkpoints that became eligible (all
     /// batches up to the boundary committed and executed).
-    pub(crate) fn try_pending_checkpoints(&mut self, res: &mut HandleResult) {
+    pub(crate) fn try_pending_checkpoints(&mut self, now_ns: u64, res: &mut HandleResult) {
         let interval = self.cfg.checkpoint_interval;
         let mut b = (self.stable.0 / interval + 1) * interval;
         while b <= self.last_executed {
-            self.maybe_checkpoint(b, res);
+            self.maybe_checkpoint(b, now_ns, res);
             b += interval;
         }
     }
@@ -503,9 +518,9 @@ impl Replica {
             // batch's round at most one replica is slower by a step, and
             // the other 2f + 1 are a quorum without it.
             if seq % self.cfg.n() as u64 == u64::from(self.id().0) {
-                self.step_checkpoint(CHECKPOINT_STEP_PAGES, res);
+                self.step_checkpoint(CHECKPOINT_STEP_PAGES, now_ns, res);
             }
-            self.maybe_checkpoint(seq, res);
+            self.maybe_checkpoint(seq, now_ns, res);
         }
         // Execution may have freed congestion-window room.
         if self.is_primary() && !self.pending.is_empty() {
@@ -538,10 +553,6 @@ impl Replica {
         }
         let digest = e.digest;
         let mut membership_dirty = false;
-        // Tentative batches record their declared write-effects so the
-        // read-only contention gate can defer conflicting reads until the
-        // batch commits (or rolls back).
-        let mut effects = TentativeEffects::default();
         // Room for the batch and no more (a growing `Vec` would round a
         // one-request batch up to four).
         held.reserve_exact(pp.entries.len().saturating_sub(held.len()));
@@ -575,11 +586,6 @@ impl Replica {
                 }
             };
             self.observed.remove(&entry.digest);
-            if !committed {
-                if let Operation::App(op) = &req.op {
-                    effects.note(self.app.declared_effects(op));
-                }
-            }
             let reply = self
                 .execute_one(req, &pp.nondet, &mut membership_dirty, res)
                 .map(|result| ReplyMsg {
@@ -617,9 +623,6 @@ impl Replica {
                 m.store(&mut self.state.borrow_mut());
             }
         }
-        if !committed && !effects.is_empty() {
-            self.tentative_effects.insert(seq, effects);
-        }
         // Extend the execution-order commitment.
         let mut h = Sha256::new();
         h.update(self.exec_chain.as_bytes());
@@ -636,6 +639,9 @@ impl Replica {
         e.executed = true;
         e.tentative = !committed;
         self.last_executed = seq;
+        if committed {
+            self.advance_committed();
+        }
     }
 
     fn execute_one(
@@ -750,7 +756,7 @@ impl Replica {
     /// committed and executed: the state region sets the interval aside,
     /// and its root is finished by this call's step and the next batches'
     /// ([`Replica::step_checkpoint`]).
-    pub(crate) fn maybe_checkpoint(&mut self, seq: SeqNum, res: &mut HandleResult) {
+    pub(crate) fn maybe_checkpoint(&mut self, seq: SeqNum, now_ns: u64, res: &mut HandleResult) {
         if !seq.is_multiple_of(self.cfg.checkpoint_interval) {
             return;
         }
@@ -776,17 +782,17 @@ impl Replica {
         }
         // A root still unfinished a whole interval later is finished first:
         // checkpoints are recorded in order.
-        self.finish_checkpoint(res);
+        self.finish_checkpoint(now_ns, res);
         self.state.borrow_mut().seal(seq);
         self.sealed = Some((seq, self.exec_chain));
-        self.step_checkpoint(CHECKPOINT_STEP_PAGES, res);
+        self.step_checkpoint(CHECKPOINT_STEP_PAGES, now_ns, res);
     }
 
     /// Spend `pages` page hashes' worth of work on the sealed checkpoint's
     /// root. The step that finishes it records the checkpoint with the
     /// execution chain sealed beside it, votes for it and tries to
     /// stabilise it, as taking the checkpoint whole at the boundary did.
-    pub(crate) fn step_checkpoint(&mut self, pages: usize, res: &mut HandleResult) {
+    pub(crate) fn step_checkpoint(&mut self, pages: usize, now_ns: u64, res: &mut HandleResult) {
         let Some((seq, chain)) = self.sealed else {
             return;
         };
@@ -827,21 +833,21 @@ impl Replica {
             // The others' votes stabilised the boundary while this root was
             // being finished: hold it against their certificate now.
             if root != self.stable.1 {
-                self.start_state_transfer(seq, self.stable.1, res);
+                self.start_state_transfer(seq, self.stable.1, now_ns, res);
             }
             return;
         }
         self.ckpt_votes.entry((seq, root)).or_default().insert(me);
-        self.maybe_stabilize(seq, root, res);
+        self.maybe_stabilize(seq, root, now_ns, res);
     }
 
     /// Finish the sealed checkpoint's root in this call, before anything
     /// that rewrites the region or reads the checkpoints.
-    pub(crate) fn finish_checkpoint(&mut self, res: &mut HandleResult) {
-        self.step_checkpoint(usize::MAX, res);
+    pub(crate) fn finish_checkpoint(&mut self, now_ns: u64, res: &mut HandleResult) {
+        self.step_checkpoint(usize::MAX, now_ns, res);
     }
 
-    pub(crate) fn on_checkpoint(&mut self, c: CheckpointMsg, _now_ns: u64, res: &mut HandleResult) {
+    pub(crate) fn on_checkpoint(&mut self, c: CheckpointMsg, now_ns: u64, res: &mut HandleResult) {
         if c.seq <= self.stable.0 {
             return;
         }
@@ -849,10 +855,16 @@ impl Replica {
             .entry((c.seq, c.root))
             .or_default()
             .insert(c.replica);
-        self.maybe_stabilize(c.seq, c.root, res);
+        self.maybe_stabilize(c.seq, c.root, now_ns, res);
     }
 
-    pub(crate) fn maybe_stabilize(&mut self, seq: SeqNum, root: Digest, res: &mut HandleResult) {
+    pub(crate) fn maybe_stabilize(
+        &mut self,
+        seq: SeqNum,
+        root: Digest,
+        now_ns: u64,
+        res: &mut HandleResult,
+    ) {
         let votes = self.ckpt_votes.get(&(seq, root)).map_or(0, |v| v.len());
         if votes < self.cfg.quorum() || seq <= self.stable.0 {
             return;
@@ -865,6 +877,8 @@ impl Replica {
         reference.assert_matches(self);
         self.ckpt_votes.retain(|&(s, _), _| s > seq);
         self.checkpoints.retain(|&s, _| s >= seq);
+        self.advance_committed();
+        self.release_reads(res);
         // Divergence / lag detection: if we have not executed up to `seq`
         // (wedged on a missing body §2.4, restarted §2.3, or plain lagging),
         // or if we took a checkpoint at `seq` whose digest differs from the
@@ -876,7 +890,7 @@ impl Replica {
         let behind = self.last_executed < seq && mine != Some(root);
         let diverged = mine.is_some() && mine != Some(root);
         if behind || diverged {
-            self.start_state_transfer(seq, root, res);
+            self.start_state_transfer(seq, root, now_ns, res);
         }
     }
 

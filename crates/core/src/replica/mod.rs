@@ -19,7 +19,7 @@ use std::sync::Arc;
 use pbft_crypto::Digest;
 use pbft_state::{Fetcher, Section, Snapshot};
 
-use crate::app::{App, Effects, NonDet, StateHandle};
+use crate::app::{App, NonDet, StateHandle};
 use crate::config::{AuthMode, Engine, PbftConfig};
 use crate::keys::KeyStore;
 use crate::log::MessageLog;
@@ -61,17 +61,14 @@ const MAX_CLIENTS: usize = 64;
 /// replica-to-replica datagrams): 150 ms.
 const STATUS_INTERVAL_NS: u64 = 150_000_000;
 
-/// Capacity of the contention gate's deferred-read queue: a read-only
-/// request whose declared keys are dirty in a tentatively executed
-/// (prepared but uncommitted) batch is parked until local commit instead of
-/// being answered from uncommitted state — the answer would force the
-/// client through retransmit-and-escalate. A client parks at most one read
-/// (a newer timestamp replaces its older one), so the queue holds one entry
-/// per client. Once it is full, a further contended read is dropped: the
-/// client's retransmit-then-escalate path answers it through ordering.
-/// No read of a declared operation is answered from tentative state; one
-/// that declares nothing ([`Effects::None`]) is served at once, tentative
-/// state included (ARCHITECTURE.md, "Deliberate deviations").
+/// Capacity of the held-read queue. A read-only request executes when it
+/// arrives, but its reply leaves only once every batch it observed has
+/// committed (Castro–Liskov §5.1.3): while batches this replica executed
+/// are still tentative, the reply is held ([`HeldRead`]). A client holds at
+/// most one read (a newer timestamp replaces its older one), so the queue
+/// holds one entry per client. Once it is full, a further read is dropped:
+/// the client's retransmit-then-escalate path answers it through ordering.
+/// No reply is ever sent from tentative state.
 const READ_DEFER_MAX: usize = 64;
 
 /// Counters exposed for experiments and tests.
@@ -102,14 +99,13 @@ pub struct ReplicaMetrics {
     pub checkpoints_taken: u64,
     /// Read-only requests served via the fast path.
     pub read_only_served: u64,
-    /// Read-only requests parked by the contention gate: their declared
-    /// keys (or an [`Effects::Admin`] operation) were dirty in a
-    /// tentatively executed, not-yet-committed batch, so the read was held
-    /// until local commit instead of being answered from uncommitted state.
+    /// Read-only requests whose reply was held: they executed while a batch
+    /// they observed was still tentative, and the reply waited until it
+    /// committed.
     pub read_only_deferred: u64,
-    /// Contended reads dropped because the deferred-read queue was at
-    /// capacity (64 clients with a parked read). The client's
-    /// retransmit-then-escalate path answers them through ordering.
+    /// Reads dropped because the held-read queue was at capacity (64
+    /// clients with a held read). The client's retransmit-then-escalate
+    /// path answers them through ordering.
     pub read_defer_overflow: u64,
     /// Malformed packets dropped.
     pub decode_failures: u64,
@@ -136,34 +132,14 @@ pub struct ReplicaMetrics {
     pub table_refusals: u64,
 }
 
-/// Declared write-effects of one tentatively executed (prepared but not
-/// yet committed) batch — what the read-only contention gate checks reads
-/// against, collected from [`App::declared_effects`]. Operations that
-/// declare [`Effects::None`] are not tracked: reads of such apps keep the
-/// pure optimistic path (the client-side 2f+1 matching rule is what
-/// protects them).
-#[derive(Debug, Default, Clone)]
-pub(crate) struct TentativeEffects {
-    /// Keys the batch's requests declared they write.
-    pub keys: Vec<Vec<u8>>,
-    /// The batch contains an [`Effects::Admin`] operation, which conflicts
-    /// with every declared read.
-    pub admin: bool,
-}
-
-impl TentativeEffects {
-    pub(crate) fn is_empty(&self) -> bool {
-        self.keys.is_empty() && !self.admin
-    }
-
-    /// Record one request's declared effects.
-    pub(crate) fn note(&mut self, effects: Effects) {
-        match effects {
-            Effects::Keys(keys) => self.keys.extend(keys),
-            Effects::Admin => self.admin = true,
-            Effects::None => {}
-        }
-    }
+/// A read-only request executed above the commit watermark, and its reply,
+/// held until the watermark reaches `seen`.
+pub(crate) struct HeldRead {
+    /// `last_executed` when the read executed: the batches its reply
+    /// observed.
+    pub(crate) seen: SeqNum,
+    pub(crate) req: RequestMsg,
+    pub(crate) reply: ReplyMsg,
 }
 
 /// An in-progress state transfer. What is still unanswered is the
@@ -378,16 +354,15 @@ pub struct Replica {
     /// of signed retransmissions under healthy pipeline skew).
     pub(crate) last_peer_help: BTreeMap<ReplicaId, u64>,
 
-    /// Declared write-effects of every tentatively executed batch still
-    /// awaiting commit, keyed by sequence number (the read-only contention
-    /// gate's dirty set). Entries leave at commit, rollback, or state
-    /// transfer — the three places tentative marks are resolved.
-    pub(crate) tentative_effects: BTreeMap<SeqNum, TentativeEffects>,
-    /// Read-only requests parked by the contention gate until the dirty
-    /// batches covering their keys commit locally, at most one per client.
-    /// Bounded by [`READ_DEFER_MAX`]; flushed wherever
-    /// `tentative_effects` entries are resolved.
-    pub(crate) deferred_reads: VecDeque<RequestMsg>,
+    /// The commit watermark: every batch executed at or below it has
+    /// committed (here, or under the stable checkpoint's certificate).
+    /// Never above `last_executed`; below it while some executed batch is
+    /// still tentative. Nothing leaves the replica from state above it.
+    pub(crate) committed_upto: SeqNum,
+    /// Replies of reads executed above the commit watermark, at most one
+    /// per client, in the order of their `seen`; bounded by
+    /// [`READ_DEFER_MAX`].
+    pub(crate) deferred_reads: VecDeque<HeldRead>,
 
     /// Execution-order commitment: running digest of executed batches, used
     /// by tests to prove all replicas executed the same sequence.
@@ -490,7 +465,7 @@ impl Replica {
             recovering: false,
             peer_status: BTreeMap::new(),
             last_peer_help: BTreeMap::new(),
-            tentative_effects: BTreeMap::new(),
+            committed_upto: 0,
             deferred_reads: VecDeque::new(),
             exec_chain: Digest::ZERO,
             last_issue_ns: 0,
@@ -683,7 +658,7 @@ impl Replica {
             }
             Message::NewKey(nk) => self.on_new_key(nk, prefix, auth, out),
             Message::Status(s) if from(s.replica) => self.on_status(s, now_ns, out),
-            Message::Fetch(f) => self.on_fetch(f, out),
+            Message::Fetch(f) => self.on_fetch(f, now_ns, out),
             Message::FetchResp(fr) => self.on_fetch_resp(fr, now_ns, out),
             Message::BodyFetch(bf) => self.on_body_fetch(bf, out),
             Message::BodyResp(req) => self.on_body_resp(req, now_ns, out),
@@ -769,7 +744,7 @@ impl Replica {
                 // a replica nobody waits on: finish it, as the idle log is
                 // freed below.
                 if self.last_executed == self.ticked_executed {
-                    self.finish_checkpoint(&mut res);
+                    self.finish_checkpoint(now_ns, &mut res);
                 }
                 self.ticked_executed = self.last_executed;
                 // Periodic status broadcast: peers respond by retransmitting
@@ -871,7 +846,7 @@ impl Replica {
 
         // Read-only fast path (§2.1).
         if read_only {
-            self.serve_read_only(&req, now_ns, res);
+            self.serve_read_only(req, now_ns, res);
             return;
         }
 
@@ -950,95 +925,83 @@ impl Replica {
         pubkey.verify(prefix, &sig).is_ok()
     }
 
-    /// §2.1 read-only fast path, behind the contention gate: a read whose
-    /// declared keys are dirty in a tentatively executed (prepared but
-    /// uncommitted) batch is parked until local commit — answering it now
-    /// would expose uncommitted state, never match the committed quorum,
-    /// and push the client into retransmit-and-escalate. Reads with no
-    /// conflict are answered immediately against committed-or-tentative
-    /// state exactly as before.
+    /// §2.1 read-only fast path under Castro–Liskov §5.1.3's rule: the read
+    /// executes at once, and its reply leaves only once every batch it
+    /// observed has committed. With nothing tentative (the commit watermark
+    /// at `last_executed`) that is now. Otherwise the reply is held, tagged
+    /// with the `last_executed` it observed, and released when the
+    /// watermark gets there ([`Replica::release_reads`]): batches executed
+    /// after it never delay it.
     ///
-    /// A client parks at most one read, and a newer timestamp replaces its
+    /// A client holds at most one read, and a newer timestamp replaces its
     /// older one: read-only requests never advance the client's executed
     /// timestamp, so without that one client could fill the queue alone. A
     /// read that finds the queue full is dropped, never served.
-    fn serve_read_only(&mut self, req: &RequestMsg, now_ns: u64, res: &mut HandleResult) {
-        use crate::messages::Operation;
-        let Operation::App(op) = &req.op else { return };
-        if !self.read_defers(op) {
-            self.serve_read_now(req, now_ns, res);
+    fn serve_read_only(&mut self, req: RequestMsg, now_ns: u64, res: &mut HandleResult) {
+        let seen = self.last_executed;
+        if self.committed_upto == seen {
+            let reply = self.execute_read(&req, now_ns, res);
+            self.send_read_reply(&req, reply, res);
             return;
         }
-        let parked = self
+        let held = self
             .deferred_reads
-            .iter_mut()
-            .find(|r| r.client == req.client);
-        if let Some(parked) = parked {
-            if req.timestamp > parked.timestamp {
-                *parked = req.clone();
-                self.metrics.read_only_deferred += 1;
+            .iter()
+            .position(|h| h.req.client == req.client);
+        match held {
+            Some(i) if self.deferred_reads[i].req.timestamp >= req.timestamp => return,
+            Some(i) => {
+                // Out of the queue and back in at its end: the queue stays
+                // in the order of `seen`.
+                self.deferred_reads.remove(i);
             }
-        } else if self.deferred_reads.len() < READ_DEFER_MAX {
-            self.deferred_reads.push_back(req.clone());
-            self.metrics.read_only_deferred += 1;
-        } else {
-            self.metrics.read_defer_overflow += 1;
+            None if self.deferred_reads.len() >= READ_DEFER_MAX => {
+                self.metrics.read_defer_overflow += 1;
+                return;
+            }
+            None => {}
+        }
+        let reply = self.execute_read(&req, now_ns, res);
+        self.metrics.read_only_deferred += 1;
+        self.deferred_reads.push_back(HeldRead { seen, req, reply });
+    }
+
+    /// Send the held replies whose observed batches have all committed:
+    /// the commit watermark moved.
+    pub(crate) fn release_reads(&mut self, res: &mut HandleResult) {
+        while let Some(h) = self
+            .deferred_reads
+            .pop_front_if(|h| h.seen <= self.committed_upto)
+        {
+            if !self.read_superseded(&h.req) {
+                self.send_read_reply(&h.req, h.reply, res);
+            }
         }
     }
 
-    /// Would serving `op` now observe a tentatively executed effect?
-    fn read_defers(&self, op: &[u8]) -> bool {
-        if self.tentative_effects.is_empty() {
-            return false;
-        }
-        match self.app.declared_effects(op) {
-            // A keyed read conflicts with a dirty declared key or with any
-            // admin effect (an uncommitted reconfiguration may yet be
-            // rolled back, and the read would answer from it).
-            Effects::Keys(keys) => self
-                .tentative_effects
-                .values()
-                .any(|e| e.admin || keys.iter().any(|k| e.keys.contains(k))),
-            // Admin reads scan tables any tracked tentative effect may be
-            // mutating.
-            Effects::Admin => true,
-            // Undeclared operations: optimistic path.
-            Effects::None => false,
+    /// The state the held replies observed was rewound (a rollback or a
+    /// transfer): drop them, and execute their reads again against the
+    /// restored state.
+    pub(crate) fn reserve_reads(&mut self, now_ns: u64, res: &mut HandleResult) {
+        for h in std::mem::take(&mut self.deferred_reads) {
+            if !self.read_superseded(&h.req) {
+                self.serve_read_only(h.req, now_ns, res);
+            }
         }
     }
 
-    /// Re-examine parked reads after tentative marks were resolved
-    /// (commit, rollback, or state transfer): serve everything no longer
-    /// contended, drop reads already answered through the ordered path.
-    pub(crate) fn flush_deferred_reads(&mut self, now_ns: u64, res: &mut HandleResult) {
+    /// A newer (or equal) executed timestamp means the client gave up on
+    /// the read and escalated it: the ordered execution already replied.
+    fn read_superseded(&self, req: &RequestMsg) -> bool {
+        let executed = self.clients.get(&req.client).and_then(|c| c.executed);
+        executed.is_some_and(|ts| ts >= req.timestamp)
+    }
+
+    fn execute_read(&mut self, req: &RequestMsg, now_ns: u64, res: &mut HandleResult) -> ReplyMsg {
         use crate::messages::Operation;
-        if self.deferred_reads.is_empty() {
-            return;
-        }
-        let mut parked = VecDeque::new();
-        while let Some(req) = self.deferred_reads.pop_front() {
-            // A newer (or equal) executed timestamp means the client gave
-            // up on the optimistic round and escalated: the ordered
-            // execution already replied.
-            let executed = self.clients.get(&req.client).and_then(|c| c.executed);
-            if executed.is_some_and(|ts| ts >= req.timestamp) {
-                continue;
-            }
-            let Operation::App(op) = &req.op else {
-                continue;
-            };
-            if self.read_defers(op) {
-                parked.push_back(req);
-            } else {
-                self.serve_read_now(&req, now_ns, res);
-            }
-        }
-        self.deferred_reads = parked;
-    }
-
-    fn serve_read_now(&mut self, req: &RequestMsg, now_ns: u64, res: &mut HandleResult) {
-        use crate::messages::Operation;
-        let Operation::App(op) = &req.op else { return };
+        let Operation::App(op) = &req.op else {
+            unreachable!("only application operations take the read-only path")
+        };
         let nondet = NonDet {
             timestamp_ns: now_ns,
             random: 0,
@@ -1049,8 +1012,7 @@ impl Replica {
             .execute_with_session(req.client, op, &nondet, true, &mut ctx);
         debug_assert!(!ctx.is_dirty(), "read-only path cannot mutate sessions");
         res.counts.exec_cpu_us += exec.cpu_us;
-        self.metrics.read_only_served += 1;
-        let reply = ReplyMsg {
+        ReplyMsg {
             view: self.view,
             client: req.client,
             timestamp: req.timestamp,
@@ -1058,7 +1020,11 @@ impl Replica {
             tentative: true, // read-only replies need a 2f+1 quorum
             body_omitted: false,
             result,
-        };
+        }
+    }
+
+    fn send_read_reply(&mut self, req: &RequestMsg, reply: ReplyMsg, res: &mut HandleResult) {
+        self.metrics.read_only_served += 1;
         let designated = self.sends_full_reply(req.client, req.timestamp);
         res.outputs.push(reply_output(
             &self.keys,

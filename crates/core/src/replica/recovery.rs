@@ -31,7 +31,7 @@ impl Replica {
         }
         if s.last_executed < self.stable.0 {
             self.peer_behind = true;
-            self.finish_checkpoint(res);
+            self.finish_checkpoint(now_ns, res);
         }
         let prev = self.peer_status.insert(s.replica, s);
         self.maybe_rejoin_group_view(res);
@@ -83,7 +83,7 @@ impl Replica {
         // equivocating primary, or the §2.4 missing-body stall with the
         // checkpoint certificate's direct votes lost — uses it to recover
         // even when fewer than 2f+1 checkpoint votes ever reach it.
-        self.try_recover_from_statuses(self.recovering, res);
+        self.try_recover_from_statuses(self.recovering, now_ns, res);
     }
 
     /// A replica stranded in a view change nobody else joined (its timer
@@ -212,7 +212,7 @@ impl Replica {
     /// f+1 matching `(stable_seq, stable_root)` reports ahead of us trigger
     /// a transfer. `adopt_view` (recovery after restart) additionally takes
     /// the view from the same report set.
-    fn try_recover_from_statuses(&mut self, adopt_view: bool, res: &mut HandleResult) {
+    fn try_recover_from_statuses(&mut self, adopt_view: bool, now_ns: u64, res: &mut HandleResult) {
         let weak = self.cfg.weak_quorum();
         let mut groups: std::collections::BTreeMap<(SeqNum, Digest), Vec<&StatusMsg>> =
             Default::default();
@@ -234,7 +234,7 @@ impl Replica {
                     self.in_view_change = false;
                 }
             }
-            self.start_state_transfer(seq, root, res);
+            self.start_state_transfer(seq, root, now_ns, res);
         }
     }
 
@@ -243,9 +243,10 @@ impl Replica {
         &mut self,
         seq: SeqNum,
         root: Digest,
+        now_ns: u64,
         res: &mut HandleResult,
     ) {
-        self.finish_checkpoint(res);
+        self.finish_checkpoint(now_ns, res);
         if let Some(f) = &self.fetch {
             if f.target_seq >= seq {
                 return; // already fetching something at least as new
@@ -267,7 +268,7 @@ impl Replica {
                 peers: vec![self.id()],
                 attempt: 0,
             });
-            self.finish_transfer(res);
+            self.finish_transfer(now_ns, res);
             return;
         }
         let peers = self.checkpoint_peers(seq, root);
@@ -293,9 +294,9 @@ impl Replica {
         });
     }
 
-    pub(crate) fn on_fetch(&mut self, f: FetchMsg, res: &mut HandleResult) {
+    pub(crate) fn on_fetch(&mut self, f: FetchMsg, now_ns: u64, res: &mut HandleResult) {
         if self.sealed.is_some_and(|(s, _)| s == f.target_seq) {
-            self.finish_checkpoint(res);
+            self.finish_checkpoint(now_ns, res);
         }
         let resp = match self.checkpoints.get(&f.target_seq) {
             Some((snap, _)) => serve_fetch(snap, &f.req),
@@ -325,7 +326,7 @@ impl Replica {
                 let (seq, root) = (fs.target_seq, fs.target_root);
                 let attempt = fs.attempt + 1;
                 self.fetch = None;
-                self.start_state_transfer(seq, root, res);
+                self.start_state_transfer(seq, root, now_ns, res);
                 if let Some(f2) = &mut self.fetch {
                     f2.attempt = attempt;
                 }
@@ -358,12 +359,12 @@ impl Replica {
             .map(|f| f.fetcher.is_complete())
             .unwrap_or(false);
         if done {
-            self.finish_transfer(res);
+            self.finish_transfer(now_ns, res);
             self.try_execute(now_ns, res);
         }
     }
 
-    pub(crate) fn finish_transfer(&mut self, res: &mut HandleResult) {
+    pub(crate) fn finish_transfer(&mut self, now_ns: u64, res: &mut HandleResult) {
         let Some(fs) = self.fetch.take() else { return };
         let (seq, root) = (fs.target_seq, fs.target_root);
         // One fold for the whole transfer's pages.
@@ -388,6 +389,7 @@ impl Replica {
             }
         }
         self.last_executed = seq;
+        self.committed_upto = seq;
         // A transfer is rare and nobody's request waits on this replica:
         // every dead slot is freed here, not paced. The slots above `seq`
         // keep their bodies for the re-execution.
@@ -403,10 +405,9 @@ impl Replica {
         self.exec_chain = root;
         self.metrics.state_transfers_completed += 1;
         self.recovering = false;
-        // The installed checkpoint replaced every tentative effect; parked
-        // reads are re-examined against the clean committed image.
-        self.tentative_effects.clear();
-        self.flush_deferred_reads(0, res);
+        // The installed checkpoint replaced the state the held replies
+        // observed.
+        self.reserve_reads(now_ns, res);
         res.outputs.push(Output::CancelTimer {
             kind: TimerKind::FetchRetry,
         });

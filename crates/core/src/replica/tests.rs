@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use pbft_state::PagedState;
 
-use crate::app::{App, Effects, ExecMetrics, KvApp, NonDet, NullApp, StateHandle};
+use crate::app::{App, ExecMetrics, KvApp, NonDet, NullApp, StateHandle};
 use crate::client::{Client, ClientEvent};
 use crate::config::{AuthMode, PbftConfig};
 use crate::output::{NetTarget, Output};
@@ -25,9 +25,6 @@ const CLIENT_ADDR_BASE: NetAddr = 100;
 enum AppKind {
     Null(usize),
     Kv,
-    /// Kv behind [`DeclaringKv`] — operations that declare their keys,
-    /// which is what the read-only contention gate keys on.
-    DeclaringKv,
     SessionCounter,
     FullSession,
 }
@@ -71,11 +68,6 @@ fn make_replica(cfg: &PbftConfig, i: u32, app: AppKind, clients: &[ClientId]) ->
             LIB_REGION_PAGES * pbft_state::PAGE_SIZE as u64,
             128,
         )),
-        AppKind::DeclaringKv => Box::new(DeclaringKv(KvApp::new(
-            state.clone(),
-            LIB_REGION_PAGES * pbft_state::PAGE_SIZE as u64,
-            128,
-        ))),
         AppKind::SessionCounter => Box::new(crate::app::SessionCounterApp),
         AppKind::FullSession => Box::new(FullSessionApp),
     };
@@ -604,39 +596,17 @@ fn read_only_fast_path() {
     }
 }
 
-/// [`KvApp`] that answers [`App::declared_effects`]: a put or get declares
-/// its 8-byte key, [`ADMIN_OP`] declares [`Effects::Admin`] (and executes
-/// as a no-op), anything else declares nothing.
-struct DeclaringKv(KvApp);
-
-const ADMIN_OP: &[u8] = b"admin";
-
-impl App for DeclaringKv {
-    fn execute(
-        &mut self,
-        client: ClientId,
-        op: &[u8],
-        nondet: &NonDet,
-        read_only: bool,
-    ) -> (Vec<u8>, ExecMetrics) {
-        if op == ADMIN_OP {
-            return (b"done".to_vec(), ExecMetrics::default());
-        }
-        self.0.execute(client, op, nondet, read_only)
-    }
-
-    fn declared_effects(&self, op: &[u8]) -> Effects {
-        match op {
-            [b'p' | b'g', key @ ..] if key.len() >= 8 => Effects::Keys(vec![key[..8].to_vec()]),
-            _ if op == ADMIN_OP => Effects::Admin,
-            _ => Effects::None,
-        }
-    }
+/// The 16-byte record `KvApp::op_get(key)` returns after `op_put(key, value)`.
+fn kv_record(key: u64, value: u64) -> Vec<u8> {
+    [key.to_be_bytes(), value.to_be_bytes()].concat()
 }
 
+/// A read that arrives while a write is tentative on every replica executes
+/// at once, but its reply is held — whatever key it reads — until the
+/// write commits, and then carries the committed value.
 #[test]
 fn contended_read_defers_until_tentative_state_resolves() {
-    let mut net = Net::new(default_cfg(), 3, AppKind::DeclaringKv);
+    let mut net = Net::new(default_cfg(), 3, AppKind::Kv);
     // Park every commit in flight: batches prepare and execute tentatively
     // on all replicas but cannot commit yet.
     net.hold = Some(Box::new(|_, _, disc| disc == 4));
@@ -648,55 +618,50 @@ fn contended_read_defers_until_tentative_state_resolves() {
     for r in &net.replicas {
         assert_eq!(r.metrics().tentative_executions, 1);
     }
-    // A read of the dirty key parks on every replica: answering it from
-    // tentative state would expose an uncommitted value.
+    // A read of the written key and a read of another key are both held on
+    // every replica: each observed the tentative batch.
     net.submit(1, KvApp::op_get(5), true);
-    net.pump(50_000);
-    assert_eq!(
-        net.completed(1),
-        0,
-        "read of a dirty key must not be answered from tentative state"
-    );
-    for r in &net.replicas {
-        assert_eq!(r.metrics().read_only_deferred, 1);
-        assert_eq!(r.metrics().read_only_served, 0);
-    }
-    // The gate is per-key: a read of an unrelated key passes immediately.
     net.submit(2, KvApp::op_get(6), true);
     net.pump(50_000);
-    assert_eq!(net.completed(2), 1, "uncontended read must not be delayed");
-    // Deliver the parked commits: the batch commits locally and the
-    // deferred read is flushed with the now-committed value.
+    assert_eq!(
+        (net.completed(1), net.completed(2)),
+        (0, 0),
+        "no read is answered from tentative state"
+    );
+    for r in &net.replicas {
+        assert_eq!(r.metrics().read_only_deferred, 2);
+        assert_eq!(r.metrics().read_only_served, 0);
+    }
+    // Deliver the parked commits: the batch commits locally and the held
+    // replies leave.
     net.release_held();
     net.pump(100_000);
-    assert_eq!(net.completed(1), 1, "parked read served after local commit");
-    let result = net.last_reply(1).expect("read completed");
-    let mut expect = 5u64.to_be_bytes().to_vec();
-    expect.extend_from_slice(&55u64.to_be_bytes());
-    assert_eq!(result, expect, "deferred read returns the committed record");
+    assert_eq!(net.completed(1), 1, "held read answered after local commit");
+    assert_eq!(net.completed(2), 1, "held read answered after local commit");
+    assert_eq!(net.last_reply(1).expect("read completed"), kv_record(5, 55));
     for r in &net.replicas {
         assert_eq!(r.metrics().read_only_served, 2);
     }
     net.assert_states_equal(&[0, 1, 2, 3]);
 }
 
-/// One client must not be able to fill the deferred-read queue: read-only
+/// One client must not be able to fill the held-read queue: read-only
 /// requests never advance its executed timestamp, so a client can send any
-/// number of distinct-timestamp reads. They share one parked slot, and a
+/// number of distinct-timestamp reads. They share one held slot, and a
 /// full queue drops a read rather than answer it from tentative state.
 #[test]
 fn overflowing_read_queue_never_answers_from_tentative_state() {
     use crate::keys::ClientKeys;
     use crate::messages::{Envelope, Message, Operation, RequestMsg, Sender};
 
-    let mut net = Net::new(default_cfg(), 3, AppKind::DeclaringKv);
+    let mut net = Net::new(default_cfg(), 3, AppKind::Kv);
     net.hold = Some(Box::new(|_, _, disc| disc == 4));
     net.submit(0, KvApp::op_put(5, 55), false);
     net.pump(50_000);
     assert_eq!(net.completed(0), 1, "the write executed tentatively");
 
-    // Client 1 floods every replica with 65 contended reads of the dirty
-    // key, each correctly authenticated under its own session keys.
+    // Client 1 floods every replica with 65 reads of the written key, each
+    // correctly authenticated under its own session keys.
     let flooder = ClientId(2);
     let keys = ClientKeys::new(SEED, flooder, net.cfg.n());
     for timestamp in 1..=65 {
@@ -718,6 +683,9 @@ fn overflowing_read_queue_never_answers_from_tentative_state() {
         }
     }
     net.pump(100_000);
+    for r in &net.replicas {
+        assert_eq!(r.deferred_reads.len(), 1, "one held read per client");
+    }
 
     // Client 2's read of the same key must wait for the commit.
     net.submit(2, KvApp::op_get(5), true);
@@ -736,19 +704,16 @@ fn overflowing_read_queue_never_answers_from_tentative_state() {
     }
     net.release_held();
     net.pump(100_000);
-    assert_eq!(net.completed(2), 1, "parked read served after local commit");
-    let mut expect = 5u64.to_be_bytes().to_vec();
-    expect.extend_from_slice(&55u64.to_be_bytes());
-    assert_eq!(net.last_reply(2).expect("read completed"), expect);
+    assert_eq!(net.completed(2), 1, "held read answered after local commit");
+    assert_eq!(net.last_reply(2).expect("read completed"), kv_record(5, 55));
 }
 
-/// The contention gate parks only reads of operations the app declares.
-/// Plain [`KvApp`] declares nothing, so a read of the key an uncommitted
-/// put wrote is answered at once from tentative state (ARCHITECTURE.md,
-/// "Deliberate deviations"); Castro–Liskov §5.1.3 hold that reply until
-/// the tentative state commits. The fix flips the read's completion here.
+/// Castro–Liskov §5.1.3: a replica sends a read's reply only once the
+/// tentative state the read observed has committed. With commits held, a
+/// `get` of the key a tentative `put` wrote waits; released, it carries the
+/// committed value.
 #[test]
-fn an_undeclared_read_is_answered_from_tentative_state() {
+fn a_read_waits_until_the_batch_it_observed_commits() {
     let mut net = Net::new(default_cfg(), 2, AppKind::Kv);
     net.hold = Some(Box::new(|_, _, disc| disc == 4));
     net.submit(0, KvApp::op_put(5, 55), false);
@@ -756,16 +721,9 @@ fn an_undeclared_read_is_answered_from_tentative_state() {
     assert_eq!(net.completed(0), 1, "the write executed tentatively");
     net.submit(1, KvApp::op_get(5), true);
     net.pump(50_000);
-    assert_eq!(net.completed(1), 1, "the read completed before any commit");
-    let mut expect = 5u64.to_be_bytes().to_vec();
-    expect.extend_from_slice(&55u64.to_be_bytes());
-    assert_eq!(
-        net.last_reply(1).expect("read completed"),
-        expect,
-        "the read returned the tentative value"
-    );
+    assert_eq!(net.completed(1), 0, "the read waits for slot 1 to commit");
     for r in &net.replicas {
-        assert_eq!(r.metrics().read_only_deferred, 0, "nothing parked");
+        assert_eq!(r.metrics().read_only_deferred, 1, "its reply is held");
         let slot = r.log.get(1).expect("slot 1");
         assert!(
             slot.executed && !slot.committed,
@@ -780,45 +738,155 @@ fn an_undeclared_read_is_answered_from_tentative_state() {
             "slot 1 committed"
         );
     }
+    assert_eq!(net.completed(1), 1, "the read completed on the commit");
+    assert_eq!(net.last_reply(1).expect("read completed"), kv_record(5, 55));
     net.assert_states_equal(&[0, 1, 2, 3]);
 }
 
-/// An [`Effects::Admin`] operation (the cross-shard layer's epoch flip is
-/// the motivating case) conflicts with every declared read while it is
-/// uncommitted: answering from it could leak a reconfiguration that a view
-/// change still rolls back.
+/// A held reply waits only for the batches its read observed: it leaves
+/// when slot 1 commits, while slot 2 — executed after the read, writing the
+/// same key — is still tentative. "Wait until nothing is tentative" would
+/// starve it behind every later pipelined write.
+#[test]
+fn a_held_read_is_released_while_later_batches_are_tentative() {
+    use crate::messages::view::PacketView;
+    use crate::messages::Message;
+
+    let mut net = Net::new(default_cfg(), 2, AppKind::Kv);
+    net.hold = Some(Box::new(|_, _, disc| disc == 4));
+    net.submit(0, KvApp::op_put(5, 55), false);
+    net.pump(50_000);
+    net.submit(1, KvApp::op_get(5), true);
+    net.pump(50_000);
+    assert_eq!(net.completed(1), 0, "the read observed tentative slot 1");
+    // Slot 1's commits, set aside; slot 2's are held in their place.
+    let slot1_commits = std::mem::take(&mut net.held);
+    assert!(slot1_commits.iter().all(|(_, _, packet, _)| {
+        matches!(PacketView::parse(packet).expect("a packet").msg, Message::Commit(c) if c.seq == 1)
+    }));
+    net.submit(0, KvApp::op_put(5, 77), false);
+    net.pump(50_000);
+    for r in &net.replicas {
+        assert_eq!(r.last_executed(), 2, "slot 2 executed tentatively");
+    }
+    // Delivered past the hold, which keeps slot 2's.
+    for (_, to, packet, _) in slot1_commits {
+        let NetTarget::Replica(r) = to else {
+            unreachable!("commits go to replicas")
+        };
+        let res = net.replicas[r.0 as usize].handle_packet(&packet, net.now);
+        net.route(Source::Replica(r.0 as usize), res.outputs);
+    }
+    net.pump(50_000);
+    for r in &net.replicas {
+        assert!(
+            r.log.get(1).is_some_and(|e| e.committed),
+            "slot 1 committed"
+        );
+        assert!(
+            r.log.get(2).is_some_and(|e| !e.committed),
+            "slot 2 is still tentative"
+        );
+    }
+    assert_eq!(net.completed(1), 1, "released with slot 1's commit");
+    assert_eq!(
+        net.last_reply(1).expect("read completed"),
+        kv_record(5, 55),
+        "the value the read observed, not slot 2's"
+    );
+    net.release_held();
+    net.pump(100_000);
+    net.assert_states_equal(&[0, 1, 2, 3]);
+}
+
+/// A view change that rolls back a tentative write never lets a held reply
+/// carrying it reach the client. Only replica 3 prepares slot 1 (the other
+/// replicas' prepares are lost), so only it executes the write; the new
+/// view is built from the other three votes and drops the slot. Replica 3
+/// rolls back and answers the held read from the restored state.
+#[test]
+fn a_rolled_back_write_never_reaches_a_held_read() {
+    let mut net = Net::new(default_cfg(), 2, AppKind::Kv);
+    let lone = NetTarget::Replica(ReplicaId(3));
+    net.drop = Some(Box::new(move |_, to, disc| {
+        disc == 4 || (disc == 3 && *to != lone)
+    }));
+    net.submit(0, KvApp::op_put(5, 55), false);
+    net.pump(50_000);
+    for (i, r) in net.replicas.iter().enumerate() {
+        assert_eq!(r.last_executed(), u64::from(i == 3), "replica {i}");
+    }
+    // Every reply to the reader is kept for inspection.
+    let reader = NetTarget::Client(CLIENT_ADDR_BASE + 1);
+    net.hold = Some(Box::new(move |_, to, _| *to == reader));
+    net.submit(1, KvApp::op_get(5), true);
+    net.pump(50_000);
+    assert_eq!(net.replicas[3].metrics().read_only_deferred, 1);
+    // View change to view 1; replica 3's vote is lost, so the new view is
+    // built from votes that prepared nothing.
+    net.drop = Some(Box::new(|src, _, disc| {
+        disc == 7 && src == Source::Replica(3)
+    }));
+    for i in 0..3 {
+        net.fire_replica_timer(i, crate::output::TimerKind::ViewChange);
+    }
+    net.pump(100_000);
+    for (i, r) in net.replicas.iter().enumerate() {
+        assert_eq!(r.view(), 1, "replica {i}");
+    }
+    let replies = held_replies(&net);
+    assert_eq!(
+        replies.iter().filter(|r| r.replica == ReplicaId(3)).count(),
+        1,
+        "replica 3 answered the read once, after the rollback"
+    );
+    for reply in &replies {
+        assert_ne!(
+            reply.result,
+            kv_record(5, 55),
+            "replica {} sent a rolled-back write",
+            reply.replica.0
+        );
+    }
+    net.release_held();
+    net.pump(50_000);
+    assert_eq!(net.completed(1), 1);
+    assert_eq!(net.last_reply(1).expect("read completed"), vec![0; 16]);
+}
+
+/// An uncommitted write holds every read behind it, keyed or not: the
+/// cross-shard layer's epoch flip is the motivating case — an uncommitted
+/// reconfiguration names no key a read names, and a view change may still
+/// roll it back.
 #[test]
 fn read_defers_while_reshard_uncommitted() {
-    let mut net = Net::new(default_cfg(), 2, AppKind::DeclaringKv);
+    let mut net = Net::new(default_cfg(), 2, AppKind::Kv);
     net.submit(0, KvApp::op_put(9, 99), false);
     net.pump(50_000);
     assert_eq!(net.completed(0), 1);
     net.hold = Some(Box::new(|_, _, disc| disc == 4));
-    // Order the admin op with commits parked: every replica executes it
-    // tentatively and holds its effect uncommitted.
-    net.submit(0, ADMIN_OP.to_vec(), false);
+    // Order a write of another key with commits parked: every replica
+    // executes it tentatively and holds its effect uncommitted.
+    net.submit(0, KvApp::op_put(1, 11), false);
     net.pump(50_000);
     assert_eq!(net.completed(0), 2);
-    // A keyed read of a key the admin op never named parks all the same,
-    // until the admin op's fate is known.
+    // A read of a key the write never named waits all the same, until the
+    // write's fate is known.
     net.submit(1, KvApp::op_get(9), true);
     net.pump(50_000);
     assert_eq!(
         net.completed(1),
         0,
-        "uncommitted admin effect leaked to a read-only client"
+        "a read was answered from uncommitted state"
     );
     for r in &net.replicas {
         assert!(r.metrics().read_only_deferred >= 1);
     }
-    // Commit it: the parked read is answered from committed state.
+    // Commit it: the held reply leaves.
     net.release_held();
     net.pump(100_000);
-    assert_eq!(net.completed(1), 1, "parked read served after local commit");
-    let result = net.last_reply(1).expect("read completed");
-    let mut expect = 9u64.to_be_bytes().to_vec();
-    expect.extend_from_slice(&99u64.to_be_bytes());
-    assert_eq!(result, expect);
+    assert_eq!(net.completed(1), 1, "held read answered after local commit");
+    assert_eq!(net.last_reply(1).expect("read completed"), kv_record(9, 99));
     net.assert_states_equal(&[0, 1, 2, 3]);
 }
 
@@ -1360,7 +1428,7 @@ fn a_request_ordered_twice_finds_its_body() {
     let root = pbft_crypto::Digest::of(b"checkpoint 2");
     r.ckpt_votes
         .insert((2, root), (0..3).map(ReplicaId).collect());
-    r.maybe_stabilize(2, root, &mut res);
+    r.maybe_stabilize(2, root, now, &mut res);
     assert_eq!(r.stable_checkpoint().0, 2);
     assert!(r.bodies.contains_key(&digest), "kept for slot 3");
     let e = r.log.get_mut(3).expect("slot 3");

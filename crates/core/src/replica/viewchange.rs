@@ -152,13 +152,13 @@ impl Replica {
         self.in_view_change = false;
         self.vc.target = None;
         self.vc.votes.retain(|&v, _| v > w);
-        self.rollback_tentative(res);
+        self.rollback_tentative(now_ns, res);
         self.seq_assign = self.seq_assign.max(max_s).max(min_s);
         // If our stable checkpoint is behind the quorum's, fetch it.
         if self.stable.0 < min_s {
             if let Some((seq, root)) = stable_hint {
                 if seq > self.stable.0 {
-                    self.start_state_transfer(seq, root, res);
+                    self.start_state_transfer(seq, root, now_ns, res);
                 }
             }
         }
@@ -207,12 +207,18 @@ impl Replica {
 
     /// Roll tentatively executed batches back to the last stable checkpoint
     /// and re-execute the committed prefix (§2.1 tentative execution).
-    pub(crate) fn rollback_tentative(&mut self, res: &mut HandleResult) {
-        let has_tentative = self.log.iter().any(|(_, e)| e.executed && e.tentative);
+    pub(crate) fn rollback_tentative(&mut self, now_ns: u64, res: &mut HandleResult) {
+        // A slot a later view superseded is no longer marked, but what it
+        // executed has not committed: the watermark says so.
+        let has_tentative = self.committed_upto < self.last_executed;
+        debug_assert!(
+            has_tentative || !self.log.iter().any(|(_, e)| e.executed && e.tentative),
+            "the commit watermark passed a tentative batch"
+        );
         if !has_tentative {
             return;
         }
-        self.finish_checkpoint(res);
+        self.finish_checkpoint(now_ns, res);
         let base = self.stable.0;
         let Some((snap, chain)) = self.checkpoints.get(&base).cloned() else {
             return; // no snapshot to roll back to (cannot happen: we retain stable)
@@ -228,6 +234,7 @@ impl Replica {
         self.exec_chain = chain;
         let old_last = self.last_executed;
         self.last_executed = base;
+        self.committed_upto = base;
         // Re-execute the committed prefix; stop at the first non-committed
         // batch (it will be re-agreed in the new view).
         for seq in base + 1..=old_last {
@@ -249,7 +256,7 @@ impl Replica {
             // unable to vote for it — and a group where every member did
             // (view-change churn) could never stabilize the boundary, never
             // advance the low watermark, and wedged at the high watermark.
-            self.maybe_checkpoint(seq, res);
+            self.maybe_checkpoint(seq, now_ns, res);
         }
         // Anything beyond the committed prefix is no longer executed.
         let last = self.last_executed;
@@ -259,10 +266,9 @@ impl Replica {
                 e.tentative = false;
             }
         }
-        // The state is back on the committed prefix: no tentative effect
-        // survives, so every contention-gated read can be answered.
-        self.tentative_effects.clear();
-        self.flush_deferred_reads(0, res);
+        // The state is back on the committed prefix: a held reply may carry
+        // a write that is gone.
+        self.reserve_reads(now_ns, res);
     }
 
     pub(crate) fn on_new_view_timeout(&mut self, now_ns: u64, res: &mut HandleResult) {

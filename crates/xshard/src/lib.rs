@@ -13,11 +13,9 @@
 //!   ordinary ordered operations.
 //!
 //! The consensus crate orders opaque operations and never parses that
-//! framing. The one thing a replica needs to know about an operation before
-//! it commits — which keys it writes, for the read-only contention gate —
-//! it asks through [`pbft_core::App::declared_effects`], which the wrapper
-//! answers from the frame. The wrapper's tables live in the section
-//! `pbft_core` reserves for an application wrapper
+//! framing: a replica holds every read's reply until the batches it
+//! observed commit, whatever the read touches. The wrapper's tables live in
+//! the section `pbft_core` reserves for an application wrapper
 //! ([`pbft_core::replica::APP_WRAPPER_PAGES`]).
 
 #![forbid(unsafe_code)]

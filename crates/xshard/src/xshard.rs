@@ -117,7 +117,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use pbft_state::{BlobCell, Section, SlotRing, PAGE_SIZE};
 
 use crate::routing::{RouteError, ShardMap};
-use pbft_core::app::{App, Effects, ExecMetrics, NonDet, StateHandle};
+use pbft_core::app::{App, ExecMetrics, NonDet, StateHandle};
 use pbft_core::session::SessionCtx;
 use pbft_core::types::ClientId;
 use pbft_core::wire::{Dec, Enc, WireError};
@@ -1601,18 +1601,6 @@ impl App for XShardApp {
         }
     }
 
-    /// The frame is the declaration: a `KeyedOp` writes its keys, every
-    /// other frame (epoch flip, range install, 2PC traffic) touches the
-    /// protocol tables, and an unframed operation passes through to an
-    /// inner app that declares nothing.
-    fn declared_effects(&self, op: &[u8]) -> Effects {
-        match XMsg::decode(op) {
-            Some(XMsg::KeyedOp { keys, .. }) => Effects::Keys(keys),
-            Some(_) => Effects::Admin,
-            None => Effects::None,
-        }
-    }
-
     fn make_nondet(&mut self, now_ns: u64, random: u64) -> NonDet {
         self.inner.make_nondet(now_ns, random)
     }
@@ -1753,34 +1741,6 @@ mod tests {
         for msg in every_msg() {
             assert_eq!(XMsg::decode(&msg.encode()), Some(msg));
         }
-    }
-
-    #[test]
-    fn declared_effects_come_from_the_frame_alone() {
-        let app = null_xapp();
-        for msg in every_msg() {
-            let expect = match &msg {
-                XMsg::KeyedOp { keys, .. } => Effects::Keys(keys.clone()),
-                _ => Effects::Admin,
-            };
-            assert_eq!(app.declared_effects(&msg.encode()), expect, "{msg:?}");
-        }
-        // Not a frame: a plain inner-app op, and a frame cut short.
-        assert_eq!(app.declared_effects(&KvApp::op_put(1, 2)), Effects::None);
-        let frame = XMsg::KeyedOp {
-            txid: 1,
-            keys: vec![b"k".to_vec()],
-            op: KvApp::op_get(1),
-        }
-        .encode();
-        assert_eq!(
-            app.declared_effects(&frame[..frame.len() - 1]),
-            Effects::None
-        );
-        // An app mounted without the wrapper does not speak the format, so
-        // the replica applies none of it.
-        let bare = KvApp::new(test_state(), 6 * PAGE, 64);
-        assert_eq!(bare.declared_effects(&frame), Effects::None);
     }
 
     #[test]
