@@ -421,10 +421,9 @@ impl Replica {
         }
         self.advance_committed();
         self.try_execute(now_ns, res);
-        // A commit may clear the tentative hole that deferred an interval
-        // boundary's checkpoint; retry every pending boundary.
-        self.try_pending_checkpoints(now_ns, res);
-        // The watermark may have reached reads held behind this batch.
+        // The watermark may have reached checkpoints and reads held behind
+        // this batch.
+        self.publish_checkpoints(now_ns, res);
         self.release_reads(res);
     }
 
@@ -441,17 +440,6 @@ impl Replica {
             w += 1;
         }
         self.committed_upto = w;
-    }
-
-    /// Take any interval-boundary checkpoints that became eligible (all
-    /// batches up to the boundary committed and executed).
-    pub(crate) fn try_pending_checkpoints(&mut self, now_ns: u64, res: &mut HandleResult) {
-        let interval = self.cfg.checkpoint_interval;
-        let mut b = (self.stable.0 / interval + 1) * interval;
-        while b <= self.last_executed {
-            self.maybe_checkpoint(b, now_ns, res);
-            b += interval;
-        }
     }
 
     /// Execute every ready batch in sequence order. A batch is ready when it
@@ -752,36 +740,21 @@ impl Replica {
     // Checkpoints (§2.1)
     // ------------------------------------------------------------------
 
-    /// Seal a checkpoint when `seq` is an interval boundary and its batch is
-    /// committed and executed: the state region sets the interval aside,
-    /// and its root is finished by this call's step and the next batches'
-    /// ([`Replica::step_checkpoint`]).
+    /// Seal a checkpoint when `seq` is an interval boundary: its batch has
+    /// just executed, committed or not, so the state region is the
+    /// boundary's image. The region sets the interval aside; its root is
+    /// finished by this call's step and the next batches'
+    /// ([`Replica::step_checkpoint`]), and published once the boundary
+    /// commits ([`Replica::publish_checkpoints`]).
     pub(crate) fn maybe_checkpoint(&mut self, seq: SeqNum, now_ns: u64, res: &mut HandleResult) {
         if !seq.is_multiple_of(self.cfg.checkpoint_interval) {
             return;
         }
-        if self.checkpoints.contains_key(&seq) || self.sealed.is_some_and(|(s, _)| s == seq) {
-            return;
-        }
-        let ready = self
-            .log
-            .get(seq)
-            .map(|e| e.executed && e.committed)
-            .unwrap_or(false);
-        if !ready || self.last_executed < seq {
-            return;
-        }
-        // All batches up to seq must be committed-executed (no tentative
-        // holes below the checkpoint).
-        let tentative_below = self
-            .log
-            .range(..=seq)
-            .any(|(_, e)| e.executed && e.tentative);
-        if tentative_below {
+        if self.checkpoints.contains_key(&seq) || self.unpublished.contains_key(&seq) {
             return;
         }
         // A root still unfinished a whole interval later is finished first:
-        // checkpoints are recorded in order.
+        // the region holds one sealed interval at a time.
         self.finish_checkpoint(now_ns, res);
         self.state.borrow_mut().seal(seq);
         self.sealed = Some((seq, self.exec_chain));
@@ -789,9 +762,8 @@ impl Replica {
     }
 
     /// Spend `pages` page hashes' worth of work on the sealed checkpoint's
-    /// root. The step that finishes it records the checkpoint with the
-    /// execution chain sealed beside it, votes for it and tries to
-    /// stabilise it, as taking the checkpoint whole at the boundary did.
+    /// root. The step that finishes it sets the checkpoint, with the
+    /// execution chain sealed beside it, aside for publication.
     pub(crate) fn step_checkpoint(&mut self, pages: usize, now_ns: u64, res: &mut HandleResult) {
         let Some((seq, chain)) = self.sealed else {
             return;
@@ -817,28 +789,42 @@ impl Replica {
         self.sealed = None;
         self.peer_behind = false;
         self.metrics.checkpoints_taken += 1;
-        if seq < self.stable.0 {
-            return; // the group moved past it while it was being finished
-        }
-        let root = snap.root;
-        self.checkpoints.insert(seq, (snap, chain));
-        let me = self.id();
-        let msg = CheckpointMsg {
-            seq,
-            root,
-            replica: me,
-        };
-        self.multicast(Message::Checkpoint(msg), res);
-        if seq == self.stable.0 {
-            // The others' votes stabilised the boundary while this root was
-            // being finished: hold it against their certificate now.
-            if root != self.stable.1 {
-                self.start_state_transfer(seq, self.stable.1, now_ns, res);
+        self.unpublished.insert(seq, (snap, chain));
+        self.publish_checkpoints(now_ns, res);
+    }
+
+    /// Record, vote for and try to stabilise every finished checkpoint the
+    /// commit watermark has reached. Above it, the image may hold a batch
+    /// that never commits.
+    pub(crate) fn publish_checkpoints(&mut self, now_ns: u64, res: &mut HandleResult) {
+        while let Some(entry) = self.unpublished.first_entry() {
+            if *entry.key() > self.committed_upto {
+                return;
             }
-            return;
+            let (seq, (snap, chain)) = entry.remove_entry();
+            if seq < self.stable.0 {
+                continue; // the group moved past it while it was being finished
+            }
+            let root = snap.root;
+            self.checkpoints.insert(seq, (snap, chain));
+            let me = self.id();
+            let msg = CheckpointMsg {
+                seq,
+                root,
+                replica: me,
+            };
+            self.multicast(Message::Checkpoint(msg), res);
+            if seq == self.stable.0 {
+                // The others' votes stabilised the boundary first: hold it
+                // against their certificate now.
+                if root != self.stable.1 {
+                    self.start_state_transfer(seq, self.stable.1, now_ns, res);
+                }
+                continue;
+            }
+            self.ckpt_votes.entry((seq, root)).or_default().insert(me);
+            self.maybe_stabilize(seq, root, now_ns, res);
         }
-        self.ckpt_votes.entry((seq, root)).or_default().insert(me);
-        self.maybe_stabilize(seq, root, now_ns, res);
     }
 
     /// Finish the sealed checkpoint's root in this call, before anything
@@ -878,6 +864,7 @@ impl Replica {
         self.ckpt_votes.retain(|&(s, _), _| s > seq);
         self.checkpoints.retain(|&s, _| s >= seq);
         self.advance_committed();
+        self.publish_checkpoints(now_ns, res);
         self.release_reads(res);
         // Divergence / lag detection: if we have not executed up to `seq`
         // (wedged on a missing body §2.4, restarted §2.3, or plain lagging),

@@ -328,6 +328,10 @@ pub struct Replica {
     /// The boundary sealed in the state region whose root is still being
     /// finished, and the execution chain at it.
     pub(crate) sealed: Option<(SeqNum, Digest)>,
+    /// Checkpoints whose root is finished and whose boundary is above the
+    /// commit watermark: recorded and voted for once it reaches them, and
+    /// dropped by a rollback or a transfer.
+    pub(crate) unpublished: BTreeMap<SeqNum, (Snapshot, Digest)>,
     /// `last_executed` at the previous status tick.
     pub(crate) ticked_executed: SeqNum,
     /// A peer's status reported it executing below this replica's stable
@@ -454,6 +458,7 @@ impl Replica {
             clients: FoldMap::with_hasher(hash_state),
             checkpoints: BTreeMap::new(),
             sealed: None,
+            unpublished: BTreeMap::new(),
             ticked_executed: 0,
             peer_behind: false,
             ckpt_votes: BTreeMap::new(),

@@ -399,6 +399,9 @@ impl Replica {
         self.ckpt_votes.retain(|&(s, _), _| s > seq);
         let snap = self.state.borrow().snapshot(seq);
         self.checkpoints.retain(|&s, _| s >= seq);
+        // Roots finished above the watermark image the state the transfer
+        // replaced (the transfer's start finished the sealed one).
+        self.unpublished.clear();
         // The execution chain is only meaningful for locally executed
         // history; mark the discontinuity with the checkpoint root.
         self.checkpoints.insert(seq, (snap, root));

@@ -170,6 +170,18 @@ impl Net {
         panic!("pump did not quiesce within the step budget");
     }
 
+    /// Deliver `packets` now, past the drop and hold filters.
+    fn deliver(&mut self, packets: VecDeque<(Source, NetTarget, crate::output::PacketBuf, u8)>) {
+        for (_, to, packet, _) in packets {
+            let NetTarget::Replica(r) = to else {
+                unreachable!("delivered to a replica")
+            };
+            let i = r.0 as usize;
+            let res = self.replicas[i].handle_packet(&packet, self.now);
+            self.route(Source::Replica(i), res.outputs);
+        }
+    }
+
     /// Stop holding and deliver every parked packet.
     fn release_held(&mut self) {
         self.hold = None;
@@ -770,13 +782,7 @@ fn a_held_read_is_released_while_later_batches_are_tentative() {
         assert_eq!(r.last_executed(), 2, "slot 2 executed tentatively");
     }
     // Delivered past the hold, which keeps slot 2's.
-    for (_, to, packet, _) in slot1_commits {
-        let NetTarget::Replica(r) = to else {
-            unreachable!("commits go to replicas")
-        };
-        let res = net.replicas[r.0 as usize].handle_packet(&packet, net.now);
-        net.route(Source::Replica(r.0 as usize), res.outputs);
-    }
+    net.deliver(slot1_commits);
     net.pump(50_000);
     for r in &net.replicas {
         assert!(
@@ -960,6 +966,48 @@ fn checkpoints_garbage_collect_log_and_bodies() {
         );
         assert!(r.retained_checkpoints() <= 2);
         assert_eq!(r.body_store_len(), 0, "bodies pruned after GC");
+    }
+}
+
+/// A boundary's checkpoint images the state its batch left, whenever the
+/// batch commits: it is sealed when the batch executes and published when
+/// it commits. Boundary 4 and batch 5 execute tentatively, then 4 commits;
+/// the root and the chain recorded for 4 are those of a group that stopped
+/// at 4.
+#[test]
+fn a_boundary_that_commits_after_the_next_batch_ran_images_its_own_prefix() {
+    let put = |net: &mut Net, i: u64| {
+        net.submit(0, KvApp::op_put(i, 10 * i), false);
+        net.pump(10_000);
+        assert_eq!(net.completed(0), i, "put {i}");
+    };
+    let mut stopped = Net::new(default_cfg(), 1, AppKind::Kv);
+    for i in 1..=4 {
+        put(&mut stopped, i);
+    }
+    stopped.idle();
+    let want = stopped.replicas[0].stable_checkpoint();
+    assert_eq!(want.0, 4);
+    let chain = stopped.replicas[0].exec_chain();
+
+    let mut net = Net::new(default_cfg(), 1, AppKind::Kv);
+    for i in 1..=3 {
+        put(&mut net, i);
+    }
+    net.hold = Some(Box::new(|_, _, disc| disc == 4));
+    put(&mut net, 4);
+    let boundary_commits = std::mem::take(&mut net.held);
+    put(&mut net, 5);
+    for r in &net.replicas {
+        assert_eq!(r.last_executed(), 5, "4 and 5 executed tentatively");
+    }
+    net.deliver(boundary_commits);
+    net.pump(50_000);
+    net.idle();
+    for (i, r) in net.replicas.iter().enumerate() {
+        assert!(r.log.get(5).is_some_and(|e| !e.committed), "5 is tentative");
+        assert_eq!(r.stable_checkpoint(), want, "replica {i}: root of 4");
+        assert_eq!(r.checkpoints[&4].1, chain, "replica {i}: chain at 4");
     }
 }
 

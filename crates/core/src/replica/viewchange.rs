@@ -218,7 +218,10 @@ impl Replica {
         if !has_tentative {
             return;
         }
+        // A root sealed above the watermark images batches being undone:
+        // it is finished (the region's tree needs its work) and dropped.
         self.finish_checkpoint(now_ns, res);
+        self.unpublished.clear();
         let base = self.stable.0;
         let Some((snap, chain)) = self.checkpoints.get(&base).cloned() else {
             return; // no snapshot to roll back to (cannot happen: we retain stable)

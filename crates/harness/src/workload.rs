@@ -230,8 +230,8 @@ fn null_stream(size: usize, read_only: bool) -> OpGen {
 /// Keyed KV traffic with a read fraction: like [`keyed_kv_ops`], but each
 /// draw is a `get` of the drawn key with probability `read_pct`/100 and a
 /// `put` of a fresh value otherwise. Reads and writes contend for the same
-/// bounded key space, so replicas genuinely hit the dirty-key deferral
-/// path when the mix runs against an uncommitted tentative batch.
+/// bounded key space, so a read that arrives behind an uncommitted
+/// tentative batch has its reply held until that batch commits.
 pub fn keyed_kv_mix(key_space: u64, read_pct: u64, tag: u64) -> OpGen {
     assert!(read_pct <= 100, "read_pct is a percentage");
     Box::new(move |seq| {

@@ -6,8 +6,11 @@
 //! 1. **reads return committed values** — every completed keyed read
 //!    returns either the slot's initial (zero) image or the record of a
 //!    write that was actually submitted and committed; never a torn
-//!    record, never a fabricated value, and — thanks to the dirty-key
-//!    deferral gate — never a tentative write that could still roll back;
+//!    record, never a fabricated value, and — since a replica holds a
+//!    read's reply until the batches it observed commit — never a
+//!    tentative write that could still roll back. Operations go framed
+//!    (`XMsg::KeyedOp`, through the cross-shard wrapper) or as plain
+//!    `KvApp` operations: the replica's rule does not look inside them;
 //! 2. **the read path agrees with the ordered path** — at quiescence, an
 //!    optimistic read of every key returns byte-for-byte what an ordered
 //!    (agreed) execution of the same `get` returns;
@@ -105,8 +108,6 @@ fn reads_return_committed_values(engine: Engine, prop_name: &'static str) {
         spec.cfg.checkpoint_interval = 16;
         spec.cfg.fetch_missing_bodies = true;
         spec.app = AppKind::Kv { slots: KEYS };
-        spec.xshard = true; // mounts the KeyedOp wrapper (no shard identity)
-        let mut cluster = Cluster::build(spec);
 
         // Draw a fault schedule: at most one degraded member at a time.
         let mut sched = Schedule::default();
@@ -128,6 +129,18 @@ fn reads_return_committed_values(engine: Engine, prop_name: &'static str) {
                 sched.isolate = Some((13 + g.u64_in(0..3), 6));
             }
         }
+        // Framed operations mount the KeyedOp wrapper (no shard identity);
+        // unframed ones reach a bare KvApp.
+        let framed = g.bool();
+        spec.xshard = framed;
+        let frame = |txid: u64, key: u64, op: Vec<u8>| {
+            if framed {
+                keyed(txid, key, op)
+            } else {
+                op
+            }
+        };
+        let mut cluster = Cluster::build(spec);
 
         let mut allowed: HashMap<u64, HashSet<u64>> = HashMap::new();
         // Per-client FIFO of submitted ops (clients complete in order):
@@ -163,10 +176,10 @@ fn reads_return_committed_values(engine: Engine, prop_name: &'static str) {
                 if c < WRITERS {
                     let val = round * 100 + c as u64 + 1;
                     allowed.entry(key).or_default().insert(val);
-                    cluster.client_submit(c, keyed(txid, key, KvApp::op_put(key, val)), false);
+                    cluster.client_submit(c, frame(txid, key, KvApp::op_put(key, val)), false);
                     queue.push_back(None);
                 } else {
-                    cluster.client_submit(c, keyed(txid, key, KvApp::op_get(key)), true);
+                    cluster.client_submit(c, frame(txid, key, KvApp::op_get(key)), true);
                     queue.push_back(Some(key));
                 }
             }
@@ -203,12 +216,12 @@ fn reads_return_committed_values(engine: Engine, prop_name: &'static str) {
         // ordered execution of the same get, byte for byte.
         for key in 0..KEYS {
             txid += 1;
-            let ordered = await_one(&mut cluster, 0, keyed(txid, key, KvApp::op_get(key)), false);
+            let ordered = await_one(&mut cluster, 0, frame(txid, key, KvApp::op_get(key)), false);
             txid += 1;
-            let fast = await_one(&mut cluster, 1, keyed(txid, key, KvApp::op_get(key)), true);
+            let fast = await_one(&mut cluster, 1, frame(txid, key, KvApp::op_get(key)), true);
             assert_eq!(
                 ordered, fast,
-                "read path diverged from the ordered path on key {key} (seed={seed})"
+                "read path diverged from the ordered path on key {key} (seed={seed}, framed={framed})"
             );
             check_read(key, &fast, &allowed, seed);
         }

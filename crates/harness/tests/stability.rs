@@ -133,3 +133,61 @@ fn a_restarted_replica_verifies_members_and_leads_after_failover() {
         "no progress after the failover"
     );
 }
+
+/// In the robust SQL run every interval boundary stabilises in turn, with
+/// one root on every replica: none is skipped for a later one, and no
+/// replica transfers state to match the group. A checkpoint sealed when its
+/// boundary *committed* imaged the batches executed tentatively after it,
+/// so replicas that had run different numbers of them recorded different
+/// roots for one boundary, and only the boundaries reached at the high
+/// watermark (where nothing runs ahead) stabilised.
+#[test]
+fn every_boundary_stabilises_with_one_root() {
+    let spec = ClusterSpec {
+        cfg: robust_cfg(),
+        app: AppKind::Sql {
+            journal: JournalMode::Rollback,
+        },
+        num_clients: 12,
+        seed: 2000,
+        ..Default::default()
+    };
+    let (interval, high) = (spec.cfg.checkpoint_interval, spec.cfg.log_size);
+    let mut cluster = Cluster::build(spec);
+    cluster.start_workload(|i| sql_insert_ops(i as u64));
+    // Per replica: each stable checkpoint it adopted, with its executed
+    // position at the first millisecond it showed.
+    let mut adopted: Vec<Vec<(u64, pbft_crypto::Digest, u64)>> = vec![Vec::new(); 4];
+    for _ in 0..3_000 {
+        cluster.run_for(SimDuration::from_millis(1));
+        for (r, seen) in adopted.iter_mut().enumerate() {
+            let replica = cluster.replica(r).expect("alive");
+            let (seq, root) = replica.stable_checkpoint();
+            if seen.last().map_or(0, |s| s.0) < seq {
+                seen.push((seq, root, replica.last_executed()));
+            }
+        }
+    }
+    let boundaries: Vec<u64> = adopted[0].iter().map(|s| s.0).collect();
+    assert!(boundaries.len() >= 3, "stable checkpoints: {boundaries:?}");
+    assert_eq!(
+        boundaries,
+        (1..=boundaries.len() as u64)
+            .map(|k| k * interval)
+            .collect::<Vec<_>>(),
+        "a boundary never stabilised"
+    );
+    for (r, seen) in adopted.iter().enumerate() {
+        // The run may end between two replicas' adoptions of the last one.
+        let n = seen.len().min(adopted[0].len());
+        let roots =
+            |s: &[(u64, _, u64)]| s[..n].iter().map(|&(q, d, _)| (q, d)).collect::<Vec<_>>();
+        assert_eq!(roots(seen), roots(&adopted[0]), "replica {r}'s roots");
+        assert!(
+            seen[0].2 < high,
+            "replica {r} saw {interval} stable only at {} executed",
+            seen[0].2
+        );
+        assert_eq!(cluster.replica_metrics(r).state_transfers_started, 0);
+    }
+}

@@ -2487,7 +2487,7 @@ mod tests {
             keys: vec![moved.clone()],
             op: vec![1],
         };
-        // A keyed read is what the replica's contention gate releases once
+        // A keyed read behind the uncommitted flip has its reply held until
         // the flip commits: the rejection it then gets carries that map.
         for read_only in [false, true] {
             let (r, _) = app.execute(ClientId(1), &keyed.encode(), &nd(), read_only);
