@@ -16,11 +16,11 @@ use bench::obj;
 use harness::byzantine::{build_faulty_cluster, Fault};
 use harness::cluster::{AppKind, Cluster, ClusterSpec};
 use harness::experiments::{
-    config, null_spec, null_throughput, table1_configs, throughput_inspected, NUM_CLIENTS,
-    TABLE1_PAPER_TPS, WARMUP, WINDOW,
+    config, null_spec, table1_configs, throughput_inspected, NUM_CLIENTS, TABLE1_PAPER_TPS, WARMUP,
+    WINDOW,
 };
 use harness::firewall::build_firewalled_cluster;
-use harness::workload::{null_ops, sql_insert_ops};
+use harness::workload::{null_ops, sql_insert_ops, OpGen};
 use harness::Stats;
 use minisql::JournalMode;
 use pbft_core::config::NonDetPolicy;
@@ -175,7 +175,7 @@ fn fig4_cells() -> Vec<Cell> {
             cells.push(cell(format!("fig4/{size}/{name}"), move || {
                 let paper = (size == 1024).then_some(TABLE1_PAPER_TPS[i]);
                 let row = obj! {"config": name.as_str()};
-                tps_cell(row, null_throughput(&cfg, size, 1), paper).with("size", size)
+                tps_cell(row, null_tps(&cfg, size, 1), paper).with("size", size)
             }));
         }
     }
@@ -247,28 +247,39 @@ fn fig4(rows: Vec<Json>) -> Json {
 }
 
 /// SQL row-insert throughput of `cfg` under `journal` (seeds 2000 + trial).
-/// Run as a cell alone, it prints each trial's mean batch and, with
-/// `--trace`, writes each trial's message trace.
 fn sql_tps(cfg: &PbftConfig, journal: JournalMode, trials: usize) -> Stats {
-    let alone = ALONE.get();
     let spec = ClusterSpec {
         cfg: cfg.clone(),
         app: AppKind::Sql { journal },
         num_clients: NUM_CLIENTS,
         seed: 2000,
-        trace: alone.is_some_and(|(_, trace)| *trace),
         ..Default::default()
     };
-    throughput_inspected(
-        &spec,
-        trials,
-        |i| sql_insert_ops(i as u64),
-        |t, cluster| {
-            if let Some((id, trace)) = alone {
-                report_trial(id, *trace, t, cluster);
-            }
-        },
-    )
+    cell_tps(spec, trials, |i| sql_insert_ops(i as u64))
+}
+
+/// Null-operation throughput of `cfg` with `size`-byte requests and
+/// replies (seeds 1000 + trial), as `harness::experiments::null_throughput`
+/// measures it.
+fn null_tps(cfg: &PbftConfig, size: usize, trials: usize) -> Stats {
+    let spec = null_spec(cfg.clone(), size, NUM_CLIENTS, 1000);
+    cell_tps(spec, trials, |_| null_ops(size))
+}
+
+/// Throughput of `spec` under `ops`. Run as a cell alone, it prints each
+/// trial's mean batch and, with `--trace`, writes each trial's message
+/// trace.
+fn cell_tps(spec: ClusterSpec, trials: usize, ops: impl Fn(usize) -> OpGen) -> Stats {
+    let alone = ALONE.get();
+    let spec = ClusterSpec {
+        trace: alone.is_some_and(|(_, trace)| *trace),
+        ..spec
+    };
+    throughput_inspected(&spec, trials, ops, |t, cluster| {
+        if let Some((id, trace)) = alone {
+            report_trial(id, *trace, t, cluster);
+        }
+    })
 }
 
 /// One trial of a cell run alone: its mean batch on replica 0 and, when
@@ -397,7 +408,7 @@ fn membership_cells() -> Vec<Cell> {
         .map(|(membership, dynamic, paper)| {
             cell(format!("membership/{membership}"), move || {
                 let cfg = config(dynamic, false, false, true);
-                let tps = null_throughput(&cfg, 1024, MEMBERSHIP_TRIALS);
+                let tps = null_tps(&cfg, 1024, MEMBERSHIP_TRIALS);
                 let row = obj! {"membership": membership, "config": cfg.table1_name()};
                 tps_cell(row, tps, Some(paper))
             })

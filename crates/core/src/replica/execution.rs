@@ -421,6 +421,13 @@ impl Replica {
         }
         self.advance_committed();
         self.try_execute(now_ns, res);
+        // A boundary that executed tentatively takes its own step when it
+        // commits, not in the call that executed it: that call carried the
+        // batch's tentative replies, which clients complete on.
+        let committed = self.committed_upto;
+        if was_tentative && self.sealed.is_some_and(|(b, _)| b == seq && b <= committed) {
+            self.step_checkpoint(CHECKPOINT_STEP_PAGES, now_ns, res);
+        }
         // The watermark may have reached checkpoints and reads held behind
         // this batch.
         self.publish_checkpoints(now_ns, res);
@@ -743,9 +750,10 @@ impl Replica {
     /// Seal a checkpoint when `seq` is an interval boundary: its batch has
     /// just executed, committed or not, so the state region is the
     /// boundary's image. The region sets the interval aside; its root is
-    /// finished by this call's step and the next batches'
-    /// ([`Replica::step_checkpoint`]), and published once the boundary
-    /// commits ([`Replica::publish_checkpoints`]).
+    /// finished by a step in the call that commits the boundary (this one,
+    /// if it has) and by the next batches' ([`Replica::step_checkpoint`]),
+    /// and published once the boundary commits
+    /// ([`Replica::publish_checkpoints`]).
     pub(crate) fn maybe_checkpoint(&mut self, seq: SeqNum, now_ns: u64, res: &mut HandleResult) {
         if !seq.is_multiple_of(self.cfg.checkpoint_interval) {
             return;
@@ -758,7 +766,9 @@ impl Replica {
         self.finish_checkpoint(now_ns, res);
         self.state.borrow_mut().seal(seq);
         self.sealed = Some((seq, self.exec_chain));
-        self.step_checkpoint(CHECKPOINT_STEP_PAGES, now_ns, res);
+        if self.committed_upto >= seq {
+            self.step_checkpoint(CHECKPOINT_STEP_PAGES, now_ns, res);
+        }
     }
 
     /// Spend `pages` page hashes' worth of work on the sealed checkpoint's

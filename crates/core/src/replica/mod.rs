@@ -137,9 +137,9 @@ pub struct ReplicaMetrics {
 pub(crate) struct HeldRead {
     /// `last_executed` when the read executed: the batches its reply
     /// observed.
-    pub(crate) seen: SeqNum,
-    pub(crate) req: RequestMsg,
-    pub(crate) reply: ReplyMsg,
+    seen: SeqNum,
+    req: RequestMsg,
+    reply: ReplyMsg,
 }
 
 /// An in-progress state transfer. What is still unanswered is the
@@ -987,7 +987,7 @@ impl Replica {
     /// The state the held replies observed was rewound (a rollback or a
     /// transfer): drop them, and execute their reads again against the
     /// restored state.
-    pub(crate) fn reserve_reads(&mut self, now_ns: u64, res: &mut HandleResult) {
+    pub(crate) fn reexecute_held_reads(&mut self, now_ns: u64, res: &mut HandleResult) {
         for h in std::mem::take(&mut self.deferred_reads) {
             if !self.read_superseded(&h.req) {
                 self.serve_read_only(h.req, now_ns, res);

@@ -410,7 +410,7 @@ impl Replica {
         self.recovering = false;
         // The installed checkpoint replaced the state the held replies
         // observed.
-        self.reserve_reads(now_ns, res);
+        self.reexecute_held_reads(now_ns, res);
         res.outputs.push(Output::CancelTimer {
             kind: TimerKind::FetchRetry,
         });

@@ -860,6 +860,50 @@ fn a_rolled_back_write_never_reaches_a_held_read() {
     assert_eq!(net.last_reply(1).expect("read completed"), vec![0; 16]);
 }
 
+/// A rollback drops a checkpoint sealed above the commit watermark. With
+/// a checkpoint at every batch, only replica 3 prepares slot 1 and seals
+/// it (a put of 55); the new view is built without its vote, and the new
+/// primary, which never saw that request, orders another put (77) in the
+/// same slot. Had replica 3 kept its unpublished root, it would vote for
+/// the rolled-back image once slot 1 commits, and then transfer state to
+/// the group's root.
+#[test]
+fn a_rollback_drops_the_checkpoint_sealed_above_the_watermark() {
+    let cfg = PbftConfig {
+        checkpoint_interval: 1,
+        ..default_cfg()
+    };
+    let mut net = Net::new(cfg, 2, AppKind::Kv);
+    let lone = NetTarget::Replica(ReplicaId(3));
+    let new_primary = NetTarget::Replica(ReplicaId(1));
+    net.drop = Some(Box::new(move |src, to, disc| {
+        disc == 4
+            || (disc == 3 && *to != lone)
+            || (disc == 1 && src == Source::Client(0) && *to == new_primary)
+    }));
+    net.submit(0, KvApp::op_put(5, 55), false);
+    net.pump(50_000);
+    assert_eq!(net.replicas[3].last_executed(), 1, "replica 3 ran slot 1");
+    net.drop = Some(Box::new(|src, _, disc| {
+        disc == 7 && src == Source::Replica(3)
+    }));
+    for i in 0..3 {
+        net.fire_replica_timer(i, crate::output::TimerKind::ViewChange);
+    }
+    net.pump(100_000);
+    net.drop = None;
+    net.submit(1, KvApp::op_put(5, 77), false);
+    net.pump(100_000);
+    net.idle();
+    assert_eq!(net.completed(1), 1);
+    for (i, r) in net.replicas.iter().enumerate() {
+        assert_eq!(r.view(), 1, "replica {i}");
+        assert!(r.stable_checkpoint().0 >= 1, "replica {i}");
+        assert_eq!(r.metrics().state_transfers_started, 0, "replica {i}");
+    }
+    net.assert_states_equal(&[0, 1, 2, 3]);
+}
+
 /// An uncommitted write holds every read behind it, keyed or not: the
 /// cross-shard layer's epoch flip is the motivating case — an uncommitted
 /// reconfiguration names no key a read names, and a view change may still

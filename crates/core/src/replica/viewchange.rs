@@ -271,7 +271,7 @@ impl Replica {
         }
         // The state is back on the committed prefix: a held reply may carry
         // a write that is gone.
-        self.reserve_reads(now_ns, res);
+        self.reexecute_held_reads(now_ns, res);
     }
 
     pub(crate) fn on_new_view_timeout(&mut self, now_ns: u64, res: &mut HandleResult) {
