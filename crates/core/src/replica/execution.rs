@@ -634,9 +634,7 @@ impl Replica {
         e.executed = true;
         e.tentative = !committed;
         self.last_executed = seq;
-        if committed {
-            self.advance_committed();
-        }
+        self.advance_committed();
     }
 
     fn execute_one(

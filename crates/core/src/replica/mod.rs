@@ -277,9 +277,10 @@ const SETTLE_PAGES_PER_BATCH: usize = 4;
 /// boundary — reached by every replica of the group in the same instant —
 /// costs one step instead of the root: one page hash, what one early hash
 /// costs, which [`SETTLE_PAGES_PER_BATCH`] already lets a batch pay four
-/// times over. Every replica takes a step at the boundary (a root with
-/// nothing to hash or fold, as on the null workloads, is finished by it),
-/// then the replicas step in turn, one per executed batch. On the §4.2
+/// times over. Every replica takes a step when the boundary commits (a
+/// root with nothing to hash or fold, as on the null workloads, is
+/// finished by it), then the replicas step in turn, one per executed
+/// batch. On the §4.2
 /// INSERT workload a root is the pages the boundary batch wrote and a fold
 /// over the interval's ≈ 30 leaves, 142–144 fold units in all (≈ 4.5 page
 /// hashes; `checkpoint_stall` reads them): 5 steps, finished ≈ 5n batches

@@ -248,8 +248,8 @@ fn splits_racing_2pc_stay_atomic_linear() {
 
 /// Property 4 (read-under-split): a keyed read/write *mix* runs straight
 /// through a live split, so optimistic reads race the epoch flip itself —
-/// some land on the source while the `Reshard` is uncommitted (the
-/// dirty-epoch deferral window), some right after it commits. Afterwards
+/// some land on the source while the `Reshard` is uncommitted (their
+/// replies held until it commits), some right after it commits. Afterwards
 /// the read path must honor the installed epoch exactly like the ordered
 /// path: the source group answers reads for moved keys with `WrongEpoch`
 /// carrying the post-split map — never frozen pre-migration state — and

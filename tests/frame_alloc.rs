@@ -1,8 +1,9 @@
 //! A hostile application frame allocates O(its own length).
 //!
 //! Replies and operations are decoded before anything vouches for them: a
-//! client decodes every replica's reply to match a quorum, and a replica
-//! decodes an operation body to declare its effects. So no count or length
+//! client decodes every replica's reply to match a quorum, and a replica's
+//! application decodes an operation body when it executes it, before its
+//! batch commits. So no count or length
 //! in a frame may make its decoder reserve more than the bytes it arrived
 //! with can hold. Under an allocator that records the largest single
 //! request of the test thread, each decode here must stay within
