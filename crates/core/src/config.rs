@@ -81,7 +81,7 @@ pub struct PbftConfig {
     /// big threshold to 0, "resulting in all requests treated as big").
     pub all_requests_big: bool,
     /// Request batching (Table 1 `batch` axis). When off, every request gets
-    /// its own agreement and the congestion window is forced to 1 (see
+    /// its own agreement and the congestion window is 1 (see
     /// [`PbftConfig::effective_window`]).
     pub batching: bool,
     /// Take a checkpoint every this many sequence numbers.
@@ -133,19 +133,18 @@ impl Default for PbftConfig {
 /// Maximum requests folded into one pre-prepare.
 pub(crate) const MAX_BATCH: usize = 64;
 
-/// Congestion window / pipeline depth k: maximum *agreements*
-/// (pre-prepared batches) not yet executed before the primary postpones
-/// further pre-prepares, "giving itself time to catch up on request
-/// execution" and then including "as many outstanding request messages
-/// as possible" in one pre-prepare (§2.1). With k > 1 the primary (and
-/// the linear leader) keeps k pre-prepares in flight across the
-/// sequence window — windowed pipelining: a new batch is issued while
-/// its predecessors are still in the prepare/commit phases, and
-/// backpressure comes from the log watermarks plus this cap. A view
-/// change re-issues the whole in-flight window (the new-view `O` set
-/// spans every pre-prepared sequence). Small values force aggregation
-/// under load; 1 serializes agreements entirely (what batching off
-/// forces, see [`PbftConfig::effective_window`]).
+/// Congestion window / pipeline depth k when pre-prepares carry request
+/// bodies inline: up to this many agreements (pre-prepared batches) not
+/// yet executed before the primary postpones further pre-prepares. With
+/// k > 1 the primary (and the linear leader) keeps several pre-prepares in
+/// flight across the sequence window — a new batch is issued while its
+/// predecessors are still in the prepare/commit phases, and backpressure
+/// comes from the log watermarks plus this cap. A view change re-issues
+/// the whole in-flight window (the new-view `O` set spans every
+/// pre-prepared sequence). Inline bodies make every waiting request grow
+/// the next pre-prepare toward MTU fragmentation, so issuing early pays
+/// there; with digests in the pre-prepare the window is 1 (see
+/// [`PbftConfig::effective_window`]).
 const CONGESTION_WINDOW: u64 = 8;
 
 /// Size threshold for big-request handling when
@@ -190,10 +189,15 @@ impl PbftConfig {
         }
     }
 
-    /// Effective congestion window (1 when batching is disabled — without
-    /// batching the library serializes agreements).
+    /// Effective congestion window: agreements in flight before the primary
+    /// postpones. 1 unless batching carries request bodies inline — the
+    /// 2012 library's rule (§2.1): without batching agreements are
+    /// serialized, and with digests in the pre-prepare the primary holds
+    /// back while one batch is in flight and then puts everything pending
+    /// in the next. Only inline bodies pipeline, `CONGESTION_WINDOW` (8)
+    /// deep.
     pub fn effective_window(&self) -> u64 {
-        if self.batching {
+        if self.batching && !self.all_requests_big {
             CONGESTION_WINDOW
         } else {
             1
@@ -273,18 +277,28 @@ mod tests {
     }
 
     #[test]
-    fn batching_off_forces_window_one() {
-        let cfg = PbftConfig {
+    fn only_inline_bodies_pipeline() {
+        let off = PbftConfig {
             batching: false,
             ..Default::default()
         };
-        assert_eq!(cfg.effective_window(), 1);
-        assert_eq!(cfg.effective_max_batch(), 1);
-        // The default pipelines: several agreements in flight at once.
-        let on = PbftConfig::default();
-        assert_eq!(on.effective_window(), 8);
-        assert!(on.effective_window() > 1, "default must pipeline");
-        assert_eq!(on.effective_max_batch(), 64);
+        assert_eq!(off.effective_window(), 1);
+        assert_eq!(off.effective_max_batch(), 1);
+        // Digests in the pre-prepare: one batch in flight, and the next
+        // takes everything pending.
+        let digests = PbftConfig::default();
+        assert_eq!(digests.effective_window(), 1);
+        assert_eq!(digests.effective_max_batch(), 64);
+        let inline = PbftConfig {
+            all_requests_big: false,
+            ..Default::default()
+        };
+        assert_eq!(inline.effective_window(), 8);
+        let inline_off = PbftConfig {
+            batching: false,
+            ..inline
+        };
+        assert_eq!(inline_off.effective_window(), 1);
     }
 
     #[test]

@@ -19,25 +19,6 @@ use super::{
     SETTLE_PAGES_PER_BATCH,
 };
 
-/// Pipelined batch formation: while at least one batch is already in
-/// flight, the primary holds a pre-prepare back until this many requests
-/// are pending (or the [`BATCH_GATHER_NS`] deadline passes). The pipeline
-/// already hides agreement latency for the in-flight batches, so gathering
-/// costs nothing at the tail while keeping batches large — without the
-/// gate, a deep window shreds a burst of arrivals into width-1 batches and
-/// the per-batch protocol cost stops amortizing. With 12 closed-loop
-/// clients the group settles into a double-buffered width-6 cadence; this
-/// and the deadline are the tuned operating point behind the committed
-/// `BENCH_*.json` artifacts — retune, don't drift.
-const PIPELINE_MIN_BATCH: usize = 6;
-// A threshold above the batch limit could never be met by a single batch.
-const _: () = assert!(PIPELINE_MIN_BATCH <= crate::config::MAX_BATCH);
-
-/// Deadline bounding the [`PIPELINE_MIN_BATCH`] gather wait, in
-/// nanoseconds: a trickle of requests below the gate threshold is issued at
-/// the latest this long after gathering began.
-const BATCH_GATHER_NS: u64 = 600_000;
-
 /// Primary issuance quantum when batching is off, in nanoseconds. Without
 /// batching the original library issues pre-prepares from its event-loop
 /// tick rather than inline with request arrival; this quantum is what
@@ -59,38 +40,21 @@ impl Replica {
             .count() as u64
     }
 
-    /// Primary: issue pre-prepares while the congestion window allows.
+    /// Primary: issue pre-prepares while the congestion window allows, each
+    /// with everything pending up to the batch limit (§2.1: the primary
+    /// postpones while its window is full, then includes "as many
+    /// outstanding request messages as possible"). Nothing polls: execution
+    /// frees window room and a stable checkpoint moves the high watermark,
+    /// and both call back here.
     pub(crate) fn try_issue(&mut self, now_ns: u64, res: &mut HandleResult) {
         if !self.is_primary() {
             return;
         }
         let window = self.cfg.effective_window();
         let max_batch = self.cfg.effective_max_batch();
-        loop {
-            if self.pending.is_empty() {
-                return;
-            }
-            let in_flight = self.requests_in_flight();
-            if in_flight >= window {
-                // Postpone: give ourselves time to catch up on execution
-                // (§2.1); re-examine shortly even if no event intervenes.
-                res.outputs.push(Output::SetTimer {
-                    kind: TimerKind::BatchKick,
-                    delay_ns: 1_000_000,
-                });
-                return;
-            }
+        while !self.pending.is_empty() && self.requests_in_flight() < window {
             let seq = self.seq_assign + 1;
             if !self.log.in_watermarks(seq) {
-                // Wait for a checkpoint to advance the window. Nothing else
-                // is guaranteed to call back into `try_issue` once the low
-                // watermark moves (the clients are all blocked on us), so
-                // poll — otherwise the primary wedges at the high watermark
-                // until a backup's view-change timer "recovers" it.
-                res.outputs.push(Output::SetTimer {
-                    kind: TimerKind::BatchKick,
-                    delay_ns: 1_000_000,
-                });
                 return;
             }
             let since = now_ns.saturating_sub(self.last_issue_ns);
@@ -101,45 +65,7 @@ impl Replica {
                 });
                 return;
             }
-            // Pipelined batch formation: while the pipeline is busy a thin
-            // batch gains nothing from issuing now (its agreement latency
-            // hides behind the in-flight batches), so hold it back and keep
-            // gathering — bounded by a deadline so a trickle of requests is
-            // never starved. "Busy" means a batch is in flight — or, when
-            // the last batch filled to the gate (the saturation signal),
-            // one was issued within the gather period: tentative execution
-            // retires batches before their replies reach the clients, and
-            // without that refractory term the instant of empty pipeline
-            // leaks a thin batch and breaks the cadence under saturation.
-            // Under light traffic (narrow last batch) the refractory term
-            // is off and an empty pipeline issues immediately, so an
-            // isolated request never waits. The gate only pays when the
-            // pre-prepare carries request *digests* (big-request mode, the
-            // paper's fast configuration): with bodies inline, every
-            // gathered request grows the pre-prepare toward MTU
-            // fragmentation and the gather economics invert, so the gate
-            // stays off there.
-            let refractory = self.last_issue_width >= PIPELINE_MIN_BATCH && since < BATCH_GATHER_NS;
-            if self.cfg.batching
-                && self.cfg.all_requests_big
-                && (in_flight >= 1 || refractory)
-                && self.last_issue_ns > 0
-                && self.pending.len() < PIPELINE_MIN_BATCH
-            {
-                let deadline = *self
-                    .gather_deadline_ns
-                    .get_or_insert(now_ns + BATCH_GATHER_NS);
-                if now_ns < deadline {
-                    res.outputs.push(Output::SetTimer {
-                        kind: TimerKind::BatchKick,
-                        delay_ns: deadline - now_ns,
-                    });
-                    return;
-                }
-            }
-            self.gather_deadline_ns = None;
             let take = self.pending.len().min(max_batch);
-            self.last_issue_width = take;
             let mut entries = Vec::with_capacity(take);
             for _ in 0..take {
                 let QueuedRequest { digest, big } = self.pending.pop_front().expect("non-empty");
@@ -471,7 +397,9 @@ impl Replica {
                 break;
             }
             let committed = e.committed;
-            let tentative_ok = self.cfg.tentative_execution && e.prepared;
+            // A batch prepared in an older view may be replaced in this one:
+            // only its commit lets it run.
+            let tentative_ok = self.cfg.tentative_execution && e.prepared && e.view == self.view;
             if !committed && !tentative_ok {
                 break;
             }
@@ -527,9 +455,9 @@ impl Replica {
     /// mark it executed. Every body the batch names that the store still
     /// holds moves into the slot's body list (on a first execution all of
     /// them, into `list`, the emptied list of the slot freed for it), and a
-    /// re-execution finds them there. The slot's digest is
-    /// `pp.batch_digest()`, matched when the pre-prepare arrived, so the
-    /// execution chain costs no second hash of the batch.
+    /// re-execution finds them there. The execution chain takes the batch
+    /// without the view that agreed it: a batch a view change re-issues is
+    /// the same history as its original.
     pub(crate) fn execute_slot(
         &mut self,
         seq: SeqNum,
@@ -546,7 +474,6 @@ impl Replica {
         if held.capacity() == 0 {
             held = list;
         }
-        let digest = e.digest;
         let mut membership_dirty = false;
         // Room for the batch and no more (a growing `Vec` would round a
         // one-request batch up to four).
@@ -622,8 +549,13 @@ impl Replica {
         let mut h = Sha256::new();
         h.update(self.exec_chain.as_bytes());
         h.update(&seq.to_be_bytes());
-        debug_assert_eq!(digest, pp.batch_digest());
-        h.update(digest.as_bytes());
+        h.update(&pp.nondet.timestamp_ns.to_be_bytes());
+        h.update(&pp.nondet.random.to_be_bytes());
+        for en in &pp.entries {
+            h.update(en.digest.as_bytes());
+            h.update(&en.client.0.to_be_bytes());
+            h.update(&en.timestamp.to_be_bytes());
+        }
         self.exec_chain = h.finish();
         let e = self
             .log
@@ -887,6 +819,8 @@ impl Replica {
         if behind || diverged {
             self.start_state_transfer(seq, root, now_ns, res);
         }
+        // The high watermark moved with the low one.
+        self.try_issue(now_ns, res);
     }
 
     /// Retire what the checkpoint now stable at `seq` made garbage: log

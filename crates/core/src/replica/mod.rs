@@ -375,15 +375,6 @@ pub struct Replica {
 
     /// Last pre-prepare issuance time (the no-batching pacing quantum).
     pub(crate) last_issue_ns: u64,
-    /// Deadline of the current pipelined batch-formation gather, if one is
-    /// open (see `PIPELINE_MIN_BATCH` in `execution`): the primary is
-    /// holding a thin batch back while older batches fill the pipeline,
-    /// and will issue whatever is pending by this instant at the latest.
-    pub(crate) gather_deadline_ns: Option<u64>,
-    /// Width of the most recently issued batch — the saturation signal the
-    /// batch-formation gate's refractory term keys on (a wide batch means
-    /// arrivals are plentiful and a short gather will fill the next one).
-    pub(crate) last_issue_width: usize,
     /// Progress marker for the view-change timer heuristic.
     pub(crate) vc_timer_baseline: SeqNum,
     pub(crate) vc_timer_armed: bool,
@@ -475,8 +466,6 @@ impl Replica {
             deferred_reads: VecDeque::new(),
             exec_chain: Digest::ZERO,
             last_issue_ns: 0,
-            gather_deadline_ns: None,
-            last_issue_width: 0,
             vc_timer_baseline: 0,
             vc_timer_armed: false,
             metrics: ReplicaMetrics::default(),

@@ -20,7 +20,7 @@ use pbft_state::{serve_fetch, FetchResponse, Fetcher};
 
 use crate::messages::{CheckpointMsg, FetchMsg, FetchRespMsg, Message, StatusMsg};
 use crate::output::{HandleResult, NetTarget, Output, TimerKind};
-use crate::types::SeqNum;
+use crate::types::{SeqNum, View};
 
 use super::{FetchState, Replica, STATUS_INTERVAL_NS};
 
@@ -34,7 +34,7 @@ impl Replica {
             self.finish_checkpoint(now_ns, res);
         }
         let prev = self.peer_status.insert(s.replica, s);
-        self.maybe_rejoin_group_view(res);
+        self.maybe_rejoin_group_view(now_ns, res);
         let mine = self.my_status();
         // A peer a batch or two behind is normal pipeline skew under load;
         // only treat real gaps as "behind" — and rate-limit the help.
@@ -95,8 +95,9 @@ impl Replica {
     /// system never takes. Safety rests on the usual quorum-intersection
     /// argument: anything committed anywhere carries 2f+1 commits, so at
     /// least f+1 honest replicas carry it into any later view-change
-    /// certificate regardless of this replica's votes.
-    fn maybe_rejoin_group_view(&mut self, res: &mut HandleResult) {
+    /// certificate regardless of this replica's votes. A newer view rolls
+    /// back what this replica executed tentatively, as a new-view does.
+    fn maybe_rejoin_group_view(&mut self, now_ns: u64, res: &mut HandleResult) {
         if !self.in_view_change {
             return;
         }
@@ -117,14 +118,25 @@ impl Replica {
             return;
         }
         let group_view = lower.into_iter().max().expect("quorum is non-empty");
-        self.view = group_view;
         self.in_view_change = false;
+        self.adopt_view(group_view, now_ns, res);
         self.vc.target = None;
         self.vc_timer_armed = false;
         self.arm_vc_timer(res);
         res.outputs.push(Output::CancelTimer {
             kind: TimerKind::NewViewTimeout,
         });
+    }
+
+    /// Move to `view`, learned from peers' statuses. A batch executed
+    /// tentatively in an older view may be replaced in the newer one, so a
+    /// newer view rolls back to the committed prefix first.
+    fn adopt_view(&mut self, view: View, now_ns: u64, res: &mut HandleResult) {
+        let newer = view > self.view;
+        self.view = view;
+        if newer {
+            self.rollback_tentative(now_ns, res);
+        }
     }
 
     /// Re-send this replica's checkpoint votes for retained checkpoints
@@ -230,8 +242,8 @@ impl Replica {
             if adopt_view {
                 let new_view = members.iter().map(|s| s.view).max().unwrap_or(self.view);
                 if new_view > self.view {
-                    self.view = new_view;
                     self.in_view_change = false;
+                    self.adopt_view(new_view, now_ns, res);
                 }
             }
             self.start_state_transfer(seq, root, now_ns, res);
@@ -414,6 +426,8 @@ impl Replica {
         res.outputs.push(Output::CancelTimer {
             kind: TimerKind::FetchRetry,
         });
+        // The high watermark moved with the low one.
+        self.try_issue(now_ns, res);
     }
 
     /// The region was rewritten under the replica (state transfer,

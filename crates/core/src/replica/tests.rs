@@ -1438,6 +1438,16 @@ fn retirement_matches_the_old_garbage_collection_on_random_schedules() {
                     *low = (r.log.low, low.0);
                 }
                 assert_bodies_owned(r, low.1);
+                // A view adopted without a rollback leaves the old view's
+                // tentative batch executed in an unmarked slot.
+                assert!(
+                    r.committed_upto == r.last_executed
+                        || r.log.iter().any(|(_, e)| e.executed && e.tentative),
+                    "replica {}: commit watermark {} below last_executed {} with no slot tentative",
+                    r.id().0,
+                    r.committed_upto,
+                    r.last_executed
+                );
             }
         }
         load(&mut net, 2);

@@ -208,13 +208,11 @@ impl Replica {
     /// Roll tentatively executed batches back to the last stable checkpoint
     /// and re-execute the committed prefix (§2.1 tentative execution).
     pub(crate) fn rollback_tentative(&mut self, now_ns: u64, res: &mut HandleResult) {
-        // A slot a later view re-created without a rollback (a view adopted
-        // from peers' statuses) is no longer marked, but until that view
-        // commits it the watermark counts it as tentative.
         let has_tentative = self.committed_upto < self.last_executed;
-        debug_assert!(
-            has_tentative || !self.log.iter().any(|(_, e)| e.executed && e.tentative),
-            "the commit watermark passed a tentative batch"
+        debug_assert_eq!(
+            has_tentative,
+            self.log.iter().any(|(_, e)| e.executed && e.tentative),
+            "the commit watermark disagrees with the slots marked tentative"
         );
         if !has_tentative {
             return;

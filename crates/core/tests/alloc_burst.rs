@@ -78,8 +78,9 @@ const SEED: u64 = 0xA110C;
 const CLIENTS: usize = 12;
 const CLIENT_ADDR_BASE: u32 = 100;
 const OP_BYTES: usize = 1024;
-/// Virtual time a delivery takes: short against the primary's 600 µs batch
-/// gather, as on a loaded host.
+/// Virtual time a delivery takes. The primary issues a batch when its
+/// previous one executes, so the group settles into alternating batches of
+/// 11 and 1 requests (mean 6).
 const HOP_NS: u64 = 2_000;
 
 /// Large blocks a replica call may free per request it executes: the
@@ -87,9 +88,10 @@ const HOP_NS: u64 = 2_000;
 /// reply's sealing, and the freed dead slot's request body — one 1 KiB
 /// buffer — with its share of what the slot owns (the pre-prepare's entry
 /// list).
-/// Measured: at most 13 per six-request batch under `--release`, 18 under
-/// `cargo test` (the `debug_assert` re-encoding). 5 while a backup kept an
-/// observed copy of each request to drop at execution.
+/// Measured: at most 23 per 11-request batch in both profiles (13 per
+/// six-request batch under `--release` and 18 under `cargo test` while the
+/// primary gathered batches of six). 5 while a backup kept an observed copy
+/// of each request to drop at execution.
 const FREES_PER_REQUEST: u64 = 3;
 /// Large blocks a replica call may free whatever it executes: a
 /// stabilising call, which executes nothing, frees 1 (the superseded
@@ -101,9 +103,16 @@ const FREES_PER_CALL: u64 = 2;
 /// Large allocations per completed 1 KiB null write at n = 4, ten times,
 /// over every engine call (four replicas and the client, the operation's
 /// own buffer included). The count is the optimiser's as much as the
-/// code's, so it is pinned per profile: 19.3 under `cargo test`, where
-/// the execution chain's `debug_assert` still encodes each batch a second
-/// time, and 18.6 under `--release`, the build the benchmark runs. Both
+/// code's, so it is pinned per profile: 18.3 under `cargo test` and under
+/// `--release`, the build the benchmark runs. `cargo test` read 0.7 more
+/// (19.3 against 18.6) while a `debug_assert` re-encoded each batch for
+/// the execution chain, which no longer reuses the batch digest (it
+/// carries the view). Both fell by 0.3 (18.6 → 18.3) when the primary
+/// stopped pipelining digest batches and started issuing everything
+/// pending when its batch executes: on a backup, two overlapping batches
+/// of six cost one 864 B and one 512 B block per batch, and alternating
+/// batches of 11 and 1 cost one 512 B, one 1 584 B and one 1 KiB block per
+/// pair (counted by size on replica 1 over 256 batches). Earlier, both
 /// fell by 4.5 when `bodies` became the only store a request waits in
 /// (26.83 → 22.33, 24.16 → 19.66): 4.0 is the second copy of each body
 /// every replica kept at admission, and 0.5 is `observed`'s B-tree nodes,
@@ -120,9 +129,9 @@ const FREES_PER_CALL: u64 = 2;
 /// The whole-process count was ≈ 39 before the copy audit of the send
 /// path. A change that moves either number says so here.
 const ALLOCS_PER_OP_X10: std::ops::RangeInclusive<u64> = if cfg!(debug_assertions) {
-    192..=194
+    182..=184
 } else {
-    185..=187
+    182..=184
 };
 
 /// One measured call into a replica.

@@ -112,6 +112,15 @@ fn scenario_spec(engine: Engine, num_clients: usize, seed: u64) -> ClusterSpec {
     spec
 }
 
+/// [`scenario_spec`] with request bodies inline in the pre-prepares
+/// (`all_requests_big` off): the configuration whose congestion window
+/// holds several agreements.
+fn pipelined_spec(engine: Engine, num_clients: usize, seed: u64) -> ClusterSpec {
+    let mut spec = scenario_spec(engine, num_clients, seed);
+    spec.cfg.all_requests_big = false;
+    spec
+}
+
 /// A one-group deployment for scenario runs, running `engine` — the
 /// builder the conformance suite uses.
 pub fn scenario_deployment(engine: Engine, num_clients: usize, seed: u64) -> Deployment {
@@ -212,16 +221,17 @@ mod tests {
         assert!(!x.elastic);
     }
 
-    /// Every fault script must exercise windowed pipelining — view changes
-    /// re-issuing a whole window, checkpoints trimming mid-window, recovery
-    /// replaying overlapping slots — not lock-step agreement.
+    /// One fault script per engine must exercise windowed pipelining — a
+    /// view change re-issuing a whole window, recovery replaying
+    /// overlapping slots — not lock-step agreement: the pipelined one.
     #[test]
     fn conformance_runs_pipelined() {
-        let spec = scenario_spec(Engine::Pbft, 1, 5);
-        assert!(
-            spec.cfg.effective_window() > 1,
-            "the fault scripts must run with a multi-slot window"
-        );
+        for engine in [Engine::Pbft, Engine::Linear] {
+            assert!(
+                pipelined_spec(engine, 1, 5).cfg.effective_window() > 1,
+                "the pipelined script must run with a multi-slot window"
+            );
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use simnet::SimDuration;
 
 use super::{
     adversary_deployment, assert_correct_replicas_agree, deployment_spec, fetching_spec, ms,
-    scenario_deployment, AUDIT_TIMEOUT,
+    pipelined_spec, scenario_deployment, AUDIT_TIMEOUT,
 };
 use pbft_core::app::KvApp;
 
@@ -55,8 +55,23 @@ fn secs(n: u64) -> SimDuration {
 /// The survivors must elect a replacement (finite recovery) and the
 /// restarted ex-primary must fold back into a converged group.
 pub fn primary_crash_under_load(engine: Engine, seed: u64) -> ScenarioReport {
+    primary_crash(engine, scenario_deployment(engine, 4, seed))
+}
+
+/// Script 1 with request bodies inline in the pre-prepares, the one
+/// configuration that pipelines: the view change re-issues a multi-slot
+/// window and the restarted ex-primary replays overlapping slots.
+pub fn primary_crash_pipelined(engine: Engine, seed: u64) -> ScenarioReport {
+    let spec = pipelined_spec(engine, 4, seed);
+    assert!(
+        spec.cfg.effective_window() > 1,
+        "the script must run with a multi-slot window"
+    );
+    primary_crash(engine, Deployment::build(deployment_spec(1, 0, spec)))
+}
+
+fn primary_crash(engine: Engine, mut deployment: Deployment) -> ScenarioReport {
     let name = engine.name();
-    let mut deployment = scenario_deployment(engine, 4, seed);
     deployment.start_paced_workload(PACE, |_, _| null_ops(64));
     let report = run_scenario(&mut deployment, &paper::primary_crash_under_load());
     let recovery = report

@@ -768,7 +768,8 @@ fn smoke_adaptive_xshard() {
 
 /// The eight fault scripts run under either [`Engine`] through
 /// `harness::testkit::conformance`, asserting the engine-independent
-/// contract (safety + finite recovery). One test per (script, engine) pair
+/// contract (safety + finite recovery), plus script 1 again with a
+/// multi-slot window (`primary_crash_pipelined`). One test per (script, engine) pair
 /// so a regression names the exact combination that broke.
 mod engine_conformance {
     use harness::testkit::conformance;
@@ -781,6 +782,14 @@ mod engine_conformance {
     #[test]
     fn primary_crash_linear() {
         conformance::primary_crash_under_load(Engine::Linear, 61);
+    }
+    #[test]
+    fn primary_crash_pipelined_pbft() {
+        conformance::primary_crash_pipelined(Engine::Pbft, 61);
+    }
+    #[test]
+    fn primary_crash_pipelined_linear() {
+        conformance::primary_crash_pipelined(Engine::Linear, 61);
     }
     #[test]
     fn slow_primary_pbft() {
