@@ -27,9 +27,12 @@
 //!
 //! The run lands in the committed `BENCH_hotpath.json`, which
 //! `tests/artifacts.rs` parse-gates so later PRs cannot silently regress
-//! the per-op cost trajectory along either axis.
+//! the per-op cost trajectory along either axis. Every row is a cell
+//! (`rows/n=<n>/<path>/<engine>`) that re-runs alone: see
+//! [`bench::cells`].
 
-use bench::artifact::{self, Json};
+use bench::artifact::Json;
+use bench::cells::{self, cell, inspect, traced, Cell, Section};
 use bench::obj;
 use harness::cluster::{AppKind, Cluster, ClusterSpec};
 use harness::workload::{null_ops, null_reads};
@@ -72,13 +75,14 @@ fn run(engine: Engine, f: usize, read: bool) -> HotpathRow {
         seed: 1000,
         ..Default::default()
     };
-    let mut cluster = Cluster::build(spec);
+    let mut cluster = Cluster::build(traced(spec));
     if read {
         cluster.start_workload(|_| null_reads(SIZE));
     } else {
         cluster.start_workload(|_| null_ops(SIZE));
     }
     let tps = cluster.measure_throughput(SimDuration::from_millis(500), SimDuration::from_secs(2));
+    inspect(0, &cluster);
 
     // Totals across all replicas over the whole run (warmup included; the
     // workload is uniform, so the per-op ratios are unaffected).
@@ -184,48 +188,48 @@ fn check(r: &HotpathRow) {
 }
 
 fn main() {
-    let mut rows = Vec::new();
+    cells::main(
+        obj! {"bench": "hotpath", "request_size": SIZE, "num_clients": 12usize},
+        vec![Section::array("rows", row_cells(), |rows| {
+            println!("amortized cost model: OK (encode-once, batched authenticators, O(1) reads)");
+            Json::Arr(rows)
+        })],
+    );
+}
+
+/// Every (n, path, engine) point, each printed and checked against the
+/// cost model as it is measured.
+fn row_cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
     for f in FS {
         for read in [false, true] {
             for engine in Engine::ALL {
-                rows.push(run(engine, f, read));
+                let path = if read { "read" } else { "write" };
+                let id = format!("rows/n={}/{path}/{}", 3 * f + 1, engine.name());
+                cells.push(cell(id, move || {
+                    let r = run(engine, f, read);
+                    println!(
+                        "{} n={} {}: {:.0} TPS, {} ops, batch {:.1}, {:.2} MACs/op, {:.2} encodings/op, {:.2} msgs/op (per replica)",
+                        r.engine,
+                        r.n,
+                        r.path,
+                        r.tps,
+                        r.ops,
+                        r.avg_batch,
+                        r.macs_per_op,
+                        r.encodings_per_op,
+                        r.agreement_msgs_per_op
+                    );
+                    check(&r);
+                    obj! {
+                        "engine": r.engine, "n": r.n, "path": r.path, "tps": r.tps, "ops": r.ops as f64,
+                        "avg_batch": r.avg_batch, "macs_per_op": r.macs_per_op,
+                        "encodings_per_op": r.encodings_per_op,
+                        "agreement_msgs_per_op": r.agreement_msgs_per_op,
+                    }
+                }));
             }
         }
     }
-    println!("hot-path cost per completed op (per replica), batch config, 12 clients:");
-    println!(
-        "{:<8} {:>3} {:>6} {:>9} {:>7} {:>6} {:>9} {:>13} {:>9}",
-        "engine", "n", "path", "TPS", "ops", "batch", "MACs/op", "encodings/op", "msgs/op"
-    );
-    for r in &rows {
-        println!(
-            "{:<8} {:>3} {:>6} {:>9.0} {:>7} {:>6.1} {:>9.2} {:>13.2} {:>9.2}",
-            r.engine,
-            r.n,
-            r.path,
-            r.tps,
-            r.ops,
-            r.avg_batch,
-            r.macs_per_op,
-            r.encodings_per_op,
-            r.agreement_msgs_per_op
-        );
-        check(r);
-    }
-    println!("amortized cost model: OK (encode-once, batched authenticators, O(1) reads)");
-
-    let rows: Vec<Json> = rows
-        .iter()
-        .map(|r| {
-            obj! {
-                "engine": r.engine, "n": r.n, "path": r.path, "tps": r.tps, "ops": r.ops as f64,
-                "avg_batch": r.avg_batch, "macs_per_op": r.macs_per_op,
-                "encodings_per_op": r.encodings_per_op,
-                "agreement_msgs_per_op": r.agreement_msgs_per_op,
-            }
-        })
-        .collect();
-    let json =
-        obj! {"bench": "hotpath", "request_size": SIZE, "num_clients": 12usize, "rows": rows};
-    artifact::write("BENCH_hotpath.json", &json);
+    cells
 }

@@ -9,18 +9,16 @@
 //! this run checks before anything is written, and under `contradicted`
 //! the part of a claim the run does not bear out, with its numbers.
 
-use std::sync::OnceLock;
-
-use bench::artifact::{self, Json};
+use bench::artifact::Json;
+use bench::cells::{self, cell, null_tps, tps, Cell, Section};
 use bench::obj;
 use harness::byzantine::{build_faulty_cluster, Fault};
 use harness::cluster::{AppKind, Cluster, ClusterSpec};
 use harness::experiments::{
-    config, null_spec, table1_configs, throughput_inspected, NUM_CLIENTS, TABLE1_PAPER_TPS, WARMUP,
-    WINDOW,
+    config, null_spec, table1_configs, NUM_CLIENTS, TABLE1_PAPER_TPS, WARMUP, WINDOW,
 };
 use harness::firewall::build_firewalled_cluster;
-use harness::workload::{null_ops, sql_insert_ops, OpGen};
+use harness::workload::{null_ops, sql_insert_ops};
 use harness::Stats;
 use minisql::JournalMode;
 use pbft_core::config::NonDetPolicy;
@@ -37,84 +35,25 @@ macro_rules! check {
     }};
 }
 
-/// One row of the artifact: a stable id (`<section>/<sweep point>`) and the
-/// run that measures it. Every cell is built from its own seed, so it
-/// measures the same alone as in the full run. The row holds what the cell
-/// measures; a field derived from other rows (a share of the sweep's best,
-/// an increase over the baseline row) is added by its section.
-struct Cell {
-    id: String,
-    run: Box<dyn Fn() -> Json>,
-}
-
-fn cell(id: String, run: impl Fn() -> Json + 'static) -> Cell {
-    Cell {
-        id,
-        run: Box::new(run),
-    }
-}
-
-/// A section of the artifact: its key, its cells in row order, and what it
-/// makes of their rows.
-type Section = (&'static str, Vec<Cell>, fn(Vec<Json>) -> Json);
-
-/// Set when one cell runs alone: its id, and whether its message trace is
-/// written.
-static ALONE: OnceLock<(String, bool)> = OnceLock::new();
-
 /// `cargo bench --bench paper` runs every cell and writes
-/// `BENCH_paper.json`; `-- --cells` lists each cell's id and row;
-/// `-- --cell ID` runs that cell alone and prints its row (`--trace` also
-/// writes the message trace of each of its trials under
-/// `target/paper-cells/`, where the cell's cluster is built by a
-/// throughput trial).
+/// `BENCH_paper.json`; `-- --cells` lists each cell's id and row; `-- --cell
+/// ID` runs that cell alone and prints its row (see [`bench::cells`]).
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let (mut alone, mut trace, mut list) = (None, false, false);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--cell" => alone = Some(args.next().expect("--cell takes a cell id")),
-            "--trace" => trace = true,
-            "--cells" => list = true,
-            _ => {} // `cargo bench` passes `--bench`
-        }
-    }
-    let sections: Vec<Section> = vec![
-        ("fig4", fig4_cells(), fig4),
-        ("fig5", fig5_cells(), fig5),
-        ("acid", acid_cells(), acid),
-        ("membership", membership_cells(), membership),
-        ("recovery", recovery_cells(), recovery),
-        ("packet_loss", packet_loss_cells(), packet_loss),
-        ("nondet_replay", nondet_replay_cells(), nondet_replay),
-        ("privacy", privacy_cells(), privacy),
-        ("wan", wan_cells(), wan),
-        ("byzantine", byzantine_cells(), byzantine),
-    ];
-    if list {
-        for (name, cells, _) in &sections {
-            for (i, c) in cells.iter().enumerate() {
-                println!("{}\t{name}.rows[{i}]", c.id);
-            }
-        }
-        return;
-    }
-    if let Some(id) = alone {
-        let cells = sections.iter().flat_map(|(_, cells, _)| cells);
-        let Some(c) = cells.into_iter().find(|c| c.id == id) else {
-            panic!("no cell {id} (`-- --cells` lists them)");
-        };
-        ALONE.set((id.clone(), trace)).expect("set once");
-        let row = (c.run)();
-        println!("== cell {id}\n{}", row.render());
-        return;
-    }
-    let mut json = obj! {"bench": "paper"};
-    for (name, cells, section) in sections {
-        let rows = cells.iter().map(|c| (c.run)()).collect();
-        json = json.with(name, section(rows));
-    }
-    artifact::write("BENCH_paper.json", &json);
+    cells::main(
+        obj! {"bench": "paper"},
+        vec![
+            Section::rows("fig4", fig4_cells(), fig4),
+            Section::rows("fig5", fig5_cells(), fig5),
+            Section::rows("acid", acid_cells(), acid),
+            Section::rows("membership", membership_cells(), membership),
+            Section::rows("recovery", recovery_cells(), recovery),
+            Section::rows("packet_loss", packet_loss_cells(), packet_loss),
+            Section::rows("nondet_replay", nondet_replay_cells(), nondet_replay),
+            Section::rows("privacy", privacy_cells(), privacy),
+            Section::rows("wan", wan_cells(), wan),
+            Section::rows("byzantine", byzantine_cells(), byzantine),
+        ],
+    );
 }
 
 /// `row` with its `measured` value and — where the paper reports the same
@@ -255,64 +194,7 @@ fn sql_tps(cfg: &PbftConfig, journal: JournalMode, trials: usize) -> Stats {
         seed: 2000,
         ..Default::default()
     };
-    cell_tps(spec, trials, |i| sql_insert_ops(i as u64))
-}
-
-/// Null-operation throughput of `cfg` with `size`-byte requests and
-/// replies (seeds 1000 + trial), as `harness::experiments::null_throughput`
-/// measures it.
-fn null_tps(cfg: &PbftConfig, size: usize, trials: usize) -> Stats {
-    let spec = null_spec(cfg.clone(), size, NUM_CLIENTS, 1000);
-    cell_tps(spec, trials, |_| null_ops(size))
-}
-
-/// Throughput of `spec` under `ops`. Run as a cell alone, it prints each
-/// trial's mean batch and, with `--trace`, writes each trial's message
-/// trace.
-fn cell_tps(spec: ClusterSpec, trials: usize, ops: impl Fn(usize) -> OpGen) -> Stats {
-    let alone = ALONE.get();
-    let spec = ClusterSpec {
-        trace: alone.is_some_and(|(_, trace)| *trace),
-        ..spec
-    };
-    throughput_inspected(&spec, trials, ops, |t, cluster| {
-        if let Some((id, trace)) = alone {
-            report_trial(id, *trace, t, cluster);
-        }
-    })
-}
-
-/// One trial of a cell run alone: its mean batch on replica 0 and, when
-/// traced, where its message trace went.
-fn report_trial(id: &str, trace: bool, trial: usize, cluster: &Cluster) {
-    let m = cluster.replica_metrics(0);
-    let batch = m.executed_requests as f64 / m.batches_executed.max(1) as f64;
-    eprint!(
-        "{id} trial {trial}: mean batch {batch:.3} ({} requests in {} batches on replica 0)",
-        m.executed_requests, m.batches_executed
-    );
-    if trace {
-        let dir = artifact::repo_root().join("target/paper-cells");
-        std::fs::create_dir_all(&dir).expect("create the trace directory");
-        let path = dir.join(format!("{}.trial{trial}.trace", id.replace('/', "_")));
-        let lines: String = cluster
-            .sim
-            .trace()
-            .iter()
-            .map(|e| {
-                let at = e.at.as_nanos();
-                let (src, dst, tag, size) = (e.src, e.dst, e.tag, e.size);
-                format!("{at} {:?} {src} -> {dst} tag {tag} size {size}\n", e.event)
-            })
-            .collect();
-        std::fs::write(&path, lines).expect("write the trace");
-        eprint!(
-            ", {} messages traced to {}",
-            cluster.sim.trace().len(),
-            path.display()
-        );
-    }
-    eprintln!();
+    tps(spec, trials, |i| sql_insert_ops(i as u64))
 }
 
 /// **Figure 5**, "PBFT + SQL": the §4.2 single-row insert with ACID

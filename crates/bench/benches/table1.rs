@@ -6,17 +6,18 @@
 //! paper's library knobs); a second section re-measures two representative
 //! configurations under the linear-communication engine for the
 //! head-to-head column, and the whole run lands in the committed
-//! `BENCH_table1.json`.
+//! `BENCH_table1.json`. Every row is a cell (`rows/<config>`,
+//! `engine_head_to_head/<config>/<engine>`) that re-runs alone: see
+//! [`bench::cells`].
 
-use bench::artifact::{self, Json};
+use bench::artifact::Json;
+use bench::cells::{self, cell, null_tps, Cell, Section};
 use bench::obj;
-use harness::experiments::{
-    null_throughput, render_table, table1, table1_configs, TABLE1_PAPER_TPS,
-};
-use harness::Stats;
+use harness::experiments::{table1_configs, TABLE1_PAPER_TPS};
 use pbft_core::{Engine, PbftConfig};
 
 const SIZE: usize = 1024;
+const TRIALS: usize = 3;
 
 /// The committed PR 8 numbers (the seed of the recorded perf trajectory):
 /// `tps_mean` per Table 1 row from `BENCH_table1.json` as of the elastic-
@@ -27,121 +28,132 @@ const SEED_ROWS: [f64; 10] = [
     8005.83, 1000.0, 5367.33, 1000.0, 511.5, 433.0, 600.83, 430.17, 600.17, 430.5,
 ];
 
-/// PR 8 head-to-head cells, same order as the `cells` vector below:
+/// PR 8 head-to-head cells, in row order:
 /// (`sta_mac_allbig_batch`, `nosta_nomac_noallbig_batch`) × (pbft, linear).
 const SEED_CELLS: [f64; 4] = [8005.83, 5860.33, 600.17, 377.0];
 
 /// The trajectory floor for the batch row (both engines).
 const BATCH_ROW_FLOOR: f64 = 1.3;
 
-/// Head-to-head cell: one configuration, one engine.
-struct Cell {
-    config: String,
-    engine: &'static str,
-    tps: Stats,
-}
-
-fn cell(cfg: &PbftConfig, engine: Engine, trials: usize) -> Cell {
-    let cfg = PbftConfig {
-        engine,
-        ..cfg.clone()
-    };
-    Cell {
-        config: cfg.table1_name(),
-        engine: engine.name(),
-        tps: null_throughput(&cfg, SIZE, trials),
-    }
-}
-
 fn main() {
-    let trials = 3;
-    let rows = table1(SIZE, trials);
-    println!(
-        "{}",
-        render_table(
-            &format!("Table 1 — null ops, 1 KiB request/reply, 12 clients / 4 replicas ({trials} trials)"),
-            &rows,
-        )
+    cells::main(
+        obj! {"bench": "table1", "request_size": SIZE, "trials": TRIALS},
+        vec![
+            Section::array("rows", row_cells(), table),
+            Section::array("engine_head_to_head", head_to_head_cells(), head_to_head),
+        ],
     );
-    let paper = TABLE1_PAPER_TPS;
-    println!("paper-vs-measured (speedup is vs the committed PR 8 seed):");
-    for ((r, p), s) in rows.iter().zip(paper).zip(SEED_ROWS) {
+}
+
+/// A row measured under `cfg`'s engine: beside the paper's number, if it
+/// has one, and with its speedup over `seed`.
+fn measure(cfg: &PbftConfig, paper: Option<f64>, seed: f64) -> Json {
+    let tps = null_tps(cfg, SIZE, TRIALS);
+    let row = obj! {
+        "config": cfg.table1_name(), "engine": cfg.engine.name(),
+        "tps_mean": tps.mean, "tps_stddev": tps.std_dev,
+    };
+    let row = match paper {
+        Some(p) => row.with("paper_tps", p),
+        None => row,
+    };
+    row.with("seed_tps", seed)
+        .with("speedup_vs_seed", tps.mean / seed)
+}
+
+/// The ten configurations under the PBFT engine.
+fn row_cells() -> Vec<Cell> {
+    table1_configs()
+        .into_iter()
+        .enumerate()
+        .map(|(i, cfg)| {
+            cell(format!("rows/{}", cfg.table1_name()), move || {
+                measure(&cfg, Some(TABLE1_PAPER_TPS[i]), SEED_ROWS[i])
+            })
+        })
+        .collect()
+}
+
+fn table(rows: Vec<Json>) -> Json {
+    println!("Table 1 — null ops, 1 KiB request/reply, 12 clients / 4 replicas ({TRIALS} trials)");
+    println!("(speedup is vs the committed PR 8 seed)");
+    for r in &rows {
         println!(
-            "  {:<32} paper {:>7.0}   measured {:>7.0}   speedup {:>5.2}x",
-            r.name,
-            p,
-            r.tps.mean,
-            r.tps.mean / s
+            "  {:<32} paper {:>7}   measured {:>9}   speedup {:>5.2}x",
+            text(r, "config"),
+            text(r, "paper_tps"),
+            text(r, "tps_mean"),
+            num(r, "speedup_vs_seed"),
         );
     }
+    Json::Arr(rows)
+}
 
-    // Engine head-to-head: the paper's fastest configuration and its most
-    // robust batching configuration, PBFT vs the linear engine on the same
-    // seeds and workload.
+/// Engine head-to-head: the paper's fastest configuration and its most
+/// robust batching configuration, PBFT vs the linear engine on the same
+/// seeds and workload.
+fn head_to_head_cells() -> Vec<Cell> {
     let configs = table1_configs();
-    let picks = [&configs[0], &configs[8]];
     let mut cells = Vec::new();
-    println!("\nengine head-to-head (same configs, seeds and workload):");
-    println!(
-        "{:<32} {:<8} {:>10} {:>8}",
-        "configuration", "engine", "TPS", "StDev"
-    );
-    for cfg in picks {
+    for base in [&configs[0], &configs[8]] {
         for engine in Engine::ALL {
-            let c = cell(cfg, engine, trials);
-            println!(
-                "{:<32} {:<8} {:>10.0} {:>8.0}",
-                c.config, c.engine, c.tps.mean, c.tps.std_dev
+            let cfg = PbftConfig {
+                engine,
+                ..base.clone()
+            };
+            let seed = SEED_CELLS[cells.len()];
+            let id = format!(
+                "engine_head_to_head/{}/{}",
+                cfg.table1_name(),
+                engine.name()
             );
-            cells.push(c);
+            cells.push(cell(id, move || measure(&cfg, None, seed)));
         }
     }
+    cells
+}
 
-    // Trajectory floor: the batch row must stay ≥ 1.3× the PR 8 seed on
-    // both engines. Failing here (and in tests/artifacts.rs, which gates
-    // the committed artifact) keeps the hot-path speedup from silently
-    // eroding in later PRs.
-    for (c, seed) in cells.iter().zip(SEED_CELLS).take(2) {
-        let speedup = c.tps.mean / seed;
+/// Trajectory floor: the batch row must stay ≥ 1.3× the PR 8 seed on both
+/// engines. Failing here (and in tests/artifacts.rs, which gates the
+/// committed artifact) keeps the hot-path speedup from silently eroding in
+/// later PRs.
+fn head_to_head(rows: Vec<Json>) -> Json {
+    for r in &rows[..2] {
+        let speedup = num(r, "speedup_vs_seed");
         assert!(
             speedup >= BATCH_ROW_FLOOR,
-            "{} [{}]: {:.0} TPS is only {speedup:.2}x the PR 8 seed ({seed:.0}); floor is {BATCH_ROW_FLOOR}x",
-            c.config,
-            c.engine,
-            c.tps.mean,
-        );
-        println!(
-            "trajectory: {} [{}] {speedup:.2}x over seed (floor {BATCH_ROW_FLOOR}x)",
-            c.config, c.engine
+            "{} [{}]: {} TPS is only {speedup:.2}x the PR 8 seed; floor is {BATCH_ROW_FLOOR}x",
+            text(r, "config"),
+            text(r, "engine"),
+            text(r, "tps_mean"),
         );
     }
+    println!("engine head-to-head (same configs, seeds and workload):");
+    for r in &rows {
+        println!(
+            "  {:<32} {:<8} {:>9} TPS   speedup {:>5.2}x (floor {BATCH_ROW_FLOOR}x on the batch row)",
+            text(r, "config"),
+            text(r, "engine"),
+            text(r, "tps_mean"),
+            num(r, "speedup_vs_seed"),
+        );
+    }
+    Json::Arr(rows)
+}
 
-    let rows: Vec<Json> = rows
-        .iter()
-        .zip(paper)
-        .zip(SEED_ROWS)
-        .map(|((r, p), s)| {
-            obj! {
-                "config": r.name.as_str(), "engine": "pbft",
-                "tps_mean": r.tps.mean, "tps_stddev": r.tps.std_dev,
-                "paper_tps": p, "seed_tps": s, "speedup_vs_seed": r.tps.mean / s,
-            }
-        })
-        .collect();
-    let cells: Vec<Json> = cells
-        .iter()
-        .zip(SEED_CELLS)
-        .map(|(c, s)| {
-            obj! {
-                "config": c.config.as_str(), "engine": c.engine,
-                "tps_mean": c.tps.mean, "tps_stddev": c.tps.std_dev,
-                "seed_tps": s, "speedup_vs_seed": c.tps.mean / s,
-            }
-        })
-        .collect();
-    let json = obj! {
-        "bench": "table1", "request_size": SIZE, "trials": trials,
-        "rows": rows, "engine_head_to_head": cells,
-    };
-    artifact::write("BENCH_table1.json", &json);
+/// The number under `key` of a row built here.
+fn num(row: &Json, key: &str) -> f64 {
+    match row.get(key) {
+        Some(Json::Num(v)) => *v,
+        other => panic!("'{key}' is not a number: {other:?}"),
+    }
+}
+
+/// The value under `key` of a row built here, as the artifact renders it.
+fn text(row: &Json, key: &str) -> String {
+    match row.get(key) {
+        Some(Json::Str(v)) => v.clone(),
+        Some(v) => v.render(),
+        None => panic!("no '{key}' in the row"),
+    }
 }

@@ -5,8 +5,9 @@
 //!
 //! Every target is a plain `fn main()` driver (`harness = false`) that
 //! asserts its expectations and writes a committed `BENCH_*.json` through
-//! [`artifact`], the only code in this file; `tests/artifacts.rs` holds the
-//! committed files to the same bounds. Per-primitive costs (SHA-256, MACs,
+//! [`artifact`]; `tests/artifacts.rs` holds the committed files to the
+//! same bounds. `paper`, `table1` and `hotpath` build their rows as
+//! [`cells`], each of which re-runs alone. Per-primitive costs (SHA-256, MACs,
 //! the codec, page digests, minisql statements, one simulator event) are
 //! measured by the layer probes of `crates/wallbench`, not here.
 //!
@@ -183,6 +184,188 @@ pub mod artifact {
         let body = format!("{}\n", value.render());
         std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {file_name}: {e}"));
         println!("wrote {}", path.display());
+    }
+}
+
+pub mod cells {
+    //! Artifact rows as cells: every row has a stable id
+    //! (`<section>/<sweep point>`) and the run that measures it. Each cell
+    //! is built from its own seed, so it measures the same alone as in the
+    //! full run. A row holds what its cell measures; a field derived from
+    //! other rows (a share of the sweep's best, an increase over a
+    //! baseline) is added by its section, which also checks the rows.
+    //!
+    //! [`main`] is a bench's whole command line: `cargo bench --bench B`
+    //! runs every cell and writes `BENCH_B.json`; `-- --cells` lists each
+    //! cell's id and its row's JSON path; `-- --cell ID` runs that cell
+    //! alone and prints its row, and `--trace` also writes the message
+    //! trace of each of its throughput trials under `target/B-cells/`.
+
+    use std::sync::OnceLock;
+
+    use harness::cluster::{Cluster, ClusterSpec};
+    use harness::experiments::{null_spec, throughput, NUM_CLIENTS};
+    use harness::workload::{null_ops, OpGen};
+    use harness::Stats;
+    use pbft_core::PbftConfig;
+
+    use crate::artifact::{self, Json};
+
+    /// One row of an artifact and the run that measures it.
+    pub struct Cell {
+        id: String,
+        run: Box<dyn Fn() -> Json>,
+    }
+
+    /// The cell `id`, measured by `run`.
+    pub fn cell(id: String, run: impl Fn() -> Json + 'static) -> Cell {
+        Cell {
+            id,
+            run: Box::new(run),
+        }
+    }
+
+    /// A section of an artifact: its key, its cells in row order, where
+    /// their rows land, and what it makes of them.
+    pub struct Section {
+        key: &'static str,
+        cells: Vec<Cell>,
+        /// The path of the rows below `key`: `.rows`, or empty when the
+        /// section is the rows' array.
+        rows_at: &'static str,
+        finish: fn(Vec<Json>) -> Json,
+    }
+
+    impl Section {
+        /// A section whose value `finish` builds around its rows, under
+        /// the key `rows`.
+        pub fn rows(key: &'static str, cells: Vec<Cell>, finish: fn(Vec<Json>) -> Json) -> Self {
+            Section {
+                key,
+                cells,
+                rows_at: ".rows",
+                finish,
+            }
+        }
+
+        /// A section that is the array of its rows, once `finish` (which
+        /// returns it) has checked them.
+        pub fn array(key: &'static str, cells: Vec<Cell>, finish: fn(Vec<Json>) -> Json) -> Self {
+            Section {
+                key,
+                cells,
+                rows_at: "",
+                finish,
+            }
+        }
+    }
+
+    /// Set when one cell runs alone: its bench, its id, and whether its
+    /// message trace is written.
+    static ALONE: OnceLock<(String, String, bool)> = OnceLock::new();
+
+    /// Run the bench whose artifact starts with `head` (its `bench` key
+    /// names it) and continues with `sections`, as the command line asks.
+    ///
+    /// # Panics
+    /// Panics on an unknown `--cell` id, or if `head` names no bench.
+    pub fn main(head: Json, sections: Vec<Section>) {
+        let Some(Json::Str(bench)) = head.get("bench") else {
+            panic!("the artifact's head names no bench");
+        };
+        let bench = bench.clone();
+        let mut args = std::env::args().skip(1);
+        let (mut alone, mut trace, mut list) = (None, false, false);
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--cell" => alone = Some(args.next().expect("--cell takes a cell id")),
+                "--trace" => trace = true,
+                "--cells" => list = true,
+                _ => {} // `cargo bench` passes `--bench`
+            }
+        }
+        if list {
+            for s in &sections {
+                for (i, c) in s.cells.iter().enumerate() {
+                    println!("{}\t{}{}[{i}]", c.id, s.key, s.rows_at);
+                }
+            }
+            return;
+        }
+        if let Some(id) = alone {
+            let mut cells = sections.iter().flat_map(|s| &s.cells);
+            let Some(c) = cells.find(|c| c.id == id) else {
+                panic!("no cell {id} (`-- --cells` lists them)");
+            };
+            ALONE.set((bench, id.clone(), trace)).expect("set once");
+            let row = (c.run)();
+            println!("== cell {id}\n{}", row.render());
+            return;
+        }
+        let mut json = head;
+        for s in sections {
+            let rows = s.cells.iter().map(|c| (c.run)()).collect();
+            json = json.with(s.key, (s.finish)(rows));
+        }
+        artifact::write(&format!("BENCH_{bench}.json"), &json);
+    }
+
+    /// `spec`, with its message trace on when a cell runs alone under
+    /// `--trace`.
+    pub fn traced(spec: ClusterSpec) -> ClusterSpec {
+        ClusterSpec {
+            trace: ALONE.get().is_some_and(|(_, _, trace)| *trace),
+            ..spec
+        }
+    }
+
+    /// Throughput of `spec` under `ops` over `trials` seeded trials, each
+    /// [`inspect`]ed.
+    pub fn tps(spec: ClusterSpec, trials: usize, ops: impl Fn(usize) -> OpGen) -> Stats {
+        throughput(&traced(spec), trials, ops, inspect)
+    }
+
+    /// Null-operation throughput of `cfg` with `size`-byte requests and
+    /// replies, 12 clients, seeds 1000 + trial.
+    pub fn null_tps(cfg: &PbftConfig, size: usize, trials: usize) -> Stats {
+        let spec = null_spec(cfg.clone(), size, NUM_CLIENTS, 1000);
+        tps(spec, trials, |_| null_ops(size))
+    }
+
+    /// When a cell runs alone, report trial `trial` of it: the mean batch
+    /// on replica 0 and, when traced, where its message trace went.
+    pub fn inspect(trial: usize, cluster: &Cluster) {
+        let Some((bench, id, trace)) = ALONE.get() else {
+            return;
+        };
+        let m = cluster.replica_metrics(0);
+        let batch = m.executed_requests as f64 / m.batches_executed.max(1) as f64;
+        eprint!(
+            "{id} trial {trial}: mean batch {batch:.3} ({} requests in {} batches on replica 0)",
+            m.executed_requests, m.batches_executed
+        );
+        if *trace {
+            let dir = artifact::repo_root().join(format!("target/{bench}-cells"));
+            std::fs::create_dir_all(&dir).expect("create the trace directory");
+            let path = dir.join(format!("{}.trial{trial}.trace", id.replace('/', "_")));
+            let lines: String = cluster
+                .sim
+                .trace()
+                .iter()
+                .map(|e| {
+                    let at = e.at.as_nanos();
+                    let (src, dst, tag, size) = (e.src, e.dst, e.tag, e.size);
+                    format!("{at} {:?} {src} -> {dst} tag {tag} size {size}\n", e.event)
+                })
+                .collect();
+            std::fs::write(&path, lines).expect("write the trace");
+            eprint!(
+                ", {} messages traced to {}",
+                cluster.sim.trace().len(),
+                path.display()
+            );
+        }
+        eprintln!();
     }
 }
 

@@ -103,8 +103,9 @@ const FREES_PER_CALL: u64 = 2;
 /// Large allocations per completed 1 KiB null write at n = 4, ten times,
 /// over every engine call (four replicas and the client, the operation's
 /// own buffer included). The count is the optimiser's as much as the
-/// code's, so it is pinned per profile: 18.3 under `cargo test` and under
-/// `--release`, the build the benchmark runs. `cargo test` read 0.7 more
+/// code's, so it is checked in both profiles, and it reads 18.3 under
+/// `cargo test` and under `--release`, the build the benchmark runs; a
+/// change that splits them pins each. `cargo test` read 0.7 more
 /// (19.3 against 18.6) while a `debug_assert` re-encoded each batch for
 /// the execution chain, which no longer reuses the batch digest (it
 /// carries the view). Both fell by 0.3 (18.6 → 18.3) when the primary
@@ -128,11 +129,7 @@ const FREES_PER_CALL: u64 = 2;
 /// stopped verifying full replies that arrive after the quorum.
 /// The whole-process count was ≈ 39 before the copy audit of the send
 /// path. A change that moves either number says so here.
-const ALLOCS_PER_OP_X10: std::ops::RangeInclusive<u64> = if cfg!(debug_assertions) {
-    182..=184
-} else {
-    182..=184
-};
+const ALLOCS_PER_OP_X10: std::ops::RangeInclusive<u64> = 182..=184;
 
 /// One measured call into a replica.
 struct Call {

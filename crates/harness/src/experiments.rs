@@ -1,12 +1,12 @@
-//! The paper's Table 1 sweep and the measurement every throughput cell of
-//! the evaluation shares: one cluster spec, run over seeded trials.
+//! The paper's Table 1 configurations and the measurement every
+//! throughput cell of the evaluation shares: one cluster spec, run over seeded trials.
 
 use pbft_core::{AuthMode, PbftConfig};
 use simnet::SimDuration;
 
 use crate::cluster::{AppKind, Cluster, ClusterSpec};
 use crate::stats::Stats;
-use crate::workload::{null_ops, OpGen};
+use crate::workload::OpGen;
 
 /// The paper's client/replica population: "12 clients spread evenly across
 /// 4 machines while being serviced by 4 replicas".
@@ -16,15 +16,6 @@ pub const NUM_CLIENTS: usize = 12;
 pub const WARMUP: SimDuration = SimDuration::from_millis(500);
 /// Virtual time a [`throughput`] trial counts completions over.
 pub const WINDOW: SimDuration = SimDuration::from_secs(2);
-
-/// One throughput configuration result.
-#[derive(Debug, Clone)]
-pub struct ConfigResult {
-    /// The Table 1 configuration name (e.g. `sta_mac_allbig_batch`).
-    pub name: String,
-    /// Throughput statistics over trials.
-    pub tps: Stats,
-}
 
 /// A Table 1 configuration: dynamic membership, MACs, all requests big,
 /// batching.
@@ -77,16 +68,11 @@ pub fn null_spec(cfg: PbftConfig, size: usize, clients: usize, seed: u64) -> Clu
 
 /// Throughput of `spec` over `trials` runs, trial `t` at seed
 /// `spec.seed + t`: every client runs the closed-loop workload
-/// `ops(client)`, and the run counts completions over [`WINDOW`] after
-/// [`WARMUP`].
-pub fn throughput(spec: &ClusterSpec, trials: usize, ops: impl Fn(usize) -> OpGen) -> Stats {
-    throughput_inspected(spec, trials, ops, |_, _| {})
-}
-
-/// [`throughput`], handing each trial's cluster to `inspect` (with the
-/// trial's index) once its window is counted — where a re-run of one
-/// artifact cell reads its batching and message trace.
-pub fn throughput_inspected(
+/// `ops(client)`, the run counts completions over [`WINDOW`] after
+/// [`WARMUP`], and `inspect` gets each trial's cluster (with the trial's
+/// index) once its window is counted — where a re-run of one artifact cell
+/// reads its batching and message trace.
+pub fn throughput(
     spec: &ClusterSpec,
     trials: usize,
     ops: impl Fn(usize) -> OpGen,
@@ -105,50 +91,4 @@ pub fn throughput_inspected(
         })
         .collect();
     Stats::from_samples(&samples)
-}
-
-/// Measure null-op throughput for one configuration (Table 1 cell) under
-/// the engine `cfg.engine` names — the head-to-head bench columns (PBFT vs
-/// linear) are measured through this too.
-pub fn null_throughput(cfg: &PbftConfig, size: usize, trials: usize) -> Stats {
-    let spec = null_spec(cfg.clone(), size, NUM_CLIENTS, 1000);
-    throughput(&spec, trials, |_| null_ops(size))
-}
-
-/// **Table 1**: the ten configurations, null requests/replies of `size`
-/// bytes (the paper reports 1024).
-pub fn table1(size: usize, trials: usize) -> Vec<ConfigResult> {
-    table1_configs()
-        .iter()
-        .map(|cfg| ConfigResult {
-            name: cfg.table1_name(),
-            tps: null_throughput(cfg, size, trials),
-        })
-        .collect()
-}
-
-/// The highest mean throughput among `rows`.
-pub fn best_tps(rows: &[ConfigResult]) -> f64 {
-    rows.iter().map(|r| r.tps.mean).fold(f64::MIN, f64::max)
-}
-
-/// Render configuration results as an aligned text table, each row's share
-/// of the best beside it.
-pub fn render_table(title: &str, rows: &[ConfigResult]) -> String {
-    let mut out = format!("{title}\n");
-    out.push_str(&format!(
-        "{:<32} {:>10} {:>8} {:>10}\n",
-        "configuration", "TPS", "StDev", "% of best"
-    ));
-    let best = best_tps(rows);
-    for r in rows {
-        out.push_str(&format!(
-            "{:<32} {:>10.0} {:>8.0} {:>9.1}%\n",
-            r.name,
-            r.tps.mean,
-            r.tps.std_dev,
-            100.0 * r.tps.mean / best
-        ));
-    }
-    out
 }

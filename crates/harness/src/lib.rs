@@ -39,8 +39,8 @@
 //!   (spec builders, fast-failover configs, safety assertions),
 //! * [`stats`] — mean/standard deviation over trials (the paper's TPS ±
 //!   StDev columns),
-//! * [`experiments`] — the Table 1 sweep and the seeded-trials throughput
-//!   measurement the paper benches share.
+//! * [`experiments`] — the Table 1 configurations and the seeded-trials
+//!   throughput measurement the paper benches share.
 //!
 //! # Example: measure a small cluster's throughput
 //!
