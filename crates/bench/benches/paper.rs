@@ -9,7 +9,7 @@
 //! this run checks before anything is written, and under `contradicted`
 //! the part of a claim the run does not bear out, with its numbers.
 
-use bench::artifact::Json;
+use bench::artifact::{num, text, Json};
 use bench::cells::{self, cell, null_tps, tps, Cell, Section};
 use bench::obj;
 use harness::byzantine::{build_faulty_cluster, Fault};
@@ -71,22 +71,6 @@ fn tps_cell(row: Json, tps: Stats, paper: Option<f64>) -> Json {
     measured(row, tps.mean, paper).with("stddev", tps.std_dev)
 }
 
-/// The number under `key` of a row built here.
-fn n(row: &Json, key: &str) -> f64 {
-    match row.get(key) {
-        Some(Json::Num(v)) => *v,
-        other => panic!("'{key}' is not a number: {other:?}"),
-    }
-}
-
-/// The string under `key` of a row built here.
-fn text<'a>(row: &'a Json, key: &str) -> &'a str {
-    match row.get(key) {
-        Some(Json::Str(v)) => v,
-        other => panic!("'{key}' is not a string: {other:?}"),
-    }
-}
-
 /// Whether the row's `converged` flag is set.
 fn converged(row: &Json) -> bool {
     matches!(row.get("converged"), Some(Json::Bool(true)))
@@ -95,7 +79,7 @@ fn converged(row: &Json) -> bool {
 /// The highest `measured` among `rows`.
 fn best_measured(rows: &[Json]) -> f64 {
     rows.iter()
-        .map(|r| n(r, "measured"))
+        .map(|r| num(r, "measured"))
         .fold(f64::MIN, f64::max)
 }
 
@@ -124,7 +108,7 @@ fn fig4_cells() -> Vec<Cell> {
 fn fig4(rows: Vec<Json>) -> Json {
     let per_size = rows.len() / FIG4_SIZES.len();
     let sweep = |s: usize| &rows[s * per_size..(s + 1) * per_size];
-    let tps = |s: usize, i: usize| n(&sweep(s)[i], "measured");
+    let tps = |s: usize, i: usize| num(&sweep(s)[i], "measured");
     let names: Vec<&str> = sweep(0).iter().map(|r| text(r, "config")).collect();
     // Table 1's row order: rows 2k and 2k + 1 differ only in batching, rows
     // k and k + 4 (k < 4) only in MACs vs signatures.
@@ -173,7 +157,7 @@ fn fig4(rows: Vec<Json>) -> Json {
             let size = fields.pop().expect("the size is last");
             fields.push((
                 "pct_of_best".into(),
-                Json::from(100.0 * n(row, "measured") / best),
+                Json::from(100.0 * num(row, "measured") / best),
             ));
             fields.push(size);
             Json::Obj(fields)
@@ -226,13 +210,13 @@ fn fig5(rows: Vec<Json>) -> Json {
         .iter()
         .find(|r| text(r, "config") == "nosta_nomac_noallbig_batch")
         .expect("config present");
-    let pct = 100.0 * n(robust, "measured") / best;
+    let pct = 100.0 * num(robust, "measured") / best;
     let robust_pct = measured(obj! {"config": text(robust, "config")}, pct, Some(43.0));
     let rows: Vec<Json> = rows
         .iter()
         .map(|r| {
             r.clone()
-                .with("pct_of_best", 100.0 * n(r, "measured") / best)
+                .with("pct_of_best", 100.0 * num(r, "measured") / best)
         })
         .collect();
     obj! {
@@ -270,7 +254,7 @@ fn acid_config() -> PbftConfig {
 }
 
 fn acid(rows: Vec<Json>) -> Json {
-    let [rollback, wal, off] = [0, 1, 2].map(|i| n(&rows[i], "measured"));
+    let [rollback, wal, off] = [0, 1, 2].map(|i| num(&rows[i], "measured"));
     let asserted = check!(rows;
         "fewer syncs per commit, more throughput: rollback < WAL < off" =>
             rollback < wal && wal < off,
@@ -301,7 +285,7 @@ fn membership_cells() -> Vec<Cell> {
 const MEMBERSHIP_TRIALS: usize = 3;
 
 fn membership(rows: Vec<Json>) -> Json {
-    let overhead = 100.0 * (1.0 - n(&rows[1], "measured") / n(&rows[0], "measured"));
+    let overhead = 100.0 * (1.0 - num(&rows[1], "measured") / num(&rows[0], "measured"));
     let overhead = measured(obj! {}, overhead, Some(0.5));
     obj! {"ref": "§4.1", "trials": MEMBERSHIP_TRIALS, "rows": rows, "overhead_pct": overhead}
 }
@@ -354,10 +338,10 @@ fn recovery_cells() -> Vec<Cell> {
 }
 
 fn recovery(rows: Vec<Json>) -> Json {
-    let failures = |r: &Json| n(r, "auth_failures");
+    let failures = |r: &Json| num(r, "auth_failures");
     let asserted = check!(rows;
         "the restarted replica recovers through state transfer at every interval" =>
-            rows.iter().all(|r| n(r, "transfers") > 0.0 && n(r, "recovery_ms").is_finite()),
+            rows.iter().all(|r| num(r, "transfers") > 0.0 && num(r, "recovery_ms").is_finite()),
         "the replicas that stayed up converge at every interval" => rows.iter().all(converged),
         "auth failures at the shortest interval are below those at every longer one" =>
             rows[1..].iter().all(|r| failures(&rows[0]) < failures(r)),
@@ -367,7 +351,7 @@ fn recovery(rows: Vec<Json>) -> Json {
         .windows(2)
         .filter(|w| failures(&w[0]) >= failures(&w[1]))
     {
-        let (short, long) = (n(&w[0], "newkey_ms"), n(&w[1], "newkey_ms"));
+        let (short, long) = (num(&w[0], "newkey_ms"), num(&w[1], "newkey_ms"));
         let (before, after) = (failures(&w[1]), failures(&w[0]));
         contradicted
             .push(format!("{long} ms -> {short} ms: auth failures {before} -> {after}").into());
@@ -415,8 +399,8 @@ fn packet_loss_cells() -> Vec<Cell> {
 fn packet_loss(rows: Vec<Json>) -> Json {
     // (library default, body-fetch fix) per loss rate.
     let pairs: Vec<(&Json, &Json)> = rows.chunks(2).map(|p| (&p[0], &p[1])).collect();
-    let stuck = |r: &Json| n(r, "stuck_events");
-    let transfers = |r: &Json| n(r, "transfers");
+    let stuck = |r: &Json| num(r, "stuck_events");
+    let transfers = |r: &Json| num(r, "transfers");
     let asserted = check!(rows;
         "by default a lost body wedges replica 3 until a checkpoint transfer" =>
             pairs.iter().all(|(d, _)| stuck(d) > 0.0 && transfers(d) > 0.0),
@@ -426,7 +410,7 @@ fn packet_loss(rows: Vec<Json>) -> Json {
     );
     let mut contradicted = vec![Json::from("the fix avoids transfers")];
     for (_, fix) in pairs.iter().filter(|(_, f)| transfers(f) > 0.0) {
-        let (loss, times) = (n(fix, "loss"), transfers(fix));
+        let (loss, times) = (num(fix, "loss"), transfers(fix));
         contradicted.push(format!("loss {loss}: the fix still transfers {times} times").into());
     }
     obj! {"ref": "§2.4", "rows": rows, "asserted": asserted, "contradicted": contradicted}
@@ -485,8 +469,8 @@ fn nondet_replay_cells() -> Vec<Cell> {
 }
 
 fn nondet_replay(rows: Vec<Json>) -> Json {
-    let failures = |r: &Json| n(r, "validation_failures");
-    let completed = |r: &Json| n(r, "completed_after_replay");
+    let failures = |r: &Json| num(r, "validation_failures");
+    let completed = |r: &Json| num(r, "completed_after_replay");
     let (strict, skip) = (&rows[0], &rows[1]);
     let asserted = check!(rows;
         "strict validation rejects the replay and the group completes fewer requests" =>
@@ -521,18 +505,18 @@ fn privacy_cells() -> Vec<Cell> {
 }
 
 fn privacy(rows: Vec<Json>) -> Json {
-    let latency = |r: &Json| n(r, "latency_ms");
+    let latency = |r: &Json| num(r, "latency_ms");
     let asserted = check!(rows;
         "each row adds latency" => rows.windows(2).all(|w| latency(&w[0]) < latency(&w[1])),
         "the outermost row suppresses surplus replies" =>
-            rows[1..].iter().all(|r| n(r, "suppressed_row0") > 0.0),
+            rows[1..].iter().all(|r| num(r, "suppressed_row0") > 0.0),
     );
     let base = latency(&rows[0]);
     let rows: Vec<Json> = rows
         .iter()
         .map(|r| {
             let increase = (latency(r) / base - 1.0) * 100.0;
-            let firewalled = n(r, "rows") > 0.0;
+            let firewalled = num(r, "rows") > 0.0;
             r.clone()
                 .with("latency_increase_pct", firewalled.then_some(increase))
         })
@@ -564,13 +548,13 @@ fn wan_cells() -> Vec<Cell> {
 }
 
 fn wan(rows: Vec<Json>) -> Json {
-    let tps = |r: &Json| n(r, "tps");
-    let latency = |r: &Json| n(r, "latency_ms");
+    let tps = |r: &Json| num(r, "tps");
+    let latency = |r: &Json| num(r, "latency_ms");
     let asserted = check!(rows;
         "latency rises and throughput falls with every step of link delay" =>
             rows.windows(2).all(|w| latency(&w[0]) < latency(&w[1]) && tps(&w[0]) > tps(&w[1])),
         "latency-bound: throughput x latency stays within 5 % of the 12 clients" =>
-            rows.iter().all(|r| (n(r, "in_flight") / NUM_CLIENTS as f64 - 1.0).abs() < 0.05),
+            rows.iter().all(|r| (num(r, "in_flight") / NUM_CLIENTS as f64 - 1.0).abs() < 0.05),
     );
     obj! {"ref": "§3.3.3", "trials": 1u64, "rows": rows, "asserted": asserted}
 }
@@ -621,7 +605,7 @@ fn byzantine_cells() -> Vec<Cell> {
 }
 
 fn byzantine(rows: Vec<Json>) -> Json {
-    let tps = |r: &Json| n(r, "tps");
+    let tps = |r: &Json| num(r, "tps");
     let asserted = check!(rows;
         "every fault is survived" => rows.iter().all(|r| tps(r) > 0.0),
         "equivocation (the split-brain primary) costs the most" =>

@@ -10,7 +10,7 @@
 //! `engine_head_to_head/<config>/<engine>`) that re-runs alone: see
 //! [`bench::cells`].
 
-use bench::artifact::Json;
+use bench::artifact::{num, text, Json};
 use bench::cells::{self, cell, null_tps, Cell, Section};
 use bench::obj;
 use harness::experiments::{table1_configs, TABLE1_PAPER_TPS};
@@ -79,10 +79,10 @@ fn table(rows: Vec<Json>) -> Json {
     println!("(speedup is vs the committed PR 8 seed)");
     for r in &rows {
         println!(
-            "  {:<32} paper {:>7}   measured {:>9}   speedup {:>5.2}x",
+            "  {:<32} paper {:>7.0}   measured {:>7.0}   speedup {:>5.2}x",
             text(r, "config"),
-            text(r, "paper_tps"),
-            text(r, "tps_mean"),
+            num(r, "paper_tps"),
+            num(r, "tps_mean"),
             num(r, "speedup_vs_seed"),
         );
     }
@@ -122,38 +122,21 @@ fn head_to_head(rows: Vec<Json>) -> Json {
         let speedup = num(r, "speedup_vs_seed");
         assert!(
             speedup >= BATCH_ROW_FLOOR,
-            "{} [{}]: {} TPS is only {speedup:.2}x the PR 8 seed; floor is {BATCH_ROW_FLOOR}x",
+            "{} [{}]: {:.0} TPS is only {speedup:.2}x the PR 8 seed; floor is {BATCH_ROW_FLOOR}x",
             text(r, "config"),
             text(r, "engine"),
-            text(r, "tps_mean"),
+            num(r, "tps_mean"),
         );
     }
     println!("engine head-to-head (same configs, seeds and workload):");
     for r in &rows {
         println!(
-            "  {:<32} {:<8} {:>9} TPS   speedup {:>5.2}x (floor {BATCH_ROW_FLOOR}x on the batch row)",
+            "  {:<32} {:<8} {:>7.0} TPS   speedup {:>5.2}x (floor {BATCH_ROW_FLOOR}x on the batch row)",
             text(r, "config"),
             text(r, "engine"),
-            text(r, "tps_mean"),
+            num(r, "tps_mean"),
             num(r, "speedup_vs_seed"),
         );
     }
     Json::Arr(rows)
-}
-
-/// The number under `key` of a row built here.
-fn num(row: &Json, key: &str) -> f64 {
-    match row.get(key) {
-        Some(Json::Num(v)) => *v,
-        other => panic!("'{key}' is not a number: {other:?}"),
-    }
-}
-
-/// The value under `key` of a row built here, as the artifact renders it.
-fn text(row: &Json, key: &str) -> String {
-    match row.get(key) {
-        Some(Json::Str(v)) => v.clone(),
-        Some(v) => v.render(),
-        None => panic!("no '{key}' in the row"),
-    }
 }

@@ -171,6 +171,28 @@ pub mod artifact {
         }
     }
 
+    /// The number under `key` of a row a bench built.
+    ///
+    /// # Panics
+    /// Panics if the row has no number there.
+    pub fn num(row: &Json, key: &str) -> f64 {
+        match row.get(key) {
+            Some(Json::Num(v)) => *v,
+            other => panic!("'{key}' is not a number: {other:?}"),
+        }
+    }
+
+    /// The string under `key` of a row a bench built.
+    ///
+    /// # Panics
+    /// Panics if the row has no string there.
+    pub fn text<'a>(row: &'a Json, key: &str) -> &'a str {
+        match row.get(key) {
+            Some(Json::Str(v)) => v,
+            other => panic!("'{key}' is not a string: {other:?}"),
+        }
+    }
+
     /// The repo root — bench targets run from the crate directory, the
     /// committed artifacts live two levels up.
     pub fn repo_root() -> PathBuf {

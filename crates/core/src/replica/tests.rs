@@ -1438,8 +1438,11 @@ fn retirement_matches_the_old_garbage_collection_on_random_schedules() {
                     *low = (r.log.low, low.0);
                 }
                 assert_bodies_owned(r, low.1);
-                // A view adopted without a rollback leaves the old view's
-                // tentative batch executed in an unmarked slot.
+                // The watermark sits below `last_executed` only while an
+                // executed slot is tentative. An older view's batch run in a
+                // newer view (after a rollback, or with no rollback when the
+                // view was adopted from statuses) left one that the newer
+                // view's pre-prepare re-created unexecuted.
                 assert!(
                     r.committed_upto == r.last_executed
                         || r.log.iter().any(|(_, e)| e.executed && e.tentative),
@@ -1480,6 +1483,58 @@ fn retirement_matches_the_old_garbage_collection_on_random_schedules() {
         "{} slots holding bodies dropped",
         dropped.get()
     );
+}
+
+/// A replica stranded in a view change adopts the group's newer view from
+/// its peers' statuses. The batch it alone executed tentatively in the old
+/// view is replaced in the new one (same request, the new primary's
+/// non-determinism), so adopting the view must roll it back, as entering a
+/// new view does; otherwise the new view's batch at that sequence number
+/// never runs there.
+#[test]
+fn a_view_adopted_from_statuses_rolls_back_the_old_views_tentative_batch() {
+    use crate::output::{HandleResult, TimerKind};
+
+    let to3 = |to: &NetTarget| *to == NetTarget::Replica(ReplicaId(3));
+    let mut net = Net::new(default_cfg(), 1, AppKind::Kv);
+    // Only replica 3 sees the prepares, and nobody the commits: it alone
+    // executes seq 1, tentatively, in view 0.
+    net.drop = Some(Box::new(move |_, to, disc| {
+        disc == 4 || (disc == 3 && !to3(to))
+    }));
+    net.submit(0, KvApp::op_put(1, 1), false);
+    net.pump(10_000);
+    let r3 = &net.replicas[3];
+    assert_eq!((r3.last_executed(), r3.committed_upto), (1, 0));
+    // Replica 3 votes for view 2, alone; the other three move to view 1
+    // without it, and its new primary orders the request again at seq 1.
+    let mut res = HandleResult::default();
+    net.replicas[3].start_view_change(2, net.now, &mut res);
+    net.drop = Some(Box::new(move |src, to, _| {
+        to3(to) || src == Source::Replica(3)
+    }));
+    net.route(Source::Replica(3), res.outputs);
+    for _ in 0..2 {
+        for i in 0..3 {
+            net.fire_replica_timer(i, TimerKind::ViewChange);
+        }
+        net.pump(10_000);
+    }
+    assert!((0..3).all(|i| net.replicas[i].view() == 1 && net.replicas[i].last_executed() == 1));
+    assert_ne!(
+        net.replicas[3].exec_chain(),
+        net.replicas[0].exec_chain(),
+        "view 1 ordered a different batch at seq 1"
+    );
+    // The statuses bring replica 3 into view 1, and then the group's
+    // retransmissions its batch.
+    net.drop = None;
+    net.idle();
+    net.idle();
+    let r3 = &net.replicas[3];
+    assert_eq!(r3.view(), 1);
+    assert_eq!((r3.last_executed(), r3.committed_upto), (1, 1));
+    net.assert_chains_equal(&[0, 1, 2, 3]);
 }
 
 /// A request the group ordered twice — a new primary re-queues an observed
