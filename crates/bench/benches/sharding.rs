@@ -10,10 +10,15 @@
 //! group — the paper's client:group ratio). Reports per-configuration
 //! aggregate TPS, per-shard balance and scaling efficiency against that
 //! engine's own 1-shard baseline, and writes the grid to the committed
-//! `BENCH_sharding.json`.
-//!
+//! `BENCH_sharding.json`. Every row is a cell
+//! (`rows/<engine>/batching=<on|off>/shards=<k>`) that re-runs alone: see
+//! [`bench::cells`]. A row's scaling efficiency is derived from its grid's
+//! 1-shard row, so a cell run alone leaves it out.
 
-use bench::artifact::{self, Json};
+use std::sync::Mutex;
+
+use bench::artifact::{num, text, Json};
+use bench::cells::{self, cell, Cell, Section};
 use bench::obj;
 use harness::experiments::NUM_CLIENTS;
 use harness::shard::{Deployment, DeploymentSpec, ShardedThroughput};
@@ -29,47 +34,34 @@ const REQUEST_SIZE: usize = 1024;
 /// Seed-varied runs behind every row's standard deviation.
 const TRIALS: usize = 2;
 
-struct Row {
-    engine: &'static str,
-    shards: usize,
-    batching: bool,
-    /// One [`ShardedThroughput`] per trial.
-    trials: Vec<ShardedThroughput>,
+/// Each measured row's trials, in row order: its scaling efficiency is the
+/// mean of its trials' efficiencies, which its JSON row cannot give.
+static TRIALS_RUN: Mutex<Vec<Vec<ShardedThroughput>>> = Mutex::new(Vec::new());
+
+fn main() {
+    cells::main(
+        obj! {"bench": "sharding", "trials": TRIALS},
+        vec![Section::array("rows", row_cells(), grids)],
+    );
 }
 
-impl Row {
-    fn aggregate(&self) -> Stats {
-        Stats::from_samples(
-            &self
-                .trials
-                .iter()
-                .map(ShardedThroughput::aggregate_tps)
-                .collect::<Vec<_>>(),
-        )
+/// Engine × batching × shard count, in row order.
+fn row_cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for engine in Engine::ALL {
+        for batching in [true, false] {
+            for shards in SHARD_COUNTS {
+                let on = if batching { "on" } else { "off" };
+                let id = format!("rows/{}/batching={on}/shards={shards}", engine.name());
+                cells.push(cell(id, move || measure(engine, shards, batching)));
+            }
+        }
     }
-
-    fn balance(&self) -> Stats {
-        Stats::from_samples(
-            &self
-                .trials
-                .iter()
-                .flat_map(|t| t.per_shard_tps.iter().copied())
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// Mean scaling efficiency across trials against the 1-shard baseline.
-    fn efficiency(&self, baseline_tps: f64) -> f64 {
-        self.trials
-            .iter()
-            .map(|t| t.scaling_efficiency(baseline_tps))
-            .sum::<f64>()
-            / self.trials.len() as f64
-    }
+    cells
 }
 
-fn measure(engine: Engine, shards: usize, batching: bool) -> Row {
-    let trials = (0..TRIALS)
+fn measure(engine: Engine, shards: usize, batching: bool) -> Json {
+    let trials: Vec<ShardedThroughput> = (0..TRIALS)
         .map(|trial| {
             let spec = DeploymentSpec {
                 shards,
@@ -92,96 +84,61 @@ fn measure(engine: Engine, shards: usize, batching: bool) -> Row {
             sc.measure_throughput(WARMUP, WINDOW)
         })
         .collect();
-    Row {
-        engine: engine.name(),
-        shards,
-        batching,
-        trials,
+    let aggregates: Vec<f64> = trials
+        .iter()
+        .map(ShardedThroughput::aggregate_tps)
+        .collect();
+    let per_shard: Vec<f64> = trials
+        .iter()
+        .flat_map(|t| t.per_shard_tps.clone())
+        .collect();
+    let (aggregate, balance) = (
+        Stats::from_samples(&aggregates),
+        Stats::from_samples(&per_shard),
+    );
+    TRIALS_RUN.lock().expect("no cell panicked").push(trials);
+    obj! {
+        "engine": engine.name(), "batching": batching, "shards": shards,
+        "aggregate_tps": aggregate.mean, "aggregate_tps_stddev": aggregate.std_dev,
+        "per_shard_tps": balance.mean, "per_shard_tps_stddev": balance.std_dev,
     }
 }
 
-/// The full shards × batching grid for one engine, with that engine's own
-/// 1-shard row as the scaling baseline. Prints the rows and enforces the
-/// 2.5x acceptance floor at 4 shards.
-fn engine_grid(engine: Engine) -> Vec<Row> {
-    let mut all = Vec::new();
-    for batching in [true, false] {
-        let rows: Vec<Row> = SHARD_COUNTS
-            .iter()
-            .map(|&s| measure(engine, s, batching))
-            .collect();
-        let baseline = rows[0].aggregate().mean;
-        for row in &rows {
-            let (aggregate, balance) = (row.aggregate(), row.balance());
-            println!(
-                "{:<8} {:<10} {:>7} {:>12.0} {:>8.0} {:>14.0} {:>10.0} {:>11.2}x",
-                row.engine,
-                if row.batching { "on" } else { "off" },
-                row.shards,
-                aggregate.mean,
-                aggregate.std_dev,
-                balance.mean,
-                balance.std_dev,
-                row.efficiency(baseline),
-            );
-        }
-        let four = rows
-            .iter()
-            .find(|r| r.shards == 4)
-            .expect("the acceptance gate needs the 4-shard configuration in SHARD_COUNTS");
-        let speedup = four.aggregate().mean / baseline;
-        println!(
-            "  -> {} 4-shard speedup over 1 shard: {speedup:.2}x \
-             (scaling model expects ~4x; acceptance floor 2.5x)",
-            engine.name(),
-        );
-        assert!(
-            speedup >= 2.5,
-            "{}: 4-shard aggregate ({:.0} TPS) fell below 2.5x the 1-shard baseline ({:.0} TPS)",
-            engine.name(),
-            four.aggregate().mean,
-            baseline
-        );
-        println!();
-        all.extend(rows);
-    }
-    all
-}
-
-fn main() {
+/// Add each row's scaling efficiency against its grid's 1-shard row,
+/// print the rows, and enforce the 2.5x acceptance floor at 4 shards.
+fn grids(rows: Vec<Json>) -> Json {
     println!(
         "Sharding — aggregate committed null-op TPS vs shard count per engine \
-         (1 KiB ops, {NUM_CLIENTS} clients/group, {TRIALS} trials)\n"
+         (1 KiB ops, {NUM_CLIENTS} clients/group, {TRIALS} trials)"
     );
-    println!(
-        "{:<8} {:<10} {:>7} {:>12} {:>8} {:>14} {:>10} {:>12}",
-        "engine", "batching", "shards", "agg TPS", "StDev", "per-shard", "±", "efficiency"
-    );
-
-    let rows: Vec<Row> = Engine::ALL.into_iter().flat_map(engine_grid).collect();
-
-    let baselines: Vec<(&'static str, bool, f64)> = rows
-        .iter()
-        .filter(|r| r.shards == 1)
-        .map(|r| (r.engine, r.batching, r.aggregate().mean))
-        .collect();
-    let rows: Vec<Json> = rows
-        .iter()
-        .map(|r| {
-            let (aggregate, balance) = (r.aggregate(), r.balance());
-            let baseline = baselines
+    let trials = TRIALS_RUN.lock().expect("no cell panicked");
+    let mut out = Vec::new();
+    for (grid, grid_trials) in rows
+        .chunks(SHARD_COUNTS.len())
+        .zip(trials.chunks(SHARD_COUNTS.len()))
+    {
+        let baseline = num(&grid[0], "aggregate_tps");
+        for (row, row_trials) in grid.iter().zip(grid_trials) {
+            let efficiency = row_trials
                 .iter()
-                .find(|(e, b, _)| *e == r.engine && *b == r.batching)
-                .map(|(_, _, tps)| *tps)
-                .expect("every grid has its 1-shard row");
-            obj! {
-                "engine": r.engine, "batching": r.batching, "shards": r.shards,
-                "aggregate_tps": aggregate.mean, "aggregate_tps_stddev": aggregate.std_dev,
-                "per_shard_tps": balance.mean, "per_shard_tps_stddev": balance.std_dev,
-                "scaling_efficiency": r.efficiency(baseline),
-            }
-        })
-        .collect();
-    let json = obj! {"bench": "sharding", "trials": TRIALS, "rows": rows};
-    artifact::write("BENCH_sharding.json", &json);
+                .map(|t| t.scaling_efficiency(baseline))
+                .sum::<f64>()
+                / row_trials.len() as f64;
+            let row = row.clone().with("scaling_efficiency", efficiency);
+            println!("{}", row.render().replace(['\n', ' '], ""));
+            out.push(row);
+        }
+        let four = &grid[SHARD_COUNTS
+            .iter()
+            .position(|&k| k == 4)
+            .expect("4 shards run")];
+        let speedup = num(four, "aggregate_tps") / baseline;
+        let engine = text(four, "engine");
+        println!("  -> {engine} 4-shard speedup over 1 shard: {speedup:.2}x (floor 2.5x)");
+        assert!(
+            speedup >= 2.5,
+            "{engine}: 4-shard aggregate is {speedup:.2}x the 1-shard baseline, below 2.5x"
+        );
+    }
+    Json::Arr(out)
 }

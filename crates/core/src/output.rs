@@ -26,7 +26,9 @@ pub enum NetTarget {
 }
 
 /// Engine timers. Engines arm these by kind; harnesses map kinds onto their
-/// transport's timer facility.
+/// transport's timer facility. Each recovers from a loss, a fault or a
+/// lagging peer; none paces the normal case, where a primary issues on
+/// events alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TimerKind {
     /// Backup's suspicion timer: fires if an observed request is not
@@ -38,8 +40,6 @@ pub enum TimerKind {
     NewKey,
     /// Replica retry for an in-progress state transfer.
     FetchRetry,
-    /// Primary's batch re-examination (used when the window was full).
-    BatchKick,
     /// View-change round timeout (doubles per round).
     NewViewTimeout,
     /// Periodic status broadcast (drives retransmission to lagging peers).
@@ -47,31 +47,24 @@ pub enum TimerKind {
 }
 
 impl TimerKind {
-    /// Stable numeric id for harness mapping.
+    /// Every kind, in [`TimerKind::index`] order.
+    const ALL: [TimerKind; 6] = [
+        TimerKind::ViewChange,
+        TimerKind::Retransmit,
+        TimerKind::NewKey,
+        TimerKind::FetchRetry,
+        TimerKind::NewViewTimeout,
+        TimerKind::StatusTick,
+    ];
+
+    /// Stable numeric id for harness mapping: the declaration order.
     pub fn index(self) -> u64 {
-        match self {
-            TimerKind::ViewChange => 0,
-            TimerKind::Retransmit => 1,
-            TimerKind::NewKey => 2,
-            TimerKind::FetchRetry => 3,
-            TimerKind::BatchKick => 4,
-            TimerKind::NewViewTimeout => 5,
-            TimerKind::StatusTick => 6,
-        }
+        self as u64
     }
 
     /// Inverse of [`TimerKind::index`].
     pub fn from_index(idx: u64) -> Option<TimerKind> {
-        Some(match idx {
-            0 => TimerKind::ViewChange,
-            1 => TimerKind::Retransmit,
-            2 => TimerKind::NewKey,
-            3 => TimerKind::FetchRetry,
-            4 => TimerKind::BatchKick,
-            5 => TimerKind::NewViewTimeout,
-            6 => TimerKind::StatusTick,
-            _ => return None,
-        })
+        Self::ALL.get(usize::try_from(idx).ok()?).copied()
     }
 }
 
@@ -171,15 +164,8 @@ mod tests {
 
     #[test]
     fn timer_kind_index_roundtrip() {
-        for k in [
-            TimerKind::ViewChange,
-            TimerKind::Retransmit,
-            TimerKind::NewKey,
-            TimerKind::FetchRetry,
-            TimerKind::BatchKick,
-            TimerKind::NewViewTimeout,
-            TimerKind::StatusTick,
-        ] {
+        for (i, k) in TimerKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.index(), i as u64);
             assert_eq!(TimerKind::from_index(k.index()), Some(k));
         }
         assert_eq!(TimerKind::from_index(99), None);

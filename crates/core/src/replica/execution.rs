@@ -19,13 +19,6 @@ use super::{
     SETTLE_PAGES_PER_BATCH,
 };
 
-/// Primary issuance quantum when batching is off, in nanoseconds. Without
-/// batching the original library issues pre-prepares from its event-loop
-/// tick rather than inline with request arrival; this quantum is what
-/// clusters all four of Table 1's no-batching rows near 1,000 TPS
-/// regardless of the crypto mode.
-const NOBATCH_ISSUE_TICK_NS: u64 = 1_000_000;
-
 /// Sessions idle longer than this (60 s) are eligible for cleanup when the
 /// client table is full (paper §3.1).
 pub(super) const SESSION_STALE_NS: u64 = 60_000_000_000;
@@ -43,9 +36,10 @@ impl Replica {
     /// Primary: issue pre-prepares while the congestion window allows, each
     /// with everything pending up to the batch limit (§2.1: the primary
     /// postpones while its window is full, then includes "as many
-    /// outstanding request messages as possible"). Nothing polls: execution
-    /// frees window room and a stable checkpoint moves the high watermark,
-    /// and both call back here.
+    /// outstanding request messages as possible"). Nothing polls and no
+    /// clock gates it: a request's arrival, an execution freeing window
+    /// room, a new view, and a stable checkpoint or a transfer moving the
+    /// high watermark all call back here.
     pub(crate) fn try_issue(&mut self, now_ns: u64, res: &mut HandleResult) {
         if !self.is_primary() {
             return;
@@ -55,14 +49,6 @@ impl Replica {
         while !self.pending.is_empty() && self.requests_in_flight() < window {
             let seq = self.seq_assign + 1;
             if !self.log.in_watermarks(seq) {
-                return;
-            }
-            let since = now_ns.saturating_sub(self.last_issue_ns);
-            if !self.cfg.batching && since < NOBATCH_ISSUE_TICK_NS {
-                res.outputs.push(Output::SetTimer {
-                    kind: TimerKind::BatchKick,
-                    delay_ns: NOBATCH_ISSUE_TICK_NS - since,
-                });
                 return;
             }
             let take = self.pending.len().min(max_batch);
@@ -85,7 +71,6 @@ impl Replica {
             // reproduce).
             let random = Digest::of_parts(&[b"nondet", &seq.to_be_bytes()]).prefix_u64();
             let nondet = self.app.make_nondet(now_ns, random);
-            self.last_issue_ns = now_ns;
             let pp = PrePrepareMsg {
                 view: self.view,
                 seq,

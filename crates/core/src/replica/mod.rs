@@ -373,8 +373,6 @@ pub struct Replica {
     /// by tests to prove all replicas executed the same sequence.
     pub(crate) exec_chain: Digest,
 
-    /// Last pre-prepare issuance time (the no-batching pacing quantum).
-    pub(crate) last_issue_ns: u64,
     /// Progress marker for the view-change timer heuristic.
     pub(crate) vc_timer_baseline: SeqNum,
     pub(crate) vc_timer_armed: bool,
@@ -465,7 +463,6 @@ impl Replica {
             committed_upto: 0,
             deferred_reads: VecDeque::new(),
             exec_chain: Digest::ZERO,
-            last_issue_ns: 0,
             vc_timer_baseline: 0,
             vc_timer_armed: false,
             metrics: ReplicaMetrics::default(),
@@ -489,6 +486,11 @@ impl Replica {
     /// This replica's id.
     pub fn id(&self) -> ReplicaId {
         self.keys.me()
+    }
+
+    /// The configuration this replica runs.
+    pub fn config(&self) -> &PbftConfig {
+        &self.cfg
     }
 
     /// Current view.
@@ -731,9 +733,6 @@ impl Replica {
             TimerKind::ViewChange => self.on_vc_timer(now_ns, &mut res),
             TimerKind::NewViewTimeout => self.on_new_view_timeout(now_ns, &mut res),
             TimerKind::FetchRetry => self.on_fetch_retry(&mut res),
-            TimerKind::BatchKick => {
-                self.try_issue(now_ns, &mut res);
-            }
             TimerKind::StatusTick => {
                 // A root no batch stepped since the previous tick belongs to
                 // a replica nobody waits on: finish it, as the idle log is

@@ -450,13 +450,7 @@ fn batching_disabled_still_executes() {
     for c in 0..3 {
         net.submit(c, vec![c as u8], false);
     }
-    // Without batching the primary paces issuance on its event-loop tick
-    // (`NOBATCH_ISSUE_TICK_NS`); drive the tick manually — each firing
-    // advances the clock 1 ms and releases the next agreement.
-    for _ in 0..4 {
-        net.pump(50_000);
-        net.fire_replica_timer(0, crate::output::TimerKind::BatchKick);
-    }
+    // One agreement at a time, each issued when the previous executes.
     net.pump(50_000);
     for c in 0..3 {
         assert_eq!(net.completed(c), 1);

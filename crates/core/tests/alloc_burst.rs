@@ -29,7 +29,6 @@ use pbft_core::app::NullApp;
 use pbft_core::replica::LIB_REGION_PAGES;
 use pbft_core::{
     Client, ClientId, HandleResult, NetTarget, Output, PacketBuf, PbftConfig, Replica, ReplicaId,
-    TimerKind,
 };
 use pbft_state::PagedState;
 
@@ -141,8 +140,6 @@ struct Loopback {
     replicas: Vec<Replica>,
     clients: Vec<Client>,
     queue: VecDeque<(NetTarget, PacketBuf)>,
-    /// Per replica: when its pending `BatchKick` is due.
-    kick_due: Vec<Option<u64>>,
     now: u64,
     completed: u64,
     engine_allocs: u64,
@@ -175,7 +172,6 @@ impl Loopback {
             .map(|(i, &id)| Client::new_static(cfg.clone(), SEED, id, CLIENT_ADDR_BASE + i as u32))
             .collect::<Vec<_>>();
         let mut net = Loopback {
-            kick_due: vec![None; replicas.len()],
             replicas,
             clients,
             queue: VecDeque::new(),
@@ -186,11 +182,11 @@ impl Loopback {
         };
         for i in 0..net.replicas.len() {
             let res = net.replicas[i].on_start(net.now, false);
-            net.route(Some(i), res);
+            net.route(res);
         }
         for i in 0..net.clients.len() {
             let res = net.clients[i].on_start(net.now);
-            net.route(None, res);
+            net.route(res);
         }
         for i in 0..net.clients.len() {
             net.submit(i);
@@ -198,21 +194,12 @@ impl Loopback {
         net
     }
 
-    /// Apply a call's outputs: sends are queued, a replica's batch kick is
-    /// remembered; the other timers guard against losses this loop does not
-    /// have.
-    fn route(&mut self, replica: Option<usize>, res: HandleResult) {
+    /// Queue a call's sends; its timers guard against losses this loop does
+    /// not have.
+    fn route(&mut self, res: HandleResult) {
         for o in res.outputs {
-            match (o, replica) {
-                (Output::Send { to, packet, .. }, _) => self.queue.push_back((to, packet)),
-                (
-                    Output::SetTimer {
-                        kind: TimerKind::BatchKick,
-                        delay_ns,
-                    },
-                    Some(i),
-                ) => self.kick_due[i] = Some(self.now + delay_ns),
-                _ => {}
+            if let Output::Send { to, packet, .. } = o {
+                self.queue.push_back((to, packet));
             }
         }
     }
@@ -222,7 +209,7 @@ impl Loopback {
         let (res, allocs, _) =
             counted(|| self.clients[client].submit(vec![0xab; OP_BYTES], false, now));
         self.engine_allocs += allocs;
-        self.route(None, res);
+        self.route(res);
     }
 
     /// A measured call into replica `i`.
@@ -234,23 +221,16 @@ impl Loopback {
             frees,
             executed: res.counts.requests_executed,
         });
-        self.route(Some(i), res);
+        self.route(res);
     }
 
-    /// Deliver one packet, or fire the earliest batch kick when none is
-    /// queued. Closed loop: a client that completes submits again.
+    /// Deliver one packet. Closed loop: a client that completes submits
+    /// again.
     fn step(&mut self) {
-        for i in 0..self.replicas.len() {
-            if self.kick_due[i].is_some_and(|due| due <= self.now) {
-                self.kick_due[i] = None;
-                self.on_replica(i, |r, now| r.on_timer(TimerKind::BatchKick, now));
-            }
-        }
-        let Some((to, packet)) = self.queue.pop_front() else {
-            let due = self.kick_due.iter().flatten().min();
-            self.now = *due.expect("a closed loop always has a packet or a kick pending");
-            return;
-        };
+        let (to, packet) = self
+            .queue
+            .pop_front()
+            .expect("a closed loop always has a packet in flight");
         self.now += HOP_NS;
         match to {
             NetTarget::Replica(r) => {
@@ -261,7 +241,7 @@ impl Loopback {
                 let now = self.now;
                 let (res, allocs, _) = counted(|| self.clients[c].handle_packet(&packet, now));
                 self.engine_allocs += allocs;
-                self.route(None, res);
+                self.route(res);
                 if !self.clients[c].take_events().is_empty() {
                     self.completed += 1;
                     self.submit(c);

@@ -50,15 +50,22 @@
 //! [`FaultyReplicaHost::honest_with_twin`] (see [`build_adversary_cluster`])
 //! additionally keeps a silent split-brain twin tracking the protocol, so
 //! [`Fault::SplitBrain`] itself becomes mountable mid-run.
+//!
+//! The host is also the simulated 2012 machine's event loop: in a group
+//! without batching it lets a pre-prepare out at most once per
+//! [`NOBATCH_TICK`] and holds the rest until their tick comes. The engine
+//! issues on events alone.
+
+use std::collections::VecDeque;
 
 use pbft_core::messages::view::PacketView;
-use pbft_core::messages::Sender;
+use pbft_core::messages::{Message, Sender};
 use pbft_core::replica::Replica;
 use pbft_core::{ClientId, HandleResult, NetTarget, Output, PacketBuf};
-use simnet::{Node, NodeCtx, NodeId, SimDuration, TimerId};
+use simnet::{Node, NodeCtx, NodeId, SimDuration, SimTime, TimerId};
 
 use crate::cluster::{apply_outputs, make_replica, node_of, Cluster, ClusterSpec};
-use crate::cost::CostModel;
+use crate::cost::{CostModel, NOBATCH_TICK};
 
 /// Which Byzantine behaviour to mount.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,6 +132,17 @@ const TAG_COMMIT_QC: u8 = 16;
 /// outside the engine's `TimerKind` index range, so the two cannot collide.
 const STORM_TIMER: TimerId = TimerId(1_000);
 
+/// The host-private timer that lets held pre-prepares out on their tick.
+const TICK_TIMER: TimerId = TimerId(1_002);
+
+/// A host's no-batching tick: when the last pre-prepare left, and the
+/// sends of those that wait for their tick, oldest first.
+#[derive(Default)]
+struct Tick {
+    last_left: SimTime,
+    held: VecDeque<Vec<Output>>,
+}
+
 /// A replica host that can misbehave.
 pub struct FaultyReplicaHost {
     /// Engine(s): one, or two for [`Fault::SplitBrain`].
@@ -139,43 +157,24 @@ pub struct FaultyReplicaHost {
     /// Whether this host was mounted by a restart (passed to the engine's
     /// `on_start` so it runs its recovery path).
     restarted: bool,
+    /// The event-loop tick, in a group without batching.
+    tick: Option<Tick>,
 }
 
 impl FaultyReplicaHost {
-    /// Wrap `replica` with `fault` mounted from the start. For
-    /// [`Fault::SplitBrain`] pass the twin created with [`make_replica`]
-    /// for the same id.
-    pub fn new(
-        replica: Replica,
-        twin: Option<Replica>,
-        fault: Fault,
-        model: CostModel,
-        n: usize,
-    ) -> Self {
-        let mut host = Self::honest(replica, model, n);
-        if let Some(twin) = twin {
-            assert_eq!(
-                fault,
-                Fault::SplitBrain,
-                "twin engines are for split-brain only"
-            );
-            host.engines.push(twin);
-        }
-        host.fault = Some(fault);
-        host
-    }
-
     /// Wrap `replica` with *no* fault mounted: an honest member, on which a
     /// scenario can mount a fault later. This is how
     /// [`Cluster::build`](crate::cluster::Cluster::build) mounts every
     /// replica.
-    pub fn honest(replica: Replica, model: CostModel, n: usize) -> Self {
+    pub fn honest(replica: Replica, model: CostModel) -> Self {
+        let cfg = replica.config();
         FaultyReplicaHost {
+            n: cfg.n(),
+            tick: (!cfg.batching).then(Tick::default),
             engines: vec![replica],
             cum_counts: Default::default(),
             fault: None,
             model,
-            n,
             restarted: false,
         }
     }
@@ -185,8 +184,8 @@ impl FaultyReplicaHost {
     /// engine (so it shares the whole protocol history) but its outputs are
     /// suppressed until [`Fault::SplitBrain`] is mounted. This is what lets
     /// an adaptive adversary turn equivocation on and off mid-run.
-    pub fn honest_with_twin(replica: Replica, twin: Replica, model: CostModel, n: usize) -> Self {
-        let mut host = Self::honest(replica, model, n);
+    pub fn honest_with_twin(replica: Replica, twin: Replica, model: CostModel) -> Self {
+        let mut host = Self::honest(replica, model);
         host.engines.push(twin);
         host
     }
@@ -322,9 +321,10 @@ impl FaultyReplicaHost {
     }
 
     /// Emit `res` with only the sends this engine's audience, the censor
-    /// and the tamperer let through. Timers collapse across engines (same
-    /// kinds); close enough for fault scenarios.
-    fn route(&self, engine_idx: usize, mut res: HandleResult, ctx: &mut NodeCtx<'_>) {
+    /// and the tamperer let through, less the pre-prepares held to the
+    /// tick. Timers collapse across engines (same kinds); close enough for
+    /// fault scenarios.
+    fn route(&mut self, engine_idx: usize, mut res: HandleResult, ctx: &mut NodeCtx<'_>) {
         res.outputs.retain_mut(|out| {
             let Output::Send { to, packet, .. } = out else {
                 return true;
@@ -336,8 +336,39 @@ impl FaultyReplicaHost {
             let passed = self.transform(PacketBuf::clone(packet), to_client);
             passed.map(|passed| *packet = passed).is_some()
         });
+        self.hold_to_tick(&mut res, ctx);
         apply_outputs(res, &self.model, ctx);
     }
+
+    /// Without batching, a pre-prepare leaves at least [`NOBATCH_TICK`]
+    /// after the previous one: unless its tick has come, take its sends out
+    /// of `res`, to leave from [`TICK_TIMER`].
+    fn hold_to_tick(&mut self, res: &mut HandleResult, ctx: &mut NodeCtx<'_>) {
+        let Some(tick) = &mut self.tick else {
+            return;
+        };
+        if !res.outputs.iter().any(is_preprepare) {
+            return;
+        }
+        let due = tick.last_left + NOBATCH_TICK;
+        if tick.held.is_empty() {
+            if ctx.now() >= due {
+                tick.last_left = ctx.now();
+                return;
+            }
+            ctx.set_timer(TICK_TIMER, due - ctx.now());
+        }
+        let (sends, rest) = std::mem::take(&mut res.outputs)
+            .into_iter()
+            .partition(is_preprepare);
+        res.outputs = rest;
+        tick.held.push_back(sends);
+    }
+}
+
+/// Does `out` send a pre-prepare?
+fn is_preprepare(out: &Output) -> bool {
+    matches!(out, Output::Send { envelope, .. } if matches!(envelope.msg, Message::PrePrepare(_)))
 }
 
 impl Node for FaultyReplicaHost {
@@ -386,6 +417,23 @@ impl Node for FaultyReplicaHost {
             }
             return;
         }
+        if timer == TICK_TIMER {
+            ctx.charge(self.slowdown());
+            let Some(tick) = &mut self.tick else {
+                return;
+            };
+            tick.last_left = ctx.now();
+            let outputs = tick.held.pop_front().unwrap_or_default();
+            if !tick.held.is_empty() {
+                ctx.set_timer(TICK_TIMER, NOBATCH_TICK);
+            }
+            let res = HandleResult {
+                outputs,
+                ..Default::default()
+            };
+            apply_outputs(res, &self.model, ctx);
+            return;
+        }
         let Some(kind) = pbft_core::TimerKind::from_index(timer.0) else {
             return;
         };
@@ -413,16 +461,16 @@ fn corrupt(mut packet: Vec<u8>) -> Vec<u8> {
 /// Build a cluster where `faulty` misbehaves per `fault` from the start;
 /// all other replicas and all clients are honest.
 pub fn build_faulty_cluster(spec: ClusterSpec, faulty: u32, fault: Fault) -> Cluster {
-    let n = spec.cfg.n();
     let cost = spec.cost;
     let spec_for_twin = spec.clone();
     Cluster::build_with(spec, move |i, replica| {
-        if i == faulty {
-            let twin = (fault == Fault::SplitBrain).then(|| make_replica(&spec_for_twin, i));
-            FaultyReplicaHost::new(replica, twin, fault, cost, n)
+        let mut host = if i == faulty && fault == Fault::SplitBrain {
+            FaultyReplicaHost::honest_with_twin(replica, make_replica(&spec_for_twin, i), cost)
         } else {
-            FaultyReplicaHost::honest(replica, cost, n)
-        }
+            FaultyReplicaHost::honest(replica, cost)
+        };
+        host.fault = (i == faulty).then_some(fault);
+        host
     })
 }
 
@@ -431,15 +479,14 @@ pub fn build_faulty_cluster(spec: ClusterSpec, faulty: u32, fault: Fault) -> Clu
 /// fault on it mid-run — including [`Fault::SplitBrain`]. Behaviour is
 /// honest until something is mounted.
 pub fn build_adversary_cluster(spec: ClusterSpec, compromised: u32) -> Cluster {
-    let n = spec.cfg.n();
     let cost = spec.cost;
     let spec_for_twin = spec.clone();
     Cluster::build_with(spec, move |i, replica| {
         if i == compromised {
             let twin = make_replica(&spec_for_twin, i);
-            FaultyReplicaHost::honest_with_twin(replica, twin, cost, n)
+            FaultyReplicaHost::honest_with_twin(replica, twin, cost)
         } else {
-            FaultyReplicaHost::honest(replica, cost, n)
+            FaultyReplicaHost::honest(replica, cost)
         }
     })
 }
@@ -460,13 +507,9 @@ mod tests {
     fn split_brain_audiences_are_disjoint_and_cover() {
         let spec = ClusterSpec::default();
         let n = spec.cfg.n();
-        let host = FaultyReplicaHost::new(
-            make_replica(&spec, 0),
-            Some(make_replica(&spec, 0)),
-            Fault::SplitBrain,
-            CostModel::default(),
-            n,
-        );
+        let (replica, twin) = (make_replica(&spec, 0), make_replica(&spec, 0));
+        let mut host = FaultyReplicaHost::honest_with_twin(replica, twin, CostModel::default());
+        host.fault = Some(Fault::SplitBrain);
         for peer in 1..n as u32 {
             let a = host.audience_allows(0, NodeId(peer));
             let b = host.audience_allows(1, NodeId(peer));
@@ -480,7 +523,7 @@ mod tests {
     #[test]
     fn honest_host_passes_everything_through() {
         let spec = ClusterSpec::default();
-        let host = FaultyReplicaHost::honest(make_replica(&spec, 1), CostModel::default(), 4);
+        let host = FaultyReplicaHost::honest(make_replica(&spec, 1), CostModel::default());
         assert_eq!(host.fault(), None);
         assert_eq!(host.slowdown(), SimDuration::ZERO);
         assert!(host.audience_allows(0, NodeId(2)));
@@ -497,7 +540,7 @@ mod tests {
     #[test]
     fn tamper_agreement_covers_linear_qc_tags() {
         let spec = ClusterSpec::default();
-        let mut host = FaultyReplicaHost::honest(make_replica(&spec, 0), CostModel::default(), 4);
+        let mut host = FaultyReplicaHost::honest(make_replica(&spec, 0), CostModel::default());
         host.fault = Some(Fault::TamperAgreement);
         for tag in [TAG_PREPARE, TAG_COMMIT, TAG_PREPARE_QC, TAG_COMMIT_QC] {
             let packet = PacketBuf::new(vec![tag, 7, 7, 7, 7]);
@@ -528,7 +571,7 @@ mod tests {
         assert!(!Fault::Mute.censors(ClientId(1)));
 
         let spec = ClusterSpec::default();
-        let mut host = FaultyReplicaHost::honest(make_replica(&spec, 0), CostModel::default(), n);
+        let mut host = FaultyReplicaHost::honest(make_replica(&spec, 0), CostModel::default());
         host.fault = Some(fault);
         // Client k sits at node id n + k - 1.
         assert!(host.censored_node(NodeId(n as u32))); // client 1
@@ -548,7 +591,6 @@ mod tests {
             make_replica(&spec, 0),
             make_replica(&spec, 0),
             CostModel::default(),
-            n,
         );
         // No fault: only engine 0 speaks, to everyone.
         for dst in 1..(n as u32 + 2) {
@@ -568,7 +610,7 @@ mod tests {
     #[test]
     fn slow_primary_charges_but_never_drops() {
         let spec = ClusterSpec::default();
-        let mut host = FaultyReplicaHost::honest(make_replica(&spec, 0), CostModel::default(), 4);
+        let mut host = FaultyReplicaHost::honest(make_replica(&spec, 0), CostModel::default());
         host.fault = Some(Fault::SlowPrimary { delay_ns: 750_000 });
         assert_eq!(host.slowdown(), SimDuration::from_nanos(750_000));
         for tag in [TAG_PREPARE, TAG_COMMIT, TAG_REPLY] {

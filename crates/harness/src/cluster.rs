@@ -345,9 +345,8 @@ impl Cluster {
     /// any member at runtime.
     pub fn build(spec: ClusterSpec) -> Cluster {
         let cost = spec.cost;
-        let n = spec.cfg.n();
         Self::build_with(spec, move |_, replica| {
-            FaultyReplicaHost::honest(replica, cost, n)
+            FaultyReplicaHost::honest(replica, cost)
         })
     }
 
@@ -651,15 +650,15 @@ impl Cluster {
             app,
             &[], // session keys are transient: all lost
         );
-        let (cost, n) = (self.spec.cost, self.spec.cfg.n());
+        let cost = self.spec.cost;
         let host = if had_twin {
             // Re-provision a fresh silent twin: the rebooted member can be
             // re-compromised later, but the reboot itself wiped whatever the
             // old twin knew.
             let twin = make_replica(&self.spec, i as u32);
-            FaultyReplicaHost::honest_with_twin(replica, twin, cost, n)
+            FaultyReplicaHost::honest_with_twin(replica, twin, cost)
         } else {
-            FaultyReplicaHost::honest(replica, cost, n)
+            FaultyReplicaHost::honest(replica, cost)
         };
         self.sim.restart(node_id, Box::new(host.as_restarted()));
     }

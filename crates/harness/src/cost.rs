@@ -5,6 +5,9 @@
 //! E5620 / Core 2 Duo, 1 GbE, Rabin + UMAC32 + MD5); they were calibrated so
 //! the Table 1 *shape* reproduces (see EXPERIMENTS.md for paper-vs-measured
 //! and the residual deviations).
+//!
+//! Beside the prices the machine has one clock: [`NOBATCH_TICK`] (2012,
+//! fitted), the event-loop tick of a primary that does not batch.
 
 use pbft_core::OpCounts;
 use simnet::SimDuration;
@@ -37,6 +40,12 @@ pub struct CostModel {
 
 /// MTU used for fragment accounting (Ethernet).
 pub const MTU: usize = 1500;
+
+/// The 2012 library's event-loop tick without batching (2012, fitted): a
+/// primary that does not batch lets a pre-prepare out at most once a tick,
+/// which reads 1 000 TPS on Table 1's no-batching MAC rows, as the paper's
+/// do. [`crate::byzantine::FaultyReplicaHost`] applies it.
+pub const NOBATCH_TICK: SimDuration = SimDuration::from_millis(1);
 
 impl Default for CostModel {
     fn default() -> Self {

@@ -190,7 +190,7 @@ pub fn build_firewalled_cluster(spec: ClusterSpec, rows: usize) -> FirewalledClu
         let mut replicas = Vec::with_capacity(n);
         for i in 0..n as u32 {
             let replica = make_replica(spec, i);
-            let host = FaultyReplicaHost::honest(replica, cost, n);
+            let host = FaultyReplicaHost::honest(replica, cost);
             replicas.push(sim.add_node(Box::new(host)));
         }
         // Firewall rows, chained toward the clients.

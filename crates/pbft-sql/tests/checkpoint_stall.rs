@@ -22,7 +22,7 @@ use pbft_core::app::StateHandle;
 use pbft_core::replica::LIB_REGION_PAGES;
 use pbft_core::{
     App, Client, ClientId, ExecMetrics, HandleResult, NetTarget, NonDet, Output, PacketBuf,
-    PbftConfig, Replica, ReplicaId, TimerKind,
+    PbftConfig, Replica, ReplicaId,
 };
 use pbft_sql::{CostProfile, SqlApp};
 use pbft_state::{MerkleTree, PagedState, RootWork, FOLDS_PER_PAGE_HASH, PAGE_SIZE};
@@ -63,8 +63,6 @@ struct Loopback {
     clients: Vec<Client>,
     watches: Vec<Watch>,
     queue: VecDeque<(NetTarget, PacketBuf)>,
-    /// Per replica: when its pending `BatchKick` is due.
-    kick_due: Vec<Option<u64>>,
     now: u64,
     submitted: u64,
     /// The next operation, given how many were submitted before it.
@@ -103,7 +101,6 @@ impl Loopback {
             })
             .collect();
         let mut net = Loopback {
-            kick_due: vec![None; replicas.len()],
             replicas,
             clients,
             watches,
@@ -116,11 +113,11 @@ impl Loopback {
         };
         for i in 0..net.replicas.len() {
             let res = net.replicas[i].on_start(net.now, false);
-            net.route(Some(i), res);
+            net.route(res);
         }
         for i in 0..net.clients.len() {
             let res = net.clients[i].on_start(net.now);
-            net.route(None, res);
+            net.route(res);
         }
         for i in 0..net.clients.len() {
             net.submit(i);
@@ -128,21 +125,12 @@ impl Loopback {
         net
     }
 
-    /// Apply a call's outputs: sends are queued, a replica's batch kick is
-    /// remembered; the other timers guard against losses this loop does not
-    /// have.
-    fn route(&mut self, replica: Option<usize>, res: HandleResult) {
+    /// Queue a call's sends; its timers guard against losses this loop does
+    /// not have.
+    fn route(&mut self, res: HandleResult) {
         for o in res.outputs {
-            match (o, replica) {
-                (Output::Send { to, packet, .. }, _) => self.queue.push_back((to, packet)),
-                (
-                    Output::SetTimer {
-                        kind: TimerKind::BatchKick,
-                        delay_ns,
-                    },
-                    Some(i),
-                ) => self.kick_due[i] = Some(self.now + delay_ns),
-                _ => {}
+            if let Output::Send { to, packet, .. } = o {
+                self.queue.push_back((to, packet));
             }
         }
     }
@@ -151,7 +139,7 @@ impl Loopback {
         let op = (self.op)(self.submitted);
         self.submitted += 1;
         let res = self.clients[client].submit(op, false, self.now);
-        self.route(None, res);
+        self.route(res);
     }
 
     /// A watched call into replica `i`. The tree only changes at a refresh,
@@ -180,23 +168,16 @@ impl Loopback {
             watch.tree = state.tree().clone();
         }
         drop(state);
-        self.route(Some(i), res);
+        self.route(res);
     }
 
-    /// Deliver one packet, or fire the earliest batch kick when none is
-    /// queued. Closed loop: a client that completes submits again.
+    /// Deliver one packet. Closed loop: a client that completes submits
+    /// again.
     fn step(&mut self) {
-        for i in 0..self.replicas.len() {
-            if self.kick_due[i].is_some_and(|due| due <= self.now) {
-                self.kick_due[i] = None;
-                self.on_replica(i, |r, now| r.on_timer(TimerKind::BatchKick, now));
-            }
-        }
-        let Some((to, packet)) = self.queue.pop_front() else {
-            let due = self.kick_due.iter().flatten().min();
-            self.now = *due.expect("a closed loop always has a packet or a kick pending");
-            return;
-        };
+        let (to, packet) = self
+            .queue
+            .pop_front()
+            .expect("a closed loop always has a packet in flight");
         self.now += HOP_NS;
         match to {
             NetTarget::Replica(r) => {
@@ -205,7 +186,7 @@ impl Loopback {
             NetTarget::Client(addr) => {
                 let c = (addr - CLIENT_ADDR_BASE) as usize;
                 let res = self.clients[c].handle_packet(&packet, self.now);
-                self.route(None, res);
+                self.route(res);
                 if !self.clients[c].take_events().is_empty() {
                     self.submit(c);
                 }

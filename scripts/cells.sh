@@ -2,7 +2,8 @@
 # Re-run cells of a bench one at a time and compare each row with the
 # committed BENCH_<bench>.json.
 #
-#   scripts/cells.sh BENCH [CELL_ID...]     BENCH: paper, table1 or hotpath
+#   scripts/cells.sh BENCH [CELL_ID...]     BENCH: one whose rows are cells
+#                                           (paper, table1, hotpath, sharding)
 #
 # With no id it runs every cell of BENCH (`cargo bench -p bench --bench
 # BENCH -- --cells` lists them, with the JSON path of each row). A cell is
@@ -10,7 +11,8 @@
 # row: every field it prints is compared with the committed one (numbers
 # as the artifact renders them), and the fields a section derives from
 # other rows (`paper`'s `pct_of_best`, `latency_increase_pct`,
-# `pct_of_baseline`) are named but not compared. Prints one line per cell,
+# `pct_of_baseline`, `sharding`'s `scaling_efficiency`) are named but not
+# compared. Prints one line per cell,
 # `same` or each differing field as `committed -> alone`, and exits 1 if
 # any cell differs. Throughput cells also print each trial's mean batch on
 # replica 0 (stderr); add `--trace` by hand to `cargo bench -p bench
@@ -19,19 +21,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# A bench has cells when its driver is `bench::cells::main`.
+with_cells=$(echo $(grep -l 'cells::main(' crates/bench/benches/*.rs | xargs -n1 basename | sed 's/\.rs$//'))
 if [ $# -eq 0 ]; then
-    echo "usage: scripts/cells.sh BENCH [CELL_ID...]  (BENCH: paper, table1, hotpath)" >&2
+    echo "usage: scripts/cells.sh BENCH [CELL_ID...]  (BENCH: one of: $with_cells)" >&2
     exit 2
 fi
 name=$1
 shift
-case $name in
-    paper | table1 | hotpath) ;;
-    *)
-        echo "cells: bench '$name' has no cells (one of: paper table1 hotpath)" >&2
-        exit 2
-        ;;
-esac
+if [[ ! " $with_cells " =~ " $name " ]]; then
+    echo "cells: bench '$name' has no cells (one of: $with_cells)" >&2
+    exit 2
+fi
 
 bench() {
     cargo bench -q -p bench --bench "$name" -- "$@"
