@@ -37,9 +37,14 @@
 //!
 //! Run: `cargo bench --bench availability` (single-trial; the reliability
 //! rows simulate an hour each, so the bench takes a few wall-clock
-//! minutes; seeds are fixed so rows are reproducible).
+//! minutes; seeds are fixed so rows are reproducible). Every row is a cell
+//! that re-runs alone (see [`bench::cells`]):
+//! `scenarios/<scenario>/<engine>`, `rotation_sweep/n=<n>/<engine>` and
+//! `reliability/<scenario>/<engine>`; each section checks its rows in its
+//! `finish`, which a cell run alone skips.
 
-use bench::artifact::{self, Json};
+use bench::artifact::{num, text, Json};
+use bench::cells::{self, cell, Cell, Section};
 use bench::obj;
 use harness::adversary::{Adversary, EquivocatingPrimary, TargetedCensor};
 use harness::scenario::{
@@ -57,19 +62,6 @@ use simnet::SimDuration;
 /// deployment degrades — the same pacing the conformance suite pins).
 const PACE: SimDuration = ms(4);
 
-struct Row {
-    engine: &'static str,
-    name: &'static str,
-    steady_tps: f64,
-    degraded_tps: f64,
-    availability: f64,
-    recovery: Option<SimDuration>,
-    /// Agreement-phase packets sent, summed over replicas.
-    agreement_msgs: u64,
-    /// View-change packets sent, summed over replicas.
-    viewchange_msgs: u64,
-}
-
 /// Sum the protocol-message counters over one group's replicas. Restarted
 /// members count from their restart (their pre-crash counters die with
 /// them) — the loss is identical across engines, so the comparison stays
@@ -81,37 +73,36 @@ fn group_msgs(cluster: &Cluster) -> (u64, u64) {
     })
 }
 
+/// A scenario row: the fault window of `report` under `engine`.
 fn measure(
     engine: Engine,
     scenario: &Scenario,
     report: &ScenarioReport,
     (agreement_msgs, viewchange_msgs): (u64, u64),
-) -> Row {
+) -> Json {
     let t = &report.timeline;
     let first_fault = report.trace.first().map(|m| m.at).unwrap_or(t.start);
     let last_repair = report.trace.last().map(|m| m.at).unwrap_or(t.start);
     let fault_bucket = t.bucket_index(first_fault);
     let repair_bucket = t.bucket_index(last_repair) + 1;
-    Row {
-        engine: engine.name(),
-        name: scenario.name,
-        steady_tps: t.window_tps(0, fault_bucket),
-        degraded_tps: t.window_tps(fault_bucket, repair_bucket),
-        availability: t.availability(),
-        recovery: t.recovery_after(first_fault),
-        agreement_msgs,
-        viewchange_msgs,
+    obj! {
+        "scenario": scenario.name, "engine": engine.name(),
+        "steady_tps": t.window_tps(0, fault_bucket),
+        "degraded_tps": t.window_tps(fault_bucket, repair_bucket),
+        "availability": t.availability(),
+        "recovery_ms": recovery_ms(t.recovery_after(first_fault)),
+        "agreement_msgs": agreement_msgs, "viewchange_msgs": viewchange_msgs,
     }
 }
 
-fn single_group(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
+fn single_group(engine: Engine, scenario: &Scenario, seed: u64) -> Json {
     let mut deployment = scenario_deployment(engine, 4, seed);
     deployment.start_paced_workload(PACE, |_, _| null_ops(64));
     let report = run_scenario(&mut deployment, scenario);
     measure(engine, scenario, &report, group_msgs(deployment.group(0)))
 }
 
-fn sharded(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
+fn sharded(engine: Engine, scenario: &Scenario, seed: u64) -> Json {
     let mut base = fetching_spec(3, seed);
     base.cfg.engine = engine;
     let mut sc = Deployment::build(deployment_spec(2, 0, base));
@@ -124,7 +115,7 @@ fn sharded(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
     measure(engine, scenario, &report, msgs)
 }
 
-fn xshard(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
+fn xshard(engine: Engine, scenario: &Scenario, seed: u64) -> Json {
     let mut base = fetching_spec(1, seed);
     base.cfg.engine = engine;
     let mut xc = Deployment::build(deployment_spec(2, 4, base));
@@ -139,40 +130,32 @@ fn xshard(engine: Engine, scenario: &Scenario, seed: u64) -> Row {
     measure(engine, scenario, &report, msgs)
 }
 
-/// The five conformance scenarios under one engine (fixed seeds, so the
-/// two engines see identical scripts and workload arrival processes).
-fn scenario_rows(engine: Engine) -> Vec<Row> {
-    vec![
-        single_group(engine, &paper::primary_crash_under_load(), 71),
-        single_group(engine, &paper::slow_primary(), 72),
-        single_group(engine, &paper::rolling_crash(), 73),
-        xshard(engine, &paper::coordinator_outage(), 74),
-        sharded(engine, &paper::partition_then_heal(), 75),
-    ]
-}
-
-/// One cell of the rotation-cost sweep: the primary-crash script on a
-/// group of `n = 3f + 1` replicas.
-struct SweepRow {
-    engine: &'static str,
-    f: usize,
-    n: usize,
-    /// Leader rotations observed (max `new_views_entered` over members).
-    rotations: u64,
-    viewchange_msgs: u64,
-    agreement_msgs: u64,
-    recovery: Option<SimDuration>,
-}
-
-impl SweepRow {
-    fn per_rotation(&self) -> f64 {
-        self.viewchange_msgs as f64 / self.rotations.max(1) as f64
+/// The five conformance scenarios under each engine, all of PBFT's first
+/// (fixed seeds, so the two engines see identical scripts and workload
+/// arrival processes).
+fn scenario_cells() -> Vec<Cell> {
+    // A script, the deployment it runs on, and its seed.
+    type Script = (fn() -> Scenario, fn(Engine, &Scenario, u64) -> Json, u64);
+    let scripts: [Script; 5] = [
+        (paper::primary_crash_under_load, single_group, 71),
+        (paper::slow_primary, single_group, 72),
+        (paper::rolling_crash, single_group, 73),
+        (paper::coordinator_outage, xshard, 74),
+        (paper::partition_then_heal, sharded, 75),
+    ];
+    let mut cells = Vec::new();
+    for engine in Engine::ALL {
+        for (script, run, seed) in scripts {
+            let id = format!("scenarios/{}/{}", script().name, engine.name());
+            cells.push(cell(id, move || run(engine, &script(), seed)));
+        }
     }
+    cells
 }
 
 /// Run the *same* primary-crash fault script on a `3f + 1`-member group and
 /// count what one leader rotation costs in view-change packets.
-fn rotation_sweep(engine: Engine, f: usize, seed: u64) -> SweepRow {
+fn rotation_sweep(engine: Engine, f: usize, seed: u64) -> Json {
     let mut spec = failover_spec(4, seed);
     spec.cfg.engine = engine;
     spec.cfg.f = f;
@@ -188,20 +171,31 @@ fn rotation_sweep(engine: Engine, f: usize, seed: u64) -> SweepRow {
         .first()
         .map(|m| m.at)
         .unwrap_or(report.timeline.start);
+    // Leader rotations observed: the most new views any member entered.
     let rotations = (0..cluster.replicas.len())
         .map(|i| cluster.replica_metrics(i).new_views_entered)
         .max()
         .unwrap_or(0);
     let (agreement_msgs, viewchange_msgs) = group_msgs(cluster);
-    SweepRow {
-        engine: engine.name(),
-        f,
-        n: 3 * f + 1,
-        rotations,
-        viewchange_msgs,
-        agreement_msgs,
-        recovery: report.timeline.recovery_after(first_fault),
+    obj! {
+        "engine": engine.name(), "f": f, "n": 3 * f + 1, "rotations": rotations,
+        "viewchange_msgs": viewchange_msgs,
+        "viewchange_msgs_per_rotation": viewchange_msgs as f64 / rotations.max(1) as f64,
+        "agreement_msgs": agreement_msgs,
+        "recovery_ms": recovery_ms(report.timeline.recovery_after(first_fault)),
     }
+}
+
+/// The rotation-cost sweep: f ∈ {1, 2, 3}, both engines at each.
+fn sweep_cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for f in [1usize, 2, 3] {
+        for engine in Engine::ALL {
+            let id = format!("rotation_sweep/n={}/{}", 3 * f + 1, engine.name());
+            cells.push(cell(id, move || rotation_sweep(engine, f, 80 + f as u64)));
+        }
+    }
+    cells
 }
 
 // ---------------------------------------------------------------------
@@ -220,18 +214,6 @@ const RELIABILITY_PACE: SimDuration = ms(50);
 const RECOVERY_PERIOD_MS: u64 = 150_000;
 /// Adaptive adversaries observe and react at this cadence.
 const ADVERSARY_TICK: SimDuration = ms(250);
-
-struct ReliabilityRow {
-    engine: &'static str,
-    scenario: &'static str,
-    availability: f64,
-    tps_p50: f64,
-    tps_p99: f64,
-    threshold_tps: f64,
-    time_below_threshold: SimDuration,
-    recoveries: usize,
-    adversary_actions: usize,
-}
 
 /// Nearest-rank percentile over an ascending-sorted sample.
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -270,7 +252,7 @@ fn rolling_recovery(seats: &[usize], cured_seat: usize) -> Vec<(SimDuration, Sce
 
 /// One hour-long cell: a single group under paced load, one adaptive
 /// adversary, rolling recovery. Returns the distribution row and the raw
-/// report (the caller re-runs one cell for the determinism check).
+/// report (one cell re-runs itself for the determinism check).
 fn reliability_run(
     engine: Engine,
     scenario_name: &'static str,
@@ -278,7 +260,7 @@ fn reliability_run(
     seats: &[usize],
     mut adversary: Adversary,
     twin: bool,
-) -> (ReliabilityRow, ScenarioReport) {
+) -> (Json, ScenarioReport) {
     let cured_seat = adversary.seat().1;
     // An equivocating adversary needs its seat provisioned with a silent
     // split-brain twin; other strategies run on the plain honest host.
@@ -320,24 +302,18 @@ fn reliability_run(
         .iter()
         .filter(|b| (b.completed as f64 / per_sec) < threshold_tps)
         .count();
-    let row = ReliabilityRow {
-        engine: engine.name(),
-        scenario: scenario_name,
-        availability: report.timeline.availability(),
-        tps_p50,
-        tps_p99,
-        threshold_tps,
-        time_below_threshold: SimDuration::from_nanos(RELIABILITY_BUCKET.as_nanos() * below as u64),
-        recoveries: report
-            .trace
-            .iter()
-            .filter(|m| m.label.starts_with("proactive("))
-            .count(),
-        adversary_actions: report
-            .trace
-            .iter()
-            .filter(|m| m.label.starts_with("adv("))
-            .count(),
+    let count = |prefix: &str| {
+        let marks = report.trace.iter();
+        marks.filter(|m| m.label.starts_with(prefix)).count()
+    };
+    let row = obj! {
+        "scenario": scenario_name, "engine": engine.name(),
+        "horizon_ms": HORIZON.as_nanos() / 1_000_000,
+        "bucket_ms": RELIABILITY_BUCKET.as_nanos() / 1_000_000,
+        "availability": report.timeline.availability(), "tps_p50": tps_p50, "tps_p99": tps_p99,
+        "threshold_tps": threshold_tps,
+        "time_below_threshold_ms": RELIABILITY_BUCKET.as_nanos() * below as u64 / 1_000_000,
+        "recoveries": count("proactive("), "adversary_actions": count("adv("),
     };
     (row, report)
 }
@@ -361,46 +337,49 @@ fn equivocation_adversary() -> Adversary {
     Adversary::new(0, 0, EquivocatingPrimary)
 }
 
-/// The reliability matrix: both strategies under both engines, plus the
-/// determinism re-run of the first cell.
-fn reliability_rows() -> Vec<ReliabilityRow> {
-    const CENSOR: &str = "adaptive-censor+rolling-recovery";
-    const EQUIV: &str = "adaptive-equivocation+rolling-recovery";
-    let mut rows = Vec::new();
-    let censor =
-        |engine| reliability_run(engine, CENSOR, 90, &[1, 2, 3], censor_adversary(), false);
-    let equiv = |engine| {
-        reliability_run(
-            engine,
-            EQUIV,
-            91,
-            &[1, 2, 3],
-            equivocation_adversary(),
-            true,
-        )
+const CENSOR: &str = "adaptive-censor+rolling-recovery";
+const EQUIV: &str = "adaptive-equivocation+rolling-recovery";
+
+/// One reliability cell: `scenario` under `engine`. The censor under PBFT
+/// is run twice from its seed and the two hours must be identical.
+fn reliability(engine: Engine, scenario: &'static str) -> Json {
+    let run = || {
+        let (seed, adversary, twin) = match scenario {
+            CENSOR => (90, censor_adversary(), false),
+            _ => (91, equivocation_adversary(), true),
+        };
+        reliability_run(engine, scenario, seed, &[1, 2, 3], adversary, twin)
     };
-    let (row, first) = censor(Engine::Pbft);
-    rows.push(row);
-    // Determinism acceptance: the same seed must reproduce the hour
-    // byte-for-byte — trace, marks, and every bucket of the timeline.
-    let (_, again) = censor(Engine::Pbft);
-    assert_eq!(
-        first, again,
-        "an hour-long adaptive run must be a pure function of its seed"
-    );
-    rows.push(censor(Engine::Linear).0);
-    rows.push(equiv(Engine::Pbft).0);
-    rows.push(equiv(Engine::Linear).0);
-    rows
+    let (row, first) = run();
+    if scenario == CENSOR && engine == Engine::Pbft {
+        // Determinism acceptance: the same seed must reproduce the hour
+        // byte-for-byte — trace, marks, and every bucket of the timeline.
+        let (_, again) = run();
+        assert_eq!(
+            first, again,
+            "an hour-long adaptive run must be a pure function of its seed"
+        );
+    }
+    row
 }
 
-fn fmt_recovery(r: Option<SimDuration>, all_finite: &mut bool) -> String {
-    match r {
-        Some(d) => format!("{:.0}", d.as_nanos() as f64 / 1e6),
-        None => {
-            *all_finite = false;
-            "n/a".to_string()
+/// The reliability matrix: both strategies under both engines.
+fn reliability_cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for scenario in [CENSOR, EQUIV] {
+        for engine in Engine::ALL {
+            let id = format!("reliability/{scenario}/{}", engine.name());
+            cells.push(cell(id, move || reliability(engine, scenario)));
         }
+    }
+    cells
+}
+
+/// A row's `recovery_ms` for the tables, and whether it is finite.
+fn fmt_recovery(row: &Json) -> (String, bool) {
+    match row.get("recovery_ms") {
+        Some(Json::Num(ms)) => (format!("{ms:.0}"), true),
+        _ => ("n/a".to_string(), false),
     }
 }
 
@@ -409,8 +388,19 @@ fn recovery_ms(r: Option<SimDuration>) -> Json {
 }
 
 fn main() {
-    let rows: Vec<Row> = Engine::ALL.into_iter().flat_map(scenario_rows).collect();
+    cells::main(
+        obj! {"bench": "availability"},
+        vec![
+            Section::array("scenarios", scenario_cells(), scenarios),
+            Section::array("rotation_sweep", sweep_cells(), sweep),
+            Section::array("reliability", reliability_cells(), reliability_table),
+        ],
+    );
+}
 
+/// Print the scenario rows, grouped by scenario so the two engine columns
+/// sit together, and require every one to recover.
+fn scenarios(rows: Vec<Json>) -> Json {
     println!(
         "{:<28} {:<8} {:>12} {:>14} {:>8} {:>14} {:>10} {:>9}",
         "scenario",
@@ -422,26 +412,35 @@ fn main() {
         "agree msg",
         "vc msg"
     );
-    let mut all_finite = true;
-    // Group the table by scenario so the two engine columns sit together.
     let half = rows.len() / 2;
     for i in 0..half {
         for r in [&rows[i], &rows[half + i]] {
-            let recovery = fmt_recovery(r.recovery, &mut all_finite);
+            let (recovery, finite) = fmt_recovery(r);
             println!(
                 "{:<28} {:<8} {:>12.0} {:>14.0} {:>7.0}% {:>14} {:>10} {:>9}",
-                r.name,
-                r.engine,
-                r.steady_tps,
-                r.degraded_tps,
-                r.availability * 100.0,
+                text(r, "scenario"),
+                text(r, "engine"),
+                num(r, "steady_tps"),
+                num(r, "degraded_tps"),
+                num(r, "availability") * 100.0,
                 recovery,
-                r.agreement_msgs,
-                r.viewchange_msgs,
+                num(r, "agreement_msgs"),
+                num(r, "viewchange_msgs"),
+            );
+            assert!(
+                finite,
+                "{} under {} never recovered — liveness regression",
+                text(r, "scenario"),
+                text(r, "engine")
             );
         }
     }
+    Json::Arr(rows)
+}
 
+/// Print the rotation sweep, require every run to recover and the linear
+/// engine's rotation to cost less than PBFT's at every group size.
+fn sweep(rows: Vec<Json>) -> Json {
     println!(
         "\nrotation cost — primary-crash script, view-change packets per leader \
          rotation vs group size:"
@@ -450,21 +449,23 @@ fn main() {
         "{:<8} {:>4} {:>4} {:>10} {:>9} {:>13} {:>14}",
         "engine", "f", "n", "rotations", "vc msg", "vc/rotation", "recovery (ms)"
     );
-    let sweep: Vec<SweepRow> = [1usize, 2, 3]
-        .iter()
-        .flat_map(|&f| Engine::ALL.map(|engine| rotation_sweep(engine, f, 80 + f as u64)))
-        .collect();
-    for s in &sweep {
-        let recovery = fmt_recovery(s.recovery, &mut all_finite);
+    for s in &rows {
+        let (recovery, finite) = fmt_recovery(s);
         println!(
             "{:<8} {:>4} {:>4} {:>10} {:>9} {:>13.1} {:>14}",
-            s.engine,
-            s.f,
-            s.n,
-            s.rotations,
-            s.viewchange_msgs,
-            s.per_rotation(),
+            text(s, "engine"),
+            num(s, "f"),
+            num(s, "n"),
+            num(s, "rotations"),
+            num(s, "viewchange_msgs"),
+            num(s, "viewchange_msgs_per_rotation"),
             recovery,
+        );
+        assert!(
+            finite,
+            "the n={} sweep under {} never recovered — liveness regression",
+            num(s, "n"),
+            text(s, "engine")
         );
     }
     println!(
@@ -472,7 +473,26 @@ fn main() {
          view change pays O(n²) packets per rotation, the linear engine's \
          leader-directed votes O(n)"
     );
+    // The committed curves must actually show the complexity gap: at every
+    // group size the linear engine's rotation cost stays below PBFT's, and
+    // the gap widens with n.
+    let per_rotation = |row: &Json| num(row, "viewchange_msgs_per_rotation");
+    for pair in rows.chunks(2) {
+        let (pbft, linear) = (&pair[0], &pair[1]);
+        assert!(
+            per_rotation(linear) < per_rotation(pbft),
+            "linear rotation at n={} cost {:.1} msgs vs PBFT {:.1} — O(n) claim broken",
+            num(linear, "n"),
+            per_rotation(linear),
+            per_rotation(pbft)
+        );
+    }
+    Json::Arr(rows)
+}
 
+/// Print the reliability rows and require each hour to hold a real rolling
+/// schedule, a live adversary and a visible dent, without going dark.
+fn reliability_table(rows: Vec<Json>) -> Json {
     println!(
         "\nlong-horizon reliability — 1 virtual hour per cell, adaptive adversary \
          vs rolling proactive recovery (1 s buckets):"
@@ -489,108 +509,34 @@ fn main() {
         "reboot",
         "adv acts"
     );
-    let reliability = reliability_rows();
-    for r in &reliability {
+    for r in &rows {
+        let (scenario, engine) = (text(r, "scenario"), text(r, "engine"));
+        let (availability, p50, p99) =
+            (num(r, "availability"), num(r, "tps_p50"), num(r, "tps_p99"));
+        let below_ms = num(r, "time_below_threshold_ms");
+        let (recoveries, actions) = (num(r, "recoveries"), num(r, "adversary_actions"));
         println!(
-            "{:<36} {:<8} {:>6.2}% {:>9.1} {:>9.1} {:>12.0} {:>11.1} {:>6} {:>8}",
-            r.scenario,
-            r.engine,
-            r.availability * 100.0,
-            r.tps_p50,
-            r.tps_p99,
-            r.time_below_threshold.as_secs_f64(),
-            r.threshold_tps,
-            r.recoveries,
-            r.adversary_actions,
+            "{scenario:<36} {engine:<8} {:>6.2}% {p50:>9.1} {p99:>9.1} {:>12.0} {:>11.1} \
+             {recoveries:>6} {actions:>8}",
+            availability * 100.0,
+            below_ms / 1e3,
+            num(r, "threshold_tps"),
+        );
+        assert!(
+            p50 > 0.0 && availability > 0.5,
+            "{scenario} under {engine} spent most of the hour dark: avail={availability:.3} \
+             p50={p50:.1}"
+        );
+        assert!(
+            recoveries >= 20.0 && actions >= 1.0,
+            "{scenario} under {engine}: the hour must contain a real rolling schedule and a \
+             live adversary (reboots={recoveries}, adversary marks={actions})"
+        );
+        assert!(
+            p99 > p50 || below_ms > 0.0,
+            "{scenario} under {engine}: the adversary left no visible dent in the \
+             distribution (p50={p50:.1}, p99={p99:.1}, below-threshold={below_ms} ms)"
         );
     }
-
-    let scenarios: Vec<Json> = rows
-        .iter()
-        .map(|r| {
-            obj! {
-                "scenario": r.name, "engine": r.engine,
-                "steady_tps": r.steady_tps, "degraded_tps": r.degraded_tps,
-                "availability": r.availability, "recovery_ms": recovery_ms(r.recovery),
-                "agreement_msgs": r.agreement_msgs, "viewchange_msgs": r.viewchange_msgs,
-            }
-        })
-        .collect();
-    let sweep_rows: Vec<Json> = sweep
-        .iter()
-        .map(|s| {
-            obj! {
-                "engine": s.engine, "f": s.f, "n": s.n, "rotations": s.rotations,
-                "viewchange_msgs": s.viewchange_msgs,
-                "viewchange_msgs_per_rotation": s.per_rotation(),
-                "agreement_msgs": s.agreement_msgs, "recovery_ms": recovery_ms(s.recovery),
-            }
-        })
-        .collect();
-    let reliability_rows: Vec<Json> = reliability
-        .iter()
-        .map(|r| {
-            obj! {
-                "scenario": r.scenario, "engine": r.engine,
-                "horizon_ms": HORIZON.as_nanos() / 1_000_000,
-                "bucket_ms": RELIABILITY_BUCKET.as_nanos() / 1_000_000,
-                "availability": r.availability, "tps_p50": r.tps_p50, "tps_p99": r.tps_p99,
-                "threshold_tps": r.threshold_tps,
-                "time_below_threshold_ms": r.time_below_threshold.as_nanos() / 1_000_000,
-                "recoveries": r.recoveries, "adversary_actions": r.adversary_actions,
-            }
-        })
-        .collect();
-    let json = obj! {
-        "bench": "availability", "scenarios": scenarios,
-        "rotation_sweep": sweep_rows, "reliability": reliability_rows,
-    };
-    artifact::write("BENCH_availability.json", &json);
-
-    assert!(
-        all_finite,
-        "a scenario never recovered — liveness regression"
-    );
-    for r in &reliability {
-        assert!(
-            r.tps_p50 > 0.0 && r.availability > 0.5,
-            "{} under {} spent most of the hour dark: avail={:.3} p50={:.1}",
-            r.scenario,
-            r.engine,
-            r.availability,
-            r.tps_p50
-        );
-        assert!(
-            r.recoveries >= 20 && r.adversary_actions >= 1,
-            "{} under {}: the hour must contain a real rolling schedule and a live \
-             adversary (reboots={}, adversary marks={})",
-            r.scenario,
-            r.engine,
-            r.recoveries,
-            r.adversary_actions
-        );
-        assert!(
-            r.tps_p99 > r.tps_p50 || r.time_below_threshold.as_nanos() > 0,
-            "{} under {}: the adversary left no visible dent in the distribution \
-             (p50={:.1}, p99={:.1}, below-threshold={:?})",
-            r.scenario,
-            r.engine,
-            r.tps_p50,
-            r.tps_p99,
-            r.time_below_threshold
-        );
-    }
-    // The committed curves must actually show the complexity gap: at every
-    // group size the linear engine's rotation cost stays below PBFT's, and
-    // the gap widens with n.
-    for pair in sweep.chunks(2) {
-        let (pbft, linear) = (&pair[0], &pair[1]);
-        assert!(
-            linear.per_rotation() < pbft.per_rotation(),
-            "linear rotation at n={} cost {:.1} msgs vs PBFT {:.1} — O(n) claim broken",
-            linear.n,
-            linear.per_rotation(),
-            pbft.per_rotation()
-        );
-    }
+    Json::Arr(rows)
 }

@@ -4,6 +4,8 @@
 //! part of the protocol. The first byte of every packet is the message
 //! discriminant, which makes simulator traces legible without decoding.
 
+use std::sync::Arc;
+
 use pbft_crypto::auth::Authenticator;
 use pbft_crypto::challenge::ChallengeResponse;
 use pbft_crypto::{Digest, Mac64, PublicKey, Signature};
@@ -836,7 +838,7 @@ impl Message {
                         let index = d.u64()?;
                         let data = match d.u8()? {
                             0 => None,
-                            1 => Some(d.bytes()?),
+                            1 => Some(Arc::new(d.bytes()?)),
                             t => return Err(WireError::BadTag(t)),
                         };
                         FetchResponse::Page { index, data }
@@ -1416,7 +1418,7 @@ mod tests {
             },
             FetchResponse::Page {
                 index: 9,
-                data: Some(vec![7u8; 64]),
+                data: Some(Arc::new(vec![7u8; 64])),
             },
             FetchResponse::Page {
                 index: 9,

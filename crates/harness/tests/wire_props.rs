@@ -27,6 +27,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use pbft_core::app::{NonDet, NullApp};
 use pbft_core::keys::{replica_pair_key, ClientKeys, KeyStore};
@@ -220,7 +221,7 @@ fn gen_message(g: &mut Gen, disc: u8) -> Message {
                 1 => FetchResponse::Page {
                     index: g.u64_in(0..1 << 20),
                     data: if g.bool() {
-                        Some(g.bytes(0..256))
+                        Some(Arc::new(g.bytes(0..256)))
                     } else {
                         None
                     },

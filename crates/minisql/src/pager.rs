@@ -16,9 +16,20 @@
 //! patched into the cached page 0; each pre-image is read from the database
 //! file straight into the journal image, whose buffer is reused from commit
 //! to commit and keeps its length, so no slot is zeroed before it is filled.
+//!
+//! The cache holds dirty pages and shares clean ones: a cached image is an
+//! `Arc` the database file handed out ([`Vfs::read_page`]), which a file
+//! whose storage is a table of shared pages (the replicated state region)
+//! does without copying. A transaction's first change to a page copies it
+//! into a private image — into a buffer the file released at an earlier
+//! commit when one is kept — and the commit hands that image to the file
+//! ([`Vfs::write_page`]), so after it the file and the cache share it
+//! again. Rolling back drops the private images; the file's still hold the
+//! pre-images.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use crate::error::SqlError;
 use crate::hash::BuildMulHasher;
@@ -39,6 +50,15 @@ const HEADER_LEN: usize = 20;
 /// a commit that neither allocates nor frees journals no header). A larger
 /// transaction's buffer is released after use.
 const JOURNAL_BUF_KEEP: usize = 16 + 3 * (4 + PAGE_SIZE);
+
+/// Page buffers released by the file (or by a rollback) kept for the next
+/// transaction's copies: as many as a leaf split dirties (the leaf, its
+/// parent and the header page), so steady INSERTs copy into a kept buffer
+/// and allocate none.
+const SPARES_KEEP: usize = 3;
+
+/// A cached page image: the file's own while clean, private once changed.
+type Page = Arc<Vec<u8>>;
 
 /// Journal / durability mode (the paper's §4.2 ACID vs no-ACID axis; §3.2
 /// names the write-ahead log as the rollback journal's alternative).
@@ -98,10 +118,20 @@ impl Header {
         page[HEADER_LEN..].fill(0);
     }
 
-    fn encode(&self) -> Vec<u8> {
+    fn encode(&self) -> Page {
         let mut page = vec![0u8; PAGE_SIZE];
         self.write_to(&mut page);
-        page
+        Arc::new(page)
+    }
+
+    /// The header stored in `page`, if it starts with the magic.
+    fn parse(page: &[u8]) -> Option<Header> {
+        let field = |at: usize| u32::from_be_bytes(page[at..at + 4].try_into().expect("4 bytes"));
+        (&page[..8] == MAGIC).then(|| Header {
+            page_count: field(8),
+            freelist_head: field(12),
+            catalog_root: field(16),
+        })
     }
 }
 
@@ -115,8 +145,10 @@ pub struct Pager {
     mode: JournalMode,
     /// Cached page images by page id: as many entries as pages read or
     /// allocated, whatever ids a (transferred) header or child pointer
-    /// claims.
-    cache: HashMap<u32, Vec<u8>, BuildMulHasher>,
+    /// claims. Every dirty page's image is private.
+    cache: HashMap<u32, Page, BuildMulHasher>,
+    /// Unshared page buffers to copy into (at most [`SPARES_KEEP`]).
+    spares: Vec<Page>,
     /// Pages to write at commit, ascending: the journal's entry order.
     dirty: BTreeSet<u32>,
     header: Header,
@@ -200,6 +232,7 @@ impl Pager {
                 journal,
                 mode,
                 cache: HashMap::default(),
+                spares: Vec::new(),
                 dirty: BTreeSet::new(),
                 header,
                 disk_page_count: 0,
@@ -213,27 +246,20 @@ impl Pager {
             pager.dirty.insert(0);
             let mut catalog = vec![0u8; PAGE_SIZE];
             crate::btree::init_leaf(&mut catalog);
-            pager.cache.insert(1, catalog);
+            pager.cache.insert(1, Arc::new(catalog));
             pager.dirty.insert(1);
             pager.commit()?;
             return Ok(pager);
         }
-        let mut page0 = vec![0u8; PAGE_SIZE];
-        read_durable_page(db.as_ref(), journal.as_ref(), wal.as_ref(), 0, &mut page0)?;
-        if &page0[..8] != MAGIC {
-            return Err(SqlError::Corrupt("bad magic".into()));
-        }
-        let header = Header {
-            page_count: u32::from_be_bytes(page0[8..12].try_into().expect("4 bytes")),
-            freelist_head: u32::from_be_bytes(page0[12..16].try_into().expect("4 bytes")),
-            catalog_root: u32::from_be_bytes(page0[16..20].try_into().expect("4 bytes")),
-        };
+        let page0 = read_durable_page(db.as_ref(), journal.as_ref(), wal.as_ref(), 0)?;
+        let header = Header::parse(&page0).ok_or_else(|| SqlError::Corrupt("bad magic".into()))?;
         let disk_page_count = header.page_count;
         Ok(Pager {
             db,
             journal,
             mode,
             cache: HashMap::default(),
+            spares: Vec::new(),
             dirty: BTreeSet::new(),
             header,
             disk_page_count,
@@ -284,38 +310,40 @@ impl Pager {
     }
 
     /// Mutable access to a page (always `PAGE_SIZE` bytes); marks it dirty.
+    /// The first change to a page the file shares copies it.
     ///
     /// # Errors
     /// Storage failures / out-of-range page ids.
     pub fn page_mut(&mut self, id: u32) -> Result<&mut [u8], SqlError> {
-        let (page, dirty) = self.cached(id)?;
+        let (page, dirty, spares) = self.cached(id)?;
         dirty.insert(id);
-        Ok(page)
+        Ok(private(page, spares, true))
     }
 
     /// The cached image of page `id`, read from durable storage on a miss,
     /// with the dirty set (which [`Pager::page_mut`] updates while it holds
-    /// the page). One cache lookup per call.
-    fn cached(&mut self, id: u32) -> Result<(&mut [u8], &mut BTreeSet<u32>), SqlError> {
+    /// the page) and the spare buffers. One cache lookup per call.
+    fn cached(
+        &mut self,
+        id: u32,
+    ) -> Result<(&mut Page, &mut BTreeSet<u32>, &mut Vec<Page>), SqlError> {
         if id >= self.header.page_count {
             return Err(SqlError::Corrupt(format!("page {id} out of range")));
         }
         let page = match self.cache.entry(id) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                let mut buf = vec![0u8; PAGE_SIZE];
-                read_durable_page(
+                let page = read_durable_page(
                     self.db.as_ref(),
                     self.journal.as_ref(),
                     self.wal.as_ref(),
                     id,
-                    &mut buf,
                 )?;
                 self.stats.pages_read += 1;
-                e.insert(buf)
+                e.insert(page)
             }
         };
-        Ok((page, &mut self.dirty))
+        Ok((page, &mut self.dirty, &mut self.spares))
     }
 
     /// Allocate a fresh page (freelist first, then file extension).
@@ -334,7 +362,11 @@ impl Pager {
         } else {
             let id = self.header.page_count;
             self.header.page_count += 1;
-            self.cache.insert(id, vec![0u8; PAGE_SIZE]);
+            let mut page = spare(&mut self.spares);
+            Arc::get_mut(&mut page)
+                .expect("spares are unshared")
+                .fill(0);
+            self.cache.insert(id, page);
             self.dirty.insert(id);
             self.dirty.insert(0);
             Ok(id)
@@ -373,13 +405,9 @@ impl Pager {
         // goes into the cached page 0 (never *read* for this: a cache miss
         // here is not a page the statement asked for).
         if self.dirty.contains(&0) {
-            let header = self.header;
-            match self.cache.entry(0) {
-                Entry::Occupied(e) => header.write_to(e.into_mut()),
-                Entry::Vacant(e) => {
-                    e.insert(header.encode());
-                }
-            }
+            let spares = &mut self.spares;
+            let page = self.cache.entry(0).or_insert_with(|| spare(spares));
+            self.header.write_to(private(page, spares, false));
         }
 
         if self.mode == JournalMode::Wal {
@@ -403,9 +431,12 @@ impl Pager {
         }
 
         for &id in &self.dirty {
-            let data = self.cache.get(&id).expect("dirty pages are cached");
-            self.db.write_at(id as u64 * PAGE_SIZE as u64, data)?;
+            let page = self.cache.get(&id).expect("dirty pages are cached");
+            let released = self.db.write_page(id as u64 * PAGE_SIZE as u64, page)?;
             self.stats.db_pages_written += 1;
+            if let Some(old) = released {
+                keep_spare(&mut self.spares, old);
+            }
         }
         if self.mode == JournalMode::Rollback {
             self.db.sync()?;
@@ -497,27 +528,21 @@ impl Pager {
     /// Roll back: drop all uncommitted changes (cache reverts to disk).
     pub fn rollback(&mut self) {
         for id in std::mem::take(&mut self.dirty) {
-            self.cache.remove(&id);
+            if let Some(page) = self.cache.remove(&id) {
+                keep_spare(&mut self.spares, page);
+            }
         }
         // Reload the durable header.
         self.cache.remove(&0);
         if self.disk_page_count > 0 {
-            let mut page0 = vec![0u8; PAGE_SIZE];
-            if read_durable_page(
+            let page0 = read_durable_page(
                 self.db.as_ref(),
                 self.journal.as_ref(),
                 self.wal.as_ref(),
                 0,
-                &mut page0,
-            )
-            .is_ok()
-                && &page0[..8] == MAGIC
-            {
-                self.header = Header {
-                    page_count: u32::from_be_bytes(page0[8..12].try_into().expect("4 bytes")),
-                    freelist_head: u32::from_be_bytes(page0[12..16].try_into().expect("4 bytes")),
-                    catalog_root: u32::from_be_bytes(page0[16..20].try_into().expect("4 bytes")),
-                };
+            );
+            if let Some(header) = page0.ok().and_then(|p| Header::parse(&p)) {
+                self.header = header;
             }
         }
     }
@@ -535,44 +560,63 @@ impl Pager {
             // region under the PBFT embedding); rebuild the read index.
             self.wal = Some(crate::wal::recover(self.journal.as_ref(), PAGE_SIZE)?);
         }
-        let mut page0 = vec![0u8; PAGE_SIZE];
-        read_durable_page(
+        let page0 = read_durable_page(
             self.db.as_ref(),
             self.journal.as_ref(),
             self.wal.as_ref(),
             0,
-            &mut page0,
         )?;
-        if &page0[..8] != MAGIC {
-            return Err(SqlError::Corrupt(
-                "bad magic after cache invalidation".into(),
-            ));
-        }
-        self.header = Header {
-            page_count: u32::from_be_bytes(page0[8..12].try_into().expect("4 bytes")),
-            freelist_head: u32::from_be_bytes(page0[12..16].try_into().expect("4 bytes")),
-            catalog_root: u32::from_be_bytes(page0[16..20].try_into().expect("4 bytes")),
-        };
+        self.header = Header::parse(&page0)
+            .ok_or_else(|| SqlError::Corrupt("bad magic after cache invalidation".into()))?;
         self.disk_page_count = self.header.page_count;
         Ok(())
     }
 }
 
-/// Read the durable image of a page: the latest committed WAL frame when one
-/// exists, the database file otherwise.
+/// Read the durable image of a page: a private copy of the latest committed
+/// WAL frame when one exists, the database file's image otherwise.
 fn read_durable_page(
     db: &dyn Vfs,
     journal: &dyn Vfs,
     wal: Option<&crate::wal::WalState>,
     id: u32,
-    buf: &mut [u8],
-) -> Result<(), SqlError> {
+) -> Result<Page, SqlError> {
     if let Some(off) = wal.and_then(|w| w.frame_of(id)) {
-        crate::wal::read_frame_page(journal, off, buf)?;
-        return Ok(());
+        let mut page = vec![0u8; PAGE_SIZE];
+        crate::wal::read_frame_page(journal, off, &mut page)?;
+        return Ok(Arc::new(page));
     }
-    db.read_at(u64::from(id) * PAGE_SIZE as u64, buf)?;
-    Ok(())
+    Ok(db.read_page(u64::from(id) * PAGE_SIZE as u64, PAGE_SIZE)?)
+}
+
+/// `page` as an image the caller may change: itself when no one shares it,
+/// else a spare buffer that replaces it, holding a copy of it when `copy`.
+fn private<'a>(page: &'a mut Page, spares: &mut Vec<Page>, copy: bool) -> &'a mut [u8] {
+    if Arc::get_mut(page).is_none() {
+        let mut own = spare(spares);
+        if copy {
+            Arc::get_mut(&mut own)
+                .expect("spares are unshared")
+                .copy_from_slice(page);
+        }
+        *page = own;
+    }
+    Arc::get_mut(page).expect("unshared")
+}
+
+/// An unshared page buffer of unspecified contents: a kept one, else new.
+fn spare(spares: &mut Vec<Page>) -> Page {
+    spares
+        .pop()
+        .unwrap_or_else(|| Arc::new(vec![0u8; PAGE_SIZE]))
+}
+
+/// Keep `page`'s buffer for a later copy if no one else shares it and
+/// fewer than [`SPARES_KEEP`] are kept.
+fn keep_spare(spares: &mut Vec<Page>, mut page: Page) {
+    if spares.len() < SPARES_KEEP && Arc::get_mut(&mut page).is_some_and(|p| p.len() == PAGE_SIZE) {
+        spares.push(page);
+    }
 }
 
 #[cfg(test)]

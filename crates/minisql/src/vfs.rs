@@ -6,8 +6,16 @@
 //! only can manage memory mapping and perform PBFT-required memory
 //! modification notifications..." (paper §3.2). `pbft-sql` provides exactly
 //! such a hook by implementing [`Vfs`] over the replicated state region.
+//!
+//! Besides byte ranges, a file hands out and takes in whole pages as
+//! shared images ([`Vfs::read_page`], [`Vfs::write_page`]). By default
+//! these copy through [`Vfs::read_at`] and [`Vfs::write_at`]; a file whose
+//! storage is itself a table of shared pages (the state region) shares
+//! them instead, so the pager's cache and the file hold one image of each
+//! clean page.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Storage-layer errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,6 +63,35 @@ pub trait Vfs {
     /// # Errors
     /// Backend failures (e.g. a fixed-size region overflowing).
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), VfsError>;
+
+    /// Read the `len`-byte page at `offset` as a shared image. The pager
+    /// never writes through a shared image: it copies one before changing
+    /// it. The default reads a fresh copy through [`Vfs::read_at`].
+    ///
+    /// # Errors
+    /// Backend failures only.
+    fn read_page(&self, offset: u64, len: usize) -> Result<Arc<Vec<u8>>, VfsError> {
+        let mut page = vec![0u8; len];
+        self.read_at(offset, &mut page)?;
+        Ok(Arc::new(page))
+    }
+
+    /// Store the committed page image `page` at `offset`, as
+    /// [`Vfs::write_at`] would store its bytes, and return the image it
+    /// replaced when the file held one as a page (the caller may reuse its
+    /// buffer once no one else shares it). The default writes a copy
+    /// through [`Vfs::write_at`] and returns nothing.
+    ///
+    /// # Errors
+    /// As [`Vfs::write_at`].
+    fn write_page(
+        &mut self,
+        offset: u64,
+        page: &Arc<Vec<u8>>,
+    ) -> Result<Option<Arc<Vec<u8>>>, VfsError> {
+        self.write_at(offset, page)?;
+        Ok(None)
+    }
 
     /// Current file length in bytes.
     fn len(&self) -> u64;

@@ -555,6 +555,45 @@ mod tests {
         }
     }
 
+    #[test]
+    fn after_a_restore_queries_read_the_restored_pages() {
+        let insert = |a: &mut SqlApp, k: &str| {
+            let op = format!("INSERT INTO kv (k, v, ts, rnd) VALUES ('{k}', 'old', 0, 0)");
+            a.execute(ClientId(1), op.as_bytes(), &nd(1, 1), false);
+        };
+        let values = |a: &mut SqlApp| {
+            let (reply, _) = a.execute(ClientId(1), b"SELECT v FROM kv", &nd(2, 2), true);
+            match decode_outcome(&reply) {
+                Some(WireOutcome::Rows(rows)) => rows.rows,
+                other => panic!("{other:?}"),
+            }
+        };
+        let (mut a, mut twin) = (app(JournalMode::Rollback), app(JournalMode::Rollback));
+        for k in ["a", "b", "c"] {
+            insert(&mut a, k);
+            insert(&mut twin, k);
+        }
+        let snap = {
+            let mut st = a.state.borrow_mut();
+            st.refresh_digest();
+            st.snapshot(1)
+        };
+        // The pager now shares the updated pages with the region; the
+        // restore puts the snapshot's pages back under it.
+        a.execute(ClientId(1), b"UPDATE kv SET v = 'new'", &nd(3, 3), false);
+        assert!(values(&mut a)
+            .iter()
+            .all(|r| r[0] == Value::Text("new".into())));
+        a.state.borrow_mut().restore(&snap).expect("restore");
+        a.on_state_installed();
+        assert_eq!(values(&mut a), values(&mut twin), "a stale page was read");
+        // And what is written next builds on the restored pages.
+        insert(&mut a, "d");
+        insert(&mut twin, "d");
+        let root = |a: &SqlApp| a.state.borrow_mut().refresh_digest();
+        assert_eq!(root(&a), root(&twin));
+    }
+
     // ------------------------------------------------------------------
     // WAL mode over the replicated region
     // ------------------------------------------------------------------

@@ -63,9 +63,11 @@ const WARM_UP: u64 = 1_000;
 const MEASURED: u64 = 2_000;
 
 /// Allocations per measured INSERT, ×10, in the test and release builds
-/// alike: 8.42 — the reply (one allocation: it is sized for its tag and
+/// alike: 8.37 — the reply (one allocation: it is sized for its tag and
 /// count), the row (its vector, its two text values, its encoding) and the
-/// storage below it. A change that moves the number says so here.
+/// storage below it. A change that moves the number says so here: 8.42
+/// before the pager shared clean pages with the region and copied a
+/// changed page into a buffer the region released.
 const ALLOCS_PER_INSERT_X10: std::ops::RangeInclusive<u64> = 83..=85;
 
 /// wallbench's `sql_insert_op` for client 0 of seed 1.

@@ -89,6 +89,8 @@ mod transfer;
 pub use codec::{BlobCell, CodecError, SlotRing};
 pub use merkle::MerkleTree;
 pub use range::{RangeError, RangeExport};
-pub use region::{PagedState, RootWork, Section, StateError, FOLDS_PER_PAGE_HASH, PAGE_SIZE};
+pub use region::{
+    PagedState, RootWork, Section, SharedPage, StateError, FOLDS_PER_PAGE_HASH, PAGE_SIZE,
+};
 pub use snapshot::Snapshot;
 pub use transfer::{serve_fetch, FetchRequest, FetchResponse, Fetcher, TransferError};

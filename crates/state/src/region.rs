@@ -117,8 +117,13 @@ fn slot_digest(slot: &PageSlot) -> Digest {
     }
 }
 
+/// A page's bytes, shared: a clone is another reference to the same
+/// image, and the region copies an image before it writes one that anyone
+/// else holds, so a shared image never changes.
+pub type SharedPage = Arc<Vec<u8>>;
+
 /// One page-table slot; `None` = all-zero page not yet materialized.
-pub(crate) type PageSlot = Option<Arc<Vec<u8>>>;
+pub(crate) type PageSlot = Option<SharedPage>;
 
 /// Where a page notified via `modify` stands in the current checkpoint
 /// interval. A page's leaf in the tree is out of date from its first
@@ -341,18 +346,7 @@ impl PagedState {
         self.check_bounds(offset, data.len())?;
         let first = offset / PAGE_SIZE as u64;
         let last = (offset + data.len() as u64 - 1) / PAGE_SIZE as u64;
-        for p in first..=last {
-            // One notification covers every write of the interval, so it is
-            // the write, not the `modify`, that outdates an early digest.
-            let mark = self
-                .stale
-                .get_mut(&p)
-                .ok_or(StateError::NotModified { page: p })?;
-            *mark = match *mark {
-                Mark::Recent | Mark::Waiting => Mark::Recent,
-                Mark::Settled(_) | Mark::Spent => Mark::Spent,
-            };
-        }
+        self.mark_written(first, last)?;
         let mut off = offset as usize;
         let mut written = 0usize;
         while written < data.len() {
@@ -372,6 +366,59 @@ impl PagedState {
             off += take;
         }
         Ok(())
+    }
+
+    /// Record a write to pages `first..=last`, each of which must have been
+    /// notified in this interval.
+    fn mark_written(&mut self, first: u64, last: u64) -> Result<(), StateError> {
+        for p in first..=last {
+            // One notification covers every write of the interval, so it is
+            // the write, not the `modify`, that outdates an early digest.
+            let mark = self
+                .stale
+                .get_mut(&p)
+                .ok_or(StateError::NotModified { page: p })?;
+            *mark = match *mark {
+                Mark::Recent | Mark::Waiting => Mark::Recent,
+                Mark::Settled(_) | Mark::Spent => Mark::Spent,
+            };
+        }
+        Ok(())
+    }
+
+    /// Page `page`'s image itself, shared rather than copied (`None`: the
+    /// zero page, or a page past the region). The image never changes:
+    /// a later write to the page un-shares it first, as it does for a
+    /// snapshot.
+    pub fn share_page(&self, page: u64) -> Option<SharedPage> {
+        self.pages.get(page as usize)?.clone()
+    }
+
+    /// Make `data`, a whole page, page `page`'s image without copying it:
+    /// [`PagedState::write`] of all its bytes, under the same contract (the
+    /// page must have been notified in this interval) and with the same
+    /// effect on the digests. Returns the image it replaced (`None`: the
+    /// zero page), which a snapshot may still share.
+    ///
+    /// # Errors
+    /// [`StateError::OutOfBounds`] if `page` is past the region or `data`
+    /// is not one page long; [`StateError::NotModified`].
+    pub fn put_page(
+        &mut self,
+        page: u64,
+        data: SharedPage,
+    ) -> Result<Option<SharedPage>, StateError> {
+        let offset = page.saturating_mul(PAGE_SIZE as u64);
+        if data.len() != PAGE_SIZE {
+            return Err(StateError::OutOfBounds {
+                offset,
+                len: data.len(),
+                region_len: self.len,
+            });
+        }
+        self.check_bounds(offset, PAGE_SIZE)?;
+        self.mark_written(page, page)?;
+        Ok(self.pages.get_mut(page as usize).replace(data))
     }
 
     /// Hash up to `limit` pages ahead of the next
@@ -567,8 +614,9 @@ impl PagedState {
     }
 
     /// Install a page received via state transfer (bypasses the modify
-    /// contract — transfer is a library-internal operation). `None` installs
-    /// the zero page. `digest` is the page's digest — the one the
+    /// contract — transfer is a library-internal operation) as it came,
+    /// without copying it. `None` installs the zero page. `digest` is the
+    /// page's digest — the one the
     /// [`crate::Fetcher`] validated it against — and becomes its leaf
     /// unhashed; the leaf's ancestors are recomputed by the next
     /// [`PagedState::fold_installed`], once for the whole transfer. A tree
@@ -581,7 +629,7 @@ impl PagedState {
     pub fn install_page(
         &mut self,
         page: u64,
-        data: Option<Vec<u8>>,
+        data: Option<SharedPage>,
         digest: Digest,
     ) -> Result<(), StateError> {
         let idx = page as usize;
@@ -601,7 +649,7 @@ impl PagedState {
         }
         self.finish_sealed();
         self.tree.set_leaf(idx, digest);
-        *self.pages.get_mut(idx) = data.map(Arc::new);
+        *self.pages.get_mut(idx) = data;
         self.stale.remove(&page);
         self.installed.insert(idx);
         Ok(())
@@ -808,6 +856,45 @@ mod tests {
     }
 
     #[test]
+    fn put_page_is_a_whole_page_write_without_the_copy() {
+        let (mut put, mut written) = (PagedState::new(4), PagedState::new(4));
+        let page = |byte| Arc::new(vec![byte; PAGE_SIZE]);
+        let at = PAGE_SIZE as u64;
+        assert_eq!(
+            put.put_page(1, page(1)),
+            Err(StateError::NotModified { page: 1 })
+        );
+        for st in [&mut put, &mut written] {
+            st.modify(at, PAGE_SIZE).expect("modify");
+        }
+        assert_eq!(put.put_page(1, page(1)), Ok(None), "the zero page");
+        written.write(at, &page(1)).expect("write");
+        assert_eq!(put.refresh_digest(), written.refresh_digest());
+        let snap = put.snapshot(1);
+        let image = put.share_page(1).expect("materialized");
+        assert!(Arc::ptr_eq(&image, &snap.share_page(1).expect("shared")));
+        // A second put in the next interval: the snapshot keeps its image.
+        put.modify(at, PAGE_SIZE).expect("modify");
+        let old = put.put_page(1, page(2)).expect("notified");
+        assert!(old.is_some_and(|old| Arc::ptr_eq(&old, &image)));
+        assert_eq!(snap.page(1).expect("page")[0], 1);
+        assert_eq!(put.read_vec(at, 1).expect("read"), [2]);
+        // A write to a shared image un-shares it: the holder's never changes.
+        put.modify(at, 1).expect("modify");
+        let held = put.share_page(1).expect("materialized");
+        put.write(at, &[3]).expect("write");
+        assert_eq!((held[0], put.read_vec(at, 1).expect("read")[0]), (2, 3));
+        assert!(matches!(
+            put.put_page(1, Arc::new(vec![0; 3])),
+            Err(StateError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            put.put_page(4, page(0)),
+            Err(StateError::OutOfBounds { .. })
+        ));
+    }
+
+    #[test]
     fn restore_geometry_mismatch() {
         let small = PagedState::new(2).snapshot(0);
         let mut big = PagedState::new(4);
@@ -822,7 +909,7 @@ mod tests {
         a.write(0, b"sync").expect("write");
         let root_a = a.refresh_digest();
 
-        let page0 = a.page(0).expect("materialized").to_vec();
+        let page0 = a.share_page(0).expect("materialized");
         let root_b = b.refresh_digest();
         b.install_page(0, Some(page0), a.tree().leaf(0))
             .expect("install");
@@ -840,7 +927,7 @@ mod tests {
         assert_eq!(b.last_refresh_hashed(), 0, "a fold hashes no page");
         assert!(b.install_page(99, None, zero_page_digest()).is_err());
         assert!(b
-            .install_page(0, Some(vec![0u8; 3]), zero_page_digest())
+            .install_page(0, Some(Arc::new(vec![0u8; 3])), zero_page_digest())
             .is_err());
     }
 

@@ -4,7 +4,7 @@ use pbft_crypto::Digest;
 
 use crate::chunked::ChunkedVec;
 use crate::merkle::MerkleTree;
-use crate::region::{PageSlot, PAGE_SIZE};
+use crate::region::{PageSlot, SharedPage, PAGE_SIZE};
 
 /// A checkpoint: the page table (shared copy-on-write with the live region)
 /// plus the Merkle tree at the checkpoint sequence number.
@@ -30,6 +30,12 @@ impl Snapshot {
         self.pages
             .get(page as usize)
             .and_then(|p| p.as_deref().map(|v| v.as_slice()))
+    }
+
+    /// Page contents at the checkpoint, shared rather than copied (`None` =
+    /// zero page, or past the snapshot).
+    pub fn share_page(&self, page: u64) -> Option<SharedPage> {
+        self.pages.get(page as usize)?.clone()
     }
 
     /// The Merkle tree at the checkpoint.

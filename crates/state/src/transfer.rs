@@ -25,7 +25,7 @@ use std::fmt;
 use pbft_crypto::Digest;
 
 use crate::merkle::{combine, MerkleTree};
-use crate::region::{zero_page_digest, PAGE_SIZE};
+use crate::region::{zero_page_digest, SharedPage, PAGE_SIZE};
 use crate::snapshot::Snapshot;
 
 /// A state-transfer request.
@@ -59,8 +59,9 @@ pub enum FetchResponse {
     Page {
         /// Echoed page index.
         index: u64,
-        /// Page bytes, exactly one page, or `None` for the zero page.
-        data: Option<Vec<u8>>,
+        /// Page bytes, exactly one page, or `None` for the zero page: the
+        /// served snapshot's own image, shared, not a copy of it.
+        data: Option<SharedPage>,
     },
     /// The peer could not answer (malformed request or out of range).
     Unavailable,
@@ -112,7 +113,7 @@ pub struct Fetcher {
     /// by `(level, index)`; level 0 holds the pages.
     expected: BTreeMap<(u32, u64), Digest>,
     /// Pages fetched and validated, ready to install.
-    ready: Vec<(u64, Option<Vec<u8>>, Digest)>,
+    ready: Vec<(u64, Option<SharedPage>, Digest)>,
 }
 
 impl Fetcher {
@@ -145,7 +146,7 @@ impl Fetcher {
     /// Drain validated pages for installation into the local region: index,
     /// bytes (`None` = zero page) and the digest the page was validated
     /// against, which [`crate::PagedState::install_page`] takes as its leaf.
-    pub fn take_ready(&mut self) -> Vec<(u64, Option<Vec<u8>>, Digest)> {
+    pub fn take_ready(&mut self) -> Vec<(u64, Option<SharedPage>, Digest)> {
         std::mem::take(&mut self.ready)
     }
 
@@ -269,7 +270,7 @@ pub fn serve_fetch(snap: &Snapshot, req: &FetchRequest) -> FetchResponse {
             if (*index as usize) < snap.num_pages() {
                 FetchResponse::Page {
                     index: *index,
-                    data: snap.page(*index).map(|p| p.to_vec()),
+                    data: snap.share_page(*index),
                 }
             } else {
                 FetchResponse::Unavailable
@@ -403,7 +404,7 @@ mod tests {
         }
         let evil = FetchResponse::Page {
             index: 2,
-            data: Some(vec![0x66; PAGE_SIZE]),
+            data: Some(std::sync::Arc::new(vec![0x66; PAGE_SIZE])),
         };
         assert_eq!(
             fetcher.on_response(b.tree(), evil),

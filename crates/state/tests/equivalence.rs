@@ -15,6 +15,7 @@
 //! checkpoint a synchronous refresh and snapshot took at the seal.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use pbft_crypto::Digest;
 use pbft_state::{
@@ -28,7 +29,7 @@ use propcheck::Gen;
 const PAGES: usize = 70;
 
 /// Transfer `snap` into a copy of `from`; returns the pages moved, in order.
-fn fetch(from: &PagedState, snap: &Snapshot) -> Vec<(u64, Option<Vec<u8>>)> {
+fn fetch(from: &PagedState, snap: &Snapshot) -> Vec<(u64, Option<Arc<Vec<u8>>>)> {
     let mut dst = from.clone();
     let (mut fetcher, mut reqs) = Fetcher::new(dst.tree(), snap.root);
     let mut moved = Vec::new();
@@ -106,8 +107,8 @@ fn hashing_early_changes_no_root_snapshot_or_transfer() {
                     }
                     6 => {
                         let page = page_at(g);
-                        let data = g.bool().then(|| vec![g.u8(); PAGE_SIZE]);
-                        let digest = page_digest(data.as_deref());
+                        let data = g.bool().then(|| Arc::new(vec![g.u8(); PAGE_SIZE]));
+                        let digest = page_digest(data.as_deref().map(Vec::as_slice));
                         plain
                             .install_page(page, data.clone(), digest)
                             .expect("install");
@@ -213,8 +214,8 @@ fn a_checkpoint_finished_in_steps_is_the_one_taken_at_the_seal() {
                     }
                     5 => {
                         let page = page_at(g);
-                        let data = g.bool().then(|| vec![g.u8(); PAGE_SIZE]);
-                        let digest = page_digest(data.as_deref());
+                        let data = g.bool().then(|| Arc::new(vec![g.u8(); PAGE_SIZE]));
+                        let digest = page_digest(data.as_deref().map(Vec::as_slice));
                         sync.install_page(page, data.clone(), digest)
                             .expect("install");
                         stepped.install_page(page, data, digest).expect("install");
@@ -399,8 +400,15 @@ fn a_transfer_in_any_order_builds_the_tree_the_per_page_path_builds() {
                 let next = fetcher.on_response(dst.tree(), resp).expect("honest peer");
                 in_flight.extend(next.iter().map(|r| serve_fetch(&snap, r)));
                 for (idx, data, digest) in fetcher.take_ready() {
-                    assert_eq!(digest, page_digest(data.as_deref()), "page {idx}");
-                    per_page.update_leaf(idx as usize, page_digest(data.as_deref()));
+                    assert_eq!(
+                        digest,
+                        page_digest(data.as_deref().map(Vec::as_slice)),
+                        "page {idx}"
+                    );
+                    per_page.update_leaf(
+                        idx as usize,
+                        page_digest(data.as_deref().map(Vec::as_slice)),
+                    );
                     dst.install_page(idx, data, digest).expect("install");
                 }
             }
@@ -518,7 +526,9 @@ fn answers(
         FetchResponse::Page { index, data } => {
             if asked.contains(&(0, *index)) {
                 let fits = data.as_ref().is_none_or(|d| d.len() == PAGE_SIZE);
-                if !fits || tree.node(0, *index) != Some(page_digest(data.as_deref())) {
+                if !fits
+                    || tree.node(0, *index) != Some(page_digest(data.as_deref().map(Vec::as_slice)))
+                {
                     return Err(());
                 }
                 answered.insert((0, *index));
@@ -570,7 +580,7 @@ fn forge(g: &mut Gen, snap: &Snapshot, req: &FetchRequest) -> FetchResponse {
         }
         (5, FetchResponse::Page { index, data }) => {
             // A page of the wrong length.
-            let mut data = data.unwrap_or_else(|| vec![0; PAGE_SIZE]);
+            let mut data = data.map_or_else(|| vec![0; PAGE_SIZE], Arc::unwrap_or_clone);
             data.resize(
                 if g.bool() {
                     PAGE_SIZE - 1
@@ -581,13 +591,13 @@ fn forge(g: &mut Gen, snap: &Snapshot, req: &FetchRequest) -> FetchResponse {
             );
             FetchResponse::Page {
                 index,
-                data: Some(data),
+                data: Some(Arc::new(data)),
             }
         }
         (6, FetchResponse::Page { index, data }) => {
             // A flipped byte, or the zero page.
             let data = data.filter(|_| g.bool()).map(|mut d| {
-                d[g.index(PAGE_SIZE)] ^= 1 + g.u8_in(0..255);
+                Arc::make_mut(&mut d)[g.index(PAGE_SIZE)] ^= 1 + g.u8_in(0..255);
                 d
             });
             FetchResponse::Page { index, data }
@@ -622,7 +632,11 @@ fn forged_responses_change_nothing_and_an_honest_peer_completes() {
             let install = |fetcher: &mut Fetcher, dst: &mut PagedState| {
                 for (idx, data, digest) in fetcher.take_ready() {
                     assert_eq!(snap.tree().node(0, idx), Some(digest), "page {idx}");
-                    assert_eq!(page_digest(data.as_deref()), digest, "page {idx}");
+                    assert_eq!(
+                        page_digest(data.as_deref().map(Vec::as_slice)),
+                        digest,
+                        "page {idx}"
+                    );
                     dst.install_page(idx, data, digest).expect("page-sized");
                 }
             };

@@ -2205,7 +2205,7 @@ mod tests {
             let mut st = state_b.borrow_mut();
             st.refresh_digest();
             for page in 0..st.num_pages() as u64 {
-                let data = checkpoint.page(page).map(|p| p.to_vec());
+                let data = checkpoint.share_page(page);
                 let digest = checkpoint.tree().leaf(page as usize);
                 st.install_page(page, data, digest).expect("same geometry");
             }

@@ -3,7 +3,8 @@
 # committed BENCH_<bench>.json.
 #
 #   scripts/cells.sh BENCH [CELL_ID...]     BENCH: one whose rows are cells
-#                                           (paper, table1, hotpath, sharding)
+#                                           (paper, table1, hotpath, sharding,
+#                                           availability)
 #
 # With no id it runs every cell of BENCH (`cargo bench -p bench --bench
 # BENCH -- --cells` lists them, with the JSON path of each row). A cell is

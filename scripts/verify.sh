@@ -7,7 +7,7 @@
 #      replica in the paper's robust configuration and fails the primary
 #      over to it), then the crypto cross-checks (hardware vs scalar,
 #      pinned outputs), the minisql ones (pinned database files, in place vs `Node` oracle)
-#      and the allocation pins (alloc_burst, alloc_insert) and the stepped
+#      and the allocation pins (alloc_burst, alloc_insert, shared_pages) and the stepped
 #      checkpoint proofs (equivalence a_checkpoint_, checkpoint_stall) in the
 #      release profile, whose bands the test-profile pass below never checks
 #   4. the whole test suite (unit + integration + property tests),
@@ -95,9 +95,10 @@ cargo test -q --release -p minisql -- golden_ crosscheck_
 # profile. The per-package pass below runs them under the test profile;
 # the release bands (the build the wall-clock benchmark runs) are checked
 # here.
-echo "==> allocation pins (alloc_burst, alloc_insert), release profile"
+echo "==> allocation pins (alloc_burst, alloc_insert, shared_pages), release profile"
 cargo test -q --release -p pbft_core --test alloc_burst
 cargo test -q --release -p pbft_sql --test alloc_insert
+cargo test -q --release -p pbft_sql --test shared_pages
 
 # A checkpoint's root is finished in steps over the batches after its
 # boundary. The proof that a stepped root is the synchronous one (the
