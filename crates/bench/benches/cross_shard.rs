@@ -25,7 +25,11 @@
 //! is back within 90% of steady. Both engines again.
 //!
 //! Results land in `BENCH_cross_shard.json` at the repo root (parse-gated
-//! by `tests/artifacts.rs`).
+//! by `tests/artifacts.rs`). Every row is a cell that re-runs alone (see
+//! [`bench::cells`]): `rows/<engine>/shards=<k>/cross=<pct>` and
+//! `reshard/<engine>`. A row's `vs_local` is derived from its deployment's
+//! 0% row, so a cell run alone leaves it out; the all-local baseline each
+//! 0% row is checked against runs in the section's finish.
 //!
 //! Since PR 4 the 2PC tables are durable in the replicated state region
 //! (write-through per protocol op); that cost lands only on the
@@ -33,7 +37,8 @@
 //! nothing to the xshard section, and must stay glued to the PR 2
 //! baseline.
 
-use bench::artifact::{self, Json};
+use bench::artifact::{num, text, Json};
+use bench::cells::{self, cell, Cell, Section};
 use bench::obj;
 use harness::experiments::NUM_CLIENTS;
 use harness::scenario::{run_scenario, Scenario, ScenarioEvent};
@@ -54,20 +59,6 @@ const TRIALS: usize = 2;
 /// enough that conflicts stay the exception.
 const KEY_SPACE: u64 = 512;
 
-struct Point {
-    engine: &'static str,
-    shards: usize,
-    pct: usize,
-    bg_per_group: usize,
-    initiators: usize,
-    tps: Vec<f64>,
-    abort_rate: Vec<f64>,
-    committed_txs: u64,
-    aborted_txs: u64,
-    /// `mean TPS / this deployment's 0% row` — filled once the row exists.
-    vs_local: f64,
-}
-
 fn base(engine: Engine, seed: u64, num_clients: usize) -> ClusterSpec {
     ClusterSpec {
         cfg: PbftConfig {
@@ -80,7 +71,7 @@ fn base(engine: Engine, seed: u64, num_clients: usize) -> ClusterSpec {
     }
 }
 
-fn measure_point(engine: Engine, shards: usize, pct: usize) -> Point {
+fn measure_point(engine: Engine, shards: usize, pct: usize) -> Json {
     // Convert pct% of the 12-client budget into transaction initiators.
     let init_per_group = (NUM_CLIENTS * pct + 50) / 100;
     let bg_per_group = NUM_CLIENTS - init_per_group;
@@ -112,17 +103,14 @@ fn measure_point(engine: Engine, shards: usize, pct: usize) -> Point {
         committed_txs += t.tx_committed;
         aborted_txs += t.tx_aborted;
     }
-    Point {
-        engine: engine.name(),
-        shards,
-        pct,
-        bg_per_group,
-        initiators,
-        tps,
-        abort_rate,
-        committed_txs,
-        aborted_txs,
-        vs_local: 0.0,
+    let agg = Stats::from_samples(&tps);
+    let aborts = Stats::from_samples(&abort_rate);
+    obj! {
+        "engine": engine.name(), "shards": shards, "cross_pct": pct,
+        "bg_per_group": bg_per_group, "initiators": initiators,
+        "tps_mean": agg.mean, "tps_stddev": agg.std_dev,
+        "committed_txs": committed_txs, "aborted_txs": aborted_txs,
+        "abort_rate": aborts.mean,
     }
 }
 
@@ -143,38 +131,67 @@ fn measure_baseline(engine: Engine, shards: usize) -> Stats {
     Stats::from_samples(&samples)
 }
 
-/// One engine's full cross-shard sweep, with the 0%-vs-baseline guard.
-fn sweep(engine: Engine) -> Vec<Point> {
-    let mut all = Vec::new();
-    for &shards in &SHARD_COUNTS {
-        let baseline = measure_baseline(engine, shards);
-        let mut points: Vec<Point> = CROSS_PCT
-            .iter()
-            .map(|&pct| measure_point(engine, shards, pct))
-            .collect();
-        let local = Stats::from_samples(&points[0].tps).mean;
-        for p in &mut points {
-            p.vs_local = Stats::from_samples(&p.tps).mean / local;
+/// Engine × shard count × cross-shard fraction, in row order.
+fn row_cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for engine in Engine::ALL {
+        for shards in SHARD_COUNTS {
+            for pct in CROSS_PCT {
+                let id = format!("rows/{}/shards={shards}/cross={pct}", engine.name());
+                cells.push(cell(id, move || measure_point(engine, shards, pct)));
+            }
         }
-        for p in &points {
-            let agg = Stats::from_samples(&p.tps);
-            let aborts = Stats::from_samples(&p.abort_rate);
+    }
+    cells
+}
+
+/// Add each row's `vs_local` against its deployment's 0% row, print the
+/// rows, and hold every 0% row to the all-local baseline and every 100%
+/// row to committing transactions.
+fn sweeps(rows: Vec<Json>) -> Json {
+    println!(
+        "Cross-shard transactions — committed TPS and abort rate vs cross-shard \
+         fraction (1 KiB ops, {NUM_CLIENTS}-client budget per group, {TRIALS} trials, \
+         both engines)\n"
+    );
+    println!(
+        "{:<7} {:<7} {:>7} {:>10} {:>10} {:>12} {:>8} {:>9} {:>10} {:>10}",
+        "engine",
+        "shards",
+        "cross%",
+        "bg/grp",
+        "initiators",
+        "agg TPS",
+        "StDev",
+        "vs local",
+        "tx c/a",
+        "abort%"
+    );
+    let deployments = Engine::ALL
+        .into_iter()
+        .flat_map(|engine| SHARD_COUNTS.map(|shards| (engine, shards)));
+    let mut out = Vec::new();
+    for ((engine, shards), points) in deployments.zip(rows.chunks(CROSS_PCT.len())) {
+        let local = num(&points[0], "tps_mean");
+        for p in points {
+            let vs_local = num(p, "tps_mean") / local;
             println!(
                 "{:<7} {:<7} {:>7} {:>10} {:>10} {:>12.0} {:>8.0} {:>8.2}x {:>10} {:>9.1}%",
-                p.engine,
-                p.shards,
-                p.pct,
-                p.bg_per_group,
-                p.initiators,
-                agg.mean,
-                agg.std_dev,
-                p.vs_local,
-                format!("{}/{}", p.committed_txs, p.aborted_txs),
-                aborts.mean * 100.0,
+                engine.name(),
+                shards,
+                num(p, "cross_pct"),
+                num(p, "bg_per_group"),
+                num(p, "initiators"),
+                num(p, "tps_mean"),
+                num(p, "tps_stddev"),
+                vs_local,
+                format!("{}/{}", num(p, "committed_txs"), num(p, "aborted_txs")),
+                num(p, "abort_rate") * 100.0,
             );
+            out.push(with_after(p.clone(), "tps_stddev", "vs_local", vs_local));
         }
-        let p0 = Stats::from_samples(&points[0].tps).mean;
-        let ratio = p0 / baseline.mean;
+        let baseline = measure_baseline(engine, shards);
+        let ratio = local / baseline.mean;
         println!(
             "  -> {} 0% row vs PR 2 sharding baseline ({:.0} TPS): {ratio:.3}x \
              (must be within noise)\n",
@@ -183,18 +200,31 @@ fn sweep(engine: Engine) -> Vec<Point> {
         );
         assert!(
             (0.95..=1.05).contains(&ratio),
-            "0% cross-shard traffic ({p0:.0} TPS) diverged from the PR 2 baseline \
+            "0% cross-shard traffic ({local:.0} TPS) diverged from the all-local baseline \
              ({:.0} TPS) by more than 5%",
             baseline.mean
         );
         let full = points.last().expect("non-empty sweep");
         assert!(
-            full.committed_txs > 0,
+            num(full, "committed_txs") > 0.0,
             "the 100% cross-shard row must commit transactions"
         );
-        all.extend(points);
     }
-    all
+    Json::Arr(out)
+}
+
+/// `row` with `key: value` inserted after the field `after`.
+fn with_after(row: Json, after: &str, key: &str, value: f64) -> Json {
+    let Json::Obj(mut fields) = row else {
+        panic!("a row is an object");
+    };
+    let at = fields
+        .iter()
+        .position(|(k, _)| k == after)
+        .expect("the field to insert after")
+        + 1;
+    fields.insert(at, (key.to_string(), Json::Num(value)));
+    Json::Obj(fields)
 }
 
 // ---------------------------------------------------------------------------
@@ -209,18 +239,7 @@ const RESHARD_BUCKET: SimDuration = SimDuration::from_millis(25);
 /// Throughput counts as "recovered" at this fraction of steady state.
 const RECOVERY_FRACTION: f64 = 0.9;
 
-struct ReshardRow {
-    engine: &'static str,
-    steady_tps: f64,
-    dip_tps: f64,
-    recovered_tps: f64,
-    /// Worst client-visible time (ms) from a split firing to the first
-    /// bucket back at `RECOVERY_FRACTION` of steady, over both splits.
-    recover_ms: f64,
-    availability: f64,
-}
-
-fn measure_reshard(engine: Engine) -> ReshardRow {
+fn measure_reshard(engine: Engine) -> Json {
     let ms = SimDuration::from_millis;
     let mut b = base(engine, 9100, NUM_CLIENTS);
     b.app = AppKind::Kv {
@@ -279,37 +298,19 @@ fn measure_reshard(engine: Engine) -> ReshardRow {
     // Recovered plateau: the final 300 ms, all four groups serving.
     let n = tl.buckets.len();
     let recovered = tl.window_tps(n - 12, n);
-    ReshardRow {
-        engine: engine.name(),
-        steady_tps: steady,
-        dip_tps: dip,
-        recovered_tps: recovered,
-        recover_ms,
-        availability: tl.availability(),
+    // `recover_ms`: the worst client-visible time from a split firing to the
+    // first bucket back at `RECOVERY_FRACTION` of steady, over both splits.
+    obj! {
+        "engine": engine.name(), "shards_before": 2usize, "shards_after": 4usize,
+        "epochs": 2usize, "steady_tps": steady, "dip_tps": dip,
+        "recovered_tps": recovered, "recover_ms": recover_ms,
+        "availability": tl.availability(),
     }
 }
 
-fn main() {
-    println!(
-        "Cross-shard transactions — committed TPS and abort rate vs cross-shard \
-         fraction (1 KiB ops, {NUM_CLIENTS}-client budget per group, {TRIALS} trials, \
-         both engines)\n"
-    );
-    println!(
-        "{:<7} {:<7} {:>7} {:>10} {:>10} {:>12} {:>8} {:>9} {:>10} {:>10}",
-        "engine",
-        "shards",
-        "cross%",
-        "bg/grp",
-        "initiators",
-        "agg TPS",
-        "StDev",
-        "vs local",
-        "tx c/a",
-        "abort%"
-    );
-    let rows: Vec<Point> = Engine::ALL.into_iter().flat_map(sweep).collect();
-
+/// Print the resharding rows and hold each 4-group plateau to
+/// `RECOVERY_FRACTION` of its 2-group steady state.
+fn reshard_table(rows: Vec<Json>) -> Json {
     println!(
         "Elastic resharding — 2 -> 4 live splits under closed-loop keyed load \
          ({RESHARD_SLOTS}-key KV, {}ms buckets)\n",
@@ -319,55 +320,24 @@ fn main() {
         "{:<8} {:>12} {:>10} {:>13} {:>11} {:>7}",
         "engine", "steady TPS", "dip TPS", "recovered TPS", "recover ms", "avail"
     );
-    let reshard = Engine::ALL.map(measure_reshard);
-    for r in &reshard {
+    for r in &rows {
+        let (steady, recovered) = (num(r, "steady_tps"), num(r, "recovered_tps"));
         println!(
             "{:<8} {:>12.0} {:>10.0} {:>13.0} {:>11.1} {:>6.1}%",
-            r.engine,
-            r.steady_tps,
-            r.dip_tps,
-            r.recovered_tps,
-            r.recover_ms,
-            r.availability * 100.0,
+            text(r, "engine"),
+            steady,
+            num(r, "dip_tps"),
+            recovered,
+            num(r, "recover_ms"),
+            num(r, "availability") * 100.0,
         );
         assert!(
-            r.recovered_tps >= RECOVERY_FRACTION * r.steady_tps,
-            "{}: the 4-group plateau ({:.0} TPS) must not sit below {RECOVERY_FRACTION}x \
-             the 2-group steady state ({:.0} TPS)",
-            r.engine,
-            r.recovered_tps,
-            r.steady_tps
+            recovered >= RECOVERY_FRACTION * steady,
+            "{}: the 4-group plateau ({recovered:.0} TPS) must not sit below \
+             {RECOVERY_FRACTION}x the 2-group steady state ({steady:.0} TPS)",
+            text(r, "engine"),
         );
     }
-
-    let rows: Vec<Json> = rows
-        .iter()
-        .map(|p| {
-            let agg = Stats::from_samples(&p.tps);
-            let aborts = Stats::from_samples(&p.abort_rate);
-            obj! {
-                "engine": p.engine, "shards": p.shards, "cross_pct": p.pct,
-                "bg_per_group": p.bg_per_group, "initiators": p.initiators,
-                "tps_mean": agg.mean, "tps_stddev": agg.std_dev, "vs_local": p.vs_local,
-                "committed_txs": p.committed_txs, "aborted_txs": p.aborted_txs,
-                "abort_rate": aborts.mean,
-            }
-        })
-        .collect();
-    let reshard: Vec<Json> = reshard
-        .iter()
-        .map(|r| {
-            obj! {
-                "engine": r.engine, "shards_before": 2usize, "shards_after": 4usize,
-                "epochs": 2usize, "steady_tps": r.steady_tps, "dip_tps": r.dip_tps,
-                "recovered_tps": r.recovered_tps, "recover_ms": r.recover_ms,
-                "availability": r.availability,
-            }
-        })
-        .collect();
-    let json = obj! {"bench": "cross_shard", "rows": rows, "reshard": reshard};
-    artifact::write("BENCH_cross_shard.json", &json);
-
     println!(
         "Degradation comes from two effects: each initiator replaces a pipelined \
          single-shard client with a 3-round (prepare/decide/commit) closed loop, \
@@ -375,5 +345,23 @@ fn main() {
          protocol round. Abort rates trace lock conflicts in the {KEY_SPACE}-key space. \
          The resharding dip is the drain-and-handoff window; recovery is bounded by \
          the router cutover plus the clients' retry backoff."
+    );
+    Json::Arr(rows)
+}
+
+fn main() {
+    let reshard = Engine::ALL
+        .into_iter()
+        .map(|engine| {
+            let id = format!("reshard/{}", engine.name());
+            cell(id, move || measure_reshard(engine))
+        })
+        .collect();
+    cells::main(
+        obj! {"bench": "cross_shard"},
+        vec![
+            Section::array("rows", row_cells(), sweeps),
+            Section::array("reshard", reshard, reshard_table),
+        ],
     );
 }

@@ -6,8 +6,8 @@
 //! Every target is a plain `fn main()` driver (`harness = false`) that
 //! asserts its expectations and writes a committed `BENCH_*.json` through
 //! [`artifact`]; `tests/artifacts.rs` holds the committed files to the
-//! same bounds. `paper`, `table1` and `hotpath` build their rows as
-//! [`cells`], each of which re-runs alone. Per-primitive costs (SHA-256, MACs,
+//! same bounds. Every target builds its rows as [`cells`], each of which
+//! re-runs alone. Per-primitive costs (SHA-256, MACs,
 //! the codec, page digests, minisql statements, one simulator event) are
 //! measured by the layer probes of `crates/wallbench`, not here.
 //!

@@ -931,7 +931,9 @@ impl Replica {
         self.retry_fetch(res);
     }
 
-    /// Used by the recovery module as well.
+    /// Re-send, to the next peer, what the fetcher asked and has not had
+    /// answered: the asked set only, so a retry never sends the pages that
+    /// wait for the window.
     pub(crate) fn retry_fetch(&mut self, res: &mut HandleResult) {
         let Some(f) = &mut self.fetch else { return };
         f.attempt += 1;

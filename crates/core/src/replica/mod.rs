@@ -142,8 +142,10 @@ pub(crate) struct HeldRead {
     reply: ReplyMsg,
 }
 
-/// An in-progress state transfer. What is still unanswered is the
-/// fetcher's to say ([`Fetcher::outstanding`]).
+/// An in-progress state transfer. The fetcher holds the walk: what is asked
+/// and unanswered ([`Fetcher::outstanding`]: one meta per level and at most
+/// [`pbft_state::PAGES_IN_FLIGHT`] pages) and the divergent pages that wait
+/// for the window.
 pub(crate) struct FetchState {
     pub target_seq: SeqNum,
     pub target_root: Digest,

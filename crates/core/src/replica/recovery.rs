@@ -357,6 +357,7 @@ impl Replica {
                     .expect("fetcher validated the page index");
             }
         }
+        // The next level's meta, or the pages the answer let into the window.
         for req in next {
             let msg = Message::Fetch(FetchMsg {
                 target_seq,

@@ -37,8 +37,9 @@
 //! None of it is visible in a root, a snapshot or a transferred page.
 //!
 //! A state transfer is priced the same way, by the pages it moves: the
-//! [`Fetcher`] asks for a whole tree level per message, a transferred page
-//! is hashed once (the digest that validated it becomes its leaf),
+//! [`Fetcher`] asks for a whole tree level per message and keeps at most
+//! [`PAGES_IN_FLIGHT`] page requests unanswered, a transferred page is
+//! hashed once (the digest that validated it becomes its leaf),
 //! [`PagedState::fold_installed`] folds the tree once per transfer, and a
 //! blank region's tree is built once per page count and shared.
 //!
@@ -93,4 +94,6 @@ pub use region::{
     PagedState, RootWork, Section, SharedPage, StateError, FOLDS_PER_PAGE_HASH, PAGE_SIZE,
 };
 pub use snapshot::Snapshot;
-pub use transfer::{serve_fetch, FetchRequest, FetchResponse, Fetcher, TransferError};
+pub use transfer::{
+    serve_fetch, FetchRequest, FetchResponse, Fetcher, TransferError, PAGES_IN_FLIGHT,
+};

@@ -9,9 +9,11 @@
 //!
 //! The walk asks for a whole tree level at a time: one [`FetchRequest::Meta`]
 //! names every divergent node of a level, so a transfer costs the tree's
-//! height in meta round trips, not its divergent node count. A page is
-//! requested as soon as its parent is known, and hashed once, here: the
-//! validated digest travels with the page into
+//! height in meta round trips, not its divergent node count. Pages stream
+//! through a window: at most [`PAGES_IN_FLIGHT`] are asked and not yet
+//! answered, the divergent pages the walk already knows wait in index
+//! order, and each validated page releases the next. Each page is hashed
+//! once, here: the validated digest travels with the page into
 //! [`crate::PagedState::install_page`].
 //!
 //! This module is transport-agnostic: [`Fetcher`] is the requester-side state
@@ -27,6 +29,19 @@ use pbft_crypto::Digest;
 use crate::merkle::{combine, MerkleTree};
 use crate::region::{zero_page_digest, SharedPage, PAGE_SIZE};
 use crate::snapshot::Snapshot;
+
+/// Page requests a [`Fetcher`] keeps asked and not yet answered.
+///
+/// A transfer's answers are hashed by the requester and served by a peer
+/// that is also agreeing on new batches, on the same core and link. Asked
+/// all at once, a blank restart's ≈ 100–310 leaf-level pages came back in
+/// one instant and held every other message behind up to ≈ 1 ms of page
+/// hashing; 8 pages (32 KiB, ≈ 25 µs of hashing per wave) keep each wave
+/// short. Against asking all at once, wallbench's `sql_recover` p99 read
+/// 0.63× with a window of 4, 0.64× with 8, 0.65× with 16 and 0.98× with 32
+/// (medians of six seeds, 2-vCPU Xeon); 8 keeps 4's tail in half the
+/// round trips.
+pub const PAGES_IN_FLIGHT: usize = 8;
 
 /// A state-transfer request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,12 +121,20 @@ impl std::error::Error for TransferError {}
 /// checks surface as [`TransferError`]s and the caller retries elsewhere. A
 /// response that fails changes nothing; one that answers part of a request
 /// leaves exactly the rest outstanding ([`Fetcher::outstanding`]).
+///
+/// Meta requests go out one per level as soon as their level is known.
+/// Pages go through a window: at most [`PAGES_IN_FLIGHT`] are asked at a
+/// time, the rest of the divergent pages the walk has found wait here in
+/// index order, and each validated page answer releases the next.
 #[derive(Debug)]
 pub struct Fetcher {
     target_root: Digest,
     /// Expected digest of every node asked for and not yet answered, keyed
     /// by `(level, index)`; level 0 holds the pages.
     expected: BTreeMap<(u32, u64), Digest>,
+    /// Divergent pages not asked for yet (the window is full), with their
+    /// expected digests.
+    queued: BTreeMap<u64, Digest>,
     /// Pages fetched and validated, ready to install.
     ready: Vec<(u64, Option<SharedPage>, Digest)>,
 }
@@ -123,6 +146,7 @@ impl Fetcher {
         let mut f = Fetcher {
             target_root,
             expected: BTreeMap::new(),
+            queued: BTreeMap::new(),
             ready: Vec::new(),
         };
         if local.root() != target_root {
@@ -140,7 +164,7 @@ impl Fetcher {
 
     /// True when every divergent page has been fetched and validated.
     pub fn is_complete(&self) -> bool {
-        self.expected.is_empty()
+        self.expected.is_empty() && self.queued.is_empty()
     }
 
     /// Drain validated pages for installation into the local region: index,
@@ -150,8 +174,10 @@ impl Fetcher {
         std::mem::take(&mut self.ready)
     }
 
-    /// The requests still unanswered — what a retry re-sends: one `Meta`
-    /// per level, one `Page` per page.
+    /// The requests asked and still unanswered — what a retry re-sends: one
+    /// `Meta` per level, one `Page` per page, at most [`PAGES_IN_FLIGHT`]
+    /// pages. Pages waiting for the window are not asked yet, so a retry
+    /// never sends them.
     pub fn outstanding(&self) -> Vec<FetchRequest> {
         let mut reqs = Vec::new();
         for &(level, index) in self.expected.keys() {
@@ -199,7 +225,6 @@ impl Fetcher {
                 }
                 let child_level = level - 1;
                 let mut indices = Vec::new();
-                let mut pages = Vec::new();
                 for (index, left, right) in nodes {
                     if self.expected.remove(&(level, index)).is_none() {
                         continue;
@@ -210,24 +235,22 @@ impl Fetcher {
                         }
                         if child_level > 0 {
                             indices.push(child);
+                            self.expected.insert((child_level, child), digest);
                         } else if (child as usize) < local.leaf_count() {
-                            pages.push(FetchRequest::Page { index: child });
-                        } else {
-                            // Padding leaves can never diverge for
-                            // equal-geometry trees; ignore them.
-                            continue;
+                            // (Padding leaves can never diverge for
+                            // equal-geometry trees.)
+                            self.queued.insert(child, digest);
                         }
-                        self.expected.insert((child_level, child), digest);
                     }
                 }
-                let mut out = Vec::with_capacity(pages.len() + 1);
+                let mut out = Vec::new();
                 if !indices.is_empty() {
                     out.push(FetchRequest::Meta {
                         level: child_level,
                         indices,
                     });
                 }
-                out.append(&mut pages);
+                self.release(&mut out);
                 Ok(out)
             }
             FetchResponse::Page { index, data } => {
@@ -244,8 +267,24 @@ impl Fetcher {
                 }
                 self.expected.remove(&(0, index));
                 self.ready.push((index, data, expect));
-                Ok(Vec::new())
+                let mut out = Vec::new();
+                self.release(&mut out);
+                Ok(out)
             }
+        }
+    }
+
+    /// Ask for queued pages, lowest index first, while the window has room.
+    fn release(&mut self, out: &mut Vec<FetchRequest>) {
+        // Pages sort first in `expected`: level 0.
+        let mut in_flight = self.expected.range(..(1, 0)).count();
+        while in_flight < PAGES_IN_FLIGHT {
+            let Some((index, digest)) = self.queued.pop_first() else {
+                return;
+            };
+            self.expected.insert((0, index), digest);
+            out.push(FetchRequest::Page { index });
+            in_flight += 1;
         }
     }
 }

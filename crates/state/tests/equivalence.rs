@@ -7,8 +7,10 @@
 //! A state transfer hashes each page once and folds the tree once, and
 //! builds the tree the per-page path (hash the page, recompute its path to
 //! the root) builds, whatever order, repeats and strays the responses come
-//! in; it resumes after a crash without fetching a page twice; and forged
-//! responses neither panic it, nor install a page, nor lose a request.
+//! in; it resumes after a crash without fetching a page twice; forged
+//! responses neither panic it, nor install a page, nor lose a request; and
+//! whatever is lost, repeated or forged, at most `PAGES_IN_FLIGHT` pages are
+//! asked and unanswered, and a retry re-asks exactly those.
 //!
 //! A checkpoint sealed at a boundary and finished in steps of any budget,
 //! with the next interval's writes and every other call interleaved, is the
@@ -20,7 +22,7 @@ use std::sync::Arc;
 use pbft_crypto::Digest;
 use pbft_state::{
     serve_fetch, FetchRequest, FetchResponse, Fetcher, MerkleTree, PagedState, Snapshot,
-    FOLDS_PER_PAGE_HASH, PAGE_SIZE,
+    FOLDS_PER_PAGE_HASH, PAGES_IN_FLIGHT, PAGE_SIZE,
 };
 use propcheck::Gen;
 
@@ -675,4 +677,156 @@ fn forged_responses_change_nothing_and_an_honest_peer_completes() {
             assert_same_bytes(&dst, &snap);
         },
     );
+}
+
+/// Pages among `reqs`.
+fn pages(reqs: &[FetchRequest]) -> usize {
+    reqs.iter()
+        .filter(|r| matches!(r, FetchRequest::Page { .. }))
+        .count()
+}
+
+#[test]
+fn the_window_bounds_pages_in_flight_and_a_retry_reasks_exactly_them() {
+    propcheck::check(
+        "the_window_bounds_pages_in_flight_and_a_retry_reasks_exactly_them",
+        128,
+        |g| {
+            let (target, mut dst) = divergent_pair(g);
+            if g.bool() {
+                // A blank restart: every page the target wrote diverges.
+                dst = PagedState::new(PAGES);
+                dst.refresh_digest();
+            }
+            let snap = target.snapshot(1);
+            let divergent: BTreeSet<u64> = (0..PAGES as u64)
+                .filter(|&p| dst.tree().node(0, p) != snap.tree().node(0, p))
+                .collect();
+            let (mut fetcher, reqs) = Fetcher::new(dst.tree(), snap.root);
+            let mut asked = keys(&reqs);
+            // Answers on the wire, delivered in any order, some never.
+            let mut wire: Vec<FetchResponse> = reqs.iter().map(|r| serve_fetch(&snap, r)).collect();
+            let mut installed = BTreeSet::new();
+            let mut most_in_flight = 0;
+            let mut step = |fetcher: &mut Fetcher,
+                            dst: &mut PagedState,
+                            asked: &mut BTreeSet<(u32, u64)>,
+                            wire: &mut Vec<FetchResponse>,
+                            resp: FetchResponse| {
+                let model = answers(&snap, asked, &resp);
+                match (fetcher.on_response(dst.tree(), resp), model) {
+                    (Ok(next), Ok(answered)) => {
+                        asked.retain(|k| !answered.contains(k));
+                        let next_keys = keys(&next);
+                        assert!(asked.is_disjoint(&next_keys), "a node asked twice");
+                        asked.extend(next_keys);
+                        wire.extend(next.iter().map(|r| serve_fetch(&snap, r)));
+                    }
+                    (Err(_), Err(())) => {}
+                    (got, model) => panic!("fetcher {got:?}, model {model:?}"),
+                }
+                for (idx, data, digest) in fetcher.take_ready() {
+                    assert!(divergent.contains(&idx), "page {idx} did not diverge");
+                    assert!(installed.insert(idx), "page {idx} installed twice");
+                    dst.install_page(idx, data, digest).expect("page-sized");
+                }
+                let outstanding = fetcher.outstanding();
+                assert_eq!(keys(&outstanding), *asked, "outstanding is the asked set");
+                let in_flight = pages(&outstanding);
+                assert!(
+                    in_flight <= PAGES_IN_FLIGHT,
+                    "{in_flight} pages asked and unanswered"
+                );
+                most_in_flight = most_in_flight.max(in_flight);
+            };
+            for _ in 0..g.usize_in(0..400) {
+                if fetcher.is_complete() {
+                    break;
+                }
+                match g.choice(10) {
+                    0 if !wire.is_empty() => {
+                        // A lost answer.
+                        wire.swap_remove(g.index(wire.len()));
+                    }
+                    1 if !wire.is_empty() => {
+                        // A repeated answer.
+                        let again = wire[g.index(wire.len())].clone();
+                        wire.push(again);
+                    }
+                    2 => {
+                        // The retry timer: exactly the asked set goes out again.
+                        let outstanding = fetcher.outstanding();
+                        assert_eq!(keys(&outstanding), asked, "a retry re-asks the asked set");
+                        assert!(pages(&outstanding) <= PAGES_IN_FLIGHT);
+                        wire.extend(outstanding.iter().map(|r| serve_fetch(&snap, r)));
+                    }
+                    3 => step(
+                        &mut fetcher,
+                        &mut dst,
+                        &mut asked,
+                        &mut wire,
+                        FetchResponse::Unavailable,
+                    ),
+                    4 => {
+                        // A forged page: a flipped byte, a zero page or the
+                        // wrong length, for a page asked or not.
+                        let index = match asked.iter().find(|k| k.0 == 0) {
+                            Some(&(_, i)) if g.bool() => i,
+                            _ => g.u64_in(0..PAGES as u64),
+                        };
+                        let resp = serve_fetch(&snap, &FetchRequest::Page { index });
+                        let forged = forge_page(g, resp);
+                        step(&mut fetcher, &mut dst, &mut asked, &mut wire, forged);
+                    }
+                    _ if !wire.is_empty() => {
+                        let resp = wire.swap_remove(g.index(wire.len()));
+                        step(&mut fetcher, &mut dst, &mut asked, &mut wire, resp);
+                    }
+                    _ => {}
+                }
+            }
+            // Nothing more is lost: retries and in-order delivery finish the
+            // walk, one wave at a time.
+            for _ in 0..=PAGES + 16 {
+                if fetcher.is_complete() {
+                    break;
+                }
+                wire.extend(fetcher.outstanding().iter().map(|r| serve_fetch(&snap, r)));
+                while let Some(resp) = wire.pop() {
+                    step(&mut fetcher, &mut dst, &mut asked, &mut wire, resp);
+                }
+            }
+            assert!(fetcher.is_complete(), "the walk converges");
+            assert!(asked.is_empty());
+            assert_eq!(installed, divergent, "every divergent page, once");
+            // The leaf level's parents arrive in one answer, so the window
+            // fills once.
+            assert_eq!(most_in_flight, divergent.len().min(PAGES_IN_FLIGHT));
+            dst.fold_installed();
+            assert_eq!(dst.tree().root(), snap.root);
+            assert_same_bytes(&dst, &snap);
+        },
+    );
+}
+
+/// `resp` (a page answer) made wrong: a flipped byte, the zero page for a
+/// written one or the other way round, or a page of the wrong length.
+fn forge_page(g: &mut Gen, resp: FetchResponse) -> FetchResponse {
+    let FetchResponse::Page { index, data } = resp else {
+        return resp;
+    };
+    let data = match (g.choice(3), data) {
+        (0, Some(mut d)) => {
+            Arc::make_mut(&mut d)[g.index(PAGE_SIZE)] ^= 1 + g.u8_in(0..255);
+            Some(d)
+        }
+        (1, Some(_)) => None,
+        (0 | 1, None) => Some(Arc::new(vec![1 + g.u8_in(0..255); PAGE_SIZE])),
+        (_, d) => {
+            let mut d = d.map_or_else(|| vec![0; PAGE_SIZE], Arc::unwrap_or_clone);
+            d.resize(PAGE_SIZE + 1, 0);
+            Some(Arc::new(d))
+        }
+    };
+    FetchResponse::Page { index, data }
 }

@@ -4,7 +4,7 @@
 #
 #   scripts/cells.sh BENCH [CELL_ID...]     BENCH: one whose rows are cells
 #                                           (paper, table1, hotpath, sharding,
-#                                           availability)
+#                                           availability, cross_shard)
 #
 # With no id it runs every cell of BENCH (`cargo bench -p bench --bench
 # BENCH -- --cells` lists them, with the JSON path of each row). A cell is
@@ -12,8 +12,8 @@
 # row: every field it prints is compared with the committed one (numbers
 # as the artifact renders them), and the fields a section derives from
 # other rows (`paper`'s `pct_of_best`, `latency_increase_pct`,
-# `pct_of_baseline`, `sharding`'s `scaling_efficiency`) are named but not
-# compared. Prints one line per cell,
+# `pct_of_baseline`, `sharding`'s `scaling_efficiency`, `cross_shard`'s
+# `vs_local`) are named but not compared. Prints one line per cell,
 # `same` or each differing field as `committed -> alone`, and exits 1 if
 # any cell differs. Throughput cells also print each trial's mean batch on
 # replica 0 (stderr); add `--trace` by hand to `cargo bench -p bench

@@ -16,15 +16,17 @@
 #   * for the slowest 1.5 %: their windows in the first run, merged where
 #     they overlap — a cluster is a set of operations that shared a stall —
 #     with, per cluster, the span kinds that took the most time inside the
-#     window and every driver gap (no span running) over 50 us; a cluster
-#     whose window holds a `replica.checkpoint` span is labelled
-#     `checkpoint`, and a last line counts those clusters and their
-#     operations (how much of the slowest 1.5 % a checkpoint is in).
+#     window and every gap with no span running over 50 us, and its
+#     labels: `checkpoint` when the window holds a `replica.checkpoint`
+#     span, `restart` when it holds a `boot` span (a replica restarted
+#     blank), `transfer` when `replica.transfer` calls take over half the
+#     window; a last line counts, per label, the clusters and their
+#     operations (how much of the slowest 1.5 % each is in).
 # Needs python3.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,21p' "$0" >&2
+    sed -n '2,23p' "$0" >&2
     exit 2
 fi
 bin=$(readlink -f "$1")
@@ -99,7 +101,8 @@ for (start, end), op in slow:
 spans = timelines[0]
 starts = [s["start_ns"] for s in spans]
 print(f"{len(clusters)} clusters (windows in run 1, overlapping ones merged), largest first:")
-at_checkpoint = [0, 0]
+LABELS = ("checkpoint", "restart", "transfer")
+labelled = {name: [0, 0] for name in LABELS}
 for rank, (start, end, members) in enumerate(sorted(clusters, key=lambda c: -len(c[2]))):
     per_kind = defaultdict(lambda: [0, 0])
     gaps, cursor = [], start
@@ -118,21 +121,33 @@ for rank, (start, end, members) in enumerate(sorted(clusters, key=lambda c: -len
         cursor = max(cursor, b)
     if end - cursor > GAP_NS:
         gaps.append(end - cursor)
-    label = "checkpoint" if "replica.checkpoint" in per_kind else "-"
-    if label == "checkpoint":
-        at_checkpoint[0] += 1
-        at_checkpoint[1] += len(members)
+    labels = [
+        name
+        for name, holds in zip(
+            LABELS,
+            (
+                "replica.checkpoint" in per_kind,
+                "boot" in per_kind,
+                2 * per_kind.get("replica.transfer", (0, 0))[1] > end - start,
+            ),
+        )
+        if holds
+    ]
+    for name in labels:
+        labelled[name][0] += 1
+        labelled[name][1] += len(members)
+    label = "+".join(labels) or "-"
     if rank >= 20:
         continue
     lats = sorted(best[op] for op in members)
     top = sorted(per_kind.items(), key=lambda kv: -kv[1][1])[:4]
     kinds = ", ".join(f"{name} {n}x {t / 1e3:.1f} us" for name, (n, t) in top)
-    print(f"  {len(members):3} ops  {label:10}  window {(end - start) / 1e3:8.1f} us"
+    print(f"  {len(members):3} ops  {label:26}  window {(end - start) / 1e3:8.1f} us"
           f"  best {lats[0] / 1e3:.1f}-{lats[-1] / 1e3:.1f} us  | {kinds}")
     if gaps:
         print(f"      driver gaps > {GAP_NS // 1000} us: "
               + ", ".join(f"{g / 1e3:.1f}" for g in sorted(gaps, reverse=True)[:5]) + " us")
-print(f"checkpoint clusters: {at_checkpoint[0]} of {len(clusters)},"
-      f" holding {at_checkpoint[1]} of the {len(slow)} slowest operations")
+print(f"labelled clusters of {len(clusters)}, holding the {len(slow)} slowest operations: "
+      + ", ".join(f"{name} {n} ({ops} ops)" for name, (n, ops) in labelled.items()))
 print(f"span files kept in {keep}")
 EOF
