@@ -7,6 +7,12 @@
 //! journal). This is the mechanism behind the paper's observation that "an
 //! uncommitted transaction will be rolled back on the next attempt to access
 //! the database file".
+//!
+//! A pre-image is the database file's own page image ([`Vfs::read_page`])
+//! and goes into the journal as one ([`Vfs::write_page`]): when both files
+//! keep pages by reference, journaling a page copies nothing.
+
+use std::sync::Arc;
 
 use crate::error::SqlError;
 use crate::vfs::Vfs;
@@ -16,82 +22,44 @@ const MAGIC: u64 = 0x4d49_4e49_4a52_4e4c; // "MINIJRNL"
 /// Journal header + entry layout constants.
 const HEADER: usize = 8 + 4 + 4; // magic, old_page_count, entry count
 
-/// A journal image under construction in a caller-owned buffer: the pager
-/// reads each pre-image straight into its final place and reuses the buffer
-/// from one commit to the next. The buffer keeps its length between images,
-/// so a slot is filled in place and never zeroed first.
-pub struct JournalImage<'a> {
-    buf: &'a mut Vec<u8>,
-    page_size: usize,
-    /// Bytes of `buf` this image occupies; the rest is an earlier image's.
-    len: usize,
-}
+/// A journal's pre-image of one page: its id and its image, shared with
+/// whoever else holds it (the database file, under a VFS that shares
+/// pages).
+pub type Entry = (u32, Arc<Vec<u8>>);
 
-impl<'a> JournalImage<'a> {
-    /// Start an image in `buf` (its previous contents are overwritten or
-    /// left beyond the image's end).
-    pub fn begin(buf: &'a mut Vec<u8>, page_size: usize, old_page_count: u32) -> Self {
-        if buf.len() < HEADER {
-            buf.resize(HEADER, 0);
-        }
-        buf[..8].copy_from_slice(&MAGIC.to_be_bytes());
-        buf[8..12].copy_from_slice(&old_page_count.to_be_bytes());
-        // The entry count at 12..16 is patched by `write`.
-        JournalImage {
-            buf,
-            page_size,
-            len: HEADER,
-        }
-    }
-
-    /// Append an entry for `page_id` and return its page-sized slot, which
-    /// the caller must overwrite whole with the pre-image.
-    pub fn entry(&mut self, page_id: u32) -> &mut [u8] {
-        let start = self.len + 4;
-        self.len = start + self.page_size;
-        if self.buf.len() < self.len {
-            self.buf.resize(self.len, 0);
-        }
-        self.buf[start - 4..start].copy_from_slice(&page_id.to_be_bytes());
-        &mut self.buf[start..self.len]
-    }
-
-    /// Bytes the image occupies in the journal file.
-    pub fn bytes(&self) -> usize {
-        self.len
-    }
-
-    /// Replace the journal file with this image and (optionally) sync it.
-    ///
-    /// # Errors
-    /// Storage failures.
-    pub fn write(self, vfs: &mut dyn Vfs, sync: bool) -> Result<(), SqlError> {
-        let entries = ((self.len - HEADER) / (4 + self.page_size)) as u32;
-        self.buf[12..HEADER].copy_from_slice(&entries.to_be_bytes());
-        vfs.set_len(0)?;
-        vfs.write_at(0, &self.buf[..self.len])?;
-        if sync {
-            vfs.sync()?;
-        }
-        Ok(())
-    }
-}
-
-/// Write a journal with the given pre-images (tests stage journals by hand).
-#[cfg(test)]
+/// Replace the journal file with the image of `entries` and (optionally)
+/// sync it; returns the bytes the image occupies. The header and each
+/// page id go through [`Vfs::write_at`], each pre-image through
+/// [`Vfs::write_page`] at the offset it has in the image, so a file that
+/// keeps pages by reference copies none.
+///
+/// # Errors
+/// Storage failures.
 pub fn write_journal(
     vfs: &mut dyn Vfs,
     page_size: usize,
     old_page_count: u32,
-    entries: &[(u32, Vec<u8>)],
+    entries: &[Entry],
     sync: bool,
-) -> Result<(), SqlError> {
-    let mut buf = Vec::new();
-    let mut image = JournalImage::begin(&mut buf, page_size, old_page_count);
-    for (page_id, data) in entries {
-        image.entry(*page_id).copy_from_slice(data);
+) -> Result<u64, SqlError> {
+    let mut header = [0u8; HEADER];
+    header[..8].copy_from_slice(&MAGIC.to_be_bytes());
+    header[8..12].copy_from_slice(&old_page_count.to_be_bytes());
+    let count = u32::try_from(entries.len()).expect("a journal holds fewer than 2^32 pages");
+    header[12..].copy_from_slice(&count.to_be_bytes());
+    vfs.set_len(0)?;
+    vfs.write_at(0, &header)?;
+    let mut at = HEADER as u64;
+    for (page_id, image) in entries {
+        debug_assert_eq!(image.len(), page_size, "a pre-image is one page");
+        vfs.write_at(at, &page_id.to_be_bytes())?;
+        vfs.write_page(at + 4, image)?;
+        at += 4 + page_size as u64;
     }
-    image.write(vfs, sync)
+    if sync {
+        vfs.sync()?;
+    }
+    Ok(at)
 }
 
 /// Clear the journal (after a successful commit) and sync the truncation.
@@ -158,14 +126,25 @@ mod tests {
     use super::*;
     use crate::vfs::MemVfs;
 
+    fn page(fill: u8) -> Arc<Vec<u8>> {
+        Arc::new(vec![fill; 64])
+    }
+
     #[test]
     fn roundtrip() {
         let mut v = MemVfs::new();
-        let entries = vec![(3u32, vec![7u8; 64]), (9u32, vec![1u8; 64])];
-        write_journal(&mut v, 64, 12, &entries, true).expect("write");
+        let entries = [(3u32, page(7)), (9u32, page(1))];
+        let bytes = write_journal(&mut v, 64, 12, &entries, true).expect("write");
+        assert_eq!(bytes, 16 + 2 * (4 + 64));
+        assert_eq!(v.len(), bytes);
+        assert_eq!(v.shared_pages(), 2, "pre-images kept by reference");
         let back = read_journal(&v, 64).expect("read").expect("present");
         assert_eq!(back.old_page_count, 12);
-        assert_eq!(back.entries, entries);
+        assert_eq!(
+            back.entries,
+            [(3, vec![7u8; 64]), (9, vec![1u8; 64])],
+            "pre-images read back in order"
+        );
     }
 
     #[test]
@@ -177,7 +156,7 @@ mod tests {
     #[test]
     fn cleared_journal_is_none() {
         let mut v = MemVfs::new();
-        write_journal(&mut v, 64, 1, &[(0, vec![0u8; 64])], true).expect("write");
+        write_journal(&mut v, 64, 1, &[(0, page(0))], true).expect("write");
         clear_journal(&mut v, true).expect("clear");
         assert_eq!(read_journal(&v, 64).expect("read"), None);
     }
@@ -189,14 +168,7 @@ mod tests {
         assert_eq!(read_journal(&v, 64).expect("read"), None);
 
         let mut v2 = MemVfs::new();
-        write_journal(
-            &mut v2,
-            64,
-            1,
-            &[(0, vec![0u8; 64]), (1, vec![0u8; 64])],
-            true,
-        )
-        .expect("write");
+        write_journal(&mut v2, 64, 1, &[(0, page(0)), (1, page(0))], true).expect("write");
         v2.set_len(40).expect("truncate");
         assert!(read_journal(&v2, 64).is_err());
     }
@@ -204,7 +176,7 @@ mod tests {
     #[test]
     fn unsynced_journal_lost_on_crash() {
         let mut v = MemVfs::new();
-        write_journal(&mut v, 64, 1, &[(0, vec![5u8; 64])], false).expect("write");
+        write_journal(&mut v, 64, 1, &[(0, page(5))], false).expect("write");
         let crashed = v.crash();
         assert_eq!(read_journal(&crashed, 64).expect("read"), None);
     }

@@ -13,9 +13,10 @@
 //! a header claims. A commit writes what changed and copies each byte once:
 //! page 0 is written and journaled only when the header changed (database
 //! creation, [`Pager::allocate`], [`Pager::free`]), and then the header is
-//! patched into the cached page 0; each pre-image is read from the database
-//! file straight into the journal image, whose buffer is reused from commit
-//! to commit and keeps its length, so no slot is zeroed before it is filled.
+//! patched into the cached page 0; each pre-image is the database file's
+//! own image of the page ([`Vfs::read_page`]) and goes into the journal as
+//! one ([`Vfs::write_page`]), so over files that keep pages by reference
+//! (the state region, [`MemVfs`](crate::MemVfs)) journaling copies nothing.
 //!
 //! The cache holds dirty pages and shares clean ones: a cached image is an
 //! `Arc` the database file handed out ([`Vfs::read_page`]), which a file
@@ -24,8 +25,9 @@
 //! into a private image — into a buffer the file released at an earlier
 //! commit when one is kept — and the commit hands that image to the file
 //! ([`Vfs::write_page`]), so after it the file and the cache share it
-//! again. Rolling back drops the private images; the file's still hold the
-//! pre-images.
+//! again; the image the file held before is a spare buffer once the
+//! cleared journal lets go of it. Rolling back drops the private images;
+//! the file's still hold the pre-images.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -33,7 +35,7 @@ use std::sync::Arc;
 
 use crate::error::SqlError;
 use crate::hash::BuildMulHasher;
-use crate::journal::{clear_journal, read_journal, JournalImage};
+use crate::journal::{self, clear_journal, read_journal, write_journal};
 use crate::vfs::Vfs;
 
 /// Database page size — matches `pbft_state::PAGE_SIZE` so the database file
@@ -44,12 +46,6 @@ const MAGIC: &[u8; 8] = b"MINISQL1";
 
 /// Bytes of page 0 the header occupies; the rest of the page is zero.
 const HEADER_LEN: usize = 20;
-
-/// Journal-image length kept between commits: three pre-images, what a leaf
-/// split that allocates journals (the leaf, its parent and the header page;
-/// a commit that neither allocates nor frees journals no header). A larger
-/// transaction's buffer is released after use.
-const JOURNAL_BUF_KEEP: usize = 16 + 3 * (4 + PAGE_SIZE);
 
 /// Page buffers released by the file (or by a rollback) kept for the next
 /// transaction's copies: as many as a leaf split dirties (the leaf, its
@@ -159,9 +155,11 @@ pub struct Pager {
     /// Checkpoint the WAL back into the database once it holds this many
     /// committed frames.
     wal_autocheckpoint: u64,
-    /// The rollback-journal image of the commit in progress, kept for its
-    /// allocation.
-    journal_buf: Vec<u8>,
+    /// The pre-images of the commit in progress, kept for the allocation.
+    pre_images: Vec<journal::Entry>,
+    /// Images the database file handed back during the commit in progress:
+    /// spare once the cleared journal no longer holds them.
+    released: Vec<Page>,
     stats: IoStats,
 }
 
@@ -238,7 +236,8 @@ impl Pager {
                 disk_page_count: 0,
                 wal,
                 wal_autocheckpoint: DEFAULT_WAL_AUTOCHECKPOINT,
-                journal_buf: Vec::new(),
+                pre_images: Vec::new(),
+                released: Vec::new(),
                 stats: IoStats::default(),
             };
             // Materialize both pages as dirty; the first commit writes them.
@@ -265,7 +264,8 @@ impl Pager {
             disk_page_count,
             wal,
             wal_autocheckpoint: DEFAULT_WAL_AUTOCHECKPOINT,
-            journal_buf: Vec::new(),
+            pre_images: Vec::new(),
+            released: Vec::new(),
             stats: IoStats::default(),
         })
     }
@@ -414,19 +414,25 @@ impl Pager {
             return self.commit_wal();
         }
         if self.mode == JournalMode::Rollback {
-            // Pre-images of dirty pages that already exist on disk.
-            let mut image =
-                JournalImage::begin(&mut self.journal_buf, PAGE_SIZE, self.disk_page_count);
-            for &id in &self.dirty {
-                if id < self.disk_page_count {
-                    self.db
-                        .read_at(id as u64 * PAGE_SIZE as u64, image.entry(id))?;
-                }
+            // Pre-images of dirty pages that already exist on disk: the
+            // file's own images, which the journal keeps by reference when
+            // both files can.
+            self.pre_images.clear();
+            for &id in self.dirty.range(..self.disk_page_count) {
+                let image = self
+                    .db
+                    .read_page(u64::from(id) * PAGE_SIZE as u64, PAGE_SIZE)?;
+                self.pre_images.push((id, image));
             }
-            self.stats.journal_bytes += image.bytes() as u64;
-            image.write(self.journal.as_mut(), true)?;
-            self.journal_buf.truncate(JOURNAL_BUF_KEEP);
-            self.journal_buf.shrink_to(JOURNAL_BUF_KEEP);
+            let written = write_journal(
+                self.journal.as_mut(),
+                PAGE_SIZE,
+                self.disk_page_count,
+                &self.pre_images,
+                true,
+            );
+            self.pre_images.clear();
+            self.stats.journal_bytes += written?;
             self.stats.syncs += 1;
         }
 
@@ -434,15 +440,18 @@ impl Pager {
             let page = self.cache.get(&id).expect("dirty pages are cached");
             let released = self.db.write_page(id as u64 * PAGE_SIZE as u64, page)?;
             self.stats.db_pages_written += 1;
-            if let Some(old) = released {
-                keep_spare(&mut self.spares, old);
-            }
+            self.released.extend(released);
         }
         if self.mode == JournalMode::Rollback {
             self.db.sync()?;
             self.stats.syncs += 1;
             clear_journal(self.journal.as_mut(), true)?;
             self.stats.syncs += 1;
+        }
+        // The cleared journal let go of its pre-images, which are most of
+        // what the file released.
+        for page in self.released.drain(..) {
+            keep_spare(&mut self.spares, page);
         }
         self.dirty.clear();
         self.disk_page_count = self.header.page_count;
@@ -744,16 +753,14 @@ mod tests {
                 .collect()
         }
 
-        /// The page ids of the journal images written since the last call.
+        /// The page ids of the journal entries written since the last call
+        /// (the 4-byte writes: the header is 16 bytes, a pre-image a page).
         fn pages_journaled(&self) -> Vec<u32> {
             let writes = std::mem::take(&mut *self.writes.borrow_mut());
-            let mut ids = Vec::new();
-            for (_, image) in &writes {
-                for entry in image[16..].chunks(4 + PAGE_SIZE) {
-                    ids.push(u32::from_be_bytes(entry[..4].try_into().expect("4 bytes")));
-                }
-            }
-            ids
+            writes
+                .iter()
+                .filter_map(|(_, id)| Some(u32::from_be_bytes(id.as_slice().try_into().ok()?)))
+                .collect()
         }
     }
 
@@ -973,7 +980,14 @@ mod tests {
                 .expect("read");
             buf
         };
-        write_journal(&mut journal, PAGE_SIZE, 3, &[(id, pre_image)], true).expect("journal");
+        write_journal(
+            &mut journal,
+            PAGE_SIZE,
+            3,
+            &[(id, Arc::new(pre_image))],
+            true,
+        )
+        .expect("journal");
         // Partial overwrite that never got synced: the crash image keeps the
         // synced content, so emulate a *synced* torn write to be pessimistic.
         db.write_at(id as u64 * PAGE_SIZE as u64, &[0xff; PAGE_SIZE])

@@ -119,18 +119,96 @@ pub trait Vfs {
 /// yields the file as it would be found after a power failure — only
 /// content present at the last `sync` survives.
 ///
-/// A `sync` copies nothing: it marks the current bytes as the synced image.
-/// The synced bytes are kept aside only when a later call would destroy
-/// them — by swapping buffers when the call truncates the file to zero
-/// (what every rollback-journal commit does), by copying otherwise.
+/// A page stored with [`Vfs::write_page`] is kept by reference, as a
+/// segment of the file, and [`Vfs::read_page`] of exactly that range hands
+/// the same image back: a journal of pre-images the database file shares
+/// copies none of them. A `write_at` or a truncation across a segment
+/// copies the segment's bytes in first.
+///
+/// A `sync` copies nothing: it marks the current image as the synced one
+/// (and drops the segments of the image it supersedes). The synced image
+/// is kept aside only when a later call would destroy it — by swapping
+/// buffers when the call truncates the file to zero (what every
+/// rollback-journal commit does), by copying otherwise.
 #[derive(Debug, Clone, Default)]
 pub struct MemVfs {
-    data: Vec<u8>,
+    data: Image,
     /// The synced image, unless `synced` says `data` is.
-    stable: Vec<u8>,
+    stable: Image,
     /// No mutating call since the last `sync`: `data` is the synced image.
     synced: bool,
     syncs: u64,
+}
+
+/// The contents of a file: its bytes, and the pages it holds by reference.
+#[derive(Debug, Default)]
+struct Image {
+    /// The file's bytes (its length is the file's), except under a
+    /// segment, where they are whatever was there before.
+    bytes: Vec<u8>,
+    /// `(offset, page)`: whole images the file holds by reference,
+    /// ascending, disjoint, each inside `bytes`.
+    segs: Vec<(usize, SharedImage)>,
+}
+
+type SharedImage = Arc<Vec<u8>>;
+
+impl Clone for Image {
+    fn clone(&self) -> Image {
+        Image {
+            bytes: self.bytes.clone(),
+            segs: self.segs.clone(),
+        }
+    }
+
+    /// Reuses both buffers: the segments are reference counts.
+    fn clone_from(&mut self, source: &Image) {
+        self.bytes.clone_from(&source.bytes);
+        self.segs.clone_from(&source.segs);
+    }
+}
+
+impl Image {
+    /// Drop every segment that overlaps `start..end`, the range the caller
+    /// is about to overwrite or cut off: one inside it as it is, one that
+    /// sticks out after its bytes are copied in.
+    fn release(&mut self, start: usize, end: usize) {
+        let range = self.overlapping(start, end);
+        for (at, page) in &self.segs[range.clone()] {
+            let seg_end = at + page.len();
+            if *at < start || seg_end > end {
+                self.bytes[*at..seg_end].copy_from_slice(page);
+            }
+        }
+        self.segs.drain(range);
+    }
+
+    /// The segments that overlap `start..end`, by index.
+    fn overlapping(&self, start: usize, end: usize) -> std::ops::Range<usize> {
+        let first = self
+            .segs
+            .partition_point(|(at, page)| at + page.len() <= start);
+        let last = first + self.segs[first..].partition_point(|(at, _)| *at < end);
+        first..last
+    }
+
+    /// The segment at exactly `offset..offset + len`, by index.
+    fn seg_at(&self, offset: usize, len: usize) -> Option<usize> {
+        let i = self.segs.partition_point(|(at, _)| *at < offset);
+        self.segs
+            .get(i)
+            .filter(|(at, page)| *at == offset && page.len() == len)
+            .map(|_| i)
+    }
+
+    /// The file's bytes, segments included.
+    fn to_vec(&self) -> Vec<u8> {
+        let mut out = self.bytes.clone();
+        for (at, page) in &self.segs {
+            out[*at..at + page.len()].copy_from_slice(page);
+        }
+        out
+    }
 }
 
 impl MemVfs {
@@ -148,7 +226,7 @@ impl MemVfs {
         };
         MemVfs {
             data: synced.clone(),
-            stable: Vec::new(),
+            stable: Image::default(),
             synced: true,
             syncs: 0,
         }
@@ -159,9 +237,14 @@ impl MemVfs {
         self.syncs
     }
 
-    /// Current (volatile) contents.
-    pub fn bytes(&self) -> &[u8] {
-        &self.data
+    /// A copy of the current (volatile) contents.
+    pub fn bytes(&self) -> Vec<u8> {
+        self.data.to_vec()
+    }
+
+    /// Pages held by reference (tests assert on what was not copied).
+    pub fn shared_pages(&self) -> usize {
+        self.data.segs.len()
     }
 
     /// Keep the synced image aside before a mutating call changes `data`:
@@ -181,43 +264,88 @@ impl MemVfs {
 
 impl Vfs for MemVfs {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), VfsError> {
-        // One slice copy of what the file holds, zeros for the sparse tail.
+        // One slice copy of what the file holds, the segments over it, and
+        // zeros for the sparse tail.
+        let data = &self.data.bytes;
         let start = usize::try_from(offset)
             .unwrap_or(usize::MAX)
-            .min(self.data.len());
-        let held = buf.len().min(self.data.len() - start);
-        buf[..held].copy_from_slice(&self.data[start..start + held]);
-        buf[held..].fill(0);
+            .min(data.len());
+        let end = start + buf.len().min(data.len() - start);
+        buf[..end - start].copy_from_slice(&data[start..end]);
+        buf[end - start..].fill(0);
+        for (at, page) in &self.data.segs[self.data.overlapping(start, end)] {
+            let (from, to) = ((*at).max(start), (at + page.len()).min(end));
+            buf[from - start..to - start].copy_from_slice(&page[from - at..to - at]);
+        }
         Ok(())
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), VfsError> {
         self.unsync(false);
         let start = offset as usize;
-        if self.data.len() < start {
-            self.data.resize(start, 0);
+        self.data.release(start, start + data.len());
+        let bytes = &mut self.data.bytes;
+        if bytes.len() < start {
+            bytes.resize(start, 0);
         }
         // Overwrite what exists, append the rest: an appending write (every
-        // journal and WAL commit) is never zero-filled first.
-        let overlap = data.len().min(self.data.len() - start);
-        self.data[start..start + overlap].copy_from_slice(&data[..overlap]);
-        self.data.extend_from_slice(&data[overlap..]);
+        // WAL commit) is never zero-filled first.
+        let overlap = data.len().min(bytes.len() - start);
+        bytes[start..start + overlap].copy_from_slice(&data[..overlap]);
+        bytes.extend_from_slice(&data[overlap..]);
         Ok(())
     }
 
+    fn read_page(&self, offset: u64, len: usize) -> Result<Arc<Vec<u8>>, VfsError> {
+        let at = usize::try_from(offset).unwrap_or(usize::MAX);
+        if let Some(i) = self.data.seg_at(at, len) {
+            return Ok(Arc::clone(&self.data.segs[i].1));
+        }
+        let mut page = vec![0u8; len];
+        self.read_at(offset, &mut page)?;
+        Ok(Arc::new(page))
+    }
+
+    fn write_page(
+        &mut self,
+        offset: u64,
+        page: &Arc<Vec<u8>>,
+    ) -> Result<Option<Arc<Vec<u8>>>, VfsError> {
+        self.unsync(false);
+        let start = offset as usize;
+        if let Some(i) = self.data.seg_at(start, page.len()) {
+            return Ok(Some(std::mem::replace(
+                &mut self.data.segs[i].1,
+                Arc::clone(page),
+            )));
+        }
+        let end = start + page.len();
+        self.data.release(start, end);
+        if self.data.bytes.len() < end {
+            self.data.bytes.resize(end, 0);
+        }
+        let i = self.data.segs.partition_point(|(at, _)| *at < start);
+        self.data.segs.insert(i, (start, Arc::clone(page)));
+        Ok(None)
+    }
+
     fn len(&self) -> u64 {
-        self.data.len() as u64
+        self.data.bytes.len() as u64
     }
 
     fn set_len(&mut self, len: u64) -> Result<(), VfsError> {
         self.unsync(len == 0);
-        self.data.resize(len as usize, 0);
+        let len = len as usize;
+        self.data.release(len, usize::MAX);
+        self.data.bytes.resize(len, 0);
         Ok(())
     }
 
     fn sync(&mut self) -> Result<(), VfsError> {
         self.synced = true;
         self.syncs += 1;
+        // The image `data` supersedes keeps its buffers, not its pages.
+        self.stable.segs.clear();
         Ok(())
     }
 }

@@ -10,7 +10,12 @@
 //! and, for the repeated shapes, `journal_len`) come from the change that
 //! writes and journals page 0 only when the header changed: it dropped one
 //! page-0 write (and its pre-image or WAL frame) from every commit that
-//! neither allocates nor frees, and moved no byte of a database file. A
+//! neither allocates nor frees, and moved no byte of a database file. The
+//! rollback-mode `journal_trace` literals come from the change that writes
+//! a journal's header, each page id and each pre-image as calls of their
+//! own (the pre-images by reference): the same bytes at the same offsets
+//! as the one write of the whole image before it — a trace that folds
+//! contiguous writes as one read the old literals on both commits. A
 //! storage-layer change that moves one byte of a file, journals one page
 //! more or less, or counts one I/O differently fails here, which is what
 //! lets the PBFT embedding (page digests, `ExecMetrics`) stay untouched.
@@ -528,7 +533,7 @@ fn golden_repeated_shapes() {
             4945109511942788252,
             0,
             FNV_OFFSET,
-            12149601961249255130,
+            11974687083274611006,
             [980, 3_618_944, 2052, 114, 0]
         )
     );
@@ -564,7 +569,7 @@ fn golden_rollback_journal() {
             db_trace: 7009599480761868740,
             journal_len: 0,
             journal_fnv: FNV_OFFSET,
-            journal_trace: 7562700634163712045,
+            journal_trace: 14237449550055410054,
             outcomes: 15736594356689605965,
             io: [2376, 6_984_748, 3534, 1266, 0],
             interior_pages: 5,
