@@ -10,7 +10,7 @@ use crate::btree::{BTree, Tail};
 use crate::env::{Env, SystemEnv};
 use crate::error::SqlError;
 use crate::pager::{IoStats, JournalMode, Pager};
-use crate::record::{decode_row, encode_row};
+use crate::record::{decode_row, encode_row, encode_row_into};
 use crate::schema::{delete_table, load_catalog, save_new_table, TableSchema};
 use crate::shape::Shapes;
 use crate::token::Lexer;
@@ -80,6 +80,11 @@ pub struct Database {
     /// other write, a rollback, a failed commit and a cache invalidation,
     /// so the cached pages it describes have changed only through it.
     tail: Option<Tail>,
+    /// The row an INSERT evaluates into and its encoding, reused from row
+    /// to row: a text or blob value is copied into the buffer its slot
+    /// already holds.
+    row: Vec<Value>,
+    record: Vec<u8>,
 }
 
 impl std::fmt::Debug for Database {
@@ -113,6 +118,8 @@ impl Database {
             shapes: Shapes::default(),
             binds: Vec::new(),
             tail: None,
+            row: Vec::new(),
+            record: Vec::new(),
         })
     }
 
@@ -425,6 +432,23 @@ impl Database {
         columns: &[String],
         rows: &[Vec<Expr>],
     ) -> Result<ExecOutcome, SqlError> {
+        let mut row = std::mem::take(&mut self.row);
+        let mut record = std::mem::take(&mut self.record);
+        let result = self.insert_rows(table, columns, rows, &mut row, &mut record);
+        self.row = row;
+        self.record = record;
+        result
+    }
+
+    /// [`Database::insert`] with its row and record buffers.
+    fn insert_rows(
+        &mut self,
+        table: &str,
+        columns: &[String],
+        rows: &[Vec<Expr>],
+        row: &mut Vec<Value>,
+        record: &mut Vec<u8>,
+    ) -> Result<ExecOutcome, SqlError> {
         let schema = self.table(table)?;
         let tree = BTree { root: schema.root };
         // Every named column exists, before any value is evaluated; a
@@ -444,6 +468,7 @@ impl Database {
         // one descent.
         let mut tail = tree.resume_tail(&mut self.pager, self.tail.take())?;
         let mut next_rowid = tree.max_key_at(&mut self.pager, &tail)?.unwrap_or(0) + 1;
+        row.resize(schema.columns.len(), Value::Null);
         for tuple in rows {
             if tuple.len() != width {
                 return Err(SqlError::Schema(format!(
@@ -452,14 +477,27 @@ impl Database {
                     width
                 )));
             }
-            let mut row = vec![Value::Null; schema.columns.len()];
+            // A slot the tuple does not name is NULL; one it names keeps its
+            // buffer for the value. `named` tracks the first 64 slots; a
+            // wider table's other slots are cleared first.
+            let mut named = 0u64;
+            for slot in row.iter_mut().skip(64) {
+                *slot = Value::Null;
+            }
             for (i, expr) in tuple.iter().enumerate() {
                 let idx = match columns.get(i) {
                     Some(c) => schema.column_index(c).expect("checked above"),
                     None => i,
                 };
-                let v = self.eval(expr, &Ctx::none())?;
+                self.eval_into(expr, &mut row[idx])?;
+                let v = std::mem::replace(&mut row[idx], Value::Null);
                 row[idx] = coerce(v, schema.columns[idx].ctype)?;
+                named |= 1u64.checked_shl(idx as u32).unwrap_or(0);
+            }
+            for (idx, slot) in row.iter_mut().enumerate().take(64) {
+                if named & (1 << idx) == 0 {
+                    *slot = Value::Null;
+                }
             }
             // Rowid assignment via the INTEGER PRIMARY KEY alias.
             let rowid = match schema.pk_index() {
@@ -488,7 +526,8 @@ impl Database {
                     )));
                 }
             }
-            tree.append(&mut self.pager, &mut tail, rowid, &encode_row(&row))?;
+            encode_row_into(row, record);
+            tree.append(&mut self.pager, &mut tail, rowid, record)?;
             affected += 1;
         }
         self.tail = Some(tail);
@@ -752,6 +791,25 @@ impl Database {
     // ------------------------------------------------------------------
     // Expression evaluation
     // ------------------------------------------------------------------
+
+    /// [`Database::eval`] of a row-free expression into `slot`: a bound or
+    /// literal text or blob is copied into the buffer `slot` holds.
+    fn eval_into(&mut self, expr: &Expr, slot: &mut Value) -> Result<(), SqlError> {
+        let source = match expr {
+            Expr::Param(i) => &self.binds[*i],
+            Expr::Literal(v) => v,
+            _ => {
+                *slot = self.eval(expr, &Ctx::none())?;
+                return Ok(());
+            }
+        };
+        match (slot, source) {
+            (Value::Text(to), Value::Text(from)) => to.clone_from(from),
+            (Value::Blob(to), Value::Blob(from)) => to.clone_from(from),
+            (slot, source) => *slot = source.clone(),
+        }
+        Ok(())
+    }
 
     fn eval(&mut self, expr: &Expr, ctx: &Ctx<'_>) -> Result<Value, SqlError> {
         match expr {

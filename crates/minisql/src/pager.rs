@@ -30,7 +30,7 @@
 //! the file's still hold the pre-images.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::SqlError;
@@ -131,6 +131,44 @@ impl Header {
     }
 }
 
+/// The set of dirty page ids, ascending, in a buffer kept across commits
+/// (a transaction dirties a handful of pages).
+#[derive(Debug, Default)]
+struct Dirty(Vec<u32>);
+
+impl Dirty {
+    fn insert(&mut self, id: u32) {
+        if let Err(at) = self.0.binary_search(&id) {
+            self.0.insert(at, id);
+        }
+    }
+
+    fn contains(&self, id: u32) -> bool {
+        self.0.binary_search(&id).is_ok()
+    }
+
+    /// The ids below `end`.
+    fn below(&self, end: u32) -> &[u32] {
+        &self.0[..self.0.partition_point(|&id| id < end)]
+    }
+
+    fn iter(&self) -> std::slice::Iter<'_, u32> {
+        self.0.iter()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// Default WAL auto-checkpoint threshold, in committed frames.
 pub const DEFAULT_WAL_AUTOCHECKPOINT: u64 = 256;
 
@@ -146,7 +184,7 @@ pub struct Pager {
     /// Unshared page buffers to copy into (at most [`SPARES_KEEP`]).
     spares: Vec<Page>,
     /// Pages to write at commit, ascending: the journal's entry order.
-    dirty: BTreeSet<u32>,
+    dirty: Dirty,
     header: Header,
     /// Durable page count (on disk, or committed to the WAL).
     disk_page_count: u32,
@@ -231,7 +269,7 @@ impl Pager {
                 mode,
                 cache: HashMap::default(),
                 spares: Vec::new(),
-                dirty: BTreeSet::new(),
+                dirty: Dirty::default(),
                 header,
                 disk_page_count: 0,
                 wal,
@@ -259,7 +297,7 @@ impl Pager {
             mode,
             cache: HashMap::default(),
             spares: Vec::new(),
-            dirty: BTreeSet::new(),
+            dirty: Dirty::default(),
             header,
             disk_page_count,
             wal,
@@ -323,10 +361,7 @@ impl Pager {
     /// The cached image of page `id`, read from durable storage on a miss,
     /// with the dirty set (which [`Pager::page_mut`] updates while it holds
     /// the page) and the spare buffers. One cache lookup per call.
-    fn cached(
-        &mut self,
-        id: u32,
-    ) -> Result<(&mut Page, &mut BTreeSet<u32>, &mut Vec<Page>), SqlError> {
+    fn cached(&mut self, id: u32) -> Result<(&mut Page, &mut Dirty, &mut Vec<Page>), SqlError> {
         if id >= self.header.page_count {
             return Err(SqlError::Corrupt(format!("page {id} out of range")));
         }
@@ -404,7 +439,7 @@ impl Pager {
         // the header — creation, `allocate`, `free` — and then the header
         // goes into the cached page 0 (never *read* for this: a cache miss
         // here is not a page the statement asked for).
-        if self.dirty.contains(&0) {
+        if self.dirty.contains(0) {
             let spares = &mut self.spares;
             let page = self.cache.entry(0).or_insert_with(|| spare(spares));
             self.header.write_to(private(page, spares, false));
@@ -418,7 +453,7 @@ impl Pager {
             // file's own images, which the journal keeps by reference when
             // both files can.
             self.pre_images.clear();
-            for &id in self.dirty.range(..self.disk_page_count) {
+            for &id in self.dirty.below(self.disk_page_count) {
                 let image = self
                     .db
                     .read_page(u64::from(id) * PAGE_SIZE as u64, PAGE_SIZE)?;
@@ -436,7 +471,7 @@ impl Pager {
             self.stats.syncs += 1;
         }
 
-        for &id in &self.dirty {
+        for &id in self.dirty.iter() {
             let page = self.cache.get(&id).expect("dirty pages are cached");
             let released = self.db.write_page(id as u64 * PAGE_SIZE as u64, page)?;
             self.stats.db_pages_written += 1;
@@ -536,11 +571,12 @@ impl Pager {
 
     /// Roll back: drop all uncommitted changes (cache reverts to disk).
     pub fn rollback(&mut self) {
-        for id in std::mem::take(&mut self.dirty) {
+        for &id in self.dirty.iter() {
             if let Some(page) = self.cache.remove(&id) {
                 keep_spare(&mut self.spares, page);
             }
         }
+        self.dirty.clear();
         // Reload the durable header.
         self.cache.remove(&0);
         if self.disk_page_count > 0 {

@@ -5,6 +5,14 @@ use crate::value::Value;
 
 /// Serialize a row of values.
 pub fn encode_row(values: &[Value]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_row_into(values, &mut out);
+    out
+}
+
+/// Serialize a row of values into `out`, replacing its contents (a kept
+/// buffer: it grows to the largest row and never shrinks).
+pub fn encode_row_into(values: &[Value], out: &mut Vec<u8>) {
     // Sized exactly: one allocation, never a regrowth.
     let len = 2 + values
         .iter()
@@ -15,7 +23,8 @@ pub fn encode_row(values: &[Value]) -> Vec<u8> {
             Value::Blob(b) => 5 + b.len(),
         })
         .sum::<usize>();
-    let mut out = Vec::with_capacity(len);
+    out.clear();
+    out.reserve_exact(len);
     out.extend_from_slice(&(values.len() as u16).to_be_bytes());
     for v in values {
         match v {
@@ -40,7 +49,6 @@ pub fn encode_row(values: &[Value]) -> Vec<u8> {
             }
         }
     }
-    out
 }
 
 /// Deserialize a row.
