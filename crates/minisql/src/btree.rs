@@ -14,11 +14,17 @@
 //! Lookups, scans, deletes, interior descents and every insert that fits its
 //! page work on the cached page image: a bounds-checked walk over the cell
 //! headers, then one `copy_within` to open or close the gap (a delete
-//! zero-fills the vacated tail). Only a *split* materialises a page as a
+//! zero-fills the vacated tail). A leaf split moves byte ranges of cells
+//! from page to page; only an *interior* split materialises a page as a
 //! [`Node`], the form that is easy to cut in two. Both routes produce the
 //! same bytes — `Node::write_to` is what every page used to be written
 //! with, and the `crosscheck_*` tests compare the two page for page — and
 //! `tests/golden.rs` pins the resulting database files.
+//!
+//! A key past the last key of the last leaf does not cut a full leaf in
+//! two: it gets a new leaf of its own, as SQLite's `balance_quick` does, so
+//! a table filled in key order (every table with automatic rowids) leaves
+//! its leaves full, not half full.
 //!
 //! An INSERT descends once: [`BTree::tail`] walks down the rightmost edge
 //! to the last leaf and over its cells, which gives the largest key (the
@@ -49,6 +55,9 @@ const INTERIOR_CELL: usize = 12; // key i64, child u32
 
 /// Cells an interior page holds before it splits (340).
 const MAX_INTERIOR_CELLS: usize = (PAGE_SIZE - HDR) / INTERIOR_CELL;
+
+/// Cells a leaf page holds at most (408, of empty rows).
+const MAX_LEAF_CELLS: usize = (PAGE_SIZE - HDR) / LEAF_CELL_HDR;
 
 /// Interior levels a descent may cross. Pages are never merged, so every
 /// interior page below the root keeps at least 170 children and a tree over
@@ -225,8 +234,32 @@ fn leaf_size(cells: &[(i64, Vec<u8>)]) -> usize {
         .sum::<usize>()
 }
 
-/// A page in the form that is easy to cut in two: the working form of a
-/// split (and the oracle the in-place operations are tested against).
+/// Where to cut `count` cells of `total` bytes, `below(m)` being the bytes
+/// of the first `m`: at the middle cell. Rows of more than a third of a
+/// page can make a half overflow in turn; then the nearest cut that fits
+/// both halves, if there is one (three rows of which no two share a page
+/// have none).
+fn split_point(count: usize, total: usize, below: impl Fn(usize) -> usize) -> Option<usize> {
+    let fits = |m: usize| HDR + below(m) <= PAGE_SIZE && HDR + total - below(m) <= PAGE_SIZE;
+    let mid = count / 2;
+    if fits(mid) {
+        return Some(mid);
+    }
+    (1..count)
+        .filter(|&m| fits(m))
+        .min_by_key(|m| m.abs_diff(mid))
+}
+
+/// Write the leaf cell `(key, payload)` at `at`.
+fn write_leaf_cell(page: &mut [u8], at: usize, key: i64, payload: &[u8]) {
+    page[at..at + 8].copy_from_slice(&key.to_be_bytes());
+    page[at + 8..at + LEAF_CELL_HDR].copy_from_slice(&(payload.len() as u16).to_be_bytes());
+    page[at + LEAF_CELL_HDR..at + LEAF_CELL_HDR + payload.len()].copy_from_slice(payload);
+}
+
+/// A page in the form that is easy to cut in two: the working form of an
+/// interior split (and the oracle the in-place operations are tested
+/// against).
 #[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf {
@@ -300,22 +333,6 @@ impl Node {
             }
         }
     }
-}
-
-/// Where to cut an overflowing leaf: at the middle cell. Rows of more than a
-/// third of a page can make a half overflow in turn; then the nearest cut
-/// that fits both halves, if there is one (three rows of which no two share
-/// a page have none).
-fn leaf_split_point(cells: &[(i64, Vec<u8>)]) -> Option<usize> {
-    let fits =
-        |m: usize| leaf_size(&cells[..m]) <= PAGE_SIZE && leaf_size(&cells[m..]) <= PAGE_SIZE;
-    let mid = cells.len() / 2;
-    if fits(mid) {
-        return Some(mid);
-    }
-    (1..cells.len())
-        .filter(|&m| fits(m))
-        .min_by_key(|m| m.abs_diff(mid))
 }
 
 /// Result of an insertion that overflowed a node.
@@ -470,10 +487,7 @@ impl BTree {
             return self.insert(pager, key, payload);
         }
         let page = pager.page_mut(tail.leaf)?;
-        let at = tail.used;
-        page[at..at + 8].copy_from_slice(&key.to_be_bytes());
-        page[at + 8..at + 10].copy_from_slice(&(payload.len() as u16).to_be_bytes());
-        page[at + LEAF_CELL_HDR..at + need].copy_from_slice(payload);
+        write_leaf_cell(page, tail.used, key, payload);
         set_cell_count(page, u16_at(page, 1) + 1);
         tail.used += need;
         tail.last = Some(key);
@@ -511,13 +525,11 @@ impl BTree {
             let page = pager.page_mut(path.leaf)?;
             let at = slot.at;
             page.copy_within(at..slot.used, at + need);
-            page[at..at + 8].copy_from_slice(&key.to_be_bytes());
-            page[at + 8..at + 10].copy_from_slice(&(payload.len() as u16).to_be_bytes());
-            page[at + LEAF_CELL_HDR..at + need].copy_from_slice(payload);
+            write_leaf_cell(page, at, key, payload);
             set_cell_count(page, u16_at(page, 1) + 1);
             return Ok(());
         }
-        let mut split = self.split_leaf(pager, path.leaf, key, payload)?;
+        let mut split = self.split_leaf(pager, path.leaf, &slot, key, payload)?;
         for &(page_id, slot) in path.steps[..path.depth].iter().rev() {
             match self.insert_child(pager, page_id, slot, split)? {
                 Some(above) => split = above,
@@ -528,8 +540,8 @@ impl BTree {
         // and convert the root into an interior node so its page id stays
         // stable.
         let left = pager.allocate()?;
-        let root_bytes = pager.page(self.root)?.to_vec();
-        pager.page_mut(left)?.copy_from_slice(&root_bytes);
+        let (root, left_page) = pager.page_pair(self.root, left)?;
+        left_page.copy_from_slice(root);
         Node::Interior {
             rightmost: split.right,
             cells: vec![(split.sep, left)],
@@ -538,34 +550,98 @@ impl BTree {
         Ok(())
     }
 
-    /// Insert into a leaf that has no room: move the upper half of its cells
-    /// to a new right page.
+    /// Insert into a leaf that has no room, whose cells `slot` located.
+    ///
+    /// A key past the last one of the last leaf (an append) gets a new
+    /// right leaf of its own, and the full leaf stays as it is, as SQLite's
+    /// `balance_quick` does: a table filled in key order packs its leaves.
+    /// Any other key cuts the leaf's cells, the new one among them, where
+    /// [`split_point`] says, and moves the upper part to a new right leaf.
+    /// Cells move as byte ranges, from page to page.
     fn split_leaf(
         &self,
         pager: &mut Pager,
         page_id: u32,
+        slot: &Slot,
         key: i64,
         payload: &[u8],
     ) -> Result<Split, SqlError> {
-        let Node::Leaf { next, mut cells } = Node::parse(pager.page(page_id)?)? else {
-            unreachable!("seek ends on a leaf")
+        let need = LEAF_CELL_HDR + payload.len();
+        // Where every cell starts, and the end of the last.
+        let mut starts = [0u16; MAX_LEAF_CELLS + 1];
+        let page = pager.page(page_id)?;
+        let next = u32_at(page, 3);
+        let mut cells = LeafCells::new(page);
+        let mut n = 0;
+        let mut last = None;
+        for cell in cells.by_ref() {
+            let cell = cell?;
+            starts[n] = cell.start as u16;
+            last = Some(cell.key);
+            n += 1;
+        }
+        starts[n] = slot.used as u16;
+        let start = |i: usize| usize::from(starts[i]);
+        // The new cell's place among the old ones.
+        let pos = starts[..n].partition_point(|&at| usize::from(at) < slot.at);
+        if let (0, true, Some(sep)) = (next, pos == n, last) {
+            let right_id = pager.allocate()?;
+            let right = pager.page_mut(right_id)?;
+            right[0] = LEAF;
+            set_cell_count(right, 1);
+            write_leaf_cell(right, HDR, key, payload);
+            pager.page_mut(page_id)?[3..7].copy_from_slice(&right_id.to_be_bytes());
+            return Ok(Split {
+                sep,
+                right: right_id,
+            });
+        }
+        // Bytes of the first `m` cells of the leaf with the new cell in it.
+        let below = |m: usize| {
+            if m <= pos {
+                start(m) - HDR
+            } else {
+                start(m - 1) - HDR + need
+            }
         };
-        let pos = cells.partition_point(|(k, _)| *k < key);
-        cells.insert(pos, (key, payload.to_vec()));
-        let mid = leaf_split_point(&cells).ok_or(SqlError::RowTooLarge(payload.len()))?;
-        let right_cells = cells.split_off(mid);
+        let mid = split_point(n + 1, slot.used - HDR + need, below)
+            .ok_or(SqlError::RowTooLarge(payload.len()))?;
         let right_id = pager.allocate()?;
-        let sep = cells.last().expect("left half non-empty").0;
-        Node::Leaf {
-            next,
-            cells: right_cells,
-        }
-        .write_to(pager.page_mut(right_id)?);
-        Node::Leaf {
-            next: right_id,
-            cells,
-        }
-        .write_to(pager.page_mut(page_id)?);
+        let (page, right) = pager.page_pair(page_id, right_id)?;
+        // The right leaf: the cells from `mid` on, the new one among them
+        // when it belongs there.
+        right[0] = LEAF;
+        set_cell_count(right, n + 1 - mid);
+        right[3..7].copy_from_slice(&next.to_be_bytes());
+        let sep = if pos >= mid {
+            let head = slot.at - start(mid);
+            right[HDR..HDR + head].copy_from_slice(&page[start(mid)..slot.at]);
+            write_leaf_cell(right, HDR + head, key, payload);
+            let at = HDR + head + need;
+            right[at..at + slot.used - slot.at].copy_from_slice(&page[slot.at..slot.used]);
+            i64_at(page, start(mid - 1))
+        } else {
+            let moved = slot.used - start(mid - 1);
+            right[HDR..HDR + moved].copy_from_slice(&page[start(mid - 1)..slot.used]);
+            if mid - 1 == pos {
+                key
+            } else {
+                i64_at(page, start(mid - 2))
+            }
+        };
+        // The left leaf: the cells before `mid`, in place.
+        let page = pager.page_mut(page_id)?;
+        let end = if pos >= mid {
+            start(mid)
+        } else {
+            let end = start(mid - 1);
+            page.copy_within(slot.at..end, slot.at + need);
+            write_leaf_cell(page, slot.at, key, payload);
+            end + need
+        };
+        page[end..].fill(0);
+        set_cell_count(page, mid);
+        page[3..7].copy_from_slice(&right_id.to_be_bytes());
         Ok(Split {
             sep,
             right: right_id,
@@ -1248,6 +1324,111 @@ mod tests {
         pa.commit().expect("commit");
         pb.commit().expect("commit");
         assert!(pa.page(0).expect("page") == pb.page(0).expect("page"));
+    }
+
+    /// How full each leaf is, in chain order: the bytes its header and
+    /// cells take.
+    fn leaf_fill(tree: &BTree, pager: &mut Pager) -> Vec<usize> {
+        let mut fill = Vec::new();
+        let mut id = tree.edge_leaf(pager, false).expect("leftmost leaf");
+        while id != 0 {
+            let page = pager.page(id).expect("leaf");
+            let mut cells = LeafCells::new(page);
+            for cell in cells.by_ref() {
+                cell.expect("cell");
+            }
+            fill.push(cells.pos);
+            id = u32_at(page, 3);
+        }
+        fill
+    }
+
+    #[test]
+    fn crosscheck_prop_insert_orders_keep_every_key_and_appends_pack() {
+        // Random and append-only insert orders, through `insert` and
+        // through a kept tail: the scan is in key order and holds every
+        // key, each key is found, and an append-only run leaves every leaf
+        // but the last at least 90 % full (a cut at the middle cell left
+        // them half full).
+        propcheck::check("btree_insert_orders", 48, |g| {
+            let (mut pager, tree) = fresh();
+            let append_only = g.bool();
+            let mut rows: Vec<(i64, Vec<u8>)> = Vec::new();
+            let mut tail = tree.tail(&mut pager).expect("tail");
+            let mut key = 0i64;
+            for _ in 0..g.usize_in(1..1200) {
+                key = if append_only {
+                    key + g.i64_in(1..4)
+                } else {
+                    g.i64_in(-5_000..5_000)
+                };
+                // Below 390 bytes: the room a full leaf has left is
+                // under 10 % of the page.
+                let payload = vec![g.u8(); g.usize_in(0..380)];
+                let done = if g.bool() {
+                    tree.append(&mut pager, &mut tail, key, &payload)
+                } else {
+                    // A tail is only good while nothing else writes.
+                    let done = tree.insert(&mut pager, key, &payload);
+                    tail = tree.tail(&mut pager).expect("tail");
+                    done
+                };
+                match done {
+                    Ok(()) => rows.push((key, payload)),
+                    Err(SqlError::Constraint(_)) => {
+                        assert!(rows.iter().any(|(k, _)| *k == key), "{key} is new")
+                    }
+                    Err(e) => panic!("insert {key}: {e:?}"),
+                }
+            }
+            rows.sort();
+            assert_eq!(tree.collect_all(&mut pager).expect("scan"), rows);
+            for (key, payload) in &rows {
+                assert_eq!(
+                    tree.get(&mut pager, *key).expect("get"),
+                    Some(payload.as_slice())
+                );
+            }
+            if append_only {
+                let fill = leaf_fill(&tree, &mut pager);
+                for (i, used) in fill.iter().enumerate().take(fill.len() - 1) {
+                    assert!(
+                        *used * 10 >= PAGE_SIZE * 9,
+                        "leaf {i} of {} holds {used} bytes",
+                        fill.len()
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn an_append_to_a_full_last_leaf_opens_a_leaf_of_its_own() {
+        let (mut pager, tree) = fresh();
+        let mut key = 0;
+        while pager.page_count() == 3 {
+            key += 1;
+            tree.insert(&mut pager, key, &[7u8; 100]).expect("insert");
+        }
+        // The root split: its old leaf kept every row but the last, which
+        // is alone in the new right leaf.
+        let fill = leaf_fill(&tree, &mut pager);
+        assert_eq!(fill, [HDR + (key as usize - 1) * 110, HDR + 110]);
+        // A key below the last one cuts its leaf at the middle cell.
+        tree.delete(&mut pager, 2).expect("delete");
+        tree.insert(&mut pager, key + 1, &[7u8; 100])
+            .expect("insert");
+        tree.insert(&mut pager, 2, &[7u8; 300]).expect("insert");
+        let fill = leaf_fill(&tree, &mut pager);
+        assert_eq!(fill.len(), 3, "{fill:?}");
+        assert!(fill[0] < PAGE_SIZE / 2 + 300 && fill[1] < PAGE_SIZE / 2 + 300);
+        let keys: Vec<i64> = tree
+            .collect_all(&mut pager)
+            .expect("scan")
+            .iter()
+            .map(|(k, _)| *k)
+            .collect();
+        assert_eq!(keys, (1..=key + 1).collect::<Vec<_>>());
     }
 
     /// The database file of a three-level tree (root, interior children,

@@ -3,10 +3,29 @@
 //! whole. Slow (a `Vec` per cell per page per operation) and obviously
 //! right, which is what a reference is for: the `crosscheck_*` tests run the
 //! same operations through both and compare results and pages byte for byte.
+//! Its leaf split is the reference the in-place one is held to: an append
+//! past the last key of the last leaf gets a leaf of its own, any other
+//! key cuts the leaf at [`leaf_split_point`].
 
-use super::{leaf_split_point, BTree, Node, Split, MAX_PAYLOAD};
+use super::{leaf_size, BTree, Node, Split, MAX_PAYLOAD};
 use crate::error::SqlError;
 use crate::pager::{Pager, PAGE_SIZE};
+
+/// Where to cut an overflowing leaf: at the middle cell. Rows of more than a
+/// third of a page can make a half overflow in turn; then the nearest cut
+/// that fits both halves, if there is one (three rows of which no two share
+/// a page have none).
+fn leaf_split_point(cells: &[(i64, Vec<u8>)]) -> Option<usize> {
+    let fits =
+        |m: usize| leaf_size(&cells[..m]) <= PAGE_SIZE && leaf_size(&cells[m..]) <= PAGE_SIZE;
+    let mid = cells.len() / 2;
+    if fits(mid) {
+        return Some(mid);
+    }
+    (1..cells.len())
+        .filter(|&m| fits(m))
+        .min_by_key(|m| m.abs_diff(mid))
+}
 
 fn child_for(cells: &[(i64, u32)], rightmost: u32, key: i64) -> u32 {
     cells
@@ -53,10 +72,12 @@ fn insert_into(
     match Node::parse(pager.page(page_id)?)? {
         Node::Leaf { next, mut cells } => {
             let len = payload.len();
-            match cells.binary_search_by_key(&key, |(k, _)| *k) {
+            let pos = match cells.binary_search_by_key(&key, |(k, _)| *k) {
                 Ok(_) => return Err(SqlError::Constraint(format!("duplicate rowid {key}"))),
-                Err(pos) => cells.insert(pos, (key, payload)),
-            }
+                Err(pos) => pos,
+            };
+            let appends = next == 0 && pos == cells.len() && !cells.is_empty();
+            cells.insert(pos, (key, payload));
             let node = Node::Leaf { next, cells };
             if node.size() <= PAGE_SIZE {
                 node.write_to(pager.page_mut(page_id)?);
@@ -65,6 +86,27 @@ fn insert_into(
             let Node::Leaf { next, mut cells } = node else {
                 unreachable!()
             };
+            if appends {
+                // Past the last key of the last leaf: the new cell alone
+                // goes right, and the full leaf keeps its cells.
+                let new = cells.pop().expect("the new cell");
+                let right_id = pager.allocate()?;
+                Node::Leaf {
+                    next,
+                    cells: vec![new],
+                }
+                .write_to(pager.page_mut(right_id)?);
+                let sep = cells.last().expect("the leaf held cells").0;
+                Node::Leaf {
+                    next: right_id,
+                    cells,
+                }
+                .write_to(pager.page_mut(page_id)?);
+                return Ok(Some(Split {
+                    sep,
+                    right: right_id,
+                }));
+            }
             let mid = leaf_split_point(&cells).ok_or(SqlError::RowTooLarge(len))?;
             let right_cells = cells.split_off(mid);
             let right_id = pager.allocate()?;

@@ -1287,6 +1287,29 @@ mod tests {
         .expect("open")
     }
 
+    #[test]
+    fn nine_thousand_benchmark_rows_fill_their_leaves() {
+        // The §4.2 benchmark's rows, appended with automatic rowids: their
+        // cells take 183 pages' worth of leaf space, and they filled 378
+        // pages while a full leaf was cut at its middle cell (every leaf
+        // but the last half full); 191 since.
+        let mut db = db();
+        db.execute(
+            "CREATE TABLE bench (id INTEGER PRIMARY KEY, k TEXT, v TEXT, ts INTEGER, rnd INTEGER)",
+        )
+        .expect("create");
+        for seq in 0..9_000u64 {
+            db.execute(&format!(
+                "INSERT INTO bench (k, v, ts, rnd) VALUES ('voter-1-{}-{seq}', 'vote-{:x}', now(), random())",
+                seq % 12,
+                seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ))
+            .expect("insert");
+        }
+        let pages = db.page_count();
+        assert!((183..=195).contains(&pages), "{pages} pages");
+    }
+
     fn ints(rows: &Rows, col: usize) -> Vec<i64> {
         rows.rows
             .iter()

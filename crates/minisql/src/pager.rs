@@ -358,6 +358,25 @@ impl Pager {
         Ok(private(page, spares, true))
     }
 
+    /// Page `from` to read and page `to` to change (marked dirty) at once,
+    /// for moving cells between pages without staging them.
+    ///
+    /// # Errors
+    /// As [`Pager::page_mut`].
+    ///
+    /// # Panics
+    /// If `from == to`.
+    pub fn page_pair(&mut self, from: u32, to: u32) -> Result<(&[u8], &mut [u8]), SqlError> {
+        assert_ne!(from, to, "two distinct pages");
+        self.cached(from)?;
+        self.cached(to)?;
+        self.dirty.insert(to);
+        let [Some(from), Some(to)] = self.cache.get_disjoint_mut([&from, &to]) else {
+            unreachable!("both pages were just cached")
+        };
+        Ok((from, private(to, &mut self.spares, true)))
+    }
+
     /// The cached image of page `id`, read from durable storage on a miss,
     /// with the dirty set (which [`Pager::page_mut`] updates while it holds
     /// the page) and the spare buffers. One cache lookup per call.

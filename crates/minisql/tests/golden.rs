@@ -2,23 +2,28 @@
 //! file, every mutating VFS call, every statement outcome and the summed
 //! [`IoStats`] as literals, in all three journal modes.
 //!
-//! The database literals (`db_len`, `db_fnv`, `outcomes`, `interior_pages`)
-//! were computed on the commit *before* the B+tree went in place (0f3ba65,
-//! where every page was parsed into a `Node` and re-serialized), using this
-//! file unchanged — it only touches the public API. The literals of the
-//! writes (`io`, `db_trace`, `journal_trace`, and in WAL mode `journal_fnv`
-//! and, for the repeated shapes, `journal_len`) come from the change that
-//! writes and journals page 0 only when the header changed: it dropped one
-//! page-0 write (and its pre-image or WAL frame) from every commit that
-//! neither allocates nor frees, and moved no byte of a database file. The
-//! rollback-mode `journal_trace` literals come from the change that writes
-//! a journal's header, each page id and each pre-image as calls of their
-//! own (the pre-images by reference): the same bytes at the same offsets
-//! as the one write of the whole image before it — a trace that folds
-//! contiguous writes as one read the old literals on both commits. A
-//! storage-layer change that moves one byte of a file, journals one page
-//! more or less, or counts one I/O differently fails here, which is what
-//! lets the PBFT embedding (page digests, `ExecMetrics`) stay untouched.
+//! The outcome literals (`outcomes`) were computed on the commit before a
+//! leaf split opened a leaf of its own for an append (63b33c9), using this
+//! file unchanged: a change of page layout moves no query result. The
+//! literals of the files and the writes (`db_len`, `db_fnv`, `db_trace`,
+//! `journal_*`, `io`, `interior_pages`) come from that change, whose appends
+//! past the last key of the last leaf leave the full leaf as it is, and
+//! whose other splits write the bytes the parse-edit-serialize code wrote
+//! (the `Node` oracle of `btree`'s `crosscheck_*` tests holds them to it).
+//! Before it they were computed on the commit before the B+tree went in
+//! place (0f3ba65) and re-pinned only by changes that moved no byte of a
+//! database file: the change that writes and journals page 0 only when the
+//! header changed (one page-0 write, and its pre-image or WAL frame, fewer
+//! per commit that neither allocates nor frees), and the change that
+//! writes a journal's header, each page id and each pre-image as calls of
+//! their own (the same bytes at the same offsets as the one write of the
+//! whole image before it — a trace that folds contiguous writes as one read
+//! the old `journal_trace` on both commits). `run_script` fills `big` with
+//! 1 100 rows where it used to fill 580, so that its packed leaves still
+//! split the root interior page and a child of it. A storage-layer change
+//! that moves one byte of a file, journals one page more or less, or counts
+//! one I/O differently fails here, which is what lets the PBFT embedding
+//! (page digests, `ExecMetrics`) stay untouched.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -241,11 +246,11 @@ fn run_script(mode: JournalMode) -> Golden {
     r.ok("CREATE TABLE s (id INTEGER PRIMARY KEY, k TEXT NOT NULL, v TEXT, n INTEGER)");
     r.ok("CREATE TABLE doomed (id INTEGER PRIMARY KEY, pad TEXT)");
 
-    // Rows of 1.4–1.9 KB: two fit a leaf, the third splits it, so nearly
-    // every INSERT adds a leaf. 341 leaves overflow the root interior page
-    // (340 cells); ~170 more overflow its right child, a non-root interior
-    // split. Autocommit first, then transactions of 40.
-    for i in 0..580 {
+    // Rows of 1.4–1.9 KB: two fit a leaf, and the third opens the next one,
+    // so every other INSERT adds a leaf. 341 leaves overflow the root
+    // interior page (340 cells); ~170 more overflow its right child, a
+    // non-root interior split. Autocommit first, then transactions of 40.
+    for i in 0..1100 {
         if i >= 60 && i % 40 == 20 {
             r.ok("BEGIN");
         }
@@ -376,9 +381,9 @@ impl Run {
 /// computed column names, LIMITs, automatic rowids through leaf splits,
 /// explicit ones above and below the largest, DDL between two uses of one
 /// shape, failing scripts, and more distinct shapes than a small cache
-/// would hold, twice over. The database literals were computed on the
-/// commit before statements were parsed once per shape (165112f), using
-/// this file; the literals of the writes as the file header says.
+/// would hold, twice over. The outcome literal was computed on the commit
+/// before statements were parsed once per shape (165112f), using this file;
+/// the other literals as the file header says.
 fn run_shapes(mode: JournalMode) -> Golden {
     let mut r = Run::new(mode);
     r.ok("CREATE TABLE votes (id INTEGER PRIMARY KEY, voter TEXT NOT NULL, choice TEXT, w REAL, raw BLOB)");
@@ -517,8 +522,8 @@ fn run_shapes(mode: JournalMode) -> Golden {
 fn golden_repeated_shapes() {
     // The database image and the outcomes are the same in all three modes.
     let golden = |db_trace, journal_len, journal_fnv, journal_trace, io| Golden {
-        db_len: 409_600,
-        db_fnv: 1239726094534833218,
+        db_len: 241_664,
+        db_fnv: 9747803138161194398,
         db_trace,
         journal_len,
         journal_fnv,
@@ -530,31 +535,31 @@ fn golden_repeated_shapes() {
     assert_eq!(
         run_shapes(JournalMode::Rollback),
         golden(
-            4945109511942788252,
+            6089823302687032881,
             0,
             FNV_OFFSET,
-            11974687083274611006,
-            [980, 3_618_944, 2052, 114, 0]
+            13181016073429542028,
+            [858, 3_286_844, 2052, 69, 0]
         )
     );
     assert_eq!(
         run_shapes(JournalMode::Wal),
         golden(
-            17545822642618247990,
+            2317385101805837331,
             210_152,
-            11302448003699329301,
-            7083827496654969557,
-            [170, 4_037_632, 726, 114, 21]
+            15413694771311078673,
+            3757166667798534823,
+            [121, 3_534_992, 720, 69, 18]
         )
     );
     assert_eq!(
         run_shapes(JournalMode::Off),
         golden(
-            4616987717307940904,
+            3598526841717202691,
             0,
             FNV_OFFSET,
             FNV_OFFSET,
-            [980, 0, 0, 114, 0]
+            [858, 0, 0, 69, 0]
         )
     );
 }
@@ -564,14 +569,14 @@ fn golden_rollback_journal() {
     assert_eq!(
         run_script(JournalMode::Rollback),
         Golden {
-            db_len: 2_772_992,
-            db_fnv: 543832710404558686,
-            db_trace: 7009599480761868740,
+            db_len: 2_514_944,
+            db_fnv: 16676182277866877228,
+            db_trace: 9478653029969424186,
             journal_len: 0,
             journal_fnv: FNV_OFFSET,
-            journal_trace: 14237449550055410054,
-            outcomes: 15736594356689605965,
-            io: [2376, 6_984_748, 3534, 1266, 0],
+            journal_trace: 3100678262292421284,
+            outcomes: 3343466694567798807,
+            io: [2132, 6_242_840, 3570, 1177, 0],
             interior_pages: 5,
         }
     );
@@ -582,14 +587,14 @@ fn golden_wal() {
     assert_eq!(
         run_script(JournalMode::Wal),
         Golden {
-            db_len: 2_772_992,
-            db_fnv: 543832710404558686,
-            db_trace: 10917342980156782234,
-            journal_len: 370_832,
-            journal_fnv: 92400852601502215,
-            journal_trace: 10739453024702023603,
-            outcomes: 15736594356689605965,
-            io: [997, 9_789_152, 1266, 1266, 44],
+            db_len: 2_514_944,
+            db_fnv: 16676182277866877228,
+            db_trace: 6732233201763014408,
+            journal_len: 292_552,
+            journal_fnv: 9518569982648750785,
+            journal_trace: 241097061244609368,
+            outcomes: 3343466694567798807,
+            io: [854, 8_783_872, 1272, 1177, 41],
             interior_pages: 5,
         }
     );
@@ -600,14 +605,14 @@ fn golden_no_journal() {
     assert_eq!(
         run_script(JournalMode::Off),
         Golden {
-            db_len: 2_772_992,
-            db_fnv: 543832710404558686,
-            db_trace: 1596951588493843434,
+            db_len: 2_514_944,
+            db_fnv: 16676182277866877228,
+            db_trace: 2372655539265143016,
             journal_len: 0,
             journal_fnv: FNV_OFFSET,
             journal_trace: FNV_OFFSET,
-            outcomes: 15736594356689605965,
-            io: [2376, 0, 0, 1266, 0],
+            outcomes: 3343466694567798807,
+            io: [2132, 0, 0, 1177, 0],
             interior_pages: 5,
         }
     );

@@ -64,14 +64,18 @@ static ALLOCATOR: Counting = Counting;
 
 /// Page-sized blocks allowed beside the database's own pages: the pager's
 /// spare buffers (at most three, what a leaf split dirties; 84 pages and
-/// 87 blocks when this was written) and one for anything else page-sized.
+/// 87 blocks when this was written, after 2 000 INSERTs) and one for
+/// anything else page-sized.
 const OTHER_PAGE_BLOCKS: u64 = 4;
 
 /// wallbench's SQL schema and application partition (~4 MiB).
 const SCHEMA: &str =
     "CREATE TABLE bench (id INTEGER PRIMARY KEY, k TEXT, v TEXT, ts INTEGER, rnd INTEGER)";
 const APP_PAGES: usize = 1020;
-const INSERTS: u64 = 2_000;
+/// Enough rows for a table of some 90 pages (leaves are full since an
+/// append to a full leaf opens a leaf of its own; 2 000 rows made 84
+/// half-full ones before).
+const INSERTS: u64 = 4_000;
 
 fn live_page_blocks() -> u64 {
     PAGE_ALLOCS.with(Cell::get) - PAGE_FREES.with(Cell::get)
