@@ -388,14 +388,21 @@ fn recovery_ms(r: Option<SimDuration>) -> Json {
 }
 
 fn main() {
-    cells::main(
+    let (head, sections) = artifact();
+    cells::main(head, sections);
+}
+
+/// The artifact's head and its sections of cells (`tests/drift.rs` re-runs
+/// a sample of them).
+pub fn artifact() -> (Json, Vec<Section>) {
+    (
         obj! {"bench": "availability"},
         vec![
             Section::array("scenarios", scenario_cells(), scenarios),
             Section::array("rotation_sweep", sweep_cells(), sweep),
             Section::array("reliability", reliability_cells(), reliability_table),
         ],
-    );
+    )
 }
 
 /// Print the scenario rows, grouped by scenario so the two engine columns

@@ -350,6 +350,13 @@ fn reshard_table(rows: Vec<Json>) -> Json {
 }
 
 fn main() {
+    let (head, sections) = artifact();
+    cells::main(head, sections);
+}
+
+/// The artifact's head and its sections of cells (`tests/drift.rs` re-runs
+/// a sample of them).
+pub fn artifact() -> (Json, Vec<Section>) {
     let reshard = Engine::ALL
         .into_iter()
         .map(|engine| {
@@ -357,11 +364,11 @@ fn main() {
             cell(id, move || measure_reshard(engine))
         })
         .collect();
-    cells::main(
+    (
         obj! {"bench": "cross_shard"},
         vec![
             Section::array("rows", row_cells(), sweeps),
             Section::array("reshard", reshard, reshard_table),
         ],
-    );
+    )
 }

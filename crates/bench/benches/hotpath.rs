@@ -188,13 +188,20 @@ fn check(r: &HotpathRow) {
 }
 
 fn main() {
-    cells::main(
+    let (head, sections) = artifact();
+    cells::main(head, sections);
+}
+
+/// The artifact's head and its sections of cells (`tests/drift.rs` re-runs
+/// a sample of them).
+pub fn artifact() -> (Json, Vec<Section>) {
+    (
         obj! {"bench": "hotpath", "request_size": SIZE, "num_clients": 12usize},
         vec![Section::array("rows", row_cells(), |rows| {
             println!("amortized cost model: OK (encode-once, batched authenticators, O(1) reads)");
             Json::Arr(rows)
         })],
-    );
+    )
 }
 
 /// Every (n, path, engine) point, each printed and checked against the

@@ -39,7 +39,14 @@ macro_rules! check {
 /// `BENCH_paper.json`; `-- --cells` lists each cell's id and row; `-- --cell
 /// ID` runs that cell alone and prints its row (see [`bench::cells`]).
 fn main() {
-    cells::main(
+    let (head, sections) = artifact();
+    cells::main(head, sections);
+}
+
+/// The artifact's head and its sections of cells (`tests/drift.rs` re-runs
+/// a sample of them).
+pub fn artifact() -> (Json, Vec<Section>) {
+    (
         obj! {"bench": "paper"},
         vec![
             Section::rows("fig4", fig4_cells(), fig4),
@@ -53,7 +60,7 @@ fn main() {
             Section::rows("wan", wan_cells(), wan),
             Section::rows("byzantine", byzantine_cells(), byzantine),
         ],
-    );
+    )
 }
 
 /// `row` with its `measured` value and — where the paper reports the same

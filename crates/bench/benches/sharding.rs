@@ -39,10 +39,17 @@ const TRIALS: usize = 2;
 static TRIALS_RUN: Mutex<Vec<Vec<ShardedThroughput>>> = Mutex::new(Vec::new());
 
 fn main() {
-    cells::main(
+    let (head, sections) = artifact();
+    cells::main(head, sections);
+}
+
+/// The artifact's head and its sections of cells (`tests/drift.rs` re-runs
+/// a sample of them).
+pub fn artifact() -> (Json, Vec<Section>) {
+    (
         obj! {"bench": "sharding", "trials": TRIALS},
         vec![Section::array("rows", row_cells(), grids)],
-    );
+    )
 }
 
 /// Engine × batching × shard count, in row order.

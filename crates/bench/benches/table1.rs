@@ -36,13 +36,20 @@ const SEED_CELLS: [f64; 4] = [8005.83, 5860.33, 600.17, 377.0];
 const BATCH_ROW_FLOOR: f64 = 1.3;
 
 fn main() {
-    cells::main(
+    let (head, sections) = artifact();
+    cells::main(head, sections);
+}
+
+/// The artifact's head and its sections of cells (`tests/drift.rs` re-runs
+/// a sample of them).
+pub fn artifact() -> (Json, Vec<Section>) {
+    (
         obj! {"bench": "table1", "request_size": SIZE, "trials": TRIALS},
         vec![
             Section::array("rows", row_cells(), table),
             Section::array("engine_head_to_head", head_to_head_cells(), head_to_head),
         ],
-    );
+    )
 }
 
 /// A row measured under `cfg`'s engine: beside the paper's number, if it

@@ -270,6 +270,11 @@ pub mod cells {
             }
         }
 
+        /// The JSON path of row `i` in the artifact (`acid.rows[2]`).
+        fn row_path(&self, i: usize) -> String {
+            format!("{}{}[{i}]", self.key, self.rows_at)
+        }
+
         /// A section that is the array of its rows, once `finish` (which
         /// returns it) has checked them.
         pub fn array(key: &'static str, cells: Vec<Cell>, finish: fn(Vec<Json>) -> Json) -> Self {
@@ -280,6 +285,15 @@ pub mod cells {
                 finish,
             }
         }
+    }
+
+    /// Run cell `id` of `sections` alone, as `-- --cell ID` does: its row
+    /// and the JSON path of the row in the artifact. `None`: no such cell.
+    pub fn run_alone(sections: &[Section], id: &str) -> Option<(Json, String)> {
+        sections.iter().find_map(|s| {
+            let i = s.cells.iter().position(|c| c.id == id)?;
+            Some(((s.cells[i].run)(), s.row_path(i)))
+        })
     }
 
     /// Set when one cell runs alone: its bench, its id, and whether its
@@ -309,18 +323,16 @@ pub mod cells {
         if list {
             for s in &sections {
                 for (i, c) in s.cells.iter().enumerate() {
-                    println!("{}\t{}{}[{i}]", c.id, s.key, s.rows_at);
+                    println!("{}\t{}", c.id, s.row_path(i));
                 }
             }
             return;
         }
         if let Some(id) = alone {
-            let mut cells = sections.iter().flat_map(|s| &s.cells);
-            let Some(c) = cells.find(|c| c.id == id) else {
+            ALONE.set((bench, id.clone(), trace)).expect("set once");
+            let Some((row, _)) = run_alone(&sections, &id) else {
                 panic!("no cell {id} (`-- --cells` lists them)");
             };
-            ALONE.set((bench, id.clone(), trace)).expect("set once");
-            let row = (c.run)();
             println!("== cell {id}\n{}", row.render());
             return;
         }

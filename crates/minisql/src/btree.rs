@@ -571,10 +571,9 @@ impl BTree {
         let mut starts = [0u16; MAX_LEAF_CELLS + 1];
         let page = pager.page(page_id)?;
         let next = u32_at(page, 3);
-        let mut cells = LeafCells::new(page);
         let mut n = 0;
         let mut last = None;
-        for cell in cells.by_ref() {
+        for cell in LeafCells::new(page) {
             let cell = cell?;
             starts[n] = cell.start as u16;
             last = Some(cell.key);

@@ -137,7 +137,10 @@ mod tests {
         let bytes = write_journal(&mut v, 64, 12, &entries, true).expect("write");
         assert_eq!(bytes, 16 + 2 * (4 + 64));
         assert_eq!(v.len(), bytes);
-        assert_eq!(v.shared_pages(), 2, "pre-images kept by reference");
+        for (at, (_, image)) in [(20, &entries[0]), (88, &entries[1])] {
+            let kept = v.read_page(at, 64).expect("read");
+            assert!(Arc::ptr_eq(&kept, image), "pre-images kept by reference");
+        }
         let back = read_journal(&v, 64).expect("read").expect("present");
         assert_eq!(back.old_page_count, 12);
         assert_eq!(

@@ -568,11 +568,23 @@ impl Pager {
         let durable = st.durable_page_count();
         let mut buf = vec![0u8; PAGE_SIZE];
         for &(page_id, off) in &frames {
-            crate::wal::read_frame_page(self.journal.as_ref(), off, &mut buf)?;
-            self.db.write_at(page_id as u64 * PAGE_SIZE as u64, &buf)?;
+            let at = u64::from(page_id) * PAGE_SIZE as u64;
+            // A clean cached page is its latest frame: the file takes that
+            // image, and from then on the cache and the file share it.
+            let clean = (!self.dirty.contains(page_id)).then(|| self.cache.get(&page_id));
+            if let Some(page) = clean.flatten() {
+                let released = self.db.write_page(at, page)?;
+                self.released.extend(released);
+            } else {
+                crate::wal::read_frame_page(self.journal.as_ref(), off, &mut buf)?;
+                self.db.write_at(at, &buf)?;
+            }
         }
         self.db.set_len(u64::from(durable) * PAGE_SIZE as u64)?;
         self.db.sync()?;
+        for page in self.released.drain(..) {
+            keep_spare(&mut self.spares, page);
+        }
         let mut st = self.wal.take().expect("checked above");
         let reset = crate::wal::reset(self.journal.as_mut(), &mut st, true);
         self.wal = Some(st);
@@ -950,6 +962,117 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One file of a database under test, a [`MemVfs`] that counts the
+    /// whole pages copied through it: a page's worth of `read_at` /
+    /// `write_at`, and a `read_page` the file could not share. Each sync of a non-empty
+    /// file keeps its bytes (the journal a crash there would find).
+    #[derive(Clone, Default)]
+    struct Counted {
+        file: Rc<RefCell<MemVfs>>,
+        copies: Rc<Cell<u64>>,
+        synced: Rc<RefCell<Vec<Vec<u8>>>>,
+    }
+
+    impl Counted {
+        fn count(&self, len: usize) {
+            self.copies
+                .set(self.copies.get() + (len / PAGE_SIZE) as u64);
+        }
+    }
+
+    impl Vfs for Counted {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), crate::vfs::VfsError> {
+            self.count(buf.len());
+            self.file.borrow().read_at(offset, buf)
+        }
+        fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), crate::vfs::VfsError> {
+            self.count(data.len());
+            self.file.borrow_mut().write_at(offset, data)
+        }
+        fn read_page(&self, offset: u64, len: usize) -> Result<Page, crate::vfs::VfsError> {
+            let page = self.file.borrow().read_page(offset, len)?;
+            if Arc::strong_count(&page) == 1 {
+                self.count(len);
+            }
+            Ok(page)
+        }
+        fn write_page(
+            &mut self,
+            offset: u64,
+            page: &Page,
+        ) -> Result<Option<Page>, crate::vfs::VfsError> {
+            self.file.borrow_mut().write_page(offset, page)
+        }
+        fn len(&self) -> u64 {
+            self.file.borrow().len()
+        }
+        fn set_len(&mut self, len: u64) -> Result<(), crate::vfs::VfsError> {
+            self.file.borrow_mut().set_len(len)
+        }
+        fn sync(&mut self) -> Result<(), crate::vfs::VfsError> {
+            let file = self.file.borrow();
+            if !file.is_empty() {
+                self.synced.borrow_mut().push(file.bytes());
+            }
+            drop(file);
+            self.file.borrow_mut().sync()
+        }
+    }
+
+    #[test]
+    fn a_rollback_insert_copies_no_page_through_either_file() {
+        use crate::db::{Database, DbOptions};
+
+        let (db, journal) = (Counted::default(), Counted::default());
+        let mut d = Database::open(
+            Box::new(db.clone()),
+            Box::new(journal.clone()),
+            DbOptions::default(),
+        )
+        .expect("open");
+        d.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+            .expect("create");
+        d.execute("INSERT INTO t (v) VALUES ('a')").expect("insert");
+        let leaf = 2u64 * PAGE_SIZE as u64;
+        let pre_image = db.file.borrow().read_page(leaf, PAGE_SIZE).expect("read");
+        journal.synced.borrow_mut().clear();
+        for file in [&db, &journal] {
+            file.copies.set(0);
+        }
+
+        // Fits its leaf: the journal holds the leaf's pre-image, and
+        // neither file copies a page.
+        d.execute("INSERT INTO t (v) VALUES ('b')").expect("insert");
+        assert_eq!((db.copies.get(), journal.copies.get()), (0, 0));
+        let synced = std::mem::take(&mut *journal.synced.borrow_mut());
+        assert_eq!(synced.len(), 1, "one journal image synced");
+        let image = &synced[0];
+        let fnv = image.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        // The bytes the journal held when its image was one copied write
+        // (computed on the commit before, 63b33c9, with this test: there
+        // the database file copied one page out and the journal one in).
+        assert_eq!((image.len(), fnv), (4116, 0xbf1b_bfc3_7f54_9927));
+        let mut file = MemVfs::new();
+        file.write_at(0, image).expect("write");
+        let contents = read_journal(&file, PAGE_SIZE)
+            .expect("read")
+            .expect("a journal");
+        assert_eq!(contents.old_page_count, 3);
+        assert_eq!(contents.entries, [(2, pre_image.to_vec())]);
+
+        // Fills its leaf and opens the next: the leaf and the header page
+        // are journaled, and still no page is copied through a file.
+        let pad = "x".repeat(2000);
+        for _ in 0..3 {
+            d.execute(&format!("INSERT INTO t (v) VALUES ('{pad}')"))
+                .expect("insert");
+        }
+        assert!(d.page_count() > 3, "the leaf split");
+        assert_eq!((db.copies.get(), journal.copies.get()), (0, 0));
     }
 
     #[test]

@@ -242,11 +242,6 @@ impl MemVfs {
         self.data.to_vec()
     }
 
-    /// Pages held by reference (tests assert on what was not copied).
-    pub fn shared_pages(&self) -> usize {
-        self.data.segs.len()
-    }
-
     /// Keep the synced image aside before a mutating call changes `data`:
     /// `data` itself when the call discards all of it, a copy otherwise.
     fn unsync(&mut self, discards_all: bool) {
@@ -433,6 +428,11 @@ mod tests {
 
     #[test]
     fn crosscheck_prop_memvfs_matches_copy_at_sync() {
+        // Byte writes, page images kept by reference (`write_page`), and
+        // writes and truncations that cut across them, at random offsets;
+        // syncs, crashes, and whole rollback-journal cycles (truncate,
+        // header, entries, sync, cleared and synced again), after which a
+        // crash finds an empty file and the file holds none of the images.
         propcheck::check("memvfs_matches_copy_at_sync", 128, |g| {
             let mut v = MemVfs::new();
             let mut r = CopyAtSync::default();
@@ -444,7 +444,7 @@ mod tests {
                     1 => len,
                     _ => len + g.usize_in(1..64),
                 };
-                match g.choice(8) {
+                match g.choice(11) {
                     0..=2 => {
                         let at = offset(g);
                         let data = g.bytes(0..96);
@@ -452,17 +452,48 @@ mod tests {
                         r.write_at(at, &data);
                     }
                     3 | 4 => {
+                        let at = offset(g);
+                        let page = Arc::new(g.bytes(1..96));
+                        v.write_page(at as u64, &page).expect("write_page");
+                        r.write_at(at, &page);
+                        let back = v.read_page(at as u64, page.len()).expect("read_page");
+                        assert!(Arc::ptr_eq(&back, &page), "step {step}: kept by reference");
+                    }
+                    5 => {
                         let to = if g.bool() { 0 } else { offset(g) };
                         v.set_len(to as u64).expect("set_len");
                         r.data.resize(to, 0);
                     }
-                    5 | 6 => {
+                    6 | 7 => {
                         v.sync().expect("sync");
                         r.stable.clone_from(&r.data);
                     }
-                    _ => {
+                    8 => {
                         v = v.crash();
                         r = r.crash();
+                    }
+                    _ => {
+                        let pages: Vec<SharedImage> = (0..g.usize_in(1..4))
+                            .map(|_| Arc::new(g.bytes(32..33)))
+                            .collect();
+                        v.set_len(0).expect("truncate");
+                        v.write_at(0, b"header").expect("header");
+                        let mut at = 6;
+                        for page in &pages {
+                            v.write_at(at, &[7; 4]).expect("id");
+                            v.write_page(at + 4, page).expect("image");
+                            at += 36;
+                        }
+                        v.sync().expect("sync");
+                        assert_eq!(v.crash().len(), at, "step {step}: the synced journal");
+                        v.set_len(0).expect("clear");
+                        v.sync().expect("sync");
+                        assert!(
+                            pages.iter().all(|p| Arc::strong_count(p) == 1),
+                            "step {step}: a cleared journal lets go of its images"
+                        );
+                        r.data.clear();
+                        r.stable.clear();
                     }
                 }
                 assert_eq!(v.bytes(), r.data, "step {step}");
@@ -471,6 +502,11 @@ mod tests {
                 let mut buf = vec![0xa5; n];
                 v.read_at(at as u64, &mut buf).expect("read");
                 assert_eq!(buf, r.read_at(at, n), "step {step}");
+                assert_eq!(
+                    *v.read_page(at as u64, n).expect("read_page"),
+                    r.read_at(at, n),
+                    "step {step}"
+                );
                 assert_eq!(v.crash().bytes(), r.stable, "step {step}");
             }
         });

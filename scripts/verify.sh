@@ -6,8 +6,9 @@
 #      the resharding, read and stability suites (the last restarts a
 #      replica in the paper's robust configuration and fails the primary
 #      over to it), then the crypto cross-checks (hardware vs scalar,
-#      pinned outputs), the minisql ones (pinned database files, in place vs `Node` oracle)
-#      and the allocation pins (alloc_burst, alloc_insert, shared_pages) and the stepped
+#      pinned outputs), the minisql ones (pinned database files, in place vs `Node` oracle,
+#      MemVfs vs its crash model) and the allocation pins (alloc_burst, minisql's and
+#      pbft_sql's alloc_insert, shared_pages) and the stepped
 #      checkpoint proofs (equivalence a_checkpoint_, checkpoint_stall) in the
 #      release profile, whose bands the test-profile pass below never checks
 #   4. the whole test suite (unit + integration + property tests),
@@ -82,10 +83,13 @@ cargo test -q --release -p pbft_crypto crosscheck
 # minisql's storage layer edits B+tree pages in place with offset arithmetic;
 # the proof that it writes the bytes the parse-edit-serialize code wrote is
 # `golden_*` (database file, journal/WAL file, every mutating VFS call,
-# outcomes, error text and IoStats pinned from commit 0f3ba65, all three
-# journal modes) and `crosscheck_*` (in place vs the `Node` oracle page for
-# page; hostile pages never panic). Release too: overflow checks differ
-# between the two profiles.
+# outcomes, error text and IoStats pinned, all three journal modes) and
+# `crosscheck_*` (in place vs the `Node` oracle page for page, appends that
+# open a leaf of their own included; random and append-only insert orders
+# keep every key and pack appended leaves; hostile pages never panic; every
+# crash point of a commit recovers; MemVfs, shared page images included, ==
+# a copy-at-sync model). Release too: overflow checks differ between the two
+# profiles.
 echo "==> minisql bytes (cargo test -p minisql -- golden_ crosscheck_, test + release profiles)"
 cargo test -q -p minisql -- golden_ crosscheck_
 cargo test -q --release -p minisql -- golden_ crosscheck_
@@ -97,6 +101,7 @@ cargo test -q --release -p minisql -- golden_ crosscheck_
 # here.
 echo "==> allocation pins (alloc_burst, alloc_insert, shared_pages), release profile"
 cargo test -q --release -p pbft_core --test alloc_burst
+cargo test -q --release -p minisql --test alloc_insert
 cargo test -q --release -p pbft_sql --test alloc_insert
 cargo test -q --release -p pbft_sql --test shared_pages
 
