@@ -571,8 +571,11 @@ impl Pager {
             let at = u64::from(page_id) * PAGE_SIZE as u64;
             // A clean cached page is its latest frame: the file takes that
             // image, and from then on the cache and the file share it.
-            let clean = (!self.dirty.contains(page_id)).then(|| self.cache.get(&page_id));
-            if let Some(page) = clean.flatten() {
+            let clean = self
+                .cache
+                .get(&page_id)
+                .filter(|_| !self.dirty.contains(page_id));
+            if let Some(page) = clean {
                 let released = self.db.write_page(at, page)?;
                 self.released.extend(released);
             } else {
